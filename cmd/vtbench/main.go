@@ -27,8 +27,10 @@
 // Exit codes: 0 on success, 1 on a fatal setup error, 3 when the sweep
 // completed but one or more runs failed (repro bundles in -faildir, the
 // completion journal marks them for -resume). On SIGINT/SIGTERM the
-// sweep drains in-flight runs, flushes the journal and store, and exits
-// 128+signum (130/143); a second signal kills immediately.
+// sweep drains in-flight runs, waits for the store to hold every
+// finished run's outcome, and exits 128+signum (130/143); a second
+// signal kills immediately, losing at most the outcomes still in the
+// store's write-behind window (-resume re-executes those).
 package main
 
 import (
@@ -417,6 +419,11 @@ func realMain() int {
 		}
 		report.Experiments = append(report.Experiments, r)
 	}
+	// The durability barrier: run outcomes commit write-behind, so nothing
+	// below — the summary, -json, the journal close, any exit code,
+	// signal-initiated or not — may happen before the store holds, on
+	// both sides, every outcome this process is about to report.
+	harness.SyncStores()
 	report.TotalWallSec = time.Since(start).Seconds()
 	m := vtsim.ExperimentMetrics()
 	report.RunsRequested = m.Requests
@@ -463,8 +470,8 @@ func realMain() int {
 		fmt.Fprintf(w, "supervisor: %d safe-mode retries, %d degraded, %d failed runs\n",
 			m.Retries, m.Degraded, m.Failures)
 		if m.Failures > 0 && *failDir != "" {
-			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run the failed jobs with -cachedir %s -resume\n",
-				*failDir, *cacheDir)
+			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run the failed jobs with -store %s -resume\n",
+				*failDir, *storeDir)
 		}
 	}
 

@@ -194,7 +194,7 @@ func traceReport(path, mirror, perfOut string) error {
 
 	fmt.Printf("sweep trace: %d spans, %d jobs, %d worker slots, %.3fs wall (started %s)\n",
 		len(d.Spans), a.Jobs, a.Workers, a.WallSeconds, d.StartTime)
-	fmt.Printf("span coverage: %.1f%% of wall-clock inside plan/job spans\n\n", 100*a.Coverage)
+	fmt.Printf("span coverage: %.1f%% of wall-clock inside plan/job/store-batch spans\n\n", 100*a.Coverage)
 
 	fmt.Printf("critical path (%.3fs — the chain that set the wall-clock):\n", a.PathSeconds)
 	for _, s := range a.Path {

@@ -271,6 +271,9 @@ func realMain() int {
 		}
 		report.Experiments = append(report.Experiments, r)
 	}
+	// Remote completions committed synchronously as they arrived; this
+	// waits for the write-behind outcomes of any local fallback runs.
+	harness.SyncStores()
 	// Sweep done: close the queue so workers see 410 and exit. Linger a
 	// couple of poll intervals before the deferred Shutdown tears the
 	// listener down, so draining workers observe the 410 (and exit 0)

@@ -430,6 +430,7 @@ func runBaseline(t *testing.T, jobs []harness.Job, checkpoint bool) (map[string]
 	if err := harness.RunJobs(p, jobs, sink); err != nil {
 		t.Fatalf("single-process sweep: %v", err)
 	}
+	harness.SyncStores() // local outcomes commit write-behind
 	return sink.got, journalCycles(t, dir)
 }
 

@@ -51,12 +51,15 @@ type WorkerConfig struct {
 
 // RunWorker pulls jobs from the coordinator until the sweep completes
 // (nil), the context cancels (ctx.Err() after draining in-flight
-// jobs), or the coordinator becomes unreachable for too long.
+// jobs), or the coordinator becomes unreachable for too long. Whatever
+// the reason, it returns only after the worker's local store holds
+// every outcome the worker reported (harness.SyncStores).
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w, err := newWorker(cfg)
 	if err != nil {
 		return err
 	}
+	defer harness.SyncStores()
 	return w.run(ctx)
 }
 

@@ -70,6 +70,11 @@ const (
 	// StoreEIO fails the operation once with ErrInjectedIO and continues;
 	// the retried operation succeeds, modelling a transient I/O error.
 	StoreEIO
+	// StoreStall holds the operation — a disk that stops answering — until
+	// the test calls Release; Stalled is closed once it is held. Other
+	// operations pass through the hook meanwhile, which is what lets a
+	// test show who does and who does not wait behind a stuck commit.
+	StoreStall
 )
 
 // String names the kind as test labels spell it.
@@ -85,6 +90,8 @@ func (k StoreFaultKind) String() string {
 		return "bit-flip"
 	case StoreEIO:
 		return "eio-once"
+	case StoreStall:
+		return "stall"
 	default:
 		return fmt.Sprintf("storekind(%d)", int(k))
 	}
@@ -120,7 +127,7 @@ type StoreSpec struct {
 // StoreHook compiles the spec into a stateful hook for one store
 // instance. Each hook carries its own operation counter and fired flag.
 func (sp *StoreSpec) StoreHook() *StoreHook {
-	return &StoreHook{spec: *sp}
+	return &StoreHook{spec: *sp, stalled: make(chan struct{}), release: make(chan struct{})}
 }
 
 // StoreHook observes every filesystem operation of a result store and
@@ -130,9 +137,21 @@ type StoreHook struct {
 	spec   StoreSpec
 	match  int
 	fired  bool
+	kill   *StoreKill // set once a crash kind fired: the process is dead
 	record bool
 	trace  []string
+	// StoreStall: stalled closes when the operation is held, release
+	// lets it go.
+	stalled chan struct{}
+	release chan struct{}
 }
+
+// Stalled is closed once a StoreStall fault holds its operation.
+func (h *StoreHook) Stalled() <-chan struct{} { return h.stalled }
+
+// Release lets the operation a StoreStall fault holds proceed. Call it
+// exactly once.
+func (h *StoreHook) Release() { close(h.release) }
 
 // NewStoreRecorder returns a hook that injects nothing and records the
 // operation trace, so kill-point sweeps can first enumerate the
@@ -161,10 +180,16 @@ func (h *StoreHook) Fired() bool {
 // whether the caller must simulate process death immediately after the
 // operation completes (by panicking with *StoreKill), and an error that
 // fails the operation. Crash-before faults panic with *StoreKill from
-// inside Apply, so the operation never happens.
+// inside Apply, so the operation never happens. Once a crash kind has
+// fired the process is dead: every later operation, from any goroutine,
+// panics with the same *StoreKill before touching the disk, so commits
+// running concurrently with the one that died cannot outlive it.
 func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, dieAfter bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.kill != nil {
+		panic(h.kill)
+	}
 	if h.record {
 		h.trace = append(h.trace, fmt.Sprintf("%s %s", op, path))
 	}
@@ -186,9 +211,12 @@ func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, die
 		// Payload faults degrade to a crash on payload-less operations.
 		kind = StoreCrash
 	}
+	if kind == StoreCrash || kind == StoreCrashAfter || kind == StoreTruncate {
+		h.kill = &StoreKill{Op: op, Path: path, Seq: seq}
+	}
 	switch kind {
 	case StoreCrash:
-		panic(&StoreKill{Op: op, Path: path, Seq: seq})
+		panic(h.kill)
 	case StoreCrashAfter:
 		return out, true, nil
 	case StoreTruncate:
@@ -201,6 +229,11 @@ func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, die
 		return flipped, false, nil
 	case StoreEIO:
 		return out, false, ErrInjectedIO
+	case StoreStall:
+		close(h.stalled)
+		h.mu.Unlock() // everyone else's operations keep flowing
+		<-h.release
+		h.mu.Lock()
 	}
 	return out, false, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -55,6 +56,73 @@ func cacheKey(fp string) string {
 type storeHandle struct {
 	st  *resultstore.Store
 	err error
+	wb  *writeBehind
+}
+
+// writeBehindWindow bounds, per store, the run outcomes a sweep has
+// submitted but the store has not yet made durable. It is the most a
+// process killed outright can lose (-resume re-executes exactly those
+// jobs), and the depth at which a slot that outruns the disk starts to
+// wait for it. Commits in the window coalesce into group-commit batches,
+// so the window also caps a batch.
+const writeBehindWindow = 32
+
+// writeBehind runs store commits off the simulation slots: submit hands
+// one commit to its own goroutine (bounded by the window), wait is the
+// durability barrier. A commit that panics — a crash drill's simulated
+// process death — poisons the pipeline: wait reports the value and
+// every later submit re-raises it, as the death of the process would
+// have stopped the slot.
+type writeBehind struct {
+	mu       sync.Mutex
+	changed  *sync.Cond // inflight dropped, or dead was set
+	inflight int
+	dead     any
+}
+
+func newWriteBehind() *writeBehind {
+	w := &writeBehind{}
+	w.changed = sync.NewCond(&w.mu)
+	return w
+}
+
+// submit starts commit in the background, first waiting for room in
+// the window.
+func (w *writeBehind) submit(commit func()) {
+	w.mu.Lock()
+	for w.inflight >= writeBehindWindow && w.dead == nil {
+		w.changed.Wait()
+	}
+	if w.dead != nil {
+		w.mu.Unlock()
+		panic(w.dead)
+	}
+	w.inflight++
+	w.mu.Unlock()
+	go func() {
+		defer func() {
+			r := recover()
+			w.mu.Lock()
+			w.inflight--
+			if r != nil && w.dead == nil {
+				w.dead = r
+			}
+			w.changed.Broadcast()
+			w.mu.Unlock()
+		}()
+		commit()
+	}()
+}
+
+// wait returns once every submitted commit has finished, with the panic
+// value of one that died (nil normally).
+func (w *writeBehind) wait() any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.inflight > 0 {
+		w.changed.Wait()
+	}
+	return w.dead
 }
 
 var (
@@ -66,6 +134,15 @@ var (
 // when caching is off or the store cannot be opened (the sweep then
 // runs uncached, like the old best-effort disk cache).
 func storeFor(p Params) *resultstore.Store {
+	if h := handleFor(p); h != nil {
+		return h.st
+	}
+	return nil
+}
+
+// handleFor opens (once) the store for p's cache directories and
+// returns its handle, nil when caching is off or the open failed.
+func handleFor(p Params) *storeHandle {
 	if p.CacheDir == "" {
 		return nil
 	}
@@ -80,14 +157,38 @@ func storeFor(p Params) *resultstore.Store {
 			Fault:   p.StoreFault,
 			OnEvent: storeEvent,
 		})
-		h = &storeHandle{st: st, err: err}
+		h = &storeHandle{st: st, err: err, wb: newWriteBehind()}
 		if err != nil {
 			h.st = nil
 			fmt.Fprintf(os.Stderr, "harness: result store %s unavailable (running uncached): %v\n", p.CacheDir, err)
 		}
 		stores[k] = h
 	}
-	return h.st
+	if h.st == nil {
+		return nil
+	}
+	return h
+}
+
+// SyncStores is the sweep's durability barrier: it returns once every
+// run outcome submitted so far is committed (on both sides of a
+// mirrored store) or has been reported as failed to commit. Every sweep
+// owner calls it before it reports results or exits; until then up to
+// writeBehindWindow outcomes per store may exist only in memory. If a
+// commit died of a simulated process death (faultinject.StoreKill) the
+// barrier re-raises it.
+func SyncStores() {
+	storesMu.Lock()
+	hs := make([]*storeHandle, 0, len(stores))
+	for _, h := range stores {
+		hs = append(hs, h)
+	}
+	storesMu.Unlock()
+	for _, h := range hs {
+		if dead := h.wb.wait(); dead != nil {
+			panic(dead)
+		}
+	}
 }
 
 // storeEvent folds store audit events into the run metrics.
@@ -97,13 +198,15 @@ func storeEvent(ev resultstore.Event) {
 	}
 }
 
-// resetStores closes and forgets every open store. Called by
+// resetStores drains, closes and forgets every open store. Called by
 // ResetMetrics (outside the metrics lock: opening a store can emit
-// events that take it).
+// events that take it). A pipeline poisoned by a simulated process
+// death is simply dropped: the reset is the reboot.
 func resetStores() {
 	storesMu.Lock()
 	defer storesMu.Unlock()
 	for _, h := range stores {
+		h.wb.wait()
 		if h.st != nil {
 			h.st.Close()
 		}
@@ -148,11 +251,34 @@ func storeRetry(ctx context.Context, op func() error) error {
 	}
 }
 
-// commitStoreTx commits with bounded retry on transient I/O. Best-effort
-// beyond that: a store that cannot be written must not fail the sweep,
-// matching the old disk cache's contract.
-func commitStoreTx(ctx context.Context, tx *resultstore.Tx) {
-	if err := storeRetry(ctx, tx.Commit); err != nil {
+// commitStoreTx commits through the store's group commit with bounded
+// retry on transient I/O, and accounts for the batch the transaction
+// rode in if this call led it: one store.tx span (attrs txs, ops) with
+// the WAL phases the protocol timed itself (stage, commit, apply,
+// replicate) as children, and one vtsweep_store_batch_txs observation.
+// A batch outlives any one job, so the span hangs under the sweep-level
+// span, not the job's.
+func (p Params) commitStoreTx(tx *resultstore.Tx) error {
+	err := storeRetry(p.ctx(), tx.Commit)
+	b, ph := tx.Batch(), tx.Phases()
+	if !b.Lead || len(ph) == 0 {
+		return err
+	}
+	p.monitor().noteStoreBatch(b.Txs)
+	last := ph[len(ph)-1]
+	id := p.Trace.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
+		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops))
+	for _, x := range ph {
+		p.Trace.Record(id, "store."+x.Name, "", "", x.Start, x.Dur)
+	}
+	return err
+}
+
+// commitBestEffort is commitStoreTx for the memo path: a store that
+// cannot be written must not fail the sweep, matching the old disk
+// cache's contract.
+func (p Params) commitBestEffort(tx *resultstore.Tx) {
+	if err := p.commitStoreTx(tx); err != nil {
 		fmt.Fprintf(os.Stderr, "harness: result store commit failed: %v\n", err)
 	}
 }
@@ -189,7 +315,7 @@ func StorePutObject(p Params, kind resultstore.Kind, key string, b []byte) error
 	}
 	tx := st.Begin()
 	tx.Put(kind, key, b)
-	return storeRetry(p.ctx(), tx.Commit)
+	return p.commitStoreTx(tx)
 }
 
 // diskLoad returns the cached Result for the fingerprint, or nil. The

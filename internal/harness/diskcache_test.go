@@ -8,7 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 )
+
+// runDurable is memoRun followed by the sweep's durability barrier, for
+// tests that inspect the store directory right after a run: outcomes
+// commit write-behind, so until SyncStores the files may not exist yet.
+func runDurable(p Params, j Job) (*gpu.Result, error) {
+	res, err := memoRun(p, j)
+	SyncStores()
+	return res, err
+}
 
 // TestDiskCacheRoundTrip verifies that a memoized run persisted to disk is
 // served back on a later invocation (simulated by resetting the in-memory
@@ -19,7 +29,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	j := Job{Workload: "vecadd"}
 
 	ResetMetrics()
-	fresh, err := memoRun(p, j)
+	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 	j := Job{Workload: "vecadd"}
 
 	ResetMetrics()
-	if _, err := memoRun(p, j); err != nil {
+	if _, err := runDurable(p, j); err != nil {
 		t.Fatal(err)
 	}
 	files, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
@@ -112,7 +122,7 @@ func TestDiskCacheQuarantine(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			ResetMetrics()
-			if _, err := memoRun(p, j); err != nil {
+			if _, err := runDurable(p, j); err != nil {
 				t.Fatal(err)
 			}
 			files, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
@@ -126,7 +136,7 @@ func TestDiskCacheQuarantine(t *testing.T) {
 			tc.mangle(files[0], body)
 
 			ResetMetrics()
-			if _, err := memoRun(p, j); err != nil {
+			if _, err := runDurable(p, j); err != nil {
 				t.Fatal(err)
 			}
 			if m := Metrics(); m.Executed != 1 {

@@ -153,7 +153,7 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (*gpu.Result,
 			bumpMetric(func(m *RunMetrics) { m.CheckpointsCaptured++ })
 			if st != nil {
 				sid := p.Trace.Begin(p.span, "fork.ckstore", j.Workload, j.Variant)
-				diskStoreCheckpoint(p.ctx(), st, j.PrefixFP, ce.ck)
+				diskStoreCheckpoint(p, st, j.PrefixFP, ce.ck)
 				p.Trace.End(sid)
 			}
 		}
@@ -243,7 +243,7 @@ func diskLoadCheckpoint(ctx context.Context, st *resultstore.Store, prefixFP str
 // diskStoreCheckpoint persists a checkpoint for the prefix fingerprint
 // as one store transaction. Best-effort beyond the bounded transient
 // retry, like result persistence.
-func diskStoreCheckpoint(ctx context.Context, st *resultstore.Store, prefixFP string, ck *gpu.Checkpoint) {
+func diskStoreCheckpoint(p Params, st *resultstore.Store, prefixFP string, ck *gpu.Checkpoint) {
 	if st == nil {
 		return
 	}
@@ -257,5 +257,5 @@ func diskStoreCheckpoint(ctx context.Context, st *resultstore.Store, prefixFP st
 	}
 	tx := st.Begin()
 	tx.Put(resultstore.KindCheckpoint, cacheKey(prefixFP), b)
-	commitStoreTx(ctx, tx)
+	p.commitBestEffort(tx)
 }

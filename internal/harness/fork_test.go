@@ -154,6 +154,7 @@ func TestPrefixForkDiskCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	SyncStores()
 	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
 	if len(cks) != 1 {
 		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))
@@ -204,6 +205,7 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	SyncStores()
 	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
 	if len(cks) != 1 {
 		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))

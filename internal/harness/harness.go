@@ -114,10 +114,11 @@ type Params struct {
 	// Observability (see internal/sweepobs and monitor.go).
 
 	// Trace, when non-nil, records a sweep-lifecycle span tree: every
-	// job emits plan → store lookup → fork → execute → store-tx spans
-	// plus supervisor events. Nil (the default) disables tracing; every
-	// tracer hook is a nil-receiver no-op, so the off path costs a nil
-	// check (the CI overhead gate's contract).
+	// job emits plan → store lookup → fork → execute spans plus
+	// supervisor events, and every store batch a store-tx span. Nil (the
+	// default) disables tracing; every tracer hook is a nil-receiver
+	// no-op, so the off path costs a nil check (the CI overhead gate's
+	// contract).
 	Trace *sweepobs.Tracer
 	// Monitor receives live job begin/finish bookkeeping and serves the
 	// -monitor endpoints. Nil uses the process-wide DefaultMonitor,
@@ -150,7 +151,11 @@ type Params struct {
 
 	// span is the current parent span, threaded through the by-value
 	// Params copies as execution descends (experiment → job → attempt).
-	span sweepobs.SpanID
+	// sweepSpan is the span the jobs themselves hang under (the
+	// experiment, or none): store batches, which carry several jobs'
+	// outcomes and finish after those jobs have, are filed there.
+	span      sweepobs.SpanID
+	sweepSpan sweepobs.SpanID
 }
 
 // DefaultParams returns the evaluation defaults.
@@ -255,8 +260,10 @@ func Get(id string) (Experiment, error) {
 // RunAll executes every experiment in order. A failing experiment no
 // longer aborts the sweep: the failure is reported inline, the remaining
 // experiments run, and the joined error is returned at the end (the
-// supervisor has already written any repro bundles by then).
+// supervisor has already written any repro bundles by then). RunAll
+// owns the whole sweep, so it ends at the durability barrier.
 func RunAll(p Params, w io.Writer) error {
+	defer SyncStores()
 	var errs []error
 	for _, e := range experiments {
 		fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
@@ -461,7 +468,7 @@ func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 				defer mon.endJob(j)
 				defer p.Trace.EndJob(jid)
 				jp := p
-				jp.span = jid
+				jp.span, jp.sweepSpan = jid, p.span
 				res, err = exec.Execute(jp, j)
 			})
 			if err != nil {

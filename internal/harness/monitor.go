@@ -52,11 +52,29 @@ type Monitor struct {
 	recent      []finishedJob     // completions inside the rate window
 	cyclesTotal int64             // lifetime executed sim-cycles
 	tracer      *sweepobs.Tracer
+	// hist holds the one series that cannot be rebuilt per scrape from
+	// RunMetrics: the store's group-commit batch sizes.
+	hist     *sweepobs.Registry
+	batchTxs *sweepobs.Family
 }
+
+// storeBatchBuckets are the vtsweep_store_batch_txs bounds: powers of
+// two up to the write-behind window, which caps a batch.
+var storeBatchBuckets = []float64{1, 2, 4, 8, 16, writeBehindWindow}
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{now: time.Now, active: map[key]time.Time{}}
+	m := &Monitor{now: time.Now, active: map[key]time.Time{}}
+	m.resetHist()
+	return m
+}
+
+// resetHist starts the batch-size histogram over. Callers hold m.mu
+// (or own m exclusively).
+func (m *Monitor) resetHist() {
+	m.hist = sweepobs.NewRegistry()
+	m.batchTxs = m.hist.Histogram("vtsweep_store_batch_txs",
+		"Transactions per result-store group-commit batch.", storeBatchBuckets)
 }
 
 // defaultMon backs the package-level compat API and any Params without
@@ -93,6 +111,7 @@ func (m *Monitor) Reset() {
 	m.recent = nil
 	m.cyclesTotal = 0
 	m.tracer = nil
+	m.resetHist()
 	m.mu.Unlock()
 }
 
@@ -124,6 +143,14 @@ func (m *Monitor) noteFinished(cycles int64) {
 	m.cyclesTotal += cycles
 	m.recent = append(m.recent, finishedJob{t: now, cycles: cycles})
 	m.pruneLocked(now)
+}
+
+// noteStoreBatch records one group-commit batch of txs transactions.
+func (m *Monitor) noteStoreBatch(txs int) {
+	m.mu.Lock()
+	h := m.batchTxs
+	m.mu.Unlock()
+	h.Observe(float64(txs))
 }
 
 // pruneLocked drops completions older than the rate window.
@@ -210,10 +237,11 @@ func (m *Monitor) Status() MonitorStatus {
 }
 
 // WriteMetrics renders the sweep state as Prometheus text exposition:
-// the RunMetrics counters and monitor gauges, rebuilt per scrape, plus
-// the tracer's span counters and latency histograms when tracing is
-// on. Metric families are disjoint between the two registries, so the
-// concatenation stays a valid exposition (no duplicate HELP/TYPE).
+// the RunMetrics counters and monitor gauges, rebuilt per scrape, the
+// store batch-size histogram, plus the tracer's span counters and
+// latency histograms when tracing is on. Metric families are disjoint
+// between the registries, so the concatenation stays a valid exposition
+// (no duplicate HELP/TYPE).
 func (m *Monitor) WriteMetrics(w io.Writer) error {
 	st := m.Status()
 	mt := st.Metrics
@@ -248,8 +276,11 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	m.mu.Lock()
-	tracer := m.tracer
+	tracer, hist := m.tracer, m.hist
 	m.mu.Unlock()
+	if err := hist.Write(w); err != nil {
+		return err
+	}
 	return tracer.Registry().Write(w)
 }
 

@@ -172,33 +172,30 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 }
 
 // runDrillSweep executes the drill jobs sequentially through memoRun
-// under the given Params, stopping at a simulated process death
-// (*faultinject.StoreKill) like a real crash would. Returns whether the
-// sweep was killed and the per-job results gathered before death.
+// under the given Params and ends at the durability barrier, stopping
+// at a simulated process death (*faultinject.StoreKill) like a real
+// crash would: outcomes commit write-behind, so the death surfaces at
+// whichever comes first of the next store read, the next submit, and
+// the barrier. Returns whether the sweep was killed and the per-job
+// results gathered before death.
 func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*gpu.Result) {
 	results = make([]*gpu.Result, len(jobs))
-	for i, j := range jobs {
-		res, died := func() (r *gpu.Result, died bool) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(*faultinject.StoreKill); ok {
-						died = true
-						return
-					}
-					panic(rec)
-				}
-			}()
-			r, err := memoRun(p, j)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", j.Workload, j.Variant, err)
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(*faultinject.StoreKill); !ok {
+				panic(rec)
 			}
-			return r, false
-		}()
-		if died {
-			return true, results
+			killed = true
 		}
-		results[i] = res
+	}()
+	for i, j := range jobs {
+		r, err := memoRun(p, j)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", j.Workload, j.Variant, err)
+		}
+		results[i] = r
 	}
+	SyncStores()
 	return false, results
 }
 
@@ -340,7 +337,7 @@ func TestHarnessMirrorRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Journal = jl
-	fresh, err := memoRun(p, j)
+	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +406,7 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	p.CacheDir = t.TempDir()
 
 	ResetMetrics()
-	fresh, err := memoRun(p, j)
+	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +451,7 @@ func TestHarnessTransientStoreRetry(t *testing.T) {
 	p.StoreFault = hook
 
 	ResetMetrics()
-	if _, err := memoRun(p, j); err != nil {
+	if _, err := runDurable(p, j); err != nil {
 		t.Fatal(err)
 	}
 	if m := Metrics(); m.StoreRetries != 1 {

@@ -383,7 +383,10 @@ func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, 
 // all-or-nothing, replicated to the mirror, retried with backoff on
 // transient I/O — so a crash can never leave a journal entry whose
 // Result is missing or a cached Result the journal never heard of.
-// Without a store, the journal line is appended directly as before.
+// The transaction is submitted write-behind: the slot goes back to
+// simulating while the store batches it with its neighbours, and
+// SyncStores is where the sweep waits for it. Without a store, the
+// journal line is appended directly as before.
 func (p Params) journalRecord(j Job, fp, status string, attempts int, res *gpu.Result, err error, forkedFrom string) {
 	if fp == "" {
 		return
@@ -395,7 +398,7 @@ func (p Params) journalRecord(j Job, fp, status string, attempts int, res *gpu.R
 	// Faulted (or degraded-by-injection) outcomes must never be served to
 	// an un-injected sweep, so injected runs journal but never cache.
 	injected := p.Inject != nil && p.Inject.Matches(j.Workload, j.Variant)
-	p.commitOutcome(j, fp, entry, res, status != "failed" && !injected)
+	p.commitOutcome(fp, entry, res, status != "failed" && !injected, true)
 }
 
 // RecordRemote commits a remotely executed job's outcome into this
@@ -405,31 +408,35 @@ func (p Params) journalRecord(j Job, fp, status string, attempts int, res *gpu.R
 // log — workers stream outcomes back, the coordinator makes them
 // durable, and a worker crash loses nothing that was acknowledged. fp
 // is the raw content fingerprint (the store envelope carries it for
-// content verification); e.FP must be its cache key.
+// content verification); e.FP must be its cache key. Unlike a local
+// run's outcome this commit is synchronous — the coordinator makes a
+// completion durable before the waiting dispatcher may see it — and
+// completions arriving together still share one group-commit batch.
 func RecordRemote(p Params, fp string, e JournalEntry, res *gpu.Result) {
 	if fp == "" {
 		return
 	}
-	j := Job{Workload: e.Workload, Variant: e.Variant}
-	p.commitOutcome(j, fp, e, res, e.Status != "failed")
+	p.commitOutcome(fp, e, res, e.Status != "failed", false)
 }
 
 // commitOutcome writes one outcome to the journal and, when allowed and
 // available, the result store — atomically when both are present.
-func (p Params) commitOutcome(j Job, fp string, entry JournalEntry, res *gpu.Result, cacheable bool) {
+// behind submits the store transaction to the write-behind pipeline
+// instead of waiting for it.
+func (p Params) commitOutcome(fp string, entry JournalEntry, res *gpu.Result, cacheable, behind bool) {
 	var je *JournalEntry
 	if p.Journal != nil {
 		je = &entry
 	}
-	st := storeFor(p)
-	storeResult := st != nil && res != nil && cacheable
-	if st == nil || (!storeResult && je == nil) {
+	h := handleFor(p)
+	storeResult := h != nil && res != nil && cacheable
+	if h == nil || (!storeResult && je == nil) {
 		if je != nil {
 			p.Journal.Record(*je)
 		}
 		return
 	}
-	tx := st.Begin()
+	tx := h.st.Begin()
 	if storeResult {
 		if b, merr := json.Marshal(diskEntry{Version: diskCacheVersion, Fingerprint: fp, Result: res}); merr == nil {
 			tx.Put(resultstore.KindResult, cacheKey(fp), b)
@@ -440,18 +447,15 @@ func (p Params) commitOutcome(j Job, fp string, entry JournalEntry, res *gpu.Res
 			tx.Append(JournalFileName, b)
 		}
 	}
-	txSpan := p.Trace.Begin(p.span, "store.tx", j.Workload, j.Variant)
-	commitStoreTx(p.ctx(), tx)
-	// File the commit protocol's self-timed WAL phases (stage, commit,
-	// apply, replicate) as children of the transaction span.
-	for _, ph := range tx.Phases() {
-		p.Trace.Record(txSpan, "store."+ph.Name, j.Workload, j.Variant, ph.Start, ph.Dur)
-	}
-	p.Trace.End(txSpan)
 	if je != nil {
-		// The line is durable (or best-effort failed) via the transaction;
-		// only the in-memory status map still needs the update.
+		// The line reaches the file through the transaction; only the
+		// in-memory status map needs the update.
 		p.Journal.noteStatus(*je)
+	}
+	if behind {
+		h.wb.submit(func() { p.commitBestEffort(tx) })
+	} else {
+		p.commitBestEffort(tx)
 	}
 }
 

@@ -35,7 +35,7 @@ func PersistSweepTrace(p Params, d *sweepobs.Dump) error {
 	if err := tx.PutBlob(resultstore.KindArtifact, SweepTraceArtifactKey, bytes.NewReader(b)); err != nil {
 		return err
 	}
-	return storeRetry(p.ctx(), tx.Commit)
+	return p.commitStoreTx(tx)
 }
 
 // LoadSweepTrace reads a persisted sweep trace back from a store

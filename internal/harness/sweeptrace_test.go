@@ -3,6 +3,8 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -45,6 +47,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
+	SyncStores() // the owner's barrier: batch spans land as commits finish
 
 	d := tr.Dump()
 	if d == nil || len(d.Spans) == 0 {
@@ -95,6 +98,45 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		if kinds[ph] == 0 {
 			t.Errorf("no %s WAL-phase spans (mirrored store)", ph)
 		}
+	}
+	// One store.tx span per group-commit batch: sized, filed beside the
+	// jobs rather than under one, and matched by the /metrics histogram.
+	kindOf := map[sweepobs.SpanID]string{}
+	for _, s := range d.Spans {
+		kindOf[s.ID] = s.Kind
+	}
+	batchTxs := 0
+	for _, s := range d.Spans {
+		if s.Kind != "store.tx" {
+			continue
+		}
+		n, err := strconv.Atoi(s.Attrs["txs"])
+		if err != nil || n < 1 || s.Attrs["ops"] == "" {
+			t.Errorf("store.tx span without batch size attrs: %+v", s.Attrs)
+		}
+		batchTxs += n
+		if kindOf[s.Parent] == "job" {
+			t.Errorf("store.tx span %d is filed under a job", s.ID)
+		}
+	}
+	// Three cacheable results and the donor's checkpoint; the injected
+	// job caches nothing.
+	if batchTxs != 4 {
+		t.Errorf("store.tx spans account for %d transactions, want 4", batchTxs)
+	}
+	var exposition strings.Builder
+	if err := p.Monitor.WriteMetrics(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := sweepobs.ValidateExposition(exposition.String())
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	if samples["vtsweep_store_batch_txs_count"] != float64(kinds["store.tx"]) ||
+		samples["vtsweep_store_batch_txs_sum"] != float64(batchTxs) {
+		t.Errorf("vtsweep_store_batch_txs count/sum = %v/%v, want %d/%d",
+			samples["vtsweep_store_batch_txs_count"], samples["vtsweep_store_batch_txs_sum"],
+			kinds["store.tx"], batchTxs)
 	}
 	if kinds["supervisor.panic"] != 1 || kinds["supervisor.retry"] != 1 {
 		t.Errorf("supervisor events: %d panics, %d retries, want 1 each",

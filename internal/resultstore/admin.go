@@ -167,13 +167,13 @@ func (s *Store) Failover() error {
 	if len(s.sides) < 2 {
 		return fmt.Errorf("resultstore: failover requires a mirror")
 	}
-	if s.sides[0].failed {
+	if s.sides[0].failed.Load() {
 		return fmt.Errorf("resultstore: primary already failed over")
 	}
-	if s.sides[1].failed {
+	if s.sides[1].failed.Load() {
 		return fmt.Errorf("resultstore: mirror is failed; cannot fail over to it")
 	}
-	s.sides[0].failed = true
+	s.sides[0].failed.Store(true)
 	s.event(Event{Op: "failover", Side: "primary", Detail: s.sides[0].dir})
 	return nil
 }
@@ -186,7 +186,7 @@ func (s *Store) Reinstate() error {
 	defer s.mu.Unlock()
 	var back *side
 	for _, sd := range s.sides {
-		if sd.failed {
+		if sd.failed.Load() {
 			back = sd
 			break
 		}
@@ -217,7 +217,7 @@ func (s *Store) Reinstate() error {
 			s.fs.writeFile(dst, b)
 		}
 	}
-	back.failed = false
+	back.failed.Store(false)
 	s.event(Event{Op: "reinstate", Side: s.roleOf(back), Detail: back.dir})
 	s.verifyRepair(true)
 	return nil
@@ -230,7 +230,7 @@ func (s *Store) Flip() error {
 	if len(s.sides) < 2 {
 		return fmt.Errorf("resultstore: flip requires a mirror")
 	}
-	if s.sides[0].failed || s.sides[1].failed {
+	if s.sides[0].failed.Load() || s.sides[1].failed.Load() {
 		return fmt.Errorf("resultstore: flip requires both sides healthy")
 	}
 	s.sides[0], s.sides[1] = s.sides[1], s.sides[0]
@@ -303,7 +303,7 @@ func (s *Store) Sides() []SideInfo {
 	defer s.mu.Unlock()
 	out := make([]SideInfo, 0, len(s.sides))
 	for _, sd := range s.sides {
-		out = append(out, SideInfo{Dir: sd.dir, Role: s.roleOf(sd), Failed: sd.failed, Indexed: len(sd.index)})
+		out = append(out, SideInfo{Dir: sd.dir, Role: s.roleOf(sd), Failed: sd.failed.Load(), Indexed: len(sd.index)})
 	}
 	return out
 }

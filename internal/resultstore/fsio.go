@@ -1,9 +1,9 @@
 package resultstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/faultinject"
 )
@@ -55,58 +55,96 @@ func (f fsio) writeFile(path string, data []byte) error {
 	return werr
 }
 
-// appendFile durably appends one line (newline added here) to path,
-// creating it if needed. If the file's current tail is not
-// newline-terminated — a torn append from a crashed writer — the new
-// line is written after a healing newline, so one torn line never
-// swallows the next good one.
-func (f fsio) appendFile(path string, line []byte) error {
+// appender appends lines to one file through a single O_APPEND handle
+// that is fsynced once, on close: a group commit writes its K index or
+// journal lines and pays one fsync for the file instead of K. Every line
+// is still its own hooked write, so a crash drill can die between any
+// two of them.
+type appender struct {
+	f    fsio
+	path string
+	fh   *os.File // opened by the first write
+	heal bool     // the file's tail is a torn line: start with a newline
+}
+
+func (f fsio) appender(path string) *appender { return &appender{f: f, path: path} }
+
+// write appends one line (newline added here), creating the file if
+// needed. If the file's current tail is not newline-terminated — a torn
+// append from a crashed writer — the line is written after a healing
+// newline, so one torn line never swallows the next good one.
+func (a *appender) write(line []byte) error {
 	data := append(append([]byte(nil), line...), '\n')
-	b, dieAfter, err := f.apply(faultinject.StoreOpWrite, path, data)
+	b, dieAfter, err := a.f.apply(faultinject.StoreOpWrite, a.path, data)
 	if err != nil {
 		return err
 	}
 	werr := func() error {
-		fh, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		if st, err := fh.Stat(); err == nil && st.Size() > 0 {
-			tail := make([]byte, 1)
-			if _, err := fh.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-				b = append([]byte{'\n'}, b...)
+		if a.fh == nil {
+			fh, err := os.OpenFile(a.path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
+			if err != nil {
+				return err
+			}
+			a.fh = fh
+			if st, err := fh.Stat(); err == nil && st.Size() > 0 {
+				tail := make([]byte, 1)
+				if _, err := fh.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
+					a.heal = true
+				}
 			}
 		}
-		if _, err := fh.Write(b); err != nil {
+		if a.heal {
+			b = append([]byte{'\n'}, b...)
+		}
+		if _, err := a.fh.Write(b); err != nil {
+			// The tail may now be torn: reopen (and re-inspect it) on retry.
+			a.fh.Close()
+			a.fh, a.heal = nil, false
 			return err
 		}
-		return fh.Sync()
+		a.heal = false
+		return nil
 	}()
 	if dieAfter {
-		die(faultinject.StoreOpWrite, path)
+		die(faultinject.StoreOpWrite, a.path)
 	}
 	return werr
 }
 
-// rename atomically renames old to new and fsyncs the containing
-// directory (best-effort: not all platforms support directory fsync).
+// close makes every line written since open durable and releases the
+// handle. A no-op when nothing was written.
+func (a *appender) close() error {
+	if a.fh == nil {
+		return nil
+	}
+	err := errors.Join(a.fh.Sync(), a.fh.Close())
+	a.fh = nil
+	return err
+}
+
+// rename atomically renames old to new. The new name is durable only
+// after syncDir on the containing directory.
 func (f fsio) rename(oldpath, newpath string) error {
 	_, dieAfter, err := f.apply(faultinject.StoreOpRename, newpath, nil)
 	if err != nil {
 		return err
 	}
 	rerr := os.Rename(oldpath, newpath)
-	if rerr == nil {
-		if d, err := os.Open(filepath.Dir(newpath)); err == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
 	if dieAfter {
 		die(faultinject.StoreOpRename, newpath)
 	}
 	return rerr
+}
+
+// syncDir fsyncs a directory so the renames into it survive power loss
+// (best-effort: not all platforms support directory fsync). One call
+// covers every rename since the last, which is how a batch pays for its
+// K object renames once.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }
 
 // readFile reads path whole.

@@ -45,10 +45,39 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 // copy is healed from a healthy replica when one exists; with no
 // healthy copy anywhere, corrupt files are quarantined and Get reports
 // ErrNotFound so the caller recomputes.
+//
+// A definite miss — no index line has ever named the object and its
+// file is absent on every healthy side — is answered without the store
+// lock: it is the question every sweep slot asks before simulating, and
+// it must not queue behind a batch commit's fsyncs. Anything else (a
+// hit, a legacy file, a copy to verify or heal) takes the lock.
 func (s *Store) Get(kind Kind, key string) ([]byte, error) {
+	if s.definiteMiss(kind, key) {
+		s.lockFreeMisses.Add(1)
+		return nil, ErrNotFound
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.get(kind, key)
+}
+
+// definiteMiss reports whether the object is unindexed and absent on
+// every healthy side, touching nothing s.mu guards. An object committed
+// concurrently either shows up here (then the locked path decides) or
+// the miss is ordered before its commit.
+func (s *Store) definiteMiss(kind Kind, key string) bool {
+	if _, ok := s.known.Load(objKey{kind, key}); ok {
+		return false
+	}
+	for _, sd := range s.replicas {
+		if sd.failed.Load() {
+			continue
+		}
+		if _, err := s.fs.readFile(s.objPath(sd, kind, key)); !os.IsNotExist(err) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Store) get(kind Kind, key string) ([]byte, error) {
@@ -60,7 +89,7 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	sawCorrupt := false
 	attempted := 0
 	for _, sd := range s.sides {
-		if sd.failed {
+		if sd.failed.Load() {
 			continue
 		}
 		attempted++
@@ -162,7 +191,7 @@ func (s *Store) getSegment(kind Kind, key string, idx int, want segInfo) ([]byte
 	defer s.mu.Unlock()
 	var badSides []*side
 	for _, sd := range s.sides {
-		if sd.failed {
+		if sd.failed.Load() {
 			continue
 		}
 		p := segPath(s.objPath(sd, kind, key), idx)
@@ -213,7 +242,9 @@ func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 		op.SHA = sumHex(b)
 		op.Size = int64(len(b))
 	}
-	if s.replicatePut(from, to, "repair", op) {
+	w := s.writerFor(to)
+	ok := s.replicatePut(from, w, "repair", op)
+	if err := w.finish(); ok && err == nil {
 		s.counters.Repairs++
 		s.event(Event{Op: "repair", Kind: string(kind), Key: key, Side: s.roleOf(to)})
 	}
@@ -247,7 +278,9 @@ func (s *Store) quarantineSide(sd *side, kind Kind, key, reason string) {
 				os.Rename(sp, sp+".corrupt")
 			}
 		}
-		s.appendIndex(sd, indexEntry{Kind: string(kind), Key: key, Drop: true})
+		w := s.writerFor(sd)
+		w.index(indexEntry{Kind: string(kind), Key: key, Drop: true})
+		w.finish()
 	}
 	if moved {
 		s.counters.Quarantines++

@@ -38,9 +38,21 @@
 // readers in this codebase dedupe by key). A crash at any single point
 // therefore yields either the full transaction or none of it.
 //
-// The store serializes commits internally and assumes a single process
-// per directory pair (the sweep harness); multi-process coordination is
-// the planned vtsweepd's job, one layer up.
+// # Group commit
+//
+// Concurrent Tx.Commit calls coalesce. The first caller to find no
+// commit in flight becomes the leader and runs the protocol; callers
+// arriving meanwhile queue, and when the leader finishes, the first of
+// them leads everything queued as one batch: one manifest holding every
+// member's operations, so K transactions pay one redo record, one
+// commit-point rename, one fsync per directory and per appended file,
+// instead of K of each. A batch is just a bigger transaction — staging,
+// checksums, replication, the manifest schema and recovery do not know
+// the difference — so it lands whole or not at all, and every member's
+// Commit returns the batch's outcome.
+//
+// The store assumes a single process per directory pair (the sweep
+// harness, or the fabric coordinator for a fleet).
 package resultstore
 
 import (
@@ -54,6 +66,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -78,6 +91,9 @@ const (
 // healthy side. Corrupt copies with no healthy replica have been
 // quarantined by the time Get returns this.
 var ErrNotFound = errors.New("resultstore: object not found")
+
+// ErrClosed is what Commit returns on a store that has been closed.
+var ErrClosed = errors.New("resultstore: store is closed")
 
 const (
 	vtstoreDir = ".vtstore"
@@ -146,24 +162,48 @@ type objKey struct {
 	key  string
 }
 
-// side is one replica directory.
+// side is one replica directory. dir never changes and failed is
+// atomic, so Get's miss path can consult both without the store lock;
+// index belongs to Store.mu.
 type side struct {
 	dir    string
-	failed bool
+	failed atomic.Bool
 	index  map[objKey]indexEntry
 }
 
 // Store is a transactional, replicated object store over one or two
-// directories. Safe for concurrent use; storage never sits on the
-// simulation hot path, so a single store-wide mutex suffices.
+// directories. Safe for concurrent use. Two locks split the work: qmu
+// guards the group-commit queue (held for a few instructions, never
+// across I/O), and mu is the commit lock — whoever holds it owns the
+// directories' contents, the in-memory indexes and the counters. A
+// batch commit holds mu for its whole protocol; reads that find
+// something, repairs and admin operations take it too. The one caller
+// that must not wait behind a commit's fsyncs is the sweep slot asking
+// for a result nobody has computed yet, so a Get that is a definite
+// miss answers from known and the directories alone (see Get).
 type Store struct {
 	mu       sync.Mutex
 	fs       fsio
-	sides    []*side
+	sides    []*side // role order (Flip swaps it); guarded by mu
 	segSize  int
 	txSeq    int64
 	counters Counters
 	onEvent  func(Event)
+
+	// replicas is sides in Open order, immutable: what the lock-free miss
+	// path ranges over. known holds every objKey an index line has ever
+	// named on any side (never pruned: a stale entry only costs the
+	// locked path). lockFreeMisses counts the Gets answered that way.
+	replicas       []*side
+	known          sync.Map
+	lockFreeMisses atomic.Int64
+
+	qmu        sync.Mutex
+	idle       *sync.Cond // on qmu: signalled when committing drops
+	committing bool       // a leader is running the protocol
+	queue      []*Tx      // arrived while committing; the next batch
+	closed     bool
+	dead       any // panic value that killed a leader; re-raised by every later Commit
 }
 
 // Open opens (creating if needed) the store over Dir and, optionally,
@@ -178,6 +218,7 @@ func Open(o Options) (*Store, error) {
 		segSize = 1 << 20
 	}
 	s := &Store{fs: fsio{hook: o.Fault}, segSize: segSize, onEvent: o.OnEvent}
+	s.idle = sync.NewCond(&s.qmu)
 	dirs := []string{o.Dir}
 	if o.Mirror != "" {
 		dirs = append(dirs, o.Mirror)
@@ -190,6 +231,7 @@ func Open(o Options) (*Store, error) {
 		}
 		s.sides = append(s.sides, &side{dir: d, index: map[objKey]indexEntry{}})
 	}
+	s.replicas = append([]*side(nil), s.sides...)
 	for _, sd := range s.sides {
 		if err := s.recoverSide(sd); err != nil {
 			return nil, err
@@ -201,9 +243,20 @@ func Open(o Options) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the store. The store holds no long-lived file handles,
-// so this only exists for API symmetry with future remote backends.
-func (s *Store) Close() error { return nil }
+// Close is the store's durability barrier: it refuses new commits
+// (ErrClosed) and returns once every Commit already under way — the
+// running batch and everything queued behind it — has finished. The
+// store holds no long-lived file handles, so there is nothing else to
+// release.
+func (s *Store) Close() error {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	s.closed = true
+	for s.committing {
+		s.idle.Wait()
+	}
+	return nil
+}
 
 // Dir returns the primary directory the store was opened over.
 func (s *Store) Dir() string { return s.sides[0].dir }
@@ -212,7 +265,11 @@ func (s *Store) Dir() string { return s.sides[0].dir }
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters
+	c := s.counters
+	n := s.lockFreeMisses.Load()
+	c.Gets += n
+	c.Misses += n
+	return c
 }
 
 // IsTransient reports whether err looks like a transient I/O failure
@@ -252,7 +309,7 @@ func (s *Store) roleOf(sd *side) string {
 // serving returns the first healthy side (nil if every side failed).
 func (s *Store) serving() *side {
 	for _, sd := range s.sides {
-		if !sd.failed {
+		if !sd.failed.Load() {
 			return sd
 		}
 	}
@@ -262,7 +319,7 @@ func (s *Store) serving() *side {
 // otherHealthy returns a healthy side other than sd, if any.
 func (s *Store) otherHealthy(sd *side) *side {
 	for _, o := range s.sides {
-		if o != sd && !o.failed {
+		if o != sd && !o.failed.Load() {
 			return o
 		}
 	}
@@ -293,25 +350,59 @@ func (s *Store) event(ev Event) {
 	f.Close()
 }
 
-// appendIndex durably appends one index line on a side and updates its
-// in-memory index. Callers hold s.mu.
-func (s *Store) appendIndex(sd *side, e indexEntry) error {
+// sideWriter is one side's output for the duration of one manifest pass
+// (apply, replicate, repair): every line appended to the same file goes
+// through one appender, and finish pays the pass's durability once — one
+// fsync per appended file and one for the directory the objects were
+// renamed into. Callers hold s.mu.
+type sideWriter struct {
+	s    *Store
+	sd   *side
+	apps map[string]*appender // by slash-relative path
+}
+
+func (s *Store) writerFor(sd *side) *sideWriter {
+	return &sideWriter{s: s, sd: sd, apps: map[string]*appender{}}
+}
+
+// line appends one line to rel (slash-relative to the side directory).
+func (w *sideWriter) line(rel string, line []byte) error {
+	a := w.apps[rel]
+	if a == nil {
+		a = w.s.fs.appender(filepath.Join(w.sd.dir, filepath.FromSlash(rel)))
+		w.apps[rel] = a
+	}
+	return retryOnce(func() error { return a.write(line) })
+}
+
+// index appends one index line and updates the in-memory index.
+func (w *sideWriter) index(e indexEntry) error {
 	b, err := json.Marshal(&e)
 	if err != nil {
 		return err
 	}
-	if err := retryOnce(func() error {
-		return s.fs.appendFile(filepath.Join(sd.dir, indexFile), b)
-	}); err != nil {
+	if err := w.line(indexFile, b); err != nil {
 		return err
 	}
 	k := objKey{Kind(e.Kind), e.Key}
 	if e.Drop {
-		delete(sd.index, k)
+		delete(w.sd.index, k)
 	} else {
-		sd.index[k] = e
+		w.sd.index[k] = e
+		w.s.known.Store(k, struct{}{})
 	}
 	return nil
+}
+
+// finish makes the pass durable: the side directory (object renames)
+// and every file appended to.
+func (w *sideWriter) finish() error {
+	syncDir(w.sd.dir)
+	var errs []error
+	for _, a := range w.apps {
+		errs = append(errs, a.close())
+	}
+	return errors.Join(errs...)
 }
 
 // loadIndex replays a side's store-index.jsonl into memory. Torn or
@@ -335,6 +426,7 @@ func (s *Store) loadIndex(sd *side) {
 			delete(sd.index, k)
 		} else {
 			sd.index[k] = e
+			s.known.Store(k, struct{}{})
 		}
 	}
 }

@@ -360,8 +360,8 @@ func TestTornAppendDoesNotSwallowNextLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"fp\":\"complete\",\"status\":\"ok\"}\n{\"fp\":\"torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var f fsio
-	if err := f.appendFile(path, []byte(`{"fp":"next","status":"ok"}`)); err != nil {
+	a := fsio{}.appender(path)
+	if err := errors.Join(a.write([]byte(`{"fp":"next","status":"ok"}`)), a.close()); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

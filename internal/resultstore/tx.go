@@ -48,6 +48,7 @@ type txOp struct {
 	key     string
 	payload []byte   // object payload, or blob head JSON
 	segs    [][]byte // value segments (blob puts only)
+	sums    []string // sha256 of payload, then of each segment
 	size    int64    // logical size
 	rel     string
 	line    []byte
@@ -57,9 +58,17 @@ type txOp struct {
 // safe for concurrent use; Commit may be retried after a transient
 // error (the operations are retained until a commit succeeds).
 type Tx struct {
-	s      *Store
-	ops    []txOp
+	s   *Store
+	ops []txOp
+
+	// Set by the batch's leader before it wakes this Tx's Commit.
+	err    error
 	phases []TxPhase
+	batch  TxBatch
+	// turn is how a queued Commit learns its fate: it receives the batch
+	// it must lead (itself first), or is closed once a leader has carried
+	// it.
+	turn chan []*Tx
 }
 
 // TxPhase is the wall-clock timing of one commit-protocol phase:
@@ -73,17 +82,24 @@ type TxPhase struct {
 	Dur   time.Duration
 }
 
-// Phases returns the phase timings of the most recent Commit attempt
-// (nil before the first). The returned slice is owned by the Tx.
+// Phases returns the phase timings of the batch the most recent Commit
+// attempt rode in (nil before the first): they start when the batch's
+// leader starts waiting for the commit lock and tile the protocol from
+// there. Every member of a batch reports the same slice; it must not be
+// modified.
 func (t *Tx) Phases() []TxPhase { return t.phases }
 
-// phase appends one timing. now is captured by the caller at phase
-// start so a phase's Start lines up with the previous phase's end.
-func (t *Tx) phase(name string, start time.Time) time.Time {
-	end := time.Now()
-	t.phases = append(t.phases, TxPhase{Name: name, Start: start, Dur: end.Sub(start)})
-	return end
+// TxBatch describes the group commit a transaction rode in.
+type TxBatch struct {
+	Txs int // transactions in the shared manifest
+	Ops int // operations in the shared manifest
+	// Lead is true for the one member whose Commit call ran the protocol
+	// — the place to account for the batch exactly once.
+	Lead bool
 }
+
+// Batch describes the batch of the most recent Commit attempt.
+func (t *Tx) Batch() TxBatch { return t.batch }
 
 // Begin starts a transaction.
 func (s *Store) Begin() *Tx { return &Tx{s: s} }
@@ -91,7 +107,8 @@ func (s *Store) Begin() *Tx { return &Tx{s: s} }
 // Put stages one plain object write.
 func (t *Tx) Put(kind Kind, key string, payload []byte) {
 	p := append([]byte(nil), payload...)
-	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: p, size: int64(len(p))})
+	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: p,
+		sums: []string{sumHex(p)}, size: int64(len(p))})
 }
 
 // PutBlob stages one segmented object write, splitting r into
@@ -103,6 +120,7 @@ func (t *Tx) PutBlob(kind Kind, key string, r io.Reader) error {
 	}
 	segSize := t.s.segSize
 	var segs [][]byte
+	sums := []string{""} // head checksum, filled in below
 	head := blobHead{Blob: 1, Size: int64(len(all))}
 	for off := 0; off < len(all) || len(segs) == 0; off += segSize {
 		end := off + segSize
@@ -111,13 +129,15 @@ func (t *Tx) PutBlob(kind Kind, key string, r io.Reader) error {
 		}
 		seg := append([]byte(nil), all[off:end]...)
 		segs = append(segs, seg)
-		head.Segments = append(head.Segments, segInfo{SHA: sumHex(seg), Size: int64(len(seg))})
+		sums = append(sums, sumHex(seg))
+		head.Segments = append(head.Segments, segInfo{SHA: sums[len(sums)-1], Size: int64(len(seg))})
 	}
 	hb, err := json.Marshal(&head)
 	if err != nil {
 		return err
 	}
-	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: hb, segs: segs, size: head.Size})
+	sums[0] = sumHex(hb)
+	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: hb, segs: segs, sums: sums, size: head.Size})
 	return nil
 }
 
@@ -127,24 +147,115 @@ func (t *Tx) Append(rel string, line []byte) {
 	t.ops = append(t.ops, txOp{rel: rel, line: append([]byte(nil), line...)})
 }
 
-// Commit runs the commit protocol: stage, write redo record, rename to
-// commit record (the commit point), apply, replicate, release. An error
-// return means the transaction did not commit and was rolled back; it
-// may be retried. After the commit point Commit returns nil even if an
-// apply step failed — the surviving commit record re-applies on the
-// next Open.
+// Commit makes the transaction durable: it joins the group commit (see
+// the package doc) and returns when the batch carrying it has run the
+// protocol — stage, write redo record, rename to commit record (the
+// commit point), apply, replicate, release. An error return means the
+// batch did not commit and was rolled back; it may be retried. After
+// the commit point Commit returns nil even if an apply step failed —
+// the surviving commit record re-applies on the next Open. If the
+// batch's leader panics (a crash drill's simulated process death), the
+// store is dead: this and every later Commit re-raises the same value.
 func (t *Tx) Commit() error {
 	if len(t.ops) == 0 {
 		return nil
 	}
-	t.phases = nil // fresh timings per attempt
-	phaseStart := time.Now()
 	s := t.s
+	s.qmu.Lock()
+	if s.dead != nil {
+		s.qmu.Unlock()
+		panic(s.dead)
+	}
+	if s.closed {
+		s.qmu.Unlock()
+		return ErrClosed
+	}
+	if !s.committing {
+		// Nothing in flight: lead a batch of one right away. Whatever
+		// arrives while it runs forms the next, larger batch.
+		s.committing = true
+		s.qmu.Unlock()
+		s.lead([]*Tx{t})
+		return t.err
+	}
+	t.turn = make(chan []*Tx, 1)
+	s.queue = append(s.queue, t)
+	s.qmu.Unlock()
+	if batch := <-t.turn; batch != nil {
+		s.lead(batch)
+		return t.err
+	}
+	s.qmu.Lock()
+	dead := s.dead
+	s.qmu.Unlock()
+	if dead != nil {
+		panic(dead)
+	}
+	return t.err
+}
+
+// lead runs the protocol for batch (the caller's Tx first), wakes its
+// other members, and hands the commit lock's queue to the next leader.
+func (s *Store) lead(batch []*Tx) {
+	defer func() {
+		r := recover()
+		s.qmu.Lock()
+		next := s.queue
+		s.queue = nil
+		if r != nil {
+			s.dead = r
+		}
+		if r != nil || len(next) == 0 {
+			s.committing = false
+			s.idle.Broadcast()
+		}
+		s.qmu.Unlock()
+		for _, f := range batch[1:] {
+			close(f.turn)
+		}
+		if r != nil {
+			for _, q := range next {
+				close(q.turn)
+			}
+			panic(r)
+		}
+		if len(next) > 0 {
+			next[0].turn <- next
+		}
+	}()
+	s.commitBatch(batch)
+}
+
+// commitBatch runs the commit protocol once over the concatenated
+// operations of every transaction in batch and records the shared
+// outcome on each.
+func (s *Store) commitBatch(batch []*Tx) {
+	var phases []TxPhase
+	phaseStart := time.Now()
+	// phase closes one timing at now; the next starts at the same instant.
+	phase := func(name string) {
+		end := time.Now()
+		phases = append(phases, TxPhase{Name: name, Start: phaseStart, Dur: end.Sub(phaseStart)})
+		phaseStart = end
+	}
+	nOps := 0
+	for _, t := range batch {
+		nOps += len(t.ops)
+	}
+	var err error
+	defer func() {
+		for i, t := range batch {
+			t.err, t.phases = err, phases
+			t.batch = TxBatch{Txs: len(batch), Ops: nOps, Lead: i == 0}
+		}
+	}()
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sd := s.serving()
 	if sd == nil {
-		return fmt.Errorf("resultstore: no healthy side to commit to")
+		err = fmt.Errorf("resultstore: no healthy side to commit to")
+		return
 	}
 	s.txSeq++
 	txid := fmt.Sprintf("tx-%d-%d", os.Getpid(), s.txSeq)
@@ -154,62 +265,65 @@ func (t *Tx) Commit() error {
 	commitPath := filepath.Join(walDir, txid+".commit")
 
 	var stagedPaths []string
-	rollback := func(err error) error {
+	rollback := func(cause error) {
 		for _, p := range stagedPaths {
 			os.Remove(p)
 		}
 		os.Remove(redoPath)
-		return err
+		err = cause
 	}
 
-	m := manifest{Tx: txid}
-	for i, op := range t.ops {
-		if !op.put {
-			m.Ops = append(m.Ops, manifestOp{Type: "append", Rel: op.rel, Line: op.line})
-			continue
-		}
-		mo := manifestOp{
-			Type: "put", Kind: string(op.kind), Key: op.key,
-			SHA: sumHex(op.payload), Size: op.size,
-		}
-		files := append([][]byte{op.payload}, op.segs...)
-		shas := []string{mo.SHA}
-		for _, seg := range op.segs {
-			si := segInfo{SHA: sumHex(seg), Size: int64(len(seg))}
-			mo.Segs = append(mo.Segs, si)
-			shas = append(shas, si.SHA)
-		}
-		for j, b := range files {
-			name := fmt.Sprintf("%s-%d.%d", txid, i, j)
-			p := filepath.Join(stagingDir, name)
-			if err := s.fs.writeVerified(p, b, shas[j]); err != nil {
-				return rollback(fmt.Errorf("resultstore: stage %s: %w", name, err))
+	m := manifest{Tx: txid, Ops: make([]manifestOp, 0, nOps)}
+	for _, t := range batch {
+		for _, op := range t.ops {
+			if !op.put {
+				m.Ops = append(m.Ops, manifestOp{Type: "append", Rel: op.rel, Line: op.line})
+				continue
 			}
-			stagedPaths = append(stagedPaths, p)
-			mo.Staged = append(mo.Staged, name)
+			mo := manifestOp{
+				Type: "put", Kind: string(op.kind), Key: op.key,
+				SHA: op.sums[0], Size: op.size,
+			}
+			for j, seg := range op.segs {
+				mo.Segs = append(mo.Segs, segInfo{SHA: op.sums[1+j], Size: int64(len(seg))})
+			}
+			for j, b := range append([][]byte{op.payload}, op.segs...) {
+				name := fmt.Sprintf("%s-%d.%d", txid, len(m.Ops), j)
+				p := filepath.Join(stagingDir, name)
+				if werr := s.fs.writeVerified(p, b, op.sums[j]); werr != nil {
+					rollback(fmt.Errorf("resultstore: stage %s: %w", name, werr))
+					return
+				}
+				stagedPaths = append(stagedPaths, p)
+				mo.Staged = append(mo.Staged, name)
+			}
+			m.Ops = append(m.Ops, mo)
 		}
-		m.Ops = append(m.Ops, mo)
 	}
-	phaseStart = t.phase("stage", phaseStart)
-	mb, err := json.Marshal(&m)
-	if err != nil {
-		return rollback(err)
+	phase("stage")
+	mb, merr := json.Marshal(&m)
+	if merr != nil {
+		rollback(merr)
+		return
 	}
-	if err := s.fs.writeFile(redoPath, mb); err != nil {
-		return rollback(fmt.Errorf("resultstore: write redo record: %w", err))
+	if werr := s.fs.writeFile(redoPath, mb); werr != nil {
+		rollback(fmt.Errorf("resultstore: write redo record: %w", werr))
+		return
 	}
-	// The commit point: after this rename succeeds, the transaction is
-	// durable — recovery rolls it forward even if everything below fails.
-	if err := s.fs.rename(redoPath, commitPath); err != nil {
-		return rollback(fmt.Errorf("resultstore: commit %s: %w", txid, err))
+	// The commit point: after this rename succeeds, the batch is durable
+	// — recovery rolls it forward even if everything below fails.
+	if rerr := s.fs.rename(redoPath, commitPath); rerr != nil {
+		rollback(fmt.Errorf("resultstore: commit %s: %w", txid, rerr))
+		return
 	}
-	phaseStart = t.phase("commit", phaseStart)
-	s.counters.Commits++
+	syncDir(walDir)
+	phase("commit")
+	s.counters.Commits += int64(len(batch))
 	ok := s.applyManifest(sd, &m)
-	phaseStart = t.phase("apply", phaseStart)
+	phase("apply")
 	if other := s.otherHealthy(sd); ok && other != nil {
 		ok = s.replicate(sd, other, &m)
-		t.phase("replicate", phaseStart)
+		phase("replicate")
 	}
 	if ok {
 		os.Remove(commitPath)
@@ -217,7 +331,6 @@ func (t *Tx) Commit() error {
 		// Leave the commit record: the next Open finishes the apply.
 		s.event(Event{Op: "commit-deferred", Side: s.roleOf(sd), Detail: txid})
 	}
-	return nil
 }
 
 // objFiles lists an op's final file names on a side: head, then
@@ -236,26 +349,31 @@ func (s *Store) objFiles(sd *side, op manifestOp) []string {
 // previous pass is verified in place instead. Callers hold s.mu.
 func (s *Store) applyManifest(owner *side, m *manifest) bool {
 	stagingDir := filepath.Join(owner.dir, vtstoreDir, "staging")
+	w := s.writerFor(owner)
 	allOK := true
 	for _, op := range m.Ops {
 		switch op.Type {
 		case "put":
-			if !s.applyPut(owner, stagingDir, m.Tx, op) {
+			if !s.applyPut(w, stagingDir, m.Tx, op) {
 				allOK = false
 			}
 		case "append":
-			target := filepath.Join(owner.dir, filepath.FromSlash(op.Rel))
-			if err := retryOnce(func() error { return s.fs.appendFile(target, op.Line) }); err != nil {
+			if err := w.line(op.Rel, op.Line); err != nil {
 				allOK = false
 				s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
 			}
 		}
 	}
+	if err := w.finish(); err != nil {
+		allOK = false
+		s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("sync: %v", err)})
+	}
 	return allOK
 }
 
 // applyPut moves one put's staged files into place and indexes it.
-func (s *Store) applyPut(owner *side, stagingDir, txid string, op manifestOp) bool {
+func (s *Store) applyPut(w *sideWriter, stagingDir, txid string, op manifestOp) bool {
+	owner := w.sd
 	dsts := s.objFiles(owner, op)
 	shas := []string{op.SHA}
 	for _, si := range op.Segs {
@@ -281,7 +399,7 @@ func (s *Store) applyPut(owner *side, stagingDir, txid string, op manifestOp) bo
 			return false
 		}
 	}
-	if err := s.appendIndex(owner, indexEntry{
+	if err := w.index(indexEntry{
 		Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Segs: len(op.Segs), Tx: txid,
 	}); err != nil {
 		s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
@@ -294,25 +412,32 @@ func (s *Store) applyPut(owner *side, stagingDir, txid string, op manifestOp) bo
 // another side, verifying every payload's checksum on the way through.
 // Callers hold s.mu.
 func (s *Store) replicate(from, to *side, m *manifest) bool {
+	w := s.writerFor(to)
 	allOK := true
 	for _, op := range m.Ops {
 		switch op.Type {
 		case "put":
-			if !s.replicatePut(from, to, m.Tx, op) {
+			if !s.replicatePut(from, w, m.Tx, op) {
 				allOK = false
 			}
 		case "append":
-			target := filepath.Join(to.dir, filepath.FromSlash(op.Rel))
-			if err := retryOnce(func() error { return s.fs.appendFile(target, op.Line) }); err != nil {
+			if err := w.line(op.Rel, op.Line); err != nil {
 				allOK = false
 				s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
 			}
 		}
 	}
+	if err := w.finish(); err != nil {
+		allOK = false
+		s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Detail: fmt.Sprintf("sync: %v", err)})
+	}
 	return allOK
 }
 
-func (s *Store) replicatePut(from, to *side, txid string, op manifestOp) bool {
+// replicatePut copies one object (head and segments) from a side to the
+// writer's side and indexes it there. The caller finishes the writer.
+func (s *Store) replicatePut(from *side, w *sideWriter, txid string, op manifestOp) bool {
+	to := w.sd
 	srcs := s.objFiles(from, op)
 	dsts := s.objFiles(to, op)
 	shas := []string{op.SHA}
@@ -337,10 +462,7 @@ func (s *Store) replicatePut(from, to *side, txid string, op manifestOp) bool {
 			return false
 		}
 	}
-	if err := s.appendIndex(to, indexEntry{
+	return w.index(indexEntry{
 		Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Segs: len(op.Segs), Tx: txid,
-	}); err != nil {
-		return false
-	}
-	return true
+	}) == nil
 }

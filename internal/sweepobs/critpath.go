@@ -57,7 +57,9 @@ type Analysis struct {
 	Jobs        int     `json:"jobs"`
 	Workers     int     `json:"workers"`
 	// Coverage is the fraction of wall-clock covered by at least one
-	// job or experiment span (the ≥95% acceptance bar).
+	// job, experiment, plan or store-batch span (the ≥95% acceptance
+	// bar). Store batches count because they commit write-behind: the
+	// last one finishes after the last job has.
 	Coverage float64 `json:"coverage"`
 	// Path is the critical path: the chain of jobs ending at the last
 	// span to finish, each preceded by the latest job finishing before
@@ -142,10 +144,11 @@ func Analyze(d *Dump) *Analysis {
 	}
 	a.Jobs = len(jobs)
 
-	// Coverage: union of job + experiment spans over the wall.
+	// Coverage: union of the sweep-level spans over the wall.
 	var iv [][2]int64
 	for _, sp := range d.Spans {
-		if sp.Kind == "job" || sp.Kind == "experiment" || sp.Kind == "plan" {
+		switch sp.Kind {
+		case "job", "experiment", "plan", "store.tx":
 			iv = append(iv, [2]int64{sp.StartNS, sp.End()})
 		}
 	}

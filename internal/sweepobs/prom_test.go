@@ -19,6 +19,11 @@ func TestRegistryGolden(t *testing.T) {
 	byKind := r.Counter("vtsweep_spans_total", "Spans.")
 	byKind.Add(2, "kind", "store.tx")
 	byKind.Add(1, "kind", `we"ird`)
+	// An unlabeled histogram, as the monitor's batch-size series is.
+	batch := r.Histogram("vtsweep_store_batch_txs", "Transactions per batch.", []float64{1, 2, 4})
+	batch.Observe(1)
+	batch.Observe(3)
+	batch.Observe(9)
 	// Registered but never written to: must not emit HELP/TYPE.
 	r.Counter("vtsweep_unused_total", "Never incremented.")
 
@@ -43,13 +48,25 @@ vtsweep_span_seconds_count{kind="job"} 3
 # TYPE vtsweep_spans_total counter
 vtsweep_spans_total{kind="store.tx"} 2
 vtsweep_spans_total{kind="we\"ird"} 1
+# HELP vtsweep_store_batch_txs Transactions per batch.
+# TYPE vtsweep_store_batch_txs histogram
+vtsweep_store_batch_txs_bucket{le="1"} 1
+vtsweep_store_batch_txs_bucket{le="2"} 1
+vtsweep_store_batch_txs_bucket{le="4"} 2
+vtsweep_store_batch_txs_bucket{le="+Inf"} 3
+vtsweep_store_batch_txs_sum 13
+vtsweep_store_batch_txs_count 3
 `
 	if b.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
 	}
 	// The golden text must also survive the independent parser.
-	if _, err := ValidateExposition(b.String()); err != nil {
+	samples, err := ValidateExposition(b.String())
+	if err != nil {
 		t.Fatalf("golden exposition invalid: %v", err)
+	}
+	if samples["vtsweep_store_batch_txs_count"] != 3 || samples[`vtsweep_store_batch_txs_bucket{le="4"}`] != 2 {
+		t.Fatalf("unlabeled histogram misparsed: %v", samples)
 	}
 }
 

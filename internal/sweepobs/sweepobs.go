@@ -264,17 +264,28 @@ func (t *Tracer) Event(parent SpanID, kind, workload, variant string, attrs ...s
 	id := t.begin(parent, kind, workload, variant, -1)
 	i := t.openIdx[id]
 	t.spans[i].Attrs = map[string]string{"event": "true"}
-	for n := 0; n+1 < len(attrs); n += 2 {
-		t.spans[i].Attrs[attrs[n]] = attrs[n+1]
-	}
+	t.addAttrs(i, attrs)
 	t.end(id)
 }
 
-// Record inserts an already-timed completed span (result-store
-// transaction phases measure themselves; the tracer just files them).
-func (t *Tracer) Record(parent SpanID, kind, workload, variant string, start time.Time, dur time.Duration) {
+// addAttrs sets alternating key, value pairs on span i. Callers hold
+// t.mu.
+func (t *Tracer) addAttrs(i int, attrs []string) {
+	for n := 0; n+1 < len(attrs); n += 2 {
+		if t.spans[i].Attrs == nil {
+			t.spans[i].Attrs = map[string]string{}
+		}
+		t.spans[i].Attrs[attrs[n]] = attrs[n+1]
+	}
+}
+
+// Record inserts an already-timed completed span (result-store batches
+// and their phases measure themselves; the tracer just files them) and
+// returns its id, so the caller can file children under it. attrs are
+// alternating key, value pairs.
+func (t *Tracer) Record(parent SpanID, kind, workload, variant string, start time.Time, dur time.Duration, attrs ...string) SpanID {
 	if t == nil {
-		return
+		return 0
 	}
 	if dur < 0 {
 		dur = 0
@@ -286,7 +297,9 @@ func (t *Tracer) Record(parent SpanID, kind, workload, variant string, start tim
 	delete(t.openIdx, id)
 	t.spans[i].StartNS = start.Sub(t.start).Nanoseconds()
 	t.spans[i].DurNS = dur.Nanoseconds()
+	t.addAttrs(i, attrs)
 	t.account(kind, t.spans[i].DurNS)
+	return id
 }
 
 // StageTotals snapshots the per-kind completed-span aggregates (the

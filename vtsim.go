@@ -120,6 +120,9 @@ func Experiments() []Experiment { return harness.Experiments() }
 func GetExperiment(id string) (Experiment, error) { return harness.Get(id) }
 
 // RunExperiment executes one experiment by ID, writing its tables to w.
+// With ExperimentParams.CacheDir set, run outcomes reach the store
+// write-behind: call SyncExperimentStores before exiting or reading the
+// directory.
 func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 	e, err := harness.Get(id)
 	if err != nil {
@@ -141,7 +144,13 @@ func ExperimentMetrics() RunMetrics { return harness.Metrics() }
 // harness memo cache.
 func ResetExperimentMetrics() { harness.ResetMetrics() }
 
-// RunAllExperiments regenerates every table and figure.
+// SyncExperimentStores is the durability barrier for sweeps with
+// ExperimentParams.CacheDir set: it returns once the result store holds
+// every run outcome produced so far (on the mirror too).
+func SyncExperimentStores() { harness.SyncStores() }
+
+// RunAllExperiments regenerates every table and figure, and returns
+// only after the result store (if any) holds every outcome.
 func RunAllExperiments(p ExperimentParams, w io.Writer) error {
 	return harness.RunAll(p, w)
 }
