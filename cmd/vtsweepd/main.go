@@ -204,6 +204,7 @@ func realMain() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	defer func() {
+		coord.Close() // on an early return too: Shutdown waits for parked lease requests
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
@@ -272,19 +273,26 @@ func realMain() int {
 		report.Experiments = append(report.Experiments, r)
 	}
 	// Remote completions committed synchronously as they arrived; this
-	// waits for the write-behind outcomes of any local fallback runs.
+	// waits for the write-behind outcomes of any local fallback runs. The
+	// sweep's wall clock stops here, at the durability barrier: what
+	// follows is the fleet taking its leave, not sweep time.
 	harness.SyncStores()
-	// Sweep done: close the queue so workers see 410 and exit. Linger a
-	// couple of poll intervals before the deferred Shutdown tears the
-	// listener down, so draining workers observe the 410 (and exit 0)
-	// instead of a connection refusal.
-	coord.Close()
-	st := coord.Status()
-	if len(st.Workers) > 0 {
-		time.Sleep(1500 * time.Millisecond)
-	}
-
 	report.TotalWallSec = time.Since(start).Seconds()
+	// Sweep done (or signaled): close the queue, which answers every
+	// parked lease request with 410 at once, and wait for the workers'
+	// goodbyes before the deferred Shutdown tears the listener down, so
+	// none of them meets a refused connection. The trace commits while
+	// they leave.
+	closed := time.Now()
+	coord.Close()
+	if err := harness.PersistSweepTrace(p, tracer.Dump()); err != nil {
+		// Best-effort: the results committed fine without it.
+		fmt.Fprintf(os.Stderr, "vtsweepd: persist sweep trace: %v\n", err)
+	}
+	coord.Drain()
+	drain := time.Since(closed)
+	st := coord.Status()
+
 	m := vtsim.ExperimentMetrics()
 	report.RunsRequested = m.Requests
 	report.RunsExecuted = m.Executed
@@ -300,9 +308,9 @@ func realMain() int {
 		report.SimCyclesPerSec = float64(m.SimCycles) / report.TotalWallSec
 	}
 	fmt.Fprintf(w, "total wall time: %s\n", time.Duration(report.TotalWallSec*float64(time.Second)).Round(time.Millisecond))
-	fmt.Fprintf(w, "fleet: %d workers, %d completions (%d duplicate), leases %d granted / %d renewed / %d expired / %d released\n",
+	fmt.Fprintf(w, "fleet: %d workers, %d completions (%d duplicate), leases %d granted / %d renewed / %d expired / %d released, drain %dms\n",
 		len(st.Workers), st.Completions, st.DuplicateCompletions,
-		st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesReleased)
+		st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesReleased, drain.Milliseconds())
 	if m.Failures > 0 {
 		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", m.Failures)
 	}

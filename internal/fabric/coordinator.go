@@ -13,9 +13,22 @@ import (
 	"repro/internal/harness"
 )
 
-// DefaultLeaseTTL is how long a worker holds a job before the
-// coordinator reclaims it; workers renew at a fraction of this.
-const DefaultLeaseTTL = 10 * time.Second
+// The fabric's timing constants. Everything else is an event: a lease
+// request with nothing to lease parks until the queue changes, and the
+// end of a sweep waits for goodbyes, not for a clock.
+const (
+	// DefaultLeaseTTL is how long a worker holds a job before the
+	// coordinator reclaims it; workers renew at a fraction of this, and a
+	// worker silent for longer is presumed dead.
+	DefaultLeaseTTL = 10 * time.Second
+	// leaseHold bounds how long a lease request with nothing leasable
+	// stays parked before it answers 204 and the worker re-asks. It must
+	// stay well under the worker's HTTP client timeout.
+	leaseHold = 10 * time.Second
+	// DrainCap bounds how long Drain waits for goodbyes: a worker that
+	// died without one costs the end of the sweep at most this.
+	DrainCap = 1500 * time.Millisecond
+)
 
 // Config configures a Coordinator.
 type Config struct {
@@ -49,6 +62,14 @@ type job struct {
 	deadline time.Time
 	leases   int // grants, for churn accounting
 
+	// Where the dispatch time went: queued accumulates the time spent
+	// pending (no worker had it), the rest of enqueued..doneAt is time
+	// under a lease plus the completion commit.
+	enqueued     time.Time
+	pendingSince time.Time
+	queued       time.Duration
+	doneAt       time.Time
+
 	res    *gpu.Result
 	errmsg string
 	done   chan struct{}
@@ -60,6 +81,7 @@ type workerInfo struct {
 	slots       int
 	active      int
 	lastSeen    time.Time
+	goodbye     bool // said its final heartbeat and has not been heard from since
 	metrics     harness.RunMetrics
 	completions int
 	simCycles   int64
@@ -73,12 +95,22 @@ type Coordinator struct {
 	cfg Config
 	ttl time.Duration
 
+	hold     time.Duration // leaseHold; tests shorten it
+	drainCap time.Duration // DrainCap; tests shorten it
+
 	mu        sync.Mutex
 	jobs      map[string]*job // by cache key
+	byLease   map[string]*job // live leases by lease id
 	pending   []string        // FIFO of pending job keys
 	workers   map[string]*workerInfo
 	closed    bool // sweep complete: leases answer 410
 	nextLease int64
+	parked    int // lease requests waiting on leasable
+	// leasable is closed (and replaced) whenever a parked lease request
+	// could now be answered: a job became pending or the sweep closed.
+	// departed likewise on every goodbye, for Drain.
+	leasable chan struct{}
+	departed chan struct{}
 
 	leasesGranted  int64
 	leasesRenewed  int64
@@ -103,8 +135,13 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:         cfg,
 		ttl:         cfg.LeaseTTL,
+		hold:        leaseHold,
+		drainCap:    DrainCap,
 		jobs:        map[string]*job{},
+		byLease:     map[string]*job{},
 		workers:     map[string]*workerInfo{},
+		leasable:    make(chan struct{}),
+		departed:    make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -112,8 +149,8 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Close marks the sweep complete — subsequent lease requests answer
-// 410 so workers exit — and stops the janitor. Idempotent.
+// Close marks the sweep complete — parked and subsequent lease requests
+// answer 410 so workers exit — and stops the janitor. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -121,9 +158,49 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	wake(&c.leasable)
 	c.mu.Unlock()
 	close(c.janitorStop)
 	<-c.janitorDone
+}
+
+// Drain closes the sweep and waits until every worker still considered
+// live has said goodbye (its final heartbeat, sent after its last slot
+// saw the 410), so the caller can tear the listener down without a
+// worker meeting a refused connection. A worker silent for a lease TTL
+// is presumed dead and not waited for; one that dies later costs at most
+// DrainCap.
+func (c *Coordinator) Drain() {
+	c.Close()
+	limit := time.NewTimer(c.drainCap)
+	defer limit.Stop()
+	for {
+		now := c.cfg.now()
+		c.mu.Lock()
+		live := 0
+		for _, w := range c.workers {
+			if !w.goodbye && now.Sub(w.lastSeen) <= c.ttl {
+				live++
+			}
+		}
+		departed := c.departed
+		c.mu.Unlock()
+		if live == 0 {
+			return
+		}
+		select {
+		case <-departed:
+		case <-limit.C:
+			return
+		}
+	}
+}
+
+// wake releases everything waiting on *ch and re-arms it. Callers hold
+// c.mu.
+func wake(ch *chan struct{}) {
+	close(*ch)
+	*ch = make(chan struct{})
 }
 
 // janitor reclaims expired leases: the job returns to the head of the
@@ -148,15 +225,25 @@ func (c *Coordinator) reclaimExpired() {
 	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, j := range c.jobs {
-		if j.state == jobLeased && now.After(j.deadline) {
-			j.state = jobPending
-			j.leaseID = ""
+	for _, j := range c.byLease {
+		if now.After(j.deadline) {
 			j.worker = ""
 			c.leasesExpired++
-			c.pending = append([]string{key}, c.pending...)
+			c.requeueLocked(j, now)
 		}
 	}
+}
+
+// requeueLocked ends j's lease without a completion: the job returns to
+// the head of the pending queue (it has waited longest) and parked
+// lease requests are woken for it.
+func (c *Coordinator) requeueLocked(j *job, now time.Time) {
+	delete(c.byLease, j.leaseID)
+	j.state = jobPending
+	j.leaseID = ""
+	j.pendingSince = now
+	c.pending = append([]string{j.spec.Key}, c.pending...)
+	wake(&c.leasable)
 }
 
 // Executor returns the harness.Executor that dispatches jobs to the
@@ -203,8 +290,11 @@ func (e fleetExecutor) Execute(p harness.Params, j harness.Job) (*gpu.Result, er
 	}
 	e.c.mu.Lock()
 	res, errmsg, worker := jb.res, jb.errmsg, jb.worker
+	queued, run := jb.queued, jb.doneAt.Sub(jb.enqueued)-jb.queued
 	e.c.mu.Unlock()
 	p.Trace.SetAttr(did, "worker", worker)
+	p.Trace.SetAttr(did, "queued_ms", strconv.FormatInt(queued.Milliseconds(), 10))
+	p.Trace.SetAttr(did, "run_ms", strconv.FormatInt(run.Milliseconds(), 10))
 	if errmsg != "" {
 		p.Trace.SetAttr(did, "outcome", "error")
 		return nil, fmt.Errorf("fabric: %s/%s on %s: %s", j.Workload, j.Variant, worker, errmsg)
@@ -236,26 +326,56 @@ func (c *Coordinator) specFor(p harness.Params, j harness.Job, fp, key string) (
 	}, nil
 }
 
-// enqueue adds the job to the queue, coalescing on the cache key.
+// enqueue adds the job to the queue, coalescing on the cache key, and
+// wakes parked lease requests for it.
 func (c *Coordinator) enqueue(spec JobSpec) *job {
+	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if j, ok := c.jobs[spec.Key]; ok {
 		return j
 	}
-	j := &job{spec: spec, done: make(chan struct{})}
+	j := &job{spec: spec, done: make(chan struct{}), enqueued: now, pendingSince: now}
 	c.jobs[spec.Key] = j
 	c.pending = append(c.pending, spec.Key)
+	wake(&c.leasable)
 	return j
 }
 
-// lease grants the longest-waiting pending job. Returns (resp, true)
-// on a grant; (zero, false) with sweepDone=false when nothing is
-// leasable right now, and sweepDone=true when the sweep is closed.
-func (c *Coordinator) lease(workerID string) (resp LeaseResponse, ok, sweepDone bool) {
-	now := c.cfg.now()
+// awaitLease is the long-poll behind POST /v1/lease: it grants the
+// longest-waiting pending job, parking while there is none until one is
+// enqueued, reclaimed or released, or the sweep closes. Returns (resp,
+// true) on a grant; (zero, false) with sweepDone=true once the sweep is
+// closed, and with sweepDone=false when the hold bound passed or ctx
+// (the client's connection) ended with nothing granted.
+func (c *Coordinator) awaitLease(ctx context.Context, workerID string) (resp LeaseResponse, ok, sweepDone bool) {
+	ctx, cancel := context.WithTimeout(ctx, c.hold)
+	defer cancel()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for ctx.Err() == nil {
+		resp, ok, sweepDone = c.leaseLocked(workerID, c.cfg.now())
+		if ok || sweepDone {
+			return resp, ok, sweepDone
+		}
+		// Parked under the same lock hold that found nothing, so no
+		// wake-up can fall between the look and the wait.
+		leasable := c.leasable
+		c.parked++
+		c.mu.Unlock()
+		select {
+		case <-leasable:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		c.parked--
+	}
+	return LeaseResponse{}, false, false
+}
+
+// leaseLocked grants the head of the pending queue to workerID, if
+// there is one and the sweep is open.
+func (c *Coordinator) leaseLocked(workerID string, now time.Time) (resp LeaseResponse, ok, sweepDone bool) {
 	c.touchWorkerLocked(workerID, now)
 	if c.closed {
 		return LeaseResponse{}, false, true
@@ -272,7 +392,9 @@ func (c *Coordinator) lease(workerID string) (resp LeaseResponse, ok, sweepDone 
 		j.leaseID = "L" + strconv.FormatInt(c.nextLease, 10)
 		j.worker = workerID
 		j.deadline = now.Add(c.ttl)
+		j.queued += now.Sub(j.pendingSince)
 		j.leases++
+		c.byLease[j.leaseID] = j
 		c.leasesGranted++
 		if w := c.workers[workerID]; w != nil {
 			w.active++
@@ -287,38 +409,38 @@ func (c *Coordinator) renew(leaseID string) (RenewResponse, bool) {
 	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, j := range c.jobs {
-		if j.state == jobLeased && j.leaseID == leaseID {
-			j.deadline = now.Add(c.ttl)
-			c.leasesRenewed++
-			if w := c.workers[j.worker]; w != nil {
-				w.lastSeen = now
-			}
-			return RenewResponse{TTLMS: c.ttl.Milliseconds()}, true
-		}
+	j := c.byLease[leaseID]
+	if j == nil {
+		return RenewResponse{}, false
 	}
-	return RenewResponse{}, false
+	j.deadline = now.Add(c.ttl)
+	c.leasesRenewed++
+	if w := c.workers[j.worker]; w != nil {
+		w.lastSeen = now
+	}
+	return RenewResponse{TTLMS: c.ttl.Milliseconds()}, true
 }
 
-// release returns a leased job to the pending queue unexecuted (a
-// draining worker hands back what it has not started).
+// release returns a leased job to the pending queue unexecuted: a
+// draining worker hands back a lease it will not run, and the lease
+// handler hands back one whose requester is gone.
 func (c *Coordinator) release(leaseID string) bool {
+	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, j := range c.jobs {
-		if j.state == jobLeased && j.leaseID == leaseID {
-			j.state = jobPending
-			j.leaseID = ""
-			c.workerJobDoneLocked(j.worker)
-			j.worker = ""
-			c.leasesReleased++
-			c.pending = append([]string{key}, c.pending...)
-			return true
-		}
+	j := c.byLease[leaseID]
+	if j == nil {
+		return false
 	}
-	return false
+	c.workerJobDoneLocked(j.worker)
+	j.worker = ""
+	c.leasesReleased++
+	c.requeueLocked(j, now)
+	return true
 }
 
+// touchWorkerLocked records a contact from worker id. Any contact takes
+// back an earlier goodbye: the id has (re)joined.
 func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 	w := c.workers[id]
 	if w == nil {
@@ -326,6 +448,7 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 		c.workers[id] = w
 	}
 	w.lastSeen = now
+	w.goodbye = false
 }
 
 func (c *Coordinator) workerJobDoneLocked(id string) {
@@ -335,6 +458,8 @@ func (c *Coordinator) workerJobDoneLocked(id string) {
 }
 
 // heartbeat records a worker's self-reported status for the dashboard.
+// A goodbye heartbeat is the worker's last word: Drain stops waiting
+// for it.
 func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 	now := c.cfg.now()
 	c.mu.Lock()
@@ -344,6 +469,10 @@ func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 	w.slots = hb.Slots
 	w.active = hb.Active
 	w.metrics = hb.Metrics
+	if hb.Goodbye {
+		w.goodbye = true
+		wake(&c.departed)
+	}
 }
 
 // complete records one executed job: idempotent by key, and accepted
@@ -366,6 +495,11 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 		c.mu.Unlock()
 		return fmt.Errorf("completion for %q has neither result nor error", req.Key)
 	}
+	if j.state == jobPending {
+		// Completed by a lease that had expired before anyone took the
+		// job again: the wait ends here.
+		j.queued += now.Sub(j.pendingSince)
+	}
 	j.state = jobDone
 	j.res = req.Result
 	j.errmsg = req.Error
@@ -373,6 +507,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 		c.workerJobDoneLocked(j.worker)
 	}
 	j.worker = req.Worker
+	delete(c.byLease, j.leaseID)
 	j.leaseID = ""
 	c.completions++
 	c.touchWorkerLocked(req.Worker, now)
@@ -395,6 +530,10 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 		harness.RecordRemote(c.cfg.Params, spec.FP, req.Entry, nil)
 	}
 	harness.NoteRemoteCompletion(c.cfg.Params, delta)
+	done := c.cfg.now()
+	c.mu.Lock()
+	j.doneAt = done
+	c.mu.Unlock()
 	close(j.done)
 	return nil
 }
@@ -465,6 +604,7 @@ func (c *Coordinator) Status() FleetStatus {
 	st := FleetStatus{
 		SchemaVersion:        FleetStatusSchemaVersion,
 		SweepClosed:          c.closed,
+		LeasesParked:         c.parked,
 		LeasesGranted:        c.leasesGranted,
 		LeasesRenewed:        c.leasesRenewed,
 		LeasesExpired:        c.leasesExpired,

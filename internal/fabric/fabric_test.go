@@ -114,21 +114,41 @@ func leaseProtocolCoordinator(t *testing.T, keys ...string) (*Coordinator, *test
 	return c, clk
 }
 
+// leaseNow is one non-blocking lease attempt: what a lease request does
+// before it parks.
+func leaseNow(c *Coordinator, worker string) (LeaseResponse, bool, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.leaseLocked(worker, c.cfg.now())
+}
+
+// waitParked blocks until exactly n lease requests are parked on c.
+func waitParked(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Status().LeasesParked != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked lease requests = %d, want %d", c.Status().LeasesParked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestLeaseRenewExpireReclaim(t *testing.T) {
 	c, clk := leaseProtocolCoordinator(t, "j1", "j2")
 
-	l1, ok, done := c.lease("w1")
+	l1, ok, done := leaseNow(c, "w1")
 	if !ok || done {
 		t.Fatalf("first lease: ok=%v done=%v", ok, done)
 	}
-	l2, ok, _ := c.lease("w2")
+	l2, ok, _ := leaseNow(c, "w2")
 	if !ok {
 		t.Fatal("second lease refused")
 	}
 	if l1.Job.Key != "j1" || l2.Job.Key != "j2" {
 		t.Fatalf("FIFO violated: got %s then %s", l1.Job.Key, l2.Job.Key)
 	}
-	if _, ok, _ := c.lease("w3"); ok {
+	if _, ok, _ := leaseNow(c, "w3"); ok {
 		t.Fatal("third lease granted with an empty queue")
 	}
 
@@ -145,7 +165,7 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 		t.Fatalf("after expiry: %+v", st)
 	}
 	// The reclaimed job re-leases to a new worker.
-	l3, ok, _ := c.lease("w3")
+	l3, ok, _ := leaseNow(c, "w3")
 	if !ok || l3.Job.Key != "j2" {
 		t.Fatalf("reclaimed job not re-leased: ok=%v key=%s", ok, l3.Job.Key)
 	}
@@ -163,12 +183,12 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 
 func TestReleaseRequeuesAtHead(t *testing.T) {
 	c, _ := leaseProtocolCoordinator(t, "j1", "j2")
-	l1, _, _ := c.lease("w1")
+	l1, _, _ := leaseNow(c, "w1")
 	if !c.release(l1.LeaseID) {
 		t.Fatal("release refused")
 	}
 	// The released job must come back before j2 (it has waited longest).
-	l, ok, _ := c.lease("w1")
+	l, ok, _ := leaseNow(c, "w1")
 	if !ok || l.Job.Key != "j1" {
 		t.Fatalf("released job not at queue head: %+v", l.Job)
 	}
@@ -176,12 +196,12 @@ func TestReleaseRequeuesAtHead(t *testing.T) {
 
 func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 	c, clk := leaseProtocolCoordinator(t, "j1")
-	l, _, _ := c.lease("w1")
+	l, _, _ := leaseNow(c, "w1")
 
 	// The lease expires (crash suspected) and the job is re-leased...
 	clk.advance(11 * time.Second)
 	c.reclaimExpired()
-	l2, ok, _ := c.lease("w2")
+	l2, ok, _ := leaseNow(c, "w2")
 	if !ok {
 		t.Fatal("re-lease refused")
 	}
@@ -217,6 +237,7 @@ func TestServerEndpoints(t *testing.T) {
 	defer harness.ResetMetrics()
 	c := New(Config{Params: harness.Params{CacheDir: dir}})
 	defer c.Close()
+	c.hold = 20 * time.Millisecond // the empty-queue lease below sits it out
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -298,8 +319,7 @@ func TestWorkerExitsOnSweepComplete(t *testing.T) {
 	c.Close() // sweep already complete
 
 	err := RunWorker(context.Background(), WorkerConfig{
-		Coordinator: srv.URL, ID: "w1", Slots: 2,
-		PollInterval: 10 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
+		Coordinator: srv.URL, ID: "w1", Slots: 2, HeartbeatEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("worker did not exit cleanly on 410: %v", err)
@@ -316,20 +336,24 @@ func TestWorkerDrainsOnCancel(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w1", Slots: 1,
-			PollInterval: 10 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
+			Coordinator: srv.URL, ID: "w1", Slots: 1, HeartbeatEvery: 10 * time.Millisecond,
 		})
 	}()
-	time.Sleep(50 * time.Millisecond) // let it poll at least once
+	waitParked(t, c, 1) // the slot is parked in its lease request
+	canceled := time.Now()
 	cancel()
 	select {
 	case err := <-done:
 		if err != context.Canceled {
 			t.Fatalf("canceled worker returned %v, want context.Canceled", err)
 		}
+		if d := time.Since(canceled); d > 100*time.Millisecond {
+			t.Errorf("parked worker took %s to return after cancel, want <100ms", d)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker did not drain after cancel")
 	}
+	waitParked(t, c, 0) // the coordinator saw the parked request go
 }
 
 func TestWorkerConfigValidation(t *testing.T) {
@@ -469,7 +493,6 @@ func (f *fleetFixture) startWorker(t *testing.T, ctx context.Context, id string,
 		done <- RunWorker(ctx, WorkerConfig{
 			Coordinator: f.srv.URL, ID: id, Slots: slots,
 			Params:         harness.Params{CacheDir: t.TempDir()},
-			PollInterval:   20 * time.Millisecond,
 			HeartbeatEvery: 50 * time.Millisecond,
 			BeforeComplete: bc,
 		})
@@ -688,7 +711,6 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 		done <- RunWorker(ctx, WorkerConfig{
 			Coordinator: f.srv.URL, ID: "warm", Slots: 1,
 			Params:         harness.Params{CacheDir: workerDir},
-			PollInterval:   20 * time.Millisecond,
 			HeartbeatEvery: 50 * time.Millisecond,
 		})
 	}()

@@ -15,13 +15,13 @@
 // Wire protocol (JSON over HTTP, all under /v1):
 //
 //	POST /v1/lease     {worker}            -> 200 {lease_id, ttl_ms, job}
-//	                                          204 (nothing leasable now)
+//	                                          204 (hold expired, ask again)
 //	                                          410 (sweep complete)
 //	POST /v1/renew     {lease_id}          -> 200 {ttl_ms} | 404
 //	POST /v1/release   {lease_id}          -> 200 (job back to pending)
 //	POST /v1/complete  {lease_id, key, entry, result|error}
 //	                                       -> 200 (idempotent by key)
-//	POST /v1/heartbeat {worker, slots, active, metrics}
+//	POST /v1/heartbeat {worker, slots, active, metrics, goodbye}
 //	GET  /v1/object/{kind}/{key}           -> envelope bytes | 404
 //	POST /v1/object/{kind}/{key}           <- envelope bytes
 //
@@ -33,6 +33,13 @@
 // from the original worker is still accepted if it arrives first, and
 // the duplicate is dropped (deterministic execution makes them
 // interchangeable).
+//
+// The fabric is event-driven. /v1/lease is a long-poll: with nothing
+// leasable the request parks on the coordinator and is answered the
+// moment a job is enqueued, reclaimed or released (200) or the sweep
+// closes (410); only a bounded hold with no such event answers 204. A
+// worker ends with a heartbeat marked goodbye, and the coordinator's
+// Drain waits for those instead of lingering a fixed time.
 package fabric
 
 import (
@@ -112,12 +119,15 @@ type CompleteRequest struct {
 }
 
 // HeartbeatRequest is a worker's periodic status report for the fleet
-// dashboard: slot occupancy and its cumulative local RunMetrics.
+// dashboard: slot occupancy and its cumulative local RunMetrics. Goodbye
+// marks the worker's final report: every slot has ended and it will not
+// contact the coordinator again.
 type HeartbeatRequest struct {
 	Worker  string             `json:"worker"`
 	Slots   int                `json:"slots"`
 	Active  int                `json:"active"`
 	Metrics harness.RunMetrics `json:"metrics"`
+	Goodbye bool               `json:"goodbye,omitempty"`
 }
 
 // WorkerStatus is one worker's row in the fleet status document.
@@ -141,6 +151,10 @@ type FleetStatus struct {
 	JobsPending int `json:"jobsPending"`
 	JobsLeased  int `json:"jobsLeased"`
 	JobsDone    int `json:"jobsDone"`
+
+	// LeasesParked is how many lease requests are waiting for a job
+	// right now: the fleet's idle slots.
+	LeasesParked int `json:"leasesParked"`
 
 	LeasesGranted  int64 `json:"leasesGranted"`
 	LeasesRenewed  int64 `json:"leasesRenewed"`

@@ -54,9 +54,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	return json.NewEncoder(w).Encode(v)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -68,14 +68,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing worker id", http.StatusBadRequest)
 		return
 	}
-	resp, ok, sweepDone := c.lease(req.Worker)
+	resp, ok, sweepDone := c.awaitLease(r.Context(), req.Worker)
 	switch {
 	case sweepDone:
 		http.Error(w, "sweep complete", http.StatusGone)
 	case !ok:
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		writeJSON(w, resp)
+		// A grant whose requester has gone (connection closed, worker
+		// canceled) goes straight back to the head of the queue instead
+		// of burning a TTL.
+		if r.Context().Err() != nil || writeJSON(w, resp) != nil {
+			c.release(resp.LeaseID)
+		}
 	}
 }
 
@@ -204,6 +209,7 @@ func (c *Coordinator) WriteFleetMetrics(w io.Writer) error {
 	r.Gauge("vtfabric_jobs_leased", "Jobs currently leased to workers.").Set(float64(st.JobsLeased))
 	r.Gauge("vtfabric_jobs_done", "Jobs completed.").Set(float64(st.JobsDone))
 	r.Gauge("vtfabric_workers", "Workers that have contacted the coordinator.").Set(float64(len(st.Workers)))
+	r.Gauge("vtfabric_leases_parked", "Lease requests parked waiting for a job (idle slots).").Set(float64(st.LeasesParked))
 	r.Counter("vtfabric_leases_granted_total", "Leases granted.").Add(float64(st.LeasesGranted))
 	r.Counter("vtfabric_leases_renewed_total", "Lease renewals.").Add(float64(st.LeasesRenewed))
 	r.Counter("vtfabric_leases_expired_total", "Leases reclaimed after expiry (worker crash or stall).").Add(float64(st.LeasesExpired))

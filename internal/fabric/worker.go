@@ -37,9 +37,6 @@ type WorkerConfig struct {
 	// Client overrides the HTTP client (tests); nil uses a default with
 	// a request timeout.
 	Client *http.Client
-	// PollInterval is the idle re-poll cadence when the coordinator has
-	// no job (jittered); default 200ms.
-	PollInterval time.Duration
 	// HeartbeatEvery is the dashboard heartbeat cadence; default 1s.
 	HeartbeatEvery time.Duration
 	// BeforeComplete, when non-nil, runs just before the nth completion
@@ -63,9 +60,21 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return w.run(ctx)
 }
 
-// workerOfflineGrace is how long lease polling tolerates an
-// unreachable coordinator before the worker gives up.
-const workerOfflineGrace = 30 * time.Second
+const (
+	// workerOfflineGrace is how long a slot tolerates an unreachable
+	// coordinator before the worker gives up.
+	workerOfflineGrace = 30 * time.Second
+	// offlineBackoff spaces retries against a coordinator that does not
+	// answer (jittered for leases, linear for completion reports). It
+	// plays no part while the coordinator is reachable: an idle slot is
+	// parked in its lease request.
+	offlineBackoff = 200 * time.Millisecond
+	// requestTimeout bounds one HTTP exchange; it must stay well above
+	// the coordinator's leaseHold, which a lease request may sit out.
+	requestTimeout = 30 * time.Second
+	// defaultHeartbeatEvery is the dashboard heartbeat cadence.
+	defaultHeartbeatEvery = time.Second
+)
 
 type worker struct {
 	cfg    WorkerConfig
@@ -85,15 +94,12 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("fabric: worker needs an id")
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 200 * time.Millisecond
-	}
 	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = time.Second
+		cfg.HeartbeatEvery = defaultHeartbeatEvery
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		client = &http.Client{Timeout: requestTimeout}
 	}
 	return &worker{
 		cfg:    cfg,
@@ -124,37 +130,45 @@ func (w *worker) run(ctx context.Context) error {
 	wg.Wait()
 	close(hbStop)
 	hbDone.Wait()
-	w.heartbeat() // final report so the dashboard sees the drain
+	w.heartbeat(true) // the goodbye: the coordinator's Drain waits for it
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
 	return errors.Join(errs...)
 }
 
-// slotLoop is one lease slot: poll, execute, report, repeat. A 410
-// ends the slot (sweep complete); a canceled context ends it after the
-// in-flight job drains.
+// slotLoop is one lease slot: ask (parking on the coordinator while it
+// has nothing), execute, report, repeat. A 410 ends the slot (sweep
+// complete); a canceled context ends it at once when parked, or after
+// the in-flight job drains.
 func (w *worker) slotLoop(ctx context.Context) error {
 	offlineSince := time.Time{}
-	for {
-		if ctx.Err() != nil {
-			return nil // run() reports ctx.Err()
+	for ctx.Err() == nil {
+		lease, status, err := w.lease(ctx)
+		if err == nil && status != http.StatusOK && status != http.StatusNoContent && status != http.StatusGone {
+			err = fmt.Errorf("lease: HTTP %d", status)
 		}
-		lease, status, err := w.lease()
 		switch {
+		case ctx.Err() != nil:
+			// A lease that arrived after cancellation goes back unexecuted.
+			// (One granted to a request the cancellation aborted is handed
+			// back by the coordinator itself.)
+			if err == nil && status == http.StatusOK {
+				w.post(context.WithoutCancel(ctx), "/v1/release", ReleaseRequest{LeaseID: lease.LeaseID}, nil)
+			}
+			return nil // run() reports ctx.Err()
 		case err != nil:
 			if offlineSince.IsZero() {
 				offlineSince = time.Now()
 			} else if time.Since(offlineSince) > workerOfflineGrace {
 				return fmt.Errorf("fabric: coordinator unreachable for %s: %w", workerOfflineGrace, err)
 			}
-			w.idleWait(ctx)
+			sleepCtx(ctx, offlineBackoff/2+rand.N(offlineBackoff))
 			continue
 		case status == http.StatusGone:
 			return nil
-		case status == http.StatusNoContent:
+		case status == http.StatusNoContent: // hold expired: ask again at once
 			offlineSince = time.Time{}
-			w.idleWait(ctx)
 			continue
 		}
 		offlineSince = time.Time{}
@@ -169,16 +183,19 @@ func (w *worker) slotLoop(ctx context.Context) error {
 			return execErr
 		}
 	}
+	return nil
 }
 
-// idleWait sleeps one jittered poll interval, or until cancellation.
-func (w *worker) idleWait(ctx context.Context) {
-	d := w.cfg.PollInterval/2 + rand.N(w.cfg.PollInterval)
+// sleepCtx waits d, or until cancellation; it reports whether the full
+// wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		return true
 	case <-ctx.Done():
+		return false
 	}
 }
 
@@ -204,7 +221,7 @@ func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) erro
 	if err != nil {
 		// A malformed lease is the coordinator's bug; fail the job loudly
 		// rather than letting it bounce between workers forever.
-		return w.reportComplete(lease, spec, harness.JournalEntry{
+		return w.reportComplete(ctx, lease, spec, harness.JournalEntry{
 			FP: spec.Key, Workload: spec.Workload, Variant: spec.Variant,
 			Status: "failed", Attempts: 1, Error: err.Error(),
 			Time: time.Now().UTC().Format(time.RFC3339),
@@ -278,7 +295,7 @@ func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) erro
 		errmsg = execErr.Error()
 		res = nil
 	}
-	return w.reportComplete(lease, spec, *entry, res, errmsg)
+	return w.reportComplete(ctx, lease, spec, *entry, res, errmsg)
 }
 
 // paramsFor reconstructs the worker-local Params and Job for a lease.
@@ -313,7 +330,7 @@ func (w *worker) renewLoop(lease LeaseResponse, stop <-chan struct{}) {
 			return
 		case <-tick.C:
 			var resp RenewResponse
-			w.post("/v1/renew", RenewRequest{LeaseID: lease.LeaseID}, &resp)
+			w.post(context.Background(), "/v1/renew", RenewRequest{LeaseID: lease.LeaseID}, &resp)
 		}
 	}
 }
@@ -356,8 +373,10 @@ func (w *worker) pushCheckpoint(p harness.Params, prefixFP string) {
 }
 
 // reportComplete posts the completion, retrying transient failures —
-// an unreported job would burn a full lease TTL before re-dispatch.
-func (w *worker) reportComplete(lease LeaseResponse, spec JobSpec, entry harness.JournalEntry, res *gpu.Result, errmsg string) error {
+// an unreported job would burn a full lease TTL before re-dispatch. The
+// first attempt is made even under a canceled ctx (the slot drains what
+// it ran); cancellation only cuts the waits between retries short.
+func (w *worker) reportComplete(ctx context.Context, lease LeaseResponse, spec JobSpec, entry harness.JournalEntry, res *gpu.Result, errmsg string) error {
 	w.mu.Lock()
 	w.completed++
 	n := w.completed
@@ -375,10 +394,10 @@ func (w *worker) reportComplete(lease LeaseResponse, spec JobSpec, entry harness
 	}
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
+		if attempt > 0 && !sleepCtx(ctx, time.Duration(attempt)*offlineBackoff) {
+			break
 		}
-		status, err := w.postStatus("/v1/complete", req)
+		status, err := w.post(context.WithoutCancel(ctx), "/v1/complete", req, nil)
 		if err == nil && status == http.StatusOK {
 			return nil
 		}
@@ -407,53 +426,49 @@ func (w *worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-tick.C:
-			w.heartbeat()
+			w.heartbeat(false)
 		case <-ctx.Done():
 			// Keep heartbeating while in-flight jobs drain.
 			select {
 			case <-stop:
 				return
 			case <-tick.C:
-				w.heartbeat()
+				w.heartbeat(false)
 			}
 		}
 	}
 }
 
-func (w *worker) heartbeat() {
+func (w *worker) heartbeat(goodbye bool) {
 	w.mu.Lock()
 	active := w.active
 	w.mu.Unlock()
-	w.post("/v1/heartbeat", HeartbeatRequest{
+	w.post(context.Background(), "/v1/heartbeat", HeartbeatRequest{
 		Worker:  w.cfg.ID,
 		Slots:   w.slots,
 		Active:  active,
 		Metrics: harness.Metrics(),
+		Goodbye: goodbye,
 	}, nil)
 }
 
-// lease asks for one job. Returns the HTTP status for 204/410 flow.
-func (w *worker) lease() (LeaseResponse, int, error) {
+// lease asks for one job, parked on the coordinator until there is one
+// (200), the sweep closes (410), the hold bound passes (204) or ctx
+// cancels.
+func (w *worker) lease(ctx context.Context) (LeaseResponse, int, error) {
 	var resp LeaseResponse
-	status, err := w.postInto("/v1/lease", LeaseRequest{Worker: w.cfg.ID}, &resp)
+	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.cfg.ID}, &resp)
 	return resp, status, err
 }
 
-func (w *worker) post(path string, body, out any) error {
-	_, err := w.postInto(path, body, out)
-	return err
-}
-
-func (w *worker) postStatus(path string, body any) (int, error) {
-	return w.postInto(path, body, nil)
-}
-
-func (w *worker) postInto(path string, body, out any) (int, error) {
+// post sends body as JSON and returns the HTTP status, decoding a 200
+// response into out when out is non-nil.
+func (w *worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequest(http.MethodPost, w.base+path, bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(b))
 	if err != nil {
 		return 0, err
 	}
