@@ -8,7 +8,7 @@
 //	vtbench -run fig-speedup   # one experiment
 //	vtbench -list              # list experiments
 //	vtbench -dilute 10         # shrink grids 10x for a quick pass
-//	vtbench -json BENCH_engine.json   # per-experiment wall time + simcycles/s
+//	vtbench -json BENCH_sched.json    # per-experiment wall time + simcycles/s (the committed benchcheck baseline)
 //	vtbench -cpuprofile cpu.pprof     # profile, labeled by experiment/workload/variant
 //	vtbench -faildir failures         # write repro bundles for failed runs
 //	vtbench -store c -resume          # continue an interrupted/failed sweep

@@ -19,5 +19,6 @@ func newTestCTA(t *testing.T, l *isa.Launch) *warp.CTA {
 
 // execInstr functionally executes one instruction on the warp.
 func execInstr(w *warp.Warp, in *isa.Instr, bk *mem.Backing, buf []uint32) {
-	warp.Execute(w, in, bk, buf, nil)
+	_, active, _ := w.Stack.Current()
+	warp.Execute(w, in, active, bk, buf, nil)
 }

@@ -1,5 +1,12 @@
 package core
 
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/warp"
+)
+
 // SMDiag snapshots the VT controller's bookkeeping for one SM, captured
 // into abort diagnostics so a stuck swap pipeline is visible in failure
 // reports.
@@ -12,6 +19,10 @@ type SMDiag struct {
 	// WakeAt is the earliest min-residency expiry the controller is
 	// waiting on (0 = none).
 	WakeAt int64 `json:"wake_at,omitempty"`
+	// ReadyCTA is the flat id of the ready CTA the activation policy
+	// would run next, -1 when none is ready. With a free port, a ready CTA
+	// and a stalled one (sm.Diag.StalledCTAs), the next Cycle swaps.
+	ReadyCTA int `json:"ready_cta"`
 }
 
 // Diag is the VT controller's state snapshot for a failure report.
@@ -29,7 +40,54 @@ func (v *Controller) Diagnose() *Diag {
 			CtxBytesUsed:   st.ctxBytesUsed,
 			PortsBusyUntil: append([]int64(nil), st.ports...),
 			WakeAt:         st.wakeAt,
+			ReadyCTA:       -1,
+		}
+		if c := st.sm.ReadyCTA(); c != nil {
+			d.PerSM[i].ReadyCTA = c.FlatID
 		}
 	}
 	return d
+}
+
+// CheckInvariants recounts, with the reference scans, the derived state
+// the controller decides from — the head of each SM's ready-CTA set, each
+// active CTA's cached swap trigger, the cached residency-expiry scan — and
+// the context-buffer charge, reporting every mismatch (joined), or nil.
+// Like sm.CheckInvariants it is a pure read for cycle boundaries.
+func (v *Controller) CheckInvariants() error {
+	var errs []error
+	for i := range v.perSM {
+		st := &v.perSM[i]
+		s := st.sm
+		fail := func(format string, args ...any) {
+			errs = append(errs, fmt.Errorf("VT SM%d: "+format, append([]any{s.ID}, args...)...))
+		}
+		if got, want := s.ReadyCTA(), v.pickReady(s); got != want {
+			fail("ready-CTA set head %s, the activation scan picks %s", ctaName(got), ctaName(want))
+		}
+		charged := 0
+		for _, c := range s.Resident {
+			charged += c.CtxCharged
+			if c.State == warp.CTAActive && c.Stalled != v.stalledEnough(s, c) {
+				fail("CTA %s: cached swap trigger %v, the stall scan says %v", ctaName(c), c.Stalled, !c.Stalled)
+			}
+		}
+		if charged != st.ctxBytesUsed {
+			fail("context buffer holds %d B but inactive CTAs were charged %d B", st.ctxBytesUsed, charged)
+		}
+		now := s.Ev.Now()
+		if st.eligEpoch == s.CTAEpoch() && !(st.minElig >= 0 && now >= st.minElig) {
+			if want := minEligScan(s, now, int64(s.Cfg.VT.MinResidencyCycles)); st.minElig != want {
+				fail("cached residency expiry %d, a rescan finds %d", st.minElig, want)
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func ctaName(c *warp.CTA) string {
+	if c == nil {
+		return "none"
+	}
+	return fmt.Sprintf("%d/%d", c.KernelID, c.FlatID)
 }

@@ -11,10 +11,8 @@ import (
 // address the per-SM restores arena by index, so the arena and its free
 // list restore to the exact captured layout, with CTA pointers encoded as
 // (kernel, flat) pairs resolved against the restored SM's resident set.
-// SetState also rebinds each smState's SM handle eagerly: on a live run
-// the binding happens lazily in the first Cycle call, but a resumed
-// machine can deliver a controller event to a sleeping SM before any
-// Cycle runs.
+// The SM handle, the ports slice and the admission predicate are built by
+// Attach at construction, before SetState overlays the captured values.
 
 // RestoreRef is one restores-arena slot (Used=false for free slots).
 type RestoreRef struct {
@@ -71,10 +69,10 @@ func (v *Controller) SetState(cs *ControllerState, sms []*sm.SM) error {
 	for i := range v.perSM {
 		st := &v.perSM[i]
 		ss := &cs.PerSM[i]
-		st.sm = sms[i]
-		st.ports = append(st.ports[:0:0], ss.Ports...)
-		if len(ss.Ports) == 0 {
-			st.ports = nil
+		if len(ss.Ports) != 0 {
+			// A checkpoint a parent build took before the first activation
+			// carries no ports; Attach's all-free ports are that state.
+			st.ports = append(st.ports[:0], ss.Ports...)
 		}
 		st.ctxBytesUsed = ss.CtxBytesUsed
 		st.wakeAt = ss.WakeAt

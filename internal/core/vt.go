@@ -63,16 +63,23 @@ type Controller struct {
 }
 
 type smState struct {
-	sm           *sm.SM  // bound on the first Cycle; typed events dispatch through it
+	sm           *sm.SM  // bound by Attach; typed events dispatch through it
 	ports        []int64 // context-buffer ports: next free cycle each
 	ctxBytesUsed int     // context buffer bytes held by inactive CTAs
 	wakeAt       int64
-	// fit is the admission predicate for this SM, built once on first
-	// use so the per-cycle admit loop does not allocate a closure.
+	// fit is the admission predicate for this SM, built by Attach so the
+	// per-cycle admit loop does not allocate a closure.
 	fit func(regs, smem, warps, threads int) bool
-	// src is register-source scratch for BlockedState; per-SM (not
-	// package-global) so concurrent simulations never share it.
+	// src is register-source scratch for the reference stall scan's
+	// BlockedState; per-SM (not package-global) so concurrent simulations
+	// never share it.
 	src [8]isa.Reg
+	// minElig caches swapOut's scan for the earliest min-residency expiry
+	// among active CTAs not yet eligible for swap-out (-1 = none). The scan
+	// reads only CTA states and activation cycles, so it stays valid until
+	// the SM's CTA epoch moves or the cycle reaches it.
+	minElig   int64
+	eligEpoch uint64
 	// restores pools in-flight context-restore records (the CTA whose
 	// restore completes when evRestoreDone fires), recycled by index.
 	restores    []*warp.CTA
@@ -108,9 +115,8 @@ func (v *Controller) HandleEvent(kind uint8, a, b uint32) {
 		st.restores[b] = nil
 		st.restoreFree = append(st.restoreFree, int32(b))
 		s.WakeUp()
-		c.State = warp.CTAActive
+		s.SetCTAState(c, warp.CTAActive)
 		c.ActivatedAt = s.Ev.Now()
-		s.NoteCTAStateChanged(c)
 		v.trace(s, c, warp.CTARestoring, warp.CTAActive, 0)
 	case evPortFree:
 		s.WakeUp()
@@ -137,6 +143,29 @@ func NewController(g cta.Source, numSMs int, fullSwap bool) *Controller {
 }
 
 var _ sm.Controller = (*Controller)(nil)
+
+// Attach binds the controller's per-SM state to its SM: the event
+// dispatch handle, the context-buffer ports, and the admission predicate.
+func (v *Controller) Attach(s *sm.SM) {
+	st := &v.perSM[s.ID]
+	st.sm = s
+	st.ports = make([]int64, s.Cfg.VT.EffSwapPorts())
+	st.eligEpoch = ^uint64(0) // no scan cached yet
+	st.fit = func(regs, smem, warps, threads int) bool {
+		if !s.HasCapacityFor(regs, smem) {
+			return false
+		}
+		// A resident-but-inactive CTA needs context buffer space;
+		// only CTAs beyond the active set consume it. Estimate with
+		// the initial (depth-1 stack) footprint.
+		if len(s.Resident) >= s.MaxCTAs &&
+			st.ctxBytesUsed+estCtxBytes(warps) > s.Cfg.VT.ContextBufferBytes {
+			v.Stats.DeniedByBuffer++
+			return false
+		}
+		return true
+	}
+}
 
 func (v *Controller) trace(s *sm.SM, c *warp.CTA, from, to warp.CTAState, lat int64) {
 	if v.Trace != nil {
@@ -190,9 +219,6 @@ func (v *Controller) swapLatency(s *sm.SM, c *warp.CTA, out bool) int64 {
 // the capacity limit, activate ready CTAs into free scheduling slots, and
 // swap out active CTAs whose warps are all memory-blocked.
 func (v *Controller) Cycle(s *sm.SM) {
-	if v.perSM[s.ID].sm == nil {
-		v.perSM[s.ID].sm = s
-	}
 	v.admit(s)
 	v.activate(s)
 	v.swapOut(s)
@@ -202,22 +228,6 @@ func (v *Controller) Cycle(s *sm.SM) {
 // virtual-CTA cap, and the context buffer allow.
 func (v *Controller) admit(s *sm.SM) {
 	st := &v.perSM[s.ID]
-	if st.fit == nil {
-		st.fit = func(regs, smem, warps, threads int) bool {
-			if !s.HasCapacityFor(regs, smem) {
-				return false
-			}
-			// A resident-but-inactive CTA needs context buffer space;
-			// only CTAs beyond the active set consume it. Estimate with
-			// the initial (depth-1 stack) footprint.
-			if len(s.Resident) >= s.MaxCTAs &&
-				st.ctxBytesUsed+estCtxBytes(warps) > s.Cfg.VT.ContextBufferBytes {
-				v.Stats.DeniedByBuffer++
-				return false
-			}
-			return true
-		}
-	}
 	for {
 		if vcap := s.Cfg.VT.MaxVirtualCTAsPerSM; vcap > 0 && len(s.Resident) >= vcap {
 			v.Stats.DeniedByCap++
@@ -246,12 +256,9 @@ func estCtxBytes(warps int) int {
 // restore; reactivations need a free context-buffer port.
 func (v *Controller) activate(s *sm.SM) {
 	st := &v.perSM[s.ID]
-	if st.ports == nil {
-		st.ports = make([]int64, s.Cfg.VT.EffSwapPorts())
-	}
 	now := s.Ev.Now()
 	for {
-		c := v.pickReady(s)
+		c := v.ready(s)
 		if c == nil {
 			return
 		}
@@ -277,11 +284,9 @@ func (v *Controller) activateCTA(s *sm.SM, c *warp.CTA, st *smState) {
 		v.Stats.SwapsIn++
 		v.Stats.SwapStallCycles += lat
 		// Occupy the slots now; warps become schedulable when the
-		// restore completes. Activate classified the warps as active, so
-		// re-derive their cached state after flipping to restoring.
+		// restore completes.
 		s.Activate(c)
-		c.State = warp.CTARestoring
-		s.NoteCTAStateChanged(c)
+		s.SetCTAState(c, warp.CTARestoring)
 		v.trace(s, c, from, warp.CTARestoring, lat)
 		s.Ev.PostAfter(lat, v, evRestoreDone, uint32(s.ID), uint32(st.allocRestore(c)))
 		return
@@ -292,8 +297,18 @@ func (v *Controller) activateCTA(s *sm.SM, c *warp.CTA, st *smState) {
 	v.trace(s, c, from, warp.CTAActive, 0)
 }
 
-// pickReady returns the ready CTA preferred by the activation policy, or
-// nil when none is ready.
+// ready returns the ready CTA preferred by the activation policy, or nil
+// when none is ready: the head of the SM's event-maintained ready-CTA set,
+// or the reference scan when the fast path is disabled.
+func (v *Controller) ready(s *sm.SM) *warp.CTA {
+	if s.DisableFastPath {
+		return v.pickReady(s)
+	}
+	return s.ReadyCTA()
+}
+
+// pickReady is the reference for sm.SM.ReadyCTA: a scan of Resident for
+// the pending or inactive-ready CTA the activation policy prefers.
 func (v *Controller) pickReady(s *sm.SM) *warp.CTA {
 	newest := s.Cfg.VT.Activation == config.ActNewest
 	var best *warp.CTA
@@ -320,62 +335,105 @@ func (v *Controller) pickReady(s *sm.SM) *warp.CTA {
 	return best
 }
 
-// swapOut deactivates active CTAs whose unfinished warps are blocked on
+// swapVictim returns the first active CTA, in residency order, that is
+// past its anti-thrash residency and stalled enough to swap out. When
+// there is none it returns the earliest residency expiry among the active
+// CTAs not yet eligible (-1 for none), which swapOut turns into a wakeup.
+//
+// The fast path reads what the SM maintains at scoreboard and CTA-state
+// events — the stalled-CTA count and each CTA's cached trigger — and the
+// cached expiry scan, so it touches Resident only when some CTA is
+// actually stalled or the cache went stale; the reference re-classifies
+// every warp of every active CTA.
+func (v *Controller) swapVictim(s *sm.SM, st *smState, now int64) (*warp.CTA, int64) {
+	minRes := int64(s.Cfg.VT.MinResidencyCycles)
+	if s.DisableFastPath {
+		minElig := int64(-1)
+		for _, c := range s.Resident {
+			if c.State != warp.CTAActive {
+				continue
+			}
+			if elig := c.ActivatedAt + minRes; now < elig {
+				if minElig < 0 || elig < minElig {
+					minElig = elig
+				}
+				continue
+			}
+			if v.stalledEnough(s, c) {
+				return c, -1
+			}
+		}
+		return nil, minElig
+	}
+	if s.StalledCTAs() > 0 {
+		for _, c := range s.Resident {
+			if c.Stalled && now >= c.ActivatedAt+minRes {
+				return c, -1 // only an active CTA's counters can trip the trigger
+			}
+		}
+	}
+	if ep := s.CTAEpoch(); st.eligEpoch != ep || (st.minElig >= 0 && now >= st.minElig) {
+		st.minElig, st.eligEpoch = minEligScan(s, now, minRes), ep
+	}
+	return nil, st.minElig
+}
+
+// minEligScan returns the earliest residency expiry among active CTAs not
+// yet eligible for swap-out at now, -1 when every active CTA is eligible.
+func minEligScan(s *sm.SM, now, minRes int64) int64 {
+	minElig := int64(-1)
+	for _, c := range s.Resident {
+		if c.State != warp.CTAActive {
+			continue
+		}
+		if elig := c.ActivatedAt + minRes; now < elig && (minElig < 0 || elig < minElig) {
+			minElig = elig
+		}
+	}
+	return minElig
+}
+
+// swapOut deactivates an active CTA whose unfinished warps are blocked on
 // global-load dependences (or parked at barriers gated by them) beyond the
 // configured trigger fraction, provided a ready CTA exists to take the
 // slots, a context-buffer port is free, and the anti-thrash residency has
 // elapsed.
 func (v *Controller) swapOut(s *sm.SM) {
 	st := &v.perSM[s.ID]
-	if st.ports == nil {
-		st.ports = make([]int64, s.Cfg.VT.EffSwapPorts())
-	}
 	now := s.Ev.Now()
 	if st.freePort(now) < 0 {
 		return
 	}
-	if v.pickReady(s) == nil {
+	if v.ready(s) == nil {
 		return // nothing to run instead; keep waiting in place
 	}
-	minElig := int64(-1)
-	for _, c := range s.Resident {
-		if c.State != warp.CTAActive {
-			continue
+	c, minElig := v.swapVictim(s, st, now)
+	if c == nil {
+		// Nothing swappable yet; remember the earliest eligibility so the
+		// engine wakes up even if everything is stalled.
+		if minElig > 0 && st.wakeAt != minElig {
+			st.wakeAt = minElig
+			s.Ev.Post(minElig, v, evMinElig, uint32(s.ID), 0) // wake the idle-skip engine
 		}
-		if elig := c.ActivatedAt + int64(s.Cfg.VT.MinResidencyCycles); now < elig {
-			// Not yet eligible; remember the earliest eligibility so
-			// the engine wakes up even if everything is stalled.
-			if minElig < 0 || elig < minElig {
-				minElig = elig
-			}
-			continue
-		}
-		if !v.stalledEnough(s, c, c.Launch.Kernel.Code) {
-			continue
-		}
-		// Swap out: save scheduling contexts, free the slots.
-		lat := v.swapLatency(s, c, true)
-		from := c.State
-		s.Deactivate(c)
-		c.CtxCharged = ctxBytesPerCTA(c)
-		st.ctxBytesUsed += c.CtxCharged
-		if st.ctxBytesUsed > v.Stats.ContextPeak {
-			v.Stats.ContextPeak = st.ctxBytesUsed
-		}
-		st.ports[st.freePort(now)] = now + lat
-		v.Stats.SwapsOut++
-		v.Stats.SwapStallCycles += lat
-		v.trace(s, c, from, c.State, lat)
-		v.countInactive(s)
-		// Activate a replacement as soon as the context-buffer port
-		// frees.
-		s.Ev.PostAfter(lat, v, evPortFree, uint32(s.ID), 0)
-		return // one swap per SM at a time
+		return
 	}
-	if minElig > 0 && st.wakeAt != minElig {
-		st.wakeAt = minElig
-		s.Ev.Post(minElig, v, evMinElig, uint32(s.ID), 0) // wake the idle-skip engine
+	// Swap out: save scheduling contexts, free the slots. One swap per SM
+	// at a time.
+	lat := v.swapLatency(s, c, true)
+	from := c.State
+	s.Deactivate(c)
+	c.CtxCharged = ctxBytesPerCTA(c)
+	st.ctxBytesUsed += c.CtxCharged
+	if st.ctxBytesUsed > v.Stats.ContextPeak {
+		v.Stats.ContextPeak = st.ctxBytesUsed
 	}
+	st.ports[st.freePort(now)] = now + lat
+	v.Stats.SwapsOut++
+	v.Stats.SwapStallCycles += lat
+	v.trace(s, c, from, c.State, lat)
+	v.countInactive(s)
+	// Activate a replacement as soon as the context-buffer port frees.
+	s.Ev.PostAfter(lat, v, evPortFree, uint32(s.ID), 0)
 }
 
 // FunctionalAdmit implements sm.FunctionalAdmitter for fast-forward
@@ -388,13 +446,10 @@ func (v *Controller) swapOut(s *sm.SM) {
 // of inactive CTAs are resident under VT (and never modeled as moving
 // under FullSwap), so instant activation is architecturally exact.
 func (v *Controller) FunctionalAdmit(s *sm.SM) {
-	if v.perSM[s.ID].sm == nil {
-		v.perSM[s.ID].sm = s
-	}
 	st := &v.perSM[s.ID]
 	v.admit(s)
 	for {
-		c := v.pickReady(s)
+		c := v.ready(s)
 		if c == nil || !s.CanActivateCTA(c) {
 			return
 		}
@@ -430,7 +485,7 @@ func (v *Controller) FunctionalCTARetired(s *sm.SM, c *warp.CTA) {
 // min-residency eligibility wakeup scheduled by swapOut), so sleeping is
 // indistinguishable from running the controller every cycle.
 func (v *Controller) CanSleep(s *sm.SM) bool {
-	c := v.pickReady(s)
+	c := v.ready(s)
 	if c == nil {
 		// Admission cannot change while the SM is quiescent, and with no
 		// ready CTA neither activation nor swap-out can proceed.
@@ -443,16 +498,10 @@ func (v *Controller) CanSleep(s *sm.SM) bool {
 		return false
 	}
 	if portFree {
-		for _, a := range s.Resident {
-			if a.State != warp.CTAActive {
-				continue
-			}
-			if now < a.ActivatedAt+int64(s.Cfg.VT.MinResidencyCycles) {
-				continue // swapOut's minElig wakeup covers this crossing
-			}
-			if v.stalledEnough(s, a, a.Launch.Kernel.Code) {
-				return false
-			}
+		// A CTA still inside its residency window is not a victim:
+		// swapOut's minElig wakeup covers that crossing.
+		if victim, _ := v.swapVictim(s, st, now); victim != nil {
+			return false
 		}
 	}
 	return true
@@ -470,12 +519,14 @@ func (v *Controller) countInactive(s *sm.SM) {
 	}
 }
 
-// stalledEnough reports whether the CTA's unfinished warps are blocked on
-// outstanding global loads (or barrier-parked) beyond the trigger
-// fraction, with at least one memory-blocked warp. At the paper-default
-// fraction of 1.0, any issuable or short-latency-blocked warp vetoes the
-// swap.
-func (v *Controller) stalledEnough(s *sm.SM, c *warp.CTA, code []isa.Instr) bool {
+// stalledEnough is the reference for the SM-maintained CTA.Stalled: it
+// reports whether the CTA's unfinished warps are blocked on outstanding
+// global loads (or barrier-parked) beyond the trigger fraction, with at
+// least one memory-blocked warp, by re-classifying every warp. At the
+// paper-default fraction of 1.0, any issuable or short-latency-blocked
+// warp vetoes the swap.
+func (v *Controller) stalledEnough(s *sm.SM, c *warp.CTA) bool {
+	code := c.Launch.Kernel.Code
 	frac := s.Cfg.VT.EffTriggerFraction()
 	anyMem := false
 	unfinished, blocked := 0, 0

@@ -93,11 +93,17 @@ func DiagnosticOf(err error) *AbortDiagnostic {
 // per-SM checker when Options.InvariantInterval is zero.
 const DefaultInvariantInterval = 4096
 
-// checkInvariants runs every SM's invariant checker, joining violations.
-func checkInvariants(sms []*sm.SM) error {
+// checkInvariants runs every SM's invariant checker and the VT
+// controller's, joining violations.
+func (m *machine) checkInvariants() error {
 	var errs []error
-	for _, s := range sms {
+	for _, s := range m.sms {
 		if err := s.CheckInvariants(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if m.vt != nil {
+		if err := m.vt.CheckInvariants(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -1,6 +1,10 @@
 package gpu
 
 import (
+	"compress/gzip"
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -53,10 +57,13 @@ func mixedLaunch(t testing.TB, ctas, block int) *isa.Launch {
 	}
 }
 
-// TestIssueFastPathEquivalence proves the O(1) issue fast path is
-// observation-equivalent to the original full scans: for every policy and
-// scheduler the complete Result struct — cycles, every stat counter, the
-// stall breakdown — is identical with the fast path on and off.
+// TestIssueFastPathEquivalence proves the O(1) issue fast path — ready
+// bitsets, next-instruction records, row kernels, the event-maintained VT
+// controller — is observation-equivalent to the original full scans and
+// per-lane execution: for every policy, scheduler and engine the complete
+// Result struct — cycles, every stat counter, the stall breakdown — is
+// identical with the fast path on and off. Both runs recount the derived
+// state every 64 cycles (CheckInvariants).
 func TestIssueFastPathEquivalence(t *testing.T) {
 	policies := []config.Policy{
 		config.PolicyBaseline, config.PolicyVT,
@@ -68,22 +75,29 @@ func TestIssueFastPathEquivalence(t *testing.T) {
 	for _, p := range policies {
 		for _, sched := range schedulers {
 			t.Run(p.String()+"/"+sched.String(), func(t *testing.T) {
-				cfg := config.Small().WithPolicy(p)
-				cfg.Scheduler = sched
-				const ctas, block = 16, 64
-				run := func(disable bool) *Result {
-					res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
-						InitMemory:           initVec(ctas * block),
-						DisableIssueFastPath: disable,
+				for _, par := range []int{1, 2} {
+					t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+						cfg := config.Small().WithPolicy(p)
+						cfg.Scheduler = sched
+						const ctas, block = 16, 64
+						run := func(disable bool) *Result {
+							res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
+								InitMemory:           initVec(ctas * block),
+								DisableIssueFastPath: disable,
+								Parallelism:          par,
+								CheckInvariants:      true,
+								InvariantInterval:    64,
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
+						}
+						fast, slow := run(false), run(true)
+						if !reflect.DeepEqual(fast, slow) {
+							t.Fatalf("fast path diverges:\nfast: %+v\nslow: %+v", fast, slow)
+						}
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				fast, slow := run(false), run(true)
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("fast path diverges:\nfast: %+v\nslow: %+v", fast, slow)
 				}
 			})
 		}
@@ -126,32 +140,167 @@ func memLoopKernel(t testing.TB, iters int) *isa.Kernel {
 
 // TestIssueFastPathEquivalenceSwaps drives the VT policies through real
 // swap-out/swap-in traffic (restore latency, restoreReady tracking,
-// context-port wakeups) and requires identical Results fast on/off.
+// context-port wakeups, the ready-CTA set, the cached swap trigger and
+// residency-expiry scan) and requires identical Results fast on/off: the
+// synthetic always-missing loop and the suite's swap-heavy kernels, under
+// each activation policy, a partial trigger fraction, two swap ports and
+// no anti-thrash residency, on both engines, with the derived state
+// recounted every 64 cycles.
 func TestIssueFastPathEquivalenceSwaps(t *testing.T) {
+	tunes := []struct {
+		name string
+		tune func(*config.GPUConfig)
+	}{
+		{"default", func(*config.GPUConfig) {}},
+		{"newest", func(c *config.GPUConfig) { c.VT.Activation = config.ActNewest }},
+		{"trigger0.5", func(c *config.GPUConfig) { c.VT.TriggerFraction = 0.5 }},
+		{"ports2-nominres", func(c *config.GPUConfig) { c.VT.SwapPorts = 2; c.VT.MinResidencyCycles = 0 }},
+	}
+	for _, p := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
+		t.Run(p.String(), func(t *testing.T) {
+			for _, workload := range []string{"memloop", "nw", "bfs", "lud"} {
+				for _, tn := range tunes {
+					for _, par := range []int{1, 2} {
+						if par > 1 && tn.name != "default" {
+							continue // the engines differ in how a cycle steps, not in what the tunes change
+						}
+						t.Run(fmt.Sprintf("%s/%s/par%d", workload, tn.name, par), func(t *testing.T) {
+							cfg := config.Small().WithPolicy(p)
+							tn.tune(&cfg)
+							run := func(disable bool) *Result {
+								l := &isa.Launch{
+									Kernel:   memLoopKernel(t, 8),
+									GridDim:  isa.Dim1(24),
+									BlockDim: isa.Dim1(64),
+									Params:   []uint32{aBase},
+								}
+								opts := Options{}
+								if workload != "memloop" {
+									l, opts = buildLaunch(t, workload)
+								}
+								opts.DisableIssueFastPath = disable
+								opts.Parallelism = par
+								opts.CheckInvariants = true
+								opts.InvariantInterval = 64
+								res, err := Run(l, cfg, opts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return res
+							}
+							fast, slow := run(false), run(true)
+							if fast.VT.SwapsOut == 0 {
+								t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", p)
+							}
+							if !reflect.DeepEqual(fast, slow) {
+								t.Fatalf("fast path diverges on swap-heavy run:\nfast: %+v\nslow: %+v", fast, slow)
+							}
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIssueFastPathEquivalenceSampled runs the sampling engine — detailed
+// windows alternating with functional spans, which execute unbound warps
+// and retire CTAs while swapped out — fast on/off.
+func TestIssueFastPathEquivalenceSampled(t *testing.T) {
+	for _, workload := range []string{"pathfinder", "bfs"} {
+		for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
+			t.Run(workload+"/"+p.String(), func(t *testing.T) {
+				cfg := config.Small().WithPolicy(p)
+				run := func(disable bool) *Result {
+					l, opts := buildLaunch(t, workload)
+					l.GridDim = isa.Dim1(96)
+					opts.DisableIssueFastPath = disable
+					opts.Parallelism = 1
+					opts.Sampling = SamplingOptions{DetailedCycles: 400, FastForwardCycles: 800, WarmupCycles: 100}
+					res, err := Run(l, cfg, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				fast, slow := run(false), run(true)
+				if fast.Sampling == nil || fast.Sampling.Spans == 0 {
+					t.Fatalf("no functional span ran; equivalence check is vacuous: %+v", fast.Sampling)
+				}
+				if !reflect.DeepEqual(fast, slow) {
+					t.Fatalf("fast path diverges under sampling:\nfast: %+v\nslow: %+v", fast, slow)
+				}
+			})
+		}
+	}
+}
+
+// TestIssueFastPathEquivalenceFork crosses the fast path with
+// checkpointing: every derived field is rebuilt on Resume, so a
+// checkpoint captured with the fast path on resumes identically with it
+// off and vice versa, and both match the uninterrupted run.
+func TestIssueFastPathEquivalenceFork(t *testing.T) {
 	for _, p := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := config.Small().WithPolicy(p)
-			l := &isa.Launch{
-				Kernel:   memLoopKernel(t, 8),
-				GridDim:  isa.Dim1(24),
-				BlockDim: isa.Dim1(64),
-				Params:   []uint32{aBase},
-			}
-			run := func(disable bool) *Result {
-				res, err := Run(l, cfg, Options{DisableIssueFastPath: disable})
-				if err != nil {
-					t.Fatal(err)
+			ref := runPlain(t, "nw", cfg, Options{Parallelism: 1})
+			for _, captureSlow := range []bool{false, true} {
+				_, ck := runCapturing(t, "nw", cfg,
+					Options{Parallelism: 1, DisableIssueFastPath: captureSlow}, ref.Cycles/2)
+				if ck == nil {
+					t.Fatal("no checkpoint captured")
 				}
-				return res
-			}
-			fast, slow := run(false), run(true)
-			if fast.VT.SwapsOut == 0 {
-				t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", p)
-			}
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("fast path diverges on swap-heavy run:\nfast: %+v\nslow: %+v", fast, slow)
+				forked := resume(t, "nw", ck, cfg, Options{
+					Parallelism: 1, DisableIssueFastPath: !captureSlow,
+					CheckInvariants: true, InvariantInterval: 64,
+				})
+				if !reflect.DeepEqual(ref, forked) {
+					t.Fatalf("capture slow=%v, resume slow=%v: fork at cycle %d diverged from the uninterrupted run",
+						captureSlow, !captureSlow, ck.Cycle)
+				}
 			}
 		})
+	}
+}
+
+// TestResumeParentBuildCheckpoint resumes a checkpoint captured by the
+// build before the derived issue/controller state existed (PR 14; nw
+// under VT on config.Small, 24 CTAs, cycle 4722 of 9440, swaps and a
+// min-residency wakeup in flight) and requires the Result that build's
+// uninterrupted run produced: the envelope format is unchanged and every
+// new field is rebuilt from it. testdata/parent_nw_vt.ck.json.gz holds
+// {"checkpoint": ..., "result": ...} as that build marshalled them.
+func TestResumeParentBuildCheckpoint(t *testing.T) {
+	f, err := os.Open("testdata/parent_nw_vt.ck.json.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture struct {
+		Checkpoint *Checkpoint `json:"checkpoint"`
+		Result     *Result     `json:"result"`
+	}
+	if err := json.NewDecoder(zr).Decode(&fixture); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Small().WithPolicy(config.PolicyVT)
+	for _, slow := range []bool{false, true} {
+		got := resume(t, "nw", fixture.Checkpoint, cfg, Options{
+			Parallelism: 1, DisableIssueFastPath: slow,
+			CheckInvariants: true, InvariantInterval: 64,
+		})
+		if !reflect.DeepEqual(fixture.Result, got) {
+			t.Fatalf("slow=%v: resuming the parent build's checkpoint diverged from its run:\nwant: %+v\ngot:  %+v",
+				slow, fixture.Result, got)
+		}
+	}
+	if plain := runPlain(t, "nw", cfg, Options{Parallelism: 1}); !reflect.DeepEqual(fixture.Result, plain) {
+		t.Fatalf("this build's uninterrupted run differs from the parent build's:\nwant: %+v\ngot:  %+v",
+			fixture.Result, plain)
 	}
 }
 

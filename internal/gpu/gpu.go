@@ -126,6 +126,8 @@ type baselineController struct {
 	src cta.Source
 }
 
+func (b *baselineController) Attach(s *sm.SM) {}
+
 func (b *baselineController) Cycle(s *sm.SM) {
 	for {
 		c := b.src.Next(s.Fit)
@@ -431,9 +433,7 @@ func (m *machine) sample(cycle int64) {
 	for _, s := range m.sms {
 		aw += s.WarpsUsed
 		issuedTot += s.Stats.Issued
-		for _, c := range s.Resident {
-			rw += len(c.Warps)
-		}
+		rw += s.ResidentWarps()
 	}
 	ipc := 0.0
 	if d := cycle - m.lastSampleCycle; d > 0 {
@@ -533,7 +533,7 @@ func (m *machine) run() (*Result, error) {
 			nextPoll = cycle + deadlinePollCycles
 		}
 		if opts.CheckInvariants && cycle >= nextCheck {
-			if err := checkInvariants(m.sms); err != nil {
+			if err := m.checkInvariants(); err != nil {
 				return nil, newAbortError(m.diagnose(ReasonInvariant, err.Error(), cycle),
 					fmt.Sprintf("gpu: kernel %q invariant violation at cycle %d: %v",
 						m.launches[0].Kernel.Name, cycle, err), err)
@@ -634,7 +634,7 @@ func (m *machine) run() (*Result, error) {
 	if opts.CheckInvariants {
 		// Final end-of-run check: every skipped span has been charged, so
 		// the conservation invariants must hold exactly here.
-		if err := checkInvariants(m.sms); err != nil {
+		if err := m.checkInvariants(); err != nil {
 			return nil, newAbortError(m.diagnose(ReasonInvariant, err.Error(), cycle),
 				fmt.Sprintf("gpu: kernel %q invariant violation at cycle %d: %v",
 					m.launches[0].Kernel.Name, cycle, err), err)

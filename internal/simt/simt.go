@@ -53,6 +53,7 @@ func (s *Stack) Reset(n int) {
 	s.entries = s.entries[:0]
 	s.entries = append(s.entries, Entry{PC: 0, Reconv: -1, Mask: FullMask(n)})
 	s.exited = 0
+	s.normalize()
 }
 
 // Depth returns the number of stack entries.
@@ -64,9 +65,20 @@ func (s *Stack) Exited() Mask { return s.exited }
 // Finished reports whether the warp has no lanes left to run.
 func (s *Stack) Finished() bool { return len(s.entries) == 0 }
 
-// top returns the active entry, popping entries whose live lanes are empty
-// (all exited). Returns nil when the warp is finished.
+// top returns the active entry, nil when the warp is finished. The stack is
+// kept normalized — its top entry, if any, has a live lane — by every
+// mutator (each ends in popAtReconv) and every state loader, so reading the
+// top is O(1) and never mutates.
 func (s *Stack) top() *Entry {
+	if n := len(s.entries); n > 0 {
+		return &s.entries[n-1]
+	}
+	return nil
+}
+
+// normalize pops entries whose live lanes are empty (all exited) and
+// returns the new top, nil when the warp is finished.
+func (s *Stack) normalize() *Entry {
 	for len(s.entries) > 0 {
 		e := &s.entries[len(s.entries)-1]
 		if e.Mask&^s.exited != 0 {
@@ -141,7 +153,7 @@ func (s *Stack) Branch(taken Mask, target, reconv int32) {
 }
 
 // Exit retires the given lanes. Entries whose live lanes all exited are
-// popped lazily by top().
+// popped by popAtReconv's normalization.
 func (s *Stack) Exit(lanes Mask) {
 	s.exited |= lanes
 	s.popAtReconv()
@@ -152,7 +164,7 @@ func (s *Stack) Exit(lanes Mask) {
 // nested paths share a reconvergence point.
 func (s *Stack) popAtReconv() {
 	for {
-		e := s.top()
+		e := s.normalize()
 		if e == nil || e.Reconv < 0 || e.PC != e.Reconv {
 			return
 		}
@@ -181,6 +193,7 @@ func (s *Stack) Snapshot() Stack {
 func (s *Stack) Restore(snap Stack) {
 	s.entries = append(s.entries[:0], snap.entries...)
 	s.exited = snap.exited
+	s.normalize()
 }
 
 // FootprintBytes returns the context-buffer bytes needed to save this
@@ -199,6 +212,7 @@ func (s *Stack) Entries() []Entry {
 func (s *Stack) SetState(entries []Entry, exited Mask) {
 	s.entries = append(s.entries[:0], entries...)
 	s.exited = exited
+	s.normalize()
 }
 
 // String renders the stack for debugging, top entry last.

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 
+	"repro/internal/isa"
+	"repro/internal/simt"
 	"repro/internal/warp"
 )
 
@@ -45,14 +48,22 @@ type Diag struct {
 	BlockedBarrier int `json:"blocked_barrier"`
 	RestoreReady   int `json:"restore_ready,omitempty"`
 
-	// ReadyMask is the slot-indexed ready bitset (64 slots per word).
+	// ReadyMask is the slot-indexed ready bitset (64 slots per word), the
+	// union of the schedulers' own.
 	ReadyMask []uint64 `json:"ready_mask"`
 
+	// Derived residency state the VT controller decides from: resident
+	// warps (any CTA state), CTAs ready to take warp slots, and active
+	// CTAs whose warps satisfy the swap trigger.
+	ResidentWarps int `json:"resident_warps"`
+	ReadyCTAs     int `json:"ready_ctas,omitempty"`
+	StalledCTAs   int `json:"stalled_ctas,omitempty"`
+
 	// In-flight memory operations.
-	LSUOps           int `json:"lsu_ops"`            // warp memory instructions queued
-	LSULinesPending  int `json:"lsu_lines_pending"`  // coalesced lines not yet injected
-	OutstandingLoads int `json:"outstanding_loads"`  // global loads awaiting responses
-	WheelPending     int `json:"wheel_pending"`      // local writebacks not yet retired
+	LSUOps           int `json:"lsu_ops"`           // warp memory instructions queued
+	LSULinesPending  int `json:"lsu_lines_pending"` // coalesced lines not yet injected
+	OutstandingLoads int `json:"outstanding_loads"` // global loads awaiting responses
+	WheelPending     int `json:"wheel_pending"`     // local writebacks not yet retired
 
 	// CTAStates counts resident CTAs by state name.
 	CTAStates map[string]int `json:"cta_states,omitempty"`
@@ -73,15 +84,22 @@ func (s *SM) Diagnose() Diag {
 		WarpsUsed:    s.WarpsUsed,
 		ThreadsUsed:  s.ThreadsUsed,
 		RestoreReady: s.restoreReady,
-		ReadyMask:    append([]uint64(nil), s.ready...),
+		ReadyMask:    make([]uint64, (len(s.Slots)+63)/64),
 		LSUOps:       s.LSUQueueLen(),
 		WheelPending: s.wb.pending,
+
+		ResidentWarps: s.residentWarps,
+		ReadyCTAs:     len(s.readyCTAs),
+		StalledCTAs:   s.stalledCTAs,
 	}
 	for _, sc := range s.schedulers {
-		d.Ready += sc.nReady
-		d.BlockedMem += sc.nMem
-		d.BlockedALU += sc.nALU
-		d.BlockedBarrier += sc.nBar
+		d.Ready += sc.class[warp.BlockedNot]
+		d.BlockedMem += sc.class[warp.BlockedMem]
+		d.BlockedALU += sc.class[warp.BlockedALU]
+		d.BlockedBarrier += sc.class[warp.BlockedBarrier]
+		for i, wd := range sc.ready {
+			d.ReadyMask[i] |= wd
+		}
 	}
 	for _, idx := range s.lsuQueue[s.lsuHead:] {
 		op := &s.lsuPool[idx]
@@ -118,11 +136,16 @@ func (s *SM) Diagnose() Diag {
 //     limits and non-negative;
 //   - residency accounting: RegsUsed/SMemUsed (and WarpsUsed/ThreadsUsed/
 //     ActiveCTAs for active CTAs) match a recount over Resident;
-//   - ready-bitset consistency: the bitset's population matches the
-//     schedulers' cached ready counters and every set bit names a bound,
-//     ready warp;
+//   - ready-bitset consistency: each scheduler's bitset population matches
+//     its cached ready counter and every set bit names a bound, ready warp
+//     in a slot the scheduler owns;
 //   - writeback-wheel occupancy: the pending counter matches a recount of
-//     the ring's entries.
+//     the ring's entries;
+//   - derived issue and residency state (checkDerived): every warp's
+//     next-instruction record against its SIMT stack, every CTA's class
+//     counters and cached swap trigger against a BlockedState scan, the
+//     ready-CTA set against a scan of Resident, and the resident-warp and
+//     stalled-CTA counts.
 //
 // The checker must only run at a cycle boundary (after the engine's cycle
 // barrier), where asleep SMs hold consistently frozen statistics.
@@ -182,34 +205,34 @@ func (s *SM) CheckInvariants() error {
 		fail("ActiveCTAs %d but %d resident CTAs are active", s.ActiveCTAs, active)
 	}
 
-	pop := 0
-	for _, wd := range s.ready {
-		pop += bits.OnesCount64(wd)
-	}
-	nReady := 0
 	for i, sc := range s.schedulers {
-		if sc.nReady < 0 || sc.nMem < 0 || sc.nALU < 0 || sc.nBar < 0 {
-			fail("scheduler %d has a negative class counter (ready=%d mem=%d alu=%d bar=%d)",
-				i, sc.nReady, sc.nMem, sc.nALU, sc.nBar)
-		}
-		nReady += sc.nReady
-	}
-	if pop != nReady {
-		fail("ready bitset population %d != cached ready count %d", pop, nReady)
-	}
-	for wi, wd := range s.ready {
-		for wd != 0 {
-			slot := wi*64 + bits.TrailingZeros64(wd)
-			wd &= wd - 1
-			if slot >= len(s.Slots) || s.Slots[slot] == nil {
-				fail("ready bit set for empty slot %d", slot)
-				continue
-			}
-			if got := s.Slots[slot].IssueState; got != warp.BlockedNot {
-				fail("ready bit set for slot %d but its cached class is %v", slot, got)
+		for cls := warp.BlockedNot; cls < warp.BlockedDone; cls++ {
+			if sc.class[cls] < 0 {
+				fail("scheduler %d has a negative class counter (%v = %d)", i, cls, sc.class[cls])
 			}
 		}
+		pop := 0
+		for wi, wd := range sc.ready {
+			pop += bits.OnesCount64(wd)
+			for ; wd != 0; wd &= wd - 1 {
+				slot := wi*64 + bits.TrailingZeros64(wd)
+				switch {
+				case slot >= len(s.Slots) || s.Slots[slot] == nil:
+					fail("scheduler %d: ready bit set for empty slot %d", i, slot)
+				case !sc.owns(slot):
+					fail("scheduler %d: ready bit set for slot %d it does not own", i, slot)
+				case s.Slots[slot].IssueState != warp.BlockedNot:
+					fail("scheduler %d: ready bit set for slot %d but its cached class is %v",
+						i, slot, s.Slots[slot].IssueState)
+				}
+			}
+		}
+		if pop != sc.class[warp.BlockedNot] {
+			fail("scheduler %d: ready bitset population %d != cached ready count %d",
+				i, pop, sc.class[warp.BlockedNot])
+		}
 	}
+	s.checkDerived(fail)
 
 	wheel := 0
 	for _, entries := range s.wb.slots {
@@ -220,4 +243,75 @@ func (s *SM) CheckInvariants() error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// checkDerived recounts the derived issue and residency state from the
+// state it is derived from, the way the reference (DisableFastPath) paths
+// compute it.
+func (s *SM) checkDerived(fail func(format string, args ...any)) {
+	residentWarps, stalled := 0, 0
+	var ready []*warp.CTA
+	for _, c := range s.Resident {
+		residentWarps += len(c.Warps)
+		if readyState(c.State) {
+			ready = append(ready, c)
+		}
+		code := c.Launch.Kernel.Code
+		var class [warp.NumBlocked]int32
+		for _, w := range c.Warps {
+			var in *isa.Instr
+			var active simt.Mask
+			port := warp.PortNone
+			if w.Slot >= 0 {
+				if s.Slots[w.Slot] != w {
+					fail("CTA %d/%d warp %d claims slot %d, which holds another warp",
+						c.KernelID, c.FlatID, w.IdxInCTA, w.Slot)
+				}
+				if pc, a, ok := w.Stack.Current(); ok {
+					in, active, port = &code[pc], a, warp.PortOf(&code[pc])
+				}
+			}
+			if w.Next != in || w.NextActive != active || w.NextPort != port {
+				fail("CTA %d/%d warp %d: next-instruction record is stale (slot %d)",
+					c.KernelID, c.FlatID, w.IdxInCTA, w.Slot)
+			}
+			want := warp.BlockedDone
+			if w.Slot >= 0 && c.State == warp.CTAActive {
+				want = w.BlockedState(code, s.srcBuf)
+			}
+			if w.IssueState != want {
+				fail("CTA %d/%d warp %d: cached class %v, a rescan says %v",
+					c.KernelID, c.FlatID, w.IdxInCTA, w.IssueState, want)
+			}
+			class[want]++
+		}
+		if class != c.Class {
+			fail("CTA %d/%d: class counters %v, a rescan counts %v", c.KernelID, c.FlatID, c.Class, class)
+		}
+		rescan := warp.CTA{Class: class}
+		if want := rescan.StalledEnough(s.trigFrac); c.Stalled != want {
+			fail("CTA %d/%d: cached swap trigger %v, a rescan says %v", c.KernelID, c.FlatID, c.Stalled, want)
+		}
+		if c.Stalled {
+			stalled++
+		}
+	}
+	if residentWarps != s.residentWarps {
+		fail("resident-warp count %d but resident CTAs hold %d warps", s.residentWarps, residentWarps)
+	}
+	if stalled != s.stalledCTAs {
+		fail("stalled-CTA count %d but %d resident CTAs satisfy the swap trigger", s.stalledCTAs, stalled)
+	}
+	sort.SliceStable(ready, func(i, j int) bool { return s.readyBefore(ready[i], ready[j]) })
+	if len(ready) != len(s.readyCTAs) {
+		fail("ready-CTA set holds %d CTAs but %d resident CTAs are ready", len(s.readyCTAs), len(ready))
+		return
+	}
+	for i, c := range ready {
+		if s.readyCTAs[i] != c {
+			fail("ready-CTA set position %d holds CTA %d/%d, a sorted scan puts %d/%d there",
+				i, s.readyCTAs[i].KernelID, s.readyCTAs[i].FlatID, c.KernelID, c.FlatID)
+			return
+		}
+	}
 }

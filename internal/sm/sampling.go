@@ -118,7 +118,7 @@ func (s *SM) FunctionalRetire(max int64) int64 {
 				}
 				ran := false
 				for b := 0; b < funcRetireBatch; b++ {
-					pc, _, ok := w.Stack.Current()
+					pc, active, ok := w.Stack.Current()
 					if !ok {
 						break
 					}
@@ -126,7 +126,7 @@ func (s *SM) FunctionalRetire(max int64) int64 {
 					// nil log: global lanes execute inline. Spans run on the
 					// coordinator with engine workers parked, so this is
 					// race-free even under the parallel engine.
-					info := warp.Execute(w, in, s.Gmem, s.addrBuf, nil)
+					info := s.execute(w, in, active, nil)
 					w.IssuedInstrs++
 					w.ThreadInstrs += int64(info.Lanes)
 					s.Stats.Issued++
@@ -195,15 +195,6 @@ func (s *SM) FunctionalAdmitNow() {
 	}
 }
 
-// ResidentWarps counts the warps of every resident CTA (any state).
-func (s *SM) ResidentWarps() int {
-	n := 0
-	for _, c := range s.Resident {
-		n += len(c.Warps)
-	}
-	return n
-}
-
 // funcRetireCTA retires a CTA that completed during a functional span.
 // Active CTAs take the ordinary retire path; a CTA that finishes while
 // holding no warp slots (it progressed functionally while swapped out or
@@ -217,17 +208,7 @@ func (s *SM) funcRetireCTA(c *warp.CTA, fa FunctionalAdmitter) {
 	if fa != nil {
 		fa.FunctionalCTARetired(s, c)
 	}
-	c.State = warp.CTADone
-	s.RegsUsed -= c.RegsAlloc
-	s.SMemUsed -= c.SMemAlloc
-	for i, r := range s.Resident {
-		if r == c {
-			s.Resident = append(s.Resident[:i], s.Resident[i+1:]...)
-			break
-		}
-	}
-	s.Stats.CTAsCompleted++
-	s.Ctl.CTARetired(s, c)
+	s.removeResident(c)
 }
 
 // functionalMem charges a functionally retired memory instruction's
@@ -292,9 +273,5 @@ func (s *SM) AccountSampled(n, issued int64) {
 	st.ActiveWarpAccum += n * int64(s.WarpsUsed)
 	st.ActiveCTAAccum += n * int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += n * int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += n * int64(rw)
+	st.ResidentWarpAccum += n * int64(s.residentWarps)
 }

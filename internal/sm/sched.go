@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/simt"
 	"repro/internal/warp"
 )
 
@@ -23,17 +24,25 @@ type scheduler struct {
 	group   []*warp.Warp // two-level: active fetch group
 	groupRR int          // two-level: round-robin cursor within the group
 
-	// Counts of owned warps by cached issue classification, maintained by
-	// SM.noteClass. They replace the full-scan stall classification when
-	// the fast path is enabled.
-	nReady int
-	nMem   int
-	nALU   int
-	nBar   int
+	// Counts of owned warps by cached issue classification, and the
+	// slot-indexed bitset of the BlockedNot ones (carved by New from one
+	// per-SM slab), both maintained by SM.noteClass. They replace the full-scan issue selection and stall
+	// classification when the fast path is enabled. class[BlockedDone]
+	// only balances the moves of bound warps in and out of the live
+	// classes and is never read.
+	class [warp.NumBlocked]int
+	ready []uint64
 }
 
 func newScheduler(s *SM, id int) *scheduler {
 	return &scheduler{sm: s, id: id}
+}
+
+// live returns how many owned warps hold a live classification (ready or
+// blocked on something other than completion).
+func (sc *scheduler) live() int {
+	return sc.class[warp.BlockedNot] + sc.class[warp.BlockedMem] +
+		sc.class[warp.BlockedALU] + sc.class[warp.BlockedBarrier]
 }
 
 // owns reports whether the scheduler serves the slot index.
@@ -97,21 +106,17 @@ func older(a, b *warp.Warp) bool {
 
 // structural reports whether the warp's next instruction is blocked only
 // by execution-unit availability this cycle. The caller guarantees the
-// warp is otherwise ready (cached BlockedNot), so the SIMT stack has a
-// current instruction.
+// warp is otherwise ready (cached BlockedNot), so its next-instruction
+// record is set.
 func (sc *scheduler) structural(w *warp.Warp) bool {
 	s := sc.sm
-	pc, _, _ := w.Stack.Current()
-	in := &w.CTA.Launch.Kernel.Code[pc]
-	now := s.Ev.Now()
-	switch in.Unit() {
-	case isa.UnitSFU:
-		return now < s.sfuFreeAt
-	case isa.UnitMem:
-		if in.Op.IsGlobal() {
-			return !s.lsuHasRoom()
-		}
-		return now < s.smemFreeAt
+	switch w.NextPort {
+	case warp.PortSFU:
+		return s.Ev.Now() < s.sfuFreeAt
+	case warp.PortShared:
+		return s.Ev.Now() < s.smemFreeAt
+	case warp.PortGlobal:
+		return !s.lsuHasRoom()
 	}
 	return false
 }
@@ -163,74 +168,61 @@ func (sc *scheduler) classifyStall(st *Stats, n int64) {
 	}
 }
 
-// classifyStallFast is classifyStall driven by the cached per-warp
-// classification counters instead of a slot scan. The switch mirrors the
-// slow version exactly, including its quirk that a ready warp contributes
-// only "saw any warp" — so a scheduler whose sole candidates are ready yet
-// unpicked lands in SlotIdle through the default arm.
+// classifyStallFast is classifyStall driven by the scheduler's ready
+// bitset and class counters instead of a slot scan.
 func (sc *scheduler) classifyStallFast(st *Stats, n int64) {
 	s := sc.sm
 	sawStruct := false
-	if sc.nReady > 0 {
-		step := len(s.schedulers)
-		for wi, word := range s.ready {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				slot := wi<<6 + b
-				if slot%step != sc.id {
-					continue
-				}
-				if sc.structural(s.Slots[slot]) {
-					sawStruct = true
-				}
-			}
-			if sawStruct {
-				break
+scan:
+	for wi, word := range sc.ready {
+		for ; word != 0; word &= word - 1 {
+			if sc.structural(s.Slots[wi<<6+bits.TrailingZeros64(word)]) {
+				sawStruct = true
+				break scan
 			}
 		}
 	}
+	sc.chargeStall(st, sawStruct, n)
+}
+
+// chargeStall records n no-issue samples from the cached class counters.
+// The switch mirrors classifyStall's scan exactly, including its quirk
+// that a ready warp contributes only "saw any warp" — so a scheduler whose
+// sole candidates are ready yet unpicked lands in SlotIdle through the
+// default arm.
+func (sc *scheduler) chargeStall(st *Stats, sawStruct bool, n int64) {
 	switch {
-	case sc.nReady+sc.nMem+sc.nALU+sc.nBar == 0:
+	case sc.live() == 0:
 		st.SlotIdle += n
 	case sawStruct:
 		st.SlotStallStr += n
-	case sc.nMem > 0:
+	case sc.class[warp.BlockedMem] > 0:
 		st.SlotStallMem += n
-	case sc.nBar > 0:
+	case sc.class[warp.BlockedBarrier] > 0:
 		st.SlotStallBar += n
-	case sc.nALU > 0:
+	case sc.class[warp.BlockedALU] > 0:
 		st.SlotStallALU += n
 	default:
 		st.SlotIdle += n
 	}
 }
 
-// issueFast is the O(ready warps) issue selection: it walks the SM's ready
-// bitset instead of re-deriving schedulable() for every owned slot, and
-// classifies a no-issue cycle from the cached counters.
+// issueFast is the O(ready warps) issue selection: it walks the
+// scheduler's ready bitset instead of re-deriving schedulable() for every
+// owned slot, and classifies a no-issue cycle from the cached counters.
 func (sc *scheduler) issueFast() bool {
 	s := sc.sm
 	var pick *warp.Warp
 	sawStruct := false
-	if sc.nReady > 0 {
-		step := len(s.schedulers)
-		for wi, word := range s.ready {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				slot := wi<<6 + b
-				if slot%step != sc.id {
-					continue
-				}
-				w := s.Slots[slot]
-				if sc.structural(w) {
-					sawStruct = true
-					continue
-				}
-				if pick == nil || older(w, pick) {
-					pick = w
-				}
+	for wi, word := range sc.ready {
+		for ; word != 0; word &= word - 1 {
+			w := s.Slots[wi<<6+bits.TrailingZeros64(word)]
+			if sc.structural(w) {
+				sawStruct = true
+				continue
+			}
+			if pick == nil || older(w, pick) {
+				pick = w
 			}
 		}
 	}
@@ -251,21 +243,7 @@ func (sc *scheduler) issueFast() bool {
 	}
 
 	sc.greedy = nil
-	st := &s.Stats
-	switch {
-	case sc.nReady+sc.nMem+sc.nALU+sc.nBar == 0:
-		st.SlotIdle++
-	case sawStruct:
-		st.SlotStallStr++
-	case sc.nMem > 0:
-		st.SlotStallMem++
-	case sc.nBar > 0:
-		st.SlotStallBar++
-	case sc.nALU > 0:
-		st.SlotStallALU++
-	default:
-		st.SlotIdle++
-	}
+	sc.chargeStall(&s.Stats, sawStruct, 1)
 	return false
 }
 
@@ -386,11 +364,7 @@ func (s *SM) accountSkippedInto(st *Stats, n int64) {
 	st.ActiveWarpAccum += n * int64(s.WarpsUsed)
 	st.ActiveCTAAccum += n * int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += n * int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += n * int64(rw)
+	st.ResidentWarpAccum += n * int64(s.residentWarps)
 }
 
 // StatsAt returns a copy of the SM's statistics as they stand at the
@@ -447,14 +421,9 @@ func (sc *scheduler) lrrPickFast() *warp.Warp {
 	owned := (len(s.Slots) + step - 1 - sc.id) / step
 	var best *warp.Warp
 	bestI := 0
-	for wi, word := range s.ready {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			slot := wi<<6 + b
-			if slot%step != sc.id {
-				continue
-			}
+	for wi, word := range sc.ready {
+		for ; word != 0; word &= word - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(word)
 			w := s.Slots[slot]
 			if sc.structural(w) {
 				continue
@@ -572,12 +541,15 @@ func (sc *scheduler) rfBankStall(w *warp.Warp, in *isa.Instr) {
 func (sc *scheduler) issue(w *warp.Warp) {
 	s := sc.sm
 	now := s.Ev.Now()
-	code := w.CTA.Launch.Kernel.Code
-	pc, _, _ := w.Stack.Current()
-	in := &code[pc]
+	in, active := w.Next, w.NextActive
+	if s.DisableFastPath {
+		// Reference: walk the SIMT stack instead of trusting the record.
+		pc, a, _ := w.Stack.Current()
+		in, active = &w.CTA.Launch.Kernel.Code[pc], a
+	}
 
 	sc.rfBankStall(w, in)
-	info := warp.Execute(w, in, s.Gmem, s.addrBuf, s.Glog)
+	info := s.execute(w, in, active, s.Glog)
 	w.LastIssue = now
 	w.IssuedInstrs++
 	w.ThreadInstrs += int64(info.Lanes)
@@ -608,6 +580,15 @@ func (sc *scheduler) issue(w *warp.Warp) {
 	// cached classification. If the CTA retired, the warp is already
 	// unbound and this is a no-op.
 	s.refreshWarp(w)
+}
+
+// execute runs the instruction functionally: over register rows, or per
+// lane through the reference evaluator when the fast path is disabled.
+func (s *SM) execute(w *warp.Warp, in *isa.Instr, active simt.Mask, log *warp.GmemLog) warp.ExecInfo {
+	if s.DisableFastPath {
+		return warp.ExecuteRef(w, in, active, s.Gmem, s.addrBuf, log)
+	}
+	return warp.Execute(w, in, active, s.Gmem, s.addrBuf, log)
 }
 
 func (sc *scheduler) aluIssue(w *warp.Warp, in *isa.Instr) {

@@ -17,12 +17,14 @@ import (
 	"repro/internal/warp"
 )
 
-// Controller is the CTA scheduling policy attached to an SM. The SM calls
-// Cycle before issuing each cycle so the policy can assign new CTAs,
-// activate ready ones, and (under VT) swap stalled ones out; it calls
-// CTARetired when a CTA's last warp exits and LoadsDrained when a CTA's
-// last outstanding global load returns.
+// Controller is the CTA scheduling policy attached to an SM. New calls
+// Attach once, with the fully built SM, so the policy sizes its per-SM
+// state at construction. The SM calls Cycle before issuing each cycle so
+// the policy can assign new CTAs, activate ready ones, and (under VT) swap
+// stalled ones out; it calls CTARetired when a CTA's last warp exits and
+// LoadsDrained when a CTA's last outstanding global load returns.
 type Controller interface {
+	Attach(s *SM)
 	Cycle(s *SM)
 	CTARetired(s *SM, c *warp.CTA)
 	LoadsDrained(s *SM, c *warp.CTA)
@@ -131,7 +133,7 @@ func (s *SM) HandleEvent(kind uint8, a, b uint32) {
 		s.farWBFree = append(s.farWBFree, int32(a))
 		s.WakeUp()
 		rec.w.SB.ClearPending(rec.reg)
-		s.refreshWarp(rec.w)
+		s.reclassify(rec.w)
 	}
 }
 
@@ -167,7 +169,10 @@ type SM struct {
 	// per-cycle dispatch avoids allocating a fresh closure.
 	Fit func(regs, smem, warps, threads int) bool
 
-	// Resident CTAs: active and (under VT) inactive.
+	// Resident CTAs: active and (under VT) inactive. Membership changes
+	// only through addResident/removeResident and CTA.State only through
+	// SetCTAState, which keep the derived residency state below (see
+	// ctastate.go).
 	Resident    []*warp.CTA
 	ActiveCTAs  int
 	RegsUsed    int
@@ -176,6 +181,7 @@ type SM struct {
 	WarpsUsed   int // warp slots bound
 
 	schedulers []*scheduler
+	schedMask  int // scheduler count - 1 when that is a power of two, else -1
 	sfuFreeAt  int64
 	smemFreeAt int64
 
@@ -201,13 +207,26 @@ type SM struct {
 	// produce identical results (gpu's fast-path equivalence test).
 	DisableFastPath bool
 
-	// ready is a slot-indexed bitset of warps whose cached IssueState is
-	// BlockedNot; restoreReady counts bound warps that would be ready but
-	// for an in-flight CTA context restore (they keep the SM non-quiescent
-	// exactly like the full Quiescent scan does). Both are maintained by
-	// refreshWarp at every transition that can change a classification.
-	ready        []uint64
+	// restoreReady counts bound warps that would be ready but for an
+	// in-flight CTA context restore (they keep the SM non-quiescent exactly
+	// like the full Quiescent scan does). Like the schedulers' ready
+	// bitsets and class counters it is maintained by refreshWarp at every
+	// transition that can change a classification.
 	restoreReady int
+
+	// Derived residency state (ctastate.go): the resident-warp count, the
+	// ready-CTA set in activation-policy order, the count of active CTAs
+	// whose warps satisfy the VT swap trigger, and an epoch that advances
+	// on every CTA state change so a controller can cache scans of
+	// Resident.
+	residentWarps int
+	readyCTAs     []*warp.CTA
+	readyBuf      [16]*warp.CTA // readyCTAs' first backing array: no allocation until a 17th CTA is ready
+	stalledCTAs   int
+	ctaEpoch      uint64
+	nextSeq       int64
+	trigFrac      float64 // Cfg.VT.EffTriggerFraction()
+	newestFirst   bool    // Cfg.VT.Activation == config.ActNewest
 
 	// Per-SM fast-forward (engine idle skip at SM granularity): while
 	// asleep the engine runs neither CtlPhase nor StepPhase for this SM;
@@ -305,7 +324,7 @@ func (wb *wbWheel) drainTo(now int64, s *SM) {
 			if e.cycle <= now {
 				e.w.SB.ClearPending(e.reg)
 				wb.pending--
-				s.refreshWarp(e.w)
+				s.reclassify(e.w)
 			} else {
 				kept = append(kept, e)
 			}
@@ -355,16 +374,27 @@ func New(id int, cfg *config.GPUConfig, ev *event.Queue, msys *mem.System,
 		MaxWarps:   maxWarps,
 		MaxThreads: maxThreads,
 		Slots:      make([]*warp.Warp, maxWarps),
-		ready:      make([]uint64, (maxWarps+63)/64),
 		addrBuf:    make([]uint32, cfg.WarpSize),
 		srcBuf:     make([]isa.Reg, 8),
+
+		trigFrac:    cfg.VT.EffTriggerFraction(),
+		newestFirst: cfg.VT.Activation == config.ActNewest,
 	}
 	s.Fit = func(regs, smem, warps, threads int) bool {
 		return s.HasCapacityFor(regs, smem) && s.CanActivateFor(warps, threads)
 	}
+	s.readyCTAs = s.readyBuf[:0]
+	s.schedMask = -1
+	if n := cfg.NumSchedulers; n&(n-1) == 0 {
+		s.schedMask = n - 1
+	}
 	s.Stats.IssuedPerKernel = make([]int64, numKernels)
+	words := (maxWarps + 63) / 64
+	readySlab := make([]uint64, words*cfg.NumSchedulers)
 	for i := 0; i < cfg.NumSchedulers; i++ {
-		s.schedulers = append(s.schedulers, newScheduler(s, i))
+		sc := newScheduler(s, i)
+		sc.ready = readySlab[i*words : (i+1)*words : (i+1)*words]
+		s.schedulers = append(s.schedulers, sc)
 	}
 	maxLat := cfg.ALULatency
 	if cfg.SFULatency > maxLat {
@@ -374,6 +404,7 @@ func New(id int, cfg *config.GPUConfig, ev *event.Queue, msys *mem.System,
 		maxLat = l // shared-memory latency grows with bank conflicts
 	}
 	s.wb.init(maxLat)
+	ctl.Attach(s)
 	return s
 }
 
@@ -425,14 +456,6 @@ func (s *SM) CanActivateCTA(c *warp.CTA) bool {
 	return s.CanActivateFor(len(c.Warps), c.Threads)
 }
 
-// AddResident makes the CTA resident, charging its capacity footprint.
-func (s *SM) AddResident(c *warp.CTA) {
-	c.AssignedAt = s.Ev.Now()
-	s.Resident = append(s.Resident, c)
-	s.RegsUsed += c.RegsAlloc
-	s.SMemUsed += c.SMemAlloc
-}
-
 // Activate binds the CTA's warps to free warp slots. The caller must have
 // checked CanActivate.
 func (s *SM) Activate(c *warp.CTA) {
@@ -447,12 +470,9 @@ func (s *SM) Activate(c *warp.CTA) {
 	s.WarpsUsed += len(c.Warps)
 	s.ThreadsUsed += c.Threads
 	s.ActiveCTAs++
-	c.State = warp.CTAActive
+	s.SetCTAState(c, warp.CTAActive)
 	c.ActivatedAt = s.Ev.Now()
 	c.Activations++
-	for _, w := range c.Warps {
-		s.refreshWarp(w)
-	}
 	if s.Probe != nil {
 		s.Probe.CTAActivated(s, c)
 	}
@@ -461,45 +481,51 @@ func (s *SM) Activate(c *warp.CTA) {
 // Deactivate unbinds the CTA's warps from their slots (a VT swap-out). The
 // CTA stays resident; its registers and shared memory are untouched.
 func (s *SM) Deactivate(c *warp.CTA) {
-	for i, w := range s.Slots {
-		if w != nil && w.CTA == c {
-			s.unbindWarp(w)
-			s.Slots[i] = nil
-		}
+	for _, w := range c.Warps {
+		s.Slots[w.Slot] = nil
+		s.unbindWarp(w)
 	}
 	s.WarpsUsed -= len(c.Warps)
 	s.ThreadsUsed -= c.Threads
 	s.ActiveCTAs--
 	if s.anyOutstandingLoads(c) {
-		c.State = warp.CTAInactiveWaiting
+		s.SetCTAState(c, warp.CTAInactiveWaiting)
 	} else {
-		c.State = warp.CTAInactiveReady
+		s.SetCTAState(c, warp.CTAInactiveReady)
 	}
 	if s.Probe != nil {
 		s.Probe.CTADeactivated(s, c)
 	}
 }
 
-// NoteCTAStateChanged re-derives the cached classification of every warp
-// of c after an externally applied CTA state change: the VT controller
-// flips CTAActive <-> CTARestoring outside Activate/Deactivate.
-func (s *SM) NoteCTAStateChanged(c *warp.CTA) {
-	for _, w := range c.Warps {
-		s.refreshWarp(w)
+// refreshWarp rewrites the warp's next-instruction record from its SIMT
+// stack and then reclassifies it. It must run after every mutation of the
+// stack or of the warp's binding: instruction issue (detailed or
+// functional), CTA bind/unbind/state changes, checkpoint restore. This is
+// the one place the stack is read and the kernel's code indexed on the
+// issue path.
+func (s *SM) refreshWarp(w *warp.Warp) {
+	w.Next, w.NextActive, w.NextPort = nil, 0, warp.PortNone
+	if w.Slot >= 0 {
+		if pc, active, ok := w.Stack.Current(); ok {
+			in := &w.CTA.Launch.Kernel.Code[pc]
+			w.Next, w.NextActive, w.NextPort = in, active, warp.PortOf(in)
+		}
 	}
+	s.reclassify(w)
 }
 
-// refreshWarp recomputes the warp's cached issue classification and folds
-// any change into the owning scheduler's stall counters, the SM's ready
-// bitset, and the restore-ready count. It must run after every mutation
-// that can change the classification: instruction issue, scoreboard
-// writeback, barrier arrival/release, warp finish, and CTA
-// bind/unbind/state changes.
-func (s *SM) refreshWarp(w *warp.Warp) {
+// reclassify recomputes the warp's cached issue classification from its
+// next-instruction record and folds any change into the owning
+// scheduler's class counters and ready bitset, the CTA's class counters,
+// and the restore-ready count. Mutations that leave the SIMT stack alone
+// — scoreboard writeback, load completion, barrier release — call it
+// directly; everything else goes through refreshWarp.
+func (s *SM) reclassify(w *warp.Warp) {
 	cls := warp.BlockedDone
 	rr := false
 	if w.Slot >= 0 {
-		bs := w.BlockedState(w.CTA.Launch.Kernel.Code, s.srcBuf)
+		bs := w.BlockedOn(w.Next, s.srcBuf)
 		switch w.CTA.State {
 		case warp.CTAActive:
 			cls = bs
@@ -519,38 +545,45 @@ func (s *SM) refreshWarp(w *warp.Warp) {
 }
 
 // noteClass moves the warp's cached classification to cls, updating the
-// scheduler counters and the ready bitset. No-op when unchanged; unbound
-// warps are always BlockedDone, so the slot index is valid whenever the
-// counters move.
+// scheduler's and the CTA's class counters, the scheduler's ready bitset,
+// and the CTA's cached swap trigger. No-op when unchanged; unbound warps
+// are always BlockedDone, so the slot index is valid whenever the counters
+// move.
 func (s *SM) noteClass(w *warp.Warp, cls warp.Blocked) {
 	old := w.IssueState
 	if cls == old {
 		return
 	}
-	sc := s.schedulers[w.Slot%len(s.schedulers)]
-	switch old {
-	case warp.BlockedNot:
-		sc.nReady--
-		s.ready[w.Slot>>6] &^= 1 << (uint(w.Slot) & 63)
-	case warp.BlockedMem:
-		sc.nMem--
-	case warp.BlockedALU:
-		sc.nALU--
-	case warp.BlockedBarrier:
-		sc.nBar--
-	}
-	switch cls {
-	case warp.BlockedNot:
-		sc.nReady++
-		s.ready[w.Slot>>6] |= 1 << (uint(w.Slot) & 63)
-	case warp.BlockedMem:
-		sc.nMem++
-	case warp.BlockedALU:
-		sc.nALU++
-	case warp.BlockedBarrier:
-		sc.nBar++
-	}
 	w.IssueState = cls
+	sc := s.schedulerOf(w.Slot)
+	sc.class[old]--
+	sc.class[cls]++
+	bit := uint64(1) << (uint(w.Slot) & 63)
+	if old == warp.BlockedNot {
+		sc.ready[w.Slot>>6] &^= bit
+	} else if cls == warp.BlockedNot {
+		sc.ready[w.Slot>>6] |= bit
+	}
+	c := w.CTA
+	c.Class[old]--
+	c.Class[cls]++
+	if st := c.StalledEnough(s.trigFrac); st != c.Stalled {
+		c.Stalled = st
+		if st {
+			s.stalledCTAs++
+		} else {
+			s.stalledCTAs--
+		}
+	}
+}
+
+// schedulerOf returns the scheduler that owns the slot: slot modulo the
+// scheduler count, without the division when the count is a power of two.
+func (s *SM) schedulerOf(slot int) *scheduler {
+	if s.schedMask >= 0 {
+		return s.schedulers[slot&s.schedMask]
+	}
+	return s.schedulers[slot%len(s.schedulers)]
 }
 
 // unbindWarp clears the warp's cached state contributions before it loses
@@ -562,6 +595,7 @@ func (s *SM) unbindWarp(w *warp.Warp) {
 		w.RestoreReady = false
 	}
 	w.Slot = -1
+	w.Next, w.NextActive, w.NextPort = nil, 0, warp.PortNone
 }
 
 func (s *SM) anyOutstandingLoads(c *warp.CTA) bool {
@@ -577,17 +611,7 @@ func (s *SM) anyOutstandingLoads(c *warp.CTA) bool {
 // controller.
 func (s *SM) retire(c *warp.CTA) {
 	s.Deactivate(c)
-	c.State = warp.CTADone
-	s.RegsUsed -= c.RegsAlloc
-	s.SMemUsed -= c.SMemAlloc
-	for i, r := range s.Resident {
-		if r == c {
-			s.Resident = append(s.Resident[:i], s.Resident[i+1:]...)
-			break
-		}
-	}
-	s.Stats.CTAsCompleted++
-	s.Ctl.CTARetired(s, c)
+	s.removeResident(c)
 }
 
 // Idle reports whether the SM holds no work at all.
@@ -650,7 +674,7 @@ func (s *SM) Quiescent() bool {
 			return false
 		}
 		for _, sc := range s.schedulers {
-			if sc.nReady > 0 {
+			if sc.class[warp.BlockedNot] > 0 {
 				return false
 			}
 		}
@@ -733,11 +757,7 @@ func (s *SM) accumOccupancy() {
 	st.ActiveWarpAccum += int64(s.WarpsUsed)
 	st.ActiveCTAAccum += int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += int64(rw)
+	st.ResidentWarpAccum += int64(s.residentWarps)
 }
 
 // allocOp takes an lsuOp from the free list (or grows the arena) and
@@ -800,10 +820,10 @@ func (s *SM) loadComplete(idx int32) {
 	s.freeOp(idx)
 	w.SB.ClearPending(dst)
 	w.OutstandingLoads--
-	s.refreshWarp(w)
+	s.reclassify(w)
 	c := w.CTA
 	if c.State == warp.CTAInactiveWaiting && !s.anyOutstandingLoads(c) {
-		c.State = warp.CTAInactiveReady
+		s.SetCTAState(c, warp.CTAInactiveReady)
 		s.Ctl.LoadsDrained(s, c)
 	}
 }

@@ -17,6 +17,8 @@ type testController struct {
 	retired []int
 }
 
+func (tc *testController) Attach(s *SM) {}
+
 func (tc *testController) Cycle(s *SM) {
 	for {
 		c := tc.grid.Next(func(regs, smem, warps, threads int) bool {

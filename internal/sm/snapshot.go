@@ -16,10 +16,13 @@ import (
 // the exact captured layout. Warp pointers serialize as (kernel, flat CTA,
 // warp index) triples; CTA structure is rebuilt deterministically from
 // the launch (cta.Grid.Materialize) and the dynamic warp state overlaid.
-// The cached issue classification (IssueState, RestoreReady, the ready
-// bitset, and the per-scheduler class counters) is re-derived through
-// refreshWarp on every bound warp, which reproduces it exactly because it
-// is a pure function of the serialized state.
+// Derived state is never serialized: the next-instruction records and the
+// cached issue classification (IssueState, RestoreReady, the schedulers'
+// ready bitsets and class counters, the CTAs' class counters and swap
+// trigger) are re-derived through refreshWarp on every bound warp, and the
+// residency state (sequence, resident-warp count, ready-CTA set) through
+// addResident and SetCTAState, which reproduces all of it exactly because
+// it is a pure function of the serialized state.
 //
 // Sleep state (asleep, sleptFrom, wakeAt) travels verbatim: waking the SM
 // at capture time would run extra control cycles on resume (clearing, for
@@ -263,6 +266,8 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 	type ctaKey struct{ k, f int }
 	ctas := make(map[ctaKey]*warp.CTA, len(st.Resident))
 	s.Resident = s.Resident[:0]
+	s.readyCTAs = s.readyBuf[:0]
+	s.residentWarps, s.stalledCTAs, s.nextSeq = 0, 0, 0
 	s.RegsUsed, s.SMemUsed = 0, 0
 	s.ActiveCTAs, s.WarpsUsed, s.ThreadsUsed = 0, 0, 0
 	for i := range st.Resident {
@@ -281,7 +286,6 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 		copy(c.SMem, cs.SMem)
 		c.Arrived = cs.Arrived
 		c.Finished = cs.Finished
-		c.State = cs.State
 		c.AssignedAt = cs.AssignedAt
 		c.ActivatedAt = cs.ActivatedAt
 		c.Activations = cs.Activations
@@ -302,9 +306,11 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 			// Slot binding happens below; keep the pristine -1 /
 			// BlockedDone so refreshWarp transitions from a clean base.
 		}
-		s.Resident = append(s.Resident, c)
-		s.RegsUsed += c.RegsAlloc
-		s.SMemUsed += c.SMemAlloc
+		// Residency-derived state (sequence, resident-warp count, ready-CTA
+		// set) rebuilds through the calls that maintain it live; the
+		// materialized CTA is pending until its captured state is applied.
+		s.addResident(c)
+		s.SetCTAState(c, cs.State)
 		if c.State == warp.CTAActive || c.State == warp.CTARestoring {
 			s.ActiveCTAs++
 			s.WarpsUsed += len(c.Warps)

@@ -21,32 +21,49 @@ type ExecInfo struct {
 	Addrs  []uint32  // per-lane byte addresses for memory ops (scratch-backed)
 }
 
-// Execute runs the instruction at the warp's current PC for all active
-// lanes, updating register values, the SIMT stack, and functional memory
+// Execute runs instruction in for the warp's active lanes — the SIMT
+// stack's current live mask, which the caller already holds — updating
+// register values, the SIMT stack, and functional memory
 // (execute-at-issue semantics; timing is the caller's concern). addrBuf
 // must have capacity for one address per lane and is reused in the
 // returned ExecInfo. The caller is responsible for scoreboard and barrier
 // bookkeeping.
 //
+// Lane work runs as row kernels (rows.go): each operand is the warp-wide
+// row of its register, a mask that is a dense lane prefix (a full warp, or
+// the partial last warp of a CTA) runs bounds-check-free range loops, and
+// a sparse mask walks its set bits over the same rows.
+//
 // When log is non-nil, global-memory lane loops are recorded into it
 // instead of touching gmem; the caller replays them with Flush in SM-index
 // order, which is how the parallel engine keeps shared-memory traffic
 // bit-identical to sequential execution (see GmemLog).
-func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
-	_, active, ok := w.Stack.Current()
-	if !ok {
-		return ExecInfo{}
-	}
+func Execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
+	return execute(w, in, active, gmem, addrBuf, log, false)
+}
+
+// ExecuteRef is Execute with every lane loop run per lane through Reg,
+// SetReg and evalALU: the semantic reference the row kernels are tested
+// against, selected by gpu.Options.DisableIssueFastPath.
+func ExecuteRef(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
+	return execute(w, in, active, gmem, addrBuf, log, true)
+}
+
+func execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog, ref bool) ExecInfo {
 	info := ExecInfo{Active: active, Lanes: active.Count()}
 
 	switch in.Op {
 	case isa.OpBra:
 		var taken simt.Mask
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			if w.Reg(in.SrcA, lane) != 0 {
-				taken |= 1 << uint(lane)
+		if ref {
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros64(uint64(m))
+				if w.Reg(in.SrcA, lane) != 0 {
+					taken |= 1 << uint(lane)
+				}
 			}
+		} else {
+			taken = rowNonZero(w.row(in.SrcA), active)
 		}
 		w.Stack.Branch(taken, in.Target, in.Reconv)
 		return info
@@ -66,171 +83,65 @@ func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32, log *G
 		return info
 	}
 
-	if in.Op.Unit() == isa.UnitMem {
+	if in.Unit() == isa.UnitMem {
 		info.MemOp = true
 		info.Addrs = addrBuf[:w.warpW]
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			info.Addrs[lane] = w.Reg(in.SrcA, lane) + in.Imm
-		}
-		switch in.Op {
-		case isa.OpLdShared, isa.OpStShared:
-			// Shared memory is CTA-private: always safe to run inline.
+		if ref {
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(uint64(m))
-				if in.Op == isa.OpLdShared {
-					w.SetReg(in.Dst, lane, w.loadShared(info.Addrs[lane]))
-				} else {
-					w.storeShared(info.Addrs[lane], w.Reg(in.SrcC, lane))
-				}
+				info.Addrs[lane] = w.Reg(in.SrcA, lane) + in.Imm
 			}
-		default: // global load/store/atomic
-			if log != nil {
-				log.add(w, in, active)
+		} else {
+			rowAddImm(info.Addrs, w.row(in.SrcA), in.Imm, active)
+		}
+		switch {
+		case !in.Op.IsGlobal():
+			// Shared memory is CTA-private: always safe to run inline.
+			if ref {
+				execSharedLanes(w, in, info.Addrs, active)
 			} else {
-				execGlobalLanes(w, in, gmem, active)
+				execSharedRows(w, in, info.Addrs, active)
 			}
+		case log != nil:
+			log.ops = append(log.ops, gmemOp{w: w, in: in, active: active, ref: ref})
+		case ref:
+			execGlobalLanes(w, in, gmem, active)
+		default:
+			execGlobalRows(w, in, gmem, active)
 		}
 		w.Stack.Advance()
 		return info
 	}
 
-	execALULanes(w, in, active)
+	if ref {
+		for m := active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(uint64(m))
+			w.SetReg(in.Dst, lane, evalALU(w, in, lane))
+		}
+	} else {
+		execALURows(w, in, active)
+	}
 	w.Stack.Advance()
 	return info
 }
 
-// execALULanes applies a non-memory, non-control instruction to all active
-// lanes. The hottest ops get dedicated lane loops so the opcode dispatch,
-// the immediate-select branch, and unused-operand reads happen once per
-// warp instead of once per lane; everything else falls through to the
-// per-lane reference evaluator (evalALU), which stays the single source of
-// semantic truth. Each specialized loop must compute exactly what evalALU
-// computes for its opcode.
-func execALULanes(w *Warp, in *isa.Instr, active simt.Mask) {
-	dst := in.Dst
-	switch in.Op {
-	case isa.OpIAdd:
-		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)+imm)
-			}
+// execSharedLanes is the per-lane reference of a shared-memory load/store.
+func execSharedLanes(w *Warp, in *isa.Instr, addrs []uint32, active simt.Mask) {
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(uint64(m))
+		if in.Op == isa.OpLdShared {
+			w.SetReg(in.Dst, lane, w.loadShared(addrs[lane]))
 		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)+w.Reg(in.SrcB, lane))
-			}
-		}
-	case isa.OpISub:
-		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)-imm)
-			}
-		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)-w.Reg(in.SrcB, lane))
-			}
-		}
-	case isa.OpIMad:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			var b uint32
-			if in.UseImm {
-				b = in.Imm
-			} else {
-				b = w.Reg(in.SrcB, lane)
-			}
-			w.SetReg(dst, lane, a*b+w.Reg(in.SrcC, lane))
-		}
-	case isa.OpIMin:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			if int32(b) < int32(a) {
-				a = b
-			}
-			w.SetReg(dst, lane, a)
-		}
-	case isa.OpIMax:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			if int32(b) > int32(a) {
-				a = b
-			}
-			w.SetReg(dst, lane, a)
-		}
-	case isa.OpMov:
-		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, imm)
-			}
-		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane))
-			}
-		}
-	case isa.OpSetp:
-		kind := isa.CmpKind(in.Imm)
-		if in.UseImm {
-			kind = isa.CmpKind(in.Target)
-		}
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			var v uint32
-			if compare(kind, a, b) {
-				v = 1
-			}
-			w.SetReg(dst, lane, v)
-		}
-	case isa.OpSelp:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			v := w.Reg(in.SrcA, lane)
-			if w.Reg(in.SrcC, lane) == 0 {
-				if in.UseImm {
-					v = in.Imm
-				} else {
-					v = w.Reg(in.SrcB, lane)
-				}
-			}
-			w.SetReg(dst, lane, v)
-		}
-	default:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			w.SetReg(dst, lane, evalALU(w, in, lane))
+			w.storeShared(addrs[lane], w.Reg(in.SrcC, lane))
 		}
 	}
 }
 
-// execGlobalLanes performs the per-lane functional work of a global
-// load/store/atomic: the same loop whether run inline (sequential engine)
-// or replayed from a GmemLog (parallel engine). Addresses are recomputed
-// from SrcA, which is exact: a warp issues at most one instruction per
-// cycle, so none of its registers can change between issue and replay.
+// execGlobalLanes is the per-lane reference of a global load/store/atomic:
+// the same loop whether run inline (sequential engine) or replayed from a
+// GmemLog (parallel engine). Addresses are recomputed from SrcA, which is
+// exact: a warp issues at most one instruction per cycle, so none of its
+// registers can change between issue and replay.
 func execGlobalLanes(w *Warp, in *isa.Instr, gmem *mem.Backing, active simt.Mask) {
 	for m := active; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(uint64(m))
@@ -253,6 +164,7 @@ type gmemOp struct {
 	w      *Warp
 	in     *isa.Instr
 	active simt.Mask
+	ref    bool // replay per lane (ExecuteRef) instead of over rows
 }
 
 // GmemLog collects the global-memory lane loops an SM's issues produce
@@ -260,14 +172,12 @@ type gmemOp struct {
 // concurrently. The engine flushes the logs in ascending SM-index order
 // after the cycle barrier; within a log, ops replay in issue order, so the
 // interleaving of loads, stores, and atomics across the whole GPU is
-// exactly the one the sequential engine produces.
+// exactly the one the sequential engine produces. Replay reads the warp's
+// register rows at flush time exactly as the per-lane loop read lanes: the
+// warp cannot issue again before the flush, so the rows still hold their
+// issue-time values.
 type GmemLog struct {
 	ops []gmemOp
-}
-
-// Add is not exported: Execute records into the log when one is supplied.
-func (l *GmemLog) add(w *Warp, in *isa.Instr, active simt.Mask) {
-	l.ops = append(l.ops, gmemOp{w: w, in: in, active: active})
 }
 
 // Len returns the number of deferred ops (for tests).
@@ -278,7 +188,11 @@ func (l *GmemLog) Len() int { return len(l.ops) }
 func (l *GmemLog) Flush(gmem *mem.Backing) {
 	for i := range l.ops {
 		op := &l.ops[i]
-		execGlobalLanes(op.w, op.in, gmem, op.active)
+		if op.ref {
+			execGlobalLanes(op.w, op.in, gmem, op.active)
+		} else {
+			execGlobalRows(op.w, op.in, gmem, op.active)
+		}
 		op.w, op.in = nil, nil
 	}
 	l.ops = l.ops[:0]
@@ -304,17 +218,18 @@ func (w *Warp) storeShared(addr, v uint32) {
 }
 
 // evalALU computes the result of a non-memory, non-control instruction for
-// one lane.
+// one lane: the per-lane semantic reference.
 func evalALU(w *Warp, in *isa.Instr, lane int) uint32 {
-	a := w.Reg(in.SrcA, lane)
-	var b uint32
-	if in.UseImm {
-		b = in.Imm
-	} else {
+	b := in.Imm
+	if !in.UseImm {
 		b = w.Reg(in.SrcB, lane)
 	}
-	c := w.Reg(in.SrcC, lane)
+	return aluLane(w, in, lane, w.Reg(in.SrcA, lane), b, w.Reg(in.SrcC, lane))
+}
 
+// aluLane is evalALU over already-fetched operand values (b is the
+// immediate when the instruction uses one).
+func aluLane(w *Warp, in *isa.Instr, lane int, a, b, c uint32) uint32 {
 	switch in.Op {
 	case isa.OpNop:
 		return w.Reg(in.Dst, lane) // no-op preserves the destination

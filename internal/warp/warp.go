@@ -167,6 +167,16 @@ type CTA struct {
 	// fast-forward spans can grow or shrink a swapped-out CTA's SIMT
 	// stacks, and the buffer must release exactly what was charged.
 	CtxCharged int
+
+	// Derived scheduling state, owned by the SM the CTA is resident on and
+	// rebuilt on checkpoint restore (see docs/ARCHITECTURE.md, "Derived
+	// state and its single writer"). Seq is the CTA's position in the SM's
+	// residency order (the tie-break of the ready-CTA set); Class counts
+	// the CTA's warps by cached IssueState (all BlockedDone unless the CTA
+	// is active); Stalled caches the VT swap trigger over those counts.
+	Seq     int64
+	Class   [NumBlocked]int32
+	Stalled bool
 }
 
 // Done reports whether every warp has exited.
@@ -206,6 +216,16 @@ type Warp struct {
 	IssueState   Blocked
 	RestoreReady bool
 
+	// Next-instruction record of a bound warp, written by the SM after
+	// every mutation of the SIMT stack: the shared execution resource the
+	// instruction at the stack's top entry needs, the instruction itself
+	// (nil when the warp has none, and always nil while unbound), and that
+	// entry's live lanes. The issue stage reads these instead of walking
+	// the stack and re-indexing the kernel's code.
+	NextPort   IssuePort
+	Next       *isa.Instr
+	NextActive simt.Mask
+
 	LastIssue    int64 // cycle of the most recent issue (GTO priority)
 	IssuedInstrs int64 // warp instructions issued
 	ThreadInstrs int64 // thread instructions (issued x active lanes)
@@ -230,6 +250,7 @@ func NewCTA(l *isa.Launch, flatID int, warpSize int) *CTA {
 		SMem:   make([]uint32, (l.Kernel.SMemBytes+3)/4),
 		State:  CTAPending,
 	}
+	c.Class[BlockedDone] = int32(nw) // every warp starts unbound
 	for w := 0; w < nw; w++ {
 		lanes := warpSize
 		if rem := threads - w*warpSize; rem < lanes {
@@ -248,6 +269,21 @@ func NewCTA(l *isa.Launch, flatID int, warpSize int) *CTA {
 		c.Warps = append(c.Warps, wp)
 	}
 	return c
+}
+
+// zeroRow backs every read of RZ as a register row. It is shared by all
+// warps of all concurrent simulations and must never be written: row
+// kernels skip instructions whose destination is RZ.
+var zeroRow [64]uint32
+
+// row returns register r's values for all lanes as a slice of exactly
+// warp-width length, aliasing Regs (the shared read-only zero row for RZ).
+func (w *Warp) row(r isa.Reg) []uint32 {
+	if r == isa.RZ {
+		return zeroRow[:w.warpW:w.warpW]
+	}
+	base := int(r) * w.warpW
+	return w.Regs[base : base+w.warpW : base+w.warpW]
 }
 
 // Reg returns the value of register r in the given lane.
@@ -271,7 +307,7 @@ func (w *Warp) GlobalTid(lane int) int { return w.IdxInCTA*w.warpW + lane }
 
 // Blocked classifies why the warp cannot issue its next instruction, for
 // the VT stall detector and the stall-breakdown statistics.
-type Blocked int
+type Blocked uint8
 
 // Blocked reasons, from the VT controller's point of view.
 const (
@@ -280,6 +316,9 @@ const (
 	BlockedMem                    // dependence on an outstanding global load
 	BlockedBarrier                // parked at a CTA barrier
 	BlockedDone                   // warp finished
+
+	// NumBlocked sizes per-class counter arrays indexed by Blocked.
+	NumBlocked = int(BlockedDone) + 1
 )
 
 // String names the blocked reason.
@@ -300,20 +339,54 @@ func (b Blocked) String() string {
 	}
 }
 
+// IssuePort names the shared execution resource whose availability can
+// hold back an otherwise ready instruction (a structural hazard).
+type IssuePort uint8
+
+// Issue ports.
+const (
+	PortNone   IssuePort = iota // SP pipeline and control: never busy
+	PortSFU                     // special function unit (initiation interval)
+	PortShared                  // shared-memory pipeline (bank-conflict serialization)
+	PortGlobal                  // load-store unit queue
+)
+
+// PortOf returns the issue port the instruction needs.
+func PortOf(in *isa.Instr) IssuePort {
+	switch in.Unit() {
+	case isa.UnitSFU:
+		return PortSFU
+	case isa.UnitMem:
+		if in.Op.IsGlobal() {
+			return PortGlobal
+		}
+		return PortShared
+	}
+	return PortNone
+}
+
 // BlockedState classifies the warp's current impediment, ignoring
 // structural (execution-unit) availability. srcBuf is scratch.
 func (w *Warp) BlockedState(code []isa.Instr, srcBuf []isa.Reg) Blocked {
+	var in *isa.Instr
+	if pc, _, ok := w.Stack.Current(); ok {
+		in = &code[pc]
+	}
+	return w.BlockedOn(in, srcBuf)
+}
+
+// BlockedOn is BlockedState for a caller that already holds the warp's
+// next instruction (nil when the SIMT stack is empty).
+func (w *Warp) BlockedOn(in *isa.Instr, srcBuf []isa.Reg) Blocked {
 	if w.Finished {
 		return BlockedDone
 	}
 	if w.AtBarrier {
 		return BlockedBarrier
 	}
-	pc, _, ok := w.Stack.Current()
-	if !ok {
+	if in == nil {
 		return BlockedDone
 	}
-	in := &code[pc]
 	conflict, onLoad := w.SB.Conflicts(in, srcBuf)
 	switch {
 	case !conflict:
@@ -323,6 +396,24 @@ func (w *Warp) BlockedState(code []isa.Instr, srcBuf []isa.Reg) Blocked {
 	default:
 		return BlockedALU
 	}
+}
+
+// StalledEnough evaluates the VT swap trigger over the CTA's per-class
+// warp counts: unfinished warps blocked on outstanding global loads (or
+// barrier-parked) reach the trigger fraction, with at least one
+// memory-blocked warp. At the paper-default fraction of 1.0 any issuable
+// or short-latency-blocked warp vetoes the swap.
+func (c *CTA) StalledEnough(frac float64) bool {
+	mem := c.Class[BlockedMem]
+	if mem == 0 {
+		return false
+	}
+	blocked := mem + c.Class[BlockedBarrier]
+	other := c.Class[BlockedNot] + c.Class[BlockedALU]
+	if other > 0 && frac >= 1 {
+		return false
+	}
+	return float64(blocked) >= frac*float64(blocked+other)
 }
 
 // ContextFootprintBytes returns the scheduling-state bytes VT must save for

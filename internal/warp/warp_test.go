@@ -1,11 +1,17 @@
 package warp
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/simt"
 )
 
 func simpleLaunch(t *testing.T, k *isa.Kernel, grid, block int, params ...uint32) *isa.Launch {
@@ -26,11 +32,11 @@ func runWarp(t *testing.T, w *Warp, code []isa.Instr, gmem *mem.Backing) {
 		if steps > 100000 {
 			t.Fatal("warp did not finish")
 		}
-		pc, _, ok := w.Stack.Current()
+		pc, active, ok := w.Stack.Current()
 		if !ok {
 			break
 		}
-		Execute(w, &code[pc], gmem, buf, nil)
+		Execute(w, &code[pc], active, gmem, buf, nil)
 	}
 }
 
@@ -285,7 +291,8 @@ func TestExecuteBarrierFlag(t *testing.T) {
 	c := NewCTA(l, 0, 32)
 	w := c.Warps[0]
 	buf := make([]uint32, 32)
-	info := Execute(w, &k.Code[0], mem.NewBacking(), buf, nil)
+	_, active, _ := w.Stack.Current()
+	info := Execute(w, &k.Code[0], active, mem.NewBacking(), buf, nil)
 	if !info.IsBar {
 		t.Fatal("barrier must be flagged")
 	}
@@ -408,29 +415,255 @@ func TestRegMaskProperty(t *testing.T) {
 	}
 }
 
-// Property: execute-at-issue never writes registers of inactive lanes.
+// Property: execute-at-issue never writes registers of inactive lanes, and
+// the row kernels compute exactly what the per-lane reference computes.
 func TestInactiveLanesUntouchedProperty(t *testing.T) {
-	b := isa.NewBuilder("p")
-	b.S2R(0, isa.SrTidX)
-	b.SetpImm(1, isa.CmpILT, 0, 7)
-	b.Bra(1, "then", "join")
-	b.Jmp("join")
-	b.Label("then")
-	b.MovImm(2, 0xDEAD)
-	b.Label("join")
-	b.Exit()
-	k := b.MustBuild()
-	l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(1), BlockDim: isa.Dim1(32)}
-	c := NewCTA(l, 0, 32)
-	w := c.Warps[0]
-	runWarp(t, w, k.Code, mem.NewBacking())
-	for lane := 0; lane < 32; lane++ {
-		got := w.Reg(2, lane)
-		if lane < 7 && got != 0xDEAD {
-			t.Errorf("active lane %d missed write: %x", lane, got)
+	t.Run("divergent-write", func(t *testing.T) {
+		b := isa.NewBuilder("p")
+		b.S2R(0, isa.SrTidX)
+		b.SetpImm(1, isa.CmpILT, 0, 7)
+		b.Bra(1, "then", "join")
+		b.Jmp("join")
+		b.Label("then")
+		b.MovImm(2, 0xDEAD)
+		b.Label("join")
+		b.Exit()
+		k := b.MustBuild()
+		l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(1), BlockDim: isa.Dim1(32)}
+		c := NewCTA(l, 0, 32)
+		w := c.Warps[0]
+		runWarp(t, w, k.Code, mem.NewBacking())
+		for lane := 0; lane < 32; lane++ {
+			got := w.Reg(2, lane)
+			if lane < 7 && got != 0xDEAD {
+				t.Errorf("active lane %d missed write: %x", lane, got)
+			}
+			if lane >= 7 && got != 0 {
+				t.Errorf("inactive lane %d corrupted: %x", lane, got)
+			}
 		}
-		if lane >= 7 && got != 0 {
-			t.Errorf("inactive lane %d corrupted: %x", lane, got)
+	})
+	t.Run("rows-vs-lanes", testRowKernelEquivalence)
+	t.Run("missing-param", func(t *testing.T) {
+		// Out of range must panic naming the kernel from the row kernels
+		// too, dense or sparse, even when the destination is RZ.
+		for _, dst := range []isa.Reg{3, isa.RZ} {
+			for _, active := range []simt.Mask{simt.FullMask(32), 0x10, 0xF0F0} {
+				for _, ref := range []bool{false, true} {
+					func() {
+						defer func() {
+							msg, _ := recover().(string)
+							if !strings.Contains(msg, `kernel "lanes"`) || !strings.Contains(msg, "param 7") {
+								t.Errorf("dst %v mask %x ref %v: panic %q does not name the kernel and parameter",
+									dst, uint64(active), ref, msg)
+							}
+						}()
+						ws := newLaneRig(1, 0, active)
+						in := isa.Instr{Op: isa.OpLdParam, Dst: dst, Imm: 7}
+						ws.run(&in, ref)
+					}()
+				}
+			}
+		}
+	})
+	for _, v := range zeroRow {
+		if v != 0 {
+			t.Fatal("the shared zero row was written")
 		}
 	}
+}
+
+// laneRig is one warp over a seeded register file, shared memory and
+// global memory, positioned at a single SIMT entry with the given mask.
+type laneRig struct {
+	w      *Warp
+	gmem   *mem.Backing
+	active simt.Mask
+	buf    []uint32
+}
+
+func newLaneRig(seed int64, warpIdx int, active simt.Mask) *laneRig {
+	k := &isa.Kernel{Name: "lanes", Code: make([]isa.Instr, 8), NumRegs: 6, SMemBytes: 96}
+	// 52 threads: warp 0 is full, warp 1 is the partial last warp (20 lanes).
+	l := &isa.Launch{Kernel: k, GridDim: isa.Dim3{X: 3, Y: 2, Z: 1}, BlockDim: isa.Dim3{X: 13, Y: 2, Z: 2},
+		Params: []uint32{0x1000, 0xBEEF, 7}}
+	c := NewCTA(l, 4, 32)
+	rng := rand.New(rand.NewSource(seed))
+	w := c.Warps[warpIdx]
+	for i := range w.Regs {
+		switch rng.Intn(4) {
+		case 0:
+			w.Regs[i] = uint32(rng.Intn(5)) // small: zero predicates, equal operands
+		case 1:
+			w.Regs[i] = math.Float32bits(float32(rng.NormFloat64() * 8))
+		default:
+			w.Regs[i] = rng.Uint32()
+		}
+		// Keep NaNs out of the registers (the immediates bring one in):
+		// when two operands of one float op are NaNs with different
+		// payloads, which payload survives is the host FPU's choice by
+		// operand order, and the compiler may order the operands of the
+		// same expression differently at two sites.
+		if w.Regs[i]&0x7F80_0000 == 0x7F80_0000 && w.Regs[i]&0x007F_FFFF != 0 {
+			w.Regs[i] &^= 0x0080_0000
+		}
+	}
+	for i := range c.SMem {
+		c.SMem[i] = rng.Uint32()
+	}
+	// A few stored words in the page the small register values address;
+	// everything else reads as the backing's synthesized contents.
+	g := mem.NewBacking()
+	for i := 0; i < 8; i++ {
+		g.StoreWord(uint32(rng.Intn(16))*4, rng.Uint32())
+	}
+	w.Stack.SetState([]simt.Entry{{PC: 0, Reconv: -1, Mask: active}}, 0)
+	return &laneRig{w: w, gmem: g, active: active, buf: make([]uint32, 32)}
+}
+
+func (r *laneRig) run(in *isa.Instr, ref bool) ExecInfo {
+	if ref {
+		return ExecuteRef(r.w, in, r.active, r.gmem, r.buf, nil)
+	}
+	return Execute(r.w, in, r.active, r.gmem, r.buf, nil)
+}
+
+// testRowKernelEquivalence runs every opcode, with the immediate and the
+// register form, RZ in each operand position, the destination aliasing
+// each source, under full, single-lane, sparse and partial-last-warp
+// masks, through the row kernels and through the per-lane reference from
+// identical state, and requires identical registers (every lane of every
+// register, so inactive lanes and untouched registers count), shared and
+// global memory, SIMT stack and ExecInfo. Global ops also replay through a
+// GmemLog.
+func testRowKernelEquivalence(t *testing.T) {
+	type regs struct{ d, a, b, c isa.Reg }
+	operands := []regs{
+		{3, 0, 1, 2},
+		{isa.RZ, 0, 1, 2}, {3, isa.RZ, 1, 2}, {3, 0, isa.RZ, 2}, {3, 0, 1, isa.RZ},
+		{isa.RZ, isa.RZ, isa.RZ, isa.RZ},
+		{0, 0, 1, 2}, {1, 0, 1, 2}, {2, 0, 1, 2}, {4, 4, 4, 4},
+	}
+	masks := []struct {
+		name   string
+		warp   int
+		active simt.Mask
+	}{
+		{"full", 0, simt.FullMask(32)},
+		{"lane0", 0, 1},
+		{"lane19", 0, 1 << 19},
+		{"sparse", 0, 0x8421_F00D},
+		{"sparse-low", 0, 0x0000_0A5B},
+		{"partial-last-warp", 1, simt.FullMask(20)},
+		{"partial-sparse", 1, 0x000A_0A05},
+	}
+	ops := []isa.Opcode{
+		isa.OpNop, isa.OpMov, isa.OpS2R, isa.OpLdParam,
+		isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIMad, isa.OpIMin, isa.OpIMax,
+		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr,
+		isa.OpFAdd, isa.OpFMul, isa.OpFFma, isa.OpFRcp, isa.OpFSqrt, isa.OpFSin, isa.OpFExp,
+		isa.OpSetp, isa.OpSelp,
+		isa.OpLdGlobal, isa.OpStGlobal, isa.OpLdShared, isa.OpStShared, isa.OpAtomAdd,
+		isa.OpBra, isa.OpJmp, isa.OpBar, isa.OpExit,
+	}
+	imms := []uint32{0, 1, 5, 0xFFFF_FFFC, math.Float32bits(1.5)}
+
+	cases := 0
+	for _, op := range ops {
+		// selectors: comparison kinds for setp, special registers for s2r,
+		// parameter indices for ldparam; one pass otherwise.
+		selectors := 1
+		switch op {
+		case isa.OpSetp:
+			selectors = int(isa.CmpFGT) + 1
+		case isa.OpS2R:
+			selectors = int(isa.SrWarpID) + 1
+		case isa.OpLdParam:
+			selectors = 3
+		}
+		for sel := 0; sel < selectors; sel++ {
+			for _, useImm := range []bool{false, true} {
+				for ii, imm := range imms {
+					if !useImm && ii > 0 && op.Unit() != isa.UnitMem {
+						continue // the immediate is unread
+					}
+					for _, r := range operands {
+						for _, m := range masks {
+							in := isa.Instr{Op: op, Dst: r.d, SrcA: r.a, SrcB: r.b, SrcC: r.c,
+								Imm: imm, UseImm: useImm, Target: 5, Reconv: 6}
+							switch op {
+							case isa.OpSetp:
+								if useImm {
+									in.Target = int32(sel)
+								} else {
+									in.Imm = uint32(sel)
+								}
+							case isa.OpS2R, isa.OpLdParam:
+								in.Imm = uint32(sel)
+							}
+							if cases%2 == 0 {
+								in.Decode() // both the pre-decoded and the hand-built form
+							}
+							cases++
+							seed := int64(cases)
+							rows, lanes := newLaneRig(seed, m.warp, m.active), newLaneRig(seed, m.warp, m.active)
+							before := append([]uint32(nil), rows.w.Regs...)
+							gi, wi := rows.run(&in, false), lanes.run(&in, true)
+							name := fmt.Sprintf("%v useImm=%v imm=%#x sel=%d regs=%v mask=%s", op, useImm, imm, sel, r, m.name)
+
+							if !reflect.DeepEqual(rows.w.Regs, lanes.w.Regs) {
+								t.Fatalf("%s: registers differ\nrows:  %x\nlanes: %x", name, rows.w.Regs, lanes.w.Regs)
+							}
+							for i, v := range rows.w.Regs {
+								if lane := i % 32; !m.active.Has(lane) && v != before[i] {
+									t.Fatalf("%s: inactive lane %d of r%d written", name, lane, i/32)
+								}
+							}
+							if !reflect.DeepEqual(rows.w.CTA.SMem, lanes.w.CTA.SMem) {
+								t.Fatalf("%s: shared memory differs", name)
+							}
+							if !reflect.DeepEqual(rows.w.Stack.Entries(), lanes.w.Stack.Entries()) ||
+								rows.w.Stack.Exited() != lanes.w.Stack.Exited() || rows.w.Finished != lanes.w.Finished {
+								t.Fatalf("%s: SIMT stack differs: %v vs %v", name, rows.w.Stack.String(), lanes.w.Stack.String())
+							}
+							if gi.Active != wi.Active || gi.Lanes != wi.Lanes || gi.IsExit != wi.IsExit ||
+								gi.IsBar != wi.IsBar || gi.MemOp != wi.MemOp || len(gi.Addrs) != len(wi.Addrs) {
+								t.Fatalf("%s: ExecInfo differs: %+v vs %+v", name, gi, wi)
+							}
+							if rows.gmem.TouchedWords() != lanes.gmem.TouchedWords() {
+								t.Fatalf("%s: global memory footprint differs", name)
+							}
+							for lane := 0; gi.MemOp && lane < 32; lane++ {
+								if !m.active.Has(lane) {
+									continue
+								}
+								if gi.Addrs[lane] != wi.Addrs[lane] {
+									t.Fatalf("%s: lane %d address %#x vs %#x", name, lane, gi.Addrs[lane], wi.Addrs[lane])
+								}
+								if a := gi.Addrs[lane]; rows.gmem.LoadWord(a) != lanes.gmem.LoadWord(a) {
+									t.Fatalf("%s: global word %#x differs", name, a)
+								}
+							}
+
+							if op.IsGlobal() {
+								// Deferred replay reads the rows at flush time.
+								logged := newLaneRig(seed, m.warp, m.active)
+								var log GmemLog
+								Execute(logged.w, &in, m.active, logged.gmem, logged.buf, &log)
+								if log.Len() != 1 {
+									t.Fatalf("%s: %d ops logged", name, log.Len())
+								}
+								log.Flush(logged.gmem)
+								if !reflect.DeepEqual(logged.w.Regs, lanes.w.Regs) ||
+									logged.gmem.TouchedWords() != lanes.gmem.TouchedWords() {
+									t.Fatalf("%s: GmemLog replay differs from inline execution", name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d instruction forms compared", cases)
 }
