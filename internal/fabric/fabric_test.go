@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -801,4 +802,122 @@ func TestFleetThroughputScaling(t *testing.T) {
 	if fleetRate < 3*singleRate {
 		t.Errorf("fleet aggregate %.0f simcycles/s is below 3x single-process %.0f", fleetRate, singleRate)
 	}
+}
+
+// mixSweepParams is fig-multikernel's sweep shape for
+// TestFleetLeasesMixes: a mirrored store with the journal opened (and
+// the mirror's header seeded) the way vtbench and vtsweepd do it.
+func mixSweepParams(t *testing.T, dir, mirror string, resume bool) harness.Params {
+	t.Helper()
+	meta := harness.JournalMeta{Scale: 1, Dilute: 60, Config: config.GTX480().Name}
+	jl, err := harness.OpenJournal(filepath.Join(dir, harness.JournalFileName), meta, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	if err := harness.EnsureJournalHeader(filepath.Join(mirror, harness.JournalFileName), meta); err != nil {
+		t.Fatal(err)
+	}
+	return harness.Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2,
+		CacheDir: dir, MirrorDir: mirror, Journal: jl, Resume: resume}
+}
+
+// renderMixes runs fig-multikernel under p and returns its table.
+func renderMixes(t *testing.T, p harness.Params) string {
+	t.Helper()
+	e, err := harness.Get("fig-multikernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := harness.RunOne(e, p, &sb); err != nil {
+		t.Fatalf("fig-multikernel: %v", err)
+	}
+	harness.SyncStores()
+	return sb.String()
+}
+
+// storeSide lists what a sweep left on one side of its store: the
+// journal's bytes and the sorted result-object names (content-keyed, so
+// two sweeps of the same points leave the same names).
+func storeSide(t *testing.T, dir string) (journal string, objects []string) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, harness.JournalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "vtsim-*.json"))
+	for _, p := range paths {
+		objects = append(objects, filepath.Base(p))
+	}
+	return string(b), objects
+}
+
+// TestFleetLeasesMixes: a concurrent-kernel mix is leased like any job.
+// fig-multikernel through a one-worker fleet grants six leases and
+// prints the local table, and both paths leave the same store: six
+// result objects and a header-only journal (mixes commit no journal
+// line; see harness.commitOutcome) on primary and mirror, from which a
+// -resume executes nothing.
+func TestFleetLeasesMixes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	harness.ResetMetrics()
+	t.Cleanup(harness.ResetMetrics)
+	resumeExecutesNothing := func(dir, mirror, want string) {
+		t.Helper()
+		harness.ResetMetrics() // a fresh process: only the store knows the mixes
+		if got := renderMixes(t, mixSweepParams(t, dir, mirror, true)); got != want {
+			t.Errorf("resumed table differs:\n%s\nvs\n%s", got, want)
+		}
+		if m := harness.Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 {
+			t.Errorf("resume over %s: %+v, want 6 store hits and nothing executed", dir, m)
+		}
+	}
+
+	localDir, localMirror := t.TempDir(), t.TempDir()
+	want := renderMixes(t, mixSweepParams(t, localDir, localMirror, false))
+	wantJournal, wantObjs := storeSide(t, localDir)
+	if n := strings.Count(wantJournal, "\n"); n != 1 || len(wantObjs) != 6 {
+		t.Fatalf("local sweep left %d journal lines and %d result objects, want the header and 6:\n%s",
+			n, len(wantObjs), wantJournal)
+	}
+	resumeExecutesNothing(localDir, localMirror, want)
+
+	harness.ResetMetrics()
+	dir, mirror := t.TempDir(), t.TempDir()
+	cp := mixSweepParams(t, dir, mirror, false)
+	coord := New(Config{Params: cp, LeaseTTL: 5 * time.Second})
+	t.Cleanup(coord.Close)
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	f := &fleetFixture{coord: coord, srv: srv, dir: dir, sweep: cp}
+	f.sweep.Executor = coord.Executor()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w1 := f.startWorker(t, ctx, "w1", 1, nil)
+
+	if got := renderMixes(t, f.sweep); got != want {
+		t.Errorf("fleet table differs from the local one:\n%s\nvs\n%s", got, want)
+	}
+	coord.Close()
+	select {
+	case err := <-w1:
+		if err != nil {
+			t.Errorf("worker exit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not exit after sweep close")
+	}
+	if st := coord.Status(); st.LeasesGranted != 6 || st.Completions != 6 {
+		t.Errorf("fleet granted %d leases for %d completions, want 6 and 6", st.LeasesGranted, st.Completions)
+	}
+	for _, d := range []string{localMirror, dir, mirror} {
+		if j, objs := storeSide(t, d); j != wantJournal || !slices.Equal(objs, wantObjs) {
+			t.Errorf("%s holds journal %q and objects %v,\nwant the local primary's %q and %v",
+				d, j, objs, wantJournal, wantObjs)
+		}
+	}
+	resumeExecutesNothing(dir, mirror, want)
 }

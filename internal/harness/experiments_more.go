@@ -1,18 +1,10 @@
 package harness
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/gpu"
-	"repro/internal/isa"
-	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/stats"
 )
 
@@ -101,101 +93,28 @@ func init() {
 
 // figMultiKernel evaluates concurrent kernel execution: a latency-bound
 // tiny-CTA kernel co-scheduled with a compute-bound one. VT virtualizes
-// the mix's CTAs exactly as it does a single kernel's.
+// the mix's CTAs exactly as it does a single kernel's. A mix is a job
+// like any other: its workload name is the "+"-joined parts, which
+// runAttempt builds into disjoint arenas (kernels.BuildMix).
 func figMultiKernel() Experiment {
-	pairs := [][2]string{
-		{"nw", "montecarlo"},
-		{"pathfinder", "kmeans"},
-		{"bfs", "streamcluster"},
-	}
+	mixes := []string{"nw+montecarlo", "pathfinder+kmeans", "bfs+streamcluster"}
 	return Experiment{
 		ID:    "fig-multikernel",
 		Title: "Concurrent kernel execution: latency-bound + compute-bound mixes",
 		Paper: "extension: CTA virtualization applies unchanged to concurrent-kernel mixes",
 		Run: func(p Params, w io.Writer) error {
-			// The six mixes run like a sweep's jobs — concurrently, bounded by
-			// the worker count, each under the sweep context, the per-run
-			// deadline and the invariant checker — but stay out of the memo
-			// cache, the store and the journal: a mix is two launches, which
-			// a Job cannot name.
-			run := func(pair [2]string, pol config.Policy) (*gpu.Result, error) {
-				// Disjoint memory arenas keep the kernels' buffers
-				// from colliding.
-				wa, err := kernels.BuildAt(pair[0], p.Scale, kernels.DefaultArena)
-				if err != nil {
-					return nil, err
-				}
-				wb, err := kernels.BuildAt(pair[1], p.Scale,
-					kernels.DefaultArena+kernels.ArenaStride)
-				if err != nil {
-					return nil, err
-				}
-				dil := func(l *isa.Launch) {
-					if p.Dilute > 1 {
-						g := l.GridDim.Size() / p.Dilute
-						if g < 8 {
-							g = 8
-						}
-						l.GridDim = isa.Dim1(g)
-					}
-				}
-				dil(wa.Launch)
-				dil(wb.Launch)
-				cfg := p.Config
-				cfg.Policy = pol
-				ctx := p.ctx()
-				if p.RunTimeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, p.RunTimeout)
-					defer cancel()
-				}
-				return gpu.RunMulti([]*isa.Launch{wa.Launch, wb.Launch}, cfg, gpu.Options{
-					InitMemory: func(bk *mem.Backing) {
-						if wa.Init != nil {
-							wa.Init(bk)
-						}
-						if wb.Init != nil {
-							wb.Init(bk)
-						}
-					},
-					Parallelism:     p.runParallelism(),
-					CheckInvariants: p.CheckInvariants,
-					Ctx:             ctx,
-				})
-			}
-			policies := []config.Policy{config.PolicyBaseline, config.PolicyVT}
-			results := make([]*gpu.Result, len(pairs)*len(policies))
-			errs := make([]error, len(results))
-			sem := make(chan struct{}, p.workers())
-			var wg sync.WaitGroup
-			for i := range results {
-				pair, pol := pairs[i/len(policies)], policies[i%len(policies)]
-				select {
-				case <-p.ctx().Done():
-					errs[i] = fmt.Errorf("%s+%s/%v: %w", pair[0], pair[1], pol, p.ctx().Err())
-					continue
-				case sem <- struct{}{}:
-				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					if results[i], errs[i] = run(pair, pol); errs[i] != nil {
-						errs[i] = fmt.Errorf("%s+%s/%v: %w", pair[0], pair[1], pol, errs[i])
-					}
-				}(i)
-			}
-			wg.Wait()
-			if err := errors.Join(errs...); err != nil {
+			res, err := runMany(p, policyJobs(mixes, []config.Policy{config.PolicyBaseline, config.PolicyVT}))
+			if err != nil {
 				return err
 			}
 			t := stats.NewTable("co-scheduled mixes (cycles, normalized to baseline mix)",
 				"mix", "baseline", "vt", "speedup", "swaps")
-			for i, pair := range pairs {
-				base, vt := results[2*i], results[2*i+1]
-				t.Rowf(pair[0]+"+"+pair[1], base.Cycles, vt.Cycles,
+			for _, mix := range mixes {
+				base, vt := res[key{mix, "baseline"}], res[key{mix, "vt"}]
+				t.Rowf(mix, base.Cycles, vt.Cycles,
 					float64(base.Cycles)/float64(vt.Cycles), vt.VT.SwapsOut)
 			}
+			markSampled(t, p)
 			t.Fprint(w)
 			return nil
 		},

@@ -326,6 +326,9 @@ func RunOne(e Experiment, p Params, w io.Writer) error {
 // Job is one simulation request: a named workload executed under a
 // (possibly mutated) copy of the sweep's base config.
 type Job struct {
+	// Workload names one suite kernel, or a "+"-joined concurrent-kernel
+	// mix ("nw+montecarlo") whose parts run co-scheduled; see
+	// kernels.BuildMix.
 	Workload string
 	Variant  string // distinguishes sweep points; "" for plain runs
 	// Mutate derives the job's hardware config from the sweep's base

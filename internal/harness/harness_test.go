@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 )
@@ -96,42 +93,6 @@ func TestSpeedupExperimentDiluted(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("output missing %q:\n%s", name, out)
 		}
-	}
-}
-
-// fig-multikernel runs its mixes outside RunJobs, so it must itself honor
-// what RunJobs gives every other experiment: the table is the same at any
-// worker count, a canceled sweep context stops it, and the per-run
-// deadline and the invariant checker reach its simulations.
-func TestMultiKernelRunsLikeASweep(t *testing.T) {
-	e, _ := Get("fig-multikernel")
-	render := func(p Params) (string, error) {
-		var sb strings.Builder
-		err := e.Run(p, &sb)
-		return sb.String(), err
-	}
-	p := testParams()
-	p.CheckInvariants = true
-	p.Workers = 1
-	serial, err := render(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Workers = 4
-	if concurrent, err := render(p); err != nil || concurrent != serial {
-		t.Fatalf("4 workers: err %v, table differs from 1 worker:\n%s\nvs\n%s", err, concurrent, serial)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p.Ctx = ctx
-	if _, err := render(p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled sweep context: err = %v", err)
-	}
-	p.Ctx = nil
-	p.RunTimeout = time.Nanosecond
-	if _, err := render(p); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("1ns run timeout: err = %v", err)
 	}
 }
 

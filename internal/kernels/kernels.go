@@ -12,6 +12,7 @@ package kernels
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/isa"
@@ -129,6 +130,34 @@ func BuildAt(name string, scale int, arena uint32) (Workload, error) {
 	known := append(Names(), ExtraNames()...)
 	sort.Strings(known)
 	return Workload{}, fmt.Errorf("kernels: unknown workload %q (known: %v)", name, known)
+}
+
+// MixSep joins the parts of a concurrent-kernel mix's name.
+const MixSep = "+"
+
+// BuildMix turns a workload name into what a run launches: one kernel, or
+// for a MixSep-joined name ("nw+montecarlo") a concurrent-kernel mix whose
+// part k is built in arena DefaultArena + k*ArenaStride, in name order.
+// The returned init preloads every part's inputs. An unknown part is
+// BuildAt's unknown-workload error.
+func BuildMix(name string, scale int) ([]*isa.Launch, func(*mem.Backing), error) {
+	var launches []*isa.Launch
+	var inits []func(*mem.Backing)
+	for k, part := range strings.Split(name, MixSep) {
+		w, err := BuildAt(part, scale, uint32(DefaultArena+k*ArenaStride))
+		if err != nil {
+			return nil, nil, err
+		}
+		launches = append(launches, w.Launch)
+		if w.Init != nil {
+			inits = append(inits, w.Init)
+		}
+	}
+	return launches, func(bk *mem.Backing) {
+		for _, f := range inits {
+			f(bk)
+		}
+	}, nil
 }
 
 // Suite returns every workload at the given scale, in suite order, all in

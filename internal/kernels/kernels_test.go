@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -205,6 +206,42 @@ func TestBuildAtArenaDisjoint(t *testing.T) {
 	if after-mid != mid-before {
 		t.Fatalf("second arena wrote %d words vs %d: overlap suspected",
 			after-mid, mid-before)
+	}
+}
+
+// TestBuildMix: a "+"-joined name builds its parts in name order, part k
+// in arena k, with one init that covers them all; a plain name is the
+// default-arena build; an unknown part is named in the error.
+func TestBuildMix(t *testing.T) {
+	launches, init, err := kernels.BuildMix("kmeans+bfs+kmeans", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(launches) != 3 || launches[0].Kernel.Name != "kmeans" || launches[1].Kernel.Name != "bfs" {
+		t.Fatalf("launches out of name order: %v", launches)
+	}
+	for i, p0 := range launches[0].Params {
+		if p2 := launches[2].Params[i]; p2 != p0+2*kernels.ArenaStride {
+			t.Fatalf("param %d: part 0 at %x, part 2 at %x, want two arenas apart", i, p0, p2)
+		}
+	}
+	touched := func(init func(*mem.Backing)) int {
+		bk := mem.NewBacking()
+		init(bk)
+		return bk.TouchedWords()
+	}
+	km, _ := kernels.Build("kmeans", 1)
+	bfs, _ := kernels.Build("bfs", 1)
+	if got, want := touched(init), 2*touched(km.Init)+touched(bfs.Init); got != want {
+		t.Fatalf("combined init touched %d words, want %d (every part, no overlap)", got, want)
+	}
+
+	solo, _, err := kernels.BuildMix("kmeans", 1)
+	if err != nil || len(solo) != 1 || solo[0].Params[0] != km.Launch.Params[0] {
+		t.Fatalf("plain name: err %v, launches %v, want the default-arena build", err, solo)
+	}
+	if _, _, err := kernels.BuildMix("nw+nope", 1); err == nil || !strings.Contains(err.Error(), `unknown workload "nope"`) {
+		t.Fatalf("nw+nope: err = %v, want an unknown-workload error naming the part", err)
 	}
 }
 

@@ -18,6 +18,7 @@ package vtsim
 
 import (
 	"io"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -183,25 +184,11 @@ const (
 // SMs, and under VT inactive CTAs of different kernels share each SM's
 // capacity. Result.PerKernel reports per-launch counts.
 func RunConcurrentNames(names []string, scale int, cfg Config) (*Result, error) {
-	launches := make([]*isa.Launch, len(names))
-	inits := make([]func(*Backing), 0, len(names))
-	for i, n := range names {
-		w, err := kernels.BuildAt(n, scale, uint32(kernels.DefaultArena+i*kernels.ArenaStride))
-		if err != nil {
-			return nil, err
-		}
-		launches[i] = w.Launch
-		if w.Init != nil {
-			inits = append(inits, w.Init)
-		}
+	launches, initMem, err := kernels.BuildMix(strings.Join(names, kernels.MixSep), scale)
+	if err != nil {
+		return nil, err
 	}
-	return gpu.RunMulti(launches, cfg, gpu.Options{
-		InitMemory: func(b *Backing) {
-			for _, init := range inits {
-				init(b)
-			}
-		},
-	})
+	return gpu.RunMulti(launches, cfg, gpu.Options{InitMemory: initMem})
 }
 
 // Collector gathers per-window metric rings, lifecycle spans, and the
