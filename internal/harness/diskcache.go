@@ -253,9 +253,10 @@ func storeRetry(ctx context.Context, op func() error) error {
 
 // commitStoreTx commits through the store's group commit with bounded
 // retry on transient I/O, and accounts for the batch the transaction
-// rode in if this call led it: one store.tx span (attrs txs, ops) with
-// the WAL phases the protocol timed itself (stage, commit, apply,
-// replicate) as children, and one vtsweep_store_batch_txs observation.
+// rode in if this call led it: one store.tx span (attrs txs, ops, and
+// the batch's fsync count and rounds as syncs, rounds) with the WAL
+// phases the protocol timed itself (stage, commit, apply, replicate) as
+// children, and one vtsweep_store_batch_txs observation.
 // A batch outlives any one job, so the span hangs under the sweep-level
 // span, not the job's.
 func (p Params) commitStoreTx(tx *resultstore.Tx) error {
@@ -267,7 +268,8 @@ func (p Params) commitStoreTx(tx *resultstore.Tx) error {
 	p.monitor().noteStoreBatch(b.Txs)
 	last := ph[len(ph)-1]
 	id := p.Trace.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
-		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops))
+		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops),
+		"syncs", strconv.Itoa(b.Syncs), "rounds", strconv.Itoa(b.Rounds))
 	for _, x := range ph {
 		p.Trace.Record(id, "store."+x.Name, "", "", x.Start, x.Dur)
 	}

@@ -114,6 +114,14 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		if err != nil || n < 1 || s.Attrs["ops"] == "" {
 			t.Errorf("store.tx span without batch size attrs: %+v", s.Attrs)
 		}
+		// Mirrored, one object per transaction and no journal: K objects,
+		// the directory and the index on each side, the redo record and the
+		// wal directory — in a number of rounds that does not depend on K.
+		syncs, _ := strconv.Atoi(s.Attrs["syncs"])
+		rounds, _ := strconv.Atoi(s.Attrs["rounds"])
+		if syncs != 2*n+6 || rounds < 1 || rounds > 5 {
+			t.Errorf("store.tx span of %d transactions reports %d fsyncs in %d rounds, want %d in at most 5", n, syncs, rounds, 2*n+6)
+		}
 		batchTxs += n
 		if kindOf[s.Parent] == "job" {
 			t.Errorf("store.tx span %d is filed under a job", s.ID)

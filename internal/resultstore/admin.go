@@ -201,6 +201,7 @@ func (s *Store) Reinstate() error {
 	// Journal-style append targets missed during the outage: byte-copy
 	// from the donor (its journal is a superset of the stale side's).
 	if matches, err := filepath.Glob(filepath.Join(donor.dir, "*.jsonl")); err == nil {
+		var ss syncSet
 		for _, src := range matches {
 			base := filepath.Base(src)
 			if base == indexFile || base == auditFile {
@@ -214,8 +215,9 @@ func (s *Store) Reinstate() error {
 			if cur, err := s.fs.readFile(dst); err == nil && string(cur) == string(b) {
 				continue
 			}
-			s.fs.writeFile(dst, b)
+			s.fs.writeFile(&ss, dst, b)
 		}
+		ss.flush()
 	}
 	back.failed.Store(false)
 	s.event(Event{Op: "reinstate", Side: s.roleOf(back), Detail: back.dir})

@@ -127,7 +127,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if rep := s.Verify(); rep.Healthy != writers*perWriter || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
 		t.Fatalf("verify after concurrent commits: %+v", rep)
 	}
-	if left, _ := filepath.Glob(filepath.Join(p, vtstoreDir, "*", "*")); len(left) != 0 {
+	if left := walDebris(p, m); len(left) != 0 {
 		t.Fatalf("wal/staging debris after clean commits: %v", left)
 	}
 }

@@ -242,9 +242,9 @@ func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 		op.SHA = sumHex(b)
 		op.Size = int64(len(b))
 	}
-	w := s.writerFor(to)
-	ok := s.replicatePut(from, w, "repair", op)
-	if err := w.finish(); ok && err == nil {
+	var ss syncSet
+	ok := s.replicatePut(from, s.writerFor(to, &ss), "repair", op)
+	if err := ss.flush(); ok && err == nil {
 		s.counters.Repairs++
 		s.event(Event{Op: "repair", Kind: string(kind), Key: key, Side: s.roleOf(to)})
 	}
@@ -278,9 +278,9 @@ func (s *Store) quarantineSide(sd *side, kind Kind, key, reason string) {
 				os.Rename(sp, sp+".corrupt")
 			}
 		}
-		w := s.writerFor(sd)
-		w.index(indexEntry{Kind: string(kind), Key: key, Drop: true})
-		w.finish()
+		var ss syncSet
+		s.writerFor(sd, &ss).index(indexEntry{Kind: string(kind), Key: key, Drop: true})
+		ss.flush()
 	}
 	if moved {
 		s.counters.Quarantines++

@@ -25,18 +25,20 @@
 //
 // # Commit protocol
 //
-// A transaction's puts are staged (write + read-back checksum verify +
-// fsync) under .vtstore/staging, then a manifest listing every operation
-// is written and fsynced as .vtstore/wal/<tx>.redo. The atomic rename of
-// <tx>.redo to <tx>.commit is the commit point. After it, the manifest
-// is applied: staged files rename to their final object names, journal
-// lines append, index lines append, and the same operations replicate to
-// the mirror; the commit record is then deleted. Open() recovers both
-// directions: a surviving .redo rolls back (delete staged files and the
-// record — the transaction never happened), a surviving .commit rolls
-// forward idempotently (appends are at-least-once; all line-oriented
-// readers in this codebase dedupe by key). A crash at any single point
-// therefore yields either the full transaction or none of it.
+// A transaction's puts are staged under .vtstore/staging (written, then
+// fsynced together in one round, then read back and checksum-verified),
+// then a manifest listing every operation is written and fsynced as
+// .vtstore/wal/<tx>.redo. The atomic rename of <tx>.redo to <tx>.commit
+// is the commit point. After it, the manifest is applied: staged files
+// rename to their final object names, journal lines append, index lines
+// append, and the same operations replicate to the mirror; one more
+// round fsyncs everything both sides touched, and only then is the
+// commit record deleted. Open() recovers both directions: a surviving
+// .redo rolls back (delete staged files and the record — the
+// transaction never happened), a surviving .commit rolls forward
+// idempotently (appends are at-least-once; all line-oriented readers in
+// this codebase dedupe by key). A crash at any single point therefore
+// yields either the full transaction or none of it.
 //
 // # Group commit
 //
@@ -46,10 +48,11 @@
 // them leads everything queued as one batch: one manifest holding every
 // member's operations, so K transactions pay one redo record, one
 // commit-point rename, one fsync per directory and per appended file,
-// instead of K of each. A batch is just a bigger transaction — staging,
-// checksums, replication, the manifest schema and recovery do not know
-// the difference — so it lands whole or not at all, and every member's
-// Commit returns the batch's outcome.
+// instead of K of each, and the fsyncs that stay per object are issued
+// concurrently, a round at a time (see syncSet). A batch is just a
+// bigger transaction — staging, checksums, replication, the manifest
+// schema and recovery do not know the difference — so it lands whole or
+// not at all, and every member's Commit returns the batch's outcome.
 //
 // The store assumes a single process per directory pair (the sweep
 // harness, or the fabric coordinator for a fleet).
@@ -352,24 +355,27 @@ func (s *Store) event(ev Event) {
 
 // sideWriter is one side's output for the duration of one manifest pass
 // (apply, replicate, repair): every line appended to the same file goes
-// through one appender, and finish pays the pass's durability once — one
-// fsync per appended file and one for the directory the objects were
-// renamed into. Callers hold s.mu.
+// through one appender, and everything the pass owes the disk — the
+// appended files, the files it writes, the side directory its objects
+// are renamed into — collects in ss, whose flush pays it once. Callers
+// hold s.mu.
 type sideWriter struct {
 	s    *Store
 	sd   *side
+	ss   *syncSet
 	apps map[string]*appender // by slash-relative path
 }
 
-func (s *Store) writerFor(sd *side) *sideWriter {
-	return &sideWriter{s: s, sd: sd, apps: map[string]*appender{}}
+func (s *Store) writerFor(sd *side, ss *syncSet) *sideWriter {
+	ss.dirs = append(ss.dirs, sd.dir)
+	return &sideWriter{s: s, sd: sd, ss: ss, apps: map[string]*appender{}}
 }
 
 // line appends one line to rel (slash-relative to the side directory).
 func (w *sideWriter) line(rel string, line []byte) error {
 	a := w.apps[rel]
 	if a == nil {
-		a = w.s.fs.appender(filepath.Join(w.sd.dir, filepath.FromSlash(rel)))
+		a = w.s.fs.appender(w.ss, filepath.Join(w.sd.dir, filepath.FromSlash(rel)))
 		w.apps[rel] = a
 	}
 	return retryOnce(func() error { return a.write(line) })
@@ -392,17 +398,6 @@ func (w *sideWriter) index(e indexEntry) error {
 		w.s.known.Store(k, struct{}{})
 	}
 	return nil
-}
-
-// finish makes the pass durable: the side directory (object renames)
-// and every file appended to.
-func (w *sideWriter) finish() error {
-	syncDir(w.sd.dir)
-	var errs []error
-	for _, a := range w.apps {
-		errs = append(errs, a.close())
-	}
-	return errors.Join(errs...)
 }
 
 // loadIndex replays a side's store-index.jsonl into memory. Torn or
@@ -468,11 +463,7 @@ func (s *Store) recoverSide(sd *side) error {
 				s.event(Event{Op: "wal-corrupt", Side: s.roleOf(sd), Detail: name})
 				continue
 			}
-			ok := s.applyManifest(sd, &m)
-			if other := s.otherHealthy(sd); ok && other != nil {
-				ok = s.replicate(sd, other, &m)
-			}
-			if ok {
+			if s.rollForward(sd, &m, &syncSet{}, func(string) {}) {
 				os.Remove(full)
 				s.counters.RecoveredCommits++
 				s.event(Event{Op: "recover-commit", Side: s.roleOf(sd), Detail: m.Tx})

@@ -360,8 +360,9 @@ func TestTornAppendDoesNotSwallowNextLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"fp\":\"complete\",\"status\":\"ok\"}\n{\"fp\":\"torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := fsio{}.appender(path)
-	if err := errors.Join(a.write([]byte(`{"fp":"next","status":"ok"}`)), a.close()); err != nil {
+	var ss syncSet
+	a := fsio{}.appender(&ss, path)
+	if err := errors.Join(a.write([]byte(`{"fp":"next","status":"ok"}`)), ss.flush()); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

@@ -72,10 +72,12 @@ type Tx struct {
 }
 
 // TxPhase is the wall-clock timing of one commit-protocol phase:
-// "stage" (checksummed staging writes), "commit" (redo record write +
-// the commit-point rename), "apply" (staged files renamed into place
-// and indexed), "replicate" (mirror copy-through). Observability-only;
-// the harness tracer files these as store.* spans.
+// "stage" (staging writes, their fsync round, read-back verification),
+// "commit" (redo record write + the commit-point rename), "apply"
+// (staged files renamed into place and indexed), "replicate" (mirror
+// copy-through). The final fsync round, which covers both sides, is
+// timed under the last phase. Observability-only; the harness tracer
+// files these as store.* spans.
 type TxPhase struct {
 	Name  string
 	Start time.Time
@@ -93,6 +95,9 @@ func (t *Tx) Phases() []TxPhase { return t.phases }
 type TxBatch struct {
 	Txs int // transactions in the shared manifest
 	Ops int // operations in the shared manifest
+	// Syncs is the number of fsyncs the batch issued, Rounds the number
+	// of blocking rounds it paid them in.
+	Syncs, Rounds int
 	// Lead is true for the one member whose Commit call ran the protocol
 	// — the place to account for the batch exactly once.
 	Lead bool
@@ -243,10 +248,14 @@ func (s *Store) commitBatch(batch []*Tx) {
 		nOps += len(t.ops)
 	}
 	var err error
+	// set collects every handle the batch opens; nothing outlives this
+	// call, however it ends (rollback, error, or a drill's die()).
+	var set syncSet
 	defer func() {
+		set.drop()
 		for i, t := range batch {
 			t.err, t.phases = err, phases
-			t.batch = TxBatch{Txs: len(batch), Ops: nOps, Lead: i == 0}
+			t.batch = TxBatch{Txs: len(batch), Ops: nOps, Syncs: set.syncs, Rounds: set.rounds, Lead: i == 0}
 		}
 	}()
 
@@ -264,10 +273,14 @@ func (s *Store) commitBatch(batch []*Tx) {
 	redoPath := filepath.Join(walDir, txid+".redo")
 	commitPath := filepath.Join(walDir, txid+".commit")
 
-	var stagedPaths []string
+	type stagedFile struct {
+		path, sha string
+		data      []byte
+	}
+	var staged []stagedFile
 	rollback := func(cause error) {
-		for _, p := range stagedPaths {
-			os.Remove(p)
+		for _, f := range staged {
+			os.Remove(f.path)
 		}
 		os.Remove(redoPath)
 		err = cause
@@ -290,15 +303,31 @@ func (s *Store) commitBatch(batch []*Tx) {
 			for j, b := range append([][]byte{op.payload}, op.segs...) {
 				name := fmt.Sprintf("%s-%d.%d", txid, len(m.Ops), j)
 				p := filepath.Join(stagingDir, name)
-				if werr := s.fs.writeVerified(p, b, op.sums[j]); werr != nil {
+				// Recorded before it is written: a file that was created and
+				// then failed is rollback's to remove.
+				staged = append(staged, stagedFile{p, op.sums[j], b})
+				if werr := s.fs.writeFile(&set, p, b); werr != nil {
 					rollback(fmt.Errorf("resultstore: stage %s: %w", name, werr))
 					return
 				}
-				stagedPaths = append(stagedPaths, p)
 				mo.Staged = append(mo.Staged, name)
 			}
 			m.Ops = append(m.Ops, mo)
 		}
+	}
+	// I1: every staged payload is fsynced (one round for all of them) and
+	// verified before the redo record is written. A rewrite after a failed
+	// verification is paid by the second flush, which is otherwise empty.
+	serr := set.flush()
+	for i := 0; serr == nil && i < len(staged); i++ {
+		serr = s.fs.verify(&set, staged[i].path, staged[i].data, staged[i].sha)
+	}
+	if serr == nil {
+		serr = set.flush()
+	}
+	if serr != nil {
+		rollback(fmt.Errorf("resultstore: stage %s: %w", txid, serr))
+		return
 	}
 	phase("stage")
 	mb, merr := json.Marshal(&m)
@@ -306,7 +335,11 @@ func (s *Store) commitBatch(batch []*Tx) {
 		rollback(merr)
 		return
 	}
-	if werr := s.fs.writeFile(redoPath, mb); werr != nil {
+	werr := s.fs.writeFile(&set, redoPath, mb)
+	if werr == nil {
+		werr = set.flush()
+	}
+	if werr != nil {
 		rollback(fmt.Errorf("resultstore: write redo record: %w", werr))
 		return
 	}
@@ -316,21 +349,39 @@ func (s *Store) commitBatch(batch []*Tx) {
 		rollback(fmt.Errorf("resultstore: commit %s: %w", txid, rerr))
 		return
 	}
-	syncDir(walDir)
+	set.dirs = append(set.dirs, walDir)
+	set.flush()
 	phase("commit")
 	s.counters.Commits += int64(len(batch))
-	ok := s.applyManifest(sd, &m)
-	phase("apply")
-	if other := s.otherHealthy(sd); ok && other != nil {
-		ok = s.replicate(sd, other, &m)
-		phase("replicate")
-	}
-	if ok {
+	// I2: the commit record goes only after every file and directory the
+	// batch touched on every healthy side has been fsynced.
+	if s.rollForward(sd, &m, &set, phase) {
 		os.Remove(commitPath)
 	} else {
 		// Leave the commit record: the next Open finishes the apply.
 		s.event(Event{Op: "commit-deferred", Side: s.roleOf(sd), Detail: txid})
 	}
+}
+
+// rollForward applies a committed manifest on the side that owns its
+// staging area, replicates it to the other healthy side, and pays both
+// sides' durability in one round; phase is told where apply and
+// replicate end. A mirror file may be visible before it is durable:
+// the commit record outlives the round, and rolling it forward again
+// re-replicates every put. Callers hold s.mu.
+func (s *Store) rollForward(owner *side, m *manifest, ss *syncSet, phase func(string)) bool {
+	defer ss.drop()
+	ok, last := s.applyManifest(owner, m, ss), "apply"
+	if other := s.otherHealthy(owner); ok && other != nil {
+		phase("apply")
+		ok, last = s.replicate(owner, other, m, ss), "replicate"
+	}
+	if err := ss.flush(); err != nil {
+		ok = false
+		s.event(Event{Op: last + "-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("sync: %v", err)})
+	}
+	phase(last)
+	return ok
 }
 
 // objFiles lists an op's final file names on a side: head, then
@@ -344,12 +395,13 @@ func (s *Store) objFiles(sd *side, op manifestOp) []string {
 	return files
 }
 
-// applyManifest rolls a committed manifest forward on the side that
-// owns its staging area. Idempotent: a staged file already renamed on a
-// previous pass is verified in place instead. Callers hold s.mu.
-func (s *Store) applyManifest(owner *side, m *manifest) bool {
+// applyManifest renames and appends a committed manifest into place on
+// the side that owns its staging area; ss's next flush makes it durable.
+// Idempotent: a staged file already renamed on a previous pass is
+// verified in place instead. Callers hold s.mu.
+func (s *Store) applyManifest(owner *side, m *manifest, ss *syncSet) bool {
 	stagingDir := filepath.Join(owner.dir, vtstoreDir, "staging")
-	w := s.writerFor(owner)
+	w := s.writerFor(owner, ss)
 	allOK := true
 	for _, op := range m.Ops {
 		switch op.Type {
@@ -363,10 +415,6 @@ func (s *Store) applyManifest(owner *side, m *manifest) bool {
 				s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
 			}
 		}
-	}
-	if err := w.finish(); err != nil {
-		allOK = false
-		s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("sync: %v", err)})
 	}
 	return allOK
 }
@@ -409,10 +457,10 @@ func (s *Store) applyPut(w *sideWriter, stagingDir, txid string, op manifestOp) 
 }
 
 // replicate copies a committed manifest's effects from the owner side to
-// another side, verifying every payload's checksum on the way through.
-// Callers hold s.mu.
-func (s *Store) replicate(from, to *side, m *manifest) bool {
-	w := s.writerFor(to)
+// another side, verifying every payload's checksum on the way through;
+// ss's next flush makes the copies durable. Callers hold s.mu.
+func (s *Store) replicate(from, to *side, m *manifest, ss *syncSet) bool {
+	w := s.writerFor(to, ss)
 	allOK := true
 	for _, op := range m.Ops {
 		switch op.Type {
@@ -427,15 +475,12 @@ func (s *Store) replicate(from, to *side, m *manifest) bool {
 			}
 		}
 	}
-	if err := w.finish(); err != nil {
-		allOK = false
-		s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Detail: fmt.Sprintf("sync: %v", err)})
-	}
 	return allOK
 }
 
 // replicatePut copies one object (head and segments) from a side to the
-// writer's side and indexes it there. The caller finishes the writer.
+// writer's side and indexes it there. The written handle follows its
+// inode across the rename into the writer's sync set.
 func (s *Store) replicatePut(from *side, w *sideWriter, txid string, op manifestOp) bool {
 	to := w.sd
 	srcs := s.objFiles(from, op)
@@ -452,7 +497,11 @@ func (s *Store) replicatePut(from *side, w *sideWriter, txid string, op manifest
 			return false
 		}
 		tmp := filepath.Join(to.dir, vtstoreDir, "staging", fmt.Sprintf("repl-%s-%s", txid, filepath.Base(dsts[j])))
-		if err := s.fs.writeVerified(tmp, b, shas[j]); err != nil {
+		err = s.fs.writeFile(w.ss, tmp, b)
+		if err == nil {
+			err = s.fs.verify(w.ss, tmp, b, shas[j])
+		}
+		if err != nil {
 			s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
 			return false
 		}
