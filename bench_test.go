@@ -250,7 +250,7 @@ func BenchmarkWarpExecute(b *testing.B) {
 				if i&0xFFFF == 0 {
 					w.Stack.Reset(32) // keep the (unused) PC from running away
 				}
-				warp.Execute(w, &k.Code[i%len(k.Code)], bc.active, gmem, buf, nil)
+				warp.Execute(w, &k.Code[i%len(k.Code)], bc.active, gmem, buf)
 			}
 			for i := 0; i < 64; i++ {
 				step(i) // touch the global page before counting allocations

@@ -24,170 +24,62 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"runtime"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	vtsim "repro"
 	"repro/internal/fabric"
-	"repro/internal/gpu"
 	"repro/internal/harness"
-	"repro/internal/stats"
+	"repro/internal/sweepcli"
 	"repro/internal/sweepobs"
 )
-
-// sweepReport mirrors the vtbench -json schema (benchReportSchemaVersion
-// 5) so cmd/benchcheck accepts and compares coordinator records against
-// single-process baselines. Workers is the fleet size — every worker
-// that completed at least one job — instead of local parallelism.
-type sweepReport struct {
-	SchemaVersion   int     `json:"schema_version"`
-	Date            string  `json:"date"`
-	GoVersion       string  `json:"go_version"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Scale           int     `json:"scale"`
-	Dilute          int     `json:"dilute"`
-	Workers         int     `json:"workers"`
-	TotalWallSec    float64 `json:"total_wall_seconds"`
-	RunsRequested   int     `json:"runs_requested"`
-	RunsExecuted    int     `json:"runs_executed"`
-	CacheHits       int     `json:"cache_hits"`
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"simcycles_per_sec"`
-	RunsRetried     int     `json:"runs_retried,omitempty"`
-	RunsDegraded    int     `json:"runs_degraded,omitempty"`
-	RunsFailed      int     `json:"runs_failed,omitempty"`
-	Sampling        string  `json:"sampling,omitempty"`
-	MaxErrorBound   float64 `json:"max_error_bound,omitempty"`
-
-	Experiments []expReport `json:"experiments"`
-}
-
-type expReport struct {
-	ID              string  `json:"id"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	RunsRequested   int     `json:"runs_requested"`
-	RunsExecuted    int     `json:"runs_executed"`
-	CacheHits       int     `json:"cache_hits"`
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"simcycles_per_sec"`
-	Error           string  `json:"error,omitempty"`
-}
 
 func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	var (
-		addr       = flag.String("addr", ":7077", "job API + fleet dashboard address")
-		run        = flag.String("run", "all", "experiment ID or \"all\"")
-		scale      = flag.Int("scale", 1, "grid size multiplier")
-		dilute     = flag.Int("dilute", 1, "divide grid sizes by this factor (quick passes)")
-		dispatch   = flag.Int("dispatch", 64, "jobs dispatched to the fleet concurrently")
-		out        = flag.String("out", "", "write tables to file instead of stdout")
-		csvDir     = flag.String("csv", "", "also write every table as CSV into this directory")
-		jsonPath   = flag.String("json", "", "write the sweep record (vtbench -json schema) to this file")
-		storeDir   = flag.String("store", "", "coordinator result store: fleet cache, checkpoints, and the distributed completion journal")
-		mirrorDir  = flag.String("mirror", "", "replicate the coordinator store to this second directory")
-		failDir    = flag.String("faildir", "failures", "write a JSON repro bundle per failed local fallback run (\"\" disables)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline per simulation, enforced on workers (0 = none)")
-		checkInv   = flag.Bool("checkinvariants", false, "workers run every simulation with the invariant checker")
-		checkpoint = flag.Bool("checkpoint", false, "prefix-fork sweep points; the donor checkpoint is shared fleet-wide through the store")
-		forkCycle  = flag.Int64("forkcycle", 0, "with -checkpoint, pin the donor capture cycle")
-		sample     = flag.String("sample", "", "interval/sampled simulation as detailed:fastforward[:warmup] cycles")
-		resume     = flag.Bool("resume", false, "resume a journaled sweep: only points the store lacks are dispatched")
-		leaseTTL   = flag.Duration("lease-ttl", fabric.DefaultLeaseTTL, "job lease TTL; an unrenewed lease is reclaimed and re-dispatched")
-		list       = flag.Bool("list", false, "list experiments and exit")
+		sf       = sweepcli.Register(flag.CommandLine)
+		addr     = flag.String("addr", ":7077", "job API + fleet dashboard address")
+		dispatch = flag.Int("dispatch", 64, "jobs dispatched to the fleet concurrently")
+		leaseTTL = flag.Duration("lease-ttl", fabric.DefaultLeaseTTL, "job lease TTL; an unrenewed lease is reclaimed and re-dispatched")
 	)
 	flag.Parse()
 
-	if *list {
-		for _, e := range vtsim.Experiments() {
-			fmt.Printf("%-18s %s\n", e.ID, e.Title)
-		}
+	if sf.List {
+		sweepcli.PrintList(os.Stdout)
 		return 0
 	}
-	if *storeDir == "" {
+	if sf.StoreDir == "" {
 		return fatalf("-store is required: the coordinator owns the fleet's results and completion journal")
 	}
-	if *resume && *storeDir == "" {
-		return fatalf("-resume needs -store")
-	}
 
-	ctx, stopSignals := signalContext()
+	var sig sweepcli.Signals
+	ctx, stopSignals := sig.Context("vtsweepd")
 	defer stopSignals()
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return fatalf("%v", err)
-		}
-		stats.SetCSVDir(*csvDir)
-	}
-
-	p := vtsim.DefaultExperimentParams()
-	p.Scale = *scale
-	p.Dilute = *dilute
-	p.CacheDir = *storeDir
-	p.MirrorDir = *mirrorDir
-	p.FailDir = *failDir
-	p.RunTimeout = *timeout
-	p.CheckInvariants = *checkInv
-	p.Checkpoint = *checkpoint
-	p.ForkCycle = *forkCycle
-	if *sample != "" {
-		so, err := gpu.ParseSampling(*sample)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		if so.Enabled() && *checkpoint {
-			return fatalf("-sample is incompatible with -checkpoint")
-		}
-		p.Sampling = so
-	}
-
-	mon := harness.NewMonitor()
-	p.Monitor = mon
-	tracer := sweepobs.New()
-	mon.SetTracer(tracer)
-	p.Trace = tracer
-
-	meta := harness.JournalMeta{Scale: *scale, Dilute: *dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
-	jl, err := harness.OpenJournal(filepath.Join(*storeDir, harness.JournalFileName), meta, *resume)
+	p, meta, err := sf.Params()
 	if err != nil {
 		return fatalf("%v", err)
 	}
-	defer jl.Close()
-	p.Journal = jl
-	p.Resume = *resume
-	if *mirrorDir != "" {
-		if err := harness.EnsureJournalHeader(filepath.Join(*mirrorDir, harness.JournalFileName), meta); err != nil {
-			return fatalf("mirror journal: %v", err)
-		}
+	w, closeOut, err := sf.OpenOutput()
+	if err != nil {
+		return fatalf("%v", err)
 	}
-	if *resume {
-		okN, degraded, failed := jl.Summary()
-		fmt.Fprintf(os.Stderr, "vtsweepd: resuming sweep: journal records %d ok, %d degraded, %d failed\n",
-			okN, degraded, failed)
+	defer closeOut()
+
+	p.Monitor = harness.NewMonitor()
+	p.Trace = sweepobs.New()
+	p.Monitor.SetTracer(p.Trace)
+
+	closeJournal, err := sf.OpenJournal("vtsweepd", &p, meta)
+	if err != nil {
+		return fatalf("%v", err)
 	}
+	defer closeJournal()
 
 	// The coordinator's own Params (store commits, journal, monitor) have
 	// no Ctx: a completion arriving during drain must still commit. Only
@@ -220,64 +112,14 @@ func realMain() int {
 	sp.Workers = *dispatch
 	sp.Ctx = ctx
 
-	var todo []vtsim.Experiment
-	if *run == "all" {
-		todo = vtsim.Experiments()
-	} else {
-		e, err := vtsim.GetExperiment(*run)
-		if err != nil {
-			return fatalf("%v", err)
-		}
-		todo = []vtsim.Experiment{e}
+	// Remote completions committed synchronously as they arrived, and
+	// RunExperiments waited for the write-behind outcomes of any local
+	// fallback runs before stopping the sweep's wall clock: what follows
+	// is the fleet taking its leave, not sweep time.
+	report, exitCode, err := sf.RunExperiments("vtsweepd", sp, w)
+	if err != nil {
+		return fatalf("%v", err)
 	}
-
-	report := sweepReport{
-		SchemaVersion: 5,
-		Date:          time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Scale:         *scale,
-		Dilute:        *dilute,
-	}
-	exitCode := 0
-	start := time.Now()
-	for _, e := range todo {
-		if *run == "all" {
-			fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
-			if e.Paper != "" {
-				fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
-			}
-		}
-		before := vtsim.ExperimentMetrics()
-		t0 := time.Now()
-		expErr := vtsim.RunExperiment(e.ID, sp, w)
-		wall := time.Since(t0).Seconds()
-		m := vtsim.ExperimentMetrics()
-		r := expReport{
-			ID:            e.ID,
-			WallSeconds:   wall,
-			RunsRequested: m.Requests - before.Requests,
-			RunsExecuted:  m.Executed - before.Executed,
-			CacheHits:     m.CacheHits - before.CacheHits,
-			SimCycles:     m.SimCycles - before.SimCycles,
-		}
-		if wall > 0 {
-			r.SimCyclesPerSec = float64(r.SimCycles) / wall
-		}
-		if expErr != nil {
-			r.Error = expErr.Error()
-			exitCode = 3
-			fmt.Fprintf(os.Stderr, "vtsweepd: %s failed: %v\n", e.ID, expErr)
-			fmt.Fprintf(w, "EXPERIMENT FAILED %s: %v\n\n", e.ID, expErr)
-		}
-		report.Experiments = append(report.Experiments, r)
-	}
-	// Remote completions committed synchronously as they arrived; this
-	// waits for the write-behind outcomes of any local fallback runs. The
-	// sweep's wall clock stops here, at the durability barrier: what
-	// follows is the fleet taking its leave, not sweep time.
-	harness.SyncStores()
-	report.TotalWallSec = time.Since(start).Seconds()
 	// Sweep done (or signaled): close the queue, which answers every
 	// parked lease request with 410 at once, and wait for the workers'
 	// goodbyes before the deferred Shutdown tears the listener down, so
@@ -285,7 +127,7 @@ func realMain() int {
 	// they leave.
 	closed := time.Now()
 	coord.Close()
-	if err := harness.PersistSweepTrace(p, tracer.Dump()); err != nil {
+	if err := harness.PersistSweepTrace(p, p.Trace.Dump()); err != nil {
 		// Best-effort: the results committed fine without it.
 		fmt.Fprintf(os.Stderr, "vtsweepd: persist sweep trace: %v\n", err)
 	}
@@ -293,72 +135,17 @@ func realMain() int {
 	drain := time.Since(closed)
 	st := coord.Status()
 
-	m := vtsim.ExperimentMetrics()
-	report.RunsRequested = m.Requests
-	report.RunsExecuted = m.Executed
-	report.CacheHits = m.CacheHits
-	report.SimCycles = m.SimCycles
-	report.RunsRetried = m.Retries
-	report.RunsDegraded = m.Degraded
-	report.RunsFailed = m.Failures
-	report.Sampling = p.Sampling.String()
-	report.MaxErrorBound = m.MaxErrorBound
 	report.Workers = len(st.Workers)
-	if report.TotalWallSec > 0 {
-		report.SimCyclesPerSec = float64(m.SimCycles) / report.TotalWallSec
-	}
-	fmt.Fprintf(w, "total wall time: %s\n", time.Duration(report.TotalWallSec*float64(time.Second)).Round(time.Millisecond))
 	fmt.Fprintf(w, "fleet: %d workers, %d completions (%d duplicate), leases %d granted / %d renewed / %d expired / %d released, drain %dms\n",
 		len(st.Workers), st.Completions, st.DuplicateCompletions,
 		st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesReleased, drain.Milliseconds())
-	if m.Failures > 0 {
-		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", m.Failures)
+	if report.RunsFailed > 0 {
+		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", report.RunsFailed)
 	}
-
-	if *jsonPath != "" {
-		b, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return fatalf("json: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			return fatalf("json: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "vtsweepd: wrote %s\n", *jsonPath)
+	if err := sf.WriteJSON("vtsweepd", report); err != nil {
+		return fatalf("%v", err)
 	}
-	return signalExitCode(exitCode)
-}
-
-var termSignal atomic.Int32
-
-// signalContext cancels the sweep on the first SIGINT/SIGTERM — jobs
-// stop dispatching, leased work drains, journal and store flush through
-// the normal exit path — and detaches, so a second signal kills.
-func signalContext() (context.Context, func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s, ok := <-ch
-		if !ok {
-			return
-		}
-		if sn, isSys := s.(syscall.Signal); isSys {
-			termSignal.Store(int32(sn))
-		} else {
-			termSignal.Store(int32(syscall.SIGINT))
-		}
-		fmt.Fprintf(os.Stderr, "vtsweepd: %v: draining dispatched jobs, flushing journal/store (signal again to kill)\n", s)
-		signal.Stop(ch)
-		cancel()
-	}()
-	return ctx, func() { signal.Stop(ch); cancel() }
-}
-
-func signalExitCode(code int) int {
-	if sn := termSignal.Load(); sn != 0 {
-		return 128 + int(sn)
-	}
-	return code
+	return sig.ExitCode(exitCode)
 }
 
 func fatalf(format string, args ...any) int {

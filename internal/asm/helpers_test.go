@@ -20,5 +20,5 @@ func newTestCTA(t *testing.T, l *isa.Launch) *warp.CTA {
 // execInstr functionally executes one instruction on the warp.
 func execInstr(w *warp.Warp, in *isa.Instr, bk *mem.Backing, buf []uint32) {
 	_, active, _ := w.Stack.Current()
-	warp.Execute(w, in, active, bk, buf, nil)
+	warp.Execute(w, in, active, bk, buf)
 }

@@ -163,12 +163,12 @@ type Queue struct {
 	heap    []item // reference backend (NewHeapQueue)
 
 	// Wheel backend.
-	buckets  [][]item       // bucket i holds the one window cycle ≡ i (mod wheelSize)
-	occ      []uint64       // occupancy bitmap over buckets
-	occSum   uint64         // bit w set when occ[w] != 0
-	overflow []item         // min-heap: events at or past wheelEnd
-	wheelEnd int64          // exclusive end of the bucket window [now, wheelEnd)
-	nextDue  int64          // earliest pending cycle; valid while pending > 0
+	buckets  [][]item // bucket i holds the one window cycle ≡ i (mod wheelSize)
+	occ      []uint64 // occupancy bitmap over buckets
+	occSum   uint64   // bit w set when occ[w] != 0
+	overflow []item   // min-heap: events at or past wheelEnd
+	wheelEnd int64    // exclusive end of the bucket window [now, wheelEnd)
+	nextDue  int64    // earliest pending cycle; valid while pending > 0
 }
 
 // initialBucketCap is the per-bucket capacity carved out of one shared
@@ -410,100 +410,4 @@ func (q *Queue) NextCycle() (int64, bool) {
 		return q.heap[0].cycle, true
 	}
 	return q.nextDue, true
-}
-
-// Scheduler is the scheduling surface shared by the global Queue and the
-// per-SM Lanes: components program against it so the engine can reroute
-// their event traffic through a lane during parallel stepping.
-type Scheduler interface {
-	Now() int64
-	At(cycle int64, fn Func)
-	After(delay int64, fn Func)
-	Post(cycle int64, h Handler, kind uint8, a, b uint32)
-	PostAfter(delay int64, h Handler, kind uint8, a, b uint32)
-}
-
-var (
-	_ Scheduler = (*Queue)(nil)
-	_ Scheduler = (*Lane)(nil)
-)
-
-// Lane is one SM's private on-ramp to the shared queue. Outside a
-// buffering window it passes every schedule straight through (the
-// sequential engine never pays for it). During the parallel engine's step
-// phase each SM buffers into its own lane without locking; the engine then
-// commits the lanes in ascending SM-index order, which reproduces the seq
-// numbers — and therefore the same-cycle event ordering — of the
-// sequential engine exactly.
-type Lane struct {
-	q         *Queue
-	buffering bool
-	buf       []item // seq unused; order is positional
-}
-
-// NewLane returns a pass-through lane over the queue.
-func NewLane(q *Queue) *Lane { return &Lane{q: q} }
-
-// Now returns the shared clock. The engine only advances the clock between
-// stepping windows, so concurrent readers are safe.
-func (l *Lane) Now() int64 { return l.q.Now() }
-
-func (l *Lane) post(it item) {
-	if !l.buffering {
-		l.q.post(it)
-		return
-	}
-	if it.cycle < l.q.now {
-		it.cycle = l.q.now // clamp like Queue.At; now is frozen until commit
-	}
-	l.buf = append(l.buf, it)
-}
-
-// At schedules fn at the given cycle: directly on the queue when passing
-// through, into the lane's buffer during a stepping window.
-func (l *Lane) At(cycle int64, fn Func) { l.post(item{cycle: cycle, fn: fn}) }
-
-// After schedules fn delay cycles from now.
-func (l *Lane) After(delay int64, fn Func) { l.post(item{cycle: l.q.now + delay, fn: fn}) }
-
-// Post schedules a typed event at the given cycle (allocation-free in
-// pass-through mode; amortized-free while buffering).
-func (l *Lane) Post(cycle int64, h Handler, kind uint8, a, b uint32) {
-	l.post(item{cycle: cycle, h: h, kind: kind, a: a, b: b})
-}
-
-// PostAfter schedules a typed event delay cycles from now.
-func (l *Lane) PostAfter(delay int64, h Handler, kind uint8, a, b uint32) {
-	l.post(item{cycle: l.q.now + delay, h: h, kind: kind, a: a, b: b})
-}
-
-// StartBuffering opens a stepping window: schedules are held in the lane
-// until Commit.
-func (l *Lane) StartBuffering() { l.buffering = true }
-
-// Commit flushes buffered schedules into the queue in the order they were
-// made and returns the lane to pass-through mode.
-func (l *Lane) Commit() {
-	l.buffering = false
-	for i := range l.buf {
-		l.q.post(l.buf[i])
-		l.buf[i] = item{} // release references
-	}
-	l.buf = l.buf[:0]
-}
-
-// MinPending returns the earliest buffered (uncommitted) cycle, and
-// ok=false when the lane is empty. The engine's idle-skip consults every
-// lane so a buffered wakeup is never skipped past.
-func (l *Lane) MinPending() (int64, bool) {
-	if len(l.buf) == 0 {
-		return 0, false
-	}
-	min := l.buf[0].cycle
-	for i := range l.buf[1:] {
-		if c := l.buf[1+i].cycle; c < min {
-			min = c
-		}
-	}
-	return min, true
 }

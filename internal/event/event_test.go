@@ -145,78 +145,3 @@ func TestEventSeesOwnCycle(t *testing.T) {
 		t.Fatalf("ran %d events", len(seen))
 	}
 }
-
-func TestLanePassThrough(t *testing.T) {
-	q := NewQueue()
-	l := NewLane(q)
-	ran := false
-	l.At(3, func() { ran = true })
-	if q.Pending() != 1 {
-		t.Fatalf("pass-through lane should schedule directly; pending=%d", q.Pending())
-	}
-	q.AdvanceTo(3)
-	if !ran {
-		t.Fatal("event did not run")
-	}
-}
-
-func TestLaneCommitPreservesSequentialOrder(t *testing.T) {
-	// Two lanes buffer same-cycle events; committing lane 0 before lane 1
-	// must reproduce the order a sequential engine would have produced.
-	q := NewQueue()
-	l0, l1 := NewLane(q), NewLane(q)
-	var got []int
-	l0.StartBuffering()
-	l1.StartBuffering()
-	l1.At(5, func() { got = append(got, 10) }) // buffered first in real time...
-	l0.At(5, func() { got = append(got, 0) })  // ...but lane 0 commits first
-	l0.At(5, func() { got = append(got, 1) })
-	l0.Commit()
-	l1.Commit()
-	q.AdvanceTo(5)
-	want := []int{0, 1, 10}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestLaneMinPending(t *testing.T) {
-	q := NewQueue()
-	l := NewLane(q)
-	if _, ok := l.MinPending(); ok {
-		t.Fatal("empty lane reported pending work")
-	}
-	l.StartBuffering()
-	l.At(9, func() {})
-	l.At(4, func() {})
-	if min, ok := l.MinPending(); !ok || min != 4 {
-		t.Fatalf("MinPending = %d,%v; want 4,true", min, ok)
-	}
-	l.Commit()
-	if _, ok := l.MinPending(); ok {
-		t.Fatal("committed lane still reports pending work")
-	}
-	if next, ok := q.NextCycle(); !ok || next != 4 {
-		t.Fatalf("queue NextCycle = %d,%v; want 4,true", next, ok)
-	}
-}
-
-func TestLaneAfterUsesFrozenClock(t *testing.T) {
-	q := NewQueue()
-	q.AdvanceTo(10)
-	l := NewLane(q)
-	l.StartBuffering()
-	l.After(5, func() {})
-	if min, ok := l.MinPending(); !ok || min != 15 {
-		t.Fatalf("MinPending = %d,%v; want 15,true", min, ok)
-	}
-	l.Commit()
-	ran := false
-	l.After(0, func() { ran = true }) // pass-through again after commit
-	q.AdvanceTo(10)
-	if !ran {
-		t.Fatal("post-commit schedule did not pass through")
-	}
-}

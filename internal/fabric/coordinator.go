@@ -132,6 +132,9 @@ func New(cfg Config) *Coordinator {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	if cfg.Params.Monitor == nil {
+		cfg.Params.Monitor = harness.NewMonitor() // /status and /metrics read it
+	}
 	c := &Coordinator{
 		cfg:         cfg,
 		ttl:         cfg.LeaseTTL,
@@ -594,11 +597,7 @@ func forkedAtCycle(s string) (int64, bool) {
 // Status snapshots the fleet for /status and the dashboard.
 func (c *Coordinator) Status() FleetStatus {
 	now := c.cfg.now()
-	mon := c.cfg.Params.Monitor
-	if mon == nil {
-		mon = harness.DefaultMonitor()
-	}
-	agg := mon.Status().SimCyclesPerSec
+	agg := c.cfg.Params.Monitor.Status().SimCyclesPerSec
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := FleetStatus{

@@ -5,7 +5,7 @@
 //
 // The division of labor keeps the determinism contract trivial: the
 // coordinator runs the experiments in-process exactly like a local
-// sweep — same scheduler, same table assembly — and only the Executor
+// sweep — same job plan, same table assembly — and only the Executor
 // stage is remote. Workers run the same deterministic simulation code
 // on fully resolved configs, so a sweep run on N workers produces
 // bit-identical sim_cycles and tables to the single-process run, and a

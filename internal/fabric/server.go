@@ -193,11 +193,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // are disjoint, so the concatenation stays a valid exposition.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	mon := c.cfg.Params.Monitor
-	if mon == nil {
-		mon = harness.DefaultMonitor()
-	}
-	mon.WriteMetrics(w)
+	c.cfg.Params.Monitor.WriteMetrics(w)
 	c.WriteFleetMetrics(w)
 }
 

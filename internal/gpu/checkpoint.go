@@ -20,7 +20,7 @@ const CheckpointVersion = 1
 
 // Checkpoint is the complete machine state at a quiescent cycle boundary:
 // the top of the run loop, where the event queue sits exactly at the
-// current cycle, every event lane is committed, and no SM is mid-step.
+// current cycle and no SM is mid-step.
 // Resuming from a checkpoint and running to completion produces a Result
 // bit-identical (reflect.DeepEqual) to the uninterrupted run.
 //

@@ -37,7 +37,6 @@ func runPlain(t *testing.T, workload string, cfg config.GPUConfig, opts Options)
 	base.DisableIdleSkip = opts.DisableIdleSkip
 	base.DisableIssueFastPath = opts.DisableIssueFastPath
 	base.DisableEventWheel = opts.DisableEventWheel
-	base.Parallelism = opts.Parallelism
 	base.SampleInterval = opts.SampleInterval
 	res, err := Run(l, cfg, base)
 	if err != nil {
@@ -55,7 +54,6 @@ func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, opts Opti
 	base.DisableIdleSkip = opts.DisableIdleSkip
 	base.DisableIssueFastPath = opts.DisableIssueFastPath
 	base.DisableEventWheel = opts.DisableEventWheel
-	base.Parallelism = opts.Parallelism
 	base.SampleInterval = opts.SampleInterval
 	var ck *Checkpoint
 	base.CheckpointAt = at
@@ -86,11 +84,10 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"seq", Options{Parallelism: 1}},
-		{"par4", Options{Parallelism: 4}},
-		{"noidleskip", Options{Parallelism: 1, DisableIdleSkip: true}},
-		{"slowpath", Options{Parallelism: 1, DisableIssueFastPath: true}},
-		{"heapqueue", Options{Parallelism: 1, DisableEventWheel: true}},
+		{"seq", Options{}},
+		{"noidleskip", Options{DisableIdleSkip: true}},
+		{"slowpath", Options{DisableIssueFastPath: true}},
+		{"heapqueue", Options{DisableEventWheel: true}},
 	}
 	for _, workload := range []string{"pathfinder", "bfs"} {
 		for _, policy := range policies {
@@ -127,7 +124,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 // a forked run's occupancy timeline must splice exactly onto the prefix's.
 func TestCheckpointForkEquivalenceTimeline(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
-	opts := Options{Parallelism: 1, SampleInterval: 64}
+	opts := Options{SampleInterval: 64}
 	ref := runPlain(t, "pathfinder", cfg, opts)
 	_, ck := runCapturing(t, "pathfinder", cfg, opts, ref.Cycles/2)
 	if ck == nil {
@@ -148,14 +145,14 @@ func TestCheckpointRandomCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, policy := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
 		cfg := config.Small().WithPolicy(policy)
-		ref := runPlain(t, "nw", cfg, Options{Parallelism: 1})
+		ref := runPlain(t, "nw", cfg, Options{})
 		for i := 0; i < 5; i++ {
 			at := 1 + rng.Int63n(ref.Cycles-1)
-			_, ck := runCapturing(t, "nw", cfg, Options{Parallelism: 1}, at)
+			_, ck := runCapturing(t, "nw", cfg, Options{}, at)
 			if ck == nil {
 				t.Fatalf("policy %v: no checkpoint at cycle %d of %d", policy, at, ref.Cycles)
 			}
-			forked := resume(t, "nw", ck, cfg, Options{Parallelism: 1})
+			forked := resume(t, "nw", ck, cfg, Options{})
 			if !reflect.DeepEqual(ref, forked) {
 				t.Fatalf("policy %v: fork at cycle %d (target %d) diverged", policy, ck.Cycle, at)
 			}
@@ -175,7 +172,6 @@ func TestCheckpointCrossConfigFork(t *testing.T) {
 
 	l, opts := buildLaunch(t, "pathfinder")
 	var ck *Checkpoint
-	opts.Parallelism = 1
 	opts.CheckpointEvery = 16
 	opts.CheckpointGuard = func(cycle int64, vt core.Stats) bool {
 		return vt.SwapsOut == 0 && vt.SwapsIn == 0
@@ -192,8 +188,8 @@ func TestCheckpointCrossConfigFork(t *testing.T) {
 		cfg := base
 		cfg.VT.SwapOutLatency = lat
 		cfg.VT.SwapInLatency = lat
-		ref := runPlain(t, "pathfinder", cfg, Options{Parallelism: 1})
-		forked := resume(t, "pathfinder", ck, cfg, Options{Parallelism: 1})
+		ref := runPlain(t, "pathfinder", cfg, Options{})
+		forked := resume(t, "pathfinder", ck, cfg, Options{})
 		if !reflect.DeepEqual(ref, forked) {
 			t.Fatalf("swap latency %d: fork from cross-config checkpoint (cycle %d) diverged: ref cycles=%d forked cycles=%d",
 				lat, ck.Cycle, ref.Cycles, forked.Cycles)
@@ -220,7 +216,6 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 	}
 	l, opts := buildLaunch(t, "bfs")
 	var ck *Checkpoint
-	opts.Parallelism = 1
 	opts.CheckpointEvery = 64
 	opts.CheckpointGuard = func(cycle int64, vt core.Stats) bool {
 		return vt.SwapsOut == 0 && vt.SwapsIn == 0
@@ -232,8 +227,8 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 	if ck == nil {
 		t.Fatal("guard blocked every capture")
 	}
-	ref := runPlain(t, "bfs", mk(512), Options{Parallelism: 1})
-	forked := resume(t, "bfs", ck, mk(512), Options{Parallelism: 1})
+	ref := runPlain(t, "bfs", mk(512), Options{})
+	forked := resume(t, "bfs", ck, mk(512), Options{})
 	if !reflect.DeepEqual(ref, forked) {
 		t.Fatalf("fork across a departed-CTA scheduler ref diverged: ref cycles=%d forked cycles=%d",
 			ref.Cycles, forked.Cycles)
@@ -244,8 +239,8 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 // resuming from a decoded copy matches resuming from the original.
 func TestCheckpointJSONRoundTrip(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
-	ref := runPlain(t, "bfs", cfg, Options{Parallelism: 1})
-	_, ck := runCapturing(t, "bfs", cfg, Options{Parallelism: 1}, ref.Cycles/2)
+	ref := runPlain(t, "bfs", cfg, Options{})
+	_, ck := runCapturing(t, "bfs", cfg, Options{}, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}
@@ -257,7 +252,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	forked := resume(t, "bfs", &decoded, cfg, Options{Parallelism: 1})
+	forked := resume(t, "bfs", &decoded, cfg, Options{})
 	if !reflect.DeepEqual(ref, forked) {
 		t.Fatalf("fork from JSON-round-tripped checkpoint diverged")
 	}
@@ -267,13 +262,13 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 // must not see any state the first one mutated.
 func TestCheckpointReuse(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyFullSwap)
-	ref := runPlain(t, "pathfinder", cfg, Options{Parallelism: 1})
-	_, ck := runCapturing(t, "pathfinder", cfg, Options{Parallelism: 1}, ref.Cycles/2)
+	ref := runPlain(t, "pathfinder", cfg, Options{})
+	_, ck := runCapturing(t, "pathfinder", cfg, Options{}, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}
-	first := resume(t, "pathfinder", ck, cfg, Options{Parallelism: 1})
-	second := resume(t, "pathfinder", ck, cfg, Options{Parallelism: 1})
+	first := resume(t, "pathfinder", ck, cfg, Options{})
+	second := resume(t, "pathfinder", ck, cfg, Options{})
 	if !reflect.DeepEqual(ref, first) || !reflect.DeepEqual(ref, second) {
 		t.Fatalf("checkpoint reuse diverged (first ok=%v, second ok=%v)",
 			reflect.DeepEqual(ref, first), reflect.DeepEqual(ref, second))
@@ -283,8 +278,8 @@ func TestCheckpointReuse(t *testing.T) {
 // TestResumeRejects covers the structural validation.
 func TestResumeRejects(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
-	ref := runPlain(t, "bfs", cfg, Options{Parallelism: 1})
-	_, ck := runCapturing(t, "bfs", cfg, Options{Parallelism: 1}, ref.Cycles/2)
+	ref := runPlain(t, "bfs", cfg, Options{})
+	_, ck := runCapturing(t, "bfs", cfg, Options{}, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}

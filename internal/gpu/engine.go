@@ -1,188 +1,42 @@
 package gpu
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/event"
-	"repro/internal/mem"
 	"repro/internal/sm"
-	"repro/internal/warp"
 )
 
-// engine drives the per-cycle simulation loop. Two modes share every
-// policy decision and produce bit-identical results:
-//
-//   - sequential (parallelism 1): each cycle runs SM[i].Cycle() in index
-//     order, exactly the original single-threaded loop.
-//   - parallel: each cycle runs the serial controller phase for every SM
-//     in index order, then steps shards of SMs concurrently under a cycle
-//     barrier, then commits each SM's buffered side effects (event-lane
-//     schedules, global-memory lane loops) in ascending SM-index order —
-//     which reproduces the sequential engine's event sequence numbers and
-//     memory interleaving exactly.
+// engine drives the per-cycle simulation loop: each cycle runs
+// SM[i].Cycle() in index order on the calling goroutine. Host parallelism
+// lives one level up, across independent simulations (the harness worker
+// pool and the sweep fabric).
 type engine struct {
-	sms      []*sm.SM
-	ev       *event.Queue
-	parallel bool
+	sms []*sm.SM
+	ev  *event.Queue
 
 	// allowSleep enables per-SM fast-forward: an SM that is quiescent at
-	// the end of its cycle goes to sleep and is skipped — controller phase
-	// included — until an event wakes it or its local writeback wheel
-	// comes due. Skipped spans are charged through AccountSkipped at wake,
-	// so results are identical to simulating every cycle.
+	// the end of its cycle goes to sleep and is skipped until an event
+	// wakes it or its local writeback wheel comes due. Skipped spans are
+	// charged through AccountSkipped at wake, so results are identical to
+	// simulating every cycle.
 	allowSleep bool
-	ran        []bool // per cycle: SMs that ran (were not asleep)
-
-	// Parallel-mode machinery.
-	glogs   []*warp.GmemLog
-	backing *mem.Backing
-	start   []chan struct{}
-	done    sync.WaitGroup
-	issued  []bool // one flag per worker, written only by that worker
-	panics  []any  // one slot per worker
-	stop    chan struct{}
-}
-
-// newEngine prepares the loop. workers <= 1 selects the sequential mode.
-func newEngine(sms []*sm.SM, ev *event.Queue, msys *mem.System,
-	backing *mem.Backing, workers int, allowSleep bool) *engine {
-
-	e := &engine{sms: sms, ev: ev, allowSleep: allowSleep,
-		ran: make([]bool, len(sms))}
-	if workers <= 1 || len(sms) <= 1 {
-		return e
-	}
-	if workers > len(sms) {
-		workers = len(sms)
-	}
-	e.parallel = true
-	e.backing = backing
-	e.glogs = make([]*warp.GmemLog, len(sms))
-	for i, s := range e.sms {
-		e.glogs[i] = &warp.GmemLog{}
-		s.Glog = e.glogs[i]
-		msys.BindLane(i, s.Ev) // L1 traffic joins the SM's event lane
-	}
-	msys.ShardStats()
-
-	e.start = make([]chan struct{}, workers)
-	e.issued = make([]bool, workers)
-	e.panics = make([]any, workers)
-	e.stop = make(chan struct{})
-	for k := range e.start {
-		e.start[k] = make(chan struct{}, 1)
-		go e.worker(k)
-	}
-	return e
-}
-
-// worker steps its shard (SMs k, k+W, k+2W, ...) each time it is signaled.
-func (e *engine) worker(k int) {
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-e.start[k]:
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.panics[k] = r
-				}
-				e.done.Done()
-			}()
-			issued := false
-			for i := k; i < len(e.sms); i += len(e.start) {
-				if !e.ran[i] {
-					continue
-				}
-				s := e.sms[i]
-				if s.StepPhase() {
-					issued = true
-				} else if e.allowSleep {
-					s.TrySleep()
-				}
-			}
-			e.issued[k] = issued
-		}()
-	}
-}
-
-// shutdown releases the worker goroutines.
-func (e *engine) shutdown() {
-	if e.parallel {
-		close(e.stop)
-	}
 }
 
 // cycle advances every SM by one core cycle and reports whether any warp
 // instruction issued anywhere.
 func (e *engine) cycle() bool {
 	now := e.ev.Now()
-	if !e.parallel {
-		issued := false
-		for _, s := range e.sms {
-			if s.Asleep() {
-				if !s.WheelWakeDue(now) {
-					continue
-				}
-				s.WakeUp()
-			}
-			if s.Cycle() {
-				issued = true
-			} else if e.allowSleep {
-				s.TrySleep()
-			}
-		}
-		return issued
-	}
-
-	// Serial controller phase, SM-index order, with event lanes buffering
-	// so controller wakeups interleave into the queue at exactly the
-	// sequential engine's position. Sleeping SMs skip the whole cycle
-	// (their controllers could change nothing: admission and swap outcomes
-	// are frozen while the SM is quiescent).
-	for i, s := range e.sms {
+	issued := false
+	for _, s := range e.sms {
 		if s.Asleep() {
 			if !s.WheelWakeDue(now) {
-				e.ran[i] = false
 				continue
 			}
 			s.WakeUp()
 		}
-		e.ran[i] = true
-		s.Ev.StartBuffering()
-		s.CtlPhase()
-	}
-
-	// Parallel step phase under the cycle barrier.
-	e.done.Add(len(e.start))
-	for k := range e.start {
-		e.start[k] <- struct{}{}
-	}
-	e.done.Wait()
-	for k, p := range e.panics {
-		if p != nil {
-			e.panics[k] = nil
-			panic(p)
-		}
-	}
-
-	// Commit buffered cross-SM effects in ascending SM-index order. SMs
-	// that slept through the cycle never started buffering and logged
-	// nothing.
-	issued := false
-	for i, s := range e.sms {
-		if !e.ran[i] {
-			continue
-		}
-		s.Ev.Commit()
-		e.glogs[i].Flush(e.backing)
-	}
-	for _, is := range e.issued {
-		if is {
+		if s.Cycle() {
 			issued = true
+		} else if e.allowSleep {
+			s.TrySleep()
 		}
 	}
 	return issued
@@ -199,35 +53,14 @@ func (e *engine) quiescent() bool {
 }
 
 // nextEvent returns the earliest cycle at which anything — the shared
-// queue, any SM's uncommitted lane, or any SM's local writeback wheel —
-// will change state. ok=false means the simulation can make no progress.
+// queue or any SM's local writeback wheel — will change state. ok=false
+// means the simulation can make no progress.
 func (e *engine) nextEvent() (int64, bool) {
 	next, ok := e.ev.NextCycle()
-	merge := func(c int64, cok bool) {
-		if cok && (!ok || c < next) {
+	for _, s := range e.sms {
+		if c, cok := s.NextWake(); cok && (!ok || c < next) {
 			next, ok = c, true
 		}
 	}
-	for _, s := range e.sms {
-		merge(s.NextWake())
-		merge(s.Ev.MinPending())
-	}
 	return next, ok
-}
-
-// resolveWorkers maps an Options.Parallelism setting to a worker count:
-// 0 (auto) uses one worker per core up to one per SM; 1 forces the
-// sequential engine; larger values are capped at the SM count.
-func resolveWorkers(parallelism, numSMs int) int {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > numSMs {
-		w = numSMs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

@@ -83,35 +83,6 @@ func TestEventWheelEquivalenceSwaps(t *testing.T) {
 	}
 }
 
-// TestEventWheelEquivalenceParallel cross-checks the wheel against the
-// parallel intra-run engine: lane-buffered typed events must commit into
-// the wheel in the same order the sequential engine produces, for both
-// backends (and, under -race, prove the pooled queue and typed dispatch
-// are race-free).
-func TestEventWheelEquivalenceParallel(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
-	run := func(disable bool, par int) *Result {
-		res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
-			InitMemory:        initVec(16 * 64),
-			DisableEventWheel: disable,
-			Parallelism:       par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seqWheel := run(false, 1)
-	parWheel := run(false, 2)
-	parHeap := run(true, 2)
-	if !reflect.DeepEqual(seqWheel, parWheel) {
-		t.Fatalf("parallel engine diverges from sequential with the wheel on")
-	}
-	if !reflect.DeepEqual(parWheel, parHeap) {
-		t.Fatalf("event wheel diverges under the parallel engine")
-	}
-}
-
 // TestEventWheelEquivalenceIdleSkip pins the composition of the wheel
 // with idle fast-forward: the engine's next-event query now reads the
 // wheel's cached next-due cycle instead of a heap peek, and skipping must

@@ -3,7 +3,6 @@ package gpu
 import (
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -60,7 +59,7 @@ func mixedLaunch(t testing.TB, ctas, block int) *isa.Launch {
 // TestIssueFastPathEquivalence proves the O(1) issue fast path — ready
 // bitsets, next-instruction records, row kernels, the event-maintained VT
 // controller — is observation-equivalent to the original full scans and
-// per-lane execution: for every policy, scheduler and engine the complete
+// per-lane execution: for every policy and scheduler the complete
 // Result struct — cycles, every stat counter, the stall breakdown — is
 // identical with the fast path on and off. Both runs recount the derived
 // state every 64 cycles (CheckInvariants).
@@ -75,30 +74,29 @@ func TestIssueFastPathEquivalence(t *testing.T) {
 	for _, p := range policies {
 		for _, sched := range schedulers {
 			t.Run(p.String()+"/"+sched.String(), func(t *testing.T) {
-				for _, par := range []int{1, 2} {
-					t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-						cfg := config.Small().WithPolicy(p)
-						cfg.Scheduler = sched
-						const ctas, block = 16, 64
-						run := func(disable bool) *Result {
-							res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
-								InitMemory:           initVec(ctas * block),
-								DisableIssueFastPath: disable,
-								Parallelism:          par,
-								CheckInvariants:      true,
-								InvariantInterval:    64,
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							return res
+				// The "par1" leaf (here and in the other matrices) keeps the
+				// subtest names test ledgers already track.
+				t.Run("par1", func(t *testing.T) {
+					cfg := config.Small().WithPolicy(p)
+					cfg.Scheduler = sched
+					const ctas, block = 16, 64
+					run := func(disable bool) *Result {
+						res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
+							InitMemory:           initVec(ctas * block),
+							DisableIssueFastPath: disable,
+							CheckInvariants:      true,
+							InvariantInterval:    64,
+						})
+						if err != nil {
+							t.Fatal(err)
 						}
-						fast, slow := run(false), run(true)
-						if !reflect.DeepEqual(fast, slow) {
-							t.Fatalf("fast path diverges:\nfast: %+v\nslow: %+v", fast, slow)
-						}
-					})
-				}
+						return res
+					}
+					fast, slow := run(false), run(true)
+					if !reflect.DeepEqual(fast, slow) {
+						t.Fatalf("fast path diverges:\nfast: %+v\nslow: %+v", fast, slow)
+					}
+				})
 			})
 		}
 	}
@@ -144,8 +142,8 @@ func memLoopKernel(t testing.TB, iters int) *isa.Kernel {
 // residency-expiry scan) and requires identical Results fast on/off: the
 // synthetic always-missing loop and the suite's swap-heavy kernels, under
 // each activation policy, a partial trigger fraction, two swap ports and
-// no anti-thrash residency, on both engines, with the derived state
-// recounted every 64 cycles.
+// no anti-thrash residency, with the derived state recounted every 64
+// cycles.
 func TestIssueFastPathEquivalenceSwaps(t *testing.T) {
 	tunes := []struct {
 		name string
@@ -160,43 +158,37 @@ func TestIssueFastPathEquivalenceSwaps(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			for _, workload := range []string{"memloop", "nw", "bfs", "lud"} {
 				for _, tn := range tunes {
-					for _, par := range []int{1, 2} {
-						if par > 1 && tn.name != "default" {
-							continue // the engines differ in how a cycle steps, not in what the tunes change
+					t.Run(workload+"/"+tn.name+"/par1", func(t *testing.T) {
+						cfg := config.Small().WithPolicy(p)
+						tn.tune(&cfg)
+						run := func(disable bool) *Result {
+							l := &isa.Launch{
+								Kernel:   memLoopKernel(t, 8),
+								GridDim:  isa.Dim1(24),
+								BlockDim: isa.Dim1(64),
+								Params:   []uint32{aBase},
+							}
+							opts := Options{}
+							if workload != "memloop" {
+								l, opts = buildLaunch(t, workload)
+							}
+							opts.DisableIssueFastPath = disable
+							opts.CheckInvariants = true
+							opts.InvariantInterval = 64
+							res, err := Run(l, cfg, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
 						}
-						t.Run(fmt.Sprintf("%s/%s/par%d", workload, tn.name, par), func(t *testing.T) {
-							cfg := config.Small().WithPolicy(p)
-							tn.tune(&cfg)
-							run := func(disable bool) *Result {
-								l := &isa.Launch{
-									Kernel:   memLoopKernel(t, 8),
-									GridDim:  isa.Dim1(24),
-									BlockDim: isa.Dim1(64),
-									Params:   []uint32{aBase},
-								}
-								opts := Options{}
-								if workload != "memloop" {
-									l, opts = buildLaunch(t, workload)
-								}
-								opts.DisableIssueFastPath = disable
-								opts.Parallelism = par
-								opts.CheckInvariants = true
-								opts.InvariantInterval = 64
-								res, err := Run(l, cfg, opts)
-								if err != nil {
-									t.Fatal(err)
-								}
-								return res
-							}
-							fast, slow := run(false), run(true)
-							if fast.VT.SwapsOut == 0 {
-								t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", p)
-							}
-							if !reflect.DeepEqual(fast, slow) {
-								t.Fatalf("fast path diverges on swap-heavy run:\nfast: %+v\nslow: %+v", fast, slow)
-							}
-						})
-					}
+						fast, slow := run(false), run(true)
+						if fast.VT.SwapsOut == 0 {
+							t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", p)
+						}
+						if !reflect.DeepEqual(fast, slow) {
+							t.Fatalf("fast path diverges on swap-heavy run:\nfast: %+v\nslow: %+v", fast, slow)
+						}
+					})
 				}
 			}
 		})
@@ -215,7 +207,6 @@ func TestIssueFastPathEquivalenceSampled(t *testing.T) {
 					l, opts := buildLaunch(t, workload)
 					l.GridDim = isa.Dim1(96)
 					opts.DisableIssueFastPath = disable
-					opts.Parallelism = 1
 					opts.Sampling = SamplingOptions{DetailedCycles: 400, FastForwardCycles: 800, WarmupCycles: 100}
 					res, err := Run(l, cfg, opts)
 					if err != nil {
@@ -243,16 +234,16 @@ func TestIssueFastPathEquivalenceFork(t *testing.T) {
 	for _, p := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := config.Small().WithPolicy(p)
-			ref := runPlain(t, "nw", cfg, Options{Parallelism: 1})
+			ref := runPlain(t, "nw", cfg, Options{})
 			for _, captureSlow := range []bool{false, true} {
 				_, ck := runCapturing(t, "nw", cfg,
-					Options{Parallelism: 1, DisableIssueFastPath: captureSlow}, ref.Cycles/2)
+					Options{DisableIssueFastPath: captureSlow}, ref.Cycles/2)
 				if ck == nil {
 					t.Fatal("no checkpoint captured")
 				}
 				forked := resume(t, "nw", ck, cfg, Options{
-					Parallelism: 1, DisableIssueFastPath: !captureSlow,
-					CheckInvariants: true, InvariantInterval: 64,
+					DisableIssueFastPath: !captureSlow,
+					CheckInvariants:      true, InvariantInterval: 64,
 				})
 				if !reflect.DeepEqual(ref, forked) {
 					t.Fatalf("capture slow=%v, resume slow=%v: fork at cycle %d diverged from the uninterrupted run",
@@ -290,15 +281,15 @@ func TestResumeParentBuildCheckpoint(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
 	for _, slow := range []bool{false, true} {
 		got := resume(t, "nw", fixture.Checkpoint, cfg, Options{
-			Parallelism: 1, DisableIssueFastPath: slow,
-			CheckInvariants: true, InvariantInterval: 64,
+			DisableIssueFastPath: slow,
+			CheckInvariants:      true, InvariantInterval: 64,
 		})
 		if !reflect.DeepEqual(fixture.Result, got) {
 			t.Fatalf("slow=%v: resuming the parent build's checkpoint diverged from its run:\nwant: %+v\ngot:  %+v",
 				slow, fixture.Result, got)
 		}
 	}
-	if plain := runPlain(t, "nw", cfg, Options{Parallelism: 1}); !reflect.DeepEqual(fixture.Result, plain) {
+	if plain := runPlain(t, "nw", cfg, Options{}); !reflect.DeepEqual(fixture.Result, plain) {
 		t.Fatalf("this build's uninterrupted run differs from the parent build's:\nwant: %+v\ngot:  %+v",
 			fixture.Result, plain)
 	}
@@ -322,32 +313,5 @@ func TestIssueFastPathEquivalenceRFBanks(t *testing.T) {
 	}
 	if fast, slow := run(false), run(true); !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("fast path diverges with banked register file:\nfast: %+v\nslow: %+v", fast, slow)
-	}
-}
-
-// TestIssueFastPathEquivalenceParallel cross-checks the fast path against
-// the parallel intra-run engine (and, under -race, that the pre-decoded
-// instruction fields and per-SM fast-forward are race-free).
-func TestIssueFastPathEquivalenceParallel(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
-	run := func(disable bool, par int) *Result {
-		res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
-			InitMemory:           initVec(16 * 64),
-			DisableIssueFastPath: disable,
-			Parallelism:          par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seqFast := run(false, 1)
-	parFast := run(false, 2)
-	parSlow := run(true, 2)
-	if !reflect.DeepEqual(seqFast, parFast) {
-		t.Fatalf("parallel engine diverges from sequential with fast path on")
-	}
-	if !reflect.DeepEqual(parFast, parSlow) {
-		t.Fatalf("fast path diverges under the parallel engine")
 	}
 }

@@ -184,12 +184,6 @@ type Options struct {
 	// SampleInterval, when positive, records an occupancy/IPC sample
 	// every that-many cycles into Result.Timeline.
 	SampleInterval int64
-	// Parallelism selects the intra-run engine: 0 (default) shards SMs
-	// across one worker per core (capped at the SM count), 1 forces the
-	// sequential engine, N > 1 uses N workers. Results are bit-identical
-	// at every setting; see docs/ARCHITECTURE.md for the determinism
-	// contract.
-	Parallelism int
 	// CheckInvariants runs every SM's conservation-invariant checker
 	// (issue-slot conservation, residency accounting, ready-bitset and
 	// writeback-wheel consistency; see sm.CheckInvariants) every
@@ -371,9 +365,9 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 
 	if col := opts.Telemetry; col != nil {
 		col.Begin(m.cfg.NumSMs, m.name, m.cfg.Policy.String())
-		// Shard the L1 counters so per-SM hit rates exist even under the
-		// sequential engine; counters are additive and CollectStats folds
-		// them back, so run totals are unchanged.
+		// Shard the L1 counters so per-SM hit rates exist; counters are
+		// additive and CollectStats folds them back, so run totals are
+		// unchanged.
 		m.msys.ShardStats()
 		for _, s := range m.sms {
 			s.Probe = col
@@ -408,17 +402,12 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 		m.ckDone = true
 	}
 
-	m.eng = newEngine(m.sms, m.ev, m.msys, m.backing,
-		resolveWorkers(opts.Parallelism, m.cfg.NumSMs), !opts.DisableIdleSkip)
+	m.eng = &engine{sms: m.sms, ev: m.ev, allowSleep: !opts.DisableIdleSkip}
 	return m, nil
 }
 
 // release returns pooled resources; safe to call more than once.
 func (m *machine) release() {
-	if m.eng != nil {
-		m.eng.shutdown()
-		m.eng = nil
-	}
 	if m.pooled {
 		m.ev.Reset()
 		queuePool.Put(m.ev)
@@ -469,8 +458,8 @@ func (m *machine) diagnose(reason, violation string, cycle int64) *AbortDiagnost
 }
 
 // maybeCheckpoint runs the checkpoint cadence at the top of a cycle. The
-// machine is quiescent here: the event queue sits exactly at cycle, every
-// lane is committed, and no SM is mid-step.
+// machine is quiescent here: the event queue sits exactly at cycle and no
+// SM is mid-step.
 func (m *machine) maybeCheckpoint(cycle int64) error {
 	if m.opts.CheckpointGuard != nil {
 		var vs core.Stats

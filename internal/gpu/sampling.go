@@ -154,7 +154,6 @@ func validateOptions(opts *Options) error {
 			errs = append(errs, fmt.Errorf("gpu: "+format, args...))
 		}
 	}
-	bad(opts.Parallelism < 0, "Options.Parallelism must be non-negative (got %d)", opts.Parallelism)
 	s := opts.Sampling
 	if s.Enabled() {
 		bad(s.DetailedCycles <= 0, "Sampling.DetailedCycles must be positive (got %d)", s.DetailedCycles)
@@ -247,7 +246,7 @@ func (m *machine) drainToQuiescence(cycle int64) (int64, bool) {
 		}
 		if !lsuBusy {
 			// Nothing streams line-by-line; jump to the next scheduled
-			// event (shared queue, SM lanes, or writeback wheels).
+			// event (shared queue or writeback wheels).
 			evNext, ok := m.eng.nextEvent()
 			if !ok {
 				break // no progress possible; detailed loop surfaces the deadlock

@@ -302,7 +302,7 @@ func absF(v float64) float64 {
 // observer while no span triggers: with DetailedCycles beyond the run
 // length, every cycle simulates in detail and the Result must be
 // DeepEqual to a fully exact run (modulo the Sampling report itself),
-// across every policy x scheduler x engine combination.
+// across every policy x scheduler combination.
 func TestSamplingArmedButIdleIsPure(t *testing.T) {
 	policies := []config.Policy{
 		config.PolicyBaseline, config.PolicyVT,
@@ -313,35 +313,32 @@ func TestSamplingArmedButIdleIsPure(t *testing.T) {
 	}
 	for _, p := range policies {
 		for _, sched := range schedulers {
-			for _, par := range []int{1, 4} {
-				t.Run(p.String()+"/"+sched.String()+"/par"+string(rune('0'+par)), func(t *testing.T) {
-					cfg := config.Small().WithPolicy(p)
-					cfg.Scheduler = sched
-					run := func(s SamplingOptions) *Result {
-						res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
-							InitMemory:  initVec(16 * 64),
-							Parallelism: par,
-							Sampling:    s,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
+			t.Run(p.String()+"/"+sched.String()+"/par1", func(t *testing.T) {
+				cfg := config.Small().WithPolicy(p)
+				cfg.Scheduler = sched
+				run := func(s SamplingOptions) *Result {
+					res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
+						InitMemory: initVec(16 * 64),
+						Sampling:   s,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-					exact := run(SamplingOptions{})
-					armed := run(SamplingOptions{DetailedCycles: 1 << 40, FastForwardCycles: 1})
-					if exact.Sampling != nil {
-						t.Fatal("exact run reported sampling stats")
-					}
-					if armed.Sampling == nil || armed.Sampling.Spans != 0 {
-						t.Fatalf("armed-idle run should report zero spans: %+v", armed.Sampling)
-					}
-					armed.Sampling = nil
-					if !reflect.DeepEqual(exact, armed) {
-						t.Fatalf("armed-but-idle sampling perturbs the run:\nexact: %+v\narmed: %+v", exact, armed)
-					}
-				})
-			}
+					return res
+				}
+				exact := run(SamplingOptions{})
+				armed := run(SamplingOptions{DetailedCycles: 1 << 40, FastForwardCycles: 1})
+				if exact.Sampling != nil {
+					t.Fatal("exact run reported sampling stats")
+				}
+				if armed.Sampling == nil || armed.Sampling.Spans != 0 {
+					t.Fatalf("armed-idle run should report zero spans: %+v", armed.Sampling)
+				}
+				armed.Sampling = nil
+				if !reflect.DeepEqual(exact, armed) {
+					t.Fatalf("armed-but-idle sampling perturbs the run:\nexact: %+v\narmed: %+v", exact, armed)
+				}
+			})
 		}
 	}
 }
@@ -403,11 +400,6 @@ func TestSamplingOptionsValidation(t *testing.T) {
 				OnCheckpoint:    func(*Checkpoint) {},
 			},
 			want: []string{"CheckpointEvery"},
-		},
-		{
-			name: "parallelism folded in",
-			opts: Options{Parallelism: -1},
-			want: []string{"Parallelism"},
 		},
 	}
 	for _, tc := range cases {

@@ -13,10 +13,10 @@ import (
 
 // TestTelemetryPureObserver proves an attached collector never perturbs
 // the simulation: for every policy × scheduler, the complete Result is
-// bit-identical with and without telemetry — including under the
-// parallel engine, with the issue fast path disabled (the collector's
-// StatsAt/Probe seams ride both code paths), and under interval/sampled
-// simulation (the afterSpan window pump rides the span path).
+// bit-identical with and without telemetry — including with the issue
+// fast path disabled (the collector's StatsAt/Probe seams ride both code
+// paths) and under interval/sampled simulation (the afterSpan window pump
+// rides the span path).
 func TestTelemetryPureObserver(t *testing.T) {
 	policies := []config.Policy{
 		config.PolicyBaseline, config.PolicyVT,
@@ -31,10 +31,8 @@ func TestTelemetryPureObserver(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"parallel", Options{Parallelism: 4}},
 		{"slowpath", Options{DisableIssueFastPath: true}},
 		{"sampled", Options{Sampling: samp}},
-		{"sampled-parallel", Options{Parallelism: 4, Sampling: samp}},
 	}
 	var sampledSpans int64
 	for _, p := range policies {
@@ -145,29 +143,22 @@ func TestTelemetryPureObserverSwaps(t *testing.T) {
 // fast-forward, and sampled fast-forward spans, whose boundary samples
 // are charged virtually (sm.StatsAt / AccountSampled).
 func TestTelemetryWindowExactness(t *testing.T) {
-	cases := []struct {
-		par  int
-		samp SamplingOptions
-	}{
-		{par: 1},
-		{par: 4},
-		{par: 1, samp: SamplingOptions{DetailedCycles: 200, FastForwardCycles: 1500, WarmupCycles: 50}},
-	}
-	for _, tc := range cases {
-		par := tc.par
+	for _, samp := range []SamplingOptions{
+		{},
+		{DetailedCycles: 200, FastForwardCycles: 1500, WarmupCycles: 50},
+	} {
 		cfg := config.Small().WithPolicy(config.PolicyVT)
 		const ctas, block = 16, 64
 		col := telemetry.NewCollector(telemetry.Config{Window: 64, PerSM: true})
 		res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
-			InitMemory:  initVec(ctas * block),
-			Telemetry:   col,
-			Parallelism: par,
-			Sampling:    tc.samp,
+			InitMemory: initVec(ctas * block),
+			Telemetry:  col,
+			Sampling:   samp,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.samp.Enabled() && res.Sampling == nil {
+		if samp.Enabled() && res.Sampling == nil {
 			t.Fatal("sampled run reported no sampling stats")
 		}
 		d := col.Dump()
@@ -214,7 +205,7 @@ func TestTelemetryWindowExactness(t *testing.T) {
 			issued += w.Issued
 		}
 		if issued != res.SM.Issued {
-			t.Errorf("gpu window Issued sum = %d, want %d (par=%d)", issued, res.SM.Issued, par)
+			t.Errorf("gpu window Issued sum = %d, want %d", issued, res.SM.Issued)
 		}
 		var l2 int64
 		for _, w := range d.Mem {

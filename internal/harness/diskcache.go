@@ -265,7 +265,7 @@ func (p Params) commitStoreTx(tx *resultstore.Tx) error {
 	if !b.Lead || len(ph) == 0 {
 		return err
 	}
-	p.monitor().noteStoreBatch(b.Txs)
+	p.Monitor.noteStoreBatch(b.Txs)
 	last := ph[len(ph)-1]
 	id := p.Trace.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
 		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops),

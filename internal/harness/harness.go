@@ -121,17 +121,10 @@ type Params struct {
 	// contract).
 	Trace *sweepobs.Tracer
 	// Monitor receives live job begin/finish bookkeeping and serves the
-	// -monitor endpoints. Nil uses the process-wide DefaultMonitor,
-	// preserving the old package-global behavior.
+	// -monitor endpoints. Nil reports to nobody: every Monitor hook is a
+	// nil-receiver no-op, as with Trace.
 	Monitor *Monitor
 
-	// Batch pipeline overrides (see the Scheduler/Executor/ResultSink
-	// interfaces below). Nil selects the in-process defaults.
-
-	// Scheduler plans each batch before execution; nil uses the
-	// prefix-fork scheduler (forkPlan grouping, a no-op without
-	// Checkpoint).
-	Scheduler Scheduler
 	// Executor produces each planned job's Result; nil executes
 	// in-process through the memoized, supervised path. The sweep
 	// fabric (internal/fabric) installs an executor that dispatches
@@ -189,14 +182,6 @@ func resolveWorkers(n int) int {
 func ResolveWorkers(n int) int { return resolveWorkers(n) }
 
 func (p Params) workers() int { return resolveWorkers(p.Workers) }
-
-// scheduler resolves the batch scheduler (default: prefix forking).
-func (p Params) scheduler() Scheduler {
-	if p.Scheduler != nil {
-		return p.Scheduler
-	}
-	return prefixScheduler{}
-}
 
 // executor resolves the job executor (default: in-process).
 func (p Params) executor() Executor {
@@ -335,7 +320,7 @@ type Job struct {
 	// config; nil runs the base config unchanged.
 	Mutate func(*config.GPUConfig)
 	// PrefixFP, when non-empty, marks the job as part of a prefix-fork
-	// group (set by the scheduler; see fork.go).
+	// group (set by forkPlan; see fork.go).
 	PrefixFP string
 }
 
@@ -348,20 +333,13 @@ func (j Job) ConfigFor(p Params) config.GPUConfig {
 	return cfg
 }
 
-// The batch pipeline is split into three replaceable stages, so the
-// in-process path and the distributed sweep fabric (internal/fabric)
-// share one execution skeleton: the Scheduler turns a raw batch into a
-// plan (ordering plus prefix-fork grouping), the Executor produces each
+// The batch pipeline has two replaceable stages, so the in-process path
+// and the distributed sweep fabric (internal/fabric) share one execution
+// skeleton: forkPlan turns a raw batch into a plan (prefix-fork grouping,
+// a no-op unless Params.Checkpoint is set), the Executor produces each
 // planned job's Result — in-process (memoized, supervised) by default,
 // or by dispatching to a remote worker fleet — and the ResultSink
 // collects completions as they land.
-
-// Scheduler plans a batch of jobs before execution. Implementations
-// must preserve the batch's (workload, variant) points; they may
-// reorder or annotate them.
-type Scheduler interface {
-	Plan(p Params, jobs []Job) []Job
-}
 
 // Executor produces one planned job's Result. Implementations must be
 // safe for concurrent use; the Params value passed to Execute carries
@@ -376,12 +354,6 @@ type Executor interface {
 type ResultSink interface {
 	Collect(j Job, res *gpu.Result)
 }
-
-// prefixScheduler is the default Scheduler: forkPlan prefix grouping
-// (a no-op unless Params.Checkpoint is set).
-type prefixScheduler struct{}
-
-func (prefixScheduler) Plan(p Params, jobs []Job) []Job { return forkPlan(p, jobs) }
 
 // localExecutor is the default Executor: memoized, supervised,
 // in-process execution (see memo.go and supervisor.go).
@@ -415,8 +387,8 @@ func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
 	return sink.results, err
 }
 
-// RunJobs plans a batch with the Params' scheduler, executes it with
-// the Params' executor under bounded parallelism, and streams
+// RunJobs plans a batch with forkPlan, executes it with the Params'
+// executor under bounded parallelism, and streams
 // successful completions into sink. Repeated simulation points are
 // served from the memo cache (see memo.go). Every job runs even when
 // earlier ones fail — the supervisor turns failures into repro bundles
@@ -428,9 +400,9 @@ func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
 // samples to the (workload, variant) that burned them.
 func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 	plan := p.Trace.Begin(p.span, "plan", "", "")
-	jobs = p.scheduler().Plan(p, jobs)
+	jobs = forkPlan(p, jobs)
 	p.Trace.End(plan)
-	mon := p.monitor()
+	mon := p.Monitor
 	exec := p.executor()
 	ctx := p.ctx()
 	errs := make([]error, len(jobs))

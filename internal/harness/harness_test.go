@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 )
 
 func testParams() Params {
@@ -229,5 +232,55 @@ func TestRunAllDiluted(t *testing.T) {
 	}
 	if !strings.Contains(out, "average speedup") {
 		t.Error("missing headline summary")
+	}
+}
+
+// TestWorkersEquivalence is the serial-vs-parallel equivalence: every
+// simulation is single-threaded, so host parallelism exists only across
+// runs, and how many run side by side must change nothing — the tables
+// byte for byte, every Result, and the simulated-cycle total.
+func TestWorkersEquivalence(t *testing.T) {
+	e, err := Get("fig-swaplat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pass struct {
+		tables  string
+		results map[key]*gpu.Result
+		cycles  int64
+	}
+	run := func(workers int) pass {
+		ResetMetrics() // empty the memo cache: every pass simulates every point
+		var mu sync.Mutex
+		results := map[key]*gpu.Result{}
+		p := testParams()
+		p.Workers = workers
+		p.OnOutcome = func(e JournalEntry, res *gpu.Result) {
+			mu.Lock()
+			results[key{e.Workload, e.Variant}] = res
+			mu.Unlock()
+		}
+		var sb strings.Builder
+		if err := RunOne(e, p, &sb); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return pass{sb.String(), results, Metrics().SimCycles}
+	}
+	defer ResetMetrics()
+	ref := run(1)
+	if len(ref.results) != 48 || ref.cycles == 0 {
+		t.Fatalf("serial pass ran %d simulations for %d cycles, want 48 and > 0", len(ref.results), ref.cycles)
+	}
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if got.tables != ref.tables {
+			t.Errorf("workers=%d: tables differ from the serial pass:\n%s\nwant:\n%s", workers, got.tables, ref.tables)
+		}
+		if !reflect.DeepEqual(got.results, ref.results) {
+			t.Errorf("workers=%d: results differ from the serial pass", workers)
+		}
+		if got.cycles != ref.cycles {
+			t.Errorf("workers=%d: SimCycles = %d, want %d", workers, got.cycles, ref.cycles)
+		}
 	}
 }

@@ -16,10 +16,9 @@ import (
 // deterministic results dozens of times. Runs are keyed by a content
 // fingerprint of the kernel name, the grid parameters (scale and
 // dilution, which fully determine the generated launch), and the
-// JSON-serialized hardware config. gpu.Options.Parallelism is *not* part
-// of the key: the parallel engine is bit-identical to the sequential one
-// (see internal/gpu/parallel_test.go), so the worker count cannot change
-// a Result.
+// JSON-serialized hardware config. Params.Workers is *not* part of the
+// key: every simulation is single-threaded and deterministic, so how many
+// run side by side cannot change a Result (TestWorkersEquivalence).
 //
 // Cached *gpu.Result values are shared between experiments and must be
 // treated as immutable by all callers.
@@ -49,7 +48,7 @@ type RunMetrics struct {
 	Deadlines      int
 	// Retries counts safe-mode retries attempted after a panic or
 	// invariant trip; Degraded counts runs whose result came from such a
-	// retry (fast path and parallel engine disabled).
+	// retry (fast path disabled).
 	Retries  int
 	Degraded int
 	// Failures counts runs that still failed after the retry ladder and
@@ -158,7 +157,7 @@ func AddMetrics(d RunMetrics) {
 func NoteRemoteCompletion(p Params, d RunMetrics) {
 	AddMetrics(d)
 	if d.SimCycles > 0 {
-		p.monitor().noteFinished(d.SimCycles)
+		p.Monitor.noteFinished(d.SimCycles)
 	}
 }
 
@@ -186,13 +185,10 @@ func Metrics() RunMetrics {
 // ResetMetrics zeroes the work counters, empties the memo and
 // checkpoint caches, closes any open result stores (so the next
 // cached run reopens them — index replay plus WAL recovery — exactly
-// like a fresh process), and resets the default monitor so back-to-back
-// sweeps in one process (benchmarks, tests) never see each other's
-// uptime epoch, active jobs, or rate window. Injected Params.Monitor
-// instances are owned by their sweeps and reset by their owners.
+// like a fresh process). A Params.Monitor is owned by its sweep and is
+// not touched.
 func ResetMetrics() {
 	resetStores()
-	defaultMon.Reset()
 	memoMu.Lock()
 	defer memoMu.Unlock()
 	memoStats = RunMetrics{}
@@ -315,7 +311,7 @@ func memoRun(p Params, j Job) (*gpu.Result, error) {
 			// Feed the monitor's windowed simcycles/s rate (cache hits
 			// above add nothing, so a resumed sweep reads ~0, not a
 			// stale cumulative average).
-			p.monitor().noteFinished(e.res.Cycles - prefix)
+			p.Monitor.noteFinished(e.res.Cycles - prefix)
 		}
 		// Persistence happens inside journalRecord (supervisor.go): the
 		// Result and its completion-journal line commit as one result-store
@@ -323,15 +319,4 @@ func memoRun(p Params, j Job) (*gpu.Result, error) {
 		// is missing, or vice versa.
 	})
 	return e.res, e.err
-}
-
-// runParallelism picks the intra-run worker count for one simulation.
-// When the harness batches many simulations concurrently, those already
-// saturate the cores, so each run stays sequential; a single-worker
-// harness hands the cores to the parallel engine instead.
-func (p Params) runParallelism() int {
-	if p.workers() > 1 {
-		return 1
-	}
-	return 0 // auto: one worker per core, capped at the SM count
 }

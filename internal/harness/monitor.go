@@ -23,10 +23,9 @@ import (
 // bookkeeping: a map update per job, nothing on the simulation hot
 // path.
 //
-// A Monitor is injectable through Params.Monitor — per-sweep state no
-// longer leaks between sweeps or tests sharing the process — with a
-// package default kept for compatibility; ResetMetrics resets the
-// default alongside the counters.
+// A Monitor is injected through Params.Monitor and owned by its sweep;
+// a nil Monitor reports to nobody (the job hooks are nil-receiver
+// no-ops, as with a nil *sweepobs.Tracer).
 
 // MonitorSchemaVersion identifies the /status JSON layout. Version 2
 // added lifetimeSimCyclesPerSec, the windowed simCyclesPerSec
@@ -64,33 +63,10 @@ var storeBatchBuckets = []float64{1, 2, 4, 8, 16, writeBehindWindow}
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	m := &Monitor{now: time.Now, active: map[key]time.Time{}}
-	m.resetHist()
-	return m
-}
-
-// resetHist starts the batch-size histogram over. Callers hold m.mu
-// (or own m exclusively).
-func (m *Monitor) resetHist() {
-	m.hist = sweepobs.NewRegistry()
+	m := &Monitor{now: time.Now, active: map[key]time.Time{}, hist: sweepobs.NewRegistry()}
 	m.batchTxs = m.hist.Histogram("vtsweep_store_batch_txs",
 		"Transactions per result-store group-commit batch.", storeBatchBuckets)
-}
-
-// defaultMon backs the package-level compat API and any Params without
-// an explicit Monitor.
-var defaultMon = NewMonitor()
-
-// DefaultMonitor returns the process-wide default monitor (what
-// Params without an explicit Monitor report to).
-func DefaultMonitor() *Monitor { return defaultMon }
-
-// monitor resolves the monitor a run reports to.
-func (p Params) monitor() *Monitor {
-	if p.Monitor != nil {
-		return p.Monitor
-	}
-	return defaultMon
+	return m
 }
 
 // SetTracer attaches the sweep tracer whose stage totals and span
@@ -101,21 +77,10 @@ func (m *Monitor) SetTracer(tr *sweepobs.Tracer) {
 	m.mu.Unlock()
 }
 
-// Reset clears all sweep state (uptime epoch, active jobs, rate
-// window, lifetime cycles, tracer), so one process can run independent
-// sweeps back to back.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	m.started = time.Time{}
-	m.active = map[key]time.Time{}
-	m.recent = nil
-	m.cyclesTotal = 0
-	m.tracer = nil
-	m.resetHist()
-	m.mu.Unlock()
-}
-
 func (m *Monitor) beginJob(j Job) {
+	if m == nil {
+		return
+	}
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -126,6 +91,9 @@ func (m *Monitor) beginJob(j Job) {
 }
 
 func (m *Monitor) endJob(j Job) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.active, key{j.Workload, j.Variant})
@@ -137,6 +105,9 @@ func (m *Monitor) endJob(j Job) {
 // everything from the store reports ~0, not a stale cumulative
 // average.
 func (m *Monitor) noteFinished(cycles int64) {
+	if m == nil {
+		return
+	}
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -147,10 +118,10 @@ func (m *Monitor) noteFinished(cycles int64) {
 
 // noteStoreBatch records one group-commit batch of txs transactions.
 func (m *Monitor) noteStoreBatch(txs int) {
-	m.mu.Lock()
-	h := m.batchTxs
-	m.mu.Unlock()
-	h.Observe(float64(txs))
+	if m == nil {
+		return
+	}
+	m.batchTxs.Observe(float64(txs))
 }
 
 // pruneLocked drops completions older than the rate window.
@@ -276,9 +247,9 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	m.mu.Lock()
-	tracer, hist := m.tracer, m.hist
+	tracer := m.tracer
 	m.mu.Unlock()
-	if err := hist.Write(w); err != nil {
+	if err := m.hist.Write(w); err != nil {
 		return err
 	}
 	return tracer.Registry().Write(w)
@@ -335,11 +306,3 @@ func (m *Monitor) Handler() http.Handler {
 	})
 	return mux
 }
-
-// Status snapshots the default monitor. Compat wrapper; prefer an
-// injected Params.Monitor.
-func Status() MonitorStatus { return defaultMon.Status() }
-
-// MonitorHandler returns the default monitor's HTTP handler. Compat
-// wrapper; prefer an injected Params.Monitor.
-func MonitorHandler() http.Handler { return defaultMon.Handler() }

@@ -24,12 +24,13 @@ func TestMonitorHandler(t *testing.T) {
 	p.Config = config.Small()
 	p.Dilute = 60
 	p.Telemetry = true
+	p.Monitor = NewMonitor()
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(MonitorHandler())
+	srv := httptest.NewServer(p.Monitor.Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/status")
@@ -131,15 +132,16 @@ func TestMonitorWindowedRate(t *testing.T) {
 	}
 }
 
-// TestMonitorInjectedIsolation pins the per-Params monitor: a sweep with
-// an explicit Monitor must not leak state into the process default.
+// TestMonitorInjectedIsolation pins the per-Params monitor: a sweep
+// reports to the Monitor it was given, and a sweep given none reports to
+// nobody — there is no process-wide monitor for it to leak into.
 func TestMonitorInjectedIsolation(t *testing.T) {
 	ResetMetrics()
 	defer ResetMetrics()
+	jobs := policyJobs([]string{"bfs"}, []config.Policy{config.PolicyBaseline})
 	p := forkTestParams()
 	p.Monitor = NewMonitor()
-	if _, err := runMany(p, policyJobs([]string{"bfs"},
-		[]config.Policy{config.PolicyBaseline})); err != nil {
+	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Monitor.Status()
@@ -147,10 +149,17 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 		t.Errorf("injected monitor saw no work: uptime=%v rate=%v",
 			st.UptimeSeconds, st.LifetimeSimCyclesPerSec)
 	}
-	def := DefaultMonitor().Status()
-	if def.UptimeSeconds != 0 || def.LifetimeSimCyclesPerSec != 0 {
-		t.Errorf("sweep leaked into the default monitor: uptime=%v rate=%v",
-			def.UptimeSeconds, def.LifetimeSimCyclesPerSec)
+	seen := p.Monitor.cyclesTotal
+
+	ResetMetrics() // empty the memo cache so the second sweep executes too
+	if _, err := runMany(forkTestParams(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if Metrics().Executed != 1 {
+		t.Fatalf("monitor-less sweep executed %d runs, want 1", Metrics().Executed)
+	}
+	if got := p.Monitor.cyclesTotal; got != seen {
+		t.Errorf("monitor-less sweep leaked into another sweep's monitor: %d cycles, was %d", got, seen)
 	}
 }
 

@@ -20,16 +20,15 @@ import (
 
 // The run supervisor wraps every simulation the harness executes:
 //
-//   - a panic anywhere in the engine (worker panics are re-raised on the
-//     coordinator goroutine) is recovered with its stack instead of
-//     killing the whole sweep;
+//   - a panic anywhere in the engine is recovered with its stack instead
+//     of killing the whole sweep;
 //   - Params.RunTimeout bounds each run's wall-clock time through
 //     gpu.Options.Ctx;
 //   - a run that panicked or tripped an invariant is retried once in safe
-//     mode (DisableIssueFastPath, Parallelism=1) — those two failure
-//     classes are the ones a fast-path or parallel-engine bug can cause,
-//     and the safe engine path cannot hit them. The downgrade is counted
-//     in RunMetrics and surfaced in the final report;
+//     mode (DisableIssueFastPath) — those two failure classes are the
+//     ones a fast-path bug can cause, and the reference path cannot hit
+//     them. The downgrade is counted in RunMetrics and surfaced in the
+//     final report;
 //   - a run that still fails becomes a RunFailure: a structured repro
 //     bundle (fingerprint, config JSON, stack, AbortDiagnostic) written
 //     to Params.FailDir, while the rest of the sweep keeps running.
@@ -151,7 +150,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	}
 	opts := gpu.Options{
 		InitMemory:      initMem,
-		Parallelism:     p.runParallelism(),
 		CheckInvariants: p.CheckInvariants,
 	}
 	// Fault-injected runs force the invariant checker, which sampling's
@@ -164,7 +162,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	}
 	if safeMode {
 		opts.DisableIssueFastPath = true
-		opts.Parallelism = 1
 	}
 	if injected {
 		n := 0
@@ -317,9 +314,8 @@ func supervisedExecuteFork(p Params, j Job, cfg config.GPUConfig, fp string, spe
 		second = runAttempt(p, j, cfg, true, spec)
 		attempts = 2
 		if second.err == nil {
-			// The safe path succeeded where the fast path / parallel
-			// engine failed: record the downgrade and keep the sweep
-			// moving with the safe result.
+			// The safe path succeeded where the fast path failed: record
+			// the downgrade and keep the sweep moving with the safe result.
 			bumpMetric(func(m *RunMetrics) { m.Degraded++ })
 			if spec != nil {
 				spec.captured = second.ck

@@ -22,8 +22,7 @@ import (
 // (global-memory traffic is strongly page-local, so most accesses skip
 // the map). A per-page written bitmap distinguishes stored words from
 // untouched ones, which must keep reading as their synthesized values.
-// Backing is not safe for concurrent use — the parallel engine serializes
-// all access through GmemLog replay.
+// Backing is not safe for concurrent use; each simulation owns one.
 type Backing struct {
 	pages    map[uint32]*backingPage
 	lastIdx  uint32

@@ -77,15 +77,9 @@ func NewSystem(cfg *config.GPUConfig, ev *event.Queue) *System {
 	return s
 }
 
-// BindLane reroutes the given SM's L1 event traffic through the supplied
-// scheduler (the SM's event lane). During the parallel engine's step
-// phase the lane buffers without locking; everything the L1 schedules is
-// committed to the shared queue in SM-index order afterwards.
-func (s *System) BindLane(sm int, sched event.Scheduler) { s.l1s[sm].sched = sched }
-
-// ShardStats gives every L1 a private counter shard so concurrent SM
-// steps never write the shared Stats. Counters are additive, so merge
-// order cannot change the totals; CollectStats folds them back.
+// ShardStats gives every L1 a private counter shard so per-SM L1 hit
+// rates can be read (telemetry). Counters are additive, so merge order
+// cannot change the totals; CollectStats folds them back.
 func (s *System) ShardStats() {
 	for _, c := range s.l1s {
 		if c.stats == &s.Stats {
@@ -112,8 +106,7 @@ func (s *System) CollectStats() Stats {
 // PeekStats returns the current counter totals — shared Stats plus any
 // per-L1 shards — without folding or zeroing anything, so live observers
 // (telemetry windows) can read mid-run deltas without perturbing the
-// final CollectStats accounting. Call only between engine cycles: shard
-// counters are written by SM step goroutines during the step phase.
+// final CollectStats accounting.
 func (s *System) PeekStats() Stats {
 	st := s.Stats
 	for _, c := range s.l1s {
@@ -128,8 +121,7 @@ func (s *System) PeekStats() Stats {
 }
 
 // L1ShardStats returns SM sm's private L1 counter shard, or a zero Stats
-// when sharding is off (see ShardStats). Like PeekStats it is a pure
-// read for use between engine cycles.
+// when sharding is off (see ShardStats). Like PeekStats it is a pure read.
 func (s *System) L1ShardStats(sm int) Stats {
 	if c := s.l1s[sm]; c.stats != &s.Stats {
 		return *c.stats
@@ -155,24 +147,20 @@ func (s *System) partitionOf(lineAddr uint32) *partition {
 }
 
 // l1Cache is one SM's private L1 data cache: write-through, write-evict
-// (no write-allocate), with MSHR merging, as in Fermi. Its issue-side
-// scheduling goes through sched (the shared queue by default, the owning
-// SM's event lane under the parallel engine) and its counters through
-// stats (the shared Stats by default, a private shard under the parallel
-// engine); response-side callbacks always run on the shared queue's
-// single-threaded event drain, so they use sys.ev directly.
+// (no write-allocate), with MSHR merging, as in Fermi. Its counters go
+// through stats: the shared Stats by default, a private shard after
+// ShardStats.
 type l1Cache struct {
 	sys   *System
 	cfg   config.CacheConfig
 	tags  *TagArray
 	mshr  *mshrTable
-	sched event.Scheduler
 	stats *Stats
 }
 
 func newL1(cfg *config.GPUConfig, sys *System) *l1Cache {
 	c := &l1Cache{sys: sys, cfg: cfg.L1D, mshr: newMSHRTable(cfg.L1D.MSHRs),
-		sched: sys.ev, stats: &sys.Stats}
+		stats: &sys.Stats}
 	if cfg.L1D.Enabled {
 		c.tags = NewTagArray(cfg.L1D.Sets, cfg.L1D.Ways, cfg.L1D.LineSize)
 	}
@@ -187,9 +175,7 @@ const (
 	evL1Fill                  // line arrived back at the SM: fill tags, fire MSHR completions
 )
 
-// HandleEvent dispatches the L1's typed events. Forwarding events were
-// scheduled through c.sched (possibly an SM lane); response-side events
-// always ride the shared queue (see the type comment).
+// HandleEvent dispatches the L1's typed events.
 func (c *l1Cache) HandleEvent(kind uint8, a, b uint32) {
 	sys := c.sys
 	switch kind {
@@ -215,14 +201,14 @@ func (c *l1Cache) access(lineAddr uint32, write bool, done event.Completion) boo
 			c.tags.Invalidate(lineAddr) // write-evict
 		}
 		// Write-through: consume the downstream path; nothing waits.
-		c.sched.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1FwdWrite, lineAddr, 0)
+		sys.ev.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1FwdWrite, lineAddr, 0)
 		return true
 	}
 
 	c.stats.L1Accesses++
 	if c.tags != nil && c.tags.Probe(lineAddr) {
 		c.stats.L1Hits++
-		c.sched.PostAfter(int64(c.cfg.Latency), done.H, done.Kind, done.A, done.B)
+		sys.ev.PostAfter(int64(c.cfg.Latency), done.H, done.Kind, done.A, done.B)
 		return true
 	}
 	primary, full := c.mshr.add(lineAddr, done)
@@ -235,7 +221,7 @@ func (c *l1Cache) access(lineAddr uint32, write bool, done event.Completion) boo
 		c.stats.L1MSHRMerges++
 		return true
 	}
-	c.sched.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1FwdRead, lineAddr, 0)
+	sys.ev.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1FwdRead, lineAddr, 0)
 	return true
 }
 

@@ -9,9 +9,8 @@ package mem
 // and end at functionally quiescent boundaries where every MSHR is empty.
 //
 // Counter routing matches the timing path: L1 counters go through the
-// owning L1's stat pointer (a private shard under the parallel engine or
-// with telemetry attached), L2/DRAM counters through the shared Stats.
-// Spans run single-threaded between engine cycles, so both are safe.
+// owning L1's stat pointer (a private shard with telemetry attached),
+// L2/DRAM counters through the shared Stats.
 func (s *System) WarmGlobal(sm int, lineAddr uint32, write bool) {
 	c := s.l1s[sm]
 	if write {

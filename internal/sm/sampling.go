@@ -123,10 +123,7 @@ func (s *SM) FunctionalRetire(max int64) int64 {
 						break
 					}
 					in := &code[pc]
-					// nil log: global lanes execute inline. Spans run on the
-					// coordinator with engine workers parked, so this is
-					// race-free even under the parallel engine.
-					info := s.execute(w, in, active, nil)
+					info := s.execute(w, in, active)
 					w.IssuedInstrs++
 					w.ThreadInstrs += int64(info.Lanes)
 					s.Stats.Issued++

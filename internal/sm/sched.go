@@ -549,7 +549,7 @@ func (sc *scheduler) issue(w *warp.Warp) {
 	}
 
 	sc.rfBankStall(w, in)
-	info := s.execute(w, in, active, s.Glog)
+	info := s.execute(w, in, active)
 	w.LastIssue = now
 	w.IssuedInstrs++
 	w.ThreadInstrs += int64(info.Lanes)
@@ -584,11 +584,11 @@ func (sc *scheduler) issue(w *warp.Warp) {
 
 // execute runs the instruction functionally: over register rows, or per
 // lane through the reference evaluator when the fast path is disabled.
-func (s *SM) execute(w *warp.Warp, in *isa.Instr, active simt.Mask, log *warp.GmemLog) warp.ExecInfo {
+func (s *SM) execute(w *warp.Warp, in *isa.Instr, active simt.Mask) warp.ExecInfo {
 	if s.DisableFastPath {
-		return warp.ExecuteRef(w, in, active, s.Gmem, s.addrBuf, log)
+		return warp.ExecuteRef(w, in, active, s.Gmem, s.addrBuf)
 	}
-	return warp.Execute(w, in, active, s.Gmem, s.addrBuf, log)
+	return warp.Execute(w, in, active, s.Gmem, s.addrBuf)
 }
 
 func (sc *scheduler) aluIssue(w *warp.Warp, in *isa.Instr) {

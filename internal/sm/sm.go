@@ -34,11 +34,7 @@ type Controller interface {
 // invoked synchronously at the transition site and must be a pure
 // observer: a Probe may not mutate simulator state, and results must be
 // bit-identical with and without one attached (gpu's telemetry
-// equivalence test enforces this, like CheckInvariants). Under the
-// parallel engine CTADeactivated can fire on a worker goroutine (CTA
-// retirement happens inside the step phase), so implementations must not
-// share mutable state across SMs; per-SM sharding is race-free because
-// each SM is driven by exactly one goroutine at a time.
+// equivalence test enforces this, like CheckInvariants).
 type Probe interface {
 	// CTAActivated fires after the CTA's warps are bound to warp slots
 	// (fresh activations and VT swap-ins alike).
@@ -141,7 +137,7 @@ func (s *SM) HandleEvent(kind uint8, a, b uint32) {
 type SM struct {
 	ID   int
 	Cfg  *config.GPUConfig
-	Ev   *event.Lane // per-SM event lane over the shared queue
+	Ev   *event.Queue // the GPU's shared event queue
 	Mem  *mem.System
 	Gmem *mem.Backing
 
@@ -151,11 +147,6 @@ type SM struct {
 	// fast-forward spans for telemetry. Nil costs one pointer check at
 	// each (rare) transition; see the Probe contract above.
 	Probe Probe
-
-	// Glog, when non-nil, defers global-memory lane loops so the parallel
-	// engine can commit them in SM-index order after the cycle barrier.
-	// Nil (the sequential default) executes them inline at issue.
-	Glog *warp.GmemLog
 
 	// Effective scheduling limits under the configured policy.
 	MaxCTAs    int
@@ -229,7 +220,7 @@ type SM struct {
 	newestFirst   bool    // Cfg.VT.Activation == config.ActNewest
 
 	// Per-SM fast-forward (engine idle skip at SM granularity): while
-	// asleep the engine runs neither CtlPhase nor StepPhase for this SM;
+	// asleep the engine does not call Cycle for this SM;
 	// WakeUp charges the skipped span through AccountSkipped before any
 	// state mutation makes the frozen classification stale.
 	asleep    bool
@@ -257,10 +248,10 @@ type wbEntry struct {
 // SFU, shared-memory loads). These completions touch only the issuing
 // warp's scoreboard, so routing them through the shared event queue bought
 // nothing but heap churn and a closure allocation per issued instruction;
-// the wheel keeps them SM-local, which also lets the parallel engine retire
-// them without locking. Completions commute with every same-cycle event
-// (nothing reads a scoreboard between event callbacks), so draining at the
-// start of the SM's cycle is timing-identical to the old queue events.
+// the wheel keeps them SM-local. Completions commute with every same-cycle
+// event (nothing reads a scoreboard between event callbacks), so draining
+// at the start of the SM's cycle is timing-identical to the old queue
+// events.
 type wbWheel struct {
 	slots   [][]wbEntry // ring, indexed by cycle & mask
 	mask    int64
@@ -366,7 +357,7 @@ func New(id int, cfg *config.GPUConfig, ev *event.Queue, msys *mem.System,
 	s := &SM{
 		ID:         id,
 		Cfg:        cfg,
-		Ev:         event.NewLane(ev),
+		Ev:         ev,
 		Mem:        msys,
 		Gmem:       gmem,
 		Ctl:        ctl,
@@ -617,33 +608,14 @@ func (s *SM) retire(c *warp.CTA) {
 // Idle reports whether the SM holds no work at all.
 func (s *SM) Idle() bool { return len(s.Resident) == 0 }
 
-// Cycle advances the SM by one core cycle. It returns true when any warp
-// instruction issued (used by the engine's idle-skip heuristic).
+// Cycle advances the SM by one core cycle: it retires due local
+// writebacks, runs the CTA-scheduling controller, streams the LSU and lets
+// every scheduler issue. It returns true when any warp instruction issued
+// (used by the engine's idle-skip heuristic).
 func (s *SM) Cycle() bool {
-	s.CtlPhase()
-	return s.StepPhase()
-}
-
-// CtlPhase is the serial half of a cycle: it retires due local writebacks
-// and runs the CTA-scheduling controller, which may touch GPU-shared state
-// (the grid dispenser, controller-wide statistics). The parallel engine
-// runs CtlPhase for every SM in index order on one thread; this is exactly
-// the order the sequential engine interleaves them in, and no SM's step
-// phase mutates anything another SM's controller reads, so decisions are
-// identical (see docs/ARCHITECTURE.md, "Parallel engine & determinism").
-func (s *SM) CtlPhase() {
 	s.Stats.Cycles++
 	s.wb.drainTo(s.Ev.Now(), s)
 	s.Ctl.Cycle(s)
-}
-
-// StepPhase is the shardable half of a cycle: LSU streaming and warp
-// issue. It touches only SM-local state plus three buffered channels — the
-// SM's event lane, its L1's stat shard, and its global-memory log — so
-// shards of SMs step concurrently and the engine commits the buffers in
-// SM-index order after the barrier. Returns true when any warp instruction
-// issued.
-func (s *SM) StepPhase() bool {
 	s.lsuTick()
 
 	issued := false
@@ -705,7 +677,7 @@ type sleepGate interface {
 
 // TrySleep puts the SM into per-SM fast-forward if nothing local can change
 // state: it is quiescent and no scheduler holds a register-file bank stall
-// that expires after next cycle. While asleep the engine skips both phases;
+// that expires after next cycle. While asleep the engine skips its cycles;
 // any event that can change the SM's state wakes it first (WakeUp), and the
 // local writeback wheel wakes it through WheelWakeDue.
 func (s *SM) TrySleep() {

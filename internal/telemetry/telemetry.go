@@ -172,9 +172,7 @@ type openCTA struct {
 	track int
 }
 
-// smRec is one SM's recorder. Under the parallel engine a given SM is
-// driven by exactly one goroutine at a time, so per-SM state needs no
-// locking (see the sm.Probe contract).
+// smRec is one SM's recorder.
 type smRec struct {
 	ring   []Window
 	last   sm.Stats  // cumulative snapshot at the previous boundary

@@ -33,23 +33,18 @@ type ExecInfo struct {
 // row of its register, a mask that is a dense lane prefix (a full warp, or
 // the partial last warp of a CTA) runs bounds-check-free range loops, and
 // a sparse mask walks its set bits over the same rows.
-//
-// When log is non-nil, global-memory lane loops are recorded into it
-// instead of touching gmem; the caller replays them with Flush in SM-index
-// order, which is how the parallel engine keeps shared-memory traffic
-// bit-identical to sequential execution (see GmemLog).
-func Execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
-	return execute(w, in, active, gmem, addrBuf, log, false)
+func Execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32) ExecInfo {
+	return execute(w, in, active, gmem, addrBuf, false)
 }
 
 // ExecuteRef is Execute with every lane loop run per lane through Reg,
 // SetReg and evalALU: the semantic reference the row kernels are tested
 // against, selected by gpu.Options.DisableIssueFastPath.
-func ExecuteRef(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
-	return execute(w, in, active, gmem, addrBuf, log, true)
+func ExecuteRef(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32) ExecInfo {
+	return execute(w, in, active, gmem, addrBuf, true)
 }
 
-func execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, log *GmemLog, ref bool) ExecInfo {
+func execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBuf []uint32, ref bool) ExecInfo {
 	info := ExecInfo{Active: active, Lanes: active.Count()}
 
 	switch in.Op {
@@ -96,14 +91,11 @@ func execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBu
 		}
 		switch {
 		case !in.Op.IsGlobal():
-			// Shared memory is CTA-private: always safe to run inline.
 			if ref {
 				execSharedLanes(w, in, info.Addrs, active)
 			} else {
 				execSharedRows(w, in, info.Addrs, active)
 			}
-		case log != nil:
-			log.ops = append(log.ops, gmemOp{w: w, in: in, active: active, ref: ref})
 		case ref:
 			execGlobalLanes(w, in, gmem, active)
 		default:
@@ -137,11 +129,7 @@ func execSharedLanes(w *Warp, in *isa.Instr, addrs []uint32, active simt.Mask) {
 	}
 }
 
-// execGlobalLanes is the per-lane reference of a global load/store/atomic:
-// the same loop whether run inline (sequential engine) or replayed from a
-// GmemLog (parallel engine). Addresses are recomputed from SrcA, which is
-// exact: a warp issues at most one instruction per cycle, so none of its
-// registers can change between issue and replay.
+// execGlobalLanes is the per-lane reference of a global load/store/atomic.
 func execGlobalLanes(w *Warp, in *isa.Instr, gmem *mem.Backing, active simt.Mask) {
 	for m := active; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(uint64(m))
@@ -157,45 +145,6 @@ func execGlobalLanes(w *Warp, in *isa.Instr, gmem *mem.Backing, active simt.Mask
 			w.SetReg(in.Dst, lane, old)
 		}
 	}
-}
-
-// gmemOp is one deferred global-memory lane loop.
-type gmemOp struct {
-	w      *Warp
-	in     *isa.Instr
-	active simt.Mask
-	ref    bool // replay per lane (ExecuteRef) instead of over rows
-}
-
-// GmemLog collects the global-memory lane loops an SM's issues produce
-// during one parallel step so the shared Backing is never touched
-// concurrently. The engine flushes the logs in ascending SM-index order
-// after the cycle barrier; within a log, ops replay in issue order, so the
-// interleaving of loads, stores, and atomics across the whole GPU is
-// exactly the one the sequential engine produces. Replay reads the warp's
-// register rows at flush time exactly as the per-lane loop read lanes: the
-// warp cannot issue again before the flush, so the rows still hold their
-// issue-time values.
-type GmemLog struct {
-	ops []gmemOp
-}
-
-// Len returns the number of deferred ops (for tests).
-func (l *GmemLog) Len() int { return len(l.ops) }
-
-// Flush replays the deferred lane loops against gmem in issue order and
-// empties the log.
-func (l *GmemLog) Flush(gmem *mem.Backing) {
-	for i := range l.ops {
-		op := &l.ops[i]
-		if op.ref {
-			execGlobalLanes(op.w, op.in, gmem, op.active)
-		} else {
-			execGlobalRows(op.w, op.in, gmem, op.active)
-		}
-		op.w, op.in = nil, nil
-	}
-	l.ops = l.ops[:0]
 }
 
 // loadShared reads a word from the CTA's shared memory; out-of-bounds

@@ -114,8 +114,8 @@ func execSharedRows(w *Warp, in *isa.Instr, addrs []uint32, active simt.Mask) {
 	}
 }
 
-// execGlobalRows is execGlobalLanes over rows; like it, it recomputes the
-// addresses from SrcA so a GmemLog replay needs no per-lane state.
+// execGlobalRows is execGlobalLanes over rows; like it, it computes the
+// addresses from SrcA.
 func execGlobalRows(w *Warp, in *isa.Instr, gmem *mem.Backing, active simt.Mask) {
 	a := w.row(in.SrcA)
 	off := in.Imm

@@ -36,7 +36,7 @@ func runWarp(t *testing.T, w *Warp, code []isa.Instr, gmem *mem.Backing) {
 		if !ok {
 			break
 		}
-		Execute(w, &code[pc], active, gmem, buf, nil)
+		Execute(w, &code[pc], active, gmem, buf)
 	}
 }
 
@@ -292,7 +292,7 @@ func TestExecuteBarrierFlag(t *testing.T) {
 	w := c.Warps[0]
 	buf := make([]uint32, 32)
 	_, active, _ := w.Stack.Current()
-	info := Execute(w, &k.Code[0], active, mem.NewBacking(), buf, nil)
+	info := Execute(w, &k.Code[0], active, mem.NewBacking(), buf)
 	if !info.IsBar {
 		t.Fatal("barrier must be flagged")
 	}
@@ -523,9 +523,9 @@ func newLaneRig(seed int64, warpIdx int, active simt.Mask) *laneRig {
 
 func (r *laneRig) run(in *isa.Instr, ref bool) ExecInfo {
 	if ref {
-		return ExecuteRef(r.w, in, r.active, r.gmem, r.buf, nil)
+		return ExecuteRef(r.w, in, r.active, r.gmem, r.buf)
 	}
-	return Execute(r.w, in, r.active, r.gmem, r.buf, nil)
+	return Execute(r.w, in, r.active, r.gmem, r.buf)
 }
 
 // testRowKernelEquivalence runs every opcode, with the immediate and the
@@ -534,8 +534,7 @@ func (r *laneRig) run(in *isa.Instr, ref bool) ExecInfo {
 // masks, through the row kernels and through the per-lane reference from
 // identical state, and requires identical registers (every lane of every
 // register, so inactive lanes and untouched registers count), shared and
-// global memory, SIMT stack and ExecInfo. Global ops also replay through a
-// GmemLog.
+// global memory, SIMT stack and ExecInfo.
 func testRowKernelEquivalence(t *testing.T) {
 	type regs struct{ d, a, b, c isa.Reg }
 	operands := []regs{
@@ -645,20 +644,6 @@ func testRowKernelEquivalence(t *testing.T) {
 								}
 							}
 
-							if op.IsGlobal() {
-								// Deferred replay reads the rows at flush time.
-								logged := newLaneRig(seed, m.warp, m.active)
-								var log GmemLog
-								Execute(logged.w, &in, m.active, logged.gmem, logged.buf, &log)
-								if log.Len() != 1 {
-									t.Fatalf("%s: %d ops logged", name, log.Len())
-								}
-								log.Flush(logged.gmem)
-								if !reflect.DeepEqual(logged.w.Regs, lanes.w.Regs) ||
-									logged.gmem.TouchedWords() != lanes.gmem.TouchedWords() {
-									t.Fatalf("%s: GmemLog replay differs from inline execution", name)
-								}
-							}
 						}
 					}
 				}
