@@ -1,0 +1,123 @@
+// Package cmd holds the one smoke test the command-line tools share: it
+// builds every binary once and runs each with the smallest input that
+// reaches its main path, so a tool that stops starting, stops parsing its
+// flags or stops printing its summary fails here and not in a CI drill.
+package cmd
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// run executes one built tool and returns its stdout and exit code;
+// stderr goes to the test log.
+func run(t *testing.T, dir, bin string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(dir, bin), args...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if stderr.Len() > 0 {
+		t.Logf("%s %v stderr:\n%s", bin, args, stderr.String())
+	}
+	if exit := (*exec.ExitError)(nil); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v", bin, args, err)
+	}
+	return stdout.String(), cmd.ProcessState.ExitCode()
+}
+
+func TestCommandSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command-line tools")
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"repro/cmd/vtsim", "repro/cmd/vtasm", "repro/cmd/vtdiff",
+		"repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// The repo ships no .vta source; three instructions are a kernel.
+	kernel := ".kernel tiny\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n"
+	if err := os.WriteFile(filepath.Join(dir, "tiny.vta"), []byte(kernel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// vtdiff's input is a vtsim -json result; vtreport's a swept store.
+	result, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-json")
+	if code != 0 {
+		t.Fatalf("vtsim -json exited %d", code)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bfs.json"), []byte(result), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, code := run(t, dir, "vtbench", "-run", "fig-swaplat", "-dilute", "60", "-store", "swept", "-faildir", ""); code != 0 {
+		t.Fatalf("vtbench sweep exited %d", code)
+	}
+	experiments, code := run(t, dir, "vtbench", "-list")
+	if code != 0 || !strings.Contains(experiments, "fig-swaplat") {
+		t.Fatalf("vtbench -list exited %d:\n%s", code, experiments)
+	}
+
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		// want is one stable line (or line prefix) of stdout; whole makes
+		// it the entire expected output instead.
+		want  string
+		whole bool
+	}{
+		{bin: "vtsim", args: []string{"-workload", "bfs", "-policy", "vt"}, want: "policy:              vt, scheduler gto, 15 SMs"},
+		{bin: "vtasm", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
+		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
+		{bin: "vtsweepd", args: []string{"-list"}, want: experiments, whole: true},
+	} {
+		t.Run(tc.bin, func(t *testing.T) {
+			out, code := run(t, dir, tc.bin, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit code %d, want 0\n%s", code, out)
+			}
+			if tc.whole && out != tc.want {
+				t.Errorf("output differs:\n%s\nwant:\n%s", out, tc.want)
+			}
+			if !tc.whole && !hasLinePrefix(out, tc.want) {
+				t.Errorf("no output line starts with %q:\n%s", tc.want, out)
+			}
+		})
+	}
+
+	// A result diffed against itself: every metric row reads +0.0%.
+	t.Run("vtdiff", func(t *testing.T) {
+		out, code := run(t, dir, "vtdiff", "bfs.json", "bfs.json")
+		if code != 0 {
+			t.Fatalf("exit code %d, want 0\n%s", code, out)
+		}
+		rows := 0
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && strings.HasSuffix(f[len(f)-1], "%") {
+				rows++
+				if f[len(f)-1] != "+0.0%" {
+					t.Errorf("non-zero delta: %q", line)
+				}
+			}
+		}
+		if rows == 0 || !hasLinePrefix(out, "speedup (a/b cycles): 1.000x") {
+			t.Errorf("found %d delta rows and no unit speedup:\n%s", rows, out)
+		}
+	})
+}
+
+func hasLinePrefix(out, prefix string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return true
+		}
+	}
+	return false
+}

@@ -340,8 +340,8 @@ func runRepair(dir, mirror string) int {
 	if mirror != "" {
 		fmt.Printf(" (mirror %s)", mirror)
 	}
-	fmt.Printf(": %d objects checked, %d healthy, %d legacy, %d repaired\n",
-		rep.Checked, rep.Healthy, rep.Legacy, rep.Repaired)
+	fmt.Printf(": %d objects checked, %d healthy, %d repaired\n",
+		rep.Checked, rep.Healthy, rep.Repaired)
 	for _, d := range rep.Damaged {
 		fmt.Printf("damaged: %s\n", d)
 	}

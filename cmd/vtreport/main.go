@@ -127,9 +127,9 @@ func storeReport(dir, mirror string) error {
 	defer st.Close()
 
 	t := stats.NewTable("result store inventory: "+dir,
-		"kind", "objects", "legacy", "segmented", "bytes")
+		"kind", "objects", "segmented", "bytes")
 	for _, inv := range st.Inventory() {
-		t.Rowf(string(inv.Kind), inv.Objects, inv.Legacy, inv.Segmented, inv.Bytes)
+		t.Rowf(string(inv.Kind), inv.Objects, inv.Segmented, inv.Bytes)
 	}
 	t.Fprint(os.Stdout)
 	fmt.Println()
@@ -142,8 +142,7 @@ func storeReport(dir, mirror string) error {
 	fmt.Println()
 
 	rep := st.Verify()
-	fmt.Printf("audit: %d objects checked, %d healthy, %d legacy (pre-store, unverified)\n",
-		rep.Checked, rep.Healthy, rep.Legacy)
+	fmt.Printf("audit: %d objects checked, %d healthy\n", rep.Checked, rep.Healthy)
 	for _, d := range rep.Damaged {
 		fmt.Printf("damaged: %s\n", d)
 	}

@@ -112,10 +112,10 @@ func realMain() int {
 	sp.Workers = *dispatch
 	sp.Ctx = ctx
 
-	// Remote completions committed synchronously as they arrived, and
-	// RunExperiments waited for the write-behind outcomes of any local
-	// fallback runs before stopping the sweep's wall clock: what follows
-	// is the fleet taking its leave, not sweep time.
+	// Every completion was committed before it was acknowledged, so when
+	// RunExperiments stops the sweep's wall clock the store already holds
+	// all of them: what follows is the fleet taking its leave, not sweep
+	// time.
 	report, exitCode, err := sf.RunExperiments("vtsweepd", sp, w)
 	if err != nil {
 		return fatalf("%v", err)

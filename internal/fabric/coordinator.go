@@ -5,11 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/gpu"
+	"repro/internal/config"
 	"repro/internal/harness"
 )
 
@@ -34,8 +33,8 @@ const (
 type Config struct {
 	// Params are the coordinator-side harness parameters: its result
 	// store (the fleet's shared cache and completion log), journal,
-	// monitor, and tracer. The Executor field is ignored — the
-	// coordinator installs its own.
+	// monitor, and tracer. They carry no Ctx: a completion that arrives
+	// while the sweep is being canceled must still commit.
 	Params harness.Params
 	// LeaseTTL overrides DefaultLeaseTTL.
 	LeaseTTL time.Duration
@@ -70,9 +69,8 @@ type job struct {
 	queued       time.Duration
 	doneAt       time.Time
 
-	res    *gpu.Result
-	errmsg string
-	done   chan struct{}
+	out  harness.Outcome // the accepted completion; set before done closes
+	done chan struct{}
 }
 
 // workerInfo is the dashboard's view of one worker.
@@ -89,8 +87,9 @@ type workerInfo struct {
 
 // Coordinator owns the job queue, the lease table, and the distributed
 // completion log. It is driven from two sides: the sweep side calls
-// Executor()'s Execute per planned job (blocking until a worker
-// delivers), and the fleet side calls the HTTP handlers in server.go.
+// Executor()'s Execute for each job its memo and store cannot answer
+// (blocking until a worker delivers), and the fleet side calls the HTTP
+// handlers in server.go.
 type Coordinator struct {
 	cfg Config
 	ttl time.Duration
@@ -249,33 +248,35 @@ func (c *Coordinator) requeueLocked(j *job, now time.Time) {
 	wake(&c.leasable)
 }
 
-// Executor returns the harness.Executor that dispatches jobs to the
-// fleet. Install it as Params.Executor on the sweep the coordinator
-// runs.
+// Executor returns the harness.Executor that leases jobs to the fleet.
+// Install it as Params.Executor on the sweep the coordinator runs.
 func (c *Coordinator) Executor() harness.Executor { return fleetExecutor{c} }
 
 // fleetExecutor implements harness.Executor by enqueueing the job and
-// blocking until a worker completes it (or the sweep context cancels).
+// blocking until a worker's completion for it has been committed (or the
+// sweep context cancels). The Outcome it returns is the worker's own.
 type fleetExecutor struct{ c *Coordinator }
 
-func (e fleetExecutor) Execute(p harness.Params, j harness.Job) (*gpu.Result, error) {
-	fp, key, err := harness.FingerprintKey(p, j)
+func (e fleetExecutor) Execute(p harness.Params, j harness.Job, cfg config.GPUConfig, fp string) (harness.Outcome, error) {
+	b, err := json.Marshal(&cfg)
 	if err != nil {
-		// Unfingerprintable config: no stable job key exists, so run the
-		// point locally exactly like the non-fabric path would.
-		return harness.ExecuteJob(p, j)
+		return harness.Outcome{}, fmt.Errorf("fabric: marshal config for %s/%s: %w", j.Workload, j.Variant, err)
 	}
-	harness.AddMetrics(harness.RunMetrics{Requests: 1})
-	if res := harness.LoadCachedResult(p, fp); res != nil {
-		// Already in the coordinator store (resumed or repeated sweep):
-		// never dispatched, mirroring the local store-hit path.
-		return res, nil
-	}
-	spec, err := e.c.specFor(p, j, fp, key)
-	if err != nil {
-		return nil, err
-	}
-	jb := e.c.enqueue(spec)
+	key := harness.CacheKey(fp)
+	jb := e.c.enqueue(JobSpec{
+		Key:             key,
+		FP:              fp,
+		Workload:        j.Workload,
+		Variant:         j.Variant,
+		Scale:           p.Scale,
+		Dilute:          p.Dilute,
+		Config:          b,
+		Sampling:        p.Sampling,
+		PrefixFP:        j.PrefixFP,
+		ForkCycle:       p.ForkCycle,
+		CheckInvariants: p.CheckInvariants,
+		RunTimeoutMS:    p.RunTimeout.Milliseconds(),
+	})
 
 	did := p.Trace.Begin(p.Span(), "fabric.dispatch", j.Workload, j.Variant)
 	p.Trace.SetAttr(did, "key", key[:12])
@@ -289,44 +290,21 @@ func (e fleetExecutor) Execute(p harness.Params, j harness.Job) (*gpu.Result, er
 	case <-jb.done:
 	case <-ctx.Done():
 		p.Trace.SetAttr(did, "outcome", "canceled")
-		return nil, fmt.Errorf("fabric: dispatch %s/%s: %w", j.Workload, j.Variant, ctx.Err())
+		return harness.Outcome{}, fmt.Errorf("fabric: dispatch %s/%s: %w", j.Workload, j.Variant, ctx.Err())
 	}
 	e.c.mu.Lock()
-	res, errmsg, worker := jb.res, jb.errmsg, jb.worker
+	out, worker := jb.out, jb.worker
 	queued, run := jb.queued, jb.doneAt.Sub(jb.enqueued)-jb.queued
 	e.c.mu.Unlock()
 	p.Trace.SetAttr(did, "worker", worker)
 	p.Trace.SetAttr(did, "queued_ms", strconv.FormatInt(queued.Milliseconds(), 10))
 	p.Trace.SetAttr(did, "run_ms", strconv.FormatInt(run.Milliseconds(), 10))
-	if errmsg != "" {
+	if out.Result == nil {
 		p.Trace.SetAttr(did, "outcome", "error")
-		return nil, fmt.Errorf("fabric: %s/%s on %s: %s", j.Workload, j.Variant, worker, errmsg)
+		return out, fmt.Errorf("fabric: %s/%s on %s: %s", j.Workload, j.Variant, worker, out.Entry.Error)
 	}
 	p.Trace.SetAttr(did, "outcome", "ok")
-	return res, nil
-}
-
-// specFor resolves one harness job into its wire form.
-func (c *Coordinator) specFor(p harness.Params, j harness.Job, fp, key string) (JobSpec, error) {
-	cfg := j.ConfigFor(p)
-	b, err := json.Marshal(&cfg)
-	if err != nil {
-		return JobSpec{}, fmt.Errorf("fabric: marshal config for %s/%s: %w", j.Workload, j.Variant, err)
-	}
-	return JobSpec{
-		Key:             key,
-		FP:              fp,
-		Workload:        j.Workload,
-		Variant:         j.Variant,
-		Scale:           p.Scale,
-		Dilute:          p.Dilute,
-		Config:          b,
-		Sampling:        p.Sampling,
-		PrefixFP:        j.PrefixFP,
-		ForkCycle:       p.ForkCycle,
-		CheckInvariants: p.CheckInvariants,
-		RunTimeoutMS:    p.RunTimeout.Milliseconds(),
-	}, nil
+	return out, nil
 }
 
 // enqueue adds the job to the queue, coalescing on the cache key, and
@@ -478,25 +456,27 @@ func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 	}
 }
 
-// complete records one executed job: idempotent by key, and accepted
-// even from an expired lease if the job is not yet done — the work is
-// deterministic, so first-in wins and duplicates are dropped.
+// complete accepts one job's Outcome from a worker: idempotent by key,
+// and accepted even from an expired lease if the job is not yet done —
+// the work is deterministic, so first-in wins and duplicates are dropped.
 func (c *Coordinator) complete(req CompleteRequest) error {
 	now := c.cfg.now()
+	out := req.Outcome
+	key := out.Entry.FP
 	c.mu.Lock()
-	j, ok := c.jobs[req.Key]
+	j, ok := c.jobs[key]
 	if !ok {
 		c.mu.Unlock()
-		return fmt.Errorf("unknown job key %q", req.Key)
+		return fmt.Errorf("unknown job key %q", key)
 	}
 	if j.state == jobDone {
 		c.dupCompletions++
 		c.mu.Unlock()
 		return nil
 	}
-	if req.Error == "" && req.Result == nil {
+	if (out.Result == nil) != (out.Entry.Status == "failed") {
 		c.mu.Unlock()
-		return fmt.Errorf("completion for %q has neither result nor error", req.Key)
+		return fmt.Errorf("completion for %q is neither a result nor a failure", key)
 	}
 	if j.state == jobPending {
 		// Completed by a lease that had expired before anyone took the
@@ -504,8 +484,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 		j.queued += now.Sub(j.pendingSince)
 	}
 	j.state = jobDone
-	j.res = req.Result
-	j.errmsg = req.Error
+	j.out = out
 	if j.worker != "" {
 		c.workerJobDoneLocked(j.worker)
 	}
@@ -514,84 +493,25 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	j.leaseID = ""
 	c.completions++
 	c.touchWorkerLocked(req.Worker, now)
-	delta := completionDelta(req.Entry)
 	if w := c.workers[req.Worker]; w != nil {
 		w.completions++
-		w.simCycles += delta.SimCycles
+		w.simCycles += out.Work.SimCycles
 	}
-	spec := j.spec
+	fp := j.spec.FP
 	c.mu.Unlock()
 
-	// Durability before visibility: the Result and its completion-log
-	// line commit to the coordinator store as one transaction (the
-	// distributed completion log), and only then does the waiting
-	// Execute observe the job done. A coordinator crash after this
-	// point resumes from its own journal/store like any local sweep.
-	if req.Error == "" {
-		harness.RecordRemote(c.cfg.Params, spec.FP, req.Entry, req.Result)
-	} else {
-		harness.RecordRemote(c.cfg.Params, spec.FP, req.Entry, nil)
-	}
-	harness.NoteRemoteCompletion(c.cfg.Params, delta)
+	// Durability before visibility: the commit every local outcome goes
+	// through, waited for. Only then is the completion acknowledged and
+	// does the waiting Execute see the job done, so a coordinator crash
+	// after this point resumes from its own journal and store like any
+	// local sweep.
+	<-harness.CommitOutcome(c.cfg.Params, fp, out)
 	done := c.cfg.now()
 	c.mu.Lock()
 	j.doneAt = done
 	c.mu.Unlock()
 	close(j.done)
 	return nil
-}
-
-// completionDelta derives the coordinator-side RunMetrics delta from a
-// worker's completion-log entry. Forked runs report total cycles but
-// simulated only their suffix; the prefix cycle count rides in the
-// ForkedFrom label ("<key>@<cycle>") and is credited to
-// PrefixCyclesSaved instead, exactly like the local accounting. An
-// Attempts of zero means the worker served its local store (nothing
-// simulated now), which counts as a fleet cache hit.
-func completionDelta(e harness.JournalEntry) harness.RunMetrics {
-	var d harness.RunMetrics
-	if e.Attempts == 0 {
-		return d
-	}
-	d.Executed = 1
-	if e.Attempts > 1 {
-		d.Retries = e.Attempts - 1
-	}
-	switch e.Status {
-	case "degraded":
-		d.Degraded = 1
-	case "failed":
-		d.Failures = 1
-	}
-	if e.Status != "failed" {
-		cycles := e.Cycles
-		if at, ok := forkedAtCycle(e.ForkedFrom); ok {
-			d.CheckpointHits = 1
-			d.PrefixCyclesSaved = at
-			cycles -= at
-		}
-		if cycles > 0 {
-			d.SimCycles = cycles
-		}
-	}
-	if e.ErrorBound > 0 {
-		d.SampledRuns = 1
-		d.MaxErrorBound = e.ErrorBound
-	}
-	return d
-}
-
-// forkedAtCycle parses the "<prefix-key>@<cycle>" ForkedFrom label.
-func forkedAtCycle(s string) (int64, bool) {
-	i := strings.LastIndexByte(s, '@')
-	if i < 0 {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(s[i+1:], 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // Status snapshots the fleet for /status and the dashboard.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -40,66 +41,6 @@ func (c *testClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-func TestCompletionDelta(t *testing.T) {
-	cases := []struct {
-		name  string
-		entry harness.JournalEntry
-		want  harness.RunMetrics
-	}{
-		{
-			name:  "ok",
-			entry: harness.JournalEntry{Status: "ok", Attempts: 1, Cycles: 500},
-			want:  harness.RunMetrics{Executed: 1, SimCycles: 500},
-		},
-		{
-			name:  "worker cache hit counts nothing",
-			entry: harness.JournalEntry{Status: "ok", Attempts: 0, Cycles: 500},
-			want:  harness.RunMetrics{},
-		},
-		{
-			name:  "degraded retry",
-			entry: harness.JournalEntry{Status: "degraded", Attempts: 2, Cycles: 300},
-			want:  harness.RunMetrics{Executed: 1, Retries: 1, Degraded: 1, SimCycles: 300},
-		},
-		{
-			name:  "failed records no cycles",
-			entry: harness.JournalEntry{Status: "failed", Attempts: 2, Cycles: 0},
-			want:  harness.RunMetrics{Executed: 1, Retries: 1, Failures: 1},
-		},
-		{
-			name:  "forked run credits only the suffix",
-			entry: harness.JournalEntry{Status: "ok", Attempts: 1, Cycles: 1000, ForkedFrom: "abcdef123456@400"},
-			want: harness.RunMetrics{
-				Executed: 1, SimCycles: 600,
-				CheckpointHits: 1, PrefixCyclesSaved: 400,
-			},
-		},
-		{
-			name:  "sampled run carries its error bound",
-			entry: harness.JournalEntry{Status: "ok", Attempts: 1, Cycles: 800, ErrorBound: 0.03},
-			want:  harness.RunMetrics{Executed: 1, SimCycles: 800, SampledRuns: 1, MaxErrorBound: 0.03},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := completionDelta(tc.entry); got != tc.want {
-				t.Errorf("completionDelta(%+v) = %+v, want %+v", tc.entry, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestForkedAtCycle(t *testing.T) {
-	if at, ok := forkedAtCycle("abc@123"); !ok || at != 123 {
-		t.Errorf("abc@123 = (%d, %v)", at, ok)
-	}
-	for _, s := range []string{"", "abc", "abc@", "abc@-1", "abc@x"} {
-		if _, ok := forkedAtCycle(s); ok {
-			t.Errorf("forkedAtCycle(%q) unexpectedly parsed", s)
-		}
-	}
 }
 
 // leaseProtocolCoordinator builds a coordinator with a fake clock and a
@@ -208,13 +149,15 @@ func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 	}
 
 	// ...but the "dead" worker was only slow: its completion still lands.
-	res := &gpu.Result{Cycles: 42}
-	entry := harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42}
-	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Key: "j1", Entry: entry, Result: res}); err != nil {
+	out := harness.Outcome{
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Result: &gpu.Result{Cycles: 42},
+	}
+	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Outcome: out}); err != nil {
 		t.Fatalf("expired-lease completion refused: %v", err)
 	}
 	// The second worker's duplicate is dropped, not an error.
-	if err := c.complete(CompleteRequest{LeaseID: l2.LeaseID, Worker: "w2", Key: "j1", Entry: entry, Result: res}); err != nil {
+	if err := c.complete(CompleteRequest{LeaseID: l2.LeaseID, Worker: "w2", Outcome: out}); err != nil {
 		t.Fatalf("duplicate completion errored: %v", err)
 	}
 	st := c.Status()
@@ -222,13 +165,17 @@ func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 		t.Fatalf("status after duplicate: %+v", st)
 	}
 
-	// Unknown keys and empty completions are rejected.
-	if err := c.complete(CompleteRequest{Key: "nope", Entry: entry, Result: res}); err == nil {
+	// Unknown keys and completions that are neither a result nor a
+	// failure are rejected.
+	unknown := out
+	unknown.Entry.FP = "nope"
+	if err := c.complete(CompleteRequest{Outcome: unknown}); err == nil {
 		t.Fatal("unknown key accepted")
 	}
 	c.enqueue(JobSpec{Key: "j3", FP: "fp-j3"})
-	if err := c.complete(CompleteRequest{Key: "j3"}); err == nil {
-		t.Fatal("completion with neither result nor error accepted")
+	empty := harness.Outcome{Entry: harness.JournalEntry{FP: "j3", Status: "ok"}}
+	if err := c.complete(CompleteRequest{Outcome: empty}); err == nil {
+		t.Fatal("completion with neither a result nor a failure accepted")
 	}
 }
 
@@ -441,22 +388,41 @@ func openTestJournal(t *testing.T, dir string) *harness.Journal {
 	return jl
 }
 
-// runBaseline runs the batch single-process into its own store and
-// returns the per-job results and journal cycles — the ground truth the
-// fleet runs must reproduce bit-identically.
-func runBaseline(t *testing.T, jobs []harness.Job, checkpoint bool) (map[string]string, map[string]int64) {
+// baseline is what a single-process run of a batch produced: the ground
+// truth a fleet run of the same batch must reproduce, bit-identically
+// for results and journal cycles and to the digit for the work counters.
+type baseline struct {
+	results map[string]string // canonical Result JSON by workload/variant
+	cycles  map[string]int64  // journal cycles by cache key
+	work    harness.RunMetrics
+}
+
+// sweepShape varies a fixture's sweep parameters (checkpointing,
+// sampling); nil leaves the plain exact sweep.
+type sweepShape func(*harness.Params)
+
+func withCheckpoints(p *harness.Params) { p.Checkpoint = true }
+
+func sampled(p *harness.Params) {
+	p.Sampling = gpu.SamplingOptions{DetailedCycles: 400, FastForwardCycles: 2000, WarmupCycles: 100}
+}
+
+// runBaseline runs the batch single-process into its own store.
+func runBaseline(t *testing.T, jobs []harness.Job, shape sweepShape) baseline {
 	t.Helper()
 	harness.ResetMetrics()
 	dir := t.TempDir()
 	p := testSweepParams(dir)
-	p.Checkpoint = checkpoint
+	if shape != nil {
+		shape(&p)
+	}
 	p.Journal = openTestJournal(t, dir)
 	sink := newCollectSink()
 	if err := harness.RunJobs(p, jobs, sink); err != nil {
 		t.Fatalf("single-process sweep: %v", err)
 	}
 	harness.SyncStores() // local outcomes commit write-behind
-	return sink.got, journalCycles(t, dir)
+	return baseline{sink.got, journalCycles(t, dir), harness.Metrics()}
 }
 
 // fleetFixture is one coordinator + httptest server + sweep params.
@@ -467,13 +433,15 @@ type fleetFixture struct {
 	sweep harness.Params
 }
 
-func newFleetFixture(t *testing.T, checkpoint bool, ttl time.Duration) *fleetFixture {
+func newFleetFixture(t *testing.T, shape sweepShape, ttl time.Duration) *fleetFixture {
 	t.Helper()
 	harness.ResetMetrics()
 	t.Cleanup(harness.ResetMetrics)
 	dir := t.TempDir()
 	cp := testSweepParams(dir)
-	cp.Checkpoint = checkpoint
+	if shape != nil {
+		shape(&cp)
+	}
 	cp.Journal = openTestJournal(t, dir)
 	coord := New(Config{Params: cp, LeaseTTL: ttl})
 	t.Cleanup(coord.Close)
@@ -486,98 +454,178 @@ func newFleetFixture(t *testing.T, checkpoint bool, ttl time.Duration) *fleetFix
 	return &fleetFixture{coord: coord, srv: srv, dir: dir, sweep: sweep}
 }
 
-// startWorker runs one fleet worker with its own local store dir.
-func (f *fleetFixture) startWorker(t *testing.T, ctx context.Context, id string, slots int, bc func(int)) <-chan error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{
-			Coordinator: f.srv.URL, ID: id, Slots: slots,
-			Params:         harness.Params{CacheDir: t.TempDir()},
+// A fleet test's workers are processes of their own, as they are in
+// production: the harness's memo, work counters and open stores are
+// per-process state, and a worker simulating a job while its
+// coordinator's sweep waits for that same job must not share them. The
+// test binary doubles as the worker: re-executed with workerEnv set, it
+// runs one and exits.
+const workerEnv = "VTFABRIC_TEST_WORKER"
+
+type workerSpec struct {
+	URL, ID, Dir string
+	Slots        int
+}
+
+func TestMain(m *testing.M) {
+	if env := os.Getenv(workerEnv); env != "" {
+		var ws workerSpec
+		if err := json.Unmarshal([]byte(env), &ws); err != nil {
+			fmt.Fprintln(os.Stderr, "fabric test worker:", err)
+			os.Exit(2)
+		}
+		err := RunWorker(context.Background(), WorkerConfig{
+			Coordinator: ws.URL, ID: ws.ID, Slots: ws.Slots,
+			Params:         harness.Params{CacheDir: ws.Dir},
 			HeartbeatEvery: 50 * time.Millisecond,
-			BeforeComplete: bc,
 		})
-	}()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fabric test worker %s: %v\n", ws.ID, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// startWorker starts one fleet worker process over the local store dir;
+// the channel delivers its exit (nil: it left on the sweep's 410).
+// Canceling ctx kills it.
+func startWorker(t *testing.T, ctx context.Context, url, id string, slots int, dir string) <-chan error {
+	t.Helper()
+	env, err := json.Marshal(workerSpec{URL: url, ID: id, Dir: dir, Slots: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), workerEnv+"="+string(env))
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start worker %s: %v", id, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
 	return done
 }
 
-func verifyFleetMatchesBaseline(t *testing.T, wantRes map[string]string, wantCycles map[string]int64, gotRes map[string]string, dir string) {
+// startWorker starts one fleet worker with a fresh local store.
+func (f *fleetFixture) startWorker(t *testing.T, ctx context.Context, id string, slots int) <-chan error {
 	t.Helper()
-	if len(gotRes) != len(wantRes) {
-		t.Fatalf("fleet collected %d results, baseline %d", len(gotRes), len(wantRes))
+	return startWorker(t, ctx, f.srv.URL, id, slots, t.TempDir())
+}
+
+// verifyFleetMatchesBaseline checks everything a finished fleet sweep
+// must share with the single-process run of its batch: every Result,
+// every journal cycle count, and — read from this process, which is the
+// coordinator's — the work counters, which are the workers' own Work
+// carried on the wire.
+func verifyFleetMatchesBaseline(t *testing.T, want baseline, gotRes map[string]string, dir string) {
+	t.Helper()
+	if len(gotRes) != len(want.results) {
+		t.Fatalf("fleet collected %d results, baseline %d", len(gotRes), len(want.results))
 	}
-	for k, want := range wantRes {
-		if gotRes[k] != want {
-			t.Errorf("%s: fleet result differs from single-process:\nfleet:    %s\nbaseline: %s", k, gotRes[k], want)
+	for k, res := range want.results {
+		if gotRes[k] != res {
+			t.Errorf("%s: fleet result differs from single-process:\nfleet:    %s\nbaseline: %s", k, gotRes[k], res)
 		}
 	}
 	gotCycles := journalCycles(t, dir)
-	if len(gotCycles) != len(wantCycles) {
-		t.Fatalf("fleet journal has %d entries, baseline %d", len(gotCycles), len(wantCycles))
+	if len(gotCycles) != len(want.cycles) {
+		t.Fatalf("fleet journal has %d entries, baseline %d", len(gotCycles), len(want.cycles))
 	}
-	for k, want := range wantCycles {
-		if got, ok := gotCycles[k]; !ok || got != want {
-			t.Errorf("journal key %s: fleet cycles %d (present=%v), baseline %d", k, got, ok, want)
+	for k, cycles := range want.cycles {
+		if got, ok := gotCycles[k]; !ok || got != cycles {
+			t.Errorf("journal key %s: fleet cycles %d (present=%v), baseline %d", k, got, ok, cycles)
 		}
+	}
+	// The store counters are each process's own (the coordinator asks
+	// its store before leasing; the baseline before simulating), and
+	// CacheHits is derived; everything else is work, and must agree.
+	got, base := harness.Metrics(), want.work
+	for _, m := range []*harness.RunMetrics{&got, &base} {
+		m.StoreHits, m.StoreMisses, m.StoreRepairs, m.StoreRetries = 0, 0, 0, 0
+	}
+	if got != base {
+		t.Errorf("fleet work counters differ from single-process:\nfleet:    %+v\nbaseline: %+v", got, base)
+	}
+	if got.Executed == 0 || got.SimCycles == 0 {
+		t.Errorf("fleet counters record no work: %+v", got)
 	}
 }
 
 // TestFleetDeterminism is the tentpole contract: a sweep dispatched to
 // N workers produces bit-identical results and journal cycle counts to
-// the single-process run of the same batch.
+// the single-process run of the same batch, and the coordinator's work
+// counters equal that run's — exact, and sampled, where the counters
+// include what each run extrapolated.
 func TestFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	jobs := sweepJobs()
-	wantRes, wantCycles := runBaseline(t, jobs, false)
-
-	f := newFleetFixture(t, false, 5*time.Second)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w1 := f.startWorker(t, ctx, "w1", 2, nil)
-	w2 := f.startWorker(t, ctx, "w2", 2, nil)
-
-	sink := newCollectSink()
-	if err := harness.RunJobs(f.sweep, jobs, sink); err != nil {
-		t.Fatalf("fleet sweep: %v", err)
-	}
-	f.coord.Close() // workers see 410 and exit
-	for _, w := range []<-chan error{w1, w2} {
-		select {
-		case err := <-w:
-			if err != nil {
-				t.Errorf("worker exit: %v", err)
+	for _, tc := range []struct {
+		name  string
+		shape sweepShape
+	}{{"exact", nil}, {"sampled", sampled}} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := sweepJobs()
+			want := runBaseline(t, jobs, tc.shape)
+			if sampledRuns := want.work.SampledRuns; (sampledRuns == len(jobs)) != (tc.shape != nil) {
+				t.Fatalf("baseline sampled %d of %d runs", sampledRuns, len(jobs))
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("worker did not exit after sweep close")
-		}
-	}
-	verifyFleetMatchesBaseline(t, wantRes, wantCycles, sink.got, f.dir)
 
-	st := f.coord.Status()
-	if st.Completions != int64(len(jobs)) {
-		t.Errorf("completions = %d, want %d", st.Completions, len(jobs))
-	}
-	if len(st.Workers) != 2 {
-		t.Errorf("fleet saw %d workers, want 2", len(st.Workers))
+			f := newFleetFixture(t, tc.shape, 5*time.Second)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w1 := f.startWorker(t, ctx, "w1", 2)
+			w2 := f.startWorker(t, ctx, "w2", 2)
+
+			sink := newCollectSink()
+			if err := harness.RunJobs(f.sweep, jobs, sink); err != nil {
+				t.Fatalf("fleet sweep: %v", err)
+			}
+			f.coord.Close() // workers see 410 and exit
+			for _, w := range []<-chan error{w1, w2} {
+				select {
+				case err := <-w:
+					if err != nil {
+						t.Errorf("worker exit: %v", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("worker did not exit after sweep close")
+				}
+			}
+			verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
+
+			st := f.coord.Status()
+			if st.Completions != int64(len(jobs)) {
+				t.Errorf("completions = %d, want %d", st.Completions, len(jobs))
+			}
+			if len(st.Workers) != 2 {
+				t.Errorf("fleet saw %d workers, want 2", len(st.Workers))
+			}
+		})
 	}
 }
 
 // TestFleetDeterminismWithCheckpoints repeats the determinism contract
 // with prefix forking on: jobs that share a prefix group fork from a
-// fleet-shared checkpoint, and results must still be bit-identical.
+// fleet-shared checkpoint, results must still be bit-identical, and the
+// coordinator counts the capture, the forks and the prefix cycles they
+// saved exactly as the single-process run does.
 func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
 	jobs := swapLatencyJobs()
-	wantRes, wantCycles := runBaseline(t, jobs, true)
+	want := runBaseline(t, jobs, withCheckpoints)
+	if w := want.work; w.CheckpointsCaptured != 1 || w.CheckpointHits != 2 || w.PrefixCyclesSaved == 0 {
+		t.Fatalf("baseline did not fork: %+v", w)
+	}
 
-	f := newFleetFixture(t, true, 5*time.Second)
+	f := newFleetFixture(t, withCheckpoints, 5*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w1 := f.startWorker(t, ctx, "w1", 2, nil)
+	w1 := f.startWorker(t, ctx, "w1", 2)
 
 	sink := newCollectSink()
 	if err := harness.RunJobs(f.sweep, jobs, sink); err != nil {
@@ -592,7 +640,7 @@ func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not exit after sweep close")
 	}
-	verifyFleetMatchesBaseline(t, wantRes, wantCycles, sink.got, f.dir)
+	verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
 }
 
 // swapLatencyJobs differ only in the VT swap latencies — the shape the
@@ -622,9 +670,9 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	jobs := sweepJobs()
-	wantRes, wantCycles := runBaseline(t, jobs, false)
+	want := runBaseline(t, jobs, nil)
 
-	f := newFleetFixture(t, false, 500*time.Millisecond)
+	f := newFleetFixture(t, nil, 500*time.Millisecond)
 
 	// The sweep must be enqueued before the doomed worker can lease.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -658,7 +706,7 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 
 	// Now the healthy worker joins and must finish everything,
 	// including the job the dead worker holds.
-	w1 := f.startWorker(t, ctx, "w1", 2, nil)
+	w1 := f.startWorker(t, ctx, "w1", 2)
 
 	select {
 	case err := <-sweepDone:
@@ -678,7 +726,7 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 		t.Fatal("worker did not exit after sweep close")
 	}
 
-	verifyFleetMatchesBaseline(t, wantRes, wantCycles, sink.got, f.dir)
+	verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
 	st := f.coord.Status()
 	if st.LeasesExpired < 1 {
 		t.Errorf("expected at least one expired lease, got %+v", st)
@@ -687,8 +735,8 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 }
 
 // TestFleetWarmWorkerReportsCacheHit pins the crash/rejoin accounting:
-// a worker whose local store already holds a result reports it with
-// Attempts 0, and the coordinator counts no new execution for it.
+// a worker whose local store already holds a result delivers it with no
+// Work, so the coordinator counts a request and no execution for it.
 func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -704,17 +752,10 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := newFleetFixture(t, false, 5*time.Second) // resets metrics & memo
+	f := newFleetFixture(t, nil, 5*time.Second) // resets metrics & memo, closes the warmed store
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{
-			Coordinator: f.srv.URL, ID: "warm", Slots: 1,
-			Params:         harness.Params{CacheDir: workerDir},
-			HeartbeatEvery: 50 * time.Millisecond,
-		})
-	}()
+	done := startWorker(t, ctx, f.srv.URL, "warm", 1, workerDir)
 
 	fleetSink := newCollectSink()
 	if err := harness.RunJobs(f.sweep, jobs, fleetSink); err != nil {
@@ -726,9 +767,6 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	if fleetSink.got[jobs[0].Workload+"/"+jobs[0].Variant] != sink.got[jobs[0].Workload+"/"+jobs[0].Variant] {
 		t.Error("warm-store result differs from the original run")
 	}
-	// The in-process worker shares global metrics, so assert through the
-	// coordinator's own view: the completion carried Attempts 0, which
-	// counts zero executions in its delta.
 	st := f.coord.Status()
 	if st.Completions != 1 {
 		t.Fatalf("completions = %d, want 1", st.Completions)
@@ -737,6 +775,12 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 		if w.ID == "warm" && w.SimCycles != 0 {
 			t.Errorf("warm worker credited %d sim cycles for a store hit", w.SimCycles)
 		}
+	}
+	if m := harness.Metrics(); m.Requests != 1 || m.Executed != 0 || m.SimCycles != 0 || m.CacheHits != 1 {
+		t.Errorf("coordinator counted work for a worker's store hit: %+v", m)
+	}
+	if got := journalCycles(t, f.dir); len(got) != 1 {
+		t.Errorf("coordinator journal has %d entries, want the delivered job's", len(got))
 	}
 }
 
@@ -775,12 +819,12 @@ func TestFleetThroughputScaling(t *testing.T) {
 	m := harness.Metrics()
 	singleRate := float64(m.SimCycles) / time.Since(t0).Seconds()
 
-	f := newFleetFixture(t, false, 5*time.Second)
+	f := newFleetFixture(t, nil, 5*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var workers []<-chan error
 	for i := 0; i < 4; i++ {
-		workers = append(workers, f.startWorker(t, ctx, fmt.Sprintf("w%d", i), 1, nil))
+		workers = append(workers, f.startWorker(t, ctx, fmt.Sprintf("w%d", i), 1))
 	}
 	t1 := time.Now()
 	if err := harness.RunJobs(f.sweep, jobs, newCollectSink()); err != nil {
@@ -857,7 +901,7 @@ func storeSide(t *testing.T, dir string) (journal string, objects []string) {
 // fig-multikernel through a one-worker fleet grants six leases and
 // prints the local table, and both paths leave the same store: six
 // result objects and a header-only journal (mixes commit no journal
-// line; see harness.commitOutcome) on primary and mirror, from which a
+// line; see harness.CommitOutcome) on primary and mirror, from which a
 // -resume executes nothing.
 func TestFleetLeasesMixes(t *testing.T) {
 	if testing.Short() {
@@ -896,7 +940,7 @@ func TestFleetLeasesMixes(t *testing.T) {
 	f.sweep.Executor = coord.Executor()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w1 := f.startWorker(t, ctx, "w1", 1, nil)
+	w1 := f.startWorker(t, ctx, "w1", 1)
 
 	if got := renderMixes(t, f.sweep); got != want {
 		t.Errorf("fleet table differs from the local one:\n%s\nvs\n%s", got, want)

@@ -112,8 +112,11 @@ func TestParkedLeaseWokenBy(t *testing.T) {
 		}
 		c.heartbeat(HeartbeatRequest{Worker: "w1", Slots: 1, Active: 1})
 		c.heartbeat(HeartbeatRequest{Worker: "w3", Slots: 1, Goodbye: true})
-		entry := harness.JournalEntry{FP: "j1", Status: "ok", Attempts: 1, Cycles: 7}
-		if err := c.complete(CompleteRequest{LeaseID: held.LeaseID, Worker: "w1", Key: "j1", Entry: entry, Result: &gpu.Result{Cycles: 7}}); err != nil {
+		done := harness.Outcome{
+			Entry:  harness.JournalEntry{FP: "j1", Status: "ok", Attempts: 1, Cycles: 7},
+			Result: &gpu.Result{Cycles: 7},
+		}
+		if err := c.complete(CompleteRequest{LeaseID: held.LeaseID, Worker: "w1", Outcome: done}); err != nil {
 			t.Fatal(err)
 		}
 		o := expectOutcome(t, out)
@@ -354,9 +357,13 @@ func TestDispatchSpanSplitsQueuedAndRun(t *testing.T) {
 
 	job := harness.Job{Workload: "pathfinder", Variant: "vt",
 		Mutate: func(cfg *config.GPUConfig) { cfg.Policy = config.PolicyVT }}
+	fp, _, err := harness.FingerprintKey(p, job)
+	if err != nil {
+		t.Fatal(err)
+	}
 	executed := make(chan error, 1)
 	go func() {
-		_, err := c.Executor().Execute(p, job)
+		_, err := c.Executor().Execute(p, job, job.ConfigFor(p), fp)
 		executed <- err
 	}()
 	for c.Status().JobsPending != 1 {
@@ -368,8 +375,11 @@ func TestDispatchSpanSplitsQueuedAndRun(t *testing.T) {
 		t.Fatal("dispatched job not leasable")
 	}
 	clk.advance(3 * time.Second)
-	entry := harness.JournalEntry{FP: l.Job.Key, Workload: "pathfinder", Variant: "vt", Status: "ok", Attempts: 1, Cycles: 9}
-	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Key: l.Job.Key, Entry: entry, Result: &gpu.Result{Cycles: 9}}); err != nil {
+	out := harness.Outcome{
+		Entry:  harness.JournalEntry{FP: l.Job.Key, Workload: "pathfinder", Variant: "vt", Status: "ok", Attempts: 1, Cycles: 9},
+		Result: &gpu.Result{Cycles: 9},
+	}
+	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Outcome: out}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-executed; err != nil {

@@ -5,12 +5,13 @@
 //
 // The division of labor keeps the determinism contract trivial: the
 // coordinator runs the experiments in-process exactly like a local
-// sweep — same job plan, same table assembly — and only the Executor
-// stage is remote. Workers run the same deterministic simulation code
-// on fully resolved configs, so a sweep run on N workers produces
-// bit-identical sim_cycles and tables to the single-process run, and a
-// re-leased job after a worker crash re-produces the same Result it
-// would have reported.
+// sweep — same job plan, same memo and store lookup, same commit, same
+// accounting, same table assembly — and only the Executor, the stage
+// that simulates what the store does not hold, is remote. Workers run
+// the same deterministic simulation code on fully resolved configs, so a
+// sweep run on N workers produces bit-identical sim_cycles and tables to
+// the single-process run, and a re-leased job after a worker crash
+// re-produces the same Result it would have reported.
 //
 // Wire protocol (JSON over HTTP, all under /v1):
 //
@@ -19,8 +20,8 @@
 //	                                          410 (sweep complete)
 //	POST /v1/renew     {lease_id}          -> 200 {ttl_ms} | 404
 //	POST /v1/release   {lease_id}          -> 200 (job back to pending)
-//	POST /v1/complete  {lease_id, key, entry, result|error}
-//	                                       -> 200 (idempotent by key)
+//	POST /v1/complete  {lease_id, worker, outcome{entry, result, work}}
+//	                                       -> 200 (idempotent by entry.fp)
 //	POST /v1/heartbeat {worker, slots, active, metrics, goodbye}
 //	GET  /v1/object/{kind}/{key}           -> envelope bytes | 404
 //	POST /v1/object/{kind}/{key}           <- envelope bytes
@@ -106,16 +107,14 @@ type ReleaseRequest struct {
 	LeaseID string `json:"lease_id"`
 }
 
-// CompleteRequest reports one executed job. Entry is the worker's
-// completion-log line (the coordinator re-journals it into the
-// distributed completion log); Result is nil when Error is set.
+// CompleteRequest reports one leased job's Outcome, exactly as the
+// worker's harness.ExecuteJob returned it: the completion-log line (its
+// FP is the job key), the Result unless the job failed, and the Work the
+// worker spent, which the coordinator's counters take as their own.
 type CompleteRequest struct {
-	LeaseID string               `json:"lease_id"`
-	Worker  string               `json:"worker"`
-	Key     string               `json:"key"`
-	Entry   harness.JournalEntry `json:"entry"`
-	Result  *gpu.Result          `json:"result,omitempty"`
-	Error   string               `json:"error,omitempty"`
+	LeaseID string          `json:"lease_id"`
+	Worker  string          `json:"worker"`
+	Outcome harness.Outcome `json:"outcome"`
 }
 
 // HeartbeatRequest is a worker's periodic status report for the fleet

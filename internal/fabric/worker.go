@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/resultstore"
 )
@@ -51,6 +50,10 @@ type WorkerConfig struct {
 // jobs), or the coordinator becomes unreachable for too long. Whatever
 // the reason, it returns only after the worker's local store holds
 // every outcome the worker reported (harness.SyncStores).
+//
+// A worker is a process of its own, never a goroutine beside its
+// coordinator: the harness memo is per-process, and the coordinator's
+// sweep holds a job's memo entry for as long as it waits for that job.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w, err := newWorker(cfg)
 	if err != nil {
@@ -199,11 +202,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// executeAndReport runs one leased job through the local harness and
-// reports the outcome. The job itself is never canceled mid-simulation
-// by shutdown: the slot drains it, reports, and only then exits —
-// preserving lease semantics (the coordinator would re-lease anything
-// unreported anyway).
+// executeAndReport runs one leased job through harness.ExecuteJob — the
+// path a local sweep's jobs take — and reports the Outcome it returns.
+// The job itself is never canceled mid-simulation by shutdown: the slot
+// drains it, reports, and only then exits — preserving lease semantics
+// (the coordinator would re-lease anything unreported anyway).
 func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) error {
 	spec := lease.Job
 	jp, job, err := w.paramsFor(spec)
@@ -221,11 +224,14 @@ func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) erro
 	if err != nil {
 		// A malformed lease is the coordinator's bug; fail the job loudly
 		// rather than letting it bounce between workers forever.
-		return w.reportComplete(ctx, lease, spec, harness.JournalEntry{
-			FP: spec.Key, Workload: spec.Workload, Variant: spec.Variant,
-			Status: "failed", Attempts: 1, Error: err.Error(),
-			Time: time.Now().UTC().Format(time.RFC3339),
-		}, nil, err.Error())
+		return w.reportComplete(ctx, lease, harness.Outcome{
+			Entry: harness.JournalEntry{
+				FP: spec.Key, Workload: spec.Workload, Variant: spec.Variant,
+				Status: "failed", Attempts: 1, Error: err.Error(),
+				Time: time.Now().UTC().Format(time.RFC3339),
+			},
+			Work: harness.RunMetrics{Executed: 1, Failures: 1},
+		})
 	}
 
 	// Renew the lease while the simulation runs.
@@ -248,54 +254,16 @@ func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) erro
 		w.pullCheckpoint(jp, spec.PrefixFP)
 	}
 
-	// Capture the supervised run's completion-log entry as it is
-	// recorded locally; it becomes the wire outcome.
-	var outMu sync.Mutex
-	var captured *harness.JournalEntry
-	jp.OnOutcome = func(e harness.JournalEntry, _ *gpu.Result) {
-		if e.FP != spec.Key {
-			return // a donor run for a different point in the same group
-		}
-		outMu.Lock()
-		captured = &e
-		outMu.Unlock()
-	}
-
-	res, execErr := harness.ExecuteJob(jp, job)
+	// A failed job's Outcome says so itself; the error adds nothing the
+	// coordinator could use.
+	out, _ := harness.ExecuteJob(jp, job)
 
 	// Publish a checkpoint this run captured (donor side of the fork
 	// group) so the rest of the fleet forks from it.
-	if spec.PrefixFP != "" && execErr == nil {
+	if out.Work.CheckpointsCaptured > 0 {
 		w.pushCheckpoint(jp, spec.PrefixFP)
 	}
-
-	outMu.Lock()
-	entry := captured
-	outMu.Unlock()
-	if entry == nil {
-		// The local store or memo served the result (possible after a
-		// crash/rejoin with a warm CacheDir): synthesize the entry.
-		// Attempts 0 tells the coordinator nothing was simulated now.
-		e := harness.JournalEntry{
-			FP: spec.Key, Workload: spec.Workload, Variant: spec.Variant,
-			Attempts: 0, Time: time.Now().UTC().Format(time.RFC3339),
-		}
-		if execErr != nil {
-			e.Status, e.Error = "failed", execErr.Error()
-		} else {
-			e.Status, e.Cycles = "ok", res.Cycles
-			if res.Sampling != nil {
-				e.ErrorBound = res.Sampling.ErrorBound
-			}
-		}
-		entry = &e
-	}
-	errmsg := ""
-	if execErr != nil {
-		errmsg = execErr.Error()
-		res = nil
-	}
-	return w.reportComplete(ctx, lease, spec, *entry, res, errmsg)
+	return w.reportComplete(ctx, lease, out)
 }
 
 // paramsFor reconstructs the worker-local Params and Job for a lease.
@@ -376,7 +344,7 @@ func (w *worker) pushCheckpoint(p harness.Params, prefixFP string) {
 // an unreported job would burn a full lease TTL before re-dispatch. The
 // first attempt is made even under a canceled ctx (the slot drains what
 // it ran); cancellation only cuts the waits between retries short.
-func (w *worker) reportComplete(ctx context.Context, lease LeaseResponse, spec JobSpec, entry harness.JournalEntry, res *gpu.Result, errmsg string) error {
+func (w *worker) reportComplete(ctx context.Context, lease LeaseResponse, out harness.Outcome) error {
 	w.mu.Lock()
 	w.completed++
 	n := w.completed
@@ -384,14 +352,7 @@ func (w *worker) reportComplete(ctx context.Context, lease LeaseResponse, spec J
 	if w.cfg.BeforeComplete != nil {
 		w.cfg.BeforeComplete(n)
 	}
-	req := CompleteRequest{
-		LeaseID: lease.LeaseID,
-		Worker:  w.cfg.ID,
-		Key:     spec.Key,
-		Entry:   entry,
-		Result:  res,
-		Error:   errmsg,
-	}
+	req := CompleteRequest{LeaseID: lease.LeaseID, Worker: w.cfg.ID, Outcome: out}
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		if attempt > 0 && !sleepCtx(ctx, time.Duration(attempt)*offlineBackoff) {
@@ -413,7 +374,7 @@ func (w *worker) reportComplete(ctx context.Context, lease LeaseResponse, spec J
 			lastErr = fmt.Errorf("complete: HTTP %d", status)
 		}
 	}
-	return fmt.Errorf("fabric: reporting completion of %s: %w", spec.Key, lastErr)
+	return fmt.Errorf("fabric: reporting completion of %s: %w", out.Entry.FP, lastErr)
 }
 
 // heartbeatLoop reports status until both the context cancels and the

@@ -20,10 +20,7 @@ import (
 // The disk layer of the memo cache is the transactional result store
 // (internal/resultstore): results, checkpoints, and completion-journal
 // lines commit as atomic transactions to Params.CacheDir and replicate
-// to Params.MirrorDir. Object files keep the historical vtsim-/vtck-
-// names, and directories written by pre-store builds open unchanged as
-// legacy objects (readable, unverified), so existing caches survive the
-// migration.
+// to Params.MirrorDir.
 
 // diskCacheVersion invalidates every on-disk entry when the fingerprint
 // scheme or the Result layout changes meaning. Bump it whenever a change
@@ -68,8 +65,9 @@ type storeHandle struct {
 const writeBehindWindow = 32
 
 // writeBehind runs store commits off the simulation slots: submit hands
-// one commit to its own goroutine (bounded by the window), wait is the
-// durability barrier. A commit that panics — a crash drill's simulated
+// one commit to its own goroutine (bounded by the window) and returns the
+// channel that closes when it has finished, wait is the durability
+// barrier for all of them. A commit that panics — a crash drill's simulated
 // process death — poisons the pipeline: wait reports the value and
 // every later submit re-raises it, as the death of the process would
 // have stopped the slot.
@@ -87,8 +85,8 @@ func newWriteBehind() *writeBehind {
 }
 
 // submit starts commit in the background, first waiting for room in
-// the window.
-func (w *writeBehind) submit(commit func()) {
+// the window; done closes when commit has returned (or died).
+func (w *writeBehind) submit(commit func()) (done <-chan struct{}) {
 	w.mu.Lock()
 	for w.inflight >= writeBehindWindow && w.dead == nil {
 		w.changed.Wait()
@@ -99,6 +97,7 @@ func (w *writeBehind) submit(commit func()) {
 	}
 	w.inflight++
 	w.mu.Unlock()
+	finished := make(chan struct{})
 	go func() {
 		defer func() {
 			r := recover()
@@ -109,9 +108,11 @@ func (w *writeBehind) submit(commit func()) {
 			}
 			w.changed.Broadcast()
 			w.mu.Unlock()
+			close(finished)
 		}()
 		commit()
 	}()
+	return finished
 }
 
 // wait returns once every submitted commit has finished, with the panic

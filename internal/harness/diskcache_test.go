@@ -15,9 +15,9 @@ import (
 // tests that inspect the store directory right after a run: outcomes
 // commit write-behind, so until SyncStores the files may not exist yet.
 func runDurable(p Params, j Job) (*gpu.Result, error) {
-	res, err := memoRun(p, j)
+	out, err := memoRun(p, j)
 	SyncStores()
-	return res, err
+	return out.Result, err
 }
 
 // TestDiskCacheRoundTrip verifies that a memoized run persisted to disk is
@@ -50,8 +50,8 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatalf("second run: executed=%d hits=%d simcycles=%d, want disk hit only",
 			m.Executed, m.CacheHits, m.SimCycles)
 	}
-	if !reflect.DeepEqual(fresh, cached) {
-		t.Fatalf("disk round-trip altered the result:\nfresh:  %+v\ncached: %+v", fresh, cached)
+	if !reflect.DeepEqual(fresh, cached.Result) {
+		t.Fatalf("disk round-trip altered the result:\nfresh:  %+v\ncached: %+v", fresh, cached.Result)
 	}
 }
 

@@ -64,11 +64,8 @@ type forkSpec struct {
 // job to arrive becomes the donor (or loads the checkpoint from disk);
 // the rest wait and fork.
 type ckEntry struct {
-	once    sync.Once
-	ck      *gpu.Checkpoint
-	donorFP string // full fingerprint of the donor job, "" if disk-loaded
-	res     *gpu.Result
-	err     error
+	once sync.Once
+	ck   *gpu.Checkpoint
 }
 
 var ckCache = map[string]*ckEntry{} // keyed by prefix fingerprint; memoMu
@@ -94,10 +91,7 @@ func forkPlan(p Params, jobs []Job) []Job {
 	prefixes := make([]string, len(jobs))
 	members := map[string]map[string]bool{} // prefixFP -> set of full FPs
 	for i, j := range jobs {
-		cfg := p.Config
-		if j.Mutate != nil {
-			j.Mutate(&cfg)
-		}
+		cfg := j.ConfigFor(p)
 		fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, gpu.SamplingOptions{})
 		if err != nil {
 			continue
@@ -123,13 +117,16 @@ func forkPlan(p Params, jobs []Job) []Job {
 	return out
 }
 
-// forkExecute runs one fork-eligible job: the group's first arrival
-// becomes the donor (full run, capturing), later arrivals resume from
-// the donor's checkpoint. Returns the result plus the prefix cycles the
-// job did NOT simulate (zero for the donor and for fallback full runs),
-// so the caller can keep SimCycles an honest count of simulated work.
-func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (*gpu.Result, error, int64) {
+// forkExecute supervises one fork-eligible job: the group's first
+// arrival becomes the donor (full run, capturing), later arrivals resume
+// from the donor's checkpoint, or run in full when it left none. The
+// Outcome's Work says which: a capture, a hit with the prefix cycles the
+// job did not simulate, or a miss.
+func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
 	ce := ckEntryFor(j.PrefixFP)
+	var out Outcome
+	var err error
+	donor := false
 	ce.once.Do(func() {
 		st := storeFor(p)
 		if st != nil {
@@ -145,12 +142,12 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (*gpu.Result,
 			p.Trace.SetAttr(lid, "outcome", "miss")
 			p.Trace.End(lid)
 		}
+		donor = true
 		spec := &forkSpec{capture: true, at: p.ForkCycle}
-		ce.res, ce.err = supervisedExecuteFork(p, j, cfg, fp, spec)
-		ce.donorFP = fp
+		out, err = supervise(p, j, cfg, fp, spec)
 		ce.ck = spec.captured
 		if ce.ck != nil {
-			bumpMetric(func(m *RunMetrics) { m.CheckpointsCaptured++ })
+			out.Work.CheckpointsCaptured++
 			if st != nil {
 				sid := p.Trace.Begin(p.span, "fork.ckstore", j.Workload, j.Variant)
 				diskStoreCheckpoint(p, st, j.PrefixFP, ce.ck)
@@ -158,30 +155,24 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (*gpu.Result,
 			}
 		}
 	})
-	if ce.donorFP == fp {
-		return ce.res, ce.err, 0
+	if donor {
+		return out, err
 	}
 	if ce.ck == nil {
 		// The donor produced no usable checkpoint (guard failed before the
 		// first capture, or the donor itself failed): fall back to a full
 		// simulation.
-		bumpMetric(func(m *RunMetrics) { m.CheckpointMisses++ })
-		res, err := supervisedExecuteFork(p, j, cfg, fp, nil)
-		return res, err, 0
+		out, err = supervise(p, j, cfg, fp, nil)
+		out.Work.CheckpointMisses++
+		return out, err
 	}
-	bumpMetric(func(m *RunMetrics) {
-		m.CheckpointHits++
-		m.PrefixCyclesSaved += ce.ck.Cycle
-	})
-	spec := &forkSpec{
+	out, err = supervise(p, j, cfg, fp, &forkSpec{
 		ck:         ce.ck,
 		forkedFrom: fmt.Sprintf("%s@%d", cacheKey(j.PrefixFP)[:12], ce.ck.Cycle),
-	}
-	res, err := supervisedExecuteFork(p, j, cfg, fp, spec)
-	if err != nil {
-		return res, err, 0
-	}
-	return res, err, ce.ck.Cycle
+	})
+	out.Work.CheckpointHits++
+	out.Work.PrefixCyclesSaved += ce.ck.Cycle
+	return out, err
 }
 
 // ckDiskEntry is the JSON envelope of one persisted checkpoint. Like

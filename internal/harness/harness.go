@@ -42,8 +42,7 @@ type Params struct {
 	// also persists prefix checkpoints, so forked sweeps resume across
 	// processes. The directory is managed by the transactional result
 	// store (internal/resultstore): results, checkpoints, and journal
-	// lines commit atomically, with end-to-end checksums; directories
-	// written by pre-store builds remain readable.
+	// lines commit atomically, with end-to-end checksums.
 	CacheDir string
 	// MirrorDir, when non-empty (requires CacheDir), attaches a replica
 	// directory: every store transaction applies to both sides, corrupt
@@ -125,22 +124,15 @@ type Params struct {
 	// nil-receiver no-op, as with Trace.
 	Monitor *Monitor
 
-	// Executor produces each planned job's Result; nil executes
-	// in-process through the memoized, supervised path. The sweep
-	// fabric (internal/fabric) installs an executor that dispatches
-	// jobs to a remote worker fleet instead.
+	// Executor runs the jobs neither the memo nor the result store can
+	// answer; nil supervises them in-process. The sweep fabric
+	// (internal/fabric) installs one that leases them to a worker fleet.
 	Executor Executor
 	// Ctx, when non-nil, cancels the sweep's dispatch loop: on
 	// cancellation RunJobs stops starting jobs (the remainder fail with
 	// the context error) while in-flight jobs drain to completion, and
 	// store retries abandon their backoff sleeps. Nil never cancels.
 	Ctx context.Context
-	// OnOutcome, when non-nil, observes every supervised run's
-	// completion-log entry as it is recorded (res is nil for failures).
-	// The fabric worker uses it to stream outcomes back to the
-	// coordinator's distributed completion log. Must be safe for
-	// concurrent use.
-	OnOutcome func(e JournalEntry, res *gpu.Result)
 
 	// span is the current parent span, threaded through the by-value
 	// Params copies as execution descends (experiment → job → attempt).
@@ -189,6 +181,11 @@ func (p Params) executor() Executor {
 		return p.Executor
 	}
 	return localExecutor{}
+}
+
+// injects reports whether p's fault injection targets the run.
+func (p Params) injects(workload, variant string) bool {
+	return p.Inject != nil && p.Inject.Matches(workload, variant)
 }
 
 // ctx resolves the sweep context (default: never canceled).
@@ -333,19 +330,36 @@ func (j Job) ConfigFor(p Params) config.GPUConfig {
 	return cfg
 }
 
-// The batch pipeline has two replaceable stages, so the in-process path
-// and the distributed sweep fabric (internal/fabric) share one execution
-// skeleton: forkPlan turns a raw batch into a plan (prefix-fork grouping,
-// a no-op unless Params.Checkpoint is set), the Executor produces each
-// planned job's Result — in-process (memoized, supervised) by default,
-// or by dispatching to a remote worker fleet — and the ResultSink
-// collects completions as they land.
+// One path takes every job from request to report, in a single process
+// and on a fleet alike: forkPlan turns a raw batch into a plan
+// (prefix-fork grouping, a no-op unless Params.Checkpoint is set);
+// memoRun gives each planned job its identity, counts it, coalesces it
+// with identical requests, asks the result store for it, and only on a
+// miss hands it to the Executor; the Executor returns the job's Outcome;
+// memoRun folds the Outcome's Work into the counters; the ResultSink
+// collects the Result.
 
-// Executor produces one planned job's Result. Implementations must be
-// safe for concurrent use; the Params value passed to Execute carries
-// the job's span context and must be threaded into any harness calls.
+// Outcome is what running one job produced, as a value: it is returned
+// by the Executor, committed by CommitOutcome, accounted by memoRun, and
+// carried whole from a fabric worker to its coordinator.
+type Outcome struct {
+	// Entry is the job's completion-journal line.
+	Entry JournalEntry `json:"entry"`
+	// Result is nil for a failed job.
+	Result *gpu.Result `json:"result,omitempty"`
+	// Work is what producing the Result cost — runs executed, cycles
+	// simulated, retries, forks, sampled spans — and is zero when the
+	// result store served it.
+	Work RunMetrics `json:"work"`
+}
+
+// Executor runs one job that has to be simulated: cfg is the job's
+// resolved hardware config and fp its content fingerprint. A failed job
+// returns its Outcome (a "failed" Entry, the Work spent) beside the
+// error. Implementations must be safe for concurrent use; p carries the
+// job's span context and must be threaded into any harness calls.
 type Executor interface {
-	Execute(p Params, j Job) (*gpu.Result, error)
+	Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error)
 }
 
 // ResultSink receives completions as jobs finish, in completion order.
@@ -355,11 +369,26 @@ type ResultSink interface {
 	Collect(j Job, res *gpu.Result)
 }
 
-// localExecutor is the default Executor: memoized, supervised,
-// in-process execution (see memo.go and supervisor.go).
+// localExecutor is the default Executor: supervise the run in-process
+// (forking it from a prefix checkpoint if the plan says so), then commit
+// its outcome write-behind — SyncStores is where the sweep waits.
 type localExecutor struct{}
 
-func (localExecutor) Execute(p Params, j Job) (*gpu.Result, error) { return memoRun(p, j) }
+func (localExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
+	var out Outcome
+	var err error
+	// Injected runs must meet their fault, and sampled sweeps never fork:
+	// a checkpoint capture could land mid-span (gpu.Run rejects the
+	// combination), and a prefix donor's extrapolated clock would not
+	// line up across configs anyway.
+	if j.PrefixFP != "" && !p.injects(j.Workload, j.Variant) && !p.Sampling.Enabled() {
+		out, err = forkExecute(p, j, cfg, fp)
+	} else {
+		out, err = supervise(p, j, cfg, fp, nil)
+	}
+	CommitOutcome(p, fp, out)
+	return out, err
+}
 
 // key identifies a completed run.
 type key struct {
@@ -387,10 +416,9 @@ func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
 	return sink.results, err
 }
 
-// RunJobs plans a batch with forkPlan, executes it with the Params'
-// executor under bounded parallelism, and streams
-// successful completions into sink. Repeated simulation points are
-// served from the memo cache (see memo.go). Every job runs even when
+// RunJobs plans a batch with forkPlan, runs every job through memoRun
+// under bounded parallelism, and streams successful completions into
+// sink. Every job runs even when
 // earlier ones fail — the supervisor turns failures into repro bundles
 // — and the per-job errors are joined (in job order) into the returned
 // error, so a partially failed batch still surfaces as a failure to its
@@ -403,7 +431,6 @@ func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 	jobs = forkPlan(p, jobs)
 	p.Trace.End(plan)
 	mon := p.Monitor
-	exec := p.executor()
 	ctx := p.ctx()
 	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, p.workers())
@@ -434,7 +461,7 @@ func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 		go func(i int, j Job) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var res *gpu.Result
+			var out Outcome
 			var err error
 			labels := pprof.Labels("workload", j.Workload, "variant", j.Variant)
 			pprof.Do(currentLabelCtx(), labels, func(context.Context) {
@@ -444,13 +471,13 @@ func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 				defer p.Trace.EndJob(jid)
 				jp := p
 				jp.span, jp.sweepSpan = jid, p.span
-				res, err = exec.Execute(jp, j)
+				out, err = memoRun(jp, j)
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("%s/%s: %w", j.Workload, j.Variant, err)
 				return
 			}
-			sink.Collect(j, res)
+			sink.Collect(j, out.Result)
 		}(i, j)
 	}
 	wg.Wait()

@@ -3,7 +3,6 @@ package harness
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -251,18 +250,17 @@ func TestWorkersEquivalence(t *testing.T) {
 	}
 	run := func(workers int) pass {
 		ResetMetrics() // empty the memo cache: every pass simulates every point
-		var mu sync.Mutex
-		results := map[key]*gpu.Result{}
+		tap := &tapExecutor{}
 		p := testParams()
 		p.Workers = workers
-		p.OnOutcome = func(e JournalEntry, res *gpu.Result) {
-			mu.Lock()
-			results[key{e.Workload, e.Variant}] = res
-			mu.Unlock()
-		}
+		p.Executor = tap
 		var sb strings.Builder
 		if err := RunOne(e, p, &sb); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		results := map[key]*gpu.Result{}
+		for _, out := range tap.outs {
+			results[key{out.Entry.Workload, out.Entry.Variant}] = out.Result
 		}
 		return pass{sb.String(), results, Metrics().SimCycles}
 	}

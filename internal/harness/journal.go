@@ -224,7 +224,7 @@ func (jl *Journal) Record(e JournalEntry) {
 
 // noteStatus records an entry in the in-memory status map without
 // writing the file: used when the line was already appended durably
-// through a result-store transaction (see supervisor.go journalRecord).
+// through a result-store transaction (see CommitOutcome in supervisor.go).
 func (jl *Journal) noteStatus(e JournalEntry) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()

@@ -97,9 +97,9 @@ type RunMetrics struct {
 	// Result-store counters (Params.CacheDir/MirrorDir; see diskcache.go
 	// and internal/resultstore).
 
-	// StoreHits counts store reads that served a checksum-verified (or
-	// legacy, pre-store) payload; StoreMisses counts reads that found
-	// nothing usable, including entries quarantined on the way out.
+	// StoreHits counts store reads that served a checksum-verified
+	// payload; StoreMisses counts reads that found nothing usable,
+	// including entries quarantined on the way out.
 	StoreHits   int
 	StoreMisses int
 	// StoreRepairs counts objects healed bit-identically from a replica
@@ -111,8 +111,7 @@ type RunMetrics struct {
 }
 
 // add folds another set of counters into m: every counter sums, and
-// MaxErrorBound takes the maximum. Used to aggregate worker-reported
-// metrics into the coordinator's fleet totals.
+// MaxErrorBound takes the maximum.
 func (m *RunMetrics) add(d RunMetrics) {
 	m.Requests += d.Requests
 	m.Executed += d.Executed
@@ -143,27 +142,9 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.StoreRetries += d.StoreRetries
 }
 
-// AddMetrics folds externally accumulated counters into the
-// process-wide metrics — how the sweep fabric's coordinator folds
-// remotely executed work into the totals its report and monitor show.
-func AddMetrics(d RunMetrics) {
-	bumpMetric(func(m *RunMetrics) { m.add(d) })
-}
-
-// NoteRemoteCompletion folds one remotely executed job's metric delta
-// into the process counters and p's monitor — including the windowed
-// simcycles/s rate — so a fabric coordinator's report and dashboard
-// reflect work the fleet simulated on its behalf.
-func NoteRemoteCompletion(p Params, d RunMetrics) {
-	AddMetrics(d)
-	if d.SimCycles > 0 {
-		p.Monitor.noteFinished(d.SimCycles)
-	}
-}
-
 type memoEntry struct {
 	once sync.Once
-	res  *gpu.Result
+	out  Outcome
 	err  error
 }
 
@@ -236,31 +217,24 @@ func FingerprintKey(p Params, j Job) (fp, key string, err error) {
 // store objects and journal entries (exported for the sweep fabric).
 func CacheKey(fp string) string { return cacheKey(fp) }
 
-// LoadCachedResult returns p's store's Result for the fingerprint, or
-// nil. The coordinator consults it before dispatching a job to the
-// fleet, so resumed or repeated sweeps lease only missing points.
-func LoadCachedResult(p Params, fp string) *gpu.Result {
-	return diskLoad(p.ctx(), storeFor(p), fp)
-}
+// ExecuteJob runs one resolved job through the one path every job takes
+// (memoRun) and returns its Outcome. It is the fabric worker's entry
+// point: the Outcome goes on the wire whole.
+func ExecuteJob(p Params, j Job) (Outcome, error) { return memoRun(p, j) }
 
-// ExecuteJob runs one resolved job through the full in-process path —
-// memo cache, result store, prefix forking, supervised execution —
-// and is the fabric worker's execution entry point.
-func ExecuteJob(p Params, j Job) (*gpu.Result, error) { return memoRun(p, j) }
-
-// memoRun returns the result for one job, executing the simulation only
-// if no identical run has completed (or is in flight) since the last
-// ResetMetrics. Concurrent requests for the same fingerprint are
-// coalesced into a single execution.
-func memoRun(p Params, j Job) (*gpu.Result, error) {
-	cfg := p.Config
-	if j.Mutate != nil {
-		j.Mutate(&cfg)
-	}
+// memoRun is the one place a job gets its identity and is accounted
+// for: it fingerprints the job, counts the request, coalesces it with
+// identical requests completed or in flight since the last
+// ResetMetrics, asks the result store, and only on a miss hands the job
+// to p's Executor — whose Outcome.Work it then folds into the process
+// counters and the Monitor. A store hit costs nothing: Executed and
+// SimCycles stay untouched, so simcycles/s reflects real simulation
+// work (a resumed sweep reads ~0, not a stale cumulative average).
+func memoRun(p Params, j Job) (Outcome, error) {
+	cfg := j.ConfigFor(p)
 	fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
 	if err != nil {
-		// Unfingerprintable config: fall back to an unmemoized run.
-		return supervisedExecute(p, j, cfg, "")
+		return Outcome{}, fmt.Errorf("harness: %s/%s has no fingerprint: %w", j.Workload, j.Variant, err)
 	}
 	memoMu.Lock()
 	memoStats.Requests++
@@ -271,52 +245,33 @@ func memoRun(p Params, j Job) (*gpu.Result, error) {
 	}
 	memoMu.Unlock()
 	e.once.Do(func() {
-		// Fault-injected runs bypass the disk cache in both directions: a
+		// Fault-injected runs bypass the store in both directions: a
 		// cached hit would skip the fault, and a faulted (or degraded)
 		// outcome must never be served to an un-injected sweep.
-		injected := p.Inject != nil && p.Inject.Matches(j.Workload, j.Variant)
-		if st := storeFor(p); st != nil && !injected {
+		if st := storeFor(p); st != nil && !p.injects(j.Workload, j.Variant) {
 			sid := p.Trace.Begin(p.span, "store.get", j.Workload, j.Variant)
 			res := diskLoad(p.ctx(), st, fp)
 			if res != nil {
 				p.Trace.SetAttr(sid, "outcome", "hit")
 				p.Trace.End(sid)
-				// A disk hit is a cache hit: Executed and SimCycles stay
-				// untouched, so simcycles/s reflects real simulation work.
-				e.res = res
+				e.out = Outcome{Entry: buildJournalEntry(j, fp, "ok", 0, res, nil, ""), Result: res}
 				return
 			}
 			p.Trace.SetAttr(sid, "outcome", "miss")
 			p.Trace.End(sid)
 		}
-		var prefix int64
-		// Sampled sweeps never fork: a checkpoint capture could land
-		// mid-span (gpu.Run rejects the combination), and a prefix donor's
-		// extrapolated clock would not line up across configs anyway.
-		if j.PrefixFP != "" && !injected && !p.Sampling.Enabled() {
-			e.res, e.err, prefix = forkExecute(p, j, cfg, fp)
-		} else {
-			e.res, e.err = supervisedExecute(p, j, cfg, fp)
+		// The process that owns the journal knows which jobs a resumed
+		// sweep is re-running because they failed last time.
+		resumedFailed := p.Resume && p.Journal != nil && p.Journal.Status(cacheKey(fp)) == "failed"
+		e.out, e.err = p.executor().Execute(p, j, cfg, fp)
+		work := e.out.Work
+		if resumedFailed {
+			work.ResumedFailed++
 		}
-		memoMu.Lock()
-		memoStats.Executed++
-		if e.err == nil {
-			// Forked runs simulated only their suffix; the prefix cycles
-			// come from the shared checkpoint and are counted in
-			// PrefixCyclesSaved instead.
-			memoStats.SimCycles += e.res.Cycles - prefix
+		bumpMetric(func(m *RunMetrics) { m.add(work) })
+		if work.SimCycles > 0 {
+			p.Monitor.noteFinished(work.SimCycles)
 		}
-		memoMu.Unlock()
-		if e.err == nil {
-			// Feed the monitor's windowed simcycles/s rate (cache hits
-			// above add nothing, so a resumed sweep reads ~0, not a
-			// stale cumulative average).
-			p.Monitor.noteFinished(e.res.Cycles - prefix)
-		}
-		// Persistence happens inside journalRecord (supervisor.go): the
-		// Result and its completion-journal line commit as one result-store
-		// transaction, so a crash can never record an outcome whose Result
-		// is missing, or vice versa.
 	})
-	return e.res, e.err
+	return e.out, e.err
 }

@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/faultinject"
-	"repro/internal/gpu"
 )
 
 // A concurrent-kernel mix is a job whose workload name is "+"-joined, so
@@ -148,16 +146,15 @@ func TestSampledMixesAreFlagged(t *testing.T) {
 	defer ResetMetrics()
 	p := testParams()
 	p.Sampling = testSampling()
-	var mu sync.Mutex
-	bounds := map[string]float64{}
-	p.OnOutcome = func(e JournalEntry, res *gpu.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		bounds[e.Workload+"/"+e.Variant] = e.ErrorBound
-	}
+	tap := &tapExecutor{}
+	p.Executor = tap
 	out, err := renderMixes(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	bounds := map[string]float64{}
+	for _, o := range tap.outs {
+		bounds[o.Entry.Workload+"/"+o.Entry.Variant] = o.Entry.ErrorBound
 	}
 	if !strings.Contains(out, testSampling().String()) {
 		t.Errorf("sampled table does not name its windows:\n%s", out)
@@ -195,7 +192,8 @@ func TestSampledMixesAreFlagged(t *testing.T) {
 
 // TestMixesNeverJournal pins the one exception mixes keep: their result
 // objects commit, their completion-journal lines do not (see
-// commitOutcome), on the local path and on the coordinator's.
+// CommitOutcome), for a mix the local executor ran and for one a fabric
+// coordinator commits on a worker's behalf.
 func TestMixesNeverJournal(t *testing.T) {
 	ResetMetrics()
 	defer ResetMetrics()
@@ -219,8 +217,10 @@ func TestMixesNeverJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RecordRemote(p, fp, JournalEntry{FP: k, Workload: remote.Workload, Variant: remote.Variant,
-		Status: "ok", Attempts: 1}, res[key{"nw+vecadd", "local"}])
+	<-CommitOutcome(p, fp, Outcome{
+		Entry:  JournalEntry{FP: k, Workload: remote.Workload, Variant: remote.Variant, Status: "ok", Attempts: 1},
+		Result: res[key{"nw+vecadd", "local"}],
+	})
 	SyncStores()
 
 	if ok, degraded, failed := jl.Summary(); ok != 1 || degraded != 0 || failed != 0 {

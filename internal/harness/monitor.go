@@ -230,7 +230,7 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	counter("vtsweep_supervisor_retries_total", "Safe-mode retries attempted.", float64(mt.Retries))
 	counter("vtsweep_supervisor_degraded_total", "Runs whose result came from a safe-mode retry.", float64(mt.Degraded))
 	counter("vtsweep_supervisor_failures_total", "Runs that failed after the retry ladder.", float64(mt.Failures))
-	counter("vtsweep_store_hits_total", "Store reads serving a verified or legacy payload.", float64(mt.StoreHits))
+	counter("vtsweep_store_hits_total", "Store reads serving a checksum-verified payload.", float64(mt.StoreHits))
 	counter("vtsweep_store_misses_total", "Store reads that found nothing usable.", float64(mt.StoreMisses))
 	counter("vtsweep_store_repairs_total", "Objects healed from a replica after checksum mismatch.", float64(mt.StoreRepairs))
 	counter("vtsweep_store_retries_total", "Transient store I/O errors absorbed by retry.", float64(mt.StoreRetries))

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/gpu"
 )
 
@@ -49,7 +51,7 @@ type stubExecutor struct {
 	done    atomic.Int32
 }
 
-func (s *stubExecutor) Execute(p Params, j Job) (*gpu.Result, error) {
+func (s *stubExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
 	s.started.Add(1)
 	n := s.active.Add(1)
 	for {
@@ -63,7 +65,22 @@ func (s *stubExecutor) Execute(p Params, j Job) (*gpu.Result, error) {
 	}
 	s.active.Add(-1)
 	s.done.Add(1)
-	return &gpu.Result{Cycles: 1}, nil
+	return Outcome{Result: &gpu.Result{Cycles: 1}}, nil
+}
+
+// tapExecutor is the local executor with a tap on it: a test reads every
+// Outcome its sweep's executed jobs produced.
+type tapExecutor struct {
+	mu   sync.Mutex
+	outs []Outcome
+}
+
+func (x *tapExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
+	out, err := localExecutor{}.Execute(p, j, cfg, fp)
+	x.mu.Lock()
+	x.outs = append(x.outs, out)
+	x.mu.Unlock()
+	return out, err
 }
 
 // nullSink discards results, counting them.
@@ -71,10 +88,12 @@ type nullSink struct{ n atomic.Int32 }
 
 func (s *nullSink) Collect(Job, *gpu.Result) { s.n.Add(1) }
 
+// manyStubJobs are n distinct points: the executor sits below the memo,
+// which would coalesce jobs that differ only in their variant label.
 func manyStubJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Workload: "stub", Variant: string(rune('a' + i%26))}
+		jobs[i] = Job{Workload: fmt.Sprintf("stub%d", i), Variant: string(rune('a' + i%26))}
 	}
 	return jobs
 }
@@ -82,6 +101,8 @@ func manyStubJobs(n int) []Job {
 // TestRunJobsSemaphoreBound pins the dispatch invariant: at most
 // Params.Workers jobs execute concurrently, however many are queued.
 func TestRunJobsSemaphoreBound(t *testing.T) {
+	ResetMetrics() // the stub points must reach the executor, not the memo
+	defer ResetMetrics()
 	exec := &stubExecutor{block: make(chan struct{})}
 	p := Params{Workers: 3, Executor: exec}
 	var sink nullSink
@@ -114,6 +135,8 @@ func TestRunJobsSemaphoreBound(t *testing.T) {
 // error), in-flight jobs run to completion and release their slots,
 // and no dispatch goroutines leak.
 func TestRunJobsCancellation(t *testing.T) {
+	ResetMetrics()
+	defer ResetMetrics()
 	before := runtime.NumGoroutine()
 	exec := &stubExecutor{block: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -163,6 +186,8 @@ func TestRunJobsCancellation(t *testing.T) {
 // TestRunJobsPreCanceledContext: a context canceled before dispatch
 // fails every job without starting any.
 func TestRunJobsPreCanceledContext(t *testing.T) {
+	ResetMetrics()
+	defer ResetMetrics()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	exec := &stubExecutor{}
@@ -270,43 +295,5 @@ func TestStoreRetryBackoffEnvelope(t *testing.T) {
 	}
 	if d > 2*time.Second {
 		t.Errorf("retry schedule took %s", d)
-	}
-}
-
-// TestOnOutcomeHook pins the fabric worker's streaming seam: every
-// journaled outcome is surfaced through Params.OnOutcome with the
-// entry's cache key, including concurrent runs.
-func TestOnOutcomeHook(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	ResetMetrics()
-	defer ResetMetrics()
-	var mu sync.Mutex
-	seen := map[string]JournalEntry{}
-	p := testParams()
-	p.Workers = 2
-	p.OnOutcome = func(e JournalEntry, res *gpu.Result) {
-		if res == nil || e.Cycles != res.Cycles {
-			t.Errorf("OnOutcome entry cycles %d do not match result", e.Cycles)
-		}
-		mu.Lock()
-		seen[e.FP] = e
-		mu.Unlock()
-	}
-	jobs := []Job{
-		{Workload: "pathfinder", Variant: "a"},
-		{Workload: "nw", Variant: "b"},
-	}
-	if _, err := runMany(p, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("OnOutcome fired for %d entries, want 2", len(seen))
-	}
-	for k, e := range seen {
-		if e.Status != "ok" || e.FP != k || e.Attempts != 1 {
-			t.Errorf("unexpected entry %+v", e)
-		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // Harness-level drills for the transactional result store: crash-fault
-// sweeps through real memoRun/journalRecord commits, mirror repair
+// sweeps through real memoRun/CommitOutcome commits, mirror repair
 // through the cache path, and the journal's rotation and concurrent-
 // append contracts. The store's own kill-point property test lives in
 // internal/resultstore; these tests prove the same guarantees hold
@@ -193,7 +193,7 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 		if err != nil {
 			t.Fatalf("%s/%s: %v", j.Workload, j.Variant, err)
 		}
-		results[i] = r
+		results[i] = r.Result
 	}
 	SyncStores()
 	return false, results
@@ -383,7 +383,7 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	if m.Executed != 0 || m.StoreHits != 1 || m.StoreRepairs != 1 {
 		t.Fatalf("corruption was not healed as a cache hit: %+v", m)
 	}
-	if !reflect.DeepEqual(fresh, cached) {
+	if !reflect.DeepEqual(fresh, cached.Result) {
 		t.Fatal("healed result differs from the original")
 	}
 	healed, err := os.ReadFile(primObjs[0])
@@ -395,10 +395,11 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	}
 }
 
-// TestHarnessLegacyCacheDirCompat seeds a cache directory the way
-// pre-store builds laid it out — a bare vtsim-<key>.json with no
-// .vtstore metadata — and verifies the migrated harness serves it as a
-// hit.
+// TestHarnessLegacyCacheDirCompat is the compat test inverted: a cache
+// directory laid out the way pre-store builds left it — a bare
+// vtsim-<key>.json with no index line — is never served. The store
+// cannot verify the file, so the harness quarantines it, re-simulates,
+// and the rewrite is an ordinary indexed object the next run hits.
 func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	defer ResetMetrics()
 	p, jobs := drillJobs()
@@ -418,22 +419,34 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacyDir, filepath.Base(files[0])), b, 0o644); err != nil {
+	bareDir := t.TempDir()
+	bare := filepath.Join(bareDir, filepath.Base(files[0]))
+	if err := os.WriteFile(bare, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	ResetMetrics()
-	p.CacheDir = legacyDir
-	cached, err := memoRun(p, j)
+	p.CacheDir = bareDir
+	rerun, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 0 || m.StoreHits != 1 {
-		t.Fatalf("legacy entry not served as a hit: %+v", m)
+	if m := Metrics(); m.Executed != 1 || m.StoreHits != 0 || m.StoreMisses != 1 {
+		t.Fatalf("unindexed entry was served, not recomputed: %+v", m)
 	}
-	if !reflect.DeepEqual(fresh, cached) {
-		t.Fatal("legacy round-trip altered the result")
+	if _, err := os.Stat(bare + ".corrupt"); err != nil {
+		t.Fatalf("unindexed entry not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(fresh, rerun) {
+		t.Fatal("recomputation differs from the original run")
+	}
+
+	ResetMetrics()
+	if _, err := memoRun(p, j); err != nil {
+		t.Fatal(err)
+	}
+	if m := Metrics(); m.Executed != 0 || m.StoreHits != 1 {
+		t.Fatalf("rewritten entry not served as a verified hit: %+v", m)
 	}
 }
 

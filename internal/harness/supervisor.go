@@ -85,6 +85,9 @@ type attempt struct {
 	// ck is the last prefix checkpoint the attempt captured (donor runs
 	// under a capture spec only; see fork.go).
 	ck *gpu.Checkpoint
+	// windows and spans are the telemetry collector's totals for a
+	// successful attempt under Params.Telemetry.
+	windows, spans int
 }
 
 // runAttempt performs one simulation attempt under panic recovery. The
@@ -156,7 +159,7 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	// extrapolated issue-slot accounting cannot satisfy mid-span, so they
 	// execute exactly; every other run in a sampled sweep samples. Fork
 	// specs never coexist with sampling (see forkPlan and memoRun).
-	injected := p.Inject != nil && p.Inject.Matches(j.Workload, j.Variant)
+	injected := p.injects(j.Workload, j.Variant)
 	if p.Sampling.Enabled() && !injected {
 		opts.Sampling = p.Sampling
 	}
@@ -201,23 +204,7 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 		a.res, a.err = gpu.RunMulti(launches, cfg, opts)
 	}
 	if col != nil && a.err == nil {
-		windows, spans := col.Totals()
-		bumpMetric(func(m *RunMetrics) {
-			m.TelemetryWindows += int64(windows)
-			m.TelemetrySpans += int64(spans)
-		})
-	}
-	if a.err == nil && a.res != nil && a.res.Sampling != nil {
-		ss := a.res.Sampling
-		bumpMetric(func(m *RunMetrics) {
-			m.SampledRuns++
-			m.SampledSpans += ss.Spans
-			m.ExtrapolatedCycles += ss.ExtrapolatedCycles
-			m.FunctionalInstrs += ss.FunctionalInstrs
-			if ss.ErrorBound > m.MaxErrorBound {
-				m.MaxErrorBound = ss.ErrorBound
-			}
-		})
+		a.windows, a.spans = col.Totals()
 	}
 	return a
 }
@@ -249,117 +236,110 @@ func bumpMetric(f func(*RunMetrics)) {
 	f(&memoStats)
 }
 
-// countFirstFailure classifies a first-attempt failure into the metrics
-// and emits the matching supervisor trace event under the job span.
-func countFirstFailure(p Params, j Job, a attempt) {
-	bumpMetric(func(m *RunMetrics) {
-		switch d := gpu.DiagnosticOf(a.err); {
-		case a.panicked:
-			m.Panics++
-		case d != nil && d.Reason == gpu.ReasonInvariant:
-			m.InvariantTrips++
-		case d != nil && d.Reason == gpu.ReasonDeadline:
-			m.Deadlines++
-		}
-	})
+// countFirstFailure classifies a first-attempt failure into the run's
+// work counters and emits the matching supervisor trace event under the
+// job span.
+func countFirstFailure(p Params, j Job, a attempt, w *RunMetrics) {
 	switch d := gpu.DiagnosticOf(a.err); {
 	case a.panicked:
+		w.Panics++
 		p.Trace.Event(p.span, "supervisor.panic", j.Workload, j.Variant)
 	case d != nil && d.Reason == gpu.ReasonInvariant:
+		w.InvariantTrips++
 		p.Trace.Event(p.span, "supervisor.invariant", j.Workload, j.Variant)
 	case d != nil && d.Reason == gpu.ReasonDeadline:
+		w.Deadlines++
 		p.Trace.Event(p.span, "supervisor.deadline", j.Workload, j.Variant)
 	}
 }
 
-// supervisedExecute runs one job through the supervisor: attempt, retry
-// ladder, journaling, and repro-bundle emission. fp may be empty when the
-// config was unfingerprintable (journaling is skipped then).
-func supervisedExecute(p Params, j Job, cfg config.GPUConfig, fp string) (*gpu.Result, error) {
-	return supervisedExecuteFork(p, j, cfg, fp, nil)
-}
-
-// supervisedExecuteFork is supervisedExecute with an optional fork spec:
-// capture checkpoints (donor) or resume from one (fork). spec.captured is
-// set only from the attempt whose result is returned, so a checkpoint
-// from a failed or superseded attempt never seeds forks.
-func supervisedExecuteFork(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec) (*gpu.Result, error) {
-	if p.Resume && p.Journal != nil && fp != "" &&
-		p.Journal.Status(cacheKey(fp)) == "failed" {
-		bumpMetric(func(m *RunMetrics) { m.ResumedFailed++ })
-	}
+// supervise runs one job through the supervisor — attempt, safe-mode
+// retry, repro bundle — and returns its Outcome: the journal entry, built
+// once, the Result, and the Work the attempts cost. A job that failed the
+// whole ladder also returns a *FailedRunError. A non-nil spec makes the
+// run a checkpoint donor or a fork; spec.captured is set only from the
+// attempt whose result is returned, so a checkpoint from a failed or
+// superseded attempt never seeds forks, and a forked run's SimCycles
+// count its suffix alone (the prefix came from the checkpoint).
+func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec) (Outcome, error) {
+	work := RunMetrics{Executed: 1}
 	forkedFrom := ""
-	if spec != nil {
-		forkedFrom = spec.forkedFrom
+	var prefix int64
+	if spec != nil && spec.ck != nil {
+		forkedFrom, prefix = spec.forkedFrom, spec.ck.Cycle
 	}
 
 	first := runAttempt(p, j, cfg, false, spec)
-	if first.err == nil {
-		if spec != nil {
-			spec.captured = first.ck
-		}
-		p.journalRecord(j, fp, "ok", 1, first.res, nil, forkedFrom)
-		return first.res, nil
-	}
-	countFirstFailure(p, j, first)
-
-	attempts := 1
-	retried := false
-	var second attempt
-	if retryable(first) {
-		bumpMetric(func(m *RunMetrics) { m.Retries++ })
-		p.Trace.Event(p.span, "supervisor.retry", j.Workload, j.Variant,
-			"reason", firstFailureReason(first))
-		retried = true
-		second = runAttempt(p, j, cfg, true, spec)
-		attempts = 2
-		if second.err == nil {
-			// The safe path succeeded where the fast path failed: record
-			// the downgrade and keep the sweep moving with the safe result.
-			bumpMetric(func(m *RunMetrics) { m.Degraded++ })
-			if spec != nil {
-				spec.captured = second.ck
+	last, status, attempts := first, "ok", 1
+	if first.err != nil {
+		status = "failed"
+		countFirstFailure(p, j, first, &work)
+		if retryable(first) {
+			work.Retries++
+			p.Trace.Event(p.span, "supervisor.retry", j.Workload, j.Variant,
+				"reason", firstFailureReason(first))
+			last, attempts = runAttempt(p, j, cfg, true, spec), 2
+			if last.err == nil {
+				// The safe path succeeded where the fast path failed: record
+				// the downgrade and keep the sweep moving with the safe result.
+				status = "degraded"
+				work.Degraded++
 			}
-			p.journalRecord(j, fp, "degraded", attempts, second.res, nil, forkedFrom)
-			return second.res, nil
 		}
 	}
 
-	f := &RunFailure{
-		Workload:        j.Workload,
-		Variant:         j.Variant,
-		Fingerprint:     fp,
-		Scale:           p.Scale,
-		Dilute:          p.Dilute,
-		Error:           first.err.Error(),
-		Stack:           first.stack,
-		Diagnostic:      gpu.DiagnosticOf(first.err),
-		Attempts:        attempts,
-		SafeModeRetried: retried,
-		Time:            time.Now().UTC().Format(time.RFC3339),
-	}
-	if retried {
-		f.SafeModeError = second.err.Error()
-		if f.Stack == "" {
-			f.Stack = second.stack
+	if status == "failed" {
+		f := &RunFailure{
+			Workload:        j.Workload,
+			Variant:         j.Variant,
+			Fingerprint:     fp,
+			Scale:           p.Scale,
+			Dilute:          p.Dilute,
+			Error:           first.err.Error(),
+			Stack:           first.stack,
+			Diagnostic:      gpu.DiagnosticOf(first.err),
+			Attempts:        attempts,
+			SafeModeRetried: attempts == 2,
+			Time:            time.Now().UTC().Format(time.RFC3339),
 		}
-		if f.Diagnostic == nil {
-			f.Diagnostic = gpu.DiagnosticOf(second.err)
+		if attempts == 2 {
+			f.SafeModeError = last.err.Error()
+			if f.Stack == "" {
+				f.Stack = last.stack
+			}
+			if f.Diagnostic == nil {
+				f.Diagnostic = gpu.DiagnosticOf(last.err)
+			}
 		}
+		if b, err := json.Marshal(&cfg); err == nil {
+			f.Config = b
+		}
+		writeBundle(p.FailDir, f)
+		work.Failures++
+		return Outcome{Entry: buildJournalEntry(j, fp, status, attempts, nil, first.err, forkedFrom), Work: work},
+			&FailedRunError{Failure: f, cause: first.err}
 	}
-	if b, err := json.Marshal(&cfg); err == nil {
-		f.Config = b
+
+	if spec != nil {
+		spec.captured = last.ck
 	}
-	writeBundle(p.FailDir, f)
-	bumpMetric(func(m *RunMetrics) { m.Failures++ })
-	p.journalRecord(j, fp, "failed", attempts, nil, first.err, forkedFrom)
-	return nil, &FailedRunError{Failure: f, cause: first.err}
+	res := last.res
+	work.SimCycles = res.Cycles - prefix
+	work.TelemetryWindows, work.TelemetrySpans = int64(last.windows), int64(last.spans)
+	if ss := res.Sampling; ss != nil {
+		work.SampledRuns = 1
+		work.SampledSpans = ss.Spans
+		work.ExtrapolatedCycles = ss.ExtrapolatedCycles
+		work.FunctionalInstrs = ss.FunctionalInstrs
+		work.MaxErrorBound = ss.ErrorBound
+	}
+	return Outcome{Entry: buildJournalEntry(j, fp, status, attempts, res, nil, forkedFrom), Result: res, Work: work}, nil
 }
 
-// buildJournalEntry assembles the completion-log line for one run
+// buildJournalEntry assembles the completion-log line for one job
 // outcome. The same shape travels the JSONL journal, the result-store
-// transaction, and — in fabric mode — the wire between a worker and the
-// coordinator's distributed completion log.
+// transaction, and — inside an Outcome — the wire between a fabric
+// worker and its coordinator.
 func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, err error, forkedFrom string) JournalEntry {
 	e := JournalEntry{
 		FP:         cacheKey(fp),
@@ -382,53 +362,27 @@ func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, 
 	return e
 }
 
-// journalRecord persists one fingerprintable run's outcome. With a
-// result store attached (Params.CacheDir), the memoized Result and the
-// completion-journal line commit as a single store transaction —
-// all-or-nothing, replicated to the mirror, retried with backoff on
-// transient I/O — so a crash can never leave a journal entry whose
-// Result is missing or a cached Result the journal never heard of.
-// The transaction is submitted write-behind: the slot goes back to
-// simulating while the store batches it with its neighbours, and
-// SyncStores is where the sweep waits for it. Without a store, the
-// journal line is appended directly as before.
-func (p Params) journalRecord(j Job, fp, status string, attempts int, res *gpu.Result, err error, forkedFrom string) {
-	if fp == "" {
-		return
-	}
-	entry := buildJournalEntry(j, fp, status, attempts, res, err, forkedFrom)
-	if p.OnOutcome != nil {
-		p.OnOutcome(entry, res)
-	}
-	// Faulted (or degraded-by-injection) outcomes must never be served to
-	// an un-injected sweep, so injected runs journal but never cache.
-	injected := p.Inject != nil && p.Inject.Matches(j.Workload, j.Variant)
-	p.commitOutcome(fp, entry, res, status != "failed" && !injected, true)
-}
-
-// RecordRemote commits a remotely executed job's outcome into this
-// process's journal and result store exactly as a local run would: the
-// Result and the completion-log line land in one store transaction.
-// This is how the fabric coordinator owns the distributed completion
-// log — workers stream outcomes back, the coordinator makes them
-// durable, and a worker crash loses nothing that was acknowledged. fp
-// is the raw content fingerprint (the store envelope carries it for
-// content verification); e.FP must be its cache key. Unlike a local
-// run's outcome this commit is synchronous — the coordinator makes a
-// completion durable before the waiting dispatcher may see it — and
-// completions arriving together still share one group-commit batch.
-func RecordRemote(p Params, fp string, e JournalEntry, res *gpu.Result) {
-	if fp == "" {
-		return
-	}
-	p.commitOutcome(fp, e, res, e.Status != "failed", false)
-}
-
-// commitOutcome writes one outcome to the journal and, when allowed and
-// available, the result store — atomically when both are present.
-// behind submits the store transaction to the write-behind pipeline
-// instead of waiting for it.
-func (p Params) commitOutcome(fp string, entry JournalEntry, res *gpu.Result, cacheable, behind bool) {
+// CommitOutcome makes one job outcome durable in p's completion journal
+// and result store; fp is the job's raw content fingerprint (the store
+// envelope carries it for content verification; out.Entry.FP is its
+// cache key). It is the one way an outcome reaches either: the local
+// executor calls it for a run it supervised, the fabric coordinator for
+// one a worker delivered.
+//
+// With a result store attached (Params.CacheDir) the Result and the
+// journal line commit as a single store transaction — all-or-nothing,
+// replicated to the mirror, retried with backoff on transient I/O — so a
+// crash can never leave a journal entry whose Result is missing or a
+// stored Result the journal never heard of. The transaction is submitted
+// to the store's write-behind window, where it is batched with its
+// neighbours; the returned channel is closed once this outcome's
+// transaction has finished, and SyncStores waits for all of them. A
+// caller that must not show the outcome to anyone before it is durable
+// (the coordinator, before it acknowledges a completion) waits on the
+// channel; a local slot goes back to simulating. Without a store the
+// journal line is appended directly.
+func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{}) {
+	entry, res := out.Entry, out.Result
 	// A concurrent-kernel mix commits its result object but no journal
 	// line: bench/golden/all-d30.cycles.txt pins the journal at the 286
 	// single-kernel jobs, and only a `benchmark` PR may regenerate it.
@@ -439,12 +393,17 @@ func (p Params) commitOutcome(fp string, entry JournalEntry, res *gpu.Result, ca
 		je = &entry
 	}
 	h := handleFor(p)
-	storeResult := h != nil && res != nil && cacheable
+	// A failed job has no Result, and a faulted (or degraded-by-injection)
+	// one must never be served to an un-injected sweep: those journal but
+	// never cache.
+	storeResult := h != nil && res != nil && !p.injects(entry.Workload, entry.Variant)
 	if h == nil || (!storeResult && je == nil) {
 		if je != nil {
 			p.Journal.Record(*je)
 		}
-		return
+		done := make(chan struct{})
+		close(done)
+		return done
 	}
 	tx := h.st.Begin()
 	if storeResult {
@@ -456,17 +415,11 @@ func (p Params) commitOutcome(fp string, entry JournalEntry, res *gpu.Result, ca
 		if b, merr := json.Marshal(je); merr == nil {
 			tx.Append(JournalFileName, b)
 		}
-	}
-	if je != nil {
 		// The line reaches the file through the transaction; only the
 		// in-memory status map needs the update.
 		p.Journal.noteStatus(*je)
 	}
-	if behind {
-		h.wb.submit(func() { p.commitBestEffort(tx) })
-	} else {
-		p.commitBestEffort(tx)
-	}
+	return h.wb.submit(func() { p.commitBestEffort(tx) })
 }
 
 // writeBundle persists a repro bundle into dir as one pretty-printed JSON

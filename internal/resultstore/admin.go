@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Report summarizes a Verify or Repair pass.
 type Report struct {
 	// Checked counts distinct indexed objects examined.
 	Checked int
-	// Legacy counts unindexed object files (readable, no checksum).
-	Legacy int
 	// Healthy counts objects valid on every attached side.
 	Healthy int
 	// Repaired counts objects healed by copying from a healthy replica
@@ -99,7 +96,7 @@ func (s *Store) verifyRepair(fix bool) Report {
 		for _, sd := range s.sides {
 			st := s.verifyObject(sd, k.kind, k.key)
 			switch st {
-			case objOK, objLegacy:
+			case objOK:
 				if goodSide == nil {
 					goodSide = sd
 				}
@@ -135,28 +132,7 @@ func (s *Store) verifyRepair(fix bool) Report {
 			}
 		}
 	}
-	rep.Legacy = s.countLegacy(s.sides[0])
 	return rep
-}
-
-// countLegacy counts object-named files on a side that have no index
-// entry: the pre-store compat population.
-func (s *Store) countLegacy(sd *side) int {
-	n := 0
-	for _, kind := range []Kind{KindResult, KindCheckpoint, KindArtifact} {
-		matches, err := filepath.Glob(filepath.Join(sd.dir, string(kind)+"-*.json"))
-		if err != nil {
-			continue
-		}
-		for _, m := range matches {
-			base := filepath.Base(m)
-			key := strings.TrimSuffix(strings.TrimPrefix(base, string(kind)+"-"), ".json")
-			if _, ok := sd.index[objKey{kind, key}]; !ok {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Failover marks the primary side failed: reads and commits move to the
@@ -244,7 +220,6 @@ func (s *Store) Flip() error {
 type KindInventory struct {
 	Kind      string
 	Objects   int // indexed objects
-	Legacy    int // unindexed compat files
 	Segmented int // indexed objects stored as value segments
 	Bytes     int64
 }
@@ -271,16 +246,6 @@ func (s *Store) Inventory() []KindInventory {
 		inv.Bytes += e.Size
 		if e.Segs > 0 {
 			inv.Segmented++
-		}
-	}
-	for _, kind := range []Kind{KindResult, KindCheckpoint, KindArtifact} {
-		matches, _ := filepath.Glob(filepath.Join(sd.dir, string(kind)+"-*.json"))
-		for _, m := range matches {
-			base := filepath.Base(m)
-			key := strings.TrimSuffix(strings.TrimPrefix(base, string(kind)+"-"), ".json")
-			if _, ok := sd.index[objKey{kind, key}]; !ok {
-				byKind[kind].Legacy++
-			}
 		}
 	}
 	out := make([]KindInventory, 0, len(byKind))

@@ -363,6 +363,7 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 			if rep := s2.Verify(); len(rep.Damaged) != 0 || len(rep.Unrecoverable) != 0 {
 				t.Fatalf("verify after recovery: %+v", rep)
 			}
+			servedOnlyIndexed(t, s2)
 		})
 	}
 }

@@ -82,6 +82,36 @@ func TestKillPointAllOrNothing(t *testing.T) {
 	}
 }
 
+// servedOnlyIndexed Gets every object that has a file on any side of s
+// and fails if one is served whose SHA-256 is not its indexed one.
+func servedOnlyIndexed(t *testing.T, s *Store) {
+	t.Helper()
+	for _, sd := range s.sides {
+		files, err := filepath.Glob(filepath.Join(sd.dir, "vt*-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			kind, key, ok := strings.Cut(strings.TrimSuffix(filepath.Base(f), ".json"), "-")
+			if !ok {
+				continue
+			}
+			b, err := s.Get(Kind(kind), key)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("get %s-%s: %v", kind, key, err)
+			}
+			e, indexed := s.serving().index[objKey{Kind(kind), key}]
+			if !indexed || sumHex(b) != e.SHA {
+				t.Fatalf("%s-%s served with SHA-256 %s; its index line (present=%v) says %s",
+					kind, key, sumHex(b), indexed, e.SHA)
+			}
+		}
+	}
+}
+
 func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
@@ -140,6 +170,11 @@ func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 	if rep := s2.Verify(); len(rep.Damaged) != 0 || len(rep.Unrecoverable) != 0 {
 		t.Fatalf("verify after recovery: %+v", rep)
 	}
+
+	// Nothing is served unverified: whatever a Get returns, for any
+	// object file the crash left on either side, hashes to the checksum
+	// the serving side's index records for it.
+	servedOnlyIndexed(t, s2)
 
 	// Recovery is idempotent: a second reopen changes nothing.
 	s3 := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256})

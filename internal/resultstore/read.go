@@ -12,13 +12,14 @@ type objState int
 
 const (
 	objOK objState = iota
-	objLegacy
 	objMissing
 	objCorrupt
 	objErr
 )
 
-// readObject reads and classifies one object's head file on one side.
+// readObject reads and classifies one object's head file on one side. A
+// file no index line vouches for cannot be verified, so it is corrupt:
+// no byte leaves the store without matching an indexed checksum.
 func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 	e, indexed := sd.index[objKey{kind, key}]
 	b, err := s.fs.readFile(s.objPath(sd, kind, key))
@@ -28,29 +29,23 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 		}
 		return nil, objErr
 	}
-	if !indexed {
-		// Legacy object: present on disk, no index line. Served without
-		// checksum verification — the compat path for cache directories
-		// written before the store existed.
-		return b, objLegacy
-	}
-	if sumHex(b) != e.SHA {
+	if !indexed || sumHex(b) != e.SHA {
 		return nil, objCorrupt
 	}
 	return b, objOK
 }
 
 // Get returns an object's payload (the head payload for segmented
-// objects), verifying its end-to-end checksum. A corrupt or unreadable
-// copy is healed from a healthy replica when one exists; with no
-// healthy copy anywhere, corrupt files are quarantined and Get reports
-// ErrNotFound so the caller recomputes.
+// objects), verifying its end-to-end checksum. A corrupt, unindexed or
+// unreadable copy is healed from a healthy replica when one exists; with
+// no healthy copy anywhere, corrupt files are quarantined and Get reports
+// ErrNotFound so the caller recomputes (and its rewrite indexes).
 //
 // A definite miss — no index line has ever named the object and its
 // file is absent on every healthy side — is answered without the store
 // lock: it is the question every sweep slot asks before simulating, and
 // it must not queue behind a batch commit's fsyncs. Anything else (a
-// hit, a legacy file, a copy to verify or heal) takes the lock.
+// hit, a copy to verify, heal or quarantine) takes the lock.
 func (s *Store) Get(kind Kind, key string) ([]byte, error) {
 	if s.definiteMiss(kind, key) {
 		s.lockFreeMisses.Add(1)
@@ -83,7 +78,6 @@ func (s *Store) definiteMiss(kind Kind, key string) bool {
 func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	s.counters.Gets++
 	var good []byte
-	goodState := objMissing
 	var goodSide *side
 	var badSides []*side
 	sawCorrupt := false
@@ -94,8 +88,8 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 		}
 		attempted++
 		b, st := s.readObject(sd, kind, key)
-		if st == objOK || st == objLegacy {
-			good, goodState, goodSide = b, st, sd
+		if st == objOK {
+			good, goodSide = b, sd
 			break
 		}
 		if st == objCorrupt || st == objErr {
@@ -108,7 +102,7 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	if good == nil {
 		if sawCorrupt {
 			for _, sd := range badSides {
-				s.quarantineSide(sd, kind, key, "checksum mismatch, no healthy replica")
+				s.quarantineSide(sd, kind, key, "checksum mismatch or no index entry, no healthy replica")
 			}
 		}
 		s.counters.Misses++
@@ -122,11 +116,7 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	for _, sd := range badSides {
 		s.repairObject(goodSide, sd, kind, key)
 	}
-	if goodState == objLegacy {
-		s.counters.LegacyHits++
-	} else {
-		s.counters.Hits++
-	}
+	s.counters.Hits++
 	return good, nil
 }
 
@@ -211,36 +201,25 @@ func (s *Store) getSegment(kind Kind, key string, idx int, want segInfo) ([]byte
 }
 
 // repairObject copies an object (head and segments) from a healthy side
-// to a damaged one, bit-identically, and re-indexes it there.
+// — one whose index vouches for its copy — to a damaged one,
+// bit-identically, and re-indexes it there.
 func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 	e, indexed := from.index[objKey{kind, key}]
-	op := manifestOp{Kind: string(kind), Key: key}
-	if indexed {
-		op.SHA = e.SHA
-		op.Size = e.Size
-		for i := 0; i < e.Segs; i++ {
-			op.Segs = append(op.Segs, segInfo{})
-		}
-		if e.Segs > 0 {
-			// Segment checksums live in the head payload.
-			head, err := s.fs.readFile(s.objPath(from, kind, key))
-			if err != nil {
-				return
-			}
-			var h blobHead
-			if err := json.Unmarshal(head, &h); err != nil || len(h.Segments) != e.Segs {
-				return
-			}
-			op.Segs = h.Segments
-		}
-	} else {
-		// Healing from a legacy (unindexed) copy: adopt its current bytes.
-		b, err := s.fs.readFile(s.objPath(from, kind, key))
+	if !indexed {
+		return
+	}
+	op := manifestOp{Kind: string(kind), Key: key, SHA: e.SHA, Size: e.Size}
+	if e.Segs > 0 {
+		// Segment checksums live in the head payload.
+		head, err := s.fs.readFile(s.objPath(from, kind, key))
 		if err != nil {
 			return
 		}
-		op.SHA = sumHex(b)
-		op.Size = int64(len(b))
+		var h blobHead
+		if err := json.Unmarshal(head, &h); err != nil || len(h.Segments) != e.Segs {
+			return
+		}
+		op.Segs = h.Segments
 	}
 	var ss syncSet
 	ok := s.replicatePut(from, s.writerFor(to, &ss), "repair", op)
@@ -253,8 +232,7 @@ func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 // Quarantine moves an object's files aside (path -> path.corrupt) on
 // every side where they exist and drops their index entries, so a
 // damaged-but-undetectable-at-this-layer object (e.g. a stale envelope
-// version) stops shadowing recomputation. Mirrors the pre-store
-// quarantine semantics.
+// version) stops shadowing recomputation.
 func (s *Store) Quarantine(kind Kind, key, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

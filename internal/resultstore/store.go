@@ -6,8 +6,8 @@
 //
 // # Layout (per side directory)
 //
-//	vtsim-<key>.json            plain object (legacy-compatible name)
-//	vtck-<key>.json             plain object (legacy-compatible name)
+//	vtsim-<key>.json            plain object
+//	vtck-<key>.json             plain object
 //	vtart-<key>.json            segmented object head
 //	vtart-<key>.json.seg<N>     value segments of a segmented object
 //	journal.jsonl               completion journal (appended through txs)
@@ -16,12 +16,12 @@
 //	.vtstore/wal/               redo + commit records
 //	.vtstore/staging/           staged payloads awaiting commit
 //
-// Object files keep the exact names the pre-store disk cache used, so a
-// directory written by an older build opens unchanged: files present on
-// disk but absent from store-index.jsonl are "legacy" objects, served
-// without checksum verification (the caller's envelope validation still
-// applies). Everything the store adds lives in files that do not match
-// the historical vtsim-*.json / vtck-*.json globs.
+// store-index.jsonl is what makes an object servable: a read returns
+// only bytes whose SHA-256 an index line records. An object file no
+// index line vouches for — debris, a hand-copied file, a cache directory
+// older than the store — is treated like a checksum mismatch: healed
+// from the other side when that side holds an indexed copy, quarantined
+// otherwise, and the caller recomputes.
 //
 // # Commit protocol
 //
@@ -76,8 +76,7 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Kind names an object class; it is also the on-disk filename prefix,
-// chosen to match the pre-store cache file names exactly.
+// Kind names an object class; it is also the on-disk filename prefix.
 type Kind string
 
 const (
@@ -106,8 +105,7 @@ const (
 
 // Options configures Open.
 type Options struct {
-	// Dir is the primary store directory (required). A pre-existing plain
-	// cache directory is valid: its files open as legacy objects.
+	// Dir is the primary store directory (required).
 	Dir string
 	// Mirror, when non-empty, attaches a replica directory: transactions
 	// apply to both sides, reads fail over, and Repair copies between
@@ -138,7 +136,6 @@ type Event struct {
 type Counters struct {
 	Gets             int64
 	Hits             int64
-	LegacyHits       int64
 	Misses           int64
 	Commits          int64
 	Repairs          int64
@@ -290,8 +287,7 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// objPath names an object's head file on a side, matching the pre-store
-// cache layout exactly.
+// objPath names an object's head file on a side.
 func (s *Store) objPath(sd *side, kind Kind, key string) string {
 	return filepath.Join(sd.dir, fmt.Sprintf("%s-%s.json", kind, key))
 }
@@ -401,8 +397,10 @@ func (w *sideWriter) index(e indexEntry) error {
 }
 
 // loadIndex replays a side's store-index.jsonl into memory. Torn or
-// unparseable lines are skipped (an object whose index line was lost
-// degrades to legacy: readable, unverified).
+// unparseable lines are skipped: an object whose index line was lost is
+// unverifiable, and reads treat it as corrupt. (A line torn by a crash
+// belongs to a transaction whose commit record survived it, and recovery
+// rolls that forward, index line included.)
 func (s *Store) loadIndex(sd *side) {
 	b, err := os.ReadFile(filepath.Join(sd.dir, indexFile))
 	if err != nil {

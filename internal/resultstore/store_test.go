@@ -37,9 +37,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	tx.Put(KindResult, "abc123", payload)
 	mustCommit(t, tx)
 
-	// The object file keeps the exact legacy cache name.
 	if _, err := os.Stat(filepath.Join(dir, "vtsim-abc123.json")); err != nil {
-		t.Fatalf("object file not at legacy name: %v", err)
+		t.Fatalf("object file not at its kind-key name: %v", err)
 	}
 	got, err := s.Get(KindResult, "abc123")
 	if err != nil {
@@ -55,7 +54,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("get after reopen: %v %q", err, got)
 	}
 	c := s2.Counters()
-	if c.Hits != 1 || c.LegacyHits != 0 {
+	if c.Hits != 1 {
 		t.Fatalf("want 1 verified hit, got %+v", c)
 	}
 	// No WAL or staging debris after a clean commit.
@@ -67,26 +66,72 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLegacyCompatRead is the compat read inverted: a cache directory
+// written by a pre-store build — object files, no index — is not
+// served. An unindexed file is unverifiable, therefore corrupt: alone it
+// is quarantined and reported missing, so the caller recomputes and the
+// rewrite indexes it; beside an indexed, checksum-matching copy on the
+// other side it is healed from that copy, whatever its own bytes say.
 func TestLegacyCompatRead(t *testing.T) {
-	// A cache directory written by a pre-store build: object files, no
-	// index. The store must serve them unverified.
-	dir := t.TempDir()
 	payload := []byte(`{"version":1,"fingerprint":"y","result":{}}`)
-	if err := os.WriteFile(filepath.Join(dir, "vtsim-deadbeef.json"), payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, Options{Dir: dir})
-	got, err := s.Get(KindResult, "deadbeef")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy read: %v %q", err, got)
-	}
-	c := s.Counters()
-	if c.LegacyHits != 1 || c.Hits != 0 {
-		t.Fatalf("want legacy hit, got %+v", c)
-	}
-	if inv := s.Inventory(); inv[2].Kind != "vtsim" || inv[2].Legacy != 1 {
-		t.Fatalf("inventory should count legacy object: %+v", inv)
-	}
+	t.Run("no mirror: quarantined and recomputed", func(t *testing.T) {
+		dir := t.TempDir()
+		obj := filepath.Join(dir, "vtsim-deadbeef.json")
+		if err := os.WriteFile(obj, payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustOpen(t, Options{Dir: dir})
+		if got, err := s.Get(KindResult, "deadbeef"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("unindexed file served: %v %q", err, got)
+		}
+		if _, err := os.Stat(obj + ".corrupt"); err != nil {
+			t.Fatalf("unindexed file not quarantined: %v", err)
+		}
+		if c := s.Counters(); c.Hits != 0 || c.Misses != 1 || c.Quarantines != 1 {
+			t.Fatalf("want one miss and one quarantine, got %+v", c)
+		}
+		if inv := s.Inventory(); inv[2].Kind != "vtsim" || inv[2].Objects != 0 {
+			t.Fatalf("inventory counts an unindexed file: %+v", inv)
+		}
+		// The caller's recomputation is an ordinary, indexed put.
+		tx := s.Begin()
+		tx.Put(KindResult, "deadbeef", payload)
+		mustCommit(t, tx)
+		if got, err := s.Get(KindResult, "deadbeef"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("rewrite not served: %v %q", err, got)
+		}
+	})
+	t.Run("mirror: healed, bytes equal", func(t *testing.T) {
+		p, m := t.TempDir(), t.TempDir()
+		s := mustOpen(t, Options{Dir: p, Mirror: m})
+		tx := s.Begin()
+		tx.Put(KindResult, "deadbeef", payload)
+		mustCommit(t, tx)
+		s.Close()
+		// The primary loses its index and keeps a file nobody vouches
+		// for — with different bytes, so serving it would show.
+		if err := os.Remove(filepath.Join(p, indexFile)); err != nil {
+			t.Fatal(err)
+		}
+		obj := filepath.Join(p, "vtsim-deadbeef.json")
+		if err := os.WriteFile(obj, []byte(`{"version":1,"fingerprint":"y","result":{"cycles":1}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s = mustOpen(t, Options{Dir: p, Mirror: m})
+		got, err := s.Get(KindResult, "deadbeef")
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read beside a healthy mirror: %v %q", err, got)
+		}
+		if c := s.Counters(); c.Hits != 1 || c.Repairs != 1 {
+			t.Fatalf("want one hit and one repair, got %+v", c)
+		}
+		if healed, err := os.ReadFile(obj); err != nil || !bytes.Equal(healed, payload) {
+			t.Fatalf("primary not healed bit-identically: %v %q", err, healed)
+		}
+		if rep := s.Verify(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
+			t.Fatalf("verify after heal: %+v", rep)
+		}
+	})
 }
 
 func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
