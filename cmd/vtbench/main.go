@@ -40,13 +40,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/faultinject"
@@ -90,10 +86,13 @@ func realMain() int {
 	ctx, stopSignals := sig.Context("vtbench")
 	defer stopSignals()
 
-	p, meta, err := sf.Params()
+	p, err := sf.Params()
 	if err != nil {
 		return fatalf("%v", err)
 	}
+	// Whatever path leaves realMain — 0, 1, 3, 130, 143 — the sweep closes
+	// first: its write-behind window drains, its journal and store close.
+	defer p.Sweep.Close()
 	p.Workers = *workers
 	p.Telemetry = *telemetry
 	p.Ctx = ctx
@@ -123,43 +122,21 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Sweep observability: every invocation gets its own Monitor, and any
-	// flag that consumes spans turns the tracer on. With all of them off,
-	// p.Trace stays nil and every tracer hook is a nil-receiver no-op — the
-	// contract behind the CI overhead gate.
-	mon := harness.NewMonitor()
-	p.Monitor = mon
+	// Sweep observability: every invocation's sweep gets its own Monitor,
+	// and any flag that consumes spans turns the tracer on. With all of
+	// them off, the sweep's Trace stays nil and every tracer hook is a
+	// nil-receiver no-op — the contract behind the CI overhead gate.
+	mon := harness.NewMonitor(p.Sweep)
 	var tracer *sweepobs.Tracer
 	if *sweeptrace != "" || *sweepPerf != "" || *metricsOut != "" || *monitor != "" {
 		tracer = sweepobs.New()
-		mon.SetTracer(tracer)
-		p.Trace = tracer
+		p.Sweep.Trace = tracer
 	}
 
 	stopMonitor := func() {}
 	if *monitor != "" {
-		// Listen synchronously so a bad address or occupied port is a
-		// fatal setup error, not a silently dead goroutine.
-		ln, err := net.Listen("tcp", *monitor)
-		if err != nil {
-			return fatalf("monitor: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "vtbench: monitor on http://%s/\n", ln.Addr())
-		srv := &http.Server{Handler: mon.Handler()}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
-		var once sync.Once
-		stopMonitor = func() {
-			once.Do(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					srv.Close()
-				}
-				if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-					fmt.Fprintf(os.Stderr, "vtbench: monitor server: %v\n", err)
-				}
-			})
+		if stopMonitor, err = sweepcli.Serve("vtbench", "monitor", *monitor, mon.Handler()); err != nil {
+			return fatalf("%v", err)
 		}
 		defer stopMonitor()
 	}
@@ -177,11 +154,9 @@ func realMain() int {
 		return code
 	}
 
-	closeJournal, err := sf.OpenJournal("vtbench", &p, meta)
-	if err != nil {
+	if err := sf.OpenJournal("vtbench", p); err != nil {
 		return fatalf("%v", err)
 	}
-	defer closeJournal()
 
 	r, exitCode, err := sf.RunExperiments("vtbench", p, w)
 	if err != nil {
@@ -199,10 +174,10 @@ func realMain() int {
 		fmt.Fprintf(w, "result store: %d objects healed from the mirror, %d transient I/O retries\n",
 			r.StoreRepairs, r.StoreRetries)
 	}
-	if r.RunsRetried > 0 || r.RunsFailed > 0 {
+	if r.Retries > 0 || r.Failures > 0 {
 		fmt.Fprintf(w, "supervisor: %d safe-mode retries, %d degraded, %d failed runs\n",
-			r.RunsRetried, r.RunsDegraded, r.RunsFailed)
-		if r.RunsFailed > 0 && sf.FailDir != "" {
+			r.Retries, r.Degraded, r.Failures)
+		if r.Failures > 0 && sf.FailDir != "" {
 			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run the failed jobs with -store %s -resume\n",
 				sf.FailDir, sf.StoreDir)
 		}
@@ -294,7 +269,7 @@ func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *swe
 	if p.CacheDir != "" {
 		// Best-effort: a trace that fails to commit must not fail a sweep
 		// whose results committed fine.
-		if err := harness.PersistSweepTrace(p, d); err != nil {
+		if err := p.Sweep.PersistTrace(p, d); err != nil {
 			fmt.Fprintf(os.Stderr, "vtbench: persist sweep trace: %v\n", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "vtbench: sweep trace committed to store %s\n", p.CacheDir)

@@ -23,12 +23,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -61,50 +57,39 @@ func realMain() int {
 	ctx, stopSignals := sig.Context("vtsweepd")
 	defer stopSignals()
 
-	p, meta, err := sf.Params()
+	p, err := sf.Params()
 	if err != nil {
 		return fatalf("%v", err)
 	}
+	// Deferred first, so it runs last, after the listener is down: the
+	// sweep's window drains, its journal and store close.
+	defer p.Sweep.Close()
 	w, closeOut, err := sf.OpenOutput()
 	if err != nil {
 		return fatalf("%v", err)
 	}
 	defer closeOut()
 
-	p.Monitor = harness.NewMonitor()
-	p.Trace = sweepobs.New()
-	p.Monitor.SetTracer(p.Trace)
+	harness.NewMonitor(p.Sweep)
+	p.Sweep.Trace = sweepobs.New()
 
-	closeJournal, err := sf.OpenJournal("vtsweepd", &p, meta)
-	if err != nil {
+	if err := sf.OpenJournal("vtsweepd", p); err != nil {
 		return fatalf("%v", err)
 	}
-	defer closeJournal()
 
-	// The coordinator's own Params (store commits, journal, monitor) have
-	// no Ctx: a completion arriving during drain must still commit. Only
-	// the sweep copy below is cancellable.
+	// The coordinator's own Params have no Ctx: a completion arriving
+	// during drain must still commit. Only the copy the experiments run
+	// under, below, is cancellable; both carry the one Sweep.
 	coord := fabric.New(fabric.Config{Params: p, LeaseTTL: *leaseTTL})
 	defer coord.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	stopServer, err := sweepcli.Serve("vtsweepd", fmt.Sprintf("job API + fleet dashboard (lease TTL %s)", *leaseTTL), *addr, coord.Handler())
 	if err != nil {
-		return fatalf("listen: %v", err)
+		return fatalf("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "vtsweepd: job API + fleet dashboard on http://%s/ (lease TTL %s)\n", ln.Addr(), *leaseTTL)
-	srv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
 	defer func() {
-		coord.Close() // on an early return too: Shutdown waits for parked lease requests
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			srv.Close()
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "vtsweepd: server: %v\n", err)
-		}
+		coord.Close() // on an early return too: the shutdown waits for parked lease requests
+		stopServer()
 	}()
 
 	sp := p
@@ -122,12 +107,12 @@ func realMain() int {
 	}
 	// Sweep done (or signaled): close the queue, which answers every
 	// parked lease request with 410 at once, and wait for the workers'
-	// goodbyes before the deferred Shutdown tears the listener down, so
+	// goodbyes before the deferred stopServer tears the listener down, so
 	// none of them meets a refused connection. The trace commits while
 	// they leave.
 	closed := time.Now()
 	coord.Close()
-	if err := harness.PersistSweepTrace(p, p.Trace.Dump()); err != nil {
+	if err := p.Sweep.PersistTrace(p, p.Sweep.Trace.Dump()); err != nil {
 		// Best-effort: the results committed fine without it.
 		fmt.Fprintf(os.Stderr, "vtsweepd: persist sweep trace: %v\n", err)
 	}
@@ -139,8 +124,8 @@ func realMain() int {
 	fmt.Fprintf(w, "fleet: %d workers, %d completions (%d duplicate), leases %d granted / %d renewed / %d expired / %d released, drain %dms\n",
 		len(st.Workers), st.Completions, st.DuplicateCompletions,
 		st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesReleased, drain.Milliseconds())
-	if report.RunsFailed > 0 {
-		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", report.RunsFailed)
+	if report.Failures > 0 {
+		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", report.Failures)
 	}
 	if err := sf.WriteJSON("vtsweepd", report); err != nil {
 		return fatalf("%v", err)

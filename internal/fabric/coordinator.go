@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,10 +33,13 @@ const (
 
 // Config configures a Coordinator.
 type Config struct {
-	// Params are the coordinator-side harness parameters: its result
-	// store (the fleet's shared cache and completion log), journal,
-	// monitor, and tracer. They carry no Ctx: a completion that arrives
-	// while the sweep is being canceled must still commit.
+	// Params are the coordinator-side harness parameters, bound to the
+	// coordinator's Sweep: its result store (the fleet's shared cache and
+	// completion log), journal, monitor, and tracer — the same Sweep the
+	// experiments run in. They carry no Ctx: a completion that arrives
+	// while the sweep is being canceled must still commit. A nil Sweep
+	// gets a private one (enough for a store-less coordinator; nobody
+	// closes it).
 	Params harness.Params
 	// LeaseTTL overrides DefaultLeaseTTL.
 	LeaseTTL time.Duration
@@ -91,8 +96,9 @@ type workerInfo struct {
 // (blocking until a worker delivers), and the fleet side calls the HTTP
 // handlers in server.go.
 type Coordinator struct {
-	cfg Config
-	ttl time.Duration
+	cfg   Config
+	sweep *harness.Sweep // cfg.Params.Sweep
+	ttl   time.Duration
 
 	hold     time.Duration // leaseHold; tests shorten it
 	drainCap time.Duration // DrainCap; tests shorten it
@@ -131,11 +137,15 @@ func New(cfg Config) *Coordinator {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	if cfg.Params.Monitor == nil {
-		cfg.Params.Monitor = harness.NewMonitor() // /status and /metrics read it
+	if cfg.Params.Sweep == nil {
+		cfg.Params.Sweep = harness.NewSweep()
+	}
+	if cfg.Params.Sweep.Monitor == nil {
+		harness.NewMonitor(cfg.Params.Sweep) // /status and /metrics read it
 	}
 	c := &Coordinator{
 		cfg:         cfg,
+		sweep:       cfg.Params.Sweep,
 		ttl:         cfg.LeaseTTL,
 		hold:        leaseHold,
 		drainCap:    DrainCap,
@@ -278,32 +288,30 @@ func (e fleetExecutor) Execute(p harness.Params, j harness.Job, cfg config.GPUCo
 		RunTimeoutMS:    p.RunTimeout.Milliseconds(),
 	})
 
-	did := p.Trace.Begin(p.Span(), "fabric.dispatch", j.Workload, j.Variant)
-	p.Trace.SetAttr(did, "key", key[:12])
-	defer p.Trace.End(did)
+	tr := p.Sweep.Trace
+	did := tr.Begin(p.Span(), "fabric.dispatch", j.Workload, j.Variant)
+	tr.SetAttr(did, "key", key[:12])
+	defer tr.End(did)
 
-	ctx := context.Background()
-	if p.Ctx != nil {
-		ctx = p.Ctx
-	}
+	ctx := p.Context()
 	select {
 	case <-jb.done:
 	case <-ctx.Done():
-		p.Trace.SetAttr(did, "outcome", "canceled")
+		tr.SetAttr(did, "outcome", "canceled")
 		return harness.Outcome{}, fmt.Errorf("fabric: dispatch %s/%s: %w", j.Workload, j.Variant, ctx.Err())
 	}
 	e.c.mu.Lock()
 	out, worker := jb.out, jb.worker
 	queued, run := jb.queued, jb.doneAt.Sub(jb.enqueued)-jb.queued
 	e.c.mu.Unlock()
-	p.Trace.SetAttr(did, "worker", worker)
-	p.Trace.SetAttr(did, "queued_ms", strconv.FormatInt(queued.Milliseconds(), 10))
-	p.Trace.SetAttr(did, "run_ms", strconv.FormatInt(run.Milliseconds(), 10))
+	tr.SetAttr(did, "worker", worker)
+	tr.SetAttr(did, "queued_ms", strconv.FormatInt(queued.Milliseconds(), 10))
+	tr.SetAttr(did, "run_ms", strconv.FormatInt(run.Milliseconds(), 10))
 	if out.Result == nil {
-		p.Trace.SetAttr(did, "outcome", "error")
+		tr.SetAttr(did, "outcome", "error")
 		return out, fmt.Errorf("fabric: %s/%s on %s: %s", j.Workload, j.Variant, worker, out.Entry.Error)
 	}
-	p.Trace.SetAttr(did, "outcome", "ok")
+	tr.SetAttr(did, "outcome", "ok")
 	return out, nil
 }
 
@@ -517,7 +525,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 // Status snapshots the fleet for /status and the dashboard.
 func (c *Coordinator) Status() FleetStatus {
 	now := c.cfg.now()
-	agg := c.cfg.Params.Monitor.Status().SimCyclesPerSec
+	agg := c.sweep.Monitor.Status().SimCyclesPerSec
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := FleetStatus{
@@ -553,14 +561,6 @@ func (c *Coordinator) Status() FleetStatus {
 			Metrics:     w.metrics,
 		})
 	}
-	sortWorkers(st.Workers)
+	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
 	return st
-}
-
-func sortWorkers(ws []WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for k := i; k > 0 && ws[k].ID < ws[k-1].ID; k-- {
-			ws[k], ws[k-1] = ws[k-1], ws[k]
-		}
-	}
 }

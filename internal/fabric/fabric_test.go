@@ -9,8 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -180,10 +180,7 @@ func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	harness.ResetMetrics()
-	defer harness.ResetMetrics()
-	c := New(Config{Params: harness.Params{CacheDir: dir}})
+	c := New(Config{Params: testSweepParams(t, t.TempDir())})
 	defer c.Close()
 	c.hold = 20 * time.Millisecond // the empty-queue lease below sits it out
 	srv := httptest.NewServer(c.Handler())
@@ -334,26 +331,27 @@ func sweepJobs() []harness.Job {
 	return jobs
 }
 
-func testSweepParams(dir string) harness.Params {
-	return harness.Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 4, CacheDir: dir}
+// testSweepParams are the fixtures' sweep parameters over a store in
+// dir, bound to a Sweep of their own that the test closes on exit.
+func testSweepParams(t *testing.T, dir string) harness.Params {
+	p := harness.Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 4, CacheDir: dir,
+		Sweep: harness.NewSweep()}
+	t.Cleanup(p.Sweep.Close)
+	return p
 }
 
-// collectSink records results as canonical JSON keyed by
-// workload/variant, the determinism comparison unit.
+// collectSink records results keyed by workload/variant, the determinism
+// comparison unit.
 type collectSink struct {
 	mu  sync.Mutex
-	got map[string]string
+	got map[string]*gpu.Result
 }
 
-func newCollectSink() *collectSink { return &collectSink{got: map[string]string{}} }
+func newCollectSink() *collectSink { return &collectSink{got: map[string]*gpu.Result{}} }
 
 func (s *collectSink) Collect(j harness.Job, res *gpu.Result) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		b = []byte("marshal error: " + err.Error())
-	}
 	s.mu.Lock()
-	s.got[j.Workload+"/"+j.Variant] = string(b)
+	s.got[j.Workload+"/"+j.Variant] = res
 	s.mu.Unlock()
 }
 
@@ -377,23 +375,13 @@ func journalCycles(t *testing.T, dir string) map[string]int64 {
 	return out
 }
 
-func openTestJournal(t *testing.T, dir string) *harness.Journal {
-	t.Helper()
-	jl, err := harness.OpenJournal(filepath.Join(dir, harness.JournalFileName),
-		harness.JournalMeta{Scale: 1, Dilute: 50, Config: "small"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jl.Close() })
-	return jl
-}
-
-// baseline is what a single-process run of a batch produced: the ground
-// truth a fleet run of the same batch must reproduce, bit-identically
-// for results and journal cycles and to the digit for the work counters.
+// baseline is what one journaled sweep of a batch produced. The serial
+// single-process one is the ground truth: the same batch at any worker
+// count, or through a fleet, must reproduce it — DeepEqual results, equal
+// journal cycles, and the work counters to the digit.
 type baseline struct {
-	results map[string]string // canonical Result JSON by workload/variant
-	cycles  map[string]int64  // journal cycles by cache key
+	results map[string]*gpu.Result // by workload/variant
+	cycles  map[string]int64       // journal cycles by cache key
 	work    harness.RunMetrics
 }
 
@@ -407,22 +395,33 @@ func sampled(p *harness.Params) {
 	p.Sampling = gpu.SamplingOptions{DetailedCycles: 400, FastForwardCycles: 2000, WarmupCycles: 100}
 }
 
-// runBaseline runs the batch single-process into its own store.
-func runBaseline(t *testing.T, jobs []harness.Job, shape sweepShape) baseline {
+// journaledSweepParams is testSweepParams under shape, journaling into
+// its store.
+func journaledSweepParams(t *testing.T, dir string, shape sweepShape) harness.Params {
 	t.Helper()
-	harness.ResetMetrics()
-	dir := t.TempDir()
-	p := testSweepParams(dir)
+	p := testSweepParams(t, dir)
 	if shape != nil {
 		shape(&p)
 	}
-	p.Journal = openTestJournal(t, dir)
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// runBaseline runs the batch in one process, workers simulations side by
+// side, in a sweep and store of its own.
+func runBaseline(t *testing.T, jobs []harness.Job, shape sweepShape, workers int) baseline {
+	t.Helper()
+	dir := t.TempDir()
+	p := journaledSweepParams(t, dir, shape)
+	p.Workers = workers
 	sink := newCollectSink()
 	if err := harness.RunJobs(p, jobs, sink); err != nil {
 		t.Fatalf("single-process sweep: %v", err)
 	}
-	harness.SyncStores() // local outcomes commit write-behind
-	return baseline{sink.got, journalCycles(t, dir), harness.Metrics()}
+	p.Sweep.Sync() // local outcomes commit write-behind
+	return baseline{sink.got, journalCycles(t, dir), p.Sweep.Metrics()}
 }
 
 // fleetFixture is one coordinator + httptest server + sweep params.
@@ -435,14 +434,8 @@ type fleetFixture struct {
 
 func newFleetFixture(t *testing.T, shape sweepShape, ttl time.Duration) *fleetFixture {
 	t.Helper()
-	harness.ResetMetrics()
-	t.Cleanup(harness.ResetMetrics)
 	dir := t.TempDir()
-	cp := testSweepParams(dir)
-	if shape != nil {
-		shape(&cp)
-	}
-	cp.Journal = openTestJournal(t, dir)
+	cp := journaledSweepParams(t, dir, shape)
 	coord := New(Config{Params: cp, LeaseTTL: ttl})
 	t.Cleanup(coord.Close)
 	srv := httptest.NewServer(coord.Handler())
@@ -454,110 +447,79 @@ func newFleetFixture(t *testing.T, shape sweepShape, ttl time.Duration) *fleetFi
 	return &fleetFixture{coord: coord, srv: srv, dir: dir, sweep: sweep}
 }
 
-// A fleet test's workers are processes of their own, as they are in
-// production: the harness's memo, work counters and open stores are
-// per-process state, and a worker simulating a job while its
-// coordinator's sweep waits for that same job must not share them. The
-// test binary doubles as the worker: re-executed with workerEnv set, it
-// runs one and exits.
-const workerEnv = "VTFABRIC_TEST_WORKER"
-
-type workerSpec struct {
-	URL, ID, Dir string
-	Slots        int
-}
-
-func TestMain(m *testing.M) {
-	if env := os.Getenv(workerEnv); env != "" {
-		var ws workerSpec
-		if err := json.Unmarshal([]byte(env), &ws); err != nil {
-			fmt.Fprintln(os.Stderr, "fabric test worker:", err)
-			os.Exit(2)
-		}
-		err := RunWorker(context.Background(), WorkerConfig{
-			Coordinator: ws.URL, ID: ws.ID, Slots: ws.Slots,
-			Params:         harness.Params{CacheDir: ws.Dir},
+// startWorker starts one fleet worker beside its coordinator, in this
+// process: a goroutine running RunWorker on a sweep of its own over the
+// local store dir. The channel delivers its return (nil: it left on the
+// sweep's 410); canceling ctx drains it.
+func startWorker(ctx context.Context, url, id string, slots int, dir string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(ctx, WorkerConfig{
+			Coordinator: url, ID: id, Slots: slots,
+			Params:         harness.Params{CacheDir: dir},
 			HeartbeatEvery: 50 * time.Millisecond,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fabric test worker %s: %v\n", ws.ID, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// startWorker starts one fleet worker process over the local store dir;
-// the channel delivers its exit (nil: it left on the sweep's 410).
-// Canceling ctx kills it.
-func startWorker(t *testing.T, ctx context.Context, url, id string, slots int, dir string) <-chan error {
-	t.Helper()
-	env, err := json.Marshal(workerSpec{URL: url, ID: id, Dir: dir, Slots: slots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.CommandContext(ctx, os.Args[0])
-	cmd.Env = append(os.Environ(), workerEnv+"="+string(env))
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start worker %s: %v", id, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	}()
 	return done
 }
 
 // startWorker starts one fleet worker with a fresh local store.
 func (f *fleetFixture) startWorker(t *testing.T, ctx context.Context, id string, slots int) <-chan error {
 	t.Helper()
-	return startWorker(t, ctx, f.srv.URL, id, slots, t.TempDir())
+	return startWorker(ctx, f.srv.URL, id, slots, t.TempDir())
 }
 
-// verifyFleetMatchesBaseline checks everything a finished fleet sweep
-// must share with the single-process run of its batch: every Result,
-// every journal cycle count, and — read from this process, which is the
-// coordinator's — the work counters, which are the workers' own Work
-// carried on the wire.
-func verifyFleetMatchesBaseline(t *testing.T, want baseline, gotRes map[string]string, dir string) {
+// verifyMatchesBaseline checks everything a finished sweep of a batch —
+// at another worker count, or through a fleet (whose counters are the
+// coordinator's sweep's: the workers' own Work carried on the wire) —
+// must share with the serial single-process one: every Result, every
+// journal cycle count, and the work counters.
+func verifyMatchesBaseline(t *testing.T, want, got baseline) {
 	t.Helper()
-	if len(gotRes) != len(want.results) {
-		t.Fatalf("fleet collected %d results, baseline %d", len(gotRes), len(want.results))
+	if len(got.results) != len(want.results) {
+		t.Fatalf("collected %d results, baseline %d", len(got.results), len(want.results))
 	}
 	for k, res := range want.results {
-		if gotRes[k] != res {
-			t.Errorf("%s: fleet result differs from single-process:\nfleet:    %s\nbaseline: %s", k, gotRes[k], res)
+		if !reflect.DeepEqual(got.results[k], res) {
+			t.Errorf("%s: result differs from the serial single-process one:\ngot:      %+v\nbaseline: %+v", k, got.results[k], res)
 		}
 	}
-	gotCycles := journalCycles(t, dir)
-	if len(gotCycles) != len(want.cycles) {
-		t.Fatalf("fleet journal has %d entries, baseline %d", len(gotCycles), len(want.cycles))
+	if len(got.cycles) != len(want.cycles) {
+		t.Fatalf("journal has %d entries, baseline %d", len(got.cycles), len(want.cycles))
 	}
 	for k, cycles := range want.cycles {
-		if got, ok := gotCycles[k]; !ok || got != cycles {
-			t.Errorf("journal key %s: fleet cycles %d (present=%v), baseline %d", k, got, ok, cycles)
+		if c, ok := got.cycles[k]; !ok || c != cycles {
+			t.Errorf("journal key %s: cycles %d (present=%v), baseline %d", k, c, ok, cycles)
 		}
 	}
-	// The store counters are each process's own (the coordinator asks
-	// its store before leasing; the baseline before simulating), and
-	// CacheHits is derived; everything else is work, and must agree.
-	got, base := harness.Metrics(), want.work
-	for _, m := range []*harness.RunMetrics{&got, &base} {
+	// The store counters are each sweep's own (a coordinator asks its
+	// store before leasing and its workers theirs before simulating; the
+	// baseline asks once), and CacheHits is derived; everything else is
+	// work, and must agree.
+	work, base := got.work, want.work
+	for _, m := range []*harness.RunMetrics{&work, &base} {
 		m.StoreHits, m.StoreMisses, m.StoreRepairs, m.StoreRetries = 0, 0, 0, 0
 	}
-	if got != base {
-		t.Errorf("fleet work counters differ from single-process:\nfleet:    %+v\nbaseline: %+v", got, base)
+	if work != base {
+		t.Errorf("work counters differ from the serial single-process ones:\ngot:      %+v\nbaseline: %+v", work, base)
 	}
-	if got.Executed == 0 || got.SimCycles == 0 {
-		t.Errorf("fleet counters record no work: %+v", got)
+	if work.Executed == 0 || work.SimCycles == 0 {
+		t.Errorf("counters record no work: %+v", work)
 	}
 }
 
-// TestFleetDeterminism is the tentpole contract: a sweep dispatched to
-// N workers produces bit-identical results and journal cycle counts to
-// the single-process run of the same batch, and the coordinator's work
-// counters equal that run's — exact, and sampled, where the counters
-// include what each run extrapolated.
+// result is what the fixture's fleet sweep produced, to hold against a
+// baseline.
+func (f *fleetFixture) result(t *testing.T, sink *collectSink) baseline {
+	return baseline{sink.got, journalCycles(t, f.dir), f.sweep.Sweep.Metrics()}
+}
+
+// TestFleetDeterminism is the tentpole contract, one equivalence: the
+// same batch run serially, eight wide, and dispatched to a two-worker
+// fleet — coordinator and workers as goroutines of this process, each on
+// its own sweep and store — produces DeepEqual results, equal journal
+// cycle counts and equal work counters — exact, and sampled, where the
+// counters include what each run extrapolated.
 func TestFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -568,10 +530,11 @@ func TestFleetDeterminism(t *testing.T) {
 	}{{"exact", nil}, {"sampled", sampled}} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := sweepJobs()
-			want := runBaseline(t, jobs, tc.shape)
+			want := runBaseline(t, jobs, tc.shape, 1)
 			if sampledRuns := want.work.SampledRuns; (sampledRuns == len(jobs)) != (tc.shape != nil) {
 				t.Fatalf("baseline sampled %d of %d runs", sampledRuns, len(jobs))
 			}
+			verifyMatchesBaseline(t, want, runBaseline(t, jobs, tc.shape, 8))
 
 			f := newFleetFixture(t, tc.shape, 5*time.Second)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -594,7 +557,7 @@ func TestFleetDeterminism(t *testing.T) {
 					t.Fatal("worker did not exit after sweep close")
 				}
 			}
-			verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
+			verifyMatchesBaseline(t, want, f.result(t, sink))
 
 			st := f.coord.Status()
 			if st.Completions != int64(len(jobs)) {
@@ -602,6 +565,14 @@ func TestFleetDeterminism(t *testing.T) {
 			}
 			if len(st.Workers) != 2 {
 				t.Errorf("fleet saw %d workers, want 2", len(st.Workers))
+			}
+			// Each worker's goodbye heartbeat carried its own sweep's
+			// counters, which are what the coordinator tallied for it.
+			for _, w := range st.Workers {
+				if w.Metrics.Requests != w.Completions || w.Metrics.SimCycles != w.SimCycles {
+					t.Errorf("worker %s reports %d requests / %d cycles of its own, the coordinator credits it %d / %d",
+						w.ID, w.Metrics.Requests, w.Metrics.SimCycles, w.Completions, w.SimCycles)
+				}
 			}
 		})
 	}
@@ -617,7 +588,7 @@ func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	jobs := swapLatencyJobs()
-	want := runBaseline(t, jobs, withCheckpoints)
+	want := runBaseline(t, jobs, withCheckpoints, 1)
 	if w := want.work; w.CheckpointsCaptured != 1 || w.CheckpointHits != 2 || w.PrefixCyclesSaved == 0 {
 		t.Fatalf("baseline did not fork: %+v", w)
 	}
@@ -640,7 +611,7 @@ func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not exit after sweep close")
 	}
-	verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
+	verifyMatchesBaseline(t, want, f.result(t, sink))
 }
 
 // swapLatencyJobs differ only in the VT swap latencies — the shape the
@@ -670,7 +641,7 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	jobs := sweepJobs()
-	want := runBaseline(t, jobs, nil)
+	want := runBaseline(t, jobs, nil, 1)
 
 	f := newFleetFixture(t, nil, 500*time.Millisecond)
 
@@ -726,7 +697,7 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 		t.Fatal("worker did not exit after sweep close")
 	}
 
-	verifyFleetMatchesBaseline(t, want, sink.got, f.dir)
+	verifyMatchesBaseline(t, want, f.result(t, sink))
 	st := f.coord.Status()
 	if st.LeasesExpired < 1 {
 		t.Errorf("expected at least one expired lease, got %+v", st)
@@ -745,17 +716,17 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 
 	// Warm a worker-local store by running the job into it directly.
 	workerDir := t.TempDir()
-	harness.ResetMetrics()
-	wp := testSweepParams(workerDir)
+	wp := testSweepParams(t, workerDir)
 	sink := newCollectSink()
 	if err := harness.RunJobs(wp, jobs, sink); err != nil {
 		t.Fatal(err)
 	}
+	wp.Sweep.Close() // the warmed store is the worker's from here
 
-	f := newFleetFixture(t, nil, 5*time.Second) // resets metrics & memo, closes the warmed store
+	f := newFleetFixture(t, nil, 5*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := startWorker(t, ctx, f.srv.URL, "warm", 1, workerDir)
+	done := startWorker(ctx, f.srv.URL, "warm", 1, workerDir)
 
 	fleetSink := newCollectSink()
 	if err := harness.RunJobs(f.sweep, jobs, fleetSink); err != nil {
@@ -764,7 +735,7 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	f.coord.Close()
 	<-done
 
-	if fleetSink.got[jobs[0].Workload+"/"+jobs[0].Variant] != sink.got[jobs[0].Workload+"/"+jobs[0].Variant] {
+	if k := jobs[0].Workload + "/" + jobs[0].Variant; !reflect.DeepEqual(fleetSink.got[k], sink.got[k]) {
 		t.Error("warm-store result differs from the original run")
 	}
 	st := f.coord.Status()
@@ -776,7 +747,7 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 			t.Errorf("warm worker credited %d sim cycles for a store hit", w.SimCycles)
 		}
 	}
-	if m := harness.Metrics(); m.Requests != 1 || m.Executed != 0 || m.SimCycles != 0 || m.CacheHits != 1 {
+	if m := f.sweep.Sweep.Metrics(); m.Requests != 1 || m.Executed != 0 || m.SimCycles != 0 || m.CacheHits != 1 {
 		t.Errorf("coordinator counted work for a worker's store hit: %+v", m)
 	}
 	if got := journalCycles(t, f.dir); len(got) != 1 {
@@ -809,14 +780,13 @@ func TestFleetThroughputScaling(t *testing.T) {
 		}
 	}
 
-	harness.ResetMetrics()
-	p1 := testSweepParams(t.TempDir())
+	p1 := testSweepParams(t, t.TempDir())
 	p1.Workers = 1
 	t0 := time.Now()
 	if err := harness.RunJobs(p1, jobs, newCollectSink()); err != nil {
 		t.Fatal(err)
 	}
-	m := harness.Metrics()
+	m := p1.Sweep.Metrics()
 	singleRate := float64(m.SimCycles) / time.Since(t0).Seconds()
 
 	f := newFleetFixture(t, nil, 5*time.Second)
@@ -849,21 +819,18 @@ func TestFleetThroughputScaling(t *testing.T) {
 }
 
 // mixSweepParams is fig-multikernel's sweep shape for
-// TestFleetLeasesMixes: a mirrored store with the journal opened (and
-// the mirror's header seeded) the way vtbench and vtsweepd do it.
+// TestFleetLeasesMixes: a sweep of its own over a mirrored store, with the
+// journal opened (and the mirror's header seeded) the way vtbench and
+// vtsweepd do it.
 func mixSweepParams(t *testing.T, dir, mirror string, resume bool) harness.Params {
 	t.Helper()
-	meta := harness.JournalMeta{Scale: 1, Dilute: 60, Config: config.GTX480().Name}
-	jl, err := harness.OpenJournal(filepath.Join(dir, harness.JournalFileName), meta, resume)
-	if err != nil {
+	p := harness.Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2,
+		CacheDir: dir, MirrorDir: mirror, Resume: resume, Sweep: harness.NewSweep()}
+	t.Cleanup(p.Sweep.Close)
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { jl.Close() })
-	if err := harness.EnsureJournalHeader(filepath.Join(mirror, harness.JournalFileName), meta); err != nil {
-		t.Fatal(err)
-	}
-	return harness.Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2,
-		CacheDir: dir, MirrorDir: mirror, Journal: jl, Resume: resume}
+	return p
 }
 
 // renderMixes runs fig-multikernel under p and returns its table.
@@ -877,7 +844,7 @@ func renderMixes(t *testing.T, p harness.Params) string {
 	if err := harness.RunOne(e, p, &sb); err != nil {
 		t.Fatalf("fig-multikernel: %v", err)
 	}
-	harness.SyncStores()
+	p.Sweep.Sync()
 	return sb.String()
 }
 
@@ -907,21 +874,22 @@ func TestFleetLeasesMixes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	harness.ResetMetrics()
-	t.Cleanup(harness.ResetMetrics)
 	resumeExecutesNothing := func(dir, mirror, want string) {
 		t.Helper()
-		harness.ResetMetrics() // a fresh process: only the store knows the mixes
-		if got := renderMixes(t, mixSweepParams(t, dir, mirror, true)); got != want {
+		p := mixSweepParams(t, dir, mirror, true) // a fresh sweep: only the store knows the mixes
+		defer p.Sweep.Close()
+		if got := renderMixes(t, p); got != want {
 			t.Errorf("resumed table differs:\n%s\nvs\n%s", got, want)
 		}
-		if m := harness.Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 {
+		if m := p.Sweep.Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 {
 			t.Errorf("resume over %s: %+v, want 6 store hits and nothing executed", dir, m)
 		}
 	}
 
 	localDir, localMirror := t.TempDir(), t.TempDir()
-	want := renderMixes(t, mixSweepParams(t, localDir, localMirror, false))
+	lp := mixSweepParams(t, localDir, localMirror, false)
+	want := renderMixes(t, lp)
+	lp.Sweep.Close()
 	wantJournal, wantObjs := storeSide(t, localDir)
 	if n := strings.Count(wantJournal, "\n"); n != 1 || len(wantObjs) != 6 {
 		t.Fatalf("local sweep left %d journal lines and %d result objects, want the header and 6:\n%s",
@@ -929,7 +897,6 @@ func TestFleetLeasesMixes(t *testing.T) {
 	}
 	resumeExecutesNothing(localDir, localMirror, want)
 
-	harness.ResetMetrics()
 	dir, mirror := t.TempDir(), t.TempDir()
 	cp := mixSweepParams(t, dir, mirror, false)
 	coord := New(Config{Params: cp, LeaseTTL: 5 * time.Second})
@@ -957,6 +924,7 @@ func TestFleetLeasesMixes(t *testing.T) {
 	if st := coord.Status(); st.LeasesGranted != 6 || st.Completions != 6 {
 		t.Errorf("fleet granted %d leases for %d completions, want 6 and 6", st.LeasesGranted, st.Completions)
 	}
+	cp.Sweep.Close()
 	for _, d := range []string{localMirror, dir, mirror} {
 		if j, objs := storeSide(t, d); j != wantJournal || !slices.Equal(objs, wantObjs) {
 			t.Errorf("%s holds journal %q and objects %v,\nwant the local primary's %q and %v",

@@ -347,11 +347,9 @@ func TestDrainNeverExceedsTheCap(t *testing.T) {
 // attrs: queued_ms is the time no worker had the job, run_ms the time
 // from the grant to the committed completion.
 func TestDispatchSpanSplitsQueuedAndRun(t *testing.T) {
-	harness.ResetMetrics()
-	defer harness.ResetMetrics()
 	clk := newTestClock()
-	p := testSweepParams(t.TempDir())
-	p.Trace = sweepobs.New()
+	p := testSweepParams(t, t.TempDir())
+	p.Sweep.Trace = sweepobs.New()
 	c := New(Config{Params: p, now: clk.now})
 	defer c.Close()
 
@@ -385,7 +383,7 @@ func TestDispatchSpanSplitsQueuedAndRun(t *testing.T) {
 	if err := <-executed; err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range p.Trace.Dump().Spans {
+	for _, s := range p.Sweep.Trace.Dump().Spans {
 		if s.Kind != "fabric.dispatch" {
 			continue
 		}

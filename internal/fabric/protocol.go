@@ -118,9 +118,9 @@ type CompleteRequest struct {
 }
 
 // HeartbeatRequest is a worker's periodic status report for the fleet
-// dashboard: slot occupancy and its cumulative local RunMetrics. Goodbye
-// marks the worker's final report: every slot has ended and it will not
-// contact the coordinator again.
+// dashboard: slot occupancy and its own sweep's cumulative RunMetrics.
+// Goodbye marks the worker's final report: every slot has ended and it
+// will not contact the coordinator again.
 type HeartbeatRequest struct {
 	Worker  string             `json:"worker"`
 	Slots   int                `json:"slots"`
@@ -170,5 +170,7 @@ type FleetStatus struct {
 	Workers []WorkerStatus `json:"workers"`
 }
 
-// FleetStatusSchemaVersion identifies the /status layout.
-const FleetStatusSchemaVersion = 1
+// FleetStatusSchemaVersion identifies the /status layout. Version 2
+// spells workers[].metrics with RunMetrics' JSON keys (the -json
+// record's), as the heartbeat that delivers them does.
+const FleetStatusSchemaVersion = 2

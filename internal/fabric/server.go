@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/harness"
 	"repro/internal/resultstore"
 	"repro/internal/sweepobs"
 )
@@ -140,7 +139,7 @@ func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unsupported object kind", http.StatusBadRequest)
 		return
 	}
-	b, err := harness.StoreGetObject(c.cfg.Params, kind, key)
+	b, err := c.sweep.GetObject(c.cfg.Params, kind, key)
 	if err != nil {
 		if errors.Is(err, resultstore.ErrNotFound) {
 			http.NotFound(w, r)
@@ -172,7 +171,7 @@ func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "object payload is not valid JSON", http.StatusBadRequest)
 		return
 	}
-	if err := harness.StorePutObject(c.cfg.Params, kind, key, b); err != nil {
+	if err := c.sweep.PutObject(c.cfg.Params, kind, key, b); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -193,7 +192,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // are disjoint, so the concatenation stays a valid exposition.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.cfg.Params.Monitor.WriteMetrics(w)
+	c.sweep.Monitor.WriteMetrics(w)
 	c.WriteFleetMetrics(w)
 }
 

@@ -29,9 +29,11 @@ type WorkerConfig struct {
 	Slots int
 	// Params are the worker-local harness parameters: its own CacheDir
 	// (local store, seeded from the coordinator by object sync),
-	// FailDir, timeouts. Scale/Dilute/Config/Sampling are overridden
-	// per job from the lease; Journal stays local (the coordinator owns
-	// the authoritative completion log).
+	// FailDir, timeouts, and the worker's own Sweep (nil: RunWorker makes
+	// one) — never its coordinator's. Scale/Dilute/Config/Sampling are
+	// overridden per job from the lease; the sweep's Journal, if any,
+	// stays local (the coordinator owns the authoritative completion
+	// log).
 	Params harness.Params
 	// Client overrides the HTTP client (tests); nil uses a default with
 	// a request timeout.
@@ -47,19 +49,16 @@ type WorkerConfig struct {
 
 // RunWorker pulls jobs from the coordinator until the sweep completes
 // (nil), the context cancels (ctx.Err() after draining in-flight
-// jobs), or the coordinator becomes unreachable for too long. Whatever
-// the reason, it returns only after the worker's local store holds
-// every outcome the worker reported (harness.SyncStores).
-//
-// A worker is a process of its own, never a goroutine beside its
-// coordinator: the harness memo is per-process, and the coordinator's
-// sweep holds a job's memo entry for as long as it waits for that job.
+// jobs), or the coordinator becomes unreachable for too long. RunWorker
+// owns the worker's sweep: whatever the reason, it returns only after
+// closing it, so the worker's local store holds every outcome the worker
+// reported.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w, err := newWorker(cfg)
 	if err != nil {
 		return err
 	}
-	defer harness.SyncStores()
+	defer w.sweep.Close()
 	return w.run(ctx)
 }
 
@@ -81,6 +80,7 @@ const (
 
 type worker struct {
 	cfg    WorkerConfig
+	sweep  *harness.Sweep // cfg.Params.Sweep
 	client *http.Client
 	base   string
 	slots  int
@@ -104,8 +104,12 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 	if client == nil {
 		client = &http.Client{Timeout: requestTimeout}
 	}
+	if cfg.Params.Sweep == nil {
+		cfg.Params.Sweep = harness.NewSweep()
+	}
 	return &worker{
 		cfg:    cfg,
+		sweep:  cfg.Params.Sweep,
 		client: client,
 		base:   strings.TrimRight(cfg.Coordinator, "/"),
 		slots:  harness.ResolveWorkers(cfg.Slots),
@@ -147,7 +151,10 @@ func (w *worker) run(ctx context.Context) error {
 func (w *worker) slotLoop(ctx context.Context) error {
 	offlineSince := time.Time{}
 	for ctx.Err() == nil {
-		lease, status, err := w.lease(ctx)
+		// Parked on the coordinator until there is a job (200), the sweep
+		// closes (410), the hold bound passes (204) or ctx cancels.
+		var lease LeaseResponse
+		status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.cfg.ID}, &lease)
 		if err == nil && status != http.StatusOK && status != http.StatusNoContent && status != http.StatusGone {
 			err = fmt.Errorf("lease: HTTP %d", status)
 		}
@@ -309,14 +316,14 @@ func (w *worker) renewLoop(lease LeaseResponse, stop <-chan struct{}) {
 // read, so a bad sync degrades to a full run, never a wrong one.
 func (w *worker) pullCheckpoint(p harness.Params, prefixFP string) {
 	key := harness.CacheKey(prefixFP)
-	if _, err := harness.StoreGetObject(p, resultstore.KindCheckpoint, key); err == nil {
+	if _, err := w.sweep.GetObject(p, resultstore.KindCheckpoint, key); err == nil {
 		return // already local
 	}
 	b, status, err := w.get("/v1/object/" + string(resultstore.KindCheckpoint) + "/" + key)
 	if err != nil || status != http.StatusOK {
 		return
 	}
-	harness.StorePutObject(p, resultstore.KindCheckpoint, key, b)
+	w.sweep.PutObject(p, resultstore.KindCheckpoint, key, b)
 }
 
 // pushCheckpoint publishes the local checkpoint for the prefix group
@@ -324,19 +331,8 @@ func (w *worker) pullCheckpoint(p harness.Params, prefixFP string) {
 // concurrent writes content-identical.
 func (w *worker) pushCheckpoint(p harness.Params, prefixFP string) {
 	key := harness.CacheKey(prefixFP)
-	b, err := harness.StoreGetObject(p, resultstore.KindCheckpoint, key)
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost,
-		w.base+"/v1/object/"+string(resultstore.KindCheckpoint)+"/"+key, bytes.NewReader(b))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := w.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	if b, err := w.sweep.GetObject(p, resultstore.KindCheckpoint, key); err == nil {
+		w.post(context.Background(), "/v1/object/"+string(resultstore.KindCheckpoint)+"/"+key, b, nil)
 	}
 }
 
@@ -408,26 +404,21 @@ func (w *worker) heartbeat(goodbye bool) {
 		Worker:  w.cfg.ID,
 		Slots:   w.slots,
 		Active:  active,
-		Metrics: harness.Metrics(),
+		Metrics: w.sweep.Metrics(),
 		Goodbye: goodbye,
 	}, nil)
 }
 
-// lease asks for one job, parked on the coordinator until there is one
-// (200), the sweep closes (410), the hold bound passes (204) or ctx
-// cancels.
-func (w *worker) lease(ctx context.Context) (LeaseResponse, int, error) {
-	var resp LeaseResponse
-	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.cfg.ID}, &resp)
-	return resp, status, err
-}
-
-// post sends body as JSON and returns the HTTP status, decoding a 200
-// response into out when out is non-nil.
+// post sends body as JSON — a []byte is JSON already (a store envelope)
+// and travels as is — and returns the HTTP status, decoding a 200 response
+// into out when out is non-nil.
 func (w *worker) post(ctx context.Context, path string, body, out any) (int, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+	b, encoded := body.([]byte)
+	if !encoded {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			return 0, err
+		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(b))
 	if err != nil {

@@ -29,38 +29,37 @@ import (
 // reinterpreted config fields).
 const diskCacheVersion = 1
 
-// diskEntry is the JSON envelope of one cached run. The full fingerprint
-// is stored (not just its hash) so version or scheme mismatches are
-// detected by content, never assumed from the filename.
-type diskEntry struct {
-	Version     int         `json:"version"`
-	Fingerprint string      `json:"fingerprint"`
-	Result      *gpu.Result `json:"result"`
+// envelope is the JSON envelope of one stored object: a cached run's
+// Result (vtsim-*) or a prefix group's Checkpoint (vtck-*), exactly one of
+// the two. The full fingerprint is stored (not just its hash) so version
+// or scheme mismatches are detected by content, never assumed from the
+// filename.
+type envelope struct {
+	Version     int             `json:"version"`
+	Fingerprint string          `json:"fingerprint"`
+	Result      *gpu.Result     `json:"result,omitempty"`
+	Checkpoint  *gpu.Checkpoint `json:"checkpoint,omitempty"`
 }
 
-// cacheKey hashes a fingerprint into the stable hex id used for cache
-// object names, completion-journal entries, and result-store keys, so a
-// journal line can be correlated with its stored Result.
-func cacheKey(fp string) string {
+// put stages the envelope in tx under its fingerprint's cache key.
+func (e envelope) put(tx *resultstore.Tx, kind resultstore.Kind) {
+	if b, err := json.Marshal(e); err == nil {
+		tx.Put(kind, CacheKey(e.Fingerprint), b)
+	}
+}
+
+// CacheKey hashes a fingerprint into the stable hex id used for cache
+// object names, completion-journal entries, result-store keys and fabric
+// jobs, so a journal line can be correlated with its stored Result.
+func CacheKey(fp string) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s", diskCacheVersion, fp)))
 	return hex.EncodeToString(sum[:16])
 }
 
-// Stores are opened once per (CacheDir, MirrorDir) pair and shared by
-// every run of the sweep; ResetMetrics drops them, so tests that reset
-// between invocations exercise a fresh open (index replay + WAL
-// recovery) exactly like a new process would.
-type storeHandle struct {
-	st  *resultstore.Store
-	err error
-	wb  *writeBehind
-}
-
-// writeBehindWindow bounds, per store, the run outcomes a sweep has
-// submitted but the store has not yet made durable. It is the most a
-// process killed outright can lose (-resume re-executes exactly those
-// jobs), and the depth at which a slot that outruns the disk starts to
-// wait for it. Commits in the window coalesce into group-commit batches,
+// writeBehindWindow bounds the run outcomes a sweep has submitted but its
+// store has not yet made durable. It is the most a process killed outright
+// can lose (-resume re-executes exactly those jobs), and the depth at
+// which a slot that outruns the disk starts to wait for it. Commits in the window coalesce into group-commit batches,
 // so the window also caps a batch.
 const writeBehindWindow = 32
 
@@ -126,95 +125,6 @@ func (w *writeBehind) wait() any {
 	return w.dead
 }
 
-var (
-	storesMu sync.Mutex
-	stores   = map[string]*storeHandle{}
-)
-
-// storeFor returns the result store backing p's cache directories, nil
-// when caching is off or the store cannot be opened (the sweep then
-// runs uncached, like the old best-effort disk cache).
-func storeFor(p Params) *resultstore.Store {
-	if h := handleFor(p); h != nil {
-		return h.st
-	}
-	return nil
-}
-
-// handleFor opens (once) the store for p's cache directories and
-// returns its handle, nil when caching is off or the open failed.
-func handleFor(p Params) *storeHandle {
-	if p.CacheDir == "" {
-		return nil
-	}
-	storesMu.Lock()
-	defer storesMu.Unlock()
-	k := p.CacheDir + "\x00" + p.MirrorDir
-	h, ok := stores[k]
-	if !ok {
-		st, err := resultstore.Open(resultstore.Options{
-			Dir:     p.CacheDir,
-			Mirror:  p.MirrorDir,
-			Fault:   p.StoreFault,
-			OnEvent: storeEvent,
-		})
-		h = &storeHandle{st: st, err: err, wb: newWriteBehind()}
-		if err != nil {
-			h.st = nil
-			fmt.Fprintf(os.Stderr, "harness: result store %s unavailable (running uncached): %v\n", p.CacheDir, err)
-		}
-		stores[k] = h
-	}
-	if h.st == nil {
-		return nil
-	}
-	return h
-}
-
-// SyncStores is the sweep's durability barrier: it returns once every
-// run outcome submitted so far is committed (on both sides of a
-// mirrored store) or has been reported as failed to commit. Every sweep
-// owner calls it before it reports results or exits; until then up to
-// writeBehindWindow outcomes per store may exist only in memory. If a
-// commit died of a simulated process death (faultinject.StoreKill) the
-// barrier re-raises it.
-func SyncStores() {
-	storesMu.Lock()
-	hs := make([]*storeHandle, 0, len(stores))
-	for _, h := range stores {
-		hs = append(hs, h)
-	}
-	storesMu.Unlock()
-	for _, h := range hs {
-		if dead := h.wb.wait(); dead != nil {
-			panic(dead)
-		}
-	}
-}
-
-// storeEvent folds store audit events into the run metrics.
-func storeEvent(ev resultstore.Event) {
-	if ev.Op == "repair" {
-		bumpMetric(func(m *RunMetrics) { m.StoreRepairs++ })
-	}
-}
-
-// resetStores drains, closes and forgets every open store. Called by
-// ResetMetrics (outside the metrics lock: opening a store can emit
-// events that take it). A pipeline poisoned by a simulated process
-// death is simply dropped: the reset is the reboot.
-func resetStores() {
-	storesMu.Lock()
-	defer storesMu.Unlock()
-	for _, h := range stores {
-		h.wb.wait()
-		if h.st != nil {
-			h.st.Close()
-		}
-	}
-	stores = map[string]*storeHandle{}
-}
-
 // storeRetryAttempts bounds the supervisor's retry-with-backoff for
 // transient store I/O errors — a storage-layer ladder distinct from the
 // safe-mode simulation retry in supervisor.go.
@@ -226,7 +136,7 @@ const storeRetryAttempts = 3
 // retrying in lockstep). The sleep aborts when ctx is canceled —
 // graceful shutdown must never block mid-backoff — returning the op
 // error joined with the context error.
-func storeRetry(ctx context.Context, op func() error) error {
+func (s *Sweep) storeRetry(ctx context.Context, op func() error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -236,7 +146,7 @@ func storeRetry(ctx context.Context, op func() error) error {
 		if err == nil || !resultstore.IsTransient(err) || attempt == storeRetryAttempts {
 			return err
 		}
-		bumpMetric(func(m *RunMetrics) { m.StoreRetries++ })
+		s.count(func(m *RunMetrics) { m.StoreRetries++ })
 		// Equal jitter: half the backoff is deterministic spacing, the
 		// other half uniform random, keeping a minimum gap while
 		// spreading concurrent retriers.
@@ -261,18 +171,19 @@ func storeRetry(ctx context.Context, op func() error) error {
 // A batch outlives any one job, so the span hangs under the sweep-level
 // span, not the job's.
 func (p Params) commitStoreTx(tx *resultstore.Tx) error {
-	err := storeRetry(p.ctx(), tx.Commit)
+	tr := p.Sweep.Trace
+	err := p.Sweep.storeRetry(p.Context(), tx.Commit)
 	b, ph := tx.Batch(), tx.Phases()
 	if !b.Lead || len(ph) == 0 {
 		return err
 	}
-	p.Monitor.noteStoreBatch(b.Txs)
+	p.Sweep.Monitor.noteStoreBatch(b.Txs)
 	last := ph[len(ph)-1]
-	id := p.Trace.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
+	id := tr.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
 		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops),
 		"syncs", strconv.Itoa(b.Syncs), "rounds", strconv.Itoa(b.Rounds))
 	for _, x := range ph {
-		p.Trace.Record(id, "store."+x.Name, "", "", x.Start, x.Dur)
+		tr.Record(id, "store."+x.Name, "", "", x.Start, x.Dur)
 	}
 	return err
 }
@@ -286,19 +197,10 @@ func (p Params) commitBestEffort(tx *resultstore.Tx) {
 	}
 }
 
-// StoreGetObject reads one raw store object (its JSON envelope bytes)
-// by kind and cache key from p's result store. The sweep fabric uses it
-// on both sides of object sync: the coordinator serves checkpoints and
-// results to workers, and a worker checks its local store before
-// fetching. Returns resultstore.ErrNotFound when the object is absent
-// and an error when no store is attached.
-func StoreGetObject(p Params, kind resultstore.Kind, key string) ([]byte, error) {
-	st := storeFor(p)
-	if st == nil {
-		return nil, fmt.Errorf("harness: no result store attached")
-	}
-	var b []byte
-	err := storeRetry(p.ctx(), func() error {
+// getObject reads one raw store object with bounded retry on transient
+// I/O.
+func (s *Sweep) getObject(p Params, st *resultstore.Store, kind resultstore.Kind, key string) (b []byte, err error) {
+	err = s.storeRetry(p.Context(), func() error {
 		var gerr error
 		b, gerr = st.Get(kind, key)
 		return gerr
@@ -306,63 +208,53 @@ func StoreGetObject(p Params, kind resultstore.Kind, key string) ([]byte, error)
 	return b, err
 }
 
-// StorePutObject writes one raw store object as a single transaction.
-// The payload must be a valid store envelope for the kind: consumers
-// re-verify the embedded content fingerprint on read (diskLoad,
-// diskLoadCheckpoint), so a corrupt or mismatched sync is quarantined
-// on first use, never trusted.
-func StorePutObject(p Params, kind resultstore.Kind, key string, b []byte) error {
-	st := storeFor(p)
-	if st == nil {
-		return fmt.Errorf("harness: no result store attached")
+// loadEnvelope returns the stored Result (kind KindResult) or Checkpoint
+// (KindCheckpoint) envelope for the fingerprint, or nil, counting the
+// store hit or miss and recording the lookup as a span of the given kind
+// under the job. The store verifies content checksums and heals from the
+// mirror before the payload reaches this envelope check; envelope-level
+// mismatches (stale version or checkpoint format, fingerprint collision,
+// no payload) quarantine the object on every side, so the re-simulation's
+// rewrite is not shadowed and the caller falls back to simulating.
+func (s *Sweep) loadEnvelope(p Params, st *resultstore.Store, kind resultstore.Kind, span string, j Job, fp string) *envelope {
+	sid := s.Trace.Begin(p.span, span, j.Workload, j.Variant)
+	defer s.Trace.End(sid)
+	key := CacheKey(fp)
+	var e envelope
+	b, err := s.getObject(p, st, kind, key)
+	var uerr error
+	if err == nil {
+		uerr = json.Unmarshal(b, &e)
 	}
-	tx := st.Begin()
-	tx.Put(kind, key, b)
-	return p.commitStoreTx(tx)
-}
-
-// diskLoad returns the cached Result for the fingerprint, or nil. The
-// store verifies content checksums and heals from the mirror before the
-// payload reaches this envelope check; envelope-level mismatches (stale
-// version, fingerprint collision) quarantine the object on every side
-// so the re-simulation's rewrite is not shadowed.
-func diskLoad(ctx context.Context, st *resultstore.Store, fp string) *gpu.Result {
-	if st == nil {
-		return nil
-	}
-	key := cacheKey(fp)
-	var b []byte
-	err := storeRetry(ctx, func() error {
-		var gerr error
-		b, gerr = st.Get(resultstore.KindResult, key)
-		return gerr
-	})
-	if err != nil {
+	reject := ""
+	switch {
+	case err != nil:
 		if !errors.Is(err, resultstore.ErrNotFound) {
 			fmt.Fprintf(os.Stderr, "harness: cache read %s: %v\n", key, err)
 		}
-		bumpMetric(func(m *RunMetrics) { m.StoreMisses++ })
-		return nil
-	}
-	reject := func(reason string) {
-		st.Quarantine(resultstore.KindResult, key, reason)
-		bumpMetric(func(m *RunMetrics) { m.StoreMisses++ })
-	}
-	var e diskEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		reject(fmt.Sprintf("corrupt JSON: %v", err))
-		return nil
-	}
-	switch {
+	case uerr != nil:
+		reject = fmt.Sprintf("corrupt JSON: %v", uerr)
 	case e.Version != diskCacheVersion:
-		reject(fmt.Sprintf("stale version %d (want %d)", e.Version, diskCacheVersion))
+		reject = fmt.Sprintf("stale version %d (want %d)", e.Version, diskCacheVersion)
 	case e.Fingerprint != fp:
-		reject("fingerprint mismatch (filename hash collision or corruption)")
-	case e.Result == nil:
-		reject("entry has no result")
-	default:
-		bumpMetric(func(m *RunMetrics) { m.StoreHits++ })
-		return e.Result
+		reject = "fingerprint mismatch (filename hash collision or corruption)"
+	case (kind == resultstore.KindResult && e.Result == nil) || (kind == resultstore.KindCheckpoint && e.Checkpoint == nil):
+		reject = "entry has no payload"
+	case e.Checkpoint != nil && e.Checkpoint.Version != gpu.CheckpointVersion:
+		reject = fmt.Sprintf("stale checkpoint format %d (want %d)", e.Checkpoint.Version, gpu.CheckpointVersion)
 	}
-	return nil
+	if reject != "" {
+		st.Quarantine(kind, key, reject)
+	}
+	if err != nil || reject != "" {
+		s.count(func(m *RunMetrics) { m.StoreMisses++ })
+		s.Trace.SetAttr(sid, "outcome", "miss")
+		return nil
+	}
+	s.count(func(m *RunMetrics) { m.StoreHits++ })
+	s.Trace.SetAttr(sid, "outcome", "hit")
+	if e.Checkpoint != nil {
+		s.Trace.SetAttr(sid, "cycle", fmt.Sprint(e.Checkpoint.Cycle))
+	}
+	return &e
 }

@@ -13,27 +13,25 @@ import (
 
 // runDurable is memoRun followed by the sweep's durability barrier, for
 // tests that inspect the store directory right after a run: outcomes
-// commit write-behind, so until SyncStores the files may not exist yet.
+// commit write-behind, so until Sync the files may not exist yet.
 func runDurable(p Params, j Job) (*gpu.Result, error) {
 	out, err := memoRun(p, j)
-	SyncStores()
+	p.Sweep.Sync()
 	return out.Result, err
 }
 
 // TestDiskCacheRoundTrip verifies that a memoized run persisted to disk is
-// served back on a later invocation (simulated by resetting the in-memory
-// cache) as a cache hit, bit-identical to the freshly computed Result.
+// served back on a later invocation (a fresh sweep over the directory) as
+// a cache hit, bit-identical to the freshly computed Result.
 func TestDiskCacheRoundTrip(t *testing.T) {
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()}
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()})
 	j := Job{Workload: "vecadd"}
 
-	ResetMetrics()
 	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 1 || m.SimCycles == 0 {
+	if m := p.Sweep.Metrics(); m.Executed != 1 || m.SimCycles == 0 {
 		t.Fatalf("first run: executed=%d simcycles=%d, want a real simulation", m.Executed, m.SimCycles)
 	}
 	files, err := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
@@ -41,12 +39,12 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatalf("cache dir holds %d entries (err=%v), want 1", len(files), err)
 	}
 
-	ResetMetrics() // a fresh process: only the disk knows the result
+	p = reboot(t, p) // a fresh process: only the disk knows the result
 	cached, err := memoRun(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 0 || m.CacheHits != 1 || m.SimCycles != 0 {
+	if m := p.Sweep.Metrics(); m.Executed != 0 || m.CacheHits != 1 || m.SimCycles != 0 {
 		t.Fatalf("second run: executed=%d hits=%d simcycles=%d, want disk hit only",
 			m.Executed, m.CacheHits, m.SimCycles)
 	}
@@ -59,11 +57,9 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // entry whose version or fingerprint does not match is a miss, not a wrong
 // answer.
 func TestDiskCacheVersionInvalidation(t *testing.T) {
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()}
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()})
 	j := Job{Workload: "vecadd"}
 
-	ResetMetrics()
 	if _, err := runDurable(p, j); err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +77,11 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetMetrics()
+	p = reboot(t, p)
 	if _, err := memoRun(p, j); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 1 {
+	if m := p.Sweep.Metrics(); m.Executed != 1 {
 		t.Fatalf("stale entry was served: executed=%d, want re-simulation", m.Executed)
 	}
 }
@@ -94,8 +90,7 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 // aside as *.corrupt — keeping corruption observable — while the caller
 // re-simulates and writes a fresh entry.
 func TestDiskCacheQuarantine(t *testing.T) {
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()}
+	base := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()}
 	j := Job{Workload: "vecadd"}
 
 	corruptions := []struct {
@@ -121,7 +116,7 @@ func TestDiskCacheQuarantine(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			ResetMetrics()
+			p := inSweep(t, base)
 			if _, err := runDurable(p, j); err != nil {
 				t.Fatal(err)
 			}
@@ -135,11 +130,11 @@ func TestDiskCacheQuarantine(t *testing.T) {
 			}
 			tc.mangle(files[0], body)
 
-			ResetMetrics()
+			p = reboot(t, p)
 			if _, err := runDurable(p, j); err != nil {
 				t.Fatal(err)
 			}
-			if m := Metrics(); m.Executed != 1 {
+			if m := p.Sweep.Metrics(); m.Executed != 1 {
 				t.Fatalf("bad entry was served: executed=%d, want re-simulation", m.Executed)
 			}
 			quarantined, _ := filepath.Glob(filepath.Join(p.CacheDir, "*.corrupt"))
@@ -151,12 +146,12 @@ func TestDiskCacheQuarantine(t *testing.T) {
 			if len(files) != 1 {
 				t.Fatalf("cache dir holds %d fresh entries after rewrite, want 1", len(files))
 			}
-			ResetMetrics()
+			p = reboot(t, p)
 			if _, err := memoRun(p, j); err != nil {
 				t.Fatal(err)
 			}
-			if m := Metrics(); m.Executed != 0 || m.CacheHits != 1 {
-				t.Fatalf("rewritten entry not served: %+v", Metrics())
+			if m := p.Sweep.Metrics(); m.Executed != 0 || m.CacheHits != 1 {
+				t.Fatalf("rewritten entry not served: %+v", m)
 			}
 			os.Remove(quarantined[0])
 		})

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -68,15 +66,13 @@ type ckEntry struct {
 	ck   *gpu.Checkpoint
 }
 
-var ckCache = map[string]*ckEntry{} // keyed by prefix fingerprint; memoMu
-
-func ckEntryFor(prefixFP string) *ckEntry {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	e, ok := ckCache[prefixFP]
+func (s *Sweep) ckEntryFor(prefixFP string) *ckEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.cks[prefixFP]
 	if !ok {
 		e = &ckEntry{}
-		ckCache[prefixFP] = e
+		s.cks[prefixFP] = e
 	}
 	return e
 }
@@ -123,24 +119,18 @@ func forkPlan(p Params, jobs []Job) []Job {
 // Outcome's Work says which: a capture, a hit with the prefix cycles the
 // job did not simulate, or a miss.
 func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
-	ce := ckEntryFor(j.PrefixFP)
+	s := p.Sweep
+	ce := s.ckEntryFor(j.PrefixFP)
 	var out Outcome
 	var err error
 	donor := false
 	ce.once.Do(func() {
-		st := storeFor(p)
+		st, _ := s.store(p) // memoRun has vetted p's directories
 		if st != nil {
-			lid := p.Trace.Begin(p.span, "fork.ckload", j.Workload, j.Variant)
-			ck := diskLoadCheckpoint(p.ctx(), st, j.PrefixFP)
-			if ck != nil {
-				p.Trace.SetAttr(lid, "outcome", "hit")
-				p.Trace.SetAttr(lid, "cycle", fmt.Sprint(ck.Cycle))
-				p.Trace.End(lid)
-				ce.ck = ck
+			if env := s.loadEnvelope(p, st, resultstore.KindCheckpoint, "fork.ckload", j, j.PrefixFP); env != nil {
+				ce.ck = env.Checkpoint
 				return
 			}
-			p.Trace.SetAttr(lid, "outcome", "miss")
-			p.Trace.End(lid)
 		}
 		donor = true
 		spec := &forkSpec{capture: true, at: p.ForkCycle}
@@ -149,9 +139,9 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 		if ce.ck != nil {
 			out.Work.CheckpointsCaptured++
 			if st != nil {
-				sid := p.Trace.Begin(p.span, "fork.ckstore", j.Workload, j.Variant)
+				sid := s.Trace.Begin(p.span, "fork.ckstore", j.Workload, j.Variant)
 				diskStoreCheckpoint(p, st, j.PrefixFP, ce.ck)
-				p.Trace.End(sid)
+				s.Trace.End(sid)
 			}
 		}
 	})
@@ -168,85 +158,18 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 	}
 	out, err = supervise(p, j, cfg, fp, &forkSpec{
 		ck:         ce.ck,
-		forkedFrom: fmt.Sprintf("%s@%d", cacheKey(j.PrefixFP)[:12], ce.ck.Cycle),
+		forkedFrom: fmt.Sprintf("%s@%d", CacheKey(j.PrefixFP)[:12], ce.ck.Cycle),
 	})
 	out.Work.CheckpointHits++
 	out.Work.PrefixCyclesSaved += ce.ck.Cycle
 	return out, err
 }
 
-// ckDiskEntry is the JSON envelope of one persisted checkpoint. Like
-// result entries, the full prefix fingerprint travels in the envelope so
-// mismatches are detected by content.
-type ckDiskEntry struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Checkpoint  *gpu.Checkpoint `json:"checkpoint"`
-}
-
-// diskLoadCheckpoint returns the persisted checkpoint for the prefix
-// fingerprint, or nil. The store has already verified content checksums
-// (healing from the mirror where possible); envelope-level problems
-// (stale versions, fingerprint mismatch) quarantine the object exactly
-// like corrupt result entries, and the caller falls back to a full
-// simulation.
-func diskLoadCheckpoint(ctx context.Context, st *resultstore.Store, prefixFP string) *gpu.Checkpoint {
-	if st == nil {
-		return nil
-	}
-	key := cacheKey(prefixFP)
-	var b []byte
-	err := storeRetry(ctx, func() error {
-		var gerr error
-		b, gerr = st.Get(resultstore.KindCheckpoint, key)
-		return gerr
-	})
-	if err != nil {
-		bumpMetric(func(m *RunMetrics) { m.StoreMisses++ })
-		return nil
-	}
-	reject := func(reason string) {
-		st.Quarantine(resultstore.KindCheckpoint, key, reason)
-		bumpMetric(func(m *RunMetrics) { m.StoreMisses++ })
-	}
-	var e ckDiskEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		reject(fmt.Sprintf("corrupt checkpoint JSON: %v", err))
-		return nil
-	}
-	switch {
-	case e.Version != diskCacheVersion:
-		reject(fmt.Sprintf("stale version %d (want %d)", e.Version, diskCacheVersion))
-	case e.Fingerprint != prefixFP:
-		reject("checkpoint fingerprint mismatch")
-	case e.Checkpoint == nil:
-		reject("entry has no checkpoint")
-	case e.Checkpoint.Version != gpu.CheckpointVersion:
-		reject(fmt.Sprintf("stale checkpoint format %d (want %d)",
-			e.Checkpoint.Version, gpu.CheckpointVersion))
-	default:
-		bumpMetric(func(m *RunMetrics) { m.StoreHits++ })
-		return e.Checkpoint
-	}
-	return nil
-}
-
 // diskStoreCheckpoint persists a checkpoint for the prefix fingerprint
 // as one store transaction. Best-effort beyond the bounded transient
 // retry, like result persistence.
 func diskStoreCheckpoint(p Params, st *resultstore.Store, prefixFP string, ck *gpu.Checkpoint) {
-	if st == nil {
-		return
-	}
-	b, err := json.Marshal(ckDiskEntry{
-		Version:     diskCacheVersion,
-		Fingerprint: prefixFP,
-		Checkpoint:  ck,
-	})
-	if err != nil {
-		return
-	}
 	tx := st.Begin()
-	tx.Put(resultstore.KindCheckpoint, cacheKey(prefixFP), b)
+	envelope{Version: diskCacheVersion, Fingerprint: prefixFP, Checkpoint: ck}.put(tx, resultstore.KindCheckpoint)
 	p.commitBestEffort(tx)
 }

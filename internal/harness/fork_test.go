@@ -32,15 +32,15 @@ func swapLatJobs(workload string, lats []int) []Job {
 	return jobs
 }
 
-func forkTestParams() Params {
-	return Params{Scale: 1, Config: config.Small(), Dilute: 40, Workers: 2}
+func forkTestParams(t testing.TB) Params {
+	return inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 40, Workers: 2})
 }
 
 // TestForkPlanGrouping pins what forkPlan marks: jobs that differ only in
 // the neutralized parameters share a prefix group; jobs that differ
 // structurally, or singleton groups, are left alone.
 func TestForkPlanGrouping(t *testing.T) {
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
 	jobs := swapLatJobs("pathfinder", []int{0, 64, 256})
 	jobs = append(jobs, Job{
@@ -84,28 +84,26 @@ func TestPrefixForkEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer ResetMetrics()
 	lats := []int{0, 8, 64, 256}
 	jobs := swapLatJobs("pathfinder", lats)
 
-	ResetMetrics()
-	plain, err := runMany(forkTestParams(), jobs)
+	pp := forkTestParams(t)
+	plain, err := runMany(pp, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainM := Metrics()
+	plainM := pp.Sweep.Metrics()
 	if plainM.Executed != len(lats) {
 		t.Fatalf("plain sweep executed %d runs, want %d", plainM.Executed, len(lats))
 	}
 
-	ResetMetrics()
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
 	forked, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.CheckpointsCaptured != 1 {
 		t.Fatalf("captured %d checkpoints, want 1 donor: %+v", m.CheckpointsCaptured, m)
 	}
@@ -141,20 +139,18 @@ func TestPrefixForkDiskCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer ResetMetrics()
 	lats := []int{0, 64, 256}
 	jobs := swapLatJobs("pathfinder", lats)
 	dir := t.TempDir()
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
 	p.CacheDir = dir
 
-	ResetMetrics()
 	first, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SyncStores()
+	p.Sweep.Sync()
 	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
 	if len(cks) != 1 {
 		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))
@@ -166,12 +162,12 @@ func TestPrefixForkDiskCheckpoint(t *testing.T) {
 	for _, f := range results {
 		os.Remove(f)
 	}
-	ResetMetrics()
+	p = reboot(t, p)
 	second, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.CheckpointsCaptured != 0 {
 		t.Fatalf("re-captured a checkpoint despite the disk copy: %+v", m)
 	}
@@ -192,20 +188,18 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer ResetMetrics()
 	lats := []int{0, 256}
 	jobs := swapLatJobs("pathfinder", lats)
 	dir := t.TempDir()
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
 	p.CacheDir = dir
 
-	ResetMetrics()
 	baseline, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SyncStores()
+	p.Sweep.Sync()
 	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
 	if len(cks) != 1 {
 		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))
@@ -224,7 +218,7 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 		os.Remove(f)
 	}
 
-	ResetMetrics()
+	p = reboot(t, p)
 	again, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +228,7 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 		t.Fatalf("truncated checkpoint not quarantined: %v", quarantined)
 	}
 	// The donor re-ran and re-captured; results stay bit-identical.
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.CheckpointsCaptured != 1 {
 		t.Fatalf("donor did not re-capture after quarantine: %+v", m)
 	}
@@ -261,12 +255,11 @@ func TestPrefixForkAblationSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer ResetMetrics()
 	lats := []int{0, 4, 8, 16, 32, 48, 64, 96, 128, 192, 256, 512}
 	jobs := swapLatJobs("nw", lats)
 	// Workers=1 serializes the jobs so wall time measures simulated work,
 	// not scheduling luck.
-	p := Params{Scale: 1, Config: config.GTX480(), Dilute: 4, Workers: 1}
+	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 4, Workers: 1})
 	// Hold an elevated minimum residency constant across the sweep (it is
 	// a pre-swap scheduling parameter, so it must NOT diverge between
 	// points): it pushes the first swap — and with it the latest legal
@@ -279,17 +272,15 @@ func TestPrefixForkAblationSpeedup(t *testing.T) {
 	p.Config.VT.MinResidencyCycles = 6144
 	p.ForkCycle = 6000
 
-	ResetMetrics()
 	t0 := time.Now()
 	plain, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plainWall := time.Since(t0)
-	plainCycles := Metrics().SimCycles
+	plainCycles := p.Sweep.Metrics().SimCycles
 
-	ResetMetrics()
-	pf := p
+	pf := inSweep(t, p)
 	pf.Checkpoint = true
 	t0 = time.Now()
 	forked, err := runMany(pf, jobs)
@@ -319,7 +310,7 @@ func TestPrefixForkAblationSpeedup(t *testing.T) {
 	if swapping == 0 {
 		t.Fatal("no point in the ablation performed any swaps; the latency sweep is vacuous")
 	}
-	m := Metrics()
+	m := pf.Sweep.Metrics()
 	speedup := float64(plainCycles) / float64(m.SimCycles)
 	t.Logf("plain %d cycles in %s, forked %d cycles in %s: %.2fx fewer cycles, %.2fx wall (%d captured, %d forks, %d prefix cycles saved)",
 		plainCycles, plainWall.Round(time.Millisecond), m.SimCycles, forkWall.Round(time.Millisecond), speedup,
@@ -343,19 +334,16 @@ func TestPrefixForkJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer ResetMetrics()
 	dir := t.TempDir()
-	jl, err := OpenJournal(filepath.Join(dir, "journal.jsonl"),
+	jl, err := openJournal(filepath.Join(dir, "journal.jsonl"),
 		JournalMeta{Scale: 1, Dilute: 40, Config: "small"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jl.Close()
 
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
-	p.Journal = jl
-	ResetMetrics()
+	p.Sweep.Journal = jl // a journal with no store under it: lines append directly
 	if _, err := runMany(p, swapLatJobs("pathfinder", []int{0, 64, 256})); err != nil {
 		t.Fatal(err)
 	}

@@ -80,13 +80,10 @@ type Params struct {
 	// CheckInvariants runs every simulation with the gpu conservation-
 	// invariant checker enabled (see gpu.Options.CheckInvariants).
 	CheckInvariants bool
-	// Journal, when non-nil, records every executed run's outcome in the
-	// append-only completion journal, making the sweep resumable (see
-	// journal.go).
-	Journal *Journal
-	// Resume marks this sweep as resuming a journaled one: jobs the
-	// journal recorded as failed are counted in RunMetrics.ResumedFailed
-	// when they re-execute.
+	// Resume marks this sweep as resuming a journaled one: the sweep's
+	// journal must already exist and match (Sweep.OpenJournal), and jobs it
+	// recorded as failed are counted in RunMetrics.ResumedFailed when they
+	// re-execute.
 	Resume bool
 	// Inject installs a deterministic fault into the matching run (tests
 	// and the CI supervisor drill). Nil in normal operation.
@@ -110,19 +107,13 @@ type Params struct {
 	// detailed.
 	Sampling gpu.SamplingOptions
 
-	// Observability (see internal/sweepobs and monitor.go).
-
-	// Trace, when non-nil, records a sweep-lifecycle span tree: every
-	// job emits plan → store lookup → fork → execute spans plus
-	// supervisor events, and every store batch a store-tx span. Nil (the
-	// default) disables tracing; every tracer hook is a nil-receiver
-	// no-op, so the off path costs a nil check (the CI overhead gate's
-	// contract).
-	Trace *sweepobs.Tracer
-	// Monitor receives live job begin/finish bookkeeping and serves the
-	// -monitor endpoints. Nil reports to nobody: every Monitor hook is a
-	// nil-receiver no-op, as with Trace.
-	Monitor *Monitor
+	// Sweep is the state this run accumulates into and reads from: memo,
+	// counters, checkpoint cache, the open result store, journal, monitor
+	// and tracer (see sweep.go). Every copy of a sweep's Params carries the
+	// same handle; running jobs without one is an error. If CacheDir is
+	// set it must name the directory the Sweep holds (the first use opens
+	// it).
+	Sweep *Sweep
 
 	// Executor runs the jobs neither the memo nor the result store can
 	// answer; nil supervises them in-process. The sweep fabric
@@ -131,7 +122,9 @@ type Params struct {
 	// Ctx, when non-nil, cancels the sweep's dispatch loop: on
 	// cancellation RunJobs stops starting jobs (the remainder fail with
 	// the context error) while in-flight jobs drain to completion, and
-	// store retries abandon their backoff sleeps. Nil never cancels.
+	// store retries abandon their backoff sleeps. Nil never cancels. It
+	// also carries the pprof labels of the experiment being run down to
+	// the per-job labels RunJobs stacks on them.
 	Ctx context.Context
 
 	// span is the current parent span, threaded through the by-value
@@ -154,9 +147,10 @@ func DefaultParams() Params {
 // sweep fabric, not from wider in-process fan-out.
 const maxSweepWorkers = 1024
 
-// resolveWorkers clamps a requested concurrent-simulation count to
-// [1, maxSweepWorkers]; n <= 0 selects GOMAXPROCS.
-func resolveWorkers(n int) int {
+// ResolveWorkers clamps a requested concurrent-simulation count to
+// [1, maxSweepWorkers]; n <= 0 selects GOMAXPROCS. The fabric worker sizes
+// its lease slots with the same rule.
+func ResolveWorkers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -169,11 +163,7 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// ResolveWorkers is resolveWorkers for callers outside the package
-// (the fabric worker sizes its lease slots with the same rule).
-func ResolveWorkers(n int) int { return resolveWorkers(n) }
-
-func (p Params) workers() int { return resolveWorkers(p.Workers) }
+func (p Params) workers() int { return ResolveWorkers(p.Workers) }
 
 // executor resolves the job executor (default: in-process).
 func (p Params) executor() Executor {
@@ -188,8 +178,16 @@ func (p Params) injects(workload, variant string) bool {
 	return p.Inject != nil && p.Inject.Matches(workload, variant)
 }
 
-// ctx resolves the sweep context (default: never canceled).
-func (p Params) ctx() context.Context {
+// sweep returns the Sweep p runs in; running without one is an error.
+func (p Params) sweep() (*Sweep, error) {
+	if p.Sweep == nil {
+		return nil, errors.New("harness: Params carries no Sweep (see NewSweep)")
+	}
+	return p.Sweep, nil
+}
+
+// Context resolves the sweep context (default: never canceled).
+func (p Params) Context() context.Context {
 	if p.Ctx != nil {
 		return p.Ctx
 	}
@@ -239,22 +237,46 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (known: %v)", id, ids)
 }
 
-// RunAll executes every experiment in order. A failing experiment no
-// longer aborts the sweep: the failure is reported inline, the remaining
-// experiments run, and the joined error is returned at the end (the
-// supervisor has already written any repro bundles by then). RunAll
-// owns the whole sweep, so it ends at the durability barrier.
-func RunAll(p Params, w io.Writer) error {
-	defer SyncStores()
+// ExperimentRun is what RunExperiments reports about one finished
+// experiment: its wall time, the sweep's counters on either side of it,
+// and its error, if any.
+type ExperimentRun struct {
+	Experiment
+	Wall          time.Duration
+	Before, After RunMetrics
+	Err           error
+}
+
+// RunExperiments executes todo in order under p, writing tables to w —
+// with titled, each under its "### id — title" heading — and reporting
+// each experiment to each (nil: nobody) as it finishes. A failing
+// experiment does not abort the rest: the failure is reported inline, the
+// remaining experiments run, and the joined error is returned at the end
+// (the supervisor has already written any repro bundles by then). The
+// caller owns the sweep: p.Sweep.Sync is still to come.
+func RunExperiments(p Params, w io.Writer, todo []Experiment, titled bool, each func(ExperimentRun)) error {
+	s, err := p.sweep()
+	if err != nil {
+		return err
+	}
 	var errs []error
-	for _, e := range experiments {
-		fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
-		if e.Paper != "" {
-			fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
+	for _, e := range todo {
+		if titled {
+			fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
+			if e.Paper != "" {
+				fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
+			}
 		}
-		if err := RunOne(e, p, w); err != nil {
-			fmt.Fprintf(w, "EXPERIMENT FAILED %s: %v\n\n", e.ID, err)
-			errs = append(errs, fmt.Errorf("%s: %w", e.ID, err))
+		r := ExperimentRun{Experiment: e, Before: s.Metrics()}
+		t0 := time.Now()
+		r.Err = RunOne(e, p, w)
+		r.Wall, r.After = time.Since(t0), s.Metrics()
+		if r.Err != nil {
+			fmt.Fprintf(w, "EXPERIMENT FAILED %s: %v\n\n", e.ID, r.Err)
+			errs = append(errs, fmt.Errorf("%s: %w", e.ID, r.Err))
+		}
+		if each != nil {
+			each(r)
 		}
 	}
 	if len(errs) > 0 {
@@ -263,45 +285,26 @@ func RunAll(p Params, w io.Writer) error {
 	return nil
 }
 
-// labelCtx carries the pprof labels of the experiment currently running,
-// so runMany can stack (workload, variant) labels on top of it.
-// Experiments run one at a time, so a single slot suffices.
-var (
-	labelMu  sync.Mutex
-	labelCtx = context.Background()
-)
-
-func swapLabelCtx(ctx context.Context) context.Context {
-	labelMu.Lock()
-	defer labelMu.Unlock()
-	old := labelCtx
-	labelCtx = ctx
-	return old
-}
-
-func currentLabelCtx() context.Context {
-	labelMu.Lock()
-	defer labelMu.Unlock()
-	return labelCtx
-}
-
 // RunOne executes a single experiment with a pprof "experiment" label
-// attached, so CPU profiles segment by figure/table as well as by the
-// per-run (workload, variant) labels runMany adds.
+// attached (and carried on in p.Ctx), so CPU profiles segment by
+// figure/table as well as by the per-run (workload, variant) labels
+// RunJobs adds.
 func RunOne(e Experiment, p Params, w io.Writer) error {
-	var err error
-	eid := p.Trace.Begin(p.span, "experiment", e.ID, "")
-	p.span = eid
-	pprof.Do(context.Background(), pprof.Labels("experiment", e.ID),
-		func(ctx context.Context) {
-			old := swapLabelCtx(ctx)
-			defer swapLabelCtx(old)
-			err = e.Run(p, w)
-		})
+	s, err := p.sweep()
 	if err != nil {
-		p.Trace.SetAttr(eid, "error", "true")
+		return err
 	}
-	p.Trace.End(eid)
+	tr := s.Trace
+	eid := tr.Begin(p.span, "experiment", e.ID, "")
+	p.span = eid
+	pprof.Do(p.Context(), pprof.Labels("experiment", e.ID), func(ctx context.Context) {
+		p.Ctx = ctx
+		err = e.Run(p, w)
+	})
+	if err != nil {
+		tr.SetAttr(eid, "error", "true")
+	}
+	tr.End(eid)
 	return err
 }
 
@@ -330,8 +333,8 @@ func (j Job) ConfigFor(p Params) config.GPUConfig {
 	return cfg
 }
 
-// One path takes every job from request to report, in a single process
-// and on a fleet alike: forkPlan turns a raw batch into a plan
+// One path takes every job from request to report, in a single-process
+// sweep and on a fleet alike: forkPlan turns a raw batch into a plan
 // (prefix-fork grouping, a no-op unless Params.Checkpoint is set);
 // memoRun gives each planned job its identity, counts it, coalesces it
 // with identical requests, asks the result store for it, and only on a
@@ -371,7 +374,7 @@ type ResultSink interface {
 
 // localExecutor is the default Executor: supervise the run in-process
 // (forking it from a prefix checkpoint if the plan says so), then commit
-// its outcome write-behind — SyncStores is where the sweep waits.
+// its outcome write-behind — the sweep's Sync is where it waits.
 type localExecutor struct{}
 
 func (localExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
@@ -427,17 +430,21 @@ func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
 // completion. Each run carries pprof labels so CPU profiles attribute
 // samples to the (workload, variant) that burned them.
 func RunJobs(p Params, jobs []Job, sink ResultSink) error {
-	plan := p.Trace.Begin(p.span, "plan", "", "")
+	s, err := p.sweep()
+	if err != nil {
+		return err
+	}
+	tr, mon := s.Trace, s.Monitor
+	plan := tr.Begin(p.span, "plan", "", "")
 	jobs = forkPlan(p, jobs)
-	p.Trace.End(plan)
-	mon := p.Monitor
-	ctx := p.ctx()
+	tr.End(plan)
+	ctx := p.Context()
 	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, p.workers())
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		// Take the semaphore slot before spawning, so at most `workers`
-		// goroutines exist at a time (a 590-job RunAll used to park
+		// goroutines exist at a time (a 590-job `-run all` used to park
 		// hundreds of them on this channel). The job span starts after
 		// the slot is taken, so tracer worker slots mirror real
 		// concurrency. A canceled sweep context wins the race: remaining
@@ -464,11 +471,11 @@ func RunJobs(p Params, jobs []Job, sink ResultSink) error {
 			var out Outcome
 			var err error
 			labels := pprof.Labels("workload", j.Workload, "variant", j.Variant)
-			pprof.Do(currentLabelCtx(), labels, func(context.Context) {
-				jid := p.Trace.BeginJob(p.span, j.Workload, j.Variant)
+			pprof.Do(ctx, labels, func(context.Context) {
+				jid := tr.BeginJob(p.span, j.Workload, j.Variant)
 				mon.beginJob(j)
 				defer mon.endJob(j)
-				defer p.Trace.EndJob(jid)
+				defer tr.EndJob(jid)
 				jp := p
 				jp.span, jp.sweepSpan = jid, p.span
 				out, err = memoRun(jp, j)

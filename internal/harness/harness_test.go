@@ -9,8 +9,25 @@ import (
 	"repro/internal/gpu"
 )
 
-func testParams() Params {
-	return Params{Scale: 1, Config: config.GTX480(), Dilute: 30}
+// inSweep binds p to a fresh Sweep, closed when the test ends: a test's
+// stand-in for a new process.
+func inSweep(t testing.TB, p Params) Params {
+	t.Helper()
+	p.Sweep = NewSweep()
+	t.Cleanup(p.Sweep.Close)
+	return p
+}
+
+// reboot closes p's sweep — barrier, journal, store — and rebinds p to a
+// fresh one, the way a new process over the same directories starts.
+func reboot(t testing.TB, p Params) Params {
+	t.Helper()
+	p.Sweep.Close()
+	return inSweep(t, p)
+}
+
+func testParams(t testing.TB) Params {
+	return inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 30})
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,7 +104,7 @@ func TestSpeedupExperimentDiluted(t *testing.T) {
 	}
 	e, _ := Get("fig-speedup")
 	var sb strings.Builder
-	if err := e.Run(testParams(), &sb); err != nil {
+	if err := e.Run(testParams(t), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -104,7 +121,7 @@ func TestSwapTableDiluted(t *testing.T) {
 	}
 	e, _ := Get("table-swap")
 	var sb strings.Builder
-	if err := e.Run(testParams(), &sb); err != nil {
+	if err := e.Run(testParams(t), &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "swaps-out") {
@@ -119,9 +136,7 @@ func TestRunMemoization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	ResetMetrics()
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 2}
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 2})
 	jobs := policyJobs([]string{"pathfinder", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})
 
@@ -129,7 +144,7 @@ func TestRunMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Requests != 4 || m.Executed != 4 || m.CacheHits != 0 {
 		t.Fatalf("cold batch: %+v, want 4 requests all executed", m)
 	}
@@ -141,7 +156,7 @@ func TestRunMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = Metrics()
+	m = p.Sweep.Metrics()
 	if m.Requests != 8 || m.Executed != 4 || m.CacheHits != 4 {
 		t.Fatalf("warm batch: %+v, want 4 hits and no new executions", m)
 	}
@@ -157,7 +172,7 @@ func TestRunMemoization(t *testing.T) {
 	if _, err := runMany(bigger, jobs[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if m = Metrics(); m.Executed != 5 {
+	if m = p.Sweep.Metrics(); m.Executed != 5 {
 		t.Fatalf("config change did not miss the cache: %+v", m)
 	}
 
@@ -167,7 +182,7 @@ func TestRunMemoization(t *testing.T) {
 	if _, err := runMany(coarser, jobs[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if m = Metrics(); m.Executed != 6 {
+	if m = p.Sweep.Metrics(); m.Executed != 6 {
 		t.Fatalf("grid change did not miss the cache: %+v", m)
 	}
 }
@@ -180,9 +195,7 @@ func TestRunAllMemoizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	ResetMetrics()
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2}
+	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2})
 	var sb strings.Builder
 	// fig-speedup runs suite x {baseline, vt}; fig-ideal-gap runs suite x
 	// {baseline, vt, ideal}: the baseline and vt columns overlap exactly.
@@ -195,7 +208,7 @@ func TestRunAllMemoizes(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Executed >= m.Requests {
 		t.Fatalf("no memoization across experiments: %+v", m)
 	}
@@ -205,10 +218,14 @@ func TestRunAllMemoizes(t *testing.T) {
 }
 
 func TestRunManyPropagatesErrors(t *testing.T) {
-	p := testParams()
+	p := testParams(t)
 	_, err := runMany(p, []Job{{Workload: "does-not-exist", Variant: "x"}})
 	if err == nil {
 		t.Fatal("expected error for unknown workload")
+	}
+	p.Sweep = nil
+	if _, err := runMany(p, nil); err == nil || !strings.Contains(err.Error(), "no Sweep") {
+		t.Fatalf("batch without a sweep: err = %v, want it refused", err)
 	}
 }
 
@@ -218,9 +235,9 @@ func TestRunAllDiluted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	p := Params{Scale: 1, Config: config.GTX480(), Dilute: 60}
+	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60})
 	var sb strings.Builder
-	if err := RunAll(p, &sb); err != nil {
+	if err := RunExperiments(p, &sb, Experiments(), true, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -249,9 +266,8 @@ func TestWorkersEquivalence(t *testing.T) {
 		cycles  int64
 	}
 	run := func(workers int) pass {
-		ResetMetrics() // empty the memo cache: every pass simulates every point
 		tap := &tapExecutor{}
-		p := testParams()
+		p := testParams(t) // an empty memo: every pass simulates every point
 		p.Workers = workers
 		p.Executor = tap
 		var sb strings.Builder
@@ -262,9 +278,8 @@ func TestWorkersEquivalence(t *testing.T) {
 		for _, out := range tap.outs {
 			results[key{out.Entry.Workload, out.Entry.Variant}] = out.Result
 		}
-		return pass{sb.String(), results, Metrics().SimCycles}
+		return pass{sb.String(), results, p.Sweep.Metrics().SimCycles}
 	}
-	defer ResetMetrics()
 	ref := run(1)
 	if len(ref.results) != 48 || ref.cycles == 0 {
 		t.Fatalf("serial pass ran %d simulations for %d cycles, want 48 and > 0", len(ref.results), ref.cycles)

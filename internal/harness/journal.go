@@ -45,7 +45,7 @@ type JournalMeta struct {
 	// empty for exact sweeps. Sampled cycle counts are extrapolations, so
 	// a sampled sweep must not resume an exact journal (or vice versa, or
 	// one with different windows): the field makes such metas unequal,
-	// which OpenJournal refuses. Exact sweeps keep the historical header
+	// which openJournal refuses. Exact sweeps keep the historical header
 	// (the field is omitted), so existing journals remain resumable.
 	Sampling string `json:"sampling,omitempty"`
 }
@@ -86,12 +86,12 @@ type Journal struct {
 	status map[string]string // cache key -> latest status
 }
 
-// OpenJournal opens (creating if needed) the journal at path for the
-// sweep described by meta. An existing journal written by a different
+// openJournal opens (creating if needed) the journal at path for the
+// sweep described by meta (Sweep.OpenJournal derives both from Params). An existing journal written by a different
 // sweep is rotated aside to path+".old" when resume is false, and refused
 // with an error when resume is true. resume additionally requires the
 // journal to exist: resuming nothing is almost certainly a flag mistake.
-func OpenJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
+func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	meta.Version = journalVersion
 	jl := &Journal{status: map[string]string{}}
 
@@ -103,41 +103,29 @@ func OpenJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	existing, err := os.Open(path)
 	switch {
 	case err == nil:
-		prior, perr := jl.load(existing, meta)
+		err = jl.load(existing, meta)
 		existing.Close()
-		if perr != nil {
-			if resume {
-				return nil, perr
-			}
-			// Fresh sweep over a foreign or damaged journal: keep the old
-			// bytes inspectable, start over.
-			rotateAside(path)
-			jl.status = map[string]string{}
-			prior = false
-		}
-		if !prior {
-			if err := jl.writeHeader(path, meta); err != nil {
-				return nil, err
+		if err == nil {
+			if jl.f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644); err != nil {
+				return nil, fmt.Errorf("harness: open journal: %w", err)
 			}
 			return jl, nil
 		}
-	case os.IsNotExist(err):
 		if resume {
-			return nil, fmt.Errorf("harness: nothing to resume: no journal at %s", path)
-		}
-		if err := jl.writeHeader(path, meta); err != nil {
 			return nil, err
 		}
-		return jl, nil
-	default:
+		// Fresh sweep over a foreign or damaged journal: keep the old
+		// bytes inspectable, start over.
+		rotateAside(path)
+		jl.status = map[string]string{}
+	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("harness: open journal: %w", err)
+	case resume:
+		return nil, fmt.Errorf("harness: nothing to resume: no journal at %s", path)
 	}
-
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("harness: open journal: %w", err)
+	if err := jl.writeHeader(path, meta); err != nil {
+		return nil, err
 	}
-	jl.f = f
 	return jl, nil
 }
 
@@ -178,20 +166,20 @@ func (jl *Journal) writeHeader(path string, meta JournalMeta) error {
 	return nil
 }
 
-// load replays an existing journal into the status map, reporting whether
-// it belongs to the sweep described by want. A torn final line (crashed
-// writer) is ignored; a missing or mismatched header is an error.
-func (jl *Journal) load(f *os.File, want JournalMeta) (bool, error) {
+// load replays an existing journal into the status map. A torn final
+// line (crashed writer) is ignored; a missing header, or one that does not
+// belong to the sweep described by want, is an error.
+func (jl *Journal) load(f *os.File, want JournalMeta) error {
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() {
-		return false, fmt.Errorf("harness: journal %s is empty", f.Name())
+		return fmt.Errorf("harness: journal %s is empty", f.Name())
 	}
 	var hdr journalHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Meta.Version == 0 {
-		return false, fmt.Errorf("harness: journal %s has no valid header line", f.Name())
+		return fmt.Errorf("harness: journal %s has no valid header line", f.Name())
 	}
 	if hdr.Meta != want {
-		return false, fmt.Errorf("harness: journal %s belongs to a different sweep: recorded %+v, want %+v",
+		return fmt.Errorf("harness: journal %s belongs to a different sweep: recorded %+v, want %+v",
 			f.Name(), hdr.Meta, want)
 	}
 	for sc.Scan() {
@@ -201,7 +189,7 @@ func (jl *Journal) load(f *os.File, want JournalMeta) (bool, error) {
 		}
 		jl.status[e.FP] = e.Status
 	}
-	return true, nil
+	return nil
 }
 
 // Record appends one entry. Best-effort on the file write (a journal that
@@ -229,19 +217,6 @@ func (jl *Journal) noteStatus(e JournalEntry) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	jl.status[e.FP] = e.Status
-}
-
-// EnsureJournalHeader makes path a valid journal for meta without
-// keeping it open: used to seed the mirror side's journal before store
-// transactions replicate entry lines there, so a failed-over mirror
-// directory is resumable on its own. An existing matching journal is
-// left untouched; a foreign one is rotated aside.
-func EnsureJournalHeader(path string, meta JournalMeta) error {
-	jl, err := OpenJournal(path, meta, false)
-	if err != nil {
-		return err
-	}
-	return jl.Close()
 }
 
 // Status returns the recorded status for a cache key ("" = never run).

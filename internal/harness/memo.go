@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/resultstore"
 )
 
 // The harness memoizes simulation runs: many experiments re-simulate the
 // same (kernel, grid, config) point — e.g. the GTX 480 baseline and VT
 // runs appear in the speedup figure, the ideal-gap figure, the TLP figure
-// and several tables — so RunAll would otherwise recompute identical
+// and several tables — so a full sweep would otherwise recompute identical
 // deterministic results dozens of times. Runs are keyed by a content
 // fingerprint of the kernel name, the grid parameters (scale and
 // dilution, which fully determine the generated launch), and the
@@ -23,19 +24,26 @@ import (
 // Cached *gpu.Result values are shared between experiments and must be
 // treated as immutable by all callers.
 
-// RunMetrics counts the simulation work performed by the harness since
-// the last ResetMetrics.
+// RunMetrics counts the simulation work one sweep has performed. The
+// JSON keys are the one spelling of these counters: the -json sweep record
+// (sweepcli.Report embeds this struct), the /status metrics object, and
+// the fabric wire (an Outcome's Work, a worker's heartbeat) all carry
+// them. Counters that are zero on a clean exact sweep are omitted.
 type RunMetrics struct {
 	// Requests is the number of simulations experiments asked for.
-	Requests int
+	Requests int `json:"runs_requested"`
 	// Executed is the number of gpu.Run calls actually performed.
-	Executed int
+	Executed int `json:"runs_executed"`
 	// CacheHits is Requests satisfied from the memo cache (including
-	// waits on an in-flight identical run).
-	CacheHits int
+	// waits on an in-flight identical run) or the result store.
+	CacheHits int `json:"cache_hits"`
 	// SimCycles totals the simulated cycles of the executed runs; cache
-	// hits add nothing. Divide by wall time for simcycles/s.
-	SimCycles int64
+	// hits add nothing. Divide by wall time for simcycles/s. With
+	// Params.Checkpoint forked runs add their post-fork suffix alone (see
+	// PrefixCyclesSaved); with Params.Sampling it includes extrapolated
+	// cycles (see ExtrapolatedCycles), so neither is comparable to an
+	// exact unforked baseline.
+	SimCycles int64 `json:"sim_cycles"`
 
 	// Supervisor counters (see supervisor.go). A retried run still counts
 	// once in Executed, so CacheHits = Requests - Executed stays valid.
@@ -43,26 +51,26 @@ type RunMetrics struct {
 	// Panics counts first attempts that panicked; InvariantTrips counts
 	// first attempts aborted by the invariant checker; Deadlines counts
 	// first attempts aborted by the wall-clock deadline.
-	Panics         int
-	InvariantTrips int
-	Deadlines      int
+	Panics         int `json:"panics,omitempty"`
+	InvariantTrips int `json:"invariant_trips,omitempty"`
+	Deadlines      int `json:"deadlines,omitempty"`
 	// Retries counts safe-mode retries attempted after a panic or
 	// invariant trip; Degraded counts runs whose result came from such a
 	// retry (fast path disabled).
-	Retries  int
-	Degraded int
+	Retries  int `json:"runs_retried,omitempty"`
+	Degraded int `json:"runs_degraded,omitempty"`
 	// Failures counts runs that still failed after the retry ladder and
 	// became RunFailure repro bundles.
-	Failures int
+	Failures int `json:"runs_failed,omitempty"`
 	// ResumedFailed counts executed jobs that a resumed sweep's journal
 	// had recorded as failed — the jobs -resume exists to re-run.
-	ResumedFailed int
+	ResumedFailed int `json:"resumed_failed,omitempty"`
 
 	// TelemetryWindows and TelemetrySpans total the metric windows and
 	// lifecycle spans recorded by executed runs when Params.Telemetry is
 	// set (cache hits record none).
-	TelemetryWindows int64
-	TelemetrySpans   int64
+	TelemetryWindows int64 `json:"telemetry_windows,omitempty"`
+	TelemetrySpans   int64 `json:"telemetry_spans,omitempty"`
 
 	// Prefix-fork counters (Params.Checkpoint; see fork.go).
 
@@ -71,13 +79,13 @@ type RunMetrics struct {
 	// memory or from the disk cache) instead of cycle zero;
 	// CheckpointMisses counts fork-eligible jobs that found no usable
 	// checkpoint and ran in full.
-	CheckpointsCaptured int
-	CheckpointHits      int
-	CheckpointMisses    int
+	CheckpointsCaptured int `json:"checkpoints_captured,omitempty"`
+	CheckpointHits      int `json:"checkpoint_hits,omitempty"`
+	CheckpointMisses    int `json:"checkpoint_misses,omitempty"`
 	// PrefixCyclesSaved totals the already-simulated prefix cycles forked
 	// runs skipped. SimCycles counts only cycles actually simulated, so
 	// forked runs add their suffix alone.
-	PrefixCyclesSaved int64
+	PrefixCyclesSaved int64 `json:"prefix_cycles_saved,omitempty"`
 
 	// Sampled-run counters (Params.Sampling; see internal/gpu/sampling.go).
 
@@ -88,11 +96,11 @@ type RunMetrics struct {
 	// is how many warp instructions they retired functionally.
 	// MaxErrorBound is the largest per-run reported error bound, the
 	// number a sweep-level accuracy claim must quote.
-	SampledRuns        int
-	SampledSpans       int64
-	ExtrapolatedCycles int64
-	FunctionalInstrs   int64
-	MaxErrorBound      float64
+	SampledRuns        int     `json:"sampled_runs,omitempty"`
+	SampledSpans       int64   `json:"sampled_spans,omitempty"`
+	ExtrapolatedCycles int64   `json:"extrapolated_cycles,omitempty"`
+	FunctionalInstrs   int64   `json:"functional_instrs,omitempty"`
+	MaxErrorBound      float64 `json:"max_error_bound,omitempty"`
 
 	// Result-store counters (Params.CacheDir/MirrorDir; see diskcache.go
 	// and internal/resultstore).
@@ -100,14 +108,14 @@ type RunMetrics struct {
 	// StoreHits counts store reads that served a checksum-verified
 	// payload; StoreMisses counts reads that found nothing usable,
 	// including entries quarantined on the way out.
-	StoreHits   int
-	StoreMisses int
+	StoreHits   int `json:"store_hits,omitempty"`
+	StoreMisses int `json:"store_misses,omitempty"`
 	// StoreRepairs counts objects healed bit-identically from a replica
 	// after a checksum mismatch; StoreRetries counts transient store I/O
 	// errors absorbed by the bounded retry-with-backoff (distinct from
 	// the supervisor's safe-mode simulation retries).
-	StoreRepairs int
-	StoreRetries int
+	StoreRepairs int `json:"store_repairs,omitempty"`
+	StoreRetries int `json:"store_retries,omitempty"`
 }
 
 // add folds another set of counters into m: every counter sums, and
@@ -148,35 +156,6 @@ type memoEntry struct {
 	err  error
 }
 
-var (
-	memoMu    sync.Mutex
-	memoCache = map[string]*memoEntry{}
-	memoStats RunMetrics
-)
-
-// Metrics returns a snapshot of the work counters.
-func Metrics() RunMetrics {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	m := memoStats
-	m.CacheHits = m.Requests - m.Executed
-	return m
-}
-
-// ResetMetrics zeroes the work counters, empties the memo and
-// checkpoint caches, closes any open result stores (so the next
-// cached run reopens them — index replay plus WAL recovery — exactly
-// like a fresh process). A Params.Monitor is owned by its sweep and is
-// not touched.
-func ResetMetrics() {
-	resetStores()
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	memoStats = RunMetrics{}
-	memoCache = map[string]*memoEntry{}
-	ckCache = map[string]*ckEntry{}
-}
-
 // fingerprint identifies a simulation point. kernels.Build is
 // deterministic, so (workload, scale, dilute) fully determines the
 // launch — grid dimensions, code, and initial memory image. A sampled
@@ -210,12 +189,8 @@ func FingerprintKey(p Params, j Job) (fp, key string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	return fp, cacheKey(fp), nil
+	return fp, CacheKey(fp), nil
 }
-
-// CacheKey hashes a content fingerprint into the stable hex id used for
-// store objects and journal entries (exported for the sweep fabric).
-func CacheKey(fp string) string { return cacheKey(fp) }
 
 // ExecuteJob runs one resolved job through the one path every job takes
 // (memoRun) and returns its Outcome. It is the fabric worker's entry
@@ -224,53 +199,56 @@ func ExecuteJob(p Params, j Job) (Outcome, error) { return memoRun(p, j) }
 
 // memoRun is the one place a job gets its identity and is accounted
 // for: it fingerprints the job, counts the request, coalesces it with
-// identical requests completed or in flight since the last
-// ResetMetrics, asks the result store, and only on a miss hands the job
-// to p's Executor — whose Outcome.Work it then folds into the process
-// counters and the Monitor. A store hit costs nothing: Executed and
-// SimCycles stay untouched, so simcycles/s reflects real simulation
-// work (a resumed sweep reads ~0, not a stale cumulative average).
+// identical requests its sweep has completed or has in flight, asks the
+// result store, and only on a miss hands the job to p's Executor — whose
+// Outcome.Work it then folds into the sweep's counters and Monitor. A
+// store hit costs nothing: Executed and SimCycles stay untouched, so
+// simcycles/s reflects real simulation work (a resumed sweep reads ~0,
+// not a stale cumulative average).
 func memoRun(p Params, j Job) (Outcome, error) {
+	s, err := p.sweep()
+	if err != nil {
+		return Outcome{}, err
+	}
 	cfg := j.ConfigFor(p)
 	fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("harness: %s/%s has no fingerprint: %w", j.Workload, j.Variant, err)
 	}
-	memoMu.Lock()
-	memoStats.Requests++
-	e, ok := memoCache[fp]
+	s.mu.Lock()
+	s.stats.Requests++
+	e, ok := s.memo[fp]
 	if !ok {
 		e = &memoEntry{}
-		memoCache[fp] = e
+		s.memo[fp] = e
 	}
-	memoMu.Unlock()
+	s.mu.Unlock()
 	e.once.Do(func() {
+		st, serr := s.store(p)
+		if serr != nil {
+			e.err = serr
+			return
+		}
 		// Fault-injected runs bypass the store in both directions: a
 		// cached hit would skip the fault, and a faulted (or degraded)
 		// outcome must never be served to an un-injected sweep.
-		if st := storeFor(p); st != nil && !p.injects(j.Workload, j.Variant) {
-			sid := p.Trace.Begin(p.span, "store.get", j.Workload, j.Variant)
-			res := diskLoad(p.ctx(), st, fp)
-			if res != nil {
-				p.Trace.SetAttr(sid, "outcome", "hit")
-				p.Trace.End(sid)
-				e.out = Outcome{Entry: buildJournalEntry(j, fp, "ok", 0, res, nil, ""), Result: res}
+		if st != nil && !p.injects(j.Workload, j.Variant) {
+			if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, fp); env != nil {
+				e.out = Outcome{Entry: buildJournalEntry(j, fp, "ok", 0, env.Result, nil, ""), Result: env.Result}
 				return
 			}
-			p.Trace.SetAttr(sid, "outcome", "miss")
-			p.Trace.End(sid)
 		}
-		// The process that owns the journal knows which jobs a resumed
+		// The sweep that owns the journal knows which jobs a resumed
 		// sweep is re-running because they failed last time.
-		resumedFailed := p.Resume && p.Journal != nil && p.Journal.Status(cacheKey(fp)) == "failed"
+		resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(CacheKey(fp)) == "failed"
 		e.out, e.err = p.executor().Execute(p, j, cfg, fp)
 		work := e.out.Work
 		if resumedFailed {
 			work.ResumedFailed++
 		}
-		bumpMetric(func(m *RunMetrics) { m.add(work) })
+		s.count(func(m *RunMetrics) { m.add(work) })
 		if work.SimCycles > 0 {
-			p.Monitor.noteFinished(work.SimCycles)
+			s.Monitor.noteFinished(work.SimCycles)
 		}
 	})
 	return e.out, e.err

@@ -33,35 +33,33 @@ func renderMixes(p Params) (string, error) {
 // by the memo, and on a cold cache a canceled sweep context and the
 // per-run deadline both reach the mixes.
 func TestMixRunsLikeAnyJob(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := testParams()
+	p := testParams(t)
 	p.CheckInvariants = true
 	p.Workers = 1
 	serial, err := renderMixes(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Requests != 6 || m.Executed != 6 {
+	if m := p.Sweep.Metrics(); m.Requests != 6 || m.Executed != 6 {
 		t.Fatalf("cold render: %+v, want 6 requests all executed", m)
 	}
 	if again, err := renderMixes(p); err != nil || again != serial {
 		t.Fatalf("second render: err %v, table differs:\n%s\nvs\n%s", err, again, serial)
 	}
-	if m := Metrics(); m.Requests != 12 || m.Executed != 6 {
+	if m := p.Sweep.Metrics(); m.Requests != 12 || m.Executed != 6 {
 		t.Fatalf("second render: %+v, want 6 memo hits and nothing executed", m)
 	}
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	p.Workers = 4
 	if concurrent, err := renderMixes(p); err != nil || concurrent != serial {
 		t.Fatalf("4 workers: err %v, table differs from 1 worker:\n%s\nvs\n%s", err, concurrent, serial)
 	}
-	if m := Metrics(); m.Executed != 6 {
+	if m := p.Sweep.Metrics(); m.Executed != 6 {
 		t.Fatalf("4 workers: %+v, want 6 executed", m)
 	}
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.Ctx = ctx
@@ -73,30 +71,28 @@ func TestMixRunsLikeAnyJob(t *testing.T) {
 	if _, err := renderMixes(p); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("1ns run timeout: err = %v", err)
 	}
-	if m := Metrics(); m.Deadlines != 6 || m.Retries != 0 {
+	if m := p.Sweep.Metrics(); m.Deadlines != 6 || m.Retries != 0 {
 		t.Fatalf("1ns run timeout: %+v, want 6 deadlines, none retried", m)
 	}
 }
 
-// TestMixWarmStoreSimulatesNothing: a fresh process (fresh memo) over the
+// TestMixWarmStoreSimulatesNothing: a fresh sweep (fresh memo) over the
 // store a first render filled reads six result objects and executes
 // nothing.
 func TestMixWarmStoreSimulatesNothing(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := testParams()
+	p := testParams(t)
 	p.CacheDir = t.TempDir()
 	cold, err := renderMixes(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ResetMetrics() // also the durability barrier: stores drain and close
+	p = reboot(t, p) // closing is the durability barrier: the store drains and closes
 	warm, err := renderMixes(p)
 	if err != nil || warm != cold {
 		t.Fatalf("warm render: err %v, table differs:\n%s\nvs\n%s", err, warm, cold)
 	}
-	if m := Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 || m.SimCycles != 0 {
+	if m := p.Sweep.Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 || m.SimCycles != 0 {
 		t.Fatalf("warm render: %+v, want 6 store hits and nothing executed", m)
 	}
 }
@@ -106,15 +102,13 @@ func TestMixWarmStoreSimulatesNothing(t *testing.T) {
 // degraded outcome stays out of the store; a mix naming an unknown
 // kernel fails naming that part.
 func TestMixSupervised(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := testParams()
+	p := testParams(t)
 	clean, err := renderMixes(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	p.CacheDir = t.TempDir()
 	p.FailDir = t.TempDir()
 	if p.Inject, err = faultinject.Parse("nw+montecarlo/vt@100:panic-once"); err != nil {
@@ -124,15 +118,15 @@ func TestMixSupervised(t *testing.T) {
 	if err != nil || degraded != clean {
 		t.Fatalf("injected render: err %v, table differs:\n%s\nvs\n%s", err, degraded, clean)
 	}
-	SyncStores()
-	if m := Metrics(); m.Panics != 1 || m.Retries != 1 || m.Degraded != 1 || m.Failures != 0 {
+	p.Sweep.Sync()
+	if m := p.Sweep.Metrics(); m.Panics != 1 || m.Retries != 1 || m.Degraded != 1 || m.Failures != 0 {
 		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 degraded, 0 failures", m)
 	}
 	if objs, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json")); len(objs) != 5 {
 		t.Fatalf("store holds %d results, want 5 (the injected mix is never cached)", len(objs))
 	}
 
-	_, err = runMany(testParams(), []Job{{Workload: "nw+nope", Variant: "vt"}})
+	_, err = runMany(testParams(t), []Job{{Workload: "nw+nope", Variant: "vt"}})
 	if err == nil || !strings.Contains(err.Error(), `unknown workload "nope"`) {
 		t.Fatalf("nw+nope: err = %v, want an unknown-workload error naming the part", err)
 	}
@@ -142,9 +136,7 @@ func TestMixSupervised(t *testing.T) {
 // every other job, so every row of the table must carry the "sampled"
 // flag and every mix outcome an error bound.
 func TestSampledMixesAreFlagged(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := testParams()
+	p := testParams(t)
 	p.Sampling = testSampling()
 	tap := &tapExecutor{}
 	p.Executor = tap
@@ -180,11 +172,11 @@ func TestSampledMixesAreFlagged(t *testing.T) {
 			t.Errorf("%s: sampled mix reports no error bound", job)
 		}
 	}
-	if m := Metrics(); m.SampledRuns != 6 {
+	if m := p.Sweep.Metrics(); m.SampledRuns != 6 {
 		t.Errorf("SampledRuns = %d, want 6", m.SampledRuns)
 	}
 
-	p = testParams()
+	p = testParams(t)
 	if out, err := renderMixes(p); err != nil || strings.Contains(out, "sampled") {
 		t.Errorf("exact table wrongly flagged (err %v):\n%s", err, out)
 	}
@@ -195,16 +187,12 @@ func TestSampledMixesAreFlagged(t *testing.T) {
 // CommitOutcome), for a mix the local executor ran and for one a fabric
 // coordinator commits on a worker's behalf.
 func TestMixesNeverJournal(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	dir := t.TempDir()
-	jl, err := OpenJournal(filepath.Join(dir, JournalFileName),
-		JournalMeta{Scale: 1, Dilute: 60, Config: "small"}, false)
-	if err != nil {
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: dir})
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	defer jl.Close()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: dir, Journal: jl}
+	jl := p.Sweep.Journal
 	jobs := []Job{{Workload: "nw+vecadd", Variant: "local"}, {Workload: "vecadd", Variant: "local"}}
 	res, err := runMany(p, jobs)
 	if err != nil {
@@ -221,7 +209,7 @@ func TestMixesNeverJournal(t *testing.T) {
 		Entry:  JournalEntry{FP: k, Workload: remote.Workload, Variant: remote.Variant, Status: "ok", Attempts: 1},
 		Result: res[key{"nw+vecadd", "local"}],
 	})
-	SyncStores()
+	p.Sweep.Sync()
 
 	if ok, degraded, failed := jl.Summary(); ok != 1 || degraded != 0 || failed != 0 {
 		t.Fatalf("journal records %d ok / %d degraded / %d failed, want only vecadd", ok, degraded, failed)

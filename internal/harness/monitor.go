@@ -23,14 +23,14 @@ import (
 // bookkeeping: a map update per job, nothing on the simulation hot
 // path.
 //
-// A Monitor is injected through Params.Monitor and owned by its sweep;
-// a nil Monitor reports to nobody (the job hooks are nil-receiver
-// no-ops, as with a nil *sweepobs.Tracer).
+// A Monitor belongs to one Sweep (NewMonitor) and serves that sweep's
+// counters and trace; a sweep without one reports to nobody (the job
+// hooks are nil-receiver no-ops, as with a nil *sweepobs.Tracer).
 
-// MonitorSchemaVersion identifies the /status JSON layout. Version 2
-// added lifetimeSimCyclesPerSec, the windowed simCyclesPerSec
-// semantics, and the span-derived per-stage totals ("stages").
-const MonitorSchemaVersion = 2
+// MonitorSchemaVersion identifies the /status JSON layout. Version 3
+// spells the "metrics" object with RunMetrics' JSON keys (the -json
+// record's: runs_requested, sim_cycles, ...).
+const MonitorSchemaVersion = 3
 
 // monitorRateWindow is the lookback for the windowed simcycles/s rate.
 const monitorRateWindow = 60 * time.Second
@@ -44,37 +44,30 @@ type finishedJob struct {
 // Monitor tracks one sweep's live state. Safe for concurrent use; the
 // zero value is not usable — construct with NewMonitor.
 type Monitor struct {
+	sweep       *Sweep
 	mu          sync.Mutex
 	now         func() time.Time // test seam
 	started     time.Time
 	active      map[key]time.Time // job -> start time
 	recent      []finishedJob     // completions inside the rate window
 	cyclesTotal int64             // lifetime executed sim-cycles
-	tracer      *sweepobs.Tracer
 	// hist holds the one series that cannot be rebuilt per scrape from
 	// RunMetrics: the store's group-commit batch sizes.
 	hist     *sweepobs.Registry
 	batchTxs *sweepobs.Family
 }
 
-// storeBatchBuckets are the vtsweep_store_batch_txs bounds: powers of
-// two up to the write-behind window, which caps a batch.
-var storeBatchBuckets = []float64{1, 2, 4, 8, 16, writeBehindWindow}
-
-// NewMonitor returns an empty monitor.
-func NewMonitor() *Monitor {
-	m := &Monitor{now: time.Now, active: map[key]time.Time{}, hist: sweepobs.NewRegistry()}
+// NewMonitor attaches an empty monitor to s: s's jobs report to it, and
+// its endpoints serve s's counters and the stage totals and span metrics
+// of s.Trace.
+func NewMonitor(s *Sweep) *Monitor {
+	m := &Monitor{sweep: s, now: time.Now, active: map[key]time.Time{}, hist: sweepobs.NewRegistry()}
+	// Bounds: powers of two up to the write-behind window, which caps a
+	// batch.
 	m.batchTxs = m.hist.Histogram("vtsweep_store_batch_txs",
-		"Transactions per result-store group-commit batch.", storeBatchBuckets)
+		"Transactions per result-store group-commit batch.", []float64{1, 2, 4, 8, 16, writeBehindWindow})
+	s.Monitor = m
 	return m
-}
-
-// SetTracer attaches the sweep tracer whose stage totals and span
-// metrics the /status and /metrics endpoints include.
-func (m *Monitor) SetTracer(tr *sweepobs.Tracer) {
-	m.mu.Lock()
-	m.tracer = tr
-	m.mu.Unlock()
 }
 
 func (m *Monitor) beginJob(j Job) {
@@ -165,7 +158,7 @@ type MonitorStatus struct {
 
 // Status snapshots the sweep for the monitor endpoints.
 func (m *Monitor) Status() MonitorStatus {
-	st := MonitorStatus{SchemaVersion: MonitorSchemaVersion, Metrics: Metrics()}
+	st := MonitorStatus{SchemaVersion: MonitorSchemaVersion, Metrics: m.sweep.Metrics()}
 	now := m.now()
 	m.mu.Lock()
 	if !m.started.IsZero() {
@@ -184,7 +177,6 @@ func (m *Monitor) Status() MonitorStatus {
 		windowCycles += f.cycles
 	}
 	cyclesTotal := m.cyclesTotal
-	tracer := m.tracer
 	m.mu.Unlock()
 
 	sort.Slice(st.Active, func(a, b int) bool {
@@ -203,7 +195,7 @@ func (m *Monitor) Status() MonitorStatus {
 	if st.UptimeSeconds > 0 {
 		st.LifetimeSimCyclesPerSec = float64(cyclesTotal) / st.UptimeSeconds
 	}
-	st.Stages = tracer.StageTotals()
+	st.Stages = m.sweep.Trace.StageTotals()
 	return st
 }
 
@@ -246,13 +238,10 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	if err := r.Write(w); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	tracer := m.tracer
-	m.mu.Unlock()
 	if err := m.hist.Write(w); err != nil {
 		return err
 	}
-	return tracer.Registry().Write(w)
+	return m.sweep.Trace.Registry().Write(w)
 }
 
 // Handler returns the live-monitor HTTP handler: "/" is a

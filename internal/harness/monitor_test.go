@@ -19,18 +19,17 @@ import (
 // a small sweep with telemetry on, then check /status serves coherent
 // JSON and / serves the self-refreshing HTML page.
 func TestMonitorHandler(t *testing.T) {
-	ResetMetrics()
-	p := DefaultParams()
+	p := inSweep(t, DefaultParams())
 	p.Config = config.Small()
 	p.Dilute = 60
 	p.Telemetry = true
-	p.Monitor = NewMonitor()
+	NewMonitor(p.Sweep)
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(p.Monitor.Handler())
+	srv := httptest.NewServer(p.Sweep.Monitor.Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/status")
@@ -91,7 +90,7 @@ func TestMonitorHandler(t *testing.T) {
 // hits) decays to zero instead of holding the stale lifetime average.
 func TestMonitorWindowedRate(t *testing.T) {
 	now := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	m := NewMonitor()
+	m := NewMonitor(NewSweep())
 	m.now = func() time.Time { return now }
 
 	j := Job{Workload: "bfs", Variant: "vt"}
@@ -132,33 +131,31 @@ func TestMonitorWindowedRate(t *testing.T) {
 	}
 }
 
-// TestMonitorInjectedIsolation pins the per-Params monitor: a sweep
-// reports to the Monitor it was given, and a sweep given none reports to
+// TestMonitorInjectedIsolation pins the per-sweep monitor: a sweep
+// reports to the Monitor attached to it, and a sweep given none reports to
 // nobody — there is no process-wide monitor for it to leak into.
 func TestMonitorInjectedIsolation(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	jobs := policyJobs([]string{"bfs"}, []config.Policy{config.PolicyBaseline})
-	p := forkTestParams()
-	p.Monitor = NewMonitor()
+	p := forkTestParams(t)
+	mon := NewMonitor(p.Sweep)
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Monitor.Status()
+	st := mon.Status()
 	if st.UptimeSeconds <= 0 || st.LifetimeSimCyclesPerSec <= 0 {
 		t.Errorf("injected monitor saw no work: uptime=%v rate=%v",
 			st.UptimeSeconds, st.LifetimeSimCyclesPerSec)
 	}
-	seen := p.Monitor.cyclesTotal
+	seen := mon.cyclesTotal
 
-	ResetMetrics() // empty the memo cache so the second sweep executes too
-	if _, err := runMany(forkTestParams(), jobs); err != nil {
+	bare := forkTestParams(t) // its own empty memo, so this sweep executes too
+	if _, err := runMany(bare, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if Metrics().Executed != 1 {
-		t.Fatalf("monitor-less sweep executed %d runs, want 1", Metrics().Executed)
+	if n := bare.Sweep.Metrics().Executed; n != 1 {
+		t.Fatalf("monitor-less sweep executed %d runs, want 1", n)
 	}
-	if got := p.Monitor.cyclesTotal; got != seen {
+	if got := mon.cyclesTotal; got != seen {
 		t.Errorf("monitor-less sweep leaked into another sweep's monitor: %d cycles, was %d", got, seen)
 	}
 }
@@ -167,8 +164,9 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 // several goroutines while others scrape Status and /metrics — the race
 // detector is the real assertion.
 func TestMonitorConcurrentScrape(t *testing.T) {
-	m := NewMonitor()
-	m.SetTracer(sweepobs.New())
+	sw := NewSweep()
+	sw.Trace = sweepobs.New()
+	m := NewMonitor(sw)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -215,16 +213,11 @@ func TestMonitorConcurrentScrape(t *testing.T) {
 // parser), the span-derived stage totals on /status, and that the pprof
 // endpoints answer on the same mux.
 func TestMonitorMetricsEndpoint(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	tr := sweepobs.New()
-	mon := NewMonitor()
-	mon.SetTracer(tr)
-	p := DefaultParams()
+	p := inSweep(t, DefaultParams())
 	p.Config = config.Small()
 	p.Dilute = 60
-	p.Trace = tr
-	p.Monitor = mon
+	p.Sweep.Trace = sweepobs.New()
+	mon := NewMonitor(p.Sweep)
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
 		t.Fatal(err)

@@ -28,9 +28,6 @@ func TestResolveWorkersBounds(t *testing.T) {
 		{1 << 20, maxSweepWorkers},
 	}
 	for _, tc := range cases {
-		if got := resolveWorkers(tc.in); got != tc.want {
-			t.Errorf("resolveWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
 		if got := ResolveWorkers(tc.in); got != tc.want {
 			t.Errorf("ResolveWorkers(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -101,10 +98,8 @@ func manyStubJobs(n int) []Job {
 // TestRunJobsSemaphoreBound pins the dispatch invariant: at most
 // Params.Workers jobs execute concurrently, however many are queued.
 func TestRunJobsSemaphoreBound(t *testing.T) {
-	ResetMetrics() // the stub points must reach the executor, not the memo
-	defer ResetMetrics()
 	exec := &stubExecutor{block: make(chan struct{})}
-	p := Params{Workers: 3, Executor: exec}
+	p := inSweep(t, Params{Workers: 3, Executor: exec})
 	var sink nullSink
 	errc := make(chan error, 1)
 	go func() { errc <- RunJobs(p, manyStubJobs(20), &sink) }()
@@ -135,12 +130,10 @@ func TestRunJobsSemaphoreBound(t *testing.T) {
 // error), in-flight jobs run to completion and release their slots,
 // and no dispatch goroutines leak.
 func TestRunJobsCancellation(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	before := runtime.NumGoroutine()
 	exec := &stubExecutor{block: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	p := Params{Workers: 2, Executor: exec, Ctx: ctx}
+	p := inSweep(t, Params{Workers: 2, Executor: exec, Ctx: ctx})
 	var sink nullSink
 	errc := make(chan error, 1)
 	go func() { errc <- RunJobs(p, manyStubJobs(30), &sink) }()
@@ -186,13 +179,11 @@ func TestRunJobsCancellation(t *testing.T) {
 // TestRunJobsPreCanceledContext: a context canceled before dispatch
 // fails every job without starting any.
 func TestRunJobsPreCanceledContext(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	exec := &stubExecutor{}
 	var sink nullSink
-	err := RunJobs(Params{Workers: 2, Executor: exec, Ctx: ctx}, manyStubJobs(5), &sink)
+	err := RunJobs(inSweep(t, Params{Workers: 2, Executor: exec, Ctx: ctx}), manyStubJobs(5), &sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -204,10 +195,9 @@ func TestRunJobsPreCanceledContext(t *testing.T) {
 // --- storeRetry -------------------------------------------------------
 
 func TestStoreRetryBoundedAttempts(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
+	sw := NewSweep()
 	calls := 0
-	err := storeRetry(context.Background(), func() error {
+	err := sw.storeRetry(context.Background(), func() error {
 		calls++
 		return syscall.EIO // transient every time
 	})
@@ -217,7 +207,7 @@ func TestStoreRetryBoundedAttempts(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Errorf("final error = %v", err)
 	}
-	if m := Metrics(); m.StoreRetries != storeRetryAttempts-1 {
+	if m := sw.Metrics(); m.StoreRetries != storeRetryAttempts-1 {
 		t.Errorf("StoreRetries = %d, want %d", m.StoreRetries, storeRetryAttempts-1)
 	}
 }
@@ -225,14 +215,14 @@ func TestStoreRetryBoundedAttempts(t *testing.T) {
 func TestStoreRetryNonTransientFailsFast(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("corrupt")
-	if err := storeRetry(context.Background(), func() error {
+	if err := NewSweep().storeRetry(context.Background(), func() error {
 		calls++
 		return sentinel
 	}); !errors.Is(err, sentinel) || calls != 1 {
 		t.Errorf("non-transient: %d calls, err %v", calls, err)
 	}
 	calls = 0
-	if err := storeRetry(context.Background(), func() error {
+	if err := NewSweep().storeRetry(context.Background(), func() error {
 		calls++
 		return nil
 	}); err != nil || calls != 1 {
@@ -248,7 +238,7 @@ func TestStoreRetryContextCancel(t *testing.T) {
 	cancel()
 	calls := 0
 	start := time.Now()
-	err := storeRetry(ctx, func() error {
+	err := NewSweep().storeRetry(ctx, func() error {
 		calls++
 		return syscall.EIO
 	})
@@ -269,7 +259,7 @@ func TestStoreRetryContextCancel(t *testing.T) {
 // must behave like Background, not panic.
 func TestStoreRetryNilContext(t *testing.T) {
 	calls := 0
-	err := storeRetry(nil, func() error { //nolint:staticcheck // nil ctx is the documented default seam
+	err := NewSweep().storeRetry(nil, func() error { //nolint:staticcheck // nil ctx is the documented default seam
 		calls++
 		if calls < 2 {
 			return syscall.EAGAIN
@@ -288,7 +278,7 @@ func TestStoreRetryNilContext(t *testing.T) {
 // would need statistics, so this pins only the envelope.
 func TestStoreRetryBackoffEnvelope(t *testing.T) {
 	start := time.Now()
-	storeRetry(context.Background(), func() error { return syscall.EIO })
+	NewSweep().storeRetry(context.Background(), func() error { return syscall.EIO })
 	d := time.Since(start)
 	if d < 5*time.Millisecond {
 		t.Errorf("retry schedule completed in %s, faster than the minimum backoff", d)

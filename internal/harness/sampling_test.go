@@ -22,28 +22,25 @@ func testSampling() gpu.SamplingOptions {
 // (or vice versa). The sampling configuration is part of the content
 // fingerprint, which keys both caches.
 func TestSamplingCacheMiss(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	cache := t.TempDir()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.CacheDir = cache
 
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 4 || m.SampledRuns != 0 {
+	if m := p.Sweep.Metrics(); m.Executed != 4 || m.SampledRuns != 0 {
 		t.Fatalf("exact sweep: %+v, want 4 executed, 0 sampled", m)
 	}
 
 	// Same jobs, same cache dir, sampling on: every run must miss the
 	// exact entries and execute (sampled this time).
-	ResetMetrics()
-	ps := p
+	ps := reboot(t, p)
 	ps.Sampling = testSampling()
 	if _, err := runMany(ps, jobs); err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := ps.Sweep.Metrics()
 	if m.CacheHits != 0 || m.Executed != 4 {
 		t.Fatalf("sampled sweep over exact cache: %+v, want 0 hits / 4 executed", m)
 	}
@@ -53,18 +50,19 @@ func TestSamplingCacheMiss(t *testing.T) {
 
 	// Re-running the sampled sweep hits its own entries; the exact sweep
 	// still hits its original ones. Neither cross-contaminates.
-	ResetMetrics()
+	ps = reboot(t, ps)
 	if _, err := runMany(ps, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.CacheHits != 4 || m.Executed != 0 {
+	if m := ps.Sweep.Metrics(); m.CacheHits != 4 || m.Executed != 0 {
 		t.Fatalf("sampled re-run: %+v, want 4 hits / 0 executed", m)
 	}
-	ResetMetrics()
+	p = reboot(t, ps)
+	p.Sampling = gpu.SamplingOptions{}
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.CacheHits != 4 || m.Executed != 0 || m.SampledRuns != 0 {
+	if m := p.Sweep.Metrics(); m.CacheHits != 4 || m.Executed != 0 || m.SampledRuns != 0 {
 		t.Fatalf("exact re-run: %+v, want 4 hits / 0 executed / 0 sampled", m)
 	}
 }
@@ -79,32 +77,32 @@ func TestSamplingJournalMismatch(t *testing.T) {
 	sampled := exact
 	sampled.Sampling = testSampling().String()
 
-	jl, err := OpenJournal(jpath, exact, false)
+	jl, err := openJournal(jpath, exact, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jl.Close()
 
-	if _, err := OpenJournal(jpath, sampled, true); err == nil {
+	if _, err := openJournal(jpath, sampled, true); err == nil {
 		t.Fatal("sampled resume of an exact journal must be refused")
 	}
 	// The reverse direction: a sampled journal refuses an exact resume,
 	// and also a resume with different windows.
-	jl2, err := OpenJournal(jpath, sampled, false)
+	jl2, err := openJournal(jpath, sampled, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jl2.Close()
-	if _, err := OpenJournal(jpath, exact, true); err == nil {
+	if _, err := openJournal(jpath, exact, true); err == nil {
 		t.Fatal("exact resume of a sampled journal must be refused")
 	}
 	other := exact
 	other.Sampling = gpu.SamplingOptions{DetailedCycles: 500, FastForwardCycles: 2000}.String()
-	if _, err := OpenJournal(jpath, other, true); err == nil {
+	if _, err := openJournal(jpath, other, true); err == nil {
 		t.Fatal("resume with different sampling windows must be refused")
 	}
 	// Same sampled meta resumes fine.
-	jl3, err := OpenJournal(jpath, sampled, true)
+	jl3, err := openJournal(jpath, sampled, true)
 	if err != nil {
 		t.Fatalf("matching sampled resume failed: %v", err)
 	}
@@ -116,9 +114,7 @@ func TestSamplingJournalMismatch(t *testing.T) {
 // supervisor must run them exactly even in a sampled sweep. The injected
 // first attempt panics, the safe-mode retry succeeds; neither may sample.
 func TestSamplingInjectedRunsExact(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
 	p.Sampling = testSampling()
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
@@ -127,7 +123,7 @@ func TestSamplingInjectedRunsExact(t *testing.T) {
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatalf("degradation must absorb the injected failure, got %v", err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Degraded != 1 {
 		t.Fatalf("metrics = %+v, want 1 degraded", m)
 	}
@@ -141,15 +137,13 @@ func TestSamplingInjectedRunsExact(t *testing.T) {
 // full runs, which extrapolated clocks cannot promise, so Checkpoint and
 // Sampling together fall back to ordinary full executions.
 func TestSamplingDisablesPrefixFork(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 40,
-		Checkpoint: true, Sampling: testSampling()}
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 40,
+		Checkpoint: true, Sampling: testSampling()})
 	jobs := swapLatJobs("pathfinder", []int{0, 64, 256})
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.CheckpointsCaptured != 0 || m.CheckpointHits != 0 {
 		t.Fatalf("sampled sweep must not fork: %+v", m)
 	}
@@ -166,7 +160,7 @@ func TestSampledFigureIsFlagged(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	e, _ := Get("fig-speedup")
-	p := Params{Scale: 1, Config: config.GTX480(), Dilute: 30, Sampling: testSampling()}
+	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 30, Sampling: testSampling()})
 	var sb strings.Builder
 	if err := e.Run(p, &sb); err != nil {
 		t.Fatal(err)
@@ -195,11 +189,9 @@ func TestSamplingSwapLatDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation drill")
 	}
-	ResetMetrics()
-	defer ResetMetrics()
 	jobs := append(swapLatJobs("pathfinder", []int{64}),
 		Job{Workload: "pathfinder", Variant: "baseline"})
-	p := Params{Scale: 1, Config: config.Small(), Workers: 2}
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2})
 	exact, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)

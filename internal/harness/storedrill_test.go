@@ -31,7 +31,7 @@ func TestJournalRotateNoClobber(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
 	open := func(scale int) {
-		jl, err := OpenJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}, false)
+		jl, err := openJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}, false)
 		if err != nil {
 			t.Fatalf("open scale=%d: %v", scale, err)
 		}
@@ -65,11 +65,11 @@ func TestJournalRotateNoClobber(t *testing.T) {
 func TestJournalConcurrentAppendsNoInterleave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	meta := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
-	a, err := OpenJournal(path, meta, false)
+	a, err := openJournal(path, meta, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OpenJournal(path, meta, false) // loads the matching header, appends
+	b, err := openJournal(path, meta, false) // loads the matching header, appends
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,8 @@ func TestJournalConcurrentAppendsNoInterleave(t *testing.T) {
 }
 
 // drillJobs is the crash-drill sweep shape: one workload under two
-// policies, heavily diluted, with distinct fingerprints.
+// policies, heavily diluted, with distinct fingerprints. The Params are
+// unbound: every drill phase is a sweep of its own.
 func drillJobs() (Params, []Job) {
 	p := Params{Scale: 1, Config: config.Small(), Dilute: 60}
 	jobs := policyJobs([]string{"vecadd"},
@@ -140,7 +141,7 @@ func drillKeys(t *testing.T, p Params, jobs []Job) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i] = cacheKey(fp)
+		keys[i] = CacheKey(fp)
 	}
 	return keys
 }
@@ -171,14 +172,24 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 	return out
 }
 
-// runDrillSweep executes the drill jobs sequentially through memoRun
-// under the given Params and ends at the durability barrier, stopping
-// at a simulated process death (*faultinject.StoreKill) like a real
-// crash would: outcomes commit write-behind, so the death surfaces at
-// whichever comes first of the next store read, the next submit, and
-// the barrier. Returns whether the sweep was killed and the per-job
-// results gathered before death.
-func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*gpu.Result) {
+// runDrillSweep executes the drill jobs sequentially through memoRun in a
+// sweep of their own — journaled, resuming if p.Resume, when p names a
+// store — and ends at the durability barrier, stopping at a simulated
+// process death (*faultinject.StoreKill) like a real crash would:
+// outcomes commit write-behind, so the death surfaces at whichever comes
+// first of the next store read, the next submit, and the barrier. Either
+// way the sweep is closed on return (the reboot). Returns whether the
+// sweep was killed, the per-job results gathered before death, and the
+// sweep's counters.
+func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*gpu.Result, m RunMetrics) {
+	p.Sweep = NewSweep()
+	defer func() { m = p.Sweep.Metrics() }()
+	defer p.Sweep.Close()
+	if p.CacheDir != "" {
+		if err := p.Sweep.OpenJournal(p); err != nil {
+			t.Fatalf("open journal (resume=%v): %v", p.Resume, err)
+		}
+	}
 	results = make([]*gpu.Result, len(jobs))
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -195,8 +206,8 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 		}
 		results[i] = r.Result
 	}
-	SyncStores()
-	return false, results
+	p.Sweep.Sync()
+	return false, results, m
 }
 
 // TestStoreCrashDrillResume is the satellite-3 property test, end to end
@@ -207,13 +218,11 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 // journal "ok" line if and only if its Result is servable) and -resume
 // re-executes exactly the jobs whose commits had not landed.
 func TestStoreCrashDrillResume(t *testing.T) {
-	defer ResetMetrics()
 	base, jobs := drillJobs()
 	keys := drillKeys(t, base, jobs)
 
 	// Reference results from an uncached clean sweep.
-	ResetMetrics()
-	_, refs := runDrillSweep(t, base, jobs)
+	_, refs, _ := runDrillSweep(t, base, jobs)
 
 	// Pass 1: record the operation trace of a clean cached sweep.
 	recorder := faultinject.NewStoreRecorder()
@@ -221,19 +230,7 @@ func TestStoreCrashDrillResume(t *testing.T) {
 	rp.CacheDir = filepath.Join(t.TempDir(), "primary")
 	rp.MirrorDir = filepath.Join(t.TempDir(), "mirror")
 	rp.StoreFault = recorder
-	ResetMetrics()
-	runJournaled := func(p Params, resume bool) (killed bool, res []*gpu.Result) {
-		jl, err := OpenJournal(filepath.Join(p.CacheDir, JournalFileName),
-			JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: "small"}, resume)
-		if err != nil {
-			t.Fatalf("open journal (resume=%v): %v", resume, err)
-		}
-		defer jl.Close()
-		p.Journal = jl
-		p.Resume = resume
-		return runDrillSweep(t, p, jobs)
-	}
-	runJournaled(rp, false)
+	runDrillSweep(t, rp, jobs)
 	trace := recorder.Trace()
 	if len(trace) < 15 {
 		t.Fatalf("trace too short to be a real commit sequence (%d ops):\n%s",
@@ -253,15 +250,13 @@ func TestStoreCrashDrillResume(t *testing.T) {
 			hook := spec.StoreHook()
 			p.StoreFault = hook
 
-			ResetMetrics()
-			killed, _ := runJournaled(p, false)
+			killed, _, _ := runDrillSweep(t, p, jobs)
 			if !killed || !hook.Fired() {
 				t.Fatalf("kill point %d did not fire (killed=%v fired=%v)", point, killed, hook.Fired())
 			}
 
-			// Reboot: drop every in-process cache and handle, then validate
-			// the recovered on-disk state directly.
-			ResetMetrics()
+			// Rebooted (the killed sweep is closed, every cache and handle
+			// dropped with it): validate the recovered on-disk state directly.
 			st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir})
 			if err != nil {
 				t.Fatalf("reopen after kill: %v", err)
@@ -293,14 +288,13 @@ func TestStoreCrashDrillResume(t *testing.T) {
 					committed++
 				}
 			}
-			ResetMetrics()
 			p.StoreFault = nil
 			p.Resume = true
-			killed, res := runJournaled(p, true)
+			killed, res, m := runDrillSweep(t, p, jobs)
 			if killed {
 				t.Fatal("resume sweep died with no fault installed")
 			}
-			if m := Metrics(); m.Executed != len(jobs)-committed {
+			if m.Executed != len(jobs)-committed {
 				t.Fatalf("resume executed %d jobs, want exactly the %d uncommitted ones (metrics %+v)",
 					m.Executed, len(jobs)-committed, m)
 			}
@@ -324,24 +318,19 @@ func TestStoreCrashDrillResume(t *testing.T) {
 // line to the mirror; at-rest corruption of the primary object is then
 // healed bit-identically during an ordinary cached sweep.
 func TestHarnessMirrorRepair(t *testing.T) {
-	defer ResetMetrics()
 	p, jobs := drillJobs()
 	j := jobs[0]
 	p.CacheDir = filepath.Join(t.TempDir(), "primary")
 	p.MirrorDir = filepath.Join(t.TempDir(), "mirror")
 
-	ResetMetrics()
-	jl, err := OpenJournal(filepath.Join(p.CacheDir, JournalFileName),
-		JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: "small"}, false)
-	if err != nil {
+	p = inSweep(t, p)
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	p.Journal = jl
 	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.Close()
 
 	// The Result object and the journal entry line replicated.
 	primObjs, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
@@ -373,13 +362,12 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	if err := os.WriteFile(primObjs[0], flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ResetMetrics()
-	p.Journal = nil
+	p = reboot(t, p) // unjournaled this time
 	cached, err := memoRun(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Executed != 0 || m.StoreHits != 1 || m.StoreRepairs != 1 {
 		t.Fatalf("corruption was not healed as a cache hit: %+v", m)
 	}
@@ -401,12 +389,11 @@ func TestHarnessMirrorRepair(t *testing.T) {
 // cannot verify the file, so the harness quarantines it, re-simulates,
 // and the rewrite is an ordinary indexed object the next run hits.
 func TestHarnessLegacyCacheDirCompat(t *testing.T) {
-	defer ResetMetrics()
 	p, jobs := drillJobs()
 	j := jobs[0]
 	p.CacheDir = t.TempDir()
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
@@ -425,13 +412,13 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetMetrics()
+	p = reboot(t, p)
 	p.CacheDir = bareDir
 	rerun, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 1 || m.StoreHits != 0 || m.StoreMisses != 1 {
+	if m := p.Sweep.Metrics(); m.Executed != 1 || m.StoreHits != 0 || m.StoreMisses != 1 {
 		t.Fatalf("unindexed entry was served, not recomputed: %+v", m)
 	}
 	if _, err := os.Stat(bare + ".corrupt"); err != nil {
@@ -441,11 +428,11 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 		t.Fatal("recomputation differs from the original run")
 	}
 
-	ResetMetrics()
+	p = reboot(t, p)
 	if _, err := memoRun(p, j); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 0 || m.StoreHits != 1 {
+	if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {
 		t.Fatalf("rewritten entry not served as a verified hit: %+v", m)
 	}
 }
@@ -455,7 +442,6 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 // absorb it (counted in StoreRetries), the commit must land, and a
 // fresh invocation must hit the cache.
 func TestHarnessTransientStoreRetry(t *testing.T) {
-	defer ResetMetrics()
 	p, jobs := drillJobs()
 	j := jobs[0]
 	p.CacheDir = t.TempDir()
@@ -463,23 +449,23 @@ func TestHarnessTransientStoreRetry(t *testing.T) {
 	hook := spec.StoreHook()
 	p.StoreFault = hook
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	if _, err := runDurable(p, j); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.StoreRetries != 1 {
+	if m := p.Sweep.Metrics(); m.StoreRetries != 1 {
 		t.Fatalf("transient EIO not absorbed by the retry ladder: %+v", m)
 	}
 	if !hook.Fired() {
 		t.Fatal("injected EIO never fired")
 	}
 
-	ResetMetrics()
+	p = reboot(t, p)
 	p.StoreFault = nil
 	if _, err := memoRun(p, j); err != nil {
 		t.Fatal(err)
 	}
-	if m := Metrics(); m.Executed != 0 || m.StoreHits != 1 {
+	if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {
 		t.Fatalf("retried commit did not land: %+v", m)
 	}
 }

@@ -96,17 +96,18 @@ type attempt struct {
 // checkpoint donor (capture while the fork guard holds) or a fork (resume
 // from spec.ck instead of cycle zero).
 func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *forkSpec) (a attempt) {
-	eid := p.Trace.Begin(p.span, "execute", j.Workload, j.Variant)
+	tr := p.Sweep.Trace
+	eid := tr.Begin(p.span, "execute", j.Workload, j.Variant)
 	if safeMode {
-		p.Trace.SetAttr(eid, "safe_mode", "true")
+		tr.SetAttr(eid, "safe_mode", "true")
 	}
 	if spec != nil {
 		if spec.capture {
-			p.Trace.SetAttr(eid, "fork_donor", "true")
+			tr.SetAttr(eid, "fork_donor", "true")
 		}
 		if spec.ck != nil {
-			p.Trace.SetAttr(eid, "forked_from", spec.forkedFrom)
-			p.Trace.SetAttr(eid, "resume_cycle", fmt.Sprint(spec.ck.Cycle))
+			tr.SetAttr(eid, "forked_from", spec.forkedFrom)
+			tr.SetAttr(eid, "resume_cycle", fmt.Sprint(spec.ck.Cycle))
 		}
 	}
 	// One deferred closure handles both panic recovery and span close,
@@ -120,20 +121,20 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 		}
 		switch {
 		case a.panicked:
-			p.Trace.SetAttr(eid, "outcome", "panic")
+			tr.SetAttr(eid, "outcome", "panic")
 		case a.err != nil:
-			p.Trace.SetAttr(eid, "outcome", "error")
+			tr.SetAttr(eid, "outcome", "error")
 		default:
-			p.Trace.SetAttr(eid, "outcome", "ok")
+			tr.SetAttr(eid, "outcome", "ok")
 		}
 		if a.res != nil && a.res.Sampling != nil {
-			p.Trace.SetAttr(eid, "sampled", "true")
+			tr.SetAttr(eid, "sampled", "true")
 		}
 		if a.ck != nil {
-			p.Trace.Event(eid, "fork.capture", j.Workload, j.Variant,
+			tr.Event(eid, "fork.capture", j.Workload, j.Variant,
 				"cycle", fmt.Sprint(a.ck.Cycle))
 		}
-		p.Trace.End(eid)
+		tr.End(eid)
 	}()
 	// j.Workload names one kernel or a concurrent-kernel mix; either way
 	// the run is its launches, each diluted on its own.
@@ -209,48 +210,29 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	return a
 }
 
-// retryable reports whether a failed attempt warrants the safe-mode
-// retry. Deadlocks, cycle budgets, and wall-clock deadlines are properties
-// of the simulated kernel, not the engine path, so retrying them would
-// only double the cost of the same failure.
-func retryable(a attempt) bool {
-	if a.panicked {
-		return true
-	}
-	d := gpu.DiagnosticOf(a.err)
-	return d != nil && d.Reason == gpu.ReasonInvariant
-}
-
-// firstFailureReason labels a retryable failure for the trace event.
-func firstFailureReason(a attempt) string {
-	if a.panicked {
-		return "panic"
-	}
-	return "invariant"
-}
-
-// bumpMetric applies a counter update under the metrics lock.
-func bumpMetric(f func(*RunMetrics)) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	f(&memoStats)
-}
-
 // countFirstFailure classifies a first-attempt failure into the run's
-// work counters and emits the matching supervisor trace event under the
-// job span.
-func countFirstFailure(p Params, j Job, a attempt, w *RunMetrics) {
+// work counters, emits the matching supervisor trace event under the job
+// span, and reports whether the failure warrants the safe-mode retry: a
+// panic or an invariant trip does. Deadlocks, cycle budgets, and
+// wall-clock deadlines are properties of the simulated kernel, not the
+// engine path, so retrying them would only double the cost of the same
+// failure.
+func countFirstFailure(p Params, j Job, a attempt, w *RunMetrics) (class string, retry bool) {
 	switch d := gpu.DiagnosticOf(a.err); {
 	case a.panicked:
 		w.Panics++
-		p.Trace.Event(p.span, "supervisor.panic", j.Workload, j.Variant)
+		class, retry = "panic", true
 	case d != nil && d.Reason == gpu.ReasonInvariant:
 		w.InvariantTrips++
-		p.Trace.Event(p.span, "supervisor.invariant", j.Workload, j.Variant)
+		class, retry = "invariant", true
 	case d != nil && d.Reason == gpu.ReasonDeadline:
 		w.Deadlines++
-		p.Trace.Event(p.span, "supervisor.deadline", j.Workload, j.Variant)
+		class = "deadline"
+	default:
+		return "", false
 	}
+	p.Sweep.Trace.Event(p.span, "supervisor."+class, j.Workload, j.Variant)
+	return class, retry
 }
 
 // supervise runs one job through the supervisor — attempt, safe-mode
@@ -273,11 +255,9 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 	last, status, attempts := first, "ok", 1
 	if first.err != nil {
 		status = "failed"
-		countFirstFailure(p, j, first, &work)
-		if retryable(first) {
+		if class, retry := countFirstFailure(p, j, first, &work); retry {
 			work.Retries++
-			p.Trace.Event(p.span, "supervisor.retry", j.Workload, j.Variant,
-				"reason", firstFailureReason(first))
+			p.Sweep.Trace.Event(p.span, "supervisor.retry", j.Workload, j.Variant, "reason", class)
 			last, attempts = runAttempt(p, j, cfg, true, spec), 2
 			if last.err == nil {
 				// The safe path succeeded where the fast path failed: record
@@ -342,7 +322,7 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 // worker and its coordinator.
 func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, err error, forkedFrom string) JournalEntry {
 	e := JournalEntry{
-		FP:         cacheKey(fp),
+		FP:         CacheKey(fp),
 		Workload:   j.Workload,
 		Variant:    j.Variant,
 		Status:     status,
@@ -362,10 +342,10 @@ func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, 
 	return e
 }
 
-// CommitOutcome makes one job outcome durable in p's completion journal
-// and result store; fp is the job's raw content fingerprint (the store
-// envelope carries it for content verification; out.Entry.FP is its
-// cache key). It is the one way an outcome reaches either: the local
+// CommitOutcome makes one job outcome durable in the completion journal
+// and result store of p's sweep; fp is the job's raw content fingerprint
+// (the store envelope carries it for content verification; out.Entry.FP is
+// its cache key). It is the one way an outcome reaches either: the local
 // executor calls it for a run it supervised, the fabric coordinator for
 // one a worker delivered.
 //
@@ -374,14 +354,15 @@ func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, 
 // replicated to the mirror, retried with backoff on transient I/O — so a
 // crash can never leave a journal entry whose Result is missing or a
 // stored Result the journal never heard of. The transaction is submitted
-// to the store's write-behind window, where it is batched with its
+// to the sweep's write-behind window, where it is batched with its
 // neighbours; the returned channel is closed once this outcome's
-// transaction has finished, and SyncStores waits for all of them. A
+// transaction has finished, and the sweep's Sync waits for all of them. A
 // caller that must not show the outcome to anyone before it is durable
 // (the coordinator, before it acknowledges a completion) waits on the
 // channel; a local slot goes back to simulating. Without a store the
 // journal line is appended directly.
 func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{}) {
+	s := p.Sweep
 	entry, res := out.Entry, out.Result
 	// A concurrent-kernel mix commits its result object but no journal
 	// line: bench/golden/all-d30.cycles.txt pins the journal at the 286
@@ -389,27 +370,28 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 	// -resume finds a finished mix through the store. Follow-up for that
 	// PR: delete this exception and journal mixes like every other job.
 	var je *JournalEntry
-	if p.Journal != nil && !strings.Contains(entry.Workload, kernels.MixSep) {
+	if s.Journal != nil && !strings.Contains(entry.Workload, kernels.MixSep) {
 		je = &entry
 	}
-	h := handleFor(p)
+	st, err := s.store(p)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harness: result store commit failed: %v\n", err)
+	}
 	// A failed job has no Result, and a faulted (or degraded-by-injection)
 	// one must never be served to an un-injected sweep: those journal but
 	// never cache.
-	storeResult := h != nil && res != nil && !p.injects(entry.Workload, entry.Variant)
-	if h == nil || (!storeResult && je == nil) {
+	storeResult := st != nil && res != nil && !p.injects(entry.Workload, entry.Variant)
+	if st == nil || (!storeResult && je == nil) {
 		if je != nil {
-			p.Journal.Record(*je)
+			s.Journal.Record(*je)
 		}
 		done := make(chan struct{})
 		close(done)
 		return done
 	}
-	tx := h.st.Begin()
+	tx := st.Begin()
 	if storeResult {
-		if b, merr := json.Marshal(diskEntry{Version: diskCacheVersion, Fingerprint: fp, Result: res}); merr == nil {
-			tx.Put(resultstore.KindResult, cacheKey(fp), b)
-		}
+		envelope{Version: diskCacheVersion, Fingerprint: fp, Result: res}.put(tx, resultstore.KindResult)
 	}
 	if je != nil {
 		if b, merr := json.Marshal(je); merr == nil {
@@ -417,9 +399,9 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 		}
 		// The line reaches the file through the transaction; only the
 		// in-memory status map needs the update.
-		p.Journal.noteStatus(*je)
+		s.Journal.noteStatus(*je)
 	}
-	return h.wb.submit(func() { p.commitBestEffort(tx) })
+	return s.wb.submit(func() { p.commitBestEffort(tx) })
 }
 
 // writeBundle persists a repro bundle into dir as one pretty-printed JSON
@@ -435,12 +417,8 @@ func writeBundle(dir string, f *RunFailure) {
 	if err != nil {
 		return
 	}
-	name := fmt.Sprintf("failure-%s-%s.json",
-		sanitizeName(f.Workload), sanitizeName(f.Variant))
-	if f.Fingerprint != "" {
-		name = fmt.Sprintf("failure-%s-%s-%s.json",
-			sanitizeName(f.Workload), sanitizeName(f.Variant), cacheKey(f.Fingerprint)[:12])
-	}
+	name := fmt.Sprintf("failure-%s-%s-%s.json",
+		sanitizeName(f.Workload), sanitizeName(f.Variant), CacheKey(f.Fingerprint)[:12])
 	os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644)
 }
 

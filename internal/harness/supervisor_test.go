@@ -17,8 +17,8 @@ import (
 
 // supervisorParams is a small fast sweep shape shared by the tests: four
 // jobs (2 workloads x 2 policies) at heavy dilution.
-func supervisorParams() (Params, []Job) {
-	p := Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 60}
+func supervisorParams(t testing.TB) (Params, []Job) {
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 60})
 	jobs := policyJobs([]string{"vecadd", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})
 	return p, jobs
@@ -30,9 +30,7 @@ func supervisorParams() (Params, []Job) {
 // mode, exactly one repro bundle lands in FailDir with a populated stack,
 // and the metrics record the panic, the retry, and the failure.
 func TestSupervisedPanicProducesBundle(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
 		Kind: faultinject.Panic}
@@ -87,7 +85,7 @@ func TestSupervisedPanicProducesBundle(t *testing.T) {
 		t.Fatalf("bundle contents incomplete: %+v", onDisk)
 	}
 
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Panics != 1 || m.Retries != 1 || m.Failures != 1 || m.Degraded != 0 {
 		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 failure, 0 degraded", m)
 	}
@@ -101,9 +99,7 @@ func TestSupervisedPanicProducesBundle(t *testing.T) {
 // degraded result must be bit-identical to an uninjected run (the safe
 // path's determinism contract).
 func TestSupervisedDegradation(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
 		Kind: faultinject.PanicOnce}
@@ -115,7 +111,7 @@ func TestSupervisedDegradation(t *testing.T) {
 	if len(degraded) != 4 {
 		t.Fatalf("got %d results, want 4", len(degraded))
 	}
-	m := Metrics()
+	m := p.Sweep.Metrics()
 	if m.Panics != 1 || m.Retries != 1 || m.Degraded != 1 || m.Failures != 0 {
 		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 degraded, 0 failures", m)
 	}
@@ -123,7 +119,7 @@ func TestSupervisedDegradation(t *testing.T) {
 		t.Fatalf("a degraded (recovered) run must not write a bundle, found %v", got)
 	}
 
-	ResetMetrics()
+	p = inSweep(t, p)
 	p.Inject = nil
 	clean, err := runMany(p, jobs)
 	if err != nil {
@@ -138,9 +134,7 @@ func TestSupervisedDegradation(t *testing.T) {
 // RunTimeout: the failure must carry a deadline diagnostic and must NOT
 // be retried (a wall-clock overrun is not an engine-path bug).
 func TestSupervisedDeadline(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
 	// nw/vt simulates ~7.6k cycles at this dilution, so many deadline
 	// polls (every 512 cycles) follow the hang at cycle 100. The healthy
@@ -166,7 +160,7 @@ func TestSupervisedDeadline(t *testing.T) {
 	if f.Diagnostic == nil || f.Diagnostic.Reason != gpu.ReasonDeadline {
 		t.Fatalf("missing deadline diagnostic: %+v", f.Diagnostic)
 	}
-	if m := Metrics(); m.Deadlines != 1 || m.Retries != 0 {
+	if m := p.Sweep.Metrics(); m.Deadlines != 1 || m.Retries != 0 {
 		t.Fatalf("metrics = %+v, want 1 deadline, 0 retries", m)
 	}
 }
@@ -175,9 +169,7 @@ func TestSupervisedDeadline(t *testing.T) {
 // checker (forced on for injected runs) trips on both attempts, the
 // bundle carries the violation diagnostic, and the retry is recorded.
 func TestSupervisedCorruption(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
 	p.Inject = &faultinject.Spec{Workload: "nw", Variant: "baseline", Cycle: 200,
 		Kind: faultinject.Corrupt}
@@ -197,7 +189,7 @@ func TestSupervisedCorruption(t *testing.T) {
 	if !strings.Contains(f.Diagnostic.Violation, "RegsUsed") {
 		t.Fatalf("violation report does not name the corruption: %q", f.Diagnostic.Violation)
 	}
-	if m := Metrics(); m.InvariantTrips != 1 || m.Retries != 1 || m.Failures != 1 {
+	if m := p.Sweep.Metrics(); m.InvariantTrips != 1 || m.Retries != 1 || m.Failures != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -207,20 +199,16 @@ func TestSupervisedCorruption(t *testing.T) {
 // rest come from the disk cache), ResumedFailed records it, and the
 // journal converges to all-ok. Also checks resume meta validation.
 func TestJournalResume(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
 	cache := t.TempDir()
-	jpath := filepath.Join(cache, "journal.jsonl")
 	meta := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
 
-	jl, err := OpenJournal(jpath, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, jobs := supervisorParams()
+	p, jobs := supervisorParams(t)
 	p.CacheDir = cache
 	p.FailDir = t.TempDir()
-	p.Journal = jl
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
+	jl := p.Sweep.Journal
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
 		Kind: faultinject.Panic}
 	if _, err := runMany(p, jobs); err == nil {
@@ -229,20 +217,17 @@ func TestJournalResume(t *testing.T) {
 	if ok, degraded, failed := jl.Summary(); ok != 3 || degraded != 0 || failed != 1 {
 		t.Fatalf("journal after failed sweep: %d ok / %d degraded / %d failed", ok, degraded, failed)
 	}
-	jl.Close()
+	p.Sweep.Close()
 
 	// Resume without the fault: the three completed jobs are disk-cache
 	// hits, only the failed one executes.
-	ResetMetrics()
-	jl2, err := OpenJournal(jpath, meta, true)
-	if err != nil {
+	p2, _ := supervisorParams(t)
+	p2.CacheDir = cache
+	p2.Resume = true
+	if err := p2.Sweep.OpenJournal(p2); err != nil {
 		t.Fatalf("resume open failed: %v", err)
 	}
-	defer jl2.Close()
-	p2, _ := supervisorParams()
-	p2.CacheDir = cache
-	p2.Journal = jl2
-	p2.Resume = true
+	jl2 := p2.Sweep.Journal
 	res, err := runMany(p2, jobs)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
@@ -250,7 +235,7 @@ func TestJournalResume(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("resumed sweep returned %d results, want 4", len(res))
 	}
-	m := Metrics()
+	m := p2.Sweep.Metrics()
 	if m.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1 (only the failed job re-runs)", m.Executed)
 	}
@@ -261,13 +246,16 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("journal after resume: %d ok / %d failed, want 4/0", ok, failed)
 	}
 
-	// A resume with mismatched sweep parameters must be refused.
-	jl2.Close()
-	if _, err := OpenJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}, true); err == nil {
-		t.Fatal("resume with a different sweep shape must fail")
+	// A resume with mismatched sweep parameters must be refused: the
+	// sweep derives the journal's header from its Params.
+	p2.Sweep.Close()
+	p3, _ := supervisorParams(t)
+	p3.CacheDir, p3.Resume, p3.Dilute = cache, true, 30
+	if err := p3.Sweep.OpenJournal(p3); err == nil || !strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("resume with a different sweep shape: err = %v, want it refused", err)
 	}
 	// And resuming a journal that does not exist is an error too.
-	if _, err := OpenJournal(filepath.Join(t.TempDir(), "none.jsonl"), meta, true); err == nil {
+	if _, err := openJournal(filepath.Join(t.TempDir(), "none.jsonl"), meta, true); err == nil {
 		t.Fatal("resume without a journal must fail")
 	}
 }
@@ -277,14 +265,14 @@ func TestJournalResume(t *testing.T) {
 func TestJournalRotatesForeignSweep(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
-	jl, err := OpenJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}, false)
+	jl, err := openJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jl.Record(JournalEntry{FP: "abc", Workload: "x", Status: "ok", Attempts: 1})
 	jl.Close()
 
-	jl2, err := OpenJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}, false)
+	jl2, err := openJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

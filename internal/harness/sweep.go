@@ -1,0 +1,212 @@
+package harness
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+
+	"repro/internal/resultstore"
+	"repro/internal/sweepobs"
+)
+
+// Sweep is everything one sweep accumulates, as a value: the memo of the
+// runs requested so far, the work counters, the prefix-checkpoint cache,
+// the one result store it may hold open (primary + mirror) behind its
+// write-behind window, and the journal, monitor and tracer that record it.
+// Params.Sweep carries the handle down every call the way Params carries
+// its span, and nothing a sweep learns lives at package scope, so two
+// sweeps — or a fabric coordinator and its workers — share a process
+// without sharing anything. A new Sweep is what a fresh process would
+// start from; Sync is its durability barrier and Close ends it.
+type Sweep struct {
+	// Trace, when non-nil, records the sweep-lifecycle span tree: every
+	// job emits plan → store lookup → fork → execute spans plus supervisor
+	// events, and every store batch a store-tx span. Nil (the default)
+	// disables tracing; every tracer hook is a nil-receiver no-op, so the
+	// off path costs a nil check (the CI overhead gate's contract). Set it
+	// before the sweep's first job.
+	Trace *sweepobs.Tracer
+	// Monitor receives live job begin/finish bookkeeping and serves the
+	// -monitor endpoints from this sweep's counters; NewMonitor attaches
+	// one. Nil reports to nobody: every Monitor hook is a nil-receiver
+	// no-op, as with Trace.
+	Monitor *Monitor
+	// Journal, when non-nil, records every executed run's outcome in the
+	// append-only completion journal, making the sweep resumable (see
+	// journal.go). OpenJournal attaches the store directory's; Close
+	// closes it.
+	Journal *Journal
+
+	wb *writeBehind
+
+	mu    sync.Mutex
+	memo  map[string]*memoEntry
+	cks   map[string]*ckEntry // keyed by prefix fingerprint
+	stats RunMetrics
+
+	// storeMu is not mu: opening a store can emit repair events, which
+	// count under mu.
+	storeMu        sync.Mutex
+	opened, closed bool
+	dir, mirror    string
+	st             *resultstore.Store
+}
+
+// NewSweep returns an empty sweep: nothing memoized, nothing counted, no
+// store open.
+func NewSweep() *Sweep {
+	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cks: map[string]*ckEntry{}}
+}
+
+// Metrics returns a snapshot of the sweep's work counters.
+func (s *Sweep) Metrics() RunMetrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.stats
+	m.CacheHits = m.Requests - m.Executed
+	return m
+}
+
+// count applies a counter update under the sweep's lock.
+func (s *Sweep) count(f func(*RunMetrics)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(&s.stats)
+}
+
+// store returns the result store backing p's cache directories: nil when
+// p names none, or when the directory cannot be opened (reported once; the
+// sweep then runs uncached, like the old best-effort disk cache). The
+// first Params to name a directory opens it — index replay plus WAL
+// recovery — with its StoreFault; one sweep holds at most one store, so a
+// Params naming another is an error, not a second handle.
+func (s *Sweep) store(p Params) (*resultstore.Store, error) {
+	if p.CacheDir == "" {
+		return nil, nil
+	}
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	switch {
+	case s.closed:
+		return nil, errors.New("harness: sweep is closed")
+	case !s.opened:
+		s.opened, s.dir, s.mirror = true, p.CacheDir, p.MirrorDir
+		st, err := resultstore.Open(resultstore.Options{
+			Dir:    p.CacheDir,
+			Mirror: p.MirrorDir,
+			Fault:  p.StoreFault,
+			OnEvent: func(ev resultstore.Event) {
+				if ev.Op == "repair" {
+					s.count(func(m *RunMetrics) { m.StoreRepairs++ })
+				}
+			},
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "harness: result store %s unavailable (running uncached): %v\n", p.CacheDir, err)
+			break
+		}
+		s.st = st
+	case p.CacheDir != s.dir || p.MirrorDir != s.mirror:
+		return nil, fmt.Errorf("harness: sweep holds result store %q (mirror %q), Params names %q (mirror %q): one sweep, one store",
+			s.dir, s.mirror, p.CacheDir, p.MirrorDir)
+	}
+	return s.st, nil
+}
+
+// Sync is the sweep's durability barrier: it returns once every run
+// outcome submitted so far is committed (on both sides of a mirrored
+// store) or has been reported as failed to commit. Every sweep owner
+// passes it before it reports results; until then up to writeBehindWindow
+// outcomes may exist only in memory. If a commit died of a simulated
+// process death (faultinject.StoreKill) the barrier re-raises it.
+func (s *Sweep) Sync() {
+	if dead := s.wb.wait(); dead != nil {
+		panic(dead)
+	}
+}
+
+// Close ends the sweep: the write-behind window drains, the journal and
+// the store close. A window poisoned by a simulated process death is
+// simply dropped — closing is the reboot. Idempotent; the counters stay
+// readable.
+func (s *Sweep) Close() {
+	s.wb.wait()
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.Journal != nil {
+		s.Journal.Close()
+	}
+	if s.st != nil {
+		s.st.Close()
+		s.st = nil
+	}
+}
+
+// OpenJournal attaches the completion journal in p's store directory,
+// for the sweep shape p describes (a p.Resume over another shape's
+// journal is refused), and seeds the mirror's journal header so store
+// transactions have a valid journal to append to there and a failed-over
+// mirror resumes on its own. Whether a sweep journals is its owner's
+// choice: a fabric worker's local store has none.
+func (s *Sweep) OpenJournal(p Params) error {
+	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
+	jl, err := openJournal(filepath.Join(p.CacheDir, JournalFileName), meta, p.Resume)
+	if err != nil {
+		return err
+	}
+	if p.MirrorDir != "" {
+		// An existing matching journal is left untouched; a foreign one is
+		// rotated aside.
+		mj, err := openJournal(filepath.Join(p.MirrorDir, JournalFileName), meta, false)
+		if err != nil {
+			jl.Close()
+			return fmt.Errorf("mirror journal: %w", err)
+		}
+		mj.Close()
+	}
+	s.Journal = jl
+	return nil
+}
+
+// GetObject reads one raw store object (its JSON envelope bytes) by kind
+// and cache key from the sweep's result store. The sweep fabric uses it
+// on both sides of object sync: the coordinator serves checkpoints and
+// results to workers, and a worker checks its local store before
+// fetching. Returns resultstore.ErrNotFound when the object is absent
+// and an error when no store is attached.
+func (s *Sweep) GetObject(p Params, kind resultstore.Kind, key string) ([]byte, error) {
+	st, err := s.attachedStore(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.getObject(p, st, kind, key)
+}
+
+// PutObject writes one raw store object as a single transaction. The
+// payload must be a valid store envelope for the kind: consumers re-verify
+// the embedded content fingerprint on read (loadEnvelope), so a corrupt or
+// mismatched sync is quarantined on first use, never trusted.
+func (s *Sweep) PutObject(p Params, kind resultstore.Kind, key string, b []byte) error {
+	st, err := s.attachedStore(p)
+	if err != nil {
+		return err
+	}
+	tx := st.Begin()
+	tx.Put(kind, key, b)
+	return p.commitStoreTx(tx)
+}
+
+// attachedStore is store for callers that cannot do without one.
+func (s *Sweep) attachedStore(p Params) (*resultstore.Store, error) {
+	st, err := s.store(p)
+	if err == nil && st == nil {
+		err = errors.New("harness: no result store attached")
+	}
+	return st, err
+}

@@ -19,13 +19,13 @@ import (
 // store: a re-run overwrites the previous sweep's trace.
 const SweepTraceArtifactKey = "sweeptrace"
 
-// PersistSweepTrace commits the dump into p's result store as a
+// PersistTrace commits the dump into the sweep's result store as a
 // segmented artifact blob. No-op without a store or a dump; returns the
 // commit error so the caller can report (not fail) the sweep.
-func PersistSweepTrace(p Params, d *sweepobs.Dump) error {
-	st := storeFor(p)
-	if st == nil || d == nil {
-		return nil
+func (s *Sweep) PersistTrace(p Params, d *sweepobs.Dump) error {
+	st, err := s.store(p)
+	if err != nil || st == nil || d == nil {
+		return err
 	}
 	b, err := json.Marshal(d)
 	if err != nil {

@@ -22,17 +22,15 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	ResetMetrics()
-	defer ResetMetrics()
 
 	dir, mirror := t.TempDir(), t.TempDir()
 	tr := sweepobs.New()
-	p := forkTestParams()
+	p := forkTestParams(t)
 	p.Checkpoint = true
 	p.CacheDir = dir
 	p.MirrorDir = mirror
-	p.Trace = tr
-	p.Monitor = NewMonitor()
+	p.Sweep.Trace = tr
+	NewMonitor(p.Sweep)
 	// One deterministic first-attempt panic: the nw/vt singleton trips the
 	// supervisor, retries in safe mode, and finishes degraded.
 	p.Inject = &faultinject.Spec{Workload: "nw", Variant: "vt", Cycle: 100,
@@ -47,7 +45,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	SyncStores() // the owner's barrier: batch spans land as commits finish
+	p.Sweep.Sync() // the owner's barrier: batch spans land as commits finish
 
 	d := tr.Dump()
 	if d == nil || len(d.Spans) == 0 {
@@ -133,7 +131,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		t.Errorf("store.tx spans account for %d transactions, want 4", batchTxs)
 	}
 	var exposition strings.Builder
-	if err := p.Monitor.WriteMetrics(&exposition); err != nil {
+	if err := p.Sweep.Monitor.WriteMetrics(&exposition); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := sweepobs.ValidateExposition(exposition.String())
@@ -176,7 +174,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	}
 
 	// Persist through the store (both replicas), then read back cold.
-	if err := PersistSweepTrace(p, d); err != nil {
+	if err := p.Sweep.PersistTrace(p, d); err != nil {
 		t.Fatal(err)
 	}
 	for _, root := range []string{dir, mirror} {
@@ -184,7 +182,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 			t.Errorf("persisted trace missing in %s: %v", root, err)
 		}
 	}
-	ResetMetrics() // close the sweep's store handles before reopening
+	p.Sweep.Close() // release the store before reopening it
 	got, err := LoadSweepTrace(dir, mirror)
 	if err != nil {
 		t.Fatal(err)

@@ -11,31 +11,23 @@ import (
 	"repro/internal/resultstore"
 )
 
-// TestSyncStoresMakesOutcomesDurable: after the barrier, a process that
-// knows nothing but the directories — a fresh resultstore.Open — serves
-// every submitted outcome from either side, and both journals name it.
-func TestSyncStoresMakesOutcomesDurable(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 4,
-		CacheDir: filepath.Join(t.TempDir(), "primary"), MirrorDir: filepath.Join(t.TempDir(), "mirror")}
+// TestSyncMakesOutcomesDurable: after the sweep's barrier, a
+// process that knows nothing but the directories — a fresh
+// resultstore.Open — serves every submitted outcome from either side, and
+// both journals name it.
+func TestSyncMakesOutcomesDurable(t *testing.T) {
+	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 4,
+		CacheDir: filepath.Join(t.TempDir(), "primary"), MirrorDir: filepath.Join(t.TempDir(), "mirror")})
 	jobs := policyJobs([]string{"vecadd", "bfs", "spmv", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})
 	keys := drillKeys(t, p, jobs)
-	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: "small"}
-	jl, err := OpenJournal(filepath.Join(p.CacheDir, JournalFileName), meta, false)
-	if err != nil {
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	defer jl.Close()
-	if err := EnsureJournalHeader(filepath.Join(p.MirrorDir, JournalFileName), meta); err != nil {
-		t.Fatal(err)
-	}
-	p.Journal = jl
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
-	SyncStores()
+	p.Sweep.Sync()
 
 	for _, side := range []struct{ dir, mirror string }{{p.CacheDir, p.MirrorDir}, {p.MirrorDir, ""}} {
 		st, err := resultstore.Open(resultstore.Options{Dir: side.dir, Mirror: side.mirror})

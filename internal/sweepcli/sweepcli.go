@@ -1,7 +1,8 @@
 // Package sweepcli is what cmd/vtbench and cmd/vtsweepd share: the sweep
-// flag block and its translation into harness.Params, the completion
-// journal open, the -out/-csv set-up, the experiment loop, the -json
-// report it fills, and SIGINT/SIGTERM handling. One definition of each, so
+// flag block and its translation into harness.Params bound to a new
+// harness.Sweep, the completion journal open, the -out/-csv set-up, the
+// -json report around harness.RunExperiments, the HTTP listener, and
+// SIGINT/SIGTERM handling. One definition of each, so
 // a single-process sweep and a fleet sweep of the same flags plan the same
 // jobs and write records that differ only in their numbers.
 package sweepcli
@@ -13,10 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -67,9 +70,11 @@ func PrintList(w io.Writer) {
 	}
 }
 
-// Params validates the flag combination and builds the sweep parameters
-// and the journal header they imply.
-func (f *Flags) Params() (p harness.Params, meta harness.JournalMeta, err error) {
+// Params validates the flag combination and builds the sweep parameters,
+// bound to a new Sweep. The caller owns that sweep: whatever path it exits
+// by, it closes p.Sweep first (the durability barrier; journal and store
+// closed).
+func (f *Flags) Params() (p harness.Params, err error) {
 	so, err := gpu.ParseSampling(f.Sample)
 	switch {
 	case err != nil:
@@ -85,7 +90,7 @@ func (f *Flags) Params() (p harness.Params, meta harness.JournalMeta, err error)
 		err = errors.New("-sample is incompatible with -checkinvariants: the checker audits per-cycle conservation, which fast-forward spans skip")
 	}
 	if err != nil {
-		return p, meta, err
+		return p, err
 	}
 	p = harness.DefaultParams()
 	p.Scale = f.Scale
@@ -99,8 +104,8 @@ func (f *Flags) Params() (p harness.Params, meta harness.JournalMeta, err error)
 	p.ForkCycle = f.ForkCycle
 	p.Resume = f.Resume
 	p.Sampling = so
-	meta = harness.JournalMeta{Scale: f.Scale, Dilute: f.Dilute, Config: p.Config.Name, Sampling: so.String()}
-	return p, meta, nil
+	p.Sweep = harness.NewSweep()
+	return p, nil
 }
 
 // OpenOutput returns the writer tables go to — stdout, teed into -out —
@@ -122,31 +127,49 @@ func (f *Flags) OpenOutput() (w io.Writer, closeOut func(), err error) {
 	return io.MultiWriter(os.Stdout, file), func() { file.Close() }, nil
 }
 
-// OpenJournal opens the completion journal in -store and attaches it to
-// p, seeding the mirror's journal header so store transactions have a
-// valid journal to append to there and a failed-over mirror resumes on
-// its own. Without -store it does nothing. Call closeJournal when done.
-func (f *Flags) OpenJournal(prog string, p *harness.Params, meta harness.JournalMeta) (closeJournal func(), err error) {
+// OpenJournal attaches -store's completion journal to p's sweep (see
+// harness.Sweep.OpenJournal). Without -store it does nothing.
+func (f *Flags) OpenJournal(prog string, p harness.Params) error {
 	if f.StoreDir == "" {
-		return func() {}, nil
+		return nil
 	}
-	jl, err := harness.OpenJournal(filepath.Join(f.StoreDir, harness.JournalFileName), meta, f.Resume)
-	if err != nil {
-		return nil, err
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		return err
 	}
-	if f.MirrorDir != "" {
-		if err := harness.EnsureJournalHeader(filepath.Join(f.MirrorDir, harness.JournalFileName), meta); err != nil {
-			jl.Close()
-			return nil, fmt.Errorf("mirror journal: %v", err)
-		}
-	}
-	p.Journal = jl
 	if f.Resume {
-		ok, degraded, failed := jl.Summary()
+		ok, degraded, failed := p.Sweep.Journal.Summary()
 		fmt.Fprintf(os.Stderr, "%s: resuming sweep: journal records %d ok, %d degraded, %d failed\n",
 			prog, ok, degraded, failed)
 	}
-	return func() { jl.Close() }, nil
+	return nil
+}
+
+// Serve listens on addr — synchronously, so a bad address or an occupied
+// port is a setup error, not a silently dead goroutine — and serves h
+// (what names it in messages) until stop, which lets in-flight requests
+// finish, for five seconds at most. stop is idempotent.
+func Serve(prog, what, addr string, h http.Handler) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", what, err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %s on http://%s/\n", prog, what, ln.Addr())
+	srv := &http.Server{Handler: h}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				srv.Close()
+			}
+			if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "%s: %s server: %v\n", prog, what, err)
+			}
+		})
+	}, nil
 }
 
 // Signals turns the first SIGINT/SIGTERM into a graceful shutdown and
@@ -191,21 +214,6 @@ func (s *Signals) ExitCode(code int) int {
 // (cmd/benchcheck, bench/vtperf) decode with encoding/json, which ignores
 // unknown fields, so adding fields never breaks old baselines; bump this
 // only for changes that alter the meaning of existing fields.
-//
-// v3: with -checkpoint, sim_cycles counts only cycles actually simulated
-// — forked runs add their post-fork suffix alone (the skipped prefix is
-// reported in prefix_cycles_saved) — so simcycles_per_sec is not
-// comparable to a v2 baseline produced without forking.
-//
-// v4: with -sample, sim_cycles includes extrapolated cycles (the portion
-// is reported in extrapolated_cycles) and every per-run cycle count
-// carries the error bound reported in max_error_bound — so neither
-// sim_cycles nor simcycles_per_sec is comparable to an exact baseline.
-//
-// v5: adds the result-store counters (store_hits/store_misses/
-// store_repairs/store_retries). Purely additive — every v4 field keeps
-// its meaning — but cache_hits on a -store sweep now includes hits the
-// store healed from a mirror, which a v4 consumer could not distinguish.
 const ReportSchemaVersion = 5
 
 // ExpReport is one experiment's row in the -json output.
@@ -220,57 +228,25 @@ type ExpReport struct {
 	Error           string  `json:"error,omitempty"`
 }
 
-// Report is the top-level -json document of both sweep commands. Workers
-// is the -workers setting for vtbench and the fleet size — every worker
-// that contacted the coordinator — for vtsweepd.
+// Report is the top-level -json document of both sweep commands: the
+// sweep's work counters under harness.RunMetrics' own keys (embedded, so
+// a counter added there is in the record), around them what ran where.
+// Workers is the -workers setting for vtbench and the fleet size — every
+// worker that contacted the coordinator — for vtsweepd. Sampling is the
+// "detailed:fastforward:warmup" configuration of a -sample sweep.
 type Report struct {
-	SchemaVersion   int     `json:"schema_version"`
-	Date            string  `json:"date"`
-	GoVersion       string  `json:"go_version"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Scale           int     `json:"scale"`
-	Dilute          int     `json:"dilute"`
-	Workers         int     `json:"workers"`
-	TotalWallSec    float64 `json:"total_wall_seconds"`
-	RunsRequested   int     `json:"runs_requested"`
-	RunsExecuted    int     `json:"runs_executed"`
-	CacheHits       int     `json:"cache_hits"`
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"simcycles_per_sec"`
-	// Supervisor outcome counters (zero on a clean sweep).
-	RunsRetried   int `json:"runs_retried,omitempty"`
-	RunsDegraded  int `json:"runs_degraded,omitempty"`
-	RunsFailed    int `json:"runs_failed,omitempty"`
-	ResumedFailed int `json:"resumed_failed,omitempty"`
-	// Telemetry aggregates (-telemetry sweeps only).
-	TelemetryWindows int64 `json:"telemetry_windows,omitempty"`
-	TelemetrySpans   int64 `json:"telemetry_spans,omitempty"`
-	// Prefix-fork counters (-checkpoint sweeps only).
-	CheckpointsCaptured int   `json:"checkpoints_captured,omitempty"`
-	CheckpointHits      int   `json:"checkpoint_hits,omitempty"`
-	CheckpointMisses    int   `json:"checkpoint_misses,omitempty"`
-	PrefixCyclesSaved   int64 `json:"prefix_cycles_saved,omitempty"`
-	// Sampled-simulation counters (-sample sweeps only). Sampling is the
-	// "detailed:fastforward:warmup" configuration; extrapolated_cycles is
-	// the portion of sim_cycles that was extrapolated rather than
-	// simulated; max_error_bound is the largest per-run reported bound on
-	// the fractional cycle error.
-	Sampling           string  `json:"sampling,omitempty"`
-	SampledRuns        int     `json:"sampled_runs,omitempty"`
-	SampledSpans       int64   `json:"sampled_spans,omitempty"`
-	ExtrapolatedCycles int64   `json:"extrapolated_cycles,omitempty"`
-	FunctionalInstrs   int64   `json:"functional_instrs,omitempty"`
-	MaxErrorBound      float64 `json:"max_error_bound,omitempty"`
-	// Result-store counters (-store sweeps only; see internal/resultstore).
-	// store_hits/store_misses count verified reads; store_repairs counts
-	// objects healed bit-identically from the mirror; store_retries counts
-	// transient store I/O errors absorbed by the bounded retry.
-	StoreHits    int `json:"store_hits,omitempty"`
-	StoreMisses  int `json:"store_misses,omitempty"`
-	StoreRepairs int `json:"store_repairs,omitempty"`
-	StoreRetries int `json:"store_retries,omitempty"`
-
-	Experiments []ExpReport `json:"experiments"`
+	SchemaVersion int     `json:"schema_version"`
+	Date          string  `json:"date"`
+	GoVersion     string  `json:"go_version"`
+	GOMAXPROCS    int     `json:"gomaxprocs"`
+	Scale         int     `json:"scale"`
+	Dilute        int     `json:"dilute"`
+	Workers       int     `json:"workers"`
+	TotalWallSec  float64 `json:"total_wall_seconds"`
+	harness.RunMetrics
+	SimCyclesPerSec float64     `json:"simcycles_per_sec"`
+	Sampling        string      `json:"sampling,omitempty"`
+	Experiments     []ExpReport `json:"experiments"`
 }
 
 // RunExperiments runs the -run selection under p, writing tables to w,
@@ -278,8 +254,8 @@ type Report struct {
 // completed with failed runs (the supervisor already bundled them; the
 // sweep keeps going), 0 otherwise. The wall clock stops at the durability
 // barrier: run outcomes commit write-behind, so nothing the caller does
-// next — the summary, -json, the journal close, any exit code — happens
-// before the store holds, on both sides, every outcome reported here.
+// next — the summary, -json, any exit code — happens before the store
+// holds, on both sides, every outcome reported here.
 func (f *Flags) RunExperiments(prog string, p harness.Params, w io.Writer) (*Report, int, error) {
 	todo := harness.Experiments()
 	if f.Run != "all" {
@@ -297,76 +273,38 @@ func (f *Flags) RunExperiments(prog string, p harness.Params, w io.Writer) (*Rep
 		Scale:         f.Scale,
 		Dilute:        f.Dilute,
 		Workers:       p.Workers,
+		Sampling:      p.Sampling.String(),
 	}
 	exitCode := 0
 	start := time.Now()
-	for _, e := range todo {
-		if f.Run == "all" {
-			fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
-			if e.Paper != "" {
-				fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
-			}
-		}
-		before := harness.Metrics()
-		t0 := time.Now()
-		expErr := harness.RunOne(e, p, w)
-		wall := time.Since(t0).Seconds()
-		m := harness.Metrics()
+	if harness.RunExperiments(p, w, todo, f.Run == "all", func(x harness.ExperimentRun) {
 		r := ExpReport{
-			ID:            e.ID,
-			WallSeconds:   wall,
-			RunsRequested: m.Requests - before.Requests,
-			RunsExecuted:  m.Executed - before.Executed,
-			CacheHits:     m.CacheHits - before.CacheHits,
-			SimCycles:     m.SimCycles - before.SimCycles,
+			ID:            x.ID,
+			WallSeconds:   x.Wall.Seconds(),
+			RunsRequested: x.After.Requests - x.Before.Requests,
+			RunsExecuted:  x.After.Executed - x.Before.Executed,
+			CacheHits:     x.After.CacheHits - x.Before.CacheHits,
+			SimCycles:     x.After.SimCycles - x.Before.SimCycles,
 		}
-		if wall > 0 {
-			r.SimCyclesPerSec = float64(r.SimCycles) / wall
+		if r.WallSeconds > 0 {
+			r.SimCyclesPerSec = float64(r.SimCycles) / r.WallSeconds
 		}
-		if expErr != nil {
-			r.Error = expErr.Error()
-			exitCode = 3
-			fmt.Fprintf(os.Stderr, "%s: %s failed: %v\n", prog, e.ID, expErr)
-			fmt.Fprintf(w, "EXPERIMENT FAILED %s: %v\n\n", e.ID, expErr)
+		if x.Err != nil {
+			r.Error = x.Err.Error()
+			fmt.Fprintf(os.Stderr, "%s: %s failed: %v\n", prog, x.ID, x.Err)
 		}
 		rep.Experiments = append(rep.Experiments, r)
+	}) != nil {
+		exitCode = 3
 	}
-	harness.SyncStores()
+	p.Sweep.Sync()
 	rep.TotalWallSec = time.Since(start).Seconds()
-	rep.Fill(harness.Metrics(), p.Sampling.String())
+	rep.RunMetrics = p.Sweep.Metrics()
+	if rep.TotalWallSec > 0 {
+		rep.SimCyclesPerSec = float64(rep.SimCycles) / rep.TotalWallSec
+	}
 	fmt.Fprintf(w, "total wall time: %s\n", time.Duration(rep.TotalWallSec*float64(time.Second)).Round(time.Millisecond))
 	return rep, exitCode, nil
-}
-
-// Fill copies the sweep totals out of the harness work counters.
-func (r *Report) Fill(m harness.RunMetrics, sampling string) {
-	r.RunsRequested = m.Requests
-	r.RunsExecuted = m.Executed
-	r.CacheHits = m.CacheHits
-	r.SimCycles = m.SimCycles
-	if r.TotalWallSec > 0 {
-		r.SimCyclesPerSec = float64(m.SimCycles) / r.TotalWallSec
-	}
-	r.RunsRetried = m.Retries
-	r.RunsDegraded = m.Degraded
-	r.RunsFailed = m.Failures
-	r.ResumedFailed = m.ResumedFailed
-	r.TelemetryWindows = m.TelemetryWindows
-	r.TelemetrySpans = m.TelemetrySpans
-	r.CheckpointsCaptured = m.CheckpointsCaptured
-	r.CheckpointHits = m.CheckpointHits
-	r.CheckpointMisses = m.CheckpointMisses
-	r.PrefixCyclesSaved = m.PrefixCyclesSaved
-	r.Sampling = sampling
-	r.SampledRuns = m.SampledRuns
-	r.SampledSpans = m.SampledSpans
-	r.ExtrapolatedCycles = m.ExtrapolatedCycles
-	r.FunctionalInstrs = m.FunctionalInstrs
-	r.MaxErrorBound = m.MaxErrorBound
-	r.StoreHits = m.StoreHits
-	r.StoreMisses = m.StoreMisses
-	r.StoreRepairs = m.StoreRepairs
-	r.StoreRetries = m.StoreRetries
 }
 
 // WriteJSON writes the record to -json, if set.

@@ -52,14 +52,12 @@ func TestFlagsToParams(t *testing.T) {
 		args    []string
 		wantErr string                     // substring; "" = must succeed
 		check   func(*harness.Params) bool // on success
-		meta    harness.JournalMeta        // on success
 	}{
 		{
 			name: "defaults",
 			check: func(p *harness.Params) bool {
 				return p.Scale == 1 && p.Dilute == 1 && p.FailDir == "failures" && p.CacheDir == "" && !p.Resume
 			},
-			meta: harness.JournalMeta{Scale: 1, Dilute: 1, Config: "gtx480"},
 		},
 		{
 			name: "mirrored checkpoint sweep",
@@ -69,13 +67,11 @@ func TestFlagsToParams(t *testing.T) {
 				return p.Dilute == 30 && p.CacheDir == "S" && p.MirrorDir == "M" && p.FailDir == "" &&
 					p.RunTimeout == 5*time.Second && p.CheckInvariants && p.Checkpoint && p.ForkCycle == 100
 			},
-			meta: harness.JournalMeta{Scale: 1, Dilute: 30, Config: "gtx480"},
 		},
 		{
 			name:  "sampled resume",
 			args:  []string{"-scale", "2", "-store", "S", "-resume", "-sample", "4000:8000:1000"},
 			check: func(p *harness.Params) bool { return p.Scale == 2 && p.Resume && p.Sampling == samp },
-			meta:  harness.JournalMeta{Scale: 2, Dilute: 1, Config: "gtx480", Sampling: "4000:8000:1000"},
 		},
 		{name: "mirror without store", args: []string{"-mirror", "M"}, wantErr: "-mirror needs -store"},
 		{name: "resume without store", args: []string{"-resume"}, wantErr: "-resume needs -store"},
@@ -86,7 +82,7 @@ func TestFlagsToParams(t *testing.T) {
 	for prog := range programs {
 		for _, tc := range cases {
 			t.Run(prog+"/"+tc.name, func(t *testing.T) {
-				p, meta, err := parse(t, prog, tc.args...).Params()
+				p, err := parse(t, prog, tc.args...).Params()
 				if tc.wantErr != "" {
 					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 						t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
@@ -96,11 +92,8 @@ func TestFlagsToParams(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !tc.check(&p) {
-					t.Errorf("params do not reflect %v: %+v", tc.args, p)
-				}
-				if meta != tc.meta {
-					t.Errorf("journal meta = %+v, want %+v", meta, tc.meta)
+				if !tc.check(&p) || p.Sweep == nil {
+					t.Errorf("params do not reflect %v, or carry no sweep: %+v", tc.args, p)
 				}
 			})
 		}
@@ -108,11 +101,11 @@ func TestFlagsToParams(t *testing.T) {
 }
 
 // TestReportCarriesEveryCounter runs a static (simulation-free) experiment
-// through the loop both commands use, folds a RunMetrics with every counter
-// set into the record, and requires that no report field stays empty —
-// which is how vtsweepd's hand-copied report lost the store, checkpoint
-// and sampling counters — and that the marshalled record has every key
-// bench/vtperf/parse.go reads, under schema_version 5.
+// through the loop both commands use, puts a RunMetrics with every counter
+// set into the record (which embeds it, so no counter can be left out of
+// the copy again), and requires that no report field stays empty and that
+// the marshalled record has every key bench/vtperf/parse.go, cmd/benchcheck
+// and CI read, under schema_version 5.
 func TestReportCarriesEveryCounter(t *testing.T) {
 	var m harness.RunMetrics
 	mv := reflect.ValueOf(&m).Elem()
@@ -128,10 +121,11 @@ func TestReportCarriesEveryCounter(t *testing.T) {
 		t.Run(prog, func(t *testing.T) {
 			dir := t.TempDir()
 			f := parse(t, prog, "-run", "table1-config", "-dilute", "30", "-json", filepath.Join(dir, "r.json"))
-			p, _, err := f.Params()
+			p, err := f.Params()
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer p.Sweep.Close()
 			p.Workers = 2
 			var tables strings.Builder
 			rep, code, err := f.RunExperiments(prog, p, &tables)
@@ -141,7 +135,7 @@ func TestReportCarriesEveryCounter(t *testing.T) {
 			if !strings.Contains(tables.String(), "total wall time: ") {
 				t.Errorf("no wall-time line in:\n%s", tables.String())
 			}
-			rep.Fill(m, "4000:8000:1000")
+			rep.RunMetrics, rep.SimCyclesPerSec, rep.Sampling = m, 1, "4000:8000:1000"
 			rv := reflect.ValueOf(rep).Elem()
 			for i := 0; i < rv.NumField(); i++ {
 				if rv.Field(i).IsZero() {

@@ -19,6 +19,7 @@ package vtsim
 import (
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -120,15 +121,41 @@ func Experiments() []Experiment { return harness.Experiments() }
 // GetExperiment returns the experiment with the given ID.
 func GetExperiment(id string) (Experiment, error) { return harness.Get(id) }
 
+// facade holds the one process-wide sweep left: the state — memo, work
+// counters, open result store — that the package-level experiment
+// functions below share between calls. Everything under internal/ takes
+// its harness.Sweep as a value.
+var facade struct {
+	mu sync.Mutex
+	sw *harness.Sweep
+}
+
+// facadeSweep returns the current facade sweep, or with reset a fresh one
+// (the old one is closed: its store drained and released).
+func facadeSweep(reset bool) *harness.Sweep {
+	facade.mu.Lock()
+	defer facade.mu.Unlock()
+	if reset && facade.sw != nil {
+		facade.sw.Close()
+		facade.sw = nil
+	}
+	if facade.sw == nil {
+		facade.sw = harness.NewSweep()
+	}
+	return facade.sw
+}
+
 // RunExperiment executes one experiment by ID, writing its tables to w.
 // With ExperimentParams.CacheDir set, run outcomes reach the store
 // write-behind: call SyncExperimentStores before exiting or reading the
-// directory.
+// directory. Every call between two ResetExperimentMetrics shares one
+// memo and at most one CacheDir.
 func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 	e, err := harness.Get(id)
 	if err != nil {
 		return err
 	}
+	p.Sweep = facadeSweep(false)
 	return harness.RunOne(e, p, w)
 }
 
@@ -139,21 +166,24 @@ func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 type RunMetrics = harness.RunMetrics
 
 // ExperimentMetrics snapshots the harness work counters.
-func ExperimentMetrics() RunMetrics { return harness.Metrics() }
+func ExperimentMetrics() RunMetrics { return facadeSweep(false).Metrics() }
 
-// ResetExperimentMetrics zeroes the work counters and empties the
-// harness memo cache.
-func ResetExperimentMetrics() { harness.ResetMetrics() }
+// ResetExperimentMetrics zeroes the work counters, empties the harness
+// memo cache and closes the result store, if one is open: the experiment
+// functions start over in a fresh sweep.
+func ResetExperimentMetrics() { facadeSweep(true) }
 
 // SyncExperimentStores is the durability barrier for sweeps with
 // ExperimentParams.CacheDir set: it returns once the result store holds
 // every run outcome produced so far (on the mirror too).
-func SyncExperimentStores() { harness.SyncStores() }
+func SyncExperimentStores() { facadeSweep(false).Sync() }
 
 // RunAllExperiments regenerates every table and figure, and returns
 // only after the result store (if any) holds every outcome.
 func RunAllExperiments(p ExperimentParams, w io.Writer) error {
-	return harness.RunAll(p, w)
+	p.Sweep = facadeSweep(false)
+	defer p.Sweep.Sync()
+	return harness.RunExperiments(p, w, harness.Experiments(), true, nil)
 }
 
 // RunSampled simulates a suite workload, recording an occupancy/IPC sample
