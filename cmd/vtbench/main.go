@@ -300,10 +300,12 @@ func writeFile(flagName, path string, write func(io.Writer) error) error {
 }
 
 // runRepair opens the result store, audits every object on every side,
-// heals damaged copies bit-identically from a healthy replica, and
-// prints the report. Exit 0 when the store is (or was made) fully
-// healthy, 1 on a setup error, 3 when objects remain unrecoverable —
-// those were quarantined, so the next sweep re-simulates them.
+// heals damaged copies bit-identically from a healthy replica, brings a
+// journal that is missing or behind on one side up to the other's (a
+// lost side is rebuilt whole, ready for -resume), and prints the report.
+// Exit 0 when the store is (or was made) fully healthy, 1 on a setup
+// error, 3 when objects remain unrecoverable — those were quarantined,
+// so the next sweep re-simulates them.
 func runRepair(dir, mirror string) int {
 	st, err := resultstore.Open(resultstore.Options{Dir: dir, Mirror: mirror})
 	if err != nil {
@@ -317,6 +319,9 @@ func runRepair(dir, mirror string) int {
 	}
 	fmt.Printf(": %d objects checked, %d healthy, %d repaired\n",
 		rep.Checked, rep.Healthy, rep.Repaired)
+	for _, b := range rep.Backfilled {
+		fmt.Printf("back-filled: %s\n", b)
+	}
 	for _, d := range rep.Damaged {
 		fmt.Printf("damaged: %s\n", d)
 	}

@@ -38,7 +38,7 @@ func main() {
 		workload  = flag.String("workload", "", "analyze one workload in detail")
 		scale     = flag.Int("scale", 1, "grid size multiplier")
 		rings     = flag.String("rings", "", "render the timeline summary of a telemetry ring dump (vtsim -telemetry)")
-		storeDir  = flag.String("store", "", "query a result store: per-kind inventory, replica sides, and a read-only integrity audit")
+		storeDir  = flag.String("store", "", "query a result store: per-kind inventory, replica sides, and a read-only integrity audit of its objects and journal")
 		mirror    = flag.String("mirror", "", "with -store or -tracepath, also use this mirror side")
 		tracePath = flag.String("tracepath", "", "analyze a sweep trace (vtbench -sweeptrace file, or a store directory holding the trace artifact): critical path, per-stage breakdown, stragglers")
 		perfetto  = flag.String("perfetto", "", "with -tracepath, also render the trace for chrome://tracing / ui.perfetto.dev into this file")
@@ -117,8 +117,9 @@ func max(a, b int) int {
 
 // storeReport opens the result store read-mostly (opening replays the
 // index and recovers any interrupted transaction) and prints the
-// per-kind inventory, the replica sides, and a Verify audit — without
-// modifying any object (vtbench -repair heals).
+// per-kind inventory, the replica sides, and a Verify audit of every
+// object and of the journal on both sides — without modifying either
+// (vtbench -repair heals).
 func storeReport(dir, mirror string) error {
 	st, err := resultstore.Open(resultstore.Options{Dir: dir, Mirror: mirror})
 	if err != nil {
@@ -126,17 +127,16 @@ func storeReport(dir, mirror string) error {
 	}
 	defer st.Close()
 
-	t := stats.NewTable("result store inventory: "+dir,
-		"kind", "objects", "segmented", "bytes")
+	t := stats.NewTable("result store inventory: "+dir, "kind", "objects", "bytes")
 	for _, inv := range st.Inventory() {
-		t.Rowf(string(inv.Kind), inv.Objects, inv.Segmented, inv.Bytes)
+		t.Rowf(inv.Kind, inv.Objects, inv.Bytes)
 	}
 	t.Fprint(os.Stdout)
 	fmt.Println()
 
-	s := stats.NewTable("replica sides", "role", "directory", "indexed", "failed")
+	s := stats.NewTable("replica sides", "role", "directory", "indexed")
 	for _, sd := range st.Sides() {
-		s.Rowf(sd.Role, sd.Dir, sd.Indexed, fmt.Sprintf("%v", sd.Failed))
+		s.Rowf(sd.Role, sd.Dir, sd.Indexed)
 	}
 	s.Fprint(os.Stdout)
 	fmt.Println()
@@ -150,7 +150,7 @@ func storeReport(dir, mirror string) error {
 		fmt.Printf("unrecoverable: %s\n", u)
 	}
 	if len(rep.Damaged) > 0 || len(rep.Unrecoverable) > 0 {
-		return fmt.Errorf("store has %d damaged and %d unrecoverable objects; run vtbench -store %s -repair",
+		return fmt.Errorf("store has %d damaged and %d unrecoverable objects or journals; run vtbench -store %s -repair",
 			len(rep.Damaged), len(rep.Unrecoverable), dir)
 	}
 	fmt.Println("store is healthy")

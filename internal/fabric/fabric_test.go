@@ -209,9 +209,13 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("renew unknown lease: %d", resp.StatusCode)
 	}
 
-	// Object sync: only store kinds the fleet shares are served.
-	if resp := post("/v1/object/journal/abc", `{}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("put of non-syncable kind: %d", resp.StatusCode)
+	// Object sync: only the one store kind workers share is served. A
+	// result object in particular reaches the store through a completion,
+	// never through this door.
+	for _, kind := range []string{"journal", "vtsim", "vtart"} {
+		if resp := post("/v1/object/"+kind+"/abc", `{}`); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("put of non-syncable kind %s: %d", kind, resp.StatusCode)
+		}
 	}
 	if resp := post("/v1/object/vtck/abc", `{broken`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("put of invalid JSON: %d", resp.StatusCode)
@@ -233,6 +237,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if resp := get("/v1/object/vtck/missing"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("get of missing object: %d", resp.StatusCode)
+	}
+	if resp := get("/v1/object/vtsim/abc"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("get of non-syncable kind vtsim: %d", resp.StatusCode)
 	}
 
 	for _, path := range []string{"/status", "/metrics", "/"} {

@@ -25,6 +25,8 @@
 //	POST /v1/heartbeat {worker, slots, active, metrics, goodbye}
 //	GET  /v1/object/{kind}/{key}           -> envelope bytes | 404
 //	POST /v1/object/{kind}/{key}           <- envelope bytes
+//	                                          (kind is vtck, a prefix
+//	                                          checkpoint; any other: 400)
 //
 // A job is keyed by the harness content fingerprint's cache key — the
 // same hex id that names its result-store object and journal lines —

@@ -17,14 +17,12 @@ import (
 // both far under this.
 const maxBodyBytes = 64 << 20
 
-// syncableKinds are the store object kinds workers may sync through
-// the coordinator: prefix checkpoints (the fork donors' output) and
-// memoized results. Journal segments and artifacts stay
-// coordinator-owned.
-var syncableKinds = map[resultstore.Kind]bool{
-	resultstore.KindCheckpoint: true,
-	resultstore.KindResult:     true,
-}
+// syncable reports whether workers may sync objects of kind through the
+// coordinator: only prefix checkpoints, the fork donors' output (see
+// pullCheckpoint and pushCheckpoint). Results reach the coordinator's
+// store inside completions, which it commits itself; the journal and
+// artifacts are coordinator-owned.
+func syncable(kind resultstore.Kind) bool { return kind == resultstore.KindCheckpoint }
 
 // Handler returns the coordinator's HTTP handler: the /v1 job and
 // object-sync API, plus the fleet dashboard (/, /status, /metrics).
@@ -135,7 +133,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	kind, key := resultstore.Kind(r.PathValue("kind")), r.PathValue("key")
-	if !syncableKinds[kind] {
+	if !syncable(kind) {
 		http.Error(w, "unsupported object kind", http.StatusBadRequest)
 		return
 	}
@@ -154,7 +152,7 @@ func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	kind, key := resultstore.Kind(r.PathValue("kind")), r.PathValue("key")
-	if !syncableKinds[kind] {
+	if !syncable(kind) {
 		http.Error(w, "unsupported object kind", http.StatusBadRequest)
 		return
 	}

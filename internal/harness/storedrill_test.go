@@ -381,6 +381,44 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	if string(healed) != string(mb) {
 		t.Fatal("repair did not restore the primary bit-identically from the mirror")
 	}
+
+	// Lose a whole side, either one: Repair rebuilds its objects and its
+	// journal from the survivor, and a resuming sweep over the pair opens
+	// that journal and executes nothing.
+	for _, lost := range []string{p.CacheDir, p.MirrorDir} {
+		p.Sweep.Close()
+		if err := os.RemoveAll(lost); err != nil {
+			t.Fatal(err)
+		}
+		st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := st.Repair()
+		st.Close()
+		if rep.Repaired != 1 || len(rep.Backfilled) != 1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+			t.Fatalf("repair after losing %s: %+v", lost, rep)
+		}
+		pj, _ := os.ReadFile(filepath.Join(p.CacheDir, JournalFileName))
+		mj, _ := os.ReadFile(filepath.Join(p.MirrorDir, JournalFileName))
+		if len(pj) == 0 || string(pj) != string(mj) {
+			t.Fatalf("journals differ after losing %s and repairing:\nprimary %q\nmirror  %q", lost, pj, mj)
+		}
+		p = inSweep(t, p)
+		p.Resume = true
+		if err := p.Sweep.OpenJournal(p); err != nil {
+			t.Fatalf("resume after losing %s: %v", lost, err)
+		}
+		if p.Sweep.Journal.Status(key) != "ok" {
+			t.Fatalf("the rebuilt journal does not record the job as ok")
+		}
+		if _, err := runDurable(p, j); err != nil {
+			t.Fatal(err)
+		}
+		if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {
+			t.Fatalf("resume after losing %s re-simulated: %+v", lost, m)
+		}
+	}
 }
 
 // TestHarnessLegacyCacheDirCompat is the compat test inverted: a cache

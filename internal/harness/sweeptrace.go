@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -19,8 +18,8 @@ import (
 // store: a re-run overwrites the previous sweep's trace.
 const SweepTraceArtifactKey = "sweeptrace"
 
-// PersistTrace commits the dump into the sweep's result store as a
-// segmented artifact blob. No-op without a store or a dump; returns the
+// PersistTrace commits the dump into the sweep's result store as the
+// vtart-sweeptrace object. No-op without a store or a dump; returns the
 // commit error so the caller can report (not fail) the sweep.
 func (s *Sweep) PersistTrace(p Params, d *sweepobs.Dump) error {
 	st, err := s.store(p)
@@ -32,9 +31,7 @@ func (s *Sweep) PersistTrace(p Params, d *sweepobs.Dump) error {
 		return err
 	}
 	tx := st.Begin()
-	if err := tx.PutBlob(resultstore.KindArtifact, SweepTraceArtifactKey, bytes.NewReader(b)); err != nil {
-		return err
-	}
+	tx.Put(resultstore.KindArtifact, SweepTraceArtifactKey, b)
 	return p.commitStoreTx(tx)
 }
 
@@ -47,7 +44,7 @@ func LoadSweepTrace(dir, mirror string) (*sweepobs.Dump, error) {
 		return nil, fmt.Errorf("open store %s: %w", dir, err)
 	}
 	defer st.Close()
-	b, err := st.GetBlob(resultstore.KindArtifact, SweepTraceArtifactKey)
+	b, err := st.Get(resultstore.KindArtifact, SweepTraceArtifactKey)
 	if err != nil {
 		return nil, fmt.Errorf("read sweep trace from %s: %w", dir, err)
 	}

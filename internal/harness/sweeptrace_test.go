@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -177,9 +178,20 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if err := p.Sweep.PersistTrace(p, d); err != nil {
 		t.Fatal(err)
 	}
+	// On disk, on both sides, the artifact is the dump itself.
 	for _, root := range []string{dir, mirror} {
-		if _, err := os.Stat(filepath.Join(root, "vtart-sweeptrace.json")); err != nil {
+		b, err := os.ReadFile(filepath.Join(root, "vtart-sweeptrace.json"))
+		if err != nil {
 			t.Errorf("persisted trace missing in %s: %v", root, err)
+			continue
+		}
+		var onDisk sweepobs.Dump
+		if err := json.Unmarshal(b, &onDisk); err != nil || onDisk.SchemaVersion != 1 || len(onDisk.Spans) != len(d.Spans) {
+			t.Errorf("%s/vtart-sweeptrace.json is not the dump: %v (schema_version %d, %d spans)",
+				root, err, onDisk.SchemaVersion, len(onDisk.Spans))
+		}
+		if extra, _ := filepath.Glob(filepath.Join(root, "vtart-sweeptrace.json.*")); len(extra) != 0 {
+			t.Errorf("the artifact is more than one file in %s: %v", root, extra)
 		}
 	}
 	p.Sweep.Close() // release the store before reopening it

@@ -1,10 +1,13 @@
 package resultstore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Report summarizes a Verify or Repair pass.
@@ -16,16 +19,19 @@ type Report struct {
 	// Repaired counts objects healed by copying from a healthy replica
 	// (Repair only).
 	Repaired int
-	// Damaged lists objects with a detected problem that was not fixed
-	// ("side kind-key: reason"); populated by Verify, empty after a fully
-	// successful Repair.
+	// Backfilled lists append targets brought up to the other side's
+	// ("side name: +N lines"; Repair only).
+	Backfilled []string
+	// Damaged lists objects and append targets with a detected problem
+	// that was not fixed ("side name: reason"); populated by Verify, empty
+	// after a fully successful Repair.
 	Damaged []string
 	// Unrecoverable lists objects with no healthy copy on any side.
 	Unrecoverable []string
 }
 
-// Verify audits every indexed object on every side — head and segment
-// checksums — without modifying anything.
+// Verify audits every indexed object and every append target on every
+// side without modifying anything.
 func (s *Store) Verify() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -33,38 +39,14 @@ func (s *Store) Verify() Report {
 }
 
 // Repair audits like Verify and additionally heals: damaged or missing
-// copies are rewritten bit-identically from a healthy replica, and
-// objects with no healthy copy anywhere are quarantined so later reads
-// recompute instead of failing.
+// copies are rewritten bit-identically from a healthy replica, objects
+// with no healthy copy anywhere are quarantined so later reads recompute
+// instead of failing, and an append target one side is behind on is
+// back-filled from the other — which is what rebuilds a lost side whole.
 func (s *Store) Repair() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.verifyRepair(true)
-}
-
-// verifyObject classifies one object on one side, including segment
-// checksums for segmented objects. Callers hold s.mu.
-func (s *Store) verifyObject(sd *side, kind Kind, key string) objState {
-	b, st := s.readObject(sd, kind, key)
-	if st != objOK {
-		return st
-	}
-	e := sd.index[objKey{kind, key}]
-	if e.Segs == 0 {
-		return objOK
-	}
-	var h blobHead
-	if err := json.Unmarshal(b, &h); err != nil || len(h.Segments) != e.Segs {
-		return objCorrupt
-	}
-	head := s.objPath(sd, kind, key)
-	for i, si := range h.Segments {
-		sb, err := s.fs.readFile(segPath(head, i))
-		if err != nil || sumHex(sb) != si.SHA {
-			return objCorrupt
-		}
-	}
-	return objOK
 }
 
 func (s *Store) verifyRepair(fix bool) Report {
@@ -79,11 +61,8 @@ func (s *Store) verifyRepair(fix bool) Report {
 	for k := range keys {
 		ordered = append(ordered, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].kind != ordered[j].kind {
-			return ordered[i].kind < ordered[j].kind
-		}
-		return ordered[i].key < ordered[j].key
+	slices.SortFunc(ordered, func(a, b objKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.key, b.key))
 	})
 	for _, k := range ordered {
 		rep.Checked++
@@ -94,14 +73,11 @@ func (s *Store) verifyRepair(fix bool) Report {
 		}
 		var bad []damage
 		for _, sd := range s.sides {
-			st := s.verifyObject(sd, k.kind, k.key)
-			switch st {
-			case objOK:
-				if goodSide == nil {
-					goodSide = sd
-				}
-			default:
+			_, st := s.readObject(sd, k.kind, k.key)
+			if st != objOK {
 				bad = append(bad, damage{sd, st})
+			} else if goodSide == nil {
+				goodSide = sd
 			}
 		}
 		name := fmt.Sprintf("%s-%s", k.kind, k.key)
@@ -121,138 +97,131 @@ func (s *Store) verifyRepair(fix bool) Report {
 					s.repairObject(goodSide, d.sd, k.kind, k.key)
 					rep.Repaired++
 				} else {
-					detail := "missing"
-					if d.st == objCorrupt {
-						detail = "checksum mismatch"
-					} else if d.st == objErr {
-						detail = "read error"
-					}
+					detail := [...]string{objMissing: "missing", objCorrupt: "checksum mismatch", objErr: "read error"}[d.st]
 					rep.Damaged = append(rep.Damaged, fmt.Sprintf("%s %s: %s", s.roleOf(d.sd), name, detail))
 				}
 			}
 		}
 	}
+	s.syncAppends(fix, &rep)
 	return rep
 }
 
-// Failover marks the primary side failed: reads and commits move to the
-// mirror until Reinstate.
-func (s *Store) Failover() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.sides) < 2 {
-		return fmt.Errorf("resultstore: failover requires a mirror")
+// appendLines returns the complete lines of a side's copy of an append
+// target, in file order and as a set; a missing file has none. A torn
+// line — a crashed writer's tail, later closed by a healing newline — is
+// never valid JSON and is left out; a line that a roll-forward replayed
+// (appends are at-least-once) counts once.
+func (s *Store) appendLines(sd *side, rel string) (lines []string, has map[string]bool, err error) {
+	b, err := s.fs.readFile(filepath.Join(sd.dir, rel))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
 	}
-	if s.sides[0].failed.Load() {
-		return fmt.Errorf("resultstore: primary already failed over")
+	has = map[string]bool{}
+	for _, raw := range bytes.Split(b, []byte("\n")) {
+		if ln := string(raw); json.Valid(raw) && !has[ln] {
+			lines, has[ln] = append(lines, ln), true
+		}
 	}
-	if s.sides[1].failed.Load() {
-		return fmt.Errorf("resultstore: mirror is failed; cannot fail over to it")
-	}
-	s.sides[0].failed.Store(true)
-	s.event(Event{Op: "failover", Side: "primary", Detail: s.sides[0].dir})
-	return nil
+	return lines, has, nil
 }
 
-// Reinstate returns a failed side to service: the survivor's journal
-// files are copied over (the survivor saw every append during the
-// outage), objects are repair-synced, and the side is marked healthy.
-func (s *Store) Reinstate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var back *side
+// syncAppends audits the append targets (the *.jsonl files other than
+// index and audit log) of a mirrored store. A side that lacks lines the
+// other holds — its file lost with the directory, or stale — is behind:
+// Verify reports it, Repair appends the missing lines in the other
+// side's order, through the same hooked, fsynced appends a commit uses.
+// Nothing is ever truncated or rewritten, and when each side holds lines
+// the other lacks, or a copy cannot be read, it is reported and both are
+// left alone.
+func (s *Store) syncAppends(fix bool, rep *Report) {
+	if len(s.sides) < 2 {
+		return
+	}
+	var rels []string
 	for _, sd := range s.sides {
-		if sd.failed.Load() {
-			back = sd
-			break
+		matches, _ := filepath.Glob(filepath.Join(sd.dir, "*.jsonl")) // the pattern is well-formed
+		for _, m := range matches {
+			if rel := filepath.Base(m); rel != indexFile && rel != auditFile && !slices.Contains(rels, rel) {
+				rels = append(rels, rel)
+			}
 		}
 	}
-	if back == nil {
-		return fmt.Errorf("resultstore: no failed side to reinstate")
-	}
-	donor := s.serving()
-	if donor == nil {
-		return fmt.Errorf("resultstore: no healthy side to reinstate from")
-	}
-	// Journal-style append targets missed during the outage: byte-copy
-	// from the donor (its journal is a superset of the stale side's).
-	if matches, err := filepath.Glob(filepath.Join(donor.dir, "*.jsonl")); err == nil {
-		var ss syncSet
-		for _, src := range matches {
-			base := filepath.Base(src)
-			if base == indexFile || base == auditFile {
-				continue
+	slices.Sort(rels)
+	var ss syncSet
+	defer ss.drop()
+	for _, rel := range rels {
+		var lines [2][]string
+		var has [2]map[string]bool
+		var rerr error
+		for i, sd := range s.sides {
+			if lines[i], has[i], rerr = s.appendLines(sd, rel); rerr != nil {
+				rep.Damaged = append(rep.Damaged, fmt.Sprintf("%s %s: %v", s.roleOf(sd), rel, rerr))
+				break
 			}
-			b, err := s.fs.readFile(src)
-			if err != nil {
-				continue
-			}
-			dst := filepath.Join(back.dir, base)
-			if cur, err := s.fs.readFile(dst); err == nil && string(cur) == string(b) {
-				continue
-			}
-			s.fs.writeFile(&ss, dst, b)
 		}
-		ss.flush()
+		if rerr != nil {
+			continue
+		}
+		var lacks [2][]string // per side: the lines only the other side holds
+		for i := range s.sides {
+			lacks[i] = slices.DeleteFunc(slices.Clone(lines[1-i]), func(ln string) bool { return has[i][ln] })
+		}
+		for i, sd := range s.sides {
+			if len(lacks[i]) == 0 {
+				continue
+			}
+			if fix && len(lacks[1-i]) == 0 && s.backfill(sd, &ss, rel, lacks[i]) {
+				rep.Backfilled = append(rep.Backfilled, fmt.Sprintf("%s %s: +%d lines", s.roleOf(sd), rel, len(lacks[i])))
+				continue
+			}
+			rep.Damaged = append(rep.Damaged, fmt.Sprintf("%s %s: lacks %d lines the %s holds",
+				s.roleOf(sd), rel, len(lacks[i]), s.roleOf(s.sides[1-i])))
+		}
 	}
-	back.failed.Store(false)
-	s.event(Event{Op: "reinstate", Side: s.roleOf(back), Detail: back.dir})
-	s.verifyRepair(true)
-	return nil
 }
 
-// Flip swaps primary and mirror roles. Both sides must be healthy.
-func (s *Store) Flip() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.sides) < 2 {
-		return fmt.Errorf("resultstore: flip requires a mirror")
+// backfill appends lines to a side's append target and makes them
+// durable.
+func (s *Store) backfill(sd *side, ss *syncSet, rel string, lines []string) bool {
+	w := s.writerFor(sd, ss)
+	for _, ln := range lines {
+		if w.line(rel, []byte(ln)) != nil {
+			return false
+		}
 	}
-	if s.sides[0].failed.Load() || s.sides[1].failed.Load() {
-		return fmt.Errorf("resultstore: flip requires both sides healthy")
+	if ss.flush() != nil {
+		return false
 	}
-	s.sides[0], s.sides[1] = s.sides[1], s.sides[0]
-	s.event(Event{Op: "flip", Detail: fmt.Sprintf("primary is now %s", s.sides[0].dir)})
-	return nil
+	s.event(Event{Op: "backfill", Key: rel, Side: s.roleOf(sd), Detail: fmt.Sprintf("%d lines", len(lines))})
+	return true
 }
 
-// KindInventory summarizes one object kind on the serving side.
+// KindInventory summarizes one object kind on the primary.
 type KindInventory struct {
-	Kind      string
-	Objects   int // indexed objects
-	Segmented int // indexed objects stored as value segments
-	Bytes     int64
+	Kind    string
+	Objects int // indexed objects
+	Bytes   int64
 }
 
-// Inventory summarizes the serving side's contents by kind.
+// Inventory summarizes the primary's contents by kind.
 func (s *Store) Inventory() []KindInventory {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sd := s.serving()
-	if sd == nil {
-		sd = s.sides[0]
-	}
-	byKind := map[Kind]*KindInventory{}
-	for _, kind := range []Kind{KindResult, KindCheckpoint, KindArtifact} {
-		byKind[kind] = &KindInventory{Kind: string(kind)}
-	}
-	for k, e := range sd.index {
-		inv, ok := byKind[k.kind]
-		if !ok {
-			inv = &KindInventory{Kind: string(k.kind)}
-			byKind[k.kind] = inv
-		}
+	// The three kinds the store defines are listed even when empty.
+	byKind := map[Kind]KindInventory{KindResult: {}, KindCheckpoint: {}, KindArtifact: {}}
+	for k, e := range s.sides[0].index {
+		inv := byKind[k.kind]
 		inv.Objects++
 		inv.Bytes += e.Size
-		if e.Segs > 0 {
-			inv.Segmented++
-		}
+		byKind[k.kind] = inv
 	}
 	out := make([]KindInventory, 0, len(byKind))
-	for _, inv := range byKind {
-		out = append(out, *inv)
+	for kind, inv := range byKind {
+		inv.Kind = string(kind)
+		out = append(out, inv)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
+	slices.SortFunc(out, func(a, b KindInventory) int { return cmp.Compare(a.Kind, b.Kind) })
 	return out
 }
 
@@ -260,7 +229,6 @@ func (s *Store) Inventory() []KindInventory {
 type SideInfo struct {
 	Dir     string
 	Role    string
-	Failed  bool
 	Indexed int
 }
 
@@ -270,7 +238,7 @@ func (s *Store) Sides() []SideInfo {
 	defer s.mu.Unlock()
 	out := make([]SideInfo, 0, len(s.sides))
 	for _, sd := range s.sides {
-		out = append(out, SideInfo{Dir: sd.dir, Role: s.roleOf(sd), Failed: sd.failed.Load(), Indexed: len(sd.index)})
+		out = append(out, SideInfo{Dir: sd.dir, Role: s.roleOf(sd), Indexed: len(sd.index)})
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if redo != batches || redo >= writers*perWriter {
 		t.Fatalf("%d redo records for %d batches of %d transactions: commits did not coalesce", redo, batches, writers*perWriter)
 	}
-	if c := s.Counters(); c.Commits != writers*perWriter {
+	if c := s.counts(); c.Commits != writers*perWriter {
 		t.Fatalf("Commits = %d, want %d", c.Commits, writers*perWriter)
 	}
 
@@ -166,7 +166,7 @@ func TestGetMissDoesNotWaitForCommit(t *testing.T) {
 	if _, err := s.Get(KindResult, "slow"); err != nil {
 		t.Fatalf("object absent after its commit was released: %v", err)
 	}
-	if c := s.Counters(); c.Gets != 2 || c.Misses != 1 || c.Hits != 1 {
+	if c := s.counts(); c.Gets != 2 || c.Misses != 1 || c.Hits != 1 {
 		t.Fatalf("counters lost the lock-free miss: %+v", c)
 	}
 }
@@ -372,7 +372,8 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 // and refuses later ones.
 func TestCloseIsABarrier(t *testing.T) {
 	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreStall}).StoreHook()
-	s := mustOpen(t, Options{Dir: t.TempDir(), Fault: hook})
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, Fault: hook})
 	var wg sync.WaitGroup
 	for i, k := range []string{"c0", "c1", "c2"} {
 		wg.Add(1)
@@ -401,7 +402,7 @@ func TestCloseIsABarrier(t *testing.T) {
 	if err := jobTx(s, "after-close").Commit(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after Close: %v, want ErrClosed", err)
 	}
-	s2 := mustOpen(t, Options{Dir: s.Dir()})
+	s2 := mustOpen(t, Options{Dir: dir})
 	for _, k := range []string{"c0", "c1", "c2"} {
 		if _, err := s2.Get(KindResult, k); err != nil {
 			t.Fatalf("%s not durable after Close: %v", k, err)

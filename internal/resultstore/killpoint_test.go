@@ -25,18 +25,19 @@ import (
 var (
 	killBasePayload = []byte(`{"base":"committed before the drill"}`)
 	killPayloadA    = []byte(strings.Repeat(`{"job":"a"}`, 30))
-	killBlobB       = []byte(strings.Repeat("telemetry-ring-bytes-", 40)) // ~840 B -> 4 segments at 256
+	killArtifactB   = []byte(strings.Repeat("telemetry-ring-bytes-", 40))
+	killCheckpointC = []byte(strings.Repeat(`{"machine":"state"}`, 60))
 	killLineB       = []byte(`{"fp":"job-b","status":"ok"}`)
 )
 
-// killDrillCommit runs the drill's target transaction against s.
+// killDrillCommit runs the drill's target transaction against s: one
+// object of every kind the store holds, and a journal line.
 func killDrillCommit(t *testing.T, s *Store) error {
 	t.Helper()
 	tx := s.Begin()
 	tx.Put(KindResult, "job-a", killPayloadA)
-	if err := tx.PutBlob(KindArtifact, "job-b", bytes.NewReader(killBlobB)); err != nil {
-		t.Fatalf("put blob: %v", err)
-	}
+	tx.Put(KindArtifact, "job-b", killArtifactB)
+	tx.Put(KindCheckpoint, "job-c", killCheckpointC)
 	tx.Append("journal.jsonl", killLineB)
 	return tx.Commit()
 }
@@ -45,7 +46,7 @@ func killDrillCommit(t *testing.T, s *Store) error {
 // checks that prior state survives untouched.
 func killDrillBase(t *testing.T, p, m string) {
 	t.Helper()
-	s := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256})
+	s := mustOpen(t, Options{Dir: p, Mirror: m})
 	tx := s.Begin()
 	tx.Put(KindResult, "base", killBasePayload)
 	tx.Append("journal.jsonl", []byte(`{"fp":"base","status":"ok"}`))
@@ -58,7 +59,7 @@ func TestKillPointAllOrNothing(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
 	rec := faultinject.NewStoreRecorder()
-	s := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256, Fault: rec})
+	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 	if err := killDrillCommit(t, s); err != nil {
 		t.Fatalf("clean drill commit: %v", err)
 	}
@@ -103,7 +104,7 @@ func servedOnlyIndexed(t *testing.T, s *Store) {
 			if err != nil {
 				t.Fatalf("get %s-%s: %v", kind, key, err)
 			}
-			e, indexed := s.serving().index[objKey{Kind(kind), key}]
+			e, indexed := s.sides[0].index[objKey{Kind(kind), key}]
 			if !indexed || sumHex(b) != e.SHA {
 				t.Fatalf("%s-%s served with SHA-256 %s; its index line (present=%v) says %s",
 					kind, key, sumHex(b), indexed, e.SHA)
@@ -116,7 +117,7 @@ func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
 	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}).StoreHook()
-	s := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256, Fault: hook})
+	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 	killed := false
 	func() {
 		defer func() {
@@ -136,17 +137,18 @@ func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 	}
 
 	// Simulated reboot: abandon the dead instance, reopen and recover.
-	s2 := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256})
+	s2 := mustOpen(t, Options{Dir: p, Mirror: m})
 
 	// Prior committed state is untouched.
 	if b, err := s2.Get(KindResult, "base"); err != nil || !bytes.Equal(b, killBasePayload) {
 		t.Fatalf("pre-existing object damaged by crash at point %d: %v", point, err)
 	}
 
-	// All-or-nothing: the plain object, the blob, and the journal line
-	// agree — all present with exact bytes, or all absent.
+	// All-or-nothing: the result, the artifact, the checkpoint and the
+	// journal line agree — all present with exact bytes, or all absent.
 	aGot, aErr := s2.Get(KindResult, "job-a")
-	bGot, bErr := s2.GetBlob(KindArtifact, "job-b")
+	bGot, bErr := s2.Get(KindArtifact, "job-b")
+	cGot, cErr := s2.Get(KindCheckpoint, "job-c")
 	journal, _ := os.ReadFile(filepath.Join(p, "journal.jsonl"))
 	lineVisible := strings.Contains(string(journal), `"fp":"job-b"`)
 	committed := aErr == nil
@@ -157,10 +159,16 @@ func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 		t.Fatalf("committed object has wrong bytes")
 	}
 	if (bErr == nil) != committed {
-		t.Fatalf("torn transaction: object committed=%v but blob err=%v", committed, bErr)
+		t.Fatalf("torn transaction: object committed=%v but artifact err=%v", committed, bErr)
 	}
-	if committed && !bytes.Equal(bGot, killBlobB) {
-		t.Fatalf("committed blob has wrong bytes")
+	if committed && !bytes.Equal(bGot, killArtifactB) {
+		t.Fatalf("committed artifact has wrong bytes")
+	}
+	if (cErr == nil) != committed {
+		t.Fatalf("torn transaction: object committed=%v but checkpoint err=%v", committed, cErr)
+	}
+	if committed && !bytes.Equal(cGot, killCheckpointC) {
+		t.Fatalf("committed checkpoint has wrong bytes")
 	}
 	if lineVisible != committed {
 		t.Fatalf("torn transaction: object committed=%v but journal line visible=%v", committed, lineVisible)
@@ -173,11 +181,11 @@ func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
 
 	// Nothing is served unverified: whatever a Get returns, for any
 	// object file the crash left on either side, hashes to the checksum
-	// the serving side's index records for it.
+	// the primary's index records for it.
 	servedOnlyIndexed(t, s2)
 
 	// Recovery is idempotent: a second reopen changes nothing.
-	s3 := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256})
+	s3 := mustOpen(t, Options{Dir: p, Mirror: m})
 	aGot2, aErr2 := s3.Get(KindResult, "job-a")
 	if (aErr2 == nil) != committed || (committed && !bytes.Equal(aGot2, killPayloadA)) {
 		t.Fatalf("second recovery changed visibility: committed=%v err=%v", committed, aErr2)

@@ -1,10 +1,7 @@
 package resultstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -17,7 +14,7 @@ const (
 	objErr
 )
 
-// readObject reads and classifies one object's head file on one side. A
+// readObject reads and classifies one object on one side. A
 // file no index line vouches for cannot be verified, so it is corrupt:
 // no byte leaves the store without matching an indexed checksum.
 func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
@@ -35,14 +32,14 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 	return b, objOK
 }
 
-// Get returns an object's payload (the head payload for segmented
-// objects), verifying its end-to-end checksum. A corrupt, unindexed or
-// unreadable copy is healed from a healthy replica when one exists; with
-// no healthy copy anywhere, corrupt files are quarantined and Get reports
-// ErrNotFound so the caller recomputes (and its rewrite indexes).
+// Get returns an object's payload, verifying its end-to-end checksum. A
+// corrupt, unindexed or unreadable copy is healed from a healthy replica
+// when one exists; with no healthy copy anywhere, corrupt files are
+// quarantined and Get reports ErrNotFound so the caller recomputes (and
+// its rewrite indexes).
 //
 // A definite miss — no index line has ever named the object and its
-// file is absent on every healthy side — is answered without the store
+// file is absent on every side — is answered without the store
 // lock: it is the question every sweep slot asks before simulating, and
 // it must not queue behind a batch commit's fsyncs. Anything else (a
 // hit, a copy to verify, heal or quarantine) takes the lock.
@@ -57,17 +54,14 @@ func (s *Store) Get(kind Kind, key string) ([]byte, error) {
 }
 
 // definiteMiss reports whether the object is unindexed and absent on
-// every healthy side, touching nothing s.mu guards. An object committed
+// every side, touching nothing s.mu guards. An object committed
 // concurrently either shows up here (then the locked path decides) or
 // the miss is ordered before its commit.
 func (s *Store) definiteMiss(kind Kind, key string) bool {
 	if _, ok := s.known.Load(objKey{kind, key}); ok {
 		return false
 	}
-	for _, sd := range s.replicas {
-		if sd.failed.Load() {
-			continue
-		}
+	for _, sd := range s.sides {
 		if _, err := s.fs.readFile(s.objPath(sd, kind, key)); !os.IsNotExist(err) {
 			return false
 		}
@@ -81,12 +75,7 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	var goodSide *side
 	var badSides []*side
 	sawCorrupt := false
-	attempted := 0
 	for _, sd := range s.sides {
-		if sd.failed.Load() {
-			continue
-		}
-		attempted++
 		b, st := s.readObject(sd, kind, key)
 		if st == objOK {
 			good, goodSide = b, sd
@@ -108,8 +97,8 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 		s.counters.Misses++
 		return nil, ErrNotFound
 	}
-	if attempted > 1 {
-		// Served from a fallback side after the preferred one failed.
+	if goodSide != s.sides[0] {
+		// Served by the mirror: the primary's copy was missing or bad.
 		s.counters.FailoverReads++
 		s.event(Event{Op: "failover-read", Kind: string(kind), Key: key, Side: s.roleOf(goodSide)})
 	}
@@ -120,107 +109,15 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	return good, nil
 }
 
-// GetBlob reassembles a segmented object, verifying the head and every
-// segment checksum.
-func (s *Store) GetBlob(kind Kind, key string) ([]byte, error) {
-	r, err := s.OpenBlob(kind, key)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// OpenBlob streams a segmented object. Each segment is checksummed as
-// it is read; a bad segment is healed from a healthy replica when one
-// exists.
-func (s *Store) OpenBlob(kind Kind, key string) (io.ReadCloser, error) {
-	s.mu.Lock()
-	head, err := s.get(kind, key)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	var h blobHead
-	if err := json.Unmarshal(head, &h); err != nil || h.Blob == 0 {
-		return nil, fmt.Errorf("resultstore: %s-%s is not a segmented object", kind, key)
-	}
-	return &blobReader{s: s, kind: kind, key: key, segs: h.Segments}, nil
-}
-
-type blobReader struct {
-	s    *Store
-	kind Kind
-	key  string
-	segs []segInfo
-	idx  int
-	cur  *bytes.Reader
-}
-
-func (r *blobReader) Read(p []byte) (int, error) {
-	for r.cur == nil || r.cur.Len() == 0 {
-		if r.idx >= len(r.segs) {
-			return 0, io.EOF
-		}
-		b, err := r.s.getSegment(r.kind, r.key, r.idx, r.segs[r.idx])
-		if err != nil {
-			return 0, err
-		}
-		r.cur = bytes.NewReader(b)
-		r.idx++
-	}
-	return r.cur.Read(p)
-}
-
-func (r *blobReader) Close() error { return nil }
-
-// getSegment reads and verifies one value segment, healing from a
-// replica on corruption.
-func (s *Store) getSegment(kind Kind, key string, idx int, want segInfo) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var badSides []*side
-	for _, sd := range s.sides {
-		if sd.failed.Load() {
-			continue
-		}
-		p := segPath(s.objPath(sd, kind, key), idx)
-		b, err := s.fs.readFile(p)
-		if err == nil && sumHex(b) == want.SHA {
-			for _, bad := range badSides {
-				s.repairObject(sd, bad, kind, key)
-			}
-			return b, nil
-		}
-		badSides = append(badSides, sd)
-	}
-	for _, sd := range badSides {
-		s.quarantineSide(sd, kind, key, fmt.Sprintf("segment %d unreadable or corrupt, no healthy replica", idx))
-	}
-	return nil, fmt.Errorf("resultstore: %s-%s segment %d: %w", kind, key, idx, ErrNotFound)
-}
-
-// repairObject copies an object (head and segments) from a healthy side
-// — one whose index vouches for its copy — to a damaged one,
-// bit-identically, and re-indexes it there.
+// repairObject copies an object from a healthy side — one whose index
+// vouches for its copy — to a damaged one, bit-identically, and
+// re-indexes it there.
 func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 	e, indexed := from.index[objKey{kind, key}]
 	if !indexed {
 		return
 	}
 	op := manifestOp{Kind: string(kind), Key: key, SHA: e.SHA, Size: e.Size}
-	if e.Segs > 0 {
-		// Segment checksums live in the head payload.
-		head, err := s.fs.readFile(s.objPath(from, kind, key))
-		if err != nil {
-			return
-		}
-		var h blobHead
-		if err := json.Unmarshal(head, &h); err != nil || len(h.Segments) != e.Segs {
-			return
-		}
-		op.Segs = h.Segments
-	}
 	var ss syncSet
 	ok := s.replicatePut(from, s.writerFor(to, &ss), "repair", op)
 	if err := ss.flush(); ok && err == nil {
@@ -229,8 +126,8 @@ func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 	}
 }
 
-// Quarantine moves an object's files aside (path -> path.corrupt) on
-// every side where they exist and drops their index entries, so a
+// Quarantine moves an object's file aside (path -> path.corrupt) on
+// every side where it exists and drops its index entries, so a
 // damaged-but-undetectable-at-this-layer object (e.g. a stale envelope
 // version) stops shadowing recomputation.
 func (s *Store) Quarantine(kind Kind, key, reason string) {
@@ -242,20 +139,12 @@ func (s *Store) Quarantine(kind Kind, key, reason string) {
 }
 
 func (s *Store) quarantineSide(sd *side, kind Kind, key, reason string) {
-	head := s.objPath(sd, kind, key)
+	path := s.objPath(sd, kind, key)
 	moved := false
-	if _, err := os.Lstat(head); err == nil {
-		if os.Rename(head, head+".corrupt") == nil {
-			moved = true
-		}
+	if _, err := os.Lstat(path); err == nil {
+		moved = os.Rename(path, path+".corrupt") == nil
 	}
-	if e, ok := sd.index[objKey{kind, key}]; ok {
-		for i := 0; i < e.Segs; i++ {
-			sp := segPath(head, i)
-			if _, err := os.Lstat(sp); err == nil {
-				os.Rename(sp, sp+".corrupt")
-			}
-		}
+	if _, ok := sd.index[objKey{kind, key}]; ok {
 		var ss syncSet
 		s.writerFor(sd, &ss).index(indexEntry{Kind: string(kind), Key: key, Drop: true})
 		ss.flush()

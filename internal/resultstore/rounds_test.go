@@ -209,7 +209,7 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, Options{Dir: p, Mirror: m})
-	if c := s2.Counters(); c.RecoveredCommits != 1 {
+	if c := s2.counts(); c.RecoveredCommits != 1 {
 		t.Fatalf("reopen recovered %d commits, want 1", c.RecoveredCommits)
 	}
 	if left := walDebris(p, m); len(left) != 0 {
@@ -261,30 +261,27 @@ func TestGroupCommitOpTrace(t *testing.T) {
 		}
 	}
 
+	// The kill-point drill: one put of every kind and a line. ("blob" in
+	// the name is the artifact, an object like the others.)
 	t.Run("object+blob+line", func(t *testing.T) {
 		p, m := t.TempDir(), t.TempDir()
 		killDrillBase(t, p, m)
 		rec := faultinject.NewStoreRecorder()
-		s := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 256, Fault: rec})
+		s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 		if err := killDrillCommit(t, s); err != nil {
 			t.Fatal(err)
 		}
 		check(t, normTrace(rec.Trace(), p, m), []string{
 			"write P/.vtstore/staging/tx-0.0",
 			"write P/.vtstore/staging/tx-1.0",
-			"write P/.vtstore/staging/tx-1.1",
-			"write P/.vtstore/staging/tx-1.2",
-			"write P/.vtstore/staging/tx-1.3",
-			"write P/.vtstore/staging/tx-1.4",
+			"write P/.vtstore/staging/tx-2.0",
 			"write P/.vtstore/wal/tx.redo",
 			"rename P/.vtstore/wal/tx.commit",
 			"rename P/vtsim-job-a.json",
 			"write P/store-index.jsonl",
 			"rename P/vtart-job-b.json",
-			"rename P/vtart-job-b.json.seg0",
-			"rename P/vtart-job-b.json.seg1",
-			"rename P/vtart-job-b.json.seg2",
-			"rename P/vtart-job-b.json.seg3",
+			"write P/store-index.jsonl",
+			"rename P/vtck-job-c.json",
 			"write P/store-index.jsonl",
 			"write P/journal.jsonl",
 			"read P/vtsim-job-a.json",
@@ -294,18 +291,10 @@ func TestGroupCommitOpTrace(t *testing.T) {
 			"read P/vtart-job-b.json",
 			"write M/.vtstore/staging/repl-tx-vtart-job-b.json",
 			"rename M/vtart-job-b.json",
-			"read P/vtart-job-b.json.seg0",
-			"write M/.vtstore/staging/repl-tx-vtart-job-b.json.seg0",
-			"rename M/vtart-job-b.json.seg0",
-			"read P/vtart-job-b.json.seg1",
-			"write M/.vtstore/staging/repl-tx-vtart-job-b.json.seg1",
-			"rename M/vtart-job-b.json.seg1",
-			"read P/vtart-job-b.json.seg2",
-			"write M/.vtstore/staging/repl-tx-vtart-job-b.json.seg2",
-			"rename M/vtart-job-b.json.seg2",
-			"read P/vtart-job-b.json.seg3",
-			"write M/.vtstore/staging/repl-tx-vtart-job-b.json.seg3",
-			"rename M/vtart-job-b.json.seg3",
+			"write M/store-index.jsonl",
+			"read P/vtck-job-c.json",
+			"write M/.vtstore/staging/repl-tx-vtck-job-c.json",
+			"rename M/vtck-job-c.json",
 			"write M/store-index.jsonl",
 			"write M/journal.jsonl",
 		})

@@ -1,15 +1,15 @@
 // Package resultstore is a content-addressed, transactional object store
 // with primary+mirror replication for the harness's durable state:
-// memoized run results (vtsim), prefix checkpoints (vtck), completion
-// journal lines, and large artifacts (vtart) stored as checksummed
-// value segments.
+// memoized run results (vtsim), prefix checkpoints (vtck), artifacts
+// such as the sweep trace (vtart), and completion journal lines. It
+// holds two things — checksummed single-file objects and appended lines
+// — on one or two sides that are both always live.
 //
 // # Layout (per side directory)
 //
-//	vtsim-<key>.json            plain object
-//	vtck-<key>.json             plain object
-//	vtart-<key>.json            segmented object head
-//	vtart-<key>.json.seg<N>     value segments of a segmented object
+//	vtsim-<key>.json            run result
+//	vtck-<key>.json             prefix checkpoint
+//	vtart-<key>.json            artifact
 //	journal.jsonl               completion journal (appended through txs)
 //	store-index.jsonl           append-only object index: key -> checksum
 //	store-audit.jsonl           append-only audit log of store events
@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,13 +85,13 @@ const (
 	KindResult Kind = "vtsim"
 	// KindCheckpoint is a prefix checkpoint envelope (vtck-<key>.json).
 	KindCheckpoint Kind = "vtck"
-	// KindArtifact is a large artifact (Perfetto trace, telemetry ring
-	// dump) stored as a segmented blob under vtart-<key>.json[.segN].
+	// KindArtifact is a sweep-level artifact (the sweep trace) under
+	// vtart-<key>.json.
 	KindArtifact Kind = "vtart"
 )
 
 // ErrNotFound reports that no readable copy of an object exists on any
-// healthy side. Corrupt copies with no healthy replica have been
+// side. Corrupt copies with no healthy replica have been
 // quarantined by the time Get returns this.
 var ErrNotFound = errors.New("resultstore: object not found")
 
@@ -111,13 +112,11 @@ type Options struct {
 	// apply to both sides, reads fail over, and Repair copies between
 	// them.
 	Mirror string
-	// SegmentSize bounds one value segment of a blob put; 0 means 1 MiB.
-	SegmentSize int
 	// Fault, when non-nil, intercepts every filesystem operation of this
 	// store instance (crash drills and kill-point sweeps).
 	Fault *faultinject.StoreHook
 	// OnEvent, when non-nil, observes every audit event (repair,
-	// quarantine, failover, rollback, ...). Called with the store lock
+	// quarantine, failover-read, rollback, ...). Called with the store lock
 	// held; must not call back into the store.
 	OnEvent func(Event)
 }
@@ -132,7 +131,8 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Counters is a snapshot of the store's operation counters.
+// Counters are the store's operation counters. Callers observe the store
+// through OnEvent; the counters are what this package's drills assert on.
 type Counters struct {
 	Gets             int64
 	Hits             int64
@@ -152,9 +152,11 @@ type indexEntry struct {
 	Key  string `json:"key"`
 	SHA  string `json:"sha256,omitempty"`
 	Size int64  `json:"size,omitempty"`
-	Segs int    `json:"segs,omitempty"`
 	Tx   string `json:"tx,omitempty"`
 	Drop bool   `json:"drop,omitempty"`
+	// OldSegs is never written: builds that split artifacts into value
+	// segments set it, and loadIndex skips such lines.
+	OldSegs int `json:"segs,omitempty"`
 }
 
 type objKey struct {
@@ -162,13 +164,11 @@ type objKey struct {
 	key  string
 }
 
-// side is one replica directory. dir never changes and failed is
-// atomic, so Get's miss path can consult both without the store lock;
-// index belongs to Store.mu.
+// side is one replica directory. dir never changes, so Get's miss path
+// can consult it without the store lock; index belongs to Store.mu.
 type side struct {
-	dir    string
-	failed atomic.Bool
-	index  map[objKey]indexEntry
+	dir   string
+	index map[objKey]indexEntry
 }
 
 // Store is a transactional, replicated object store over one or two
@@ -184,17 +184,14 @@ type side struct {
 type Store struct {
 	mu       sync.Mutex
 	fs       fsio
-	sides    []*side // role order (Flip swaps it); guarded by mu
-	segSize  int
+	sides    []*side // primary, then mirror; fixed by Open
 	txSeq    int64
 	counters Counters
 	onEvent  func(Event)
 
-	// replicas is sides in Open order, immutable: what the lock-free miss
-	// path ranges over. known holds every objKey an index line has ever
-	// named on any side (never pruned: a stale entry only costs the
-	// locked path). lockFreeMisses counts the Gets answered that way.
-	replicas       []*side
+	// known holds every objKey an index line has ever named on any side
+	// (never pruned: a stale entry only costs the locked path), for the
+	// lock-free miss path; lockFreeMisses counts the Gets answered there.
 	known          sync.Map
 	lockFreeMisses atomic.Int64
 
@@ -213,11 +210,7 @@ func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, errors.New("resultstore: Dir is required")
 	}
-	segSize := o.SegmentSize
-	if segSize <= 0 {
-		segSize = 1 << 20
-	}
-	s := &Store{fs: fsio{hook: o.Fault}, segSize: segSize, onEvent: o.OnEvent}
+	s := &Store{fs: fsio{hook: o.Fault}, onEvent: o.OnEvent}
 	s.idle = sync.NewCond(&s.qmu)
 	dirs := []string{o.Dir}
 	if o.Mirror != "" {
@@ -231,7 +224,6 @@ func Open(o Options) (*Store, error) {
 		}
 		s.sides = append(s.sides, &side{dir: d, index: map[objKey]indexEntry{}})
 	}
-	s.replicas = append([]*side(nil), s.sides...)
 	for _, sd := range s.sides {
 		if err := s.recoverSide(sd); err != nil {
 			return nil, err
@@ -258,20 +250,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Dir returns the primary directory the store was opened over.
-func (s *Store) Dir() string { return s.sides[0].dir }
-
-// Counters returns a snapshot of the operation counters.
-func (s *Store) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.counters
-	n := s.lockFreeMisses.Load()
-	c.Gets += n
-	c.Misses += n
-	return c
-}
-
 // IsTransient reports whether err looks like a transient I/O failure
 // worth a bounded retry (as opposed to corruption or absence).
 func IsTransient(err error) bool {
@@ -287,61 +265,42 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// objPath names an object's head file on a side.
+// objPath names an object's file on a side.
 func (s *Store) objPath(sd *side, kind Kind, key string) string {
 	return filepath.Join(sd.dir, fmt.Sprintf("%s-%s.json", kind, key))
 }
 
-// segPath names the i-th value segment of a segmented object.
-func segPath(head string, i int) string {
-	return fmt.Sprintf("%s.seg%d", head, i)
-}
-
 // roleOf labels a side for events and reports.
 func (s *Store) roleOf(sd *side) string {
-	if len(s.sides) > 0 && s.sides[0] == sd {
+	if s.sides[0] == sd {
 		return "primary"
 	}
 	return "mirror"
 }
 
-// serving returns the first healthy side (nil if every side failed).
-func (s *Store) serving() *side {
-	for _, sd := range s.sides {
-		if !sd.failed.Load() {
-			return sd
-		}
-	}
-	return nil
-}
-
-// otherHealthy returns a healthy side other than sd, if any.
-func (s *Store) otherHealthy(sd *side) *side {
+// other returns the side that is not sd (nil without a mirror).
+func (s *Store) other(sd *side) *side {
 	for _, o := range s.sides {
-		if o != sd && !o.failed.Load() {
+		if o != sd {
 			return o
 		}
 	}
 	return nil
 }
 
-// event appends to the serving side's audit log (best-effort, outside
-// the fault hook so audit writes never become kill points) and notifies
-// the OnEvent observer. Callers hold s.mu.
+// event appends to the primary's audit log (best-effort, outside the
+// fault hook so audit writes never become kill points) and notifies the
+// OnEvent observer. Callers hold s.mu.
 func (s *Store) event(ev Event) {
 	ev.Time = time.Now().UTC().Format(time.RFC3339)
 	if s.onEvent != nil {
 		s.onEvent(ev)
 	}
-	sd := s.serving()
-	if sd == nil {
-		sd = s.sides[0]
-	}
 	b, err := json.Marshal(&ev)
 	if err != nil {
 		return
 	}
-	f, err := os.OpenFile(filepath.Join(sd.dir, auditFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(s.sides[0].dir, auditFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return
 	}
@@ -400,7 +359,9 @@ func (w *sideWriter) index(e indexEntry) error {
 // unparseable lines are skipped: an object whose index line was lost is
 // unverifiable, and reads treat it as corrupt. (A line torn by a crash
 // belongs to a transaction whose commit record survived it, and recovery
-// rolls that forward, index line included.)
+// rolls that forward, index line included.) A line for a segmented
+// object of an older build is skipped too: what it names is not an
+// object here.
 func (s *Store) loadIndex(sd *side) {
 	b, err := os.ReadFile(filepath.Join(sd.dir, indexFile))
 	if err != nil {
@@ -412,6 +373,10 @@ func (s *Store) loadIndex(sd *side) {
 		}
 		var e indexEntry
 		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Kind == "" || e.Key == "" {
+			continue
+		}
+		if e.OldSegs > 0 {
+			s.event(Event{Op: "skip-segmented", Kind: e.Kind, Key: e.Key, Side: s.roleOf(sd), Detail: "index line of an older build"})
 			continue
 		}
 		k := objKey{Kind(e.Kind), e.Key}
@@ -445,11 +410,7 @@ func (s *Store) recoverSide(sd *side) error {
 		switch {
 		case strings.HasSuffix(name, ".redo"):
 			txid := strings.TrimSuffix(name, ".redo")
-			if staged, err := filepath.Glob(filepath.Join(stagingDir, txid+"-*")); err == nil {
-				for _, sp := range staged {
-					os.Remove(sp)
-				}
-			}
+			removeGlob(filepath.Join(stagingDir, txid+"-*"))
 			os.Remove(full)
 			s.counters.RolledBack++
 			s.event(Event{Op: "rollback", Side: s.roleOf(sd), Detail: txid})
@@ -461,6 +422,15 @@ func (s *Store) recoverSide(sd *side) error {
 				s.event(Event{Op: "wal-corrupt", Side: s.roleOf(sd), Detail: name})
 				continue
 			}
+			// A put staged as several files is a segmented object of an
+			// older build: skipped, its staged files swept below.
+			m.Ops = slices.DeleteFunc(m.Ops, func(op manifestOp) bool {
+				if op.Type != "put" || len(op.Staged) == 1 {
+					return false
+				}
+				s.event(Event{Op: "skip-segmented", Kind: op.Kind, Key: op.Key, Side: s.roleOf(sd), Detail: "commit record of an older build"})
+				return true
+			})
 			if s.rollForward(sd, &m, &syncSet{}, func(string) {}) {
 				os.Remove(full)
 				s.counters.RecoveredCommits++
@@ -472,11 +442,16 @@ func (s *Store) recoverSide(sd *side) error {
 		}
 	}
 	if !deferred {
-		if staged, err := filepath.Glob(filepath.Join(stagingDir, "*")); err == nil {
-			for _, sp := range staged {
-				os.Remove(sp)
-			}
-		}
+		removeGlob(filepath.Join(stagingDir, "*"))
 	}
 	return nil
+}
+
+// removeGlob deletes the staged files matching pattern (best-effort:
+// what stays is debris the next recovery sweeps again).
+func removeGlob(pattern string) {
+	matches, _ := filepath.Glob(pattern) // the patterns are well-formed
+	for _, path := range matches {
+		os.Remove(path)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,18 @@ func mustOpen(t *testing.T, o Options) *Store {
 		t.Fatalf("open: %v", err)
 	}
 	return s
+}
+
+// counts returns a snapshot of the operation counters, lock-free misses
+// included: what the tests observe the store through.
+func (s *Store) counts() Counters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.counters
+	n := s.lockFreeMisses.Load()
+	c.Gets += n
+	c.Misses += n
+	return c
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -53,7 +66,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("get after reopen: %v %q", err, got)
 	}
-	c := s2.Counters()
+	c := s2.counts()
 	if c.Hits != 1 {
 		t.Fatalf("want 1 verified hit, got %+v", c)
 	}
@@ -87,7 +100,7 @@ func TestLegacyCompatRead(t *testing.T) {
 		if _, err := os.Stat(obj + ".corrupt"); err != nil {
 			t.Fatalf("unindexed file not quarantined: %v", err)
 		}
-		if c := s.Counters(); c.Hits != 0 || c.Misses != 1 || c.Quarantines != 1 {
+		if c := s.counts(); c.Hits != 0 || c.Misses != 1 || c.Quarantines != 1 {
 			t.Fatalf("want one miss and one quarantine, got %+v", c)
 		}
 		if inv := s.Inventory(); inv[2].Kind != "vtsim" || inv[2].Objects != 0 {
@@ -122,7 +135,7 @@ func TestLegacyCompatRead(t *testing.T) {
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("read beside a healthy mirror: %v %q", err, got)
 		}
-		if c := s.Counters(); c.Hits != 1 || c.Repairs != 1 {
+		if c := s.counts(); c.Hits != 1 || c.Repairs != 1 {
 			t.Fatalf("want one hit and one repair, got %+v", c)
 		}
 		if healed, err := os.ReadFile(obj); err != nil || !bytes.Equal(healed, payload) {
@@ -135,44 +148,63 @@ func TestLegacyCompatRead(t *testing.T) {
 }
 
 func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
-	p, m := t.TempDir(), t.TempDir()
-	s := mustOpen(t, Options{Dir: p, Mirror: m})
-	payload := []byte(strings.Repeat("result-bytes ", 100))
-	tx := s.Begin()
-	tx.Put(KindResult, "k1", payload)
-	mustCommit(t, tx)
+	for _, tc := range []struct {
+		name    string
+		kind    Kind
+		payload []byte
+	}{
+		{"result", KindResult, []byte(strings.Repeat("result-bytes ", 100))},
+		// An artifact is an object like any other, however large: one file,
+		// one checksum, healed whole.
+		{"artifact over 1 MiB", KindArtifact, []byte(strings.Repeat("sweep-trace-span ", 70000))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, m := t.TempDir(), t.TempDir()
+			s := mustOpen(t, Options{Dir: p, Mirror: m})
+			payload := tc.payload
+			tx := s.Begin()
+			tx.Put(tc.kind, "k1", payload)
+			mustCommit(t, tx)
 
-	objP := filepath.Join(p, "vtsim-k1.json")
-	objM := filepath.Join(m, "vtsim-k1.json")
-	if pb, _ := os.ReadFile(objP); !bytes.Equal(pb, payload) {
-		t.Fatal("primary object wrong before corruption")
-	}
-	if mb, _ := os.ReadFile(objM); !bytes.Equal(mb, payload) {
-		t.Fatal("mirror copy missing or wrong")
-	}
-	// Flip a bit at rest on the primary.
-	corrupted := append([]byte(nil), payload...)
-	corrupted[17] ^= 0x40
-	if err := os.WriteFile(objP, corrupted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(KindResult, "k1")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("get should heal and serve clean bytes: %v", err)
-	}
-	// Repair must be bit-identical.
-	pb, _ := os.ReadFile(objP)
-	if !bytes.Equal(pb, payload) {
-		t.Fatal("primary not repaired bit-identically")
-	}
-	c := s.Counters()
-	if c.Repairs != 1 || c.FailoverReads != 1 {
-		t.Fatalf("want 1 repair + 1 failover read, got %+v", c)
-	}
-	// Audit log recorded the repair.
-	audit, _ := os.ReadFile(filepath.Join(p, auditFile))
-	if !strings.Contains(string(audit), `"op":"repair"`) {
-		t.Fatalf("audit log missing repair event: %s", audit)
+			objP := filepath.Join(p, string(tc.kind)+"-k1.json")
+			objM := filepath.Join(m, string(tc.kind)+"-k1.json")
+			if pb, _ := os.ReadFile(objP); !bytes.Equal(pb, payload) {
+				t.Fatal("primary object wrong before corruption")
+			}
+			if mb, _ := os.ReadFile(objM); !bytes.Equal(mb, payload) {
+				t.Fatal("mirror copy missing or wrong")
+			}
+			if got, err := s.Get(tc.kind, "k1"); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("round trip: %v (%d bytes)", err, len(got))
+			}
+			// Flip a bit at rest, mid-file, on the primary.
+			corrupted := append([]byte(nil), payload...)
+			corrupted[len(corrupted)/2] ^= 0x40
+			if err := os.WriteFile(objP, corrupted, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get(tc.kind, "k1")
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("get should heal and serve clean bytes: %v", err)
+			}
+			// Repair must be bit-identical.
+			pb, _ := os.ReadFile(objP)
+			if !bytes.Equal(pb, payload) {
+				t.Fatal("primary not repaired bit-identically")
+			}
+			c := s.counts()
+			if c.Repairs != 1 || c.FailoverReads != 1 {
+				t.Fatalf("want 1 repair + 1 failover read, got %+v", c)
+			}
+			// Audit log recorded the repair.
+			audit, _ := os.ReadFile(filepath.Join(p, auditFile))
+			if !strings.Contains(string(audit), `"op":"repair"`) {
+				t.Fatalf("audit log missing repair event: %s", audit)
+			}
+			if segs, _ := filepath.Glob(filepath.Join(p, "*.seg*")); len(segs) != 0 {
+				t.Fatalf("object stored as more than one file: %v", segs)
+			}
+		})
 	}
 }
 
@@ -223,88 +255,176 @@ func TestAppendReplication(t *testing.T) {
 	}
 }
 
-func TestBlobSegmentsRoundTrip(t *testing.T) {
-	p, m := t.TempDir(), t.TempDir()
-	s := mustOpen(t, Options{Dir: p, Mirror: m, SegmentSize: 64})
-	blob := []byte(strings.Repeat("0123456789abcdef", 20)) // 320 B -> 5 segments
-	tx := s.Begin()
-	if err := tx.PutBlob(KindArtifact, "trace1", bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	segs, _ := filepath.Glob(filepath.Join(p, "vtart-trace1.json.seg*"))
-	if len(segs) != 5 {
-		t.Fatalf("want 5 segments, got %v", segs)
-	}
-	got, err := s.GetBlob(KindArtifact, "trace1")
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("blob round trip: %v (%d bytes)", err, len(got))
-	}
-	// Corrupt one segment on the primary: streaming read must heal it
-	// from the mirror and still return clean bytes.
-	if err := os.WriteFile(segs[2], []byte("garbage segment"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s.GetBlob(KindArtifact, "trace1")
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("blob read after segment corruption: %v", err)
-	}
-	sb, _ := os.ReadFile(segs[2])
-	if !bytes.Equal(sb, blob[2*64:3*64]) {
-		t.Fatal("segment not repaired bit-identically")
+// TestRepairRebuildsLostSide is the whole-side-loss drill: a mirrored
+// store loses one directory outright; Verify names what is gone, journal
+// included, and Repair rebuilds the side from the survivor — every
+// object bit-identical and the journal byte-equal, so a sweep can resume
+// from either directory.
+func TestRepairRebuildsLostSide(t *testing.T) {
+	for _, lost := range []string{"primary", "mirror"} {
+		t.Run(lost+" lost", func(t *testing.T) {
+			p, m := filepath.Join(t.TempDir(), "p"), filepath.Join(t.TempDir(), "m")
+			s := mustOpen(t, Options{Dir: p, Mirror: m})
+			header := s.Begin()
+			header.Append("journal.jsonl", []byte(`{"meta":{"version":1}}`))
+			mustCommit(t, header)
+			keys := []string{"a", "b", "c"}
+			for _, k := range keys {
+				mustCommit(t, jobTx(s, k))
+			}
+			art := s.Begin()
+			art.Put(KindArtifact, "sweeptrace", []byte(`{"schema_version":1}`))
+			mustCommit(t, art)
+			s.Close()
+
+			gone, kept := p, m
+			if lost == "mirror" {
+				gone, kept = m, p
+			}
+			if err := os.RemoveAll(gone); err != nil {
+				t.Fatal(err)
+			}
+			s = mustOpen(t, Options{Dir: p, Mirror: m})
+			rep := s.Verify()
+			if want := lost + " journal.jsonl: lacks 4 lines the"; !slices.ContainsFunc(rep.Damaged, func(d string) bool { return strings.HasPrefix(d, want) }) {
+				t.Fatalf("verify does not report the lost journal (%q...): %+v", want, rep)
+			}
+			if len(rep.Damaged) != len(keys)+2 || rep.Healthy != 0 {
+				t.Fatalf("verify of a lost side: %+v", rep)
+			}
+			if _, err := os.Stat(filepath.Join(gone, "journal.jsonl")); !os.IsNotExist(err) {
+				t.Fatalf("verify modified the store: %v", err)
+			}
+
+			rep = s.Repair()
+			if rep.Repaired != len(keys)+1 || len(rep.Backfilled) != 1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+				t.Fatalf("repair: %+v", rep)
+			}
+			names, _ := filepath.Glob(filepath.Join(kept, "*.json*"))
+			compared := 0
+			for _, name := range names {
+				base := filepath.Base(name)
+				if base == indexFile || base == auditFile {
+					continue
+				}
+				want, _ := os.ReadFile(name)
+				if got, err := os.ReadFile(filepath.Join(gone, base)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s not rebuilt byte-equal: %v\n got %q\nwant %q", base, err, got, want)
+				}
+				compared++
+			}
+			if compared != len(keys)+2 { // results, artifact, journal
+				t.Fatalf("survivor holds %v", names)
+			}
+			if rep := s.Verify(); rep.Healthy != len(keys)+1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+				t.Fatalf("verify after repair: %+v", rep)
+			}
+			// The rebuilt side stands on its own.
+			s.Close()
+			alone := mustOpen(t, Options{Dir: gone})
+			for _, k := range keys {
+				if _, err := alone.Get(KindResult, k); err != nil {
+					t.Fatalf("rebuilt side alone does not serve %s: %v", k, err)
+				}
+			}
+		})
 	}
 }
 
-func TestFailoverReinstateFlipRoundTrip(t *testing.T) {
+// TestBackfillOnlyAppends: the journal back-fill is one-directional and
+// append-only. A side whose lines are a subset of the other's is brought
+// up by appending; lines a crash tore or a roll-forward replayed are not
+// differences; and when each side holds a line the other lacks, both are
+// reported and neither file is touched.
+func TestBackfillOnlyAppends(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
-	s := mustOpen(t, Options{Dir: p, Mirror: m})
-	tx := s.Begin()
-	tx.Put(KindResult, "before", []byte("committed-before-outage"))
-	tx.Append("journal.jsonl", []byte(`{"fp":"before","status":"ok"}`))
-	mustCommit(t, tx)
-
-	if err := s.Failover(); err != nil {
-		t.Fatal(err)
-	}
-	// During the outage, commits land on the mirror only.
-	tx = s.Begin()
-	tx.Put(KindResult, "during", []byte("committed-during-outage"))
-	tx.Append("journal.jsonl", []byte(`{"fp":"during","status":"ok"}`))
-	mustCommit(t, tx)
-	if _, err := os.Stat(filepath.Join(p, "vtsim-during.json")); !os.IsNotExist(err) {
-		t.Fatal("failed primary received a write during outage")
-	}
-	if got, err := s.Get(KindResult, "during"); err != nil || string(got) != "committed-during-outage" {
-		t.Fatalf("read during outage: %v", err)
-	}
-
-	if err := s.Reinstate(); err != nil {
-		t.Fatal(err)
-	}
-	// Reinstate must have back-filled the primary: object and journal.
-	if b, err := os.ReadFile(filepath.Join(p, "vtsim-during.json")); err != nil || string(b) != "committed-during-outage" {
-		t.Fatalf("primary not repair-synced on reinstate: %v", err)
-	}
-	pj, _ := os.ReadFile(filepath.Join(p, "journal.jsonl"))
-	mj, _ := os.ReadFile(filepath.Join(m, "journal.jsonl"))
-	if !bytes.Equal(pj, mj) || !strings.Contains(string(pj), `"fp":"during"`) {
-		t.Fatalf("journal not synced on reinstate:\nprimary %q\nmirror  %q", pj, mj)
-	}
-
-	if err := s.Flip(); err != nil {
-		t.Fatal(err)
-	}
-	if sides := s.Sides(); sides[0].Dir != m || sides[0].Role != "primary" {
-		t.Fatalf("flip did not swap roles: %+v", sides)
-	}
-	// Every committed object must survive the full round trip.
-	for _, key := range []string{"before", "during"} {
-		if _, err := s.Get(KindResult, key); err != nil {
-			t.Fatalf("object %s lost after failover/reinstate/flip: %v", key, err)
+	write := func(dir, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if rep := s.Verify(); rep.Healthy != rep.Checked || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
-		t.Fatalf("verify not clean after round trip: %+v", rep)
+	read := func(dir string) string {
+		b, _ := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+		return string(b)
+	}
+	const l1, l2, l3 = `{"fp":"1"}` + "\n", `{"fp":"2"}` + "\n", `{"fp":"3"}` + "\n"
+	s := mustOpen(t, Options{Dir: p, Mirror: m})
+
+	// Replayed and torn lines on one side: nothing to report, nothing to do.
+	write(p, l1+`{"fp":"2`+"\n"+l2+l2)
+	write(m, l1+l2)
+	if rep := s.Repair(); len(rep.Backfilled) != 0 || len(rep.Damaged) != 0 {
+		t.Fatalf("replayed and torn lines counted as differences: %+v", rep)
+	}
+
+	// The mirror is stale: it gains the line it lacks, at its end.
+	write(p, l1+l2+l3)
+	write(m, l1+l2)
+	if rep := s.Verify(); len(rep.Damaged) != 1 || !strings.HasPrefix(rep.Damaged[0], "mirror journal.jsonl: lacks 1 lines") {
+		t.Fatalf("verify of a stale mirror: %+v", rep)
+	}
+	if rep := s.Repair(); len(rep.Backfilled) != 1 || len(rep.Damaged) != 0 || read(m) != l1+l2+l3 || read(p) != l1+l2+l3 {
+		t.Fatalf("stale mirror not brought up: %+v\nmirror %q", rep, read(m))
+	}
+
+	// Each side holds a line the other lacks: reported, left alone.
+	write(p, l1+l2)
+	write(m, l1+l3)
+	if rep := s.Repair(); len(rep.Backfilled) != 0 || len(rep.Damaged) != 2 || read(p) != l1+l2 || read(m) != l1+l3 {
+		t.Fatalf("diverged journals were touched: %+v\nprimary %q\nmirror %q", rep, read(p), read(m))
+	}
+}
+
+// TestOlderBuildSegmentedRecordsSkipped: a store directory last written
+// by a build that split artifacts into value segments still opens. Its
+// segmented index line names nothing servable, a commit record it left
+// behind rolls forward without its segmented put, and both are noted in
+// the audit log; the plain put in the same record lands.
+func TestOlderBuildSegmentedRecordsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	mustOpen(t, Options{Dir: dir}).Close() // lay out .vtstore
+	staging, wal := filepath.Join(dir, vtstoreDir, "staging"), filepath.Join(dir, vtstoreDir, "wal")
+	plain := []byte(`{"result":"from the older build"}`)
+	head := []byte(`{"resultstore_blob":1,"size":3,"segments":[{"sha256":"` + sumHex([]byte("abc")) + `","size":3}]}`)
+	files := map[string][]byte{
+		filepath.Join(staging, "tx-9-1-0.0"):      plain,
+		filepath.Join(staging, "tx-9-1-1.0"):      head,
+		filepath.Join(staging, "tx-9-1-1.1"):      []byte("abc"),
+		filepath.Join(dir, "vtart-old.json"):      head,
+		filepath.Join(dir, "vtart-old.json.seg0"): []byte("abc"),
+		filepath.Join(dir, indexFile):             []byte(`{"kind":"vtart","key":"old","sha256":"` + sumHex(head) + `","size":3,"segs":1,"tx":"tx-9-0"}` + "\n"),
+		filepath.Join(wal, "tx-9-1.commit"): []byte(`{"tx":"tx-9-1","ops":[` +
+			`{"type":"put","kind":"vtsim","key":"plain","sha256":"` + sumHex(plain) + `","size":33,"staged":["tx-9-1-0.0"]},` +
+			`{"type":"put","kind":"vtart","key":"trace","sha256":"` + sumHex(head) + `","size":3,"segs":[{"sha256":"` + sumHex([]byte("abc")) + `","size":3}],"staged":["tx-9-1-1.0","tx-9-1-1.1"]}]}`),
+	}
+	for path, b := range files {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var skipped []string
+	s := mustOpen(t, Options{Dir: dir, OnEvent: func(ev Event) {
+		if ev.Op == "skip-segmented" {
+			skipped = append(skipped, ev.Kind+"-"+ev.Key)
+		}
+	}})
+	if got := strings.Join(skipped, ","); got != "vtart-trace,vtart-old" {
+		t.Fatalf("skip-segmented events for %q, want the record's put then the index line", got)
+	}
+	if c := s.counts(); c.RecoveredCommits != 1 {
+		t.Fatalf("commit record not rolled forward: %+v", c)
+	}
+	if got, err := s.Get(KindResult, "plain"); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("plain put of the older build's record: %v %q", err, got)
+	}
+	for _, key := range []string{"old", "trace"} {
+		if got, err := s.Get(KindArtifact, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("segmented object %s served: %v %q", key, err, got)
+		}
+	}
+	if left := walDebris(dir); len(left) != 0 {
+		t.Fatalf("debris after recovery: %v", left)
 	}
 }
 

@@ -3,7 +3,6 @@ package resultstore
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -18,38 +17,25 @@ type manifest struct {
 }
 
 type manifestOp struct {
-	Type   string    `json:"type"` // "put" or "append"
-	Kind   string    `json:"kind,omitempty"`
-	Key    string    `json:"key,omitempty"`
-	SHA    string    `json:"sha256,omitempty"` // head payload checksum
-	Size   int64     `json:"size,omitempty"`   // logical object size
-	Segs   []segInfo `json:"segs,omitempty"`   // per-segment checksums
-	Staged []string  `json:"staged,omitempty"` // staged file names: head, then segments
-	Rel    string    `json:"rel,omitempty"`    // append target, slash-relative to the side dir
-	Line   []byte    `json:"line,omitempty"`   // append payload (one line, no newline)
-}
-
-type segInfo struct {
-	SHA  string `json:"sha256"`
-	Size int64  `json:"size"`
-}
-
-// blobHead is the head payload of a segmented object: the manifest of
-// its value segments, itself checksummed like any plain object.
-type blobHead struct {
-	Blob     int       `json:"resultstore_blob"` // format version
-	Size     int64     `json:"size"`
-	Segments []segInfo `json:"segments"`
+	Type string `json:"type"` // "put" or "append"
+	Kind string `json:"kind,omitempty"`
+	Key  string `json:"key,omitempty"`
+	SHA  string `json:"sha256,omitempty"` // payload checksum
+	Size int64  `json:"size,omitempty"`
+	// Staged names the put's one staged file. It stays an array so that
+	// commit records interchange with older builds, whose segmented puts
+	// staged several files (recovery skips those).
+	Staged []string `json:"staged,omitempty"`
+	Rel    string   `json:"rel,omitempty"`  // append target, slash-relative to the side dir
+	Line   []byte   `json:"line,omitempty"` // append payload (one line, no newline)
 }
 
 type txOp struct {
 	put     bool
 	kind    Kind
 	key     string
-	payload []byte   // object payload, or blob head JSON
-	segs    [][]byte // value segments (blob puts only)
-	sums    []string // sha256 of payload, then of each segment
-	size    int64    // logical size
+	payload []byte
+	sha     string // sha256 of payload
 	rel     string
 	line    []byte
 }
@@ -109,41 +95,10 @@ func (t *Tx) Batch() TxBatch { return t.batch }
 // Begin starts a transaction.
 func (s *Store) Begin() *Tx { return &Tx{s: s} }
 
-// Put stages one plain object write.
+// Put stages one object write.
 func (t *Tx) Put(kind Kind, key string, payload []byte) {
 	p := append([]byte(nil), payload...)
-	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: p,
-		sums: []string{sumHex(p)}, size: int64(len(p))})
-}
-
-// PutBlob stages one segmented object write, splitting r into
-// checksummed value segments of the store's segment size.
-func (t *Tx) PutBlob(kind Kind, key string, r io.Reader) error {
-	all, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("resultstore: read blob %s-%s: %w", kind, key, err)
-	}
-	segSize := t.s.segSize
-	var segs [][]byte
-	sums := []string{""} // head checksum, filled in below
-	head := blobHead{Blob: 1, Size: int64(len(all))}
-	for off := 0; off < len(all) || len(segs) == 0; off += segSize {
-		end := off + segSize
-		if end > len(all) {
-			end = len(all)
-		}
-		seg := append([]byte(nil), all[off:end]...)
-		segs = append(segs, seg)
-		sums = append(sums, sumHex(seg))
-		head.Segments = append(head.Segments, segInfo{SHA: sums[len(sums)-1], Size: int64(len(seg))})
-	}
-	hb, err := json.Marshal(&head)
-	if err != nil {
-		return err
-	}
-	sums[0] = sumHex(hb)
-	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: hb, segs: segs, sums: sums, size: head.Size})
-	return nil
+	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: p, sha: sumHex(p)})
 }
 
 // Append stages one journal-style line append to rel (slash-relative to
@@ -261,11 +216,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sd := s.serving()
-	if sd == nil {
-		err = fmt.Errorf("resultstore: no healthy side to commit to")
-		return
-	}
+	sd := s.sides[0]
 	s.txSeq++
 	txid := fmt.Sprintf("tx-%d-%d", os.Getpid(), s.txSeq)
 	stagingDir := filepath.Join(sd.dir, vtstoreDir, "staging")
@@ -293,26 +244,19 @@ func (s *Store) commitBatch(batch []*Tx) {
 				m.Ops = append(m.Ops, manifestOp{Type: "append", Rel: op.rel, Line: op.line})
 				continue
 			}
-			mo := manifestOp{
+			name := fmt.Sprintf("%s-%d.0", txid, len(m.Ops))
+			p := filepath.Join(stagingDir, name)
+			// Recorded before it is written: a file that was created and
+			// then failed is rollback's to remove.
+			staged = append(staged, stagedFile{p, op.sha, op.payload})
+			if werr := s.fs.writeFile(&set, p, op.payload); werr != nil {
+				rollback(fmt.Errorf("resultstore: stage %s: %w", name, werr))
+				return
+			}
+			m.Ops = append(m.Ops, manifestOp{
 				Type: "put", Kind: string(op.kind), Key: op.key,
-				SHA: op.sums[0], Size: op.size,
-			}
-			for j, seg := range op.segs {
-				mo.Segs = append(mo.Segs, segInfo{SHA: op.sums[1+j], Size: int64(len(seg))})
-			}
-			for j, b := range append([][]byte{op.payload}, op.segs...) {
-				name := fmt.Sprintf("%s-%d.%d", txid, len(m.Ops), j)
-				p := filepath.Join(stagingDir, name)
-				// Recorded before it is written: a file that was created and
-				// then failed is rollback's to remove.
-				staged = append(staged, stagedFile{p, op.sums[j], b})
-				if werr := s.fs.writeFile(&set, p, b); werr != nil {
-					rollback(fmt.Errorf("resultstore: stage %s: %w", name, werr))
-					return
-				}
-				mo.Staged = append(mo.Staged, name)
-			}
-			m.Ops = append(m.Ops, mo)
+				SHA: op.sha, Size: int64(len(op.payload)), Staged: []string{name},
+			})
 		}
 	}
 	// I1: every staged payload is fsynced (one round for all of them) and
@@ -354,7 +298,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 	phase("commit")
 	s.counters.Commits += int64(len(batch))
 	// I2: the commit record goes only after every file and directory the
-	// batch touched on every healthy side has been fsynced.
+	// batch touched on either side has been fsynced.
 	if s.rollForward(sd, &m, &set, phase) {
 		os.Remove(commitPath)
 	} else {
@@ -364,17 +308,22 @@ func (s *Store) commitBatch(batch []*Tx) {
 }
 
 // rollForward applies a committed manifest on the side that owns its
-// staging area, replicates it to the other healthy side, and pays both
-// sides' durability in one round; phase is told where apply and
-// replicate end. A mirror file may be visible before it is durable:
-// the commit record outlives the round, and rolling it forward again
+// staging area (staged files rename into place, lines append),
+// replicates it to the other side, and pays both sides' durability in
+// one round; phase is told where apply and replicate end. Applying is
+// idempotent, and a mirror file may be visible before it is durable: the
+// commit record outlives the round, and rolling it forward again
 // re-replicates every put. Callers hold s.mu.
 func (s *Store) rollForward(owner *side, m *manifest, ss *syncSet, phase func(string)) bool {
 	defer ss.drop()
-	ok, last := s.applyManifest(owner, m, ss), "apply"
-	if other := s.otherHealthy(owner); ok && other != nil {
-		phase("apply")
-		ok, last = s.replicate(owner, other, m, ss), "replicate"
+	stagingDir := filepath.Join(owner.dir, vtstoreDir, "staging")
+	own, last := s.writerFor(owner, ss), "apply"
+	ok := s.runManifest(own, m, last, func(op manifestOp) bool { return s.applyPut(own, stagingDir, m.Tx, op) })
+	if other := s.other(owner); ok && other != nil {
+		phase(last)
+		mir := s.writerFor(other, ss)
+		last = "replicate"
+		ok = s.runManifest(mir, m, last, func(op manifestOp) bool { return s.replicatePut(owner, mir, m.Tx, op) })
 	}
 	if err := ss.flush(); err != nil {
 		ok = false
@@ -384,134 +333,74 @@ func (s *Store) rollForward(owner *side, m *manifest, ss *syncSet, phase func(st
 	return ok
 }
 
-// objFiles lists an op's final file names on a side: head, then
-// segments.
-func (s *Store) objFiles(sd *side, op manifestOp) []string {
-	head := s.objPath(sd, Kind(op.Kind), op.Key)
-	files := []string{head}
-	for i := range op.Segs {
-		files = append(files, segPath(head, i))
-	}
-	return files
-}
-
-// applyManifest renames and appends a committed manifest into place on
-// the side that owns its staging area; ss's next flush makes it durable.
-// Idempotent: a staged file already renamed on a previous pass is
-// verified in place instead. Callers hold s.mu.
-func (s *Store) applyManifest(owner *side, m *manifest, ss *syncSet) bool {
-	stagingDir := filepath.Join(owner.dir, vtstoreDir, "staging")
-	w := s.writerFor(owner, ss)
+// runManifest runs a manifest's operations against w's side, in order:
+// put for each object, an append for each line. It keeps going past a
+// failure, so one bad object does not hold back the rest of the batch.
+func (s *Store) runManifest(w *sideWriter, m *manifest, pass string, put func(manifestOp) bool) bool {
 	allOK := true
 	for _, op := range m.Ops {
 		switch op.Type {
 		case "put":
-			if !s.applyPut(w, stagingDir, m.Tx, op) {
-				allOK = false
-			}
+			allOK = put(op) && allOK
 		case "append":
 			if err := w.line(op.Rel, op.Line); err != nil {
 				allOK = false
-				s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
+				s.event(Event{Op: pass + "-failed", Side: s.roleOf(w.sd), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
 			}
 		}
 	}
 	return allOK
 }
 
-// applyPut moves one put's staged files into place and indexes it.
+// applyPut moves one put's staged file into place and indexes it.
 func (s *Store) applyPut(w *sideWriter, stagingDir, txid string, op manifestOp) bool {
 	owner := w.sd
-	dsts := s.objFiles(owner, op)
-	shas := []string{op.SHA}
-	for _, si := range op.Segs {
-		shas = append(shas, si.SHA)
-	}
-	for j, name := range op.Staged {
-		if j >= len(dsts) {
+	dst := s.objPath(owner, Kind(op.Kind), op.Key)
+	sp := filepath.Join(stagingDir, op.Staged[0])
+	if _, err := os.Lstat(sp); err == nil {
+		if err := retryOnce(func() error { return s.fs.rename(sp, dst) }); err != nil {
+			s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
 			return false
 		}
-		sp := filepath.Join(stagingDir, name)
-		if _, err := os.Lstat(sp); err == nil {
-			if err := retryOnce(func() error { return s.fs.rename(sp, dsts[j]) }); err != nil {
-				s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
-				return false
-			}
-			continue
-		}
-		// Staged file gone: a previous pass applied it. Verify in place.
-		b, err := s.fs.readFile(dsts[j])
-		if err != nil || sumHex(b) != shas[j] {
-			s.event(Event{Op: "damaged", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key,
-				Detail: "staged payload lost and final file invalid"})
-			return false
-		}
+	} else if b, err := s.fs.readFile(dst); err != nil || sumHex(b) != op.SHA {
+		// Staged file gone: a previous pass applied it, so the object must
+		// verify in place.
+		s.event(Event{Op: "damaged", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key,
+			Detail: "staged payload lost and final file invalid"})
+		return false
 	}
-	if err := w.index(indexEntry{
-		Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Segs: len(op.Segs), Tx: txid,
-	}); err != nil {
+	if err := w.index(indexEntry{Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Tx: txid}); err != nil {
 		s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
 		return false
 	}
 	return true
 }
 
-// replicate copies a committed manifest's effects from the owner side to
-// another side, verifying every payload's checksum on the way through;
-// ss's next flush makes the copies durable. Callers hold s.mu.
-func (s *Store) replicate(from, to *side, m *manifest, ss *syncSet) bool {
-	w := s.writerFor(to, ss)
-	allOK := true
-	for _, op := range m.Ops {
-		switch op.Type {
-		case "put":
-			if !s.replicatePut(from, w, m.Tx, op) {
-				allOK = false
-			}
-		case "append":
-			if err := w.line(op.Rel, op.Line); err != nil {
-				allOK = false
-				s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
-			}
-		}
-	}
-	return allOK
-}
-
-// replicatePut copies one object (head and segments) from a side to the
-// writer's side and indexes it there. The written handle follows its
-// inode across the rename into the writer's sync set.
+// replicatePut copies one object from a side to the writer's side and
+// indexes it there. The written handle follows its inode across the
+// rename into the writer's sync set.
 func (s *Store) replicatePut(from *side, w *sideWriter, txid string, op manifestOp) bool {
 	to := w.sd
-	srcs := s.objFiles(from, op)
-	dsts := s.objFiles(to, op)
-	shas := []string{op.SHA}
-	for _, si := range op.Segs {
-		shas = append(shas, si.SHA)
+	fail := func(detail string) bool {
+		s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key, Detail: detail})
+		return false
 	}
-	for j := range srcs {
-		b, err := s.fs.readFile(srcs[j])
-		if err != nil || sumHex(b) != shas[j] {
-			s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key,
-				Detail: "source payload unreadable or corrupt"})
-			return false
-		}
-		tmp := filepath.Join(to.dir, vtstoreDir, "staging", fmt.Sprintf("repl-%s-%s", txid, filepath.Base(dsts[j])))
-		err = s.fs.writeFile(w.ss, tmp, b)
-		if err == nil {
-			err = s.fs.verify(w.ss, tmp, b, shas[j])
-		}
-		if err != nil {
-			s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
-			return false
-		}
-		if err := retryOnce(func() error { return s.fs.rename(tmp, dsts[j]) }); err != nil {
-			os.Remove(tmp)
-			s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
-			return false
-		}
+	dst := s.objPath(to, Kind(op.Kind), op.Key)
+	b, err := s.fs.readFile(s.objPath(from, Kind(op.Kind), op.Key))
+	if err != nil || sumHex(b) != op.SHA {
+		return fail("source payload unreadable or corrupt")
 	}
-	return w.index(indexEntry{
-		Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Segs: len(op.Segs), Tx: txid,
-	}) == nil
+	tmp := filepath.Join(to.dir, vtstoreDir, "staging", fmt.Sprintf("repl-%s-%s", txid, filepath.Base(dst)))
+	err = s.fs.writeFile(w.ss, tmp, b)
+	if err == nil {
+		err = s.fs.verify(w.ss, tmp, b, op.SHA)
+	}
+	if err != nil {
+		return fail(err.Error())
+	}
+	if err := retryOnce(func() error { return s.fs.rename(tmp, dst) }); err != nil {
+		os.Remove(tmp)
+		return fail(err.Error())
+	}
+	return w.index(indexEntry{Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Tx: txid}) == nil
 }

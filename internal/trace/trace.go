@@ -129,7 +129,8 @@ func (tw *Writer) Flush() error {
 	return tw.bw.Flush()
 }
 
-// ReadAll parses a JSONL trace back into events.
+// ReadAll parses a JSONL trace back into events: the tests' independent
+// reader of what Writer emits.
 func ReadAll(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -147,34 +148,4 @@ func ReadAll(r io.Reader) ([]Event, error) {
 		out = append(out, e)
 	}
 	return out, sc.Err()
-}
-
-// Summary aggregates a trace for quick inspection.
-type Summary struct {
-	Events      int
-	Transitions int
-	Samples     int
-	SwapsOut    int
-	LastCycle   int64
-}
-
-// Summarize computes a Summary over events.
-func Summarize(events []Event) Summary {
-	var s Summary
-	for _, e := range events {
-		s.Events++
-		if e.Cycle > s.LastCycle {
-			s.LastCycle = e.Cycle
-		}
-		switch e.Kind {
-		case KindCTA:
-			s.Transitions++
-			if e.To == "inactive-waiting" || e.To == "inactive-ready" {
-				s.SwapsOut++
-			}
-		case KindSample:
-			s.Samples++
-		}
-	}
-	return s
 }

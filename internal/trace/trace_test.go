@@ -104,20 +104,6 @@ func TestReadAllSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	events := []Event{
-		{Cycle: 1, Kind: KindCTA, To: "active"},
-		{Cycle: 5, Kind: KindCTA, To: "inactive-waiting"},
-		{Cycle: 7, Kind: KindCTA, To: "inactive-ready"},
-		{Cycle: 9, Kind: KindSample},
-		{Cycle: 11, Kind: KindRun, Marker: "end"},
-	}
-	s := Summarize(events)
-	if s.Events != 5 || s.Transitions != 3 || s.Samples != 1 || s.SwapsOut != 2 || s.LastCycle != 11 {
-		t.Fatalf("summary = %+v", s)
-	}
-}
-
 func TestWriterStickyError(t *testing.T) {
 	w := NewWriter(failWriter{})
 	for i := 0; i < 10000; i++ { // overflow the bufio buffer to force a write
