@@ -92,6 +92,21 @@ func TestCommandSmoke(t *testing.T) {
 		})
 	}
 
+	// A read-only audit of a directory that is not there refuses, and
+	// leaves it not there: it does not lay out an empty store to call
+	// healthy.
+	t.Run("vtreport-no-store", func(t *testing.T) {
+		for _, args := range [][]string{{"-store", "nosuch"}, {"-store", "swept", "-mirror", "typo"}} {
+			out, code := run(t, dir, "vtreport", args...)
+			if code == 0 || strings.Contains(out, "store is healthy") {
+				t.Errorf("vtreport %v exited %d:\n%s", args, code, out)
+			}
+			if _, err := os.Stat(filepath.Join(dir, args[len(args)-1])); !os.IsNotExist(err) {
+				t.Errorf("vtreport %v created %s: %v", args, args[len(args)-1], err)
+			}
+		}
+	})
+
 	// A result diffed against itself: every metric row reads +0.0%.
 	t.Run("vtdiff", func(t *testing.T) {
 		out, code := run(t, dir, "vtdiff", "bfs.json", "bfs.json")

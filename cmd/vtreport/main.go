@@ -13,7 +13,7 @@
 //	vtreport -store dir         # result-store inventory + integrity audit
 //	vtreport -store p -mirror m # ... across both replica sides
 //	vtreport -tracepath trace.json    # critical path + stage breakdown of a sweep trace
-//	vtreport -tracepath storedir      # ... loaded from the store's vtart-sweeptrace artifact
+//	vtreport -tracepath storedir      # ... loaded from the store's sweep-trace artifact
 //	vtreport -tracepath t -perfetto p # ... also rendered for chrome://tracing
 package main
 
@@ -44,6 +44,15 @@ func main() {
 		perfetto  = flag.String("perfetto", "", "with -tracepath, also render the trace for chrome://tracing / ui.perfetto.dev into this file")
 	)
 	flag.Parse()
+
+	// A report reads a store; it never creates one. Opening a directory
+	// that is not there would lay out an empty store and audit it healthy.
+	for _, d := range []string{*storeDir, *mirror} {
+		if fi, err := os.Stat(d); d != "" && (err != nil || !fi.IsDir()) {
+			fmt.Fprintf(os.Stderr, "vtreport: no store directory %s\n", d)
+			os.Exit(1)
+		}
+	}
 
 	if *rings != "" {
 		if err := ringsReport(*rings); err != nil {
@@ -158,7 +167,7 @@ func storeReport(dir, mirror string) error {
 }
 
 // loadSweepDump reads a sweep trace from either a vtbench -sweeptrace
-// JSON file or a result-store directory holding the vtart-sweeptrace
+// JSON file or a result-store directory holding the sweep-trace
 // artifact.
 func loadSweepDump(path, mirror string) (*sweepobs.Dump, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/harness"
+	"repro/internal/resultstore"
 )
 
 // testClock is the coordinator's now() seam: advance it and call
@@ -856,18 +857,35 @@ func renderMixes(t *testing.T, p harness.Params) string {
 }
 
 // storeSide lists what a sweep left on one side of its store: the
-// journal's bytes and the sorted result-object names (content-keyed, so
-// two sweeps of the same points leave the same names).
+// journal's bytes and the sorted keys of the result objects its
+// store-index.jsonl holds live (content-keyed, so two sweeps of the same
+// points leave the same keys).
 func storeSide(t *testing.T, dir string) (journal string, objects []string) {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dir, harness.JournalFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := filepath.Glob(filepath.Join(dir, "vtsim-*.json"))
-	for _, p := range paths {
-		objects = append(objects, filepath.Base(p))
+	idx, err := os.ReadFile(filepath.Join(dir, "store-index.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	live := map[string]bool{}
+	for _, ln := range strings.Split(string(idx), "\n") {
+		var e struct {
+			Kind, Key string
+			Drop      bool
+		}
+		if json.Unmarshal([]byte(ln), &e) == nil && e.Kind == string(resultstore.KindResult) {
+			live[e.Key] = !e.Drop
+		}
+	}
+	for key, ok := range live {
+		if ok {
+			objects = append(objects, key)
+		}
+	}
+	slices.Sort(objects)
 	return string(b), objects
 }
 

@@ -24,13 +24,12 @@ type StoreOp int
 const (
 	// StoreOpAny matches every operation class (kill-point sweeps).
 	StoreOpAny StoreOp = iota
-	// StoreOpWrite is a whole-file or appended write (staged payloads,
-	// redo records, index and journal lines).
+	// StoreOpWrite is an appended write: a payload to a side's pack, a
+	// write-ahead-log record, an index or journal line.
 	StoreOpWrite
-	// StoreOpRename is an atomic rename (staging to final object name,
-	// redo record to commit record).
-	StoreOpRename
-	// StoreOpRead is a whole-file read (object loads, replica copies).
+	// StoreOpRead is a read: a pack range (object loads, read-back
+	// verification, replica copies), the WAL record read back, an append
+	// target audited whole.
 	StoreOpRead
 )
 
@@ -41,8 +40,6 @@ func (o StoreOp) String() string {
 		return "any"
 	case StoreOpWrite:
 		return "write"
-	case StoreOpRename:
-		return "rename"
 	case StoreOpRead:
 		return "read"
 	default:
@@ -57,9 +54,8 @@ const (
 	// StoreCrash dies (panics with *StoreKill) before the operation runs:
 	// its bytes never reach the disk.
 	StoreCrash StoreFaultKind = iota
-	// StoreCrashAfter dies immediately after the operation completes: the
-	// "new name exists" half of a torn rename, or a write that became
-	// durable the instant before death.
+	// StoreCrashAfter dies immediately after the operation completes: a
+	// write that reached the file the instant before death.
 	StoreCrashAfter
 	// StoreTruncate writes only the first half of the payload and then
 	// dies: a torn write.
@@ -176,7 +172,7 @@ func (h *StoreHook) Fired() bool {
 
 // Apply is called by the result store before each filesystem operation
 // with the op class, target path, and payload (writes only; nil for
-// renames and reads). It returns the payload the operation should use,
+// reads). It returns the payload the operation should use,
 // whether the caller must simulate process death immediately after the
 // operation completes (by panicking with *StoreKill), and an error that
 // fails the operation. Crash-before faults panic with *StoreKill from

@@ -37,7 +37,7 @@ func apply(h *StoreHook, op StoreOp, path string, data []byte) (r applyResult) {
 // class, never earlier, never twice.
 func TestStoreHookFiresAtNthMatchingOp(t *testing.T) {
 	payload := []byte("0123456789abcdef")
-	seq := []StoreOp{StoreOpWrite, StoreOpRead, StoreOpWrite, StoreOpRename, StoreOpWrite, StoreOpRead, StoreOpWrite}
+	seq := []StoreOp{StoreOpWrite, StoreOpRead, StoreOpWrite, StoreOpRead, StoreOpWrite, StoreOpRead, StoreOpWrite}
 	for _, tc := range []struct {
 		name string
 		spec StoreSpec
@@ -55,10 +55,10 @@ func TestStoreHookFiresAtNthMatchingOp(t *testing.T) {
 			append(append([]byte(nil), payload[:8]...), append([]byte{payload[8] ^ 0x10}, payload[9:]...)...), false},
 		{"eio-once", StoreSpec{StoreOpWrite, 1, StoreEIO}, 2, false, false, ErrInjectedIO, payload, false},
 		{"any-class", StoreSpec{StoreOpAny, 3, StoreCrash}, 3, true, false, nil, nil, true},
-		{"rename", StoreSpec{StoreOpRename, 0, StoreCrashAfter}, 3, false, true, nil, nil, true},
+		{"crash-after-read", StoreSpec{StoreOpRead, 1, StoreCrashAfter}, 3, false, true, nil, nil, true},
 		// Payload faults on a payload-less operation degrade to a crash.
-		{"truncate-read", StoreSpec{StoreOpRead, 1, StoreTruncate}, 5, true, false, nil, nil, true},
-		{"bit-flip-rename", StoreSpec{StoreOpRename, 0, StoreBitFlip}, 3, true, false, nil, nil, true},
+		{"truncate-read", StoreSpec{StoreOpRead, 2, StoreTruncate}, 5, true, false, nil, nil, true},
+		{"bit-flip-read", StoreSpec{StoreOpRead, 0, StoreBitFlip}, 1, true, false, nil, nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := tc.spec.StoreHook()
@@ -214,9 +214,9 @@ func TestStoreRecorderTraceFormat(t *testing.T) {
 		op   StoreOp
 		path string
 	}{
-		{StoreOpWrite, "/p/.vtstore/staging/tx-1-1-0.0"},
-		{StoreOpRename, "/p/.vtstore/wal/tx-1-1.commit"},
-		{StoreOpRead, "/p/vtsim-k.json"},
+		{StoreOpWrite, "/p/objects.pack"},
+		{StoreOpWrite, "/p/.vtstore/wal.jsonl"},
+		{StoreOpRead, "/p/objects.pack"},
 	}
 	for _, o := range ops {
 		if r := apply(h, o.op, o.path, nil); r.kill != nil || r.dieAfter || r.err != nil {
@@ -230,7 +230,7 @@ func TestStoreRecorderTraceFormat(t *testing.T) {
 	if len(trace) != len(ops) {
 		t.Fatalf("trace has %d lines for %d ops: %v", len(trace), len(ops), trace)
 	}
-	for i, want := range []string{"write", "rename", "read"} {
+	for i, want := range []string{"write", "write", "read"} {
 		f := strings.Fields(trace[i])
 		if len(f) != 2 || f[0] != want || f[1] != ops[i].path {
 			t.Fatalf("trace line %d = %q, want %q", i, trace[i], want+" "+ops[i].path)

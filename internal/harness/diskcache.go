@@ -30,10 +30,10 @@ import (
 const diskCacheVersion = 1
 
 // envelope is the JSON envelope of one stored object: a cached run's
-// Result (vtsim-*) or a prefix group's Checkpoint (vtck-*), exactly one of
+// Result (vtsim) or a prefix group's Checkpoint (vtck), exactly one of
 // the two. The full fingerprint is stored (not just its hash) so version
 // or scheme mismatches are detected by content, never assumed from the
-// filename.
+// key.
 type envelope struct {
 	Version     int             `json:"version"`
 	Fingerprint string          `json:"fingerprint"`

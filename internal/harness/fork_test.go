@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/resultstore"
 )
 
 // swapLatJobs builds a small swap-latency sweep over one workload — the
@@ -151,18 +153,12 @@ func TestPrefixForkDiskCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Sweep.Sync()
-	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
-	if len(cks) != 1 {
-		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))
-	}
+	onlyObject(t, dir, resultstore.KindCheckpoint)
 
 	// A fresh process that lost its result cache but kept the checkpoint:
 	// every point forks, nobody simulates the prefix again.
-	results, _ := filepath.Glob(filepath.Join(dir, "vtsim-*.json"))
-	for _, f := range results {
-		os.Remove(f)
-	}
 	p = reboot(t, p)
+	dropObjects(t, dir, resultstore.KindResult)
 	second, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +178,9 @@ func TestPrefixForkDiskCheckpoint(t *testing.T) {
 }
 
 // TestPrefixForkCheckpointQuarantine is the corruption regression: a
-// truncated checkpoint file must be quarantined (renamed *.corrupt) and
-// the sweep must fall back to full simulation with correct results.
+// truncated checkpoint envelope must be quarantined (dropped from the
+// index) and the sweep must fall back to full simulation with correct
+// results.
 func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -200,32 +197,19 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Sweep.Sync()
-	cks, _ := filepath.Glob(filepath.Join(dir, "vtck-*.json"))
-	if len(cks) != 1 {
-		t.Fatalf("cache dir holds %d checkpoint files, want 1", len(cks))
-	}
-	// Truncate mid-write, and drop the cached Results so the sweep really
-	// re-executes.
-	body, err := os.ReadFile(cks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cks[0], body[:len(body)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	results, _ := filepath.Glob(filepath.Join(dir, "vtsim-*.json"))
-	for _, f := range results {
-		os.Remove(f)
-	}
-
+	// Index a truncated envelope in the checkpoint's place, and drop the
+	// cached Results so the sweep really re-executes.
 	p = reboot(t, p)
+	key, body := onlyObject(t, dir, resultstore.KindCheckpoint)
+	replaceObject(t, dir, resultstore.KindCheckpoint, key, body[:len(body)/2])
+	dropObjects(t, dir, resultstore.KindResult)
+
 	again, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quarantined, _ := filepath.Glob(filepath.Join(dir, "*.corrupt"))
-	if len(quarantined) != 1 || !strings.Contains(quarantined[0], "vtck-") {
-		t.Fatalf("truncated checkpoint not quarantined: %v", quarantined)
+	if n := drops(t, dir, key); n != 1 {
+		t.Fatalf("truncated checkpoint dropped %d times, want once", n)
 	}
 	// The donor re-ran and re-captured; results stay bit-identical.
 	m := p.Sweep.Metrics()
@@ -238,9 +222,9 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 		}
 	}
 	// And the re-capture wrote a healthy replacement.
-	cks, _ = filepath.Glob(filepath.Join(dir, "vtck-*.json"))
-	if len(cks) != 1 {
-		t.Fatalf("cache dir holds %d checkpoint files after re-capture, want 1", len(cks))
+	p.Sweep.Sync()
+	if _, ck := onlyObject(t, dir, resultstore.KindCheckpoint); !json.Valid(ck) {
+		t.Fatal("the re-captured checkpoint is not a whole envelope")
 	}
 }
 

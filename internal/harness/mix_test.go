@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/faultinject"
+	"repro/internal/resultstore"
 )
 
 // A concurrent-kernel mix is a job whose workload name is "+"-joined, so
@@ -122,7 +123,7 @@ func TestMixSupervised(t *testing.T) {
 	if m := p.Sweep.Metrics(); m.Panics != 1 || m.Retries != 1 || m.Degraded != 1 || m.Failures != 0 {
 		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 degraded, 0 failures", m)
 	}
-	if objs, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json")); len(objs) != 5 {
+	if objs := storeObjects(t, p.CacheDir, resultstore.KindResult); len(objs) != 5 {
 		t.Fatalf("store holds %d results, want 5 (the injected mix is never cached)", len(objs))
 	}
 
@@ -221,7 +222,7 @@ func TestMixesNeverJournal(t *testing.T) {
 	if n := strings.Count(string(b), "\n"); n != 2 || strings.Contains(string(b), "+") {
 		t.Fatalf("journal file has %d lines, want the header and vecadd only:\n%s", n, b)
 	}
-	if objs, _ := filepath.Glob(filepath.Join(dir, "vtsim-*.json")); len(objs) != 3 {
+	if objs := storeObjects(t, dir, resultstore.KindResult); len(objs) != 3 {
 		t.Fatalf("store holds %d results, want 3 (both mixes and vecadd)", len(objs))
 	}
 }

@@ -333,18 +333,10 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	}
 
 	// The Result object and the journal entry line replicated.
-	primObjs, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
-	if len(primObjs) != 1 {
-		t.Fatalf("primary holds %d result objects, want 1", len(primObjs))
-	}
-	mirObj := filepath.Join(p.MirrorDir, filepath.Base(primObjs[0]))
-	pb, err := os.ReadFile(primObjs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := os.ReadFile(mirObj)
-	if err != nil {
-		t.Fatalf("mirror replica missing: %v", err)
+	objKey, pb := onlyObject(t, p.CacheDir, resultstore.KindResult)
+	mb, ok := storeObjects(t, p.MirrorDir, resultstore.KindResult)[objKey]
+	if !ok {
+		t.Fatal("mirror replica missing")
 	}
 	if string(pb) != string(mb) {
 		t.Fatal("mirror replica is not bit-identical to the primary object")
@@ -357,12 +349,8 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	// Flip a byte of the primary at rest; the next cached sweep must heal
 	// it from the mirror and serve the verified payload without
 	// re-simulating.
-	flipped := append([]byte(nil), pb...)
-	flipped[len(flipped)/2] ^= 0x04
-	if err := os.WriteFile(primObjs[0], flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	p = reboot(t, p) // unjournaled this time
+	flipObject(t, p.CacheDir, resultstore.KindResult, objKey)
 	cached, err := memoRun(p, j)
 	if err != nil {
 		t.Fatal(err)
@@ -374,11 +362,7 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	if !reflect.DeepEqual(fresh, cached.Result) {
 		t.Fatal("healed result differs from the original")
 	}
-	healed, err := os.ReadFile(primObjs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(healed) != string(mb) {
+	if healed := storeObjects(t, p.CacheDir, resultstore.KindResult)[objKey]; string(healed) != string(mb) {
 		t.Fatal("repair did not restore the primary bit-identically from the mirror")
 	}
 
@@ -421,49 +405,73 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	}
 }
 
-// TestHarnessLegacyCacheDirCompat is the compat test inverted: a cache
-// directory laid out the way pre-store builds left it — a bare
-// vtsim-<key>.json with no index line — is never served. The store
-// cannot verify the file, so the harness quarantines it, re-simulates,
-// and the rewrite is an ordinary indexed object the next run hits.
+// TestHarnessLegacyCacheDirCompat: a store directory an older build left
+// — one vtsim-<key>.json per object, index lines without an offset, a
+// commit record under .vtstore/wal — is never served and never touched,
+// but its journal still drives -resume: the job it records as ok is
+// re-simulated because the pack lacks it, and the rewrite is an ordinary
+// object the next run hits.
 func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	p, jobs := drillJobs()
 	j := jobs[0]
 	p.CacheDir = t.TempDir()
-
 	p = inSweep(t, p)
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(p.CacheDir, "vtsim-*.json"))
-	if len(files) != 1 {
-		t.Fatalf("cache dir holds %d entries, want 1", len(files))
-	}
-	b, err := os.ReadFile(files[0])
+	p.Sweep.Close()
+	key, body := onlyObject(t, p.CacheDir, resultstore.KindResult)
+	journal, err := os.ReadFile(filepath.Join(p.CacheDir, JournalFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bareDir := t.TempDir()
-	bare := filepath.Join(bareDir, filepath.Base(files[0]))
-	if err := os.WriteFile(bare, b, 0o644); err != nil {
-		t.Fatal(err)
+	e := storeIndex(t, p.CacheDir, resultstore.KindResult)[key]
+	older := map[string]string{
+		JournalFileName:              string(journal),
+		"vtsim-" + key + ".json":     string(body),
+		"store-index.jsonl":          fmt.Sprintf(`{"kind":"vtsim","key":%q,"sha256":%q,"size":%d,"tx":"tx-9-1"}`+"\n", key, e.SHA, e.Size),
+		".vtstore/wal/tx-9-2.commit": `{"tx":"tx-9-2","ops":[]}`,
+	}
+	p.CacheDir = t.TempDir()
+	for rel, b := range older {
+		path := filepath.Join(p.CacheDir, filepath.FromSlash(rel))
+		os.MkdirAll(filepath.Dir(path), 0o755)
+		if err := os.WriteFile(path, []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	p = reboot(t, p)
-	p.CacheDir = bareDir
+	p = inSweep(t, p)
+	p.Resume = true
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatalf("resume over the older layout: %v", err)
+	}
+	if p.Sweep.Journal.Status(key) != "ok" {
+		t.Fatal("the older journal does not drive the resume")
+	}
 	rerun, err := runDurable(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Sweep.Metrics(); m.Executed != 1 || m.StoreHits != 0 || m.StoreMisses != 1 {
-		t.Fatalf("unindexed entry was served, not recomputed: %+v", m)
-	}
-	if _, err := os.Stat(bare + ".corrupt"); err != nil {
-		t.Fatalf("unindexed entry not quarantined: %v", err)
+		t.Fatalf("the older layout was served, not recomputed: %+v", m)
 	}
 	if !reflect.DeepEqual(fresh, rerun) {
 		t.Fatal("recomputation differs from the original run")
+	}
+	for rel, b := range older {
+		got, err := os.ReadFile(filepath.Join(p.CacheDir, filepath.FromSlash(rel)))
+		if err != nil || !strings.HasPrefix(string(got), b) {
+			t.Fatalf("%s was touched: %v", rel, err)
+		}
+	}
+	audit, _ := os.ReadFile(filepath.Join(p.CacheDir, "store-audit.jsonl"))
+	if n := strings.Count(string(audit), `"op":"skip-legacy"`); n != 1 {
+		t.Fatalf("%d skip-legacy audit events, want one naming what was skipped:\n%s", n, audit)
 	}
 
 	p = reboot(t, p)

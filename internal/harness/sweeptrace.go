@@ -9,17 +9,16 @@ import (
 )
 
 // Sweep-trace persistence: the span dump of a traced sweep is stored
-// through the result store as a vtart- artifact, so traces commit with
+// through the result store as a vtart artifact, so traces commit with
 // the same durability (WAL, checksums, mirror replication) as results
 // and survive for later `vtreport -tracepath <storedir>` analysis.
 
-// SweepTraceArtifactKey is the artifact key (and so the on-disk object
-// name, vtart-sweeptrace.json) of the persisted sweep trace. One per
-// store: a re-run overwrites the previous sweep's trace.
+// SweepTraceArtifactKey is the artifact key of the persisted sweep
+// trace. One per store: a re-run supersedes the previous sweep's trace.
 const SweepTraceArtifactKey = "sweeptrace"
 
 // PersistTrace commits the dump into the sweep's result store as the
-// vtart-sweeptrace object. No-op without a store or a dump; returns the
+// vtart object SweepTraceArtifactKey. No-op without a store or a dump; returns the
 // commit error so the caller can report (not fail) the sweep.
 func (s *Sweep) PersistTrace(p Params, d *sweepobs.Dump) error {
 	st, err := s.store(p)

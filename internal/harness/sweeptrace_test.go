@@ -1,15 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/faultinject"
+	"repro/internal/resultstore"
 	"repro/internal/sweepobs"
 )
 
@@ -104,7 +104,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	for _, s := range d.Spans {
 		kindOf[s.ID] = s.Kind
 	}
-	batchTxs := 0
+	batchTxs, firstBatches := 0, 0
 	for _, s := range d.Spans {
 		if s.Kind != "store.tx" {
 			continue
@@ -113,13 +113,17 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		if err != nil || n < 1 || s.Attrs["ops"] == "" {
 			t.Errorf("store.tx span without batch size attrs: %+v", s.Attrs)
 		}
-		// Mirrored, one object per transaction and no journal: K objects,
-		// the directory and the index on each side, the redo record and the
-		// wal directory — in a number of rounds that does not depend on K.
+		// Mirrored, one object per transaction and no journal: the pack,
+		// the log and the index on the primary, the pack and the index on
+		// the mirror — one fsync per file whatever the batch size, in three
+		// rounds. The store's first batch also fsyncs the four directories
+		// it created a file in.
 		syncs, _ := strconv.Atoi(s.Attrs["syncs"])
 		rounds, _ := strconv.Atoi(s.Attrs["rounds"])
-		if syncs != 2*n+6 || rounds < 1 || rounds > 5 {
-			t.Errorf("store.tx span of %d transactions reports %d fsyncs in %d rounds, want %d in at most 5", n, syncs, rounds, 2*n+6)
+		if syncs == 9 {
+			firstBatches++
+		} else if syncs != 5 || rounds != 3 {
+			t.Errorf("store.tx span of %d transactions reports %d fsyncs in %d rounds, want 5 in 3", n, syncs, rounds)
 		}
 		batchTxs += n
 		if kindOf[s.Parent] == "job" {
@@ -128,8 +132,8 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	}
 	// Three cacheable results and the donor's checkpoint; the injected
 	// job caches nothing.
-	if batchTxs != 4 {
-		t.Errorf("store.tx spans account for %d transactions, want 4", batchTxs)
+	if batchTxs != 4 || firstBatches != 1 {
+		t.Errorf("store.tx spans account for %d transactions in %d first batches, want 4 in 1", batchTxs, firstBatches)
 	}
 	var exposition strings.Builder
 	if err := p.Sweep.Monitor.WriteMetrics(&exposition); err != nil {
@@ -178,21 +182,24 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if err := p.Sweep.PersistTrace(p, d); err != nil {
 		t.Fatal(err)
 	}
-	// On disk, on both sides, the artifact is the dump itself.
+	// On disk, on both sides, the artifact is the dump itself: the pack
+	// range its index line names, byte-equal across the sides.
+	var sides [][]byte
 	for _, root := range []string{dir, mirror} {
-		b, err := os.ReadFile(filepath.Join(root, "vtart-sweeptrace.json"))
-		if err != nil {
-			t.Errorf("persisted trace missing in %s: %v", root, err)
+		b, ok := storeObjects(t, root, resultstore.KindArtifact)[SweepTraceArtifactKey]
+		if !ok {
+			t.Errorf("persisted trace missing in %s", root)
 			continue
 		}
 		var onDisk sweepobs.Dump
 		if err := json.Unmarshal(b, &onDisk); err != nil || onDisk.SchemaVersion != 1 || len(onDisk.Spans) != len(d.Spans) {
-			t.Errorf("%s/vtart-sweeptrace.json is not the dump: %v (schema_version %d, %d spans)",
+			t.Errorf("%s: the vtart-sweeptrace range is not the dump: %v (schema_version %d, %d spans)",
 				root, err, onDisk.SchemaVersion, len(onDisk.Spans))
 		}
-		if extra, _ := filepath.Glob(filepath.Join(root, "vtart-sweeptrace.json.*")); len(extra) != 0 {
-			t.Errorf("the artifact is more than one file in %s: %v", root, extra)
-		}
+		sides = append(sides, b)
+	}
+	if len(sides) == 2 && !bytes.Equal(sides[0], sides[1]) {
+		t.Error("the trace differs between primary and mirror")
 	}
 	p.Sweep.Close() // release the store before reopening it
 	got, err := LoadSweepTrace(dir, mirror)

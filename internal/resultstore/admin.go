@@ -16,7 +16,7 @@ type Report struct {
 	Checked int
 	// Healthy counts objects valid on every attached side.
 	Healthy int
-	// Repaired counts objects healed by copying from a healthy replica
+	// Repaired counts object copies healed from a healthy replica
 	// (Repair only).
 	Repaired int
 	// Backfilled lists append targets brought up to the other side's
@@ -38,8 +38,9 @@ func (s *Store) Verify() Report {
 	return s.verifyRepair(false)
 }
 
-// Repair audits like Verify and additionally heals: damaged or missing
-// copies are rewritten bit-identically from a healthy replica, objects
+// Repair audits like Verify and additionally heals: a healthy replica's
+// copy is appended bit-identically to every side whose copy is damaged or
+// missing, objects
 // with no healthy copy anywhere are quarantined so later reads recompute
 // instead of failing, and an append target one side is behind on is
 // back-filled from the other — which is what rebuilds a lost side whole.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -11,7 +13,7 @@ import (
 
 // fsio funnels every filesystem operation of the store through the
 // optional fault hook, so crash drills can die, tear, flip, or fail any
-// single write, rename, or read the store performs.
+// single write or read the store performs.
 type fsio struct {
 	hook *faultinject.StoreHook
 }
@@ -39,11 +41,11 @@ const syncFanout = 12
 var syncFile = (*os.File).Sync
 
 // syncSet is the durability a protocol step owes: the still-open
-// handles of every file written since the last round and the
-// directories renamed into. Nothing in it is durable until flush has
-// returned nil; drop closes whatever an abandoned step left behind. The
-// fault hook never sees an fsync, so when a set is flushed is invisible
-// to the kill-point drills.
+// handles of every file appended to since the last round, and the
+// directories a file was created in. Nothing in it is durable until
+// flush has returned nil; drop closes whatever an abandoned step left
+// behind. The fault hook never sees an fsync, so when a set is flushed
+// is invisible to the kill-point drills.
 type syncSet struct {
 	files         []*os.File
 	dirs          []string
@@ -91,76 +93,81 @@ func (ss *syncSet) drop() {
 	ss.files, ss.dirs = nil, nil
 }
 
-// writeFile creates (or truncates) path with data and hands the open
-// handle to ss: the bytes are durable after the set's next flush.
-func (f fsio) writeFile(ss *syncSet, path string, data []byte) error {
-	b, dieAfter, err := f.apply(faultinject.StoreOpWrite, path, data)
-	if err != nil {
-		return err
-	}
-	werr := func() error {
-		fh, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		ss.files = append(ss.files, fh)
-		_, err = fh.Write(b)
-		return err
-	}()
-	if dieAfter {
-		die(faultinject.StoreOpWrite, path)
-	}
-	return werr
-}
-
-// appender appends lines to one file through a single O_APPEND handle
-// that its sync set fsyncs once: a group commit writes its K index or
-// journal lines and pays one fsync for the file instead of K. Every line
-// is still its own hooked write, so a crash drill can die between any
-// two of them.
+// appender appends to one file through a single O_APPEND handle that its
+// sync set fsyncs once: a group commit writes its K payloads, or its K
+// index or journal lines, and pays one fsync for the file instead of K.
+// Every payload and line is still its own hooked write, so a crash drill
+// can die between any two of them. A flush closes the handle: a step
+// after a round takes a new appender.
 type appender struct {
 	f    fsio
 	ss   *syncSet
 	path string
 	fh   *os.File // opened by the first write, owned by ss
-	heal bool     // the file's tail is a torn line: start with a newline
+	end  int64    // the file's size: where the next write lands
+	heal bool     // the file's tail is a torn line
 }
 
 func (f fsio) appender(ss *syncSet, path string) *appender {
 	return &appender{f: f, ss: ss, path: path}
 }
 
-// write appends one line (newline added here), creating the file if
-// needed. If the file's current tail is not newline-terminated — a torn
-// append from a crashed writer — the line is written after a healing
-// newline, so one torn line never swallows the next good one.
-func (a *appender) write(line []byte) error {
-	data := append(append([]byte(nil), line...), '\n')
-	b, dieAfter, err := a.f.apply(faultinject.StoreOpWrite, a.path, data)
+// open opens the file and learns its size and whether its tail is torn.
+// Creating it is the only way the store adds a directory entry, and the
+// directory joins the set: once a side holds its files, a batch creates
+// nothing and owes no directory an fsync.
+func (a *appender) open() error {
+	fh, err := os.OpenFile(a.path, os.O_APPEND|os.O_RDWR, 0)
+	if os.IsNotExist(err) {
+		fh, err = os.OpenFile(a.path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
+		if dir := filepath.Dir(a.path); err == nil && !slices.Contains(a.ss.dirs, dir) {
+			a.ss.dirs = append(a.ss.dirs, dir)
+		}
+	}
 	if err != nil {
 		return err
 	}
+	a.ss.files = append(a.ss.files, fh)
+	st, err := fh.Stat()
+	if err != nil {
+		return err
+	}
+	a.fh, a.end, a.heal = fh, st.Size(), false
+	if a.end > 0 {
+		tail := make([]byte, 1)
+		if _, err := fh.ReadAt(tail, a.end-1); err == nil && tail[0] != '\n' {
+			a.heal = true
+		}
+	}
+	return nil
+}
+
+// write appends data as one hooked write and returns the offset it
+// starts at, or -1 when nothing reached the file. A line (asLine) whose
+// file ends in a torn line from a crashed writer is written after a
+// healing newline, so one torn line never swallows the next good one.
+func (a *appender) write(data []byte, asLine bool) (int64, error) {
+	b, dieAfter, err := a.f.apply(faultinject.StoreOpWrite, a.path, data)
+	if err != nil {
+		return -1, err
+	}
+	off := int64(-1)
 	werr := func() error {
 		if a.fh == nil {
-			fh, err := os.OpenFile(a.path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
-			if err != nil {
+			if err := a.open(); err != nil {
 				return err
 			}
-			a.fh = fh
-			a.ss.files = append(a.ss.files, fh)
-			if st, err := fh.Stat(); err == nil && st.Size() > 0 {
-				tail := make([]byte, 1)
-				if _, err := fh.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-					a.heal = true
-				}
-			}
 		}
-		if a.heal {
+		off = a.end
+		if asLine && a.heal {
 			b = append([]byte{'\n'}, b...)
+			off++
 		}
-		if _, err := a.fh.Write(b); err != nil {
+		n, err := a.fh.Write(b)
+		a.end += int64(n)
+		if err != nil {
 			// The tail may now be torn: reopen (and re-inspect it) on retry.
-			a.fh, a.heal = nil, false
+			a.fh = nil
 			return err
 		}
 		a.heal = false
@@ -169,23 +176,35 @@ func (a *appender) write(line []byte) error {
 	if dieAfter {
 		die(faultinject.StoreOpWrite, a.path)
 	}
-	return werr
+	return off, werr
 }
 
-// rename atomically renames old to new. The new name is durable only
-// after a flush of the set holding the containing directory; one covers
-// every rename since the last, which is how a batch pays for its K
-// object renames once.
-func (f fsio) rename(oldpath, newpath string) error {
-	_, dieAfter, err := f.apply(faultinject.StoreOpRename, newpath, nil)
-	if err != nil {
+// line appends one line (newline added here).
+func (a *appender) line(line []byte) error {
+	_, err := a.write(append(append([]byte(nil), line...), '\n'), true)
+	return err
+}
+
+// readAt reads size bytes at off of path as one hooked read, retried once
+// on error; a range the file does not hold whole fails with io.EOF.
+func (f fsio) readAt(path string, off, size int64) (b []byte, err error) {
+	err = retryOnce(func() error {
+		_, dieAfter, err := f.apply(faultinject.StoreOpRead, path, nil)
+		if err != nil {
+			return err
+		}
+		fh, err := os.Open(path)
+		if err == nil {
+			b = make([]byte, size)
+			_, err = fh.ReadAt(b, off)
+			fh.Close()
+		}
+		if dieAfter {
+			die(faultinject.StoreOpRead, path)
+		}
 		return err
-	}
-	rerr := os.Rename(oldpath, newpath)
-	if dieAfter {
-		die(faultinject.StoreOpRename, newpath)
-	}
-	return rerr
+	})
+	return b, err
 }
 
 // readFile reads path whole.
@@ -211,25 +230,27 @@ func retryOnce(op func() error) error {
 	return op()
 }
 
-// verify reads path back and compares the end-to-end checksum with
-// sha; on a mismatch the file is rewritten once (its new handle joins
-// ss, to be paid by the caller's next round) and read back again. This
-// catches write-path corruption (a flipped bit between memory and disk)
-// before the commit protocol declares the payload durable.
-func (f fsio) verify(ss *syncSet, path string, data []byte, sha string) error {
+// verify reads back the range a payload was appended at and compares the
+// end-to-end checksum with sha; on a mismatch the payload is appended once
+// more through a (its handle joins a's set, to be paid by the caller's
+// next round) and read back again. It returns the offset of the copy that
+// verified. This catches write-path corruption (a flipped bit between
+// memory and disk) before the protocol declares the payload durable; the
+// bad copy stays behind as dead bytes no index line names.
+func (f fsio) verify(a *appender, off int64, data []byte, sha string) (int64, error) {
 	for attempt := 0; ; attempt++ {
-		got, err := os.ReadFile(path)
+		got, err := f.readAt(a.path, off, int64(len(data)))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if sumHex(got) == sha {
-			return nil
+			return off, nil
 		}
 		if attempt == 1 {
-			return fmt.Errorf("resultstore: write verification failed for %s", path)
+			return 0, fmt.Errorf("resultstore: write verification failed for %s at %d", a.path, off)
 		}
-		if err := f.writeFile(ss, path, data); err != nil {
-			return err
+		if off, err = a.write(data, false); err != nil {
+			return 0, err
 		}
 	}
 }

@@ -97,15 +97,16 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if total != writers*perWriter {
 		t.Fatalf("batch leaders account for %d transactions, want %d", total, writers*perWriter)
 	}
-	// Coalescing happened: fewer WAL records than transactions.
-	redo := 0
+	// Coalescing happened: fewer manifests than transactions, one per
+	// batch (each read back once).
+	manifests := 0
 	for _, op := range rec.Trace() {
-		if strings.HasPrefix(op, "write ") && strings.HasSuffix(op, ".redo") {
-			redo++
+		if op == "read "+filepath.Join(p, vtstoreDir, walFile) {
+			manifests++
 		}
 	}
-	if redo != batches || redo >= writers*perWriter {
-		t.Fatalf("%d redo records for %d batches of %d transactions: commits did not coalesce", redo, batches, writers*perWriter)
+	if manifests != batches || manifests >= writers*perWriter {
+		t.Fatalf("%d manifests for %d batches of %d transactions: commits did not coalesce", manifests, batches, writers*perWriter)
 	}
 	if c := s.counts(); c.Commits != writers*perWriter {
 		t.Fatalf("Commits = %d, want %d", c.Commits, writers*perWriter)
@@ -127,15 +128,15 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if rep := s.Verify(); rep.Healthy != writers*perWriter || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
 		t.Fatalf("verify after concurrent commits: %+v", rep)
 	}
-	if left := walDebris(p, m); len(left) != 0 {
-		t.Fatalf("wal/staging debris after clean commits: %v", left)
+	if left := pendingTxs(t, p); len(left) != 0 {
+		t.Fatalf("batches left undone after clean commits: %v", left)
 	}
 }
 
-// TestGetMissDoesNotWaitForCommit holds a commit inside its first staged
-// write — the commit lock is taken, the disk has stopped answering — and
+// TestGetMissDoesNotWaitForCommit holds a commit inside its first pack
+// append — the commit lock is taken, the disk has stopped answering — and
 // asks for an object nobody has computed: the sweep slot's question, which
-// must be answered from the directories alone.
+// must be answered from the in-memory index alone.
 func TestGetMissDoesNotWaitForCommit(t *testing.T) {
 	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreStall}).StoreHook()
 	s := mustOpen(t, Options{Dir: t.TempDir(), Mirror: t.TempDir(), Fault: hook})
@@ -223,15 +224,15 @@ func commitAsBatch(t *testing.T, s *Store, txs []*Tx) (errs []error, panics []an
 	return errs, panics
 }
 
-// TestBatchTransientEIORetried fails one staged write of a three-member
+// TestBatchTransientEIORetried fails one pack append of a three-member
 // batch with a transient error: the batch rolls back as a whole, every
 // member's Commit reports the retryable error, and when each retries —
 // as the harness's storeRetry does — everything commits exactly once.
 func TestBatchTransientEIORetried(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
-	// Writes 0-2 are the opener's (redo record, its line on both sides),
-	// 3-5 the batch's staged payloads: fail the second of those.
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 4, Kind: faultinject.StoreEIO}).StoreHook()
+	// Writes 0-3 are the opener's (manifest, its line on both sides, done),
+	// 4-6 the batch's pack appends: fail the second of those.
+	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 5, Kind: faultinject.StoreEIO}).StoreHook()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 	keys := []string{"e0", "e1", "e2"}
 	var txs []*Tx
@@ -282,10 +283,11 @@ func TestBatchTransientEIORetried(t *testing.T) {
 }
 
 // TestKillPointBatchAllOrNothing extends the kill-point sweep to a
-// multi-transaction batch: kill at each filesystem operation of a
-// three-member batch (and of the opener before it), reopen, and all
-// three transactions are there or none is. In the dying process, every
-// member's Commit and any later one re-raise the kill.
+// multi-transaction batch: inject every fault kind at each filesystem
+// operation of a three-member batch (and of the opener before it),
+// reopen, and all three transactions are there or none is. In a process
+// that dies, every member's Commit and any later one re-raise the kill;
+// in one that lives, every member reports the batch's one outcome.
 func TestKillPointBatchAllOrNothing(t *testing.T) {
 	keys := []string{"k0", "k1", "k2"}
 	drill := func(t *testing.T, s *Store) ([]error, []any) {
@@ -304,67 +306,77 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 		t.Fatalf("clean batch: %v %v", errs, panics)
 	}
 	trace := rec.Trace()
-	if redo := strings.Count(strings.Join(trace, "\n"), ".redo"); redo != 2 {
-		t.Fatalf("drill wrote %d redo records, want 2 (opener + one batch):\n%s", redo, strings.Join(trace, "\n"))
+	if n := strings.Count(strings.Join(trace, "\n"), "read "+filepath.Join(p, vtstoreDir, walFile)); n != 2 {
+		t.Fatalf("drill logged %d manifests, want 2 (opener + one batch):\n%s", n, strings.Join(trace, "\n"))
 	}
 
-	kinds := []faultinject.StoreFaultKind{
-		faultinject.StoreCrash, faultinject.StoreCrashAfter, faultinject.StoreTruncate,
-	}
 	for point := range trace {
-		kind := kinds[point%len(kinds)]
-		t.Run(fmt.Sprintf("op%02d-%s", point, kind), func(t *testing.T) {
-			p, m := t.TempDir(), t.TempDir()
-			killDrillBase(t, p, m)
-			hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}).StoreHook()
-			s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
-			errs, panics := drill(t, s)
-			if !hook.Fired() {
-				t.Fatal("kill fault did not fire")
-			}
-			for i := range keys {
-				if _, ok := panics[i].(*faultinject.StoreKill); !ok {
-					t.Fatalf("member %d: Commit returned %v (panic %v), want the kill re-raised", i, errs[i], panics[i])
+		for _, kind := range faultKinds {
+			t.Run(fmt.Sprintf("op%02d-%s", point, kind), func(t *testing.T) {
+				p, m := t.TempDir(), t.TempDir()
+				killDrillBase(t, p, m)
+				hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}).StoreHook()
+				s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
+				errs, panics := drill(t, s)
+				if !hook.Fired() {
+					t.Fatal("the fault did not fire")
 				}
-			}
-			func() {
-				defer func() {
-					if _, ok := recover().(*faultinject.StoreKill); !ok {
-						t.Error("a commit submitted after the kill did not re-raise it")
+				_, killed := panics[0].(*faultinject.StoreKill)
+				for i := range keys {
+					if _, ok := panics[i].(*faultinject.StoreKill); ok != killed || (!killed && panics[i] != nil) {
+						t.Fatalf("member %d: Commit returned %v (panic %v); member 0 died=%v", i, errs[i], panics[i], killed)
 					}
-				}()
-				jobTx(s, "late").Commit()
-			}()
+					if !errors.Is(errs[i], errs[0]) {
+						t.Fatalf("member %d returned %v, member 0 %v: want the batch's one outcome", i, errs[i], errs[0])
+					}
+				}
+				if killed {
+					func() {
+						defer func() {
+							if _, ok := recover().(*faultinject.StoreKill); !ok {
+								t.Error("a commit submitted after the kill did not re-raise it")
+							}
+						}()
+						jobTx(s, "late").Commit()
+					}()
+				} else {
+					s.Close()
+				}
 
-			s2 := mustOpen(t, Options{Dir: p, Mirror: m})
-			if b, err := s2.Get(KindResult, "base"); err != nil || !bytes.Equal(b, killBasePayload) {
-				t.Fatalf("pre-existing object damaged: %v", err)
-			}
-			journal, _ := os.ReadFile(filepath.Join(p, "journal.jsonl"))
-			landed := 0
-			for _, k := range keys {
-				_, err := s2.Get(KindResult, k)
-				if err != nil && !errors.Is(err, ErrNotFound) {
-					t.Fatalf("get %s: %v", k, err)
+				s2 := mustOpen(t, Options{Dir: p, Mirror: m})
+				if b, err := s2.Get(KindResult, "base"); err != nil || !bytes.Equal(b, killBasePayload) {
+					t.Fatalf("pre-existing object damaged: %v", err)
 				}
-				if line := strings.Contains(string(journal), `"fp":"`+k+`"`); line != (err == nil) {
-					t.Fatalf("torn transaction %s: object present=%v, journal line=%v", k, err == nil, line)
+				journal, _ := os.ReadFile(filepath.Join(p, "journal.jsonl"))
+				landed := 0
+				for _, k := range keys {
+					b, err := s2.Get(KindResult, k)
+					if err != nil && !errors.Is(err, ErrNotFound) {
+						t.Fatalf("get %s: %v", k, err)
+					}
+					if line := strings.Contains(string(journal), `"fp":"`+k+`"`); line != (err == nil) {
+						t.Fatalf("torn transaction %s: object present=%v, journal line=%v", k, err == nil, line)
+					}
+					if want := []byte(`{"result":"` + strings.Repeat(k, 20) + `"}`); err == nil && !bytes.Equal(b, want) {
+						t.Fatalf("%s served %q, want %q", k, b, want)
+					}
+					if err == nil {
+						landed++
+					}
 				}
-				if err == nil {
-					landed++
+				if landed != 0 && landed != len(keys) {
+					t.Fatalf("torn batch: %d of %d members landed", landed, len(keys))
 				}
-			}
-			if landed != 0 && landed != len(keys) {
-				t.Fatalf("torn batch: %d of %d members landed", landed, len(keys))
-			}
-			if _, err := s2.Get(KindResult, "late"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("a commit made after the kill reached the disk: %v", err)
-			}
-			if rep := s2.Verify(); len(rep.Damaged) != 0 || len(rep.Unrecoverable) != 0 {
-				t.Fatalf("verify after recovery: %+v", rep)
-			}
-			servedOnlyIndexed(t, s2)
-		})
+				if !killed && (landed > 0) != (errs[0] == nil) {
+					t.Fatalf("the batch's Commit returned %v but %d members landed", errs[0], landed)
+				}
+				if _, err := s2.Get(KindResult, "late"); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("a commit made after the kill reached the disk: %v", err)
+				}
+				recoveredClean(t, s2, killed)
+				servedOnlyIndexed(t, s2)
+			})
+		}
 	}
 }
 
@@ -401,6 +413,9 @@ func TestCloseIsABarrier(t *testing.T) {
 	wg.Wait()
 	if err := jobTx(s, "after-close").Commit(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after Close: %v, want ErrClosed", err)
+	}
+	if n := walSize(dir); n != 0 {
+		t.Fatalf("Close left %d bytes in the log", n)
 	}
 	s2 := mustOpen(t, Options{Dir: dir})
 	for _, k := range []string{"c0", "c1", "c2"} {

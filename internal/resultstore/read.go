@@ -1,7 +1,9 @@
 package resultstore
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -14,59 +16,49 @@ const (
 	objErr
 )
 
-// readObject reads and classifies one object on one side. A
-// file no index line vouches for cannot be verified, so it is corrupt:
-// no byte leaves the store without matching an indexed checksum.
+// readObject reads and classifies one object on one side: only bytes
+// whose checksum its index line records leave the store.
 func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 	e, indexed := sd.index[objKey{kind, key}]
-	b, err := s.fs.readFile(s.objPath(sd, kind, key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, objMissing
-		}
-		return nil, objErr
+	if !indexed {
+		return nil, objMissing
 	}
-	if !indexed || sumHex(b) != e.SHA {
+	b, err := s.fs.readAt(sd.path(packFile), e.Off, e.Size)
+	switch {
+	case os.IsNotExist(err):
+		return nil, objMissing
+	case errors.Is(err, io.EOF): // the pack no longer holds the range whole
+		return nil, objCorrupt
+	case err != nil:
+		return nil, objErr
+	case sumHex(b) != e.SHA:
 		return nil, objCorrupt
 	}
 	return b, objOK
 }
 
 // Get returns an object's payload, verifying its end-to-end checksum. A
-// corrupt, unindexed or unreadable copy is healed from a healthy replica
-// when one exists; with no healthy copy anywhere, corrupt files are
-// quarantined and Get reports ErrNotFound so the caller recomputes (and
-// its rewrite indexes).
+// corrupt or unreadable copy is healed from a healthy replica when one
+// exists; with no healthy copy anywhere, corrupt copies are quarantined
+// and Get reports ErrNotFound so the caller recomputes (and its rewrite
+// indexes).
 //
-// A definite miss — no index line has ever named the object and its
-// file is absent on every side — is answered without the store
-// lock: it is the question every sweep slot asks before simulating, and
-// it must not queue behind a batch commit's fsyncs. Anything else (a
-// hit, a copy to verify, heal or quarantine) takes the lock.
+// A definite miss — no index line has ever named the object — is
+// answered from the in-memory index alone, without the store lock and
+// without touching a file: it is the question every sweep slot asks
+// before simulating, and it must not queue behind a batch commit's
+// fsyncs. Anything else (a hit, a copy to verify, heal or quarantine)
+// takes the lock. An object committed concurrently either is known by
+// then (the locked path decides) or the miss is ordered before its
+// commit.
 func (s *Store) Get(kind Kind, key string) ([]byte, error) {
-	if s.definiteMiss(kind, key) {
+	if _, ok := s.known.Load(objKey{kind, key}); !ok {
 		s.lockFreeMisses.Add(1)
 		return nil, ErrNotFound
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.get(kind, key)
-}
-
-// definiteMiss reports whether the object is unindexed and absent on
-// every side, touching nothing s.mu guards. An object committed
-// concurrently either shows up here (then the locked path decides) or
-// the miss is ordered before its commit.
-func (s *Store) definiteMiss(kind Kind, key string) bool {
-	if _, ok := s.known.Load(objKey{kind, key}); ok {
-		return false
-	}
-	for _, sd := range s.sides {
-		if _, err := s.fs.readFile(s.objPath(sd, kind, key)); !os.IsNotExist(err) {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Store) get(kind Kind, key string) ([]byte, error) {
@@ -91,7 +83,7 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	if good == nil {
 		if sawCorrupt {
 			for _, sd := range badSides {
-				s.quarantineSide(sd, kind, key, "checksum mismatch or no index entry, no healthy replica")
+				s.quarantineSide(sd, kind, key, "checksum mismatch, no healthy replica")
 			}
 		}
 		s.counters.Misses++
@@ -109,27 +101,30 @@ func (s *Store) get(kind Kind, key string) ([]byte, error) {
 	return good, nil
 }
 
-// repairObject copies an object from a healthy side — one whose index
-// vouches for its copy — to a damaged one, bit-identically, and
-// re-indexes it there.
+// repairObject heals a damaged or missing copy by appending the healthy
+// side's indexed copy — bit-identical, verified on both ends — to the
+// damaged side's pack and re-indexing it there. The damaged range stays
+// behind as dead bytes.
 func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 	e, indexed := from.index[objKey{kind, key}]
 	if !indexed {
 		return
 	}
-	op := manifestOp{Kind: string(kind), Key: key, SHA: e.SHA, Size: e.Size}
+	e.Tx = "repair"
 	var ss syncSet
-	ok := s.replicatePut(from, s.writerFor(to, &ss), "repair", op)
-	if err := ss.flush(); ok && err == nil {
-		s.counters.Repairs++
-		s.event(Event{Op: "repair", Kind: string(kind), Key: key, Side: s.roleOf(to)})
+	err := s.copyObject(from, s.writerFor(to, &ss), e)
+	if err = errors.Join(err, ss.flush()); err != nil {
+		s.event(Event{Op: "repair-failed", Kind: string(kind), Key: key, Side: s.roleOf(to), Detail: err.Error()})
+		return
 	}
+	s.counters.Repairs++
+	s.event(Event{Op: "repair", Kind: string(kind), Key: key, Side: s.roleOf(to)})
 }
 
-// Quarantine moves an object's file aside (path -> path.corrupt) on
-// every side where it exists and drops its index entries, so a
-// damaged-but-undetectable-at-this-layer object (e.g. a stale envelope
-// version) stops shadowing recomputation.
+// Quarantine drops an object from the index on every side that holds
+// it, so a damaged-but-undetectable-at-this-layer object (e.g. a stale
+// envelope version) stops shadowing recomputation. Its bytes stay in the
+// pack, named by no live line.
 func (s *Store) Quarantine(kind Kind, key, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,19 +134,15 @@ func (s *Store) Quarantine(kind Kind, key, reason string) {
 }
 
 func (s *Store) quarantineSide(sd *side, kind Kind, key, reason string) {
-	path := s.objPath(sd, kind, key)
-	moved := false
-	if _, err := os.Lstat(path); err == nil {
-		moved = os.Rename(path, path+".corrupt") == nil
+	if _, ok := sd.index[objKey{kind, key}]; !ok {
+		return
 	}
-	if _, ok := sd.index[objKey{kind, key}]; ok {
-		var ss syncSet
-		s.writerFor(sd, &ss).index(indexEntry{Kind: string(kind), Key: key, Drop: true})
-		ss.flush()
+	var ss syncSet
+	err := s.writerFor(sd, &ss).index(indexEntry{Kind: string(kind), Key: key, Drop: true})
+	if err = errors.Join(err, ss.flush()); err != nil {
+		return
 	}
-	if moved {
-		s.counters.Quarantines++
-		s.event(Event{Op: "quarantine", Kind: string(kind), Key: key, Side: s.roleOf(sd), Detail: reason})
-		fmt.Fprintf(os.Stderr, "resultstore: quarantined %s-%s on %s: %s\n", kind, key, s.roleOf(sd), reason)
-	}
+	s.counters.Quarantines++
+	s.event(Event{Op: "quarantine", Kind: string(kind), Key: key, Side: s.roleOf(sd), Detail: reason})
+	fmt.Fprintf(os.Stderr, "resultstore: quarantined %s-%s on %s: %s\n", kind, key, s.roleOf(sd), reason)
 }

@@ -3,9 +3,10 @@ package resultstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,9 +17,10 @@ import (
 )
 
 // Fsync-round tests: a batch collects its fsyncs and pays them in a
-// handful of concurrent rounds. What a round may not change is pinned
-// here — the number of fsyncs per batch, the hook-visible operation
-// order, and what a failed round leaves behind.
+// handful of concurrent rounds. What a batch may cost and what a round
+// may not change is pinned here — the disk operations and fsyncs per
+// batch, the hook-visible operation order, and what a failed round
+// leaves behind.
 
 // hookSync installs a syncFile that counts every fsync and fails, once,
 // the first one whose file path satisfies fail (nil: fail nothing).
@@ -61,78 +63,105 @@ func openUnder(t *testing.T, dirs ...string) []string {
 	return open
 }
 
-// walDebris lists what is left under .vtstore/{staging,wal} of dirs.
-func walDebris(dirs ...string) []string {
-	var left []string
+// dirEntries lists the names in each of dirs.
+func dirEntries(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var names []string
 	for _, d := range dirs {
-		l, _ := filepath.Glob(filepath.Join(d, vtstoreDir, "*", "*"))
-		left = append(left, l...)
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			names = append(names, filepath.Join(d, e.Name()))
+		}
 	}
-	return left
+	return names
 }
 
-// TestGroupCommitSyncRounds: rounds change when a batch's fsyncs are
-// issued, never how many there are. K objects cost 2K+8 fsyncs mirrored
-// and K+5 alone — the serial protocol's count — in a number of blocking
-// rounds that does not grow with K.
+// TestGroupCommitSyncRounds is the disk-op budget that keeps a batch
+// cheap. Once a store's first batch has created its files, a batch of K
+// puts and K journal lines, any K, creates no file or directory, renames
+// and removes nothing, writes only to the pack, the log, the index and
+// the journal, and pays the same fsyncs — one per file it appended to:
+// 7 mirrored (pack, log, index, journal; mirror pack, index, journal)
+// and 4 alone — in three blocking rounds.
 func TestGroupCommitSyncRounds(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		mirrored      bool
-		k             int
-		syncs, rounds int
-	}{
-		{"mirrored-12", true, 12, 2*12 + 8, 5},
-		{"alone-12", false, 12, 12 + 5, 4},
-		{"mirrored-1", true, 1, 10, 5},
-		{"alone-1", false, 1, 6, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := Options{Dir: t.TempDir()}
-			if tc.mirrored {
-				o.Mirror = t.TempDir()
+	for _, mirrored := range []bool{true, false} {
+		for _, k := range []int{1, 8, 12, 32} {
+			name, syncs := fmt.Sprintf("mirrored-%d", k), 7
+			if !mirrored {
+				name, syncs = fmt.Sprintf("alone-%d", k), 4
 			}
-			s := mustOpen(t, o)
-			calls := hookSync(t, nil)
-			var txs []*Tx
-			for i := 0; i < tc.k; i++ {
-				txs = append(txs, jobTx(s, "r"+strings.Repeat("x", i)))
-			}
-			if tc.k == 1 {
-				mustCommit(t, txs[0])
-			} else if errs, _ := commitAsBatch(t, s, txs); errors.Join(errs...) != nil {
-				t.Fatalf("batch: %v", errs)
-			}
-			b := txs[0].Batch()
-			if b.Txs != tc.k || !b.Lead {
-				t.Fatalf("batch info %+v, want the leader of %d transactions", b, tc.k)
-			}
-			if b.Syncs != tc.syncs || b.Rounds < 1 || b.Rounds > tc.rounds {
-				t.Fatalf("%d fsyncs in %d rounds, want exactly %d in at most %d", b.Syncs, b.Rounds, tc.syncs, tc.rounds)
-			}
-			// The count is the seam's, not only the set's own: a lone commit
-			// is everything that was fsynced since the store opened.
-			if n := int(calls.Load()); tc.k == 1 && n != tc.syncs {
-				t.Fatalf("the batch reports %d fsyncs, %d were issued", tc.syncs, n)
-			}
-			if rep := s.Verify(); rep.Healthy != tc.k || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
-				t.Fatalf("verify: %+v", rep)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				o := Options{Dir: t.TempDir(), Fault: faultinject.NewStoreRecorder()}
+				dirs := []string{o.Dir, filepath.Join(o.Dir, vtstoreDir)}
+				if mirrored {
+					o.Mirror = t.TempDir()
+					dirs = append(dirs, o.Mirror)
+				}
+				s := mustOpen(t, o)
+				// The first batch creates the side's files, commitAsBatch's
+				// opener line included.
+				warm := jobTx(s, "warm")
+				warm.Append("openers.jsonl", []byte(`{"opener":true}`))
+				mustCommit(t, warm)
+				before, from := dirEntries(t, dirs...), len(o.Fault.Trace())
+				calls := hookSync(t, nil)
+
+				var txs []*Tx
+				for i := 0; i < k; i++ {
+					txs = append(txs, jobTx(s, fmt.Sprintf("r%d", i)))
+				}
+				if k == 1 {
+					mustCommit(t, txs[0])
+				} else if errs, _ := commitAsBatch(t, s, txs); errors.Join(errs...) != nil {
+					t.Fatalf("batch: %v", errs)
+				}
+				b := txs[0].Batch()
+				if b.Txs != k || !b.Lead {
+					t.Fatalf("batch info %+v, want the leader of %d transactions", b, k)
+				}
+				if b.Syncs != syncs || b.Rounds != 3 {
+					t.Fatalf("%d fsyncs in %d rounds, want %d in 3", b.Syncs, b.Rounds, syncs)
+				}
+				// The count is the seam's, not only the set's own: a lone commit
+				// is everything that was fsynced since the first batch.
+				if n := int(calls.Load()); k == 1 && n != syncs {
+					t.Fatalf("the batch reports %d fsyncs, %d were issued", syncs, n)
+				}
+				allowed := []string{packFile, filepath.Join(vtstoreDir, walFile), indexFile, "journal.jsonl", "openers.jsonl"}
+				for _, op := range o.Fault.Trace()[from:] {
+					class, rel, _ := strings.Cut(op, " ")
+					for _, d := range []string{o.Dir, o.Mirror} {
+						if d != "" && strings.HasPrefix(rel, d+string(filepath.Separator)) {
+							rel = rel[len(d)+1:]
+						}
+					}
+					if class != "read" && (class != "write" || !slices.Contains(allowed, rel)) {
+						t.Fatalf("batch op %q: want only reads and appends to %v", op, allowed)
+					}
+				}
+				if after := dirEntries(t, dirs...); !slices.Equal(after, before) {
+					t.Fatalf("the batch changed directory entries:\nbefore %v\nafter  %v", before, after)
+				}
+				if rep := s.Verify(); rep.Healthy != k+1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+					t.Fatalf("verify: %+v", rep)
+				}
+			})
+		}
 	}
 }
 
-// TestGroupCommitStageSyncFailure fails the fsync of the second staged
-// file of a three-put batch. The round discovers it after all three
-// files exist: every member gets the error, nothing is left staged on
-// either side, no handle stays open, and the retries commit everything.
+// TestGroupCommitStageSyncFailure fails the fsync of the primary's pack
+// in the staging round of a three-put batch. The round discovers it
+// after all three payloads are appended: every member gets the error,
+// nothing indexes the staged ranges and no manifest is logged, no handle
+// stays open, and the retries commit everything.
 func TestGroupCommitStageSyncFailure(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
 	s := mustOpen(t, Options{Dir: p, Mirror: m})
-	// Manifest ops are put, append per member: the second put is op 2.
-	hookSync(t, func(path string) bool {
-		return strings.Contains(path, "staging") && strings.HasSuffix(path, "-2.0")
-	})
+	hookSync(t, func(path string) bool { return path == filepath.Join(p, packFile) })
 	keys := []string{"s0", "s1", "s2"}
 	var txs []*Tx
 	for _, k := range keys {
@@ -147,8 +176,8 @@ func TestGroupCommitStageSyncFailure(t *testing.T) {
 			t.Fatalf("member %d visible after its batch rolled back: %v", i, err)
 		}
 	}
-	if left := walDebris(p, m); len(left) != 0 {
-		t.Fatalf("rolled-back batch left debris: %v", left)
+	if left := pendingTxs(t, p); len(left) != 0 || len(liveIndex(t, p))+len(liveIndex(t, m)) != 0 {
+		t.Fatalf("rolled-back batch left pending %v, indexes %v %v", left, liveIndex(t, p), liveIndex(t, m))
 	}
 	if open := openUnder(t, p, m); len(open) != 0 {
 		t.Fatalf("rolled-back batch left handles open: %v", open)
@@ -171,20 +200,21 @@ func TestGroupCommitStageSyncFailure(t *testing.T) {
 	for _, dir := range []string{p, m} {
 		for _, k := range keys {
 			want := []byte(`{"result":"` + strings.Repeat(k, 20) + `"}`)
-			if b, err := os.ReadFile(filepath.Join(dir, "vtsim-"+k+".json")); err != nil || !bytes.Equal(b, want) {
-				t.Fatalf("%s: object %s after retry: %v %q", dir, k, err, b)
+			if b := packObject(t, dir, KindResult, k); !bytes.Equal(b, want) {
+				t.Fatalf("%s: object %s after retry: %q", dir, k, b)
 			}
 		}
 	}
-	if left := walDebris(p, m); len(left) != 0 {
-		t.Fatalf("debris after the retried commits: %v", left)
+	if left := pendingTxs(t, p); len(left) != 0 {
+		t.Fatalf("batches left undone after the retried commits: %v", left)
 	}
 }
 
 // TestGroupCommitFinalRoundSyncFailure fails one fsync of the round
 // that follows apply and replicate. The batch is past its commit point,
-// so Commit succeeds, but the commit record must outlive the round
-// (I2): it stays for the next Open, which rolls it forward.
+// so Commit succeeds, but its manifest must stay undone (I2): no done
+// line, and Close leaves the log for the next Open, which rolls it
+// forward.
 func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
 	var mu sync.Mutex
@@ -200,9 +230,9 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	if got := strings.Join(events, ","); got != "apply-failed,commit-deferred" && got != "replicate-failed,commit-deferred" {
 		t.Fatalf("events = %s, want a failed round and commit-deferred", got)
 	}
-	left := walDebris(p, m)
-	if len(left) != 1 || !strings.HasSuffix(left[0], ".commit") {
-		t.Fatalf("want exactly the surviving commit record, found %v", left)
+	s.Close()
+	if left := pendingTxs(t, p); len(left) != 1 {
+		t.Fatalf("want exactly the deferred batch undone in the log, found %v", left)
 	}
 	if open := openUnder(t, p, m); len(open) != 0 {
 		t.Fatalf("failed round left handles open: %v", open)
@@ -212,8 +242,8 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	if c := s2.counts(); c.RecoveredCommits != 1 {
 		t.Fatalf("reopen recovered %d commits, want 1", c.RecoveredCommits)
 	}
-	if left := walDebris(p, m); len(left) != 0 {
-		t.Fatalf("debris after roll-forward: %v", left)
+	if left := pendingTxs(t, p); len(left) != 0 || walSize(p) != 0 {
+		t.Fatalf("log after roll-forward: %d bytes, pending %v", walSize(p), left)
 	}
 	if _, err := s2.Get(KindResult, "late"); err != nil {
 		t.Fatalf("object absent after roll-forward: %v", err)
@@ -223,24 +253,20 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	}
 }
 
-var txidRE = regexp.MustCompile(`tx-\d+-\d+`)
-
 // normTrace rewrites a recorded op trace ("class path" lines) into its
-// run-independent form: the primary directory becomes P, the mirror M,
-// and every transaction id "tx".
+// run-independent form: the primary directory becomes P, the mirror M.
 func normTrace(trace []string, p, m string) []string {
 	out := make([]string, len(trace))
 	for i, ln := range trace {
 		ln = strings.Replace(ln, " "+p+"/", " P/", 1)
-		ln = strings.Replace(ln, " "+m+"/", " M/", 1)
-		out[i] = txidRE.ReplaceAllString(ln, "tx")
+		out[i] = strings.Replace(ln, " "+m+"/", " M/", 1)
 	}
 	return out
 }
 
 // TestGroupCommitOpTrace pins the protocol where it is defined: the
-// order of hooked writes, renames and reads of the two kill-point
-// drills, op class and store-relative path, literally. The generated
+// order of hooked writes and reads of the two kill-point drills, op
+// class and store-relative path, literally. The generated
 // kill-point subtest names only say that something moved; this says
 // what. The fault hook never sees an fsync, so regrouping fsyncs into
 // rounds must leave both lists untouched.
@@ -272,31 +298,32 @@ func TestGroupCommitOpTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, normTrace(rec.Trace(), p, m), []string{
-			"write P/.vtstore/staging/tx-0.0",
-			"write P/.vtstore/staging/tx-1.0",
-			"write P/.vtstore/staging/tx-2.0",
-			"write P/.vtstore/wal/tx.redo",
-			"rename P/.vtstore/wal/tx.commit",
-			"rename P/vtsim-job-a.json",
+			"write P/objects.pack",
+			"write P/objects.pack",
+			"write P/objects.pack",
+			"read P/objects.pack",
+			"read P/objects.pack",
+			"read P/objects.pack",
+			"write P/.vtstore/wal.jsonl",
+			"read P/.vtstore/wal.jsonl",
 			"write P/store-index.jsonl",
-			"rename P/vtart-job-b.json",
 			"write P/store-index.jsonl",
-			"rename P/vtck-job-c.json",
 			"write P/store-index.jsonl",
 			"write P/journal.jsonl",
-			"read P/vtsim-job-a.json",
-			"write M/.vtstore/staging/repl-tx-vtsim-job-a.json",
-			"rename M/vtsim-job-a.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
-			"read P/vtart-job-b.json",
-			"write M/.vtstore/staging/repl-tx-vtart-job-b.json",
-			"rename M/vtart-job-b.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
-			"read P/vtck-job-c.json",
-			"write M/.vtstore/staging/repl-tx-vtck-job-c.json",
-			"rename M/vtck-job-c.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
 			"write M/journal.jsonl",
+			"write P/.vtstore/wal.jsonl",
 		})
 	})
 
@@ -313,39 +340,41 @@ func TestGroupCommitOpTrace(t *testing.T) {
 			t.Fatal(errs)
 		}
 		check(t, normTrace(rec.Trace(), p, m), []string{
-			"write P/.vtstore/wal/tx.redo",
-			"rename P/.vtstore/wal/tx.commit",
+			"write P/.vtstore/wal.jsonl",
+			"read P/.vtstore/wal.jsonl",
 			"write P/openers.jsonl",
 			"write M/openers.jsonl",
-			"write P/.vtstore/staging/tx-0.0",
-			"write P/.vtstore/staging/tx-2.0",
-			"write P/.vtstore/staging/tx-4.0",
-			"write P/.vtstore/wal/tx.redo",
-			"rename P/.vtstore/wal/tx.commit",
-			"rename P/vtsim-k0.json",
+			"write P/.vtstore/wal.jsonl",
+			"write P/objects.pack",
+			"write P/objects.pack",
+			"write P/objects.pack",
+			"read P/objects.pack",
+			"read P/objects.pack",
+			"read P/objects.pack",
+			"write P/.vtstore/wal.jsonl",
+			"read P/.vtstore/wal.jsonl",
 			"write P/store-index.jsonl",
 			"write P/journal.jsonl",
-			"rename P/vtsim-k1.json",
 			"write P/store-index.jsonl",
 			"write P/journal.jsonl",
-			"rename P/vtsim-k2.json",
 			"write P/store-index.jsonl",
 			"write P/journal.jsonl",
-			"read P/vtsim-k0.json",
-			"write M/.vtstore/staging/repl-tx-vtsim-k0.json",
-			"rename M/vtsim-k0.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
 			"write M/journal.jsonl",
-			"read P/vtsim-k1.json",
-			"write M/.vtstore/staging/repl-tx-vtsim-k1.json",
-			"rename M/vtsim-k1.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
 			"write M/journal.jsonl",
-			"read P/vtsim-k2.json",
-			"write M/.vtstore/staging/repl-tx-vtsim-k2.json",
-			"rename M/vtsim-k2.json",
+			"read P/objects.pack",
+			"write M/objects.pack",
+			"read M/objects.pack",
 			"write M/store-index.jsonl",
 			"write M/journal.jsonl",
+			"write P/.vtstore/wal.jsonl",
 		})
 	})
 }

@@ -2,43 +2,44 @@
 // with primary+mirror replication for the harness's durable state:
 // memoized run results (vtsim), prefix checkpoints (vtck), artifacts
 // such as the sweep trace (vtart), and completion journal lines. It
-// holds two things — checksummed single-file objects and appended lines
-// — on one or two sides that are both always live.
+// holds two things — checksummed objects and appended lines — on one or
+// two sides that are both always live.
 //
 // # Layout (per side directory)
 //
-//	vtsim-<key>.json            run result
-//	vtck-<key>.json             prefix checkpoint
-//	vtart-<key>.json            artifact
+//	objects.pack                every object of every kind: raw, unframed byte ranges
+//	store-index.jsonl           append-only object index: kind, key -> sha256, size, off
 //	journal.jsonl               completion journal (appended through txs)
-//	store-index.jsonl           append-only object index: key -> checksum
 //	store-audit.jsonl           append-only audit log of store events
-//	.vtstore/wal/               redo + commit records
-//	.vtstore/staging/           staged payloads awaiting commit
+//	.vtstore/wal.jsonl          the write-ahead log (primary only)
 //
-// store-index.jsonl is what makes an object servable: a read returns
-// only bytes whose SHA-256 an index line records. An object file no
-// index line vouches for — debris, a hand-copied file, a cache directory
-// older than the store — is treated like a checksum mismatch: healed
-// from the other side when that side holds an indexed copy, quarantined
-// otherwise, and the caller recomputes.
+// Every file is append-only. An object is the byte range its latest
+// store-index.jsonl line names in objects.pack, and a read returns only
+// bytes whose SHA-256 that line records; a drop line (quarantine) makes
+// an object absent. Bytes no live line names — a superseded artifact, a
+// copy a heal replaced, a range a rolled-back batch staged — are dead and
+// stay where they are: the pack is never rewritten. A directory in an
+// older build's layout (one file per object, index lines without an
+// offset, .vtstore/wal/*.commit records) is never served and never
+// touched; Open notes what it skipped in one audit event per side.
 //
 // # Commit protocol
 //
-// A transaction's puts are staged under .vtstore/staging (written, then
-// fsynced together in one round, then read back and checksum-verified),
-// then a manifest listing every operation is written and fsynced as
-// .vtstore/wal/<tx>.redo. The atomic rename of <tx>.redo to <tx>.commit
-// is the commit point. After it, the manifest is applied: staged files
-// rename to their final object names, journal lines append, index lines
-// append, and the same operations replicate to the mirror; one more
-// round fsyncs everything both sides touched, and only then is the
-// commit record deleted. Open() recovers both directions: a surviving
-// .redo rolls back (delete staged files and the record — the
-// transaction never happened), a surviving .commit rolls forward
-// idempotently (appends are at-least-once; all line-oriented readers in
-// this codebase dedupe by key). A crash at any single point therefore
-// yields either the full transaction or none of it.
+// A transaction's puts are appended to the primary's pack, fsynced in
+// one round, and read back and checksum-verified (I1). A manifest listing
+// every operation, checksummed over its own bytes, is then appended to
+// .vtstore/wal.jsonl, fsynced and read back: that line is the commit
+// point. After it, the manifest is applied — index lines name the staged
+// ranges, journal lines append — and replicated: each range is read back
+// from the primary and verified, appended to the mirror's pack, read back
+// and verified there, and indexed. One more round fsyncs everything both
+// sides touched (I2), and only then is a done line appended to the log.
+// Open() recovers: a torn or checksum-failing manifest rolls back (its
+// pack bytes are simply never indexed), a manifest with no done line
+// rolls forward idempotently (appends are at-least-once; all
+// line-oriented readers in this codebase dedupe by key). A crash at any
+// single point therefore yields either the full transaction or none of
+// it. A clean Close truncates the log to empty.
 //
 // # Group commit
 //
@@ -46,19 +47,20 @@
 // commit in flight becomes the leader and runs the protocol; callers
 // arriving meanwhile queue, and when the leader finishes, the first of
 // them leads everything queued as one batch: one manifest holding every
-// member's operations, so K transactions pay one redo record, one
-// commit-point rename, one fsync per directory and per appended file,
-// instead of K of each, and the fsyncs that stay per object are issued
-// concurrently, a round at a time (see syncSet). A batch is just a
-// bigger transaction — staging, checksums, replication, the manifest
-// schema and recovery do not know the difference — so it lands whole or
-// not at all, and every member's Commit returns the batch's outcome.
+// member's operations. Once a side's files exist, a batch of any size
+// creates, renames and removes nothing, and pays the same handful of
+// fsyncs — one per file it appended to, in three rounds (see syncSet). A
+// batch is just a bigger transaction — staging, checksums, replication,
+// the manifest schema and recovery do not know the difference — so it
+// lands whole or not at all, and every member's Commit returns the
+// batch's outcome.
 //
 // The store assumes a single process per directory pair (the sweep
 // harness, or the fabric coordinator for a fleet).
 package resultstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -66,9 +68,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -77,16 +76,15 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Kind names an object class; it is also the on-disk filename prefix.
+// Kind names an object class.
 type Kind string
 
 const (
-	// KindResult is a memoized run result (vtsim-<key>.json).
+	// KindResult is a memoized run result.
 	KindResult Kind = "vtsim"
-	// KindCheckpoint is a prefix checkpoint envelope (vtck-<key>.json).
+	// KindCheckpoint is a prefix checkpoint envelope.
 	KindCheckpoint Kind = "vtck"
-	// KindArtifact is a sweep-level artifact (the sweep trace) under
-	// vtart-<key>.json.
+	// KindArtifact is a sweep-level artifact (the sweep trace).
 	KindArtifact Kind = "vtart"
 )
 
@@ -100,6 +98,8 @@ var ErrClosed = errors.New("resultstore: store is closed")
 
 const (
 	vtstoreDir = ".vtstore"
+	walFile    = "wal.jsonl" // under vtstoreDir, on the primary
+	packFile   = "objects.pack"
 	indexFile  = "store-index.jsonl"
 	auditFile  = "store-audit.jsonl"
 )
@@ -145,18 +145,18 @@ type Counters struct {
 	RolledBack       int64
 }
 
-// indexEntry is one store-index.jsonl line: the authoritative checksum
-// for an object on that side. Later lines win; Drop lines delete.
+// indexEntry is one store-index.jsonl line: the authoritative range and
+// checksum of an object in that side's pack. Later lines win; Drop lines
+// delete. Off is always written, so a line without it is an older
+// build's, naming a file rather than a range.
 type indexEntry struct {
 	Kind string `json:"kind"`
 	Key  string `json:"key"`
 	SHA  string `json:"sha256,omitempty"`
 	Size int64  `json:"size,omitempty"`
+	Off  int64  `json:"off"`
 	Tx   string `json:"tx,omitempty"`
 	Drop bool   `json:"drop,omitempty"`
-	// OldSegs is never written: builds that split artifacts into value
-	// segments set it, and loadIndex skips such lines.
-	OldSegs int `json:"segs,omitempty"`
 }
 
 type objKey struct {
@@ -164,12 +164,13 @@ type objKey struct {
 	key  string
 }
 
-// side is one replica directory. dir never changes, so Get's miss path
-// can consult it without the store lock; index belongs to Store.mu.
+// side is one replica directory; index belongs to Store.mu.
 type side struct {
 	dir   string
 	index map[objKey]indexEntry
 }
+
+func (sd *side) path(rel string) string { return filepath.Join(sd.dir, filepath.FromSlash(rel)) }
 
 // Store is a transactional, replicated object store over one or two
 // directories. Safe for concurrent use. Two locks split the work: qmu
@@ -180,7 +181,7 @@ type side struct {
 // something, repairs and admin operations take it too. The one caller
 // that must not wait behind a commit's fsyncs is the sweep slot asking
 // for a result nobody has computed yet, so a Get that is a definite
-// miss answers from known and the directories alone (see Get).
+// miss answers from known alone (see Get).
 type Store struct {
 	mu       sync.Mutex
 	fs       fsio
@@ -188,6 +189,9 @@ type Store struct {
 	txSeq    int64
 	counters Counters
 	onEvent  func(Event)
+	// deferred is set while the log holds a committed batch whose apply
+	// did not finish: Close must leave the log for the next Open.
+	deferred bool
 
 	// known holds every objKey an index line has ever named on any side
 	// (never pruned: a stale entry only costs the locked path), for the
@@ -204,48 +208,54 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store over Dir and, optionally,
-// Mirror, and runs crash recovery on both sides' write-ahead logs before
-// returning.
+// Mirror, replays both sides' indexes and recovers the write-ahead log
+// before returning.
 func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, errors.New("resultstore: Dir is required")
 	}
-	s := &Store{fs: fsio{hook: o.Fault}, onEvent: o.OnEvent}
+	// Transaction ids only need to differ from those of any record an
+	// earlier instance left in the log.
+	s := &Store{fs: fsio{hook: o.Fault}, onEvent: o.OnEvent, txSeq: time.Now().UnixNano()}
 	s.idle = sync.NewCond(&s.qmu)
-	dirs := []string{o.Dir}
-	if o.Mirror != "" {
-		dirs = append(dirs, o.Mirror)
-	}
-	for _, d := range dirs {
-		for _, sub := range []string{d, filepath.Join(d, vtstoreDir, "wal"), filepath.Join(d, vtstoreDir, "staging")} {
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				return nil, fmt.Errorf("resultstore: create %s: %w", sub, err)
-			}
+	for i, d := range []string{o.Dir, o.Mirror} {
+		if d == "" {
+			continue
 		}
-		s.sides = append(s.sides, &side{dir: d, index: map[objKey]indexEntry{}})
-	}
-	for _, sd := range s.sides {
-		if err := s.recoverSide(sd); err != nil {
-			return nil, err
+		sd := &side{dir: d, index: map[objKey]indexEntry{}}
+		if i == 0 {
+			d = sd.path(vtstoreDir)
 		}
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("resultstore: create %s: %w", d, err)
+		}
+		s.sides = append(s.sides, sd)
 	}
 	for _, sd := range s.sides {
 		s.loadIndex(sd)
 	}
+	s.recoverWAL()
 	return s, nil
 }
 
 // Close is the store's durability barrier: it refuses new commits
 // (ErrClosed) and returns once every Commit already under way — the
-// running batch and everything queued behind it — has finished. The
-// store holds no long-lived file handles, so there is nothing else to
-// release.
+// running batch and everything queued behind it — has finished. With
+// every logged batch done it truncates the write-ahead log to empty; a
+// store whose process has died (a drill's simulated death) touches
+// nothing. The store holds no long-lived file handles.
 func (s *Store) Close() error {
 	s.qmu.Lock()
-	defer s.qmu.Unlock()
 	s.closed = true
 	for s.committing {
 		s.idle.Wait()
+	}
+	dead := s.dead != nil
+	s.qmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !dead && !s.deferred {
+		os.Truncate(s.walPath(), 0) // best-effort: a leftover log only replays done batches
 	}
 	return nil
 }
@@ -265,10 +275,7 @@ func sumHex(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// objPath names an object's file on a side.
-func (s *Store) objPath(sd *side, kind Kind, key string) string {
-	return filepath.Join(sd.dir, fmt.Sprintf("%s-%s.json", kind, key))
-}
+func (s *Store) walPath() string { return s.sides[0].path(vtstoreDir + "/" + walFile) }
 
 // roleOf labels a side for events and reports.
 func (s *Store) roleOf(sd *side) string {
@@ -300,7 +307,7 @@ func (s *Store) event(ev Event) {
 	if err != nil {
 		return
 	}
-	f, err := os.OpenFile(filepath.Join(s.sides[0].dir, auditFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(s.sides[0].path(auditFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return
 	}
@@ -309,11 +316,9 @@ func (s *Store) event(ev Event) {
 }
 
 // sideWriter is one side's output for the duration of one manifest pass
-// (apply, replicate, repair): every line appended to the same file goes
-// through one appender, and everything the pass owes the disk — the
-// appended files, the files it writes, the side directory its objects
-// are renamed into — collects in ss, whose flush pays it once. Callers
-// hold s.mu.
+// (apply, replicate, repair): everything appended to the same file goes
+// through one appender, and everything the pass owes the disk collects in
+// ss, whose flush pays it once. Callers hold s.mu.
 type sideWriter struct {
 	s    *Store
 	sd   *side
@@ -322,18 +327,39 @@ type sideWriter struct {
 }
 
 func (s *Store) writerFor(sd *side, ss *syncSet) *sideWriter {
-	ss.dirs = append(ss.dirs, sd.dir)
 	return &sideWriter{s: s, sd: sd, ss: ss, apps: map[string]*appender{}}
+}
+
+func (w *sideWriter) app(rel string) *appender {
+	a := w.apps[rel]
+	if a == nil {
+		a = w.s.fs.appender(w.ss, w.sd.path(rel))
+		w.apps[rel] = a
+	}
+	return a
 }
 
 // line appends one line to rel (slash-relative to the side directory).
 func (w *sideWriter) line(rel string, line []byte) error {
-	a := w.apps[rel]
-	if a == nil {
-		a = w.s.fs.appender(w.ss, filepath.Join(w.sd.dir, filepath.FromSlash(rel)))
-		w.apps[rel] = a
+	a := w.app(rel)
+	return retryOnce(func() error { return a.line(line) })
+}
+
+// put appends payload to the side's pack, reads it back and verifies it
+// against sha, and indexes the copy that verified.
+func (w *sideWriter) put(e indexEntry, payload []byte) error {
+	a := w.app(packFile)
+	err := retryOnce(func() (err error) {
+		e.Off, err = a.write(payload, false)
+		return err
+	})
+	if err == nil {
+		e.Off, err = w.s.fs.verify(a, e.Off, payload, e.SHA)
 	}
-	return retryOnce(func() error { return a.write(line) })
+	if err != nil {
+		return err
+	}
+	return w.index(e)
 }
 
 // index appends one index line and updates the in-memory index.
@@ -357,101 +383,80 @@ func (w *sideWriter) index(e indexEntry) error {
 
 // loadIndex replays a side's store-index.jsonl into memory. Torn or
 // unparseable lines are skipped: an object whose index line was lost is
-// unverifiable, and reads treat it as corrupt. (A line torn by a crash
-// belongs to a transaction whose commit record survived it, and recovery
-// rolls that forward, index line included.) A line for a segmented
-// object of an older build is skipped too: what it names is not an
-// object here.
+// absent, and reads recompute it. (A line torn by a crash belongs to a
+// batch whose manifest has no done line, and recovery rolls that
+// forward, index line included.) A line without an offset, the object
+// files and the commit records of an older build are not served here;
+// what a side holds of them is noted once, and left as it is.
 func (s *Store) loadIndex(sd *side) {
-	b, err := os.ReadFile(filepath.Join(sd.dir, indexFile))
-	if err != nil {
-		return
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var e indexEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Kind == "" || e.Key == "" {
-			continue
-		}
-		if e.OldSegs > 0 {
-			s.event(Event{Op: "skip-segmented", Kind: e.Kind, Key: e.Key, Side: s.roleOf(sd), Detail: "index line of an older build"})
+	b, _ := os.ReadFile(sd.path(indexFile))
+	older := 0
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		e := indexEntry{Off: -1}
+		if err := json.Unmarshal(line, &e); err != nil || e.Kind == "" || e.Key == "" {
 			continue
 		}
 		k := objKey{Kind(e.Kind), e.Key}
-		if e.Drop {
+		switch {
+		case e.Drop:
 			delete(sd.index, k)
-		} else {
+		case e.Off < 0:
+			older++
+		default:
 			sd.index[k] = e
 			s.known.Store(k, struct{}{})
 		}
 	}
+	files, _ := filepath.Glob(sd.path("vt*-*.json")) // the patterns are well-formed
+	records, _ := filepath.Glob(sd.path(vtstoreDir + "/wal/*.commit"))
+	if older+len(files)+len(records) > 0 {
+		s.event(Event{Op: "skip-legacy", Side: s.roleOf(sd), Detail: fmt.Sprintf(
+			"older layout not served, left untouched: %d object files, %d index lines without an offset, %d commit records",
+			len(files), older, len(records))})
+	}
 }
 
-// recoverSide replays a side's write-ahead log: .redo records roll back
-// (the commit point was never reached), .commit records roll forward
-// idempotently. Stray staged files with no surviving record are removed.
-func (s *Store) recoverSide(sd *side) error {
-	walDir := filepath.Join(sd.dir, vtstoreDir, "wal")
-	stagingDir := filepath.Join(sd.dir, vtstoreDir, "staging")
-	ents, err := os.ReadDir(walDir)
-	if err != nil {
-		return fmt.Errorf("resultstore: read wal %s: %w", walDir, err)
-	}
-	names := make([]string, 0, len(ents))
-	for _, de := range ents {
-		names = append(names, de.Name())
-	}
-	sort.Strings(names)
-	deferred := false
-	for _, name := range names {
-		full := filepath.Join(walDir, name)
+// recoverWAL replays the primary's write-ahead log: a manifest that is
+// torn or fails its checksum rolls back — the commit point was never
+// reached, and nothing indexes the ranges it staged — and a manifest
+// with no done line rolls forward idempotently. With nothing left
+// deferred, the log is truncated to empty.
+func (s *Store) recoverWAL() {
+	b, _ := os.ReadFile(s.walPath())
+	var pending []manifest
+	done := map[string]bool{}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var r walRecord
+		m := manifest{}
 		switch {
-		case strings.HasSuffix(name, ".redo"):
-			txid := strings.TrimSuffix(name, ".redo")
-			removeGlob(filepath.Join(stagingDir, txid+"-*"))
-			os.Remove(full)
-			s.counters.RolledBack++
-			s.event(Event{Op: "rollback", Side: s.roleOf(sd), Detail: txid})
-		case strings.HasSuffix(name, ".commit"):
-			b, rerr := os.ReadFile(full)
-			var m manifest
-			if rerr != nil || json.Unmarshal(b, &m) != nil || m.Tx == "" {
-				os.Rename(full, full+".corrupt")
-				s.event(Event{Op: "wal-corrupt", Side: s.roleOf(sd), Detail: name})
-				continue
-			}
-			// A put staged as several files is a segmented object of an
-			// older build: skipped, its staged files swept below.
-			m.Ops = slices.DeleteFunc(m.Ops, func(op manifestOp) bool {
-				if op.Type != "put" || len(op.Staged) == 1 {
-					return false
-				}
-				s.event(Event{Op: "skip-segmented", Kind: op.Kind, Key: op.Key, Side: s.roleOf(sd), Detail: "commit record of an older build"})
-				return true
-			})
-			if s.rollForward(sd, &m, &syncSet{}, func(string) {}) {
-				os.Remove(full)
-				s.counters.RecoveredCommits++
-				s.event(Event{Op: "recover-commit", Side: s.roleOf(sd), Detail: m.Tx})
-			} else {
-				deferred = true
-				s.event(Event{Op: "recover-deferred", Side: s.roleOf(sd), Detail: m.Tx})
-			}
+		case json.Unmarshal(line, &r) != nil || r.Tx == "":
+		case r.Done:
+			done[r.Tx] = true
+			continue
+		case sumHex(r.Ops) == r.Sum && json.Unmarshal(r.Ops, &m.Ops) == nil:
+			m.Tx = r.Tx
+			pending = append(pending, m)
+			continue
+		}
+		s.counters.RolledBack++
+		s.event(Event{Op: "rollback", Side: "primary", Detail: "torn or checksum-failing log record"})
+	}
+	for _, m := range pending {
+		switch {
+		case done[m.Tx]:
+		case s.rollForward(&m, &syncSet{}, func(string) {}):
+			s.walDone(m.Tx)
+			s.counters.RecoveredCommits++
+			s.event(Event{Op: "recover-commit", Side: "primary", Detail: m.Tx})
+		default:
+			s.deferred = true
+			s.event(Event{Op: "recover-deferred", Side: "primary", Detail: m.Tx})
 		}
 	}
-	if !deferred {
-		removeGlob(filepath.Join(stagingDir, "*"))
-	}
-	return nil
-}
-
-// removeGlob deletes the staged files matching pattern (best-effort:
-// what stays is debris the next recovery sweeps again).
-func removeGlob(pattern string) {
-	matches, _ := filepath.Glob(pattern) // the patterns are well-formed
-	for _, path := range matches {
-		os.Remove(path)
+	if len(b) > 0 && !s.deferred {
+		os.Truncate(s.walPath(), 0)
 	}
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -42,6 +43,105 @@ func (s *Store) counts() Counters {
 	return c
 }
 
+// liveIndex replays one side's store-index.jsonl the way the store
+// does: the latest line per object wins, a drop line deletes, and a line
+// without an offset names nothing.
+func liveIndex(t *testing.T, dir string) map[objKey]indexEntry {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, indexFile))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	live := map[objKey]indexEntry{}
+	for _, ln := range strings.Split(string(b), "\n") {
+		e := indexEntry{Off: -1}
+		if json.Unmarshal([]byte(ln), &e) != nil {
+			continue
+		}
+		if k := (objKey{Kind(e.Kind), e.Key}); e.Drop {
+			delete(live, k)
+		} else if e.Off >= 0 {
+			live[k] = e
+		}
+	}
+	return live
+}
+
+// packObject reads an object off one side's disk, without a store: the
+// objects.pack range its live index line names (nil when none does).
+func packObject(t *testing.T, dir string, kind Kind, key string) []byte {
+	t.Helper()
+	e, ok := liveIndex(t, dir)[objKey{kind, key}]
+	if !ok {
+		return nil
+	}
+	f, err := os.Open(filepath.Join(dir, packFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, e.Size)
+	if _, err := f.ReadAt(b, e.Off); err != nil {
+		t.Fatalf("%s-%s: range %d+%d: %v", kind, key, e.Off, e.Size, err)
+	}
+	return b
+}
+
+// flipAtRest flips one bit in the middle of an object's range in one
+// side's pack: at-rest corruption.
+func flipAtRest(t *testing.T, dir string, kind Kind, key string) {
+	t.Helper()
+	e, ok := liveIndex(t, dir)[objKey{kind, key}]
+	if !ok {
+		t.Fatalf("%s-%s is not indexed in %s", kind, key, dir)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, packFile), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, e.Off+e.Size/2); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, e.Off+e.Size/2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingTxs lists the batches a primary's write-ahead log holds a
+// manifest for and no done line: what the next Open rolls forward.
+func pendingTxs(t *testing.T, dir string) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, vtstoreDir, walFile))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var pending []string
+	for _, ln := range strings.Split(string(b), "\n") {
+		var r walRecord
+		if json.Unmarshal([]byte(ln), &r) != nil {
+			continue
+		}
+		if i := slices.Index(pending, r.Tx); r.Done && i >= 0 {
+			pending = slices.Delete(pending, i, i+1)
+		} else if !r.Done && sumHex(r.Ops) == r.Sum {
+			pending = append(pending, r.Tx)
+		}
+	}
+	return pending
+}
+
+// walSize is the size of a primary's write-ahead log (0 when absent).
+func walSize(dir string) int64 {
+	fi, err := os.Stat(filepath.Join(dir, vtstoreDir, walFile))
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
@@ -50,8 +150,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	tx.Put(KindResult, "abc123", payload)
 	mustCommit(t, tx)
 
-	if _, err := os.Stat(filepath.Join(dir, "vtsim-abc123.json")); err != nil {
-		t.Fatalf("object file not at its kind-key name: %v", err)
+	if b := packObject(t, dir, KindResult, "abc123"); !bytes.Equal(b, payload) {
+		t.Fatalf("pack range named by the index line holds %q", b)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "vt*")); len(files) != 0 {
+		t.Fatalf("an object became a file of its own: %v", files)
 	}
 	got, err := s.Get(KindResult, "abc123")
 	if err != nil {
@@ -59,6 +162,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: got %q", got)
+	}
+	// Every logged batch is done, and a clean Close empties the log.
+	if left := pendingTxs(t, dir); len(left) != 0 || walSize(dir) == 0 {
+		t.Fatalf("log after a clean commit: %d bytes, pending %v", walSize(dir), left)
+	}
+	s.Close()
+	if n := walSize(dir); n != 0 {
+		t.Fatalf("log holds %d bytes after a clean Close", n)
 	}
 	// Reopen: index replays, object still verified.
 	s2 := mustOpen(t, Options{Dir: dir})
@@ -70,81 +181,79 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if c.Hits != 1 {
 		t.Fatalf("want 1 verified hit, got %+v", c)
 	}
-	// No WAL or staging debris after a clean commit.
-	for _, sub := range []string{"wal", "staging"} {
-		left, _ := filepath.Glob(filepath.Join(dir, vtstoreDir, sub, "*"))
-		if len(left) != 0 {
-			t.Fatalf("%s not empty after commit: %v", sub, left)
-		}
-	}
 }
 
-// TestLegacyCompatRead is the compat read inverted: a cache directory
-// written by a pre-store build — object files, no index — is not
-// served. An unindexed file is unverifiable, therefore corrupt: alone it
-// is quarantined and reported missing, so the caller recomputes and the
-// rewrite indexes it; beside an indexed, checksum-matching copy on the
-// other side it is healed from that copy, whatever its own bytes say.
+// TestLegacyCompatRead: a directory in an older build's layout — one
+// file per object, index lines without an offset, a commit record under
+// .vtstore/wal — is never served and never touched. Open names what it
+// skipped in one audit event per side, a Get misses so the caller
+// recomputes, and the rewrite is an ordinary object in the pack.
 func TestLegacyCompatRead(t *testing.T) {
 	payload := []byte(`{"version":1,"fingerprint":"y","result":{}}`)
-	t.Run("no mirror: quarantined and recomputed", func(t *testing.T) {
-		dir := t.TempDir()
-		obj := filepath.Join(dir, "vtsim-deadbeef.json")
-		if err := os.WriteFile(obj, payload, 0o644); err != nil {
-			t.Fatal(err)
+	older := map[string]string{
+		"vtsim-deadbeef.json": string(payload),
+		indexFile:             `{"kind":"vtsim","key":"deadbeef","sha256":"` + sumHex(payload) + `","size":44,"tx":"tx-9-1"}` + "\n",
+		filepath.Join(vtstoreDir, "wal", "tx-9-2.commit"): `{"tx":"tx-9-2","ops":[{"type":"put","kind":"vtsim","key":"deadbeef","staged":["tx-9-2-0.0"]}]}`,
+	}
+	for _, mirrored := range []bool{false, true} {
+		name := "no mirror: not served, left untouched"
+		if mirrored {
+			name = "mirror: not served on either side, left untouched"
 		}
-		s := mustOpen(t, Options{Dir: dir})
-		if got, err := s.Get(KindResult, "deadbeef"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("unindexed file served: %v %q", err, got)
-		}
-		if _, err := os.Stat(obj + ".corrupt"); err != nil {
-			t.Fatalf("unindexed file not quarantined: %v", err)
-		}
-		if c := s.counts(); c.Hits != 0 || c.Misses != 1 || c.Quarantines != 1 {
-			t.Fatalf("want one miss and one quarantine, got %+v", c)
-		}
-		if inv := s.Inventory(); inv[2].Kind != "vtsim" || inv[2].Objects != 0 {
-			t.Fatalf("inventory counts an unindexed file: %+v", inv)
-		}
-		// The caller's recomputation is an ordinary, indexed put.
-		tx := s.Begin()
-		tx.Put(KindResult, "deadbeef", payload)
-		mustCommit(t, tx)
-		if got, err := s.Get(KindResult, "deadbeef"); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("rewrite not served: %v %q", err, got)
-		}
-	})
-	t.Run("mirror: healed, bytes equal", func(t *testing.T) {
-		p, m := t.TempDir(), t.TempDir()
-		s := mustOpen(t, Options{Dir: p, Mirror: m})
-		tx := s.Begin()
-		tx.Put(KindResult, "deadbeef", payload)
-		mustCommit(t, tx)
-		s.Close()
-		// The primary loses its index and keeps a file nobody vouches
-		// for — with different bytes, so serving it would show.
-		if err := os.Remove(filepath.Join(p, indexFile)); err != nil {
-			t.Fatal(err)
-		}
-		obj := filepath.Join(p, "vtsim-deadbeef.json")
-		if err := os.WriteFile(obj, []byte(`{"version":1,"fingerprint":"y","result":{"cycles":1}}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s = mustOpen(t, Options{Dir: p, Mirror: m})
-		got, err := s.Get(KindResult, "deadbeef")
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("read beside a healthy mirror: %v %q", err, got)
-		}
-		if c := s.counts(); c.Hits != 1 || c.Repairs != 1 {
-			t.Fatalf("want one hit and one repair, got %+v", c)
-		}
-		if healed, err := os.ReadFile(obj); err != nil || !bytes.Equal(healed, payload) {
-			t.Fatalf("primary not healed bit-identically: %v %q", err, healed)
-		}
-		if rep := s.Verify(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
-			t.Fatalf("verify after heal: %+v", rep)
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			sides := []string{t.TempDir()}
+			o := Options{Dir: sides[0]}
+			if mirrored {
+				o.Mirror = t.TempDir()
+				sides = append(sides, o.Mirror)
+			}
+			for _, d := range sides {
+				for rel, body := range older {
+					os.MkdirAll(filepath.Dir(filepath.Join(d, rel)), 0o755)
+					if err := os.WriteFile(filepath.Join(d, rel), []byte(body), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var skipped []string
+			o.OnEvent = func(ev Event) {
+				if ev.Op == "skip-legacy" {
+					skipped = append(skipped, ev.Side+": "+ev.Detail)
+				}
+			}
+			s := mustOpen(t, o)
+			if len(skipped) != len(sides) || !strings.HasSuffix(skipped[0], "1 object files, 1 index lines without an offset, 1 commit records") {
+				t.Fatalf("skip-legacy events %q, want one per side naming what was skipped", skipped)
+			}
+			if got, err := s.Get(KindResult, "deadbeef"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("older layout served: %v %q", err, got)
+			}
+			if c := s.counts(); c.Hits != 0 || c.Misses != 1 || c.Quarantines != 0 || c.RecoveredCommits != 0 {
+				t.Fatalf("want one miss and nothing else, got %+v", c)
+			}
+			if rep := s.Verify(); rep.Checked != 0 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+				t.Fatalf("verify counts the older layout: %+v", rep)
+			}
+			// The caller's recomputation is an ordinary put, served after a
+			// reopen.
+			tx := s.Begin()
+			tx.Put(KindResult, "deadbeef", payload)
+			mustCommit(t, tx)
+			s.Close()
+			s = mustOpen(t, Options{Dir: o.Dir, Mirror: o.Mirror})
+			if got, err := s.Get(KindResult, "deadbeef"); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("rewrite not served: %v %q", err, got)
+			}
+			// The older files are as they were; the index only grew.
+			for _, d := range sides {
+				for rel, body := range older {
+					if got, err := os.ReadFile(filepath.Join(d, rel)); err != nil || !strings.HasPrefix(string(got), body) {
+						t.Fatalf("%s/%s was touched: %v %q", d, rel, err, got)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
@@ -154,8 +263,8 @@ func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
 		payload []byte
 	}{
 		{"result", KindResult, []byte(strings.Repeat("result-bytes ", 100))},
-		// An artifact is an object like any other, however large: one file,
-		// one checksum, healed whole.
+		// An artifact is an object like any other, however large: one
+		// range, one checksum, healed whole.
 		{"artifact over 1 MiB", KindArtifact, []byte(strings.Repeat("sweep-trace-span ", 70000))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,30 +275,24 @@ func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
 			tx.Put(tc.kind, "k1", payload)
 			mustCommit(t, tx)
 
-			objP := filepath.Join(p, string(tc.kind)+"-k1.json")
-			objM := filepath.Join(m, string(tc.kind)+"-k1.json")
-			if pb, _ := os.ReadFile(objP); !bytes.Equal(pb, payload) {
+			if !bytes.Equal(packObject(t, p, tc.kind, "k1"), payload) {
 				t.Fatal("primary object wrong before corruption")
 			}
-			if mb, _ := os.ReadFile(objM); !bytes.Equal(mb, payload) {
+			if !bytes.Equal(packObject(t, m, tc.kind, "k1"), payload) {
 				t.Fatal("mirror copy missing or wrong")
 			}
 			if got, err := s.Get(tc.kind, "k1"); err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("round trip: %v (%d bytes)", err, len(got))
 			}
-			// Flip a bit at rest, mid-file, on the primary.
-			corrupted := append([]byte(nil), payload...)
-			corrupted[len(corrupted)/2] ^= 0x40
-			if err := os.WriteFile(objP, corrupted, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			// Flip a bit at rest, mid-range, on the primary.
+			flipAtRest(t, p, tc.kind, "k1")
 			got, err := s.Get(tc.kind, "k1")
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("get should heal and serve clean bytes: %v", err)
 			}
-			// Repair must be bit-identical.
-			pb, _ := os.ReadFile(objP)
-			if !bytes.Equal(pb, payload) {
+			// Repair must be bit-identical: the healthy copy, appended and
+			// re-indexed.
+			if !bytes.Equal(packObject(t, p, tc.kind, "k1"), payload) {
 				t.Fatal("primary not repaired bit-identically")
 			}
 			c := s.counts()
@@ -201,8 +304,8 @@ func TestAtRestCorruptionRepairsFromMirror(t *testing.T) {
 			if !strings.Contains(string(audit), `"op":"repair"`) {
 				t.Fatalf("audit log missing repair event: %s", audit)
 			}
-			if segs, _ := filepath.Glob(filepath.Join(p, "*.seg*")); len(segs) != 0 {
-				t.Fatalf("object stored as more than one file: %v", segs)
+			if files, _ := filepath.Glob(filepath.Join(p, "vt*")); len(files) != 0 {
+				t.Fatalf("an object became a file of its own: %v", files)
 			}
 		})
 	}
@@ -214,18 +317,21 @@ func TestCorruptionWithoutMirrorQuarantines(t *testing.T) {
 	tx := s.Begin()
 	tx.Put(KindResult, "k2", []byte("payload-without-replica"))
 	mustCommit(t, tx)
-	obj := filepath.Join(dir, "vtsim-k2.json")
-	if err := os.WriteFile(obj, []byte("payload-without-rePlica"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipAtRest(t, dir, KindResult, "k2")
+	packBefore, _ := os.ReadFile(filepath.Join(dir, packFile))
 	if _, err := s.Get(KindResult, "k2"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound after quarantine, got %v", err)
 	}
-	if _, err := os.Stat(obj + ".corrupt"); err != nil {
-		t.Fatalf("corrupt file not quarantined: %v", err)
+	// Quarantine is a drop line: the index no longer names the range,
+	// whose bytes stay in the pack as they are.
+	if _, live := liveIndex(t, dir)[objKey{KindResult, "k2"}]; live {
+		t.Fatal("quarantined object still indexed")
 	}
-	if _, err := os.Stat(obj); !os.IsNotExist(err) {
-		t.Fatal("corrupt object still in place")
+	if packAfter, _ := os.ReadFile(filepath.Join(dir, packFile)); !bytes.Equal(packAfter, packBefore) {
+		t.Fatal("quarantine rewrote the pack")
+	}
+	if c := s.counts(); c.Quarantines != 1 {
+		t.Fatalf("want one quarantine, got %+v", c)
 	}
 	// The drop line must survive reopen: no resurrected index entry.
 	s2 := mustOpen(t, Options{Dir: dir})
@@ -300,21 +406,18 @@ func TestRepairRebuildsLostSide(t *testing.T) {
 			if rep.Repaired != len(keys)+1 || len(rep.Backfilled) != 1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
 				t.Fatalf("repair: %+v", rep)
 			}
-			names, _ := filepath.Glob(filepath.Join(kept, "*.json*"))
-			compared := 0
-			for _, name := range names {
-				base := filepath.Base(name)
-				if base == indexFile || base == auditFile {
-					continue
-				}
-				want, _ := os.ReadFile(name)
-				if got, err := os.ReadFile(filepath.Join(gone, base)); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%s not rebuilt byte-equal: %v\n got %q\nwant %q", base, err, got, want)
-				}
-				compared++
+			survivor := liveIndex(t, kept)
+			if len(survivor) != len(keys)+1 || len(liveIndex(t, gone)) != len(survivor) {
+				t.Fatalf("survivor indexes %d objects, the rebuilt side %d", len(survivor), len(liveIndex(t, gone)))
 			}
-			if compared != len(keys)+2 { // results, artifact, journal
-				t.Fatalf("survivor holds %v", names)
+			for k := range survivor {
+				if want, got := packObject(t, kept, k.kind, k.key), packObject(t, gone, k.kind, k.key); !bytes.Equal(got, want) {
+					t.Fatalf("%s-%s not rebuilt byte-equal:\n got %q\nwant %q", k.kind, k.key, got, want)
+				}
+			}
+			want, _ := os.ReadFile(filepath.Join(kept, "journal.jsonl"))
+			if got, err := os.ReadFile(filepath.Join(gone, "journal.jsonl")); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("journal not rebuilt byte-equal: %v\n got %q\nwant %q", err, got, want)
 			}
 			if rep := s.Verify(); rep.Healthy != len(keys)+1 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
 				t.Fatalf("verify after repair: %+v", rep)
@@ -376,58 +479,6 @@ func TestBackfillOnlyAppends(t *testing.T) {
 	}
 }
 
-// TestOlderBuildSegmentedRecordsSkipped: a store directory last written
-// by a build that split artifacts into value segments still opens. Its
-// segmented index line names nothing servable, a commit record it left
-// behind rolls forward without its segmented put, and both are noted in
-// the audit log; the plain put in the same record lands.
-func TestOlderBuildSegmentedRecordsSkipped(t *testing.T) {
-	dir := t.TempDir()
-	mustOpen(t, Options{Dir: dir}).Close() // lay out .vtstore
-	staging, wal := filepath.Join(dir, vtstoreDir, "staging"), filepath.Join(dir, vtstoreDir, "wal")
-	plain := []byte(`{"result":"from the older build"}`)
-	head := []byte(`{"resultstore_blob":1,"size":3,"segments":[{"sha256":"` + sumHex([]byte("abc")) + `","size":3}]}`)
-	files := map[string][]byte{
-		filepath.Join(staging, "tx-9-1-0.0"):      plain,
-		filepath.Join(staging, "tx-9-1-1.0"):      head,
-		filepath.Join(staging, "tx-9-1-1.1"):      []byte("abc"),
-		filepath.Join(dir, "vtart-old.json"):      head,
-		filepath.Join(dir, "vtart-old.json.seg0"): []byte("abc"),
-		filepath.Join(dir, indexFile):             []byte(`{"kind":"vtart","key":"old","sha256":"` + sumHex(head) + `","size":3,"segs":1,"tx":"tx-9-0"}` + "\n"),
-		filepath.Join(wal, "tx-9-1.commit"): []byte(`{"tx":"tx-9-1","ops":[` +
-			`{"type":"put","kind":"vtsim","key":"plain","sha256":"` + sumHex(plain) + `","size":33,"staged":["tx-9-1-0.0"]},` +
-			`{"type":"put","kind":"vtart","key":"trace","sha256":"` + sumHex(head) + `","size":3,"segs":[{"sha256":"` + sumHex([]byte("abc")) + `","size":3}],"staged":["tx-9-1-1.0","tx-9-1-1.1"]}]}`),
-	}
-	for path, b := range files {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var skipped []string
-	s := mustOpen(t, Options{Dir: dir, OnEvent: func(ev Event) {
-		if ev.Op == "skip-segmented" {
-			skipped = append(skipped, ev.Kind+"-"+ev.Key)
-		}
-	}})
-	if got := strings.Join(skipped, ","); got != "vtart-trace,vtart-old" {
-		t.Fatalf("skip-segmented events for %q, want the record's put then the index line", got)
-	}
-	if c := s.counts(); c.RecoveredCommits != 1 {
-		t.Fatalf("commit record not rolled forward: %+v", c)
-	}
-	if got, err := s.Get(KindResult, "plain"); err != nil || !bytes.Equal(got, plain) {
-		t.Fatalf("plain put of the older build's record: %v %q", err, got)
-	}
-	for _, key := range []string{"old", "trace"} {
-		if got, err := s.Get(KindArtifact, key); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("segmented object %s served: %v %q", key, err, got)
-		}
-	}
-	if left := walDebris(dir); len(left) != 0 {
-		t.Fatalf("debris after recovery: %v", left)
-	}
-}
-
 func TestTransientEIORetries(t *testing.T) {
 	dir := t.TempDir()
 	// Fail the first write with a transient error: Commit itself absorbs
@@ -467,9 +518,8 @@ func TestWritePathBitFlipHealedByVerifiedWrite(t *testing.T) {
 		t.Fatal("bit-flip fault never fired")
 	}
 	for _, d := range []string{p, m} {
-		b, err := os.ReadFile(filepath.Join(d, "vtsim-flip.json"))
-		if err != nil || !bytes.Equal(b, payload) {
-			t.Fatalf("flipped write not healed in %s: %v %q", d, err, b)
+		if b := packObject(t, d, KindResult, "flip"); !bytes.Equal(b, payload) {
+			t.Fatalf("flipped write not healed in %s: %q", d, b)
 		}
 	}
 }
@@ -507,9 +557,8 @@ func TestReplicateBitFlipHealed(t *testing.T) {
 	if !hook.Fired() {
 		t.Fatal("mirror bit-flip fault never fired")
 	}
-	mb, err := os.ReadFile(filepath.Join(m2, "vtsim-rk.json"))
-	if err != nil || string(mb) != "replicated payload" {
-		t.Fatalf("mirror copy not healed: %v %q", err, mb)
+	if mb := packObject(t, m2, KindResult, "rk"); string(mb) != "replicated payload" {
+		t.Fatalf("mirror copy not healed: %q", mb)
 	}
 	if rep := s2.Verify(); rep.Healthy != rep.Checked {
 		t.Fatalf("verify after healed replicate: %+v", rep)
@@ -527,7 +576,7 @@ func TestTornAppendDoesNotSwallowNextLine(t *testing.T) {
 	}
 	var ss syncSet
 	a := fsio{}.appender(&ss, path)
-	if err := errors.Join(a.write([]byte(`{"fp":"next","status":"ok"}`)), ss.flush()); err != nil {
+	if err := errors.Join(a.line([]byte(`{"fp":"next","status":"ok"}`)), ss.flush()); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

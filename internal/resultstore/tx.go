@@ -1,19 +1,20 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 )
 
-// manifest is one transaction's redo record: everything needed to roll
-// the transaction forward after the commit point, with end-to-end
-// checksums for every staged payload.
+// manifest is one batch's redo information: everything needed to roll
+// it forward after the commit point, with each put's range in the
+// primary's pack and end-to-end checksum.
 type manifest struct {
-	Tx  string       `json:"tx"`
-	Ops []manifestOp `json:"ops"`
+	Tx  string
+	Ops []manifestOp
 }
 
 type manifestOp struct {
@@ -22,22 +23,26 @@ type manifestOp struct {
 	Key  string `json:"key,omitempty"`
 	SHA  string `json:"sha256,omitempty"` // payload checksum
 	Size int64  `json:"size,omitempty"`
-	// Staged names the put's one staged file. It stays an array so that
-	// commit records interchange with older builds, whose segmented puts
-	// staged several files (recovery skips those).
-	Staged []string `json:"staged,omitempty"`
-	Rel    string   `json:"rel,omitempty"`  // append target, slash-relative to the side dir
-	Line   []byte   `json:"line,omitempty"` // append payload (one line, no newline)
+	Off  int64  `json:"off,omitempty"`  // payload offset in the primary's pack
+	Rel  string `json:"rel,omitempty"`  // append target, slash-relative to the side dir
+	Line []byte `json:"line,omitempty"` // append payload (one line, no newline)
 }
 
+// walRecord is one .vtstore/wal.jsonl line: a batch's manifest — Ops,
+// with Sum the SHA-256 of Ops' exact bytes, so a torn or flipped record
+// is told from a whole one — or, with Done, the note that the batch Tx
+// is durable on every side.
+type walRecord struct {
+	Tx   string          `json:"tx"`
+	Sum  string          `json:"sum,omitempty"`
+	Ops  json.RawMessage `json:"ops,omitempty"`
+	Done bool            `json:"done,omitempty"`
+}
+
+// txOp is one operation as its manifest records it, plus a put's payload.
 type txOp struct {
-	put     bool
-	kind    Kind
-	key     string
+	manifestOp
 	payload []byte
-	sha     string // sha256 of payload
-	rel     string
-	line    []byte
 }
 
 // Tx accumulates puts and appends that commit atomically. A Tx is not
@@ -58,12 +63,12 @@ type Tx struct {
 }
 
 // TxPhase is the wall-clock timing of one commit-protocol phase:
-// "stage" (staging writes, their fsync round, read-back verification),
-// "commit" (redo record write + the commit-point rename), "apply"
-// (staged files renamed into place and indexed), "replicate" (mirror
-// copy-through). The final fsync round, which covers both sides, is
-// timed under the last phase. Observability-only; the harness tracer
-// files these as store.* spans.
+// "stage" (pack appends, their fsync round, read-back verification),
+// "commit" (the manifest line: append, fsync, read back — the commit
+// point), "apply" (the primary's index and journal lines), "replicate"
+// (mirror copy-through). The final fsync round, which covers both sides,
+// and the done line are timed under the last phase. Observability-only;
+// the harness tracer files these as store.* spans.
 type TxPhase struct {
 	Name  string
 	Start time.Time
@@ -98,22 +103,23 @@ func (s *Store) Begin() *Tx { return &Tx{s: s} }
 // Put stages one object write.
 func (t *Tx) Put(kind Kind, key string, payload []byte) {
 	p := append([]byte(nil), payload...)
-	t.ops = append(t.ops, txOp{put: true, kind: kind, key: key, payload: p, sha: sumHex(p)})
+	op := manifestOp{Type: "put", Kind: string(kind), Key: key, SHA: sumHex(p), Size: int64(len(p))}
+	t.ops = append(t.ops, txOp{op, p})
 }
 
 // Append stages one journal-style line append to rel (slash-relative to
 // the store directory), replicated to the mirror like any object write.
 func (t *Tx) Append(rel string, line []byte) {
-	t.ops = append(t.ops, txOp{rel: rel, line: append([]byte(nil), line...)})
+	t.ops = append(t.ops, txOp{manifestOp: manifestOp{Type: "append", Rel: rel, Line: append([]byte(nil), line...)}})
 }
 
 // Commit makes the transaction durable: it joins the group commit (see
 // the package doc) and returns when the batch carrying it has run the
-// protocol — stage, write redo record, rename to commit record (the
-// commit point), apply, replicate, release. An error return means the
-// batch did not commit and was rolled back; it may be retried. After
-// the commit point Commit returns nil even if an apply step failed —
-// the surviving commit record re-applies on the next Open. If the
+// protocol — stage, append the manifest (the commit point), apply,
+// replicate, mark done. An error return means the batch did not commit
+// and was rolled back; it may be retried. After the commit point Commit
+// returns nil even if an apply step failed — the manifest, left without
+// its done line, re-applies on the next Open. If the
 // batch's leader panics (a crash drill's simulated process death), the
 // store is dead: this and every later Commit re-raises the same value.
 func (t *Tx) Commit() error {
@@ -198,9 +204,9 @@ func (s *Store) commitBatch(batch []*Tx) {
 		phases = append(phases, TxPhase{Name: name, Start: phaseStart, Dur: end.Sub(phaseStart)})
 		phaseStart = end
 	}
-	nOps := 0
+	var all []txOp
 	for _, t := range batch {
-		nOps += len(t.ops)
+		all = append(all, t.ops...)
 	}
 	var err error
 	// set collects every handle the batch opens; nothing outlives this
@@ -210,7 +216,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 		set.drop()
 		for i, t := range batch {
 			t.err, t.phases = err, phases
-			t.batch = TxBatch{Txs: len(batch), Ops: nOps, Syncs: set.syncs, Rounds: set.rounds, Lead: i == 0}
+			t.batch = TxBatch{Txs: len(batch), Ops: len(all), Syncs: set.syncs, Rounds: set.rounds, Lead: i == 0}
 		}
 	}()
 
@@ -219,188 +225,163 @@ func (s *Store) commitBatch(batch []*Tx) {
 	sd := s.sides[0]
 	s.txSeq++
 	txid := fmt.Sprintf("tx-%d-%d", os.Getpid(), s.txSeq)
-	stagingDir := filepath.Join(sd.dir, vtstoreDir, "staging")
-	walDir := filepath.Join(sd.dir, vtstoreDir, "wal")
-	redoPath := filepath.Join(walDir, txid+".redo")
-	commitPath := filepath.Join(walDir, txid+".commit")
 
-	type stagedFile struct {
-		path, sha string
-		data      []byte
-	}
-	var staged []stagedFile
-	rollback := func(cause error) {
-		for _, f := range staged {
-			os.Remove(f.path)
+	// Stage: every payload lands in the primary's pack. A batch that
+	// fails before its commit point leaves dead bytes there, nothing else.
+	m := manifest{Tx: txid, Ops: make([]manifestOp, len(all))}
+	pack := s.fs.appender(&set, sd.path(packFile))
+	for i, op := range all {
+		m.Ops[i] = op.manifestOp
+		if op.Type != "put" {
+			continue
 		}
-		os.Remove(redoPath)
-		err = cause
-	}
-
-	m := manifest{Tx: txid, Ops: make([]manifestOp, 0, nOps)}
-	for _, t := range batch {
-		for _, op := range t.ops {
-			if !op.put {
-				m.Ops = append(m.Ops, manifestOp{Type: "append", Rel: op.rel, Line: op.line})
-				continue
-			}
-			name := fmt.Sprintf("%s-%d.0", txid, len(m.Ops))
-			p := filepath.Join(stagingDir, name)
-			// Recorded before it is written: a file that was created and
-			// then failed is rollback's to remove.
-			staged = append(staged, stagedFile{p, op.sha, op.payload})
-			if werr := s.fs.writeFile(&set, p, op.payload); werr != nil {
-				rollback(fmt.Errorf("resultstore: stage %s: %w", name, werr))
-				return
-			}
-			m.Ops = append(m.Ops, manifestOp{
-				Type: "put", Kind: string(op.kind), Key: op.key,
-				SHA: op.sha, Size: int64(len(op.payload)), Staged: []string{name},
-			})
+		if m.Ops[i].Off, err = pack.write(op.payload, false); err != nil {
+			err = fmt.Errorf("resultstore: stage %s-%s: %w", op.Kind, op.Key, err)
+			return
 		}
 	}
-	// I1: every staged payload is fsynced (one round for all of them) and
-	// verified before the redo record is written. A rewrite after a failed
+	// I1: every payload is fsynced (one round for all of them) and
+	// verified before the manifest is written. A re-append after a failed
 	// verification is paid by the second flush, which is otherwise empty.
 	serr := set.flush()
-	for i := 0; serr == nil && i < len(staged); i++ {
-		serr = s.fs.verify(&set, staged[i].path, staged[i].data, staged[i].sha)
+	pack = s.fs.appender(&set, sd.path(packFile))
+	for i, op := range all {
+		if serr == nil && op.Type == "put" {
+			m.Ops[i].Off, serr = s.fs.verify(pack, m.Ops[i].Off, op.payload, op.SHA)
+		}
 	}
 	if serr == nil {
 		serr = set.flush()
 	}
 	if serr != nil {
-		rollback(fmt.Errorf("resultstore: stage %s: %w", txid, serr))
+		err = fmt.Errorf("resultstore: stage %s: %w", txid, serr)
 		return
 	}
 	phase("stage")
-	mb, merr := json.Marshal(&m)
-	if merr != nil {
-		rollback(merr)
+
+	// The commit point: the manifest line, fsynced and read back whole.
+	// After it the batch is durable — recovery rolls it forward even if
+	// everything below fails.
+	if cerr := s.logManifest(&set, &m); cerr != nil {
+		err = fmt.Errorf("resultstore: commit %s: %w", txid, cerr)
 		return
 	}
-	werr := s.fs.writeFile(&set, redoPath, mb)
-	if werr == nil {
-		werr = set.flush()
-	}
-	if werr != nil {
-		rollback(fmt.Errorf("resultstore: write redo record: %w", werr))
-		return
-	}
-	// The commit point: after this rename succeeds, the batch is durable
-	// — recovery rolls it forward even if everything below fails.
-	if rerr := s.fs.rename(redoPath, commitPath); rerr != nil {
-		rollback(fmt.Errorf("resultstore: commit %s: %w", txid, rerr))
-		return
-	}
-	set.dirs = append(set.dirs, walDir)
-	set.flush()
 	phase("commit")
 	s.counters.Commits += int64(len(batch))
-	// I2: the commit record goes only after every file and directory the
-	// batch touched on either side has been fsynced.
-	if s.rollForward(sd, &m, &set, phase) {
-		os.Remove(commitPath)
+	// I2: the done line goes only after every file the batch touched on
+	// either side has been fsynced.
+	if s.rollForward(&m, &set, phase) {
+		s.walDone(txid)
 	} else {
-		// Leave the commit record: the next Open finishes the apply.
+		// Leave the manifest without its done line: the next Open finishes
+		// the apply.
+		s.deferred = true
 		s.event(Event{Op: "commit-deferred", Side: s.roleOf(sd), Detail: txid})
 	}
 }
 
-// rollForward applies a committed manifest on the side that owns its
-// staging area (staged files rename into place, lines append),
-// replicates it to the other side, and pays both sides' durability in
-// one round; phase is told where apply and replicate end. Applying is
-// idempotent, and a mirror file may be visible before it is durable: the
-// commit record outlives the round, and rolling it forward again
-// re-replicates every put. Callers hold s.mu.
-func (s *Store) rollForward(owner *side, m *manifest, ss *syncSet, phase func(string)) bool {
+// logManifest appends m to the write-ahead log, fsyncs it and reads it
+// back. Whatever fails, the log is cut back to where the record began, so
+// recovery never rolls forward a batch whose Commit reported an error.
+func (s *Store) logManifest(set *syncSet, m *manifest) error {
+	ops, err := json.Marshal(m.Ops)
+	if err != nil {
+		return err
+	}
+	rec, err := json.Marshal(walRecord{Tx: m.Tx, Sum: sumHex(ops), Ops: ops})
+	if err != nil {
+		return err
+	}
+	wal := s.fs.appender(set, s.walPath())
+	off, err := wal.write(append(rec, '\n'), true)
+	if err == nil {
+		err = set.flush()
+	}
+	if err == nil {
+		var got []byte
+		got, err = s.fs.readAt(wal.path, off, int64(len(rec)))
+		if err == nil && !bytes.Equal(got, rec) {
+			err = errors.New("manifest read back wrong")
+		}
+	}
+	if err != nil && off >= 0 {
+		os.Truncate(wal.path, off)
+	}
+	return err
+}
+
+// walDone appends the done line of a batch whose every side is durable.
+// It is not fsynced: a done line lost to a crash only makes recovery
+// re-apply a batch, which is idempotent.
+func (s *Store) walDone(txid string) {
+	var ss syncSet
 	defer ss.drop()
-	stagingDir := filepath.Join(owner.dir, vtstoreDir, "staging")
-	own, last := s.writerFor(owner, ss), "apply"
-	ok := s.runManifest(own, m, last, func(op manifestOp) bool { return s.applyPut(own, stagingDir, m.Tx, op) })
-	if other := s.other(owner); ok && other != nil {
+	b, err := json.Marshal(walRecord{Tx: txid, Done: true})
+	if err == nil {
+		retryOnce(func() error { return s.fs.appender(&ss, s.walPath()).line(b) })
+	}
+}
+
+// rollForward applies a committed manifest on the primary (index lines
+// name the staged ranges, lines append), replicates it to the mirror,
+// and pays both sides' durability in one round; phase is told where
+// apply and replicate end. Applying is idempotent, and a mirror copy may
+// be indexed before it is durable: the manifest stays undone until the
+// round has returned, and rolling it forward again re-replicates every
+// put. Callers hold s.mu.
+func (s *Store) rollForward(m *manifest, ss *syncSet, phase func(string)) bool {
+	defer ss.drop()
+	p := s.sides[0]
+	own, last := s.writerFor(p, ss), "apply"
+	ok := s.runManifest(own, m, last, func(op manifestOp) error { return own.index(op.entry(m.Tx)) })
+	if other := s.other(p); ok && other != nil {
 		phase(last)
 		mir := s.writerFor(other, ss)
 		last = "replicate"
-		ok = s.runManifest(mir, m, last, func(op manifestOp) bool { return s.replicatePut(owner, mir, m.Tx, op) })
+		ok = s.runManifest(mir, m, last, func(op manifestOp) error { return s.copyObject(p, mir, op.entry(m.Tx)) })
 	}
 	if err := ss.flush(); err != nil {
 		ok = false
-		s.event(Event{Op: last + "-failed", Side: s.roleOf(owner), Detail: fmt.Sprintf("sync: %v", err)})
+		s.event(Event{Op: last + "-failed", Side: s.roleOf(p), Detail: fmt.Sprintf("sync: %v", err)})
 	}
 	phase(last)
 	return ok
 }
 
+// entry is the primary's index line for a put.
+func (op manifestOp) entry(txid string) indexEntry {
+	return indexEntry{Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Off: op.Off, Tx: txid}
+}
+
 // runManifest runs a manifest's operations against w's side, in order:
 // put for each object, an append for each line. It keeps going past a
 // failure, so one bad object does not hold back the rest of the batch.
-func (s *Store) runManifest(w *sideWriter, m *manifest, pass string, put func(manifestOp) bool) bool {
+func (s *Store) runManifest(w *sideWriter, m *manifest, pass string, put func(manifestOp) error) bool {
 	allOK := true
 	for _, op := range m.Ops {
+		var err error
 		switch op.Type {
 		case "put":
-			allOK = put(op) && allOK
+			err = put(op)
 		case "append":
-			if err := w.line(op.Rel, op.Line); err != nil {
-				allOK = false
-				s.event(Event{Op: pass + "-failed", Side: s.roleOf(w.sd), Detail: fmt.Sprintf("append %s: %v", op.Rel, err)})
-			}
+			err = w.line(op.Rel, op.Line)
+		}
+		if err != nil {
+			allOK = false
+			s.event(Event{Op: pass + "-failed", Side: s.roleOf(w.sd), Kind: op.Kind, Key: op.Key,
+				Detail: fmt.Sprintf("%s %s: %v", op.Type, op.Rel, err)})
 		}
 	}
 	return allOK
 }
 
-// applyPut moves one put's staged file into place and indexes it.
-func (s *Store) applyPut(w *sideWriter, stagingDir, txid string, op manifestOp) bool {
-	owner := w.sd
-	dst := s.objPath(owner, Kind(op.Kind), op.Key)
-	sp := filepath.Join(stagingDir, op.Staged[0])
-	if _, err := os.Lstat(sp); err == nil {
-		if err := retryOnce(func() error { return s.fs.rename(sp, dst) }); err != nil {
-			s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
-			return false
-		}
-	} else if b, err := s.fs.readFile(dst); err != nil || sumHex(b) != op.SHA {
-		// Staged file gone: a previous pass applied it, so the object must
-		// verify in place.
-		s.event(Event{Op: "damaged", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key,
-			Detail: "staged payload lost and final file invalid"})
-		return false
+// copyObject copies the object e names in from's pack to w's side,
+// verified on both ends, and indexes the copy there: replication and
+// heal-by-append alike.
+func (s *Store) copyObject(from *side, w *sideWriter, e indexEntry) error {
+	b, err := s.fs.readAt(from.path(packFile), e.Off, e.Size)
+	if err != nil || sumHex(b) != e.SHA {
+		return fmt.Errorf("source copy on the %s unreadable or corrupt", s.roleOf(from))
 	}
-	if err := w.index(indexEntry{Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Tx: txid}); err != nil {
-		s.event(Event{Op: "apply-failed", Side: s.roleOf(owner), Kind: op.Kind, Key: op.Key, Detail: err.Error()})
-		return false
-	}
-	return true
-}
-
-// replicatePut copies one object from a side to the writer's side and
-// indexes it there. The written handle follows its inode across the
-// rename into the writer's sync set.
-func (s *Store) replicatePut(from *side, w *sideWriter, txid string, op manifestOp) bool {
-	to := w.sd
-	fail := func(detail string) bool {
-		s.event(Event{Op: "replicate-failed", Side: s.roleOf(to), Kind: op.Kind, Key: op.Key, Detail: detail})
-		return false
-	}
-	dst := s.objPath(to, Kind(op.Kind), op.Key)
-	b, err := s.fs.readFile(s.objPath(from, Kind(op.Kind), op.Key))
-	if err != nil || sumHex(b) != op.SHA {
-		return fail("source payload unreadable or corrupt")
-	}
-	tmp := filepath.Join(to.dir, vtstoreDir, "staging", fmt.Sprintf("repl-%s-%s", txid, filepath.Base(dst)))
-	err = s.fs.writeFile(w.ss, tmp, b)
-	if err == nil {
-		err = s.fs.verify(w.ss, tmp, b, op.SHA)
-	}
-	if err != nil {
-		return fail(err.Error())
-	}
-	if err := retryOnce(func() error { return s.fs.rename(tmp, dst) }); err != nil {
-		os.Remove(tmp)
-		return fail(err.Error())
-	}
-	return w.index(indexEntry{Kind: op.Kind, Key: op.Key, SHA: op.SHA, Size: op.Size, Tx: txid}) == nil
+	return w.put(e, b)
 }

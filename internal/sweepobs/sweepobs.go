@@ -8,7 +8,7 @@
 // sweep runs emits wall-clock spans for planning, memo/store lookups,
 // prefix-fork checkpoint traffic, simulation attempts, result-store
 // transaction phases, and supervisor events. The span dump persists
-// through the result store as a vtart- artifact (so traces survive
+// through the result store as a vtart artifact (so traces survive
 // crashes and are queryable later), renders as a Perfetto trace (one
 // pid per worker slot), and feeds `vtreport -tracepath` — which answers
 // "where did the wall-clock go" for a whole sweep the way a fleet
