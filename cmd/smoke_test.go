@@ -49,13 +49,17 @@ func TestCommandSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "tiny.vta"), []byte(kernel), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// vtdiff's input is a vtsim -json result; vtreport's a swept store.
+	// vtdiff's input is a vtsim -json result or a ring dump; vtreport's a
+	// swept store or a ring dump.
 	result, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-json")
 	if code != 0 {
 		t.Fatalf("vtsim -json exited %d", code)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "bfs.json"), []byte(result), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if _, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-telemetry", "rings.json"); code != 0 {
+		t.Fatalf("vtsim -telemetry exited %d", code)
 	}
 	if _, code := run(t, dir, "vtbench", "-run", "fig-swaplat", "-dilute", "60", "-store", "swept", "-faildir", ""); code != 0 {
 		t.Fatalf("vtbench sweep exited %d", code)
@@ -76,6 +80,7 @@ func TestCommandSmoke(t *testing.T) {
 		{bin: "vtsim", args: []string{"-workload", "bfs", "-policy", "vt"}, want: "policy:              vt, scheduler gto, 15 SMs"},
 		{bin: "vtasm", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
 		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
+		{bin: "vtreport", args: []string{"-rings", "rings.json"}, want: "== swap-rate phases =="},
 		{bin: "vtsweepd", args: []string{"-list"}, want: experiments, whole: true},
 	} {
 		t.Run(tc.bin, func(t *testing.T) {
@@ -124,6 +129,27 @@ func TestCommandSmoke(t *testing.T) {
 		}
 		if rows == 0 || !hasLinePrefix(out, "speedup (a/b cycles): 1.000x") {
 			t.Errorf("found %d delta rows and no unit speedup:\n%s", rows, out)
+		}
+	})
+
+	// A ring dump diffed against itself: every phase's ΔIPC reads +0.00.
+	t.Run("vtdiff-rings", func(t *testing.T) {
+		out, code := run(t, dir, "vtdiff", "-rings", "rings.json", "rings.json")
+		if code != 0 {
+			t.Fatalf("exit code %d, want 0\n%s", code, out)
+		}
+		phases := 0
+		for _, line := range strings.Split(out, "\n") {
+			// phase, a cycles, b cycles, ΔIPC, ...
+			if f := strings.Fields(line); len(f) >= 4 && strings.Contains(f[1], "..") {
+				phases++
+				if f[3] != "+0.00" {
+					t.Errorf("non-zero ΔIPC: %q", line)
+				}
+			}
+		}
+		if phases == 0 {
+			t.Errorf("no phase rows:\n%s", out)
 		}
 	})
 }

@@ -16,9 +16,7 @@
 //	vtbench -store c -repair          # audit + heal the store, then exit
 //	vtbench -monitor :8080            # live sweep progress (HTML, /status, /metrics, /debug/pprof)
 //	vtbench -sweeptrace trace.json    # record the sweep-lifecycle span tree (vtreport -tracepath)
-//	vtbench -sweepperfetto ui.json    # ... also rendered for chrome://tracing / ui.perfetto.dev
 //	vtbench -metricsdump metrics.txt  # write the final Prometheus exposition on exit
-//	vtbench -telemetry                # collect per-run telemetry (totals in -json)
 //	vtbench -checkpoint               # prefix-fork sweep points that share a run prefix
 //	vtbench -checkpoint -forkcycle N  # pin the donor's capture to cycle >= N
 //	vtbench -worker http://host:7077  # join a vtsweepd fleet: pull jobs, stream results back
@@ -62,10 +60,8 @@ func realMain() int {
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		repair     = flag.Bool("repair", false, "audit the result store (and mirror), heal damaged objects from a healthy replica, print a report, and exit")
 		injectSpec = flag.String("inject", "", "inject a deterministic fault: workload[/variant]@cycle:kind (kind: panic, panic-once, corrupt, hang=<dur>)")
-		telemetry  = flag.Bool("telemetry", false, "attach a telemetry collector to every executed run (window/span totals land in -json)")
 		monitor    = flag.String("monitor", "", "serve live sweep progress (HTML, /status JSON, /metrics, /debug/pprof) on this address, e.g. :8080")
 		sweeptrace = flag.String("sweeptrace", "", "write the sweep-lifecycle span dump (JSON) to this file; with -store it also commits as a store artifact")
-		sweepPerf  = flag.String("sweepperfetto", "", "also render the sweep trace for chrome://tracing / ui.perfetto.dev into this file")
 		metricsOut = flag.String("metricsdump", "", "write the final Prometheus text exposition to this file on exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -94,7 +90,6 @@ func realMain() int {
 	// first: its write-behind window drains, its journal and store close.
 	defer p.Sweep.Close()
 	p.Workers = *workers
-	p.Telemetry = *telemetry
 	p.Ctx = ctx
 
 	if *repair {
@@ -128,7 +123,7 @@ func realMain() int {
 	// nil-receiver no-op — the contract behind the CI overhead gate.
 	mon := harness.NewMonitor(p.Sweep)
 	var tracer *sweepobs.Tracer
-	if *sweeptrace != "" || *sweepPerf != "" || *metricsOut != "" || *monitor != "" {
+	if *sweeptrace != "" || *metricsOut != "" || *monitor != "" {
 		tracer = sweepobs.New()
 		p.Sweep.Trace = tracer
 	}
@@ -187,7 +182,7 @@ func realMain() int {
 	// then flush the observability outputs from the final state.
 	stopMonitor()
 	if tracer != nil {
-		if err := writeSweepObservability(p, mon, tracer, *sweeptrace, *sweepPerf, *metricsOut); err != nil {
+		if err := writeSweepObservability(p, mon, tracer, *sweeptrace, *metricsOut); err != nil {
 			return fatalf("%v", err)
 		}
 	}
@@ -245,10 +240,10 @@ func runWorkerMode(ctx context.Context, sig *sweepcli.Signals, p harness.Params,
 }
 
 // writeSweepObservability flushes the tracer's span dump to the
-// requested outputs: the raw JSON dump (vtreport -tracepath input), the
-// Perfetto rendering, the result-store artifact (when a store is
-// attached), and the final Prometheus exposition.
-func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *sweepobs.Tracer, tracePath, perfPath, metricsPath string) error {
+// requested outputs: the raw JSON dump (vtreport -tracepath input, which
+// also renders it for Perfetto), the result-store artifact (when a store
+// is attached), and the final Prometheus exposition.
+func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *sweepobs.Tracer, tracePath, metricsPath string) error {
 	d := tracer.Dump()
 	if tracePath != "" {
 		b, err := json.MarshalIndent(d, "", " ")
@@ -259,12 +254,6 @@ func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *swe
 			return fmt.Errorf("sweeptrace: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "vtbench: wrote %s (%d spans)\n", tracePath, len(d.Spans))
-	}
-	if perfPath != "" {
-		err := writeFile("sweepperfetto", perfPath, func(w io.Writer) error { return sweepobs.WritePerfetto(w, d) })
-		if err != nil {
-			return err
-		}
 	}
 	if p.CacheDir != "" {
 		// Best-effort: a trace that fails to commit must not fail a sweep

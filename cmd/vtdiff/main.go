@@ -68,33 +68,17 @@ func main() {
 	}
 }
 
-// loadDump reads a telemetry ring dump written by vtsim -telemetry.
-func loadDump(path string) (*telemetry.Dump, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d telemetry.Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(d.GPU) == 0 {
-		return nil, fmt.Errorf("%s: dump has no windows", path)
-	}
-	return &d, nil
-}
-
 // diffRings compares two ring dumps phase by phase: both GPU rings are
 // rebucketed onto a common grid of at most 16 spans (each covering the
 // same fraction of its run, so runs of different lengths still align by
 // phase), then every bucket's IPC, swap, and stall-mix deltas print, and
 // the bucket with the largest IPC swing is called out.
 func diffRings(pathA, pathB string) error {
-	a, err := loadDump(pathA)
+	a, err := telemetry.ReadDump(pathA)
 	if err != nil {
 		return err
 	}
-	b, err := loadDump(pathB)
+	b, err := telemetry.ReadDump(pathB)
 	if err != nil {
 		return err
 	}

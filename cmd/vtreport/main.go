@@ -256,27 +256,11 @@ func traceReport(path, mirror, perfOut string) error {
 	return nil
 }
 
-// loadDump reads a telemetry ring dump written by vtsim -telemetry.
-func loadDump(path string) (*telemetry.Dump, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d telemetry.Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(d.GPU) == 0 {
-		return nil, fmt.Errorf("%s: dump has no windows", path)
-	}
-	return &d, nil
-}
-
 // ringsReport renders the per-workload timeline summary of one ring
 // dump: when occupancy finished ramping, and how the run divides into
 // swap-rate phases (idle / low / high relative to the peak rate).
 func ringsReport(path string) error {
-	d, err := loadDump(path)
+	d, err := telemetry.ReadDump(path)
 	if err != nil {
 		return err
 	}
@@ -365,14 +349,13 @@ func ringsReport(path string) error {
 	ws := telemetry.Rebucket(d.GPU, 16)
 	t = stats.NewTable("timeline (rebucketed)",
 		"cycles", "IPC", "act warps", "res warps", "swaps out", "L1 hit", "ctx bytes")
-	for i, w := range ws {
+	for _, w := range ws {
 		hit := "-"
 		if w.L1Accesses > 0 {
 			hit = stats.F3(float64(w.L1Hits) / float64(w.L1Accesses))
 		}
 		t.Rowf(fmt.Sprintf("%d..%d", w.Cycle-w.Cycles, w.Cycle), stats.F3(w.IPC()),
 			w.ActiveWarps, w.ResidentWarps, w.SwapsOut, hit, w.CtxBytes)
-		_ = i
 	}
 	if len(d.SwapLatency) > 0 {
 		// Buckets are emitted in ascending order, so the range is just

@@ -17,7 +17,6 @@ import (
 
 	vtsim "repro"
 	"repro/internal/config"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		sms      = flag.Int("sms", 0, "override SM count (0 = config default)")
 		timeline = flag.Int64("timeline", 0, "sample occupancy every N cycles and print the series")
 		asJSON   = flag.Bool("json", false, "emit the full result as JSON")
-		traceOut = flag.String("trace", "", "write a JSONL event trace (CTA transitions + samples) to this file")
 		perfetto = flag.String("perfetto", "", "write a Chrome/Perfetto trace-event JSON timeline to this file")
 		teleOut  = flag.String("telemetry", "", "write the telemetry ring dump (windows, spans, histogram) as JSON to this file")
 		teleWin  = flag.Int64("telemetry-window", 0, "telemetry window length in cycles (0 = default)")
@@ -78,39 +76,9 @@ func main() {
 	if *perfetto != "" || *teleOut != "" {
 		col = vtsim.NewCollector(vtsim.TelemetryConfig{Window: *teleWin, PerSM: true})
 	}
-	var res *vtsim.Result
-	var err2 error
-	if *traceOut != "" {
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			fatalf("%v", ferr)
-		}
-		tw := trace.NewWriter(f)
-		tw.Emit(trace.Event{Kind: trace.KindRun, Marker: "start",
-			Kernel: w.Name, Policy: cfg.Policy.String()})
-		res, err2 = vtsim.RunCollected(w, cfg, *timeline, func(e vtsim.TraceEvent) {
-			tw.Emit(trace.Event{Cycle: e.Cycle, Kind: trace.KindCTA, SM: e.SM,
-				CTA: e.CTA, From: e.From.String(), To: e.To.String()})
-		}, col)
-		if err2 == nil {
-			for _, sp := range res.Timeline {
-				tw.Emit(trace.Event{Cycle: sp.Cycle, Kind: trace.KindSample,
-					ActiveWarps: sp.ActiveWarps, ResidentWarps: sp.ResidentWarps, IPC: sp.IPC})
-			}
-			tw.Emit(trace.Event{Cycle: res.Cycles, Kind: trace.KindRun, Marker: "end"})
-		}
-		if err := tw.Flush(); err != nil {
-			fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", tw.Count(), *traceOut)
-	} else {
-		res, err2 = vtsim.RunCollected(w, cfg, *timeline, nil, col)
-	}
-	if err2 != nil {
-		fatalf("%v", err2)
+	res, err := vtsim.RunCollected(w, cfg, *timeline, nil, col)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *perfetto != "" {

@@ -3,8 +3,8 @@
 // simulation to a pull-based worker fleet (vtbench -worker) over the
 // fabric job API instead of executing locally. Results, the completion
 // journal, and checkpoints land in the coordinator's result store; the
-// fleet dashboard (HTML, /status JSON, Prometheus /metrics with
-// per-worker labels) serves on the same address as the job API.
+// sweep monitor (HTML, /status JSON, Prometheus /metrics with per-worker
+// labels, /debug/pprof/) serves on the same address as the job API.
 //
 // Usage:
 //
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/harness"
 	"repro/internal/sweepcli"
 	"repro/internal/sweepobs"
 )
@@ -70,7 +69,6 @@ func realMain() int {
 	}
 	defer closeOut()
 
-	harness.NewMonitor(p.Sweep)
 	p.Sweep.Trace = sweepobs.New()
 
 	if err := sf.OpenJournal("vtsweepd", p); err != nil {

@@ -78,14 +78,13 @@ type job struct {
 	done chan struct{}
 }
 
-// workerInfo is the dashboard's view of one worker.
+// workerInfo is the fleet status's record of one worker; the leases it
+// holds are byLease's.
 type workerInfo struct {
 	id          string
 	slots       int
-	active      int
 	lastSeen    time.Time
 	goodbye     bool // said its final heartbeat and has not been heard from since
-	metrics     harness.RunMetrics
 	completions int
 	simCycles   int64
 }
@@ -141,7 +140,7 @@ func New(cfg Config) *Coordinator {
 		cfg.Params.Sweep = harness.NewSweep()
 	}
 	if cfg.Params.Sweep.Monitor == nil {
-		harness.NewMonitor(cfg.Params.Sweep) // /status and /metrics read it
+		harness.NewMonitor(cfg.Params.Sweep)
 	}
 	c := &Coordinator{
 		cfg:         cfg,
@@ -157,6 +156,7 @@ func New(cfg Config) *Coordinator {
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
+	c.sweep.Monitor.Fleet = c.Status
 	go c.janitor()
 	return c
 }
@@ -239,7 +239,6 @@ func (c *Coordinator) reclaimExpired() {
 	defer c.mu.Unlock()
 	for _, j := range c.byLease {
 		if now.After(j.deadline) {
-			j.worker = ""
 			c.leasesExpired++
 			c.requeueLocked(j, now)
 		}
@@ -385,9 +384,6 @@ func (c *Coordinator) leaseLocked(workerID string, now time.Time) (resp LeaseRes
 		j.leases++
 		c.byLease[j.leaseID] = j
 		c.leasesGranted++
-		if w := c.workers[workerID]; w != nil {
-			w.active++
-		}
 		return LeaseResponse{LeaseID: j.leaseID, TTLMS: c.ttl.Milliseconds(), Job: j.spec}, true, false
 	}
 	return LeaseResponse{}, false, false
@@ -421,8 +417,6 @@ func (c *Coordinator) release(leaseID string) bool {
 	if j == nil {
 		return false
 	}
-	c.workerJobDoneLocked(j.worker)
-	j.worker = ""
 	c.leasesReleased++
 	c.requeueLocked(j, now)
 	return true
@@ -440,15 +434,8 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 	w.goodbye = false
 }
 
-func (c *Coordinator) workerJobDoneLocked(id string) {
-	if w := c.workers[id]; w != nil && w.active > 0 {
-		w.active--
-	}
-}
-
-// heartbeat records a worker's self-reported status for the dashboard.
-// A goodbye heartbeat is the worker's last word: Drain stops waiting
-// for it.
+// heartbeat records a worker's contact and slot count. A goodbye
+// heartbeat is the worker's last word: Drain stops waiting for it.
 func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 	now := c.cfg.now()
 	c.mu.Lock()
@@ -456,8 +443,6 @@ func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
 	c.touchWorkerLocked(hb.Worker, now)
 	w := c.workers[hb.Worker]
 	w.slots = hb.Slots
-	w.active = hb.Active
-	w.metrics = hb.Metrics
 	if hb.Goodbye {
 		w.goodbye = true
 		wake(&c.departed)
@@ -493,9 +478,6 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	}
 	j.state = jobDone
 	j.out = out
-	if j.worker != "" {
-		c.workerJobDoneLocked(j.worker)
-	}
 	j.worker = req.Worker
 	delete(c.byLease, j.leaseID)
 	j.leaseID = ""
@@ -522,14 +504,13 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	return nil
 }
 
-// Status snapshots the fleet for /status and the dashboard.
-func (c *Coordinator) Status() FleetStatus {
+// Status snapshots the fleet; the sweep's Monitor serves it (Fleet). A
+// worker's Active counts the live leases it holds.
+func (c *Coordinator) Status() *harness.FleetStatus {
 	now := c.cfg.now()
-	agg := c.sweep.Monitor.Status().SimCyclesPerSec
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := FleetStatus{
-		SchemaVersion:        FleetStatusSchemaVersion,
+	st := &harness.FleetStatus{
 		SweepClosed:          c.closed,
 		LeasesParked:         c.parked,
 		LeasesGranted:        c.leasesGranted,
@@ -538,7 +519,6 @@ func (c *Coordinator) Status() FleetStatus {
 		LeasesReleased:       c.leasesReleased,
 		Completions:          c.completions,
 		DuplicateCompletions: c.dupCompletions,
-		AggSimCyclesPerSec:   agg,
 	}
 	for _, j := range c.jobs {
 		switch j.state {
@@ -550,17 +530,20 @@ func (c *Coordinator) Status() FleetStatus {
 			st.JobsDone++
 		}
 	}
+	held := map[string]int{}
+	for _, j := range c.byLease {
+		held[j.worker]++
+	}
 	for _, w := range c.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
+		st.Workers = append(st.Workers, harness.WorkerStatus{
 			ID:          w.id,
 			Slots:       w.slots,
-			Active:      w.active,
+			Active:      held[w.id],
 			LastSeen:    now.Sub(w.lastSeen).Seconds(),
 			Completions: w.completions,
 			SimCycles:   w.simCycles,
-			Metrics:     w.metrics,
 		})
 	}
-	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
+	slices.SortFunc(st.Workers, func(a, b harness.WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
 	return st
 }

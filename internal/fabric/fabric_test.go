@@ -21,6 +21,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/resultstore"
+	"repro/internal/sweepobs"
 )
 
 // testClock is the coordinator's now() seam: advance it and call
@@ -77,6 +78,20 @@ func waitParked(t *testing.T, c *Coordinator, n int) {
 	}
 }
 
+// checkActive asserts that the workers' Active counts add up to the
+// jobs under a live lease: each is derived from the one lease table.
+func checkActive(t *testing.T, c *Coordinator, after string) {
+	t.Helper()
+	st := c.Status()
+	held := 0
+	for _, w := range st.Workers {
+		held += w.Active
+	}
+	if held != st.JobsLeased {
+		t.Errorf("after %s: workers hold %d leases, %d jobs are leased: %+v", after, held, st.JobsLeased, st.Workers)
+	}
+}
+
 func TestLeaseRenewExpireReclaim(t *testing.T) {
 	c, clk := leaseProtocolCoordinator(t, "j1", "j2")
 
@@ -94,14 +109,17 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 	if _, ok, _ := leaseNow(c, "w3"); ok {
 		t.Fatal("third lease granted with an empty queue")
 	}
+	checkActive(t, c, "grant")
 
 	// w1 renews halfway through the TTL; w2 goes silent.
 	clk.advance(6 * time.Second)
 	if _, ok := c.renew(l1.LeaseID); !ok {
 		t.Fatal("renew of a live lease refused")
 	}
+	checkActive(t, c, "renew")
 	clk.advance(6 * time.Second) // j2's deadline passes; j1's renewed one does not
 	c.reclaimExpired()
+	checkActive(t, c, "expiry")
 
 	st := c.Status()
 	if st.LeasesExpired != 1 || st.JobsPending != 1 || st.JobsLeased != 1 {
@@ -115,6 +133,7 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 	if l3.LeaseID == l2.LeaseID {
 		t.Fatal("re-lease reused the dead lease id")
 	}
+	checkActive(t, c, "re-lease")
 	// The dead lease is gone: renewals and releases fail.
 	if _, ok := c.renew(l2.LeaseID); ok {
 		t.Fatal("renewed an expired lease")
@@ -122,6 +141,25 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 	if c.release(l2.LeaseID) {
 		t.Fatal("released an expired lease")
 	}
+
+	// A heartbeat reports slots, not leases: w3 still holds j2.
+	c.heartbeat(HeartbeatRequest{Worker: "w3", Slots: 1})
+	checkActive(t, c, "heartbeat")
+	if w := c.Status().Workers[2]; w.ID != "w3" || w.Active != 1 {
+		t.Errorf("w3 after its heartbeat: %+v, want one live lease", w)
+	}
+	if !c.release(l3.LeaseID) {
+		t.Fatal("release of a live lease refused")
+	}
+	checkActive(t, c, "release")
+	out := harness.Outcome{
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Result: &gpu.Result{Cycles: 42},
+	}
+	if err := c.complete(CompleteRequest{LeaseID: l1.LeaseID, Worker: "w1", Outcome: out}); err != nil {
+		t.Fatal(err)
+	}
+	checkActive(t, c, "completion")
 }
 
 func TestReleaseRequeuesAtHead(t *testing.T) {
@@ -243,25 +281,73 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("get of non-syncable kind vtsim: %d", resp.StatusCode)
 	}
 
-	for _, path := range []string{"/status", "/metrics", "/"} {
-		if resp := get(path); resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %d", path, resp.StatusCode)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.WriteFleetMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"vtfabric_jobs_pending", "vtfabric_workers", "vtfabric_leases_expired_total"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("fleet metrics missing %s:\n%s", want, buf.String())
-		}
-	}
-
 	// A closed sweep answers leases with 410 so workers exit.
 	c.Close()
 	if resp := post("/v1/lease", `{"worker":"w1"}`); resp.StatusCode != http.StatusGone {
 		t.Errorf("lease after close: %d, want 410", resp.StatusCode)
+	}
+}
+
+// TestCoordinatorServesMonitor drives the coordinator's handler outside
+// /v1: the sweep's Monitor answers there, its /status carries the
+// fleet's keys top-level, its /metrics both namespaces, and the pprof
+// endpoints are mounted.
+func TestCoordinatorServesMonitor(t *testing.T) {
+	c, _ := leaseProtocolCoordinator(t, "j1", "j2")
+	leaseNow(c, "w1")
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return b.String()
+	}
+
+	status := get("/status")
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(status), &doc); err != nil {
+		t.Fatalf("/status is not JSON: %v", err)
+	}
+	for _, k := range []string{"schemaVersion", "sweepClosed", "jobsPending", "workers", "metrics"} {
+		if _, ok := doc[k]; !ok {
+			t.Errorf("/status lacks top-level %q:\n%s", k, status)
+		}
+	}
+	var st harness.MonitorStatus
+	if err := json.Unmarshal([]byte(status), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.SchemaVersion != harness.MonitorSchemaVersion || st.FleetStatus == nil ||
+		st.SweepClosed || st.JobsPending != 1 || st.JobsLeased != 1 || len(st.Workers) != 1 {
+		t.Errorf("/status = %s", status)
+	}
+
+	samples, err := sweepobs.ValidateExposition(get("/metrics"))
+	if err != nil {
+		t.Fatalf("/metrics exposition invalid: %v", err)
+	}
+	for series, want := range map[string]float64{
+		"vtsweep_runs_requested_total":             0,
+		"vtfabric_jobs_pending":                    1,
+		"vtfabric_leases_granted_total":            1,
+		`vtfabric_worker_active_jobs{worker="w1"}`: 1,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+
+	get("/debug/pprof/cmdline")
+	if page := get("/"); !strings.Contains(page, "<td>w1</td>") {
+		t.Errorf("page has no row for w1:\n%s", page)
 	}
 }
 
@@ -574,13 +660,13 @@ func TestFleetDeterminism(t *testing.T) {
 			if len(st.Workers) != 2 {
 				t.Errorf("fleet saw %d workers, want 2", len(st.Workers))
 			}
-			// Each worker's goodbye heartbeat carried its own sweep's
-			// counters, which are what the coordinator tallied for it.
+			// The per-worker tallies split the coordinator's own count.
+			var cycles int64
 			for _, w := range st.Workers {
-				if w.Metrics.Requests != w.Completions || w.Metrics.SimCycles != w.SimCycles {
-					t.Errorf("worker %s reports %d requests / %d cycles of its own, the coordinator credits it %d / %d",
-						w.ID, w.Metrics.Requests, w.Metrics.SimCycles, w.Completions, w.SimCycles)
-				}
+				cycles += w.SimCycles
+			}
+			if m := f.sweep.Sweep.Metrics(); cycles != m.SimCycles {
+				t.Errorf("workers are credited %d cycles, the sweep counted %d", cycles, m.SimCycles)
 			}
 		})
 	}

@@ -110,7 +110,7 @@ func TestParkedLeaseWokenBy(t *testing.T) {
 		if _, ok := c.renew(held.LeaseID); !ok {
 			t.Fatal("renew refused")
 		}
-		c.heartbeat(HeartbeatRequest{Worker: "w1", Slots: 1, Active: 1})
+		c.heartbeat(HeartbeatRequest{Worker: "w1", Slots: 1})
 		c.heartbeat(HeartbeatRequest{Worker: "w3", Slots: 1, Goodbye: true})
 		done := harness.Outcome{
 			Entry:  harness.JournalEntry{FP: "j1", Status: "ok", Attempts: 1, Cycles: 7},

@@ -22,11 +22,15 @@
 //	POST /v1/release   {lease_id}          -> 200 (job back to pending)
 //	POST /v1/complete  {lease_id, worker, outcome{entry, result, work}}
 //	                                       -> 200 (idempotent by entry.fp)
-//	POST /v1/heartbeat {worker, slots, active, metrics, goodbye}
+//	POST /v1/heartbeat {worker, slots, goodbye}
 //	GET  /v1/object/{kind}/{key}           -> envelope bytes | 404
 //	POST /v1/object/{kind}/{key}           <- envelope bytes
 //	                                          (kind is vtck, a prefix
 //	                                          checkpoint; any other: 400)
+//
+// Every other path is the coordinator sweep's harness.Monitor: the one
+// /status, /metrics and HTML page a local sweep serves too, carrying the
+// fleet's queue, leases and workers, and /debug/pprof/.
 //
 // A job is keyed by the harness content fingerprint's cache key — the
 // same hex id that names its result-store object and journal lines —
@@ -119,60 +123,11 @@ type CompleteRequest struct {
 	Outcome harness.Outcome `json:"outcome"`
 }
 
-// HeartbeatRequest is a worker's periodic status report for the fleet
-// dashboard: slot occupancy and its own sweep's cumulative RunMetrics.
-// Goodbye marks the worker's final report: every slot has ended and it
-// will not contact the coordinator again.
+// HeartbeatRequest is a worker's periodic sign of life, with its slot
+// count for the fleet status. Goodbye marks the worker's final report:
+// every slot has ended and it will not contact the coordinator again.
 type HeartbeatRequest struct {
-	Worker  string             `json:"worker"`
-	Slots   int                `json:"slots"`
-	Active  int                `json:"active"`
-	Metrics harness.RunMetrics `json:"metrics"`
-	Goodbye bool               `json:"goodbye,omitempty"`
+	Worker  string `json:"worker"`
+	Slots   int    `json:"slots"`
+	Goodbye bool   `json:"goodbye,omitempty"`
 }
-
-// WorkerStatus is one worker's row in the fleet status document.
-type WorkerStatus struct {
-	ID       string  `json:"id"`
-	Slots    int     `json:"slots"`
-	Active   int     `json:"active"`
-	LastSeen float64 `json:"lastSeenSeconds"` // seconds since last contact
-	// Completions and SimCycles are coordinator-side tallies of what
-	// this worker delivered (not the worker's self-reported metrics).
-	Completions int                `json:"completions"`
-	SimCycles   int64              `json:"simCycles"`
-	Metrics     harness.RunMetrics `json:"metrics"`
-}
-
-// FleetStatus is the coordinator's /status JSON document.
-type FleetStatus struct {
-	SchemaVersion int  `json:"schemaVersion"`
-	SweepClosed   bool `json:"sweepClosed"`
-
-	JobsPending int `json:"jobsPending"`
-	JobsLeased  int `json:"jobsLeased"`
-	JobsDone    int `json:"jobsDone"`
-
-	// LeasesParked is how many lease requests are waiting for a job
-	// right now: the fleet's idle slots.
-	LeasesParked int `json:"leasesParked"`
-
-	LeasesGranted  int64 `json:"leasesGranted"`
-	LeasesRenewed  int64 `json:"leasesRenewed"`
-	LeasesExpired  int64 `json:"leasesExpired"`
-	LeasesReleased int64 `json:"leasesReleased"`
-
-	Completions          int64 `json:"completions"`
-	DuplicateCompletions int64 `json:"duplicateCompletions"`
-
-	// AggSimCyclesPerSec is the windowed fleet rate: the coordinator
-	// monitor's simcycles/s over remotely completed work.
-	AggSimCyclesPerSec float64 `json:"aggSimCyclesPerSec"`
-
-	Workers []WorkerStatus `json:"workers"`
-}
-
-// FleetStatusSchemaVersion identifies the /status layout. Version 2
-// spells workers[].metrics with RunMetrics' JSON keys (the -json
-// record's), as the heartbeat that delivers them does.
-const FleetStatusSchemaVersion = 2

@@ -38,7 +38,7 @@ type WorkerConfig struct {
 	// Client overrides the HTTP client (tests); nil uses a default with
 	// a request timeout.
 	Client *http.Client
-	// HeartbeatEvery is the dashboard heartbeat cadence; default 1s.
+	// HeartbeatEvery is the heartbeat cadence; default 1s.
 	HeartbeatEvery time.Duration
 	// BeforeComplete, when non-nil, runs just before the nth completion
 	// report (1-based). The CI fabric drill uses it to kill a worker
@@ -74,7 +74,7 @@ const (
 	// requestTimeout bounds one HTTP exchange; it must stay well above
 	// the coordinator's leaseHold, which a lease request may sit out.
 	requestTimeout = 30 * time.Second
-	// defaultHeartbeatEvery is the dashboard heartbeat cadence.
+	// defaultHeartbeatEvery is the heartbeat cadence.
 	defaultHeartbeatEvery = time.Second
 )
 
@@ -86,7 +86,6 @@ type worker struct {
 	slots  int
 
 	mu        sync.Mutex
-	active    int
 	completed int
 }
 
@@ -182,15 +181,8 @@ func (w *worker) slotLoop(ctx context.Context) error {
 			continue
 		}
 		offlineSince = time.Time{}
-		w.mu.Lock()
-		w.active++
-		w.mu.Unlock()
-		execErr := w.executeAndReport(ctx, lease)
-		w.mu.Lock()
-		w.active--
-		w.mu.Unlock()
-		if execErr != nil {
-			return execErr
+		if err := w.executeAndReport(ctx, lease); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -397,14 +389,9 @@ func (w *worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 }
 
 func (w *worker) heartbeat(goodbye bool) {
-	w.mu.Lock()
-	active := w.active
-	w.mu.Unlock()
 	w.post(context.Background(), "/v1/heartbeat", HeartbeatRequest{
 		Worker:  w.cfg.ID,
 		Slots:   w.slots,
-		Active:  active,
-		Metrics: w.sweep.Metrics(),
 		Goodbye: goodbye,
 	}, nil)
 }

@@ -88,12 +88,6 @@ type Params struct {
 	// Inject installs a deterministic fault into the matching run (tests
 	// and the CI supervisor drill). Nil in normal operation.
 	Inject *faultinject.Spec
-	// Telemetry attaches a telemetry collector to every executed
-	// simulation (see internal/telemetry) and folds its window/span
-	// totals into RunMetrics. The collector is a pure observer, so
-	// results — and therefore the memo/disk-cache fingerprints — are
-	// unchanged; cache hits skip simulation and record no telemetry.
-	Telemetry bool
 	// Sampling runs every simulation in interval/sampled mode (see
 	// gpu.SamplingOptions): detailed windows alternate with functional
 	// fast-forward spans and the cycle count is extrapolated within the

@@ -27,8 +27,7 @@ import (
 // RunMetrics counts the simulation work one sweep has performed. The
 // JSON keys are the one spelling of these counters: the -json sweep record
 // (sweepcli.Report embeds this struct), the /status metrics object, and
-// the fabric wire (an Outcome's Work, a worker's heartbeat) all carry
-// them. Counters that are zero on a clean exact sweep are omitted.
+// the fabric wire (an Outcome's Work) all carry them. Counters that are zero on a clean exact sweep are omitted.
 type RunMetrics struct {
 	// Requests is the number of simulations experiments asked for.
 	Requests int `json:"runs_requested"`
@@ -65,12 +64,6 @@ type RunMetrics struct {
 	// ResumedFailed counts executed jobs that a resumed sweep's journal
 	// had recorded as failed — the jobs -resume exists to re-run.
 	ResumedFailed int `json:"resumed_failed,omitempty"`
-
-	// TelemetryWindows and TelemetrySpans total the metric windows and
-	// lifecycle spans recorded by executed runs when Params.Telemetry is
-	// set (cache hits record none).
-	TelemetryWindows int64 `json:"telemetry_windows,omitempty"`
-	TelemetrySpans   int64 `json:"telemetry_spans,omitempty"`
 
 	// Prefix-fork counters (Params.Checkpoint; see fork.go).
 
@@ -131,8 +124,6 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.Degraded += d.Degraded
 	m.Failures += d.Failures
 	m.ResumedFailed += d.ResumedFailed
-	m.TelemetryWindows += d.TelemetryWindows
-	m.TelemetrySpans += d.TelemetrySpans
 	m.CheckpointsCaptured += d.CheckpointsCaptured
 	m.CheckpointHits += d.CheckpointHits
 	m.CheckpointMisses += d.CheckpointMisses

@@ -14,23 +14,27 @@ import (
 	"repro/internal/sweepobs"
 )
 
-// Live sweep monitoring (cmd/vtbench -monitor): runMany reports every
-// job's start and finish to a Monitor, whose Handler serves the current
-// sweep state — active jobs, RunMetrics counters, span-derived stage
-// totals — as JSON (/status), Prometheus text exposition (/metrics), a
-// minimal self-refreshing HTML page (/), and the net/http/pprof
-// profiling endpoints (/debug/pprof/). The monitor is passive
-// bookkeeping: a map update per job, nothing on the simulation hot
-// path.
+// Live sweep monitoring: runMany reports every job's start and finish to
+// a Monitor, whose Handler is the one HTTP observability surface of a
+// sweep — vtbench -monitor serves it, and so does a vtsweepd coordinator
+// beside its /v1 job API. It serves the current sweep state — active
+// jobs, RunMetrics counters and, when a fleet is attached (Fleet), the
+// coordinator's queue, lease and worker state — as JSON (/status),
+// Prometheus text exposition (/metrics), a minimal self-refreshing HTML
+// page (/), and the net/http/pprof profiling endpoints (/debug/pprof/).
+// The monitor is passive bookkeeping: a map update per job, nothing on
+// the simulation hot path.
 //
 // A Monitor belongs to one Sweep (NewMonitor) and serves that sweep's
 // counters and trace; a sweep without one reports to nobody (the job
 // hooks are nil-receiver no-ops, as with a nil *sweepobs.Tracer).
 
 // MonitorSchemaVersion identifies the /status JSON layout. Version 3
-// spells the "metrics" object with RunMetrics' JSON keys (the -json
-// record's: runs_requested, sim_cycles, ...).
-const MonitorSchemaVersion = 3
+// spelled the "metrics" object with RunMetrics' JSON keys (the -json
+// record's: runs_requested, sim_cycles, ...); version 4 is the one
+// document a local sweep and a fleet coordinator serve, with the fleet's
+// keys (FleetStatus) top-level when one is attached.
+const MonitorSchemaVersion = 4
 
 // monitorRateWindow is the lookback for the windowed simcycles/s rate.
 const monitorRateWindow = 60 * time.Second
@@ -44,17 +48,21 @@ type finishedJob struct {
 // Monitor tracks one sweep's live state. Safe for concurrent use; the
 // zero value is not usable — construct with NewMonitor.
 type Monitor struct {
-	sweep       *Sweep
-	mu          sync.Mutex
-	now         func() time.Time // test seam
-	started     time.Time
-	active      map[key]time.Time // job -> start time
-	recent      []finishedJob     // completions inside the rate window
-	cyclesTotal int64             // lifetime executed sim-cycles
+	sweep   *Sweep
+	mu      sync.Mutex
+	now     func() time.Time // test seam
+	started time.Time
+	active  map[key]time.Time // job -> start time
+	recent  []finishedJob     // completions inside the rate window
 	// hist holds the one series that cannot be rebuilt per scrape from
 	// RunMetrics: the store's group-commit batch sizes.
 	hist     *sweepobs.Registry
 	batchTxs *sweepobs.Family
+
+	// Fleet, when set, reports the sweep fabric coordinator's state, which
+	// /status, /metrics and the page then carry. fabric.New sets it before
+	// the monitor serves.
+	Fleet func() *FleetStatus
 }
 
 // NewMonitor attaches an empty monitor to s: s's jobs report to it, and
@@ -104,7 +112,6 @@ func (m *Monitor) noteFinished(cycles int64) {
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cyclesTotal += cycles
 	m.recent = append(m.recent, finishedJob{t: now, cycles: cycles})
 	m.pruneLocked(now)
 }
@@ -136,6 +143,42 @@ type ActiveJob struct {
 	Seconds  float64 `json:"seconds"` // wall time since the job started
 }
 
+// FleetStatus is a sweep fabric coordinator's view of its queue, leases
+// and workers.
+type FleetStatus struct {
+	SweepClosed bool `json:"sweepClosed"`
+
+	JobsPending int `json:"jobsPending"`
+	JobsLeased  int `json:"jobsLeased"`
+	JobsDone    int `json:"jobsDone"`
+
+	// LeasesParked is how many lease requests are waiting for a job
+	// right now: the fleet's idle slots.
+	LeasesParked int `json:"leasesParked"`
+
+	LeasesGranted  int64 `json:"leasesGranted"`
+	LeasesRenewed  int64 `json:"leasesRenewed"`
+	LeasesExpired  int64 `json:"leasesExpired"`
+	LeasesReleased int64 `json:"leasesReleased"`
+
+	Completions          int64 `json:"completions"`
+	DuplicateCompletions int64 `json:"duplicateCompletions"`
+
+	Workers []WorkerStatus `json:"workers"`
+}
+
+// WorkerStatus is one worker's row in FleetStatus. Every field is the
+// coordinator's own record, not the worker's self-report.
+type WorkerStatus struct {
+	ID    string `json:"id"`
+	Slots int    `json:"slots"`
+	// Active counts the live leases the worker holds.
+	Active      int     `json:"active"`
+	LastSeen    float64 `json:"lastSeenSeconds"` // seconds since last contact
+	Completions int     `json:"completions"`
+	SimCycles   int64   `json:"simCycles"`
+}
+
 // MonitorStatus is the /status JSON document.
 type MonitorStatus struct {
 	SchemaVersion int         `json:"schemaVersion"`
@@ -145,15 +188,12 @@ type MonitorStatus struct {
 	// SimCyclesPerSec is the windowed rate: simulated cycles of runs
 	// finishing within the last monitorRateWindow, over the window (or
 	// the uptime while younger than the window). It reads ~0 when the
-	// sweep is serving cache hits — unlike the old cumulative average,
-	// which went stale after a resume skipped cached jobs.
+	// sweep is serving cache hits, so a resumed sweep does not report a
+	// stale average. On a coordinator it is the fleet's rate.
 	SimCyclesPerSec float64 `json:"simCyclesPerSec"`
-	// LifetimeSimCyclesPerSec is the old cumulative average, kept for
-	// whole-sweep throughput summaries.
-	LifetimeSimCyclesPerSec float64 `json:"lifetimeSimCyclesPerSec"`
-	// Stages aggregates completed sweep-trace spans by kind (present
-	// only when tracing is on).
-	Stages map[string]sweepobs.StageTotal `json:"stages,omitempty"`
+	// *FleetStatus is present when a fleet is attached; its keys are
+	// top-level.
+	*FleetStatus
 }
 
 // Status snapshots the sweep for the monitor endpoints.
@@ -176,7 +216,6 @@ func (m *Monitor) Status() MonitorStatus {
 	for _, f := range m.recent {
 		windowCycles += f.cycles
 	}
-	cyclesTotal := m.cyclesTotal
 	m.mu.Unlock()
 
 	sort.Slice(st.Active, func(a, b int) bool {
@@ -192,25 +231,28 @@ func (m *Monitor) Status() MonitorStatus {
 	if window > 0 {
 		st.SimCyclesPerSec = float64(windowCycles) / window
 	}
-	if st.UptimeSeconds > 0 {
-		st.LifetimeSimCyclesPerSec = float64(cyclesTotal) / st.UptimeSeconds
+	if m.Fleet != nil {
+		st.FleetStatus = m.Fleet()
 	}
-	st.Stages = m.sweep.Trace.StageTotals()
 	return st
 }
 
-// WriteMetrics renders the sweep state as Prometheus text exposition:
-// the RunMetrics counters and monitor gauges, rebuilt per scrape, the
-// store batch-size histogram, plus the tracer's span counters and
-// latency histograms when tracing is on. Metric families are disjoint
-// between the registries, so the concatenation stays a valid exposition
-// (no duplicate HELP/TYPE).
+// WriteMetrics renders the sweep state as Prometheus text exposition —
+// what /metrics serves and vtbench -metricsdump writes: the RunMetrics
+// counters and monitor gauges, rebuilt per scrape, with the fleet's
+// vtfabric_* families when a fleet is attached; then the store
+// batch-size histogram, and the tracer's span latency histograms when
+// tracing is on. Metric families are disjoint between the registries, so
+// the concatenation stays a valid exposition (no duplicate HELP/TYPE).
 func (m *Monitor) WriteMetrics(w io.Writer) error {
 	st := m.Status()
 	mt := st.Metrics
 	r := sweepobs.NewRegistry()
 	counter := func(name, help string, v float64) {
 		r.Counter(name, help).Add(v)
+	}
+	gauge := func(name, help string, v float64) {
+		r.Gauge(name, help).Set(v)
 	}
 	counter("vtsweep_runs_requested_total", "Simulations experiments asked for.", float64(mt.Requests))
 	counter("vtsweep_runs_executed_total", "gpu.Run calls actually performed.", float64(mt.Executed))
@@ -230,11 +272,34 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	counter("vtsweep_checkpoint_hits_total", "Jobs started from a prefix checkpoint.", float64(mt.CheckpointHits))
 	counter("vtsweep_checkpoint_misses_total", "Fork-eligible jobs that found no usable checkpoint.", float64(mt.CheckpointMisses))
 	counter("vtsweep_prefix_cycles_saved_total", "Prefix cycles forked runs skipped.", float64(mt.PrefixCyclesSaved))
-	counter("vtsweep_telemetry_windows_total", "Telemetry metric windows recorded by executed runs.", float64(mt.TelemetryWindows))
-	counter("vtsweep_telemetry_spans_total", "Telemetry lifecycle spans recorded by executed runs.", float64(mt.TelemetrySpans))
-	r.Gauge("vtsweep_active_jobs", "Simulations currently running.").Set(float64(len(st.Active)))
-	r.Gauge("vtsweep_uptime_seconds", "Wall time since the first job started.").Set(st.UptimeSeconds)
-	r.Gauge("vtsweep_sim_cycles_per_sec", "Windowed simulated-cycle rate over recently finished runs.").Set(st.SimCyclesPerSec)
+	gauge("vtsweep_active_jobs", "Simulations currently running.", float64(len(st.Active)))
+	gauge("vtsweep_uptime_seconds", "Wall time since the first job started.", st.UptimeSeconds)
+	gauge("vtsweep_sim_cycles_per_sec", "Windowed simulated-cycle rate over recently finished runs.", st.SimCyclesPerSec)
+	if f := st.FleetStatus; f != nil {
+		gauge("vtfabric_jobs_pending", "Jobs waiting for a lease.", float64(f.JobsPending))
+		gauge("vtfabric_jobs_leased", "Jobs currently leased to workers.", float64(f.JobsLeased))
+		gauge("vtfabric_jobs_done", "Jobs completed.", float64(f.JobsDone))
+		gauge("vtfabric_workers", "Workers that have contacted the coordinator.", float64(len(f.Workers)))
+		gauge("vtfabric_leases_parked", "Lease requests parked waiting for a job (idle slots).", float64(f.LeasesParked))
+		counter("vtfabric_leases_granted_total", "Leases granted.", float64(f.LeasesGranted))
+		counter("vtfabric_leases_renewed_total", "Lease renewals.", float64(f.LeasesRenewed))
+		counter("vtfabric_leases_expired_total", "Leases reclaimed after expiry (worker crash or stall).", float64(f.LeasesExpired))
+		counter("vtfabric_leases_released_total", "Leases released unexecuted by draining workers.", float64(f.LeasesReleased))
+		counter("vtfabric_completions_total", "Job completions accepted.", float64(f.Completions))
+		counter("vtfabric_duplicate_completions_total", "Completions dropped as duplicates (job already done).", float64(f.DuplicateCompletions))
+		slots := r.Gauge("vtfabric_worker_slots", "Lease slots per worker.")
+		active := r.Gauge("vtfabric_worker_active_jobs", "Live leases held per worker.")
+		seen := r.Gauge("vtfabric_worker_last_seen_seconds", "Seconds since each worker's last contact.")
+		comp := r.Counter("vtfabric_worker_completions_total", "Completions delivered per worker.")
+		cyc := r.Counter("vtfabric_worker_sim_cycles_total", "Simulated cycles delivered per worker.")
+		for _, ws := range f.Workers {
+			slots.Set(float64(ws.Slots), "worker", ws.ID)
+			active.Set(float64(ws.Active), "worker", ws.ID)
+			seen.Set(ws.LastSeen, "worker", ws.ID)
+			comp.Add(float64(ws.Completions), "worker", ws.ID)
+			cyc.Add(float64(ws.SimCycles), "worker", ws.ID)
+		}
+	}
 	if err := r.Write(w); err != nil {
 		return err
 	}
@@ -244,10 +309,9 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	return m.sweep.Trace.Registry().Write(w)
 }
 
-// Handler returns the live-monitor HTTP handler: "/" is a
-// self-refreshing HTML summary, "/status" the JSON document,
-// "/metrics" the Prometheus exposition, and "/debug/pprof/" the
-// standard profiling endpoints.
+// Handler returns the monitor's HTTP handler: "/" is a self-refreshing
+// HTML summary, "/status" the JSON document, "/metrics" the Prometheus
+// exposition, and "/debug/pprof/" the standard profiling endpoints.
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
@@ -270,28 +334,51 @@ func (m *Monitor) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		st := m.Status()
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprintf(w, `<!doctype html><html><head><meta http-equiv="refresh" content="2">`+
-			`<title>vtbench monitor</title></head><body><h1>vtbench sweep</h1>`)
-		fmt.Fprintf(w, "<p>uptime %.0fs — %d/%d runs executed (%d cache hits), %.0f simcycles/s</p>",
-			st.UptimeSeconds, st.Metrics.Executed, st.Metrics.Requests,
-			st.Metrics.CacheHits, st.SimCyclesPerSec)
-		if st.Metrics.Failures > 0 || st.Metrics.Degraded > 0 {
-			fmt.Fprintf(w, "<p>failures %d — degraded %d — retries %d</p>",
-				st.Metrics.Failures, st.Metrics.Degraded, st.Metrics.Retries)
-		}
-		if st.Metrics.TelemetryWindows > 0 {
-			fmt.Fprintf(w, "<p>telemetry: %d windows, %d spans</p>",
-				st.Metrics.TelemetryWindows, st.Metrics.TelemetrySpans)
-		}
-		fmt.Fprintf(w, "<h2>active (%d)</h2><ul>", len(st.Active))
-		for _, a := range st.Active {
-			fmt.Fprintf(w, "<li>%s/%s — %.1fs</li>",
-				html.EscapeString(a.Workload), html.EscapeString(a.Variant), a.Seconds)
-		}
-		fmt.Fprintf(w, "</ul><p><a href=%q>JSON</a> — <a href=%q>metrics</a></p></body></html>",
-			"/status", "/metrics")
+		writePage(w, m.Status())
 	})
 	return mux
+}
+
+// writePage renders st as the self-refreshing HTML page, with the queue,
+// lease counters and one row per worker when a fleet is attached.
+func writePage(w http.ResponseWriter, st MonitorStatus) {
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	fmt.Fprintf(w, `<!doctype html><html><head><meta http-equiv="refresh" content="2">`+
+		`<title>sweep monitor</title></head><body><h1>sweep</h1>`)
+	fmt.Fprintf(w, "<p>uptime %.0fs — %d/%d runs executed (%d cache hits), %.0f simcycles/s</p>",
+		st.UptimeSeconds, st.Metrics.Executed, st.Metrics.Requests,
+		st.Metrics.CacheHits, st.SimCyclesPerSec)
+	if st.Metrics.Failures > 0 || st.Metrics.Degraded > 0 {
+		fmt.Fprintf(w, "<p>failures %d — degraded %d — retries %d</p>",
+			st.Metrics.Failures, st.Metrics.Degraded, st.Metrics.Retries)
+	}
+	if f := st.FleetStatus; f != nil {
+		state := "running"
+		if f.SweepClosed {
+			state = "complete"
+		}
+		fmt.Fprintf(w, "<p>fleet sweep %s — jobs: %d pending, %d leased, %d done</p>",
+			state, f.JobsPending, f.JobsLeased, f.JobsDone)
+		fmt.Fprintf(w, "<p>leases: %d granted, %d renewed, %d expired, %d released — completions: %d (+%d duplicate)</p>",
+			f.LeasesGranted, f.LeasesRenewed, f.LeasesExpired, f.LeasesReleased,
+			f.Completions, f.DuplicateCompletions)
+	}
+	fmt.Fprintf(w, "<h2>active (%d)</h2><ul>", len(st.Active))
+	for _, a := range st.Active {
+		fmt.Fprintf(w, "<li>%s/%s — %.1fs</li>",
+			html.EscapeString(a.Workload), html.EscapeString(a.Variant), a.Seconds)
+	}
+	fmt.Fprint(w, "</ul>")
+	if f := st.FleetStatus; f != nil {
+		fmt.Fprintf(w, "<h2>workers (%d)</h2><table border=1 cellpadding=4>"+
+			"<tr><th>worker</th><th>slots</th><th>active</th><th>last seen</th>"+
+			"<th>completions</th><th>simcycles</th></tr>", len(f.Workers))
+		for _, ws := range f.Workers {
+			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1fs</td><td>%d</td><td>%d</td></tr>",
+				html.EscapeString(ws.ID), ws.Slots, ws.Active, ws.LastSeen, ws.Completions, ws.SimCycles)
+		}
+		fmt.Fprint(w, "</table>")
+	}
+	fmt.Fprintf(w, "<p><a href=%q>JSON</a> — <a href=%q>metrics</a></p></body></html>",
+		"/status", "/metrics")
 }

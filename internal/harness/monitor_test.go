@@ -16,13 +16,12 @@ import (
 )
 
 // TestMonitorHandler exercises the live-monitor endpoint end to end: run
-// a small sweep with telemetry on, then check /status serves coherent
-// JSON and / serves the self-refreshing HTML page.
+// a small sweep, then check /status serves coherent JSON without fleet
+// keys and / serves the self-refreshing HTML page.
 func TestMonitorHandler(t *testing.T) {
 	p := inSweep(t, DefaultParams())
 	p.Config = config.Small()
 	p.Dilute = 60
-	p.Telemetry = true
 	NewMonitor(p.Sweep)
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
@@ -50,9 +49,8 @@ func TestMonitorHandler(t *testing.T) {
 	if st.Metrics.Executed < 2 {
 		t.Errorf("metrics.executed = %d, want >= 2", st.Metrics.Executed)
 	}
-	if st.Metrics.TelemetryWindows == 0 || st.Metrics.TelemetrySpans == 0 {
-		t.Errorf("telemetry totals empty: %d windows, %d spans",
-			st.Metrics.TelemetryWindows, st.Metrics.TelemetrySpans)
+	if st.FleetStatus != nil {
+		t.Errorf("a local sweep reports a fleet: %+v", st.FleetStatus)
 	}
 	if len(st.Active) != 0 {
 		t.Errorf("no jobs should be active after the sweep: %+v", st.Active)
@@ -68,7 +66,7 @@ func TestMonitorHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(body)
-	for _, want := range []string{"http-equiv=\"refresh\"", "vtbench sweep", "/status"} {
+	for _, want := range []string{"http-equiv=\"refresh\"", "<h1>sweep</h1>", "/status"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("monitor page missing %q", want)
 		}
@@ -103,12 +101,9 @@ func TestMonitorWindowedRate(t *testing.T) {
 	if st.UptimeSeconds != 10 {
 		t.Fatalf("uptime = %v, want 10", st.UptimeSeconds)
 	}
-	// Uptime is younger than the window, so both rates divide by uptime.
+	// Uptime is younger than the window, so the rate divides by uptime.
 	if st.SimCyclesPerSec != 500 {
 		t.Errorf("windowed rate = %v, want 500", st.SimCyclesPerSec)
-	}
-	if st.LifetimeSimCyclesPerSec != 500 {
-		t.Errorf("lifetime rate = %v, want 500", st.LifetimeSimCyclesPerSec)
 	}
 
 	// Two idle minutes later (all cache hits, nothing executed): the
@@ -118,9 +113,6 @@ func TestMonitorWindowedRate(t *testing.T) {
 	st = m.Status()
 	if st.SimCyclesPerSec != 0 {
 		t.Errorf("windowed rate after idle window = %v, want 0", st.SimCyclesPerSec)
-	}
-	if st.LifetimeSimCyclesPerSec <= 0 {
-		t.Errorf("lifetime rate = %v, want > 0", st.LifetimeSimCyclesPerSec)
 	}
 
 	// New completions re-populate the window at the windowed divisor.
@@ -142,11 +134,11 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mon.Status()
-	if st.UptimeSeconds <= 0 || st.LifetimeSimCyclesPerSec <= 0 {
+	if st.UptimeSeconds <= 0 || st.SimCyclesPerSec <= 0 {
 		t.Errorf("injected monitor saw no work: uptime=%v rate=%v",
-			st.UptimeSeconds, st.LifetimeSimCyclesPerSec)
+			st.UptimeSeconds, st.SimCyclesPerSec)
 	}
-	seen := mon.cyclesTotal
+	seen := len(mon.recent)
 
 	bare := forkTestParams(t) // its own empty memo, so this sweep executes too
 	if _, err := runMany(bare, jobs); err != nil {
@@ -155,8 +147,8 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 	if n := bare.Sweep.Metrics().Executed; n != 1 {
 		t.Fatalf("monitor-less sweep executed %d runs, want 1", n)
 	}
-	if got := mon.cyclesTotal; got != seen {
-		t.Errorf("monitor-less sweep leaked into another sweep's monitor: %d cycles, was %d", got, seen)
+	if got := len(mon.recent); got != seen {
+		t.Errorf("monitor-less sweep leaked into another sweep's monitor: %d completions, was %d", got, seen)
 	}
 }
 
@@ -203,14 +195,14 @@ func TestMonitorConcurrentScrape(t *testing.T) {
 	if len(st.Active) != 0 {
 		t.Errorf("%d jobs still active after the storm", len(st.Active))
 	}
-	if st.LifetimeSimCyclesPerSec <= 0 {
-		t.Errorf("lifetime rate = %v after %d completions", st.LifetimeSimCyclesPerSec, 4*200)
+	if st.SimCyclesPerSec <= 0 {
+		t.Errorf("windowed rate = %v after %d completions", st.SimCyclesPerSec, 4*200)
 	}
 }
 
 // TestMonitorMetricsEndpoint runs a traced sweep against an injected
 // monitor and checks the /metrics exposition (through the independent
-// parser), the span-derived stage totals on /status, and that the pprof
+// parser), the per-kind span histogram in it, and that the pprof
 // endpoints answer on the same mux.
 func TestMonitorMetricsEndpoint(t *testing.T) {
 	p := inSweep(t, DefaultParams())
@@ -246,26 +238,15 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 		t.Errorf("vtsweep_runs_executed_total = %v, want >= 2", samples["vtsweep_runs_executed_total"])
 	}
 	for _, series := range []string{
-		`vtsweep_spans_total{kind="job"}`,
-		`vtsweep_spans_total{kind="execute"}`,
 		`vtsweep_span_seconds_count{kind="job"}`,
+		`vtsweep_span_seconds_count{kind="execute"}`,
 	} {
 		if samples[series] < 2 {
 			t.Errorf("%s = %v, want >= 2", series, samples[series])
 		}
 	}
-
-	resp, err = http.Get(srv.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st MonitorStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Stages["execute"].Count < 2 || st.Stages["execute"].Seconds <= 0 {
-		t.Errorf("stage totals missing execute: %+v", st.Stages)
+	if sec := samples[`vtsweep_span_seconds_sum{kind="execute"}`]; sec <= 0 {
+		t.Errorf("execute spans total %v s, want > 0", sec)
 	}
 
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/resultstore"
-	"repro/internal/telemetry"
 )
 
 // The run supervisor wraps every simulation the harness executes:
@@ -85,9 +84,6 @@ type attempt struct {
 	// ck is the last prefix checkpoint the attempt captured (donor runs
 	// under a capture spec only; see fork.go).
 	ck *gpu.Checkpoint
-	// windows and spans are the telemetry collector's totals for a
-	// successful attempt under Params.Telemetry.
-	windows, spans int
 }
 
 // runAttempt performs one simulation attempt under panic recovery. The
@@ -182,11 +178,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 		defer cancel()
 		opts.Ctx = ctx
 	}
-	var col *telemetry.Collector
-	if p.Telemetry {
-		col = telemetry.NewCollector(telemetry.Config{})
-		opts.Telemetry = col
-	}
 	if spec != nil && spec.capture {
 		if spec.at > 0 {
 			opts.CheckpointAt = spec.at
@@ -203,9 +194,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 		a.res, a.err = gpu.Resume(spec.ck, launches, cfg, opts)
 	} else {
 		a.res, a.err = gpu.RunMulti(launches, cfg, opts)
-	}
-	if col != nil && a.err == nil {
-		a.windows, a.spans = col.Totals()
 	}
 	return a
 }
@@ -305,7 +293,6 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 	}
 	res := last.res
 	work.SimCycles = res.Cycles - prefix
-	work.TelemetryWindows, work.TelemetrySpans = int64(last.windows), int64(last.spans)
 	if ss := res.Sampling; ss != nil {
 		work.SampledRuns = 1
 		work.SampledSpans = ss.Spans

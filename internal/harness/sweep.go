@@ -29,7 +29,7 @@ type Sweep struct {
 	// before the sweep's first job.
 	Trace *sweepobs.Tracer
 	// Monitor receives live job begin/finish bookkeeping and serves the
-	// -monitor endpoints from this sweep's counters; NewMonitor attaches
+	// sweep's /status and /metrics from its counters; NewMonitor attaches
 	// one. Nil reports to nobody: every Monitor hook is a nil-receiver
 	// no-op, as with Trace.
 	Monitor *Monitor

@@ -24,7 +24,6 @@ import (
 var programs = map[string]func(*flag.FlagSet){
 	"vtbench": func(fs *flag.FlagSet) {
 		fs.Int("workers", 0, "")
-		fs.Bool("telemetry", false, "")
 	},
 	"vtsweepd": func(fs *flag.FlagSet) {
 		fs.String("addr", ":7077", "")

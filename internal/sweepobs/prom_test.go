@@ -16,7 +16,7 @@ func TestRegistryGolden(t *testing.T) {
 	h.Observe(0.05, "kind", "job")
 	h.Observe(0.5, "kind", "job")
 	h.Observe(5, "kind", "job")
-	byKind := r.Counter("vtsweep_spans_total", "Spans.")
+	byKind := r.Counter("vtsweep_runs_total", "Runs.")
 	byKind.Add(2, "kind", "store.tx")
 	byKind.Add(1, "kind", `we"ird`)
 	// An unlabeled histogram, as the monitor's batch-size series is.
@@ -44,10 +44,10 @@ vtsweep_span_seconds_bucket{kind="job",le="1"} 2
 vtsweep_span_seconds_bucket{kind="job",le="+Inf"} 3
 vtsweep_span_seconds_sum{kind="job"} 5.55
 vtsweep_span_seconds_count{kind="job"} 3
-# HELP vtsweep_spans_total Spans.
-# TYPE vtsweep_spans_total counter
-vtsweep_spans_total{kind="store.tx"} 2
-vtsweep_spans_total{kind="we\"ird"} 1
+# HELP vtsweep_runs_total Runs.
+# TYPE vtsweep_runs_total counter
+vtsweep_runs_total{kind="store.tx"} 2
+vtsweep_runs_total{kind="we\"ird"} 1
 # HELP vtsweep_store_batch_txs Transactions per batch.
 # TYPE vtsweep_store_batch_txs histogram
 vtsweep_store_batch_txs_bucket{le="1"} 1
@@ -115,13 +115,10 @@ func TestExpositionParsesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, b.String())
 	}
-	if samples[`vtsweep_spans_total{kind="job"}`] != 5 {
-		t.Fatalf("job spans = %v, want 5\n%s", samples[`vtsweep_spans_total{kind="job"}`], b.String())
-	}
-	if samples[`vtsweep_spans_total{kind="execute"}`] != 5 {
-		t.Fatalf("execute spans = %v, want 5", samples[`vtsweep_spans_total{kind="execute"}`])
-	}
 	if samples[`vtsweep_span_seconds_count{kind="job"}`] != 5 {
-		t.Fatalf("histogram count = %v, want 5", samples[`vtsweep_span_seconds_count{kind="job"}`])
+		t.Fatalf("job spans = %v, want 5\n%s", samples[`vtsweep_span_seconds_count{kind="job"}`], b.String())
+	}
+	if samples[`vtsweep_span_seconds_count{kind="execute"}`] != 5 {
+		t.Fatalf("execute spans = %v, want 5", samples[`vtsweep_span_seconds_count{kind="execute"}`])
 	}
 }

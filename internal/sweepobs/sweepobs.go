@@ -11,8 +11,7 @@
 // through the result store as a vtart artifact (so traces survive
 // crashes and are queryable later), renders as a Perfetto trace (one
 // pid per worker slot), and feeds `vtreport -tracepath` — which answers
-// "where did the wall-clock go" for a whole sweep the way a fleet
-// coordinator will need to for many workers.
+// "where did the wall-clock go" for a whole sweep, local or fleet.
 //
 // Spans are job-lifecycle-grained — a handful per job, never per
 // simulated cycle — so recording is a short mutex-guarded append, far
@@ -59,12 +58,6 @@ type Span struct {
 // End returns the span's end time in nanoseconds since tracer start.
 func (s Span) End() int64 { return s.StartNS + s.DurNS }
 
-// StageTotal aggregates completed spans of one kind.
-type StageTotal struct {
-	Count   int64   `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
 // Dump is the persistable span trace of one sweep.
 type Dump struct {
 	SchemaVersion int `json:"schema_version"`
@@ -82,7 +75,6 @@ type Dump struct {
 // tracer (all methods no-op).
 type Tracer struct {
 	reg         *Registry
-	spansTotal  *Family
 	spanSeconds *Family
 
 	mu      sync.Mutex
@@ -93,7 +85,6 @@ type Tracer struct {
 	openIdx map[SpanID]int // open span -> index in spans
 	slots   []bool         // worker-slot occupancy
 	workers int            // high-water slot count
-	stages  map[string]*StageTotal
 }
 
 // spanSecondsBuckets are the latency-histogram bounds (seconds) for
@@ -105,18 +96,17 @@ func New() *Tracer {
 	reg := NewRegistry()
 	t := &Tracer{
 		reg:         reg,
-		spansTotal:  reg.Counter("vtsweep_spans_total", "Completed sweep-lifecycle spans by kind."),
 		spanSeconds: reg.Histogram("vtsweep_span_seconds", "Sweep-lifecycle span duration in seconds by kind.", spanSecondsBuckets),
 		now:         time.Now,
 		openIdx:     map[SpanID]int{},
-		stages:      map[string]*StageTotal{},
 	}
 	t.start = t.now()
 	return t
 }
 
-// Registry returns the tracer's metric registry (span counters and
-// latency histograms), for composition into a /metrics exposition.
+// Registry returns the tracer's metric registry (the per-kind span
+// latency histogram, whose _count and _sum are each kind's span count
+// and total seconds), for composition into a /metrics exposition.
 // Nil-safe: returns nil on a nil tracer.
 func (t *Tracer) Registry() *Registry {
 	if t == nil {
@@ -196,8 +186,8 @@ func (t *Tracer) SetAttr(id SpanID, k, v string) {
 	t.spans[i].Attrs[k] = v
 }
 
-// end closes the span and folds it into the stage totals and metric
-// series. Callers hold t.mu.
+// end closes the span and folds it into the span histogram. Callers
+// hold t.mu.
 func (t *Tracer) end(id SpanID) {
 	i, ok := t.openIdx[id]
 	if !ok {
@@ -212,19 +202,10 @@ func (t *Tracer) end(id SpanID) {
 	t.account(sp.Kind, sp.DurNS)
 }
 
-// account records one completed span in the aggregates. Callers hold
+// account records one completed span in the histogram. Callers hold
 // t.mu (the registry has its own lock).
 func (t *Tracer) account(kind string, durNS int64) {
-	st := t.stages[kind]
-	if st == nil {
-		st = &StageTotal{}
-		t.stages[kind] = st
-	}
-	st.Count++
-	sec := float64(durNS) / 1e9
-	st.Seconds += sec
-	t.spansTotal.Add(1, "kind", kind)
-	t.spanSeconds.Observe(sec, "kind", kind)
+	t.spanSeconds.Observe(float64(durNS)/1e9, "kind", kind)
 }
 
 // End closes a span opened by Begin.
@@ -300,21 +281,6 @@ func (t *Tracer) Record(parent SpanID, kind, workload, variant string, start tim
 	t.addAttrs(i, attrs)
 	t.account(kind, t.spans[i].DurNS)
 	return id
-}
-
-// StageTotals snapshots the per-kind completed-span aggregates (the
-// /status schemaVersion 2 "stages" object). Nil-safe: returns nil.
-func (t *Tracer) StageTotals() map[string]StageTotal {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]StageTotal, len(t.stages))
-	for k, v := range t.stages {
-		out[k] = *v
-	}
-	return out
 }
 
 // Dump snapshots every span. Spans still open are emitted with their

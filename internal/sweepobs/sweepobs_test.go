@@ -1,6 +1,8 @@
 package sweepobs
 
 import (
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +28,22 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
+}
+
+// spanSamples scrapes the tracer's exposition through the independent
+// parser: vtsweep_span_seconds_count/_sum{kind} are the per-kind span
+// count and total seconds.
+func spanSamples(t *testing.T, tr *Tracer) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := tr.Registry().Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ValidateExposition(b.String())
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, b.String())
+	}
+	return samples
 }
 
 // newTestTracer returns a tracer on a fake clock.
@@ -56,9 +74,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.EndJob(jid)
 	if d := tr.Dump(); d != nil {
 		t.Fatalf("nil Dump = %+v, want nil", d)
-	}
-	if st := tr.StageTotals(); st != nil {
-		t.Fatalf("nil StageTotals = %v, want nil", st)
 	}
 	if r := tr.Registry(); r != nil {
 		t.Fatalf("nil Registry = %v, want nil", r)
@@ -110,12 +125,12 @@ func TestTracerNestingAndSlots(t *testing.T) {
 		t.Fatalf("attrs = %v", byID[ex].Attrs)
 	}
 
-	st := tr.StageTotals()
-	if st["job"].Count != 3 {
-		t.Fatalf("job count = %d, want 3", st["job"].Count)
+	st := spanSamples(t, tr)
+	if n := st[`vtsweep_span_seconds_count{kind="job"}`]; n != 3 {
+		t.Fatalf("job count = %v, want 3", n)
 	}
-	if st["execute"].Count != 1 || st["execute"].Seconds != 0.04 {
-		t.Fatalf("execute totals = %+v", st["execute"])
+	if n, sec := st[`vtsweep_span_seconds_count{kind="execute"}`], st[`vtsweep_span_seconds_sum{kind="execute"}`]; n != 1 || sec != 0.04 {
+		t.Fatalf("execute totals = %v spans, %v s", n, sec)
 	}
 }
 
@@ -196,15 +211,17 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = tr.Dump()
-				_ = tr.StageTotals()
+				if err := tr.Registry().Write(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	tr.End(root)
-	st := tr.StageTotals()
-	if st["job"].Count != 8*200 {
-		t.Fatalf("job count = %d, want %d", st["job"].Count, 8*200)
+	if n := spanSamples(t, tr)[`vtsweep_span_seconds_count{kind="job"}`]; n != 8*200 {
+		t.Fatalf("job count = %v, want %d", n, 8*200)
 	}
 	d := tr.Dump()
 	if d.Workers < 1 || d.Workers > 8 {

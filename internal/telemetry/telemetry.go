@@ -13,13 +13,15 @@
 // capacity, adjacent window pairs are merged and the window length
 // doubles (adaptive compaction), so memory stays O(MaxWindows) while
 // resolution degrades gracefully on long runs. Everything is exported
-// three ways: Dump (ring JSON for cmd/vtreport and cmd/vtdiff),
-// WritePerfetto (Chrome/Perfetto trace-event JSON), and Totals
-// (aggregates for harness.RunMetrics and vtbench -json). See
-// docs/OBSERVABILITY.md.
+// three ways: Dump (ring JSON, read back by ReadDump for cmd/vtreport
+// and cmd/vtdiff), WritePerfetto (Chrome/Perfetto trace-event JSON), and
+// Totals (window and span counts). See docs/OBSERVABILITY.md.
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"sort"
 
 	"repro/internal/core"
@@ -516,8 +518,7 @@ func (c *Collector) Finish(cycle int64, sms []*sm.SM, msys *mem.System, vt *core
 }
 
 // Totals returns the recorded window count (ring length — every ring has
-// the same) and the span count across all SMs, for harness.RunMetrics
-// and vtbench -json.
+// the same) and the span count across all SMs.
 func (c *Collector) Totals() (windows, spans int) {
 	windows = len(c.mem)
 	for i := range c.sms {
@@ -607,4 +608,24 @@ func (c *Collector) Dump() *Dump {
 		d.SwapLatency = append(d.SwapLatency, b)
 	}
 	return d
+}
+
+// ReadDump loads a ring dump written by vtsim -telemetry. It refuses a
+// dump of another schema version or one with no windows.
+func ReadDump(path string) (*Dump, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var d Dump
+	if err := json.Unmarshal(b, &d); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if d.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("%s: telemetry dump schema %d (want %d)", path, d.SchemaVersion, SchemaVersion)
+	}
+	if len(d.GPU) == 0 {
+		return nil, fmt.Errorf("%s: dump has no windows", path)
+	}
+	return &d, nil
 }

@@ -1,6 +1,11 @@
 package telemetry
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestConfigDefaults(t *testing.T) {
 	c := NewCollector(Config{})
@@ -53,5 +58,30 @@ func TestHistBuckets(t *testing.T) {
 	if d.SwapLatency[1].Lo != 1 || d.SwapLatency[1].Hi != 1 {
 		t.Errorf("bucket 1 bounds = [%d,%d], want [1,1]",
 			d.SwapLatency[1].Lo, d.SwapLatency[1].Hi)
+	}
+}
+
+func TestReadDump(t *testing.T) {
+	dir := t.TempDir()
+	for name, tc := range map[string]struct {
+		doc     string
+		wantErr string // "" = must load
+	}{
+		"current":      {`{"schemaVersion":1,"gpu":[{"cycle":256,"cycles":256}]}`, ""},
+		"other schema": {`{"schemaVersion":2,"gpu":[{"cycle":256,"cycles":256}]}`, "schema 2"},
+		"no windows":   {`{"schemaVersion":1,"gpu":[]}`, "no windows"},
+		"not json":     {`{`, "unexpected end"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ReadDump(path)
+		switch {
+		case tc.wantErr == "" && (err != nil || len(d.GPU) != 1):
+			t.Errorf("%s: %v, %+v", name, err, d)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.wantErr)
+		}
 	}
 }
