@@ -94,8 +94,8 @@ func init() {
 // figMultiKernel evaluates concurrent kernel execution: a latency-bound
 // tiny-CTA kernel co-scheduled with a compute-bound one. VT virtualizes
 // the mix's CTAs exactly as it does a single kernel's. A mix is a job
-// like any other: its workload name is the "+"-joined parts, which
-// runAttempt builds into disjoint arenas (kernels.BuildMix).
+// like any other: its workload name is the "+"-joined parts, which the
+// sweep builds into disjoint arenas (kernels.BuildMix).
 func figMultiKernel() Experiment {
 	mixes := []string{"nw+montecarlo", "pathfinder+kmeans", "bfs+streamcluster"}
 	return Experiment{

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/resultstore"
 )
@@ -86,11 +85,12 @@ type attempt struct {
 	ck *gpu.Checkpoint
 }
 
-// runAttempt performs one simulation attempt under panic recovery. The
-// workload is rebuilt from scratch each attempt: a panicked run may have
-// left its launch state half-mutated. A non-nil spec makes the attempt a
-// checkpoint donor (capture while the fork guard holds) or a fork (resume
-// from spec.ck instead of cycle zero).
+// runAttempt performs one simulation attempt under panic recovery. Each
+// attempt starts from the sweep's build of the workload (builds.go): its
+// own launch copies and a fresh backing over the pristine image, so
+// nothing a panicked attempt left half-mutated reaches the retry. A
+// non-nil spec makes the attempt a checkpoint donor (capture while the
+// fork guard holds) or a fork (resume from spec.ck instead of cycle zero).
 func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *forkSpec) (a attempt) {
 	tr := p.Sweep.Trace
 	eid := tr.Begin(p.span, "execute", j.Workload, j.Variant)
@@ -134,20 +134,12 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	}()
 	// j.Workload names one kernel or a concurrent-kernel mix; either way
 	// the run is its launches, each diluted on its own.
-	launches, initMem, err := kernels.BuildMix(j.Workload, p.Scale)
-	if err != nil {
-		a.err = err
+	b := p.Sweep.build(j.Workload, p.Scale)
+	if b.err != nil {
+		a.err = b.err
 		return
 	}
-	if p.Dilute > 1 {
-		for _, l := range launches {
-			g := l.GridDim.Size() / p.Dilute
-			if g < 8 {
-				g = 8
-			}
-			l.GridDim = isa.Dim1(g)
-		}
-	}
+	launches, initMem := b.run(p.Dilute)
 	opts := gpu.Options{
 		InitMemory:      initMem,
 		CheckInvariants: p.CheckInvariants,

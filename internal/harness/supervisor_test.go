@@ -284,34 +284,3 @@ func TestJournalRotatesForeignSweep(t *testing.T) {
 		t.Fatalf("foreign journal was not rotated aside: %v", err)
 	}
 }
-
-func TestFaultinjectParse(t *testing.T) {
-	sp, err := faultinject.Parse("bfs/vt@5000:panic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &faultinject.Spec{Workload: "bfs", Variant: "vt", Cycle: 5000,
-		Kind: faultinject.Panic}
-	if !reflect.DeepEqual(sp, want) {
-		t.Fatalf("parsed %+v, want %+v", sp, want)
-	}
-	if sp.String() != "bfs/vt@5000:panic" {
-		t.Fatalf("String() = %q", sp.String())
-	}
-
-	sp, err = faultinject.Parse("nw@1:hang=200ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Kind != faultinject.Hang || sp.HangFor != 200*time.Millisecond ||
-		sp.Variant != "" || !sp.Matches("nw", "anything") {
-		t.Fatalf("parsed %+v", sp)
-	}
-
-	for _, bad := range []string{"", "bfs", "bfs@x:panic", "bfs@5:explode",
-		"@5:panic", "bfs@-1:panic", "bfs@5:hang=bogus"} {
-		if _, err := faultinject.Parse(bad); err == nil {
-			t.Errorf("Parse(%q) accepted a bad spec", bad)
-		}
-	}
-}

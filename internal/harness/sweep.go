@@ -12,9 +12,10 @@ import (
 )
 
 // Sweep is everything one sweep accumulates, as a value: the memo of the
-// runs requested so far, the work counters, the prefix-checkpoint cache,
-// the one result store it may hold open (primary + mirror) behind its
-// write-behind window, and the journal, monitor and tracer that record it.
+// runs requested so far, the work counters, the workloads it has built
+// (builds.go), the prefix-checkpoint cache, the one result store it may
+// hold open (primary + mirror) behind its write-behind window, and the
+// journal, monitor and tracer that record it.
 // Params.Sweep carries the handle down every call the way Params carries
 // its span, and nothing a sweep learns lives at package scope, so two
 // sweeps — or a fabric coordinator and its workers — share a process
@@ -41,10 +42,11 @@ type Sweep struct {
 
 	wb *writeBehind
 
-	mu    sync.Mutex
-	memo  map[string]*memoEntry
-	cks   map[string]*ckEntry // keyed by prefix fingerprint
-	stats RunMetrics
+	mu     sync.Mutex
+	memo   map[string]*memoEntry
+	builds map[buildKey]*built
+	cks    map[string]*ckEntry // keyed by prefix fingerprint
+	stats  RunMetrics
 
 	// storeMu is not mu: opening a store can emit repair events, which
 	// count under mu.
@@ -57,7 +59,8 @@ type Sweep struct {
 // NewSweep returns an empty sweep: nothing memoized, nothing counted, no
 // store open.
 func NewSweep() *Sweep {
-	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cks: map[string]*ckEntry{}}
+	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{},
+		builds: map[buildKey]*built{}, cks: map[string]*ckEntry{}}
 }
 
 // Metrics returns a snapshot of the sweep's work counters.

@@ -46,6 +46,7 @@ func KMeans(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 360 * scale
+	centroids := bufB()
 	return Workload{
 		Name:        "kmeans",
 		Description: "nearest-centroid scan (warp-slot limited, compute+gather)",
@@ -58,7 +59,7 @@ func KMeans(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for c := 0; c < kCentroids; c++ {
-				bk.StoreWord(bufB()+uint32(4*c), math.Float32bits(f32(uint32(c*37))))
+				bk.StoreWord(centroids+uint32(4*c), math.Float32bits(f32(uint32(c*37))))
 			}
 		},
 	}

@@ -148,6 +148,7 @@ func Histogram(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
+	input := bufA()
 	return Workload{
 		Name:        "histogram",
 		Description: "privatized shared-memory histogram (CTA-slot limited)",
@@ -160,7 +161,7 @@ func Histogram(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < (window+4)/4; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), lcg(uint32(i)))
+				bk.StoreWord(input+uint32(4*i), lcg(uint32(i)))
 			}
 		},
 	}
@@ -205,6 +206,7 @@ func Bitonic(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 960 * scale
+	keys := bufA()
 	return Workload{
 		Name:        "bitonic",
 		Description: "bitonic merge pass: 32-thread CTAs, barrier dense (CTA-slot limited)",
@@ -217,7 +219,7 @@ func Bitonic(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < 960*scale*32; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), lcg(uint32(i))%1000)
+				bk.StoreWord(keys+uint32(4*i), lcg(uint32(i))%1000)
 			}
 		},
 	}
@@ -263,6 +265,7 @@ func ScatterAdd(scale int) Workload {
 	b.Bra(10, "loop", "done")
 	b.Label("done")
 	b.Exit()
+	table := bufA()
 	return Workload{
 		Name:        "scatteradd",
 		Description: "global atomic scatter-increment (CTA-slot limited)",
@@ -275,7 +278,7 @@ func ScatterAdd(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < counters; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), 0)
+				bk.StoreWord(table+uint32(4*i), 0)
 			}
 		},
 	}

@@ -88,6 +88,7 @@ func BFS(scale int) Workload {
 
 	grid := 480 * scale
 	n := nNodes
+	levelsBuf, rowsBuf, colsBuf := bufA(), bufB(), bufC()
 	return Workload{
 		Name:        "bfs",
 		Description: "BFS level expansion: divergent, irregular (CTA-slot limited)",
@@ -100,8 +101,8 @@ func BFS(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			rows, cols := graphCSR(n)
-			bk.WriteWords(bufB(), rows)
-			bk.WriteWords(bufC(), cols)
+			bk.WriteWords(rowsBuf, rows)
+			bk.WriteWords(colsBuf, cols)
 			levels := make([]uint32, n)
 			for i := range levels {
 				if i%4 == 0 {
@@ -110,7 +111,7 @@ func BFS(scale int) Workload {
 					levels[i] = 0xFFFFFFFF // unvisited
 				}
 			}
-			bk.WriteWords(bufA(), levels)
+			bk.WriteWords(levelsBuf, levels)
 		},
 	}
 }
@@ -156,6 +157,7 @@ func SpMV(scale int) Workload {
 
 	grid := 480 * scale
 	n := nRows
+	colsBuf, valsBuf, xBuf, nBuf := bufA(), bufB(), bufC(), bufE()
 	return Workload{
 		Name:        "spmv",
 		Description: "ELL sparse y=Ax, row per thread (CTA-slot limited)",
@@ -191,16 +193,16 @@ func SpMV(scale int) Workload {
 					}
 				}
 			}
-			bk.WriteWords(bufA(), cols)
-			bk.WriteWords(bufB(), vals)
+			bk.WriteWords(colsBuf, cols)
+			bk.WriteWords(valsBuf, vals)
 			x := make([]uint32, n)
 			for i := range x {
 				x[i] = math.Float32bits(f32(lcg(uint32(i))))
 			}
-			bk.WriteWords(bufC(), x)
+			bk.WriteWords(xBuf, x)
 			// n is passed through memory so the kernel can stride
 			// column-major without a multiply chain.
-			bk.StoreWord(bufE(), uint32(n))
+			bk.StoreWord(nBuf, uint32(n))
 		},
 	}
 }

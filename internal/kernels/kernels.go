@@ -24,8 +24,10 @@ var buildMu sync.Mutex
 
 // Each workload's global-memory buffers live in an arena: five 16 MiB
 // regions starting at the arena base. Factories read the base that was
-// current when they were invoked, so concurrent-kernel runs can give every
-// launch a disjoint arena (see BuildAt).
+// current when they were invoked — their launch parameters and their Init
+// closures alike capture it then, so an Init may run at any time, from
+// any goroutine — and concurrent-kernel runs can give every launch a
+// disjoint arena (see BuildAt).
 const (
 	// ArenaStride separates consecutive arenas (5 buffers + headroom).
 	ArenaStride = 0x0800_0000
@@ -36,9 +38,8 @@ const (
 )
 
 // arenaBase is the buffer base factories capture at build time. It is only
-// mutated inside BuildAt, which restores it before returning; builds are
-// not concurrency-safe (the harness builds workloads per goroutine, each
-// via Build/BuildAt which serialize through buildMu).
+// mutated inside BuildAt, which restores it before returning; factories
+// are not concurrency-safe, so every caller serializes through buildMu.
 var arenaBase uint32 = DefaultArena
 
 func bufA() uint32 { return arenaBase }
@@ -101,30 +102,14 @@ func BuildAt(name string, scale int, arena uint32) (Workload, error) {
 	arenaBase = arena
 	defer func() { arenaBase = prev }()
 
-	build := func(f Factory) Workload {
-		w := f(scale)
-		// Init closures resolve buffer bases lazily; re-enter this
-		// workload's arena whenever they run.
-		if inner := w.Init; inner != nil {
-			w.Init = func(bk *mem.Backing) {
-				buildMu.Lock()
-				defer buildMu.Unlock()
-				p := arenaBase
-				arenaBase = arena
-				inner(bk)
-				arenaBase = p
-			}
-		}
-		return w
-	}
 	for _, e := range registry {
 		if e.name == name {
-			return build(e.f), nil
+			return e.f(scale), nil
 		}
 	}
 	for _, e := range extraRegistry {
 		if e.name == name {
-			return build(e.f), nil
+			return e.f(scale), nil
 		}
 	}
 	known := append(Names(), ExtraNames()...)

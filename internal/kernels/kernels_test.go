@@ -235,6 +235,17 @@ func TestBuildMix(t *testing.T) {
 	if got, want := touched(init), 2*touched(km.Init)+touched(bfs.Init); got != want {
 		t.Fatalf("combined init touched %d words, want %d (every part, no overlap)", got, want)
 	}
+	// Each kmeans part's centroids land in its own arena, where its launch
+	// reads them, even though the init runs after every build returned.
+	mix, alone := mem.NewBacking(), mem.NewBacking()
+	init(mix)
+	km.Init(alone)
+	for _, k := range []int{0, 2} {
+		c := launches[k].Params[1]
+		if got, want := mix.LoadWord(c), alone.LoadWord(km.Launch.Params[1]); got != want {
+			t.Errorf("part %d: centroid at %#x reads %#x, want %#x", k, c, got, want)
+		}
+	}
 
 	solo, _, err := kernels.BuildMix("kmeans", 1)
 	if err != nil || len(solo) != 1 || solo[0].Params[0] != km.Launch.Params[0] {

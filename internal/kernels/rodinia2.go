@@ -52,6 +52,7 @@ func Gaussian(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
+	pivot := bufA()
 	return Workload{
 		Name:        "gaussian",
 		Description: "Gaussian elimination row update (CTA-slot limited)",
@@ -64,7 +65,7 @@ func Gaussian(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < width; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), math.Float32bits(f32(uint32(i))))
+				bk.StoreWord(pivot+uint32(4*i), math.Float32bits(f32(uint32(i))))
 			}
 		},
 	}
@@ -155,6 +156,7 @@ func StreamCluster(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 360 * scale
+	centerBuf := bufB()
 	return Workload{
 		Name:        "streamcluster",
 		Description: "clustering distance scan (warp-slot limited)",
@@ -167,7 +169,7 @@ func StreamCluster(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for c := 0; c < centers; c++ {
-				bk.StoreWord(bufB()+uint32(4*c), math.Float32bits(f32(uint32(c*11))))
+				bk.StoreWord(centerBuf+uint32(4*c), math.Float32bits(f32(uint32(c*11))))
 			}
 		},
 	}
@@ -212,6 +214,7 @@ func Mummer(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
+	tree := bufA()
 	return Workload{
 		Name:        "mummer",
 		Description: "suffix-tree walk: dependent loads, divergent exits (CTA-slot limited)",
@@ -224,7 +227,7 @@ func Mummer(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < treeWords; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), lcg(uint32(i)))
+				bk.StoreWord(tree+uint32(4*i), lcg(uint32(i)))
 			}
 		},
 	}

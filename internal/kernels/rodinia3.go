@@ -59,6 +59,7 @@ func ParticleFilter(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
+	weightBuf := bufA()
 	return Workload{
 		Name:        "particlefilter",
 		Description: "resampling index walk, stall per step (CTA-slot limited)",
@@ -71,7 +72,7 @@ func ParticleFilter(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < weights; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), lcg(uint32(i))%256)
+				bk.StoreWord(weightBuf+uint32(4*i), lcg(uint32(i))%256)
 			}
 		},
 	}
@@ -126,6 +127,7 @@ func HeartWall(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
+	templates := bufB()
 	return Workload{
 		Name:        "heartwall",
 		Description: "template tracking: load + correlate + barrier per frame (CTA-slot limited)",
@@ -138,7 +140,7 @@ func HeartWall(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < (window+4)/4; i++ {
-				bk.StoreWord(bufB()+uint32(4*i), math.Float32bits(f32(lcg(uint32(i)))))
+				bk.StoreWord(templates+uint32(4*i), math.Float32bits(f32(lcg(uint32(i)))))
 			}
 		},
 	}

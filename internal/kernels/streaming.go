@@ -34,6 +34,7 @@ func VecAdd(scale int) Workload {
 
 	grid := 360 * scale
 	n := grid * 256
+	x, y := bufA(), bufB()
 	return Workload{
 		Name:        "vecadd",
 		Description: "streaming vector add (warp-slot limited)",
@@ -46,8 +47,8 @@ func VecAdd(scale int) Workload {
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < n; i++ {
-				bk.StoreWord(bufA()+uint32(4*i), math.Float32bits(f32(uint32(i))))
-				bk.StoreWord(bufB()+uint32(4*i), math.Float32bits(f32(lcg(uint32(i)))))
+				bk.StoreWord(x+uint32(4*i), math.Float32bits(f32(uint32(i))))
+				bk.StoreWord(y+uint32(4*i), math.Float32bits(f32(lcg(uint32(i)))))
 			}
 		},
 	}

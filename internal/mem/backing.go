@@ -22,7 +22,18 @@ import (
 // (global-memory traffic is strongly page-local, so most accesses skip
 // the map). A per-page written bitmap distinguishes stored words from
 // untouched ones, which must keep reading as their synthesized values.
-// Backing is not safe for concurrent use; each simulation owns one.
+//
+// A page may be frozen: Freeze turns a fully initialized backing into an
+// image whose pages any number of other backings share (Share). A frozen
+// page is read in place and never written; StoreWord, the only writer of
+// page words, copies it into the storing backing first. So a sweep fills
+// a workload's inputs once and every run starts from them at the cost of
+// the pages it writes.
+//
+// Backing is not safe for concurrent use; each simulation owns one. An
+// image is the exception: any number of goroutines may Share it at once
+// and read its pages through their own backings (not through the image's
+// own LoadWord, whose page cache is per backing).
 type Backing struct {
 	pages    map[uint32]*backingPage
 	lastIdx  uint32
@@ -37,6 +48,7 @@ const (
 type backingPage struct {
 	words   [pageWords]uint32
 	written [pageWords / 64]uint64
+	frozen  bool // part of an image: copied on the first store
 }
 
 // NewBacking returns an empty backing store.
@@ -84,15 +96,44 @@ func (b *Backing) LoadWord(addr uint32) uint32 {
 func (b *Backing) StoreWord(addr, v uint32) {
 	w := addr >> 2
 	p := b.pageOf(w)
-	if p == nil {
-		p = &backingPage{}
+	if p == nil || p.frozen {
+		q := &backingPage{}
+		if p != nil {
+			q.words, q.written = p.words, p.written
+		}
 		pi := w >> pageWordBits
-		b.pages[pi] = p
-		b.lastIdx, b.lastPage = pi, p
+		b.pages[pi] = q
+		b.lastIdx, b.lastPage = pi, q
+		p = q
 	}
 	o := w & (pageWords - 1)
 	p.written[o>>6] |= 1 << (o & 63)
 	p.words[o] = v
+}
+
+// Freeze makes b an image: every stored page becomes read-only and
+// shareable (see Share). b itself must not be stored into afterwards, so
+// that its page map stays fixed while others read it.
+func (b *Backing) Freeze() {
+	for _, p := range b.pages {
+		p.frozen = true
+	}
+}
+
+// Share gives the empty backing b the frozen image img's contents without
+// copying them: b reads img's pages in place and copies one on its first
+// store into it. It is how a run's initial memory comes from an image
+// built once.
+func (b *Backing) Share(img *Backing) {
+	if len(b.pages) != 0 {
+		panic("mem: Share into a backing that holds stored words")
+	}
+	for idx, p := range img.pages {
+		if !p.frozen {
+			panic("mem: Share of a backing that is not frozen")
+		}
+		b.pages[idx] = p
+	}
 }
 
 // WriteWords stores a contiguous slice of words starting at base.
