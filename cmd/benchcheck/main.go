@@ -6,9 +6,9 @@
 //	vtbench -json current.json ...
 //	benchcheck -baseline BENCH_sched.json -current current.json -tolerance 0.30
 //
-// Only total simcycles_per_sec is compared: per-experiment rates on small
-// diluted runs are too noisy to gate on. Machine-speed differences between
-// the committing host and CI runners are absorbed by the tolerance.
+// Only total simcycles_per_sec is compared. Machine-speed differences
+// between the committing host and CI runners are absorbed by the
+// tolerance.
 //
 // With -allocs the comparison flips to allocation count instead of
 // throughput: -current names a `go test -bench -benchmem` output file, the
@@ -54,22 +54,11 @@ type report struct {
 	// aggregate). Zero in pre-fabric reports.
 	Workers int `json:"workers"`
 
-	// Experiments are the per-experiment records; compared informationally
-	// (never gated — diluted per-experiment rates are too noisy).
-	Experiments []expRecord `json:"experiments"`
-
 	// SimulationBenchmark carries the committed allocation record the
 	// -allocs mode gates against; absent in plain vtbench -json output.
 	SimulationBenchmark struct {
 		CurrentAllocsPerRun float64 `json:"current_allocs_per_run"`
 	} `json:"simulation_benchmark"`
-}
-
-// expRecord is one experiment's row in a report.
-type expRecord struct {
-	ID              string  `json:"id"`
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"simcycles_per_sec"`
 }
 
 // parseAllocs extracts allocs/op for the named benchmark from `go test
@@ -114,12 +103,7 @@ func checkAllocs(base, cur, tolerance float64) error {
 	return nil
 }
 
-// checkThroughput gates the total simcycles/s against the baseline and
-// prints per-experiment ratios for context. Records whose
-// simcycles_per_sec is 0 are *unpopulated* — static tables that run no
-// simulations, or experiments fully served from the cache in the sweep
-// that produced the report — so they are skipped with a note instead of
-// yielding a divide-by-zero ratio or a vacuous pass.
+// checkThroughput gates the total simcycles/s against the baseline.
 func checkThroughput(w io.Writer, base, cur report, tolerance float64) error {
 	if base.SimCyclesPerSec <= 0 {
 		return fmt.Errorf("baseline has no simcycles_per_sec")
@@ -127,25 +111,6 @@ func checkThroughput(w io.Writer, base, cur report, tolerance float64) error {
 	if cur.SimCycles == 0 {
 		// An all-cache-hit run measured nothing; refuse to pass vacuously.
 		return fmt.Errorf("current report simulated 0 cycles (cache-only run?)")
-	}
-	curByID := make(map[string]expRecord, len(cur.Experiments))
-	for _, e := range cur.Experiments {
-		curByID[e.ID] = e
-	}
-	skipped := 0
-	for _, b := range base.Experiments {
-		c, ok := curByID[b.ID]
-		if !ok {
-			continue
-		}
-		if b.SimCyclesPerSec == 0 || c.SimCyclesPerSec == 0 {
-			skipped++
-			continue
-		}
-		fmt.Fprintf(w, "benchcheck:   %-18s %.2fx\n", b.ID, c.SimCyclesPerSec/b.SimCyclesPerSec)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(w, "benchcheck: skipped %d unpopulated record(s) (simcycles_per_sec: 0)\n", skipped)
 	}
 	// Multi-worker (sweep fabric) records report the fleet-aggregate
 	// rate; the gate below stays on that aggregate — distributed scale-out

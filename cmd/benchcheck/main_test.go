@@ -110,61 +110,6 @@ func TestLoadSimulationBenchmark(t *testing.T) {
 	}
 }
 
-// TestCheckThroughputSkipsUnpopulatedRecords: per-experiment records with
-// simcycles_per_sec 0 — static tables that simulate nothing, or
-// experiments fully served from the cache when the report was produced —
-// are unpopulated, not "infinitely slow". A mixed record file must
-// compare only the populated pairs, note the skips, and never divide by
-// zero or pass a record vacuously.
-func TestCheckThroughputSkipsUnpopulatedRecords(t *testing.T) {
-	base := report{
-		SimCycles:       1000,
-		SimCyclesPerSec: 1000,
-		Experiments: []expRecord{
-			{ID: "table1-config", SimCyclesPerSec: 0}, // static table
-			{ID: "fig-speedup", SimCyclesPerSec: 0},   // cache-only in baseline
-			{ID: "fig-tlp", SimCyclesPerSec: 500},     // populated both sides
-			{ID: "fig-swaplat", SimCyclesPerSec: 800}, // populated in baseline only
-		},
-	}
-	cur := report{
-		SimCycles:       900,
-		SimCyclesPerSec: 950,
-		Experiments: []expRecord{
-			{ID: "table1-config", SimCyclesPerSec: 0},
-			{ID: "fig-speedup", SimCyclesPerSec: 700},
-			{ID: "fig-tlp", SimCyclesPerSec: 450},
-			{ID: "fig-swaplat", SimCyclesPerSec: 0}, // cache-only now
-		},
-	}
-	var out strings.Builder
-	if err := checkThroughput(&out, base, cur, 0.30); err != nil {
-		t.Fatalf("mixed records must pass when the total holds: %v", err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "skipped 3 unpopulated record(s)") {
-		t.Fatalf("missing skip note for the 3 zero-rate records:\n%s", s)
-	}
-	if !strings.Contains(s, "fig-tlp") {
-		t.Fatalf("populated pair not compared:\n%s", s)
-	}
-	for _, id := range []string{"table1-config", "fig-speedup", "fig-swaplat"} {
-		if strings.Contains(s, id) {
-			t.Fatalf("unpopulated record %s compared anyway:\n%s", id, s)
-		}
-	}
-	if strings.Contains(s, "Inf") || strings.Contains(s, "NaN") {
-		t.Fatalf("division by an unpopulated rate leaked into output:\n%s", s)
-	}
-
-	// The total still gates: a real regression fails regardless of skips.
-	slow := cur
-	slow.SimCyclesPerSec = 600
-	if err := checkThroughput(&out, base, slow, 0.30); err == nil {
-		t.Fatal("total regression beyond tolerance must fail")
-	}
-}
-
 // TestSchemaV5StoreFieldsTolerated pins the satellite contract of the
 // result-store migration: a schema_version 5 report carrying the new
 // store counters (store_hits/store_misses/store_repairs/store_retries)
@@ -182,14 +127,12 @@ func TestSchemaV5StoreFieldsTolerated(t *testing.T) {
 		"store_hits": 12,
 		"store_misses": 3,
 		"store_repairs": 1,
-		"store_retries": 2,
-		"experiments": [{"id": "fig-speedup", "sim_cycles": 1000, "simcycles_per_sec": 990.0}]
+		"store_retries": 2
 	}`
 	v4doc := `{
 		"schema_version": 4,
 		"sim_cycles": 1000,
-		"simcycles_per_sec": 1000.0,
-		"experiments": [{"id": "fig-speedup", "sim_cycles": 1000, "simcycles_per_sec": 1000.0}]
+		"simcycles_per_sec": 1000.0
 	}`
 	if err := os.WriteFile(v5, []byte(v5doc), 0o644); err != nil {
 		t.Fatal(err)
@@ -228,13 +171,11 @@ func TestMultiWorkerRecordAgainstSingleProcess(t *testing.T) {
 		SimCycles:       1_000_000,
 		SimCyclesPerSec: 1000,
 		Workers:         1,
-		Experiments:     []expRecord{{ID: "fig-swaplat", SimCycles: 1_000_000, SimCyclesPerSec: 1000}},
 	}
 	fleet := report{
 		SimCycles:       1_000_000,
 		SimCyclesPerSec: 3600, // 4 workers, ~3.6x aggregate
 		Workers:         4,
-		Experiments:     []expRecord{{ID: "fig-swaplat", SimCycles: 1_000_000, SimCyclesPerSec: 3600}},
 	}
 	var out strings.Builder
 	if err := checkThroughput(&out, single, fleet, 0.30); err != nil {

@@ -9,7 +9,7 @@
 //	vtbench -list              # list experiments
 //	vtbench -dilute 10         # shrink grids 10x for a quick pass
 //	vtbench -json BENCH_sched.json    # the sweep record (the committed benchcheck baseline; see internal/sweepcli)
-//	vtbench -cpuprofile cpu.pprof     # profile, labeled by experiment/workload/variant
+//	vtbench -cpuprofile cpu.pprof     # profile, labeled by workload/variant
 //	vtbench -faildir failures         # write repro bundles for failed runs
 //	vtbench -store c -resume          # continue an interrupted/failed sweep
 //	vtbench -store c -mirror m        # replicate the result store to a second directory

@@ -434,19 +434,17 @@ func testSweepParams(t *testing.T, dir string) harness.Params {
 	return p
 }
 
-// collectSink records results keyed by workload/variant, the determinism
-// comparison unit.
-type collectSink struct {
-	mu  sync.Mutex
-	got map[string]*gpu.Result
-}
-
-func newCollectSink() *collectSink { return &collectSink{got: map[string]*gpu.Result{}} }
-
-func (s *collectSink) Collect(j harness.Job, res *gpu.Result) {
-	s.mu.Lock()
-	s.got[j.Workload+"/"+j.Variant] = res
-	s.mu.Unlock()
+// runJobs runs jobs as one plan under p and returns the results keyed by
+// workload/variant, the determinism comparison unit.
+func runJobs(p harness.Params, jobs []harness.Job) (map[string]*gpu.Result, error) {
+	res, err := harness.RunJobs(p, jobs)
+	got := map[string]*gpu.Result{}
+	for i, r := range res {
+		if r != nil {
+			got[jobs[i].Workload+"/"+jobs[i].Variant] = r
+		}
+	}
+	return got, err
 }
 
 // journalCycles parses a journal file into cache-key -> cycles.
@@ -510,12 +508,12 @@ func runBaseline(t *testing.T, jobs []harness.Job, shape sweepShape, workers int
 	dir := t.TempDir()
 	p := journaledSweepParams(t, dir, shape)
 	p.Workers = workers
-	sink := newCollectSink()
-	if err := harness.RunJobs(p, jobs, sink); err != nil {
+	got, err := runJobs(p, jobs)
+	if err != nil {
 		t.Fatalf("single-process sweep: %v", err)
 	}
 	p.Sweep.Sync() // local outcomes commit write-behind
-	return baseline{sink.got, journalCycles(t, dir), p.Sweep.Metrics()}
+	return baseline{got, journalCycles(t, dir), p.Sweep.Metrics()}
 }
 
 // fleetFixture is one coordinator + httptest server + sweep params.
@@ -604,8 +602,8 @@ func verifyMatchesBaseline(t *testing.T, want, got baseline) {
 
 // result is what the fixture's fleet sweep produced, to hold against a
 // baseline.
-func (f *fleetFixture) result(t *testing.T, sink *collectSink) baseline {
-	return baseline{sink.got, journalCycles(t, f.dir), f.sweep.Sweep.Metrics()}
+func (f *fleetFixture) result(t *testing.T, got map[string]*gpu.Result) baseline {
+	return baseline{got, journalCycles(t, f.dir), f.sweep.Sweep.Metrics()}
 }
 
 // TestFleetDeterminism is the tentpole contract, one equivalence: the
@@ -636,8 +634,8 @@ func TestFleetDeterminism(t *testing.T) {
 			w1 := f.startWorker(t, ctx, "w1", 2)
 			w2 := f.startWorker(t, ctx, "w2", 2)
 
-			sink := newCollectSink()
-			if err := harness.RunJobs(f.sweep, jobs, sink); err != nil {
+			got, err := runJobs(f.sweep, jobs)
+			if err != nil {
 				t.Fatalf("fleet sweep: %v", err)
 			}
 			f.coord.Close() // workers see 410 and exit
@@ -651,7 +649,7 @@ func TestFleetDeterminism(t *testing.T) {
 					t.Fatal("worker did not exit after sweep close")
 				}
 			}
-			verifyMatchesBaseline(t, want, f.result(t, sink))
+			verifyMatchesBaseline(t, want, f.result(t, got))
 
 			st := f.coord.Status()
 			if st.Completions != int64(len(jobs)) {
@@ -692,8 +690,8 @@ func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 	defer cancel()
 	w1 := f.startWorker(t, ctx, "w1", 2)
 
-	sink := newCollectSink()
-	if err := harness.RunJobs(f.sweep, jobs, sink); err != nil {
+	got, err := runJobs(f.sweep, jobs)
+	if err != nil {
 		t.Fatalf("fleet sweep: %v", err)
 	}
 	f.coord.Close()
@@ -705,7 +703,7 @@ func TestFleetDeterminismWithCheckpoints(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not exit after sweep close")
 	}
-	verifyMatchesBaseline(t, want, f.result(t, sink))
+	verifyMatchesBaseline(t, want, f.result(t, got))
 }
 
 // swapLatencyJobs differ only in the VT swap latencies — the shape the
@@ -742,9 +740,13 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 	// The sweep must be enqueued before the doomed worker can lease.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sink := newCollectSink()
+	var got map[string]*gpu.Result
 	sweepDone := make(chan error, 1)
-	go func() { sweepDone <- harness.RunJobs(f.sweep, jobs, sink) }()
+	go func() {
+		var err error
+		got, err = runJobs(f.sweep, jobs)
+		sweepDone <- err
+	}()
 
 	// The doomed worker takes one lease and vanishes: never renews,
 	// never completes — the exact path a SIGKILLed process takes.
@@ -791,7 +793,7 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 		t.Fatal("worker did not exit after sweep close")
 	}
 
-	verifyMatchesBaseline(t, want, f.result(t, sink))
+	verifyMatchesBaseline(t, want, f.result(t, got))
 	st := f.coord.Status()
 	if st.LeasesExpired < 1 {
 		t.Errorf("expected at least one expired lease, got %+v", st)
@@ -811,8 +813,8 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	// Warm a worker-local store by running the job into it directly.
 	workerDir := t.TempDir()
 	wp := testSweepParams(t, workerDir)
-	sink := newCollectSink()
-	if err := harness.RunJobs(wp, jobs, sink); err != nil {
+	local, err := runJobs(wp, jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	wp.Sweep.Close() // the warmed store is the worker's from here
@@ -822,14 +824,14 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	defer cancel()
 	done := startWorker(ctx, f.srv.URL, "warm", 1, workerDir)
 
-	fleetSink := newCollectSink()
-	if err := harness.RunJobs(f.sweep, jobs, fleetSink); err != nil {
+	fleet, err := runJobs(f.sweep, jobs)
+	if err != nil {
 		t.Fatalf("fleet sweep: %v", err)
 	}
 	f.coord.Close()
 	<-done
 
-	if k := jobs[0].Workload + "/" + jobs[0].Variant; !reflect.DeepEqual(fleetSink.got[k], sink.got[k]) {
+	if k := jobs[0].Workload + "/" + jobs[0].Variant; !reflect.DeepEqual(fleet[k], local[k]) {
 		t.Error("warm-store result differs from the original run")
 	}
 	st := f.coord.Status()
@@ -877,7 +879,7 @@ func TestFleetThroughputScaling(t *testing.T) {
 	p1 := testSweepParams(t, t.TempDir())
 	p1.Workers = 1
 	t0 := time.Now()
-	if err := harness.RunJobs(p1, jobs, newCollectSink()); err != nil {
+	if _, err := harness.RunJobs(p1, jobs); err != nil {
 		t.Fatal(err)
 	}
 	m := p1.Sweep.Metrics()
@@ -891,7 +893,7 @@ func TestFleetThroughputScaling(t *testing.T) {
 		workers = append(workers, f.startWorker(t, ctx, fmt.Sprintf("w%d", i), 1))
 	}
 	t1 := time.Now()
-	if err := harness.RunJobs(f.sweep, jobs, newCollectSink()); err != nil {
+	if _, err := harness.RunJobs(f.sweep, jobs); err != nil {
 		t.Fatal(err)
 	}
 	fleetWall := time.Since(t1).Seconds()
@@ -935,7 +937,7 @@ func renderMixes(t *testing.T, p harness.Params) string {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := harness.RunOne(e, p, &sb); err != nil {
+	if err := harness.RunExperiments(p, []harness.Experiment{e}, harness.Output{W: &sb}, nil); err != nil {
 		t.Fatalf("fig-multikernel: %v", err)
 	}
 	p.Sweep.Sync()

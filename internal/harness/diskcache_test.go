@@ -171,11 +171,11 @@ func drops(t testing.TB, dir, key string) int {
 	return n
 }
 
-// runDurable is memoRun followed by the sweep's durability barrier, for
+// runDurable is ExecuteJob followed by the sweep's durability barrier, for
 // tests that inspect the store directory right after a run: outcomes
 // commit write-behind, so until Sync the files may not exist yet.
 func runDurable(p Params, j Job) (*gpu.Result, error) {
-	out, err := memoRun(p, j)
+	out, err := ExecuteJob(p, j)
 	p.Sweep.Sync()
 	return out.Result, err
 }
@@ -197,7 +197,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	onlyObject(t, p.CacheDir, resultstore.KindResult)
 
 	p = reboot(t, p) // a fresh process: only the disk knows the result
-	cached, err := memoRun(p, j)
+	cached, err := ExecuteJob(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 	replaceObject(t, p.CacheDir, resultstore.KindResult, key, []byte(`{"version":-1,`+string(b[len(`{"version":1,`):])))
 
 	p = reboot(t, p)
-	if _, err := memoRun(p, j); err != nil {
+	if _, err := ExecuteJob(p, j); err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Sweep.Metrics(); m.Executed != 1 {
@@ -286,7 +286,7 @@ func TestDiskCacheQuarantine(t *testing.T) {
 				t.Fatalf("rewritten entry differs from the original")
 			}
 			p = reboot(t, p)
-			if _, err := memoRun(p, j); err != nil {
+			if _, err := ExecuteJob(p, j); err != nil {
 				t.Fatal(err)
 			}
 			if m := p.Sweep.Metrics(); m.Executed != 0 || m.CacheHits != 1 {

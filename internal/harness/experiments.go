@@ -2,39 +2,63 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/config"
 	"repro/internal/cta"
+	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 )
 
-// markSampled flags a simulation-driven figure table when the sweep ran
-// under interval/sampled simulation (Params.Sampling): every row gets a
-// trailing "sampled" column so no paper figure silently mixes sampled and
-// exact numbers. Static-analysis tables (occupancy, hardware config) never
-// call it; exact sweeps leave the table untouched.
-func markSampled(t *stats.Table, p Params) {
-	if p.Sampling.Enabled() {
-		t.MarkSampled(p.Sampling.String())
-	}
+// experiments is the registry, in paper order: the paper's tables and
+// figures, then the extensions.
+var experiments = []Experiment{
+	tableConfig(),
+	tableBenchmarks(),
+	figLimiter(),
+	figTLP(),
+	figSpeedup(),
+	figIdealGap(),
+	figFullSwap(),
+	figSwapLatency(),
+	figVirtualCap(),
+	figRFSize(),
+	figScheduler(),
+	tableSwap(),
+	tableHardware(),
+	ablationVT(),
+	ablationModel(),
+	figExtras(),
+	tableEnergy(),
+	figKepler(),
+	figMultiKernel(),
 }
 
-func init() {
-	register(tableConfig())
-	register(tableBenchmarks())
-	register(figLimiter())
-	register(figTLP())
-	register(figSpeedup())
-	register(figIdealGap())
-	register(figFullSwap())
-	register(figSwapLatency())
-	register(figVirtualCap())
-	register(figRFSize())
-	register(figScheduler())
-	register(tableSwap())
-	register(tableHardware())
+// policyJobs builds one job per (workload, policy) pair, workload-major:
+// a reducer finds workload i's results at res[i*len(policies):].
+func policyJobs(names []string, policies []config.Policy) []Job {
+	var jobs []Job
+	for _, n := range names {
+		for _, p := range policies {
+			p := p
+			jobs = append(jobs, Job{
+				Workload: n,
+				Variant:  p.String(),
+				Mutate:   func(c *config.GPUConfig) { c.Policy = p },
+			})
+		}
+	}
+	return jobs
+}
+
+// suiteNames returns every workload name.
+func suiteNames() []string { return kernels.Names() }
+
+// sweepNames is the focused subset used by the parameter sweeps: the five
+// scheduling-limited gainers plus one capacity-limited control, chosen to
+// keep sweep run time tractable while covering both regimes.
+func sweepNames() []string {
+	return []string{"bfs", "spmv", "pathfinder", "lud", "nw", "srad"}
 }
 
 // tableConfig reproduces the simulated-hardware configuration table.
@@ -43,7 +67,7 @@ func tableConfig() Experiment {
 		ID:    "table1-config",
 		Title: "Simulated GPU configuration",
 		Paper: "GPGPU-Sim GTX 480 profile: 15 SMs, 48 warps/8 CTAs/1536 threads per SM, 128 KB registers, 48 KB shared memory",
-		Run: func(p Params, w io.Writer) error {
+		Reduce: func(p Params, _ []*gpu.Result) *stats.Table {
 			c := p.Config
 			t := stats.NewTable("simulated hardware", "parameter", "value")
 			t.Rowf("SMs", c.NumSMs)
@@ -62,8 +86,7 @@ func tableConfig() Experiment {
 				c.DRAMLatency, c.DRAMServiceCycles))
 			t.Rowf("VT swap latency (out/in)", fmt.Sprintf("%d / %d cyc", c.VT.SwapOutLatency, c.VT.SwapInLatency))
 			t.Rowf("VT context buffer / SM", fmt.Sprintf("%d KB", c.VT.ContextBufferBytes/1024))
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -75,7 +98,7 @@ func tableBenchmarks() Experiment {
 		ID:    "table2-benchmarks",
 		Title: "Benchmark characteristics and occupancy limiter",
 		Paper: "motivation: concurrency in most general-purpose workloads is curtailed by the scheduling limit, not the capacity limit",
-		Run: func(p Params, w io.Writer) error {
+		Reduce: func(p Params, _ []*gpu.Result) *stats.Table {
 			t := stats.NewTable("workloads",
 				"workload", "threads/CTA", "regs/thr", "shmem/CTA", "CTAs/SM", "capacity-CTAs", "limiter", "sched-limited")
 			sched := 0
@@ -89,8 +112,7 @@ func tableBenchmarks() Experiment {
 					o.Limiter.String(), fmt.Sprintf("%v", o.SchedulingLimited()))
 			}
 			t.Note("%d of %d workloads are scheduling-limited", sched, len(kernels.Names()))
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -102,7 +124,7 @@ func figLimiter() Experiment {
 		ID:    "fig-limiter",
 		Title: "TLP lost to the scheduling limit (static analysis)",
 		Paper: "scheduling structures strand large fractions of on-chip memory capacity",
-		Run: func(p Params, w io.Writer) error {
+		Reduce: func(p Params, _ []*gpu.Result) *stats.Table {
 			t := stats.NewTable("stranded parallelism",
 				"workload", "warps(sched)", "warps(capacity)", "stranded")
 			var fractions []float64
@@ -121,8 +143,7 @@ func figLimiter() Experiment {
 				t.Rowf(wl.Name, ws, wc, fmt.Sprintf("%.0f%%", frac*100))
 			}
 			t.Note("mean stranded TLP: %.0f%%", stats.Mean(fractions)*100)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -130,28 +151,21 @@ func figLimiter() Experiment {
 // figTLP reproduces the thread-level-parallelism figure: average active and
 // resident warps per SM under each policy.
 func figTLP() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
 	return Experiment{
 		ID:    "fig-tlp",
 		Title: "Average active/resident warps per SM (baseline vs VT vs ideal)",
 		Paper: "VT keeps capacity-limit-many CTAs resident while active CTAs respect the scheduling limit",
-		Run: func(p Params, w io.Writer) error {
-			pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
-			res, err := runMany(p, policyJobs(suiteNames(), pols))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("warps per SM",
 				"workload", "base-active", "vt-active", "vt-resident", "ideal-active")
-			for _, n := range suiteNames() {
-				b := res[key{n, "baseline"}]
-				v := res[key{n, "vt"}]
-				i := res[key{n, "ideal"}]
+			for i, n := range suiteNames() {
+				b, v, ideal := res[3*i], res[3*i+1], res[3*i+2]
 				t.Rowf(n, b.AvgActiveWarpsPerSM(), v.AvgActiveWarpsPerSM(),
-					v.AvgResidentWarpsPerSM(), i.AvgActiveWarpsPerSM())
+					v.AvgResidentWarpsPerSM(), ideal.AvgActiveWarpsPerSM())
 			}
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -159,30 +173,24 @@ func figTLP() Experiment {
 // figSpeedup reproduces the headline result: per-workload VT speedup over
 // the baseline.
 func figSpeedup() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
 	return Experiment{
 		ID:    "fig-speedup",
 		Title: "VT speedup over baseline (headline result)",
 		Paper: "VT improves performance by 23.9% on average [abstract]",
-		Run: func(p Params, w io.Writer) error {
-			pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
-			res, err := runMany(p, policyJobs(suiteNames(), pols))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("speedup", "workload", "base-IPC", "vt-IPC", "speedup", "swaps")
 			var sp []float64
-			for _, n := range suiteNames() {
-				b := res[key{n, "baseline"}]
-				v := res[key{n, "vt"}]
+			for i, n := range suiteNames() {
+				b, v := res[2*i], res[2*i+1]
 				s := float64(b.Cycles) / float64(v.Cycles)
 				sp = append(sp, s)
 				t.Rowf(n, b.IPC(), v.IPC(), s, v.VT.SwapsOut)
 			}
 			t.Note("average speedup: %s (arithmetic), %s (geometric); paper reports +23.9%% average",
 				stats.Pct(stats.Mean(sp)), stats.Pct(stats.GeoMean(sp)))
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -190,36 +198,31 @@ func figSpeedup() Experiment {
 // figIdealGap reproduces the comparison against unbounded scheduling
 // structures.
 func figIdealGap() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
 	return Experiment{
 		ID:    "fig-ideal-gap",
 		Title: "VT vs ideal (unbounded scheduling structures)",
 		Paper: "VT approaches the performance of scaling the scheduling structures without their hardware cost",
-		Run: func(p Params, w io.Writer) error {
-			pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
-			res, err := runMany(p, policyJobs(suiteNames(), pols))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("normalized to baseline", "workload", "vt", "ideal", "vt-capture")
 			var caps []float64
-			for _, n := range suiteNames() {
-				b := float64(res[key{n, "baseline"}].Cycles)
-				v := b / float64(res[key{n, "vt"}].Cycles)
-				i := b / float64(res[key{n, "ideal"}].Cycles)
+			for i, n := range suiteNames() {
+				b := float64(res[3*i].Cycles)
+				v := b / float64(res[3*i+1].Cycles)
+				ideal := b / float64(res[3*i+2].Cycles)
 				// Capture is only meaningful where ideal actually gains.
 				capture := "-"
-				if i > 1.05 {
-					c := (v - 1) / (i - 1)
+				if ideal > 1.05 {
+					c := (v - 1) / (ideal - 1)
 					caps = append(caps, c)
 					capture = fmt.Sprintf("%.0f%%", c*100)
 				}
-				t.Rowf(n, v, i, capture)
+				t.Rowf(n, v, ideal, capture)
 			}
 			t.Note("mean capture of ideal's gain (where ideal gains >5%%): %.0f%%",
 				stats.Mean(caps)*100)
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -227,216 +230,40 @@ func figIdealGap() Experiment {
 // figFullSwap reproduces the strawman comparison: swapping full contexts
 // off-chip instead of keeping them resident.
 func figFullSwap() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyFullSwap}
 	return Experiment{
 		ID:    "fig-fullswap",
 		Title: "VT vs off-chip context switching (FullSwap strawman)",
 		Paper: "keeping both active and inactive CTAs within the capacity limit obviates saving/restoring large CTA state",
-		Run: func(p Params, w io.Writer) error {
-			pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyFullSwap}
-			res, err := runMany(p, policyJobs(suiteNames(), pols))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("normalized to baseline", "workload", "vt", "fullswap")
 			var vs, fs []float64
-			for _, n := range suiteNames() {
-				b := float64(res[key{n, "baseline"}].Cycles)
-				v := b / float64(res[key{n, "vt"}].Cycles)
-				f := b / float64(res[key{n, "fullswap"}].Cycles)
+			for i, n := range suiteNames() {
+				b := float64(res[3*i].Cycles)
+				v := b / float64(res[3*i+1].Cycles)
+				f := b / float64(res[3*i+2].Cycles)
 				vs = append(vs, v)
 				fs = append(fs, f)
 				t.Rowf(n, v, f)
 			}
 			t.Note("geomean: vt %s, fullswap %s", stats.Pct(stats.GeoMean(vs)), stats.Pct(stats.GeoMean(fs)))
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
-		},
-	}
-}
-
-// figSwapLatency reproduces the swap-latency sensitivity sweep.
-func figSwapLatency() Experiment {
-	lats := []int{0, 8, 24, 64, 128, 256, 512}
-	return Experiment{
-		ID:    "fig-swaplat",
-		Title: "Sensitivity to swap latency (sweep subset)",
-		Paper: "VT's benefit relies on swaps costing only scheduling-state save/restore",
-		Run: func(p Params, w io.Writer) error {
-			var jobs []Job
-			for _, n := range sweepNames() {
-				jobs = append(jobs, Job{Workload: n, Variant: "baseline"})
-				for _, l := range lats {
-					l := l
-					jobs = append(jobs, Job{
-						Workload: n,
-						Variant:  fmt.Sprintf("lat%d", l),
-						Mutate: func(c *config.GPUConfig) {
-							c.Policy = config.PolicyVT
-							c.VT.SwapOutLatency = l
-							c.VT.SwapInLatency = l
-						},
-					})
-				}
-			}
-			res, err := runMany(p, jobs)
-			if err != nil {
-				return err
-			}
-			headers := []string{"workload"}
-			for _, l := range lats {
-				headers = append(headers, fmt.Sprintf("lat=%d", l))
-			}
-			t := stats.NewTable("VT speedup vs swap latency", headers...)
-			perLat := make(map[int][]float64)
-			for _, n := range sweepNames() {
-				b := float64(res[key{n, "baseline"}].Cycles)
-				row := []any{n}
-				for _, l := range lats {
-					s := b / float64(res[key{n, fmt.Sprintf("lat%d", l)}].Cycles)
-					perLat[l] = append(perLat[l], s)
-					row = append(row, s)
-				}
-				t.Rowf(row...)
-			}
-			row := []any{"geomean"}
-			for _, l := range lats {
-				row = append(row, stats.GeoMean(perLat[l]))
-			}
-			t.Rowf(row...)
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
-		},
-	}
-}
-
-// figVirtualCap reproduces the virtual-CTA-budget sensitivity sweep.
-func figVirtualCap() Experiment {
-	caps := []int{8, 12, 16, 24, 32, 0} // 0 = capacity bound
-	return Experiment{
-		ID:    "fig-virtcap",
-		Title: "Sensitivity to the virtual CTA budget (sweep subset)",
-		Paper: "benefit grows with resident CTAs until capacity binds",
-		Run: func(p Params, w io.Writer) error {
-			var jobs []Job
-			for _, n := range sweepNames() {
-				jobs = append(jobs, Job{Workload: n, Variant: "baseline"})
-				for _, cp := range caps {
-					cp := cp
-					jobs = append(jobs, Job{
-						Workload: n,
-						Variant:  fmt.Sprintf("cap%d", cp),
-						Mutate: func(c *config.GPUConfig) {
-							c.Policy = config.PolicyVT
-							c.VT.MaxVirtualCTAsPerSM = cp
-						},
-					})
-				}
-			}
-			res, err := runMany(p, jobs)
-			if err != nil {
-				return err
-			}
-			headers := []string{"workload"}
-			for _, cp := range caps {
-				if cp == 0 {
-					headers = append(headers, "cap=inf")
-				} else {
-					headers = append(headers, fmt.Sprintf("cap=%d", cp))
-				}
-			}
-			t := stats.NewTable("VT speedup vs virtual CTA budget", headers...)
-			perCap := make(map[int][]float64)
-			for _, n := range sweepNames() {
-				b := float64(res[key{n, "baseline"}].Cycles)
-				row := []any{n}
-				for _, cp := range caps {
-					s := b / float64(res[key{n, fmt.Sprintf("cap%d", cp)}].Cycles)
-					perCap[cp] = append(perCap[cp], s)
-					row = append(row, s)
-				}
-				t.Rowf(row...)
-			}
-			row := []any{"geomean"}
-			for _, cp := range caps {
-				row = append(row, stats.GeoMean(perCap[cp]))
-			}
-			t.Rowf(row...)
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
-		},
-	}
-}
-
-// figRFSize reproduces the register-file-size sensitivity study.
-func figRFSize() Experiment {
-	sizes := []int{16384, 32768, 65536} // 64/128/256 KB
-	return Experiment{
-		ID:    "fig-rfsize",
-		Title: "Sensitivity to register file size (sweep subset)",
-		Paper: "a larger register file raises the capacity limit and VT's headroom",
-		Run: func(p Params, w io.Writer) error {
-			var jobs []Job
-			for _, n := range sweepNames() {
-				for _, sz := range sizes {
-					sz := sz
-					for _, pol := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
-						pol := pol
-						jobs = append(jobs, Job{
-							Workload: n,
-							Variant:  fmt.Sprintf("%s-rf%d", pol, sz),
-							Mutate: func(c *config.GPUConfig) {
-								c.Policy = pol
-								c.RegFileSize = sz
-							},
-						})
-					}
-				}
-			}
-			res, err := runMany(p, jobs)
-			if err != nil {
-				return err
-			}
-			headers := []string{"workload"}
-			for _, sz := range sizes {
-				headers = append(headers, fmt.Sprintf("rf=%dKB", sz*4/1024))
-			}
-			t := stats.NewTable("VT speedup vs register file size", headers...)
-			perSize := make(map[int][]float64)
-			for _, n := range sweepNames() {
-				row := []any{n}
-				for _, sz := range sizes {
-					b := float64(res[key{n, fmt.Sprintf("baseline-rf%d", sz)}].Cycles)
-					s := b / float64(res[key{n, fmt.Sprintf("vt-rf%d", sz)}].Cycles)
-					perSize[sz] = append(perSize[sz], s)
-					row = append(row, s)
-				}
-				t.Rowf(row...)
-			}
-			row := []any{"geomean"}
-			for _, sz := range sizes {
-				row = append(row, stats.GeoMean(perSize[sz]))
-			}
-			t.Rowf(row...)
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
 
 // figScheduler reproduces the warp-scheduler interaction study.
 func figScheduler() Experiment {
+	scheds := []config.SchedulerKind{config.SchedGTO, config.SchedLRR}
 	return Experiment{
 		ID:    "fig-sched",
 		Title: "Interaction with the warp scheduler (GTO vs LRR)",
 		Paper: "VT's gains are not an artifact of one warp scheduling policy",
-		Run: func(p Params, w io.Writer) error {
+		Jobs: func(Params) []Job {
 			var jobs []Job
 			for _, n := range sweepNames() {
-				for _, sk := range []config.SchedulerKind{config.SchedGTO, config.SchedLRR} {
+				for _, sk := range scheds {
 					sk := sk
 					for _, pol := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
 						pol := pol
@@ -451,23 +278,21 @@ func figScheduler() Experiment {
 					}
 				}
 			}
-			res, err := runMany(p, jobs)
-			if err != nil {
-				return err
-			}
+			return jobs
+		},
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("VT speedup by scheduler", "workload", "gto", "lrr")
 			var g, l []float64
-			for _, n := range sweepNames() {
-				sg := float64(res[key{n, "baseline-gto"}].Cycles) / float64(res[key{n, "vt-gto"}].Cycles)
-				sl := float64(res[key{n, "baseline-lrr"}].Cycles) / float64(res[key{n, "vt-lrr"}].Cycles)
+			for i, n := range sweepNames() {
+				r := res[4*i:]
+				sg := float64(r[0].Cycles) / float64(r[1].Cycles)
+				sl := float64(r[2].Cycles) / float64(r[3].Cycles)
 				g = append(g, sg)
 				l = append(l, sl)
 				t.Rowf(n, sg, sl)
 			}
 			t.Note("geomean: gto %s, lrr %s", stats.Pct(stats.GeoMean(g)), stats.Pct(stats.GeoMean(l)))
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -478,21 +303,18 @@ func tableSwap() Experiment {
 		ID:    "table-swap",
 		Title: "VT swap behaviour",
 		Paper: "swaps are frequent but cheap; context buffer stays small",
-		Run: func(p Params, w io.Writer) error {
-			res, err := runMany(p, policyJobs(suiteNames(), []config.Policy{config.PolicyVT}))
-			if err != nil {
-				return err
-			}
+		Jobs: func(Params) []Job {
+			return policyJobs(suiteNames(), []config.Policy{config.PolicyVT})
+		},
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("swap statistics",
 				"workload", "swaps-out", "swaps-in", "fresh", "stall-cyc", "ctx-peak(B)", "max-resident")
-			for _, n := range suiteNames() {
-				v := res[key{n, "vt"}]
-				t.Rowf(n, v.VT.SwapsOut, v.VT.SwapsIn, v.VT.FreshActivates,
-					v.VT.SwapStallCycles, v.VT.ContextPeak, v.VT.MaxResident)
+			for i, n := range suiteNames() {
+				v := res[i].VT
+				t.Rowf(n, v.SwapsOut, v.SwapsIn, v.FreshActivates,
+					v.SwapStallCycles, v.ContextPeak, v.MaxResident)
 			}
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -503,7 +325,7 @@ func tableHardware() Experiment {
 		ID:    "table-hw",
 		Title: "VT hardware overhead estimate (static)",
 		Paper: "VT needs only a small context buffer plus CTA state bits, far below scaled scheduling structures",
-		Run: func(p Params, w io.Writer) error {
+		Reduce: func(p Params, _ []*gpu.Result) *stats.Table {
 			c := p.Config
 			t := stats.NewTable("per-SM overhead", "component", "bytes")
 			perWarpCtx := 4 + 20 + 64 + 4 // PC + depth-1 stack + scoreboard + flags
@@ -516,8 +338,7 @@ func tableHardware() Experiment {
 			t.Rowf("total per SM", perSM)
 			t.Rowf("total per GPU", perSM*c.NumSMs)
 			t.Note("compare: doubling warp slots replicates %d SIMT stacks + PCs per SM", c.MaxWarpsPerSM)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }

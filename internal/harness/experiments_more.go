@@ -1,39 +1,51 @@
 package harness
 
 import (
-	"io"
-
 	"repro/internal/config"
 	"repro/internal/energy"
+	"repro/internal/gpu"
 	"repro/internal/stats"
 )
 
-func init() {
-	register(tableEnergy())
-	register(figKepler())
+// figExtras evaluates the extension workloads (beyond the paper-facing
+// suite) under every policy, as future-work-style coverage.
+func figExtras() Experiment {
+	names := []string{"gemm", "histogram", "bitonic", "scatteradd"}
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
+	return Experiment{
+		ID:    "fig-extras",
+		Title: "Extension workloads (gemm, histogram, bitonic)",
+		Paper: "extension: additional workload classes beyond the reproduced suite",
+		Jobs:  func(Params) []Job { return policyJobs(names, pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
+			t := stats.NewTable("normalized to baseline", "workload", "vt", "ideal", "swaps")
+			for i, n := range names {
+				b := float64(res[3*i].Cycles)
+				v, ideal := res[3*i+1], res[3*i+2]
+				t.Rowf(n, b/float64(v.Cycles), b/float64(ideal.Cycles), v.VT.SwapsOut)
+			}
+			return t
+		},
+	}
 }
 
 // tableEnergy estimates energy for baseline vs VT using the first-order
 // model: VT finishes the same work in fewer cycles, cutting static energy,
 // while swap traffic adds a small dynamic term.
 func tableEnergy() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
 	return Experiment{
 		ID:    "table-energy",
 		Title: "Energy estimate: baseline vs VT (first-order model)",
 		Paper: "extension: the hardware-overhead argument implies an energy win from shorter runtime",
-		Run: func(p Params, w io.Writer) error {
-			pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
-			res, err := runMany(p, policyJobs(suiteNames(), pols))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
+		Reduce: func(p Params, res []*gpu.Result) *stats.Table {
 			m := energy.Default()
 			t := stats.NewTable("energy (mJ)",
 				"workload", "base-total", "vt-total", "vt/base", "vt-swap-mJ", "edp-ratio")
 			var ratios []float64
-			for _, n := range suiteNames() {
-				b := res[key{n, "baseline"}]
-				v := res[key{n, "vt"}]
+			for i, n := range suiteNames() {
+				b, v := res[2*i], res[2*i+1]
 				be := m.Estimate(b, &p.Config)
 				ve := m.Estimate(v, &p.Config)
 				ratio := ve.Total() / be.Total()
@@ -43,9 +55,7 @@ func tableEnergy() Experiment {
 			}
 			t.Note("geomean VT/baseline energy: %.3f (energy-delay product improves wherever VT speeds up)",
 				stats.GeoMean(ratios))
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }
@@ -54,41 +64,41 @@ func tableEnergy() Experiment {
 // structures are twice Fermi's: the headroom (and hence VT's benefit)
 // shrinks but does not vanish for tiny-CTA workloads.
 func figKepler() Experiment {
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
 	return Experiment{
 		ID:    "fig-kepler",
 		Title: "VT on a Kepler-class configuration (2x scheduling structures)",
 		Paper: "extension: newer GPUs relax the scheduling limit; tiny-CTA workloads stay limited",
-		Run: func(p Params, w io.Writer) error {
-			kp := p
-			kp.Config = config.KeplerLike()
-			fermi, err := runMany(p, policyJobs(sweepNames(), []config.Policy{config.PolicyBaseline, config.PolicyVT}))
-			if err != nil {
-				return err
+		Jobs: func(Params) []Job {
+			jobs := policyJobs(sweepNames(), pols)
+			// The Kepler runs keep the Fermi runs' labels: a point is named
+			// by its fingerprint, and the config is part of that.
+			for _, j := range policyJobs(sweepNames(), pols) {
+				pol := j.Mutate
+				j.Mutate = func(c *config.GPUConfig) {
+					*c = config.KeplerLike()
+					pol(c)
+				}
+				jobs = append(jobs, j)
 			}
-			kepler, err := runMany(kp, policyJobs(sweepNames(), []config.Policy{config.PolicyBaseline, config.PolicyVT}))
-			if err != nil {
-				return err
-			}
+			return jobs
+		},
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
+			fermi, kepler := res[:len(res)/2], res[len(res)/2:]
 			t := stats.NewTable("VT speedup by hardware generation", "workload", "fermi", "kepler")
 			var f, k []float64
-			for _, n := range sweepNames() {
-				sf := float64(fermi[key{n, "baseline"}].Cycles) / float64(fermi[key{n, "vt"}].Cycles)
-				sk := float64(kepler[key{n, "baseline"}].Cycles) / float64(kepler[key{n, "vt"}].Cycles)
+			for i, n := range sweepNames() {
+				sf := float64(fermi[2*i].Cycles) / float64(fermi[2*i+1].Cycles)
+				sk := float64(kepler[2*i].Cycles) / float64(kepler[2*i+1].Cycles)
 				f = append(f, sf)
 				k = append(k, sk)
 				t.Rowf(n, sf, sk)
 			}
 			t.Note("geomean: fermi %s, kepler %s — looser scheduling limits leave less stranded TLP",
 				stats.Pct(stats.GeoMean(f)), stats.Pct(stats.GeoMean(k)))
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
-}
-
-func init() {
-	register(figMultiKernel())
 }
 
 // figMultiKernel evaluates concurrent kernel execution: a latency-bound
@@ -98,25 +108,21 @@ func init() {
 // sweep builds into disjoint arenas (kernels.BuildMix).
 func figMultiKernel() Experiment {
 	mixes := []string{"nw+montecarlo", "pathfinder+kmeans", "bfs+streamcluster"}
+	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT}
 	return Experiment{
 		ID:    "fig-multikernel",
 		Title: "Concurrent kernel execution: latency-bound + compute-bound mixes",
 		Paper: "extension: CTA virtualization applies unchanged to concurrent-kernel mixes",
-		Run: func(p Params, w io.Writer) error {
-			res, err := runMany(p, policyJobs(mixes, []config.Policy{config.PolicyBaseline, config.PolicyVT}))
-			if err != nil {
-				return err
-			}
+		Jobs:  func(Params) []Job { return policyJobs(mixes, pols) },
+		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("co-scheduled mixes (cycles, normalized to baseline mix)",
 				"mix", "baseline", "vt", "speedup", "swaps")
-			for _, mix := range mixes {
-				base, vt := res[key{mix, "baseline"}], res[key{mix, "vt"}]
+			for i, mix := range mixes {
+				base, vt := res[2*i], res[2*i+1]
 				t.Rowf(mix, base.Cycles, vt.Cycles,
 					float64(base.Cycles)/float64(vt.Cycles), vt.VT.SwapsOut)
 			}
-			markSampled(t, p)
-			t.Fprint(w)
-			return nil
+			return t
 		},
 	}
 }

@@ -15,10 +15,11 @@ import (
 // does not consume until deep into the run — the VT swap latencies, which
 // matter only once the first swap happens. Those jobs share a common
 // prefix: every cycle up to the first swap is bit-identical across the
-// sweep. With Params.Checkpoint set, runMany groups jobs by their
-// *prefix fingerprint* (the ordinary content fingerprint with the
-// divergeable parameters neutralized; see gpu.ForkNeutralizedConfig),
-// runs the first member of each group as the *donor* — a full simulation
+// sweep. With Params.Checkpoint set, RunJobs groups the jobs of a plan —
+// every selected experiment's — by their *prefix fingerprint* (the
+// ordinary content fingerprint with the divergeable parameters
+// neutralized; see gpu.ForkNeutralizedConfig), runs the first member of
+// each group as the *donor* — a full simulation
 // that captures checkpoints while the no-swaps-yet guard holds — and
 // starts every other member from the donor's last checkpoint instead of
 // from cycle zero. Forked results are bit-identical to full runs (see
@@ -125,7 +126,7 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 	var err error
 	donor := false
 	ce.once.Do(func() {
-		st, _ := s.store(p) // memoRun has vetted p's directories
+		st, _ := s.store(p) // resolve has vetted p's directories
 		if st != nil {
 			if env := s.loadEnvelope(p, st, resultstore.KindCheckpoint, "fork.ckload", j, j.PrefixFP); env != nil {
 				ce.ck = env.Checkpoint

@@ -1,8 +1,10 @@
 // Package harness defines the reproduction experiments: one named entry
-// per table and figure of the paper's evaluation, each of which runs the
-// required simulations (in parallel) and prints the same rows/series the
-// paper reports. cmd/vtbench drives it; bench_test.go wraps every entry in
-// a testing.B benchmark.
+// per table and figure of the paper's evaluation, each a value that
+// declares the simulations it needs (Jobs) and reduces their results to
+// the rows/series the paper reports (Reduce). RunExperiments runs every
+// selected experiment's jobs as one plan — each distinct point simulated
+// once, in parallel — then renders the tables in order. cmd/vtbench drives
+// it; bench_test.go wraps every entry in a testing.B benchmark.
 package harness
 
 import (
@@ -10,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -19,7 +23,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
-	"repro/internal/kernels"
+	"repro/internal/stats"
 	"repro/internal/sweepobs"
 )
 
@@ -116,16 +120,16 @@ type Params struct {
 	// Ctx, when non-nil, cancels the sweep's dispatch loop: on
 	// cancellation RunJobs stops starting jobs (the remainder fail with
 	// the context error) while in-flight jobs drain to completion, and
-	// store retries abandon their backoff sleeps. Nil never cancels. It
-	// also carries the pprof labels of the experiment being run down to
-	// the per-job labels RunJobs stacks on them.
+	// store retries abandon their backoff sleeps. Nil never cancels. Any
+	// pprof labels it carries sit under the per-job labels RunJobs stacks
+	// on them.
 	Ctx context.Context
 
 	// span is the current parent span, threaded through the by-value
-	// Params copies as execution descends (experiment → job → attempt).
-	// sweepSpan is the span the jobs themselves hang under (the
-	// experiment, or none): store batches, which carry several jobs'
-	// outcomes and finish after those jobs have, are filed there.
+	// Params copies as execution descends (sweep → job → attempt).
+	// sweepSpan is the span the jobs themselves hang under (none, for a
+	// command's sweep): store batches, which carry several jobs' outcomes
+	// and finish after those jobs have, are filed there.
 	span      sweepobs.SpanID
 	sweepSpan sweepobs.SpanID
 }
@@ -193,7 +197,10 @@ func (p Params) Context() context.Context {
 // exactly like local execute spans do.
 func (p Params) Span() sweepobs.SpanID { return p.span }
 
-// Experiment is one reproducible table or figure.
+// Experiment is one reproducible table or figure, as two plain values:
+// the simulations it needs and how their results reduce to its table.
+// RunExperiments runs every selected experiment's jobs as one plan, then
+// reduces and renders each experiment in turn.
 type Experiment struct {
 	// ID is the stable name used by cmd/vtbench and bench_test.go.
 	ID string
@@ -201,13 +208,13 @@ type Experiment struct {
 	Title string
 	// Paper states the paper-side expectation being tested.
 	Paper string
-	// Run executes the experiment and writes its table(s).
-	Run func(p Params, w io.Writer) error
+	// Jobs declares the simulations the experiment needs under p; nil for
+	// a static table, which reads only the configuration and the suite.
+	Jobs func(p Params) []Job
+	// Reduce turns the results of Jobs(p) — one per job, in job order —
+	// into the experiment's table.
+	Reduce func(p Params, res []*gpu.Result) *stats.Table
 }
-
-var experiments []Experiment
-
-func register(e Experiment) { experiments = append(experiments, e) }
 
 // Experiments returns all experiments in registration (paper) order.
 func Experiments() []Experiment {
@@ -231,75 +238,113 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (known: %v)", id, ids)
 }
 
-// ExperimentRun is what RunExperiments reports about one finished
-// experiment: its wall time, the sweep's counters on either side of it,
-// and its error, if any.
-type ExperimentRun struct {
-	Experiment
-	Wall          time.Duration
-	Before, After RunMetrics
-	Err           error
+// Output is where RunExperiments renders: every table to W — under its
+// "### id — title" heading when Titled — and, when CSVDir is set, into
+// that directory as <slug of the table title>.csv.
+type Output struct {
+	W      io.Writer
+	Titled bool
+	CSVDir string
 }
 
-// RunExperiments executes todo in order under p, writing tables to w —
-// with titled, each under its "### id — title" heading — and reporting
-// each experiment to each (nil: nobody) as it finishes. A failing
-// experiment does not abort the rest: the failure is reported inline, the
-// remaining experiments run, and the joined error is returned at the end
-// (the supervisor has already written any repro bundles by then). The
-// caller owns the sweep: p.Sweep.Sync is still to come.
-func RunExperiments(p Params, w io.Writer, todo []Experiment, titled bool, each func(ExperimentRun)) error {
-	s, err := p.sweep()
-	if err != nil {
+// ExperimentRun is what RunExperiments reports about one rendered
+// experiment: how many runs it requested, the wall time of its reduce and
+// render step, and its error, if any. The simulations belong to the plan,
+// which shares each point among every experiment that requested it.
+type ExperimentRun struct {
+	Experiment
+	Requested int
+	Wall      time.Duration
+	Err       error
+}
+
+// RunExperiments runs todo under p as one plan and renders each
+// experiment, in order, to out, reporting each to each (nil: nobody) once
+// it is rendered. The experiments' jobs are concatenated in todo order and
+// run through one dispatch loop to one barrier, so a point several
+// experiments request is simulated once, under the label of the first job
+// that requests it. An experiment with a failed job is reported inline
+// while the others still render, and the per-experiment errors are joined
+// into the returned error (the supervisor has written any repro bundles by
+// then). The caller owns the sweep: p.Sweep.Sync is still to come.
+func RunExperiments(p Params, todo []Experiment, out Output, each func(ExperimentRun)) error {
+	if _, err := p.sweep(); err != nil {
 		return err
 	}
-	var errs []error
-	for _, e := range todo {
-		if titled {
-			fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
-			if e.Paper != "" {
-				fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
-			}
+	var jobs []Job
+	ends := make([]int, len(todo))
+	for i, e := range todo {
+		if e.Jobs != nil {
+			jobs = append(jobs, e.Jobs(p)...)
 		}
-		r := ExperimentRun{Experiment: e, Before: s.Metrics()}
+		ends[i] = len(jobs)
+	}
+	res, errs := runPlan(p, jobs)
+	var failed []error
+	lo := 0
+	for i, e := range todo {
+		hi := ends[i]
+		r := ExperimentRun{Experiment: e, Requested: hi - lo}
 		t0 := time.Now()
-		r.Err = RunOne(e, p, w)
-		r.Wall, r.After = time.Since(t0), s.Metrics()
+		r.Err = render(p, out, e, res[lo:hi], errors.Join(errs[lo:hi]...))
+		r.Wall = time.Since(t0)
 		if r.Err != nil {
-			fmt.Fprintf(w, "EXPERIMENT FAILED %s: %v\n\n", e.ID, r.Err)
-			errs = append(errs, fmt.Errorf("%s: %w", e.ID, r.Err))
+			failed = append(failed, fmt.Errorf("%s: %w", e.ID, r.Err))
 		}
 		if each != nil {
 			each(r)
 		}
+		lo = hi
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("harness: %d experiment(s) failed: %w", len(errs), errors.Join(errs...))
+	if len(failed) > 0 {
+		return fmt.Errorf("harness: %d experiment(s) failed: %w", len(failed), errors.Join(failed...))
 	}
 	return nil
 }
 
-// RunOne executes a single experiment with a pprof "experiment" label
-// attached (and carried on in p.Ctx), so CPU profiles segment by
-// figure/table as well as by the per-run (workload, variant) labels
-// RunJobs adds.
-func RunOne(e Experiment, p Params, w io.Writer) error {
-	s, err := p.sweep()
+// render is the one step every experiment's output goes through, under
+// an "experiment" span: the heading, then either the failure of one of
+// its jobs or its reduced table — flagged sampled when the experiment
+// simulated under Params.Sampling — printed and mirrored to CSV.
+func render(p Params, out Output, e Experiment, res []*gpu.Result, err error) error {
+	tr := p.Sweep.Trace
+	sid := tr.Begin(p.span, "experiment", e.ID, "")
+	defer tr.End(sid)
+	if out.Titled {
+		fmt.Fprintf(out.W, "### %s — %s\n", e.ID, e.Title)
+		if e.Paper != "" {
+			fmt.Fprintf(out.W, "paper: %s\n\n", e.Paper)
+		}
+	}
 	if err != nil {
+		tr.SetAttr(sid, "error", "true")
+		fmt.Fprintf(out.W, "EXPERIMENT FAILED %s: %v\n\n", e.ID, err)
 		return err
 	}
-	tr := s.Trace
-	eid := tr.Begin(p.span, "experiment", e.ID, "")
-	p.span = eid
-	pprof.Do(p.Context(), pprof.Labels("experiment", e.ID), func(ctx context.Context) {
-		p.Ctx = ctx
-		err = e.Run(p, w)
-	})
-	if err != nil {
-		tr.SetAttr(eid, "error", "true")
+	t := e.Reduce(p, res)
+	if e.Jobs != nil && p.Sampling.Enabled() {
+		t.MarkSampled(p.Sampling.String())
 	}
-	tr.End(eid)
-	return err
+	t.Fprint(out.W)
+	if out.CSVDir != "" {
+		writeCSV(out.CSVDir, t)
+	}
+	return nil
+}
+
+// writeCSV mirrors t into dir as <slug>.csv; a failure is reported on
+// stderr and does not fail the experiment.
+func writeCSV(dir string, t *stats.Table) {
+	f, err := os.Create(filepath.Join(dir, stats.Slug(t.Title)+".csv"))
+	if err == nil {
+		err = t.WriteCSV(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harness: csv: %v\n", err)
+	}
 }
 
 // Job is one simulation request: a named workload executed under a
@@ -327,17 +372,8 @@ func (j Job) ConfigFor(p Params) config.GPUConfig {
 	return cfg
 }
 
-// One path takes every job from request to report, in a single-process
-// sweep and on a fleet alike: forkPlan turns a raw batch into a plan
-// (prefix-fork grouping, a no-op unless Params.Checkpoint is set);
-// memoRun gives each planned job its identity, counts it, coalesces it
-// with identical requests, asks the result store for it, and only on a
-// miss hands it to the Executor; the Executor returns the job's Outcome;
-// memoRun folds the Outcome's Work into the counters; the ResultSink
-// collects the Result.
-
 // Outcome is what running one job produced, as a value: it is returned
-// by the Executor, committed by CommitOutcome, accounted by memoRun, and
+// by the Executor, committed by CommitOutcome, accounted by resolve, and
 // carried whole from a fabric worker to its coordinator.
 type Outcome struct {
 	// Entry is the job's completion-journal line.
@@ -357,13 +393,6 @@ type Outcome struct {
 // job's span context and must be threaded into any harness calls.
 type Executor interface {
 	Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error)
-}
-
-// ResultSink receives completions as jobs finish, in completion order.
-// Implementations must be safe for concurrent use. Failed jobs are not
-// delivered; their errors surface through RunJobs' return value.
-type ResultSink interface {
-	Collect(j Job, res *gpu.Result)
 }
 
 // localExecutor is the default Executor: supervise the run in-process
@@ -387,126 +416,89 @@ func (localExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (
 	return out, err
 }
 
-// key identifies a completed run.
-type key struct {
-	Workload string
-	Variant  string
-}
-
-// mapSink collects results keyed by (workload, variant).
-type mapSink struct {
-	mu      sync.Mutex
-	results map[key]*gpu.Result
-}
-
-func (s *mapSink) Collect(j Job, res *gpu.Result) {
-	s.mu.Lock()
-	s.results[key{j.Workload, j.Variant}] = res
-	s.mu.Unlock()
-}
-
-// runMany executes all jobs with bounded parallelism and returns results
-// keyed by (workload, variant): RunJobs with a map sink.
-func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
-	sink := &mapSink{results: make(map[key]*gpu.Result, len(jobs))}
-	err := RunJobs(p, jobs, sink)
-	return sink.results, err
-}
-
-// RunJobs plans a batch with forkPlan, runs every job through memoRun
-// under bounded parallelism, and streams successful completions into
-// sink. Every job runs even when
-// earlier ones fail — the supervisor turns failures into repro bundles
-// — and the per-job errors are joined (in job order) into the returned
-// error, so a partially failed batch still surfaces as a failure to its
-// experiment. A canceled Params.Ctx stops dispatching: jobs not yet
-// started fail with the context error while in-flight jobs drain to
-// completion. Each run carries pprof labels so CPU profiles attribute
-// samples to the (workload, variant) that burned them.
-func RunJobs(p Params, jobs []Job, sink ResultSink) error {
-	s, err := p.sweep()
-	if err != nil {
-		return err
+// RunJobs runs a batch as one plan (see runPlan) and returns one result
+// per job, in job order — nil for a job that failed — with the per-job
+// errors joined in job order.
+func RunJobs(p Params, jobs []Job) ([]*gpu.Result, error) {
+	if _, err := p.sweep(); err != nil {
+		return nil, err
 	}
+	res, errs := runPlan(p, jobs)
+	return res, errors.Join(errs...)
+}
+
+// runPlan is the one path every job takes from request to report, in a
+// single-process sweep and on a fleet alike. forkPlan turns the batch into
+// a plan (prefix-fork grouping, a no-op unless Params.Checkpoint is set);
+// the dispatch loop claims each job's point in plan order (Sweep.claim);
+// the first claim of a point keeps its worker slot and resolves it — from
+// the result store, or through the Executor — and a later claim, in this
+// plan or an earlier one, gives its slot straight back and takes the
+// owner's Outcome at the barrier. It returns one result and one error per
+// job, in job order. Every job runs even when earlier ones fail — the
+// supervisor turns failures into repro bundles. A canceled Params.Ctx
+// stops dispatching: jobs not yet claimed fail with the context error
+// while in-flight jobs drain to completion. Each run carries pprof labels
+// so CPU profiles attribute samples to the (workload, variant) that
+// burned them.
+func runPlan(p Params, jobs []Job) ([]*gpu.Result, []error) {
+	s := p.Sweep
 	tr, mon := s.Trace, s.Monitor
 	plan := tr.Begin(p.span, "plan", "", "")
 	jobs = forkPlan(p, jobs)
 	tr.End(plan)
 	ctx := p.Context()
+	res := make([]*gpu.Result, len(jobs))
 	errs := make([]error, len(jobs))
+	claimed := make([]*memoEntry, len(jobs))
 	sem := make(chan struct{}, p.workers())
 	var wg sync.WaitGroup
 	for i, j := range jobs {
-		// Take the semaphore slot before spawning, so at most `workers`
-		// goroutines exist at a time (a 590-job `-run all` used to park
-		// hundreds of them on this channel). The job span starts after
-		// the slot is taken, so tracer worker slots mirror real
-		// concurrency. A canceled sweep context wins the race: remaining
-		// jobs are skipped with the context error while already-started
-		// jobs drain. The non-blocking check first gives cancellation
-		// strict priority — the two-way select alone would pick randomly
-		// when a slot and the cancellation are both ready.
-		select {
-		case <-ctx.Done():
-			errs[i] = fmt.Errorf("%s/%s: %w", j.Workload, j.Variant, ctx.Err())
+		// Take the semaphore slot before claiming, so at most `workers`
+		// owners run at a time and the job span, which starts once an owner
+		// has its slot, mirrors real concurrency in the tracer's worker
+		// slots. A canceled sweep context wins: the check before the select
+		// gives it priority over a free slot.
+		if errs[i] = ctx.Err(); errs[i] != nil {
 			continue
-		default:
 		}
 		select {
 		case <-ctx.Done():
-			errs[i] = fmt.Errorf("%s/%s: %w", j.Workload, j.Variant, ctx.Err())
+			errs[i] = ctx.Err()
 			continue
 		case sem <- struct{}{}:
 		}
+		e, owner, err := s.claim(p, j)
+		claimed[i], errs[i] = e, err
+		if !owner {
+			<-sem // a duplicate waits for its owner without a slot
+			continue
+		}
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func(j Job, e *memoEntry) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var out Outcome
-			var err error
 			labels := pprof.Labels("workload", j.Workload, "variant", j.Variant)
 			pprof.Do(ctx, labels, func(context.Context) {
 				jid := tr.BeginJob(p.span, j.Workload, j.Variant)
-				mon.beginJob(j)
-				defer mon.endJob(j)
+				mon.beginJob(e.fp, j)
+				defer mon.endJob(e.fp)
 				defer tr.EndJob(jid)
 				jp := p
 				jp.span, jp.sweepSpan = jid, p.span
-				out, err = memoRun(jp, j)
+				s.resolve(jp, j, e)
 			})
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", j.Workload, j.Variant, err)
-				return
-			}
-			sink.Collect(j, out.Result)
-		}(i, j)
+		}(j, e)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// policyJobs builds one job per (workload, policy) pair.
-func policyJobs(names []string, policies []config.Policy) []Job {
-	var jobs []Job
-	for _, n := range names {
-		for _, p := range policies {
-			p := p
-			jobs = append(jobs, Job{
-				Workload: n,
-				Variant:  p.String(),
-				Mutate:   func(c *config.GPUConfig) { c.Policy = p },
-			})
+	for i, e := range claimed {
+		if e != nil {
+			<-e.done
+			res[i], errs[i] = e.out.Result, e.err
+		}
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", jobs[i].Workload, jobs[i].Variant, errs[i])
 		}
 	}
-	return jobs
-}
-
-// suiteNames returns every workload name.
-func suiteNames() []string { return kernels.Names() }
-
-// sweepNames is the focused subset used by the parameter sweeps: the five
-// scheduling-limited gainers plus one capacity-limited control, chosen to
-// keep sweep run time tractable while covering both regimes.
-func sweepNames() []string {
-	return []string{"bfs", "spmv", "pathfinder", "lud", "nw", "srad"}
+	return res, errs
 }

@@ -1,7 +1,14 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,6 +35,37 @@ func reboot(t testing.TB, p Params) Params {
 
 func testParams(t testing.TB) Params {
 	return inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 30})
+}
+
+// key names a run by its label.
+type key struct {
+	Workload string
+	Variant  string
+}
+
+// runMany runs jobs as one plan and returns the results of the jobs that
+// succeeded, keyed by (workload, variant): the lookup most tests want.
+func runMany(p Params, jobs []Job) (map[key]*gpu.Result, error) {
+	res, err := RunJobs(p, jobs)
+	byKey := make(map[key]*gpu.Result, len(res))
+	for i, r := range res {
+		if r != nil {
+			byKey[key{jobs[i].Workload, jobs[i].Variant}] = r
+		}
+	}
+	return byKey, err
+}
+
+// runExperiment runs experiment id alone under p and returns its
+// rendered, untitled output.
+func runExperiment(p Params, id string) (string, error) {
+	e, err := Get(id)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	err = RunExperiments(p, []Experiment{e}, Output{W: &sb}, nil)
+	return sb.String(), err
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -66,30 +104,35 @@ func TestGetExperiment(t *testing.T) {
 }
 
 func TestStaticExperiments(t *testing.T) {
-	// Static (no-simulation) experiments run instantly and must render
-	// non-empty tables.
+	// Static (no-simulation) experiments declare no jobs, so they request
+	// nothing, run instantly and must render non-empty tables.
+	p := inSweep(t, DefaultParams())
 	for _, id := range []string{"table1-config", "table2-benchmarks", "fig-limiter", "table-hw"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		if err := e.Run(DefaultParams(), &sb); err != nil {
+		if e.Jobs != nil {
+			t.Errorf("%s: a static table declares jobs", id)
+		}
+		out, err := runExperiment(p, id)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if len(sb.String()) < 100 {
-			t.Errorf("%s: suspiciously short output:\n%s", id, sb.String())
+		if len(out) < 100 {
+			t.Errorf("%s: suspiciously short output:\n%s", id, out)
 		}
+	}
+	if m := p.Sweep.Metrics(); m.Requests != 0 {
+		t.Errorf("static tables requested %d runs", m.Requests)
 	}
 }
 
 func TestTable2ReportsMajorityScheduling(t *testing.T) {
-	e, _ := Get("table2-benchmarks")
-	var sb strings.Builder
-	if err := e.Run(DefaultParams(), &sb); err != nil {
+	out, err := runExperiment(inSweep(t, DefaultParams()), "table2-benchmarks")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	if !strings.Contains(out, "scheduling-limited") {
 		t.Fatalf("missing summary note:\n%s", out)
 	}
@@ -102,12 +145,10 @@ func TestSpeedupExperimentDiluted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, _ := Get("fig-speedup")
-	var sb strings.Builder
-	if err := e.Run(testParams(t), &sb); err != nil {
+	out, err := runExperiment(testParams(t), "fig-speedup")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	for _, name := range []string{"vecadd", "lud", "nw", "average speedup"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("output missing %q:\n%s", name, out)
@@ -119,13 +160,12 @@ func TestSwapTableDiluted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, _ := Get("table-swap")
-	var sb strings.Builder
-	if err := e.Run(testParams(t), &sb); err != nil {
+	out, err := runExperiment(testParams(t), "table-swap")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "swaps-out") {
-		t.Fatalf("bad output:\n%s", sb.String())
+	if !strings.Contains(out, "swaps-out") {
+		t.Fatalf("bad output:\n%s", out)
 	}
 }
 
@@ -196,17 +236,18 @@ func TestRunAllMemoizes(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2})
-	var sb strings.Builder
 	// fig-speedup runs suite x {baseline, vt}; fig-ideal-gap runs suite x
 	// {baseline, vt, ideal}: the baseline and vt columns overlap exactly.
+	var todo []Experiment
 	for _, id := range []string{"fig-speedup", "fig-ideal-gap"} {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(p, &sb); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		todo = append(todo, e)
+	}
+	if err := RunExperiments(p, todo, Output{W: io.Discard}, nil); err != nil {
+		t.Fatal(err)
 	}
 	m := p.Sweep.Metrics()
 	if m.Executed >= m.Requests {
@@ -215,17 +256,30 @@ func TestRunAllMemoizes(t *testing.T) {
 	if m.CacheHits == 0 {
 		t.Fatalf("expected cache hits across overlapping experiments: %+v", m)
 	}
+	n := len(suiteNames())
+	if m.Requests != 5*n || m.Executed != 3*n {
+		t.Fatalf("%d requests, %d executed; want %d requests of %d distinct points", m.Requests, m.Executed, 5*n, 3*n)
+	}
 }
 
+// TestRunManyPropagatesErrors: a failed job's error reaches the caller
+// under its label, its result slot stays nil while the rest of the batch
+// still runs, and a batch without a sweep is refused.
 func TestRunManyPropagatesErrors(t *testing.T) {
 	p := testParams(t)
-	_, err := runMany(p, []Job{{Workload: "does-not-exist", Variant: "x"}})
-	if err == nil {
-		t.Fatal("expected error for unknown workload")
+	res, err := RunJobs(p, []Job{{Workload: "does-not-exist", Variant: "x"}, {Workload: "vecadd", Variant: "ok"}})
+	if err == nil || !strings.Contains(err.Error(), "does-not-exist/x: ") {
+		t.Fatalf("unknown workload: err = %v, want it reported under its label", err)
+	}
+	if len(res) != 2 || res[0] != nil || res[1] == nil {
+		t.Fatalf("results = %v, want nil for the failed job and a result for the other", res)
 	}
 	p.Sweep = nil
 	if _, err := runMany(p, nil); err == nil || !strings.Contains(err.Error(), "no Sweep") {
 		t.Fatalf("batch without a sweep: err = %v, want it refused", err)
+	}
+	if err := RunExperiments(p, Experiments()[:1], Output{W: io.Discard}, nil); err == nil || !strings.Contains(err.Error(), "no Sweep") {
+		t.Fatalf("experiments without a sweep: err = %v, want them refused", err)
 	}
 }
 
@@ -237,7 +291,7 @@ func TestRunAllDiluted(t *testing.T) {
 	}
 	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60})
 	var sb strings.Builder
-	if err := RunExperiments(p, &sb, Experiments(), true, nil); err != nil {
+	if err := RunExperiments(p, Experiments(), Output{W: &sb, Titled: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -271,7 +325,7 @@ func TestWorkersEquivalence(t *testing.T) {
 		p.Workers = workers
 		p.Executor = tap
 		var sb strings.Builder
-		if err := RunOne(e, p, &sb); err != nil {
+		if err := RunExperiments(p, []Experiment{e}, Output{W: &sb}, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		results := map[key]*gpu.Result{}
@@ -294,6 +348,68 @@ func TestWorkersEquivalence(t *testing.T) {
 		}
 		if got.cycles != ref.cycles {
 			t.Errorf("workers=%d: SimCycles = %d, want %d", workers, got.cycles, ref.cycles)
+		}
+	}
+}
+
+// TestPlanEquivalence: every experiment run as one plan prints what each
+// experiment run alone, in order, on one sweep printed — the tables byte
+// for byte — and journals the same multiset of "workload/variant cycles"
+// lines, so a point several experiments share keeps the label of the
+// first job that requests it (fig-rfsize's baseline-rf32768 is journalled
+// as fig-speedup's baseline) — at one worker and at eight.
+func TestPlanEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	sweep := func(workers int, plans [][]Experiment) (tables string, journal []string) {
+		p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: workers, CacheDir: t.TempDir()})
+		if err := p.Sweep.OpenJournal(p); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, todo := range plans {
+			if err := RunExperiments(p, todo, Output{W: &sb, Titled: true}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sweep.Close()
+		b, err := os.ReadFile(filepath.Join(p.CacheDir, JournalFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			var e JournalEntry
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.FP != "" {
+				journal = append(journal, fmt.Sprintf("%s/%s %d", e.Workload, e.Variant, e.Cycles))
+			}
+		}
+		sort.Strings(journal)
+		return sb.String(), journal
+	}
+	var alone [][]Experiment
+	for _, e := range Experiments() {
+		alone = append(alone, []Experiment{e})
+	}
+	wantTables, wantJournal := sweep(1, alone)
+	if len(wantJournal) == 0 {
+		t.Fatal("the sweep journalled nothing")
+	}
+	for _, line := range wantJournal {
+		if strings.Contains(line, "/baseline-rf32768 ") {
+			t.Errorf("journal line %q: fig-speedup's baseline run requested that point first", line)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		tables, journal := sweep(workers, [][]Experiment{Experiments()})
+		if tables != wantTables {
+			t.Errorf("workers=%d: one plan's tables differ from the experiments run alone:\n%s\nwant:\n%s", workers, tables, wantTables)
+		}
+		if !slices.Equal(journal, wantJournal) {
+			t.Errorf("workers=%d: one plan journals %d lines, the experiments run alone %d, and they differ", workers, len(journal), len(wantJournal))
 		}
 	}
 }

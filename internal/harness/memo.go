@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -141,8 +140,13 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.StoreRetries += d.StoreRetries
 }
 
+// memoEntry is one point — its content fingerprint and resolved config —
+// and the point's outcome, shared by every request for it: the first
+// request resolves it, the rest wait on done.
 type memoEntry struct {
-	once sync.Once
+	fp   string
+	cfg  config.GPUConfig
+	done chan struct{} // closed once out and err are final
 	out  Outcome
 	err  error
 }
@@ -183,64 +187,79 @@ func FingerprintKey(p Params, j Job) (fp, key string, err error) {
 	return fp, CacheKey(fp), nil
 }
 
-// ExecuteJob runs one resolved job through the one path every job takes
-// (memoRun) and returns its Outcome. It is the fabric worker's entry
-// point: the Outcome goes on the wire whole.
-func ExecuteJob(p Params, j Job) (Outcome, error) { return memoRun(p, j) }
+// ExecuteJob takes one job through the memo on its own — it resolves the
+// job's point if it is the first request for it and otherwise waits for
+// the request that was — and returns the point's Outcome. It is the fabric
+// worker's entry point: the Outcome goes on the wire whole.
+func ExecuteJob(p Params, j Job) (Outcome, error) {
+	s, err := p.sweep()
+	if err != nil {
+		return Outcome{}, err
+	}
+	e, owner, err := s.claim(p, j)
+	if err != nil {
+		return Outcome{}, err
+	}
+	if owner {
+		s.resolve(p, j, e)
+	}
+	<-e.done
+	return e.out, e.err
+}
 
-// memoRun is the one place a job gets its identity and is accounted
-// for: it fingerprints the job, counts the request, coalesces it with
-// identical requests its sweep has completed or has in flight, asks the
+// claim is the one place a job gets its identity and is counted: it
+// fingerprints j under p, counts the request, and returns the sweep's
+// memo entry for the point — a new one, which the caller owns and must
+// resolve, when no request has reached the point before.
+func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
+	cfg := j.ConfigFor(p)
+	fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
+	if err != nil {
+		return nil, false, fmt.Errorf("harness: %s/%s has no fingerprint: %w", j.Workload, j.Variant, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Requests++
+	if e = s.memo[fp]; e == nil {
+		e = &memoEntry{fp: fp, cfg: cfg, done: make(chan struct{})}
+		s.memo[fp] = e
+		owner = true
+	}
+	return e, owner, nil
+}
+
+// resolve settles an owned entry for everyone waiting on it: it asks the
 // result store, and only on a miss hands the job to p's Executor — whose
 // Outcome.Work it then folds into the sweep's counters and Monitor. A
 // store hit costs nothing: Executed and SimCycles stay untouched, so
 // simcycles/s reflects real simulation work (a resumed sweep reads ~0,
 // not a stale cumulative average).
-func memoRun(p Params, j Job) (Outcome, error) {
-	s, err := p.sweep()
+func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
+	defer close(e.done)
+	st, err := s.store(p)
 	if err != nil {
-		return Outcome{}, err
+		e.err = err
+		return
 	}
-	cfg := j.ConfigFor(p)
-	fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("harness: %s/%s has no fingerprint: %w", j.Workload, j.Variant, err)
-	}
-	s.mu.Lock()
-	s.stats.Requests++
-	e, ok := s.memo[fp]
-	if !ok {
-		e = &memoEntry{}
-		s.memo[fp] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		st, serr := s.store(p)
-		if serr != nil {
-			e.err = serr
+	// Fault-injected runs bypass the store in both directions: a cached
+	// hit would skip the fault, and a faulted (or degraded) outcome must
+	// never be served to an un-injected sweep.
+	if st != nil && !p.injects(j.Workload, j.Variant) {
+		if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, e.fp); env != nil {
+			e.out = Outcome{Entry: buildJournalEntry(j, e.fp, "ok", 0, env.Result, nil, ""), Result: env.Result}
 			return
 		}
-		// Fault-injected runs bypass the store in both directions: a
-		// cached hit would skip the fault, and a faulted (or degraded)
-		// outcome must never be served to an un-injected sweep.
-		if st != nil && !p.injects(j.Workload, j.Variant) {
-			if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, fp); env != nil {
-				e.out = Outcome{Entry: buildJournalEntry(j, fp, "ok", 0, env.Result, nil, ""), Result: env.Result}
-				return
-			}
-		}
-		// The sweep that owns the journal knows which jobs a resumed
-		// sweep is re-running because they failed last time.
-		resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(CacheKey(fp)) == "failed"
-		e.out, e.err = p.executor().Execute(p, j, cfg, fp)
-		work := e.out.Work
-		if resumedFailed {
-			work.ResumedFailed++
-		}
-		s.count(func(m *RunMetrics) { m.add(work) })
-		if work.SimCycles > 0 {
-			s.Monitor.noteFinished(work.SimCycles)
-		}
-	})
-	return e.out, e.err
+	}
+	// The sweep that owns the journal knows which jobs a resumed sweep is
+	// re-running because they failed last time.
+	resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(CacheKey(e.fp)) == "failed"
+	e.out, e.err = p.executor().Execute(p, j, e.cfg, e.fp)
+	work := e.out.Work
+	if resumedFailed {
+		work.ResumedFailed++
+	}
+	s.count(func(m *RunMetrics) { m.add(work) })
+	if work.SimCycles > 0 {
+		s.Monitor.noteFinished(work.SimCycles)
+	}
 }

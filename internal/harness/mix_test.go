@@ -19,15 +19,7 @@ import (
 // pin that, one inherited property at a time.
 
 // renderMixes runs fig-multikernel under p and returns its table.
-func renderMixes(p Params) (string, error) {
-	e, err := Get("fig-multikernel")
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	err = e.Run(p, &sb)
-	return sb.String(), err
-}
+func renderMixes(p Params) (string, error) { return runExperiment(p, "fig-multikernel") }
 
 // TestMixRunsLikeAnyJob: the table is the same at any worker count under
 // the invariant checker, a second render in the same process is served

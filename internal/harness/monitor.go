@@ -14,8 +14,9 @@ import (
 	"repro/internal/sweepobs"
 )
 
-// Live sweep monitoring: runMany reports every job's start and finish to
-// a Monitor, whose Handler is the one HTTP observability surface of a
+// Live sweep monitoring: the dispatch loop reports the start and finish
+// of every job it runs (a point's first request) to a Monitor, whose
+// Handler is the one HTTP observability surface of a
 // sweep — vtbench -monitor serves it, and so does a vtsweepd coordinator
 // beside its /v1 job API. It serves the current sweep state — active
 // jobs, RunMetrics counters and, when a fleet is attached (Fleet), the
@@ -52,8 +53,8 @@ type Monitor struct {
 	mu      sync.Mutex
 	now     func() time.Time // test seam
 	started time.Time
-	active  map[key]time.Time // job -> start time
-	recent  []finishedJob     // completions inside the rate window
+	active  map[string]activeJob // running jobs by fingerprint
+	recent  []finishedJob        // completions inside the rate window
 	// hist holds the one series that cannot be rebuilt per scrape from
 	// RunMetrics: the store's group-commit batch sizes.
 	hist     *sweepobs.Registry
@@ -69,7 +70,7 @@ type Monitor struct {
 // its endpoints serve s's counters and the stage totals and span metrics
 // of s.Trace.
 func NewMonitor(s *Sweep) *Monitor {
-	m := &Monitor{sweep: s, now: time.Now, active: map[key]time.Time{}, hist: sweepobs.NewRegistry()}
+	m := &Monitor{sweep: s, now: time.Now, active: map[string]activeJob{}, hist: sweepobs.NewRegistry()}
 	// Bounds: powers of two up to the write-behind window, which caps a
 	// batch.
 	m.batchTxs = m.hist.Histogram("vtsweep_store_batch_txs",
@@ -78,7 +79,15 @@ func NewMonitor(s *Sweep) *Monitor {
 	return m
 }
 
-func (m *Monitor) beginJob(j Job) {
+// activeJob is one running job: its label and start time. The monitor
+// keys it by fingerprint, since two points may share a label (fig-kepler's
+// runs carry fig-speedup's).
+type activeJob struct {
+	Job
+	start time.Time
+}
+
+func (m *Monitor) beginJob(fp string, j Job) {
 	if m == nil {
 		return
 	}
@@ -88,16 +97,16 @@ func (m *Monitor) beginJob(j Job) {
 	if m.started.IsZero() {
 		m.started = now
 	}
-	m.active[key{j.Workload, j.Variant}] = now
+	m.active[fp] = activeJob{j, now}
 }
 
-func (m *Monitor) endJob(j Job) {
+func (m *Monitor) endJob(fp string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.active, key{j.Workload, j.Variant})
+	delete(m.active, fp)
 }
 
 // noteFinished records one executed run's simulated cycles at its
@@ -204,11 +213,11 @@ func (m *Monitor) Status() MonitorStatus {
 	if !m.started.IsZero() {
 		st.UptimeSeconds = now.Sub(m.started).Seconds()
 	}
-	for k, t0 := range m.active {
+	for _, a := range m.active {
 		st.Active = append(st.Active, ActiveJob{
-			Workload: k.Workload,
-			Variant:  k.Variant,
-			Seconds:  now.Sub(t0).Seconds(),
+			Workload: a.Workload,
+			Variant:  a.Variant,
+			Seconds:  now.Sub(a.start).Seconds(),
 		})
 	}
 	m.pruneLocked(now)

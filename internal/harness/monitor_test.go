@@ -91,11 +91,10 @@ func TestMonitorWindowedRate(t *testing.T) {
 	m := NewMonitor(NewSweep())
 	m.now = func() time.Time { return now }
 
-	j := Job{Workload: "bfs", Variant: "vt"}
-	m.beginJob(j)
+	m.beginJob("fp", Job{Workload: "bfs", Variant: "vt"})
 	now = now.Add(10 * time.Second)
 	m.noteFinished(5000)
-	m.endJob(j)
+	m.endJob("fp")
 
 	st := m.Status()
 	if st.UptimeSeconds != 10 {
@@ -165,10 +164,11 @@ func TestMonitorConcurrentScrape(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				j := Job{Workload: "w", Variant: fmt.Sprintf("g%d-%d", g, i)}
-				m.beginJob(j)
+				// Every goroutine runs its own points under one shared label.
+				fp := fmt.Sprintf("g%d-%d", g, i)
+				m.beginJob(fp, Job{Workload: "w", Variant: "v"})
 				m.noteFinished(10)
-				m.endJob(j)
+				m.endJob(fp)
 			}
 		}(g)
 	}

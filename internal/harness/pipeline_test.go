@@ -80,11 +80,6 @@ func (x *tapExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) 
 	return out, err
 }
 
-// nullSink discards results, counting them.
-type nullSink struct{ n atomic.Int32 }
-
-func (s *nullSink) Collect(Job, *gpu.Result) { s.n.Add(1) }
-
 // manyStubJobs are n distinct points: the executor sits below the memo,
 // which would coalesce jobs that differ only in their variant label.
 func manyStubJobs(n int) []Job {
@@ -100,9 +95,13 @@ func manyStubJobs(n int) []Job {
 func TestRunJobsSemaphoreBound(t *testing.T) {
 	exec := &stubExecutor{block: make(chan struct{})}
 	p := inSweep(t, Params{Workers: 3, Executor: exec})
-	var sink nullSink
+	var res []*gpu.Result
 	errc := make(chan error, 1)
-	go func() { errc <- RunJobs(p, manyStubJobs(20), &sink) }()
+	go func() {
+		var err error
+		res, err = RunJobs(p, manyStubJobs(20))
+		errc <- err
+	}()
 
 	// Wait for the semaphore to fill, then confirm it never overfills.
 	deadline := time.Now().Add(5 * time.Second)
@@ -120,8 +119,54 @@ func TestRunJobsSemaphoreBound(t *testing.T) {
 	if peak := exec.peak.Load(); peak > 3 {
 		t.Errorf("peak concurrency %d exceeds 3 workers", peak)
 	}
-	if sink.n.Load() != 20 {
-		t.Errorf("collected %d results, want 20", sink.n.Load())
+	if n := countResults(res); n != 20 {
+		t.Errorf("returned %d results, want 20", n)
+	}
+}
+
+// countResults counts the jobs that returned a result.
+func countResults(res []*gpu.Result) int32 {
+	var n int32
+	for _, r := range res {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDuplicateWaitsWithoutSlot pins where a duplicate waits: a job whose
+// point an earlier job of the plan already claimed gives its worker slot
+// straight back and takes the owner's outcome, so while the owner runs,
+// the next distinct point runs beside it.
+func TestDuplicateWaitsWithoutSlot(t *testing.T) {
+	exec := &stubExecutor{block: make(chan struct{})}
+	p := inSweep(t, Params{Workers: 2, Executor: exec})
+	// stub0 twice (the variant label is not part of a point), then stub1.
+	jobs := []Job{{Workload: "stub0", Variant: "a"}, {Workload: "stub0", Variant: "b"}, {Workload: "stub1", Variant: "a"}}
+	var res []*gpu.Result
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = RunJobs(p, jobs)
+		errc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for exec.started.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := exec.started.Load(); got != 2 {
+		t.Errorf("%d of the plan's 2 points started on 2 slots while the first ran: the duplicate holds a slot", got)
+	}
+	close(exec.block)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if exec.started.Load() != 2 || res[0] == nil || res[1] != res[0] || res[2] == nil {
+		t.Errorf("executed %d points, results %v: want 2, the duplicate sharing its owner's result", exec.started.Load(), res)
+	}
+	if m := p.Sweep.Metrics(); m.Requests != 3 {
+		t.Errorf("requests = %d, want 3", m.Requests)
 	}
 }
 
@@ -134,9 +179,13 @@ func TestRunJobsCancellation(t *testing.T) {
 	exec := &stubExecutor{block: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := inSweep(t, Params{Workers: 2, Executor: exec, Ctx: ctx})
-	var sink nullSink
+	var res []*gpu.Result
 	errc := make(chan error, 1)
-	go func() { errc <- RunJobs(p, manyStubJobs(30), &sink) }()
+	go func() {
+		var err error
+		res, err = RunJobs(p, manyStubJobs(30))
+		errc <- err
+	}()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for exec.started.Load() < 2 && time.Now().Before(deadline) {
@@ -162,8 +211,8 @@ func TestRunJobsCancellation(t *testing.T) {
 	if started >= 30 {
 		t.Errorf("all %d jobs started despite cancellation", started)
 	}
-	if int32(sink.n.Load()) != done {
-		t.Errorf("collected %d results from %d drained jobs", sink.n.Load(), done)
+	if n := countResults(res); n != done {
+		t.Errorf("returned %d results from %d drained jobs", n, done)
 	}
 
 	// No dispatch goroutines may outlive RunJobs.
@@ -182,8 +231,7 @@ func TestRunJobsPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	exec := &stubExecutor{}
-	var sink nullSink
-	err := RunJobs(inSweep(t, Params{Workers: 2, Executor: exec, Ctx: ctx}), manyStubJobs(5), &sink)
+	_, err := RunJobs(inSweep(t, Params{Workers: 2, Executor: exec, Ctx: ctx}), manyStubJobs(5))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

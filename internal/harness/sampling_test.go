@@ -159,22 +159,26 @@ func TestSampledFigureIsFlagged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	e, _ := Get("fig-speedup")
 	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 30, Sampling: testSampling()})
-	var sb strings.Builder
-	if err := e.Run(p, &sb); err != nil {
+	out, err := runExperiment(p, "fig-speedup")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out := sb.String(); !strings.Contains(out, "sampled") || !strings.Contains(out, testSampling().String()) {
+	if !strings.Contains(out, "sampled") || !strings.Contains(out, testSampling().String()) {
 		t.Errorf("sampled figure not flagged:\n%s", out)
+	}
+	// A static table simulates nothing, so a sampled sweep leaves it
+	// unflagged.
+	if out, err := runExperiment(p, "table1-config"); err != nil || strings.Contains(out, "sampled") {
+		t.Errorf("static table flagged sampled (err %v):\n%s", err, out)
 	}
 
 	p.Sampling = gpu.SamplingOptions{}
-	sb.Reset()
-	if err := e.Run(p, &sb); err != nil {
+	out, err = runExperiment(p, "fig-speedup")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out := sb.String(); strings.Contains(out, "sampled") {
+	if strings.Contains(out, "sampled") {
 		t.Errorf("exact figure wrongly flagged:\n%s", out)
 	}
 }

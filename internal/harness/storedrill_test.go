@@ -17,7 +17,7 @@ import (
 )
 
 // Harness-level drills for the transactional result store: crash-fault
-// sweeps through real memoRun/CommitOutcome commits, mirror repair
+// sweeps through real ExecuteJob/CommitOutcome commits, mirror repair
 // through the cache path, and the journal's rotation and concurrent-
 // append contracts. The store's own kill-point property test lives in
 // internal/resultstore; these tests prove the same guarantees hold
@@ -172,7 +172,7 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 	return out
 }
 
-// runDrillSweep executes the drill jobs sequentially through memoRun in a
+// runDrillSweep executes the drill jobs sequentially through ExecuteJob in a
 // sweep of their own — journaled, resuming if p.Resume, when p names a
 // store — and ends at the durability barrier, stopping at a simulated
 // process death (*faultinject.StoreKill) like a real crash would:
@@ -200,7 +200,7 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 		}
 	}()
 	for i, j := range jobs {
-		r, err := memoRun(p, j)
+		r, err := ExecuteJob(p, j)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", j.Workload, j.Variant, err)
 		}
@@ -351,7 +351,7 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	// re-simulating.
 	p = reboot(t, p) // unjournaled this time
 	flipObject(t, p.CacheDir, resultstore.KindResult, objKey)
-	cached, err := memoRun(p, j)
+	cached, err := ExecuteJob(p, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	}
 
 	p = reboot(t, p)
-	if _, err := memoRun(p, j); err != nil {
+	if _, err := ExecuteJob(p, j); err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {
@@ -508,7 +508,7 @@ func TestHarnessTransientStoreRetry(t *testing.T) {
 
 	p = reboot(t, p)
 	p.StoreFault = nil
-	if _, err := memoRun(p, j); err != nil {
+	if _, err := ExecuteJob(p, j); err != nil {
 		t.Fatal(err)
 	}
 	if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {

@@ -57,7 +57,7 @@ type RunFailure struct {
 }
 
 // FailedRunError is the error a supervised run returns after exhausting
-// the retry ladder; runMany joins these into the sweep error while the
+// the retry ladder; RunJobs joins these into the sweep error while the
 // remaining jobs keep running.
 type FailedRunError struct {
 	Failure *RunFailure
@@ -147,7 +147,7 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	// Fault-injected runs force the invariant checker, which sampling's
 	// extrapolated issue-slot accounting cannot satisfy mid-span, so they
 	// execute exactly; every other run in a sampled sweep samples. Fork
-	// specs never coexist with sampling (see forkPlan and memoRun).
+	// specs never coexist with sampling (see forkPlan and localExecutor).
 	injected := p.injects(j.Workload, j.Variant)
 	if p.Sampling.Enabled() && !injected {
 		opts.Sampling = p.Sampling

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -121,7 +119,6 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-	t.mirrorCSV()
 }
 
 // String renders the table to a string.
@@ -175,15 +172,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// csvDir, when non-empty, makes every Fprint also write the table as
-// <slug(title)>.csv in that directory. Set through SetCSVDir (cmd/vtbench
-// -csv); empty disables. Not safe for concurrent table printing — the
-// harness prints tables sequentially.
-var csvDir string
-
-// SetCSVDir enables or disables CSV mirroring of printed tables.
-func SetCSVDir(dir string) { csvDir = dir }
-
 // WriteCSV renders the table as RFC-4180-ish CSV.
 func (t *Table) WriteCSV(w io.Writer) error {
 	writeRow := func(cells []string) error {
@@ -228,22 +216,4 @@ func Slug(s string) string {
 		}
 	}
 	return strings.Trim(sb.String(), "-")
-}
-
-// mirrorCSV writes the table to csvDir if enabled; failures are reported
-// on stderr rather than aborting the experiment.
-func (t *Table) mirrorCSV() {
-	if csvDir == "" || t.Title == "" {
-		return
-	}
-	path := filepath.Join(csvDir, Slug(t.Title)+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stats: csv: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := t.WriteCSV(f); err != nil {
-		fmt.Fprintf(os.Stderr, "stats: csv: %v\n", err)
-	}
 }

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,23 +110,6 @@ func TestSlug(t *testing.T) {
 	}
 	if got := Slug("  --Weird__ 42 !!"); got != "weird-42" {
 		t.Fatalf("slug = %q", got)
-	}
-}
-
-func TestCSVMirror(t *testing.T) {
-	dir := t.TempDir()
-	SetCSVDir(dir)
-	defer SetCSVDir("")
-	tb := NewTable("mirror me", "a")
-	tb.Row("1")
-	var sb strings.Builder
-	tb.Fprint(&sb)
-	data, err := os.ReadFile(filepath.Join(dir, "mirror-me.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "a\n1\n" {
-		t.Fatalf("csv file = %q", data)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/harness"
-	"repro/internal/stats"
 )
 
 // Flags holds the flags both sweep commands accept.
@@ -49,7 +48,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Dilute, "dilute", 1, "divide grid sizes by this factor (quick passes)")
 	fs.StringVar(&f.Out, "out", "", "also write the tables to this file")
 	fs.StringVar(&f.CSVDir, "csv", "", "also write every table as CSV into this directory")
-	fs.StringVar(&f.JSONPath, "json", "", "write the sweep record (per-experiment wall time, simcycles/s, work counters) to this file")
+	fs.StringVar(&f.JSONPath, "json", "", "write the sweep record (work counters, simcycles/s, per-experiment runs requested and render time) to this file")
 	fs.StringVar(&f.StoreDir, "store", "", "result-store directory: cached results, checkpoints, and the completion journal commit here transactionally")
 	fs.StringVar(&f.MirrorDir, "mirror", "", "replicate the result store to this second directory; corrupt objects heal from it on read")
 	fs.StringVar(&f.FailDir, "faildir", "failures", "write a JSON repro bundle per failed run into this directory (\"\" disables)")
@@ -109,13 +108,13 @@ func (f *Flags) Params() (p harness.Params, err error) {
 }
 
 // OpenOutput returns the writer tables go to — stdout, teed into -out —
-// and points the CSV sink at -csv. Call closeOut when done.
+// and creates -csv's directory, which RunExperiments fills. Call closeOut
+// when done.
 func (f *Flags) OpenOutput() (w io.Writer, closeOut func(), err error) {
 	if f.CSVDir != "" {
 		if err := os.MkdirAll(f.CSVDir, 0o755); err != nil {
 			return nil, nil, err
 		}
-		stats.SetCSVDir(f.CSVDir)
 	}
 	if f.Out == "" {
 		return os.Stdout, func() {}, nil
@@ -213,19 +212,21 @@ func (s *Signals) ExitCode(code int) int {
 // ReportSchemaVersion identifies the -json layout. Consumers
 // (cmd/benchcheck, bench/vtperf) decode with encoding/json, which ignores
 // unknown fields, so adding fields never breaks old baselines; bump this
-// only for changes that alter the meaning of existing fields.
-const ReportSchemaVersion = 5
+// only for changes that alter the meaning of existing fields. Version 6:
+// an experiment's wall_seconds times its reduce and render step, and its
+// row no longer splits the work among experiments.
+const ReportSchemaVersion = 6
 
-// ExpReport is one experiment's row in the -json output.
+// ExpReport is one experiment's row in the -json output. Its jobs ran in
+// the sweep's one plan, where a point serves every experiment that
+// requested it, so executed runs and cycles are the sweep's alone:
+// RunsRequested is how many the experiment asked for, and WallSeconds
+// times its reduce and render step.
 type ExpReport struct {
-	ID              string  `json:"id"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	RunsRequested   int     `json:"runs_requested"`
-	RunsExecuted    int     `json:"runs_executed"`
-	CacheHits       int     `json:"cache_hits"`
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"simcycles_per_sec"`
-	Error           string  `json:"error,omitempty"`
+	ID            string  `json:"id"`
+	WallSeconds   float64 `json:"wall_seconds"`
+	RunsRequested int     `json:"runs_requested"`
+	Error         string  `json:"error,omitempty"`
 }
 
 // Report is the top-level -json document of both sweep commands: the
@@ -277,18 +278,9 @@ func (f *Flags) RunExperiments(prog string, p harness.Params, w io.Writer) (*Rep
 	}
 	exitCode := 0
 	start := time.Now()
-	if harness.RunExperiments(p, w, todo, f.Run == "all", func(x harness.ExperimentRun) {
-		r := ExpReport{
-			ID:            x.ID,
-			WallSeconds:   x.Wall.Seconds(),
-			RunsRequested: x.After.Requests - x.Before.Requests,
-			RunsExecuted:  x.After.Executed - x.Before.Executed,
-			CacheHits:     x.After.CacheHits - x.Before.CacheHits,
-			SimCycles:     x.After.SimCycles - x.Before.SimCycles,
-		}
-		if r.WallSeconds > 0 {
-			r.SimCyclesPerSec = float64(r.SimCycles) / r.WallSeconds
-		}
+	out := harness.Output{W: w, Titled: f.Run == "all", CSVDir: f.CSVDir}
+	if harness.RunExperiments(p, todo, out, func(x harness.ExperimentRun) {
+		r := ExpReport{ID: x.ID, WallSeconds: x.Wall.Seconds(), RunsRequested: x.Requested}
 		if x.Err != nil {
 			r.Error = x.Err.Error()
 			fmt.Fprintf(os.Stderr, "%s: %s failed: %v\n", prog, x.ID, x.Err)

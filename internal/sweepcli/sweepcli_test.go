@@ -104,7 +104,7 @@ func TestFlagsToParams(t *testing.T) {
 // set into the record (which embeds it, so no counter can be left out of
 // the copy again), and requires that no report field stays empty and that
 // the marshalled record has every key bench/vtperf/parse.go, cmd/benchcheck
-// and CI read, under schema_version 5.
+// and CI read, under schema_version 6.
 func TestReportCarriesEveryCounter(t *testing.T) {
 	var m harness.RunMetrics
 	mv := reflect.ValueOf(&m).Elem()
@@ -152,8 +152,8 @@ func TestReportCarriesEveryCounter(t *testing.T) {
 			if err := json.Unmarshal(b, &doc); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := doc["schema_version"].(float64); v != 5 {
-				t.Errorf("schema_version = %v, want 5", doc["schema_version"])
+			if v, _ := doc["schema_version"].(float64); v != 6 {
+				t.Errorf("schema_version = %v, want 6", doc["schema_version"])
 			}
 			for _, k := range []string{"total_wall_seconds", "runs_requested", "runs_executed", "cache_hits",
 				"sim_cycles", "runs_retried", "runs_failed", "checkpoint_hits", "prefix_cycles_saved",
@@ -173,7 +173,62 @@ func TestReportCarriesEveryCounter(t *testing.T) {
 					t.Errorf("experiment row lacks %q", k)
 				}
 			}
+			// One plan serves every experiment: a row claims no share of
+			// the sweep's executed runs or cycles.
+			for _, k := range []string{"runs_executed", "cache_hits", "sim_cycles", "simcycles_per_sec"} {
+				if _, ok := row[k]; ok {
+					t.Errorf("experiment row carries the sweep counter %q", k)
+				}
+			}
 		})
+	}
+}
+
+// TestCSVFlagMirrorsTables drives -csv through the loop both commands
+// use: every rendered table lands in the directory as <slug of its
+// title>.csv, the same rows the text rendering prints, and the -csv
+// setting of one sweep reaches no other.
+func TestCSVFlagMirrorsTables(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "csv")
+	f := parse(t, "vtbench", "-run", "table-hw", "-csv", dir)
+	p, err := f.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Sweep.Close()
+	_, closeOut, err := f.OpenOutput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeOut()
+	var tables strings.Builder
+	if _, code, err := f.RunExperiments("vtbench", p, &tables); err != nil || code != 0 {
+		t.Fatalf("RunExperiments: code %d, err %v", code, err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "per-sm-overhead.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv := string(b)
+	if !strings.HasPrefix(csv, "component,bytes\n") || !strings.Contains(csv, "\ntotal per SM,") {
+		t.Errorf("per-sm-overhead.csv is not the table:\n%s", csv)
+	}
+	if lines := strings.Count(csv, "\n"); lines != 8 {
+		t.Errorf("per-sm-overhead.csv has %d lines, want the header and 7 rows:\n%s", lines, csv)
+	}
+
+	// A sweep without -csv writes no CSV, whatever another sweep asked for.
+	plain := parse(t, "vtbench", "-run", "table1-config")
+	pp, err := plain.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pp.Sweep.Close()
+	if _, _, err := plain.RunExperiments("vtbench", pp, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("csv dir holds %d files after a sweep without -csv (err %v), want 1", len(entries), err)
 	}
 }
 

@@ -156,7 +156,7 @@ func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 		return err
 	}
 	p.Sweep = facadeSweep(false)
-	return harness.RunOne(e, p, w)
+	return harness.RunExperiments(p, []Experiment{e}, harness.Output{W: w}, nil)
 }
 
 // RunMetrics counts the simulation work the harness has performed: how
@@ -183,7 +183,7 @@ func SyncExperimentStores() { facadeSweep(false).Sync() }
 func RunAllExperiments(p ExperimentParams, w io.Writer) error {
 	p.Sweep = facadeSweep(false)
 	defer p.Sweep.Sync()
-	return harness.RunExperiments(p, w, harness.Experiments(), true, nil)
+	return harness.RunExperiments(p, harness.Experiments(), harness.Output{W: w, Titled: true}, nil)
 }
 
 // RunSampled simulates a suite workload, recording an occupancy/IPC sample
