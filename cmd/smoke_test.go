@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,50 @@ func TestCommandSmoke(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, args[len(args)-1])); !os.IsNotExist(err) {
 				t.Errorf("vtreport %v created %s: %v", args, args[len(args)-1], err)
 			}
+		}
+	})
+
+	// The occupancy series is the telemetry ring: one row per window,
+	// cycles strictly increasing, the last (partial) window ending where
+	// the run does.
+	t.Run("vtsim-timeline", func(t *testing.T) {
+		out, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-timeline", "500")
+		if code != 0 {
+			t.Fatalf("exit code %d, want 0\n%s", code, out)
+		}
+		lines := strings.Split(out, "\n")
+		var cycles string
+		series := -1
+		for i, line := range lines {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == "cycles:" {
+				cycles = f[1]
+			}
+			if line == "timeline (active warps/SM, resident warps/SM, interval IPC):" {
+				series = i + 1
+			}
+		}
+		if cycles == "" || series < 0 {
+			t.Fatalf("no cycles: line or no series header:\n%s", out)
+		}
+		var rows []string
+		for _, line := range lines[series:] {
+			if f := strings.Fields(line); len(f) >= 7 && f[1] == "act" {
+				rows = append(rows, f[0])
+			}
+		}
+		if len(rows) < 2 {
+			t.Fatalf("%d series rows:\n%s", len(rows), out)
+		}
+		last := int64(0)
+		for _, r := range rows {
+			c, err := strconv.ParseInt(r, 10, 64)
+			if err != nil || c <= last {
+				t.Fatalf("row cycle %q after %d: not strictly increasing\n%s", r, last, out)
+			}
+			last = c
+		}
+		if rows[len(rows)-1] != cycles {
+			t.Errorf("last row at cycle %s, run ended at %s", rows[len(rows)-1], cycles)
 		}
 	})
 

@@ -26,11 +26,10 @@ func main() {
 		sched    = flag.String("sched", "gto", "warp scheduler: gto | lrr")
 		scale    = flag.Int("scale", 1, "grid size multiplier")
 		sms      = flag.Int("sms", 0, "override SM count (0 = config default)")
-		timeline = flag.Int64("timeline", 0, "sample occupancy every N cycles and print the series")
+		timeline = flag.Int64("timeline", 0, "telemetry window length in cycles; also print the occupancy series, one row per window (0 = default window, no series)")
 		asJSON   = flag.Bool("json", false, "emit the full result as JSON")
 		perfetto = flag.String("perfetto", "", "write a Chrome/Perfetto trace-event JSON timeline to this file")
 		teleOut  = flag.String("telemetry", "", "write the telemetry ring dump (windows, spans, histogram) as JSON to this file")
-		teleWin  = flag.Int64("telemetry-window", 0, "telemetry window length in cycles (0 = default)")
 		list     = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
@@ -73,10 +72,10 @@ func main() {
 		fatalf("%v", err)
 	}
 	var col *vtsim.Collector
-	if *perfetto != "" || *teleOut != "" {
-		col = vtsim.NewCollector(vtsim.TelemetryConfig{Window: *teleWin, PerSM: true})
+	if *timeline > 0 || *perfetto != "" || *teleOut != "" {
+		col = vtsim.NewCollector(vtsim.TelemetryConfig{Window: *timeline, PerSM: true})
 	}
-	res, err := vtsim.RunCollected(w, cfg, *timeline, nil, col)
+	res, err := vtsim.RunCollected(w, cfg, 0, nil, col)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -148,22 +147,22 @@ func main() {
 		fmt.Printf("VT context peak:     %d bytes; max resident %d CTAs/SM\n",
 			res.VT.ContextPeak, res.VT.MaxResident)
 	}
-	if len(res.Timeline) > 0 {
+	if *timeline > 0 {
+		ring := col.Dump().GPU
+		perSM := func(n int) float64 { return float64(n) / float64(cfg.NumSMs) }
 		fmt.Printf("\ntimeline (active warps/SM, resident warps/SM, interval IPC):\n")
 		maxW := 0.0
-		for _, sp := range res.Timeline {
-			if sp.ResidentWarps > maxW {
-				maxW = sp.ResidentWarps
-			}
+		for _, w := range ring {
+			maxW = max(maxW, perSM(w.ResidentWarps))
 		}
-		for _, sp := range res.Timeline {
+		for _, w := range ring {
+			act, resident := perSM(w.ActiveWarps), perSM(w.ResidentWarps)
 			bar := ""
 			if maxW > 0 {
-				bar = strings.Repeat("#", int(sp.ActiveWarps/maxW*40+0.5)) +
-					strings.Repeat("-", int((sp.ResidentWarps-sp.ActiveWarps)/maxW*40+0.5))
+				bar = strings.Repeat("#", int(act/maxW*40+0.5)) +
+					strings.Repeat("-", int((resident-act)/maxW*40+0.5))
 			}
-			fmt.Printf("  %8d  act %5.1f  res %5.1f  ipc %6.2f  %s\n",
-				sp.Cycle, sp.ActiveWarps, sp.ResidentWarps, sp.IPC, bar)
+			fmt.Printf("  %8d  act %5.1f  res %5.1f  ipc %6.2f  %s\n", w.Cycle, act, resident, w.IPC(), bar)
 		}
 	}
 }

@@ -47,13 +47,6 @@ type Checkpoint struct {
 	VT      *core.ControllerState `json:"vt,omitempty"`
 	Mem     *mem.SystemState      `json:"mem"`
 	Backing mem.BackingState      `json:"backing"`
-
-	// Run-loop bookkeeping, so Result.Timeline of a forked run matches
-	// the uninterrupted one.
-	Timeline        []Sample `json:"timeline,omitempty"`
-	NextSample      int64    `json:"next_sample,omitempty"`
-	LastIssuedTot   int64    `json:"last_issued_tot,omitempty"`
-	LastSampleCycle int64    `json:"last_sample_cycle,omitempty"`
 }
 
 // ForkNeutralizedConfig zeroes the configuration parameters a prefix fork
@@ -102,20 +95,16 @@ func (m *machine) capture() (*Checkpoint, error) {
 	}
 	next, rr := m.grid.Cursors()
 	ck := &Checkpoint{
-		Version:         CheckpointVersion,
-		Cycle:           m.cycle,
-		Seq:             seq,
-		Kernel:          m.name,
-		Config:          m.cfg,
-		NumLaunches:     len(m.launches),
-		GridNext:        next,
-		GridRR:          rr,
-		Events:          recs,
-		Backing:         m.backing.State(),
-		Timeline:        append([]Sample(nil), m.timeline...),
-		NextSample:      m.nextSample,
-		LastIssuedTot:   m.lastIssuedTot,
-		LastSampleCycle: m.lastSampleCycle,
+		Version:     CheckpointVersion,
+		Cycle:       m.cycle,
+		Seq:         seq,
+		Kernel:      m.name,
+		Config:      m.cfg,
+		NumLaunches: len(m.launches),
+		GridNext:    next,
+		GridRR:      rr,
+		Events:      recs,
+		Backing:     m.backing.State(),
 	}
 	for _, s := range m.sms {
 		ck.SMs = append(ck.SMs, s.State())
@@ -174,15 +163,6 @@ func (m *machine) restore(ck *Checkpoint) error {
 		return err
 	}
 	m.cycle = ck.Cycle
-	m.timeline = append([]Sample(nil), ck.Timeline...)
-	m.nextSample = ck.NextSample
-	m.lastIssuedTot = ck.LastIssuedTot
-	m.lastSampleCycle = ck.LastSampleCycle
-	if m.opts.SampleInterval > 0 && m.nextSample <= m.cycle {
-		// Captured without sampling (or at a different interval): resume
-		// at the first boundary past the fork point.
-		m.nextSample = (m.cycle/m.opts.SampleInterval + 1) * m.opts.SampleInterval
-	}
 	return nil
 }
 
@@ -193,13 +173,18 @@ func (m *machine) restore(ck *Checkpoint) error {
 // and kernel code are rebuilt from them, not stored in the checkpoint).
 // Options.InitMemory is ignored: the functional memory image, including
 // every store the prefix performed, comes from the checkpoint.
+// Options.Telemetry is refused: a checkpoint carries no collector state,
+// so a collector's rings could not cover the prefix.
 //
-// The returned Result covers the whole run, prefix included: Cycles,
-// statistics, and Timeline are exactly those of an uninterrupted run with
-// the same configuration.
+// The returned Result covers the whole run, prefix included: Cycles and
+// statistics are exactly those of an uninterrupted run with the same
+// configuration.
 func Resume(ck *Checkpoint, launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*Result, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("gpu: nil checkpoint")
+	}
+	if opts.Telemetry != nil {
+		return nil, fmt.Errorf("gpu: Resume cannot attach a telemetry collector: its rings would miss the prefix before cycle %d", ck.Cycle)
 	}
 	if !reflect.DeepEqual(ForkNeutralizedConfig(ck.Config), ForkNeutralizedConfig(cfg)) {
 		return nil, fmt.Errorf("gpu: config differs structurally from the checkpoint's")

@@ -11,12 +11,14 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/telemetry"
 )
 
 // buildLaunch builds a fresh small-grid launch plus its memory image.
@@ -37,7 +39,6 @@ func runPlain(t *testing.T, workload string, cfg config.GPUConfig, opts Options)
 	base.DisableIdleSkip = opts.DisableIdleSkip
 	base.DisableIssueFastPath = opts.DisableIssueFastPath
 	base.DisableEventWheel = opts.DisableEventWheel
-	base.SampleInterval = opts.SampleInterval
 	res, err := Run(l, cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,6 @@ func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, opts Opti
 	base.DisableIdleSkip = opts.DisableIdleSkip
 	base.DisableIssueFastPath = opts.DisableIssueFastPath
 	base.DisableEventWheel = opts.DisableEventWheel
-	base.SampleInterval = opts.SampleInterval
 	var ck *Checkpoint
 	base.CheckpointAt = at
 	base.OnCheckpoint = func(c *Checkpoint) { ck = c }
@@ -117,23 +117,6 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestCheckpointForkEquivalenceTimeline covers the run-loop bookkeeping:
-// a forked run's occupancy timeline must splice exactly onto the prefix's.
-func TestCheckpointForkEquivalenceTimeline(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
-	opts := Options{SampleInterval: 64}
-	ref := runPlain(t, "pathfinder", cfg, opts)
-	_, ck := runCapturing(t, "pathfinder", cfg, opts, ref.Cycles/2)
-	if ck == nil {
-		t.Fatal("no checkpoint captured")
-	}
-	forked := resume(t, "pathfinder", ck, cfg, opts)
-	if !reflect.DeepEqual(ref.Timeline, forked.Timeline) {
-		t.Fatalf("timelines diverged: ref %d samples, forked %d samples",
-			len(ref.Timeline), len(forked.Timeline))
 	}
 }
 
@@ -300,6 +283,14 @@ func TestResumeRejects(t *testing.T) {
 	}
 	if _, err := Resume(nil, []*isa.Launch{l}, cfg, Options{}); err == nil {
 		t.Error("nil checkpoint accepted")
+	}
+	// A checkpoint carries no collector state: a collector attached to the
+	// resumed run would start its rings at cycle 0 and fold the whole
+	// prefix into its first window.
+	col := telemetry.NewCollector(telemetry.Config{Window: 64})
+	if _, err := Resume(ck, []*isa.Launch{l}, cfg, Options{Telemetry: col}); err == nil ||
+		!strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("telemetry collector accepted on resume (err %v)", err)
 	}
 
 	// Swap latencies are the neutralized parameters: changing them must

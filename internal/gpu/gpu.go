@@ -22,14 +22,6 @@ import (
 // DefaultMaxCycles aborts runaway simulations.
 const DefaultMaxCycles = 200_000_000
 
-// Sample is one point of the occupancy timeline (Options.SampleInterval).
-type Sample struct {
-	Cycle         int64
-	ActiveWarps   float64 // slot-bound warps per SM at the sample point
-	ResidentWarps float64 // resident warps per SM (incl. inactive CTAs)
-	IPC           float64 // GPU-wide IPC over the preceding interval
-}
-
 // PerKernel summarizes one launch of a multi-kernel run.
 type PerKernel struct {
 	Name   string
@@ -55,12 +47,8 @@ type Result struct {
 	WarpSize   int
 	Occupancy  cta.Occupancy
 
-	// Timeline holds occupancy samples when Options.SampleInterval > 0.
-	Timeline []Sample
-
 	// Sampling reports the sampled-simulation accounting and error bound;
-	// nil for fully detailed runs (the default), so exact results are
-	// byte-identical to builds predating the sampling engine.
+	// nil for fully detailed runs (the default).
 	Sampling *SamplingStats `json:",omitempty"`
 }
 
@@ -181,9 +169,6 @@ type Options struct {
 	// debug that equivalence. Heap-backed queues are not pooled across
 	// runs.
 	DisableEventWheel bool
-	// SampleInterval, when positive, records an occupancy/IPC sample
-	// every that-many cycles into Result.Timeline.
-	SampleInterval int64
 	// CheckInvariants runs every SM's conservation-invariant checker
 	// (issue-slot conservation, residency accounting, ready-bitset and
 	// writeback-wheel consistency; see sm.CheckInvariants) every
@@ -204,7 +189,7 @@ type Options struct {
 	// Trace), and the run loop's window pump, and it records per-window
 	// metric rings and lifecycle spans. The collector is a pure observer
 	// — results are bit-identical with and without one (tested) — and a
-	// nil collector costs nothing on the hot path.
+	// nil collector costs nothing on the hot path. Resume refuses one.
 	Telemetry *telemetry.Collector
 	// FaultHook, when non-nil, runs at the top of every simulated cycle
 	// with the current cycle and the live SMs. It is the deterministic
@@ -289,11 +274,6 @@ type machine struct {
 
 	maxCycles int64
 	cycle     int64
-
-	timeline        []Sample
-	nextSample      int64
-	lastIssuedTot   int64
-	lastSampleCycle int64
 
 	nextCk int64 // next checkpoint cycle; meaningful unless ckDone
 	ckDone bool  // no further checkpoints (disabled, one-shot taken, or guard latched)
@@ -387,9 +367,6 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 	if m.maxCycles <= 0 {
 		m.maxCycles = DefaultMaxCycles
 	}
-	if opts.SampleInterval > 0 {
-		m.nextSample = opts.SampleInterval
-	}
 
 	switch {
 	case opts.OnCheckpoint == nil:
@@ -413,28 +390,6 @@ func (m *machine) release() {
 		queuePool.Put(m.ev)
 		m.pooled = false
 	}
-}
-
-// sample records one occupancy-timeline point.
-func (m *machine) sample(cycle int64) {
-	aw, rw := 0, 0
-	var issuedTot int64
-	for _, s := range m.sms {
-		aw += s.WarpsUsed
-		issuedTot += s.Stats.Issued
-		rw += s.ResidentWarps()
-	}
-	ipc := 0.0
-	if d := cycle - m.lastSampleCycle; d > 0 {
-		ipc = float64(issuedTot-m.lastIssuedTot) / float64(d)
-	}
-	m.lastIssuedTot, m.lastSampleCycle = issuedTot, cycle
-	m.timeline = append(m.timeline, Sample{
-		Cycle:         cycle,
-		ActiveWarps:   float64(aw) / float64(m.cfg.NumSMs),
-		ResidentWarps: float64(rw) / float64(m.cfg.NumSMs),
-		IPC:           ipc,
-	})
 }
 
 // diagnose snapshots the whole machine for an abort error. Pure read: it
@@ -594,12 +549,6 @@ func (m *machine) run() (*Result, error) {
 				s.AccountSkipped(next - cycle - 1)
 			}
 		}
-		if opts.SampleInterval > 0 {
-			for m.nextSample <= next {
-				m.sample(m.nextSample)
-				m.nextSample += opts.SampleInterval
-			}
-		}
 		cycle = next
 		m.ev.AdvanceTo(cycle)
 		if cycle > m.maxCycles {
@@ -682,7 +631,6 @@ func (m *machine) run() (*Result, error) {
 	res.SM.ResidentWarpAccum /= int64(m.cfg.NumSMs)
 	res.SM.ActiveCTAAccum /= int64(m.cfg.NumSMs)
 	res.SM.ResidentCTAAccum /= int64(m.cfg.NumSMs)
-	res.Timeline = m.timeline
 	if m.samp != nil {
 		res.Sampling = m.samp.finish(cycle)
 	}

@@ -184,45 +184,6 @@ func TestIdleSkipEquivalence(t *testing.T) {
 	}
 }
 
-func TestTimelineSampling(t *testing.T) {
-	cfg := config.Small()
-	res, err := Run(vecAddLaunch(t, 20, 64), cfg, Options{
-		InitMemory:     initVec(1280),
-		SampleInterval: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline samples")
-	}
-	last := int64(0)
-	for _, s := range res.Timeline {
-		if s.Cycle <= last {
-			t.Fatalf("timeline not strictly increasing: %d after %d", s.Cycle, last)
-		}
-		if s.Cycle%100 != 0 {
-			t.Fatalf("sample at off-interval cycle %d", s.Cycle)
-		}
-		if s.ActiveWarps < 0 || s.ResidentWarps < s.ActiveWarps {
-			t.Fatalf("implausible sample %+v", s)
-		}
-		last = s.Cycle
-	}
-	// Samples must cover the whole run.
-	if got := res.Timeline[len(res.Timeline)-1].Cycle; got < res.Cycles-100 {
-		t.Fatalf("last sample at %d, run ended at %d", got, res.Cycles)
-	}
-	// Without sampling, no timeline is collected.
-	res2, err := Run(vecAddLaunch(t, 20, 64), cfg, Options{InitMemory: initVec(1280)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Timeline != nil {
-		t.Fatal("timeline collected without SampleInterval")
-	}
-}
-
 // TestSlotAccountingInvariant: every scheduler contributes exactly one
 // sample (issue or a stall classification) per cycle, including the cycles
 // the engine fast-forwards across.

@@ -430,18 +430,12 @@ func (m *machine) fastForward(cycle int64) (int64, error) {
 
 // afterSpan replays the loop-bottom bookkeeping the span skipped: the
 // telemetry window pump (after all span charges landed, so rings stay
-// conservation-exact), the occupancy timeline, and the max-cycles bound.
+// conservation-exact) and the max-cycles bound.
 func (m *machine) afterSpan(now int64) (int64, error) {
 	opts := &m.opts
 	if col := opts.Telemetry; col != nil {
 		for col.NextBoundary() <= now {
 			col.Sample(m.sms, m.msys, m.vt, -1)
-		}
-	}
-	if opts.SampleInterval > 0 {
-		for m.nextSample <= now {
-			m.sample(m.nextSample)
-			m.nextSample += opts.SampleInterval
 		}
 	}
 	if now > m.maxCycles {

@@ -141,7 +141,8 @@ func TestTelemetryPureObserverSwaps(t *testing.T) {
 // run exactly (contiguous, covering [0, Cycles)) and their deltas sum to
 // the run totals — including across whole-GPU idle skips, per-SM
 // fast-forward, and sampled fast-forward spans, whose boundary samples
-// are charged virtually (sm.StatsAt / AccountSampled).
+// are charged virtually (sm.StatsAt / AccountSampled) — and every
+// window's warp gauges satisfy 0 <= active <= resident.
 func TestTelemetryWindowExactness(t *testing.T) {
 	for _, samp := range []SamplingOptions{
 		{},
@@ -177,6 +178,12 @@ func TestTelemetryWindowExactness(t *testing.T) {
 				if ws[i].Cycle-ws[i].Cycles != ws[i-1].Cycle {
 					t.Errorf("%s: window %d not contiguous: [%d) after [%d)",
 						name, i, ws[i].Cycle-ws[i].Cycles, ws[i-1].Cycle)
+				}
+			}
+			for _, w := range ws {
+				if w.ActiveWarps < 0 || w.ResidentWarps < w.ActiveWarps {
+					t.Errorf("%s: window ending %d: %d active of %d resident warps",
+						name, w.Cycle, w.ActiveWarps, w.ResidentWarps)
 				}
 			}
 			if end := ws[len(ws)-1].Cycle; end != res.Cycles {

@@ -348,14 +348,12 @@ func (c *Collector) Sample(sms []*sm.SM, msys *mem.System, vt *core.Controller, 
 			SwapsIn:      r.swapsIn - r.lastSwapsIn,
 			Activations:  r.activations - r.lastActs,
 
-			ActiveWarps:  s.WarpsUsed,
-			ActiveCTAs:   s.ActiveCTAs,
-			ResidentCTAs: len(s.Resident),
-			LSUQueue:     s.LSUQueueLen(),
-			WheelPending: s.WheelPending(),
-		}
-		for _, ct := range s.Resident {
-			w.ResidentWarps += len(ct.Warps)
+			ActiveWarps:   s.WarpsUsed,
+			ResidentWarps: s.ResidentWarps(),
+			ActiveCTAs:    s.ActiveCTAs,
+			ResidentCTAs:  len(s.Resident),
+			LSUQueue:      s.LSUQueueLen(),
+			WheelPending:  s.WheelPending(),
 		}
 		l1 := msys.L1ShardStats(i)
 		w.L1Accesses = l1.L1Accesses - r.lastL1.L1Accesses

@@ -17,6 +17,7 @@
 package vtsim
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -118,9 +119,6 @@ func DefaultExperimentParams() ExperimentParams { return harness.DefaultParams()
 // Experiments returns every experiment in paper order.
 func Experiments() []Experiment { return harness.Experiments() }
 
-// GetExperiment returns the experiment with the given ID.
-func GetExperiment(id string) (Experiment, error) { return harness.Get(id) }
-
 // facade holds the one process-wide sweep left: the state — memo, work
 // counters, open result store — that the package-level experiment
 // functions below share between calls. Everything under internal/ takes
@@ -147,9 +145,9 @@ func facadeSweep(reset bool) *harness.Sweep {
 
 // RunExperiment executes one experiment by ID, writing its tables to w.
 // With ExperimentParams.CacheDir set, run outcomes reach the store
-// write-behind: call SyncExperimentStores before exiting or reading the
-// directory. Every call between two ResetExperimentMetrics shares one
-// memo and at most one CacheDir.
+// write-behind: call ResetExperimentMetrics, which drains and closes the
+// store, before exiting or reading the directory. Every call between two
+// ResetExperimentMetrics shares one memo and at most one CacheDir.
 func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 	e, err := harness.Get(id)
 	if err != nil {
@@ -159,54 +157,10 @@ func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 	return harness.RunExperiments(p, []Experiment{e}, harness.Output{W: w}, nil)
 }
 
-// RunMetrics counts the simulation work the harness has performed: how
-// many runs experiments requested, how many gpu.Run calls actually
-// executed (the rest were memo-cache hits), and the simulated cycles of
-// the executed runs.
-type RunMetrics = harness.RunMetrics
-
-// ExperimentMetrics snapshots the harness work counters.
-func ExperimentMetrics() RunMetrics { return facadeSweep(false).Metrics() }
-
 // ResetExperimentMetrics zeroes the work counters, empties the harness
 // memo cache and closes the result store, if one is open: the experiment
 // functions start over in a fresh sweep.
 func ResetExperimentMetrics() { facadeSweep(true) }
-
-// SyncExperimentStores is the durability barrier for sweeps with
-// ExperimentParams.CacheDir set: it returns once the result store holds
-// every run outcome produced so far (on the mirror too).
-func SyncExperimentStores() { facadeSweep(false).Sync() }
-
-// RunAllExperiments regenerates every table and figure, and returns
-// only after the result store (if any) holds every outcome.
-func RunAllExperiments(p ExperimentParams, w io.Writer) error {
-	p.Sweep = facadeSweep(false)
-	defer p.Sweep.Sync()
-	return harness.RunExperiments(p, harness.Experiments(), harness.Output{W: w, Titled: true}, nil)
-}
-
-// RunSampled simulates a suite workload, recording an occupancy/IPC sample
-// every sampleInterval cycles into Result.Timeline (0 disables sampling).
-func RunSampled(w Workload, cfg Config, sampleInterval int64) (*Result, error) {
-	return gpu.Run(w.Launch, cfg, gpu.Options{
-		InitMemory:     w.Init,
-		SampleInterval: sampleInterval,
-	})
-}
-
-// BuildWorkloadAt constructs a suite workload with its buffers in the
-// given memory arena; concurrent runs must give each kernel a disjoint
-// arena (DefaultArena + k*ArenaStride).
-func BuildWorkloadAt(name string, scale int, arena uint32) (Workload, error) {
-	return kernels.BuildAt(name, scale, arena)
-}
-
-// Arena layout constants for BuildWorkloadAt.
-const (
-	DefaultArena = kernels.DefaultArena
-	ArenaStride  = kernels.ArenaStride
-)
 
 // RunConcurrentNames simulates the named suite workloads executing
 // concurrently on one GPU (concurrent kernel execution), giving each a
@@ -232,24 +186,18 @@ type TelemetryConfig = telemetry.Config
 func NewCollector(cfg TelemetryConfig) *Collector { return telemetry.NewCollector(cfg) }
 
 // RunCollected simulates a suite workload with the telemetry collector
-// attached (and optionally a VT trace callback and occupancy sampling).
-// The collector is a pure observer: the Result is bit-identical to an
-// uncollected run. Read col.Dump() or col.WritePerfetto() afterwards.
+// attached (and optionally a VT trace callback). The collector is a pure
+// observer: the Result is bit-identical to an uncollected run. Read
+// col.Dump() or col.WritePerfetto() afterwards; the dump's GPU ring is the
+// run's occupancy and IPC time series. sampleInterval must be 0: the
+// series' window length is TelemetryConfig.Window.
 func RunCollected(w Workload, cfg Config, sampleInterval int64, trace func(TraceEvent), col *Collector) (*Result, error) {
+	if sampleInterval != 0 {
+		return nil, fmt.Errorf("vtsim: RunCollected sampleInterval %d: set TelemetryConfig.Window instead", sampleInterval)
+	}
 	return gpu.Run(w.Launch, cfg, gpu.Options{
-		InitMemory:     w.Init,
-		Trace:          trace,
-		SampleInterval: sampleInterval,
-		Telemetry:      col,
-	})
-}
-
-// RunTracedSampled combines RunTraced and RunSampled: VT state transitions
-// stream to trace while the occupancy timeline is recorded.
-func RunTracedSampled(w Workload, cfg Config, sampleInterval int64, trace func(TraceEvent)) (*Result, error) {
-	return gpu.Run(w.Launch, cfg, gpu.Options{
-		InitMemory:     w.Init,
-		Trace:          trace,
-		SampleInterval: sampleInterval,
+		InitMemory: w.Init,
+		Trace:      trace,
+		Telemetry:  col,
 	})
 }

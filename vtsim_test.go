@@ -41,6 +41,30 @@ func TestPublicVTRun(t *testing.T) {
 	}
 }
 
+// TestPublicRunCollected: the collector's GPU ring is the run's time
+// series, and a sampling interval is refused in favour of its window.
+func TestPublicRunCollected(t *testing.T) {
+	cfg := SmallConfig().WithPolicy(PolicyVT)
+	w, err := BuildWorkload("nw", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Launch.GridDim.X = 32
+	if _, err := RunCollected(w, cfg, 500, nil, NewCollector(TelemetryConfig{})); err == nil ||
+		!strings.Contains(err.Error(), "TelemetryConfig.Window") {
+		t.Fatalf("sampleInterval 500 accepted (err %v)", err)
+	}
+	col := NewCollector(TelemetryConfig{Window: 500})
+	res, err := RunCollected(w, cfg, 0, nil, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := col.Dump().GPU
+	if len(ring) == 0 || ring[0].Cycle != 500 || ring[len(ring)-1].Cycle != res.Cycles {
+		t.Fatalf("ring of %d windows does not tile [0, %d) in 500-cycle steps", len(ring), res.Cycles)
+	}
+}
+
 func TestPublicWorkloadNames(t *testing.T) {
 	names := WorkloadNames()
 	if len(names) != 22 {
