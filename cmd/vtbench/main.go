@@ -18,7 +18,6 @@
 //	vtbench -sweeptrace trace.json    # record the sweep-lifecycle span tree (vtreport -tracepath)
 //	vtbench -metricsdump metrics.txt  # write the final Prometheus exposition on exit
 //	vtbench -checkpoint               # prefix-fork sweep points that share a run prefix
-//	vtbench -checkpoint -forkcycle N  # pin the donor's capture to cycle >= N
 //	vtbench -worker http://host:7077  # join a vtsweepd fleet: pull jobs, stream results back
 //	vtbench -worker URL -slots 4      # ... holding four jobs at a time
 //

@@ -372,7 +372,7 @@ func ringsReport(path string) error {
 		}
 	}
 	if d.SpansDropped > 0 {
-		t.Note("warning: %d spans dropped (raise telemetry MaxSpans)", d.SpansDropped)
+		t.Note("warning: %d spans dropped (the collector keeps %d per SM)", d.SpansDropped, telemetry.SpansPerSM)
 	}
 	t.Fprint(os.Stdout)
 	return nil

@@ -10,7 +10,7 @@
 //   - the default is a bucketed timing wheel (calendar queue): events due
 //     inside a fixed window land in per-cycle buckets whose slices are
 //     recycled across rotations, and far-future events wait in a small
-//     overflow heap until the window reaches them. Post/At and the drain
+//     overflow heap until the window reaches them. Post and the drain
 //     loop allocate nothing in steady state.
 //   - NewHeapQueue builds the reference binary-heap backend
 //     (gpu.Options.DisableEventWheel). It orders by the identical
@@ -18,17 +18,11 @@
 //     equivalent; the property tests in this package and gpu's
 //     equivalence suite enforce that.
 //
-// Hot paths schedule typed events (Post): a Handler, a small kind enum
-// private to that handler, and two operand words — no closure allocation.
-// The Func form (At/After) remains for cold paths and tests.
+// Every event is typed (Post): a Handler, a small kind enum private to
+// that handler, and two operand words — no closure allocation.
 package event
 
 import "math/bits"
-
-// Func is a scheduled callback (closure form). Scheduling a Func
-// allocates the closure; simulator hot paths use typed events (Post)
-// instead, and Func remains for rare, cold sites and tests.
-type Func func()
 
 // Handler consumes typed events. Implementations dispatch on kind; kind
 // numbering is private to each handler (dispatch is a method call on the
@@ -57,33 +51,24 @@ func (c Completion) Valid() bool { return c.H != nil }
 func (c Completion) Fire() { c.H.HandleEvent(c.Kind, c.A, c.B) }
 
 // CompletionFunc wraps fn as a Completion. It allocates (one adapter per
-// call) and exists for tests and cold paths that want the closure form
-// through a Completion-shaped API.
-func CompletionFunc(fn Func) Completion {
+// call) and exists for tests that want a closure through a
+// Completion-shaped API.
+func CompletionFunc(fn func()) Completion {
 	return Completion{H: &funcHandler{fn: fn}}
 }
 
-type funcHandler struct{ fn Func }
+type funcHandler struct{ fn func() }
 
 func (h *funcHandler) HandleEvent(uint8, uint32, uint32) { h.fn() }
 
-// item is one scheduled event: a (cycle, seq) ordering key plus either a
-// closure (fn non-nil) or a typed (handler, kind, operands) record.
+// item is one scheduled event: a (cycle, seq) ordering key plus a typed
+// (handler, kind, operands) record.
 type item struct {
 	cycle int64
 	seq   uint64 // FIFO tie-break for determinism
-	fn    Func
 	h     Handler
 	kind  uint8
 	a, b  uint32
-}
-
-func (it *item) run() {
-	if it.fn != nil {
-		it.fn()
-		return
-	}
-	it.h.HandleEvent(it.kind, it.a, it.b)
 }
 
 func itemLess(x, y *item) bool {
@@ -114,7 +99,7 @@ func heapPop(h *[]item) item {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = item{} // release handler/closure references
+	s[n] = item{} // release handler references
 	s = s[:n]
 	*h = s
 	i := 0
@@ -262,7 +247,7 @@ func (q *Queue) bucketAdd(it item) {
 	q.occSum |= 1 << (uint(b) >> 6)
 }
 
-// At schedules fn to run at the given cycle.
+// Post schedules a typed event at the given cycle. It allocates nothing.
 //
 // Past-cycle semantics, pinned: scheduling at a cycle at or before Now()
 // silently clamps to Now() — the event fires the next time the current
@@ -271,13 +256,6 @@ func (q *Queue) bucketAdd(it item) {
 // "this cycle" is scheduled from inside another event; it must never
 // become an error or be reordered before already-queued same-cycle
 // events.
-func (q *Queue) At(cycle int64, fn Func) { q.post(item{cycle: cycle, fn: fn}) }
-
-// After schedules fn delay cycles from now.
-func (q *Queue) After(delay int64, fn Func) { q.post(item{cycle: q.now + delay, fn: fn}) }
-
-// Post schedules a typed event at the given cycle with At's clamp
-// semantics. It allocates nothing.
 func (q *Queue) Post(cycle int64, h Handler, kind uint8, a, b uint32) {
 	q.post(item{cycle: cycle, h: h, kind: kind, a: a, b: b})
 }
@@ -359,7 +337,7 @@ func (q *Queue) AdvanceTo(cycle int64) {
 			if it.cycle > q.now {
 				q.now = it.cycle
 			}
-			it.run()
+			it.h.HandleEvent(it.kind, it.a, it.b)
 		}
 		if cycle > q.now {
 			q.now = cycle
@@ -373,14 +351,14 @@ func (q *Queue) AdvanceTo(cycle int64) {
 		}
 		q.slideWindow()
 		b := int(c & wheelMask)
-		// Events may append to this same bucket mid-drain (At(now) from
+		// Events may append to this same bucket mid-drain (Post(now) from
 		// inside an event); the bounds check re-reads the slice, so those
 		// run in this pass too, in scheduling order.
 		for i := 0; i < len(q.buckets[b]); i++ {
 			it := q.buckets[b][i]
 			q.buckets[b][i] = item{}
 			q.pending--
-			it.run()
+			it.h.HandleEvent(it.kind, it.a, it.b)
 		}
 		q.buckets[b] = q.buckets[b][:0]
 		q.occ[b>>6] &^= 1 << (uint(b) & 63)

@@ -7,13 +7,16 @@ import (
 	"testing/quick"
 )
 
+// at schedules fn at cycle as a typed event.
+func at(q *Queue, cycle int64, fn func()) { q.PostC(cycle, CompletionFunc(fn)) }
+
 func TestOrdering(t *testing.T) {
 	q := NewQueue()
 	var got []int
-	q.At(5, func() { got = append(got, 5) })
-	q.At(2, func() { got = append(got, 2) })
-	q.At(9, func() { got = append(got, 9) })
-	q.At(2, func() { got = append(got, 20) }) // same cycle, later scheduling
+	at(q, 5, func() { got = append(got, 5) })
+	at(q, 2, func() { got = append(got, 2) })
+	at(q, 9, func() { got = append(got, 9) })
+	at(q, 2, func() { got = append(got, 20) }) // same cycle, later scheduling
 	q.AdvanceTo(10)
 	want := []int{2, 20, 5, 9}
 	if len(got) != len(want) {
@@ -29,8 +32,8 @@ func TestOrdering(t *testing.T) {
 func TestAdvancePartial(t *testing.T) {
 	q := NewQueue()
 	ran := 0
-	q.At(3, func() { ran++ })
-	q.At(7, func() { ran++ })
+	at(q, 3, func() { ran++ })
+	at(q, 7, func() { ran++ })
 	q.AdvanceTo(5)
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1", ran)
@@ -51,7 +54,7 @@ func TestPastSchedulingClamps(t *testing.T) {
 	q := NewQueue()
 	q.AdvanceTo(10)
 	ran := false
-	q.At(3, func() { ran = true })
+	at(q, 3, func() { ran = true })
 	q.AdvanceTo(10) // re-drain current cycle
 	if !ran {
 		t.Fatal("past event must run at current cycle")
@@ -61,10 +64,10 @@ func TestPastSchedulingClamps(t *testing.T) {
 func TestEventsSchedulingEvents(t *testing.T) {
 	q := NewQueue()
 	var got []int64
-	q.At(1, func() {
+	at(q, 1, func() {
 		got = append(got, q.Now())
-		q.After(0, func() { got = append(got, q.Now()) }) // same cycle
-		q.After(4, func() { got = append(got, q.Now()) })
+		at(q, q.Now(), func() { got = append(got, q.Now()) }) // same cycle
+		at(q, q.Now()+4, func() { got = append(got, q.Now()) })
 	})
 	q.AdvanceTo(1)
 	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
@@ -95,7 +98,7 @@ func TestFiringOrderProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c := int64(rng.Intn(50))
 			cycles[i] = c
-			q.At(c, func() { fired = append(fired, q.Now()) })
+			at(q, c, func() { fired = append(fired, q.Now()) })
 		}
 		q.AdvanceTo(100)
 		if len(fired) != n {
@@ -117,11 +120,12 @@ func TestFiringOrderProperty(t *testing.T) {
 func TestAfter(t *testing.T) {
 	q := NewQueue()
 	q.AdvanceTo(10)
-	var at int64 = -1
-	q.After(5, func() { at = q.Now() })
+	var fired int64 = -1
+	c := CompletionFunc(func() { fired = q.Now() })
+	q.PostAfter(5, c.H, c.Kind, c.A, c.B)
 	q.AdvanceTo(20)
-	if at != 15 {
-		t.Fatalf("After fired at %d, want 15", at)
+	if fired != 15 {
+		t.Fatalf("PostAfter fired at %d, want 15", fired)
 	}
 }
 
@@ -133,7 +137,7 @@ func TestEventSeesOwnCycle(t *testing.T) {
 	var seen []int64
 	for _, c := range []int64{3, 17, 100} {
 		c := c
-		q.At(c, func() {
+		at(q, c, func() {
 			if q.Now() != c {
 				t.Errorf("event scheduled for %d ran at %d", c, q.Now())
 			}

@@ -12,11 +12,6 @@ import (
 // deterministic order (the gpu package registers SMs by index, then the
 // CTA controller, then the memory hierarchy), the same ID maps to the
 // same component in the capturing and the restoring process.
-//
-// Closure events (fn != nil) cannot be serialized. The simulator's hot
-// paths are entirely typed, so a pending closure at a checkpoint boundary
-// means a cold-path callback is still in flight; CaptureEvents refuses
-// rather than silently dropping it.
 
 // Registry maps event Handlers to stable integer IDs for serialization.
 type Registry struct {
@@ -104,14 +99,10 @@ func (r *Registry) DecodeCompletion(rec CompletionRec) (Completion, error) {
 }
 
 // CaptureEvents serializes every pending event in (cycle, seq) order,
-// along with the clock and the sequence counter. It errors on pending
-// closure events: those cannot cross a process boundary, and their
-// presence means the machine is not at a checkpointable boundary.
+// along with the clock and the sequence counter. It errors on a pending
+// event whose handler is not registered.
 func (q *Queue) CaptureEvents(reg *Registry) (now int64, seq uint64, recs []EventRec, err error) {
 	encode := func(it *item) error {
-		if it.fn != nil {
-			return fmt.Errorf("event: pending closure event at cycle %d cannot be snapshotted", it.cycle)
-		}
 		id, ok := reg.ids[it.h]
 		if !ok {
 			return fmt.Errorf("event: pending event handler %T not registered", it.h)

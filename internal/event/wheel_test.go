@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestPastClampDuringDrain pins the documented At() contract for the case
+// TestPastClampDuringDrain pins the documented Post contract for the case
 // the doc comment calls out explicitly: scheduling at a past (or current)
 // cycle from INSIDE an event that is firing during an AdvanceTo drain.
 // The clamped event must run later in the very same drain — after every
@@ -27,13 +27,13 @@ func TestPastClampDuringDrain(t *testing.T) {
 			// and 3 — both in the past once the drain reaches cycle 5 —
 			// and to cycle 5 itself. All three clamp to "now" and must
 			// fire within this AdvanceTo, after the already-queued "b".
-			q.At(5, func() {
+			at(q, 5, func() {
 				order = append(order, "a")
-				q.At(0, func() { order = append(order, "past0") })
-				q.At(3, func() { order = append(order, "past3") })
-				q.At(5, func() { order = append(order, "now5") })
+				at(q, 0, func() { order = append(order, "past0") })
+				at(q, 3, func() { order = append(order, "past3") })
+				at(q, 5, func() { order = append(order, "now5") })
 			})
-			q.At(5, func() { order = append(order, "b") })
+			at(q, 5, func() { order = append(order, "b") })
 			q.AdvanceTo(10)
 			want := []string{"a", "b", "past0", "past3", "now5"}
 			if !reflect.DeepEqual(order, want) {
@@ -61,7 +61,7 @@ func TestPastClampBeforeDrain(t *testing.T) {
 			q := tc.mk()
 			q.AdvanceTo(100)
 			fired := int64(-1)
-			q.At(7, func() { fired = q.Now() })
+			at(q, 7, func() { fired = q.Now() })
 			if next, ok := q.NextCycle(); !ok || next != 100 {
 				t.Fatalf("clamped event due at %d (ok=%v), want 100 (= Now)", next, ok)
 			}
@@ -74,7 +74,7 @@ func TestPastClampBeforeDrain(t *testing.T) {
 }
 
 // recorder is a typed handler that logs its firings, so the property test
-// covers the Handler/Completion dispatch path as well as plain funcs.
+// covers stored Completions as well as CompletionFunc adapters.
 type recorder struct {
 	log *[]string
 	id  int
@@ -94,7 +94,7 @@ func (r *recorder) HandleEvent(kind uint8, a, b uint32) {
 //   - far-future events beyond the 4096-bucket window (overflow heap),
 //     whose later migration back into buckets must preserve seq order
 //     across bucket-wrap boundaries,
-//   - interleaved typed completions and plain funcs.
+//   - interleaved recorder completions and CompletionFunc adapters.
 func TestWheelMatchesHeapProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -109,37 +109,37 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 				schedule = func(depth int) {
 					id := n
 					n++
-					var at int64
+					var when int64
 					switch rng.Intn(6) {
 					case 0: // same-cycle burst member
-						at = q.Now()
+						when = q.Now()
 					case 1: // past cycle: clamps to now
-						at = q.Now() - rng.Int63n(50) - 1
+						when = q.Now() - rng.Int63n(50) - 1
 					case 2: // near future, same wheel window
-						at = q.Now() + rng.Int63n(64) + 1
+						when = q.Now() + rng.Int63n(64) + 1
 					case 3: // window edge
-						at = q.Now() + 4090 + rng.Int63n(12)
+						when = q.Now() + 4090 + rng.Int63n(12)
 					case 4: // far future: overflow heap, crosses wrap
-						at = q.Now() + 4096 + rng.Int63n(20000)
+						when = q.Now() + 4096 + rng.Int63n(20000)
 					case 5: // multiple wraps out
-						at = q.Now() + 3*4096 + rng.Int63n(4096)
+						when = q.Now() + 3*4096 + rng.Int63n(4096)
 					}
 					reenter := depth < 3 && rng.Intn(3) == 0
 					if rng.Intn(4) == 0 {
 						// Typed completion path.
-						q.PostC(at, Completion{
+						q.PostC(when, Completion{
 							H:    &recorder{log: &log, id: id},
 							Kind: uint8(rng.Intn(8)),
 							A:    rng.Uint32() & 0xff,
 							B:    rng.Uint32() & 0xff,
 						})
 						if reenter {
-							// Pair the completion with a func that re-enters,
+							// Pair the completion with an adapter that re-enters,
 							// so re-entry also happens near typed firings.
-							q.At(at, func() { schedule(depth + 1) })
+							at(q, when, func() { schedule(depth + 1) })
 						}
 					} else {
-						q.At(at, func() {
+						at(q, when, func() {
 							log = append(log, fmt.Sprintf("f%d", id))
 							if reenter {
 								schedule(depth + 1)
@@ -193,8 +193,8 @@ func TestWheelResetReuse(t *testing.T) {
 	q := NewQueue()
 	// Dirty the queue: near events, overflow events, partial drain.
 	for i := 0; i < 100; i++ {
-		q.At(int64(i*37), func() {})
-		q.At(int64(10000+i*513), func() {})
+		at(q, int64(i*37), func() {})
+		at(q, int64(10000+i*513), func() {})
 	}
 	q.AdvanceTo(1234)
 	if q.Pending() == 0 {
@@ -208,7 +208,7 @@ func TestWheelResetReuse(t *testing.T) {
 	fill := func(qq *Queue, out *[]int) {
 		for i := 0; i < 50; i++ {
 			i := i
-			qq.At(int64((i*7919)%200), func() { *out = append(*out, i) })
+			at(qq, int64((i*7919)%200), func() { *out = append(*out, i) })
 		}
 		qq.AdvanceTo(9000)
 	}

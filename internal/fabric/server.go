@@ -26,7 +26,6 @@ func syncable(kind resultstore.Kind) bool { return kind == resultstore.KindCheck
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
-	mux.HandleFunc("POST /v1/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/release", c.handleRelease)
 	mux.HandleFunc("POST /v1/complete", c.handleComplete)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
@@ -76,19 +75,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req RenewRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, ok := c.renew(req.LeaseID)
-	if !ok {
-		http.Error(w, "unknown or expired lease", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, resp)
-}
-
 func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
 	if !decodeBody(w, r, &req) {
@@ -122,8 +108,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing worker id", http.StatusBadRequest)
 		return
 	}
-	c.heartbeat(req)
-	w.WriteHeader(http.StatusOK)
+	writeJSON(w, c.heartbeat(req))
 }
 
 func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {

@@ -46,9 +46,9 @@ func runPlain(t *testing.T, workload string, cfg config.GPUConfig, opts Options)
 	return res
 }
 
-// runCapturing runs the workload with a one-shot checkpoint at the given
-// cycle, returning the run's result and the captured checkpoint (nil if
-// the run finished first).
+// runCapturing runs the workload capturing at the first cycle at or past
+// at, returning the run's result and that first checkpoint (nil if the
+// run finished first); the guard latches once it is taken.
 func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, opts Options, at int64) (*Result, *Checkpoint) {
 	t.Helper()
 	l, base := buildLaunch(t, workload)
@@ -56,7 +56,8 @@ func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, opts Opti
 	base.DisableIssueFastPath = opts.DisableIssueFastPath
 	base.DisableEventWheel = opts.DisableEventWheel
 	var ck *Checkpoint
-	base.CheckpointAt = at
+	base.CheckpointEvery = at
+	base.CheckpointGuard = func(int64, core.Stats) bool { return ck == nil }
 	base.OnCheckpoint = func(c *Checkpoint) { ck = c }
 	res, err := Run(l, cfg, base)
 	if err != nil {
@@ -122,7 +123,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 
 // TestCheckpointRandomCycles is the property test: forking at arbitrary
 // (pseudo-random) cycles must always reproduce the uninterrupted run.
-// CheckpointAt rounds up to the next simulated cycle, so any target in
+// The first capture rounds up to the next simulated cycle, so any target in
 // [1, Cycles) names a valid quiescent boundary.
 func TestCheckpointRandomCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -199,16 +199,13 @@ type Options struct {
 	// makes cycle numbers jump, so hooks must fire on the first cycle at
 	// or past their target, never on equality.
 	FaultHook func(cycle int64, sms []*sm.SM)
-	// CheckpointAt, when positive, captures a checkpoint at the first
-	// simulated cycle at or past this value (idle-skip makes cycle
-	// numbers jump) and hands it to OnCheckpoint. One-shot unless
-	// CheckpointEvery is also set.
-	CheckpointAt int64
 	// CheckpointEvery, when positive, captures checkpoints periodically
-	// — at least this many cycles apart, with the gap widening as the
-	// run grows so capture cost stays a bounded fraction of simulation
-	// time — while CheckpointGuard (if any) holds. Each capture goes to
-	// OnCheckpoint; callers keep whichever they want.
+	// — the first at the first simulated cycle at or past this value
+	// (idle-skip makes cycle numbers jump), later ones at least this many
+	// cycles apart, with the gap widening as the run grows so capture
+	// cost stays a bounded fraction of simulation time — while
+	// CheckpointGuard (if any) holds. Each capture goes to OnCheckpoint;
+	// callers keep whichever they want.
 	CheckpointEvery int64
 	// CheckpointGuard, when non-nil, gates captures: once it returns
 	// false no further checkpoints are taken (the condition latches).
@@ -276,7 +273,7 @@ type machine struct {
 	cycle     int64
 
 	nextCk int64 // next checkpoint cycle; meaningful unless ckDone
-	ckDone bool  // no further checkpoints (disabled, one-shot taken, or guard latched)
+	ckDone bool  // no further checkpoints (disabled, or guard latched)
 
 	samp *samplingState // nil unless Options.Sampling enabled
 }
@@ -368,16 +365,8 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 		m.maxCycles = DefaultMaxCycles
 	}
 
-	switch {
-	case opts.OnCheckpoint == nil:
-		m.ckDone = true
-	case opts.CheckpointAt > 0:
-		m.nextCk = opts.CheckpointAt
-	case opts.CheckpointEvery > 0:
-		m.nextCk = opts.CheckpointEvery
-	default:
-		m.ckDone = true
-	}
+	m.nextCk = opts.CheckpointEvery
+	m.ckDone = opts.OnCheckpoint == nil || opts.CheckpointEvery <= 0
 
 	m.eng = &engine{sms: m.sms, ev: m.ev, allowSleep: !opts.DisableIdleSkip}
 	return m, nil
@@ -431,17 +420,13 @@ func (m *machine) maybeCheckpoint(cycle int64) error {
 		return fmt.Errorf("gpu: checkpoint at cycle %d: %w", cycle, err)
 	}
 	m.opts.OnCheckpoint(ck)
-	if m.opts.CheckpointEvery > 0 {
-		// Widen the gap as the run grows so the total capture cost stays a
-		// bounded fraction of simulation time.
-		gap := m.opts.CheckpointEvery
-		if adaptive := cycle >> 2; adaptive > gap {
-			gap = adaptive
-		}
-		m.nextCk = cycle + gap
-	} else {
-		m.ckDone = true
+	// Widen the gap as the run grows so the total capture cost stays a
+	// bounded fraction of simulation time.
+	gap := m.opts.CheckpointEvery
+	if adaptive := cycle >> 2; adaptive > gap {
+		gap = adaptive
 	}
+	m.nextCk = cycle + gap
 	return nil
 }
 

@@ -164,8 +164,8 @@ func validateOptions(opts *Options) error {
 			s.WarmupCycles, s.DetailedCycles)
 		bad(opts.CheckInvariants,
 			"Sampling cannot be combined with CheckInvariants: fast-forward spans charge issue slots by extrapolation, which the per-cycle conservation checker rejects mid-span")
-		bad(opts.OnCheckpoint != nil && (opts.CheckpointAt > 0 || opts.CheckpointEvery > 0),
-			"Sampling cannot be combined with checkpoint capture (CheckpointAt/CheckpointEvery): a capture could land mid-span where timing state is extrapolated")
+		bad(opts.OnCheckpoint != nil && opts.CheckpointEvery > 0,
+			"Sampling cannot be combined with checkpoint capture (CheckpointEvery): a capture could land mid-span where timing state is extrapolated")
 	}
 	return errors.Join(errs...)
 }

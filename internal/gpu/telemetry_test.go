@@ -224,13 +224,13 @@ func TestTelemetryWindowExactness(t *testing.T) {
 	}
 }
 
-// TestTelemetryCompaction forces ring compaction with a tiny MaxWindows
+// TestTelemetryCompaction forces ring compaction with a one-cycle window
 // and checks the invariants survive: bounded length, contiguous
 // coverage, totals preserved.
 func TestTelemetryCompaction(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyBaseline)
 	const ctas, block = 16, 64
-	col := telemetry.NewCollector(telemetry.Config{Window: 8, MaxWindows: 8})
+	col := telemetry.NewCollector(telemetry.Config{Window: 1})
 	res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
 		InitMemory: initVec(ctas * block),
 		Telemetry:  col,
@@ -239,10 +239,10 @@ func TestTelemetryCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := col.Dump()
-	if len(d.GPU) > 8 {
-		t.Fatalf("ring grew past MaxWindows: %d entries", len(d.GPU))
+	if len(d.GPU) > telemetry.RingWindows {
+		t.Fatalf("ring grew past RingWindows: %d entries", len(d.GPU))
 	}
-	if d.Window <= 8 {
+	if d.Window <= 1 {
 		t.Fatalf("window never doubled: %d (run is %d cycles)", d.Window, res.Cycles)
 	}
 	var issued int64

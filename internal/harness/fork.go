@@ -30,11 +30,11 @@ import (
 // fingerprint, so a re-invocation — including a -resume after a crash —
 // forks across processes without re-simulating the prefix.
 
-// defaultCheckpointEvery is the donor capture cadence when no explicit
-// fork cycle is requested. Small enough that even heavily diluted sweep
-// runs capture a prefix before the first swap; the gap widens
-// automatically as the run grows (see gpu.Options.CheckpointEvery).
-const defaultCheckpointEvery = 64
+// checkpointEvery is the donor capture cadence. Small enough that even
+// heavily diluted sweep runs capture a prefix before the first swap; the
+// gap widens automatically as the run grows (see
+// gpu.Options.CheckpointEvery).
+const checkpointEvery = 64
 
 // forkGuard is the capture guard for swap-latency sweeps: a checkpoint
 // is variant-independent only while no swap has consumed the latencies.
@@ -49,7 +49,6 @@ func forkGuard(cycle int64, vt core.Stats) bool {
 type forkSpec struct {
 	// Donor side: capture checkpoints during the run.
 	capture bool
-	at      int64 // explicit one-shot fork cycle; 0 means periodic
 	// captured is the last checkpoint the successful attempt produced.
 	captured *gpu.Checkpoint
 
@@ -134,7 +133,7 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 			}
 		}
 		donor = true
-		spec := &forkSpec{capture: true, at: p.ForkCycle}
+		spec := &forkSpec{capture: true}
 		out, err = supervise(p, j, cfg, fp, spec)
 		ce.ck = spec.captured
 		if ce.ck != nil {

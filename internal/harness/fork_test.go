@@ -250,11 +250,9 @@ func TestPrefixForkAblationSpeedup(t *testing.T) {
 	// fork point — deep into the run, which is the regime prefix forking
 	// targets. 6144 keeps nw swapping (it stops above ~7168, which would
 	// make the latency ablation vacuous); the first swap then lands just
-	// past the residency floor, so pinning the capture at 6000 puts the
-	// fork right below the swap onset instead of wherever the periodic
-	// cadence last fired.
+	// past the residency floor, and the donor forks from the last periodic
+	// capture below it.
 	p.Config.VT.MinResidencyCycles = 6144
-	p.ForkCycle = 6000
 
 	t0 := time.Now()
 	plain, err := runMany(p, jobs)

@@ -65,12 +65,6 @@ type Params struct {
 	// re-simulating it. Results are bit-identical either way; see
 	// fork.go.
 	Checkpoint bool
-	// ForkCycle, when positive, pins the donor's capture to the first
-	// simulated cycle at or past this value instead of the adaptive
-	// periodic cadence. Zero (the default) lets the donor capture
-	// periodically while the fork guard holds and forks from the last
-	// guarded checkpoint.
-	ForkCycle int64
 
 	// Supervision (see supervisor.go).
 

@@ -165,7 +165,9 @@ type FleetStatus struct {
 	// right now: the fleet's idle slots.
 	LeasesParked int `json:"leasesParked"`
 
-	LeasesGranted  int64 `json:"leasesGranted"`
+	LeasesGranted int64 `json:"leasesGranted"`
+	// LeasesRenewed counts lease deadlines a worker's heartbeat extended:
+	// one per lease the worker held at that heartbeat.
 	LeasesRenewed  int64 `json:"leasesRenewed"`
 	LeasesExpired  int64 `json:"leasesExpired"`
 	LeasesReleased int64 `json:"leasesReleased"`
@@ -291,7 +293,7 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		gauge("vtfabric_workers", "Workers that have contacted the coordinator.", float64(len(f.Workers)))
 		gauge("vtfabric_leases_parked", "Lease requests parked waiting for a job (idle slots).", float64(f.LeasesParked))
 		counter("vtfabric_leases_granted_total", "Leases granted.", float64(f.LeasesGranted))
-		counter("vtfabric_leases_renewed_total", "Lease renewals.", float64(f.LeasesRenewed))
+		counter("vtfabric_leases_renewed_total", "Lease deadlines extended by a worker heartbeat.", float64(f.LeasesRenewed))
 		counter("vtfabric_leases_expired_total", "Leases reclaimed after expiry (worker crash or stall).", float64(f.LeasesExpired))
 		counter("vtfabric_leases_released_total", "Leases released unexecuted by draining workers.", float64(f.LeasesReleased))
 		counter("vtfabric_completions_total", "Job completions accepted.", float64(f.Completions))

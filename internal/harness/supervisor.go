@@ -171,14 +171,9 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 		opts.Ctx = ctx
 	}
 	if spec != nil && spec.capture {
-		if spec.at > 0 {
-			opts.CheckpointAt = spec.at
-		} else {
-			opts.CheckpointEvery = defaultCheckpointEvery
-		}
-		// The guard applies to pinned captures too: a checkpoint taken
-		// after the first swap depends on the donor's swap latencies and
-		// must never seed other configs.
+		opts.CheckpointEvery = checkpointEvery
+		// A checkpoint taken after the first swap depends on the donor's
+		// swap latencies and must never seed other configs.
 		opts.CheckpointGuard = forkGuard
 		opts.OnCheckpoint = func(c *gpu.Checkpoint) { a.ck = c }
 	}

@@ -11,9 +11,9 @@ import (
 // Snapshot support for the SM. The guiding rule: anything an event
 // operand or a scheduling decision can observe is serialized verbatim,
 // everything derivable is rebuilt. Pending typed events embed arena
-// indices (lsuPool for evLoadLine, farWBs for evFarWB), so both arenas —
-// including their free lists and the lsuQueue/lsuHead cursor — restore to
-// the exact captured layout. Warp pointers serialize as (kernel, flat CTA,
+// indices (lsuPool for evLoadLine), so the arena — including its free
+// list and the lsuQueue/lsuHead cursor — restores to the exact captured
+// layout. Warp pointers serialize as (kernel, flat CTA,
 // warp index) triples; CTA structure is rebuilt deterministically from
 // the launch (cta.Grid.Materialize) and the dynamic warp state overlaid.
 // Derived state is never serialized: the next-instruction records and the
@@ -97,13 +97,6 @@ type LSUOpState struct {
 	Remaining int      `json:"remaining"`
 }
 
-// FarWBState is one farWBs arena slot.
-type FarWBState struct {
-	Used bool    `json:"used"`
-	W    WarpRef `json:"w"`
-	Reg  isa.Reg `json:"reg"`
-}
-
 // WBEntryState is one pending local-wheel writeback.
 type WBEntryState struct {
 	Cycle int64   `json:"cycle"`
@@ -123,9 +116,6 @@ type SMState struct {
 	LSUFree  []int32      `json:"lsu_free"`
 	LSUQueue []int32      `json:"lsu_queue"`
 	LSUHead  int          `json:"lsu_head"`
-
-	FarWBs    []FarWBState `json:"far_wbs"`
-	FarWBFree []int32      `json:"far_wb_free"`
 
 	// Wheel entries in slot-scan order (per-slot order preserved), plus
 	// the drain cursor.
@@ -147,7 +137,6 @@ func (s *SM) State() *SMState {
 		LSUFree:    append([]int32(nil), s.lsuFree...),
 		LSUQueue:   append([]int32(nil), s.lsuQueue...),
 		LSUHead:    s.lsuHead,
-		FarWBFree:  append([]int32(nil), s.farWBFree...),
 		WBDrained:  s.wb.drained,
 		Asleep:     s.asleep,
 		SleptFrom:  s.sleptFrom,
@@ -229,15 +218,6 @@ func (s *SM) State() *SMState {
 			os.Remaining = op.remaining
 		}
 		st.LSUPool = append(st.LSUPool, os)
-	}
-	for i := range s.farWBs {
-		r := &s.farWBs[i]
-		fs := FarWBState{Used: r.w != nil}
-		if r.w != nil {
-			fs.W = warpRef(r.w)
-			fs.Reg = r.reg
-		}
-		st.FarWBs = append(st.FarWBs, fs)
 	}
 	for slot := range s.wb.slots {
 		for _, e := range s.wb.slots[slot] {
@@ -407,21 +387,6 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 	s.lsuFree = append(s.lsuFree[:0], st.LSUFree...)
 	s.lsuQueue = append(s.lsuQueue[:0], st.LSUQueue...)
 	s.lsuHead = st.LSUHead
-
-	s.farWBs = s.farWBs[:0]
-	for i := range st.FarWBs {
-		fs := &st.FarWBs[i]
-		var rec farWB
-		if fs.Used {
-			w, err := resolve(fs.W)
-			if err != nil {
-				return err
-			}
-			rec = farWB{w: w, reg: fs.Reg}
-		}
-		s.farWBs = append(s.farWBs, rec)
-	}
-	s.farWBFree = append(s.farWBFree[:0], st.FarWBFree...)
 
 	// Writeback wheel: direct bucket inserts, bypassing schedule()'s
 	// drained-clamp (restored cycles are already in the live window).

@@ -35,7 +35,6 @@ type Flags struct {
 	Out, CSVDir, JSONPath        string
 	StoreDir, MirrorDir, FailDir string
 	Timeout                      time.Duration
-	ForkCycle                    int64
 	CheckInv, Checkpoint         bool
 	Resume, List                 bool
 }
@@ -55,7 +54,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock deadline per simulation (0 = none)")
 	fs.BoolVar(&f.CheckInv, "checkinvariants", false, "run every simulation with the conservation-invariant checker")
 	fs.BoolVar(&f.Checkpoint, "checkpoint", false, "prefix-fork sweep points that differ only in late-consumed parameters (bit-identical results, shared prefix simulated once)")
-	fs.Int64Var(&f.ForkCycle, "forkcycle", 0, "with -checkpoint, pin the donor's capture to the first cycle >= N (0 = adaptive periodic capture)")
 	fs.StringVar(&f.Sample, "sample", "", "interval/sampled simulation as detailed:fastforward[:warmup] cycles; cycle counts become extrapolations within a reported error bound")
 	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted or partially failed sweep from the -store journal: only points it lacks run")
 	fs.BoolVar(&f.List, "list", false, "list experiments and exit")
@@ -100,7 +98,6 @@ func (f *Flags) Params() (p harness.Params, err error) {
 	p.RunTimeout = f.Timeout
 	p.CheckInvariants = f.CheckInv
 	p.Checkpoint = f.Checkpoint
-	p.ForkCycle = f.ForkCycle
 	p.Resume = f.Resume
 	p.Sampling = so
 	p.Sweep = harness.NewSweep()

@@ -61,10 +61,10 @@ func TestFlagsToParams(t *testing.T) {
 		{
 			name: "mirrored checkpoint sweep",
 			args: []string{"-run", "fig-swaplat", "-dilute", "30", "-store", "S", "-mirror", "M", "-faildir", "",
-				"-timeout", "5s", "-checkinvariants", "-checkpoint", "-forkcycle", "100"},
+				"-timeout", "5s", "-checkinvariants", "-checkpoint"},
 			check: func(p *harness.Params) bool {
 				return p.Dilute == 30 && p.CacheDir == "S" && p.MirrorDir == "M" && p.FailDir == "" &&
-					p.RunTimeout == 5*time.Second && p.CheckInvariants && p.Checkpoint && p.ForkCycle == 100
+					p.RunTimeout == 5*time.Second && p.CheckInvariants && p.Checkpoint
 			},
 		},
 		{

@@ -11,7 +11,7 @@
 //
 // Rings are bounded but cover the whole run: when a ring reaches its
 // capacity, adjacent window pairs are merged and the window length
-// doubles (adaptive compaction), so memory stays O(MaxWindows) while
+// doubles (adaptive compaction), so memory stays O(RingWindows) while
 // resolution degrades gracefully on long runs. Everything is exported
 // three ways: Dump (ring JSON, read back by ReadDump for cmd/vtreport
 // and cmd/vtdiff), WritePerfetto (Chrome/Perfetto trace-event JSON), and
@@ -33,25 +33,24 @@ import (
 // SchemaVersion identifies the Dump JSON layout.
 const SchemaVersion = 1
 
-// Defaults for Config zero values.
 const (
-	DefaultWindow     = 256
-	DefaultMaxWindows = 256
-	DefaultMaxSpans   = 16384
+	// DefaultWindow is the initial window length a zero Config.Window
+	// selects.
+	DefaultWindow = 256
+	// RingWindows bounds every ring's length: reaching it merges adjacent
+	// window pairs (halving the ring, doubling the window). It is even,
+	// so pairs always merge cleanly.
+	RingWindows = 256
+	// SpansPerSM bounds the spans kept per SM; once full, further spans
+	// are dropped and counted in Dump.SpansDropped.
+	SpansPerSM = 16384
 )
 
-// Config sizes a Collector. The zero value selects the defaults.
+// Config sets up a Collector. The zero value selects the defaults.
 type Config struct {
 	// Window is the initial window length in cycles. It doubles every
 	// time the rings fill and compact.
 	Window int64
-	// MaxWindows bounds every ring's length: reaching it merges adjacent
-	// window pairs (halving the ring, doubling Window). Minimum 8,
-	// rounded up to even so pairs always merge cleanly.
-	MaxWindows int
-	// MaxSpans bounds the spans kept per SM; once full, further spans
-	// are dropped and counted in Dump.SpansDropped.
-	MaxSpans int
 	// PerSM includes the per-SM rings in Dump (the GPU-wide aggregate
 	// ring is always included).
 	PerSM bool
@@ -189,8 +188,8 @@ type smRec struct {
 	open    map[*warp.CTA]openCTA
 }
 
-func (r *smRec) addSpan(sp Span, max int) {
-	if len(r.spans) >= max {
+func (r *smRec) addSpan(sp Span) {
+	if len(r.spans) >= SpansPerSM {
 		r.dropped++
 		return
 	}
@@ -218,21 +217,11 @@ type Collector struct {
 	hist    [histBuckets]int64
 }
 
-// NewCollector returns a Collector sized by cfg (zero values select the
+// NewCollector returns a Collector set up by cfg (zero values select the
 // defaults).
 func NewCollector(cfg Config) *Collector {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = DefaultMaxWindows
-	}
-	if cfg.MaxWindows < 8 {
-		cfg.MaxWindows = 8
-	}
-	cfg.MaxWindows += cfg.MaxWindows % 2 // pair-merge needs an even capacity
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
 	}
 	return &Collector{cfg: cfg}
 }
@@ -278,13 +267,13 @@ func (c *Collector) CTADeactivated(s *sm.SM, ct *warp.CTA) {
 	}
 	delete(r.open, ct)
 	r.addSpan(Span{Kind: SpanCTA, SM: s.ID, CTA: ct.FlatID, Track: o.track,
-		Start: o.start, End: s.Ev.Now()}, c.cfg.MaxSpans)
+		Start: o.start, End: s.Ev.Now()})
 }
 
 // SMWoke records a per-SM fast-forward span (sm.Probe).
 func (c *Collector) SMWoke(s *sm.SM, from, to int64) {
 	c.sms[s.ID].addSpan(Span{Kind: SpanSleep, SM: s.ID, CTA: -1,
-		Start: from, End: to}, c.cfg.MaxSpans)
+		Start: from, End: to})
 }
 
 // VTTrace consumes the VT controller's CTA-transition stream: swap
@@ -298,13 +287,13 @@ func (c *Collector) VTTrace(e core.TraceEvent) {
 		r.swapsIn++
 		c.histAdd(e.Latency)
 		r.addSpan(Span{Kind: SpanSwapIn, SM: e.SM, CTA: e.CTA,
-			Start: e.Cycle, End: e.Cycle + e.Latency}, c.cfg.MaxSpans)
+			Start: e.Cycle, End: e.Cycle + e.Latency})
 	case e.From == warp.CTAActive &&
 		(e.To == warp.CTAInactiveWaiting || e.To == warp.CTAInactiveReady):
 		r.swapsOut++
 		c.histAdd(e.Latency)
 		r.addSpan(Span{Kind: SpanSwapOut, SM: e.SM, CTA: e.CTA,
-			Start: e.Cycle, End: e.Cycle + e.Latency}, c.cfg.MaxSpans)
+			Start: e.Cycle, End: e.Cycle + e.Latency})
 	}
 }
 
@@ -381,7 +370,7 @@ func (c *Collector) Sample(sms []*sm.SM, msys *mem.System, vt *core.Controller, 
 	})
 	c.lastMem = ms
 
-	if len(c.mem) >= c.cfg.MaxWindows {
+	if len(c.mem) >= RingWindows {
 		c.compact() // doubles c.window
 	}
 	// After compaction the next window must span the *new* length, so the
@@ -390,7 +379,7 @@ func (c *Collector) Sample(sms []*sm.SM, msys *mem.System, vt *core.Controller, 
 }
 
 // compact merges adjacent window pairs in every ring and doubles the
-// window length: memory stays bounded at MaxWindows entries per ring
+// window length: memory stays bounded at RingWindows entries per ring
 // while the rings always cover the whole run. All rings append in
 // lockstep, so they compact in lockstep and stay aligned.
 func (c *Collector) compact() {
@@ -508,7 +497,7 @@ func (c *Collector) Finish(cycle int64, sms []*sm.SM, msys *mem.System, vt *core
 		for _, ct := range rest {
 			o := r.open[ct]
 			r.addSpan(Span{Kind: SpanCTA, SM: i, CTA: ct.FlatID, Track: o.track,
-				Start: o.start, End: cycle}, c.cfg.MaxSpans)
+				Start: o.start, End: cycle})
 		}
 		r.open = nil
 	}

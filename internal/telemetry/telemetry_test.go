@@ -8,16 +8,8 @@ import (
 )
 
 func TestConfigDefaults(t *testing.T) {
-	c := NewCollector(Config{})
-	if c.cfg.Window != DefaultWindow || c.cfg.MaxWindows != DefaultMaxWindows ||
-		c.cfg.MaxSpans != DefaultMaxSpans {
-		t.Fatalf("zero Config did not select defaults: %+v", c.cfg)
-	}
-	if c = NewCollector(Config{MaxWindows: 3}); c.cfg.MaxWindows != 8 {
-		t.Fatalf("MaxWindows floor: got %d, want 8", c.cfg.MaxWindows)
-	}
-	if c = NewCollector(Config{MaxWindows: 9}); c.cfg.MaxWindows%2 != 0 {
-		t.Fatalf("MaxWindows must round to even, got %d", c.cfg.MaxWindows)
+	if c := NewCollector(Config{}); c.cfg.Window != DefaultWindow {
+		t.Fatalf("zero Config did not select the default window: %+v", c.cfg)
 	}
 }
 
@@ -33,6 +25,54 @@ func TestMergeWindows(t *testing.T) {
 	}
 	if m.ActiveWarps != 2 {
 		t.Errorf("gauges must come from the later window: %d", m.ActiveWarps)
+	}
+}
+
+// TestRebucket folds a contiguous ring whose windows have the uneven
+// lengths compaction leaves onto coarser grids: at most n windows that
+// cover the run without gaps, deltas summed, and each merged window
+// carrying the gauges and end cycle of the last window folded into it.
+func TestRebucket(t *testing.T) {
+	var ws []Window
+	byEnd := map[int64]Window{}
+	end := int64(100) // a ring need not start at cycle 0
+	for i := 0; i < 37; i++ {
+		w := Window{Cycles: 8 << (i / 12), Issued: int64(i + 1), SlotIdle: 2, ActiveWarps: i}
+		end += w.Cycles
+		w.Cycle = end
+		ws = append(ws, w)
+		byEnd[end] = w
+	}
+	for _, n := range []int{1, 4, 16, 36} {
+		out := Rebucket(ws, n)
+		if len(out) == 0 || len(out) > n {
+			t.Fatalf("n=%d: %d windows", n, len(out))
+		}
+		var issued, idle int64
+		prev := ws[0].Cycle - ws[0].Cycles
+		for i, w := range out {
+			if w.Cycle-w.Cycles != prev {
+				t.Fatalf("n=%d: window %d starts at %d, want %d (gap or overlap)", n, i, w.Cycle-w.Cycles, prev)
+			}
+			prev = w.Cycle
+			orig, ok := byEnd[w.Cycle]
+			if !ok || w.ActiveWarps != orig.ActiveWarps {
+				t.Errorf("n=%d: window %d ends at %d with gauge %d, want a source window's end and its gauge", n, i, w.Cycle, w.ActiveWarps)
+			}
+			issued += w.Issued
+			idle += w.SlotIdle
+		}
+		if prev != end {
+			t.Errorf("n=%d: rebucketed ring ends at %d, want %d", n, prev, end)
+		}
+		if issued != 37*38/2 || idle != 2*37 {
+			t.Errorf("n=%d: deltas sum to issued %d, idle %d, want %d and %d", n, issued, idle, 37*38/2, 2*37)
+		}
+	}
+	for _, n := range []int{37, 100} {
+		if out := Rebucket(ws, n); len(out) != len(ws) || &out[0] != &ws[0] {
+			t.Errorf("n=%d >= %d windows: got a new ring of %d, want the input", n, len(ws), len(out))
+		}
 	}
 }
 

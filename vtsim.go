@@ -179,7 +179,7 @@ func RunConcurrentNames(names []string, scale int, cfg Config) (*Result, error) 
 // Perfetto timeline of one run; see internal/telemetry.
 type Collector = telemetry.Collector
 
-// TelemetryConfig sizes a Collector (zero value = defaults).
+// TelemetryConfig sets up a Collector (zero value = defaults).
 type TelemetryConfig = telemetry.Config
 
 // NewCollector returns a telemetry collector to pass to RunCollected.
