@@ -239,8 +239,7 @@ func BenchmarkWarpExecute(b *testing.B) {
 		{"mem", memOps, simt.FullMask(32)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			k := &isa.Kernel{Name: "bench", Code: bc.code, NumRegs: 11, SMemBytes: 1024}
-			k.EnsureDecoded()
+			k := isa.NewKernel("bench", bc.code, 11, 1024)
 			l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(1), BlockDim: isa.Dim1(32)}
 			w := warp.NewCTA(l, 0, 32).Warps[0]
 			for lane := 0; lane < 32; lane++ {
@@ -308,7 +307,6 @@ func newVTRig(b *testing.B, ctas, iters int) *vtRig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	k.EnsureDecoded()
 	cfg := config.Small().WithPolicy(config.PolicyVT)
 	cfg.NumSMs = 1
 	l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(ctas), BlockDim: isa.Dim1(64)}

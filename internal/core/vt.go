@@ -16,7 +16,6 @@ package core
 import (
 	"repro/internal/config"
 	"repro/internal/cta"
-	"repro/internal/isa"
 	"repro/internal/sm"
 	"repro/internal/warp"
 )
@@ -70,10 +69,6 @@ type smState struct {
 	// fit is the admission predicate for this SM, built by Attach so the
 	// per-cycle admit loop does not allocate a closure.
 	fit func(regs, smem, warps, threads int) bool
-	// src is register-source scratch for the reference stall scan's
-	// BlockedState; per-SM (not package-global) so concurrent simulations
-	// never share it.
-	src [8]isa.Reg
 	// minElig caches swapOut's scan for the earliest min-residency expiry
 	// among active CTAs not yet eligible for swap-out (-1 = none). The scan
 	// reads only CTA states and activation cycles, so it stays valid until
@@ -531,7 +526,7 @@ func (v *Controller) stalledEnough(s *sm.SM, c *warp.CTA) bool {
 	anyMem := false
 	unfinished, blocked := 0, 0
 	for _, w := range c.Warps {
-		switch w.BlockedState(code, v.perSM[s.ID].src[:]) {
+		switch w.BlockedState(code) {
 		case warp.BlockedDone:
 			continue
 		case warp.BlockedMem:
@@ -552,12 +547,3 @@ func (v *Controller) stalledEnough(s *sm.SM, c *warp.CTA) bool {
 	}
 	return float64(blocked) >= frac*float64(unfinished)
 }
-
-// CTARetired frees the retired CTA's accounting. Activation of a successor
-// happens in the next Cycle call.
-func (v *Controller) CTARetired(s *sm.SM, c *warp.CTA) {}
-
-// LoadsDrained fires when a swapped-out CTA's last outstanding load
-// returns; activation happens in the next Cycle call (the state change to
-// InactiveReady was already applied by the SM).
-func (v *Controller) LoadsDrained(s *sm.SM, c *warp.CTA) {}

@@ -127,9 +127,6 @@ func (b *baselineController) Cycle(s *sm.SM) {
 	}
 }
 
-func (b *baselineController) CTARetired(s *sm.SM, c *warp.CTA)   {}
-func (b *baselineController) LoadsDrained(s *sm.SM, c *warp.CTA) {}
-
 // FunctionalAdmit implements sm.FunctionalAdmitter: baseline admission is
 // already zero-latency and event-free, so fast-forward spans refill slots
 // through the ordinary dispatch loop. Baseline CTAs are always active, so
@@ -295,7 +292,6 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 		if err := l.Validate(); err != nil {
 			return nil, err
 		}
-		l.Kernel.EnsureDecoded()
 		fp := cta.ComputeFootprint(l, &cfg)
 		if fp.Regs > cfg.RegFileSize || fp.SMem > cfg.SharedMemPerSM {
 			return nil, fmt.Errorf("gpu: kernel %q: one CTA exceeds SM capacity", l.Kernel.Name)

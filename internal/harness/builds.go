@@ -23,9 +23,9 @@ type buildKey struct {
 }
 
 // built is one workload as its sweep built it: the launches and the
-// initial memory image, frozen. No run writes either — the kernels are
-// decoded in place once, by the first run (isa.Kernel.EnsureDecoded) — so
-// every run of the workload shares them, concurrent runs included.
+// initial memory image, frozen. No run writes either — a kernel is decoded
+// when it is built and immutable after — so every run of the workload
+// shares them, concurrent runs included.
 type built struct {
 	mu       sync.Mutex // held while building; a run waits for the build
 	done     bool

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 )
 
 // eagerRun runs j the way a sweep did before it kept builds: a fresh
@@ -119,5 +121,61 @@ func TestSharedBuildRetrySeesPristineImage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentBuildsMatchSerial: a workload is a value. Every registered
+// workload and every fig-multikernel job's mix, built from parallel
+// goroutines (run under -race), launches and initialises exactly what a
+// serial build does: no build reads another's arena or writes a kernel.
+func TestConcurrentBuildsMatchSerial(t *testing.T) {
+	mk, err := Get("fig-multikernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append(kernels.Names(kernels.Headline), kernels.Names(kernels.Extension)...)
+	for _, j := range mk.Jobs(Params{}) {
+		names = append(names, j.Workload)
+	}
+	type build struct {
+		launches []*isa.Launch
+		image    mem.BackingState
+		err      error
+	}
+	buildOne := func(name string) build {
+		launches, init, err := kernels.BuildMix(name, 1)
+		if err != nil {
+			return build{err: err}
+		}
+		bk := mem.NewBacking()
+		init(bk)
+		return build{launches: launches, image: bk.State()}
+	}
+	serial := make([]build, len(names))
+	for i, n := range names {
+		if serial[i] = buildOne(n); serial[i].err != nil {
+			t.Fatal(serial[i].err)
+		}
+	}
+	parallel := make([]build, len(names))
+	var wg sync.WaitGroup
+	for i, n := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parallel[i] = buildOne(n)
+		}()
+	}
+	wg.Wait()
+	for i, n := range names {
+		s, p := serial[i], parallel[i]
+		switch {
+		case p.err != nil:
+			t.Errorf("%s: parallel build: %v", n, p.err)
+		case !reflect.DeepEqual(p.launches, s.launches):
+			t.Errorf("%s: parallel build's launches differ from the serial build's", n)
+		case !reflect.DeepEqual(p.image, s.image):
+			t.Errorf("%s: parallel build's initialised backing differs from the serial build's", n)
+		}
 	}
 }

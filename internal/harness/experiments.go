@@ -51,8 +51,8 @@ func policyJobs(names []string, policies []config.Policy) []Job {
 	return jobs
 }
 
-// suiteNames returns every workload name.
-func suiteNames() []string { return kernels.Names() }
+// suiteNames returns every headline workload name.
+func suiteNames() []string { return kernels.Names(kernels.Headline) }
 
 // sweepNames is the focused subset used by the parameter sweeps: the five
 // scheduling-limited gainers plus one capacity-limited control, chosen to
@@ -111,7 +111,7 @@ func tableBenchmarks() Experiment {
 					wl.Launch.Kernel.SMemBytes, o.CTAs, o.CapacityCTAs,
 					o.Limiter.String(), fmt.Sprintf("%v", o.SchedulingLimited()))
 			}
-			t.Note("%d of %d workloads are scheduling-limited", sched, len(kernels.Names()))
+			t.Note("%d of %d workloads are scheduling-limited", sched, len(suiteNames()))
 			return t
 		},
 	}

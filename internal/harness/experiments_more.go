@@ -4,13 +4,14 @@ import (
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/gpu"
+	"repro/internal/kernels"
 	"repro/internal/stats"
 )
 
 // figExtras evaluates the extension workloads (beyond the paper-facing
 // suite) under every policy, as future-work-style coverage.
 func figExtras() Experiment {
-	names := []string{"gemm", "histogram", "bitonic", "scatteradd"}
+	names := kernels.Names(kernels.Extension)
 	pols := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal}
 	return Experiment{
 		ID:    "fig-extras",

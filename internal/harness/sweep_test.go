@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -87,37 +88,28 @@ func TestOpenJournalDerivesMeta(t *testing.T) {
 	}
 }
 
-// TestNoPackageState keeps what a sweep learns out of package scope: no
-// non-test file of this package may declare a package-level variable of
-// map, slice, pointer, channel, mutex or context type — the shapes shared
-// mutable state takes — except the experiments registry, which init-time
-// register calls fill once.
+// TestNoPackageState keeps shared mutable state out of package scope in
+// the sweep and in the workloads it runs: a non-test file of harness,
+// kernels or isa may declare a package-level variable only if its
+// package's allow-list names it — a table filled once and only read after.
+// What a sweep learns belongs in Sweep; a workload is built from its
+// arguments (kernels.Arena) and its kernel is decoded when it is built.
 func TestNoPackageState(t *testing.T) {
+	noPackageState(t, ".", "experiments")
+	noPackageState(t, "../kernels", "registry")
+	noPackageState(t, "../isa", "opNames")
+}
+
+// noPackageState fails t for every package-level variable that the
+// non-test files in dir declare and allow does not name.
+func noPackageState(t *testing.T, dir string, allow ...string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	mutable := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.MapType, *ast.ArrayType, *ast.StarExpr, *ast.ChanType:
-				found = true
-			case *ast.UnaryExpr:
-				found = found || x.Op == token.AND
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && (pkg.Name == "sync" || pkg.Name == "context" || pkg.Name == "atomic") {
-					found = true
-				}
-			case *ast.Ident:
-				found = found || x.Name == "new" || x.Name == "make"
-			}
-			return !found
-		})
-		return found
 	}
 	for _, pkg := range pkgs {
 		for name, f := range pkg.Files {
@@ -127,15 +119,10 @@ func TestNoPackageState(t *testing.T) {
 					continue
 				}
 				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					bad := vs.Type != nil && mutable(vs.Type)
-					for _, v := range vs.Values {
-						bad = bad || mutable(v)
-					}
-					for _, id := range vs.Names {
-						if bad && id.Name != "experiments" {
-							t.Errorf("%s: package-level var %s holds shared mutable state; it belongs in Sweep",
-								filepath.Base(name), id.Name)
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if !slices.Contains(allow, id.Name) {
+							t.Errorf("%s/%s: package-level var %s is shared state; make it a value the caller passes",
+								pkg.Name, filepath.Base(name), id.Name)
 						}
 					}
 				}

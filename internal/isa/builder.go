@@ -261,7 +261,7 @@ func (b *Builder) Exit() *Builder { return b.Emit(Instr{Op: OpExit}) }
 // Nop emits a no-op (consumes an issue slot and ALU latency).
 func (b *Builder) Nop() *Builder { return b.Emit(Instr{Op: OpNop}) }
 
-// Build resolves labels and returns the assembled kernel.
+// Build resolves labels and returns the assembled kernel, decoded.
 func (b *Builder) Build() (*Kernel, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -299,7 +299,7 @@ func (b *Builder) Build() (*Kernel, error) {
 	if nregs > MaxRegs {
 		return nil, fmt.Errorf("isa: kernel %q uses %d registers, max %d", b.name, nregs, MaxRegs)
 	}
-	return &Kernel{Name: b.name, Code: code, NumRegs: nregs, SMemBytes: b.smem}, nil
+	return NewKernel(b.name, code, nregs, b.smem), nil
 }
 
 // MustBuild is Build that panics on error; for use in package-level kernel

@@ -6,10 +6,7 @@
 // labels and computes the register footprint.
 package isa
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Reg names a per-thread 32-bit architectural register, R0..R254.
 // RZ always reads as zero and discards writes.
@@ -234,11 +231,11 @@ type Instr struct {
 	Target int32 // branch target PC
 	Reconv int32 // reconvergence PC for OpBra
 
-	// Pre-decoded issue metadata, filled by Decode (normally through
-	// Kernel.EnsureDecoded at run setup). The scheduler's per-cycle hazard
+	// Pre-decoded issue metadata, filled by Decode when the kernel is
+	// built (Builder.Build, NewKernel). The scheduler's per-cycle hazard
 	// probe reduces to mask intersections instead of re-deriving the
-	// operand list; consumers must check Decoded and fall back to the
-	// operand-walking path for hand-built instructions.
+	// operand list; Launch.Validate refuses a kernel with an undecoded
+	// instruction.
 	SrcMask  RegMask   // registers read (deduplicated; RZ excluded)
 	DstMask  RegMask   // register written (empty when none or RZ)
 	HazMask  RegMask   // SrcMask | DstMask: the scoreboard probe set
@@ -270,15 +267,6 @@ func (in *Instr) Decode() {
 	}
 	in.ExecUnit = in.Op.Unit()
 	in.Decoded = true
-}
-
-// Unit returns the execution unit class serving the instruction, from the
-// pre-decoded cache when available.
-func (in *Instr) Unit() UnitClass {
-	if in.Decoded {
-		return in.ExecUnit
-	}
-	return in.Op.Unit()
 }
 
 // SrcRegs appends the source registers the instruction reads to dst and
@@ -366,24 +354,14 @@ type Kernel struct {
 	SMemBytes int // static shared memory per CTA
 }
 
-// decodeMu serializes EnsureDecoded across concurrent simulations that
-// share a kernel. The instruction fields are written at most once (the
-// first EnsureDecoded); every later caller observes Decoded under the same
-// lock, so lock-free readers inside a run that called EnsureDecoded first
-// never race with a writer.
-var decodeMu sync.Mutex
-
-// EnsureDecoded pre-decodes every instruction's issue metadata in place.
-// gpu.RunMulti calls it once per launch before simulation starts; it is
-// idempotent and safe for kernels shared between concurrent runs.
-func (k *Kernel) EnsureDecoded() {
-	decodeMu.Lock()
-	defer decodeMu.Unlock()
-	for i := range k.Code {
-		if !k.Code[i].Decoded {
-			k.Code[i].Decode()
-		}
+// NewKernel returns the kernel over code with every instruction decoded.
+// It takes code over: the kernel is immutable from here on, so any number
+// of runs, concurrent ones included, may share it.
+func NewKernel(name string, code []Instr, numRegs, smemBytes int) *Kernel {
+	for i := range code {
+		code[i].Decode()
 	}
+	return &Kernel{Name: name, Code: code, NumRegs: numRegs, SMemBytes: smemBytes}
 }
 
 // Launch binds a kernel to a grid and its runtime parameters.
@@ -415,6 +393,12 @@ func (l Launch) Validate() error {
 	if l.BlockDim.Size() > 1024 {
 		return fmt.Errorf("isa: kernel %q blockDim %d exceeds 1024",
 			l.Kernel.Name, l.BlockDim.Size())
+	}
+	for pc := range l.Kernel.Code {
+		if !l.Kernel.Code[pc].Decoded {
+			return fmt.Errorf("isa: kernel %q: instruction %d is not decoded (build kernels with Builder or NewKernel)",
+				l.Kernel.Name, pc)
+		}
 	}
 	return nil
 }

@@ -230,6 +230,45 @@ func TestLaunchValidateAndWarps(t *testing.T) {
 	}
 }
 
+// TestKernelsAreDecodedWhenBuilt: Builder.Build and NewKernel return
+// kernels whose every instruction carries its decoded issue metadata, and
+// Launch.Validate refuses a kernel literal that skipped both.
+func TestKernelsAreDecodedWhenBuilt(t *testing.T) {
+	b := NewBuilder("decoded")
+	b.LdG(1, 0, 4)
+	b.Label("loop")
+	b.FFma(2, 1, 1, 2)
+	b.StS(0, 0, 2)
+	b.SetpImm(3, CmpILT, 2, 9)
+	b.Bra(3, "loop", "done")
+	b.Label("done")
+	b.Bar()
+	b.Exit()
+	built := b.MustBuild()
+	lit := []Instr{{Op: OpLdGlobal, Dst: 1, SrcA: 0, Imm: 4}, {Op: OpExit}}
+	made := NewKernel("made", append([]Instr(nil), lit...), 2, 0)
+	for _, k := range []*Kernel{built, made} {
+		for pc, in := range k.Code {
+			want := in
+			want.Decode()
+			if !in.Decoded || in != want {
+				t.Errorf("%s pc %d: %v not decoded at build", k.Name, pc, in)
+			}
+		}
+		if err := (Launch{Kernel: k, GridDim: Dim1(1), BlockDim: Dim1(32)}).Validate(); err != nil {
+			t.Errorf("%s: %v", k.Name, err)
+		}
+	}
+	if made.Code[0].ExecUnit != UnitMem || !made.Code[0].DstMask.Has(1) {
+		t.Errorf("NewKernel decoded ld.global as unit %d, dst mask %v", made.Code[0].ExecUnit, made.Code[0].DstMask)
+	}
+
+	raw := Launch{Kernel: &Kernel{Name: "raw", Code: lit, NumRegs: 2}, GridDim: Dim1(1), BlockDim: Dim1(32)}
+	if err := raw.Validate(); err == nil || !strings.Contains(err.Error(), "not decoded") {
+		t.Errorf("undecoded kernel literal: Validate = %v, want a not-decoded error", err)
+	}
+}
+
 // Property: for any instruction, the register footprint derived by the
 // builder covers every register SrcRegs reports plus the destination.
 func TestFootprintCoversOperandsProperty(t *testing.T) {

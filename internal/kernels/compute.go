@@ -7,15 +7,9 @@ import (
 	"repro/internal/mem"
 )
 
-func init() {
-	register("kmeans", KMeans)
-	register("hotspot", Hotspot)
-	register("montecarlo", MonteCarlo)
-}
-
 // KMeans models the nearest-centroid assignment step: each thread scans K
 // centroids (broadcast loads that cache well) against its point.
-func KMeans(scale int) Workload {
+func KMeans(scale int, a Arena) Workload {
 	const kCentroids = 8
 	b := isa.NewBuilder("kmeans").ReserveRegs(16)
 	emitGid(b)
@@ -46,16 +40,15 @@ func KMeans(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 360 * scale
-	centroids := bufB()
+	centroids := a.bufB()
 	return Workload{
 		Name:        "kmeans",
 		Description: "nearest-centroid scan (warp-slot limited, compute+gather)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(128),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			for c := 0; c < kCentroids; c++ {
@@ -67,7 +60,7 @@ func KMeans(scale int) Workload {
 
 // Hotspot models the thermal-simulation stencil: shared-memory tile,
 // barriers, and a float compute chain per point.
-func Hotspot(scale int) Workload {
+func Hotspot(scale int, a Arena) Workload {
 	const width = 256
 	b := isa.NewBuilder("hotspot").ReserveRegs(24).SharedMem(3 * 1024)
 	emitGid(b)
@@ -112,12 +105,11 @@ func Hotspot(scale int) Workload {
 	return Workload{
 		Name:        "hotspot",
 		Description: "thermal stencil with shared tile and barriers (warp-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA() + 4*width, bufB(), bufC()},
+			Params:   []uint32{a.bufA() + 4*width, a.bufB(), a.bufC()},
 		},
 	}
 }
@@ -126,7 +118,7 @@ func Hotspot(scale int) Workload {
 // xorshift generator feeding SFU-heavy math, nearly no memory traffic.
 // Scheduling limited but compute bound, so VT gains little — included for
 // suite diversity, as in the paper.
-func MonteCarlo(scale int) Workload {
+func MonteCarlo(scale int, a Arena) Workload {
 	const paths = 16
 	b := isa.NewBuilder("montecarlo").ReserveRegs(18)
 	emitGid(b)
@@ -164,12 +156,11 @@ func MonteCarlo(scale int) Workload {
 	return Workload{
 		Name:        "montecarlo",
 		Description: "SFU-heavy path simulation (CTA-slot limited, compute bound)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA()},
+			Params:   []uint32{a.bufA()},
 		},
 	}
 }

@@ -5,52 +5,14 @@ import (
 	"repro/internal/mem"
 )
 
-// extraRegistry holds the extension workloads, kept out of the headline
-// 14-kernel suite so the paper-facing averages stay comparable; the
+// The extension workloads (class Extension) stay out of the headline
+// 22-kernel suite so the paper-facing averages stay comparable; the
 // fig-extras experiment evaluates them separately.
-var extraRegistry []struct {
-	name string
-	f    Factory
-}
-
-func registerExtra(name string, f Factory) {
-	extraRegistry = append(extraRegistry, struct {
-		name string
-		f    Factory
-	}{name, f})
-}
-
-func init() {
-	registerExtra("gemm", GEMM)
-	registerExtra("histogram", Histogram)
-	registerExtra("bitonic", Bitonic)
-}
-
-// ExtraNames returns the extension workload names.
-func ExtraNames() []string {
-	out := make([]string, len(extraRegistry))
-	for i, e := range extraRegistry {
-		out[i] = e.name
-	}
-	return out
-}
-
-// Extras returns every extension workload at the given scale, in the
-// default arena.
-func Extras(scale int) []Workload {
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	out := make([]Workload, 0, len(extraRegistry))
-	for _, e := range extraRegistry {
-		out = append(out, e.f(scale))
-	}
-	return out
-}
 
 // GEMM models a shared-memory-tiled matrix multiply inner phase: two tile
 // loads, a barrier, an 8-step FFMA sweep over the tile, repeated. High
 // compute intensity and a large shared tile: capacity-limited, VT-neutral.
-func GEMM(scale int) Workload {
+func GEMM(scale int, a Arena) Workload {
 	const kTiles = 4
 	b := isa.NewBuilder("gemm").SharedMem(8 * 1024).ReserveRegs(26)
 	emitGid(b)
@@ -94,12 +56,11 @@ func GEMM(scale int) Workload {
 	return Workload{
 		Name:        "gemm",
 		Description: "tiled matrix multiply (shared-memory limited, compute bound)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 	}
 }
@@ -107,7 +68,7 @@ func GEMM(scale int) Workload {
 // Histogram models a privatized shared-memory histogram: small CTAs stream
 // L2-resident input, bin into shared memory with data-dependent conflicts,
 // then flush. Scheduling-limited and memory-latency bound: a VT gainer.
-func Histogram(scale int) Workload {
+func Histogram(scale int, a Arena) Workload {
 	const (
 		iters  = 16
 		window = 0x3FFFC // 256 KiB input window (L2 resident)
@@ -148,16 +109,15 @@ func Histogram(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
-	input := bufA()
+	input := a.bufA()
 	return Workload{
 		Name:        "histogram",
 		Description: "privatized shared-memory histogram (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < (window+4)/4; i++ {
@@ -170,7 +130,7 @@ func Histogram(scale int) Workload {
 // Bitonic models one bitonic-sort merge pass: tiny CTAs compare-exchange a
 // shared tile across log2 stages with a barrier each, seeded from global
 // memory. Scheduling-limited, barrier dense.
-func Bitonic(scale int) Workload {
+func Bitonic(scale int, a Arena) Workload {
 	b := isa.NewBuilder("bitonic").SharedMem(512)
 	emitGid(b)
 	b.S2R(3, isa.SrTidX)
@@ -206,16 +166,15 @@ func Bitonic(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 960 * scale
-	keys := bufA()
+	keys := a.bufA()
 	return Workload{
 		Name:        "bitonic",
 		Description: "bitonic merge pass: 32-thread CTAs, barrier dense (CTA-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(32),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < 960*scale*32; i++ {
@@ -225,17 +184,13 @@ func Bitonic(scale int) Workload {
 	}
 }
 
-func init() {
-	registerExtra("scatteradd", ScatterAdd)
-}
-
 // ScatterAdd models degree counting / histogram building with global
 // atomics: every thread atomically increments a counter chosen by hashing
 // its id (and the previous atomic's returned count) into an L2-resident
 // table. The dependent-atomic chain stalls each round for a full memory
 // round trip — exactly what VT's trigger watches for. Individual counter
 // values depend on scheduling order, but their total is invariant.
-func ScatterAdd(scale int) Workload {
+func ScatterAdd(scale int, a Arena) Workload {
 	const (
 		counters = 16384 // 64 KiB counter table
 		rounds   = 12
@@ -265,16 +220,15 @@ func ScatterAdd(scale int) Workload {
 	b.Bra(10, "loop", "done")
 	b.Label("done")
 	b.Exit()
-	table := bufA()
+	table := a.bufA()
 	return Workload{
 		Name:        "scatteradd",
 		Description: "global atomic scatter-increment (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   b.MustBuild(),
 			GridDim:  isa.Dim1(480 * scale),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA()},
+			Params:   []uint32{a.bufA()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < counters; i++ {

@@ -7,11 +7,6 @@ import (
 	"repro/internal/mem"
 )
 
-func init() {
-	register("bfs", BFS)
-	register("spmv", SpMV)
-}
-
 // graphCSR deterministically builds a banded CSR adjacency for n nodes
 // with degrees in [1, 8) and neighbours within ±512 of the node, the
 // locality profile of mesh-derived graphs and band matrices. The locality
@@ -45,7 +40,7 @@ func graphCSR(n int) (rows, cols []uint32) {
 // CTAs (CTA-slot limited), heavy branch divergence, and irregular
 // data-dependent gathers — the archetypal workload the paper's motivation
 // highlights.
-func BFS(scale int) Workload {
+func BFS(scale int, a Arena) Workload {
 	const curLevel = 1
 	const nNodes = 16384 // fixed L2-resident graph, reused across the grid
 	b := isa.NewBuilder("bfs")
@@ -88,16 +83,15 @@ func BFS(scale int) Workload {
 
 	grid := 480 * scale
 	n := nNodes
-	levelsBuf, rowsBuf, colsBuf := bufA(), bufB(), bufC()
+	levelsBuf, rowsBuf, colsBuf := a.bufA(), a.bufB(), a.bufC()
 	return Workload{
 		Name:        "bfs",
 		Description: "BFS level expansion: divergent, irregular (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			rows, cols := graphCSR(n)
@@ -120,7 +114,7 @@ func BFS(scale int) Workload {
 // the matrix is stored column-major (coalesced across the warp) with a
 // fixed slot count, and the x-vector gathers follow the band structure of
 // mesh matrices, making the kernel memory-latency bound.
-func SpMV(scale int) Workload {
+func SpMV(scale int, a Arena) Workload {
 	const slots = 4
 	const nRows = 8192 // fixed L2-resident matrix, reused across the grid
 	b := isa.NewBuilder("spmv")
@@ -157,16 +151,15 @@ func SpMV(scale int) Workload {
 
 	grid := 480 * scale
 	n := nRows
-	colsBuf, valsBuf, xBuf, nBuf := bufA(), bufB(), bufC(), bufE()
+	colsBuf, valsBuf, xBuf, nBuf := a.bufA(), a.bufB(), a.bufC(), a.bufE()
 	return Workload{
 		Name:        "spmv",
 		Description: "ELL sparse y=Ax, row per thread (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(96),
-			Params:   []uint32{bufA(), bufB(), bufC(), bufD(), bufE()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC(), a.bufD(), a.bufE()},
 		},
 		Init: func(bk *mem.Backing) {
 			// Column-major ELL: element s of row r at index s*n + r.

@@ -13,40 +13,32 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// buildMu serializes workload construction (factories read arenaBase).
-var buildMu sync.Mutex
+// An Arena is the base address of one workload's global-memory buffers:
+// five 16 MiB regions, bufA to bufE. A factory takes its arena as an
+// argument and its launch parameters and Init closure capture it, so an
+// Init may run at any time, from any goroutine, and a concurrent-kernel
+// run can give every launch a disjoint arena (see BuildMix).
+type Arena uint32
 
-// Each workload's global-memory buffers live in an arena: five 16 MiB
-// regions starting at the arena base. Factories read the base that was
-// current when they were invoked — their launch parameters and their Init
-// closures alike capture it then, so an Init may run at any time, from
-// any goroutine — and concurrent-kernel runs can give every launch a
-// disjoint arena (see BuildAt).
 const (
 	// ArenaStride separates consecutive arenas (5 buffers + headroom).
 	ArenaStride = 0x0800_0000
-	// DefaultArena is the base used by Build and Suite.
-	DefaultArena = 0x0100_0000
+	// DefaultArena is the arena Build and Suite use.
+	DefaultArena Arena = 0x0100_0000
 
 	bufStride = 0x0100_0000
 )
 
-// arenaBase is the buffer base factories capture at build time. It is only
-// mutated inside BuildAt, which restores it before returning; factories
-// are not concurrency-safe, so every caller serializes through buildMu.
-var arenaBase uint32 = DefaultArena
-
-func bufA() uint32 { return arenaBase }
-func bufB() uint32 { return arenaBase + 1*bufStride }
-func bufC() uint32 { return arenaBase + 2*bufStride }
-func bufD() uint32 { return arenaBase + 3*bufStride }
-func bufE() uint32 { return arenaBase + 4*bufStride }
+func (a Arena) bufA() uint32 { return uint32(a) }
+func (a Arena) bufB() uint32 { return uint32(a) + 1*bufStride }
+func (a Arena) bufC() uint32 { return uint32(a) + 2*bufStride }
+func (a Arena) bufD() uint32 { return uint32(a) + 3*bufStride }
+func (a Arena) bufE() uint32 { return uint32(a) + 4*bufStride }
 
 // Workload is one benchmark instance: a launch plus its host-side input
 // initialization.
@@ -56,63 +48,83 @@ type Workload struct {
 	Launch      *isa.Launch
 	// Init preloads structured inputs (graphs, matrices); may be nil.
 	Init func(*mem.Backing)
-	// MemoryBound records the rough character used in reports.
-	MemoryBound bool
 }
 
 // Factory builds a workload at the given scale (grid size multiplier;
-// scale 1 is the evaluation size).
-type Factory func(scale int) Workload
+// scale 1 is the evaluation size) with its buffers in arena a.
+type Factory func(scale int, a Arena) Workload
 
-// registry maps workload names to factories in registration order.
-var registry []struct {
-	name string
-	f    Factory
+// Class tags a registered workload: the headline suite the paper-facing
+// tables cover, or an extension that fig-extras evaluates apart.
+type Class uint8
+
+// Workload classes.
+const (
+	Headline Class = iota
+	Extension
+)
+
+// registry lists every workload in registration order, which is the
+// order Names and Suite return and the tables print.
+var registry = []struct {
+	name  string
+	class Class
+	f     Factory
+}{
+	{"kmeans", Headline, KMeans},
+	{"hotspot", Headline, Hotspot},
+	{"montecarlo", Headline, MonteCarlo},
+	{"bfs", Headline, BFS},
+	{"spmv", Headline, SpMV},
+	{"gaussian", Headline, Gaussian},
+	{"cfd", Headline, CFD},
+	{"streamcluster", Headline, StreamCluster},
+	{"mummer", Headline, Mummer},
+	{"dwt2d", Headline, DWT2D},
+	{"nn", Headline, NN},
+	{"particlefilter", Headline, ParticleFilter},
+	{"heartwall", Headline, HeartWall},
+	{"vecadd", Headline, VecAdd},
+	{"stencil3d", Headline, Stencil3D},
+	{"srad", Headline, SRAD},
+	{"transpose", Headline, Transpose},
+	{"backprop", Headline, Backprop},
+	{"pathfinder", Headline, Pathfinder},
+	{"lud", Headline, LUD},
+	{"nw", Headline, NW},
+	{"reduce", Headline, Reduce},
+
+	{"gemm", Extension, GEMM},
+	{"histogram", Extension, Histogram},
+	{"bitonic", Extension, Bitonic},
+	{"scatteradd", Extension, ScatterAdd},
 }
 
-func register(name string, f Factory) {
-	registry = append(registry, struct {
-		name string
-		f    Factory
-	}{name, f})
-}
-
-// Names returns the registered workload names in suite order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.name
+// Names returns the names of the class's workloads in registration order.
+func Names(c Class) []string {
+	var out []string
+	for _, e := range registry {
+		if e.class == c {
+			out = append(out, e.name)
+		}
 	}
 	return out
 }
 
-// Build constructs the named workload — from the headline suite or the
-// extension set — in the default memory arena.
+// Build constructs the named workload, of either class, in the default
+// arena.
 func Build(name string, scale int) (Workload, error) {
 	return BuildAt(name, scale, DefaultArena)
 }
 
-// BuildAt constructs the named workload with its buffers based at the
-// given arena. Concurrent-kernel runs give each launch a disjoint arena
-// (base + k*ArenaStride) so their inputs and outputs never collide.
-func BuildAt(name string, scale int, arena uint32) (Workload, error) {
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	prev := arenaBase
-	arenaBase = arena
-	defer func() { arenaBase = prev }()
-
+// BuildAt constructs the named workload with its buffers in arena a.
+func BuildAt(name string, scale int, a Arena) (Workload, error) {
 	for _, e := range registry {
 		if e.name == name {
-			return e.f(scale), nil
+			return e.f(scale, a), nil
 		}
 	}
-	for _, e := range extraRegistry {
-		if e.name == name {
-			return e.f(scale), nil
-		}
-	}
-	known := append(Names(), ExtraNames()...)
+	known := append(Names(Headline), Names(Extension)...)
 	sort.Strings(known)
 	return Workload{}, fmt.Errorf("kernels: unknown workload %q (known: %v)", name, known)
 }
@@ -129,7 +141,7 @@ func BuildMix(name string, scale int) ([]*isa.Launch, func(*mem.Backing), error)
 	var launches []*isa.Launch
 	var inits []func(*mem.Backing)
 	for k, part := range strings.Split(name, MixSep) {
-		w, err := BuildAt(part, scale, uint32(DefaultArena+k*ArenaStride))
+		w, err := BuildAt(part, scale, DefaultArena+Arena(k)*ArenaStride)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -145,14 +157,14 @@ func BuildMix(name string, scale int) ([]*isa.Launch, func(*mem.Backing), error)
 	}, nil
 }
 
-// Suite returns every workload at the given scale, in suite order, all in
-// the default arena (they are run one at a time).
+// Suite returns every headline workload at the given scale, in suite
+// order, all in the default arena (they are run one at a time).
 func Suite(scale int) []Workload {
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	out := make([]Workload, 0, len(registry))
+	var out []Workload
 	for _, e := range registry {
-		out = append(out, e.f(scale))
+		if e.class == Headline {
+			out = append(out, e.f(scale, DefaultArena))
+		}
 	}
 	return out
 }

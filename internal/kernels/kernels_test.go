@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,8 @@ func TestBuildByName(t *testing.T) {
 	if _, err := kernels.Build("nosuch", 1); err == nil {
 		t.Fatal("unknown workload must error")
 	}
-	if len(kernels.Names()) != 22 {
-		t.Fatalf("Names() = %d entries", len(kernels.Names()))
+	if n := len(kernels.Names(kernels.Headline)); n != 22 {
+		t.Fatalf("Names(Headline) = %d entries", n)
 	}
 }
 
@@ -146,12 +147,17 @@ func TestBFSFunctionalOutput(t *testing.T) {
 }
 
 func TestExtras(t *testing.T) {
-	if len(kernels.ExtraNames()) != 4 {
-		t.Fatalf("extras = %v", kernels.ExtraNames())
+	extras := kernels.Names(kernels.Extension)
+	if want := []string{"gemm", "histogram", "bitonic", "scatteradd"}; !slices.Equal(extras, want) {
+		t.Fatalf("extensions = %v, want %v", extras, want)
 	}
 	cfg := config.Small()
-	for _, w := range kernels.Extras(1) {
-		w := w
+	for _, n := range extras {
+		// Extensions are reachable through Build but not part of the suite.
+		w, err := kernels.Build(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(w.Name, func(t *testing.T) {
 			w.Launch.GridDim.X = 16
 			if err := w.Launch.Validate(); err != nil {
@@ -167,14 +173,8 @@ func TestExtras(t *testing.T) {
 				}
 			}
 		})
-	}
-	// Extras are reachable through Build but not part of the suite.
-	if _, err := kernels.Build("gemm", 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range kernels.Names() {
-		if n == "gemm" || n == "histogram" || n == "bitonic" {
-			t.Fatalf("extra %q leaked into the headline suite", n)
+		if slices.Contains(kernels.Names(kernels.Headline), n) {
+			t.Fatalf("extension %q leaked into the headline suite", n)
 		}
 	}
 }

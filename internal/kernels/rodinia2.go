@@ -7,19 +7,10 @@ import (
 	"repro/internal/mem"
 )
 
-func init() {
-	register("gaussian", Gaussian)
-	register("cfd", CFD)
-	register("streamcluster", StreamCluster)
-	register("mummer", Mummer)
-	register("dwt2d", DWT2D)
-	register("nn", NN)
-}
-
 // Gaussian models the elimination step of Gaussian elimination (Rodinia's
 // Fan2): small CTAs read the pivot row (L2-resident, shared across the
 // grid) and update their own row slice.
-func Gaussian(scale int) Workload {
+func Gaussian(scale int, a Arena) Workload {
 	const (
 		width = 1024 // pivot row length in words
 		iters = 8
@@ -52,16 +43,15 @@ func Gaussian(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
-	pivot := bufA()
+	pivot := a.bufA()
 	return Workload{
 		Name:        "gaussian",
 		Description: "Gaussian elimination row update (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < width; i++ {
@@ -74,7 +64,7 @@ func Gaussian(scale int) Workload {
 // CFD models the Euler-solver flux computation: the register-hungriest
 // workload in Rodinia (40+ registers per thread), long float chains over
 // five conservative variables. Register-file (capacity) limited.
-func CFD(scale int) Workload {
+func CFD(scale int, a Arena) Workload {
 	b := isa.NewBuilder("cfd").ReserveRegs(42)
 	emitGid(b)
 	b.LdParam(3, 0)
@@ -115,19 +105,18 @@ func CFD(scale int) Workload {
 	return Workload{
 		Name:        "cfd",
 		Description: "Euler flux computation, 42 regs/thread (register limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(128),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }
 
 // StreamCluster models the pgain distance kernel: every thread computes
 // distances from its point to a center set that lives in L2.
-func StreamCluster(scale int) Workload {
+func StreamCluster(scale int, a Arena) Workload {
 	const centers = 16
 	b := isa.NewBuilder("streamcluster")
 	emitGid(b)
@@ -156,16 +145,15 @@ func StreamCluster(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 360 * scale
-	centerBuf := bufB()
+	centerBuf := a.bufB()
 	return Workload{
 		Name:        "streamcluster",
 		Description: "clustering distance scan (warp-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			for c := 0; c < centers; c++ {
@@ -179,7 +167,7 @@ func StreamCluster(scale int) Workload {
 // through an L2-resident tree with heavy divergence — each thread's path
 // length depends on its query. The deepest-dependence workload in the
 // suite.
-func Mummer(scale int) Workload {
+func Mummer(scale int, a Arena) Workload {
 	const (
 		treeWords = 32768 // 128 KiB tree, L2 resident
 		maxSteps  = 24
@@ -214,16 +202,15 @@ func Mummer(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
-	tree := bufA()
+	tree := a.bufA()
 	return Workload{
 		Name:        "mummer",
 		Description: "suffix-tree walk: dependent loads, divergent exits (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < treeWords; i++ {
@@ -236,7 +223,7 @@ func Mummer(scale int) Workload {
 // DWT2D models a discrete wavelet transform pass: a 4 KiB shared tile per
 // 64-thread CTA (shared-memory hungry relative to its thread count) with a
 // lifting-step barrier ladder.
-func DWT2D(scale int) Workload {
+func DWT2D(scale int, a Arena) Workload {
 	const levels = 4
 	b := isa.NewBuilder("dwt2d").SharedMem(4 * 1024)
 	emitGid(b)
@@ -286,12 +273,11 @@ func DWT2D(scale int) Workload {
 	return Workload{
 		Name:        "dwt2d",
 		Description: "wavelet lifting on a shared tile (CTA-slot limited, barrier ladder)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }
@@ -299,7 +285,7 @@ func DWT2D(scale int) Workload {
 // NN models the k-nearest-neighbour distance kernel: a three-instruction
 // body over a streamed record array — the smallest kernel in Rodinia,
 // bandwidth bound with big CTAs.
-func NN(scale int) Workload {
+func NN(scale int, a Arena) Workload {
 	b := isa.NewBuilder("nn")
 	emitGid(b)
 	b.LdParam(3, 0)
@@ -323,12 +309,11 @@ func NN(scale int) Workload {
 	return Workload{
 		Name:        "nn",
 		Description: "nearest-neighbour distance, 3-op body (warp-slot limited, streaming)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }

@@ -7,16 +7,11 @@ import (
 	"repro/internal/mem"
 )
 
-func init() {
-	register("particlefilter", ParticleFilter)
-	register("heartwall", HeartWall)
-}
-
 // ParticleFilter models the resampling walk: each warp follows a chain of
 // indices through an L2-resident weight array, with the loop condition
 // depending on the loaded weight — a full memory round trip per step.
 // Small CTAs make it CTA-slot limited: a canonical VT gainer.
-func ParticleFilter(scale int) Workload {
+func ParticleFilter(scale int, a Arena) Workload {
 	const (
 		weights  = 32768 // 128 KiB weight array, L2 resident
 		maxSteps = 16
@@ -59,16 +54,15 @@ func ParticleFilter(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
-	weightBuf := bufA()
+	weightBuf := a.bufA()
 	return Workload{
 		Name:        "particlefilter",
 		Description: "resampling index walk, stall per step (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < weights; i++ {
@@ -81,7 +75,7 @@ func ParticleFilter(scale int) Workload {
 // HeartWall models the template-tracking kernel: per frame, load a
 // template row from an L2-resident window, correlate against the shared
 // tile, barrier, repeat. Small CTAs, a long-latency load per frame.
-func HeartWall(scale int) Workload {
+func HeartWall(scale int, a Arena) Workload {
 	const (
 		frames = 12
 		window = 0x1FFFC // 128 KiB template window
@@ -127,16 +121,15 @@ func HeartWall(scale int) Workload {
 	k := b.MustBuild()
 
 	grid := 480 * scale
-	templates := bufB()
+	templates := a.bufB()
 	return Workload{
 		Name:        "heartwall",
 		Description: "template tracking: load + correlate + barrier per frame (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < (window+4)/4; i++ {

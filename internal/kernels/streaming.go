@@ -7,16 +7,9 @@ import (
 	"repro/internal/mem"
 )
 
-func init() {
-	register("vecadd", VecAdd)
-	register("stencil3d", Stencil3D)
-	register("srad", SRAD)
-	register("transpose", Transpose)
-}
-
 // VecAdd models a streaming SAXPY-style kernel: out[i] = a[i] + b[i].
 // Large CTAs with a tiny register footprint make it warp-slot limited.
-func VecAdd(scale int) Workload {
+func VecAdd(scale int, a Arena) Workload {
 	b := isa.NewBuilder("vecadd")
 	emitGid(b)
 	b.LdParam(3, 0)
@@ -34,16 +27,15 @@ func VecAdd(scale int) Workload {
 
 	grid := 360 * scale
 	n := grid * 256
-	x, y := bufA(), bufB()
+	x, y := a.bufA(), a.bufB()
 	return Workload{
 		Name:        "vecadd",
 		Description: "streaming vector add (warp-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 		Init: func(bk *mem.Backing) {
 			for i := 0; i < n; i++ {
@@ -56,7 +48,7 @@ func VecAdd(scale int) Workload {
 
 // Stencil3D models a 7-point 3-D stencil sweep: small CTAs, six neighbour
 // loads per point, CTA-slot limited.
-func Stencil3D(scale int) Workload {
+func Stencil3D(scale int, a Arena) Workload {
 	const (
 		width  = 128
 		height = 64
@@ -91,12 +83,11 @@ func Stencil3D(scale int) Workload {
 	return Workload{
 		Name:        "stencil3d",
 		Description: "7-point 3-D stencil (CTA-slot limited, streaming)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(128),
-			Params:   []uint32{bufA() + 4*width*height, bufB()},
+			Params:   []uint32{a.bufA() + 4*width*height, a.bufB()},
 		},
 	}
 }
@@ -104,7 +95,7 @@ func Stencil3D(scale int) Workload {
 // SRAD models the speckle-reducing anisotropic diffusion stencil: a
 // register-hungry (capacity-limited) memory-heavy kernel where Virtual
 // Thread has no headroom.
-func SRAD(scale int) Workload {
+func SRAD(scale int, a Arena) Workload {
 	const width = 256
 	b := isa.NewBuilder("srad").ReserveRegs(28)
 	emitGid(b)
@@ -137,19 +128,18 @@ func SRAD(scale int) Workload {
 	return Workload{
 		Name:        "srad",
 		Description: "diffusion stencil, 28 regs/thread (register limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA() + 4*width, bufB()},
+			Params:   []uint32{a.bufA() + 4*width, a.bufB()},
 		},
 	}
 }
 
 // Transpose models a tiled matrix transpose through shared memory,
 // exercising shared-memory bank behaviour; warp-slot limited.
-func Transpose(scale int) Workload {
+func Transpose(scale int, a Arena) Workload {
 	b := isa.NewBuilder("transpose").SharedMem(4 * 1024)
 	emitGid(b)
 	// Load one element into the tile, coalesced.
@@ -177,12 +167,11 @@ func Transpose(scale int) Workload {
 	return Workload{
 		Name:        "transpose",
 		Description: "tiled transpose through shared memory (warp-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }

@@ -6,17 +6,9 @@ import (
 	"repro/internal/isa"
 )
 
-func init() {
-	register("backprop", Backprop)
-	register("pathfinder", Pathfinder)
-	register("lud", LUD)
-	register("nw", NW)
-	register("reduce", Reduce)
-}
-
 // Backprop models a neural-network layer forward pass: per-thread
 // multiply, shared-memory exchange across the CTA, and an SFU activation.
-func Backprop(scale int) Workload {
+func Backprop(scale int, a Arena) Workload {
 	b := isa.NewBuilder("backprop").SharedMem(2 * 1024)
 	emitGid(b)
 	b.LdParam(3, 0)
@@ -61,19 +53,18 @@ func Backprop(scale int) Workload {
 	return Workload{
 		Name:        "backprop",
 		Description: "NN layer with shared-memory exchange and barriers (warp-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 	}
 }
 
 // Pathfinder models the dynamic-programming grid walk: an iterative
 // shared-memory relaxation with a global cost load per step.
-func Pathfinder(scale int) Workload {
+func Pathfinder(scale int, a Arena) Workload {
 	const (
 		iters = 8
 		width = 16384
@@ -124,12 +115,11 @@ func Pathfinder(scale int) Workload {
 	return Workload{
 		Name:        "pathfinder",
 		Description: "DP grid relaxation, barrier per step (CTA-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(64),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }
@@ -137,7 +127,7 @@ func Pathfinder(scale int) Workload {
 // LUD models one LU-decomposition diagonal-block step: a single tiny warp
 // per CTA iterating over a shared tile with barriers. The hardest
 // CTA-slot-limited case: 8 active CTAs occupy only 8 of 48 warp slots.
-func LUD(scale int) Workload {
+func LUD(scale int, a Arena) Workload {
 	const steps = 8
 	b := isa.NewBuilder("lud").SharedMem(1024)
 	emitGid(b)
@@ -212,19 +202,18 @@ func LUD(scale int) Workload {
 	return Workload{
 		Name:        "lud",
 		Description: "LU tile step: one warp per CTA, barrier loops (CTA-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(32),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 	}
 }
 
 // NW models the Needleman-Wunsch wavefront: tiny CTAs, a barrier per
 // anti-diagonal, integer max chains over a shared tile.
-func NW(scale int) Workload {
+func NW(scale int, a Arena) Workload {
 	const diags = 12
 	b := isa.NewBuilder("nw").SharedMem(2 * 1024)
 	emitGid(b)
@@ -272,19 +261,18 @@ func NW(scale int) Workload {
 	return Workload{
 		Name:        "nw",
 		Description: "sequence-alignment wavefront: 32-thread CTAs (CTA-slot limited)",
-		MemoryBound: false,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(32),
-			Params:   []uint32{bufA(), bufB(), bufC()},
+			Params:   []uint32{a.bufA(), a.bufB(), a.bufC()},
 		},
 	}
 }
 
 // Reduce models a two-load tree reduction: grid-strided loads into shared
 // memory, then a log2(block) barrier ladder with shrinking active sets.
-func Reduce(scale int) Workload {
+func Reduce(scale int, a Arena) Workload {
 	b := isa.NewBuilder("reduce").SharedMem(1024)
 	emitGid(b)
 	b.LdParam(3, 0)
@@ -335,12 +323,11 @@ func Reduce(scale int) Workload {
 	return Workload{
 		Name:        "reduce",
 		Description: "tree reduction with a barrier ladder (warp-slot limited)",
-		MemoryBound: true,
 		Launch: &isa.Launch{
 			Kernel:   k,
 			GridDim:  isa.Dim1(grid),
 			BlockDim: isa.Dim1(256),
-			Params:   []uint32{bufA(), bufB()},
+			Params:   []uint32{a.bufA(), a.bufB()},
 		},
 	}
 }

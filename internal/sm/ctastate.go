@@ -32,8 +32,7 @@ func (s *SM) addResident(c *warp.CTA) {
 }
 
 // removeResident retires a completed CTA that holds no warp slots:
-// releases its capacity, drops it from Resident, and notifies the
-// controller.
+// releases its capacity, drops it from Resident, and counts it completed.
 func (s *SM) removeResident(c *warp.CTA) {
 	s.SetCTAState(c, warp.CTADone)
 	s.RegsUsed -= c.RegsAlloc
@@ -46,7 +45,6 @@ func (s *SM) removeResident(c *warp.CTA) {
 		}
 	}
 	s.Stats.CTAsCompleted++
-	s.Ctl.CTARetired(s, c)
 }
 
 // SetCTAState is the single writer of a resident CTA's State. It keeps the

@@ -277,7 +277,7 @@ func (s *SM) checkDerived(fail func(format string, args ...any)) {
 			}
 			want := warp.BlockedDone
 			if w.Slot >= 0 && c.State == warp.CTAActive {
-				want = w.BlockedState(code, s.srcBuf)
+				want = w.BlockedState(code)
 			}
 			if w.IssueState != want {
 				fail("CTA %d/%d warp %d: cached class %v, a rescan says %v",

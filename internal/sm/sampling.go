@@ -157,7 +157,7 @@ func (s *SM) FunctionalRetire(max int64) int64 {
 					}
 					if info.MemOp {
 						s.functionalMem(w, in, info)
-					} else if in.Unit() == isa.UnitSFU {
+					} else if in.ExecUnit == isa.UnitSFU {
 						s.Stats.SFUIssued++
 					}
 				}

@@ -66,7 +66,7 @@ func (sc *scheduler) schedulable(w *warp.Warp) (ok bool, blocked warp.Blocked, s
 		return false, warp.BlockedDone, false
 	}
 	in := &code[pc]
-	conflict, onLoad := w.SB.Conflicts(in, s.srcBuf)
+	conflict, onLoad := w.SB.Conflicts(in)
 	if conflict {
 		if onLoad {
 			return false, warp.BlockedMem, false
@@ -75,7 +75,7 @@ func (sc *scheduler) schedulable(w *warp.Warp) (ok bool, blocked warp.Blocked, s
 	}
 	// Structural hazards.
 	now := s.Ev.Now()
-	switch in.Unit() {
+	switch in.ExecUnit {
 	case isa.UnitSFU:
 		if now < s.sfuFreeAt {
 			return false, warp.BlockedNot, true
@@ -466,7 +466,7 @@ func (sc *scheduler) twoLevelPick() *warp.Warp {
 		if w.Finished || w.CTA.State != warp.CTAActive {
 			continue
 		}
-		if w.BlockedState(w.CTA.Launch.Kernel.Code, s.srcBuf) == warp.BlockedMem {
+		if w.BlockedState(w.CTA.Launch.Kernel.Code) == warp.BlockedMem {
 			continue
 		}
 		kept = append(kept, w)
@@ -488,7 +488,7 @@ func (sc *scheduler) twoLevelPick() *warp.Warp {
 			if w == nil || w.Finished || w.CTA.State != warp.CTAActive || inGroup(w) {
 				continue
 			}
-			if w.BlockedState(w.CTA.Launch.Kernel.Code, s.srcBuf) == warp.BlockedMem {
+			if w.BlockedState(w.CTA.Launch.Kernel.Code) == warp.BlockedMem {
 				continue
 			}
 			sc.group = append(sc.group, w)
@@ -517,11 +517,7 @@ func (sc *scheduler) rfBankStall(w *warp.Warp, in *isa.Instr) {
 	}
 	var counts [64]int
 	extra := 0
-	srcs := in.SrcList[:in.NSrc]
-	if !in.Decoded {
-		srcs = in.SrcRegs(sc.sm.srcBuf[:0])
-	}
-	for _, r := range srcs {
+	for _, r := range in.SrcList[:in.NSrc] {
 		b := int(r) % banks
 		counts[b]++
 		if counts[b] > 1 {
@@ -597,7 +593,7 @@ func (sc *scheduler) aluIssue(w *warp.Warp, in *isa.Instr) {
 		return
 	}
 	var lat int64
-	switch in.Unit() {
+	switch in.ExecUnit {
 	case isa.UnitSFU:
 		lat = int64(s.Cfg.SFULatency)
 		s.sfuFreeAt = s.Ev.Now() + int64(s.Cfg.SFUInitInterval)

@@ -21,13 +21,11 @@ import (
 // Attach once, with the fully built SM, so the policy sizes its per-SM
 // state at construction. The SM calls Cycle before issuing each cycle so
 // the policy can assign new CTAs, activate ready ones, and (under VT) swap
-// stalled ones out; it calls CTARetired when a CTA's last warp exits and
-// LoadsDrained when a CTA's last outstanding global load returns.
+// stalled ones out. A retired CTA's resources and a swapped-out CTA's
+// drained loads are already in the SM's state by the next Cycle call.
 type Controller interface {
 	Attach(s *SM)
 	Cycle(s *SM)
-	CTARetired(s *SM, c *warp.CTA)
-	LoadsDrained(s *SM, c *warp.CTA)
 }
 
 // Probe observes SM state transitions for telemetry. Every method is
@@ -207,7 +205,6 @@ type SM struct {
 	Stats Stats
 
 	addrBuf []uint32
-	srcBuf  []isa.Reg
 
 	// sampLines is coalescing scratch for the functional-retire path
 	// (see sampling.go); transient, never serialized.
@@ -338,7 +335,6 @@ func New(id int, cfg *config.GPUConfig, ev *event.Queue, msys *mem.System,
 		MaxThreads: maxThreads,
 		Slots:      make([]*warp.Warp, maxWarps),
 		addrBuf:    make([]uint32, cfg.WarpSize),
-		srcBuf:     make([]isa.Reg, 8),
 
 		trigFrac:    cfg.VT.EffTriggerFraction(),
 		newestFirst: cfg.VT.Activation == config.ActNewest,
@@ -477,7 +473,7 @@ func (s *SM) reclassify(w *warp.Warp) {
 	cls := warp.BlockedDone
 	rr := false
 	if w.Slot >= 0 {
-		bs := w.BlockedOn(w.Next, s.srcBuf)
+		bs := w.BlockedOn(w.Next)
 		switch w.CTA.State {
 		case warp.CTAActive:
 			cls = bs
@@ -559,8 +555,8 @@ func (s *SM) anyOutstandingLoads(c *warp.CTA) bool {
 	return false
 }
 
-// retire releases everything a completed CTA holds and notifies the
-// controller.
+// retire releases everything a completed CTA holds; the controller sees
+// the freed capacity at its next Cycle.
 func (s *SM) retire(c *warp.CTA) {
 	s.Deactivate(c)
 	s.removeResident(c)
@@ -617,7 +613,7 @@ func (s *SM) Quiescent() bool {
 		if w == nil || w.Finished {
 			continue
 		}
-		if w.BlockedState(w.CTA.Launch.Kernel.Code, s.srcBuf) == warp.BlockedNot {
+		if w.BlockedState(w.CTA.Launch.Kernel.Code) == warp.BlockedNot {
 			return false
 		}
 	}
@@ -745,7 +741,7 @@ func (s *SM) lsuTick() {
 
 // loadComplete fires when the last line of a warp load returns: the
 // destination becomes readable and, if this was the CTA's last outstanding
-// load while swapped out, the controller learns it is ready again.
+// load while swapped out, the CTA becomes ready again.
 func (s *SM) loadComplete(idx int32) {
 	s.WakeUp() // flush fast-forward accounting before mutating state
 	op := &s.lsuPool[idx]
@@ -757,7 +753,6 @@ func (s *SM) loadComplete(idx int32) {
 	c := w.CTA
 	if c.State == warp.CTAInactiveWaiting && !s.anyOutstandingLoads(c) {
 		s.SetCTAState(c, warp.CTAInactiveReady)
-		s.Ctl.LoadsDrained(s, c)
 	}
 }
 

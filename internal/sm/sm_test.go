@@ -13,8 +13,7 @@ import (
 
 // testController admits CTAs greedily like the baseline dispatcher.
 type testController struct {
-	grid    *cta.Grid
-	retired []int
+	grid *cta.Grid
 }
 
 func (tc *testController) Attach(s *SM) {}
@@ -31,10 +30,6 @@ func (tc *testController) Cycle(s *SM) {
 		s.Activate(c)
 	}
 }
-func (tc *testController) CTARetired(s *SM, c *warp.CTA) {
-	tc.retired = append(tc.retired, c.FlatID)
-}
-func (tc *testController) LoadsDrained(s *SM, c *warp.CTA) {}
 
 // rig bundles one SM with its environment for direct pipeline tests.
 type rig struct {
@@ -133,8 +128,8 @@ func TestBarrierSynchronizesCTA(t *testing.T) {
 	if r.sm.Stats.BarrierReleases != 1 {
 		t.Fatalf("barrier releases = %d, want 1", r.sm.Stats.BarrierReleases)
 	}
-	if len(r.ctl.retired) != 1 {
-		t.Fatalf("retired = %v", r.ctl.retired)
+	if n := r.sm.Stats.CTAsCompleted; n != 1 {
+		t.Fatalf("retired = %d, want 1", n)
 	}
 }
 
@@ -289,8 +284,8 @@ func TestCTAResourceAccounting(t *testing.T) {
 		t.Fatalf("leaked resources: regs=%d smem=%d warps=%d threads=%d",
 			r.sm.RegsUsed, r.sm.SMemUsed, r.sm.WarpsUsed, r.sm.ThreadsUsed)
 	}
-	if len(r.ctl.retired) != 100 {
-		t.Fatalf("retired = %d, want 100", len(r.ctl.retired))
+	if n := r.sm.Stats.CTAsCompleted; n != 100 {
+		t.Fatalf("retired = %d, want 100", n)
 	}
 }
 
@@ -431,8 +426,8 @@ func TestTwoLevelScheduler(t *testing.T) {
 	cfg.NumSchedulers = 1
 	r := newRig(t, cfg, launch(aluKernel(12), 4, 128)) // 16 warps over 4 CTAs
 	r.run(t, 1000000)
-	if len(r.ctl.retired) != 4 {
-		t.Fatalf("retired %d CTAs", len(r.ctl.retired))
+	if n := r.sm.Stats.CTAsCompleted; n != 4 {
+		t.Fatalf("retired %d CTAs", n)
 	}
 	if r.sm.Stats.Issued == 0 {
 		t.Fatal("nothing issued under two-level scheduling")
@@ -447,8 +442,8 @@ func TestTwoLevelSwapsStalledWarpsOut(t *testing.T) {
 	cfg.NumSchedulers = 1
 	r := newRig(t, cfg, launch(loadKernel(), 8, 32, 0x10000))
 	r.run(t, 1000000)
-	if len(r.ctl.retired) != 8 {
-		t.Fatalf("retired %d CTAs", len(r.ctl.retired))
+	if n := r.sm.Stats.CTAsCompleted; n != 8 {
+		t.Fatalf("retired %d CTAs", n)
 	}
 }
 

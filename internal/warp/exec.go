@@ -78,7 +78,7 @@ func execute(w *Warp, in *isa.Instr, active simt.Mask, gmem *mem.Backing, addrBu
 		return info
 	}
 
-	if in.Unit() == isa.UnitMem {
+	if in.ExecUnit == isa.UnitMem {
 		info.MemOp = true
 		info.Addrs = addrBuf[:w.warpW]
 		if ref {

@@ -54,32 +54,13 @@ func (sb *Scoreboard) ClearPending(r isa.Reg) {
 
 // Conflicts reports whether the instruction has a RAW or WAW hazard against
 // outstanding writes, and whether any conflicting register is waiting on a
-// global load. srcBuf is scratch to avoid allocation.
-func (sb *Scoreboard) Conflicts(in *isa.Instr, srcBuf []isa.Reg) (conflict, onLoad bool) {
-	if in.Decoded {
-		// load is a subset of pend (MarkPending/ClearPending maintain them
-		// in lockstep), so the slow path's "some conflicting register is
-		// load-pending" is exactly a load/HazMask intersection.
-		if !sb.pend.Intersects(&in.HazMask) {
-			return false, false
-		}
-		return true, sb.load.Intersects(&in.HazMask)
+// global load. load is a subset of pend (MarkPending/ClearPending maintain
+// them in lockstep), so the second answer is a load/HazMask intersection.
+func (sb *Scoreboard) Conflicts(in *isa.Instr) (conflict, onLoad bool) {
+	if !sb.pend.Intersects(&in.HazMask) {
+		return false, false
 	}
-	check := func(r isa.Reg) {
-		if r != isa.RZ && sb.pend.Has(r) {
-			conflict = true
-			if sb.load.Has(r) {
-				onLoad = true
-			}
-		}
-	}
-	if in.Op.HasDst() {
-		check(in.Dst)
-	}
-	for _, r := range in.SrcRegs(srcBuf[:0]) {
-		check(r)
-	}
-	return conflict, onLoad
+	return true, sb.load.Intersects(&in.HazMask)
 }
 
 // Busy reports whether any write is outstanding.
@@ -353,7 +334,7 @@ const (
 
 // PortOf returns the issue port the instruction needs.
 func PortOf(in *isa.Instr) IssuePort {
-	switch in.Unit() {
+	switch in.ExecUnit {
 	case isa.UnitSFU:
 		return PortSFU
 	case isa.UnitMem:
@@ -366,18 +347,18 @@ func PortOf(in *isa.Instr) IssuePort {
 }
 
 // BlockedState classifies the warp's current impediment, ignoring
-// structural (execution-unit) availability. srcBuf is scratch.
-func (w *Warp) BlockedState(code []isa.Instr, srcBuf []isa.Reg) Blocked {
+// structural (execution-unit) availability.
+func (w *Warp) BlockedState(code []isa.Instr) Blocked {
 	var in *isa.Instr
 	if pc, _, ok := w.Stack.Current(); ok {
 		in = &code[pc]
 	}
-	return w.BlockedOn(in, srcBuf)
+	return w.BlockedOn(in)
 }
 
 // BlockedOn is BlockedState for a caller that already holds the warp's
 // next instruction (nil when the SIMT stack is empty).
-func (w *Warp) BlockedOn(in *isa.Instr, srcBuf []isa.Reg) Blocked {
+func (w *Warp) BlockedOn(in *isa.Instr) Blocked {
 	if w.Finished {
 		return BlockedDone
 	}
@@ -387,7 +368,7 @@ func (w *Warp) BlockedOn(in *isa.Instr, srcBuf []isa.Reg) Blocked {
 	if in == nil {
 		return BlockedDone
 	}
-	conflict, onLoad := w.SB.Conflicts(in, srcBuf)
+	conflict, onLoad := w.SB.Conflicts(in)
 	switch {
 	case !conflict:
 		return BlockedNot

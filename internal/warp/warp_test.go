@@ -42,26 +42,26 @@ func runWarp(t *testing.T, w *Warp, code []isa.Instr, gmem *mem.Backing) {
 
 func TestScoreboard(t *testing.T) {
 	var sb Scoreboard
-	buf := make([]isa.Reg, 0, 4)
 	in := isa.Instr{Op: isa.OpIAdd, Dst: 2, SrcA: 0, SrcB: 1}
+	in.Decode()
 
-	if c, _ := sb.Conflicts(&in, buf[:4]); c {
+	if c, _ := sb.Conflicts(&in); c {
 		t.Fatal("empty scoreboard must not conflict")
 	}
 	sb.MarkPending(0, false) // RAW on SrcA, short latency
-	c, onLoad := sb.Conflicts(&in, buf[:4])
+	c, onLoad := sb.Conflicts(&in)
 	if !c || onLoad {
 		t.Fatalf("RAW short: conflict=%v onLoad=%v", c, onLoad)
 	}
 	sb.ClearPending(0)
 	sb.MarkPending(1, true) // RAW on SrcB, load
-	c, onLoad = sb.Conflicts(&in, buf[:4])
+	c, onLoad = sb.Conflicts(&in)
 	if !c || !onLoad {
 		t.Fatalf("RAW load: conflict=%v onLoad=%v", c, onLoad)
 	}
 	sb.ClearPending(1)
 	sb.MarkPending(2, false) // WAW on Dst
-	if c, _ := sb.Conflicts(&in, buf[:4]); !c {
+	if c, _ := sb.Conflicts(&in); !c {
 		t.Fatal("WAW must conflict")
 	}
 	sb.ClearPending(2)
@@ -310,27 +310,26 @@ func TestBlockedState(t *testing.T) {
 	l := simpleLaunch(t, k, 1, 32)
 	c := NewCTA(l, 0, 32)
 	w := c.Warps[0]
-	buf := make([]isa.Reg, 4)
 
-	if got := w.BlockedState(k.Code, buf); got != BlockedNot {
+	if got := w.BlockedState(k.Code); got != BlockedNot {
 		t.Fatalf("fresh warp blocked = %v", got)
 	}
 	w.SB.MarkPending(0, false)
-	if got := w.BlockedState(k.Code, buf); got != BlockedALU {
+	if got := w.BlockedState(k.Code); got != BlockedALU {
 		t.Fatalf("ALU dep blocked = %v", got)
 	}
 	w.SB.MarkPending(1, true)
-	if got := w.BlockedState(k.Code, buf); got != BlockedMem {
+	if got := w.BlockedState(k.Code); got != BlockedMem {
 		t.Fatalf("load dep blocked = %v", got)
 	}
 	w.SB = Scoreboard{}
 	w.AtBarrier = true
-	if got := w.BlockedState(k.Code, buf); got != BlockedBarrier {
+	if got := w.BlockedState(k.Code); got != BlockedBarrier {
 		t.Fatalf("barrier blocked = %v", got)
 	}
 	w.AtBarrier = false
 	w.Finished = true
-	if got := w.BlockedState(k.Code, buf); got != BlockedDone {
+	if got := w.BlockedState(k.Code); got != BlockedDone {
 		t.Fatalf("finished blocked = %v", got)
 	}
 	if BlockedNot.String() != "ready" || BlockedMem.String() != "mem-dep" {
@@ -460,6 +459,7 @@ func TestInactiveLanesUntouchedProperty(t *testing.T) {
 						}()
 						ws := newLaneRig(1, 0, active)
 						in := isa.Instr{Op: isa.OpLdParam, Dst: dst, Imm: 7}
+						in.Decode()
 						ws.run(&in, ref)
 					}()
 				}
@@ -483,7 +483,7 @@ type laneRig struct {
 }
 
 func newLaneRig(seed int64, warpIdx int, active simt.Mask) *laneRig {
-	k := &isa.Kernel{Name: "lanes", Code: make([]isa.Instr, 8), NumRegs: 6, SMemBytes: 96}
+	k := isa.NewKernel("lanes", make([]isa.Instr, 8), 6, 96)
 	// 52 threads: warp 0 is full, warp 1 is the partial last warp (20 lanes).
 	l := &isa.Launch{Kernel: k, GridDim: isa.Dim3{X: 3, Y: 2, Z: 1}, BlockDim: isa.Dim3{X: 13, Y: 2, Z: 2},
 		Params: []uint32{0x1000, 0xBEEF, 7}}
@@ -600,9 +600,7 @@ func testRowKernelEquivalence(t *testing.T) {
 							case isa.OpS2R, isa.OpLdParam:
 								in.Imm = uint32(sel)
 							}
-							if cases%2 == 0 {
-								in.Decode() // both the pre-decoded and the hand-built form
-							}
+							in.Decode()
 							cases++
 							seed := int64(cases)
 							rows, lanes := newLaneRig(seed, m.warp, m.active), newLaneRig(seed, m.warp, m.active)

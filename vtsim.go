@@ -1,6 +1,6 @@
 // Package vtsim is the public API of the Virtual Thread reproduction: a
 // cycle-level GPU simulator with baseline, Virtual Thread (ISCA 2016),
-// ideal, and full-swap CTA scheduling policies, a 14-kernel synthetic
+// ideal, and full-swap CTA scheduling policies, a 22-kernel synthetic
 // workload suite, and the experiment harness that regenerates every table
 // and figure of the paper's evaluation.
 //
@@ -75,7 +75,7 @@ type Launch = isa.Launch
 type Backing = mem.Backing
 
 // WorkloadNames lists the synthetic suite in evaluation order.
-func WorkloadNames() []string { return kernels.Names() }
+func WorkloadNames() []string { return kernels.Names(kernels.Headline) }
 
 // BuildWorkload constructs a suite workload at the given grid scale
 // (1 = evaluation size).
