@@ -2,6 +2,8 @@
 // builds every binary once and runs each with the smallest input that
 // reaches its main path, so a tool that stops starting, stops parsing its
 // flags or stops printing its summary fails here and not in a CI drill.
+// The examples/ programs, which the README and DESIGN.md point users at,
+// are built and run the same way.
 package cmd
 
 import (
@@ -40,7 +42,10 @@ func TestCommandSmoke(t *testing.T) {
 	dir := t.TempDir()
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
 		"repro/cmd/vtsim", "repro/cmd/vtasm", "repro/cmd/vtdiff",
-		"repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench")
+		"repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench",
+		"repro/examples/customkernel", "repro/examples/multikernel",
+		"repro/examples/occupancy", "repro/examples/quickstart",
+		"repro/examples/swaptrace", "repro/examples/sweep")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -80,9 +85,16 @@ func TestCommandSmoke(t *testing.T) {
 	}{
 		{bin: "vtsim", args: []string{"-workload", "bfs", "-policy", "vt"}, want: "policy:              vt, scheduler gto, 15 SMs"},
 		{bin: "vtasm", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
+		{bin: "vtasm", args: []string{"-grid", "2", "-block", "32", "-param", "0x1000", "tiny.vta"}, want: "policy baseline: "},
 		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
 		{bin: "vtreport", args: []string{"-rings", "rings.json"}, want: "== swap-rate phases =="},
 		{bin: "vtsweepd", args: []string{"-list"}, want: experiments, whole: true},
+		{bin: "customkernel", want: `kernel "chase": 31 instructions, 11 regs/thread`},
+		{bin: "multikernel", want: "co-scheduled mix: nw+montecarlo"},
+		{bin: "occupancy", want: "18 of 22 workloads are scheduling-limited"},
+		{bin: "quickstart", want: "workload: nw — sequence-alignment wavefront"},
+		{bin: "swaptrace", want: "timeline (first 40 of "},
+		{bin: "sweep", want: "swap latency       cycles    speedup    swaps"},
 	} {
 		t.Run(tc.bin, func(t *testing.T) {
 			out, code := run(t, dir, tc.bin, tc.args...)

@@ -117,13 +117,6 @@ func main() {
 	t.Fprint(os.Stdout)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // storeReport opens the result store read-mostly (opening replays the
 // index and recovers any interrupted transaction) and prints the
 // per-kind inventory, the replica sides, and a Verify audit of every

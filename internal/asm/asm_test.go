@@ -59,8 +59,8 @@ func TestAssembleSaxpyRuns(t *testing.T) {
 	_, err = gpu.Run(l, config.Small(), gpu.Options{
 		InitMemory: func(b *mem.Backing) {
 			for i := 0; i < 256; i++ {
-				b.WriteFloats(0x10000+uint32(4*i), []float32{float32(i)})
-				b.WriteFloats(0x20000+uint32(4*i), []float32{1})
+				b.StoreWord(0x10000+uint32(4*i), math.Float32bits(float32(i)))
+				b.StoreWord(0x20000+uint32(4*i), math.Float32bits(1))
 			}
 		},
 		KeepBacking: func(b *mem.Backing) { out = b },
@@ -70,7 +70,7 @@ func TestAssembleSaxpyRuns(t *testing.T) {
 	}
 	for i := 0; i < 256; i++ {
 		want := float32(2*i + 1)
-		if got := out.LoadFloat(0x30000 + uint32(4*i)); got != want {
+		if got := math.Float32frombits(out.LoadWord(0x30000 + uint32(4*i))); got != want {
 			t.Fatalf("out[%d] = %v, want %v", i, got, want)
 		}
 	}

@@ -343,7 +343,9 @@ func KeplerLike() GPUConfig {
 }
 
 // Small returns a scaled-down configuration for fast unit and integration
-// tests: 2 SMs with Fermi-shaped per-SM limits but tiny caches.
+// tests: 2 SMs with Fermi-shaped per-SM limits but tiny caches. It is test
+// support, shared by the tests of most packages; no production path
+// calls it.
 func Small() GPUConfig {
 	c := GTX480()
 	c.Name = "small"

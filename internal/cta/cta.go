@@ -119,7 +119,7 @@ func ComputeOccupancy(l *isa.Launch, cfg *config.GPUConfig) Occupancy {
 	o.ByCTASlots = cfg.MaxCTAsPerSM
 	o.ByWarps = cfg.MaxWarpsPerSM / fp.Warps
 	o.ByThreads = cfg.MaxThreadsPerSM / fp.Threads
-	o.ByRegs = cfg.RegFileSize / maxInt(fp.Regs, 1)
+	o.ByRegs = cfg.RegFileSize / max(fp.Regs, 1)
 	if fp.SMem == 0 {
 		o.BySMem = cfg.MaxCTAsPerSM * 1024 // effectively unlimited
 	} else {
@@ -143,7 +143,7 @@ func ComputeOccupancy(l *isa.Launch, cfg *config.GPUConfig) Occupancy {
 		}
 	}
 
-	o.CapacityCTAs = minInt(o.ByRegs, o.BySMem)
+	o.CapacityCTAs = min(o.ByRegs, o.BySMem)
 
 	// A grid smaller than the hardware's aggregate concurrency is its
 	// own limiter.
@@ -155,20 +155,6 @@ func ComputeOccupancy(l *isa.Launch, cfg *config.GPUConfig) Occupancy {
 	return o
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Source dispenses CTA instances to SMs. Next must only instantiate (and
 // consume) a CTA whose footprint the fit callback accepts, so controllers
 // can express their admission constraints without peeking at internals.
@@ -176,8 +162,6 @@ type Source interface {
 	// Next returns the next CTA whose (regs, smem, warps, threads)
 	// footprint satisfies fit, or nil if none is available right now.
 	Next(fit func(regs, smem, warps, threads int) bool) *warp.CTA
-	// Remaining returns the number of CTAs not yet dispensed.
-	Remaining() int
 }
 
 // Grid dispenses CTA instances of one launch in flat-index order, stamping
@@ -204,9 +188,6 @@ func NewGrid(l *isa.Launch, cfg *config.GPUConfig) *Grid {
 // SetKernelID tags dispensed CTAs with the launch's index in a
 // multi-kernel run.
 func (g *Grid) SetKernelID(id int) { g.kernelID = id }
-
-// Footprint returns the per-CTA resource demand of this grid's launch.
-func (g *Grid) Footprint() Footprint { return g.fp }
 
 // Remaining returns the number of CTAs not yet dispensed.
 func (g *Grid) Remaining() int { return g.total - g.next }

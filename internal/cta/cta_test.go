@@ -156,7 +156,7 @@ func TestGridDispenser(t *testing.T) {
 	if g.Total() != 5 || g.Remaining() != 5 {
 		t.Fatalf("total/remaining = %d/%d", g.Total(), g.Remaining())
 	}
-	fp := g.Footprint()
+	fp := ComputeFootprint(l, &cfg)
 	for i := 0; i < 5; i++ {
 		c := g.Next(nil)
 		if c == nil {

@@ -50,17 +50,6 @@ func (c Completion) Valid() bool { return c.H != nil }
 // Fire delivers the completion synchronously.
 func (c Completion) Fire() { c.H.HandleEvent(c.Kind, c.A, c.B) }
 
-// CompletionFunc wraps fn as a Completion. It allocates (one adapter per
-// call) and exists for tests that want a closure through a
-// Completion-shaped API.
-func CompletionFunc(fn func()) Completion {
-	return Completion{H: &funcHandler{fn: fn}}
-}
-
-type funcHandler struct{ fn func() }
-
-func (h *funcHandler) HandleEvent(uint8, uint32, uint32) { h.fn() }
-
 // item is one scheduled event: a (cycle, seq) ordering key plus a typed
 // (handler, kind, operands) record.
 type item struct {

@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 )
 
+// closure is a Handler that runs a function: the engine posts typed
+// completions, tests post closures.
+type closure struct{ fn func() }
+
+func (c *closure) HandleEvent(uint8, uint32, uint32) { c.fn() }
+
+// completion wraps fn as a Completion, one adapter per call.
+func completion(fn func()) Completion { return Completion{H: &closure{fn}} }
+
 // at schedules fn at cycle as a typed event.
-func at(q *Queue, cycle int64, fn func()) { q.PostC(cycle, CompletionFunc(fn)) }
+func at(q *Queue, cycle int64, fn func()) { q.PostC(cycle, completion(fn)) }
 
 func TestOrdering(t *testing.T) {
 	q := NewQueue()
@@ -121,7 +130,7 @@ func TestAfter(t *testing.T) {
 	q := NewQueue()
 	q.AdvanceTo(10)
 	var fired int64 = -1
-	c := CompletionFunc(func() { fired = q.Now() })
+	c := completion(func() { fired = q.Now() })
 	q.PostAfter(5, c.H, c.Kind, c.A, c.B)
 	q.AdvanceTo(20)
 	if fired != 15 {

@@ -37,15 +37,6 @@ func (r *Registry) Register(h Handler) {
 	r.handlers = append(r.handlers, h)
 }
 
-// Len returns the number of registered handlers.
-func (r *Registry) Len() int { return len(r.handlers) }
-
-// ID returns the handler's registered ID.
-func (r *Registry) ID(h Handler) (int32, bool) {
-	id, ok := r.ids[h]
-	return id, ok
-}
-
 // Handler returns the handler registered under id.
 func (r *Registry) Handler(id int32) (Handler, bool) {
 	if id < 0 || int(id) >= len(r.handlers) {

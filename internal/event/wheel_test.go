@@ -74,7 +74,7 @@ func TestPastClampBeforeDrain(t *testing.T) {
 }
 
 // recorder is a typed handler that logs its firings, so the property test
-// covers stored Completions as well as CompletionFunc adapters.
+// covers stored Completions as well as closure adapters.
 type recorder struct {
 	log *[]string
 	id  int
@@ -94,7 +94,7 @@ func (r *recorder) HandleEvent(kind uint8, a, b uint32) {
 //   - far-future events beyond the 4096-bucket window (overflow heap),
 //     whose later migration back into buckets must preserve seq order
 //     across bucket-wrap boundaries,
-//   - interleaved recorder completions and CompletionFunc adapters.
+//   - interleaved recorder completions and closure adapters.
 func TestWheelMatchesHeapProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed

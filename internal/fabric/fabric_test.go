@@ -1066,6 +1066,82 @@ func storeSide(t *testing.T, dir string) (journal string, objects []string) {
 // result objects and a header-only journal (mixes commit no journal
 // line; see harness.CommitOutcome) on primary and mirror, from which a
 // -resume executes nothing.
+// TestWorkerRetriesThroughOutages drives both of the worker's retry paths
+// against a coordinator behind a proxy that refuses the first two
+// /v1/lease requests and the first /v1/complete with a 503: the slot
+// backs off and asks again, and reportComplete re-posts the completion.
+// The job completes exactly once and the worker leaves on the sweep's
+// 410. The assertions are counts, not clocks.
+func TestWorkerRetriesThroughOutages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	const refuseLeases, refuseCompletes = 2, 1
+	cp := journaledSweepParams(t, t.TempDir(), nil)
+	coord := New(Config{Params: cp, LeaseTTL: 5 * time.Second})
+	t.Cleanup(coord.Close)
+	var mu sync.Mutex
+	seen := map[string]int{} // requests by path, refused ones included
+	inner := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path]++
+		n := seen[r.URL.Path]
+		mu.Unlock()
+		if (r.URL.Path == "/v1/lease" && n <= refuseLeases) || (r.URL.Path == "/v1/complete" && n <= refuseCompletes) {
+			http.Error(w, "coordinator unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	sweep := cp
+	sweep.Executor = coord.Executor()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	worker := startWorker(ctx, srv.URL, "w1", 1, t.TempDir())
+	sweepDone := make(chan error, 1)
+	go func() {
+		got, err := runJobs(sweep, sweepJobs()[:1])
+		if err == nil && len(got) != 1 {
+			err = fmt.Errorf("%d results, want 1", len(got))
+		}
+		sweepDone <- err
+	}()
+	select {
+	case err := <-sweepDone:
+		if err != nil {
+			t.Fatalf("sweep through the outages: %v", err)
+		}
+	case err := <-worker: // a worker that gave up leaves its job unreported
+		t.Fatalf("worker left mid-sweep: %v", err)
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep did not finish")
+	}
+	coord.Close()
+	select {
+	case err := <-worker:
+		if err != nil {
+			t.Fatalf("worker exit: %v, want a clean exit on the 410", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not exit after sweep close")
+	}
+	mu.Lock()
+	leases, completes := seen["/v1/lease"], seen["/v1/complete"]
+	mu.Unlock()
+	// Past the refusals: the granted lease, and the ask the 410 answered.
+	if leases < refuseLeases+2 || completes != refuseCompletes+1 {
+		t.Errorf("%d lease and %d complete requests, want >= %d and %d",
+			leases, completes, refuseLeases+2, refuseCompletes+1)
+	}
+	if st := coord.Status(); st.LeasesGranted != 1 || st.Completions != 1 || st.DuplicateCompletions != 0 || st.JobsDone != 1 {
+		t.Errorf("fleet granted %d, completed %d (%d duplicate), done %d; want 1, 1 (0), 1",
+			st.LeasesGranted, st.Completions, st.DuplicateCompletions, st.JobsDone)
+	}
+}
+
 func TestFleetLeasesMixes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")

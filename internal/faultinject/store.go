@@ -151,7 +151,10 @@ func (h *StoreHook) Release() { close(h.release) }
 
 // NewStoreRecorder returns a hook that injects nothing and records the
 // operation trace, so kill-point sweeps can first enumerate the
-// operations of a commit sequence.
+// operations of a commit sequence. It is test support, shared by the
+// resultstore and harness tests, as are StoreSpec.StoreHook and the
+// hook's Stalled, Release, Trace and Fired: no production path injects a
+// store fault.
 func NewStoreRecorder() *StoreHook {
 	return &StoreHook{spec: StoreSpec{N: -1}, record: true}
 }

@@ -87,6 +87,15 @@ func TestStoreHookFiresAtNthMatchingOp(t *testing.T) {
 					if r.kill != nil && (r.kill.Op != op || r.kill.Path != "/store/f" || r.kill.Seq != tc.spec.N) {
 						t.Fatalf("kill value %+v, want op %s seq %d", r.kill, op, tc.spec.N)
 					}
+					// An unrecovered kill prints its Error text: it names the
+					// operation that died.
+					if r.kill != nil {
+						msg := r.kill.Error()
+						if !strings.HasPrefix(msg, "faultinject: simulated process death at store op ") ||
+							!strings.HasSuffix(msg, "("+op.String()+" /store/f)") {
+							t.Fatalf("kill error %q does not name the dead %s of /store/f", msg, op)
+						}
+					}
 				case tc.dead:
 					if r.kill == nil {
 						t.Fatalf("op %d (%s) ran after the process died: %+v", i, op, r)

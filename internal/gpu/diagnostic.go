@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/sm"
@@ -42,21 +41,6 @@ type AbortDiagnostic struct {
 
 	SMs []sm.Diag  `json:"sms"`
 	VT  *core.Diag `json:"vt,omitempty"`
-}
-
-// Summary condenses the diagnostic to one line for logs.
-func (d *AbortDiagnostic) Summary() string {
-	var ready, memB, barB, lsu, loads int
-	for i := range d.SMs {
-		s := &d.SMs[i]
-		ready += s.Ready
-		memB += s.BlockedMem
-		barB += s.BlockedBarrier
-		lsu += s.LSUOps
-		loads += s.OutstandingLoads
-	}
-	return fmt.Sprintf("%s %s at cycle %d: %d ready / %d mem-blocked / %d barrier-parked warps, %d LSU ops, %d loads in flight, %d events pending, %d CTAs undispatched",
-		d.Kernel, d.Reason, d.Cycle, ready, memB, barB, lsu, loads, d.EventsPending, d.GridRemaining)
 }
 
 // AbortError is the error every abort path returns: the legacy message

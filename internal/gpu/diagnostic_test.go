@@ -111,8 +111,12 @@ func TestBarrierDeadlockDiagnostic(t *testing.T) {
 	if stuck.LSUOps != 0 || stuck.OutstandingLoads != 0 || stuck.WheelPending != 0 {
 		t.Fatalf("deadlocked SM shows in-flight work: %+v", *stuck)
 	}
-	if s := d.Summary(); !strings.Contains(s, "1 barrier-parked") {
-		t.Fatalf("Summary missing barrier count: %q", s)
+	parked := 0
+	for _, s := range d.SMs {
+		parked += s.BlockedBarrier
+	}
+	if parked != 1 {
+		t.Fatalf("%d barrier-parked warps across SMs, want 1", parked)
 	}
 }
 

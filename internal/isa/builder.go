@@ -54,9 +54,6 @@ func (b *Builder) Label(name string) *Builder {
 	return b
 }
 
-// PC returns the program counter of the next emitted instruction.
-func (b *Builder) PC() int { return len(b.instrs) }
-
 func (b *Builder) note(r Reg) {
 	if r != RZ && int(r) > b.maxReg {
 		b.maxReg = int(r)
@@ -120,11 +117,6 @@ func (b *Builder) IMulImm(d, a Reg, imm int32) *Builder {
 	return b.Emit(Instr{Op: OpIMul, Dst: d, SrcA: a, Imm: uint32(imm), UseImm: true})
 }
 
-// IMad emits Dst = a*bb + c.
-func (b *Builder) IMad(d, a, bb, c Reg) *Builder {
-	return b.Emit(Instr{Op: OpIMad, Dst: d, SrcA: a, SrcB: bb, SrcC: c})
-}
-
 // IMin emits Dst = min(a, bb) (signed).
 func (b *Builder) IMin(d, a, bb Reg) *Builder {
 	return b.Emit(Instr{Op: OpIMin, Dst: d, SrcA: a, SrcB: bb})
@@ -182,9 +174,6 @@ func (b *Builder) FFma(d, a, bb, c Reg) *Builder {
 
 // FRcp emits Dst = 1/a on the SFU.
 func (b *Builder) FRcp(d, a Reg) *Builder { return b.Emit(Instr{Op: OpFRcp, Dst: d, SrcA: a}) }
-
-// FSqrt emits Dst = sqrt(a) on the SFU.
-func (b *Builder) FSqrt(d, a Reg) *Builder { return b.Emit(Instr{Op: OpFSqrt, Dst: d, SrcA: a}) }
 
 // FSin emits Dst = sin(a) on the SFU.
 func (b *Builder) FSin(d, a Reg) *Builder { return b.Emit(Instr{Op: OpFSin, Dst: d, SrcA: a}) }

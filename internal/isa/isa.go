@@ -38,9 +38,6 @@ func (m *RegMask) Set(r Reg) { m[r>>6] |= 1 << (r & 63) }
 // Clear removes register r from the mask.
 func (m *RegMask) Clear(r Reg) { m[r>>6] &^= 1 << (r & 63) }
 
-// Has reports whether register r is in the mask.
-func (m *RegMask) Has(r Reg) bool { return m[r>>6]&(1<<(r&63)) != 0 }
-
 // Any reports whether the mask is non-empty.
 func (m *RegMask) Any() bool { return m[0]|m[1]|m[2]|m[3] != 0 }
 

@@ -259,7 +259,7 @@ func TestKernelsAreDecodedWhenBuilt(t *testing.T) {
 			t.Errorf("%s: %v", k.Name, err)
 		}
 	}
-	if made.Code[0].ExecUnit != UnitMem || !made.Code[0].DstMask.Has(1) {
+	if made.Code[0].ExecUnit != UnitMem || made.Code[0].DstMask[0]&(1<<1) == 0 {
 		t.Errorf("NewKernel decoded ld.global as unit %d, dst mask %v", made.Code[0].ExecUnit, made.Code[0].DstMask)
 	}
 
@@ -318,7 +318,7 @@ func TestBuilderHelperOpcodes(t *testing.T) {
 	b.ISub(1, 2, 3)
 	b.IMul(1, 2, 3)
 	b.IMulImm(1, 2, 5)
-	b.IMad(1, 2, 3, 4)
+	b.Emit(Instr{Op: OpIMad, Dst: 1, SrcA: 2, SrcB: 3, SrcC: 4})
 	b.IMin(1, 2, 3)
 	b.IMax(1, 2, 3)
 	b.And(1, 2, 3)
@@ -331,7 +331,7 @@ func TestBuilderHelperOpcodes(t *testing.T) {
 	b.FMul(1, 2, 3)
 	b.FFma(1, 2, 3, 4)
 	b.FRcp(1, 2)
-	b.FSqrt(1, 2)
+	b.Emit(Instr{Op: OpFSqrt, Dst: 1, SrcA: 2})
 	b.FSin(1, 2)
 	b.FExp(1, 2)
 	b.Setp(1, CmpILT, 2, 3)
@@ -380,14 +380,17 @@ func TestBuilderHelperOpcodes(t *testing.T) {
 	}
 }
 
+// TestBuilderPC checks that a label names the PC of the next emitted
+// instruction: 0 on a fresh builder, 1 after one emit.
 func TestBuilderPC(t *testing.T) {
 	b := NewBuilder("pc")
-	if b.PC() != 0 {
-		t.Fatal("fresh builder PC != 0")
+	b.Label("start").Nop().Label("next").Jmp("start").Jmp("next").Exit()
+	k := b.MustBuild()
+	if k.Code[1].Target != 0 {
+		t.Fatalf("fresh builder PC = %d, want 0", k.Code[1].Target)
 	}
-	b.Nop()
-	if b.PC() != 1 {
-		t.Fatalf("PC = %d after one emit", b.PC())
+	if k.Code[2].Target != 1 {
+		t.Fatalf("PC = %d after one emit", k.Code[2].Target)
 	}
 }
 

@@ -7,7 +7,6 @@
 package mem
 
 import (
-	"math"
 	"math/bits"
 )
 
@@ -143,20 +142,9 @@ func (b *Backing) WriteWords(base uint32, vals []uint32) {
 	}
 }
 
-// WriteFloats stores float32 values as their IEEE bits starting at base.
-func (b *Backing) WriteFloats(base uint32, vals []float32) {
-	for i, v := range vals {
-		b.StoreWord(base+uint32(i)*4, math.Float32bits(v))
-	}
-}
-
-// LoadFloat reads a float32 from the byte address.
-func (b *Backing) LoadFloat(addr uint32) float32 {
-	return math.Float32frombits(b.LoadWord(addr))
-}
-
-// TouchedWords returns how many words have been explicitly stored; used by
-// tests to bound memory growth.
+// TouchedWords returns how many words have been explicitly stored. It is
+// test support: the mem, warp and kernels tests use it to bound memory
+// growth and to compare two images; no simulation reads it.
 func (b *Backing) TouchedWords() int {
 	n := 0
 	for _, p := range b.pages {

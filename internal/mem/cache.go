@@ -92,17 +92,6 @@ func (t *TagArray) Invalidate(lineAddr uint32) bool {
 	return false
 }
 
-// Occupancy returns the number of valid lines; used by tests.
-func (t *TagArray) Occupancy() int {
-	n := 0
-	for _, v := range t.valid {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // mshrTable tracks outstanding misses by line address, merging secondary
 // misses into the primary's completion list. Completions are held in a
 // pooled node arena linked per line and recycled through a free list, so
@@ -178,6 +167,3 @@ func (m *mshrTable) fireCompleted(lineAddr uint32) {
 		node.comp.Fire()
 	}
 }
-
-// size returns the number of outstanding distinct misses.
-func (m *mshrTable) size() int { return len(m.pending) }

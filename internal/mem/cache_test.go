@@ -8,6 +8,26 @@ import (
 	"repro/internal/event"
 )
 
+// closure is an event.Handler that runs a function: the engine passes
+// typed completions, tests pass closures.
+type closure struct{ fn func() }
+
+func (c *closure) HandleEvent(uint8, uint32, uint32) { c.fn() }
+
+// completion wraps fn as an event.Completion, one adapter per call.
+func completion(fn func()) event.Completion { return event.Completion{H: &closure{fn}} }
+
+// validLines counts the tag array's valid lines.
+func validLines(t *TagArray) int {
+	n := 0
+	for _, v := range t.valid {
+		if v {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTagArrayBasics(t *testing.T) {
 	ta := NewTagArray(2, 2, 128) // 4 lines total
 	if ta.Probe(0) {
@@ -17,8 +37,8 @@ func TestTagArrayBasics(t *testing.T) {
 	if !ta.Probe(0) {
 		t.Fatal("filled line must hit")
 	}
-	if ta.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d", ta.Occupancy())
+	if validLines(ta) != 1 {
+		t.Fatalf("occupancy = %d", validLines(ta))
 	}
 }
 
@@ -42,8 +62,8 @@ func TestTagArrayFillPresentIsNoop(t *testing.T) {
 	if _, ok := ta.Fill(0); ok {
 		t.Fatal("refilling a present line must not evict")
 	}
-	if ta.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", ta.Occupancy())
+	if validLines(ta) != 1 {
+		t.Fatalf("occupancy = %d, want 1", validLines(ta))
 	}
 }
 
@@ -78,19 +98,19 @@ func TestTagArrayInvalidate(t *testing.T) {
 func TestMSHRMergeAndLimit(t *testing.T) {
 	m := newMSHRTable(2)
 	ran := 0
-	p, full := m.add(0x100, event.CompletionFunc(func() { ran++ }))
+	p, full := m.add(0x100, completion(func() { ran++ }))
 	if !p || full {
 		t.Fatal("first miss must be primary")
 	}
-	p, full = m.add(0x100, event.CompletionFunc(func() { ran++ }))
+	p, full = m.add(0x100, completion(func() { ran++ }))
 	if p || full {
 		t.Fatal("second miss to same line must merge")
 	}
-	p, full = m.add(0x200, event.CompletionFunc(func() { ran++ }))
+	p, full = m.add(0x200, completion(func() { ran++ }))
 	if !p || full {
 		t.Fatal("different line must get a new entry")
 	}
-	_, full = m.add(0x300, event.CompletionFunc(func() { ran++ }))
+	_, full = m.add(0x300, completion(func() { ran++ }))
 	if !full {
 		t.Fatal("third distinct line must be rejected at capacity 2")
 	}
@@ -98,11 +118,11 @@ func TestMSHRMergeAndLimit(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
-	if m.size() != 1 {
-		t.Fatalf("size = %d, want 1", m.size())
+	if len(m.pending) != 1 {
+		t.Fatalf("size = %d, want 1", len(m.pending))
 	}
 	// Freed capacity admits a new line.
-	if p, full := m.add(0x300, event.CompletionFunc(func() {})); !p || full {
+	if p, full := m.add(0x300, completion(func() {})); !p || full {
 		t.Fatal("freed MSHR must admit a new line")
 	}
 }
@@ -110,7 +130,7 @@ func TestMSHRMergeAndLimit(t *testing.T) {
 func TestMSHRUnbounded(t *testing.T) {
 	m := newMSHRTable(0)
 	for i := 0; i < 1000; i++ {
-		if _, full := m.add(uint32(i*128), event.CompletionFunc(func() {})); full {
+		if _, full := m.add(uint32(i*128), completion(func() {})); full {
 			t.Fatal("unbounded table must never be full")
 		}
 	}
@@ -134,7 +154,7 @@ func TestTagArrayProperty(t *testing.T) {
 			} else {
 				ta.Probe(line)
 			}
-			if ta.Occupancy() > sets*ways {
+			if validLines(ta) > sets*ways {
 				return false
 			}
 		}

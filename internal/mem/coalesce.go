@@ -6,17 +6,12 @@ import (
 	"repro/internal/simt"
 )
 
-// CoalesceLines computes the distinct memory lines touched by the active
-// lanes of a warp access, in first-touch order. addrs holds the per-lane
-// byte addresses (indexed by lane); lineSize must be a power of two. This
-// models the hardware coalescer: one transaction per distinct line segment.
-func CoalesceLines(addrs []uint32, active simt.Mask, lineSize int) []uint32 {
-	return CoalesceLinesInto(nil, addrs, active, lineSize)
-}
-
-// CoalesceLinesInto is CoalesceLines appending into dst (typically a
-// recycled buffer sliced to [:0]), so steady-state callers allocate
-// nothing.
+// CoalesceLinesInto appends to dst the distinct memory lines touched by
+// the active lanes of a warp access, in first-touch order. addrs holds the
+// per-lane byte addresses (indexed by lane); lineSize must be a power of
+// two. This models the hardware coalescer: one transaction per distinct
+// line segment. dst is typically a recycled buffer sliced to [:0], so
+// steady-state callers allocate nothing.
 func CoalesceLinesInto(dst []uint32, addrs []uint32, active simt.Mask, lineSize int) []uint32 {
 	mask := ^uint32(lineSize - 1)
 	lines := dst
@@ -42,67 +37,23 @@ func CoalesceLinesInto(dst []uint32, addrs []uint32, active simt.Mask, lineSize 
 // BankConflictFactor returns the shared-memory serialization factor for a
 // warp access: the maximum number of active lanes whose word addresses fall
 // in the same bank, with same-address lanes counted once (broadcast).
-// numBanks must be a power of two. A conflict-free access returns 1; an
-// access by zero lanes returns 0.
+// numBanks must be a power of two no larger than 64. A conflict-free access
+// returns 1; an access by zero lanes returns 0.
+//
+// Stack arrays hold the per-bank state, so a call allocates nothing.
+// Distinct words chain per bank (head/next hold index+1, 0 = end), so the
+// broadcast check scans only same-bank words — typically one or two —
+// instead of every earlier active lane. The same word always maps to the
+// same bank, so word equality is exactly the broadcast condition.
 func BankConflictFactor(addrs []uint32, active simt.Mask, numBanks int) int {
-	if numBanks <= 0 {
-		return 1
-	}
-	if numBanks <= 64 && len(addrs) <= 64 {
-		return bankConflictSmall(addrs, active, numBanks)
-	}
-	banks := make(map[uint32][]uint32, numBanks)
-	max := 0
-	any := false
-	for lane := 0; lane < len(addrs); lane++ {
-		if !active.Has(lane) {
-			continue
-		}
-		any = true
-		word := addrs[lane] >> 2
-		bank := word & uint32(numBanks-1)
-		dup := false
-		for _, a := range banks[bank] {
-			if a == word {
-				dup = true // broadcast: same word in same bank is free
-				break
-			}
-		}
-		if !dup {
-			banks[bank] = append(banks[bank], word)
-			if len(banks[bank]) > max {
-				max = len(banks[bank])
-			}
-		}
-	}
-	if !any {
-		return 0
-	}
-	if max == 0 {
-		return 1
-	}
-	return max
-}
-
-// bankConflictSmall is the allocation-free path for hardware-sized warps
-// and bank counts: stack arrays replace the per-call bank map. Duplicate
-// word addresses are deduplicated by scanning earlier lanes — the same
-// word always maps to the same bank, so word equality is exactly the
-// broadcast condition.
-func bankConflictSmall(addrs []uint32, active simt.Mask, numBanks int) int {
-	// Distinct words chain per bank (head/next hold index+1, 0 = end), so
-	// the broadcast check scans only same-bank words — typically one or two
-	// — instead of every earlier active lane.
 	var counts [64]int32
 	var words [64]uint32
 	var head, next [64]int16
 	n := int16(0)
-	max := 0
-	any := false
+	factor := 0
 	m := active & simt.FullMask(len(addrs))
 	for ; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(uint64(m))
-		any = true
 		word := addrs[lane] >> 2
 		bank := word & uint32(numBanks-1)
 		dup := false
@@ -120,15 +71,9 @@ func bankConflictSmall(addrs []uint32, active simt.Mask, numBanks int) int {
 		head[bank] = n + 1
 		n++
 		counts[bank]++
-		if int(counts[bank]) > max {
-			max = int(counts[bank])
+		if int(counts[bank]) > factor {
+			factor = int(counts[bank])
 		}
 	}
-	if !any {
-		return 0
-	}
-	if max == 0 {
-		return 1
-	}
-	return max
+	return factor
 }

@@ -20,16 +20,6 @@ type Stats struct {
 	DRAMRowMisses int64 // accesses paying precharge+activate (bank model only)
 }
 
-// RowHitRate returns row-buffer hits / accesses under the bank model, or 0
-// when the flat channel model is in use.
-func (s *Stats) RowHitRate() float64 {
-	total := s.DRAMRowHits + s.DRAMRowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DRAMRowHits) / float64(total)
-}
-
 // L1HitRate returns hits / accesses, or 0 when idle.
 func (s *Stats) L1HitRate() float64 {
 	if s.L1Accesses == 0 {
@@ -120,14 +110,10 @@ func (s *System) PeekStats() Stats {
 	return st
 }
 
-// L1ShardStats returns SM sm's private L1 counter shard, or a zero Stats
-// when sharding is off (see ShardStats). Like PeekStats it is a pure read.
-func (s *System) L1ShardStats(sm int) Stats {
-	if c := s.l1s[sm]; c.stats != &s.Stats {
-		return *c.stats
-	}
-	return Stats{}
-}
+// L1ShardStats returns SM sm's private L1 counter shard; ShardStats must
+// have been called (the telemetry collector, its one caller, does). Like
+// PeekStats it is a pure read.
+func (s *System) L1ShardStats(sm int) Stats { return *s.l1s[sm].stats }
 
 // AccessGlobal presents one coalesced line transaction from an SM. done
 // must be a valid Completion for reads (fired when the line arrives at
@@ -136,10 +122,6 @@ func (s *System) L1ShardStats(sm int) Stats {
 func (s *System) AccessGlobal(sm int, lineAddr uint32, write bool, done event.Completion) bool {
 	return s.l1s[sm].access(lineAddr, write, done)
 }
-
-// OutstandingMisses returns the number of distinct lines in flight for an
-// SM's L1; used by tests and the occupancy report.
-func (s *System) OutstandingMisses(sm int) int { return s.l1s[sm].mshr.size() }
 
 func (s *System) partitionOf(lineAddr uint32) *partition {
 	idx := (lineAddr >> s.lineBits) % uint32(len(s.parts)) // line-interleaved
@@ -272,13 +254,6 @@ func newPartition(cfg *config.GPUConfig, sys *System) *partition {
 		p.rowBits++
 	}
 	return p
-}
-
-func (p *partition) rowPenalty() int64 {
-	if p.cfg.DRAMBanks <= 0 {
-		return 0
-	}
-	return int64(p.cfg.DRAMRowPenalty)
 }
 
 // partition event kinds (operand a = line address; unused for pump).
@@ -416,7 +391,7 @@ func (p *partition) pump() {
 		if bestHit {
 			st.DRAMRowHits++
 		} else {
-			svc += p.rowPenalty()
+			svc += int64(p.cfg.DRAMRowPenalty)
 			p.openRow[bank] = r.line>>p.rowBits + 1
 			st.DRAMRowMisses++
 		}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -37,8 +38,8 @@ func TestBackingStoreLoad(t *testing.T) {
 	if b.LoadWord(0x208) != 3 {
 		t.Fatal("WriteWords layout wrong")
 	}
-	b.WriteFloats(0x300, []float32{1.5})
-	if b.LoadFloat(0x300) != 1.5 {
+	b.WriteWords(0x300, []uint32{math.Float32bits(1.5)})
+	if math.Float32frombits(b.LoadWord(0x300)) != 1.5 {
 		t.Fatal("float round trip failed")
 	}
 	if b.TouchedWords() != 5 {
@@ -51,7 +52,7 @@ func TestCoalesceFullyCoalesced(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(0x1000 + 4*i) // 32 lanes x 4B = one 128B line
 	}
-	lines := CoalesceLines(addrs, simt.FullMask(32), 128)
+	lines := CoalesceLinesInto(nil, addrs, simt.FullMask(32), 128)
 	if len(lines) != 1 || lines[0] != 0x1000 {
 		t.Fatalf("lines = %v, want [0x1000]", lines)
 	}
@@ -62,7 +63,7 @@ func TestCoalesceStrided(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(128 * i) // one line per lane
 	}
-	lines := CoalesceLines(addrs, simt.FullMask(32), 128)
+	lines := CoalesceLinesInto(nil, addrs, simt.FullMask(32), 128)
 	if len(lines) != 32 {
 		t.Fatalf("strided access lines = %d, want 32", len(lines))
 	}
@@ -70,11 +71,11 @@ func TestCoalesceStrided(t *testing.T) {
 
 func TestCoalesceRespectsMask(t *testing.T) {
 	addrs := []uint32{0, 128, 256, 384}
-	lines := CoalesceLines(addrs, 0b0101, 128)
+	lines := CoalesceLinesInto(nil, addrs, 0b0101, 128)
 	if len(lines) != 2 || lines[0] != 0 || lines[1] != 256 {
 		t.Fatalf("masked lines = %v", lines)
 	}
-	if got := CoalesceLines(addrs, 0, 128); len(got) != 0 {
+	if got := CoalesceLinesInto(nil, addrs, 0, 128); len(got) != 0 {
 		t.Fatalf("empty mask must produce no lines, got %v", got)
 	}
 }
@@ -113,7 +114,7 @@ func TestL1HitTiming(t *testing.T) {
 	sys := NewSystem(&cfg, ev)
 
 	var first, second int64 = -1, -1
-	if !sys.AccessGlobal(0, 0x1000, false, event.CompletionFunc(func() { first = ev.Now() })) {
+	if !sys.AccessGlobal(0, 0x1000, false, completion(func() { first = ev.Now() })) {
 		t.Fatal("access rejected")
 	}
 	// Drain until the miss completes.
@@ -130,7 +131,7 @@ func TestL1HitTiming(t *testing.T) {
 	}
 
 	start := ev.Now()
-	if !sys.AccessGlobal(0, 0x1000, false, event.CompletionFunc(func() { second = ev.Now() })) {
+	if !sys.AccessGlobal(0, 0x1000, false, completion(func() { second = ev.Now() })) {
 		t.Fatal("access rejected")
 	}
 	for i := start + 1; second < 0 && i < start+10000; i++ {
@@ -151,8 +152,8 @@ func TestMSHRMergingAtL1(t *testing.T) {
 	sys := NewSystem(&cfg, ev)
 
 	done := 0
-	sys.AccessGlobal(0, 0x2000, false, event.CompletionFunc(func() { done++ }))
-	sys.AccessGlobal(0, 0x2000, false, event.CompletionFunc(func() { done++ })) // merges
+	sys.AccessGlobal(0, 0x2000, false, completion(func() { done++ }))
+	sys.AccessGlobal(0, 0x2000, false, completion(func() { done++ })) // merges
 	if sys.Stats.L1MSHRMerges != 1 {
 		t.Fatalf("merges = %d, want 1", sys.Stats.L1MSHRMerges)
 	}
@@ -174,20 +175,20 @@ func TestMSHRBackpressure(t *testing.T) {
 	ev := event.NewQueue()
 	sys := NewSystem(&cfg, ev)
 
-	if !sys.AccessGlobal(0, 0x0000, false, event.CompletionFunc(func() {})) {
+	if !sys.AccessGlobal(0, 0x0000, false, completion(func() {})) {
 		t.Fatal("first access rejected")
 	}
-	if !sys.AccessGlobal(0, 0x1000, false, event.CompletionFunc(func() {})) {
+	if !sys.AccessGlobal(0, 0x1000, false, completion(func() {})) {
 		t.Fatal("second access rejected")
 	}
-	if sys.AccessGlobal(0, 0x3000, false, event.CompletionFunc(func() {})) {
+	if sys.AccessGlobal(0, 0x3000, false, completion(func() {})) {
 		t.Fatal("third distinct miss must be rejected with 2 MSHRs")
 	}
 	if sys.Stats.L1Rejects != 1 {
 		t.Fatalf("rejects = %d, want 1", sys.Stats.L1Rejects)
 	}
-	if sys.OutstandingMisses(0) != 2 {
-		t.Fatalf("outstanding = %d, want 2", sys.OutstandingMisses(0))
+	if len(sys.l1s[0].mshr.pending) != 2 {
+		t.Fatalf("outstanding = %d, want 2", len(sys.l1s[0].mshr.pending))
 	}
 }
 
@@ -197,7 +198,7 @@ func TestWriteInvalidatesL1(t *testing.T) {
 	sys := NewSystem(&cfg, ev)
 
 	got := false
-	sys.AccessGlobal(0, 0x4000, false, event.CompletionFunc(func() { got = true }))
+	sys.AccessGlobal(0, 0x4000, false, completion(func() { got = true }))
 	for i := int64(1); !got && i < 10000; i++ {
 		ev.AdvanceTo(i)
 	}
@@ -205,7 +206,7 @@ func TestWriteInvalidatesL1(t *testing.T) {
 	sys.AccessGlobal(0, 0x4000, true, event.Completion{})
 	hitsBefore := sys.Stats.L1Hits
 	done := false
-	sys.AccessGlobal(0, 0x4000, false, event.CompletionFunc(func() { done = true }))
+	sys.AccessGlobal(0, 0x4000, false, completion(func() { done = true }))
 	if sys.Stats.L1Hits != hitsBefore {
 		t.Fatal("read after write-evict must miss in L1")
 	}
@@ -226,7 +227,7 @@ func TestL2SharedAcrossSMs(t *testing.T) {
 	sys := NewSystem(&cfg, ev)
 
 	done := false
-	sys.AccessGlobal(0, 0x8000, false, event.CompletionFunc(func() { done = true }))
+	sys.AccessGlobal(0, 0x8000, false, completion(func() { done = true }))
 	for i := int64(1); !done && i < 10000; i++ {
 		ev.AdvanceTo(i)
 	}
@@ -234,7 +235,7 @@ func TestL2SharedAcrossSMs(t *testing.T) {
 	reads := sys.Stats.DRAMReads
 	done2 := false
 	start := ev.Now()
-	sys.AccessGlobal(1, 0x8000, false, event.CompletionFunc(func() { done2 = true }))
+	sys.AccessGlobal(1, 0x8000, false, completion(func() { done2 = true }))
 	for i := start + 1; !done2 && i < start+10000; i++ {
 		ev.AdvanceTo(i)
 	}
@@ -257,7 +258,7 @@ func TestDRAMBandwidthSerializes(t *testing.T) {
 	const n = 16
 	var times []int64
 	for i := 0; i < n; i++ {
-		if !sys.AccessGlobal(0, uint32(i*0x1000), false, event.CompletionFunc(func() { times = append(times, ev.Now()) })) {
+		if !sys.AccessGlobal(0, uint32(i*0x1000), false, completion(func() { times = append(times, ev.Now()) })) {
 			t.Fatal("rejected")
 		}
 	}
@@ -305,11 +306,11 @@ func TestDRAMRowBufferModel(t *testing.T) {
 
 	var first, second, third int64 = -1, -1, -1
 	// Two accesses in the same row: second is a row hit.
-	sys.AccessGlobal(0, 0x0000, false, event.CompletionFunc(func() { first = ev.Now() }))
-	sys.AccessGlobal(0, 0x0080, false, event.CompletionFunc(func() { second = ev.Now() }))
+	sys.AccessGlobal(0, 0x0000, false, completion(func() { first = ev.Now() }))
+	sys.AccessGlobal(0, 0x0080, false, completion(func() { second = ev.Now() }))
 	// Different row, same bank: pays the penalty again.
 	rowStride := uint32(cfg.DRAMRowBytes * cfg.DRAMBanks)
-	sys.AccessGlobal(0, rowStride, false, event.CompletionFunc(func() { third = ev.Now() }))
+	sys.AccessGlobal(0, rowStride, false, completion(func() { third = ev.Now() }))
 	for i := int64(1); third < 0 && i < 100000; i++ {
 		ev.AdvanceTo(i)
 	}
@@ -328,8 +329,9 @@ func TestDRAMRowBufferModel(t *testing.T) {
 		t.Fatalf("timing: first=%d second=%d third=%d (row hit should be cheaper)",
 			first, second, third)
 	}
-	if sys.Stats.RowHitRate() != 1.0/3.0 {
-		t.Fatalf("row hit rate = %v", sys.Stats.RowHitRate())
+	st := sys.Stats
+	if rate := float64(st.DRAMRowHits) / float64(st.DRAMRowHits+st.DRAMRowMisses); rate != 1.0/3.0 {
+		t.Fatalf("row hit rate = %v", rate)
 	}
 }
 
@@ -354,8 +356,8 @@ func TestDRAMBanksOverlapRowMisses(t *testing.T) {
 				done = ev.Now()
 			}
 		}
-		sys.AccessGlobal(0, a1, false, event.CompletionFunc(cb))
-		sys.AccessGlobal(0, a2, false, event.CompletionFunc(cb))
+		sys.AccessGlobal(0, a1, false, completion(cb))
+		sys.AccessGlobal(0, a2, false, completion(cb))
 		for i := int64(1); done < 0 && i < 100000; i++ {
 			ev.AdvanceTo(i)
 		}
@@ -375,7 +377,7 @@ func TestFlatModelWhenBanksDisabled(t *testing.T) {
 	ev := event.NewQueue()
 	sys := NewSystem(&cfg, ev)
 	done := false
-	sys.AccessGlobal(0, 0x100, false, event.CompletionFunc(func() { done = true }))
+	sys.AccessGlobal(0, 0x100, false, completion(func() { done = true }))
 	for i := int64(1); !done && i < 100000; i++ {
 		ev.AdvanceTo(i)
 	}
@@ -384,9 +386,6 @@ func TestFlatModelWhenBanksDisabled(t *testing.T) {
 	}
 	if sys.Stats.DRAMRowHits+sys.Stats.DRAMRowMisses != 0 {
 		t.Fatal("flat model must not count row buffer events")
-	}
-	if sys.Stats.RowHitRate() != 0 {
-		t.Fatal("flat model row hit rate must be 0")
 	}
 }
 
@@ -403,7 +402,7 @@ func TestPartitionInterleaving(t *testing.T) {
 		const n = 64
 		done := 0
 		for i := 0; i < n; i++ {
-			sys.AccessGlobal(0, uint32(i*128), false, event.CompletionFunc(func() { done++ }))
+			sys.AccessGlobal(0, uint32(i*128), false, completion(func() { done++ }))
 		}
 		for i := int64(1); done < n && i < 1_000_000; i++ {
 			ev.AdvanceTo(i)
@@ -435,9 +434,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	// FR-FCFS serves the second row0 request before row1, costing 2.
 	var order []int
 	mk := func(id int) func() { return func() { order = append(order, id) } }
-	sys.AccessGlobal(0, 0, false, event.CompletionFunc(mk(0)))
-	sys.AccessGlobal(0, 2048, false, event.CompletionFunc(mk(1)))
-	sys.AccessGlobal(0, 128, false, event.CompletionFunc(mk(2)))
+	sys.AccessGlobal(0, 0, false, completion(mk(0)))
+	sys.AccessGlobal(0, 2048, false, completion(mk(1)))
+	sys.AccessGlobal(0, 128, false, completion(mk(2)))
 	for i := int64(1); len(order) < 3 && i < 100000; i++ {
 		ev.AdvanceTo(i)
 	}

@@ -56,9 +56,6 @@ func (s *Stack) Reset(n int) {
 	s.normalize()
 }
 
-// Depth returns the number of stack entries.
-func (s *Stack) Depth() int { return len(s.entries) }
-
 // Exited returns the mask of lanes that have executed exit.
 func (s *Stack) Exited() Mask { return s.exited }
 
@@ -100,23 +97,16 @@ func (s *Stack) Current() (pc int32, active Mask, ok bool) {
 }
 
 // Advance moves the active path past a non-control instruction, popping at
-// the reconvergence point if reached.
+// the reconvergence point if reached. Advance, Jump and Branch act on the
+// path Current just returned, so the warp must not have finished.
 func (s *Stack) Advance() {
-	e := s.top()
-	if e == nil {
-		return
-	}
-	e.PC++
+	s.top().PC++
 	s.popAtReconv()
 }
 
 // Jump redirects the active path to target (a uniform jump).
 func (s *Stack) Jump(target int32) {
-	e := s.top()
-	if e == nil {
-		return
-	}
-	e.PC = target
+	s.top().PC = target
 	s.popAtReconv()
 }
 
@@ -126,9 +116,6 @@ func (s *Stack) Jump(target int32) {
 // current active mask.
 func (s *Stack) Branch(taken Mask, target, reconv int32) {
 	e := s.top()
-	if e == nil {
-		return
-	}
 	active := e.Mask &^ s.exited
 	taken &= active
 	notTaken := active &^ taken
@@ -170,30 +157,6 @@ func (s *Stack) popAtReconv() {
 		}
 		s.entries = s.entries[:len(s.entries)-1]
 	}
-}
-
-// LiveLanes returns the union of live (non-exited) lanes across all entries.
-func (s *Stack) LiveLanes() Mask {
-	var m Mask
-	for _, e := range s.entries {
-		m |= e.Mask
-	}
-	return m &^ s.exited
-}
-
-// Snapshot returns a deep copy of the stack, used by the Virtual Thread
-// context buffer to save a warp's scheduling state.
-func (s *Stack) Snapshot() Stack {
-	cp := Stack{exited: s.exited}
-	cp.entries = append([]Entry(nil), s.entries...)
-	return cp
-}
-
-// Restore replaces the stack contents with a previously taken snapshot.
-func (s *Stack) Restore(snap Stack) {
-	s.entries = append(s.entries[:0], snap.entries...)
-	s.exited = snap.exited
-	s.normalize()
 }
 
 // FootprintBytes returns the context-buffer bytes needed to save this

@@ -46,8 +46,8 @@ func TestUniformFlow(t *testing.T) {
 	if pc, _, _ := s.Current(); pc != 10 {
 		t.Errorf("after jump pc = %d, want 10", pc)
 	}
-	if s.Depth() != 1 {
-		t.Errorf("uniform flow must not grow stack, depth = %d", s.Depth())
+	if len(s.Entries()) != 1 {
+		t.Errorf("uniform flow must not grow stack, depth = %d", len(s.Entries()))
 	}
 }
 
@@ -57,8 +57,8 @@ func TestDivergeAndReconverge(t *testing.T) {
 	// At pc 0: lanes 0,1 branch to 5; lanes 2,3 fall through to 1.
 	// Reconverge at 8.
 	s.Branch(0b0011, 5, 8)
-	if s.Depth() != 3 {
-		t.Fatalf("divergent branch depth = %d, want 3", s.Depth())
+	if len(s.Entries()) != 3 {
+		t.Fatalf("divergent branch depth = %d, want 3", len(s.Entries()))
 	}
 	pc, active, _ := s.Current()
 	if pc != 5 || active != 0b0011 {
@@ -80,8 +80,8 @@ func TestDivergeAndReconverge(t *testing.T) {
 	if pc != 8 || active != 0b1111 {
 		t.Fatalf("reconverged: pc=%d active=%b, want pc=8 active=1111", pc, active)
 	}
-	if s.Depth() != 1 {
-		t.Errorf("depth after reconvergence = %d, want 1", s.Depth())
+	if len(s.Entries()) != 1 {
+		t.Errorf("depth after reconvergence = %d, want 1", len(s.Entries()))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestUniformBranches(t *testing.T) {
 	if pc, _, _ := s.Current(); pc != 7 {
 		t.Errorf("uniform taken pc = %d, want 7", pc)
 	}
-	if s.Depth() != 1 {
-		t.Errorf("uniform taken must not push, depth = %d", s.Depth())
+	if len(s.Entries()) != 1 {
+		t.Errorf("uniform taken must not push, depth = %d", len(s.Entries()))
 	}
 	s.Branch(0, 3, 9) // none taken
 	if pc, _, _ := s.Current(); pc != 8 {
@@ -177,8 +177,8 @@ func TestNestedDivergence(t *testing.T) {
 		s.Advance()
 		pc, active, _ = s.Current()
 	}
-	if active != 0xFF || s.Depth() != 1 {
-		t.Fatalf("fully reconverged active=%x depth=%d", active, s.Depth())
+	if active != 0xFF || len(s.Entries()) != 1 {
+		t.Fatalf("fully reconverged active=%x depth=%d", active, len(s.Entries()))
 	}
 }
 
@@ -187,7 +187,7 @@ func TestSnapshotRestore(t *testing.T) {
 	s.Reset(8)
 	s.Branch(0x0F, 10, 30)
 	s.Exit(0x01)
-	snap := s.Snapshot()
+	entries, exited := s.Entries(), s.Exited()
 
 	// Mutate the original.
 	s.Advance()
@@ -195,7 +195,7 @@ func TestSnapshotRestore(t *testing.T) {
 
 	var r Stack
 	r.Reset(8)
-	r.Restore(snap)
+	r.SetState(entries, exited)
 	pc, active, _ := r.Current()
 	if pc != 10 || active != 0x0E {
 		t.Fatalf("restored pc=%d active=%x", pc, active)
@@ -203,7 +203,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if r.Exited() != 0x01 {
 		t.Errorf("restored exited = %x", r.Exited())
 	}
-	// Snapshot must be independent of later mutation.
+	// The saved state must be independent of later mutation.
 	s.Exit(0xFF)
 	if pc, _, _ := r.Current(); pc != 10 {
 		t.Error("snapshot aliased live stack")
@@ -230,6 +230,15 @@ func TestStringRenders(t *testing.T) {
 	}
 }
 
+// liveLanes is the union of live (non-exited) lanes across all entries.
+func liveLanes(s *Stack) Mask {
+	var m Mask
+	for _, e := range s.Entries() {
+		m |= e.Mask
+	}
+	return m &^ s.Exited()
+}
+
 // Property: under arbitrary branch/advance/exit sequences, lanes are never
 // lost — every lane is either live in some entry or exited.
 func TestNoLaneLossProperty(t *testing.T) {
@@ -240,7 +249,7 @@ func TestNoLaneLossProperty(t *testing.T) {
 		s.Reset(n)
 		full := FullMask(n)
 		for i := 0; i < 200 && !s.Finished(); i++ {
-			if s.LiveLanes()|s.exited != full {
+			if liveLanes(&s)|s.exited != full {
 				return false
 			}
 			pc, active, ok := s.Current()
@@ -266,19 +275,20 @@ func TestNoLaneLossProperty(t *testing.T) {
 				// exit a random subset of active lanes
 				s.Exit(Mask(rng.Uint64()) & active)
 			}
-			if s.Depth() > 2*64 {
+			if len(s.Entries()) > 2*64 {
 				return false // stack must stay bounded by nesting
 			}
 		}
-		return s.LiveLanes()|s.exited == full
+		return liveLanes(&s)|s.exited == full
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: a snapshot taken at any point restores to an identical
-// observable state (pc, active mask, exited mask, depth).
+// Property: the serialized state (Entries, Exited) taken at any point
+// restores through SetState to an identical observable state (pc, active
+// mask, exited mask, depth).
 func TestSnapshotFidelityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -296,13 +306,12 @@ func TestSnapshotFidelityProperty(t *testing.T) {
 				s.Advance()
 			}
 		}
-		snap := s.Snapshot()
 		var r Stack
-		r.Restore(snap)
+		r.SetState(s.Entries(), s.Exited())
 		p1, a1, ok1 := s.Current()
 		p2, a2, ok2 := r.Current()
 		return p1 == p2 && a1 == a2 && ok1 == ok2 &&
-			s.Exited() == r.Exited() && s.Depth() == r.Depth()
+			s.Exited() == r.Exited() && len(s.Entries()) == len(r.Entries())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

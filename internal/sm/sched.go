@@ -630,9 +630,6 @@ func (sc *scheduler) memIssue(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 		// Shared memory: serialization by bank-conflict factor.
 		s.Stats.SMemAccesses++
 		f := mem.BankConflictFactor(info.Addrs, info.Active, 32)
-		if f < 1 {
-			f = 1
-		}
 		s.smemFreeAt = now + int64(f)
 		s.Stats.SMemConflictCyc += int64(f - 1)
 		if in.Op.IsLoad() && in.Dst != isa.RZ {
@@ -650,10 +647,6 @@ func (sc *scheduler) memIssue(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 	idx := s.allocOp()
 	op := &s.lsuPool[idx]
 	op.lines = mem.CoalesceLinesInto(op.lines[:0], info.Addrs, info.Active, lineSize)
-	if len(op.lines) == 0 {
-		s.freeOp(idx)
-		return // no active lanes touched memory
-	}
 	s.Stats.GlobalTxns += int64(len(op.lines))
 	op.w = w
 	op.dst = 0

@@ -78,14 +78,6 @@ type Stats struct {
 	IssuedPerKernel []int64
 }
 
-// IPC returns issued warp instructions per cycle.
-func (st *Stats) IPC() float64 {
-	if st.Cycles == 0 {
-		return 0
-	}
-	return float64(st.Issued) / float64(st.Cycles)
-}
-
 // lsuOp is one in-flight warp memory instruction being streamed into the
 // memory system, one coalesced line per cycle. Ops live in the SM's
 // lsuPool arena and are referenced by index (pool growth would invalidate
@@ -319,9 +311,6 @@ func (wb *wbWheel) next() (int64, bool) {
 func New(id int, cfg *config.GPUConfig, ev *event.Queue, msys *mem.System,
 	gmem *mem.Backing, numKernels int, ctl Controller) *SM {
 
-	if numKernels < 1 {
-		numKernels = 1
-	}
 	maxCTAs, maxWarps, maxThreads := cfg.EffectiveSchedulingLimits()
 	s := &SM{
 		ID:         id,

@@ -390,17 +390,6 @@ func TestDeactivateReactivate(t *testing.T) {
 	}
 }
 
-func TestStatsIPC(t *testing.T) {
-	var st Stats
-	if st.IPC() != 0 {
-		t.Fatal("empty stats IPC must be 0")
-	}
-	st.Cycles, st.Issued = 100, 250
-	if st.IPC() != 2.5 {
-		t.Fatalf("IPC = %v", st.IPC())
-	}
-}
-
 func TestQuiescentDetection(t *testing.T) {
 	cfg := config.Small()
 	r := newRig(t, cfg, launch(loadKernel(), 1, 32, 0x10000))

@@ -417,24 +417,6 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 	return nil
 }
 
-// ResolveWarp finds a resident warp by its stable reference; nil for the
-// nil reference. The VT controller's snapshot uses it to rebuild its
-// restore arena.
-func (s *SM) ResolveWarp(r WarpRef) (*warp.Warp, error) {
-	if r.Kernel < 0 {
-		return nil, nil
-	}
-	for _, c := range s.Resident {
-		if c.KernelID == r.Kernel && c.FlatID == r.Flat {
-			if r.Idx < 0 || r.Idx >= len(c.Warps) {
-				return nil, fmt.Errorf("sm %d: warp ref %d/%d idx %d out of range", s.ID, r.Kernel, r.Flat, r.Idx)
-			}
-			return c.Warps[r.Idx], nil
-		}
-	}
-	return nil, fmt.Errorf("sm %d: warp ref %d/%d not resident", s.ID, r.Kernel, r.Flat)
-}
-
 // ResolveCTA finds a resident CTA by stable indices.
 func (s *SM) ResolveCTA(kernel, flat int) (*warp.CTA, error) {
 	for _, c := range s.Resident {

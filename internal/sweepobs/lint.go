@@ -13,8 +13,10 @@ import (
 // duplicate series, histogram buckets with ascending le bounds and
 // monotonic cumulative counts, and _count equal to the +Inf bucket.
 // Returns the samples keyed by the full series string (name plus label
-// block). The golden tests and the /metrics endpoint test both parse
-// through this, so the writer and an independent reader must agree.
+// block). It is test support, shared by the sweepobs, harness and fabric
+// tests: every exposition a test checks parses through this reader, so
+// the writer and an independent reader must agree. No production path
+// calls it.
 func ValidateExposition(text string) (map[string]float64, error) {
 	samples := map[string]float64{}
 	helpSeen := map[string]bool{}

@@ -66,10 +66,6 @@ func (sb *Scoreboard) Conflicts(in *isa.Instr) (conflict, onLoad bool) {
 // Busy reports whether any write is outstanding.
 func (sb *Scoreboard) Busy() bool { return sb.pend.Any() }
 
-// Snapshot returns a copy of the scoreboard (it is a value type already;
-// provided for symmetry with the SIMT stack).
-func (sb *Scoreboard) Snapshot() Scoreboard { return *sb }
-
 // Masks returns the pending and load register masks — the scoreboard's
 // complete serializable state.
 func (sb *Scoreboard) Masks() (pend, load RegMask) { return sb.pend, sb.load }

@@ -260,11 +260,11 @@ func TestExecuteFloatOps(t *testing.T) {
 	b := isa.NewBuilder("float")
 	b.MovImm(0, fbits(3.0))
 	b.MovImm(1, fbits(4.0))
-	b.FMul(2, 0, 1)    // 12
-	b.FAdd(3, 2, 0)    // 15
-	b.FFma(4, 0, 1, 3) // 27
-	b.FSqrt(5, 1)      // 2
-	b.FRcp(6, 1)       // 0.25
+	b.FMul(2, 0, 1)                                     // 12
+	b.FAdd(3, 2, 0)                                     // 15
+	b.FFma(4, 0, 1, 3)                                  // 27
+	b.Emit(isa.Instr{Op: isa.OpFSqrt, Dst: 5, SrcA: 1}) // 2
+	b.FRcp(6, 1)                                        // 0.25
 	b.Exit()
 	k := b.MustBuild()
 	l := simpleLaunch(t, k, 1, 32)
@@ -403,7 +403,7 @@ func TestRegMaskProperty(t *testing.T) {
 			}
 		}
 		for r := 0; r < 256; r++ {
-			if m.Has(isa.Reg(r)) != seen[isa.Reg(r)] {
+			if has := m[r>>6]>>(r&63)&1 != 0; has != seen[isa.Reg(r)] {
 				return false
 			}
 		}

@@ -55,9 +55,6 @@ const (
 // GTX480 returns the paper's Fermi-class hardware configuration.
 func GTX480() Config { return config.GTX480() }
 
-// SmallConfig returns a scaled-down configuration for experimentation.
-func SmallConfig() Config { return config.Small() }
-
 // Workload is a benchmark instance from the synthetic suite.
 type Workload = kernels.Workload
 
@@ -115,9 +112,6 @@ type ExperimentParams = harness.Params
 // DefaultExperimentParams returns the evaluation defaults (full GTX 480,
 // scale 1).
 func DefaultExperimentParams() ExperimentParams { return harness.DefaultParams() }
-
-// Experiments returns every experiment in paper order.
-func Experiments() []Experiment { return harness.Experiments() }
 
 // facade holds the one process-wide sweep left: the state — memo, work
 // counters, open result store — that the package-level experiment

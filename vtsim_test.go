@@ -3,10 +3,13 @@ package vtsim
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/harness"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
-	cfg := SmallConfig()
+	cfg := config.Small()
 	w, err := BuildWorkload("vecadd", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +25,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicVTRun(t *testing.T) {
-	cfg := SmallConfig().WithPolicy(PolicyVT)
+	cfg := config.Small().WithPolicy(PolicyVT)
 	w, err := BuildWorkload("nw", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +47,7 @@ func TestPublicVTRun(t *testing.T) {
 // TestPublicRunCollected: the collector's GPU ring is the run's time
 // series, and a sampling interval is refused in favour of its window.
 func TestPublicRunCollected(t *testing.T) {
-	cfg := SmallConfig().WithPolicy(PolicyVT)
+	cfg := config.Small().WithPolicy(PolicyVT)
 	w, err := BuildWorkload("nw", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +79,8 @@ func TestPublicWorkloadNames(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	if len(Experiments()) != 19 {
-		t.Fatalf("experiments = %d", len(Experiments()))
+	if n := len(harness.Experiments()); n != 19 {
+		t.Fatalf("experiments = %d", n)
 	}
 	var sb strings.Builder
 	if err := RunExperiment("table1-config", DefaultExperimentParams(), &sb); err != nil {
@@ -98,7 +101,7 @@ func TestPublicRunLaunchKeepsBacking(t *testing.T) {
 	}
 	w.Launch.GridDim.X = 8
 	var kept *Backing
-	_, err = RunLaunch(w.Launch, SmallConfig(), w.Init, func(b *Backing) { kept = b })
+	_, err = RunLaunch(w.Launch, config.Small(), w.Init, func(b *Backing) { kept = b })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestPublicRunLaunchKeepsBacking(t *testing.T) {
 }
 
 func TestPublicRunConcurrent(t *testing.T) {
-	cfg := SmallConfig().WithPolicy(PolicyVT)
+	cfg := config.Small().WithPolicy(PolicyVT)
 	res, err := RunConcurrentNames([]string{"nw", "montecarlo"}, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
