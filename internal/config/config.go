@@ -256,7 +256,7 @@ type GPUConfig struct {
 	// DRAMRowPenalty cycles of bank occupancy and response latency.
 	// Zero selects the flat single-cursor channel model.
 	DRAMBanks      int
-	DRAMRowBytes   int // open-row size per bank (power of two)
+	DRAMRowBytes   int // open-row size per bank (a power of two; unused when DRAMBanks is 0)
 	DRAMRowPenalty int // extra cycles for precharge+activate on a row miss
 	LSUQueueDepth  int // in-flight coalesced transactions the LSU buffers
 
@@ -429,6 +429,8 @@ func (c GPUConfig) Validate() error {
 	bad(c.DRAMServiceCycles <= 0 || c.DRAMLatency <= 0, "DRAM timing must be positive")
 	bad(c.DRAMBanks < 0 || c.DRAMRowPenalty < 0,
 		"DRAM bank model parameters must be non-negative")
+	bad(c.DRAMBanks > 0 && (c.DRAMRowBytes <= 0 || c.DRAMRowBytes&(c.DRAMRowBytes-1) != 0),
+		"DRAMRowBytes must be a positive power of two when DRAMBanks > 0")
 	bad(c.RegFileBanks < 0 || c.RegFileBanks > 64, "RegFileBanks must be in 0..64")
 	bad(c.LSUQueueDepth <= 0, "LSUQueueDepth must be positive")
 	bad(c.MaxCycles < 0, "MaxCycles must be non-negative")

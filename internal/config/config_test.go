@@ -53,6 +53,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bad L1 line", func(c *GPUConfig) { c.L1D.LineSize = 100 }},
 		{"zero L1 sets", func(c *GPUConfig) { c.L1D.Sets = 0 }},
 		{"zero L2 mshrs", func(c *GPUConfig) { c.L2.MSHRs = 0 }},
+		{"zero DRAM row", func(c *GPUConfig) { c.DRAMRowBytes = 0 }},
+		{"odd DRAM row", func(c *GPUConfig) { c.DRAMRowBytes = 3000 }},
 		{"vt no buffer", func(c *GPUConfig) {
 			c.Policy = PolicyVT
 			c.VT.ContextBufferBytes = 0
@@ -79,6 +81,19 @@ func TestDisabledCacheSkipsGeometryCheck(t *testing.T) {
 	c.L1D.Sets = 0
 	if err := c.Validate(); err != nil {
 		t.Fatalf("disabled cache should skip geometry validation: %v", err)
+	}
+}
+
+// TestFlatDRAMSkipsRowCheck: with no banks there is no open row, so the
+// flat channel model accepts any DRAMRowBytes.
+func TestFlatDRAMSkipsRowCheck(t *testing.T) {
+	c := GTX480()
+	c.DRAMBanks = 0
+	for _, row := range []int{0, 3000} {
+		c.DRAMRowBytes = row
+		if err := c.Validate(); err != nil {
+			t.Fatalf("flat DRAM with DRAMRowBytes %d: %v", row, err)
+		}
 	}
 }
 

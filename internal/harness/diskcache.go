@@ -209,17 +209,16 @@ func (s *Sweep) getObject(p Params, st *resultstore.Store, kind resultstore.Kind
 }
 
 // loadEnvelope returns the stored Result (kind KindResult) or Checkpoint
-// (KindCheckpoint) envelope for the fingerprint, or nil, counting the
-// store hit or miss and recording the lookup as a span of the given kind
-// under the job. The store verifies content checksums and heals from the
+// (KindCheckpoint) envelope for the fingerprint fp, whose cache key is
+// key, or nil, counting the store hit or miss and recording the lookup
+// as a span of the given kind under the job. The store verifies content checksums and heals from the
 // mirror before the payload reaches this envelope check; envelope-level
 // mismatches (stale version or checkpoint format, fingerprint collision,
 // no payload) quarantine the object on every side, so the re-simulation's
 // rewrite is not shadowed and the caller falls back to simulating.
-func (s *Sweep) loadEnvelope(p Params, st *resultstore.Store, kind resultstore.Kind, span string, j Job, fp string) *envelope {
+func (s *Sweep) loadEnvelope(p Params, st *resultstore.Store, kind resultstore.Kind, span string, j Job, fp, key string) *envelope {
 	sid := s.Trace.Begin(p.span, span, j.Workload, j.Variant)
 	defer s.Trace.End(sid)
-	key := CacheKey(fp)
 	var e envelope
 	b, err := s.getObject(p, st, kind, key)
 	var uerr error

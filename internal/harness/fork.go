@@ -88,12 +88,12 @@ func forkPlan(p Params, jobs []Job) []Job {
 	members := map[string]map[string]bool{} // prefixFP -> set of full FPs
 	for i, j := range jobs {
 		cfg := j.ConfigFor(p)
-		fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, gpu.SamplingOptions{})
+		fp, err := p.Sweep.fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, gpu.SamplingOptions{})
 		if err != nil {
 			continue
 		}
 		ncfg := gpu.ForkNeutralizedConfig(cfg)
-		pfp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &ncfg, gpu.SamplingOptions{})
+		pfp, err := p.Sweep.fingerprint(j.Workload, p.Scale, p.Dilute, &ncfg, gpu.SamplingOptions{})
 		if err != nil {
 			continue
 		}
@@ -127,7 +127,7 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 	ce.once.Do(func() {
 		st, _ := s.store(p) // resolve has vetted p's directories
 		if st != nil {
-			if env := s.loadEnvelope(p, st, resultstore.KindCheckpoint, "fork.ckload", j, j.PrefixFP); env != nil {
+			if env := s.loadEnvelope(p, st, resultstore.KindCheckpoint, "fork.ckload", j, j.PrefixFP, CacheKey(j.PrefixFP)); env != nil {
 				ce.ck = env.Checkpoint
 				return
 			}

@@ -3,6 +3,7 @@ package harness
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -80,6 +81,8 @@ type journalHeader struct {
 }
 
 // Journal is an append-only completion journal. Safe for concurrent use.
+// Its status map holds what this sweep recorded, plus, on a resume, what
+// the file held when it was opened.
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
@@ -87,14 +90,55 @@ type Journal struct {
 }
 
 // openJournal opens (creating if needed) the journal at path for the
-// sweep described by meta (Sweep.OpenJournal derives both from Params). An existing journal written by a different
-// sweep is rotated aside to path+".old" when resume is false, and refused
-// with an error when resume is true. resume additionally requires the
-// journal to exist: resuming nothing is almost certainly a flag mistake.
+// sweep described by meta (Sweep.OpenJournal derives both from Params),
+// for appending. An existing journal written by a different sweep is
+// rotated aside to path+".old" when resume is false, and refused with an
+// error when resume is true. resume additionally requires the journal to
+// exist — resuming nothing is almost certainly a flag mistake — and is
+// the one case that reads the entries: they are replayed into the status
+// map that Status and Summary report. A fresh sweep reads the header
+// line alone.
 func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
-	meta.Version = journalVersion
 	jl := &Journal{status: map[string]string{}}
+	var replay map[string]string
+	if resume {
+		replay = jl.status
+	}
+	f, err := adoptJournal(path, meta, replay)
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		if f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644); err != nil {
+			return nil, fmt.Errorf("harness: open journal: %w", err)
+		}
+	}
+	jl.f = f
+	return jl, nil
+}
 
+// seedJournal makes the journal at path one that belongs to the sweep
+// described by meta, without reading its entries: a journal whose header
+// matches is left exactly as it is — not rewritten, not fsynced — and a
+// missing, foreign or damaged one is replaced by a fresh header (the old
+// bytes rotated aside), which is made durable.
+func seedJournal(path string, meta JournalMeta) error {
+	f, err := adoptJournal(path, meta, nil)
+	if err != nil || f == nil {
+		return err
+	}
+	return errors.Join(f.Sync(), f.Close())
+}
+
+// adoptJournal is what openJournal and seedJournal share. It checks the
+// journal at path against meta and returns nil when an existing journal
+// matches. Otherwise it starts a fresh journal holding only the header
+// line and returns its O_APPEND handle. A non-nil replay makes it a
+// resume: the entries are replayed into it, and a missing or foreign
+// journal is refused instead of replaced.
+func adoptJournal(path string, meta JournalMeta, replay map[string]string) (*os.File, error) {
+	resume := replay != nil
+	meta.Version = journalVersion
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: create journal dir: %w", err)
@@ -103,13 +147,10 @@ func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	existing, err := os.Open(path)
 	switch {
 	case err == nil:
-		err = jl.load(existing, meta)
+		err = readJournal(existing, meta, replay)
 		existing.Close()
 		if err == nil {
-			if jl.f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644); err != nil {
-				return nil, fmt.Errorf("harness: open journal: %w", err)
-			}
-			return jl, nil
+			return nil, nil
 		}
 		if resume {
 			return nil, err
@@ -117,16 +158,12 @@ func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 		// Fresh sweep over a foreign or damaged journal: keep the old
 		// bytes inspectable, start over.
 		rotateAside(path)
-		jl.status = map[string]string{}
 	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("harness: open journal: %w", err)
 	case resume:
 		return nil, fmt.Errorf("harness: nothing to resume: no journal at %s", path)
 	}
-	if err := jl.writeHeader(path, meta); err != nil {
-		return nil, err
-	}
-	return jl, nil
+	return writeHeader(path, meta)
 }
 
 // rotateAside moves a foreign or damaged journal to path+".old", or to
@@ -144,32 +181,33 @@ func rotateAside(path string) {
 	os.Rename(path, dst)
 }
 
-// writeHeader starts a fresh journal file containing only the meta line.
-// The handle is opened with O_APPEND so every later Record is a single
-// atomic append — two processes writing the same journal (the future
-// multi-worker fabric) can interleave lines but never bytes within one.
-func (jl *Journal) writeHeader(path string, meta JournalMeta) error {
+// writeHeader starts a fresh journal file containing only the meta line
+// and returns its handle. The handle is opened with O_APPEND so every
+// later Record is a single atomic append — two processes writing the
+// same journal can interleave lines but never bytes within one.
+func writeHeader(path string, meta JournalMeta) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("harness: create journal: %w", err)
+		return nil, fmt.Errorf("harness: create journal: %w", err)
 	}
 	b, err := json.Marshal(journalHeader{Meta: meta})
+	if err == nil {
+		_, err = f.Write(append(b, '\n'))
+	}
 	if err != nil {
 		f.Close()
-		return err
+		return nil, fmt.Errorf("harness: write journal header: %w", err)
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("harness: write journal header: %w", err)
-	}
-	jl.f = f
-	return nil
+	return f, nil
 }
 
-// load replays an existing journal into the status map. A torn final
-// line (crashed writer) is ignored; a missing header, or one that does not
-// belong to the sweep described by want, is an error.
-func (jl *Journal) load(f *os.File, want JournalMeta) error {
+// readJournal checks that the journal f starts with want's header and,
+// when replay is non-nil, replays its entries into it (cache key ->
+// latest status); with replay nil it reads no further than the header
+// line. A torn entry line (crashed writer) is skipped; a missing header,
+// or one that does not belong to the sweep described by want, is an
+// error.
+func readJournal(f *os.File, want JournalMeta, replay map[string]string) error {
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() {
 		return fmt.Errorf("harness: journal %s is empty", f.Name())
@@ -182,12 +220,12 @@ func (jl *Journal) load(f *os.File, want JournalMeta) error {
 		return fmt.Errorf("harness: journal %s belongs to a different sweep: recorded %+v, want %+v",
 			f.Name(), hdr.Meta, want)
 	}
-	for sc.Scan() {
+	for replay != nil && sc.Scan() {
 		var e JournalEntry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.FP == "" {
-			continue // torn trailing line from a crashed writer
+			continue // torn line from a crashed writer
 		}
-		jl.status[e.FP] = e.Status
+		replay[e.FP] = e.Status
 	}
 	return nil
 }

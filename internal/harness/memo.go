@@ -140,11 +140,12 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.StoreRetries += d.StoreRetries
 }
 
-// memoEntry is one point — its content fingerprint and resolved config —
-// and the point's outcome, shared by every request for it: the first
-// request resolves it, the rest wait on done.
+// memoEntry is one point — its content fingerprint, cache key and
+// resolved config — and the point's outcome, shared by every request for
+// it: the first request resolves it, the rest wait on done.
 type memoEntry struct {
 	fp   string
+	key  string // CacheKey(fp), set once by the owner's resolve
 	cfg  config.GPUConfig
 	done chan struct{} // closed once out and err are final
 	out  Outcome
@@ -159,11 +160,15 @@ type memoEntry struct {
 // results never alias, and neither do two different sampling
 // configurations. Exact runs keep the historical key shape (no suffix),
 // preserving existing disk caches.
-func fingerprint(workload string, scale, dilute int, cfg *config.GPUConfig, samp gpu.SamplingOptions) (string, error) {
+//
+// The config enters the key as its JSON form, which the sweep marshals
+// once per distinct config value: a sweep asks for hundreds of points
+// over a few dozen configs.
+func (s *Sweep) fingerprint(workload string, scale, dilute int, cfg *config.GPUConfig, samp gpu.SamplingOptions) (string, error) {
 	if dilute < 2 {
 		dilute = 1
 	}
-	b, err := json.Marshal(cfg)
+	b, err := s.configJSON(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -173,14 +178,33 @@ func fingerprint(workload string, scale, dilute int, cfg *config.GPUConfig, samp
 	return fmt.Sprintf("%s|s%d|d%d|%s", workload, scale, dilute, b), nil
 }
 
+// configJSON returns cfg's JSON form, marshaled on the sweep's first
+// request for the config value and remembered after that.
+func (s *Sweep) configJSON(cfg *config.GPUConfig) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.cfgJSON[*cfg]; ok {
+		return b, nil
+	}
+	b, err := json.Marshal(cfg)
+	if err == nil {
+		s.cfgJSON[*cfg] = b
+	}
+	return b, err
+}
+
 // FingerprintKey returns the content fingerprint and cache key of one
 // resolved job under p. The fabric keys wire jobs by the cache key —
 // the same hex id that names the job's store object and journal lines
 // — and workers recompute it to verify a lease describes the point
 // they think it does.
 func FingerprintKey(p Params, j Job) (fp, key string, err error) {
+	s, err := p.sweep()
+	if err != nil {
+		return "", "", err
+	}
 	cfg := j.ConfigFor(p)
-	fp, err = fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
+	fp, err = s.fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
 	if err != nil {
 		return "", "", err
 	}
@@ -213,7 +237,7 @@ func ExecuteJob(p Params, j Job) (Outcome, error) {
 // resolve, when no request has reached the point before.
 func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 	cfg := j.ConfigFor(p)
-	fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
+	fp, err := s.fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
 	if err != nil {
 		return nil, false, fmt.Errorf("harness: %s/%s has no fingerprint: %w", j.Workload, j.Variant, err)
 	}
@@ -236,6 +260,7 @@ func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 // not a stale cumulative average).
 func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	defer close(e.done)
+	e.key = CacheKey(e.fp)
 	st, err := s.store(p)
 	if err != nil {
 		e.err = err
@@ -245,14 +270,14 @@ func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	// hit would skip the fault, and a faulted (or degraded) outcome must
 	// never be served to an un-injected sweep.
 	if st != nil && !p.injects(j.Workload, j.Variant) {
-		if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, e.fp); env != nil {
-			e.out = Outcome{Entry: buildJournalEntry(j, e.fp, "ok", 0, env.Result, nil, ""), Result: env.Result}
+		if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, e.fp, e.key); env != nil {
+			e.out = Outcome{Entry: buildJournalEntry(j, e.key, "ok", 0, env.Result, nil, ""), Result: env.Result}
 			return
 		}
 	}
 	// The sweep that owns the journal knows which jobs a resumed sweep is
 	// re-running because they failed last time.
-	resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(CacheKey(e.fp)) == "failed"
+	resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(e.key) == "failed"
 	e.out, e.err = p.executor().Execute(p, j, e.cfg, e.fp)
 	work := e.out.Work
 	if resumedFailed {

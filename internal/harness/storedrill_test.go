@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/faultinject"
@@ -121,6 +122,101 @@ func TestJournalConcurrentAppendsNoInterleave(t *testing.T) {
 	}
 }
 
+// TestJournalOpenReadsEntriesOnlyToResume: opening the journal reads its
+// entries only for a resume. A fresh sweep over a journal with entries
+// and a torn tail starts with an empty status map and still appends
+// whole lines through CommitOutcome; a later resume sees every status;
+// and a mirror journal whose header matches is neither rewritten nor
+// touched — same size, same mtime — by either open.
+func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
+	p := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir(), MirrorDir: t.TempDir()}
+	jobs := policyJobs([]string{"vecadd"},
+		[]config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal})
+	keys := drillKeys(t, p, jobs)
+	primary := filepath.Join(p.CacheDir, JournalFileName)
+	mirror := filepath.Join(p.MirrorDir, JournalFileName)
+	open := func(resume bool) Params {
+		t.Helper()
+		p := inSweep(t, p)
+		p.Resume = resume
+		if err := p.Sweep.OpenJournal(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	run := func(p Params, jobs ...Job) {
+		t.Helper()
+		for _, j := range jobs {
+			if _, err := runDurable(p, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sweep.Close()
+	}
+	// untouched asserts the mirror journal still has the size and mtime
+	// it had when settle ran.
+	var size int64
+	var mtime time.Time
+	settle := func() {
+		t.Helper()
+		mtime = time.Now().Add(-time.Hour).Truncate(time.Second)
+		if err := os.Chtimes(mirror, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(mirror)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = fi.Size()
+	}
+	untouched := func(when string) {
+		t.Helper()
+		fi, err := os.Stat(mirror)
+		if err != nil || fi.Size() != size || !fi.ModTime().Equal(mtime) {
+			t.Fatalf("%s: the matching mirror journal was touched: %v (size %d -> %d, mtime %v -> %v)",
+				when, err, size, fi.Size(), mtime, fi.ModTime())
+		}
+	}
+
+	run(open(false), jobs[:2]...)
+	// A crashed writer's torn tail on the primary.
+	f, err := os.OpenFile(primary, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"fp":"` + keys[2][:8]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	settle()
+	fresh := open(false)
+	untouched("fresh open")
+	if ok, degraded, failed := fresh.Sweep.Journal.Summary(); ok+degraded+failed != 0 {
+		t.Fatalf("a fresh sweep replayed the journal: %d ok / %d degraded / %d failed", ok, degraded, failed)
+	}
+	run(fresh, jobs[2])
+	for _, path := range []string{primary, mirror} {
+		if got := journalOKSet(t, path); len(got) != len(keys) {
+			t.Fatalf("%s records %d jobs as ok after the append over a torn tail, want %d", path, len(got), len(keys))
+		}
+	}
+
+	settle()
+	resumed := open(true)
+	untouched("resume open")
+	for i, k := range keys {
+		if st := resumed.Sweep.Journal.Status(k); st != "ok" {
+			t.Fatalf("resume sees job %d as %q, want ok", i, st)
+		}
+	}
+	run(resumed, jobs...)
+	if m := resumed.Sweep.Metrics(); m.Executed != 0 {
+		t.Fatalf("the resume re-executed %d jobs", m.Executed)
+	}
+	untouched("a resume that executed nothing")
+}
+
 // drillJobs is the crash-drill sweep shape: one workload under two
 // policies, heavily diluted, with distinct fingerprints. The Params are
 // unbound: every drill phase is a sweep of its own.
@@ -133,15 +229,14 @@ func drillJobs() (Params, []Job) {
 
 // drillKeys returns the cache keys (journal FPs) of the drill jobs.
 func drillKeys(t *testing.T, p Params, jobs []Job) []string {
+	p.Sweep = NewSweep()
 	keys := make([]string, len(jobs))
 	for i, j := range jobs {
-		cfg := p.Config
-		j.Mutate(&cfg)
-		fp, err := fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
+		_, key, err := FingerprintKey(p, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i] = CacheKey(fp)
+		keys[i] = key
 	}
 	return keys
 }

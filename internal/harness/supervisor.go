@@ -220,6 +220,7 @@ func countFirstFailure(p Params, j Job, a attempt, w *RunMetrics) (class string,
 // count its suffix alone (the prefix came from the checkpoint).
 func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec) (Outcome, error) {
 	work := RunMetrics{Executed: 1}
+	key := CacheKey(fp)
 	forkedFrom := ""
 	var prefix int64
 	if spec != nil && spec.ck != nil {
@@ -271,7 +272,7 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 		}
 		writeBundle(p.FailDir, f)
 		work.Failures++
-		return Outcome{Entry: buildJournalEntry(j, fp, status, attempts, nil, first.err, forkedFrom), Work: work},
+		return Outcome{Entry: buildJournalEntry(j, key, status, attempts, nil, first.err, forkedFrom), Work: work},
 			&FailedRunError{Failure: f, cause: first.err}
 	}
 
@@ -287,16 +288,16 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 		work.FunctionalInstrs = ss.FunctionalInstrs
 		work.MaxErrorBound = ss.ErrorBound
 	}
-	return Outcome{Entry: buildJournalEntry(j, fp, status, attempts, res, nil, forkedFrom), Result: res, Work: work}, nil
+	return Outcome{Entry: buildJournalEntry(j, key, status, attempts, res, nil, forkedFrom), Result: res, Work: work}, nil
 }
 
 // buildJournalEntry assembles the completion-log line for one job
-// outcome. The same shape travels the JSONL journal, the result-store
-// transaction, and — inside an Outcome — the wire between a fabric
-// worker and its coordinator.
-func buildJournalEntry(j Job, fp, status string, attempts int, res *gpu.Result, err error, forkedFrom string) JournalEntry {
+// outcome; key is the job's cache key. The same shape travels the JSONL
+// journal, the result-store transaction, and — inside an Outcome — the
+// wire between a fabric worker and its coordinator.
+func buildJournalEntry(j Job, key, status string, attempts int, res *gpu.Result, err error, forkedFrom string) JournalEntry {
 	e := JournalEntry{
-		FP:         CacheKey(fp),
+		FP:         key,
 		Workload:   j.Workload,
 		Variant:    j.Variant,
 		Status:     status,

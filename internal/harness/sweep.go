@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/config"
 	"repro/internal/resultstore"
 	"repro/internal/sweepobs"
 )
@@ -42,11 +43,12 @@ type Sweep struct {
 
 	wb *writeBehind
 
-	mu     sync.Mutex
-	memo   map[string]*memoEntry
-	builds map[buildKey]*built
-	cks    map[string]*ckEntry // keyed by prefix fingerprint
-	stats  RunMetrics
+	mu      sync.Mutex
+	memo    map[string]*memoEntry
+	cfgJSON map[config.GPUConfig][]byte // see configJSON
+	builds  map[buildKey]*built
+	cks     map[string]*ckEntry // keyed by prefix fingerprint
+	stats   RunMetrics
 
 	// storeMu is not mu: opening a store can emit repair events, which
 	// count under mu.
@@ -59,7 +61,7 @@ type Sweep struct {
 // NewSweep returns an empty sweep: nothing memoized, nothing counted, no
 // store open.
 func NewSweep() *Sweep {
-	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{},
+	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cfgJSON: map[config.GPUConfig][]byte{},
 		builds: map[buildKey]*built{}, cks: map[string]*ckEntry{}}
 }
 
@@ -153,10 +155,11 @@ func (s *Sweep) Close() {
 
 // OpenJournal attaches the completion journal in p's store directory,
 // for the sweep shape p describes (a p.Resume over another shape's
-// journal is refused), and seeds the mirror's journal header so store
-// transactions have a valid journal to append to there and a failed-over
-// mirror resumes on its own. Whether a sweep journals is its owner's
-// choice: a fabric worker's local store has none.
+// journal is refused; only a resume reads the entries), and seeds the
+// mirror's journal header so store transactions have a valid journal to
+// append to there and a failed-over mirror resumes on its own. Whether a
+// sweep journals is its owner's choice: a fabric worker's local store
+// has none.
 func (s *Sweep) OpenJournal(p Params) error {
 	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
 	jl, err := openJournal(filepath.Join(p.CacheDir, JournalFileName), meta, p.Resume)
@@ -164,14 +167,12 @@ func (s *Sweep) OpenJournal(p Params) error {
 		return err
 	}
 	if p.MirrorDir != "" {
-		// An existing matching journal is left untouched; a foreign one is
-		// rotated aside.
-		mj, err := openJournal(filepath.Join(p.MirrorDir, JournalFileName), meta, false)
-		if err != nil {
+		// Only the header is read: a matching journal is left untouched, a
+		// foreign one is rotated aside.
+		if err := seedJournal(filepath.Join(p.MirrorDir, JournalFileName), meta); err != nil {
 			jl.Close()
 			return fmt.Errorf("mirror journal: %w", err)
 		}
-		mj.Close()
 	}
 	s.Journal = jl
 	return nil

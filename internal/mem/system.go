@@ -246,11 +246,9 @@ func newPartition(cfg *config.GPUConfig, sys *System) *partition {
 	}
 	p.bankFree = make([]int64, banks)
 	p.openRow = make([]uint32, banks)
-	rowBytes := cfg.DRAMRowBytes
-	if rowBytes <= 0 {
-		rowBytes = 2048
-	}
-	for 1<<p.rowBits < rowBytes {
+	// With banks DRAMRowBytes is a power of two (config.Validate); the
+	// flat model's single bank never reads rowBits.
+	for 1<<p.rowBits < cfg.DRAMRowBytes {
 		p.rowBits++
 	}
 	return p

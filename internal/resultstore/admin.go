@@ -54,6 +54,9 @@ func (s *Store) verifyRepair(fix bool) Report {
 	var rep Report
 	keys := map[objKey]bool{}
 	for _, sd := range s.sides {
+		// An audit reads each pack as the directory holds it now: a held
+		// handle would still serve a pack that has since been removed.
+		s.dropPack(sd)
 		for k := range sd.index {
 			keys[k] = true
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/faultinject"
 )
 
 type objState int
@@ -23,7 +25,7 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 	if !indexed {
 		return nil, objMissing
 	}
-	b, err := s.fs.readAt(sd.path(packFile), e.Off, e.Size)
+	b, err := s.readPack(sd, e.Off, e.Size)
 	switch {
 	case os.IsNotExist(err):
 		return nil, objMissing
@@ -35,6 +37,44 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 		return nil, objCorrupt
 	}
 	return b, objOK
+}
+
+// readPack reads size bytes at off of sd's pack through the side's read
+// handle, opening it if none is held. It is one hooked read, retried once
+// on error; a failed read drops the handle, so the retry opens the pack
+// afresh. A range the pack does not hold whole fails with io.EOF.
+// Callers hold s.mu.
+func (s *Store) readPack(sd *side, off, size int64) (b []byte, err error) {
+	path := sd.path(packFile)
+	err = retryOnce(func() error {
+		_, dieAfter, err := s.fs.apply(faultinject.StoreOpRead, path, nil)
+		if err != nil {
+			return err
+		}
+		if sd.pack == nil {
+			sd.pack, err = os.Open(path)
+		}
+		if err == nil {
+			b = make([]byte, size)
+			if _, err = sd.pack.ReadAt(b, off); err != nil {
+				s.dropPack(sd)
+			}
+		}
+		if dieAfter {
+			die(faultinject.StoreOpRead, path)
+		}
+		return err
+	})
+	return b, err
+}
+
+// dropPack closes sd's pack read handle, if one is held. Callers hold
+// s.mu.
+func (s *Store) dropPack(sd *side) {
+	if sd.pack != nil {
+		sd.pack.Close()
+		sd.pack = nil
+	}
 }
 
 // Get returns an object's payload, verifying its end-to-end checksum. A

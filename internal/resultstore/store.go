@@ -164,10 +164,16 @@ type objKey struct {
 	key  string
 }
 
-// side is one replica directory; index belongs to Store.mu.
+// side is one replica directory; index and pack belong to Store.mu.
 type side struct {
 	dir   string
 	index map[objKey]indexEntry
+	// pack is the read handle on the side's objects.pack: opened by the
+	// first read (readPack), dropped whenever the store opens a writer on
+	// the side (writerFor) or starts an audit, closed by Close. A pack
+	// this store recreates — a commit, a heal, Repair — is therefore read
+	// through a fresh handle.
+	pack *os.File
 }
 
 func (sd *side) path(rel string) string { return filepath.Join(sd.dir, filepath.FromSlash(rel)) }
@@ -231,8 +237,22 @@ func Open(o Options) (*Store, error) {
 		}
 		s.sides = append(s.sides, sd)
 	}
-	for _, sd := range s.sides {
-		s.loadIndex(sd)
+	// The sides' indexes replay concurrently; what each skipped of an
+	// older layout is reported afterwards, primary first.
+	skipped := make([]string, len(s.sides))
+	var wg sync.WaitGroup
+	for i, sd := range s.sides {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			skipped[i] = s.loadIndex(sd)
+		}()
+	}
+	wg.Wait()
+	for i, detail := range skipped {
+		if detail != "" {
+			s.event(Event{Op: "skip-legacy", Side: s.roleOf(s.sides[i]), Detail: detail})
+		}
 	}
 	s.recoverWAL()
 	return s, nil
@@ -243,7 +263,8 @@ func Open(o Options) (*Store, error) {
 // running batch and everything queued behind it — has finished. With
 // every logged batch done it truncates the write-ahead log to empty; a
 // store whose process has died (a drill's simulated death) touches
-// nothing. The store holds no long-lived file handles.
+// nothing. The only long-lived file handles the store holds, one read
+// handle per side's pack, close here.
 func (s *Store) Close() error {
 	s.qmu.Lock()
 	s.closed = true
@@ -254,6 +275,9 @@ func (s *Store) Close() error {
 	s.qmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, sd := range s.sides {
+		s.dropPack(sd)
+	}
 	if !dead && !s.deferred {
 		os.Truncate(s.walPath(), 0) // best-effort: a leftover log only replays done batches
 	}
@@ -326,7 +350,10 @@ type sideWriter struct {
 	apps map[string]*appender // by slash-relative path
 }
 
+// writerFor drops the side's pack read handle: whatever the writer
+// appends, the next read opens the pack as it is then.
 func (s *Store) writerFor(sd *side, ss *syncSet) *sideWriter {
+	s.dropPack(sd)
 	return &sideWriter{s: s, sd: sd, ss: ss, apps: map[string]*appender{}}
 }
 
@@ -387,8 +414,11 @@ func (w *sideWriter) index(e indexEntry) error {
 // batch whose manifest has no done line, and recovery rolls that
 // forward, index line included.) A line without an offset, the object
 // files and the commit records of an older build are not served here;
-// what a side holds of them is noted once, and left as it is.
-func (s *Store) loadIndex(sd *side) {
+// it returns what a side holds of them, for Open's one skip-legacy event
+// per side ("" when nothing), and leaves them as they are. It touches
+// only sd and the concurrency-safe known set, so the sides load in
+// parallel.
+func (s *Store) loadIndex(sd *side) string {
 	b, _ := os.ReadFile(sd.path(indexFile))
 	older := 0
 	for _, line := range bytes.Split(b, []byte("\n")) {
@@ -409,11 +439,11 @@ func (s *Store) loadIndex(sd *side) {
 	}
 	files, _ := filepath.Glob(sd.path("vt*-*.json")) // the patterns are well-formed
 	records, _ := filepath.Glob(sd.path(vtstoreDir + "/wal/*.commit"))
-	if older+len(files)+len(records) > 0 {
-		s.event(Event{Op: "skip-legacy", Side: s.roleOf(sd), Detail: fmt.Sprintf(
-			"older layout not served, left untouched: %d object files, %d index lines without an offset, %d commit records",
-			len(files), older, len(records))})
+	if older+len(files)+len(records) == 0 {
+		return ""
 	}
+	return fmt.Sprintf("older layout not served, left untouched: %d object files, %d index lines without an offset, %d commit records",
+		len(files), older, len(records))
 }
 
 // recoverWAL replays the primary's write-ahead log: a manifest that is

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -640,4 +641,109 @@ func TestCommitPhaseTimings(t *testing.T) {
 	if strings.Join(names, ",") != "stage,commit,apply" {
 		t.Fatalf("unmirrored phases = %v", names)
 	}
+}
+
+// TestPackReadHandleFollowsWrites: reads go through one held pack handle
+// per side, and whatever this store writes on a side — an append, a heal,
+// a pack that Repair or a commit recreates after the file was lost — is
+// read back
+// byte-exact from that side afterwards, never through a handle on bytes
+// the directory no longer holds. A stale handle shows as a failover read
+// or a second repair, or, for the lost pack, as a Repair that finds
+// nothing to do.
+func TestPackReadHandleFollowsWrites(t *testing.T) {
+	p, m := t.TempDir(), t.TempDir()
+	s := mustOpen(t, Options{Dir: p, Mirror: m})
+	defer s.Close()
+	payloads := map[string][]byte{}
+	put := func(key string) {
+		t.Helper()
+		payloads[key] = []byte(strings.Repeat(key+"-payload ", 40))
+		tx := s.Begin()
+		tx.Put(KindResult, key, payloads[key])
+		mustCommit(t, tx)
+	}
+	// readAll reads every object back and fails on wrong bytes or on any
+	// read the primary did not serve by itself.
+	readAll := func(step string) {
+		t.Helper()
+		before := s.counts()
+		for key, want := range payloads {
+			if got, err := s.Get(KindResult, key); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s read back %q, %v", step, key, got, err)
+			}
+		}
+		if c := s.counts(); c.FailoverReads != before.FailoverReads || c.Repairs != before.Repairs || c.Quarantines != before.Quarantines {
+			t.Fatalf("%s: reads were not served by the primary: %+v, before %+v", step, c, before)
+		}
+	}
+	held := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.sides[0].pack != nil
+	}
+
+	put("a")
+	readAll("first read")
+	if !held() {
+		t.Fatal("a read did not leave the primary's pack handle open")
+	}
+
+	put("b")
+	readAll("after an append")
+
+	flipAtRest(t, p, KindResult, "a")
+	if got, err := s.Get(KindResult, "a"); err != nil || !bytes.Equal(got, payloads["a"]) {
+		t.Fatalf("heal: %q, %v", got, err)
+	}
+	if c := s.counts(); c.Repairs != 1 {
+		t.Fatalf("the flipped copy was not healed onto the primary: %+v", c)
+	}
+	readAll("after a heal")
+
+	if err := os.Remove(filepath.Join(p, packFile)); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Repair(); rep.Repaired != len(payloads) || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+		t.Fatalf("repair of a lost primary pack: %+v", rep)
+	}
+	if _, err := os.Stat(filepath.Join(p, packFile)); err != nil {
+		t.Fatalf("repair did not recreate the primary pack: %v", err)
+	}
+	readAll("after Repair recreated the pack")
+	for key, want := range payloads {
+		if got := packObject(t, p, KindResult, key); !bytes.Equal(got, want) {
+			t.Fatalf("%s not rebuilt byte-exact on the primary: %q", key, got)
+		}
+	}
+
+	// A commit that finds the pack gone stages into a new one, at offset
+	// 0, where the lost pack held other bytes.
+	if err := os.Remove(filepath.Join(p, packFile)); err != nil {
+		t.Fatal(err)
+	}
+	payloads = map[string][]byte{}
+	put("c")
+	readAll("after a commit recreated the pack")
+
+	// Readers share the handle while commits drop it under them.
+	want := payloads["c"]
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got, err := s.Get(KindResult, "c"); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent read of c: %q, %v", got, err)
+					return
+				}
+			}
+		}()
+	}
+	for _, key := range []string{"d", "e", "f"} {
+		put(key)
+	}
+	wg.Wait()
+	readAll("after concurrent reads and commits")
 }

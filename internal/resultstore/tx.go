@@ -229,7 +229,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 	// Stage: every payload lands in the primary's pack. A batch that
 	// fails before its commit point leaves dead bytes there, nothing else.
 	m := manifest{Tx: txid, Ops: make([]manifestOp, len(all))}
-	pack := s.fs.appender(&set, sd.path(packFile))
+	pack := s.writerFor(sd, &set).app(packFile)
 	for i, op := range all {
 		m.Ops[i] = op.manifestOp
 		if op.Type != "put" {
@@ -244,7 +244,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 	// verified before the manifest is written. A re-append after a failed
 	// verification is paid by the second flush, which is otherwise empty.
 	serr := set.flush()
-	pack = s.fs.appender(&set, sd.path(packFile))
+	pack = s.writerFor(sd, &set).app(packFile)
 	for i, op := range all {
 		if serr == nil && op.Type == "put" {
 			m.Ops[i].Off, serr = s.fs.verify(pack, m.Ops[i].Off, op.payload, op.SHA)
