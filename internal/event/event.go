@@ -4,19 +4,14 @@
 // schedule future work instead of being ticked every cycle, which keeps
 // the simulator fast and the timing code local to each component.
 //
-// Two backends implement the same deterministic contract — events fire in
-// (cycle, scheduling-order) order:
-//
-//   - the default is a bucketed timing wheel (calendar queue): events due
-//     inside a fixed window land in per-cycle buckets whose slices are
-//     recycled across rotations, and far-future events wait in a small
-//     overflow heap until the window reaches them. Post and the drain
-//     loop allocate nothing in steady state.
-//   - NewHeapQueue builds the reference binary-heap backend
-//     (gpu.Options.DisableEventWheel). It orders by the identical
-//     (cycle, seq) key, so the two backends must be observationally
-//     equivalent; the property tests in this package and gpu's
-//     equivalence suite enforce that.
+// The queue is a bucketed timing wheel (calendar queue) with a
+// deterministic contract — events fire in (cycle, scheduling-order)
+// order. Events due inside a fixed window land in per-cycle buckets whose
+// slices are recycled across rotations, and far-future events wait in a
+// small overflow heap until the window reaches them. Post and the drain
+// loop allocate nothing in steady state. The property tests in this
+// package hold the wheel to a plain binary-heap reference queue on every
+// operation the engine uses.
 //
 // Every event is typed (Post): a Handler, a small kind enum private to
 // that handler, and two operand words — no closure allocation.
@@ -133,10 +128,6 @@ type Queue struct {
 	seq     uint64
 	pending int
 
-	useHeap bool
-	heap    []item // reference backend (NewHeapQueue)
-
-	// Wheel backend.
 	buckets  [][]item // bucket i holds the one window cycle ≡ i (mod wheelSize)
 	occ      []uint64 // occupancy bitmap over buckets
 	occSum   uint64   // bit w set when occ[w] != 0
@@ -165,22 +156,13 @@ func NewQueue() *Queue {
 	}
 }
 
-// NewHeapQueue returns an empty queue at cycle 0 backed by the reference
-// binary heap instead of the timing wheel. Both backends order events by
-// the same (cycle, seq) key; this one exists to enforce and debug that
-// equivalence (gpu.Options.DisableEventWheel).
-func NewHeapQueue() *Queue { return &Queue{useHeap: true} }
-
 // Reset returns the queue to cycle 0 with no pending events, retaining
-// bucket and heap capacity so a reused queue schedules without
+// bucket and overflow capacity so a reused queue schedules without
 // allocating. The caller must not reuse a queue that still has pending
 // events from an aborted run without calling Reset.
 func (q *Queue) Reset() {
 	if q.pending > 0 {
 		// Drop leftovers, releasing references.
-		for i := range q.heap {
-			q.heap[i] = item{}
-		}
 		for i := range q.overflow {
 			q.overflow[i] = item{}
 		}
@@ -196,12 +178,9 @@ func (q *Queue) Reset() {
 		}
 		q.occSum = 0
 	}
-	q.heap = q.heap[:0]
 	q.overflow = q.overflow[:0]
 	q.now, q.seq, q.pending = 0, 0, 0
-	if !q.useHeap {
-		q.wheelEnd = wheelSize
-	}
+	q.wheelEnd = wheelSize
 }
 
 // Now returns the current cycle.
@@ -218,10 +197,6 @@ func (q *Queue) post(it item) {
 		q.nextDue = it.cycle
 	}
 	q.pending++
-	if q.useHeap {
-		heapPush(&q.heap, it)
-		return
-	}
 	if it.cycle < q.wheelEnd {
 		q.bucketAdd(it)
 		return
@@ -319,20 +294,6 @@ func (q *Queue) recomputeNextDue(from int64) {
 // it, in (cycle, scheduling-order) order. Events may schedule new events,
 // including for the current cycle (which run within this same drain).
 func (q *Queue) AdvanceTo(cycle int64) {
-	if q.useHeap {
-		for len(q.heap) > 0 && q.heap[0].cycle <= cycle {
-			it := heapPop(&q.heap)
-			q.pending--
-			if it.cycle > q.now {
-				q.now = it.cycle
-			}
-			it.h.HandleEvent(it.kind, it.a, it.b)
-		}
-		if cycle > q.now {
-			q.now = cycle
-		}
-		return
-	}
 	for q.pending > 0 && q.nextDue <= cycle {
 		c := q.nextDue
 		if c > q.now {
@@ -366,15 +327,11 @@ func (q *Queue) AdvanceTo(cycle int64) {
 func (q *Queue) Pending() int { return q.pending }
 
 // NextCycle returns the cycle of the earliest pending event, and ok=false
-// when the queue is empty. Used by the engine to skip idle cycles; the
-// wheel answers from a cached earliest-due cycle maintained on insert and
-// drain, replacing the heap peek that used to gate SM sleep.
+// when the queue is empty. Used by the engine to skip idle cycles; it
+// answers from a cached earliest-due cycle maintained on insert and drain.
 func (q *Queue) NextCycle() (int64, bool) {
 	if q.pending == 0 {
 		return 0, false
-	}
-	if q.useHeap {
-		return q.heap[0].cycle, true
 	}
 	return q.nextDue, true
 }

@@ -17,7 +17,7 @@ func (c *closure) HandleEvent(uint8, uint32, uint32) { c.fn() }
 func completion(fn func()) Completion { return Completion{H: &closure{fn}} }
 
 // at schedules fn at cycle as a typed event.
-func at(q *Queue, cycle int64, fn func()) { q.PostC(cycle, completion(fn)) }
+func at(q queue, cycle int64, fn func()) { q.PostC(cycle, completion(fn)) }
 
 func TestOrdering(t *testing.T) {
 	q := NewQueue()

@@ -105,25 +105,17 @@ func (q *Queue) CaptureEvents(reg *Registry) (now int64, seq uint64, recs []Even
 		return nil
 	}
 	recs = make([]EventRec, 0, q.pending)
-	if q.useHeap {
-		for i := range q.heap {
-			if err := encode(&q.heap[i]); err != nil {
+	for b := range q.buckets {
+		bk := q.buckets[b]
+		for i := range bk {
+			if err := encode(&bk[i]); err != nil {
 				return 0, 0, nil, err
 			}
 		}
-	} else {
-		for b := range q.buckets {
-			bk := q.buckets[b]
-			for i := range bk {
-				if err := encode(&bk[i]); err != nil {
-					return 0, 0, nil, err
-				}
-			}
-		}
-		for i := range q.overflow {
-			if err := encode(&q.overflow[i]); err != nil {
-				return 0, 0, nil, err
-			}
+	}
+	for i := range q.overflow {
+		if err := encode(&q.overflow[i]); err != nil {
+			return 0, 0, nil, err
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
@@ -145,9 +137,7 @@ func (q *Queue) RestoreEvents(now int64, seq uint64, recs []EventRec, reg *Regis
 	}
 	q.now = now
 	q.seq = seq
-	if !q.useHeap {
-		q.wheelEnd = now + wheelSize
-	}
+	q.wheelEnd = now + wheelSize
 	for i := range recs {
 		rec := &recs[i]
 		h, ok := reg.Handler(rec.H)
@@ -162,15 +152,12 @@ func (q *Queue) RestoreEvents(now int64, seq uint64, recs []EventRec, reg *Regis
 			q.nextDue = it.cycle
 		}
 		q.pending++
-		switch {
-		case q.useHeap:
-			heapPush(&q.heap, it)
-		case it.cycle < q.wheelEnd:
+		if it.cycle < q.wheelEnd {
 			// Records arrive in (cycle, seq) order and each bucket holds a
 			// single distinct cycle, so positional bucket order matches
 			// scheduling order, exactly as live inserts produce it.
 			q.bucketAdd(it)
-		default:
+		} else {
 			heapPush(&q.overflow, it)
 		}
 	}

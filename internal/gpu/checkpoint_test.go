@@ -2,14 +2,17 @@ package gpu
 
 // Checkpoint/restore contract: resuming from a checkpoint captured at any
 // quiescent cycle boundary must produce a Result bit-identical
-// (reflect.DeepEqual) to the uninterrupted run — for every policy, every
-// engine variant, and workloads that exercise swaps, barriers, and
-// divergence. Capturing must also be a pure observer: a run that takes
-// checkpoints returns exactly the same Result as one that does not.
+// (reflect.DeepEqual) to the uninterrupted run, and capturing must be a
+// pure observer. The engine oracle's fork row (TestCheckpointForkEquivalence)
+// checks both on every input; the tests here cover random fork cycles,
+// cross-config forks, serialization, reuse, validation and compatibility
+// with checkpoints older builds wrote.
 
 import (
+	"compress/gzip"
 	"encoding/json"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,12 +36,9 @@ func buildLaunch(t *testing.T, workload string) (*isa.Launch, Options) {
 }
 
 // runPlain runs the workload without any checkpointing.
-func runPlain(t *testing.T, workload string, cfg config.GPUConfig, opts Options) *Result {
+func runPlain(t *testing.T, workload string, cfg config.GPUConfig) *Result {
 	t.Helper()
 	l, base := buildLaunch(t, workload)
-	base.DisableIdleSkip = opts.DisableIdleSkip
-	base.DisableIssueFastPath = opts.DisableIssueFastPath
-	base.DisableEventWheel = opts.DisableEventWheel
 	res, err := Run(l, cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +49,9 @@ func runPlain(t *testing.T, workload string, cfg config.GPUConfig, opts Options)
 // runCapturing runs the workload capturing at the first cycle at or past
 // at, returning the run's result and that first checkpoint (nil if the
 // run finished first); the guard latches once it is taken.
-func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, opts Options, at int64) (*Result, *Checkpoint) {
+func runCapturing(t *testing.T, workload string, cfg config.GPUConfig, at int64) (*Result, *Checkpoint) {
 	t.Helper()
 	l, base := buildLaunch(t, workload)
-	base.DisableIdleSkip = opts.DisableIdleSkip
-	base.DisableIssueFastPath = opts.DisableIssueFastPath
-	base.DisableEventWheel = opts.DisableEventWheel
 	var ck *Checkpoint
 	base.CheckpointEvery = at
 	base.CheckpointGuard = func(int64, core.Stats) bool { return ck == nil }
@@ -77,50 +74,6 @@ func resume(t *testing.T, workload string, ck *Checkpoint, cfg config.GPUConfig,
 	return res
 }
 
-func TestCheckpointForkEquivalence(t *testing.T) {
-	policies := []config.Policy{
-		config.PolicyBaseline, config.PolicyVT, config.PolicyFullSwap, config.PolicyIdeal,
-	}
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"seq", Options{}},
-		{"noidleskip", Options{DisableIdleSkip: true}},
-		{"slowpath", Options{DisableIssueFastPath: true}},
-		{"heapqueue", Options{DisableEventWheel: true}},
-	}
-	for _, workload := range []string{"pathfinder", "bfs"} {
-		for _, policy := range policies {
-			for _, v := range variants {
-				workload, policy, v := workload, policy, v
-				t.Run(workload+"/"+policy.String()+"/"+v.name, func(t *testing.T) {
-					cfg := config.Small().WithPolicy(policy)
-					ref := runPlain(t, workload, cfg, v.opts)
-					at := ref.Cycles / 2
-					if at < 1 {
-						t.Skipf("run too short to fork (%d cycles)", ref.Cycles)
-					}
-					donor, ck := runCapturing(t, workload, cfg, v.opts, at)
-					if !reflect.DeepEqual(ref, donor) {
-						t.Fatalf("capturing run diverged from plain run (checkpointing is not a pure observer)")
-					}
-					if ck == nil {
-						t.Fatalf("no checkpoint captured at cycle %d of %d", at, ref.Cycles)
-					}
-					forked := resume(t, workload, ck, cfg, v.opts)
-					if !reflect.DeepEqual(ref, forked) {
-						t.Fatalf("fork at cycle %d diverged from uninterrupted run:\nref:    cycles=%d issued=%d mem=%+v vt=%+v\nforked: cycles=%d issued=%d mem=%+v vt=%+v",
-							ck.Cycle,
-							ref.Cycles, ref.SM.Issued, ref.Mem, ref.VT,
-							forked.Cycles, forked.SM.Issued, forked.Mem, forked.VT)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestCheckpointRandomCycles is the property test: forking at arbitrary
 // (pseudo-random) cycles must always reproduce the uninterrupted run.
 // The first capture rounds up to the next simulated cycle, so any target in
@@ -129,10 +82,10 @@ func TestCheckpointRandomCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, policy := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
 		cfg := config.Small().WithPolicy(policy)
-		ref := runPlain(t, "nw", cfg, Options{})
+		ref := runPlain(t, "nw", cfg)
 		for i := 0; i < 5; i++ {
 			at := 1 + rng.Int63n(ref.Cycles-1)
-			_, ck := runCapturing(t, "nw", cfg, Options{}, at)
+			_, ck := runCapturing(t, "nw", cfg, at)
 			if ck == nil {
 				t.Fatalf("policy %v: no checkpoint at cycle %d of %d", policy, at, ref.Cycles)
 			}
@@ -172,7 +125,7 @@ func TestCheckpointCrossConfigFork(t *testing.T) {
 		cfg := base
 		cfg.VT.SwapOutLatency = lat
 		cfg.VT.SwapInLatency = lat
-		ref := runPlain(t, "pathfinder", cfg, Options{})
+		ref := runPlain(t, "pathfinder", cfg)
 		forked := resume(t, "pathfinder", ck, cfg, Options{})
 		if !reflect.DeepEqual(ref, forked) {
 			t.Fatalf("swap latency %d: fork from cross-config checkpoint (cycle %d) diverged: ref cycles=%d forked cycles=%d",
@@ -211,7 +164,7 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 	if ck == nil {
 		t.Fatal("guard blocked every capture")
 	}
-	ref := runPlain(t, "bfs", mk(512), Options{})
+	ref := runPlain(t, "bfs", mk(512))
 	forked := resume(t, "bfs", ck, mk(512), Options{})
 	if !reflect.DeepEqual(ref, forked) {
 		t.Fatalf("fork across a departed-CTA scheduler ref diverged: ref cycles=%d forked cycles=%d",
@@ -223,8 +176,8 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 // resuming from a decoded copy matches resuming from the original.
 func TestCheckpointJSONRoundTrip(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
-	ref := runPlain(t, "bfs", cfg, Options{})
-	_, ck := runCapturing(t, "bfs", cfg, Options{}, ref.Cycles/2)
+	ref := runPlain(t, "bfs", cfg)
+	_, ck := runCapturing(t, "bfs", cfg, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}
@@ -246,8 +199,8 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 // must not see any state the first one mutated.
 func TestCheckpointReuse(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyFullSwap)
-	ref := runPlain(t, "pathfinder", cfg, Options{})
-	_, ck := runCapturing(t, "pathfinder", cfg, Options{}, ref.Cycles/2)
+	ref := runPlain(t, "pathfinder", cfg)
+	_, ck := runCapturing(t, "pathfinder", cfg, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}
@@ -262,8 +215,8 @@ func TestCheckpointReuse(t *testing.T) {
 // TestResumeRejects covers the structural validation.
 func TestResumeRejects(t *testing.T) {
 	cfg := config.Small().WithPolicy(config.PolicyVT)
-	ref := runPlain(t, "bfs", cfg, Options{})
-	_, ck := runCapturing(t, "bfs", cfg, Options{}, ref.Cycles/2)
+	ref := runPlain(t, "bfs", cfg)
+	_, ck := runCapturing(t, "bfs", cfg, ref.Cycles/2)
 	if ck == nil {
 		t.Fatal("no checkpoint captured")
 	}
@@ -300,5 +253,46 @@ func TestResumeRejects(t *testing.T) {
 	lat.VT.SwapOutLatency = 999
 	if _, err := Resume(ck, []*isa.Launch{l}, lat, Options{}); err != nil {
 		t.Errorf("swap-latency change rejected: %v", err)
+	}
+}
+
+// TestResumeParentBuildCheckpoint resumes a checkpoint captured by the
+// build before the derived issue/controller state existed (nw
+// under VT on config.Small, 24 CTAs, cycle 4722 of 9440, swaps and a
+// min-residency wakeup in flight) and requires the Result that build's
+// uninterrupted run produced: the envelope format is unchanged and every
+// new field is rebuilt from it. testdata/parent_nw_vt.ck.json.gz holds
+// {"checkpoint": ..., "result": ...} as that build marshalled them.
+func TestResumeParentBuildCheckpoint(t *testing.T) {
+	f, err := os.Open("testdata/parent_nw_vt.ck.json.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture struct {
+		Checkpoint *Checkpoint `json:"checkpoint"`
+		Result     *Result     `json:"result"`
+	}
+	if err := json.NewDecoder(zr).Decode(&fixture); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Small().WithPolicy(config.PolicyVT)
+	for _, slow := range []bool{false, true} {
+		got := resume(t, "nw", fixture.Checkpoint, cfg, Options{
+			DisableIssueFastPath: slow,
+			CheckInvariants:      true, InvariantInterval: 64,
+		})
+		if !reflect.DeepEqual(fixture.Result, got) {
+			t.Fatalf("slow=%v: resuming the parent build's checkpoint diverged from its run:\nwant: %+v\ngot:  %+v",
+				slow, fixture.Result, got)
+		}
+	}
+	if plain := runPlain(t, "nw", cfg); !reflect.DeepEqual(fixture.Result, plain) {
+		t.Fatalf("this build's uninterrupted run differs from the parent build's:\nwant: %+v\ngot:  %+v",
+			fixture.Result, plain)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -223,5 +224,42 @@ func TestRunRejectsNegativeMaxCycles(t *testing.T) {
 	_, err := Run(vecAddLaunch(t, 1, 32), cfg, Options{})
 	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Fatalf("err = %v, want a MaxCycles validation error", err)
+	}
+}
+
+// TestDeadlineFiresAcrossIdleSkip proves Options.Ctx wall-clock deadlines
+// still abort a run whose cycles are mostly fast-forwarded: idle skip
+// jumps the cycle counter far past the 512-cycle poll boundary, and the
+// poll must trigger on the first simulated cycle at or past it rather
+// than requiring an exact hit. An already-expired context must abort the
+// run regardless of how its idle spans are skipped.
+func TestDeadlineFiresAcrossIdleSkip(t *testing.T) {
+	cfg := config.Small().WithPolicy(config.PolicyVT)
+	l := &isa.Launch{
+		Kernel:   memLoopKernel(t, 64), // long memory-bound run: heavy idle skip
+		GridDim:  isa.Dim1(24),
+		BlockDim: isa.Dim1(64),
+		Params:   []uint32{aBase},
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := Run(l, cfg, Options{Ctx: ctx})
+	var abort *AbortError
+	if !errors.As(err, &abort) {
+		t.Fatalf("want *AbortError, got %v", err)
+	}
+	if abort.Diag.Reason != ReasonDeadline {
+		t.Fatalf("abort reason = %q, want %q", abort.Diag.Reason, ReasonDeadline)
+	}
+	// Sanity: without a deadline the same run completes, and it is long
+	// enough that idle skip must cross poll boundaries rather than land on
+	// them (memLoopKernel stalls every warp on DRAM round trips, so the
+	// engine fast-forwards spans far larger than the 512-cycle poll).
+	res, err := Run(l, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles < 4*512 {
+		t.Fatalf("run finished in %d cycles; too short to cross deadline-poll boundaries", res.Cycles)
 	}
 }

@@ -148,9 +148,12 @@ type Options struct {
 	KeepBacking func(*mem.Backing)
 	// DisableIdleSkip forces the engine to simulate every cycle instead
 	// of fast-forwarding across quiescent stall periods — both the
-	// whole-GPU skip and the per-SM fast-forward. The results must be
-	// identical either way (tested); this exists to verify that property
-	// and to debug the skip heuristic.
+	// whole-GPU skip and the per-SM fast-forward. The results should be
+	// identical either way, but are not yet under VT and FullSwap: the
+	// whole-GPU skip ignores the VT controller's sleep veto, and the
+	// Results that change are pinned in the engine oracle's
+	// knownSkipDivergence table (oracle_test.go). This exists to verify
+	// the property and to debug the skip heuristic.
 	DisableIdleSkip bool
 	// DisableIssueFastPath routes warp-issue selection, stall
 	// classification, and quiescence detection through the original full
@@ -159,13 +162,6 @@ type Options struct {
 	// bit-identical; like DisableIdleSkip this exists to enforce and
 	// debug that equivalence.
 	DisableIssueFastPath bool
-	// DisableEventWheel backs the event queue with the reference binary
-	// heap instead of the bucketed timing wheel. Both backends order
-	// events by the same (cycle, scheduling-order) key, so results must
-	// be bit-identical; like the flags above this exists to enforce and
-	// debug that equivalence. Heap-backed queues are not pooled across
-	// runs.
-	DisableEventWheel bool
 	// CheckInvariants runs every SM's conservation-invariant checker
 	// (issue-slot conservation, residency accounting, ready-bitset and
 	// writeback-wheel consistency; see sm.CheckInvariants) every
@@ -225,8 +221,7 @@ type Options struct {
 // bucket slab is the largest single per-run allocation, and reusing it
 // (plus whatever bucket/heap capacity a previous run grew) lets sweep
 // harnesses schedule without allocating in steady state. Queues are Reset
-// on the way back in; the heap-backed debug queues (DisableEventWheel)
-// are not pooled.
+// on the way back in.
 var queuePool = sync.Pool{New: func() any { return event.NewQueue() }}
 
 // Run simulates one launch on the configured GPU and returns its result.
@@ -302,12 +297,8 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 	}
 
 	m := &machine{launches: launches, cfg: cfg, opts: opts}
-	if opts.DisableEventWheel {
-		m.ev = event.NewHeapQueue()
-	} else {
-		m.ev = queuePool.Get().(*event.Queue)
-		m.pooled = true
-	}
+	m.ev = queuePool.Get().(*event.Queue)
+	m.pooled = true
 	m.backing = mem.NewBacking()
 	if opts.InitMemory != nil {
 		opts.InitMemory(m.backing)

@@ -154,55 +154,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestIdleSkipEquivalence verifies that the engine's fast-forward
-// optimization is timing-transparent: simulating every cycle produces
-// exactly the same cycle count and statistics as skipping quiescent
-// periods, for both baseline and VT policies.
-func TestIdleSkipEquivalence(t *testing.T) {
-	for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
-		cfg := config.Small().WithPolicy(p)
-		fast, err := Run(vecAddLaunch(t, 10, 64), cfg, Options{InitMemory: initVec(640)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Run(vecAddLaunch(t, 10, 64), cfg, Options{
-			InitMemory:      initVec(640),
-			DisableIdleSkip: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Cycles != slow.Cycles {
-			t.Fatalf("%s: skip %d cycles vs full %d cycles", p, fast.Cycles, slow.Cycles)
-		}
-		if fast.SM.Issued != slow.SM.Issued || fast.SM.SlotStallMem != slow.SM.SlotStallMem {
-			t.Fatalf("%s: statistics diverge between skip modes", p)
-		}
-		if fast.VT.SwapsOut != slow.VT.SwapsOut {
-			t.Fatalf("%s: swaps diverge: %d vs %d", p, fast.VT.SwapsOut, slow.VT.SwapsOut)
-		}
-	}
-}
-
-// TestSlotAccountingInvariant: every scheduler contributes exactly one
-// sample (issue or a stall classification) per cycle, including the cycles
-// the engine fast-forwards across.
-func TestSlotAccountingInvariant(t *testing.T) {
-	for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal} {
-		cfg := config.Small().WithPolicy(p)
-		res, err := Run(vecAddLaunch(t, 16, 64), cfg, Options{InitMemory: initVec(1024)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots := res.SM.SlotIssued + res.SM.SlotStallMem + res.SM.SlotStallALU +
-			res.SM.SlotStallBar + res.SM.SlotStallStr + res.SM.SlotIdle
-		want := res.Cycles * int64(cfg.NumSMs) * int64(cfg.NumSchedulers)
-		if slots != want {
-			t.Fatalf("%s: slot samples = %d, want %d (cycles=%d)", p, slots, want, res.Cycles)
-		}
-	}
-}
-
 // TestThreadInstrsConsistent: thread instructions = sum over issues of the
 // active lane counts; for a divergence-free kernel it is exactly
 // warp instructions x warp width except partial warps.
@@ -260,4 +211,83 @@ func TestPolicyCycleOrdering(t *testing.T) {
 	if !(vt <= fullswap) {
 		t.Fatalf("VT (%d) must not be slower than fullswap (%d)", vt, fullswap)
 	}
+}
+
+// mixedKernel exercises every readiness-flipping path the issue fast path
+// caches: global loads (long-latency scoreboard), shared memory with a
+// barrier, SFU instructions (structural hazards), plain ALU chains, and an
+// atomic. out[gid] = f(a[gid]) staged through a shared tile.
+func mixedKernel(t testing.TB) *isa.Kernel {
+	b := isa.NewBuilder("mixed_test").SharedMem(256)
+	b.S2R(0, isa.SrCTAIdX)
+	b.S2R(1, isa.SrNTidX)
+	b.IMul(2, 0, 1)
+	b.S2R(3, isa.SrTidX)
+	b.IAdd(2, 2, 3)   // gid
+	b.ShlImm(4, 2, 2) // gid byte offset
+	b.LdParam(5, 0)
+	b.IAdd(5, 5, 4)
+	b.LdG(6, 5, 0)    // a[gid]
+	b.ShlImm(7, 3, 2) // tid byte offset into the shared tile
+	b.StS(7, 0, 6)
+	b.Bar()
+	b.LdS(8, 7, 0)
+	b.FSin(9, 8)
+	b.FRcp(10, 9)
+	b.FMul(11, 10, 8)
+	b.LdParam(12, 1)
+	b.IAdd(12, 12, 4)
+	b.StG(12, 0, 11)
+	b.LdParam(13, 2)
+	b.AtomAdd(14, 13, 0, 3)
+	b.Exit()
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+func mixedLaunch(t testing.TB, ctas, block int) *isa.Launch {
+	const accumBase = 0x0040_0000
+	return &isa.Launch{
+		Kernel:   mixedKernel(t),
+		GridDim:  isa.Dim1(ctas),
+		BlockDim: isa.Dim1(block),
+		Params:   []uint32{aBase, outBase, accumBase},
+	}
+}
+
+// memLoopKernel strides loads across 4 KiB so every iteration misses:
+// warps spend most cycles memory-blocked, which drives the VT controller
+// through its full swap-out/swap-in cycle.
+func memLoopKernel(t testing.TB, iters int) *isa.Kernel {
+	b := isa.NewBuilder("memloop_test")
+	b.S2R(0, isa.SrCTAIdX)
+	b.S2R(1, isa.SrNTidX)
+	b.IMul(2, 0, 1)
+	b.S2R(3, isa.SrTidX)
+	b.IAdd(2, 2, 3)
+	b.ShlImm(4, 2, 2)
+	b.LdParam(5, 0)
+	b.IAdd(5, 5, 4)
+	b.MovImm(8, 0)
+	b.MovImm(9, 0)
+	b.Label("loop")
+	b.LdG(6, 5, 0)
+	b.IAdd(8, 8, 6)
+	b.IAddImm(5, 5, 4096+128)
+	b.AndImm(5, 5, 0x3FFFF)
+	b.LdParam(7, 0)
+	b.IAdd(5, 5, 7)
+	b.IAddImm(9, 9, 1)
+	b.SetpImm(10, isa.CmpILT, 9, int32(iters))
+	b.Bra(10, "loop", "done")
+	b.Label("done")
+	b.Exit()
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }

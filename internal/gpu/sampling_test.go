@@ -246,6 +246,7 @@ func TestSamplingAccuracyMeasured(t *testing.T) {
 // (about 6x alone, under 4x beside other test packages) is logged, not
 // asserted.
 func TestSamplingSpeedup(t *testing.T) {
+	t.Parallel() // its wall-clock rates are logged, not asserted
 	cfg := config.Small().WithPolicy(config.PolicyVT)
 	cfg.MaxCycles = 20_000_000
 	so := SamplingOptions{DetailedCycles: 25000, FastForwardCycles: 500000, WarmupCycles: 12000}

@@ -3,139 +3,12 @@ package gpu
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
-
-// TestTelemetryPureObserver proves an attached collector never perturbs
-// the simulation: for every policy × scheduler, the complete Result is
-// bit-identical with and without telemetry — including with the issue
-// fast path disabled (the collector's StatsAt/Probe seams ride both code
-// paths) and under interval/sampled simulation (the afterSpan window pump
-// rides the span path).
-func TestTelemetryPureObserver(t *testing.T) {
-	policies := []config.Policy{
-		config.PolicyBaseline, config.PolicyVT,
-		config.PolicyIdeal, config.PolicyFullSwap,
-	}
-	schedulers := []config.SchedulerKind{
-		config.SchedGTO, config.SchedLRR, config.SchedTwoLevel,
-	}
-	samp := SamplingOptions{DetailedCycles: 200, FastForwardCycles: 1500, WarmupCycles: 50}
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{}},
-		{"slowpath", Options{DisableIssueFastPath: true}},
-		{"sampled", Options{Sampling: samp}},
-	}
-	var sampledSpans int64
-	for _, p := range policies {
-		for _, sched := range schedulers {
-			for _, v := range variants {
-				t.Run(p.String()+"/"+sched.String()+"/"+v.name, func(t *testing.T) {
-					cfg := config.Small().WithPolicy(p)
-					cfg.Scheduler = sched
-					const ctas, block = 16, 64
-					run := func(col *telemetry.Collector) *Result {
-						opts := v.opts
-						opts.InitMemory = initVec(ctas * block)
-						opts.Telemetry = col
-						res, err := Run(mixedLaunch(t, ctas, block), cfg, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					plain := run(nil)
-					col := telemetry.NewCollector(telemetry.Config{Window: 64})
-					observed := run(col)
-					if !reflect.DeepEqual(plain, observed) {
-						t.Fatalf("telemetry perturbed the run:\noff: %+v\non:  %+v", plain, observed)
-					}
-					if w, _ := col.Totals(); w == 0 {
-						t.Fatal("collector recorded no windows")
-					}
-					if v.opts.Sampling.Enabled() {
-						if observed.Sampling == nil {
-							t.Fatal("sampled run reported no sampling stats")
-						}
-						sampledSpans += observed.Sampling.Spans
-					}
-				})
-			}
-		}
-	}
-	// The sampled variants must not all degenerate to fully detailed runs
-	// (every span abandoned), or the purity check above proved nothing
-	// about the span path.
-	if sampledSpans == 0 {
-		t.Error("no fast-forward spans ran across any sampled combination; purity check is vacuous")
-	}
-}
-
-// TestTelemetryPureObserverSwaps repeats the purity check on a
-// swap-heavy VT workload so the VTTrace tee, swap spans, and
-// context-buffer gauges are all exercised non-vacuously.
-func TestTelemetryPureObserverSwaps(t *testing.T) {
-	for _, p := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
-		t.Run(p.String(), func(t *testing.T) {
-			cfg := config.Small().WithPolicy(p)
-			l := &isa.Launch{
-				Kernel:   memLoopKernel(t, 8),
-				GridDim:  isa.Dim1(24),
-				BlockDim: isa.Dim1(64),
-				Params:   []uint32{aBase},
-			}
-			run := func(col *telemetry.Collector) *Result {
-				res, err := Run(l, cfg, Options{Telemetry: col})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			plain := run(nil)
-			if plain.VT.SwapsOut == 0 {
-				t.Fatalf("%s: workload produced no swaps; test is vacuous", p)
-			}
-			col := telemetry.NewCollector(telemetry.Config{Window: 128, PerSM: true})
-			observed := run(col)
-			if !reflect.DeepEqual(plain, observed) {
-				t.Fatalf("telemetry perturbed swap-heavy run:\noff: %+v\non:  %+v", plain, observed)
-			}
-
-			d := col.Dump()
-			var out, in int64
-			for _, w := range d.GPU {
-				out += w.SwapsOut
-				in += w.SwapsIn
-			}
-			if out != plain.VT.SwapsOut {
-				t.Errorf("window SwapsOut sum = %d, want %d", out, plain.VT.SwapsOut)
-			}
-			if in != plain.VT.SwapsIn {
-				t.Errorf("window SwapsIn sum = %d, want %d", in, plain.VT.SwapsIn)
-			}
-			var swapSpans int
-			for _, sp := range d.Spans {
-				if sp.Kind == telemetry.SpanSwapOut || sp.Kind == telemetry.SpanSwapIn {
-					swapSpans++
-				}
-			}
-			if swapSpans == 0 {
-				t.Error("no swap spans recorded")
-			}
-			if len(d.SwapLatency) == 0 {
-				t.Error("empty swap-latency histogram")
-			}
-		})
-	}
-}
 
 // TestTelemetryWindowExactness pins the ring semantics: windows tile the
 // run exactly (contiguous, covering [0, Cycles)) and their deltas sum to

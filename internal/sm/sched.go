@@ -648,7 +648,8 @@ func (sc *scheduler) memIssue(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 	op := &s.lsuPool[idx]
 	op.lines = mem.CoalesceLinesInto(op.lines[:0], info.Addrs, info.Active, lineSize)
 	s.Stats.GlobalTxns += int64(len(op.lines))
-	op.w = w
+	op.used = true
+	op.w = nil
 	op.dst = 0
 	op.write = in.Op.IsStore()
 	op.next = 0
@@ -656,6 +657,7 @@ func (sc *scheduler) memIssue(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 	if in.Op.IsLoad() || in.Op.IsAtomic() {
 		// Atomics wait for the round trip like loads (the old value —
 		// or at least the completion — comes back from the L2/ROP).
+		op.w = w
 		op.dst = in.Dst
 		w.SB.MarkPending(in.Dst, true)
 		w.OutstandingLoads++

@@ -81,9 +81,13 @@ type Stats struct {
 // lsuOp is one in-flight warp memory instruction being streamed into the
 // memory system, one coalesced line per cycle. Ops live in the SM's
 // lsuPool arena and are referenced by index (pool growth would invalidate
-// pointers); the lines buffer is recycled with the op.
+// pointers); the lines buffer is recycled with the op. A store names no
+// warp: nothing reads it after issue, and its op can outlive the CTA that
+// issued it (it frees only once its last line is sent), so used — not w —
+// marks an arena slot as in flight.
 type lsuOp struct {
-	w         *warp.Warp
+	used      bool
+	w         *warp.Warp // the load's (or atomic's) warp; nil for stores
 	dst       isa.Reg
 	write     bool
 	lines     []uint32
@@ -693,6 +697,7 @@ func (s *SM) allocOp() int32 {
 // freeOp recycles an op, keeping its lines buffer for reuse.
 func (s *SM) freeOp(idx int32) {
 	op := &s.lsuPool[idx]
+	op.used = false
 	op.w = nil
 	op.lines = op.lines[:0]
 	s.lsuFree = append(s.lsuFree, idx)

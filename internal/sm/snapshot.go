@@ -86,7 +86,8 @@ type SchedulerState struct {
 	GroupRR   int       `json:"group_rr"`
 }
 
-// LSUOpState is one lsuPool arena slot (Used=false for free-list slots).
+// LSUOpState is one lsuPool arena slot (Used=false for free-list slots;
+// W is the nil ref for a store).
 type LSUOpState struct {
 	Used      bool     `json:"used"`
 	W         WarpRef  `json:"w"`
@@ -208,8 +209,8 @@ func (s *SM) State() *SMState {
 	}
 	for i := range s.lsuPool {
 		op := &s.lsuPool[i]
-		os := LSUOpState{Used: op.w != nil}
-		if op.w != nil {
+		os := LSUOpState{Used: op.used}
+		if op.used {
 			os.W = warpRef(op.w)
 			os.Dst = op.dst
 			os.Write = op.write
@@ -368,15 +369,20 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 		os := &st.LSUPool[i]
 		var op lsuOp
 		if os.Used {
-			w, err := resolve(os.W)
-			if err != nil {
-				return err
-			}
-			if w == nil {
-				return fmt.Errorf("sm %d: lsu op %d has nil warp", s.ID, i)
+			// A store's captured warp (checkpoints from builds that kept
+			// one) is never resolved: its CTA may have departed.
+			var w *warp.Warp
+			if !os.Write {
+				var err error
+				if w, err = resolve(os.W); err != nil {
+					return err
+				}
+				if w == nil {
+					return fmt.Errorf("sm %d: lsu op %d has nil warp", s.ID, i)
+				}
 			}
 			op = lsuOp{
-				w: w, dst: os.Dst, write: os.Write,
+				used: true, w: w, dst: os.Dst, write: os.Write,
 				lines:     append([]uint32(nil), os.Lines...),
 				next:      os.Next,
 				remaining: os.Remaining,
