@@ -27,6 +27,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/simt"
 	"repro/internal/sm"
+	"repro/internal/testsupport"
 	"repro/internal/warp"
 )
 
@@ -307,7 +308,7 @@ func newVTRig(b *testing.B, ctas, iters int) *vtRig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	cfg.NumSMs = 1
 	l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(ctas), BlockDim: isa.Dim1(64)}
 	r := &vtRig{ev: event.NewQueue()}

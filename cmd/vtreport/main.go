@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -170,14 +169,11 @@ func loadSweepDump(path, mirror string) (*sweepobs.Dump, error) {
 	if err != nil {
 		return nil, err
 	}
-	var d sweepobs.Dump
-	if err := json.Unmarshal(b, &d); err != nil {
+	d, err := sweepobs.DecodeDump(b)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if d.SchemaVersion != sweepobs.DumpSchemaVersion {
-		return nil, fmt.Errorf("%s: sweep trace schema %d (want %d)", path, d.SchemaVersion, sweepobs.DumpSchemaVersion)
-	}
-	return &d, nil
+	return d, nil
 }
 
 // traceReport prints the critical-path analysis of one sweep trace: the

@@ -6,11 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 const saxpySrc = `
@@ -56,7 +56,7 @@ func TestAssembleSaxpyRuns(t *testing.T) {
 		Params:   []uint32{0x10000, 0x20000, 0x30000},
 	}
 	var out *mem.Backing
-	_, err = gpu.Run(l, config.Small(), gpu.Options{
+	_, err = gpu.Run(l, testsupport.Small(), gpu.Options{
 		InitMemory: func(b *mem.Backing) {
 			for i := 0; i < 256; i++ {
 				b.StoreWord(0x10000+uint32(4*i), math.Float32bits(float32(i)))

@@ -6,7 +6,6 @@
 package config
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -83,7 +82,7 @@ func (p Policy) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + p.String() + `"`), nil
 }
 
-// UnmarshalJSON parses a policy from its name (or a legacy number).
+// UnmarshalJSON parses a policy from its name.
 func (p *Policy) UnmarshalJSON(data []byte) error {
 	switch string(data) {
 	case `"baseline"`:
@@ -95,11 +94,7 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 	case `"fullswap"`:
 		*p = PolicyFullSwap
 	default:
-		var n int
-		if err := json.Unmarshal(data, &n); err != nil {
-			return fmt.Errorf("config: unknown policy %s", data)
-		}
-		*p = Policy(n)
+		return fmt.Errorf("config: unknown policy %s", data)
 	}
 	return nil
 }
@@ -109,7 +104,7 @@ func (k SchedulerKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// UnmarshalJSON parses a scheduler kind from its name (or a number).
+// UnmarshalJSON parses a scheduler kind from its name.
 func (k *SchedulerKind) UnmarshalJSON(data []byte) error {
 	switch string(data) {
 	case `"gto"`:
@@ -119,18 +114,13 @@ func (k *SchedulerKind) UnmarshalJSON(data []byte) error {
 	case `"two-level"`:
 		*k = SchedTwoLevel
 	default:
-		var n int
-		if err := json.Unmarshal(data, &n); err != nil {
-			return fmt.Errorf("config: unknown scheduler %s", data)
-		}
-		*k = SchedulerKind(n)
+		return fmt.Errorf("config: unknown scheduler %s", data)
 	}
 	return nil
 }
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
-	Enabled  bool
 	Sets     int // number of sets
 	Ways     int // associativity
 	LineSize int // bytes; must be a power of two
@@ -234,9 +224,6 @@ type GPUConfig struct {
 	// scheduler one extra cycle per collision (a single-ported banked
 	// file without an operand collector). Zero disables the model.
 	RegFileBanks int
-	// FetchGroupWarps is the active-group size per scheduler under
-	// SchedTwoLevel (default 8 when zero).
-	FetchGroupWarps int
 
 	// Execution latencies (core cycles).
 	ALULatency      int // simple integer/fp pipeline depth
@@ -294,7 +281,6 @@ func GTX480() GPUConfig {
 		SMemLatency:     24,
 
 		L1D: CacheConfig{
-			Enabled:  true,
 			Sets:     32,
 			Ways:     4,
 			LineSize: 128, // 16 KB
@@ -302,7 +288,6 @@ func GTX480() GPUConfig {
 			MSHRs:    64,
 		},
 		L2: CacheConfig{
-			Enabled:  true,
 			Sets:     128,
 			Ways:     8,
 			LineSize: 128, // 128 KB per partition slice (768 KB total / 6)
@@ -339,21 +324,6 @@ func KeplerLike() GPUConfig {
 	c.RegFileSize = 65536 // 256 KB
 	c.L1D.Sets = 32       // 16 KB unchanged
 	c.L2.Sets = 256       // 1.5 MB total across 6 partitions
-	return c
-}
-
-// Small returns a scaled-down configuration for fast unit and integration
-// tests: 2 SMs with Fermi-shaped per-SM limits but tiny caches. It is test
-// support, shared by the tests of most packages; no production path
-// calls it.
-func Small() GPUConfig {
-	c := GTX480()
-	c.Name = "small"
-	c.NumSMs = 2
-	c.L1D.Sets = 8
-	c.L2.Sets = 32
-	c.NumMemPartitions = 2
-	c.MaxCycles = 5_000_000 // fail fast on runaway test kernels
 	return c
 }
 
@@ -438,9 +408,6 @@ func (c GPUConfig) Validate() error {
 		name string
 		c    CacheConfig
 	}{{"L1D", c.L1D}, {"L2", c.L2}} {
-		if !cc.c.Enabled {
-			continue
-		}
 		if cc.c.Sets <= 0 || cc.c.Ways <= 0 || cc.c.MSHRs <= 0 {
 			errs = append(errs, fmt.Errorf("config: %s geometry must be positive", cc.name))
 		}

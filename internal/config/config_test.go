@@ -22,16 +22,6 @@ func TestGTX480Valid(t *testing.T) {
 	}
 }
 
-func TestSmallValid(t *testing.T) {
-	c := Small()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Small preset invalid: %v", err)
-	}
-	if c.NumSMs != 2 {
-		t.Errorf("Small NumSMs = %d, want 2", c.NumSMs)
-	}
-}
-
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -72,15 +62,6 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("expected validation error for %q", tc.name)
 			}
 		})
-	}
-}
-
-func TestDisabledCacheSkipsGeometryCheck(t *testing.T) {
-	c := GTX480()
-	c.L1D.Enabled = false
-	c.L1D.Sets = 0
-	if err := c.Validate(); err != nil {
-		t.Fatalf("disabled cache should skip geometry validation: %v", err)
 	}
 }
 
@@ -188,8 +169,8 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 	if err := p.UnmarshalJSON([]byte(`"nonsense"`)); err == nil {
 		t.Fatal("bad policy must error")
 	}
-	if err := p.UnmarshalJSON([]byte(`1`)); err != nil || p != PolicyVT {
-		t.Fatal("legacy numeric policy must parse")
+	if err := p.UnmarshalJSON([]byte(`1`)); err == nil {
+		t.Fatal("a numeric policy must be refused: every writer emits names")
 	}
 }
 
@@ -205,6 +186,12 @@ func TestSchedulerJSONRoundTrip(t *testing.T) {
 		}
 		if back != k {
 			t.Fatalf("round trip %v", k)
+		}
+	}
+	var k SchedulerKind
+	for _, bad := range []string{`"nonsense"`, `1`} {
+		if err := k.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Fatalf("scheduler %s must be refused", bad)
 		}
 	}
 }

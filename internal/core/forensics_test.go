@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sm"
+	"repro/internal/testsupport"
 	"repro/internal/warp"
 )
 
@@ -19,7 +20,7 @@ import (
 // CheckInvariants branch reads.
 func pausedVTRun(t *testing.T) (*Controller, *sm.SM) {
 	t.Helper()
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	cfg.NumSMs = 1
 	b := isa.NewBuilder("membound")
 	b.S2R(0, isa.SrCTAIdX)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sm"
+	"repro/internal/testsupport"
 	"repro/internal/warp"
 )
 
@@ -53,7 +54,7 @@ func memBoundLaunch(iters, ctas, block int) *isa.Launch {
 }
 
 func vtConfig() config.GPUConfig {
-	c := config.Small()
+	c := testsupport.Small()
 	return c.WithPolicy(config.PolicyVT)
 }
 
@@ -116,7 +117,7 @@ func TestVTSwapsOccurAndBalance(t *testing.T) {
 
 func TestVTSpeedsUpSchedulingLimitedWorkload(t *testing.T) {
 	l := func() *isa.Launch { return memBoundLaunch(16, 128, 64) }
-	base, err := gpu.Run(l(), config.Small(), gpu.Options{})
+	base, err := gpu.Run(l(), testsupport.Small(), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestVTSpeedsUpSchedulingLimitedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := gpu.Run(l(), config.Small().WithPolicy(config.PolicyIdeal), gpu.Options{})
+	ideal, err := gpu.Run(l(), testsupport.Small().WithPolicy(config.PolicyIdeal), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestVTNoGainWhenCapacityLimited(t *testing.T) {
 		return &isa.Launch{Kernel: k, GridDim: isa.Dim1(16), BlockDim: isa.Dim1(256),
 			Params: []uint32{0x10000}}
 	}
-	base, err := gpu.Run(mk(), config.Small(), gpu.Options{})
+	base, err := gpu.Run(mk(), testsupport.Small(), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestFullSwapPaysFootprintLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := gpu.Run(l(), config.Small().WithPolicy(config.PolicyFullSwap), gpu.Options{})
+	fs, err := gpu.Run(l(), testsupport.Small().WithPolicy(config.PolicyFullSwap), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestVTFunctionalCorrectnessThroughSwaps(t *testing.T) {
 		return out
 	}
 	var baseOut, vtOut []uint32
-	if _, err := gpu.Run(mk(), config.Small(), gpu.Options{
+	if _, err := gpu.Run(mk(), testsupport.Small(), gpu.Options{
 		KeepBacking: func(bk *mem.Backing) { baseOut = read(bk, 64*64) },
 	}); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sm"
+	"repro/internal/testsupport"
 )
 
 func fakeResult() *gpu.Result {
@@ -116,15 +117,15 @@ func TestEstimateOnRealSimulation(t *testing.T) {
 		return &isa.Launch{Kernel: b.MustBuild(), GridDim: isa.Dim1(64),
 			BlockDim: isa.Dim1(64), Params: []uint32{0x100000}}
 	}
-	base, err := gpu.Run(mk(), config.Small(), gpu.Options{})
+	base, err := gpu.Run(mk(), testsupport.Small(), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := gpu.Run(mk(), config.Small().WithPolicy(config.PolicyVT), gpu.Options{})
+	vt, err := gpu.Run(mk(), testsupport.Small().WithPolicy(config.PolicyVT), gpu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	m := Default()
 	be := m.Estimate(base, &cfg)
 	ve := m.Estimate(vt, &cfg)

@@ -21,7 +21,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/resultstore"
-	"repro/internal/sweepobs"
+	"repro/internal/testsupport"
 )
 
 // testClock is the coordinator's now() seam: advance it and call
@@ -418,7 +418,7 @@ func TestCoordinatorServesMonitor(t *testing.T) {
 		t.Errorf("/status = %s", status)
 	}
 
-	samples, err := sweepobs.ValidateExposition(get("/metrics"))
+	samples, err := testsupport.ValidateExposition(get("/metrics"))
 	if err != nil {
 		t.Fatalf("/metrics exposition invalid: %v", err)
 	}
@@ -512,7 +512,7 @@ func sweepJobs() []harness.Job {
 // testSweepParams are the fixtures' sweep parameters over a store in
 // dir, bound to a Sweep of their own that the test closes on exit.
 func testSweepParams(t *testing.T, dir string) harness.Params {
-	p := harness.Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 4, CacheDir: dir,
+	p := harness.Params{Scale: 1, Config: testsupport.Small(), Dilute: 50, Workers: 4, CacheDir: dir,
 		Sweep: harness.NewSweep()}
 	t.Cleanup(p.Sweep.Close)
 	return p

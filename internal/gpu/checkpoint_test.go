@@ -9,8 +9,10 @@ package gpu
 // with checkpoints older builds wrote.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // buildLaunch builds a fresh small-grid launch plus its memory image.
@@ -81,7 +84,7 @@ func resume(t *testing.T, workload string, ck *Checkpoint, cfg config.GPUConfig,
 func TestCheckpointRandomCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, policy := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
-		cfg := config.Small().WithPolicy(policy)
+		cfg := testsupport.Small().WithPolicy(policy)
 		ref := runPlain(t, "nw", cfg)
 		for i := 0; i < 5; i++ {
 			at := 1 + rng.Int63n(ref.Cycles-1)
@@ -102,7 +105,7 @@ func TestCheckpointRandomCycles(t *testing.T) {
 // seeds runs under different swap latencies, each bit-identical to its
 // own uninterrupted run.
 func TestCheckpointCrossConfigFork(t *testing.T) {
-	base := config.Small().WithPolicy(config.PolicyVT)
+	base := testsupport.Small().WithPolicy(config.PolicyVT)
 	donorCfg := base
 	donorCfg.VT.SwapOutLatency = 8
 	donorCfg.VT.SwapInLatency = 8
@@ -175,7 +178,7 @@ func TestCheckpointStaleSchedulerRef(t *testing.T) {
 // TestCheckpointJSONRoundTrip proves a checkpoint survives serialization:
 // resuming from a decoded copy matches resuming from the original.
 func TestCheckpointJSONRoundTrip(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	ref := runPlain(t, "bfs", cfg)
 	_, ck := runCapturing(t, "bfs", cfg, ref.Cycles/2)
 	if ck == nil {
@@ -198,7 +201,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 // TestCheckpointReuse forks the same checkpoint twice; the second fork
 // must not see any state the first one mutated.
 func TestCheckpointReuse(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyFullSwap)
+	cfg := testsupport.Small().WithPolicy(config.PolicyFullSwap)
 	ref := runPlain(t, "pathfinder", cfg)
 	_, ck := runCapturing(t, "pathfinder", cfg, ref.Cycles/2)
 	if ck == nil {
@@ -214,7 +217,7 @@ func TestCheckpointReuse(t *testing.T) {
 
 // TestResumeRejects covers the structural validation.
 func TestResumeRejects(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	ref := runPlain(t, "bfs", cfg)
 	_, ck := runCapturing(t, "bfs", cfg, ref.Cycles/2)
 	if ck == nil {
@@ -258,11 +261,13 @@ func TestResumeRejects(t *testing.T) {
 
 // TestResumeParentBuildCheckpoint resumes a checkpoint captured by the
 // build before the derived issue/controller state existed (nw
-// under VT on config.Small, 24 CTAs, cycle 4722 of 9440, swaps and a
+// under VT on testsupport.Small, 24 CTAs, cycle 4722 of 9440, swaps and a
 // min-residency wakeup in flight) and requires the Result that build's
 // uninterrupted run produced: the envelope format is unchanged and every
 // new field is rebuilt from it. testdata/parent_nw_vt.ck.json.gz holds
-// {"checkpoint": ..., "result": ...} as that build marshalled them.
+// {"checkpoint": ..., "result": ...} as that build marshalled them. Its
+// config still carries two fields later builds removed (each cache
+// level's Enabled and FetchGroupWarps); decoding ignores them.
 func TestResumeParentBuildCheckpoint(t *testing.T) {
 	f, err := os.Open("testdata/parent_nw_vt.ck.json.gz")
 	if err != nil {
@@ -273,14 +278,23 @@ func TestResumeParentBuildCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{`"Enabled":true`, `"FetchGroupWarps":0`} {
+		if !bytes.Contains(raw, []byte(gone)) {
+			t.Fatalf("the fixture no longer carries %s; it must stay as the parent build wrote it", gone)
+		}
+	}
 	var fixture struct {
 		Checkpoint *Checkpoint `json:"checkpoint"`
 		Result     *Result     `json:"result"`
 	}
-	if err := json.NewDecoder(zr).Decode(&fixture); err != nil {
+	if err := json.Unmarshal(raw, &fixture); err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	for _, slow := range []bool{false, true} {
 		got := resume(t, "nw", fixture.Checkpoint, cfg, Options{
 			DisableIssueFastPath: slow,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/sm"
+	"repro/internal/testsupport"
 )
 
 // barrierDeadlockLaunch builds a 2-warp CTA that genuinely deadlocks
@@ -48,7 +49,7 @@ func barrierDeadlockLaunch(t testing.TB) *isa.Launch {
 }
 
 func TestBarrierDeadlockDiagnostic(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	res, err := Run(barrierDeadlockLaunch(t), cfg, Options{})
 	if err == nil {
 		t.Fatal("expected a deadlock, got a completed run")
@@ -122,7 +123,7 @@ func TestBarrierDeadlockDiagnostic(t *testing.T) {
 }
 
 func TestMaxCyclesDiagnostic(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.MaxCycles = 50
 	n := 8 * 64
 	_, err := Run(vecAddLaunch(t, 8, 64), cfg, Options{InitMemory: initVec(n)})
@@ -145,7 +146,7 @@ func TestDeadlineDiagnostic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the run starts: first poll aborts
 	n := 8 * 64
-	_, err := Run(vecAddLaunch(t, 8, 64), config.Small(), Options{
+	_, err := Run(vecAddLaunch(t, 8, 64), testsupport.Small(), Options{
 		InitMemory: initVec(n),
 		Ctx:        ctx,
 	})
@@ -161,7 +162,7 @@ func TestDeadlineDiagnostic(t *testing.T) {
 // TestCheckInvariantsClean proves the checker is a pure observer: a run
 // with invariants on must pass and produce a bit-identical Result.
 func TestCheckInvariantsClean(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.Policy = config.PolicyVT // exercise swap bookkeeping too
 	n := 16 * 64
 	launch := func() *isa.Launch { return vecAddLaunch(t, 16, 64) }
@@ -188,7 +189,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	const at = 100
 	n := 8 * 64
 	fired := false
-	_, err := Run(vecAddLaunch(t, 8, 64), config.Small(), Options{
+	_, err := Run(vecAddLaunch(t, 8, 64), testsupport.Small(), Options{
 		InitMemory:        initVec(n),
 		CheckInvariants:   true,
 		InvariantInterval: 64,
@@ -219,7 +220,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 }
 
 func TestRunRejectsNegativeMaxCycles(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.MaxCycles = -1
 	_, err := Run(vecAddLaunch(t, 1, 32), cfg, Options{})
 	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
@@ -234,7 +235,7 @@ func TestRunRejectsNegativeMaxCycles(t *testing.T) {
 // than requiring an exact hit. An already-expired context must abort the
 // run regardless of how its idle spans are skipped.
 func TestDeadlineFiresAcrossIdleSkip(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	l := &isa.Launch{
 		Kernel:   memLoopKernel(t, 64), // long memory-bound run: heavy idle skip
 		GridDim:  isa.Dim1(24),

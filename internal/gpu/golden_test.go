@@ -6,7 +6,7 @@ package gpu
 // re-examine EXPERIMENTS.md.
 //
 // Regenerate by running each (workload, policy) pair at grid=24 on
-// config.Small() and copying Cycles/Issued.
+// testsupport.Small() and copying Cycles/Issued.
 
 import (
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/testsupport"
 )
 
 func TestGoldenCycleCounts(t *testing.T) {
@@ -43,7 +44,7 @@ func TestGoldenCycleCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.Launch.GridDim = isa.Dim1(24)
-			res, err := Run(w.Launch, config.Small().WithPolicy(tc.policy),
+			res, err := Run(w.Launch, testsupport.Small().WithPolicy(tc.policy),
 				Options{InitMemory: w.Init})
 			if err != nil {
 				t.Fatal(err)

@@ -152,15 +152,17 @@ type Options struct {
 	// identical either way, but are not yet under VT and FullSwap: the
 	// whole-GPU skip ignores the VT controller's sleep veto, and the
 	// Results that change are pinned in the engine oracle's
-	// knownSkipDivergence table (oracle_test.go). This exists to verify
-	// the property and to debug the skip heuristic.
+	// knownSkipDivergence table (oracle_test.go). No production path
+	// sets it; it stays because the oracle's idle-skip row and its
+	// skip-off forks are how the property is verified.
 	DisableIdleSkip bool
 	// DisableIssueFastPath routes warp-issue selection, stall
 	// classification, and quiescence detection through the original full
 	// scans instead of the incrementally maintained ready sets. The
 	// cached state is kept up to date either way, so results must be
-	// bit-identical; like DisableIdleSkip this exists to enforce and
-	// debug that equivalence.
+	// bit-identical. It stays because the engine oracle holds the fast
+	// path to this reference on every input; outside tests only the
+	// sweep supervisor's safe-mode retry sets it.
 	DisableIssueFastPath bool
 	// CheckInvariants runs every SM's conservation-invariant checker
 	// (issue-slot conservation, residency accounting, ready-bitset and
@@ -170,7 +172,10 @@ type Options struct {
 	// report. Off by default: the checker is a full state rescan.
 	CheckInvariants bool
 	// InvariantInterval is the checking period in cycles when
-	// CheckInvariants is set; zero means DefaultInvariantInterval.
+	// CheckInvariants is set; zero means DefaultInvariantInterval. No
+	// production path sets it (vtbench -checkinvariants takes the
+	// default); it stays for the engine oracle's reference runs and the
+	// checkpoint and diagnostic tests, which check every 64 cycles.
 	InvariantInterval int64
 	// Ctx, when non-nil, bounds the run by wall clock: it is polled
 	// every few thousand simulated cycles, and its expiry or

@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 // vecAddKernel builds out[i] = a[i] + b[i] over grid*block threads.
@@ -62,7 +63,7 @@ func initVec(n int) func(*mem.Backing) {
 func TestRunVecAddFunctional(t *testing.T) {
 	const ctas, block = 8, 64
 	n := ctas * block
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	var out *mem.Backing
 	res, err := Run(vecAddLaunch(t, ctas, block), cfg, Options{
 		InitMemory:  initVec(n),
@@ -88,7 +89,7 @@ func TestRunVecAddFunctional(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	l1 := vecAddLaunch(t, 16, 64)
 	l2 := vecAddLaunch(t, 16, 64)
 	r1, err := Run(l1, cfg, Options{InitMemory: initVec(1024)})
@@ -110,7 +111,7 @@ func TestRunAllPolicies(t *testing.T) {
 		config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal, config.PolicyFullSwap,
 	} {
 		t.Run(p.String(), func(t *testing.T) {
-			cfg := config.Small().WithPolicy(p)
+			cfg := testsupport.Small().WithPolicy(p)
 			var out *mem.Backing
 			const ctas, block = 12, 64
 			n := ctas * block
@@ -135,7 +136,7 @@ func TestRunAllPolicies(t *testing.T) {
 }
 
 func TestRunRejectsOversizedCTA(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	b := isa.NewBuilder("fat").ReserveRegs(200).SharedMem(0)
 	b.Nop().Exit()
 	k := b.MustBuild()
@@ -147,7 +148,7 @@ func TestRunRejectsOversizedCTA(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSMs = 0
 	if _, err := Run(vecAddLaunch(t, 1, 32), cfg, Options{}); err == nil {
 		t.Fatal("expected config rejection")
@@ -158,7 +159,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // active lane counts; for a divergence-free kernel it is exactly
 // warp instructions x warp width except partial warps.
 func TestThreadInstrsConsistent(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	res, err := Run(vecAddLaunch(t, 4, 64), cfg, Options{InitMemory: initVec(256)})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestPolicyCycleOrdering(t *testing.T) {
 	run := func(p config.Policy) int64 {
 		l := &isa.Launch{Kernel: mkKernel(), GridDim: isa.Dim1(64),
 			BlockDim: isa.Dim1(64), Params: []uint32{0x100000}}
-		res, err := Run(l, config.Small().WithPolicy(p), Options{})
+		res, err := Run(l, testsupport.Small().WithPolicy(p), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 // twoLaunches builds a vecadd and an independent ALU kernel writing to
@@ -43,7 +44,7 @@ func twoLaunches(t *testing.T) []*isa.Launch {
 func TestRunMultiCompletesBothKernels(t *testing.T) {
 	for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
 		var out *mem.Backing
-		res, err := RunMulti(twoLaunches(t), config.Small().WithPolicy(p), Options{
+		res, err := RunMulti(twoLaunches(t), testsupport.Small().WithPolicy(p), Options{
 			InitMemory:  initVec(512),
 			KeepBacking: func(bk *mem.Backing) { out = bk },
 		})
@@ -89,7 +90,7 @@ func TestRunMultiHeterogeneousResources(t *testing.T) {
 	tiny.Nop().Exit()
 	tinyL := &isa.Launch{Kernel: tiny.MustBuild(), GridDim: isa.Dim1(20), BlockDim: isa.Dim1(32)}
 
-	res, err := RunMulti([]*isa.Launch{fatL, tinyL}, config.Small(), Options{})
+	res, err := RunMulti([]*isa.Launch{fatL, tinyL}, testsupport.Small(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,18 +100,18 @@ func TestRunMultiHeterogeneousResources(t *testing.T) {
 }
 
 func TestRunMultiEmpty(t *testing.T) {
-	if _, err := RunMulti(nil, config.Small(), Options{}); err == nil {
+	if _, err := RunMulti(nil, testsupport.Small(), Options{}); err == nil {
 		t.Fatal("empty launch list must error")
 	}
 }
 
 func TestRunMultiDeterministic(t *testing.T) {
-	r1, err := RunMulti(twoLaunches(t), config.Small().WithPolicy(config.PolicyVT),
+	r1, err := RunMulti(twoLaunches(t), testsupport.Small().WithPolicy(config.PolicyVT),
 		Options{InitMemory: initVec(512)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunMulti(twoLaunches(t), config.Small().WithPolicy(config.PolicyVT),
+	r2, err := RunMulti(twoLaunches(t), testsupport.Small().WithPolicy(config.PolicyVT),
 		Options{InitMemory: initVec(512)})
 	if err != nil {
 		t.Fatal(err)

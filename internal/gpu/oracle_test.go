@@ -5,10 +5,11 @@ package gpu
 // run's Result unchanged, and what a kernel computes must not depend on
 // the CTA scheduling policy. Each relation is one row, a top-level test
 // over one input set: every registered workload under every policy, the
-// VT and register-file tunings the presets leave untried, and seeded
-// generated kernels, alone and in pairs. Every row compares Results with
-// assertEquivalent, which also holds each Result to issue-slot
-// conservation. A row keeps the name of the hand-picked test it replaced.
+// VT, register-file and scheduler-count tunings the presets leave
+// untried, and seeded generated kernels, alone and in pairs. Every row
+// compares Results with assertEquivalent, which also holds each Result to
+// issue-slot conservation. A row keeps the name of the hand-picked test
+// it replaced.
 //
 // Rows:
 //   - TestIssueFastPathEquivalence: the fast path against the reference
@@ -50,6 +51,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // knownSkipDivergence pins the inputs whose Result changes when idle skip
@@ -68,7 +70,7 @@ var knownSkipDivergence = map[string]bool{
 	"nw/fullswap/trigger0.5": true, "nw/vt": true, "nw/vt/newest": true,
 	"nw/vt/ports2-nominres": true, "nw/vt/trigger0.5": true,
 	"particlefilter/fullswap": true, "pathfinder/fullswap": true,
-	"spmv/fullswap": true,
+	"spmv/fullswap": true, "spmv/fullswap/rf2": true,
 
 	"seed4/fullswap": true, "seed7/fullswap": true, "seed8/fullswap": true,
 	"seed10/fullswap": true, "seed12/fullswap": true, "seed13/fullswap": true,
@@ -282,8 +284,9 @@ var oracleSchedulers = []config.SchedulerKind{config.SchedGTO, config.SchedLRR, 
 var swapPolicies = []config.Policy{config.PolicyVT, config.PolicyFullSwap}
 
 // oracleTunes are configurations the presets never select: the VT
-// controller's alternatives on a swap-heavy workload, and a banked
-// register file.
+// controller's alternatives on a swap-heavy workload, banked register
+// files (two banks stall a scheduler past the next cycle often enough to
+// veto an SM's sleep), and a scheduler count that is not a power of two.
 var oracleTunes = []struct {
 	name, workload string
 	policies       []config.Policy
@@ -293,6 +296,8 @@ var oracleTunes = []struct {
 	{"trigger0.5", "nw", swapPolicies, func(c *config.GPUConfig) { c.VT.TriggerFraction = 0.5 }},
 	{"ports2-nominres", "nw", swapPolicies, func(c *config.GPUConfig) { c.VT.SwapPorts = 2; c.VT.MinResidencyCycles = 0 }},
 	{"rf16", "bfs", oraclePolicies, func(c *config.GPUConfig) { c.RegFileBanks = 16 }},
+	{"rf2", "spmv", oraclePolicies, func(c *config.GPUConfig) { c.RegFileBanks = 2 }},
+	{"sched3", "hotspot", oraclePolicies, func(c *config.GPUConfig) { c.NumSchedulers = 3 }},
 }
 
 // Generated inputs: single kernels seed1..seed25 and kernel pairs
@@ -336,10 +341,10 @@ func buildOracleInputs() ([]*oracleInput, error) {
 		}
 		wl.Launch.GridDim = isa.Dim1(24)
 		launches := []*isa.Launch{wl.Launch}
-		add("", w, launches, wl.Init, config.Small(), oraclePolicies, false)
+		add("", w, launches, wl.Init, testsupport.Small(), oraclePolicies, false)
 		for _, tn := range oracleTunes {
 			if tn.workload == w {
-				cfg := config.Small()
+				cfg := testsupport.Small()
 				tn.tune(&cfg)
 				add("/"+tn.name, w, launches, wl.Init, cfg, tn.policies, false)
 			}
@@ -359,7 +364,7 @@ func buildOracleInputs() ([]*oracleInput, error) {
 		if seed >= pairSeed0 {
 			launches = append(launches, randomLaunch(rng, group+"b", 1))
 		}
-		add("", group, launches, initGenerated(len(launches)), config.Small(), oraclePolicies, true)
+		add("", group, launches, initGenerated(len(launches)), testsupport.Small(), oraclePolicies, true)
 	}
 	names := map[string]bool{}
 	for _, in := range ins {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 // sampledOpts is the sampling configuration the accuracy tests use:
@@ -185,7 +186,7 @@ func memStoreLaunch(t testing.TB, iters, ctas int) *isa.Launch {
 func TestSamplingAccuracyMeasured(t *testing.T) {
 	for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
 		t.Run(p.String(), func(t *testing.T) {
-			cfg := config.Small().WithPolicy(p)
+			cfg := testsupport.Small().WithPolicy(p)
 			const iters, ctas = 300, 24
 			var exactMem, sampMem *mem.Backing
 			exact, err := Run(memStoreLaunch(t, iters, ctas), cfg, Options{
@@ -247,7 +248,7 @@ func TestSamplingAccuracyMeasured(t *testing.T) {
 // asserted.
 func TestSamplingSpeedup(t *testing.T) {
 	t.Parallel() // its wall-clock rates are logged, not asserted
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	cfg.MaxCycles = 20_000_000
 	so := SamplingOptions{DetailedCycles: 25000, FastForwardCycles: 500000, WarmupCycles: 12000}
 	const iters, ctas = 2000, 8
@@ -315,7 +316,7 @@ func TestSamplingArmedButIdleIsPure(t *testing.T) {
 	for _, p := range policies {
 		for _, sched := range schedulers {
 			t.Run(p.String()+"/"+sched.String()+"/par1", func(t *testing.T) {
-				cfg := config.Small().WithPolicy(p)
+				cfg := testsupport.Small().WithPolicy(p)
 				cfg.Scheduler = sched
 				run := func(s SamplingOptions) *Result {
 					res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
@@ -348,7 +349,7 @@ func TestSamplingArmedButIdleIsPure(t *testing.T) {
 // invariant across sampled spans: AccountSampled must keep slot samples
 // equal to cycles x schedulers on every SM.
 func TestSamplingSlotConservation(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	res, err := Run(longMemLaunch(t, 200, 24), cfg, Options{Sampling: sampledOpts()})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +369,7 @@ func TestSamplingSlotConservation(t *testing.T) {
 // the sampling knobs: every violation is reported, none panics.
 func TestSamplingOptionsValidation(t *testing.T) {
 	l := vecAddLaunch(t, 2, 32)
-	cfg := config.Small()
+	cfg := testsupport.Small()
 
 	cases := []struct {
 		name string

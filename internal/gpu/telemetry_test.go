@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
+	"repro/internal/testsupport"
 )
 
 // TestTelemetryWindowExactness pins the ring semantics: windows tile the
@@ -21,7 +22,7 @@ func TestTelemetryWindowExactness(t *testing.T) {
 		{},
 		{DetailedCycles: 200, FastForwardCycles: 1500, WarmupCycles: 50},
 	} {
-		cfg := config.Small().WithPolicy(config.PolicyVT)
+		cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 		const ctas, block = 16, 64
 		col := telemetry.NewCollector(telemetry.Config{Window: 64, PerSM: true})
 		res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
@@ -101,7 +102,7 @@ func TestTelemetryWindowExactness(t *testing.T) {
 // and checks the invariants survive: bounded length, contiguous
 // coverage, totals preserved.
 func TestTelemetryCompaction(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyBaseline)
+	cfg := testsupport.Small().WithPolicy(config.PolicyBaseline)
 	const ctas, block = 16, 64
 	col := telemetry.NewCollector(telemetry.Config{Window: 1})
 	res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
@@ -135,7 +136,7 @@ func TestTelemetryCompaction(t *testing.T) {
 // CTA lifecycle, swap, and SM sleep/fast-forward spans, plus counter
 // tracks — all with explicit pid/ts fields (no omitempty holes).
 func TestTelemetryPerfetto(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
+	cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 	l := &isa.Launch{
 		Kernel:   memLoopKernel(t, 8),
 		GridDim:  isa.Dim1(24),

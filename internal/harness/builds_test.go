@@ -12,6 +12,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 // eagerRun runs j the way a sweep did before it kept builds: a fresh
@@ -38,7 +39,7 @@ func eagerRun(t *testing.T, p Params, j Job) *gpu.Result {
 // distinct (workload, scale) once, and every run from the shared build
 // equals a run built eagerly on its own.
 func TestSweepBuildsEachWorkloadOnce(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 2})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 2})
 	names := []string{"bfs", "scatteradd", "nw+montecarlo"}
 	first := policyJobs(names, []config.Policy{config.PolicyBaseline, config.PolicyVT})
 	second := policyJobs(names, []config.Policy{config.PolicyIdeal})
@@ -69,7 +70,7 @@ func TestSweepBuildsEachWorkloadOnce(t *testing.T) {
 // race-free (run under -race), with the results of a run built alone.
 func TestSharedBuildConcurrentSlots(t *testing.T) {
 	policies := []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal, config.PolicyFullSwap}
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: len(policies)})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: len(policies)})
 	for _, w := range []string{"bfs", "scatteradd"} {
 		jobs := policyJobs([]string{w}, policies)
 		res, err := runMany(p, jobs)
@@ -93,7 +94,7 @@ func TestSharedBuildConcurrentSlots(t *testing.T) {
 // address, so an image that kept a failed run's stores would show.
 func TestSharedBuildRetrySeesPristineImage(t *testing.T) {
 	jobs := policyJobs([]string{"scatteradd"}, []config.Policy{config.PolicyBaseline, config.PolicyVT})
-	base := Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 1}
+	base := Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 1}
 	clean, err := runMany(inSweep(t, base), jobs)
 	if err != nil {
 		t.Fatal(err)

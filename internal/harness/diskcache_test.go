@@ -12,9 +12,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/resultstore"
+	"repro/internal/testsupport"
 )
 
 // The result store keeps every object as a byte range of one
@@ -184,7 +184,7 @@ func runDurable(p Params, j Job) (*gpu.Result, error) {
 // served back on a later invocation (a fresh sweep over the directory) as
 // a cache hit, bit-identical to the freshly computed Result.
 func TestDiskCacheRoundTrip(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()})
 	j := Job{Workload: "vecadd"}
 
 	fresh, err := runDurable(p, j)
@@ -214,7 +214,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // entry whose version or fingerprint does not match is a miss, not a wrong
 // answer.
 func TestDiskCacheVersionInvalidation(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()})
 	j := Job{Workload: "vecadd"}
 
 	if _, err := runDurable(p, j); err != nil {
@@ -240,7 +240,7 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 // rejection observable in store-index.jsonl and the audit log) while the
 // caller re-simulates and writes a fresh entry.
 func TestDiskCacheQuarantine(t *testing.T) {
-	base := Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: t.TempDir()}
+	base := Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()}
 	j := Job{Workload: "vecadd"}
 
 	corruptions := []struct {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/resultstore"
+	"repro/internal/testsupport"
 )
 
 // swapLatJobs builds a small swap-latency sweep over one workload — the
@@ -35,7 +36,7 @@ func swapLatJobs(workload string, lats []int) []Job {
 }
 
 func forkTestParams(t testing.TB) Params {
-	return inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 40, Workers: 2})
+	return inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 40, Workers: 2})
 }
 
 // TestForkPlanGrouping pins what forkPlan marks: jobs that differ only in

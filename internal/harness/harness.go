@@ -413,7 +413,9 @@ func (localExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (
 // RunJobs runs a batch as one plan (see runPlan) and returns one result
 // per job, in job order — nil for a job that failed — with the per-job
 // errors joined in job order. It is test support, shared by the harness
-// and fabric tests; the production path is RunExperiments → runPlan.
+// and fabric tests; the production path is RunExperiments → runPlan. It
+// stays here, not in internal/testsupport, because it needs the
+// unexported runPlan and Params.sweep.
 func RunJobs(p Params, jobs []Job) ([]*gpu.Result, error) {
 	if _, err := p.sweep(); err != nil {
 		return nil, err

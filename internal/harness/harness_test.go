@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/testsupport"
 )
 
 // inSweep binds p to a fresh Sweep, closed when the test ends: a test's
@@ -176,7 +177,7 @@ func TestRunMemoization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 50, Workers: 2})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 50, Workers: 2})
 	jobs := policyJobs([]string{"pathfinder", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})
 

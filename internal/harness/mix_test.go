@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/resultstore"
+	"repro/internal/testsupport"
 )
 
 // A concurrent-kernel mix is a job whose workload name is "+"-joined, so
@@ -181,7 +181,7 @@ func TestSampledMixesAreFlagged(t *testing.T) {
 // coordinator commits on a worker's behalf.
 func TestMixesNeverJournal(t *testing.T) {
 	dir := t.TempDir()
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, CacheDir: dir})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: dir})
 	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/sweepobs"
+	"repro/internal/testsupport"
 )
 
 // TestMonitorHandler exercises the live-monitor endpoint end to end: run
@@ -20,7 +21,7 @@ import (
 // keys and / serves the self-refreshing HTML page.
 func TestMonitorHandler(t *testing.T) {
 	p := inSweep(t, DefaultParams())
-	p.Config = config.Small()
+	p.Config = testsupport.Small()
 	p.Dilute = 60
 	NewMonitor(p.Sweep)
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
@@ -183,7 +184,7 @@ func TestMonitorConcurrentScrape(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := sweepobs.ValidateExposition(b.String()); err != nil {
+				if _, err := testsupport.ValidateExposition(b.String()); err != nil {
 					t.Errorf("mid-sweep scrape invalid: %v", err)
 					return
 				}
@@ -206,7 +207,7 @@ func TestMonitorConcurrentScrape(t *testing.T) {
 // endpoints answer on the same mux.
 func TestMonitorMetricsEndpoint(t *testing.T) {
 	p := inSweep(t, DefaultParams())
-	p.Config = config.Small()
+	p.Config = testsupport.Small()
 	p.Dilute = 60
 	p.Sweep.Trace = sweepobs.New()
 	mon := NewMonitor(p.Sweep)
@@ -230,7 +231,7 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := sweepobs.ValidateExposition(string(body))
+	samples, err := testsupport.ValidateExposition(string(body))
 	if err != nil {
 		t.Fatalf("/metrics exposition invalid: %v\n%s", err, body)
 	}

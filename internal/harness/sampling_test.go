@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/testsupport"
 )
 
 // testSampling is a window configuration small enough to fire inside the
@@ -137,7 +138,7 @@ func TestSamplingInjectedRunsExact(t *testing.T) {
 // full runs, which extrapolated clocks cannot promise, so Checkpoint and
 // Sampling together fall back to ordinary full executions.
 func TestSamplingDisablesPrefixFork(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 40,
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Workers: 2, Dilute: 40,
 		Checkpoint: true, Sampling: testSampling()})
 	jobs := swapLatJobs("pathfinder", []int{0, 64, 256})
 	if _, err := runMany(p, jobs); err != nil {
@@ -195,7 +196,7 @@ func TestSamplingSwapLatDrill(t *testing.T) {
 	}
 	jobs := append(swapLatJobs("pathfinder", []int{64}),
 		Job{Workload: "pathfinder", Variant: "baseline"})
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Workers: 2})
 	exact, err := runMany(p, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,13 @@ import (
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/testsupport"
 )
 
 // supervisorParams is a small fast sweep shape shared by the tests: four
 // jobs (2 workloads x 2 policies) at heavy dilution.
 func supervisorParams(t testing.TB) (Params, []Job) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Workers: 2, Dilute: 60})
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Workers: 2, Dilute: 60})
 	jobs := policyJobs([]string{"vecadd", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})
 	return p, jobs

@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/testsupport"
 )
 
 // TestSweepsAreIndependent: two sweeps in one process share nothing. Run
@@ -29,7 +30,7 @@ func TestSweepsAreIndependent(t *testing.T) {
 	var ps [2]Params
 	var wg sync.WaitGroup
 	for i := range ps {
-		ps[i] = inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 2,
+		ps[i] = inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 2,
 			CacheDir: dir, StoreFault: faultinject.NewStoreRecorder()})
 		NewMonitor(ps[i].Sweep)
 		wg.Add(1)

@@ -47,12 +47,5 @@ func LoadSweepTrace(dir, mirror string) (*sweepobs.Dump, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read sweep trace from %s: %w", dir, err)
 	}
-	var d sweepobs.Dump
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("decode sweep trace: %w", err)
-	}
-	if d.SchemaVersion != sweepobs.DumpSchemaVersion {
-		return nil, fmt.Errorf("sweep trace schema %d (want %d)", d.SchemaVersion, sweepobs.DumpSchemaVersion)
-	}
-	return &d, nil
+	return sweepobs.DecodeDump(b)
 }

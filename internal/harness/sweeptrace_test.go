@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/resultstore"
 	"repro/internal/sweepobs"
+	"repro/internal/testsupport"
 )
 
 // TestSweepTraceEndToEnd is the observability acceptance run: a mirrored,
@@ -139,7 +140,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if err := p.Sweep.Monitor.WriteMetrics(&exposition); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := sweepobs.ValidateExposition(exposition.String())
+	samples, err := testsupport.ValidateExposition(exposition.String())
 	if err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/resultstore"
+	"repro/internal/testsupport"
 )
 
 // TestSyncMakesOutcomesDurable: after the sweep's barrier, a
@@ -16,7 +17,7 @@ import (
 // resultstore.Open — serves every submitted outcome from either side, and
 // both journals name it.
 func TestSyncMakesOutcomesDurable(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: config.Small(), Dilute: 60, Workers: 4,
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 4,
 		CacheDir: filepath.Join(t.TempDir(), "primary"), MirrorDir: filepath.Join(t.TempDir(), "mirror")})
 	jobs := policyJobs([]string{"vecadd", "bfs", "spmv", "nw"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 )
 
 func TestSuiteShape(t *testing.T) {
@@ -69,7 +70,7 @@ func TestScaleGrowsGrid(t *testing.T) {
 // workload under every policy and requires each CTA to retire. This is the
 // broad integration net for the whole simulator.
 func TestAllWorkloadsRunToCompletion(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	for _, w := range kernels.Suite(1) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -127,7 +128,7 @@ func TestBFSFunctionalOutput(t *testing.T) {
 	w, _ := kernels.Build("bfs", 1)
 	w.Launch.GridDim.X = 8
 	var out *mem.Backing
-	_, err := gpu.Run(w.Launch, config.Small(), gpu.Options{
+	_, err := gpu.Run(w.Launch, testsupport.Small(), gpu.Options{
 		InitMemory:  w.Init,
 		KeepBacking: func(bk *mem.Backing) { out = bk },
 	})
@@ -151,7 +152,7 @@ func TestExtras(t *testing.T) {
 	if want := []string{"gemm", "histogram", "bitonic", "scatteradd"}; !slices.Equal(extras, want) {
 		t.Fatalf("extensions = %v, want %v", extras, want)
 	}
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	for _, n := range extras {
 		// Extensions are reachable through Build but not part of the suite.
 		w, err := kernels.Build(n, 1)
@@ -260,7 +261,7 @@ func TestConcurrentArenasNoCollision(t *testing.T) {
 	// bfs co-scheduled with streamcluster previously livelocked because
 	// their Init regions collided; with disjoint arenas the mix must
 	// finish in the same order of magnitude as the solo runs.
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	a, _ := kernels.BuildAt("bfs", 1, kernels.DefaultArena)
 	b, _ := kernels.BuildAt("streamcluster", 1, kernels.DefaultArena+kernels.ArenaStride)
 	a.Launch.GridDim.X = 16
@@ -293,7 +294,7 @@ func TestScatterAddConservation(t *testing.T) {
 		w2, _ := kernels.Build("scatteradd", 1)
 		w2.Launch.GridDim.X = 12
 		var out *mem.Backing
-		res, err := gpu.Run(w2.Launch, config.Small().WithPolicy(p), gpu.Options{
+		res, err := gpu.Run(w2.Launch, testsupport.Small().WithPolicy(p), gpu.Options{
 			InitMemory:  w2.Init,
 			KeepBacking: func(bk *mem.Backing) { out = bk },
 		})

@@ -144,7 +144,9 @@ func (b *Backing) WriteWords(base uint32, vals []uint32) {
 
 // TouchedWords returns how many words have been explicitly stored. It is
 // test support: the mem, warp and kernels tests use it to bound memory
-// growth and to compare two images; no simulation reads it.
+// growth and to compare two images; no simulation reads it. It stays
+// here, not in internal/testsupport, because it reads the unexported
+// pages.
 func (b *Backing) TouchedWords() int {
 	n := 0
 	for _, p := range b.pages {

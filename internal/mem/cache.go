@@ -153,11 +153,11 @@ func (m *mshrTable) add(lineAddr uint32, done event.Completion) (primary, full b
 // registration order. The entry is removed before anything fires and each
 // node is copied out and recycled before its completion runs, so
 // completions may re-enter the table (even for the same line) safely.
+// Every fill answers the one primary miss that sent its line downstream,
+// and a line gets a new primary only after its fill removed the entry, so
+// the entry exists; a missing one would read as an empty chain anyway.
 func (m *mshrTable) fireCompleted(lineAddr uint32) {
-	l, ok := m.pending[lineAddr]
-	if !ok {
-		return
-	}
+	l := m.pending[lineAddr]
 	delete(m.pending, lineAddr)
 	for n := l.head; n != 0; {
 		node := m.nodes[n-1]

@@ -105,9 +105,10 @@ func (m *mshrTable) setState(lines []MSHRLine, reg *event.Registry) error {
 	return nil
 }
 
-// L1State is one L1 cache's serializable state.
+// L1State is one L1 cache's serializable state. A state without tags
+// fails the tag array's geometry check on restore.
 type L1State struct {
-	Tags *TagState  `json:"tags,omitempty"`
+	Tags TagState   `json:"tags"`
 	MSHR []MSHRLine `json:"mshr"`
 }
 
@@ -120,7 +121,7 @@ type DRAMReqState struct {
 
 // PartitionState is one memory partition's serializable state.
 type PartitionState struct {
-	Tags     *TagState      `json:"tags,omitempty"`
+	Tags     TagState       `json:"tags"`
 	MSHR     []MSHRLine     `json:"mshr"`
 	L2Free   int64          `json:"l2_free"`
 	DRAMFree int64          `json:"dram_free"`
@@ -154,11 +155,7 @@ func (s *System) RegisterHandlers(reg *event.Registry) {
 func (s *System) State(reg *event.Registry) (*SystemState, error) {
 	st := &SystemState{Stats: s.PeekStats()}
 	for _, c := range s.l1s {
-		var ls L1State
-		if c.tags != nil {
-			ts := c.tags.State()
-			ls.Tags = &ts
-		}
+		ls := L1State{Tags: c.tags.State()}
 		var err error
 		if ls.MSHR, err = c.mshr.state(reg); err != nil {
 			return nil, err
@@ -167,15 +164,12 @@ func (s *System) State(reg *event.Registry) (*SystemState, error) {
 	}
 	for _, p := range s.parts {
 		ps := PartitionState{
+			Tags:     p.tags.State(),
 			L2Free:   p.l2Free,
 			DRAMFree: p.dramFree,
 			BankFree: append([]int64(nil), p.bankFree...),
 			OpenRow:  append([]uint32(nil), p.openRow...),
 			PumpAt:   p.pumpAt,
-		}
-		if p.tags != nil {
-			ts := p.tags.State()
-			ps.Tags = &ts
 		}
 		var err error
 		if ps.MSHR, err = p.mshr.state(reg); err != nil {
@@ -204,13 +198,8 @@ func (s *System) SetState(st *SystemState, reg *event.Registry) error {
 	s.Stats = st.Stats
 	for i, c := range s.l1s {
 		ls := &st.L1s[i]
-		if (c.tags != nil) != (ls.Tags != nil) {
-			return fmt.Errorf("mem: L1 %d tag presence mismatch", i)
-		}
-		if c.tags != nil {
-			if err := c.tags.SetState(*ls.Tags); err != nil {
-				return err
-			}
+		if err := c.tags.SetState(ls.Tags); err != nil {
+			return err
 		}
 		if err := c.mshr.setState(ls.MSHR, reg); err != nil {
 			return err
@@ -221,13 +210,8 @@ func (s *System) SetState(st *SystemState, reg *event.Registry) error {
 	}
 	for i, p := range s.parts {
 		ps := &st.Parts[i]
-		if (p.tags != nil) != (ps.Tags != nil) {
-			return fmt.Errorf("mem: partition %d tag presence mismatch", i)
-		}
-		if p.tags != nil {
-			if err := p.tags.SetState(*ps.Tags); err != nil {
-				return err
-			}
+		if err := p.tags.SetState(ps.Tags); err != nil {
+			return err
 		}
 		if err := p.mshr.setState(ps.MSHR, reg); err != nil {
 			return err

@@ -141,12 +141,9 @@ type l1Cache struct {
 }
 
 func newL1(cfg *config.GPUConfig, sys *System) *l1Cache {
-	c := &l1Cache{sys: sys, cfg: cfg.L1D, mshr: newMSHRTable(cfg.L1D.MSHRs),
+	return &l1Cache{sys: sys, cfg: cfg.L1D, mshr: newMSHRTable(cfg.L1D.MSHRs),
+		tags:  NewTagArray(cfg.L1D.Sets, cfg.L1D.Ways, cfg.L1D.LineSize),
 		stats: &sys.Stats}
-	if cfg.L1D.Enabled {
-		c.tags = NewTagArray(cfg.L1D.Sets, cfg.L1D.Ways, cfg.L1D.LineSize)
-	}
-	return c
 }
 
 // l1Cache event kinds (operand a = line address throughout).
@@ -168,9 +165,7 @@ func (c *l1Cache) HandleEvent(kind uint8, a, b uint32) {
 	case evL1Resp:
 		sys.ev.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1Fill, a, 0)
 	case evL1Fill:
-		if c.tags != nil {
-			c.tags.Fill(a)
-		}
+		c.tags.Fill(a)
 		c.mshr.fireCompleted(a)
 	}
 }
@@ -179,16 +174,14 @@ func (c *l1Cache) access(lineAddr uint32, write bool, done event.Completion) boo
 	sys := c.sys
 	if write {
 		c.stats.L1Accesses++
-		if c.tags != nil {
-			c.tags.Invalidate(lineAddr) // write-evict
-		}
+		c.tags.Invalidate(lineAddr) // write-evict
 		// Write-through: consume the downstream path; nothing waits.
 		sys.ev.PostAfter(int64(sys.cfg.InterconnectDelay), c, evL1FwdWrite, lineAddr, 0)
 		return true
 	}
 
 	c.stats.L1Accesses++
-	if c.tags != nil && c.tags.Probe(lineAddr) {
+	if c.tags.Probe(lineAddr) {
 		c.stats.L1Hits++
 		sys.ev.PostAfter(int64(c.cfg.Latency), done.H, done.Kind, done.A, done.B)
 		return true
@@ -235,11 +228,10 @@ type partition struct {
 }
 
 func newPartition(cfg *config.GPUConfig, sys *System) *partition {
-	p := &partition{sys: sys, cfg: cfg, pumpAt: -1}
-	if cfg.L2.Enabled {
-		p.tags = NewTagArray(cfg.L2.Sets, cfg.L2.Ways, cfg.L2.LineSize)
+	p := &partition{sys: sys, cfg: cfg, pumpAt: -1,
+		tags: NewTagArray(cfg.L2.Sets, cfg.L2.Ways, cfg.L2.LineSize),
+		mshr: newMSHRTable(0), // partition MSHRs: merged, unbounded (see DESIGN)
 	}
-	p.mshr = newMSHRTable(0) // partition MSHRs: merged, unbounded (see DESIGN)
 	banks := cfg.DRAMBanks
 	if banks <= 0 {
 		banks = 1 // flat model: one bank, no row penalty
@@ -271,9 +263,7 @@ func (p *partition) HandleEvent(kind uint8, a, b uint32) {
 	case evPartEnqWrite:
 		p.enqueueDRAM(a, true, event.Completion{})
 	case evPartFill:
-		if p.tags != nil {
-			p.tags.Fill(a)
-		}
+		p.tags.Fill(a)
 		p.mshr.fireCompleted(a)
 	case evPartPump:
 		if p.pumpAt == p.sys.ev.Now() {
@@ -305,7 +295,7 @@ func (p *partition) access(lineAddr uint32, write bool, respond event.Completion
 	}
 
 	sys.Stats.L2Accesses++
-	if p.tags != nil && p.tags.Probe(lineAddr) {
+	if p.tags.Probe(lineAddr) {
 		sys.Stats.L2Hits++
 		sys.ev.PostC(start+int64(p.cfg.L2.Latency), respond)
 		return

@@ -7,10 +7,11 @@ import (
 	"repro/internal/config"
 	"repro/internal/event"
 	"repro/internal/simt"
+	"repro/internal/testsupport"
 )
 
 func testConfig() config.GPUConfig {
-	c := config.Small()
+	c := testsupport.Small()
 	return c
 }
 
@@ -249,8 +250,6 @@ func TestL2SharedAcrossSMs(t *testing.T) {
 
 func TestDRAMBandwidthSerializes(t *testing.T) {
 	cfg := testConfig()
-	cfg.L1D.Enabled = false
-	cfg.L2.Enabled = false
 	cfg.NumMemPartitions = 1
 	ev := event.NewQueue()
 	sys := NewSystem(&cfg, ev)
@@ -295,8 +294,6 @@ func TestHitRateHelpers(t *testing.T) {
 
 func TestDRAMRowBufferModel(t *testing.T) {
 	cfg := testConfig()
-	cfg.L1D.Enabled = false
-	cfg.L2.Enabled = false
 	cfg.NumMemPartitions = 1
 	cfg.DRAMBanks = 4
 	cfg.DRAMRowBytes = 2048
@@ -340,8 +337,6 @@ func TestDRAMBanksOverlapRowMisses(t *testing.T) {
 	// two to the same bank serialize.
 	mk := func(banks int, a1, a2 uint32) int64 {
 		cfg := testConfig()
-		cfg.L1D.Enabled = false
-		cfg.L2.Enabled = false
 		cfg.NumMemPartitions = 1
 		cfg.DRAMBanks = banks
 		cfg.DRAMRowBytes = 2048
@@ -394,8 +389,6 @@ func TestPartitionInterleaving(t *testing.T) {
 	// bandwidth scales with the partition count.
 	one := func(parts int) int64 {
 		cfg := testConfig()
-		cfg.L1D.Enabled = false
-		cfg.L2.Enabled = false
 		cfg.NumMemPartitions = parts
 		ev := event.NewQueue()
 		sys := NewSystem(&cfg, ev)
@@ -421,8 +414,6 @@ func TestPartitionInterleaving(t *testing.T) {
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	cfg := testConfig()
-	cfg.L1D.Enabled = false
-	cfg.L2.Enabled = false
 	cfg.NumMemPartitions = 1
 	cfg.DRAMBanks = 1 // force all traffic into one bank
 	cfg.DRAMRowBytes = 2048
@@ -449,5 +440,30 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	if sys.Stats.DRAMRowHits != 1 || sys.Stats.DRAMRowMisses != 2 {
 		t.Fatalf("hits/misses = %d/%d, want 1/2",
 			sys.Stats.DRAMRowHits, sys.Stats.DRAMRowMisses)
+	}
+}
+
+// TestSetStateRefusesMissingTags: both cache levels always have tags, so a
+// state that carries none for an L1 or an L2 slice is refused on restore,
+// not restored as an empty cache.
+func TestSetStateRefusesMissingTags(t *testing.T) {
+	cfg := testConfig()
+	restore := func(edit func(*SystemState)) error {
+		src := NewSystem(&cfg, event.NewQueue())
+		st, err := src.State(event.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(st)
+		return NewSystem(&cfg, event.NewQueue()).SetState(st, event.NewRegistry())
+	}
+	if err := restore(func(*SystemState) {}); err != nil {
+		t.Fatalf("a captured state must restore: %v", err)
+	}
+	if err := restore(func(st *SystemState) { st.L1s[1].Tags = TagState{} }); err == nil {
+		t.Fatal("an L1 state without tags was restored")
+	}
+	if err := restore(func(st *SystemState) { st.Parts[0].Tags = TagState{} }); err == nil {
+		t.Fatal("an L2 slice state without tags was restored")
 	}
 }

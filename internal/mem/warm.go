@@ -17,30 +17,24 @@ func (s *System) WarmGlobal(sm int, lineAddr uint32, write bool) {
 		// Write-through, write-evict at L1; write-through no-allocate at
 		// L2; the line lands on the DRAM channel.
 		c.stats.L1Accesses++
-		if c.tags != nil {
-			c.tags.Invalidate(lineAddr)
-		}
+		c.tags.Invalidate(lineAddr)
 		s.Stats.L2Accesses++
 		s.Stats.DRAMWrites++
 		return
 	}
 
 	c.stats.L1Accesses++
-	if c.tags != nil && c.tags.Probe(lineAddr) {
+	if c.tags.Probe(lineAddr) {
 		c.stats.L1Hits++
 		return
 	}
 	s.Stats.L2Accesses++
 	p := s.partitionOf(lineAddr)
-	if p.tags != nil && p.tags.Probe(lineAddr) {
+	if p.tags.Probe(lineAddr) {
 		s.Stats.L2Hits++
 	} else {
 		s.Stats.DRAMReads++
-		if p.tags != nil {
-			p.tags.Fill(lineAddr)
-		}
+		p.tags.Fill(lineAddr)
 	}
-	if c.tags != nil {
-		c.tags.Fill(lineAddr)
-	}
+	c.tags.Fill(lineAddr)
 }

@@ -21,7 +21,7 @@
 // stay where they are: the pack is never rewritten. A directory in an
 // older build's layout (one file per object, index lines without an
 // offset, .vtstore/wal/*.commit records) is never served and never
-// touched; Open notes what it skipped in one audit event per side.
+// touched: only an index line with an offset names an object.
 //
 // # Commit protocol
 //
@@ -237,23 +237,16 @@ func Open(o Options) (*Store, error) {
 		}
 		s.sides = append(s.sides, sd)
 	}
-	// The sides' indexes replay concurrently; what each skipped of an
-	// older layout is reported afterwards, primary first.
-	skipped := make([]string, len(s.sides))
+	// The sides' indexes replay concurrently.
 	var wg sync.WaitGroup
-	for i, sd := range s.sides {
+	for _, sd := range s.sides {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			skipped[i] = s.loadIndex(sd)
+			s.loadIndex(sd)
 		}()
 	}
 	wg.Wait()
-	for i, detail := range skipped {
-		if detail != "" {
-			s.event(Event{Op: "skip-legacy", Side: s.roleOf(s.sides[i]), Detail: detail})
-		}
-	}
 	s.recoverWAL()
 	return s, nil
 }
@@ -408,19 +401,17 @@ func (w *sideWriter) index(e indexEntry) error {
 	return nil
 }
 
-// loadIndex replays a side's store-index.jsonl into memory. Torn or
-// unparseable lines are skipped: an object whose index line was lost is
-// absent, and reads recompute it. (A line torn by a crash belongs to a
-// batch whose manifest has no done line, and recovery rolls that
-// forward, index line included.) A line without an offset, the object
-// files and the commit records of an older build are not served here;
-// it returns what a side holds of them, for Open's one skip-legacy event
-// per side ("" when nothing), and leaves them as they are. It touches
-// only sd and the concurrency-safe known set, so the sides load in
-// parallel.
-func (s *Store) loadIndex(sd *side) string {
+// loadIndex replays a side's store-index.jsonl into memory. Torn,
+// unparseable or malformed lines — a line without an offset among them —
+// are skipped: an object whose index line was lost is absent, and reads
+// recompute it. (A line torn by a crash belongs to a batch whose manifest
+// has no done line, and recovery rolls that forward, index line
+// included.) Nothing but the index names an object, so files of any
+// other layout in the directory are neither served nor touched. It
+// touches only sd and the concurrency-safe known set, so the sides load
+// in parallel.
+func (s *Store) loadIndex(sd *side) {
 	b, _ := os.ReadFile(sd.path(indexFile))
-	older := 0
 	for _, line := range bytes.Split(b, []byte("\n")) {
 		e := indexEntry{Off: -1}
 		if err := json.Unmarshal(line, &e); err != nil || e.Kind == "" || e.Key == "" {
@@ -430,20 +421,11 @@ func (s *Store) loadIndex(sd *side) string {
 		switch {
 		case e.Drop:
 			delete(sd.index, k)
-		case e.Off < 0:
-			older++
-		default:
+		case e.Off >= 0:
 			sd.index[k] = e
 			s.known.Store(k, struct{}{})
 		}
 	}
-	files, _ := filepath.Glob(sd.path("vt*-*.json")) // the patterns are well-formed
-	records, _ := filepath.Glob(sd.path(vtstoreDir + "/wal/*.commit"))
-	if older+len(files)+len(records) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("older layout not served, left untouched: %d object files, %d index lines without an offset, %d commit records",
-		len(files), older, len(records))
 }
 
 // recoverWAL replays the primary's write-ahead log: a manifest that is

@@ -186,9 +186,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 // TestLegacyCompatRead: a directory in an older build's layout — one
 // file per object, index lines without an offset, a commit record under
-// .vtstore/wal — is never served and never touched. Open names what it
-// skipped in one audit event per side, a Get misses so the caller
-// recomputes, and the rewrite is an ordinary object in the pack.
+// .vtstore/wal — is never served and never touched. A Get misses so the
+// caller recomputes, and the rewrite is an ordinary object in the pack.
 func TestLegacyCompatRead(t *testing.T) {
 	payload := []byte(`{"version":1,"fingerprint":"y","result":{}}`)
 	older := map[string]string{
@@ -216,16 +215,7 @@ func TestLegacyCompatRead(t *testing.T) {
 					}
 				}
 			}
-			var skipped []string
-			o.OnEvent = func(ev Event) {
-				if ev.Op == "skip-legacy" {
-					skipped = append(skipped, ev.Side+": "+ev.Detail)
-				}
-			}
 			s := mustOpen(t, o)
-			if len(skipped) != len(sides) || !strings.HasSuffix(skipped[0], "1 object files, 1 index lines without an offset, 1 commit records") {
-				t.Fatalf("skip-legacy events %q, want one per side naming what was skipped", skipped)
-			}
 			if got, err := s.Get(KindResult, "deadbeef"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("older layout served: %v %q", err, got)
 			}

@@ -235,8 +235,13 @@ func (s *SM) CheckInvariants() error {
 	s.checkDerived(fail)
 
 	wheel := 0
-	for _, entries := range s.wb.slots {
+	for slot, entries := range s.wb.slots {
 		wheel += len(entries)
+		for _, e := range entries {
+			if e.cycle&s.wb.mask != int64(slot) || e.cycle <= s.wb.drained || e.cycle > s.wb.drained+s.wb.mask {
+				fail("writeback due at cycle %d sits in slot %d, outside the window after cycle %d", e.cycle, slot, s.wb.drained)
+			}
+		}
 	}
 	if wheel != s.wb.pending {
 		fail("writeback wheel holds %d entries but pending counter is %d", wheel, s.wb.pending)
@@ -249,7 +254,7 @@ func (s *SM) CheckInvariants() error {
 // state it is derived from, the way the reference (DisableFastPath) paths
 // compute it.
 func (s *SM) checkDerived(fail func(format string, args ...any)) {
-	residentWarps, stalled := 0, 0
+	residentWarps, stalled, restoreReady := 0, 0, 0
 	var ready []*warp.CTA
 	for _, c := range s.Resident {
 		residentWarps += len(c.Warps)
@@ -259,6 +264,10 @@ func (s *SM) checkDerived(fail func(format string, args ...any)) {
 		code := c.Launch.Kernel.Code
 		var class [warp.NumBlocked]int32
 		for _, w := range c.Warps {
+			if w.Finished != w.Stack.Finished() {
+				fail("CTA %d/%d warp %d: finished flag %v, its stack says %v",
+					c.KernelID, c.FlatID, w.IdxInCTA, w.Finished, w.Stack.Finished())
+			}
 			var in *isa.Instr
 			var active simt.Mask
 			port := warp.PortNone
@@ -278,6 +287,9 @@ func (s *SM) checkDerived(fail func(format string, args ...any)) {
 			want := warp.BlockedDone
 			if w.Slot >= 0 && c.State == warp.CTAActive {
 				want = w.BlockedState(code)
+			}
+			if w.Slot >= 0 && c.State == warp.CTARestoring && w.BlockedState(code) == warp.BlockedNot {
+				restoreReady++
 			}
 			if w.IssueState != want {
 				fail("CTA %d/%d warp %d: cached class %v, a rescan says %v",
@@ -301,6 +313,9 @@ func (s *SM) checkDerived(fail func(format string, args ...any)) {
 	}
 	if stalled != s.stalledCTAs {
 		fail("stalled-CTA count %d but %d resident CTAs satisfy the swap trigger", s.stalledCTAs, stalled)
+	}
+	if restoreReady != s.restoreReady {
+		fail("restore-ready count %d but %d bound warps of restoring CTAs are ready", s.restoreReady, restoreReady)
 	}
 	sort.SliceStable(ready, func(i, j int) bool { return s.readyBefore(ready[i], ready[j]) })
 	if len(ready) != len(s.readyCTAs) {

@@ -220,11 +220,7 @@ func (s *SM) functionalMem(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 		}
 		return
 	}
-	lineSize := s.Cfg.L1D.LineSize
-	if !s.Cfg.L1D.Enabled {
-		lineSize = s.Cfg.L2.LineSize
-	}
-	s.sampLines = mem.CoalesceLinesInto(s.sampLines[:0], info.Addrs, info.Active, lineSize)
+	s.sampLines = mem.CoalesceLinesInto(s.sampLines[:0], info.Addrs, info.Active, s.Cfg.L1D.LineSize)
 	s.Stats.GlobalTxns += int64(len(s.sampLines))
 	write := in.Op.IsStore()
 	for _, line := range s.sampLines {

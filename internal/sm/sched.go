@@ -38,13 +38,6 @@ func newScheduler(s *SM, id int) *scheduler {
 	return &scheduler{sm: s, id: id}
 }
 
-// live returns how many owned warps hold a live classification (ready or
-// blocked on something other than completion).
-func (sc *scheduler) live() int {
-	return sc.class[warp.BlockedNot] + sc.class[warp.BlockedMem] +
-		sc.class[warp.BlockedALU] + sc.class[warp.BlockedBarrier]
-}
-
 // owns reports whether the scheduler serves the slot index.
 func (sc *scheduler) owns(slot int) bool {
 	return slot%len(sc.sm.schedulers) == sc.id
@@ -60,12 +53,8 @@ func (sc *scheduler) schedulable(w *warp.Warp) (ok bool, blocked warp.Blocked, s
 	if w.AtBarrier {
 		return false, warp.BlockedBarrier, false
 	}
-	code := w.CTA.Launch.Kernel.Code
-	pc, _, okc := w.Stack.Current()
-	if !okc {
-		return false, warp.BlockedDone, false
-	}
-	in := &code[pc]
+	pc, _, _ := w.Stack.Current() // only an exit empties the stack, and it sets Finished
+	in := &w.CTA.Launch.Kernel.Code[pc]
 	conflict, onLoad := w.SB.Conflicts(in)
 	if conflict {
 		if onLoad {
@@ -131,16 +120,13 @@ func (sc *scheduler) classifyStall(st *Stats, n int64) {
 		return
 	}
 	s := sc.sm
-	var sawMem, sawALU, sawBar, sawStruct, sawAny bool
+	var sawMem, sawALU, sawBar, sawStruct bool
 	for slot := sc.id; slot < len(s.Slots); slot += len(s.schedulers) {
 		w := s.Slots[slot]
 		if w == nil {
 			continue
 		}
 		_, blocked, structural := sc.schedulable(w)
-		if blocked != warp.BlockedDone {
-			sawAny = true
-		}
 		switch {
 		case structural:
 			sawStruct = true
@@ -153,8 +139,6 @@ func (sc *scheduler) classifyStall(st *Stats, n int64) {
 		}
 	}
 	switch {
-	case !sawAny:
-		st.SlotIdle += n
 	case sawStruct:
 		st.SlotStallStr += n
 	case sawMem:
@@ -187,13 +171,11 @@ scan:
 
 // chargeStall records n no-issue samples from the cached class counters.
 // The switch mirrors classifyStall's scan exactly, including its quirk
-// that a ready warp contributes only "saw any warp" — so a scheduler whose
-// sole candidates are ready yet unpicked lands in SlotIdle through the
-// default arm.
+// that a ready warp counts for nothing — so a scheduler whose sole
+// candidates are ready yet unpicked lands in SlotIdle, as does one with
+// no live warp at all.
 func (sc *scheduler) chargeStall(st *Stats, sawStruct bool, n int64) {
 	switch {
-	case sc.live() == 0:
-		st.SlotIdle += n
 	case sawStruct:
 		st.SlotStallStr += n
 	case sc.class[warp.BlockedMem] > 0:
@@ -279,13 +261,10 @@ func (sc *scheduler) issueOne() bool {
 	}
 
 	var pick *warp.Warp
-	var sawMem, sawALU, sawBar, sawStruct, sawAny bool
+	var sawMem, sawALU, sawBar, sawStruct bool
 
 	consider := func(w *warp.Warp) {
 		ok, blocked, structural := sc.schedulable(w)
-		if blocked != warp.BlockedDone {
-			sawAny = true
-		}
 		if ok {
 			if pick == nil || older(w, pick) {
 				pick = w
@@ -331,8 +310,6 @@ func (sc *scheduler) issueOne() bool {
 	sc.greedy = nil
 	st := &s.Stats
 	switch {
-	case !sawAny:
-		st.SlotIdle++
 	case sawStruct:
 		st.SlotStallStr++
 	case sawMem:
@@ -392,29 +369,29 @@ func (s *SM) StatsAt(at, pendingFrom int64) Stats {
 }
 
 // lrrPick scans owned slots starting after the previous issue point and
-// returns the first schedulable warp.
+// returns the first schedulable warp. The caller found one, so the scan
+// meets it within one lap: when the first owned-1 slots hold none, it is
+// the lap's last slot, rrNext itself, which needs no test.
 func (sc *scheduler) lrrPick() *warp.Warp {
 	s := sc.sm
-	n := len(s.Slots)
 	step := len(s.schedulers)
-	owned := (n + step - 1 - sc.id) / step
-	for i := 1; i <= owned; i++ {
-		slot := sc.id + ((sc.rrNext + i) % owned * step)
-		w := s.Slots[slot]
-		if w == nil {
-			continue
-		}
-		if ok, _, _ := sc.schedulable(w); ok {
-			sc.rrNext = (sc.rrNext + i) % owned
-			return w
+	owned := (len(s.Slots) + step - 1 - sc.id) / step
+	i := 1
+	for ; i < owned; i++ {
+		if w := s.Slots[sc.id+(sc.rrNext+i)%owned*step]; w != nil {
+			if ok, _, _ := sc.schedulable(w); ok {
+				break
+			}
 		}
 	}
-	return nil
+	sc.rrNext = (sc.rrNext + i) % owned
+	return s.Slots[sc.id+sc.rrNext*step]
 }
 
 // lrrPickFast is lrrPick over the ready bitset: among the issuable owned
 // warps it returns the one at the smallest circular distance past rrNext,
-// which is exactly the warp the sequential scan would reach first.
+// which is exactly the warp the sequential scan would reach first. The
+// caller found an issuable warp in the same bitset, so best is set.
 func (sc *scheduler) lrrPickFast() *warp.Warp {
 	s := sc.sm
 	step := len(s.schedulers)
@@ -439,25 +416,23 @@ func (sc *scheduler) lrrPickFast() *warp.Warp {
 			}
 		}
 	}
-	if best == nil {
-		return nil
-	}
 	sc.rrNext = (sc.rrNext + bestI) % owned
 	return best
 }
 
+// fetchGroupWarps is the two-level scheduler's active-group size.
+const fetchGroupWarps = 8
+
 // twoLevelPick maintains the scheduler's active fetch group — up to
-// FetchGroupWarps warps that are not blocked on long-latency memory — and
+// fetchGroupWarps warps that are not blocked on long-latency memory — and
 // round-robins within it. Warps that hit a long stall leave the group and
 // pending warps take their place, so only a small subset needs operand
 // buffering each cycle. Returns nil when no group member can issue (the
-// caller falls back to a group switch).
+// caller falls back to a group switch). The caller has a schedulable
+// warp, which the refill admits unless the group is already full, so the
+// group is never empty here.
 func (sc *scheduler) twoLevelPick() *warp.Warp {
 	s := sc.sm
-	size := s.Cfg.FetchGroupWarps
-	if size <= 0 {
-		size = 8
-	}
 
 	// Evict group members that left the SM, finished, or hit a long
 	// memory stall.
@@ -474,7 +449,7 @@ func (sc *scheduler) twoLevelPick() *warp.Warp {
 	sc.group = kept
 
 	// Refill from owned slots, oldest first.
-	if len(sc.group) < size {
+	if len(sc.group) < fetchGroupWarps {
 		inGroup := func(w *warp.Warp) bool {
 			for _, g := range sc.group {
 				if g == w {
@@ -483,7 +458,7 @@ func (sc *scheduler) twoLevelPick() *warp.Warp {
 			}
 			return false
 		}
-		for slot := sc.id; slot < len(s.Slots) && len(sc.group) < size; slot += len(s.schedulers) {
+		for slot := sc.id; slot < len(s.Slots) && len(sc.group) < fetchGroupWarps; slot += len(s.schedulers) {
 			w := s.Slots[slot]
 			if w == nil || w.Finished || w.CTA.State != warp.CTAActive || inGroup(w) {
 				continue
@@ -493,9 +468,6 @@ func (sc *scheduler) twoLevelPick() *warp.Warp {
 			}
 			sc.group = append(sc.group, w)
 		}
-	}
-	if len(sc.group) == 0 {
-		return nil
 	}
 	for i := 1; i <= len(sc.group); i++ {
 		idx := (sc.groupRR + i) % len(sc.group)
@@ -640,13 +612,9 @@ func (sc *scheduler) memIssue(w *warp.Warp, in *isa.Instr, info warp.ExecInfo) {
 		return
 	}
 
-	lineSize := s.Cfg.L1D.LineSize
-	if !s.Cfg.L1D.Enabled {
-		lineSize = s.Cfg.L2.LineSize
-	}
 	idx := s.allocOp()
 	op := &s.lsuPool[idx]
-	op.lines = mem.CoalesceLinesInto(op.lines[:0], info.Addrs, info.Active, lineSize)
+	op.lines = mem.CoalesceLinesInto(op.lines[:0], info.Addrs, info.Active, s.Cfg.L1D.LineSize)
 	s.Stats.GlobalTxns += int64(len(op.lines))
 	op.used = true
 	op.w = nil

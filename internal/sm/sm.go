@@ -222,6 +222,14 @@ type wbEntry struct {
 // event (nothing reads a scoreboard between event callbacks), so draining
 // at the start of the SM's cycle is timing-identical to the old queue
 // events.
+//
+// Every pending entry sits in the slot of its own cycle, inside the live
+// window (drained, drained+len(slots)). scheduleWB runs only at issue,
+// after the cycle's drain set drained to now, with a latency of at least
+// 1 (config.Validate) and at most the maxLat init sized the ring past, so
+// a slot of the window holds only entries due at exactly that slot's
+// cycle. Restore refuses entries outside the window and CheckInvariants
+// recounts it.
 type wbWheel struct {
 	slots   [][]wbEntry // ring, indexed by cycle & mask
 	mask    int64
@@ -246,13 +254,9 @@ func (wb *wbWheel) init(maxLat int) {
 	wb.mask = size - 1
 }
 
-// schedule registers a scoreboard clear for reg of w at the given cycle.
-// A cycle at or before the drain point fires at the next drain, before
-// the next cycle's scheduling decisions.
+// schedule registers a scoreboard clear for reg of w at the given cycle,
+// which lies in the live window.
 func (wb *wbWheel) schedule(cycle int64, w *warp.Warp, reg isa.Reg) {
-	if cycle <= wb.drained {
-		cycle = wb.drained + 1
-	}
 	slot := cycle & wb.mask
 	wb.slots[slot] = append(wb.slots[slot], wbEntry{cycle: cycle, w: w, reg: reg})
 	wb.pending++
@@ -265,48 +269,32 @@ func (wb *wbWheel) drainTo(now int64, s *SM) {
 		wb.drained = now
 		return
 	}
-	stop := now
-	if max := wb.drained + wb.mask + 1; stop > max {
-		stop = max // every slot visited once covers the whole ring
-	}
-	for c := wb.drained + 1; c <= stop; c++ {
+	// Slot c of the window holds only entries due at c, so each visited
+	// slot empties whole. An SM is cycled or woken by the cycle of its
+	// earliest entry, so this visits at most one lap.
+	for c := wb.drained + 1; c <= now; c++ {
 		slot := c & wb.mask
-		entries := wb.slots[slot]
-		if len(entries) == 0 {
-			continue
+		for _, e := range wb.slots[slot] {
+			e.w.SB.ClearPending(e.reg)
+			wb.pending--
+			s.reclassify(e.w)
 		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.cycle <= now {
-				e.w.SB.ClearPending(e.reg)
-				wb.pending--
-				s.reclassify(e.w)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		wb.slots[slot] = kept
+		wb.slots[slot] = wb.slots[slot][:0]
 	}
 	wb.drained = now
 }
 
-// next returns the earliest pending completion cycle, ok=false when none.
+// next returns the earliest pending completion cycle, ok=false when none:
+// the cycle of the window's first nonempty slot.
 func (wb *wbWheel) next() (int64, bool) {
 	if wb.pending == 0 {
 		return 0, false
 	}
-	min := int64(-1)
-	for c := wb.drained + 1; c <= wb.drained+wb.mask+1; c++ {
-		for _, e := range wb.slots[c&wb.mask] {
-			if min < 0 || e.cycle < min {
-				min = e.cycle
-			}
-		}
-		if min >= 0 {
-			return min, true
-		}
+	c := wb.drained + 1
+	for len(wb.slots[c&wb.mask]) == 0 {
+		c++
 	}
-	return 0, false
+	return c, true
 }
 
 // New builds an SM under the configuration; numKernels sizes the
@@ -528,13 +516,13 @@ func (s *SM) schedulerOf(slot int) *scheduler {
 }
 
 // unbindWarp clears the warp's cached state contributions before it loses
-// its slot.
+// its slot. Only an active CTA is deactivated (a swap-out victim is
+// active, and so is a CTA whose last warp just issued its exit), and the
+// warps of an active CTA are never restore-ready: reclassify sets the
+// flag only while the CTA is restoring, and SetCTAState reclassifies
+// every bound warp when the restore completes.
 func (s *SM) unbindWarp(w *warp.Warp) {
 	s.noteClass(w, warp.BlockedDone)
-	if w.RestoreReady {
-		s.restoreReady--
-		w.RestoreReady = false
-	}
 	w.Slot = -1
 	w.Next, w.NextActive, w.NextPort = nil, 0, warp.PortNone
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/testsupport"
 	"repro/internal/warp"
 )
 
@@ -84,7 +85,7 @@ func aluKernel(n int) *isa.Kernel {
 
 func TestALUDependencyStalls(t *testing.T) {
 	// A chain of dependent adds: each issue must wait ALULatency.
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSMs = 1
 	const chain = 10
 	r := newRig(t, cfg, launch(aluKernel(chain), 1, 32))
@@ -106,7 +107,7 @@ func TestALUDependencyStalls(t *testing.T) {
 func TestIndependentWarpsHideALULatency(t *testing.T) {
 	// Many warps: the scheduler interleaves them, so total cycles grow
 	// far slower than warps x chain latency.
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSMs = 1
 	one := newRig(t, cfg, launch(aluKernel(10), 1, 32))
 	one.run(t, 100000)
@@ -122,7 +123,7 @@ func TestBarrierSynchronizesCTA(t *testing.T) {
 	b := isa.NewBuilder("bar")
 	b.Bar()
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 128)) // 4 warps
 	r.run(t, 10000)
 	if r.sm.Stats.BarrierReleases != 1 {
@@ -147,7 +148,7 @@ func TestBarrierStallsUnevenWarps(t *testing.T) {
 	b.Label("meet")
 	b.Bar()
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 64))
 	r.run(t, 100000)
 	if r.sm.Stats.SlotStallBar == 0 {
@@ -171,7 +172,7 @@ func loadKernel() *isa.Kernel {
 }
 
 func TestGlobalLoadStallsAndCompletes(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	r := newRig(t, cfg, launch(loadKernel(), 1, 32, 0x10000))
 	r.run(t, 100000)
 	st := r.sm.Stats
@@ -197,7 +198,7 @@ func TestUncoalescedLoadGeneratesManyTxns(t *testing.T) {
 	b.LdG(3, 2, 0)
 	b.IAdd(4, 3, 3)
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 32, 0x10000))
 	r.run(t, 100000)
 	if r.sm.Stats.GlobalTxns != 32 {
@@ -218,7 +219,7 @@ func TestSharedMemoryBankConflictSerializes(t *testing.T) {
 		b.Exit()
 		return b.MustBuild()
 	}
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	fast := newRig(t, cfg, launch(mk(4), 1, 32)) // conflict-free
 	fast.run(t, 100000)
 	slow := newRig(t, cfg, launch(mk(128), 1, 32)) // 32-way conflicts
@@ -236,7 +237,11 @@ func TestSharedMemoryBankConflictSerializes(t *testing.T) {
 // writeback wheel for: a full-warp shared load whose lanes each hit a
 // distinct word of one bank, the worst conflict, costs WarpSize-1 conflict
 // cycles, so the longest writeback scheduleWB is handed is
-// SMemLatency+WarpSize-1, within New's SMemLatency+WarpSize.
+// SMemLatency+WarpSize-1, within New's SMemLatency+WarpSize. The wheel
+// drops its out-of-window handling on this bound: every latency it is
+// handed, from a drain point equal to now, must land inside the live
+// window (drained, drained+len(slots)), for every preset and at the
+// widest warp Validate admits.
 func TestSharedLoadWritebackFitsTheWheel(t *testing.T) {
 	b := isa.NewBuilder("smem-one-bank")
 	b.SharedMem(16 * 1024)
@@ -249,13 +254,22 @@ func TestSharedLoadWritebackFitsTheWheel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  config.GPUConfig
-	}{{"GTX480", config.GTX480()}, {"Small", config.Small()}} {
+	}{
+		{"GTX480", config.GTX480()},
+		{"Kepler", config.KeplerLike()},
+		{"Small", testsupport.Small()},
+		{"GTX480-warp64", func() config.GPUConfig { c := config.GTX480(); c.WarpSize = 64; return c }()},
+	} {
 		cfg := tc.cfg
 		cfg.NumSMs = 1
 		r := newRig(t, cfg, launch(k, 1, cfg.WarpSize))
 		r.run(t, 100000)
 		if got, want := r.sm.Stats.SMemConflictCyc, int64(cfg.WarpSize-1); got != want {
 			t.Fatalf("%s: conflict cycles = %d, want %d (a WarpSize-way conflict)", tc.name, got, want)
+		}
+		longest := max(cfg.ALULatency, cfg.SFULatency, cfg.SMemLatency+cfg.WarpSize-1)
+		if window := r.sm.wb.mask; int64(longest) > window {
+			t.Fatalf("%s: longest writeback %d cycles, but the wheel's window spans %d", tc.name, longest, window)
 		}
 	}
 }
@@ -264,7 +278,7 @@ func TestCTAResourceAccounting(t *testing.T) {
 	b := isa.NewBuilder("res").ReserveRegs(16).SharedMem(1024)
 	b.Nop().Exit()
 	k := b.MustBuild()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	l := launch(k, 100, 64)
 	r := newRig(t, cfg, l)
 	// After the first cycle the controller saturates the SM.
@@ -297,7 +311,7 @@ func TestGTOPrefersGreedyWarp(t *testing.T) {
 		b.MovImm(isa.Reg(i), uint32(i))
 	}
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSchedulers = 1
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 64)) // 2 warps
 	// Cycle a few times and confirm one warp runs ahead.
@@ -325,7 +339,7 @@ func TestLRRInterleavesWarps(t *testing.T) {
 		b.MovImm(isa.Reg(i), uint32(i))
 	}
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSchedulers = 1
 	cfg.Scheduler = config.SchedLRR
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 64))
@@ -347,7 +361,7 @@ func TestSFUInitiationInterval(t *testing.T) {
 	b.FSin(2, 0)
 	b.FSin(3, 0)
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.NumSchedulers = 1
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 32))
 	r.run(t, 10000)
@@ -359,7 +373,7 @@ func TestSFUInitiationInterval(t *testing.T) {
 
 func TestDeactivateReactivate(t *testing.T) {
 	// Directly exercise the VT primitives the controller uses.
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	k := loadKernel()
 	l := launch(k, 4, 32, 0x10000)
 	r := newRig(t, cfg, l)
@@ -391,7 +405,7 @@ func TestDeactivateReactivate(t *testing.T) {
 }
 
 func TestQuiescentDetection(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	r := newRig(t, cfg, launch(loadKernel(), 1, 32, 0x10000))
 	if !r.sm.Quiescent() {
 		t.Fatal("empty SM must be quiescent")
@@ -409,11 +423,10 @@ func TestQuiescentDetection(t *testing.T) {
 }
 
 func TestTwoLevelScheduler(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.Scheduler = config.SchedTwoLevel
-	cfg.FetchGroupWarps = 2
 	cfg.NumSchedulers = 1
-	r := newRig(t, cfg, launch(aluKernel(12), 4, 128)) // 16 warps over 4 CTAs
+	r := newRig(t, cfg, launch(aluKernel(12), 4, 128)) // 16 warps over 4 CTAs, two fetch groups
 	r.run(t, 1000000)
 	if n := r.sm.Stats.CTAsCompleted; n != 4 {
 		t.Fatalf("retired %d CTAs", n)
@@ -424,12 +437,12 @@ func TestTwoLevelScheduler(t *testing.T) {
 }
 
 func TestTwoLevelSwapsStalledWarpsOut(t *testing.T) {
-	// Memory-stalled warps must leave the fetch group so others issue.
-	cfg := config.Small()
+	// Memory-stalled warps must leave the fetch group so others issue:
+	// 24 warps, three times the group size.
+	cfg := testsupport.Small()
 	cfg.Scheduler = config.SchedTwoLevel
-	cfg.FetchGroupWarps = 2
 	cfg.NumSchedulers = 1
-	r := newRig(t, cfg, launch(loadKernel(), 8, 32, 0x10000))
+	r := newRig(t, cfg, launch(loadKernel(), 8, 96, 0x10000))
 	r.run(t, 1000000)
 	if n := r.sm.Stats.CTAsCompleted; n != 8 {
 		t.Fatalf("retired %d CTAs", n)
@@ -450,7 +463,7 @@ func TestRegFileBankConflicts(t *testing.T) {
 			b.Emit(isa.Instr{Op: isa.OpIAdd, Dst: d, SrcA: 0, SrcB: 2})
 		}
 		b.Exit()
-		cfg := config.Small()
+		cfg := testsupport.Small()
 		cfg.RegFileBanks = banks
 		cfg.NumSchedulers = 1
 		r := newRig(t, cfg, launch(b.MustBuild(), 2, 256)) // 16 warps
@@ -478,11 +491,39 @@ func TestRegFileBanksNoFalseConflicts(t *testing.T) {
 	b.MovImm(1, 2)
 	b.IAdd(2, 0, 1)
 	b.Exit()
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	cfg.RegFileBanks = 16
 	r := newRig(t, cfg, launch(b.MustBuild(), 1, 32))
 	r.run(t, 100000)
 	if r.sm.Stats.RFBankConflictCyc != 0 {
 		t.Fatalf("false conflicts: %d", r.sm.Stats.RFBankConflictCyc)
+	}
+}
+
+// TestSampledSpanChargesStructuralStall: a sampled span's no-issue slots
+// are classified from the SM's state where the span ends. A shared store
+// schedules no writeback, so its bank-conflict serialization can outlast
+// the drain that precedes a span; a ready warp whose next instruction
+// needs the shared-memory port then makes every slot a structural stall,
+// on the fast path and on the reference scan alike.
+func TestSampledSpanChargesStructuralStall(t *testing.T) {
+	b := isa.NewBuilder("sts")
+	b.SharedMem(1024)
+	b.StS(0, 0, 0)
+	b.Exit()
+	k := b.MustBuild()
+	for _, ref := range []bool{false, true} {
+		cfg := testsupport.Small()
+		cfg.NumSMs = 1
+		cfg.NumSchedulers = 1
+		r := newRig(t, cfg, launch(k, 1, 32))
+		r.sm.DisableFastPath = ref
+		r.sm.Ctl.Cycle(r.sm) // admit and bind the CTA; its warp is ready
+		r.sm.smemFreeAt = r.ev.Now() + 10
+		r.sm.AccountSampled(4, 0)
+		if st := r.sm.Stats; st.SlotStallStr != 4 || st.SlotIdle != 0 {
+			t.Fatalf("reference=%v: 4 slots charged %d structural, %d idle; want 4, 0",
+				ref, st.SlotStallStr, st.SlotIdle)
+		}
 	}
 }

@@ -277,6 +277,9 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 			}
 			copy(w.Regs, ws.Regs)
 			w.Stack.SetState(ws.Stack, simt.Mask(ws.Exited))
+			if ws.Finished != w.Stack.Finished() {
+				return fmt.Errorf("sm %d: CTA %d/%d warp %d finished flag disagrees with its stack", s.ID, cs.Kernel, cs.Flat, wi)
+			}
 			w.SB.SetMasks(ws.SBPend, ws.SBLoad)
 			w.AtBarrier = ws.AtBarrier
 			w.Finished = ws.Finished
@@ -394,8 +397,8 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 	s.lsuQueue = append(s.lsuQueue[:0], st.LSUQueue...)
 	s.lsuHead = st.LSUHead
 
-	// Writeback wheel: direct bucket inserts, bypassing schedule()'s
-	// drained-clamp (restored cycles are already in the live window).
+	// Writeback wheel: direct bucket inserts; an entry outside the live
+	// window would break the wheel's slot-per-cycle rule.
 	for i := range s.wb.slots {
 		s.wb.slots[i] = s.wb.slots[i][:0]
 	}
@@ -408,6 +411,9 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 		}
 		if w == nil {
 			return fmt.Errorf("sm %d: wheel entry has nil warp", s.ID)
+		}
+		if e.Cycle <= st.WBDrained || e.Cycle > st.WBDrained+s.wb.mask {
+			return fmt.Errorf("sm %d: wheel entry at cycle %d outside the window after cycle %d", s.ID, e.Cycle, st.WBDrained)
 		}
 		slot := e.Cycle & s.wb.mask
 		s.wb.slots[slot] = append(s.wb.slots[slot], wbEntry{cycle: e.Cycle, w: w, reg: e.Reg})

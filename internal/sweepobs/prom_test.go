@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testsupport"
 )
 
 func TestRegistryGolden(t *testing.T) {
@@ -61,7 +63,7 @@ vtsweep_store_batch_txs_count 3
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
 	}
 	// The golden text must also survive the independent parser.
-	samples, err := ValidateExposition(b.String())
+	samples, err := testsupport.ValidateExposition(b.String())
 	if err != nil {
 		t.Fatalf("golden exposition invalid: %v", err)
 	}
@@ -89,7 +91,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 			`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 3\n",
 	}
 	for name, text := range cases {
-		if _, err := ValidateExposition(text); err == nil {
+		if _, err := testsupport.ValidateExposition(text); err == nil {
 			t.Errorf("%s: accepted invalid exposition", name)
 		}
 	}
@@ -111,7 +113,7 @@ func TestExpositionParsesCleanly(t *testing.T) {
 	if err := tr.Registry().Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ValidateExposition(b.String())
+	samples, err := testsupport.ValidateExposition(b.String())
 	if err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, b.String())
 	}

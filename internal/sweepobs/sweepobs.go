@@ -21,6 +21,8 @@
 package sweepobs
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -312,4 +314,18 @@ func (t *Tracer) Dump() *Dump {
 		}
 	}
 	return d
+}
+
+// DecodeDump parses a span dump as Dump marshals it — a vtbench
+// -sweeptrace file or the store's sweep-trace artifact — and refuses any
+// schema version but DumpSchemaVersion.
+func DecodeDump(b []byte) (*Dump, error) {
+	var d Dump
+	if err := json.Unmarshal(b, &d); err != nil {
+		return nil, fmt.Errorf("decode sweep trace: %w", err)
+	}
+	if d.SchemaVersion != DumpSchemaVersion {
+		return nil, fmt.Errorf("sweep trace schema %d (want %d)", d.SchemaVersion, DumpSchemaVersion)
+	}
+	return &d, nil
 }

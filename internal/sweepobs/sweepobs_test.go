@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testsupport"
 )
 
 // fakeClock drives a tracer deterministically.
@@ -39,7 +41,7 @@ func spanSamples(t *testing.T, tr *Tracer) map[string]float64 {
 	if err := tr.Registry().Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ValidateExposition(b.String())
+	samples, err := testsupport.ValidateExposition(b.String())
 	if err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, b.String())
 	}

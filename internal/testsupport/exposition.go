@@ -1,4 +1,4 @@
-package sweepobs
+package testsupport
 
 import (
 	"fmt"
@@ -8,15 +8,14 @@ import (
 )
 
 // ValidateExposition parses Prometheus text exposition independently of
-// the Registry writer and checks the structural rules a scraper relies
-// on: HELP and TYPE exactly once per family and before its samples, no
-// duplicate series, histogram buckets with ascending le bounds and
-// monotonic cumulative counts, and _count equal to the +Inf bucket.
-// Returns the samples keyed by the full series string (name plus label
-// block). It is test support, shared by the sweepobs, harness and fabric
-// tests: every exposition a test checks parses through this reader, so
-// the writer and an independent reader must agree. No production path
-// calls it.
+// sweepobs.Registry's writer and checks the structural rules a scraper
+// relies on: HELP and TYPE exactly once per family and before its
+// samples, no duplicate series, histogram buckets with ascending le
+// bounds and monotonic cumulative counts, and _count equal to the +Inf
+// bucket. Returns the samples keyed by the full series string (name plus
+// label block). The sweepobs, harness and fabric tests parse every
+// exposition they check through this reader, so the writer and an
+// independent reader must agree.
 func ValidateExposition(text string) (map[string]float64, error) {
 	samples := map[string]float64{}
 	helpSeen := map[string]bool{}

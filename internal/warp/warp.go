@@ -345,24 +345,20 @@ func PortOf(in *isa.Instr) IssuePort {
 // BlockedState classifies the warp's current impediment, ignoring
 // structural (execution-unit) availability.
 func (w *Warp) BlockedState(code []isa.Instr) Blocked {
-	var in *isa.Instr
-	if pc, _, ok := w.Stack.Current(); ok {
-		in = &code[pc]
-	}
-	return w.BlockedOn(in)
+	pc, _, _ := w.Stack.Current()
+	return w.BlockedOn(&code[pc])
 }
 
 // BlockedOn is BlockedState for a caller that already holds the warp's
-// next instruction (nil when the SIMT stack is empty).
+// next instruction. in is read only when the warp has not finished, and
+// then the SIMT stack is not empty (only an exit empties it, and Execute
+// sets Finished when it does), so in is set.
 func (w *Warp) BlockedOn(in *isa.Instr) Blocked {
 	if w.Finished {
 		return BlockedDone
 	}
 	if w.AtBarrier {
 		return BlockedBarrier
-	}
-	if in == nil {
-		return BlockedDone
 	}
 	conflict, onLoad := w.SB.Conflicts(in)
 	switch {

@@ -4,12 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/harness"
+	"repro/internal/testsupport"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
-	cfg := config.Small()
+	cfg := testsupport.Small()
 	w, err := BuildWorkload("vecadd", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicVTRun(t *testing.T) {
-	cfg := config.Small().WithPolicy(PolicyVT)
+	cfg := testsupport.Small().WithPolicy(PolicyVT)
 	w, err := BuildWorkload("nw", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestPublicVTRun(t *testing.T) {
 // TestPublicRunCollected: the collector's GPU ring is the run's time
 // series, and a sampling interval is refused in favour of its window.
 func TestPublicRunCollected(t *testing.T) {
-	cfg := config.Small().WithPolicy(PolicyVT)
+	cfg := testsupport.Small().WithPolicy(PolicyVT)
 	w, err := BuildWorkload("nw", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestPublicRunLaunchKeepsBacking(t *testing.T) {
 	}
 	w.Launch.GridDim.X = 8
 	var kept *Backing
-	_, err = RunLaunch(w.Launch, config.Small(), w.Init, func(b *Backing) { kept = b })
+	_, err = RunLaunch(w.Launch, testsupport.Small(), w.Init, func(b *Backing) { kept = b })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPublicRunLaunchKeepsBacking(t *testing.T) {
 }
 
 func TestPublicRunConcurrent(t *testing.T) {
-	cfg := config.Small().WithPolicy(PolicyVT)
+	cfg := testsupport.Small().WithPolicy(PolicyVT)
 	res, err := RunConcurrentNames([]string{"nw", "montecarlo"}, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
