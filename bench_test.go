@@ -1,20 +1,12 @@
 package vtsim
 
-// One testing.B benchmark per table and figure of the paper's evaluation.
-// Each iteration regenerates the experiment's full data (all simulations it
-// needs). Run verbosely to see the tables:
-//
-//	go test -bench=BenchmarkFigSpeedup -benchtime=1x -v
-//
-// Set VTSIM_DILUTE=N to shrink grids N-fold for quick passes. Component
-// micro-benchmarks (SIMT stack, cache, scheduler, whole-SM) follow the
-// experiment benchmarks.
+// Component and hot-path micro-benchmarks: SIMT stack, cache, event
+// queue, whole runs, warp execution and the VT controller. The paper's
+// experiments are timed end to end by `vtbench -run <id>` and the
+// vtperf benchmark (bench/), not here.
 
 import (
-	"io"
 	"math"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/config"
@@ -30,68 +22,6 @@ import (
 	"repro/internal/testsupport"
 	"repro/internal/warp"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	p := DefaultExperimentParams()
-	if d, err := strconv.Atoi(os.Getenv("VTSIM_DILUTE")); err == nil && d > 1 {
-		p.Dilute = d
-	}
-	var out io.Writer = io.Discard
-	if testing.Verbose() {
-		out = os.Stdout
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Drop the memo cache so every iteration re-simulates; otherwise
-		// iterations after the first would measure cache lookups.
-		ResetExperimentMetrics()
-		if err := RunExperiment(id, p, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1Config regenerates the simulated-hardware table.
-func BenchmarkTable1Config(b *testing.B) { benchExperiment(b, "table1-config") }
-
-// BenchmarkTable2Benchmarks regenerates the benchmark-characteristics table.
-func BenchmarkTable2Benchmarks(b *testing.B) { benchExperiment(b, "table2-benchmarks") }
-
-// BenchmarkFigLimiter regenerates the stranded-TLP motivation figure.
-func BenchmarkFigLimiter(b *testing.B) { benchExperiment(b, "fig-limiter") }
-
-// BenchmarkFigTLP regenerates the active/resident-warps figure.
-func BenchmarkFigTLP(b *testing.B) { benchExperiment(b, "fig-tlp") }
-
-// BenchmarkFigSpeedup regenerates the headline per-benchmark speedup figure
-// (paper: +23.9% average).
-func BenchmarkFigSpeedup(b *testing.B) { benchExperiment(b, "fig-speedup") }
-
-// BenchmarkFigIdealGap regenerates the VT-vs-ideal comparison.
-func BenchmarkFigIdealGap(b *testing.B) { benchExperiment(b, "fig-ideal-gap") }
-
-// BenchmarkFigFullSwap regenerates the off-chip context-switch strawman
-// comparison.
-func BenchmarkFigFullSwap(b *testing.B) { benchExperiment(b, "fig-fullswap") }
-
-// BenchmarkFigSwapLatency regenerates the swap-latency sensitivity sweep.
-func BenchmarkFigSwapLatency(b *testing.B) { benchExperiment(b, "fig-swaplat") }
-
-// BenchmarkFigVirtualCap regenerates the virtual-CTA-budget sweep.
-func BenchmarkFigVirtualCap(b *testing.B) { benchExperiment(b, "fig-virtcap") }
-
-// BenchmarkFigRFSize regenerates the register-file-size sensitivity study.
-func BenchmarkFigRFSize(b *testing.B) { benchExperiment(b, "fig-rfsize") }
-
-// BenchmarkFigScheduler regenerates the GTO-vs-LRR interaction study.
-func BenchmarkFigScheduler(b *testing.B) { benchExperiment(b, "fig-sched") }
-
-// BenchmarkTableSwap regenerates the swap-behaviour statistics table.
-func BenchmarkTableSwap(b *testing.B) { benchExperiment(b, "table-swap") }
-
-// BenchmarkTableHardware regenerates the hardware-overhead estimate.
-func BenchmarkTableHardware(b *testing.B) { benchExperiment(b, "table-hw") }
 
 // --- component micro-benchmarks ---
 
@@ -188,24 +118,6 @@ func BenchmarkSimulationVT(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationVT regenerates the VT design-space ablation.
-func BenchmarkAblationVT(b *testing.B) { benchExperiment(b, "ablation-vt") }
-
-// BenchmarkAblationModel regenerates the simulator-model robustness check.
-func BenchmarkAblationModel(b *testing.B) { benchExperiment(b, "ablation-model") }
-
-// BenchmarkFigExtras regenerates the extension-workload evaluation.
-func BenchmarkFigExtras(b *testing.B) { benchExperiment(b, "fig-extras") }
-
-// BenchmarkTableEnergy regenerates the first-order energy estimate.
-func BenchmarkTableEnergy(b *testing.B) { benchExperiment(b, "table-energy") }
-
-// BenchmarkFigKepler regenerates the Kepler-generation sensitivity study.
-func BenchmarkFigKepler(b *testing.B) { benchExperiment(b, "fig-kepler") }
-
-// BenchmarkFigMultiKernel regenerates the concurrent-kernel-mix study.
-func BenchmarkFigMultiKernel(b *testing.B) { benchExperiment(b, "fig-multikernel") }
 
 // --- hot-path micro-benchmarks (zero allocations asserted) ---
 

@@ -88,6 +88,7 @@ func TestCommandSmoke(t *testing.T) {
 		{bin: "vtasm", args: []string{"-grid", "2", "-block", "32", "-param", "0x1000", "tiny.vta"}, want: "policy baseline: "},
 		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
 		{bin: "vtreport", args: []string{"-rings", "rings.json"}, want: "== swap-rate phases =="},
+		{bin: "vtreport", want: "  note: 18 of 22 workloads are scheduling-limited"},
 		{bin: "vtsweepd", args: []string{"-list"}, want: experiments, whole: true},
 		{bin: "customkernel", want: `kernel "chase": 31 instructions, 11 regs/thread`},
 		{bin: "multikernel", want: "co-scheduled mix: nw+montecarlo"},

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	vtreport                    # whole suite
+//	vtreport                    # whole suite (the table2-benchmarks table)
 //	vtreport -workload nw       # one workload, with the per-constraint breakdown
 //	vtreport -rings dump.json   # timeline summary of a telemetry ring dump
 //	vtreport -store dir         # result-store inventory + integrity audit
@@ -106,14 +106,16 @@ func main() {
 		return
 	}
 
-	t := stats.NewTable("suite occupancy on "+cfg.Name,
-		"workload", "limiter", "CTAs/SM", "capacity-CTAs", "sched-limited")
-	for _, w := range kernels.Suite(*scale) {
-		o := cta.ComputeOccupancy(w.Launch, &cfg)
-		t.Rowf(w.Name, o.Limiter.String(), o.CTAs, o.CapacityCTAs,
-			fmt.Sprintf("%v", o.SchedulingLimited()))
+	// The suite table is the table2-benchmarks experiment's, a static
+	// table: its Reduce reads only the configuration and the suite.
+	e, err := harness.Get("table2-benchmarks")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
+		os.Exit(1)
 	}
-	t.Fprint(os.Stdout)
+	p := harness.DefaultParams()
+	p.Config, p.Scale = cfg, *scale
+	e.Reduce(p, nil).Fprint(os.Stdout)
 }
 
 // storeReport opens the result store read-mostly (opening replays the

@@ -73,7 +73,7 @@ func main() {
 	}
 	var col *vtsim.Collector
 	if *timeline > 0 || *perfetto != "" || *teleOut != "" {
-		col = vtsim.NewCollector(vtsim.TelemetryConfig{Window: *timeline, PerSM: true})
+		col = vtsim.NewCollector(vtsim.TelemetryConfig{Window: *timeline})
 	}
 	res, err := vtsim.RunCollected(w, cfg, 0, nil, col)
 	if err != nil {

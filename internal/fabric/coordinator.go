@@ -314,15 +314,13 @@ func (e fleetExecutor) Execute(p harness.Params, j harness.Job, cfg config.GPUCo
 	return out, nil
 }
 
-// enqueue adds the job to the queue, coalescing on the cache key, and
-// wakes parked lease requests for it.
+// enqueue adds the job to the queue and wakes parked lease requests for
+// it. A key is enqueued at most once: the sweep's memo hands each
+// fingerprint to the Executor once, and a coordinator serves one sweep.
 func (c *Coordinator) enqueue(spec JobSpec) *job {
 	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j, ok := c.jobs[spec.Key]; ok {
-		return j
-	}
 	j := &job{spec: spec, done: make(chan struct{}), enqueued: now, pendingSince: now}
 	c.jobs[spec.Key] = j
 	c.pending = append(c.pending, spec.Key)
@@ -371,8 +369,8 @@ func (c *Coordinator) leaseLocked(workerID string, now time.Time) (resp LeaseRes
 	for len(c.pending) > 0 {
 		key := c.pending[0]
 		c.pending = c.pending[1:]
-		j := c.jobs[key]
-		if j == nil || j.state != jobPending {
+		j := c.jobs[key] // a queued key's job exists: jobs are never deleted
+		if j.state != jobPending {
 			continue // completed (or re-leased) while queued
 		}
 		c.nextLease++

@@ -301,6 +301,50 @@ func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 	}
 }
 
+// TestLateCompletionOfRequeuedJob: a lease expires and its job goes back
+// to the head of the queue; before anyone leases it again, the original
+// worker, only slow, completes it. The completion ends the job's wait
+// (the time it sat requeued counts as queued), and the next lease request
+// skips the done job still in the queue and grants the one behind it.
+func TestLateCompletionOfRequeuedJob(t *testing.T) {
+	c, clk := leaseProtocolCoordinator(t, "j1", "j2")
+	l1, ok, _ := leaseNow(c, "w1")
+	if !ok || l1.Job.Key != "j1" {
+		t.Fatalf("first lease: ok=%v key=%s", ok, l1.Job.Key)
+	}
+	clk.advance(11 * time.Second)
+	c.reclaimExpired()
+	if st := c.Status(); st.LeasesExpired != 1 || st.JobsPending != 2 {
+		t.Fatalf("after expiry: %+v, want 1 expired lease and both jobs pending", st)
+	}
+
+	clk.advance(2 * time.Second)
+	out := harness.Outcome{
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Result: &gpu.Result{Cycles: 42},
+	}
+	if err := c.complete(CompleteRequest{LeaseID: l1.LeaseID, Worker: "w1", Outcome: out}); err != nil {
+		t.Fatalf("late completion of a requeued job refused: %v", err)
+	}
+	if st := c.Status(); st.Completions != 1 || st.JobsDone != 1 || st.JobsPending != 1 {
+		t.Fatalf("after the late completion: %+v, want j1 done and j2 pending", st)
+	}
+	if q := c.jobs["j1"].queued; q != 2*time.Second {
+		t.Fatalf("j1 queued %s, want the 2s it sat requeued", q)
+	}
+
+	l2, ok, _ := leaseNow(c, "w2")
+	if !ok || l2.Job.Key != "j2" {
+		t.Fatalf("next lease: ok=%v key=%s, want j2 (the done j1 skipped)", ok, l2.Job.Key)
+	}
+	if l, ok, _ := leaseNow(c, "w3"); ok {
+		t.Fatalf("granted %s with no job pending", l.Job.Key)
+	}
+	if st := c.Status(); st.LeasesGranted != 2 || st.JobsLeased != 1 {
+		t.Fatalf("after the skip: %+v, want 2 grants and j2 leased", st)
+	}
+}
+
 func TestServerEndpoints(t *testing.T) {
 	c := New(Config{Params: testSweepParams(t, t.TempDir())})
 	defer c.Close()

@@ -8,6 +8,9 @@
 //
 // The seam is wired only by tests, the CI supervisor drill, and the
 // explicit vtbench -inject flag; normal sweeps never install a hook.
+// Storage faults are not here: the result store declares its own seam
+// (resultstore.Hook), and the hook that injects through it is test
+// support (internal/testsupport), since no command injects one.
 package faultinject
 
 import (

@@ -334,10 +334,6 @@ func newMachine(launches []*isa.Launch, cfg config.GPUConfig, opts Options) (*ma
 
 	if col := opts.Telemetry; col != nil {
 		col.Begin(m.cfg.NumSMs, m.name, m.cfg.Policy.String())
-		// Shard the L1 counters so per-SM hit rates exist; counters are
-		// additive and CollectStats folds them back, so run totals are
-		// unchanged.
-		m.msys.ShardStats()
 		for _, s := range m.sms {
 			s.Probe = col
 		}
@@ -560,7 +556,7 @@ func (m *machine) run() (*Result, error) {
 		Kernel:     m.name,
 		Policy:     m.cfg.Policy,
 		Cycles:     cycle,
-		Mem:        m.msys.CollectStats(),
+		Mem:        m.msys.Stats(),
 		NumSMs:     m.cfg.NumSMs,
 		Schedulers: m.cfg.NumSchedulers,
 		WarpSize:   m.cfg.WarpSize,

@@ -206,7 +206,7 @@ func (in *oracleInput) pathRun(t *testing.T, sched config.SchedulerKind, referen
 			opts = oracleReference
 		}
 		if (sched == config.SchedLRR && !reference) || (sched == config.SchedTwoLevel && reference) {
-			r.col = telemetry.NewCollector(telemetry.Config{Window: 64, PerSM: true})
+			r.col = telemetry.NewCollector(telemetry.Config{Window: 64})
 			opts.Telemetry = r.col
 		}
 		r.res, _, err = in.simulate(nil, cfg, opts, 0)

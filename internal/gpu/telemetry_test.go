@@ -24,7 +24,7 @@ func TestTelemetryWindowExactness(t *testing.T) {
 	} {
 		cfg := testsupport.Small().WithPolicy(config.PolicyVT)
 		const ctas, block = 16, 64
-		col := telemetry.NewCollector(telemetry.Config{Window: 64, PerSM: true})
+		col := telemetry.NewCollector(telemetry.Config{Window: 64})
 		res, err := Run(mixedLaunch(t, ctas, block), cfg, Options{
 			InitMemory: initVec(ctas * block),
 			Telemetry:  col,

@@ -4,7 +4,7 @@
 // the rows/series the paper reports (Reduce). RunExperiments runs every
 // selected experiment's jobs as one plan — each distinct point simulated
 // once, in parallel — then renders the tables in order. cmd/vtbench drives
-// it; bench_test.go wraps every entry in a testing.B benchmark.
+// it.
 package harness
 
 import (
@@ -23,6 +23,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/resultstore"
 	"repro/internal/stats"
 	"repro/internal/sweepobs"
 )
@@ -56,9 +57,8 @@ type Params struct {
 	MirrorDir string
 	// StoreFault, when non-nil, intercepts every result-store filesystem
 	// operation with an injected storage fault (crash drills and
-	// kill-point tests; see faultinject.StoreSpec). Nil in normal
-	// operation.
-	StoreFault *faultinject.StoreHook
+	// kill-point tests; see resultstore.Hook). Nil in normal operation.
+	StoreFault resultstore.Hook
 	// Checkpoint enables prefix-forked sweeps: jobs that differ only in
 	// parameters the simulation consumes late (the VT swap latencies)
 	// share their common prefix through a checkpoint instead of each
@@ -196,7 +196,7 @@ func (p Params) Span() sweepobs.SpanID { return p.span }
 // RunExperiments runs every selected experiment's jobs as one plan, then
 // reduces and renders each experiment in turn.
 type Experiment struct {
-	// ID is the stable name used by cmd/vtbench and bench_test.go.
+	// ID is the stable name cmd/vtbench -run selects.
 	ID string
 	// Title describes what is reproduced.
 	Title string

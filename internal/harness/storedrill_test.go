@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/faultinject"
 	"repro/internal/gpu"
 	"repro/internal/resultstore"
 	"repro/internal/testsupport"
@@ -271,7 +270,7 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 // runDrillSweep executes the drill jobs sequentially through ExecuteJob in a
 // sweep of their own — journaled, resuming if p.Resume, when p names a
 // store — and ends at the durability barrier, stopping at a simulated
-// process death (*faultinject.StoreKill) like a real crash would:
+// process death (*testsupport.StoreKill) like a real crash would:
 // outcomes commit write-behind, so the death surfaces at whichever comes
 // first of the next store read, the next submit, and the barrier. Either
 // way the sweep is closed on return (the reboot). Returns whether the
@@ -289,7 +288,7 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 	results = make([]*gpu.Result, len(jobs))
 	defer func() {
 		if rec := recover(); rec != nil {
-			if _, ok := rec.(*faultinject.StoreKill); !ok {
+			if _, ok := rec.(*testsupport.StoreKill); !ok {
 				panic(rec)
 			}
 			killed = true
@@ -321,7 +320,7 @@ func TestStoreCrashDrillResume(t *testing.T) {
 	_, refs, _ := runDrillSweep(t, base, jobs)
 
 	// Pass 1: record the operation trace of a clean cached sweep.
-	recorder := faultinject.NewStoreRecorder()
+	recorder := testsupport.NewStoreRecorder()
 	rp := base
 	rp.CacheDir = filepath.Join(t.TempDir(), "primary")
 	rp.MirrorDir = filepath.Join(t.TempDir(), "mirror")
@@ -333,8 +332,8 @@ func TestStoreCrashDrillResume(t *testing.T) {
 			len(trace), strings.Join(trace, "\n"))
 	}
 
-	kinds := []faultinject.StoreFaultKind{
-		faultinject.StoreCrash, faultinject.StoreCrashAfter, faultinject.StoreTruncate,
+	kinds := []testsupport.StoreFaultKind{
+		testsupport.StoreCrash, testsupport.StoreCrashAfter, testsupport.StoreTruncate,
 	}
 	for point := 0; point < len(trace); point++ {
 		kind := kinds[point%len(kinds)]
@@ -342,7 +341,7 @@ func TestStoreCrashDrillResume(t *testing.T) {
 			p := base
 			p.CacheDir = filepath.Join(t.TempDir(), "primary")
 			p.MirrorDir = filepath.Join(t.TempDir(), "mirror")
-			spec := faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}
+			spec := testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: point, Kind: kind}
 			hook := spec.StoreHook()
 			p.StoreFault = hook
 
@@ -583,7 +582,7 @@ func TestHarnessTransientStoreRetry(t *testing.T) {
 	p, jobs := drillJobs()
 	j := jobs[0]
 	p.CacheDir = t.TempDir()
-	spec := faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreEIO}
+	spec := testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 0, Kind: testsupport.StoreEIO}
 	hook := spec.StoreHook()
 	p.StoreFault = hook
 

@@ -131,6 +131,51 @@ func TestSupervisedDegradation(t *testing.T) {
 	}
 }
 
+// TestJournalResumeReexecutesDegraded: one injected first-attempt panic
+// is absorbed by the safe-mode retry, and the journal counts that job
+// degraded. A degraded-by-injection outcome journals but is never
+// cached, so a resume without the fault re-executes exactly that job,
+// and does not count it in resumed_failed: it did not fail.
+func TestJournalResumeReexecutesDegraded(t *testing.T) {
+	cache := t.TempDir()
+	p, jobs := supervisorParams(t)
+	p.CacheDir = cache
+	p.FailDir = t.TempDir()
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
+	jl := p.Sweep.Journal
+	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
+		Kind: faultinject.PanicOnce}
+	if _, err := runMany(p, jobs); err != nil {
+		t.Fatalf("degradation must absorb the failure, got %v", err)
+	}
+	if ok, degraded, failed := jl.Summary(); ok != 3 || degraded != 1 || failed != 0 {
+		t.Fatalf("journal after degraded sweep: %d ok / %d degraded / %d failed, want 3/1/0", ok, degraded, failed)
+	}
+	p.Sweep.Close()
+
+	p2, _ := supervisorParams(t)
+	p2.CacheDir = cache
+	p2.Resume = true
+	if err := p2.Sweep.OpenJournal(p2); err != nil {
+		t.Fatalf("resume open failed: %v", err)
+	}
+	if _, err := runMany(p2, jobs); err != nil {
+		t.Fatalf("resumed sweep failed: %v", err)
+	}
+	m := p2.Sweep.Metrics()
+	if m.Executed != 1 || m.StoreHits != 3 {
+		t.Fatalf("resume executed %d and hit the store %d times, want only the degraded job re-run (1, 3)", m.Executed, m.StoreHits)
+	}
+	if m.ResumedFailed != 0 {
+		t.Fatalf("ResumedFailed = %d, want 0: a degraded job did not fail", m.ResumedFailed)
+	}
+	if ok, degraded, failed := p2.Sweep.Journal.Summary(); ok != 4 || degraded != 0 || failed != 0 {
+		t.Fatalf("journal after resume: %d ok / %d degraded / %d failed, want 4/0/0", ok, degraded, failed)
+	}
+}
+
 // TestSupervisedDeadline injects a hang and bounds the run with
 // RunTimeout: the failure must carry a deadline diagnostic and must NOT
 // be retried (a wall-clock overrun is not an engine-path bug).

@@ -125,7 +125,7 @@ func (s *Sweep) store(p Params) (*resultstore.Store, error) {
 // store) or has been reported as failed to commit. Every sweep owner
 // passes it before it reports results; until then up to writeBehindWindow
 // outcomes may exist only in memory. If a commit died of a simulated
-// process death (faultinject.StoreKill) the barrier re-raises it.
+// process death (a store fault hook's panic value) the barrier re-raises it.
 func (s *Sweep) Sync() {
 	if dead := s.wb.wait(); dead != nil {
 		panic(dead)

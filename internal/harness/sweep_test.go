@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/faultinject"
 	"repro/internal/gpu"
 	"repro/internal/testsupport"
 )
@@ -31,7 +30,7 @@ func TestSweepsAreIndependent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range ps {
 		ps[i] = inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 2,
-			CacheDir: dir, StoreFault: faultinject.NewStoreRecorder()})
+			CacheDir: dir, StoreFault: testsupport.NewStoreRecorder()})
 		NewMonitor(ps[i].Sweep)
 		wg.Add(1)
 		go func(p Params, jobs []Job) {
@@ -49,7 +48,7 @@ func TestSweepsAreIndependent(t *testing.T) {
 			t.Errorf("sweep %d: monitor reports %d requests, %d executed + %d store hits, want its own batch of %d",
 				i, m.Requests, m.Executed, m.StoreHits, len(batches[i]))
 		}
-		if len(p.StoreFault.Trace()) == 0 {
+		if len(p.StoreFault.(*testsupport.StoreHook).Trace()) == 0 {
 			t.Errorf("sweep %d never met its own store hook", i)
 		}
 	}
@@ -90,15 +89,20 @@ func TestOpenJournalDerivesMeta(t *testing.T) {
 }
 
 // TestNoPackageState keeps shared mutable state out of package scope in
-// the sweep and in the workloads it runs: a non-test file of harness,
-// kernels or isa may declare a package-level variable only if its
-// package's allow-list names it — a table filled once and only read after.
-// What a sweep learns belongs in Sweep; a workload is built from its
-// arguments (kernels.Arena) and its kernel is decoded when it is built.
+// the sweep, the workloads it runs, the store it commits to, the memory
+// model and the fleet: a non-test file of harness, kernels, isa,
+// resultstore, mem or fabric may declare a package-level variable only
+// if its package's allow-list names it — a table filled once and only
+// read after, or a sentinel error. What a sweep learns belongs in Sweep;
+// a workload is built from its arguments (kernels.Arena) and its kernel
+// is decoded when it is built; a store's test seam is its Options.Fault.
 func TestNoPackageState(t *testing.T) {
 	noPackageState(t, ".", "experiments")
 	noPackageState(t, "../kernels", "registry")
 	noPackageState(t, "../isa", "opNames")
+	noPackageState(t, "../resultstore", "ErrNotFound", "ErrClosed")
+	noPackageState(t, "../mem")
+	noPackageState(t, "../fabric")
 }
 
 // noPackageState fails t for every package-level variable that the

@@ -16,9 +16,9 @@ import (
 // unobservable — indices never escape the table — so chains are
 // serialized per line, sorted by line address, and rebuilt canonically.
 //
-// Capture is a pure read. Stats are captured as PeekStats-style additive
-// totals (shared Stats plus any per-L1 shards); restore folds them into
-// the shared Stats, which is equivalent under CollectStats.
+// Capture is a pure read. Stats are captured as totals (System.Stats);
+// restore folds them into the system's own counters and zeroes every
+// L1's, which leaves the totals, the only thing a Result reads, equal.
 
 // TagState is a TagArray's serializable state. Geometry stays with the
 // live array (it derives from config); only the dynamic arrays travel.
@@ -153,7 +153,7 @@ func (s *System) RegisterHandlers(reg *event.Registry) {
 // State captures the memory system. Pure read: nothing is folded or
 // zeroed.
 func (s *System) State(reg *event.Registry) (*SystemState, error) {
-	st := &SystemState{Stats: s.PeekStats()}
+	st := &SystemState{Stats: s.Stats()}
 	for _, c := range s.l1s {
 		ls := L1State{Tags: c.tags.State()}
 		var err error
@@ -188,14 +188,14 @@ func (s *System) State(reg *event.Registry) (*SystemState, error) {
 }
 
 // SetState restores a freshly built System (same configuration) to the
-// captured state. Stat shards, if any, are zeroed with the totals folded
-// into the shared Stats — equivalent under CollectStats.
+// captured state. The captured totals land in the system's own counters
+// and every L1's are zeroed, so Stats reads the captured totals back.
 func (s *System) SetState(st *SystemState, reg *event.Registry) error {
 	if len(st.L1s) != len(s.l1s) || len(st.Parts) != len(s.parts) {
 		return fmt.Errorf("mem: state shape mismatch (%d L1s/%d parts, want %d/%d)",
 			len(st.L1s), len(st.Parts), len(s.l1s), len(s.parts))
 	}
-	s.Stats = st.Stats
+	s.stats = st.Stats
 	for i, c := range s.l1s {
 		ls := &st.L1s[i]
 		if err := c.tags.SetState(ls.Tags); err != nil {
@@ -204,9 +204,7 @@ func (s *System) SetState(st *SystemState, reg *event.Registry) error {
 		if err := c.mshr.setState(ls.MSHR, reg); err != nil {
 			return err
 		}
-		if c.stats != &s.Stats {
-			*c.stats = Stats{}
-		}
+		c.stats = Stats{}
 	}
 	for i, p := range s.parts {
 		ps := &st.Parts[i]

@@ -48,8 +48,9 @@ type System struct {
 	parts    []*partition
 	lineBits uint // log2 of the partition interleave granularity
 
-	// Stats holds the memory counters; read after the simulation.
-	Stats Stats
+	// stats holds the partitions' counters (L2 and DRAM) and the totals a
+	// restored snapshot carried; every L1 counts its own traffic.
+	stats Stats
 }
 
 // NewSystem builds the memory system for the configuration.
@@ -67,53 +68,22 @@ func NewSystem(cfg *config.GPUConfig, ev *event.Queue) *System {
 	return s
 }
 
-// ShardStats gives every L1 a private counter shard so per-SM L1 hit
-// rates can be read (telemetry). Counters are additive, so merge order
-// cannot change the totals; CollectStats folds them back.
-func (s *System) ShardStats() {
+// Stats returns the counter totals: the system's own counters plus every
+// L1's. A pure read, so a live observer may call it mid-run.
+func (s *System) Stats() Stats {
+	st := s.stats
 	for _, c := range s.l1s {
-		if c.stats == &s.Stats {
-			c.stats = &Stats{}
-		}
-	}
-}
-
-// CollectStats folds any per-L1 shards into Stats and returns the totals.
-// Safe to call in either mode and more than once.
-func (s *System) CollectStats() Stats {
-	for _, c := range s.l1s {
-		if c.stats != &s.Stats {
-			s.Stats.L1Accesses += c.stats.L1Accesses
-			s.Stats.L1Hits += c.stats.L1Hits
-			s.Stats.L1MSHRMerges += c.stats.L1MSHRMerges
-			s.Stats.L1Rejects += c.stats.L1Rejects
-			*c.stats = Stats{}
-		}
-	}
-	return s.Stats
-}
-
-// PeekStats returns the current counter totals — shared Stats plus any
-// per-L1 shards — without folding or zeroing anything, so live observers
-// (telemetry windows) can read mid-run deltas without perturbing the
-// final CollectStats accounting.
-func (s *System) PeekStats() Stats {
-	st := s.Stats
-	for _, c := range s.l1s {
-		if c.stats != &s.Stats {
-			st.L1Accesses += c.stats.L1Accesses
-			st.L1Hits += c.stats.L1Hits
-			st.L1MSHRMerges += c.stats.L1MSHRMerges
-			st.L1Rejects += c.stats.L1Rejects
-		}
+		st.L1Accesses += c.stats.L1Accesses
+		st.L1Hits += c.stats.L1Hits
+		st.L1MSHRMerges += c.stats.L1MSHRMerges
+		st.L1Rejects += c.stats.L1Rejects
 	}
 	return st
 }
 
-// L1ShardStats returns SM sm's private L1 counter shard; ShardStats must
-// have been called (the telemetry collector, its one caller, does). Like
-// PeekStats it is a pure read.
-func (s *System) L1ShardStats(sm int) Stats { return *s.l1s[sm].stats }
+// L1Stats returns the counters of SM sm's L1 (only its L1 fields are
+// set): what per-SM L1 hit rates are read from. A pure read.
+func (s *System) L1Stats(sm int) Stats { return s.l1s[sm].stats }
 
 // AccessGlobal presents one coalesced line transaction from an SM. done
 // must be a valid Completion for reads (fired when the line arrives at
@@ -129,21 +99,19 @@ func (s *System) partitionOf(lineAddr uint32) *partition {
 }
 
 // l1Cache is one SM's private L1 data cache: write-through, write-evict
-// (no write-allocate), with MSHR merging, as in Fermi. Its counters go
-// through stats: the shared Stats by default, a private shard after
-// ShardStats.
+// (no write-allocate), with MSHR merging, as in Fermi. It counts its own
+// traffic in stats (the L1 fields only).
 type l1Cache struct {
 	sys   *System
 	cfg   config.CacheConfig
 	tags  *TagArray
 	mshr  *mshrTable
-	stats *Stats
+	stats Stats
 }
 
 func newL1(cfg *config.GPUConfig, sys *System) *l1Cache {
 	return &l1Cache{sys: sys, cfg: cfg.L1D, mshr: newMSHRTable(cfg.L1D.MSHRs),
-		tags:  NewTagArray(cfg.L1D.Sets, cfg.L1D.Ways, cfg.L1D.LineSize),
-		stats: &sys.Stats}
+		tags: NewTagArray(cfg.L1D.Sets, cfg.L1D.Ways, cfg.L1D.LineSize)}
 }
 
 // l1Cache event kinds (operand a = line address throughout).
@@ -287,16 +255,16 @@ func (p *partition) access(lineAddr uint32, write bool, respond event.Completion
 	p.l2Free = start + 1
 
 	if write {
-		sys.Stats.L2Accesses++
+		sys.stats.L2Accesses++
 		// Write-through, no-allocate at L2 as well: the write occupies
 		// the DRAM channel but nothing waits for it.
 		sys.ev.Post(start+int64(p.cfg.L2.Latency), p, evPartEnqWrite, lineAddr, 0)
 		return
 	}
 
-	sys.Stats.L2Accesses++
+	sys.stats.L2Accesses++
 	if p.tags.Probe(lineAddr) {
-		sys.Stats.L2Hits++
+		sys.stats.L2Hits++
 		sys.ev.PostC(start+int64(p.cfg.L2.Latency), respond)
 		return
 	}
@@ -310,9 +278,9 @@ func (p *partition) access(lineAddr uint32, write bool, respond event.Completion
 // enqueueDRAM adds a transaction to the FR-FCFS controller queue.
 func (p *partition) enqueueDRAM(line uint32, write bool, onDone event.Completion) {
 	if write {
-		p.sys.Stats.DRAMWrites++
+		p.sys.stats.DRAMWrites++
 	} else {
-		p.sys.Stats.DRAMReads++
+		p.sys.stats.DRAMReads++
 	}
 	p.queue = append(p.queue, dramReq{line: line, write: write, onDone: onDone})
 	p.pump()
@@ -372,7 +340,7 @@ func (p *partition) pump() {
 
 	r := p.queue[best]
 	p.queue = append(p.queue[:best], p.queue[best+1:]...)
-	st := &p.sys.Stats
+	st := &p.sys.stats
 	bank := int(r.line>>p.rowBits) % len(p.bankFree)
 	svc := int64(p.cfg.DRAMServiceCycles)
 	if p.cfg.DRAMBanks > 0 {

@@ -142,8 +142,8 @@ func TestL1HitTiming(t *testing.T) {
 	if hitLatency != int64(cfg.L1D.Latency) {
 		t.Fatalf("hit latency = %d, want %d", hitLatency, cfg.L1D.Latency)
 	}
-	if sys.Stats.L1Hits != 1 || sys.Stats.L1Accesses != 2 {
-		t.Fatalf("stats: hits=%d accesses=%d", sys.Stats.L1Hits, sys.Stats.L1Accesses)
+	if sys.Stats().L1Hits != 1 || sys.Stats().L1Accesses != 2 {
+		t.Fatalf("stats: hits=%d accesses=%d", sys.Stats().L1Hits, sys.Stats().L1Accesses)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestMSHRMergingAtL1(t *testing.T) {
 	done := 0
 	sys.AccessGlobal(0, 0x2000, false, completion(func() { done++ }))
 	sys.AccessGlobal(0, 0x2000, false, completion(func() { done++ })) // merges
-	if sys.Stats.L1MSHRMerges != 1 {
-		t.Fatalf("merges = %d, want 1", sys.Stats.L1MSHRMerges)
+	if sys.Stats().L1MSHRMerges != 1 {
+		t.Fatalf("merges = %d, want 1", sys.Stats().L1MSHRMerges)
 	}
 	for i := int64(1); done < 2 && i < 10000; i++ {
 		ev.AdvanceTo(i)
@@ -165,8 +165,8 @@ func TestMSHRMergingAtL1(t *testing.T) {
 		t.Fatalf("done = %d, want 2 (merged miss must wake both)", done)
 	}
 	// Only one request reached DRAM.
-	if sys.Stats.DRAMReads != 1 {
-		t.Fatalf("DRAM reads = %d, want 1", sys.Stats.DRAMReads)
+	if sys.Stats().DRAMReads != 1 {
+		t.Fatalf("DRAM reads = %d, want 1", sys.Stats().DRAMReads)
 	}
 }
 
@@ -185,8 +185,8 @@ func TestMSHRBackpressure(t *testing.T) {
 	if sys.AccessGlobal(0, 0x3000, false, completion(func() {})) {
 		t.Fatal("third distinct miss must be rejected with 2 MSHRs")
 	}
-	if sys.Stats.L1Rejects != 1 {
-		t.Fatalf("rejects = %d, want 1", sys.Stats.L1Rejects)
+	if sys.Stats().L1Rejects != 1 {
+		t.Fatalf("rejects = %d, want 1", sys.Stats().L1Rejects)
 	}
 	if len(sys.l1s[0].mshr.pending) != 2 {
 		t.Fatalf("outstanding = %d, want 2", len(sys.l1s[0].mshr.pending))
@@ -205,10 +205,10 @@ func TestWriteInvalidatesL1(t *testing.T) {
 	}
 	// Write to the same line evicts it.
 	sys.AccessGlobal(0, 0x4000, true, event.Completion{})
-	hitsBefore := sys.Stats.L1Hits
+	hitsBefore := sys.Stats().L1Hits
 	done := false
 	sys.AccessGlobal(0, 0x4000, false, completion(func() { done = true }))
-	if sys.Stats.L1Hits != hitsBefore {
+	if sys.Stats().L1Hits != hitsBefore {
 		t.Fatal("read after write-evict must miss in L1")
 	}
 	for i := ev.Now() + 1; !done && i < ev.Now()+10000; i++ {
@@ -217,8 +217,8 @@ func TestWriteInvalidatesL1(t *testing.T) {
 	if !done {
 		t.Fatal("post-write read never completed")
 	}
-	if sys.Stats.DRAMWrites != 1 {
-		t.Fatalf("DRAM writes = %d, want 1", sys.Stats.DRAMWrites)
+	if sys.Stats().DRAMWrites != 1 {
+		t.Fatalf("DRAM writes = %d, want 1", sys.Stats().DRAMWrites)
 	}
 }
 
@@ -233,18 +233,18 @@ func TestL2SharedAcrossSMs(t *testing.T) {
 		ev.AdvanceTo(i)
 	}
 	// A different SM missing L1 should hit in L2.
-	reads := sys.Stats.DRAMReads
+	reads := sys.Stats().DRAMReads
 	done2 := false
 	start := ev.Now()
 	sys.AccessGlobal(1, 0x8000, false, completion(func() { done2 = true }))
 	for i := start + 1; !done2 && i < start+10000; i++ {
 		ev.AdvanceTo(i)
 	}
-	if sys.Stats.DRAMReads != reads {
+	if sys.Stats().DRAMReads != reads {
 		t.Fatal("second SM's miss must be served by L2, not DRAM")
 	}
-	if sys.Stats.L2Hits != 1 {
-		t.Fatalf("L2 hits = %d, want 1", sys.Stats.L2Hits)
+	if sys.Stats().L2Hits != 1 {
+		t.Fatalf("L2 hits = %d, want 1", sys.Stats().L2Hits)
 	}
 }
 
@@ -314,11 +314,11 @@ func TestDRAMRowBufferModel(t *testing.T) {
 	if first < 0 || second < 0 || third < 0 {
 		t.Fatal("accesses never completed")
 	}
-	if sys.Stats.DRAMRowHits != 1 {
-		t.Fatalf("row hits = %d, want 1", sys.Stats.DRAMRowHits)
+	if sys.Stats().DRAMRowHits != 1 {
+		t.Fatalf("row hits = %d, want 1", sys.Stats().DRAMRowHits)
 	}
-	if sys.Stats.DRAMRowMisses != 2 {
-		t.Fatalf("row misses = %d, want 2", sys.Stats.DRAMRowMisses)
+	if sys.Stats().DRAMRowMisses != 2 {
+		t.Fatalf("row misses = %d, want 2", sys.Stats().DRAMRowMisses)
 	}
 	// The row hit's extra delay over the first access must be less than
 	// a row miss's (the penalty shows up in the response time).
@@ -326,7 +326,7 @@ func TestDRAMRowBufferModel(t *testing.T) {
 		t.Fatalf("timing: first=%d second=%d third=%d (row hit should be cheaper)",
 			first, second, third)
 	}
-	st := sys.Stats
+	st := sys.Stats()
 	if rate := float64(st.DRAMRowHits) / float64(st.DRAMRowHits+st.DRAMRowMisses); rate != 1.0/3.0 {
 		t.Fatalf("row hit rate = %v", rate)
 	}
@@ -379,7 +379,7 @@ func TestFlatModelWhenBanksDisabled(t *testing.T) {
 	if !done {
 		t.Fatal("flat model failed to complete")
 	}
-	if sys.Stats.DRAMRowHits+sys.Stats.DRAMRowMisses != 0 {
+	if sys.Stats().DRAMRowHits+sys.Stats().DRAMRowMisses != 0 {
 		t.Fatal("flat model must not count row buffer events")
 	}
 }
@@ -437,9 +437,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	if !(order[0] == 0 && order[1] == 2 && order[2] == 1) {
 		t.Fatalf("service order %v, want [0 2 1] (row hit first)", order)
 	}
-	if sys.Stats.DRAMRowHits != 1 || sys.Stats.DRAMRowMisses != 2 {
+	if sys.Stats().DRAMRowHits != 1 || sys.Stats().DRAMRowMisses != 2 {
 		t.Fatalf("hits/misses = %d/%d, want 1/2",
-			sys.Stats.DRAMRowHits, sys.Stats.DRAMRowMisses)
+			sys.Stats().DRAMRowHits, sys.Stats().DRAMRowMisses)
 	}
 }
 

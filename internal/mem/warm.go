@@ -8,9 +8,8 @@ package mem
 // the traffic the span retired. MSHR state needs no warming: spans begin
 // and end at functionally quiescent boundaries where every MSHR is empty.
 //
-// Counter routing matches the timing path: L1 counters go through the
-// owning L1's stat pointer (a private shard with telemetry attached),
-// L2/DRAM counters through the shared Stats.
+// Counter routing matches the timing path: L1 counters go to the owning
+// L1, L2/DRAM counters to the system's.
 func (s *System) WarmGlobal(sm int, lineAddr uint32, write bool) {
 	c := s.l1s[sm]
 	if write {
@@ -18,8 +17,8 @@ func (s *System) WarmGlobal(sm int, lineAddr uint32, write bool) {
 		// L2; the line lands on the DRAM channel.
 		c.stats.L1Accesses++
 		c.tags.Invalidate(lineAddr)
-		s.Stats.L2Accesses++
-		s.Stats.DRAMWrites++
+		s.stats.L2Accesses++
+		s.stats.DRAMWrites++
 		return
 	}
 
@@ -28,12 +27,12 @@ func (s *System) WarmGlobal(sm int, lineAddr uint32, write bool) {
 		c.stats.L1Hits++
 		return
 	}
-	s.Stats.L2Accesses++
+	s.stats.L2Accesses++
 	p := s.partitionOf(lineAddr)
 	if p.tags.Probe(lineAddr) {
-		s.Stats.L2Hits++
+		s.stats.L2Hits++
 	} else {
-		s.Stats.DRAMReads++
+		s.stats.DRAMReads++
 		p.tags.Fill(lineAddr)
 	}
 	c.tags.Fill(lineAddr)

@@ -194,7 +194,7 @@ func (s *Store) backfill(sd *side, ss *syncSet, rel string, lines []string) bool
 			return false
 		}
 	}
-	if ss.flush() != nil {
+	if ss.flush(s.fs) != nil {
 		return false
 	}
 	s.event(Event{Op: "backfill", Key: rel, Side: s.roleOf(sd), Detail: fmt.Sprintf("%d lines", len(lines))})

@@ -7,44 +7,44 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-
-	"repro/internal/faultinject"
 )
 
-// fsio funnels every filesystem operation of the store through the
-// optional fault hook, so crash drills can die, tear, flip, or fail any
-// single write or read the store performs.
-type fsio struct {
-	hook *faultinject.StoreHook
+// Hook intercepts the filesystem operations of one store instance: the
+// seam crash drills and kill-point sweeps inject storage faults through.
+type Hook interface {
+	// Apply is called before each operation: op is "write" (an append of
+	// data) or "read" (data is nil). It returns the payload to use, an
+	// error that fails the operation, and dieAfter: when non-nil, the
+	// store panics with it once the operation has completed. A hook may
+	// also panic itself, a death before the operation.
+	Apply(op, path string, data []byte) (out []byte, dieAfter any, err error)
+	// Sync fsyncs fh. Apply never sees an fsync, so how fsyncs are
+	// grouped cannot move a kill point.
+	Sync(fh *os.File) error
 }
 
-func (f fsio) apply(op faultinject.StoreOp, path string, data []byte) ([]byte, bool, error) {
-	if f.hook == nil {
-		return data, false, nil
-	}
-	return f.hook.Apply(op, path, data)
-}
+// osHook is the Hook of a store with no fault seam: every operation runs
+// as asked.
+type osHook struct{}
 
-// die simulates process death after an operation the hook marked with
-// dieAfter: the operation's effect is on disk, nothing later is.
-func die(op faultinject.StoreOp, path string) {
-	panic(&faultinject.StoreKill{Op: op, Path: path})
-}
+func (osHook) Apply(_, _ string, data []byte) ([]byte, any, error) { return data, nil, nil }
+func (osHook) Sync(fh *os.File) error                              { return fh.Sync() }
+
+// fsio funnels every filesystem operation of the store through its hook,
+// so crash drills can die, tear, flip, or fail any single write or read
+// the store performs.
+type fsio struct{ Hook }
 
 // syncFanout bounds the fsyncs one round keeps in flight: enough for
 // the filesystem journal to merge a batch's files into one commit, few
 // enough that a round never parks more threads than a small host has.
 const syncFanout = 12
 
-// syncFile is the one fsync call site (a variable so a test can fail
-// the fsync of a chosen path; production code never assigns it).
-var syncFile = (*os.File).Sync
-
 // syncSet is the durability a protocol step owes: the still-open
 // handles of every file appended to since the last round, and the
 // directories a file was created in. Nothing in it is durable until
 // flush has returned nil; drop closes whatever an abandoned step left
-// behind. The fault hook never sees an fsync, so when a set is flushed
+// behind. Hook.Apply never sees an fsync, so when a set is flushed
 // is invisible to the kill-point drills.
 type syncSet struct {
 	files         []*os.File
@@ -53,9 +53,9 @@ type syncSet struct {
 }
 
 // flush pays the set in one round: every handle and directory is
-// fsynced and closed concurrently, at most syncFanout at a time.
-// Directory fsync stays best-effort (not all platforms support it).
-func (ss *syncSet) flush() error {
+// fsynced through f and closed concurrently, at most syncFanout at a
+// time. Directory fsync stays best-effort (not all platforms support it).
+func (ss *syncSet) flush(f fsio) error {
 	nFiles := len(ss.files)
 	for _, d := range ss.dirs {
 		if fh, err := os.Open(d); err == nil {
@@ -77,7 +77,7 @@ func (ss *syncSet) flush() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = errors.Join(syncFile(fh), fh.Close())
+			errs[i] = errors.Join(f.Sync(fh), fh.Close())
 			<-sem
 		}()
 	}
@@ -147,7 +147,7 @@ func (a *appender) open() error {
 // file ends in a torn line from a crashed writer is written after a
 // healing newline, so one torn line never swallows the next good one.
 func (a *appender) write(data []byte, asLine bool) (int64, error) {
-	b, dieAfter, err := a.f.apply(faultinject.StoreOpWrite, a.path, data)
+	b, dieAfter, err := a.f.Apply("write", a.path, data)
 	if err != nil {
 		return -1, err
 	}
@@ -173,8 +173,8 @@ func (a *appender) write(data []byte, asLine bool) (int64, error) {
 		a.heal = false
 		return nil
 	}()
-	if dieAfter {
-		die(faultinject.StoreOpWrite, a.path)
+	if dieAfter != nil {
+		panic(dieAfter)
 	}
 	return off, werr
 }
@@ -189,7 +189,7 @@ func (a *appender) line(line []byte) error {
 // on error; a range the file does not hold whole fails with io.EOF.
 func (f fsio) readAt(path string, off, size int64) (b []byte, err error) {
 	err = retryOnce(func() error {
-		_, dieAfter, err := f.apply(faultinject.StoreOpRead, path, nil)
+		_, dieAfter, err := f.Apply("read", path, nil)
 		if err != nil {
 			return err
 		}
@@ -199,8 +199,8 @@ func (f fsio) readAt(path string, off, size int64) (b []byte, err error) {
 			_, err = fh.ReadAt(b, off)
 			fh.Close()
 		}
-		if dieAfter {
-			die(faultinject.StoreOpRead, path)
+		if dieAfter != nil {
+			panic(dieAfter)
 		}
 		return err
 	})
@@ -209,13 +209,13 @@ func (f fsio) readAt(path string, off, size int64) (b []byte, err error) {
 
 // readFile reads path whole.
 func (f fsio) readFile(path string) ([]byte, error) {
-	_, dieAfter, err := f.apply(faultinject.StoreOpRead, path, nil)
+	_, dieAfter, err := f.Apply("read", path, nil)
 	if err != nil {
 		return nil, err
 	}
 	b, rerr := os.ReadFile(path)
-	if dieAfter {
-		die(faultinject.StoreOpRead, path)
+	if dieAfter != nil {
+		panic(dieAfter)
 	}
 	return b, rerr
 }

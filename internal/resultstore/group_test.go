@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/testsupport"
 )
 
 // Group-commit tests: concurrent Commit calls coalesce into batches that
@@ -50,7 +50,7 @@ func lineCounts(t *testing.T, path, marker string) map[string]int {
 func TestGroupCommitConcurrent(t *testing.T) {
 	const writers, perWriter = 8, 12
 	p, m := t.TempDir(), t.TempDir()
-	rec := faultinject.NewStoreRecorder()
+	rec := testsupport.NewStoreRecorder()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 
 	txs := make([][]*Tx, writers)
@@ -138,7 +138,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 // asks for an object nobody has computed: the sweep slot's question, which
 // must be answered from the in-memory index alone.
 func TestGetMissDoesNotWaitForCommit(t *testing.T) {
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreStall}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 0, Kind: testsupport.StoreStall}).StoreHook()
 	s := mustOpen(t, Options{Dir: t.TempDir(), Mirror: t.TempDir(), Fault: hook})
 	committed := make(chan error, 1)
 	go func() { committed <- jobTx(s, "slow").Commit() }()
@@ -232,7 +232,7 @@ func TestBatchTransientEIORetried(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
 	// Writes 0-3 are the opener's (manifest, its line on both sides, done),
 	// 4-6 the batch's pack appends: fail the second of those.
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 5, Kind: faultinject.StoreEIO}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 5, Kind: testsupport.StoreEIO}).StoreHook()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 	keys := []string{"e0", "e1", "e2"}
 	var txs []*Tx
@@ -300,7 +300,7 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
-	rec := faultinject.NewStoreRecorder()
+	rec := testsupport.NewStoreRecorder()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 	if errs, panics := drill(t, s); errors.Join(errs...) != nil || panics[0] != nil {
 		t.Fatalf("clean batch: %v %v", errs, panics)
@@ -315,15 +315,15 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 			t.Run(fmt.Sprintf("op%02d-%s", point, kind), func(t *testing.T) {
 				p, m := t.TempDir(), t.TempDir()
 				killDrillBase(t, p, m)
-				hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}).StoreHook()
+				hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: point, Kind: kind}).StoreHook()
 				s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 				errs, panics := drill(t, s)
 				if !hook.Fired() {
 					t.Fatal("the fault did not fire")
 				}
-				_, killed := panics[0].(*faultinject.StoreKill)
+				_, killed := panics[0].(*testsupport.StoreKill)
 				for i := range keys {
-					if _, ok := panics[i].(*faultinject.StoreKill); ok != killed || (!killed && panics[i] != nil) {
+					if _, ok := panics[i].(*testsupport.StoreKill); ok != killed || (!killed && panics[i] != nil) {
 						t.Fatalf("member %d: Commit returned %v (panic %v); member 0 died=%v", i, errs[i], panics[i], killed)
 					}
 					if !errors.Is(errs[i], errs[0]) {
@@ -333,7 +333,7 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 				if killed {
 					func() {
 						defer func() {
-							if _, ok := recover().(*faultinject.StoreKill); !ok {
+							if _, ok := recover().(*testsupport.StoreKill); !ok {
 								t.Error("a commit submitted after the kill did not re-raise it")
 							}
 						}()
@@ -383,7 +383,7 @@ func TestKillPointBatchAllOrNothing(t *testing.T) {
 // TestCloseIsABarrier: Close returns only after queued commits finished,
 // and refuses later ones.
 func TestCloseIsABarrier(t *testing.T) {
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreStall}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 0, Kind: testsupport.StoreStall}).StoreHook()
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, Fault: hook})
 	var wg sync.WaitGroup

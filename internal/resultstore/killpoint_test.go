@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
+	"repro/internal/testsupport"
 )
 
 // The kill-point property test: enumerate every filesystem operation a
@@ -36,9 +36,9 @@ var (
 
 // faultKinds are the faults the kill-point sweeps inject at every
 // operation: the three deaths, and the two a process lives through.
-var faultKinds = []faultinject.StoreFaultKind{
-	faultinject.StoreCrash, faultinject.StoreCrashAfter, faultinject.StoreTruncate,
-	faultinject.StoreBitFlip, faultinject.StoreEIO,
+var faultKinds = []testsupport.StoreFaultKind{
+	testsupport.StoreCrash, testsupport.StoreCrashAfter, testsupport.StoreTruncate,
+	testsupport.StoreBitFlip, testsupport.StoreEIO,
 }
 
 // killDrillCommit runs the drill's target transaction against s: one
@@ -69,7 +69,7 @@ func TestKillPointAllOrNothing(t *testing.T) {
 	// Pass 1: record the operation trace of a clean run of the drill.
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
-	rec := faultinject.NewStoreRecorder()
+	rec := testsupport.NewStoreRecorder()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 	if err := killDrillCommit(t, s); err != nil {
 		t.Fatalf("clean drill commit: %v", err)
@@ -137,17 +137,17 @@ func servedOnlyIndexed(t *testing.T, s *Store) {
 	}
 }
 
-func runKillPoint(t *testing.T, point int, kind faultinject.StoreFaultKind) {
+func runKillPoint(t *testing.T, point int, kind testsupport.StoreFaultKind) {
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpAny, N: point, Kind: kind}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: point, Kind: kind}).StoreHook()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 	killed := false
 	var commitErr error
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(*faultinject.StoreKill); !ok {
+				if _, ok := r.(*testsupport.StoreKill); !ok {
 					panic(r)
 				}
 				killed = true

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/faultinject"
 )
 
 type objState int
@@ -47,7 +45,7 @@ func (s *Store) readObject(sd *side, kind Kind, key string) ([]byte, objState) {
 func (s *Store) readPack(sd *side, off, size int64) (b []byte, err error) {
 	path := sd.path(packFile)
 	err = retryOnce(func() error {
-		_, dieAfter, err := s.fs.apply(faultinject.StoreOpRead, path, nil)
+		_, dieAfter, err := s.fs.Apply("read", path, nil)
 		if err != nil {
 			return err
 		}
@@ -60,8 +58,8 @@ func (s *Store) readPack(sd *side, off, size int64) (b []byte, err error) {
 				s.dropPack(sd)
 			}
 		}
-		if dieAfter {
-			die(faultinject.StoreOpRead, path)
+		if dieAfter != nil {
+			panic(dieAfter)
 		}
 		return err
 	})
@@ -153,7 +151,7 @@ func (s *Store) repairObject(from, to *side, kind Kind, key string) {
 	e.Tx = "repair"
 	var ss syncSet
 	err := s.copyObject(from, s.writerFor(to, &ss), e)
-	if err = errors.Join(err, ss.flush()); err != nil {
+	if err = errors.Join(err, ss.flush(s.fs)); err != nil {
 		s.event(Event{Op: "repair-failed", Kind: string(kind), Key: key, Side: s.roleOf(to), Detail: err.Error()})
 		return
 	}
@@ -179,7 +177,7 @@ func (s *Store) quarantineSide(sd *side, kind Kind, key, reason string) {
 	}
 	var ss syncSet
 	err := s.writerFor(sd, &ss).index(indexEntry{Kind: string(kind), Key: key, Drop: true})
-	if err = errors.Join(err, ss.flush()); err != nil {
+	if err = errors.Join(err, ss.flush(s.fs)); err != nil {
 		return
 	}
 	s.counters.Quarantines++

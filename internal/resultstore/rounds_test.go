@@ -13,7 +13,7 @@ import (
 	"syscall"
 	"testing"
 
-	"repro/internal/faultinject"
+	"repro/internal/testsupport"
 )
 
 // Fsync-round tests: a batch collects its fsyncs and pays them in a
@@ -22,22 +22,26 @@ import (
 // batch, the hook-visible operation order, and what a failed round
 // leaves behind.
 
-// hookSync installs a syncFile that counts every fsync and fails, once,
-// the first one whose file path satisfies fail (nil: fail nothing).
-func hookSync(t *testing.T, fail func(path string) bool) *atomic.Int64 {
-	t.Helper()
-	orig := syncFile
-	t.Cleanup(func() { syncFile = orig })
-	var calls atomic.Int64
-	var failed atomic.Bool
-	syncFile = func(fh *os.File) error {
-		calls.Add(1)
-		if fail != nil && fail(fh.Name()) && failed.CompareAndSwap(false, true) {
-			return &os.PathError{Op: "sync", Path: fh.Name(), Err: syscall.EIO}
-		}
-		return orig(fh)
+// syncSpy is a store hook that records the operation trace, counts
+// every fsync, and fails, once, the first fsync whose file path
+// satisfies fail (nil: fail nothing).
+type syncSpy struct {
+	*testsupport.StoreHook
+	fail   func(path string) bool
+	calls  atomic.Int64
+	failed atomic.Bool
+}
+
+func newSyncSpy(fail func(path string) bool) *syncSpy {
+	return &syncSpy{StoreHook: testsupport.NewStoreRecorder(), fail: fail}
+}
+
+func (h *syncSpy) Sync(fh *os.File) error {
+	h.calls.Add(1)
+	if h.fail != nil && h.fail(fh.Name()) && h.failed.CompareAndSwap(false, true) {
+		return &os.PathError{Op: "sync", Path: fh.Name(), Err: syscall.EIO}
 	}
-	return &calls
+	return h.StoreHook.Sync(fh)
 }
 
 // openUnder lists this process's open descriptors on files below dirs.
@@ -94,7 +98,8 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 				name, syncs = fmt.Sprintf("alone-%d", k), 4
 			}
 			t.Run(name, func(t *testing.T) {
-				o := Options{Dir: t.TempDir(), Fault: faultinject.NewStoreRecorder()}
+				spy := newSyncSpy(nil)
+				o := Options{Dir: t.TempDir(), Fault: spy}
 				dirs := []string{o.Dir, filepath.Join(o.Dir, vtstoreDir)}
 				if mirrored {
 					o.Mirror = t.TempDir()
@@ -106,8 +111,8 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 				warm := jobTx(s, "warm")
 				warm.Append("openers.jsonl", []byte(`{"opener":true}`))
 				mustCommit(t, warm)
-				before, from := dirEntries(t, dirs...), len(o.Fault.Trace())
-				calls := hookSync(t, nil)
+				before, from := dirEntries(t, dirs...), len(spy.Trace())
+				synced := spy.calls.Load()
 
 				var txs []*Tx
 				for i := 0; i < k; i++ {
@@ -127,11 +132,11 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 				}
 				// The count is the seam's, not only the set's own: a lone commit
 				// is everything that was fsynced since the first batch.
-				if n := int(calls.Load()); k == 1 && n != syncs {
+				if n := int(spy.calls.Load() - synced); k == 1 && n != syncs {
 					t.Fatalf("the batch reports %d fsyncs, %d were issued", syncs, n)
 				}
 				allowed := []string{packFile, filepath.Join(vtstoreDir, walFile), indexFile, "journal.jsonl", "openers.jsonl"}
-				for _, op := range o.Fault.Trace()[from:] {
+				for _, op := range spy.Trace()[from:] {
 					class, rel, _ := strings.Cut(op, " ")
 					for _, d := range []string{o.Dir, o.Mirror} {
 						if d != "" && strings.HasPrefix(rel, d+string(filepath.Separator)) {
@@ -160,8 +165,8 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 // stays open, and the retries commit everything.
 func TestGroupCommitStageSyncFailure(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
-	s := mustOpen(t, Options{Dir: p, Mirror: m})
-	hookSync(t, func(path string) bool { return path == filepath.Join(p, packFile) })
+	s := mustOpen(t, Options{Dir: p, Mirror: m,
+		Fault: newSyncSpy(func(path string) bool { return path == filepath.Join(p, packFile) })})
 	keys := []string{"s0", "s1", "s2"}
 	var txs []*Tx
 	for _, k := range keys {
@@ -223,8 +228,7 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 		mu.Lock()
 		events = append(events, ev.Op)
 		mu.Unlock()
-	}})
-	hookSync(t, func(path string) bool { return path == filepath.Join(p, indexFile) })
+	}, Fault: newSyncSpy(func(path string) bool { return path == filepath.Join(p, indexFile) })})
 	tx := jobTx(s, "late")
 	mustCommit(t, tx)
 	if got := strings.Join(events, ","); got != "apply-failed,commit-deferred" && got != "replicate-failed,commit-deferred" {
@@ -268,7 +272,7 @@ func normTrace(trace []string, p, m string) []string {
 // order of hooked writes and reads of the two kill-point drills, op
 // class and store-relative path, literally. The generated
 // kill-point subtest names only say that something moved; this says
-// what. The fault hook never sees an fsync, so regrouping fsyncs into
+// what. Hook.Apply never sees an fsync, so regrouping fsyncs into
 // rounds must leave both lists untouched.
 func TestGroupCommitOpTrace(t *testing.T) {
 	check := func(t *testing.T, got, want []string) {
@@ -292,7 +296,7 @@ func TestGroupCommitOpTrace(t *testing.T) {
 	t.Run("object+blob+line", func(t *testing.T) {
 		p, m := t.TempDir(), t.TempDir()
 		killDrillBase(t, p, m)
-		rec := faultinject.NewStoreRecorder()
+		rec := testsupport.NewStoreRecorder()
 		s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 		if err := killDrillCommit(t, s); err != nil {
 			t.Fatal(err)
@@ -330,7 +334,7 @@ func TestGroupCommitOpTrace(t *testing.T) {
 	t.Run("opener+batch-of-3", func(t *testing.T) {
 		p, m := t.TempDir(), t.TempDir()
 		killDrillBase(t, p, m)
-		rec := faultinject.NewStoreRecorder()
+		rec := testsupport.NewStoreRecorder()
 		s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 		var txs []*Tx
 		for _, k := range []string{"k0", "k1", "k2"} {

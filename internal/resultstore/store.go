@@ -72,8 +72,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"repro/internal/faultinject"
 )
 
 // Kind names an object class.
@@ -114,7 +112,7 @@ type Options struct {
 	Mirror string
 	// Fault, when non-nil, intercepts every filesystem operation of this
 	// store instance (crash drills and kill-point sweeps).
-	Fault *faultinject.StoreHook
+	Fault Hook
 	// OnEvent, when non-nil, observes every audit event (repair,
 	// quarantine, failover-read, rollback, ...). Called with the store lock
 	// held; must not call back into the store.
@@ -222,7 +220,10 @@ func Open(o Options) (*Store, error) {
 	}
 	// Transaction ids only need to differ from those of any record an
 	// earlier instance left in the log.
-	s := &Store{fs: fsio{hook: o.Fault}, onEvent: o.OnEvent, txSeq: time.Now().UnixNano()}
+	s := &Store{fs: fsio{o.Fault}, onEvent: o.OnEvent, txSeq: time.Now().UnixNano()}
+	if o.Fault == nil {
+		s.fs.Hook = osHook{}
+	}
 	s.idle = sync.NewCond(&s.qmu)
 	for i, d := range []string{o.Dir, o.Mirror} {
 		if d == "" {
@@ -280,8 +281,7 @@ func (s *Store) Close() error {
 // IsTransient reports whether err looks like a transient I/O failure
 // worth a bounded retry (as opposed to corruption or absence).
 func IsTransient(err error) bool {
-	return errors.Is(err, faultinject.ErrInjectedIO) ||
-		errors.Is(err, syscall.EIO) ||
+	return errors.Is(err, syscall.EIO) ||
 		errors.Is(err, syscall.EAGAIN) ||
 		errors.Is(err, syscall.EINTR)
 }

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/testsupport"
 )
 
 func mustCommit(t *testing.T, tx *Tx) {
@@ -475,7 +475,7 @@ func TestTransientEIORetries(t *testing.T) {
 	// Fail the first write with a transient error: Commit itself absorbs
 	// nothing pre-commit-point, so the transaction must roll back, report
 	// a retryable error, and succeed when retried.
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreEIO}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 0, Kind: testsupport.StoreEIO}).StoreHook()
 	s := mustOpen(t, Options{Dir: dir, Fault: hook})
 	tx := s.Begin()
 	tx.Put(KindResult, "eio", []byte("eventually-durable"))
@@ -499,7 +499,7 @@ func TestWritePathBitFlipHealedByVerifiedWrite(t *testing.T) {
 	// Flip a bit in the very first staged payload write. The read-back
 	// verification inside the commit protocol must catch and rewrite it,
 	// so the commit succeeds with clean bytes on both sides.
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: 0, Kind: faultinject.StoreBitFlip}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: 0, Kind: testsupport.StoreBitFlip}).StoreHook()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: hook})
 	payload := []byte("bytes that must land intact on disk")
 	tx := s.Begin()
@@ -519,7 +519,7 @@ func TestReplicateBitFlipHealed(t *testing.T) {
 	p, m := t.TempDir(), t.TempDir()
 	// Find the write op that lands the mirror's replica copy, then rerun
 	// with a bit-flip injected exactly there.
-	rec := faultinject.NewStoreRecorder()
+	rec := testsupport.NewStoreRecorder()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 	tx := s.Begin()
 	tx.Put(KindResult, "rk", []byte("replicated payload"))
@@ -540,7 +540,7 @@ func TestReplicateBitFlipHealed(t *testing.T) {
 	}
 
 	p2, m2 := t.TempDir(), t.TempDir()
-	hook := (&faultinject.StoreSpec{Op: faultinject.StoreOpWrite, N: mirrorWrite, Kind: faultinject.StoreBitFlip}).StoreHook()
+	hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpWrite, N: mirrorWrite, Kind: testsupport.StoreBitFlip}).StoreHook()
 	s2 := mustOpen(t, Options{Dir: p2, Mirror: m2, Fault: hook})
 	tx = s2.Begin()
 	tx.Put(KindResult, "rk", []byte("replicated payload"))
@@ -566,8 +566,8 @@ func TestTornAppendDoesNotSwallowNextLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ss syncSet
-	a := fsio{}.appender(&ss, path)
-	if err := errors.Join(a.line([]byte(`{"fp":"next","status":"ok"}`)), ss.flush()); err != nil {
+	a := fsio{osHook{}}.appender(&ss, path)
+	if err := errors.Join(a.line([]byte(`{"fp":"next","status":"ok"}`)), ss.flush(fsio{osHook{}})); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

@@ -210,7 +210,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 	}
 	var err error
 	// set collects every handle the batch opens; nothing outlives this
-	// call, however it ends (rollback, error, or a drill's die()).
+	// call, however it ends (rollback, error, or a drill's simulated death).
 	var set syncSet
 	defer func() {
 		set.drop()
@@ -243,7 +243,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 	// I1: every payload is fsynced (one round for all of them) and
 	// verified before the manifest is written. A re-append after a failed
 	// verification is paid by the second flush, which is otherwise empty.
-	serr := set.flush()
+	serr := set.flush(s.fs)
 	pack = s.writerFor(sd, &set).app(packFile)
 	for i, op := range all {
 		if serr == nil && op.Type == "put" {
@@ -251,7 +251,7 @@ func (s *Store) commitBatch(batch []*Tx) {
 		}
 	}
 	if serr == nil {
-		serr = set.flush()
+		serr = set.flush(s.fs)
 	}
 	if serr != nil {
 		err = fmt.Errorf("resultstore: stage %s: %w", txid, serr)
@@ -295,7 +295,7 @@ func (s *Store) logManifest(set *syncSet, m *manifest) error {
 	wal := s.fs.appender(set, s.walPath())
 	off, err := wal.write(append(rec, '\n'), true)
 	if err == nil {
-		err = set.flush()
+		err = set.flush(s.fs)
 	}
 	if err == nil {
 		var got []byte
@@ -340,7 +340,7 @@ func (s *Store) rollForward(m *manifest, ss *syncSet, phase func(string)) bool {
 		last = "replicate"
 		ok = s.runManifest(mir, m, last, func(op manifestOp) error { return s.copyObject(p, mir, op.entry(m.Tx)) })
 	}
-	if err := ss.flush(); err != nil {
+	if err := ss.flush(s.fs); err != nil {
 		ok = false
 		s.event(Event{Op: last + "-failed", Side: s.roleOf(p), Detail: fmt.Sprintf("sync: %v", err)})
 	}

@@ -51,9 +51,6 @@ type Config struct {
 	// Window is the initial window length in cycles. It doubles every
 	// time the rings fill and compact.
 	Window int64
-	// PerSM includes the per-SM rings in Dump (the GPU-wide aggregate
-	// ring is always included).
-	PerSM bool
 }
 
 // SpanKind labels a Span.
@@ -177,7 +174,7 @@ type openCTA struct {
 type smRec struct {
 	ring   []Window
 	last   sm.Stats  // cumulative snapshot at the previous boundary
-	lastL1 mem.Stats // L1 shard snapshot at the previous boundary
+	lastL1 mem.Stats // the SM's L1 counters at the previous boundary
 
 	// Cumulative hook/trace counters and their previous-boundary values.
 	swapsOut, swapsIn, activations      int64
@@ -344,7 +341,7 @@ func (c *Collector) Sample(sms []*sm.SM, msys *mem.System, vt *core.Controller, 
 			LSUQueue:      s.LSUQueueLen(),
 			WheelPending:  s.WheelPending(),
 		}
-		l1 := msys.L1ShardStats(i)
+		l1 := msys.L1Stats(i)
 		w.L1Accesses = l1.L1Accesses - r.lastL1.L1Accesses
 		w.L1Hits = l1.L1Hits - r.lastL1.L1Hits
 		r.lastL1 = l1
@@ -357,7 +354,7 @@ func (c *Collector) Sample(sms []*sm.SM, msys *mem.System, vt *core.Controller, 
 		r.ring = append(r.ring, w)
 	}
 
-	ms := msys.PeekStats()
+	ms := msys.Stats()
 	c.mem = append(c.mem, MemWindow{
 		Cycle:      b,
 		Cycles:     c.window,
@@ -556,13 +553,9 @@ func (c *Collector) Dump() *Dump {
 		GPU:           c.gpuWindows(),
 		Mem:           c.mem,
 	}
-	if c.cfg.PerSM {
-		d.PerSM = make([][]Window, len(c.sms))
-		for i := range c.sms {
-			d.PerSM[i] = c.sms[i].ring
-		}
-	}
+	d.PerSM = make([][]Window, len(c.sms))
 	for i := range c.sms {
+		d.PerSM[i] = c.sms[i].ring
 		d.Spans = append(d.Spans, c.sms[i].spans...)
 		d.SpansDropped += c.sms[i].dropped
 	}

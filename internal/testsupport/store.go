@@ -1,51 +1,41 @@
-package faultinject
+package testsupport
 
-// Storage-layer fault injection for internal/resultstore. A StoreSpec
-// names one filesystem operation of the result store (by class and
-// ordinal) and what goes wrong there: the process dies before or after
-// the syscall, the write lands torn or bit-flipped, or the operation
-// fails once with a transient I/O error. Like the simulation faults in
-// this package, store faults are deterministic by construction — a
-// stateful hook per store instance with its own fired flag, no clocks,
-// no randomness — so the commit protocol's all-or-nothing claim can be
-// proven by a kill-point sweep: enumerate every operation of a commit
-// with NewStoreRecorder, then re-run the commit once per operation with
-// a crash injected exactly there.
+// Storage-layer fault injection for internal/resultstore, through its
+// Hook seam. A StoreSpec names one filesystem operation of the result
+// store (by class and ordinal) and what goes wrong there: the process
+// dies before or after the syscall, the write lands torn or
+// bit-flipped, or the operation fails once with a transient I/O error.
+// Store faults are deterministic by construction — a stateful hook per
+// store instance with its own fired flag, no clocks, no randomness — so
+// the commit protocol's all-or-nothing claim can be proven by a
+// kill-point sweep: enumerate every operation of a commit with
+// NewStoreRecorder, then re-run the commit once per operation with a
+// crash injected exactly there. The hook's method set is
+// resultstore.Hook's, spelled in standard types, so this package does
+// not import resultstore (whose own tests import this package).
 
 import (
-	"errors"
 	"fmt"
+	"os"
 	"sync"
+	"syscall"
 )
 
-// StoreOp classifies one filesystem operation of the result store.
-type StoreOp int
+// StoreOp classifies one filesystem operation of the result store, as
+// the store names it to Hook.Apply and as test labels spell it.
+type StoreOp string
 
 const (
 	// StoreOpAny matches every operation class (kill-point sweeps).
-	StoreOpAny StoreOp = iota
+	StoreOpAny StoreOp = "any"
 	// StoreOpWrite is an appended write: a payload to a side's pack, a
 	// write-ahead-log record, an index or journal line.
-	StoreOpWrite
+	StoreOpWrite StoreOp = "write"
 	// StoreOpRead is a read: a pack range (object loads, read-back
 	// verification, replica copies), the WAL record read back, an append
 	// target audited whole.
-	StoreOpRead
+	StoreOpRead StoreOp = "read"
 )
-
-// String names the op class as test labels spell it.
-func (o StoreOp) String() string {
-	switch o {
-	case StoreOpAny:
-		return "any"
-	case StoreOpWrite:
-		return "write"
-	case StoreOpRead:
-		return "read"
-	default:
-		return fmt.Sprintf("storeop(%d)", int(o))
-	}
-}
 
 // StoreFaultKind selects what the injected storage fault does.
 type StoreFaultKind int
@@ -93,10 +83,11 @@ func (k StoreFaultKind) String() string {
 	}
 }
 
-// ErrInjectedIO is the transient error StoreEIO faults return. The
-// result store classifies it as retryable (resultstore.IsTransient), so
-// the harness's bounded retry-with-backoff absorbs it.
-var ErrInjectedIO = errors.New("faultinject: injected transient I/O error")
+// ErrInjectedIO is the transient error StoreEIO faults return. It wraps
+// syscall.EIO, so the result store classifies it as retryable
+// (resultstore.IsTransient) and the harness's bounded
+// retry-with-backoff absorbs it.
+var ErrInjectedIO = fmt.Errorf("testsupport: injected transient I/O error: %w", syscall.EIO)
 
 // StoreKill is the panic value crash-kind store faults raise: the
 // simulated process death. Kill-point tests recover it, abandon the
@@ -109,7 +100,7 @@ type StoreKill struct {
 }
 
 func (k *StoreKill) Error() string {
-	return fmt.Sprintf("faultinject: simulated process death at store op %d (%s %s)", k.Seq, k.Op, k.Path)
+	return fmt.Sprintf("testsupport: simulated process death at store op %d (%s %s)", k.Seq, k.Op, k.Path)
 }
 
 // StoreSpec is one deterministic storage fault: fire on the N-th
@@ -127,7 +118,8 @@ func (sp *StoreSpec) StoreHook() *StoreHook {
 }
 
 // StoreHook observes every filesystem operation of a result store and
-// injects at most one fault. Safe for concurrent use.
+// injects at most one fault; it implements resultstore.Hook. Safe for
+// concurrent use.
 type StoreHook struct {
 	mu     sync.Mutex
 	spec   StoreSpec
@@ -151,10 +143,7 @@ func (h *StoreHook) Release() { close(h.release) }
 
 // NewStoreRecorder returns a hook that injects nothing and records the
 // operation trace, so kill-point sweeps can first enumerate the
-// operations of a commit sequence. It is test support, shared by the
-// resultstore and harness tests, as are StoreSpec.StoreHook and the
-// hook's Stalled, Release, Trace and Fired: no production path injects a
-// store fault.
+// operations of a commit sequence.
 func NewStoreRecorder() *StoreHook {
 	return &StoreHook{spec: StoreSpec{N: -1}, record: true}
 }
@@ -173,17 +162,23 @@ func (h *StoreHook) Fired() bool {
 	return h.fired
 }
 
+// Sync fsyncs fh (resultstore.Hook). An fsync is not an operation: it
+// is neither counted, matched nor recorded, so kill points never move
+// with how the store groups its fsyncs.
+func (h *StoreHook) Sync(fh *os.File) error { return fh.Sync() }
+
 // Apply is called by the result store before each filesystem operation
 // with the op class, target path, and payload (writes only; nil for
-// reads). It returns the payload the operation should use,
-// whether the caller must simulate process death immediately after the
-// operation completes (by panicking with *StoreKill), and an error that
-// fails the operation. Crash-before faults panic with *StoreKill from
-// inside Apply, so the operation never happens. Once a crash kind has
-// fired the process is dead: every later operation, from any goroutine,
-// panics with the same *StoreKill before touching the disk, so commits
-// running concurrently with the one that died cannot outlive it.
-func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, dieAfter bool, err error) {
+// reads). It returns the payload the operation should use, the
+// *StoreKill the caller must panic with immediately after the operation
+// completes (nil: live on), and an error that fails the operation.
+// Crash-before faults panic with *StoreKill from inside Apply, so the
+// operation never happens. Once a crash kind has fired the process is
+// dead: every later operation, from any goroutine, panics with the same
+// *StoreKill before touching the disk, so commits running concurrently
+// with the one that died cannot outlive it.
+func (h *StoreHook) Apply(opName, path string, data []byte) (out []byte, dieAfter any, err error) {
+	op := StoreOp(opName)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.kill != nil {
@@ -194,15 +189,15 @@ func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, die
 	}
 	out = data
 	if h.fired || h.spec.N < 0 {
-		return out, false, nil
+		return out, nil, nil
 	}
 	if h.spec.Op != StoreOpAny && h.spec.Op != op {
-		return out, false, nil
+		return out, nil, nil
 	}
 	seq := h.match
 	h.match++
 	if seq != h.spec.N {
-		return out, false, nil
+		return out, nil, nil
 	}
 	h.fired = true
 	kind := h.spec.Kind
@@ -217,22 +212,22 @@ func (h *StoreHook) Apply(op StoreOp, path string, data []byte) (out []byte, die
 	case StoreCrash:
 		panic(h.kill)
 	case StoreCrashAfter:
-		return out, true, nil
+		return out, h.kill, nil
 	case StoreTruncate:
-		return out[:len(out)/2], true, nil
+		return out[:len(out)/2], h.kill, nil
 	case StoreBitFlip:
 		flipped := append([]byte(nil), out...)
 		if len(flipped) > 0 {
 			flipped[len(flipped)/2] ^= 0x10
 		}
-		return flipped, false, nil
+		return flipped, nil, nil
 	case StoreEIO:
-		return out, false, ErrInjectedIO
+		return out, nil, ErrInjectedIO
 	case StoreStall:
 		close(h.stalled)
 		h.mu.Unlock() // everyone else's operations keep flowing
 		<-h.release
 		h.mu.Lock()
 	}
-	return out, false, nil
+	return out, nil, nil
 }

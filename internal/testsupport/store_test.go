@@ -1,4 +1,4 @@
-package faultinject
+package testsupport
 
 import (
 	"bytes"
@@ -12,7 +12,8 @@ import (
 // applyResult is everything one Apply call can do to its caller.
 type applyResult struct {
 	out      []byte
-	dieAfter bool
+	dieAfter bool       // the call returned a value to die of after the operation
+	after    *StoreKill // ... and this is it
 	err      error
 	kill     *StoreKill // the call panicked with this
 }
@@ -27,7 +28,10 @@ func apply(h *StoreHook, op StoreOp, path string, data []byte) (r applyResult) {
 			r.kill = k
 		}
 	}()
-	r.out, r.dieAfter, r.err = h.Apply(op, path, data)
+	var dieAfter any
+	r.out, dieAfter, r.err = h.Apply(string(op), path, data)
+	r.dieAfter = dieAfter != nil
+	r.after, _ = dieAfter.(*StoreKill)
 	return r
 }
 
@@ -87,12 +91,16 @@ func TestStoreHookFiresAtNthMatchingOp(t *testing.T) {
 					if r.kill != nil && (r.kill.Op != op || r.kill.Path != "/store/f" || r.kill.Seq != tc.spec.N) {
 						t.Fatalf("kill value %+v, want op %s seq %d", r.kill, op, tc.spec.N)
 					}
+					// The value to die of after the operation names it too.
+					if tc.dieAfter && (r.after == nil || r.after.Op != op || r.after.Path != "/store/f" || r.after.Seq != tc.spec.N) {
+						t.Fatalf("die-after value %+v, want a *StoreKill for op %s seq %d", r.after, op, tc.spec.N)
+					}
 					// An unrecovered kill prints its Error text: it names the
 					// operation that died.
 					if r.kill != nil {
 						msg := r.kill.Error()
-						if !strings.HasPrefix(msg, "faultinject: simulated process death at store op ") ||
-							!strings.HasSuffix(msg, "("+op.String()+" /store/f)") {
+						if !strings.HasPrefix(msg, "testsupport: simulated process death at store op ") ||
+							!strings.HasSuffix(msg, "("+string(op)+" /store/f)") {
 							t.Fatalf("kill error %q does not name the dead %s of /store/f", msg, op)
 						}
 					}

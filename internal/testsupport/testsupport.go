@@ -1,7 +1,8 @@
 // Package testsupport holds what the tests of several packages share and
-// no production path calls: a small machine preset and an independent
-// reader of Prometheus text exposition. Only _test.go files import it;
-// CI fails if a command, an example or the vtsim package links it.
+// no production path calls: a small machine preset, an independent
+// reader of Prometheus text exposition, and the result store's fault
+// hook (StoreSpec, NewStoreRecorder). Only _test.go files import it; CI
+// fails if a command, an example or the vtsim package links it.
 package testsupport
 
 import "repro/internal/config"
