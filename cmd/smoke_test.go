@@ -8,6 +8,7 @@ package cmd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -15,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // run executes one built tool and returns its stdout and exit code;
@@ -122,6 +124,36 @@ func TestCommandSmoke(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.Join(dir, args[len(args)-1])); !os.IsNotExist(err) {
 				t.Errorf("vtreport %v created %s: %v", args, args[len(args)-1], err)
+			}
+		}
+	})
+
+	// A store that cannot be opened (its .vtstore is a regular file) is a
+	// set-up error in every mode that names one: exit 1, naming the store,
+	// before any job runs or any coordinator is contacted or served. A
+	// command that got past set-up would wait for a fleet, so each runs
+	// under a deadline.
+	t.Run("vtbench-bad-store", func(t *testing.T) {
+		bad := filepath.Join(dir, "badstore")
+		if err := os.MkdirAll(bad, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(bad, ".vtstore"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"vtbench", "-run", "fig-swaplat", "-dilute", "60", "-faildir", ""},
+			{"vtbench", "-worker", "http://127.0.0.1:1"},
+			{"vtsweepd", "-run", "fig-swaplat", "-dilute", "60", "-addr", "127.0.0.1:0"},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			cmd := exec.CommandContext(ctx, filepath.Join(dir, args[0]), append(args[1:], "-store", "badstore")...)
+			cmd.Dir = dir
+			out, _ := cmd.CombinedOutput()
+			cancel()
+			if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(string(out), "result store badstore") ||
+				strings.Contains(string(out), "total wall time") {
+				t.Errorf("%v -store badstore exited %d, want 1 naming the store before any job:\n%s", args, code, out)
 			}
 		}
 	})

@@ -58,7 +58,7 @@ func realMain() int {
 		sf         = sweepcli.Register(flag.CommandLine)
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		repair     = flag.Bool("repair", false, "audit the result store (and mirror), heal damaged objects from a healthy replica, print a report, and exit")
-		injectSpec = flag.String("inject", "", "inject a deterministic fault: workload[/variant]@cycle:kind (kind: panic, panic-once, corrupt, hang=<dur>)")
+		injectSpec = flag.String("inject", "", "inject a deterministic fault: workload[/variant]@cycle:kind (kind: panic, corrupt, hang=<dur>)")
 		monitor    = flag.String("monitor", "", "serve live sweep progress (HTML, /status JSON, /metrics, /debug/pprof) on this address, e.g. :8080")
 		sweeptrace = flag.String("sweeptrace", "", "write the sweep-lifecycle span dump (JSON) to this file; with -store it also commits as a store artifact")
 		metricsOut = flag.String("metricsdump", "", "write the final Prometheus text exposition to this file on exit")
@@ -143,6 +143,11 @@ func realMain() int {
 		p.Inject = sp
 	}
 	if *workerURL != "" {
+		// A worker's local store has no journal, but a store that cannot
+		// be opened is a set-up error all the same.
+		if err := p.Sweep.OpenStore(p); err != nil {
+			return fatalf("%v", err)
+		}
 		code := runWorkerMode(ctx, &sig, p, *workerURL, *workerID, *slots, *dieAfter)
 		stopMonitor()
 		return code
@@ -168,10 +173,9 @@ func realMain() int {
 		fmt.Fprintf(w, "result store: %d objects healed from the mirror, %d transient I/O retries\n",
 			r.StoreRepairs, r.StoreRetries)
 	}
-	if r.Retries > 0 || r.Failures > 0 {
-		fmt.Fprintf(w, "supervisor: %d safe-mode retries, %d degraded, %d failed runs\n",
-			r.Retries, r.Degraded, r.Failures)
-		if r.Failures > 0 && sf.FailDir != "" {
+	if r.Failures > 0 {
+		fmt.Fprintf(w, "supervisor: %d failed runs\n", r.Failures)
+		if sf.FailDir != "" {
 			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run the failed jobs with -store %s -resume\n",
 				sf.FailDir, sf.StoreDir)
 		}

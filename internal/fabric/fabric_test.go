@@ -160,7 +160,7 @@ func TestLeaseRenewExpireReclaim(t *testing.T) {
 	}
 	checkActive(t, c, "release")
 	out := harness.Outcome{
-		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Cycles: 42},
 		Result: &gpu.Result{Cycles: 42},
 	}
 	if err := c.complete(CompleteRequest{LeaseID: l1.LeaseID, Worker: "w1", Outcome: out}); err != nil {
@@ -272,7 +272,7 @@ func TestCompleteIdempotentAndExpiredLeaseAccepted(t *testing.T) {
 
 	// ...but the "dead" worker was only slow: its completion still lands.
 	out := harness.Outcome{
-		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Cycles: 42},
 		Result: &gpu.Result{Cycles: 42},
 	}
 	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Outcome: out}); err != nil {
@@ -320,7 +320,7 @@ func TestLateCompletionOfRequeuedJob(t *testing.T) {
 
 	clk.advance(2 * time.Second)
 	out := harness.Outcome{
-		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Attempts: 1, Cycles: 42},
+		Entry:  harness.JournalEntry{FP: "j1", Workload: "w-j1", Status: "ok", Cycles: 42},
 		Result: &gpu.Result{Cycles: 42},
 	}
 	if err := c.complete(CompleteRequest{LeaseID: l1.LeaseID, Worker: "w1", Outcome: out}); err != nil {

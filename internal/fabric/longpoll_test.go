@@ -110,7 +110,7 @@ func TestParkedLeaseWokenBy(t *testing.T) {
 		c.heartbeat(HeartbeatRequest{Worker: "w1", Slots: 1, Leases: []string{held.LeaseID}})
 		c.heartbeat(HeartbeatRequest{Worker: "w3", Slots: 1, Goodbye: true})
 		done := harness.Outcome{
-			Entry:  harness.JournalEntry{FP: "j1", Status: "ok", Attempts: 1, Cycles: 7},
+			Entry:  harness.JournalEntry{FP: "j1", Status: "ok", Cycles: 7},
 			Result: &gpu.Result{Cycles: 7},
 		}
 		if err := c.complete(CompleteRequest{LeaseID: held.LeaseID, Worker: "w1", Outcome: done}); err != nil {
@@ -386,7 +386,7 @@ func TestDispatchSpanSplitsQueuedAndRun(t *testing.T) {
 	}
 	clk.advance(3 * time.Second)
 	out := harness.Outcome{
-		Entry:  harness.JournalEntry{FP: l.Job.Key, Workload: "pathfinder", Variant: "vt", Status: "ok", Attempts: 1, Cycles: 9},
+		Entry:  harness.JournalEntry{FP: l.Job.Key, Workload: "pathfinder", Variant: "vt", Status: "ok", Cycles: 9},
 		Result: &gpu.Result{Cycles: 9},
 	}
 	if err := c.complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w1", Outcome: out}); err != nil {

@@ -241,7 +241,7 @@ func (w *worker) executeAndReport(ctx context.Context, lease LeaseResponse) erro
 		return w.reportComplete(ctx, lease, harness.Outcome{
 			Entry: harness.JournalEntry{
 				FP: spec.Key, Workload: spec.Workload, Variant: spec.Variant,
-				Status: "failed", Attempts: 1, Error: err.Error(),
+				Status: "failed", Error: err.Error(),
 				Time: time.Now().UTC().Format(time.RFC3339),
 			},
 			Work: harness.RunMetrics{Executed: 1, Failures: 1},

@@ -2,9 +2,10 @@
 // supervisor: a Spec names one simulation (workload/variant) and a cycle
 // at which to misbehave, and Hook compiles it into a gpu.Options.FaultHook
 // closure. Faults are deterministic by construction — a fresh closure per
-// attempt with its own fired flag, no clocks, no randomness — so every
-// supervisor path (panic recovery, invariant abort, wall-clock deadline,
-// safe-mode retry) is exercised reproducibly, including under -race.
+// run with its own fired flag, no clocks, no randomness — so every
+// supervisor path (panic recovery, invariant abort, wall-clock deadline)
+// is exercised reproducibly, including under -race. The supervisor
+// attempts a run once, so a fault fires at most once per run.
 //
 // The seam is wired only by tests, the CI supervisor drill, and the
 // explicit vtbench -inject flag; normal sweeps never install a hook.
@@ -26,12 +27,9 @@ import (
 type Kind int
 
 const (
-	// Panic panics on every attempt: the supervisor's safe-mode retry
-	// also fails, producing a RunFailure and a repro bundle.
+	// Panic panics in the run loop: the supervisor recovers it into a
+	// RunFailure and a repro bundle.
 	Panic Kind = iota
-	// PanicOnce panics on the first attempt only: the safe-mode retry
-	// succeeds, exercising the graceful-degradation path.
-	PanicOnce
 	// Corrupt damages an SM's residency bookkeeping so the invariant
 	// checker (forced on for injected runs) trips with a violation
 	// report.
@@ -46,8 +44,6 @@ func (k Kind) String() string {
 	switch k {
 	case Panic:
 		return "panic"
-	case PanicOnce:
-		return "panic-once"
 	case Corrupt:
 		return "corrupt"
 	case Hang:
@@ -79,11 +75,10 @@ func (sp *Spec) Matches(workload, variant string) bool {
 	return sp.Workload == workload && (sp.Variant == "" || sp.Variant == variant)
 }
 
-// Hook compiles the spec into a fault hook for one run attempt (0 = the
-// normal run, 1 = the safe-mode retry). Each call returns a fresh closure
-// with its own fired flag, so the fault triggers exactly once per attempt
-// and retried runs observe it deterministically.
-func (sp *Spec) Hook(attempt int) func(cycle int64, sms []*sm.SM) {
+// Hook compiles the spec into a fault hook for one run. Each call returns
+// a fresh closure with its own fired flag, so the fault triggers exactly
+// once per run.
+func (sp *Spec) Hook() func(cycle int64, sms []*sm.SM) {
 	fired := false
 	return func(cycle int64, sms []*sm.SM) {
 		if fired || cycle < sp.Cycle {
@@ -93,10 +88,6 @@ func (sp *Spec) Hook(attempt int) func(cycle int64, sms []*sm.SM) {
 		switch sp.Kind {
 		case Panic:
 			panic(fmt.Sprintf("faultinject: injected panic in %s at cycle %d", sp.Workload, cycle))
-		case PanicOnce:
-			if attempt == 0 {
-				panic(fmt.Sprintf("faultinject: injected first-attempt panic in %s at cycle %d", sp.Workload, cycle))
-			}
 		case Corrupt:
 			// Breaks the residency-accounting invariant: RegsUsed no
 			// longer matches the recount over resident CTAs.
@@ -124,7 +115,7 @@ func (sp *Spec) String() string {
 //
 //	workload[/variant]@cycle:kind
 //
-// where kind is panic, panic-once, corrupt, or hang=<duration>.
+// where kind is panic, corrupt, or hang=<duration>.
 func Parse(s string) (*Spec, error) {
 	fail := func() (*Spec, error) {
 		return nil, fmt.Errorf("faultinject: bad spec %q (want workload[/variant]@cycle:kind)", s)
@@ -149,8 +140,6 @@ func Parse(s string) (*Spec, error) {
 	switch {
 	case kindStr == "panic":
 		sp.Kind = Panic
-	case kindStr == "panic-once":
-		sp.Kind = PanicOnce
 	case kindStr == "corrupt":
 		sp.Kind = Corrupt
 	case strings.HasPrefix(kindStr, "hang="):
@@ -161,7 +150,7 @@ func Parse(s string) (*Spec, error) {
 		sp.Kind = Hang
 		sp.HangFor = d
 	default:
-		return nil, fmt.Errorf("faultinject: unknown kind %q (want panic, panic-once, corrupt, or hang=<duration>)", kindStr)
+		return nil, fmt.Errorf("faultinject: unknown kind %q (want panic, corrupt, or hang=<duration>)", kindStr)
 	}
 	return sp, nil
 }

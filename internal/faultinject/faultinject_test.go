@@ -14,7 +14,7 @@ import (
 func TestParse(t *testing.T) {
 	for _, sp := range []*Spec{
 		{Workload: "bfs", Variant: "vt", Cycle: 5000, Kind: Panic},
-		{Workload: "bfs", Cycle: 0, Kind: PanicOnce},
+		{Workload: "bfs", Cycle: 0, Kind: Panic},
 		{Workload: "nw+montecarlo", Variant: "lat=64", Cycle: 12, Kind: Corrupt},
 		{Workload: "nw", Cycle: 1, Kind: Hang, HangFor: 200 * time.Millisecond},
 	} {
@@ -38,7 +38,7 @@ func TestParse(t *testing.T) {
 		"bfs@-1:panic", "bfs@x:panic", // no non-negative cycle
 		"bfs@5",                                              // missing :
 		"bfs@5:hang=0", "bfs@5:hang=-1s", "bfs@5:hang=bogus", // no positive duration
-		"bfs@5:explode", "bfs@5:Panic", "bfs@5:panic-twice", // unknown kind
+		"bfs@5:explode", "bfs@5:Panic", "bfs@5:panic-once", // unknown kind
 	} {
 		if sp, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec: %+v", bad, sp)
@@ -74,19 +74,12 @@ func TestMatches(t *testing.T) {
 	}
 }
 
-// panics reports whether f panicked.
-func panics(f func()) (did bool) {
-	defer func() { did = recover() != nil }()
-	f()
-	return false
-}
-
 // TestHookFiresOnceAtOrPastCycle: idle-skip makes cycles jump, so a hook
 // fires on the first cycle at or past its target — never before, never
 // again — and corrupt adds 1<<20 to the first SM's RegsUsed.
 func TestHookFiresOnceAtOrPastCycle(t *testing.T) {
 	sms := []*sm.SM{{RegsUsed: 7}, {RegsUsed: 7}}
-	hook := (&Spec{Workload: "bfs", Cycle: 100, Kind: Corrupt}).Hook(0)
+	hook := (&Spec{Workload: "bfs", Cycle: 100, Kind: Corrupt}).Hook()
 	for _, c := range []int64{0, 50, 99} {
 		hook(c, sms)
 	}
@@ -104,30 +97,8 @@ func TestHookFiresOnceAtOrPastCycle(t *testing.T) {
 	}
 
 	// Every Hook call is a fresh closure with its own fired flag.
-	(&Spec{Workload: "bfs", Cycle: 100, Kind: Corrupt}).Hook(0)(100, sms)
+	(&Spec{Workload: "bfs", Cycle: 100, Kind: Corrupt}).Hook()(100, sms)
 	if want := 7 + 2<<20; sms[0].RegsUsed != want {
 		t.Fatalf("a second hook did not fire: RegsUsed = %d, want %d", sms[0].RegsUsed, want)
-	}
-}
-
-// TestHookPanicsByAttempt: panic fails both attempts, panic-once only the
-// first (attempt 0), so the safe-mode retry succeeds.
-func TestHookPanicsByAttempt(t *testing.T) {
-	for _, tc := range []struct {
-		kind  Kind
-		first bool // attempt 0 panics
-		retry bool // attempt 1 panics
-	}{{Panic, true, true}, {PanicOnce, true, false}, {Corrupt, false, false}} {
-		sp := &Spec{Workload: "bfs", Cycle: 10, Kind: tc.kind}
-		sms := []*sm.SM{{}}
-		for attempt, want := range []bool{tc.first, tc.retry} {
-			hook := sp.Hook(attempt)
-			if panics(func() { hook(9, sms) }) {
-				t.Errorf("%s attempt %d panicked before its cycle", tc.kind, attempt)
-			}
-			if got := panics(func() { hook(10, sms) }); got != want {
-				t.Errorf("%s attempt %d panicked = %v, want %v", tc.kind, attempt, got, want)
-			}
-		}
 	}
 }

@@ -161,8 +161,9 @@ type Options struct {
 	// scans instead of the incrementally maintained ready sets. The
 	// cached state is kept up to date either way, so results must be
 	// bit-identical. It stays because the engine oracle holds the fast
-	// path to this reference on every input; outside tests only the
-	// sweep supervisor's safe-mode retry sets it.
+	// path to this reference on every input. No production path sets it:
+	// the reference lives in the sm, core and warp packages, whose
+	// _test.go code the oracle cannot import.
 	DisableIssueFastPath bool
 	// CheckInvariants runs every SM's conservation-invariant checker
 	// (issue-slot conservation, residency accounting, ready-bitset and

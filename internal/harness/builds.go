@@ -35,8 +35,8 @@ type built struct {
 }
 
 // build returns the built workload, building it on first use. A build
-// that panicked is not done, so the next run — the safe-mode retry —
-// builds again.
+// that panicked is not done, so the next run of the workload builds
+// again.
 func (s *Sweep) build(workload string, scale int) *built {
 	k := buildKey{workload, scale}
 	s.mu.Lock()

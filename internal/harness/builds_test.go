@@ -86,12 +86,12 @@ func TestSharedBuildConcurrentSlots(t *testing.T) {
 }
 
 // TestSharedBuildRetrySeesPristineImage: a run that stored into its memory
-// and then failed leaves the sweep's image untouched. A panic-once
-// safe-mode retry starts from the pristine image, and so does a later run
-// of the same workload after an injected corruption failed twice: both
-// equal a fresh sweep's results. scatteradd's counters change from its
-// first cycles on, and each atomic's return value steers the next
-// address, so an image that kept a failed run's stores would show.
+// and then failed leaves the sweep's image untouched. A later run of the
+// same workload after an injected panic or corruption starts from the
+// pristine image and equals a fresh sweep's result. scatteradd's counters
+// change from its first cycles on, and each atomic's return value steers
+// the next address, so an image that kept a failed run's stores would
+// show.
 func TestSharedBuildRetrySeesPristineImage(t *testing.T) {
 	jobs := policyJobs([]string{"scatteradd"}, []config.Policy{config.PolicyBaseline, config.PolicyVT})
 	base := Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 1}
@@ -101,24 +101,21 @@ func TestSharedBuildRetrySeesPristineImage(t *testing.T) {
 	}
 
 	// Workers: 1 runs the jobs in order, so the faulted run goes first.
-	for _, tc := range []struct {
-		kind faultinject.Kind
-		ok   int // jobs that succeed
-	}{{faultinject.PanicOnce, 2}, {faultinject.Corrupt, 1}} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
+	for _, kind := range []faultinject.Kind{faultinject.Panic, faultinject.Corrupt} {
+		t.Run(kind.String(), func(t *testing.T) {
 			p := inSweep(t, base)
-			p.Inject = &faultinject.Spec{Workload: "scatteradd", Variant: "baseline", Cycle: 2000, Kind: tc.kind}
+			p.Inject = &faultinject.Spec{Workload: "scatteradd", Variant: "baseline", Cycle: 2000, Kind: kind}
 			got, err := runMany(p, jobs)
 			var fe *FailedRunError
-			if failed := errors.As(err, &fe); failed != (tc.ok < len(jobs)) || len(got) != tc.ok {
-				t.Fatalf("%d results, err %v; want %d results", len(got), err, tc.ok)
+			if !errors.As(err, &fe) || len(got) != 1 {
+				t.Fatalf("%d results, err %v; want the injected run failed and 1 result", len(got), err)
 			}
-			if m := p.Sweep.Metrics(); m.Retries != 1 || len(p.Sweep.builds) != 1 {
-				t.Fatalf("%d retries over %d builds, want one retry from one build", m.Retries, len(p.Sweep.builds))
+			if m := p.Sweep.Metrics(); m.Failures != 1 || len(p.Sweep.builds) != 1 {
+				t.Fatalf("%d failures over %d builds, want one failure from one build", m.Failures, len(p.Sweep.builds))
 			}
 			for k, r := range got {
 				if !reflect.DeepEqual(r, clean[k]) {
-					t.Errorf("%s/%s after an injected %s differs from a fresh sweep's", k.Workload, k.Variant, tc.kind)
+					t.Errorf("%s/%s after an injected %s differs from a fresh sweep's", k.Workload, k.Variant, kind)
 				}
 			}
 		})

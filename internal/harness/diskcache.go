@@ -125,9 +125,8 @@ func (w *writeBehind) wait() any {
 	return w.dead
 }
 
-// storeRetryAttempts bounds the supervisor's retry-with-backoff for
-// transient store I/O errors — a storage-layer ladder distinct from the
-// safe-mode simulation retry in supervisor.go.
+// storeRetryAttempts bounds the retry-with-backoff for transient store
+// I/O errors. A simulation is never retried (see supervisor.go).
 const storeRetryAttempts = 3
 
 // storeRetry runs op, retrying transient store I/O errors with

@@ -317,22 +317,18 @@ func TestPrefixForkJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	dir := t.TempDir()
-	jl, err := openJournal(filepath.Join(dir, "journal.jsonl"),
-		JournalMeta{Scale: 1, Dilute: 40, Config: "small"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	p := forkTestParams(t)
 	p.Checkpoint = true
-	p.Sweep.Journal = jl // a journal with no store under it: lines append directly
+	p.CacheDir = t.TempDir()
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := runMany(p, swapLatJobs("pathfinder", []int{0, 64, 256})); err != nil {
 		t.Fatal(err)
 	}
-	jl.Close()
+	p.Sweep.Sync()
 
-	b, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	b, err := os.ReadFile(filepath.Join(p.CacheDir, JournalFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

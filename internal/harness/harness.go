@@ -69,8 +69,7 @@ type Params struct {
 	// Supervision (see supervisor.go).
 
 	// FailDir, when non-empty, receives one JSON repro bundle per run
-	// that fails after the retry ladder, instead of the failure aborting
-	// the sweep.
+	// that fails; the failure does not abort the sweep.
 	FailDir string
 	// RunTimeout bounds each simulation's wall-clock time; a run past the
 	// deadline aborts with a full diagnostic. Zero disables the bound.
@@ -375,7 +374,7 @@ type Outcome struct {
 	// Result is nil for a failed job.
 	Result *gpu.Result `json:"result,omitempty"`
 	// Work is what producing the Result cost — runs executed, cycles
-	// simulated, retries, forks, sampled spans — and is zero when the
+	// simulated, failures, forks, sampled spans — and is zero when the
 	// result store served it.
 	Work RunMetrics `json:"work"`
 }

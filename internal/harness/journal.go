@@ -8,16 +8,16 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
-// The completion journal makes sweeps resumable. Every executed run
-// appends one JSON line recording its outcome; the disk cache (see
-// diskcache.go) holds the Results themselves. A later invocation opened
-// with resume=true reads the journal to report what already completed —
-// successful runs are disk-cache hits, failed runs were never cached and
-// so re-execute naturally — and RunMetrics.ResumedFailed counts the
-// re-runs so "only the failed jobs were redone" is checkable.
+// The completion journal makes sweeps resumable. Every executed run's
+// outcome appends one JSON line to it, in the same result-store
+// transaction that stores the Result (see CommitOutcome). A later
+// invocation opened with resume=true reads the journal to report what
+// already completed — successful runs are disk-cache hits, failed runs
+// were never cached and so re-execute naturally — and
+// RunMetrics.ResumedFailed counts the re-runs so "only the failed jobs
+// were redone" is checkable.
 //
 // File format (JSONL): the first line is a header {"meta": {...}}
 // identifying the sweep shape (journal version, scale, dilution, config
@@ -58,11 +58,9 @@ type JournalEntry struct {
 	FP       string `json:"fp"`
 	Workload string `json:"workload"`
 	Variant  string `json:"variant,omitempty"`
-	// Status is "ok", "degraded" (succeeded on the safe-mode retry), or
-	// "failed".
-	Status   string `json:"status"`
-	Attempts int    `json:"attempts"`
-	Cycles   int64  `json:"cycles,omitempty"`
+	// Status is "ok" or "failed".
+	Status string `json:"status"`
+	Cycles int64  `json:"cycles,omitempty"`
 	// ErrorBound, for sampled runs, is the run's reported fractional bound
 	// on the cycle-count error (gpu.SamplingStats.ErrorBound); zero for
 	// exact runs. It makes journals self-describing for accuracy drills
@@ -80,68 +78,44 @@ type journalHeader struct {
 	Meta JournalMeta `json:"meta"`
 }
 
-// Journal is an append-only completion journal. Safe for concurrent use.
-// Its status map holds what this sweep recorded, plus, on a resume, what
-// the file held when it was opened.
+// Journal is the sweep's view of its completion journal. The file's
+// lines are appended by result-store transactions (CommitOutcome); the
+// Journal holds the status map of what this sweep recorded, plus, on a
+// resume, what the file held when it was opened. Safe for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
-	f      *os.File
 	status map[string]string // cache key -> latest status
 }
 
-// openJournal opens (creating if needed) the journal at path for the
-// sweep described by meta (Sweep.OpenJournal derives both from Params),
-// for appending. An existing journal written by a different sweep is
-// rotated aside to path+".old" when resume is false, and refused with an
-// error when resume is true. resume additionally requires the journal to
-// exist — resuming nothing is almost certainly a flag mistake — and is
-// the one case that reads the entries: they are replayed into the status
-// map that Status and Summary report. A fresh sweep reads the header
-// line alone.
+// openJournal adopts the journal at path for the sweep described by meta
+// (Sweep.OpenJournal derives both from Params) and returns its view; see
+// adoptJournal. resume is the one case that reads the entries: they are
+// replayed into the status map that Status and Summary report.
 func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	jl := &Journal{status: map[string]string{}}
 	var replay map[string]string
 	if resume {
 		replay = jl.status
 	}
-	f, err := adoptJournal(path, meta, replay)
-	if err != nil {
+	if err := adoptJournal(path, meta, replay); err != nil {
 		return nil, err
 	}
-	if f == nil {
-		if f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644); err != nil {
-			return nil, fmt.Errorf("harness: open journal: %w", err)
-		}
-	}
-	jl.f = f
 	return jl, nil
 }
 
-// seedJournal makes the journal at path one that belongs to the sweep
-// described by meta, without reading its entries: a journal whose header
-// matches is left exactly as it is — not rewritten, not fsynced — and a
-// missing, foreign or damaged one is replaced by a fresh header (the old
-// bytes rotated aside), which is made durable.
-func seedJournal(path string, meta JournalMeta) error {
-	f, err := adoptJournal(path, meta, nil)
-	if err != nil || f == nil {
-		return err
-	}
-	return errors.Join(f.Sync(), f.Close())
-}
-
-// adoptJournal is what openJournal and seedJournal share. It checks the
-// journal at path against meta and returns nil when an existing journal
-// matches. Otherwise it starts a fresh journal holding only the header
-// line and returns its O_APPEND handle. A non-nil replay makes it a
-// resume: the entries are replayed into it, and a missing or foreign
-// journal is refused instead of replaced.
-func adoptJournal(path string, meta JournalMeta, replay map[string]string) (*os.File, error) {
+// adoptJournal makes the journal at path one that belongs to the sweep
+// described by meta. A journal whose header matches is left exactly as
+// it is — not rewritten, not fsynced — and a missing, foreign or damaged
+// one is replaced by a fresh header (the old bytes rotated aside), which
+// is made durable. A non-nil replay makes it a resume: the entries are
+// replayed into it, and a missing or foreign journal is refused instead
+// of replaced.
+func adoptJournal(path string, meta JournalMeta, replay map[string]string) error {
 	resume := replay != nil
 	meta.Version = journalVersion
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: create journal dir: %w", err)
+			return fmt.Errorf("harness: create journal dir: %w", err)
 		}
 	}
 	existing, err := os.Open(path)
@@ -150,18 +124,18 @@ func adoptJournal(path string, meta JournalMeta, replay map[string]string) (*os.
 		err = readJournal(existing, meta, replay)
 		existing.Close()
 		if err == nil {
-			return nil, nil
+			return nil
 		}
 		if resume {
-			return nil, err
+			return err
 		}
 		// Fresh sweep over a foreign or damaged journal: keep the old
 		// bytes inspectable, start over.
 		rotateAside(path)
 	case !os.IsNotExist(err):
-		return nil, fmt.Errorf("harness: open journal: %w", err)
+		return fmt.Errorf("harness: open journal: %w", err)
 	case resume:
-		return nil, fmt.Errorf("harness: nothing to resume: no journal at %s", path)
+		return fmt.Errorf("harness: nothing to resume: no journal at %s", path)
 	}
 	return writeHeader(path, meta)
 }
@@ -182,23 +156,21 @@ func rotateAside(path string) {
 }
 
 // writeHeader starts a fresh journal file containing only the meta line
-// and returns its handle. The handle is opened with O_APPEND so every
-// later Record is a single atomic append — two processes writing the
-// same journal can interleave lines but never bytes within one.
-func writeHeader(path string, meta JournalMeta) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+// and makes it durable. Every later line arrives through a result-store
+// transaction, whose batch fsyncs the file.
+func writeHeader(path string, meta JournalMeta) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("harness: create journal: %w", err)
+		return fmt.Errorf("harness: create journal: %w", err)
 	}
 	b, err := json.Marshal(journalHeader{Meta: meta})
 	if err == nil {
 		_, err = f.Write(append(b, '\n'))
 	}
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: write journal header: %w", err)
+	if err = errors.Join(err, f.Sync(), f.Close()); err != nil {
+		return fmt.Errorf("harness: write journal header: %w", err)
 	}
-	return f, nil
+	return nil
 }
 
 // readJournal checks that the journal f starts with want's header and,
@@ -230,28 +202,10 @@ func readJournal(f *os.File, want JournalMeta, replay map[string]string) error {
 	return nil
 }
 
-// Record appends one entry. Best-effort on the file write (a journal that
-// cannot be written must not fail the sweep); the in-memory status map is
-// always updated.
+// Record notes an entry's status. The line itself reaches the file
+// through the result-store transaction that commits the outcome (see
+// CommitOutcome in supervisor.go).
 func (jl *Journal) Record(e JournalEntry) {
-	if e.Time == "" {
-		e.Time = time.Now().UTC().Format(time.RFC3339)
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	jl.status[e.FP] = e.Status
-	if jl.f == nil {
-		return
-	}
-	if b, err := json.Marshal(&e); err == nil {
-		jl.f.Write(append(b, '\n'))
-	}
-}
-
-// noteStatus records an entry in the in-memory status map without
-// writing the file: used when the line was already appended durably
-// through a result-store transaction (see CommitOutcome in supervisor.go).
-func (jl *Journal) noteStatus(e JournalEntry) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	jl.status[e.FP] = e.Status
@@ -265,32 +219,16 @@ func (jl *Journal) Status(fpKey string) string {
 }
 
 // Summary counts recorded outcomes by status.
-func (jl *Journal) Summary() (ok, degraded, failed int) {
+func (jl *Journal) Summary() (ok, failed int) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	for _, st := range jl.status {
 		switch st {
 		case "ok":
 			ok++
-		case "degraded":
-			degraded++
 		case "failed":
 			failed++
 		}
 	}
-	return ok, degraded, failed
-}
-
-// Close fsyncs and closes the journal file: sweep completion is the
-// journal's durability point.
-func (jl *Journal) Close() error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return nil
-	}
-	jl.f.Sync()
-	err := jl.f.Close()
-	jl.f = nil
-	return err
+	return ok, failed
 }

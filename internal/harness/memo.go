@@ -43,22 +43,16 @@ type RunMetrics struct {
 	// exact unforked baseline.
 	SimCycles int64 `json:"sim_cycles"`
 
-	// Supervisor counters (see supervisor.go). A retried run still counts
-	// once in Executed, so CacheHits = Requests - Executed stays valid.
+	// Supervisor counters (see supervisor.go).
 
-	// Panics counts first attempts that panicked; InvariantTrips counts
-	// first attempts aborted by the invariant checker; Deadlines counts
-	// first attempts aborted by the wall-clock deadline.
+	// Panics counts runs that panicked; InvariantTrips counts runs aborted
+	// by the invariant checker; Deadlines counts runs aborted by the
+	// wall-clock deadline.
 	Panics         int `json:"panics,omitempty"`
 	InvariantTrips int `json:"invariant_trips,omitempty"`
 	Deadlines      int `json:"deadlines,omitempty"`
-	// Retries counts safe-mode retries attempted after a panic or
-	// invariant trip; Degraded counts runs whose result came from such a
-	// retry (fast path disabled).
-	Retries  int `json:"runs_retried,omitempty"`
-	Degraded int `json:"runs_degraded,omitempty"`
-	// Failures counts runs that still failed after the retry ladder and
-	// became RunFailure repro bundles.
+	// Failures counts runs that failed, for any reason, and became
+	// RunFailure repro bundles.
 	Failures int `json:"runs_failed,omitempty"`
 	// ResumedFailed counts executed jobs that a resumed sweep's journal
 	// had recorded as failed — the jobs -resume exists to re-run.
@@ -104,8 +98,7 @@ type RunMetrics struct {
 	StoreMisses int `json:"store_misses,omitempty"`
 	// StoreRepairs counts objects healed bit-identically from a replica
 	// after a checksum mismatch; StoreRetries counts transient store I/O
-	// errors absorbed by the bounded retry-with-backoff (distinct from
-	// the supervisor's safe-mode simulation retries).
+	// errors absorbed by the bounded retry-with-backoff.
 	StoreRepairs int `json:"store_repairs,omitempty"`
 	StoreRetries int `json:"store_retries,omitempty"`
 }
@@ -119,8 +112,6 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.Panics += d.Panics
 	m.InvariantTrips += d.InvariantTrips
 	m.Deadlines += d.Deadlines
-	m.Retries += d.Retries
-	m.Degraded += d.Degraded
 	m.Failures += d.Failures
 	m.ResumedFailed += d.ResumedFailed
 	m.CheckpointsCaptured += d.CheckpointsCaptured
@@ -267,11 +258,11 @@ func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 		return
 	}
 	// Fault-injected runs bypass the store in both directions: a cached
-	// hit would skip the fault, and a faulted (or degraded) outcome must
-	// never be served to an un-injected sweep.
+	// hit would skip the fault, and an injected outcome must never be
+	// served to an un-injected sweep.
 	if st != nil && !p.injects(j.Workload, j.Variant) {
 		if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, e.fp, e.key); env != nil {
-			e.out = Outcome{Entry: buildJournalEntry(j, e.key, "ok", 0, env.Result, nil, ""), Result: env.Result}
+			e.out = Outcome{Entry: buildJournalEntry(j, e.key, env.Result, nil, ""), Result: env.Result}
 			return
 		}
 	}

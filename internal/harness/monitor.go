@@ -269,12 +269,10 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	counter("vtsweep_runs_executed_total", "gpu.Run calls actually performed.", float64(mt.Executed))
 	counter("vtsweep_memo_hits_total", "Requests served by the memo/disk cache.", float64(mt.CacheHits))
 	counter("vtsweep_sim_cycles_total", "Simulated cycles of executed runs.", float64(mt.SimCycles))
-	counter("vtsweep_supervisor_panics_total", "First attempts that panicked.", float64(mt.Panics))
-	counter("vtsweep_supervisor_invariant_trips_total", "First attempts aborted by the invariant checker.", float64(mt.InvariantTrips))
-	counter("vtsweep_supervisor_deadlines_total", "First attempts aborted by the wall-clock deadline.", float64(mt.Deadlines))
-	counter("vtsweep_supervisor_retries_total", "Safe-mode retries attempted.", float64(mt.Retries))
-	counter("vtsweep_supervisor_degraded_total", "Runs whose result came from a safe-mode retry.", float64(mt.Degraded))
-	counter("vtsweep_supervisor_failures_total", "Runs that failed after the retry ladder.", float64(mt.Failures))
+	counter("vtsweep_supervisor_panics_total", "Runs that panicked.", float64(mt.Panics))
+	counter("vtsweep_supervisor_invariant_trips_total", "Runs aborted by the invariant checker.", float64(mt.InvariantTrips))
+	counter("vtsweep_supervisor_deadlines_total", "Runs aborted by the wall-clock deadline.", float64(mt.Deadlines))
+	counter("vtsweep_supervisor_failures_total", "Runs that failed.", float64(mt.Failures))
 	counter("vtsweep_store_hits_total", "Store reads serving a checksum-verified payload.", float64(mt.StoreHits))
 	counter("vtsweep_store_misses_total", "Store reads that found nothing usable.", float64(mt.StoreMisses))
 	counter("vtsweep_store_repairs_total", "Objects healed from a replica after checksum mismatch.", float64(mt.StoreRepairs))
@@ -359,9 +357,8 @@ func writePage(w http.ResponseWriter, st MonitorStatus) {
 	fmt.Fprintf(w, "<p>uptime %.0fs — %d/%d runs executed (%d cache hits), %.0f simcycles/s</p>",
 		st.UptimeSeconds, st.Metrics.Executed, st.Metrics.Requests,
 		st.Metrics.CacheHits, st.SimCyclesPerSec)
-	if st.Metrics.Failures > 0 || st.Metrics.Degraded > 0 {
-		fmt.Fprintf(w, "<p>failures %d — degraded %d — retries %d</p>",
-			st.Metrics.Failures, st.Metrics.Degraded, st.Metrics.Retries)
+	if st.Metrics.Failures > 0 {
+		fmt.Fprintf(w, "<p>failures %d</p>", st.Metrics.Failures)
 	}
 	if f := st.FleetStatus; f != nil {
 		state := "running"

@@ -32,12 +32,9 @@ func TestJournalRotateNoClobber(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
 	open := func(scale int) {
-		jl, err := openJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}, false)
-		if err != nil {
+		if _, err := openJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}, false); err != nil {
 			t.Fatalf("open scale=%d: %v", scale, err)
 		}
-		jl.Record(JournalEntry{FP: fmt.Sprintf("fp-scale-%d", scale), Status: "ok", Attempts: 1})
-		jl.Close()
 	}
 	open(1) // original sweep
 	open(2) // foreign: rotates scale=1 to .old
@@ -58,66 +55,59 @@ func TestJournalRotateNoClobber(t *testing.T) {
 	wantScale(path, 3)
 }
 
-// TestJournalConcurrentAppendsNoInterleave opens the same journal from
-// two handles (two simulated processes sharing a store directory) and
-// hammers Record from both: O_APPEND single-write appends may interleave
-// lines but must never interleave bytes within one, so every line must
-// parse as a complete entry from exactly one writer.
+// TestJournalConcurrentAppendsNoInterleave commits outcomes from two
+// goroutines of one sweep at once, as two slots finishing together do.
+// Every journal line reaches the file through a store transaction, and a
+// group-commit batch may interleave the two writers' lines but never the
+// bytes within one, so every line on both sides must parse as a complete
+// entry from exactly one writer.
 func TestJournalConcurrentAppendsNoInterleave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	meta := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
-	a, err := openJournal(path, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := openJournal(path, meta, false) // loads the matching header, appends
-	if err != nil {
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir(), MirrorDir: t.TempDir()})
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
 
 	const perWriter = 200
 	var wg sync.WaitGroup
-	for _, w := range []struct {
-		jl  *Journal
-		tag string
-	}{{a, "aaaa"}, {b, "bbbb"}} {
+	for _, tag := range []string{"aaaa", "bbbb"} {
 		wg.Add(1)
-		go func(jl *Journal, tag string) {
+		go func() {
 			defer wg.Done()
 			// A long recognizable payload makes any byte interleaving
 			// corrupt the JSON or pollute the tag.
 			filler := strings.Repeat(tag, 100)
 			for i := 0; i < perWriter; i++ {
-				jl.Record(JournalEntry{
+				CommitOutcome(p, "", Outcome{Entry: JournalEntry{
 					FP: fmt.Sprintf("%s-%03d", tag, i), Workload: "vecadd",
-					Status: "ok", Attempts: 1, Error: filler,
-				})
+					Status: "ok", Error: filler,
+				}})
 			}
-		}(w.jl, w.tag)
+		}()
 	}
 	wg.Wait()
-	a.Close()
-	b.Close()
+	p.Sweep.Sync()
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) != 1+2*perWriter {
-		t.Fatalf("journal holds %d lines, want header + %d entries", len(lines), 2*perWriter)
-	}
-	for i, ln := range lines[1:] {
-		var e JournalEntry
-		if err := json.Unmarshal([]byte(ln), &e); err != nil {
-			t.Fatalf("line %d is not one complete entry (byte interleaving?): %v\n%s", i+1, err, ln)
+	for _, dir := range []string{p.CacheDir, p.MirrorDir} {
+		raw, err := os.ReadFile(filepath.Join(dir, JournalFileName))
+		if err != nil {
+			t.Fatal(err)
 		}
-		tag := e.FP[:4]
-		if tag != "aaaa" && tag != "bbbb" {
-			t.Fatalf("line %d carries a mixed fp %q", i+1, e.FP)
+		lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+		if len(lines) != 1+2*perWriter {
+			t.Fatalf("%s: journal holds %d lines, want header + %d entries", dir, len(lines), 2*perWriter)
 		}
-		if e.Error != strings.Repeat(tag, 100) {
-			t.Fatalf("line %d mixes payloads from both writers", i+1)
+		for i, ln := range lines[1:] {
+			var e JournalEntry
+			if err := json.Unmarshal([]byte(ln), &e); err != nil {
+				t.Fatalf("%s: line %d is not one complete entry (byte interleaving?): %v\n%s", dir, i+1, err, ln)
+			}
+			tag := e.FP[:4]
+			if tag != "aaaa" && tag != "bbbb" {
+				t.Fatalf("%s: line %d carries a mixed fp %q", dir, i+1, e.FP)
+			}
+			if e.Error != strings.Repeat(tag, 100) {
+				t.Fatalf("%s: line %d mixes payloads from both writers", dir, i+1)
+			}
 		}
 	}
 }
@@ -192,8 +182,8 @@ func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
 	settle()
 	fresh := open(false)
 	untouched("fresh open")
-	if ok, degraded, failed := fresh.Sweep.Journal.Summary(); ok+degraded+failed != 0 {
-		t.Fatalf("a fresh sweep replayed the journal: %d ok / %d degraded / %d failed", ok, degraded, failed)
+	if ok, failed := fresh.Sweep.Journal.Summary(); ok+failed != 0 {
+		t.Fatalf("a fresh sweep replayed the journal: %d ok / %d failed", ok, failed)
 	}
 	run(fresh, jobs[2])
 	for _, path := range []string{primary, mirror} {

@@ -22,17 +22,15 @@ import (
 //     of killing the whole sweep;
 //   - Params.RunTimeout bounds each run's wall-clock time through
 //     gpu.Options.Ctx;
-//   - a run that panicked or tripped an invariant is retried once in safe
-//     mode (DisableIssueFastPath) — those two failure classes are the
-//     ones a fast-path bug can cause, and the reference path cannot hit
-//     them. The downgrade is counted in RunMetrics and surfaced in the
-//     final report;
-//   - a run that still fails becomes a RunFailure: a structured repro
-//     bundle (fingerprint, config JSON, stack, AbortDiagnostic) written
-//     to Params.FailDir, while the rest of the sweep keeps running.
+//   - a run is attempted once: the engine is deterministic, so a run that
+//     panicked, tripped an invariant, deadlocked or ran out of cycles or
+//     time would fail the same way again. It becomes a RunFailure: a
+//     structured repro bundle (fingerprint, config JSON, stack,
+//     AbortDiagnostic) written to Params.FailDir, while the rest of the
+//     sweep keeps running.
 
-// RunFailure is the forensic record of one simulation that failed after
-// the retry ladder. It is what a repro bundle contains.
+// RunFailure is the forensic record of one simulation that failed. It is
+// what a repro bundle contains.
 type RunFailure struct {
 	Workload    string `json:"workload"`
 	Variant     string `json:"variant,omitempty"`
@@ -50,19 +48,15 @@ type RunFailure struct {
 	// invariant aborts only).
 	Diagnostic *gpu.AbortDiagnostic `json:"diagnostic,omitempty"`
 
-	Attempts        int    `json:"attempts"`
-	SafeModeRetried bool   `json:"safe_mode_retried"`
-	SafeModeError   string `json:"safe_mode_error,omitempty"`
-	Time            string `json:"time"`
+	Time string `json:"time"`
 }
 
-// FailedRunError is the error a supervised run returns after exhausting
-// the retry ladder; RunJobs joins these into the sweep error while the
-// remaining jobs keep running.
+// FailedRunError is the error a failed supervised run returns; RunJobs
+// joins these into the sweep error while the remaining jobs keep running.
 type FailedRunError struct {
 	Failure *RunFailure
-	// cause is the first attempt's error, so errors.Is/As on a sweep
-	// error still see it (a deadline's context error, a gpu.AbortError).
+	// cause is the run's error, so errors.Is/As on a sweep error still
+	// see it (a deadline's context error, a gpu.AbortError).
 	cause error
 }
 
@@ -70,11 +64,10 @@ func (e *FailedRunError) Unwrap() error { return e.cause }
 
 func (e *FailedRunError) Error() string {
 	f := e.Failure
-	return fmt.Sprintf("harness: run %s/%s failed after %d attempt(s): %s",
-		f.Workload, f.Variant, f.Attempts, f.Error)
+	return fmt.Sprintf("harness: run %s/%s failed: %s", f.Workload, f.Variant, f.Error)
 }
 
-// attempt is the outcome of one supervised gpu.Run attempt.
+// attempt is the outcome of one supervised gpu.Run call.
 type attempt struct {
 	res      *gpu.Result
 	err      error
@@ -85,18 +78,15 @@ type attempt struct {
 	ck *gpu.Checkpoint
 }
 
-// runAttempt performs one simulation attempt under panic recovery. Each
-// attempt starts from the sweep's build of the workload (builds.go): its
-// own launch copies and a fresh backing over the pristine image, so
-// nothing a panicked attempt left half-mutated reaches the retry. A
-// non-nil spec makes the attempt a checkpoint donor (capture while the
-// fork guard holds) or a fork (resume from spec.ck instead of cycle zero).
-func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *forkSpec) (a attempt) {
+// runAttempt performs one simulation under panic recovery. Each run
+// starts from the sweep's build of the workload (builds.go): its own
+// launch copies and a fresh backing over the pristine image, so nothing a
+// panicked run left half-mutated reaches a later run of the workload. A
+// non-nil spec makes the run a checkpoint donor (capture while the fork
+// guard holds) or a fork (resume from spec.ck instead of cycle zero).
+func runAttempt(p Params, j Job, cfg config.GPUConfig, spec *forkSpec) (a attempt) {
 	tr := p.Sweep.Trace
 	eid := tr.Begin(p.span, "execute", j.Workload, j.Variant)
-	if safeMode {
-		tr.SetAttr(eid, "safe_mode", "true")
-	}
 	if spec != nil {
 		if spec.capture {
 			tr.SetAttr(eid, "fork_donor", "true")
@@ -152,15 +142,8 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	if p.Sampling.Enabled() && !injected {
 		opts.Sampling = p.Sampling
 	}
-	if safeMode {
-		opts.DisableIssueFastPath = true
-	}
 	if injected {
-		n := 0
-		if safeMode {
-			n = 1
-		}
-		opts.FaultHook = p.Inject.Hook(n)
+		opts.FaultHook = p.Inject.Hook()
 		// Injected corruption must be caught, not silently folded into
 		// results, so injected runs always check invariants.
 		opts.CheckInvariants = true
@@ -185,39 +168,35 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	return a
 }
 
-// countFirstFailure classifies a first-attempt failure into the run's
-// work counters, emits the matching supervisor trace event under the job
-// span, and reports whether the failure warrants the safe-mode retry: a
-// panic or an invariant trip does. Deadlocks, cycle budgets, and
-// wall-clock deadlines are properties of the simulated kernel, not the
-// engine path, so retrying them would only double the cost of the same
-// failure.
-func countFirstFailure(p Params, j Job, a attempt, w *RunMetrics) (class string, retry bool) {
+// countFailure classifies a failed run into its work counters and emits
+// the matching supervisor trace event under the job span. A deadlock or
+// a cycle-budget abort has no class of its own: it counts only among the
+// failures.
+func countFailure(p Params, j Job, a attempt, w *RunMetrics) {
+	var class string
 	switch d := gpu.DiagnosticOf(a.err); {
 	case a.panicked:
 		w.Panics++
-		class, retry = "panic", true
+		class = "panic"
 	case d != nil && d.Reason == gpu.ReasonInvariant:
 		w.InvariantTrips++
-		class, retry = "invariant", true
+		class = "invariant"
 	case d != nil && d.Reason == gpu.ReasonDeadline:
 		w.Deadlines++
 		class = "deadline"
 	default:
-		return "", false
+		return
 	}
 	p.Sweep.Trace.Event(p.span, "supervisor."+class, j.Workload, j.Variant)
-	return class, retry
 }
 
-// supervise runs one job through the supervisor — attempt, safe-mode
-// retry, repro bundle — and returns its Outcome: the journal entry, built
-// once, the Result, and the Work the attempts cost. A job that failed the
-// whole ladder also returns a *FailedRunError. A non-nil spec makes the
-// run a checkpoint donor or a fork; spec.captured is set only from the
-// attempt whose result is returned, so a checkpoint from a failed or
-// superseded attempt never seeds forks, and a forked run's SimCycles
-// count its suffix alone (the prefix came from the checkpoint).
+// supervise runs one job through the supervisor — one attempt, and a
+// repro bundle if it fails — and returns its Outcome: the journal entry,
+// built once, the Result, and the Work the run cost. A failed job also
+// returns a *FailedRunError. A non-nil spec makes the run a checkpoint
+// donor or a fork; spec.captured is set only from a run that succeeded,
+// so a checkpoint from a failed run never seeds forks, and a forked run's
+// SimCycles count its suffix alone (the prefix came from the checkpoint).
 func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec) (Outcome, error) {
 	work := RunMetrics{Executed: 1}
 	key := CacheKey(fp)
@@ -227,59 +206,33 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 		forkedFrom, prefix = spec.forkedFrom, spec.ck.Cycle
 	}
 
-	first := runAttempt(p, j, cfg, false, spec)
-	last, status, attempts := first, "ok", 1
-	if first.err != nil {
-		status = "failed"
-		if class, retry := countFirstFailure(p, j, first, &work); retry {
-			work.Retries++
-			p.Sweep.Trace.Event(p.span, "supervisor.retry", j.Workload, j.Variant, "reason", class)
-			last, attempts = runAttempt(p, j, cfg, true, spec), 2
-			if last.err == nil {
-				// The safe path succeeded where the fast path failed: record
-				// the downgrade and keep the sweep moving with the safe result.
-				status = "degraded"
-				work.Degraded++
-			}
-		}
-	}
-
-	if status == "failed" {
+	a := runAttempt(p, j, cfg, spec)
+	if a.err != nil {
+		countFailure(p, j, a, &work)
 		f := &RunFailure{
-			Workload:        j.Workload,
-			Variant:         j.Variant,
-			Fingerprint:     fp,
-			Scale:           p.Scale,
-			Dilute:          p.Dilute,
-			Error:           first.err.Error(),
-			Stack:           first.stack,
-			Diagnostic:      gpu.DiagnosticOf(first.err),
-			Attempts:        attempts,
-			SafeModeRetried: attempts == 2,
-			Time:            time.Now().UTC().Format(time.RFC3339),
-		}
-		if attempts == 2 {
-			f.SafeModeError = last.err.Error()
-			if f.Stack == "" {
-				f.Stack = last.stack
-			}
-			if f.Diagnostic == nil {
-				f.Diagnostic = gpu.DiagnosticOf(last.err)
-			}
+			Workload:    j.Workload,
+			Variant:     j.Variant,
+			Fingerprint: fp,
+			Scale:       p.Scale,
+			Dilute:      p.Dilute,
+			Error:       a.err.Error(),
+			Stack:       a.stack,
+			Diagnostic:  gpu.DiagnosticOf(a.err),
+			Time:        time.Now().UTC().Format(time.RFC3339),
 		}
 		if b, err := json.Marshal(&cfg); err == nil {
 			f.Config = b
 		}
 		writeBundle(p.FailDir, f)
 		work.Failures++
-		return Outcome{Entry: buildJournalEntry(j, key, status, attempts, nil, first.err, forkedFrom), Work: work},
-			&FailedRunError{Failure: f, cause: first.err}
+		return Outcome{Entry: buildJournalEntry(j, key, nil, a.err, forkedFrom), Work: work},
+			&FailedRunError{Failure: f, cause: a.err}
 	}
 
 	if spec != nil {
-		spec.captured = last.ck
+		spec.captured = a.ck
 	}
-	res := last.res
+	res := a.res
 	work.SimCycles = res.Cycles - prefix
 	if ss := res.Sampling; ss != nil {
 		work.SampledRuns = 1
@@ -288,20 +241,20 @@ func supervise(p Params, j Job, cfg config.GPUConfig, fp string, spec *forkSpec)
 		work.FunctionalInstrs = ss.FunctionalInstrs
 		work.MaxErrorBound = ss.ErrorBound
 	}
-	return Outcome{Entry: buildJournalEntry(j, key, status, attempts, res, nil, forkedFrom), Result: res, Work: work}, nil
+	return Outcome{Entry: buildJournalEntry(j, key, res, nil, forkedFrom), Result: res, Work: work}, nil
 }
 
 // buildJournalEntry assembles the completion-log line for one job
-// outcome; key is the job's cache key. The same shape travels the JSONL
-// journal, the result-store transaction, and — inside an Outcome — the
-// wire between a fabric worker and its coordinator.
-func buildJournalEntry(j Job, key, status string, attempts int, res *gpu.Result, err error, forkedFrom string) JournalEntry {
+// outcome, "ok" or, with a non-nil err, "failed"; key is the job's cache
+// key. The same shape travels the JSONL journal, the result-store
+// transaction, and — inside an Outcome — the wire between a fabric worker
+// and its coordinator.
+func buildJournalEntry(j Job, key string, res *gpu.Result, err error, forkedFrom string) JournalEntry {
 	e := JournalEntry{
 		FP:         key,
 		Workload:   j.Workload,
 		Variant:    j.Variant,
-		Status:     status,
-		Attempts:   attempts,
+		Status:     "ok",
 		ForkedFrom: forkedFrom,
 		Time:       time.Now().UTC().Format(time.RFC3339),
 	}
@@ -312,7 +265,7 @@ func buildJournalEntry(j Job, key, status string, attempts int, res *gpu.Result,
 		}
 	}
 	if err != nil {
-		e.Error = err.Error()
+		e.Status, e.Error = "failed", err.Error()
 	}
 	return e
 }
@@ -334,8 +287,9 @@ func buildJournalEntry(j Job, key, status string, attempts int, res *gpu.Result,
 // transaction has finished, and the sweep's Sync waits for all of them. A
 // caller that must not show the outcome to anyone before it is durable
 // (the coordinator, before it acknowledges a completion) waits on the
-// channel; a local slot goes back to simulating. Without a store the
-// journal line is appended directly.
+// channel; a local slot goes back to simulating. A journal lives in its
+// store (Sweep.OpenJournal opens both), so without a store there is
+// nothing to commit.
 func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{}) {
 	s := p.Sweep
 	entry, res := out.Entry, out.Result
@@ -352,14 +306,11 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harness: result store commit failed: %v\n", err)
 	}
-	// A failed job has no Result, and a faulted (or degraded-by-injection)
-	// one must never be served to an un-injected sweep: those journal but
+	// A failed job has no Result, and an injected one must never be served
+	// to an un-injected sweep, even when it succeeded: those journal but
 	// never cache.
-	storeResult := st != nil && res != nil && !p.injects(entry.Workload, entry.Variant)
+	storeResult := res != nil && !p.injects(entry.Workload, entry.Variant)
 	if st == nil || (!storeResult && je == nil) {
-		if je != nil {
-			s.Journal.Record(*je)
-		}
 		done := make(chan struct{})
 		close(done)
 		return done
@@ -374,7 +325,7 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 		}
 		// The line reaches the file through the transaction; only the
 		// in-memory status map needs the update.
-		s.Journal.noteStatus(*je)
+		s.Journal.Record(*je)
 	}
 	return s.wb.submit(func() { p.commitBestEffort(tx) })
 }

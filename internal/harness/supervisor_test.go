@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +24,11 @@ func supervisorParams(t testing.TB) (Params, []Job) {
 	return p, jobs
 }
 
-// TestSupervisedPanicProducesBundle injects a persistent panic into one
-// run of a four-job sweep and asserts the full contract: the sweep
-// completes the other three jobs, the failed run was retried in safe
-// mode, exactly one repro bundle lands in FailDir with a populated stack,
-// and the metrics record the panic, the retry, and the failure.
+// TestSupervisedPanicProducesBundle injects a panic into one run of a
+// four-job sweep and asserts the full contract: the sweep completes the
+// other three jobs, the failed run was attempted once, exactly one repro
+// bundle lands in FailDir with a populated stack, and the metrics record
+// the panic and the failure.
 func TestSupervisedPanicProducesBundle(t *testing.T) {
 	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
@@ -47,9 +46,6 @@ func TestSupervisedPanicProducesBundle(t *testing.T) {
 	f := fe.Failure
 	if f.Workload != "vecadd" || f.Variant != "vt" {
 		t.Fatalf("failure names %s/%s, want vecadd/vt", f.Workload, f.Variant)
-	}
-	if !f.SafeModeRetried || f.Attempts != 2 {
-		t.Fatalf("panic must trigger the safe-mode retry: %+v", f)
 	}
 	if !strings.Contains(f.Stack, "faultinject") {
 		t.Fatalf("bundle stack does not reach the panic site:\n%s", f.Stack)
@@ -87,56 +83,19 @@ func TestSupervisedPanicProducesBundle(t *testing.T) {
 	}
 
 	m := p.Sweep.Metrics()
-	if m.Panics != 1 || m.Retries != 1 || m.Failures != 1 || m.Degraded != 0 {
-		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 failure, 0 degraded", m)
+	if m.Panics != 1 || m.Failures != 1 {
+		t.Fatalf("metrics = %+v, want 1 panic, 1 failure", m)
 	}
 	if m.Executed != 4 {
-		t.Fatalf("Executed = %d, want 4 (retries don't double-count)", m.Executed)
+		t.Fatalf("Executed = %d, want 4", m.Executed)
 	}
 }
 
-// TestSupervisedDegradation injects a first-attempt-only panic: the
-// safe-mode retry must succeed, the sweep must see no error, and the
-// degraded result must be bit-identical to an uninjected run (the safe
-// path's determinism contract).
-func TestSupervisedDegradation(t *testing.T) {
-	p, jobs := supervisorParams(t)
-	p.FailDir = t.TempDir()
-	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
-		Kind: faultinject.PanicOnce}
-
-	degraded, err := runMany(p, jobs)
-	if err != nil {
-		t.Fatalf("degradation must absorb the failure, got %v", err)
-	}
-	if len(degraded) != 4 {
-		t.Fatalf("got %d results, want 4", len(degraded))
-	}
-	m := p.Sweep.Metrics()
-	if m.Panics != 1 || m.Retries != 1 || m.Degraded != 1 || m.Failures != 0 {
-		t.Fatalf("metrics = %+v, want 1 panic, 1 retry, 1 degraded, 0 failures", m)
-	}
-	if got, _ := filepath.Glob(filepath.Join(p.FailDir, "*")); len(got) != 0 {
-		t.Fatalf("a degraded (recovered) run must not write a bundle, found %v", got)
-	}
-
-	p = inSweep(t, p)
-	p.Inject = nil
-	clean, err := runMany(p, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(degraded, clean) {
-		t.Fatal("safe-mode result differs from the normal engine result")
-	}
-}
-
-// TestJournalResumeReexecutesDegraded: one injected first-attempt panic
-// is absorbed by the safe-mode retry, and the journal counts that job
-// degraded. A degraded-by-injection outcome journals but is never
-// cached, so a resume without the fault re-executes exactly that job,
-// and does not count it in resumed_failed: it did not fail.
-func TestJournalResumeReexecutesDegraded(t *testing.T) {
+// TestJournalResumeReexecutesInjected: an injected run that succeeds (a
+// 1ms hang with no deadline) journals ok but is never cached, so a resume
+// without the fault re-executes exactly that job, and does not count it
+// in resumed_failed: it did not fail.
+func TestJournalResumeReexecutesInjected(t *testing.T) {
 	cache := t.TempDir()
 	p, jobs := supervisorParams(t)
 	p.CacheDir = cache
@@ -146,12 +105,12 @@ func TestJournalResumeReexecutesDegraded(t *testing.T) {
 	}
 	jl := p.Sweep.Journal
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
-		Kind: faultinject.PanicOnce}
+		Kind: faultinject.Hang, HangFor: time.Millisecond}
 	if _, err := runMany(p, jobs); err != nil {
-		t.Fatalf("degradation must absorb the failure, got %v", err)
+		t.Fatalf("a hang without a deadline must not fail the run, got %v", err)
 	}
-	if ok, degraded, failed := jl.Summary(); ok != 3 || degraded != 1 || failed != 0 {
-		t.Fatalf("journal after degraded sweep: %d ok / %d degraded / %d failed, want 3/1/0", ok, degraded, failed)
+	if ok, failed := jl.Summary(); ok != 4 || failed != 0 {
+		t.Fatalf("journal after injected sweep: %d ok / %d failed, want 4/0", ok, failed)
 	}
 	p.Sweep.Close()
 
@@ -166,19 +125,18 @@ func TestJournalResumeReexecutesDegraded(t *testing.T) {
 	}
 	m := p2.Sweep.Metrics()
 	if m.Executed != 1 || m.StoreHits != 3 {
-		t.Fatalf("resume executed %d and hit the store %d times, want only the degraded job re-run (1, 3)", m.Executed, m.StoreHits)
+		t.Fatalf("resume executed %d and hit the store %d times, want only the injected job re-run (1, 3)", m.Executed, m.StoreHits)
 	}
 	if m.ResumedFailed != 0 {
-		t.Fatalf("ResumedFailed = %d, want 0: a degraded job did not fail", m.ResumedFailed)
+		t.Fatalf("ResumedFailed = %d, want 0: the injected job did not fail", m.ResumedFailed)
 	}
-	if ok, degraded, failed := p2.Sweep.Journal.Summary(); ok != 4 || degraded != 0 || failed != 0 {
-		t.Fatalf("journal after resume: %d ok / %d degraded / %d failed, want 4/0/0", ok, degraded, failed)
+	if ok, failed := p2.Sweep.Journal.Summary(); ok != 4 || failed != 0 {
+		t.Fatalf("journal after resume: %d ok / %d failed, want 4/0", ok, failed)
 	}
 }
 
 // TestSupervisedDeadline injects a hang and bounds the run with
-// RunTimeout: the failure must carry a deadline diagnostic and must NOT
-// be retried (a wall-clock overrun is not an engine-path bug).
+// RunTimeout: the failure must carry a deadline diagnostic.
 func TestSupervisedDeadline(t *testing.T) {
 	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
@@ -200,20 +158,17 @@ func TestSupervisedDeadline(t *testing.T) {
 	if f.Workload != "nw" || f.Variant != "vt" {
 		t.Fatalf("failure names %s/%s, want nw/vt", f.Workload, f.Variant)
 	}
-	if f.SafeModeRetried || f.Attempts != 1 {
-		t.Fatalf("deadline failures must not retry: %+v", f)
-	}
 	if f.Diagnostic == nil || f.Diagnostic.Reason != gpu.ReasonDeadline {
 		t.Fatalf("missing deadline diagnostic: %+v", f.Diagnostic)
 	}
-	if m := p.Sweep.Metrics(); m.Deadlines != 1 || m.Retries != 0 {
-		t.Fatalf("metrics = %+v, want 1 deadline, 0 retries", m)
+	if m := p.Sweep.Metrics(); m.Deadlines != 1 || m.Failures != 1 {
+		t.Fatalf("metrics = %+v, want 1 deadline, 1 failure", m)
 	}
 }
 
 // TestSupervisedCorruption injects bookkeeping corruption: the invariant
-// checker (forced on for injected runs) trips on both attempts, the
-// bundle carries the violation diagnostic, and the retry is recorded.
+// checker (forced on for injected runs) trips, and the bundle carries the
+// violation diagnostic.
 func TestSupervisedCorruption(t *testing.T) {
 	p, jobs := supervisorParams(t)
 	p.FailDir = t.TempDir()
@@ -226,16 +181,13 @@ func TestSupervisedCorruption(t *testing.T) {
 		t.Fatalf("want a FailedRunError, got %v", err)
 	}
 	f := fe.Failure
-	if !f.SafeModeRetried || f.Attempts != 2 {
-		t.Fatalf("invariant trips must trigger the safe-mode retry: %+v", f)
-	}
 	if f.Diagnostic == nil || f.Diagnostic.Reason != gpu.ReasonInvariant {
 		t.Fatalf("missing invariant diagnostic: %+v", f.Diagnostic)
 	}
 	if !strings.Contains(f.Diagnostic.Violation, "RegsUsed") {
 		t.Fatalf("violation report does not name the corruption: %q", f.Diagnostic.Violation)
 	}
-	if m := p.Sweep.Metrics(); m.InvariantTrips != 1 || m.Retries != 1 || m.Failures != 1 {
+	if m := p.Sweep.Metrics(); m.InvariantTrips != 1 || m.Failures != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -260,8 +212,8 @@ func TestJournalResume(t *testing.T) {
 	if _, err := runMany(p, jobs); err == nil {
 		t.Fatal("expected the injected failure")
 	}
-	if ok, degraded, failed := jl.Summary(); ok != 3 || degraded != 0 || failed != 1 {
-		t.Fatalf("journal after failed sweep: %d ok / %d degraded / %d failed", ok, degraded, failed)
+	if ok, failed := jl.Summary(); ok != 3 || failed != 1 {
+		t.Fatalf("journal after failed sweep: %d ok / %d failed", ok, failed)
 	}
 	p.Sweep.Close()
 
@@ -288,7 +240,7 @@ func TestJournalResume(t *testing.T) {
 	if m.ResumedFailed != 1 {
 		t.Fatalf("ResumedFailed = %d, want 1", m.ResumedFailed)
 	}
-	if ok, _, failed := jl2.Summary(); ok != 4 || failed != 0 {
+	if ok, failed := jl2.Summary(); ok != 4 || failed != 0 {
 		t.Fatalf("journal after resume: %d ok / %d failed, want 4/0", ok, failed)
 	}
 
@@ -315,14 +267,12 @@ func TestJournalRotatesForeignSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.Record(JournalEntry{FP: "abc", Workload: "x", Status: "ok", Attempts: 1})
-	jl.Close()
+	jl.Record(JournalEntry{FP: "abc", Workload: "x", Status: "ok"})
 
 	jl2, err := openJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jl2.Close()
 	if st := jl2.Status("abc"); st != "" {
 		t.Fatalf("fresh journal inherited foreign entries: %q", st)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -35,10 +34,9 @@ type Sweep struct {
 	// one. Nil reports to nobody: every Monitor hook is a nil-receiver
 	// no-op, as with Trace.
 	Monitor *Monitor
-	// Journal, when non-nil, records every executed run's outcome in the
-	// append-only completion journal, making the sweep resumable (see
-	// journal.go). OpenJournal attaches the store directory's; Close
-	// closes it.
+	// Journal, when non-nil, is the status view of the store's
+	// append-only completion journal, which makes the sweep resumable (see
+	// journal.go). OpenJournal attaches the store directory's.
 	Journal *Journal
 
 	wb *writeBehind
@@ -81,12 +79,12 @@ func (s *Sweep) count(f func(*RunMetrics)) {
 	f(&s.stats)
 }
 
-// store returns the result store backing p's cache directories: nil when
-// p names none, or when the directory cannot be opened (reported once; the
-// sweep then runs uncached, like the old best-effort disk cache). The
-// first Params to name a directory opens it — index replay plus WAL
-// recovery — with its StoreFault; one sweep holds at most one store, so a
-// Params naming another is an error, not a second handle.
+// store returns the result store backing p's cache directories, nil when
+// p names none. The first Params to name a directory opens it — index
+// replay plus WAL recovery — with its StoreFault; a directory that cannot
+// be opened is an error, and the next call tries again. One sweep holds
+// at most one store, so a Params naming another is an error, not a second
+// handle.
 func (s *Sweep) store(p Params) (*resultstore.Store, error) {
 	if p.CacheDir == "" {
 		return nil, nil
@@ -97,7 +95,6 @@ func (s *Sweep) store(p Params) (*resultstore.Store, error) {
 	case s.closed:
 		return nil, errors.New("harness: sweep is closed")
 	case !s.opened:
-		s.opened, s.dir, s.mirror = true, p.CacheDir, p.MirrorDir
 		st, err := resultstore.Open(resultstore.Options{
 			Dir:    p.CacheDir,
 			Mirror: p.MirrorDir,
@@ -109,10 +106,9 @@ func (s *Sweep) store(p Params) (*resultstore.Store, error) {
 			},
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "harness: result store %s unavailable (running uncached): %v\n", p.CacheDir, err)
-			break
+			return nil, fmt.Errorf("harness: result store %s: %w", p.CacheDir, err)
 		}
-		s.st = st
+		s.opened, s.dir, s.mirror, s.st = true, p.CacheDir, p.MirrorDir, st
 	case p.CacheDir != s.dir || p.MirrorDir != s.mirror:
 		return nil, fmt.Errorf("harness: sweep holds result store %q (mirror %q), Params names %q (mirror %q): one sweep, one store",
 			s.dir, s.mirror, p.CacheDir, p.MirrorDir)
@@ -132,8 +128,8 @@ func (s *Sweep) Sync() {
 	}
 }
 
-// Close ends the sweep: the write-behind window drains, the journal and
-// the store close. A window poisoned by a simulated process death is
+// Close ends the sweep: the write-behind window drains and the store
+// closes. A window poisoned by a simulated process death is
 // simply dropped — closing is the reboot. Idempotent; the counters stay
 // readable.
 func (s *Sweep) Close() {
@@ -144,23 +140,33 @@ func (s *Sweep) Close() {
 		return
 	}
 	s.closed = true
-	if s.Journal != nil {
-		s.Journal.Close()
-	}
 	if s.st != nil {
 		s.st.Close()
 		s.st = nil
 	}
 }
 
-// OpenJournal attaches the completion journal in p's store directory,
-// for the sweep shape p describes (a p.Resume over another shape's
-// journal is refused; only a resume reads the entries), and seeds the
-// mirror's journal header so store transactions have a valid journal to
-// append to there and a failed-over mirror resumes on its own. Whether a
-// sweep journals is its owner's choice: a fabric worker's local store
-// has none.
+// OpenStore opens the result store p names, if any, so that a store
+// directory that cannot be opened is a set-up error rather than a sweep
+// without durability.
+func (s *Sweep) OpenStore(p Params) error {
+	_, err := s.store(p)
+	return err
+}
+
+// OpenJournal opens p's result store and attaches the completion journal
+// in its directory, for the sweep shape p describes (a p.Resume over
+// another shape's journal is refused; only a resume reads the entries).
+// The store opens first because its recovery may roll committed journal
+// lines forward, and a resume must read them.
+// Both sides get a journal that belongs to the sweep, so store
+// transactions have a valid journal to append to there and a failed-over
+// mirror resumes on its own. Whether a sweep journals is its owner's
+// choice: a fabric worker's local store has none.
 func (s *Sweep) OpenJournal(p Params) error {
+	if err := s.OpenStore(p); err != nil {
+		return err
+	}
 	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
 	jl, err := openJournal(filepath.Join(p.CacheDir, JournalFileName), meta, p.Resume)
 	if err != nil {
@@ -169,8 +175,7 @@ func (s *Sweep) OpenJournal(p Params) error {
 	if p.MirrorDir != "" {
 		// Only the header is read: a matching journal is left untouched, a
 		// foreign one is rotated aside.
-		if err := seedJournal(filepath.Join(p.MirrorDir, JournalFileName), meta); err != nil {
-			jl.Close()
+		if err := adoptJournal(filepath.Join(p.MirrorDir, JournalFileName), meta, nil); err != nil {
 			return fmt.Errorf("mirror journal: %w", err)
 		}
 	}

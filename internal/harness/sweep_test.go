@@ -74,12 +74,9 @@ func TestOpenJournalDerivesMeta(t *testing.T) {
 	p.Sweep.Close()
 	want := JournalMeta{Scale: 2, Dilute: 30, Config: "gtx480", Sampling: "4000:8000:1000"}
 	for _, dir := range []string{p.CacheDir, p.MirrorDir} {
-		jl, err := openJournal(filepath.Join(dir, JournalFileName), want, true)
-		if err != nil {
+		if _, err := openJournal(filepath.Join(dir, JournalFileName), want, true); err != nil {
 			t.Errorf("%s: journal does not resume under %+v: %v", dir, want, err)
-			continue
 		}
-		jl.Close()
 	}
 	exact := inSweep(t, p)
 	exact.Sampling, exact.Resume = gpu.SamplingOptions{}, true

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestSweepTraceEndToEnd is the observability acceptance run: a mirrored,
-// prefix-forked swap-latency sweep with one injected safe-mode retry must
+// prefix-forked swap-latency sweep with one injected panic must
 // produce a span dump that (a) covers the fork lineage and the store's
 // WAL phases, (b) survives the coverage and critical-path invariants of
 // sweepobs.Analyze, and (c) round-trips through the result store as a
@@ -33,10 +34,10 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	p.MirrorDir = mirror
 	p.Sweep.Trace = tr
 	NewMonitor(p.Sweep)
-	// One deterministic first-attempt panic: the nw/vt singleton trips the
-	// supervisor, retries in safe mode, and finishes degraded.
+	// One deterministic panic: the nw/vt singleton trips the supervisor
+	// and fails.
 	p.Inject = &faultinject.Spec{Workload: "nw", Variant: "vt", Cycle: 100,
-		Kind: faultinject.PanicOnce}
+		Kind: faultinject.Panic}
 
 	jobs := swapLatJobs("pathfinder", []int{0, 64, 256})
 	jobs = append(jobs, Job{
@@ -44,8 +45,9 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		Variant:  "vt",
 		Mutate:   func(c *config.GPUConfig) { c.Policy = config.PolicyVT },
 	})
-	if _, err := runMany(p, jobs); err != nil {
-		t.Fatal(err)
+	var fe *FailedRunError
+	if _, err := runMany(p, jobs); !errors.As(err, &fe) || fe.Failure.Workload != "nw" {
+		t.Fatalf("err = %v, want the injected nw/vt failure", err)
 	}
 	p.Sweep.Sync() // the owner's barrier: batch spans land as commits finish
 
@@ -58,9 +60,12 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
-	forked := 0
+	forked, panicked := 0, 0
 	for _, s := range d.Spans {
 		kinds[s.Kind]++
+		if s.Kind == "execute" && s.Attrs["outcome"] == "panic" {
+			panicked++
+		}
 		if s.Kind == "execute" && s.Attrs["forked_from"] != "" {
 			forked++
 			if s.Attrs["resume_cycle"] == "" {
@@ -74,10 +79,9 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	if kinds["job"] != len(jobs) {
 		t.Errorf("job spans = %d, want %d", kinds["job"], len(jobs))
 	}
-	// 3 sweep points + the singleton, plus the injected job's safe-mode
-	// retry attempt.
-	if kinds["execute"] < len(jobs)+1 {
-		t.Errorf("execute spans = %d, want >= %d", kinds["execute"], len(jobs)+1)
+	// 3 sweep points + the singleton, each run once.
+	if kinds["execute"] != len(jobs) || panicked != 1 {
+		t.Errorf("execute spans = %d with %d outcome=panic, want %d with 1", kinds["execute"], panicked, len(jobs))
 	}
 	if forked != 2 {
 		t.Errorf("forked execute spans = %d, want 2 (donor plus two forks)", forked)
@@ -150,9 +154,8 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 			samples["vtsweep_store_batch_txs_count"], samples["vtsweep_store_batch_txs_sum"],
 			kinds["store.tx"], batchTxs)
 	}
-	if kinds["supervisor.panic"] != 1 || kinds["supervisor.retry"] != 1 {
-		t.Errorf("supervisor events: %d panics, %d retries, want 1 each",
-			kinds["supervisor.panic"], kinds["supervisor.retry"])
+	if kinds["supervisor.panic"] != 1 {
+		t.Errorf("supervisor.panic events = %d, want 1", kinds["supervisor.panic"])
 	}
 
 	// Critical-path analysis: spans must cover (almost all of) the wall

@@ -123,8 +123,9 @@ func (f *Flags) OpenOutput() (w io.Writer, closeOut func(), err error) {
 	return io.MultiWriter(os.Stdout, file), func() { file.Close() }, nil
 }
 
-// OpenJournal attaches -store's completion journal to p's sweep (see
-// harness.Sweep.OpenJournal). Without -store it does nothing.
+// OpenJournal opens -store's result store and attaches its completion
+// journal to p's sweep (see harness.Sweep.OpenJournal), so a store that
+// cannot be opened fails the set-up. Without -store it does nothing.
 func (f *Flags) OpenJournal(prog string, p harness.Params) error {
 	if f.StoreDir == "" {
 		return nil
@@ -133,9 +134,8 @@ func (f *Flags) OpenJournal(prog string, p harness.Params) error {
 		return err
 	}
 	if f.Resume {
-		ok, degraded, failed := p.Sweep.Journal.Summary()
-		fmt.Fprintf(os.Stderr, "%s: resuming sweep: journal records %d ok, %d degraded, %d failed\n",
-			prog, ok, degraded, failed)
+		ok, failed := p.Sweep.Journal.Summary()
+		fmt.Fprintf(os.Stderr, "%s: resuming sweep: journal records %d ok, %d failed\n", prog, ok, failed)
 	}
 	return nil
 }

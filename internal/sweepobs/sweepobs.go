@@ -44,7 +44,7 @@ type Span struct {
 	// "store.get", "execute", "fork.ckload", "fork.ckstore",
 	// "store.tx", "store.stage", "store.commit", "store.apply",
 	// "store.replicate", "fork.capture", "supervisor.panic",
-	// "supervisor.invariant", "supervisor.deadline", "supervisor.retry".
+	// "supervisor.invariant", "supervisor.deadline".
 	Kind     string `json:"kind"`
 	Workload string `json:"workload,omitempty"`
 	Variant  string `json:"variant,omitempty"`
@@ -236,7 +236,7 @@ func (t *Tracer) EndJob(id SpanID) {
 }
 
 // Event records an instant (zero-duration span with the "event" attr)
-// under parent: supervisor panics, retries, checkpoint captures.
+// under parent: supervisor panics, checkpoint captures.
 // attrs are alternating key, value pairs.
 func (t *Tracer) Event(parent SpanID, kind, workload, variant string, attrs ...string) {
 	if t == nil {

@@ -70,7 +70,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatalf("nil BeginJob = %d, want 0", jid)
 	}
 	tr.SetAttr(id, "k", "v")
-	tr.Event(0, "supervisor.retry", "bfs", "vt")
+	tr.Event(0, "supervisor.panic", "bfs", "vt")
 	tr.Record(0, "store.stage", "", "", time.Now(), time.Millisecond)
 	tr.End(id)
 	tr.EndJob(jid)
@@ -91,7 +91,7 @@ func TestTracerNestingAndSlots(t *testing.T) {
 	clk.advance(10 * time.Millisecond)
 
 	ex := tr.Begin(j1, "execute", "bfs", "vt")
-	tr.SetAttr(ex, "safe_mode", "false")
+	tr.SetAttr(ex, "outcome", "ok")
 	clk.advance(40 * time.Millisecond)
 	tr.End(ex)
 
@@ -123,7 +123,7 @@ func TestTracerNestingAndSlots(t *testing.T) {
 	if byID[ex].DurNS != 40*time.Millisecond.Nanoseconds() {
 		t.Fatalf("execute dur = %d", byID[ex].DurNS)
 	}
-	if byID[ex].Attrs["safe_mode"] != "false" {
+	if byID[ex].Attrs["outcome"] != "ok" {
 		t.Fatalf("attrs = %v", byID[ex].Attrs)
 	}
 
@@ -200,7 +200,7 @@ func TestTracerConcurrent(t *testing.T) {
 				j := tr.BeginJob(root, "bfs", "vt")
 				ex := tr.Begin(j, "execute", "bfs", "vt")
 				tr.SetAttr(ex, "i", "x")
-				tr.Event(j, "supervisor.retry", "bfs", "vt")
+				tr.Event(j, "supervisor.panic", "bfs", "vt")
 				tr.End(ex)
 				tr.EndJob(j)
 			}
