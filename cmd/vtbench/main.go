@@ -11,7 +11,7 @@
 //	vtbench -json BENCH_sched.json    # the sweep record (the committed benchcheck baseline; see internal/sweepcli)
 //	vtbench -cpuprofile cpu.pprof     # profile, labeled by workload/variant
 //	vtbench -faildir failures         # write repro bundles for failed runs
-//	vtbench -store c -resume          # continue an interrupted/failed sweep
+//	vtbench -store c                  # the same command again continues an interrupted/failed sweep
 //	vtbench -store c -mirror m        # replicate the result store to a second directory
 //	vtbench -store c -repair          # audit + heal the store, then exit
 //	vtbench -monitor :8080            # live sweep progress (HTML, /status, /metrics, /debug/pprof)
@@ -22,12 +22,12 @@
 //	vtbench -worker URL -slots 4      # ... holding four jobs at a time
 //
 // Exit codes: 0 on success, 1 on a fatal setup error, 3 when the sweep
-// completed but one or more runs failed (repro bundles in -faildir, the
-// completion journal marks them for -resume). On SIGINT/SIGTERM the
+// completed but one or more runs failed (repro bundles in -faildir; a
+// re-run with the same -store executes them again). On SIGINT/SIGTERM the
 // sweep drains in-flight runs, waits for the store to hold every
 // finished run's outcome, and exits 128+signum (130/143); a second
 // signal kills immediately, losing at most the outcomes still in the
-// store's write-behind window (-resume re-executes those).
+// store's write-behind window (a re-run executes those).
 package main
 
 import (
@@ -116,11 +116,10 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Sweep observability: every invocation's sweep gets its own Monitor,
-	// and any flag that consumes spans turns the tracer on. With all of
-	// them off, the sweep's Trace stays nil and every tracer hook is a
-	// nil-receiver no-op — the contract behind the CI overhead gate.
-	mon := harness.NewMonitor(p.Sweep)
+	// Sweep observability: the sweep carries its own Monitor, and any
+	// flag that consumes spans turns the tracer on. With all of them off,
+	// the sweep's Trace stays nil and every tracer hook is a nil-receiver
+	// no-op — the contract behind the CI overhead gate.
 	var tracer *sweepobs.Tracer
 	if *sweeptrace != "" || *metricsOut != "" || *monitor != "" {
 		tracer = sweepobs.New()
@@ -129,7 +128,7 @@ func realMain() int {
 
 	stopMonitor := func() {}
 	if *monitor != "" {
-		if stopMonitor, err = sweepcli.Serve("vtbench", "monitor", *monitor, mon.Handler()); err != nil {
+		if stopMonitor, err = sweepcli.Serve("vtbench", "monitor", *monitor, p.Sweep.Monitor.Handler()); err != nil {
 			return fatalf("%v", err)
 		}
 		defer stopMonitor()
@@ -153,7 +152,7 @@ func realMain() int {
 		return code
 	}
 
-	if err := sf.OpenJournal("vtbench", p); err != nil {
+	if err := sf.OpenJournal(p); err != nil {
 		return fatalf("%v", err)
 	}
 
@@ -176,7 +175,7 @@ func realMain() int {
 	if r.Failures > 0 {
 		fmt.Fprintf(w, "supervisor: %d failed runs\n", r.Failures)
 		if sf.FailDir != "" {
-			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run the failed jobs with -store %s -resume\n",
+			fmt.Fprintf(w, "supervisor: repro bundles in %s; re-run with the same -store %s to execute the failed jobs again\n",
 				sf.FailDir, sf.StoreDir)
 		}
 	}
@@ -185,7 +184,7 @@ func realMain() int {
 	// then flush the observability outputs from the final state.
 	stopMonitor()
 	if tracer != nil {
-		if err := writeSweepObservability(p, mon, tracer, *sweeptrace, *metricsOut); err != nil {
+		if err := writeSweepObservability(p, tracer, *sweeptrace, *metricsOut); err != nil {
 			return fatalf("%v", err)
 		}
 	}
@@ -246,7 +245,7 @@ func runWorkerMode(ctx context.Context, sig *sweepcli.Signals, p harness.Params,
 // requested outputs: the raw JSON dump (vtreport -tracepath input, which
 // also renders it for Perfetto), the result-store artifact (when a store
 // is attached), and the final Prometheus exposition.
-func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *sweepobs.Tracer, tracePath, metricsPath string) error {
+func writeSweepObservability(p harness.Params, tracer *sweepobs.Tracer, tracePath, metricsPath string) error {
 	d := tracer.Dump()
 	if tracePath != "" {
 		b, err := json.MarshalIndent(d, "", " ")
@@ -268,7 +267,7 @@ func writeSweepObservability(p harness.Params, mon *harness.Monitor, tracer *swe
 		}
 	}
 	if metricsPath != "" {
-		return writeFile("metricsdump", metricsPath, mon.WriteMetrics)
+		return writeFile("metricsdump", metricsPath, p.Sweep.Monitor.WriteMetrics)
 	}
 	return nil
 }
@@ -294,7 +293,7 @@ func writeFile(flagName, path string, write func(io.Writer) error) error {
 // runRepair opens the result store, audits every object on every side,
 // heals damaged copies bit-identically from a healthy replica, brings a
 // journal that is missing or behind on one side up to the other's (a
-// lost side is rebuilt whole, ready for -resume), and prints the report.
+// lost side is rebuilt whole, ready for a re-run), and prints the report.
 // Exit 0 when the store is (or was made) fully healthy, 1 on a setup
 // error, 3 when objects remain unrecoverable — those were quarantined,
 // so the next sweep re-simulates them.

@@ -11,7 +11,7 @@
 //	vtsweepd -store c -run fig-swaplat            # serve on :7077, wait for workers
 //	vtbench  -worker http://host:7077 -store w1   # ... on each worker machine
 //	vtsweepd -store c -addr :9000 -lease-ttl 30s  # custom port and lease TTL
-//	vtsweepd -store c -resume                     # re-lease only what the journal lacks
+//	vtsweepd -store c -run fig-swaplat            # again: re-lease only what the store lacks
 //
 // Determinism contract: a sweep run on N workers produces bit-identical
 // sim_cycles and tables to the single-process vtbench run of the same
@@ -71,7 +71,7 @@ func realMain() int {
 
 	p.Sweep.Trace = sweepobs.New()
 
-	if err := sf.OpenJournal("vtsweepd", p); err != nil {
+	if err := sf.OpenJournal(p); err != nil {
 		return fatalf("%v", err)
 	}
 
@@ -123,7 +123,7 @@ func realMain() int {
 		len(st.Workers), st.Completions, st.DuplicateCompletions,
 		st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesReleased, drain.Milliseconds())
 	if report.Failures > 0 {
-		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; -resume re-dispatches them)\n", report.Failures)
+		fmt.Fprintf(w, "supervisor: %d failed runs (journaled; re-run with the same -store to re-dispatch them)\n", report.Failures)
 	}
 	if err := sf.WriteJSON("vtsweepd", report); err != nil {
 		return fatalf("%v", err)

@@ -140,9 +140,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.Params.Sweep == nil {
 		cfg.Params.Sweep = harness.NewSweep()
 	}
-	if cfg.Params.Sweep.Monitor == nil {
-		harness.NewMonitor(cfg.Params.Sweep)
-	}
 	c := &Coordinator{
 		cfg:         cfg,
 		sweep:       cfg.Params.Sweep,

@@ -554,10 +554,14 @@ func sweepJobs() []harness.Job {
 }
 
 // testSweepParams are the fixtures' sweep parameters over a store in
-// dir, bound to a Sweep of their own that the test closes on exit.
+// dir, bound to a Sweep of their own that the test closes on exit. Every
+// store a fabric test opens — coordinator, worker, or single-process —
+// opens through testsupport.PassThrough, which skips the fsync syscall:
+// the crashes these tests drive are worker deaths and lost leases
+// inside the process, which the page cache survives.
 func testSweepParams(t *testing.T, dir string) harness.Params {
 	p := harness.Params{Scale: 1, Config: testsupport.Small(), Dilute: 50, Workers: 4, CacheDir: dir,
-		Sweep: harness.NewSweep()}
+		StoreFault: testsupport.PassThrough(), Sweep: harness.NewSweep()}
 	t.Cleanup(p.Sweep.Close)
 	return p
 }
@@ -676,7 +680,7 @@ func startWorker(ctx context.Context, url, id string, slots int, dir string) <-c
 	go func() {
 		done <- RunWorker(ctx, WorkerConfig{
 			Coordinator: url, ID: id, Slots: slots,
-			Params: harness.Params{CacheDir: dir},
+			Params: harness.Params{CacheDir: dir, StoreFault: testsupport.PassThrough()},
 		})
 	}()
 	return done
@@ -1045,10 +1049,10 @@ func TestFleetThroughputScaling(t *testing.T) {
 // TestFleetLeasesMixes: a sweep of its own over a mirrored store, with the
 // journal opened (and the mirror's header seeded) the way vtbench and
 // vtsweepd do it.
-func mixSweepParams(t *testing.T, dir, mirror string, resume bool) harness.Params {
+func mixSweepParams(t *testing.T, dir, mirror string) harness.Params {
 	t.Helper()
 	p := harness.Params{Scale: 1, Config: config.GTX480(), Dilute: 60, Workers: 2,
-		CacheDir: dir, MirrorDir: mirror, Resume: resume, Sweep: harness.NewSweep()}
+		CacheDir: dir, MirrorDir: mirror, StoreFault: testsupport.PassThrough(), Sweep: harness.NewSweep()}
 	t.Cleanup(p.Sweep.Close)
 	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
@@ -1104,12 +1108,6 @@ func storeSide(t *testing.T, dir string) (journal string, objects []string) {
 	return string(b), objects
 }
 
-// TestFleetLeasesMixes: a concurrent-kernel mix is leased like any job.
-// fig-multikernel through a one-worker fleet grants six leases and
-// prints the local table, and both paths leave the same store: six
-// result objects and a header-only journal (mixes commit no journal
-// line; see harness.CommitOutcome) on primary and mirror, from which a
-// -resume executes nothing.
 // TestWorkerRetriesThroughOutages drives both of the worker's retry paths
 // against a coordinator behind a proxy that refuses the first two
 // /v1/lease requests and the first /v1/complete with a 503: the slot
@@ -1186,24 +1184,30 @@ func TestWorkerRetriesThroughOutages(t *testing.T) {
 	}
 }
 
+// TestFleetLeasesMixes: a concurrent-kernel mix is leased like any job.
+// fig-multikernel through a one-worker fleet grants six leases and
+// prints the local table, and both paths leave the same store: six
+// result objects and a header-only journal (mixes commit no journal
+// line; see harness.CommitOutcome) on primary and mirror, over which a
+// re-run executes nothing.
 func TestFleetLeasesMixes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	resumeExecutesNothing := func(dir, mirror, want string) {
+	rerunExecutesNothing := func(dir, mirror, want string) {
 		t.Helper()
-		p := mixSweepParams(t, dir, mirror, true) // a fresh sweep: only the store knows the mixes
+		p := mixSweepParams(t, dir, mirror) // a fresh sweep: only the store knows the mixes
 		defer p.Sweep.Close()
 		if got := renderMixes(t, p); got != want {
-			t.Errorf("resumed table differs:\n%s\nvs\n%s", got, want)
+			t.Errorf("re-run table differs:\n%s\nvs\n%s", got, want)
 		}
 		if m := p.Sweep.Metrics(); m.Requests != 6 || m.Executed != 0 || m.StoreHits != 6 {
-			t.Errorf("resume over %s: %+v, want 6 store hits and nothing executed", dir, m)
+			t.Errorf("re-run over %s: %+v, want 6 store hits and nothing executed", dir, m)
 		}
 	}
 
 	localDir, localMirror := t.TempDir(), t.TempDir()
-	lp := mixSweepParams(t, localDir, localMirror, false)
+	lp := mixSweepParams(t, localDir, localMirror)
 	want := renderMixes(t, lp)
 	lp.Sweep.Close()
 	wantJournal, wantObjs := storeSide(t, localDir)
@@ -1211,10 +1215,10 @@ func TestFleetLeasesMixes(t *testing.T) {
 		t.Fatalf("local sweep left %d journal lines and %d result objects, want the header and 6:\n%s",
 			n, len(wantObjs), wantJournal)
 	}
-	resumeExecutesNothing(localDir, localMirror, want)
+	rerunExecutesNothing(localDir, localMirror, want)
 
 	dir, mirror := t.TempDir(), t.TempDir()
-	cp := mixSweepParams(t, dir, mirror, false)
+	cp := mixSweepParams(t, dir, mirror)
 	coord := New(Config{Params: cp, LeaseTTL: 5 * time.Second})
 	t.Cleanup(coord.Close)
 	srv := httptest.NewServer(coord.Handler())
@@ -1247,5 +1251,5 @@ func TestFleetLeasesMixes(t *testing.T) {
 				d, j, objs, wantJournal, wantObjs)
 		}
 	}
-	resumeExecutesNothing(dir, mirror, want)
+	rerunExecutesNothing(dir, mirror, want)
 }

@@ -58,7 +58,7 @@ func CacheKey(fp string) string {
 
 // writeBehindWindow bounds the run outcomes a sweep has submitted but its
 // store has not yet made durable. It is the most a process killed outright
-// can lose (-resume re-executes exactly those jobs), and the depth at
+// can lose (a re-run over the same store re-executes exactly those jobs), and the depth at
 // which a slot that outruns the disk starts to wait for it. Commits in the window coalesce into group-commit batches,
 // so the window also caps a batch.
 const writeBehindWindow = 32

@@ -27,7 +27,7 @@ import (
 // and disk caches treat them exactly like ordinary results.
 //
 // Checkpoints persist in the disk cache (CacheDir) keyed by the prefix
-// fingerprint, so a re-invocation — including a -resume after a crash —
+// fingerprint, so a re-invocation — including a re-run after a crash —
 // forks across processes without re-simulating the prefix.
 
 // checkpointEvery is the donor capture cadence. Small enough that even

@@ -77,11 +77,6 @@ type Params struct {
 	// CheckInvariants runs every simulation with the gpu conservation-
 	// invariant checker enabled (see gpu.Options.CheckInvariants).
 	CheckInvariants bool
-	// Resume marks this sweep as resuming a journaled one: the sweep's
-	// journal must already exist and match (Sweep.OpenJournal), and jobs it
-	// recorded as failed are counted in RunMetrics.ResumedFailed when they
-	// re-execute.
-	Resume bool
 	// Inject installs a deterministic fault into the matching run (tests
 	// and the CI supervisor drill). Nil in normal operation.
 	Inject *faultinject.Spec
@@ -91,7 +86,7 @@ type Params struct {
 	// run's reported error bound. Sampled results are approximations, so
 	// the sampling configuration is part of the memo/disk-cache
 	// fingerprint and of the journal header — a sampled sweep never
-	// poisons an exact cache or resumes an exact journal. Incompatible
+	// poisons an exact cache or appends to an exact journal. Incompatible
 	// with Checkpoint and CheckInvariants (gpu.Run rejects the
 	// combination); fault-injected runs, which force the invariant
 	// checker, execute exactly. The zero value (the default) runs fully

@@ -18,9 +18,15 @@ import (
 )
 
 // inSweep binds p to a fresh Sweep, closed when the test ends: a test's
-// stand-in for a new process.
+// stand-in for a new process. A p that names no StoreFault gets
+// testsupport.PassThrough, so a store it opens skips the fsync syscall:
+// every crash these tests drive is simulated inside the process, where
+// the page cache survives it.
 func inSweep(t testing.TB, p Params) Params {
 	t.Helper()
+	if p.StoreFault == nil {
+		p.StoreFault = testsupport.PassThrough()
+	}
 	p.Sweep = NewSweep()
 	t.Cleanup(p.Sweep.Close)
 	return p

@@ -7,23 +7,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
-// The completion journal makes sweeps resumable. Every executed run's
+// The completion journal records what a sweep ran. Every executed run's
 // outcome appends one JSON line to it, in the same result-store
-// transaction that stores the Result (see CommitOutcome). A later
-// invocation opened with resume=true reads the journal to report what
-// already completed — successful runs are disk-cache hits, failed runs
-// were never cached and so re-execute naturally — and
-// RunMetrics.ResumedFailed counts the re-runs so "only the failed jobs
-// were redone" is checkable.
+// transaction that stores the Result (see CommitOutcome). The sweep
+// itself never reads the entries back: continuing an interrupted or
+// partially failed sweep is running the same command over the same
+// store, which serves every stored result and re-executes only the jobs
+// it lacks (failed runs were never cached). The file is the record that
+// drills and vtperf read and that vtreport audits.
 //
 // File format (JSONL): the first line is a header {"meta": {...}}
 // identifying the sweep shape (journal version, scale, dilution, config
 // name); every following line is one JournalEntry. Append-only: a
 // crashed sweep leaves a valid prefix, and a torn final line is skipped
-// on load.
+// by readers.
 
 // journalVersion invalidates journals when the line format changes.
 const journalVersion = 1
@@ -33,9 +32,9 @@ const journalVersion = 1
 // on every replica side, so it is part of the store layout contract.
 const JournalFileName = "journal.jsonl"
 
-// JournalMeta identifies the sweep a journal belongs to. A resume whose
-// parameters produce a different meta is refused: its fingerprints would
-// not line up with the journal's entries.
+// JournalMeta identifies the sweep a journal belongs to. A sweep whose
+// parameters produce a different meta rotates the journal aside and
+// starts its own: its fingerprints would not line up with the entries.
 type JournalMeta struct {
 	Version int    `json:"version"`
 	Scale   int    `json:"scale"`
@@ -44,10 +43,10 @@ type JournalMeta struct {
 	// Sampling is the sweep's sampling configuration in
 	// gpu.SamplingOptions.String form ("detailed:fastforward:warmup"),
 	// empty for exact sweeps. Sampled cycle counts are extrapolations, so
-	// a sampled sweep must not resume an exact journal (or vice versa, or
-	// one with different windows): the field makes such metas unequal,
-	// which openJournal refuses. Exact sweeps keep the historical header
-	// (the field is omitted), so existing journals remain resumable.
+	// a sampled sweep must not append to an exact journal (or vice versa,
+	// or one with different windows): the field makes such metas unequal.
+	// Exact sweeps keep the historical header (the field is omitted), so
+	// existing journals still match.
 	Sampling string `json:"sampling,omitempty"`
 }
 
@@ -78,40 +77,12 @@ type journalHeader struct {
 	Meta JournalMeta `json:"meta"`
 }
 
-// Journal is the sweep's view of its completion journal. The file's
-// lines are appended by result-store transactions (CommitOutcome); the
-// Journal holds the status map of what this sweep recorded, plus, on a
-// resume, what the file held when it was opened. Safe for concurrent use.
-type Journal struct {
-	mu     sync.Mutex
-	status map[string]string // cache key -> latest status
-}
-
-// openJournal adopts the journal at path for the sweep described by meta
-// (Sweep.OpenJournal derives both from Params) and returns its view; see
-// adoptJournal. resume is the one case that reads the entries: they are
-// replayed into the status map that Status and Summary report.
-func openJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
-	jl := &Journal{status: map[string]string{}}
-	var replay map[string]string
-	if resume {
-		replay = jl.status
-	}
-	if err := adoptJournal(path, meta, replay); err != nil {
-		return nil, err
-	}
-	return jl, nil
-}
-
 // adoptJournal makes the journal at path one that belongs to the sweep
 // described by meta. A journal whose header matches is left exactly as
-// it is — not rewritten, not fsynced — and a missing, foreign or damaged
-// one is replaced by a fresh header (the old bytes rotated aside), which
-// is made durable. A non-nil replay makes it a resume: the entries are
-// replayed into it, and a missing or foreign journal is refused instead
-// of replaced.
-func adoptJournal(path string, meta JournalMeta, replay map[string]string) error {
-	resume := replay != nil
+// it is — not rewritten, not fsynced, not read past its header — and a
+// missing, foreign or damaged one is replaced by a fresh header (the old
+// bytes rotated aside), which is made durable.
+func adoptJournal(path string, meta JournalMeta) error {
 	meta.Version = journalVersion
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -121,21 +92,18 @@ func adoptJournal(path string, meta JournalMeta, replay map[string]string) error
 	existing, err := os.Open(path)
 	switch {
 	case err == nil:
-		err = readJournal(existing, meta, replay)
+		err = readHeader(existing, meta)
 		existing.Close()
 		if err == nil {
 			return nil
 		}
-		if resume {
+		// A foreign or damaged journal: keep the old bytes inspectable,
+		// start over.
+		if err := rotateAside(path); err != nil {
 			return err
 		}
-		// Fresh sweep over a foreign or damaged journal: keep the old
-		// bytes inspectable, start over.
-		rotateAside(path)
 	case !os.IsNotExist(err):
 		return fmt.Errorf("harness: open journal: %w", err)
-	case resume:
-		return fmt.Errorf("harness: nothing to resume: no journal at %s", path)
 	}
 	return writeHeader(path, meta)
 }
@@ -143,8 +111,10 @@ func adoptJournal(path string, meta JournalMeta, replay map[string]string) error
 // rotateAside moves a foreign or damaged journal to path+".old", or to
 // path+".old.N" for the first free N when earlier rotations already
 // took the shorter names: one rotation must never clobber another, so
-// every superseded sweep's bytes stay inspectable.
-func rotateAside(path string) {
+// every superseded sweep's bytes stay inspectable. A rotation that fails
+// is an error: the fresh header would otherwise truncate the bytes it
+// meant to keep.
+func rotateAside(path string) error {
 	dst := path + ".old"
 	for n := 1; ; n++ {
 		if _, err := os.Lstat(dst); os.IsNotExist(err) {
@@ -152,7 +122,10 @@ func rotateAside(path string) {
 		}
 		dst = fmt.Sprintf("%s.old.%d", path, n)
 	}
-	os.Rename(path, dst)
+	if err := os.Rename(path, dst); err != nil {
+		return fmt.Errorf("harness: rotate journal %s aside: %w", path, err)
+	}
+	return nil
 }
 
 // writeHeader starts a fresh journal file containing only the meta line
@@ -173,13 +146,10 @@ func writeHeader(path string, meta JournalMeta) error {
 	return nil
 }
 
-// readJournal checks that the journal f starts with want's header and,
-// when replay is non-nil, replays its entries into it (cache key ->
-// latest status); with replay nil it reads no further than the header
-// line. A torn entry line (crashed writer) is skipped; a missing header,
-// or one that does not belong to the sweep described by want, is an
-// error.
-func readJournal(f *os.File, want JournalMeta, replay map[string]string) error {
+// readHeader checks that the journal f starts with want's header; it
+// reads no further than that line. A missing header, or one that does
+// not belong to the sweep described by want, is an error.
+func readHeader(f *os.File, want JournalMeta) error {
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() {
 		return fmt.Errorf("harness: journal %s is empty", f.Name())
@@ -192,43 +162,5 @@ func readJournal(f *os.File, want JournalMeta, replay map[string]string) error {
 		return fmt.Errorf("harness: journal %s belongs to a different sweep: recorded %+v, want %+v",
 			f.Name(), hdr.Meta, want)
 	}
-	for replay != nil && sc.Scan() {
-		var e JournalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.FP == "" {
-			continue // torn line from a crashed writer
-		}
-		replay[e.FP] = e.Status
-	}
 	return nil
-}
-
-// Record notes an entry's status. The line itself reaches the file
-// through the result-store transaction that commits the outcome (see
-// CommitOutcome in supervisor.go).
-func (jl *Journal) Record(e JournalEntry) {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	jl.status[e.FP] = e.Status
-}
-
-// Status returns the recorded status for a cache key ("" = never run).
-func (jl *Journal) Status(fpKey string) string {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.status[fpKey]
-}
-
-// Summary counts recorded outcomes by status.
-func (jl *Journal) Summary() (ok, failed int) {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	for _, st := range jl.status {
-		switch st {
-		case "ok":
-			ok++
-		case "failed":
-			failed++
-		}
-	}
-	return ok, failed
 }

@@ -54,9 +54,6 @@ type RunMetrics struct {
 	// Failures counts runs that failed, for any reason, and became
 	// RunFailure repro bundles.
 	Failures int `json:"runs_failed,omitempty"`
-	// ResumedFailed counts executed jobs that a resumed sweep's journal
-	// had recorded as failed — the jobs -resume exists to re-run.
-	ResumedFailed int `json:"resumed_failed,omitempty"`
 
 	// Prefix-fork counters (Params.Checkpoint; see fork.go).
 
@@ -113,7 +110,6 @@ func (m *RunMetrics) add(d RunMetrics) {
 	m.InvariantTrips += d.InvariantTrips
 	m.Deadlines += d.Deadlines
 	m.Failures += d.Failures
-	m.ResumedFailed += d.ResumedFailed
 	m.CheckpointsCaptured += d.CheckpointsCaptured
 	m.CheckpointHits += d.CheckpointHits
 	m.CheckpointMisses += d.CheckpointMisses
@@ -247,8 +243,8 @@ func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 // result store, and only on a miss hands the job to p's Executor — whose
 // Outcome.Work it then folds into the sweep's counters and Monitor. A
 // store hit costs nothing: Executed and SimCycles stay untouched, so
-// simcycles/s reflects real simulation work (a resumed sweep reads ~0,
-// not a stale cumulative average).
+// simcycles/s reflects real simulation work (a re-run over a full store
+// reads ~0, not a stale cumulative average).
 func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	defer close(e.done)
 	e.key = CacheKey(e.fp)
@@ -266,16 +262,9 @@ func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 			return
 		}
 	}
-	// The sweep that owns the journal knows which jobs a resumed sweep is
-	// re-running because they failed last time.
-	resumedFailed := p.Resume && s.Journal != nil && s.Journal.Status(e.key) == "failed"
 	e.out, e.err = p.executor().Execute(p, j, e.cfg, e.fp)
-	work := e.out.Work
-	if resumedFailed {
-		work.ResumedFailed++
-	}
-	s.count(func(m *RunMetrics) { m.add(work) })
-	if work.SimCycles > 0 {
-		s.Monitor.noteFinished(work.SimCycles)
+	s.count(func(m *RunMetrics) { m.add(e.out.Work) })
+	if c := e.out.Work.SimCycles; c > 0 {
+		s.Monitor.noteFinished(c)
 	}
 }

@@ -26,9 +26,8 @@ import (
 // The monitor is passive bookkeeping: a map update per job, nothing on
 // the simulation hot path.
 //
-// A Monitor belongs to one Sweep (NewMonitor) and serves that sweep's
-// counters and trace; a sweep without one reports to nobody (the job
-// hooks are nil-receiver no-ops, as with a nil *sweepobs.Tracer).
+// A Monitor belongs to one Sweep (NewSweep attaches it) and serves that
+// sweep's counters and trace.
 
 // MonitorSchemaVersion identifies the /status JSON layout. Version 3
 // spelled the "metrics" object with RunMetrics' JSON keys (the -json
@@ -47,7 +46,7 @@ type finishedJob struct {
 }
 
 // Monitor tracks one sweep's live state. Safe for concurrent use; the
-// zero value is not usable — construct with NewMonitor.
+// zero value is not usable — every Sweep carries one.
 type Monitor struct {
 	sweep   *Sweep
 	mu      sync.Mutex
@@ -66,16 +65,15 @@ type Monitor struct {
 	Fleet func() *FleetStatus
 }
 
-// NewMonitor attaches an empty monitor to s: s's jobs report to it, and
+// newMonitor returns an empty monitor for s: s's jobs report to it, and
 // its endpoints serve s's counters and the stage totals and span metrics
 // of s.Trace.
-func NewMonitor(s *Sweep) *Monitor {
+func newMonitor(s *Sweep) *Monitor {
 	m := &Monitor{sweep: s, now: time.Now, active: map[string]activeJob{}, hist: sweepobs.NewRegistry()}
 	// Bounds: powers of two up to the write-behind window, which caps a
 	// batch.
 	m.batchTxs = m.hist.Histogram("vtsweep_store_batch_txs",
 		"Transactions per result-store group-commit batch.", []float64{1, 2, 4, 8, 16, writeBehindWindow})
-	s.Monitor = m
 	return m
 }
 
@@ -88,9 +86,6 @@ type activeJob struct {
 }
 
 func (m *Monitor) beginJob(fp string, j Job) {
-	if m == nil {
-		return
-	}
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -101,9 +96,6 @@ func (m *Monitor) beginJob(fp string, j Job) {
 }
 
 func (m *Monitor) endJob(fp string) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.active, fp)
@@ -111,13 +103,9 @@ func (m *Monitor) endJob(fp string) {
 
 // noteFinished records one executed run's simulated cycles at its
 // completion time. Cache hits never call this, so the windowed rate
-// reflects real simulation work — a resumed sweep that serves
-// everything from the store reports ~0, not a stale cumulative
-// average.
+// reflects real simulation work — a re-run that serves everything
+// from the store reports ~0, not a stale cumulative average.
 func (m *Monitor) noteFinished(cycles int64) {
-	if m == nil {
-		return
-	}
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -127,9 +115,6 @@ func (m *Monitor) noteFinished(cycles int64) {
 
 // noteStoreBatch records one group-commit batch of txs transactions.
 func (m *Monitor) noteStoreBatch(txs int) {
-	if m == nil {
-		return
-	}
 	m.batchTxs.Observe(float64(txs))
 }
 
@@ -199,7 +184,7 @@ type MonitorStatus struct {
 	// SimCyclesPerSec is the windowed rate: simulated cycles of runs
 	// finishing within the last monitorRateWindow, over the window (or
 	// the uptime while younger than the window). It reads ~0 when the
-	// sweep is serving cache hits, so a resumed sweep does not report a
+	// sweep is serving cache hits, so a re-run does not report a
 	// stale average. On a coordinator it is the fleet's rate.
 	SimCyclesPerSec float64 `json:"simCyclesPerSec"`
 	// *FleetStatus is present when a fleet is attached; its keys are

@@ -23,7 +23,6 @@ func TestMonitorHandler(t *testing.T) {
 	p := inSweep(t, DefaultParams())
 	p.Config = testsupport.Small()
 	p.Dilute = 60
-	NewMonitor(p.Sweep)
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
 		t.Fatal(err)
@@ -85,11 +84,11 @@ func TestMonitorHandler(t *testing.T) {
 
 // TestMonitorWindowedRate is the resume-staleness regression: the
 // reported simcycles/s must reflect *recently finished* work, so a
-// monitor that stops executing (e.g. a resumed sweep serving cache
-// hits) decays to zero instead of holding the stale lifetime average.
+// monitor that stops executing (e.g. a re-run serving cache hits)
+// decays to zero instead of holding the stale lifetime average.
 func TestMonitorWindowedRate(t *testing.T) {
 	now := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	m := NewMonitor(NewSweep())
+	m := NewSweep().Monitor
 	m.now = func() time.Time { return now }
 
 	m.beginJob("fp", Job{Workload: "bfs", Variant: "vt"})
@@ -124,12 +123,12 @@ func TestMonitorWindowedRate(t *testing.T) {
 }
 
 // TestMonitorInjectedIsolation pins the per-sweep monitor: a sweep
-// reports to the Monitor attached to it, and a sweep given none reports to
-// nobody — there is no process-wide monitor for it to leak into.
+// reports to its own Monitor, and another sweep's work never reaches it —
+// there is no process-wide monitor for it to leak into.
 func TestMonitorInjectedIsolation(t *testing.T) {
 	jobs := policyJobs([]string{"bfs"}, []config.Policy{config.PolicyBaseline})
 	p := forkTestParams(t)
-	mon := NewMonitor(p.Sweep)
+	mon := p.Sweep.Monitor
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +139,18 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 	}
 	seen := len(mon.recent)
 
-	bare := forkTestParams(t) // its own empty memo, so this sweep executes too
-	if _, err := runMany(bare, jobs); err != nil {
+	other := forkTestParams(t) // its own empty memo, so this sweep executes too
+	if _, err := runMany(other, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if n := bare.Sweep.Metrics().Executed; n != 1 {
-		t.Fatalf("monitor-less sweep executed %d runs, want 1", n)
+	if n := other.Sweep.Metrics().Executed; n != 1 {
+		t.Fatalf("the other sweep executed %d runs, want 1", n)
+	}
+	if got := len(other.Sweep.Monitor.recent); got != 1 {
+		t.Errorf("the other sweep's monitor saw %d completions, want its 1", got)
 	}
 	if got := len(mon.recent); got != seen {
-		t.Errorf("monitor-less sweep leaked into another sweep's monitor: %d completions, was %d", got, seen)
+		t.Errorf("another sweep leaked into this sweep's monitor: %d completions, was %d", got, seen)
 	}
 }
 
@@ -158,7 +160,7 @@ func TestMonitorInjectedIsolation(t *testing.T) {
 func TestMonitorConcurrentScrape(t *testing.T) {
 	sw := NewSweep()
 	sw.Trace = sweepobs.New()
-	m := NewMonitor(sw)
+	m := sw.Monitor
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -210,7 +212,7 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	p.Config = testsupport.Small()
 	p.Dilute = 60
 	p.Sweep.Trace = sweepobs.New()
-	mon := NewMonitor(p.Sweep)
+	mon := p.Sweep.Monitor
 	if _, err := runMany(p, policyJobs([]string{"bfs"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT})); err != nil {
 		t.Fatal(err)

@@ -69,39 +69,31 @@ func TestSamplingCacheMiss(t *testing.T) {
 	}
 }
 
-// TestSamplingJournalMismatch: a sampled sweep must refuse to resume an
-// exact journal (and vice versa) — the fingerprints recorded there would
-// never match. Fresh (non-resume) opens rotate the foreign journal aside.
+// TestSamplingJournalMismatch: a sampled sweep never appends to an exact
+// journal (and vice versa), nor to one with other windows — the
+// fingerprints recorded there would never match. Each such open rotates
+// the foreign journal aside and starts its own; the same shape again
+// appends to it.
 func TestSamplingJournalMismatch(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, JournalFileName)
 	exact := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
 	sampled := exact
 	sampled.Sampling = testSampling().String()
-
-	if _, err := openJournal(jpath, exact, false); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := openJournal(jpath, sampled, true); err == nil {
-		t.Fatal("sampled resume of an exact journal must be refused")
-	}
-	// The reverse direction: a sampled journal refuses an exact resume,
-	// and also a resume with different windows.
-	if _, err := openJournal(jpath, sampled, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openJournal(jpath, exact, true); err == nil {
-		t.Fatal("exact resume of a sampled journal must be refused")
-	}
 	other := exact
 	other.Sampling = gpu.SamplingOptions{DetailedCycles: 500, FastForwardCycles: 2000}.String()
-	if _, err := openJournal(jpath, other, true); err == nil {
-		t.Fatal("resume with different sampling windows must be refused")
+
+	for i, m := range []JournalMeta{exact, sampled, exact, other, other} {
+		if err := adoptJournal(jpath, m); err != nil {
+			t.Fatalf("open %d (%+v): %v", i, m, err)
+		}
+		if !journalHeaderIs(t, jpath, m) {
+			t.Fatalf("open %d: the journal does not carry %+v", i, m)
+		}
 	}
-	// Same sampled meta resumes fine.
-	if _, err := openJournal(jpath, sampled, true); err != nil {
-		t.Fatalf("matching sampled resume failed: %v", err)
+	// Three changes of shape, three rotations; the repeat rotates nothing.
+	if old, _ := filepath.Glob(jpath + ".old*"); len(old) != 3 {
+		t.Fatalf("%d journals rotated aside (%v), want 3", len(old), old)
 	}
 }
 

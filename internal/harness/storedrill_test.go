@@ -32,7 +32,7 @@ func TestJournalRotateNoClobber(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
 	open := func(scale int) {
-		if _, err := openJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}, false); err != nil {
+		if err := adoptJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}); err != nil {
 			t.Fatalf("open scale=%d: %v", scale, err)
 		}
 	}
@@ -112,23 +112,22 @@ func TestJournalConcurrentAppendsNoInterleave(t *testing.T) {
 	}
 }
 
-// TestJournalOpenReadsEntriesOnlyToResume: opening the journal reads its
-// entries only for a resume. A fresh sweep over a journal with entries
-// and a torn tail starts with an empty status map and still appends
-// whole lines through CommitOutcome; a later resume sees every status;
-// and a mirror journal whose header matches is neither rewritten nor
-// touched — same size, same mtime — by either open.
-func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
+// TestJournalOpenReadsOnlyTheHeader: opening a journal whose header
+// matches reads nothing past that line. A sweep over a journal with
+// entries and a torn tail still appends whole lines through
+// CommitOutcome; a re-run over the full store executes nothing; and a
+// mirror journal whose header matches is neither rewritten nor touched —
+// same size, same mtime — by either open.
+func TestJournalOpenReadsOnlyTheHeader(t *testing.T) {
 	p := Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir(), MirrorDir: t.TempDir()}
 	jobs := policyJobs([]string{"vecadd"},
 		[]config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal})
 	keys := drillKeys(t, p, jobs)
 	primary := filepath.Join(p.CacheDir, JournalFileName)
 	mirror := filepath.Join(p.MirrorDir, JournalFileName)
-	open := func(resume bool) Params {
+	open := func() Params {
 		t.Helper()
 		p := inSweep(t, p)
-		p.Resume = resume
 		if err := p.Sweep.OpenJournal(p); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +167,7 @@ func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
 		}
 	}
 
-	run(open(false), jobs[:2]...)
+	run(open(), jobs[:2]...)
 	// A crashed writer's torn tail on the primary.
 	f, err := os.OpenFile(primary, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -180,12 +179,9 @@ func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
 	f.Close()
 
 	settle()
-	fresh := open(false)
-	untouched("fresh open")
-	if ok, failed := fresh.Sweep.Journal.Summary(); ok+failed != 0 {
-		t.Fatalf("a fresh sweep replayed the journal: %d ok / %d failed", ok, failed)
-	}
-	run(fresh, jobs[2])
+	next := open()
+	untouched("open over entries and a torn tail")
+	run(next, jobs[2])
 	for _, path := range []string{primary, mirror} {
 		if got := journalOKSet(t, path); len(got) != len(keys) {
 			t.Fatalf("%s records %d jobs as ok after the append over a torn tail, want %d", path, len(got), len(keys))
@@ -193,18 +189,13 @@ func TestJournalOpenReadsEntriesOnlyToResume(t *testing.T) {
 	}
 
 	settle()
-	resumed := open(true)
-	untouched("resume open")
-	for i, k := range keys {
-		if st := resumed.Sweep.Journal.Status(k); st != "ok" {
-			t.Fatalf("resume sees job %d as %q, want ok", i, st)
-		}
+	rerun := open()
+	untouched("re-run open")
+	run(rerun, jobs...)
+	if m := rerun.Sweep.Metrics(); m.Executed != 0 {
+		t.Fatalf("the re-run re-executed %d jobs", m.Executed)
 	}
-	run(resumed, jobs...)
-	if m := resumed.Sweep.Metrics(); m.Executed != 0 {
-		t.Fatalf("the resume re-executed %d jobs", m.Executed)
-	}
-	untouched("a resume that executed nothing")
+	untouched("a re-run that executed nothing")
 }
 
 // drillJobs is the crash-drill sweep shape: one workload under two
@@ -231,11 +222,12 @@ func drillKeys(t *testing.T, p Params, jobs []Job) []string {
 	return keys
 }
 
-// journalOKSet parses a journal file and returns the FPs whose latest
-// recorded status is "ok". Duplicate lines (the store's at-least-once
-// append replay after roll-forward recovery) collapse naturally.
-func journalOKSet(t *testing.T, path string) map[string]bool {
-	out := map[string]bool{}
+// journalStatuses parses a journal file into each FP's recorded
+// statuses, in file order. A torn line is skipped, as every reader skips
+// it; a missing file records nothing.
+func journalStatuses(t *testing.T, path string) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -248,31 +240,42 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 		if json.Unmarshal([]byte(ln), &e) != nil || e.FP == "" {
 			continue
 		}
-		if e.Status == "ok" {
-			out[e.FP] = true
-		} else {
-			delete(out, e.FP)
+		out[e.FP] = append(out[e.FP], e.Status)
+	}
+	return out
+}
+
+// journalOKSet returns the FPs whose latest recorded status in the
+// journal file at path is "ok". Duplicate lines (the store's
+// at-least-once append replay after roll-forward recovery) collapse
+// naturally.
+func journalOKSet(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	for fp, sts := range journalStatuses(t, path) {
+		if sts[len(sts)-1] == "ok" {
+			out[fp] = true
 		}
 	}
 	return out
 }
 
 // runDrillSweep executes the drill jobs sequentially through ExecuteJob in a
-// sweep of their own — journaled, resuming if p.Resume, when p names a
-// store — and ends at the durability barrier, stopping at a simulated
-// process death (*testsupport.StoreKill) like a real crash would:
+// sweep of their own — journaled when p names a store — and ends at the
+// durability barrier, stopping at a simulated process death
+// (*testsupport.StoreKill) like a real crash would:
 // outcomes commit write-behind, so the death surfaces at whichever comes
 // first of the next store read, the next submit, and the barrier. Either
 // way the sweep is closed on return (the reboot). Returns whether the
 // sweep was killed, the per-job results gathered before death, and the
 // sweep's counters.
 func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*gpu.Result, m RunMetrics) {
-	p.Sweep = NewSweep()
+	p = inSweep(t, p)
 	defer func() { m = p.Sweep.Metrics() }()
 	defer p.Sweep.Close()
 	if p.CacheDir != "" {
 		if err := p.Sweep.OpenJournal(p); err != nil {
-			t.Fatalf("open journal (resume=%v): %v", p.Resume, err)
+			t.Fatalf("open journal: %v", err)
 		}
 	}
 	results = make([]*gpu.Result, len(jobs))
@@ -300,8 +303,9 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 // two-job journaled sweep commit sequence, then re-run the sweep once
 // per operation with a kill injected exactly there. After every kill,
 // reopening the store recovers to a consistent state (Verify clean, a
-// journal "ok" line if and only if its Result is servable) and -resume
-// re-executes exactly the jobs whose commits had not landed.
+// journal "ok" line if and only if its Result is servable) and a re-run
+// over the same store re-executes exactly the jobs whose commits had not
+// landed.
 func TestStoreCrashDrillResume(t *testing.T) {
 	base, jobs := drillJobs()
 	keys := drillKeys(t, base, jobs)
@@ -342,7 +346,7 @@ func TestStoreCrashDrillResume(t *testing.T) {
 
 			// Rebooted (the killed sweep is closed, every cache and handle
 			// dropped with it): validate the recovered on-disk state directly.
-			st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir})
+			st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir, Fault: testsupport.PassThrough()})
 			if err != nil {
 				t.Fatalf("reopen after kill: %v", err)
 			}
@@ -365,7 +369,7 @@ func TestStoreCrashDrillResume(t *testing.T) {
 				return
 			}
 
-			// Resume: exactly the uncommitted jobs re-execute, and the sweep
+			// Re-run: exactly the uncommitted jobs re-execute, and the sweep
 			// converges to the reference results with every job journaled ok.
 			committed := 0
 			for _, k := range keys {
@@ -374,24 +378,23 @@ func TestStoreCrashDrillResume(t *testing.T) {
 				}
 			}
 			p.StoreFault = nil
-			p.Resume = true
 			killed, res, m := runDrillSweep(t, p, jobs)
 			if killed {
-				t.Fatal("resume sweep died with no fault installed")
+				t.Fatal("re-run sweep died with no fault installed")
 			}
 			if m.Executed != len(jobs)-committed {
-				t.Fatalf("resume executed %d jobs, want exactly the %d uncommitted ones (metrics %+v)",
+				t.Fatalf("re-run executed %d jobs, want exactly the %d uncommitted ones (metrics %+v)",
 					m.Executed, len(jobs)-committed, m)
 			}
 			for i := range jobs {
 				if !reflect.DeepEqual(res[i], refs[i]) {
-					t.Fatalf("job %d: resumed result differs from the reference run", i)
+					t.Fatalf("job %d: re-run result differs from the reference run", i)
 				}
 			}
 			finalOK := journalOKSet(t, filepath.Join(p.CacheDir, JournalFileName))
 			for i, k := range keys {
 				if !finalOK[k] {
-					t.Fatalf("job %d missing from the journal after resume", i)
+					t.Fatalf("job %d missing from the journal after the re-run", i)
 				}
 			}
 		})
@@ -452,14 +455,14 @@ func TestHarnessMirrorRepair(t *testing.T) {
 	}
 
 	// Lose a whole side, either one: Repair rebuilds its objects and its
-	// journal from the survivor, and a resuming sweep over the pair opens
-	// that journal and executes nothing.
+	// journal from the survivor, and a re-run over the pair adopts that
+	// journal and executes nothing.
 	for _, lost := range []string{p.CacheDir, p.MirrorDir} {
 		p.Sweep.Close()
 		if err := os.RemoveAll(lost); err != nil {
 			t.Fatal(err)
 		}
-		st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir})
+		st, err := resultstore.Open(resultstore.Options{Dir: p.CacheDir, Mirror: p.MirrorDir, Fault: testsupport.PassThrough()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,19 +476,18 @@ func TestHarnessMirrorRepair(t *testing.T) {
 		if len(pj) == 0 || string(pj) != string(mj) {
 			t.Fatalf("journals differ after losing %s and repairing:\nprimary %q\nmirror  %q", lost, pj, mj)
 		}
-		p = inSweep(t, p)
-		p.Resume = true
-		if err := p.Sweep.OpenJournal(p); err != nil {
-			t.Fatalf("resume after losing %s: %v", lost, err)
-		}
-		if p.Sweep.Journal.Status(key) != "ok" {
+		if !journalOKSet(t, filepath.Join(p.CacheDir, JournalFileName))[key] {
 			t.Fatalf("the rebuilt journal does not record the job as ok")
+		}
+		p = inSweep(t, p)
+		if err := p.Sweep.OpenJournal(p); err != nil {
+			t.Fatalf("re-run after losing %s: %v", lost, err)
 		}
 		if _, err := runDurable(p, j); err != nil {
 			t.Fatal(err)
 		}
 		if m := p.Sweep.Metrics(); m.Executed != 0 || m.StoreHits != 1 {
-			t.Fatalf("resume after losing %s re-simulated: %+v", lost, m)
+			t.Fatalf("re-run after losing %s re-simulated: %+v", lost, m)
 		}
 	}
 }
@@ -493,9 +495,9 @@ func TestHarnessMirrorRepair(t *testing.T) {
 // TestHarnessLegacyCacheDirCompat: a store directory an older build left
 // — one vtsim-<key>.json per object, index lines without an offset, a
 // commit record under .vtstore/wal — is never served and never touched,
-// but its journal still drives -resume: the job it records as ok is
-// re-simulated because the pack lacks it, and the rewrite is an ordinary
-// object the next run hits.
+// and its journal is adopted, not rotated aside: the job it records as ok
+// is re-simulated because the pack lacks it, and the rewrite is an
+// ordinary object the next run hits.
 func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	p, jobs := drillJobs()
 	j := jobs[0]
@@ -531,12 +533,11 @@ func TestHarnessLegacyCacheDirCompat(t *testing.T) {
 	}
 
 	p = inSweep(t, p)
-	p.Resume = true
 	if err := p.Sweep.OpenJournal(p); err != nil {
-		t.Fatalf("resume over the older layout: %v", err)
+		t.Fatalf("re-run over the older layout: %v", err)
 	}
-	if p.Sweep.Journal.Status(key) != "ok" {
-		t.Fatal("the older journal does not drive the resume")
+	if _, err := os.Stat(filepath.Join(p.CacheDir, JournalFileName+".old")); !os.IsNotExist(err) {
+		t.Fatalf("the older journal was rotated aside (stat: %v)", err)
 	}
 	rerun, err := runDurable(p, j)
 	if err != nil {
@@ -587,8 +588,8 @@ func TestHarnessTransientStoreRetry(t *testing.T) {
 		t.Fatal("injected EIO never fired")
 	}
 
-	p = reboot(t, p)
 	p.StoreFault = nil
+	p = reboot(t, p)
 	if _, err := ExecuteJob(p, j); err != nil {
 		t.Fatal(err)
 	}

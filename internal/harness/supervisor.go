@@ -296,10 +296,10 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 	// A concurrent-kernel mix commits its result object but no journal
 	// line: bench/golden/all-d30.cycles.txt pins the journal at the 286
 	// single-kernel jobs, and only a `benchmark` PR may regenerate it.
-	// -resume finds a finished mix through the store. Follow-up for that
+	// A re-run finds a finished mix through the store. Follow-up for that
 	// PR: delete this exception and journal mixes like every other job.
 	var je *JournalEntry
-	if s.Journal != nil && !strings.Contains(entry.Workload, kernels.MixSep) {
+	if s.journaled && !strings.Contains(entry.Workload, kernels.MixSep) {
 		je = &entry
 	}
 	st, err := s.store(p)
@@ -323,9 +323,6 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 		if b, merr := json.Marshal(je); merr == nil {
 			tx.Append(JournalFileName, b)
 		}
-		// The line reaches the file through the transaction; only the
-		// in-memory status map needs the update.
-		s.Journal.Record(*je)
 	}
 	return s.wb.submit(func() { p.commitBestEffort(tx) })
 }

@@ -92,46 +92,47 @@ func TestSupervisedPanicProducesBundle(t *testing.T) {
 }
 
 // TestJournalResumeReexecutesInjected: an injected run that succeeds (a
-// 1ms hang with no deadline) journals ok but is never cached, so a resume
-// without the fault re-executes exactly that job, and does not count it
-// in resumed_failed: it did not fail.
+// 1ms hang with no deadline) journals ok but is never cached, so a re-run
+// over the same store without the fault re-executes exactly that job,
+// and the journal records it ok twice: it did not fail.
 func TestJournalResumeReexecutesInjected(t *testing.T) {
 	cache := t.TempDir()
+	journal := filepath.Join(cache, JournalFileName)
 	p, jobs := supervisorParams(t)
 	p.CacheDir = cache
 	p.FailDir = t.TempDir()
 	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	jl := p.Sweep.Journal
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
 		Kind: faultinject.Hang, HangFor: time.Millisecond}
 	if _, err := runMany(p, jobs); err != nil {
 		t.Fatalf("a hang without a deadline must not fail the run, got %v", err)
 	}
-	if ok, failed := jl.Summary(); ok != 4 || failed != 0 {
-		t.Fatalf("journal after injected sweep: %d ok / %d failed, want 4/0", ok, failed)
-	}
 	p.Sweep.Close()
+	if ok := journalOKSet(t, journal); len(ok) != 4 || len(journalStatuses(t, journal)) != 4 {
+		t.Fatalf("journal after injected sweep: %d ok of %d jobs, want 4 of 4", len(ok), len(journalStatuses(t, journal)))
+	}
 
 	p2, _ := supervisorParams(t)
 	p2.CacheDir = cache
-	p2.Resume = true
 	if err := p2.Sweep.OpenJournal(p2); err != nil {
-		t.Fatalf("resume open failed: %v", err)
+		t.Fatalf("re-run open failed: %v", err)
 	}
 	if _, err := runMany(p2, jobs); err != nil {
-		t.Fatalf("resumed sweep failed: %v", err)
+		t.Fatalf("re-run failed: %v", err)
 	}
+	p2.Sweep.Close()
 	m := p2.Sweep.Metrics()
 	if m.Executed != 1 || m.StoreHits != 3 {
-		t.Fatalf("resume executed %d and hit the store %d times, want only the injected job re-run (1, 3)", m.Executed, m.StoreHits)
+		t.Fatalf("re-run executed %d and hit the store %d times, want only the injected job re-run (1, 3)", m.Executed, m.StoreHits)
 	}
-	if m.ResumedFailed != 0 {
-		t.Fatalf("ResumedFailed = %d, want 0: the injected job did not fail", m.ResumedFailed)
+	k := drillKeys(t, p2, jobs)[1] // vecadd/vt
+	if got := strings.Join(journalStatuses(t, journal)[k], ","); got != "ok,ok" {
+		t.Fatalf("the injected job's journal lines read %q, want ok,ok", got)
 	}
-	if ok, failed := p2.Sweep.Journal.Summary(); ok != 4 || failed != 0 {
-		t.Fatalf("journal after resume: %d ok / %d failed, want 4/0", ok, failed)
+	if ok := journalOKSet(t, journal); len(ok) != 4 {
+		t.Fatalf("journal after the re-run records %d jobs ok, want 4", len(ok))
 	}
 }
 
@@ -193,12 +194,12 @@ func TestSupervisedCorruption(t *testing.T) {
 }
 
 // TestJournalResume runs a sweep with one injected persistent failure,
-// then resumes without the fault: only the failed job re-executes (the
-// rest come from the disk cache), ResumedFailed records it, and the
-// journal converges to all-ok. Also checks resume meta validation.
+// then runs it again over the same store without the fault: only the
+// failed job re-executes (the rest come from the store), the journal
+// records that job failed and then ok, and it converges to all-ok.
 func TestJournalResume(t *testing.T) {
 	cache := t.TempDir()
-	meta := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
+	journal := filepath.Join(cache, JournalFileName)
 
 	p, jobs := supervisorParams(t)
 	p.CacheDir = cache
@@ -206,77 +207,128 @@ func TestJournalResume(t *testing.T) {
 	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
-	jl := p.Sweep.Journal
 	p.Inject = &faultinject.Spec{Workload: "vecadd", Variant: "vt", Cycle: 100,
 		Kind: faultinject.Panic}
 	if _, err := runMany(p, jobs); err == nil {
 		t.Fatal("expected the injected failure")
 	}
-	if ok, failed := jl.Summary(); ok != 3 || failed != 1 {
-		t.Fatalf("journal after failed sweep: %d ok / %d failed", ok, failed)
-	}
 	p.Sweep.Close()
+	if ok, all := journalOKSet(t, journal), journalStatuses(t, journal); len(ok) != 3 || len(all) != 4 {
+		t.Fatalf("journal after failed sweep: %d ok of %d jobs, want 3 of 4", len(ok), len(all))
+	}
 
-	// Resume without the fault: the three completed jobs are disk-cache
-	// hits, only the failed one executes.
+	// The same sweep again, without the fault: the three completed jobs
+	// are store hits, only the failed one executes.
 	p2, _ := supervisorParams(t)
 	p2.CacheDir = cache
-	p2.Resume = true
 	if err := p2.Sweep.OpenJournal(p2); err != nil {
-		t.Fatalf("resume open failed: %v", err)
+		t.Fatalf("re-run open failed: %v", err)
 	}
-	jl2 := p2.Sweep.Journal
 	res, err := runMany(p2, jobs)
 	if err != nil {
-		t.Fatalf("resumed sweep failed: %v", err)
+		t.Fatalf("re-run failed: %v", err)
 	}
+	p2.Sweep.Close()
 	if len(res) != 4 {
-		t.Fatalf("resumed sweep returned %d results, want 4", len(res))
+		t.Fatalf("re-run returned %d results, want 4", len(res))
 	}
-	m := p2.Sweep.Metrics()
-	if m.Executed != 1 {
+	if m := p2.Sweep.Metrics(); m.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1 (only the failed job re-runs)", m.Executed)
 	}
-	if m.ResumedFailed != 1 {
-		t.Fatalf("ResumedFailed = %d, want 1", m.ResumedFailed)
+	k := drillKeys(t, p2, jobs)[1] // vecadd/vt
+	if got := strings.Join(journalStatuses(t, journal)[k], ","); got != "failed,ok" {
+		t.Fatalf("the failed job's journal lines read %q, want failed,ok", got)
 	}
-	if ok, failed := jl2.Summary(); ok != 4 || failed != 0 {
-		t.Fatalf("journal after resume: %d ok / %d failed, want 4/0", ok, failed)
-	}
-
-	// A resume with mismatched sweep parameters must be refused: the
-	// sweep derives the journal's header from its Params.
-	p2.Sweep.Close()
-	p3, _ := supervisorParams(t)
-	p3.CacheDir, p3.Resume, p3.Dilute = cache, true, 30
-	if err := p3.Sweep.OpenJournal(p3); err == nil || !strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("resume with a different sweep shape: err = %v, want it refused", err)
-	}
-	// And resuming a journal that does not exist is an error too.
-	if _, err := openJournal(filepath.Join(t.TempDir(), "none.jsonl"), meta, true); err == nil {
-		t.Fatal("resume without a journal must fail")
+	if ok := journalOKSet(t, journal); len(ok) != 4 {
+		t.Fatalf("journal after the re-run records %d jobs ok, want 4", len(ok))
 	}
 }
 
-// TestJournalRotatesForeignSweep: opening without resume over a journal
-// from a different sweep starts fresh and keeps the old file as .old.
+// TestJournalRotatesForeignSweep: a sweep over a journal from a
+// different sweep starts fresh and keeps the old file, entries and all,
+// as .old.
 func TestJournalRotatesForeignSweep(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
-	jl, err := openJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}, false)
+	jpath := filepath.Join(dir, JournalFileName)
+	if err := adoptJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}); err != nil {
+		t.Fatal(err)
+	}
+	appendLine(t, jpath, `{"fp":"abc","workload":"x","status":"ok","time":"t"}`)
+	old, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.Record(JournalEntry{FP: "abc", Workload: "x", Status: "ok"})
 
-	jl2, err := openJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}, false)
+	if err := adoptJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := journalStatuses(t, jpath); len(st) != 0 {
+		t.Fatalf("fresh journal inherited foreign entries: %v", st)
+	}
+	if !journalHeaderIs(t, jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}) {
+		t.Fatal("the fresh journal does not carry the new sweep's header")
+	}
+	if got, err := os.ReadFile(jpath + ".old"); err != nil || string(got) != string(old) {
+		t.Fatalf("foreign journal was not rotated aside intact (%v):\n%s", err, got)
+	}
+}
+
+// TestJournalRotationFailureKeepsJournal: when the foreign journal
+// cannot be rotated aside — its directory is not writable, the file is —
+// adopting the journal fails naming it, and the superseded sweep's bytes
+// stay as they were instead of being truncated by a fresh header.
+func TestJournalRotationFailureKeepsJournal(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("running as root, which bypasses the directory permission check this test needs the rename to fail on")
+	}
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, JournalFileName)
+	if err := adoptJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}); err != nil {
+		t.Fatal(err)
+	}
+	appendLine(t, jpath, `{"fp":"abc","workload":"x","status":"ok","time":"t"}`)
+	old, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := jl2.Status("abc"); st != "" {
-		t.Fatalf("fresh journal inherited foreign entries: %q", st)
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(jpath + ".old"); err != nil {
-		t.Fatalf("foreign journal was not rotated aside: %v", err)
+	t.Cleanup(func() { os.Chmod(dir, 0o755) })
+
+	err = adoptJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"})
+	if err == nil || !strings.Contains(err.Error(), jpath) {
+		t.Fatalf("adopting over an unrotatable journal: err = %v, want an error naming %s", err, jpath)
 	}
+	if got, err := os.ReadFile(jpath); err != nil || string(got) != string(old) {
+		t.Fatalf("the journal it could not rotate changed (%v):\n%s", err, got)
+	}
+}
+
+// appendLine appends one line to the file at path.
+func appendLine(t *testing.T, path, line string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalHeaderIs reports whether the journal at path starts with want's
+// header line.
+func journalHeaderIs(t *testing.T, path string, want JournalMeta) bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want.Version = journalVersion
+	return readHeader(f, want) == nil
 }

@@ -15,7 +15,7 @@ import (
 // runs requested so far, the work counters, the workloads it has built
 // (builds.go), the prefix-checkpoint cache, the one result store it may
 // hold open (primary + mirror) behind its write-behind window, and the
-// journal, monitor and tracer that record it.
+// monitor and tracer that record it.
 // Params.Sweep carries the handle down every call the way Params carries
 // its span, and nothing a sweep learns lives at package scope, so two
 // sweeps — or a fabric coordinator and its workers — share a process
@@ -30,16 +30,15 @@ type Sweep struct {
 	// before the sweep's first job.
 	Trace *sweepobs.Tracer
 	// Monitor receives live job begin/finish bookkeeping and serves the
-	// sweep's /status and /metrics from its counters; NewMonitor attaches
-	// one. Nil reports to nobody: every Monitor hook is a nil-receiver
-	// no-op, as with Trace.
+	// sweep's /status and /metrics from its counters. Every sweep has
+	// its own, attached by NewSweep.
 	Monitor *Monitor
-	// Journal, when non-nil, is the status view of the store's
-	// append-only completion journal, which makes the sweep resumable (see
-	// journal.go). OpenJournal attaches the store directory's.
-	Journal *Journal
 
 	wb *writeBehind
+	// journaled is set once OpenJournal has adopted the store's
+	// completion journal (journal.go): CommitOutcome then appends each
+	// outcome's line to it.
+	journaled bool
 
 	mu      sync.Mutex
 	memo    map[string]*memoEntry
@@ -56,11 +55,13 @@ type Sweep struct {
 	st             *resultstore.Store
 }
 
-// NewSweep returns an empty sweep: nothing memoized, nothing counted, no
-// store open.
+// NewSweep returns an empty sweep with its own Monitor: nothing
+// memoized, nothing counted, no store open.
 func NewSweep() *Sweep {
-	return &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cfgJSON: map[config.GPUConfig][]byte{},
+	s := &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cfgJSON: map[config.GPUConfig][]byte{},
 		builds: map[buildKey]*built{}, cks: map[string]*ckEntry{}}
+	s.Monitor = newMonitor(s)
+	return s
 }
 
 // Metrics returns a snapshot of the sweep's work counters.
@@ -154,32 +155,28 @@ func (s *Sweep) OpenStore(p Params) error {
 	return err
 }
 
-// OpenJournal opens p's result store and attaches the completion journal
-// in its directory, for the sweep shape p describes (a p.Resume over
-// another shape's journal is refused; only a resume reads the entries).
-// The store opens first because its recovery may roll committed journal
-// lines forward, and a resume must read them.
-// Both sides get a journal that belongs to the sweep, so store
-// transactions have a valid journal to append to there and a failed-over
-// mirror resumes on its own. Whether a sweep journals is its owner's
-// choice: a fabric worker's local store has none.
+// OpenJournal opens p's result store and adopts the completion journal
+// in its directory for the sweep shape p describes: a journal of that
+// shape is appended to, any other is rotated aside. Only the header line
+// is read. The store opens first because its recovery may roll committed
+// journal lines forward. Both sides get a journal that belongs to the
+// sweep, so store transactions have a valid journal to append to there.
+// Whether a sweep journals is its owner's choice: a fabric worker's
+// local store has none.
 func (s *Sweep) OpenJournal(p Params) error {
 	if err := s.OpenStore(p); err != nil {
 		return err
 	}
 	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
-	jl, err := openJournal(filepath.Join(p.CacheDir, JournalFileName), meta, p.Resume)
-	if err != nil {
+	if err := adoptJournal(filepath.Join(p.CacheDir, JournalFileName), meta); err != nil {
 		return err
 	}
 	if p.MirrorDir != "" {
-		// Only the header is read: a matching journal is left untouched, a
-		// foreign one is rotated aside.
-		if err := adoptJournal(filepath.Join(p.MirrorDir, JournalFileName), meta, nil); err != nil {
+		if err := adoptJournal(filepath.Join(p.MirrorDir, JournalFileName), meta); err != nil {
 			return fmt.Errorf("mirror journal: %w", err)
 		}
 	}
-	s.Journal = jl
+	s.journaled = true
 	return nil
 }
 

@@ -31,7 +31,6 @@ func TestSweepsAreIndependent(t *testing.T) {
 	for i := range ps {
 		ps[i] = inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, Workers: 2,
 			CacheDir: dir, StoreFault: testsupport.NewStoreRecorder()})
-		NewMonitor(ps[i].Sweep)
 		wg.Add(1)
 		go func(p Params, jobs []Job) {
 			defer wg.Done()
@@ -63,7 +62,7 @@ func TestSweepsAreIndependent(t *testing.T) {
 
 // TestOpenJournalDerivesMeta: the journal header is what Params already
 // says — scale, dilution, config name, sampling windows — on both sides of
-// a mirrored store, and a resume under another shape is refused.
+// a mirrored store, and a sweep of another shape rotates both aside.
 func TestOpenJournalDerivesMeta(t *testing.T) {
 	p := inSweep(t, Params{Scale: 2, Config: config.GTX480(), Dilute: 30,
 		Sampling: gpu.SamplingOptions{DetailedCycles: 4000, FastForwardCycles: 8000, WarmupCycles: 1000},
@@ -74,14 +73,22 @@ func TestOpenJournalDerivesMeta(t *testing.T) {
 	p.Sweep.Close()
 	want := JournalMeta{Scale: 2, Dilute: 30, Config: "gtx480", Sampling: "4000:8000:1000"}
 	for _, dir := range []string{p.CacheDir, p.MirrorDir} {
-		if _, err := openJournal(filepath.Join(dir, JournalFileName), want, true); err != nil {
-			t.Errorf("%s: journal does not resume under %+v: %v", dir, want, err)
+		if !journalHeaderIs(t, filepath.Join(dir, JournalFileName), want) {
+			t.Errorf("%s: journal does not carry %+v", dir, want)
 		}
 	}
 	exact := inSweep(t, p)
-	exact.Sampling, exact.Resume = gpu.SamplingOptions{}, true
-	if err := exact.Sweep.OpenJournal(exact); err == nil {
-		t.Error("an exact sweep resumed a sampled sweep's journal")
+	exact.Sampling = gpu.SamplingOptions{}
+	if err := exact.Sweep.OpenJournal(exact); err != nil {
+		t.Fatal(err)
+	}
+	exactMeta := want
+	exactMeta.Sampling = ""
+	for _, dir := range []string{p.CacheDir, p.MirrorDir} {
+		path := filepath.Join(dir, JournalFileName)
+		if !journalHeaderIs(t, path, exactMeta) || !journalHeaderIs(t, path+".old", want) {
+			t.Errorf("%s: an exact sweep did not rotate the sampled sweep's journal aside for its own", dir)
+		}
 	}
 }
 

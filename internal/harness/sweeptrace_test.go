@@ -33,7 +33,6 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	p.CacheDir = dir
 	p.MirrorDir = mirror
 	p.Sweep.Trace = tr
-	NewMonitor(p.Sweep)
 	// One deterministic panic: the nw/vt singleton trips the supervisor
 	// and fails.
 	p.Inject = &faultinject.Spec{Workload: "nw", Variant: "vt", Cycle: 100,

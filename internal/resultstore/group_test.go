@@ -55,6 +55,10 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 	txs := make([][]*Tx, writers)
 	var wg sync.WaitGroup
+	// Hold the commit lock until one writer leads and every other writer
+	// has queued behind it, so at least one batch coalesces however fast
+	// the disk answers (a test store skips the fsync syscall).
+	s.mu.Lock()
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -68,6 +72,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
+	waitQueue(t, s, "a leader and every other writer queued", func() bool { return s.committing && len(s.queue) == writers-1 })
+	s.mu.Unlock()
 	wg.Wait()
 
 	// Every transaction rode in exactly one batch: the leaders' sizes add

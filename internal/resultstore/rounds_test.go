@@ -23,12 +23,11 @@ import (
 // leaves behind.
 
 // syncSpy is a store hook that records the operation trace, counts
-// every fsync, and fails, once, the first fsync whose file path
-// satisfies fail (nil: fail nothing).
+// every fsync (StoreHook.Syncs), and fails, once, the first fsync whose
+// file path satisfies fail (nil: fail nothing).
 type syncSpy struct {
 	*testsupport.StoreHook
 	fail   func(path string) bool
-	calls  atomic.Int64
 	failed atomic.Bool
 }
 
@@ -37,11 +36,11 @@ func newSyncSpy(fail func(path string) bool) *syncSpy {
 }
 
 func (h *syncSpy) Sync(fh *os.File) error {
-	h.calls.Add(1)
+	err := h.StoreHook.Sync(fh)
 	if h.fail != nil && h.fail(fh.Name()) && h.failed.CompareAndSwap(false, true) {
 		return &os.PathError{Op: "sync", Path: fh.Name(), Err: syscall.EIO}
 	}
-	return h.StoreHook.Sync(fh)
+	return err
 }
 
 // openUnder lists this process's open descriptors on files below dirs.
@@ -112,7 +111,7 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 				warm.Append("openers.jsonl", []byte(`{"opener":true}`))
 				mustCommit(t, warm)
 				before, from := dirEntries(t, dirs...), len(spy.Trace())
-				synced := spy.calls.Load()
+				synced := spy.Syncs()
 
 				var txs []*Tx
 				for i := 0; i < k; i++ {
@@ -132,7 +131,7 @@ func TestGroupCommitSyncRounds(t *testing.T) {
 				}
 				// The count is the seam's, not only the set's own: a lone commit
 				// is everything that was fsynced since the first batch.
-				if n := int(spy.calls.Load() - synced); k == 1 && n != syncs {
+				if n := int(spy.Syncs() - synced); k == 1 && n != syncs {
 					t.Fatalf("the batch reports %d fsyncs, %d were issued", syncs, n)
 				}
 				allowed := []string{packFile, filepath.Join(vtstoreDir, walFile), indexFile, "journal.jsonl", "openers.jsonl"}

@@ -23,8 +23,15 @@ func mustCommit(t *testing.T, tx *Tx) {
 	}
 }
 
+// mustOpen opens a store for a test. A test that names no Fault gets
+// testsupport.PassThrough, which skips the fsync syscall: every crash
+// these tests drive is simulated inside the process, where the page cache
+// survives it.
 func mustOpen(t *testing.T, o Options) *Store {
 	t.Helper()
+	if o.Fault == nil {
+		o.Fault = testsupport.PassThrough()
+	}
 	s, err := Open(o)
 	if err != nil {
 		t.Fatalf("open: %v", err)

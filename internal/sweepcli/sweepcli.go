@@ -35,8 +35,7 @@ type Flags struct {
 	Out, CSVDir, JSONPath        string
 	StoreDir, MirrorDir, FailDir string
 	Timeout                      time.Duration
-	CheckInv, Checkpoint         bool
-	Resume, List                 bool
+	CheckInv, Checkpoint, List   bool
 }
 
 // Register declares the shared flags on fs.
@@ -55,7 +54,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.CheckInv, "checkinvariants", false, "run every simulation with the conservation-invariant checker")
 	fs.BoolVar(&f.Checkpoint, "checkpoint", false, "prefix-fork sweep points that differ only in late-consumed parameters (bit-identical results, shared prefix simulated once)")
 	fs.StringVar(&f.Sample, "sample", "", "interval/sampled simulation as detailed:fastforward[:warmup] cycles; cycle counts become extrapolations within a reported error bound")
-	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted or partially failed sweep from the -store journal: only points it lacks run")
 	fs.BoolVar(&f.List, "list", false, "list experiments and exit")
 	return f
 }
@@ -77,8 +75,6 @@ func (f *Flags) Params() (p harness.Params, err error) {
 	case err != nil:
 	case f.MirrorDir != "" && f.StoreDir == "":
 		err = errors.New("-mirror needs -store: the mirror replicates a primary store")
-	case f.Resume && f.StoreDir == "":
-		err = errors.New("-resume needs -store: the journal and the cached results live there")
 	// Sampling extrapolates cycle counts; checkpoint forking and the
 	// invariant checker both assume exact cycle-accurate execution.
 	case so.Enabled() && f.Checkpoint:
@@ -98,7 +94,6 @@ func (f *Flags) Params() (p harness.Params, err error) {
 	p.RunTimeout = f.Timeout
 	p.CheckInvariants = f.CheckInv
 	p.Checkpoint = f.Checkpoint
-	p.Resume = f.Resume
 	p.Sampling = so
 	p.Sweep = harness.NewSweep()
 	return p, nil
@@ -123,21 +118,16 @@ func (f *Flags) OpenOutput() (w io.Writer, closeOut func(), err error) {
 	return io.MultiWriter(os.Stdout, file), func() { file.Close() }, nil
 }
 
-// OpenJournal opens -store's result store and attaches its completion
-// journal to p's sweep (see harness.Sweep.OpenJournal), so a store that
-// cannot be opened fails the set-up. Without -store it does nothing.
-func (f *Flags) OpenJournal(prog string, p harness.Params) error {
+// OpenJournal opens -store's result store and adopts its completion
+// journal for p's sweep (see harness.Sweep.OpenJournal), so a store that
+// cannot be opened fails the set-up. Without -store it does nothing. A
+// sweep continues an interrupted or partially failed one by running
+// again over the same -store: stored results are served, the rest run.
+func (f *Flags) OpenJournal(p harness.Params) error {
 	if f.StoreDir == "" {
 		return nil
 	}
-	if err := p.Sweep.OpenJournal(p); err != nil {
-		return err
-	}
-	if f.Resume {
-		ok, failed := p.Sweep.Journal.Summary()
-		fmt.Fprintf(os.Stderr, "%s: resuming sweep: journal records %d ok, %d failed\n", prog, ok, failed)
-	}
-	return nil
+	return p.Sweep.OpenJournal(p)
 }
 
 // Serve listens on addr — synchronously, so a bad address or an occupied

@@ -55,7 +55,7 @@ func TestFlagsToParams(t *testing.T) {
 		{
 			name: "defaults",
 			check: func(p *harness.Params) bool {
-				return p.Scale == 1 && p.Dilute == 1 && p.FailDir == "failures" && p.CacheDir == "" && !p.Resume
+				return p.Scale == 1 && p.Dilute == 1 && p.FailDir == "failures" && p.CacheDir == ""
 			},
 		},
 		{
@@ -68,12 +68,12 @@ func TestFlagsToParams(t *testing.T) {
 			},
 		},
 		{
+			// Resuming is running the same flags again over the same -store.
 			name:  "sampled resume",
-			args:  []string{"-scale", "2", "-store", "S", "-resume", "-sample", "4000:8000:1000"},
-			check: func(p *harness.Params) bool { return p.Scale == 2 && p.Resume && p.Sampling == samp },
+			args:  []string{"-scale", "2", "-store", "S", "-sample", "4000:8000:1000"},
+			check: func(p *harness.Params) bool { return p.Scale == 2 && p.CacheDir == "S" && p.Sampling == samp },
 		},
 		{name: "mirror without store", args: []string{"-mirror", "M"}, wantErr: "-mirror needs -store"},
-		{name: "resume without store", args: []string{"-resume"}, wantErr: "-resume needs -store"},
 		{name: "sample with checkpoint", args: []string{"-sample", "100:200", "-checkpoint"}, wantErr: "incompatible with -checkpoint"},
 		{name: "sample with checkinvariants", args: []string{"-sample", "100:200", "-checkinvariants"}, wantErr: "incompatible with -checkinvariants"},
 		{name: "malformed sample", args: []string{"-sample", "100"}, wantErr: "sampling spec"},

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -128,6 +129,7 @@ type StoreHook struct {
 	kill   *StoreKill // set once a crash kind fired: the process is dead
 	record bool
 	trace  []string
+	syncs  atomic.Int64
 	// StoreStall: stalled closes when the operation is held, release
 	// lets it go.
 	stalled chan struct{}
@@ -148,6 +150,13 @@ func NewStoreRecorder() *StoreHook {
 	return &StoreHook{spec: StoreSpec{N: -1}, record: true}
 }
 
+// PassThrough returns a hook that injects nothing and records nothing
+// but its fsyncs: the hook a test store opens with when the test names
+// no fault, so that it skips the fsync syscall (see Sync).
+func PassThrough() *StoreHook {
+	return &StoreHook{spec: StoreSpec{N: -1}}
+}
+
 // Trace returns the recorded operations as "op path" lines.
 func (h *StoreHook) Trace() []string {
 	h.mu.Lock()
@@ -162,10 +171,20 @@ func (h *StoreHook) Fired() bool {
 	return h.fired
 }
 
-// Sync fsyncs fh (resultstore.Hook). An fsync is not an operation: it
-// is neither counted, matched nor recorded, so kill points never move
-// with how the store groups its fsyncs.
-func (h *StoreHook) Sync(fh *os.File) error { return fh.Sync() }
+// Sync records an fsync of fh and skips the syscall (resultstore.Hook).
+// Every crash a test drives through a hook is simulated inside the
+// process, where the page cache survives it, so no test can observe a
+// real fsync; skipping it keeps test stores off the disk's latency. An
+// fsync is not an operation: it is neither counted as one, matched nor
+// traced, so kill points never move with how the store groups its
+// fsyncs.
+func (h *StoreHook) Sync(*os.File) error {
+	h.syncs.Add(1)
+	return nil
+}
+
+// Syncs returns how many fsyncs the store has asked the hook for.
+func (h *StoreHook) Syncs() int64 { return h.syncs.Load() }
 
 // Apply is called by the result store before each filesystem operation
 // with the op class, target path, and payload (writes only; nil for

@@ -3,6 +3,8 @@ package testsupport
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -257,5 +259,35 @@ func TestStoreRecorderTraceFormat(t *testing.T) {
 	trace[0] = "clobbered"
 	if h.Trace()[0] == "clobbered" {
 		t.Fatal("Trace exposes the recorder's own slice")
+	}
+}
+
+// TestPassThroughRecordsSyncs: the hook a test store opens with when the
+// test names no fault passes every operation through untouched and counts
+// the fsyncs the store asks for without issuing them, so a fsync neither
+// reaches the disk nor moves a kill point (the trace stays empty).
+func TestPassThroughRecordsSyncs(t *testing.T) {
+	h := PassThrough()
+	for n := 0; n < 3; n++ {
+		data := []byte("payload")
+		if r := apply(h, StoreOpWrite, "/p/objects.pack", data); r.kill != nil || r.dieAfter || r.err != nil || !bytes.Equal(r.out, data) {
+			t.Fatalf("the pass-through hook changed write %d: %+v", n, r)
+		}
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for n := 0; n < 2; n++ {
+		if err := h.Sync(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Syncs(); got != 2 {
+		t.Fatalf("Syncs = %d, want 2", got)
+	}
+	if h.Fired() || len(h.Trace()) != 0 {
+		t.Fatalf("the pass-through hook fired (%v) or traced %v", h.Fired(), h.Trace())
 	}
 }
