@@ -152,7 +152,7 @@ func realMain() int {
 		return code
 	}
 
-	if err := sf.OpenJournal(p); err != nil {
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		return fatalf("%v", err)
 	}
 

@@ -71,7 +71,7 @@ func realMain() int {
 
 	p.Sweep.Trace = sweepobs.New()
 
-	if err := sf.OpenJournal(p); err != nil {
+	if err := p.Sweep.OpenJournal(p); err != nil {
 		return fatalf("%v", err)
 	}
 

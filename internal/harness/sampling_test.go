@@ -77,14 +77,13 @@ func TestSamplingCacheMiss(t *testing.T) {
 func TestSamplingJournalMismatch(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, JournalFileName)
-	exact := JournalMeta{Scale: 1, Dilute: 60, Config: "small"}
-	sampled := exact
-	sampled.Sampling = testSampling().String()
-	other := exact
-	other.Sampling = gpu.SamplingOptions{DetailedCycles: 500, FastForwardCycles: 2000}.String()
+	p := Params{Scale: 1, Dilute: 60, Config: testsupport.Small(), CacheDir: dir}
+	other := gpu.SamplingOptions{DetailedCycles: 500, FastForwardCycles: 2000}
 
-	for i, m := range []JournalMeta{exact, sampled, exact, other, other} {
-		if err := adoptJournal(jpath, m); err != nil {
+	for i, so := range []gpu.SamplingOptions{{}, testSampling(), {}, other, other} {
+		p.Sampling = so
+		m := JournalMeta{Scale: 1, Dilute: 60, Config: "small", Sampling: so.String()}
+		if err := openJournalIn(t, p); err != nil {
 			t.Fatalf("open %d (%+v): %v", i, m, err)
 		}
 		if !journalHeaderIs(t, jpath, m) {

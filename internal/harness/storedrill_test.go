@@ -32,7 +32,7 @@ func TestJournalRotateNoClobber(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
 	open := func(scale int) {
-		if err := adoptJournal(path, JournalMeta{Scale: scale, Dilute: 60, Config: "small"}); err != nil {
+		if err := openJournalIn(t, Params{Scale: scale, Dilute: 60, Config: testsupport.Small(), CacheDir: dir}); err != nil {
 			t.Fatalf("open scale=%d: %v", scale, err)
 		}
 	}
@@ -260,24 +260,19 @@ func journalOKSet(t *testing.T, path string) map[string]bool {
 	return out
 }
 
-// runDrillSweep executes the drill jobs sequentially through ExecuteJob in a
-// sweep of their own — journaled when p names a store — and ends at the
-// durability barrier, stopping at a simulated process death
-// (*testsupport.StoreKill) like a real crash would:
-// outcomes commit write-behind, so the death surfaces at whichever comes
-// first of the next store read, the next submit, and the barrier. Either
-// way the sweep is closed on return (the reboot). Returns whether the
-// sweep was killed, the per-job results gathered before death, and the
-// sweep's counters.
+// runDrillSweep opens the journal and executes the drill jobs
+// sequentially through ExecuteJob in a sweep of their own — journaled
+// when p names a store — and ends at the durability barrier, stopping at
+// a simulated process death (*testsupport.StoreKill) like a real crash
+// would: in the journal open, or, since outcomes commit write-behind, at
+// whichever comes first of the next store read, the next submit, and the
+// barrier. Either way the sweep is closed on return (the reboot).
+// Returns whether the sweep was killed, the per-job results gathered
+// before death, and the sweep's counters.
 func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*gpu.Result, m RunMetrics) {
 	p = inSweep(t, p)
 	defer func() { m = p.Sweep.Metrics() }()
 	defer p.Sweep.Close()
-	if p.CacheDir != "" {
-		if err := p.Sweep.OpenJournal(p); err != nil {
-			t.Fatalf("open journal: %v", err)
-		}
-	}
 	results = make([]*gpu.Result, len(jobs))
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -287,6 +282,9 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 			killed = true
 		}
 	}()
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatalf("open journal: %v", err)
+	}
 	for i, j := range jobs {
 		r, err := ExecuteJob(p, j)
 		if err != nil {
@@ -298,14 +296,16 @@ func runDrillSweep(t *testing.T, p Params, jobs []Job) (killed bool, results []*
 	return false, results, m
 }
 
-// TestStoreCrashDrillResume is the satellite-3 property test, end to end
-// through the harness: enumerate every store filesystem operation of a
-// two-job journaled sweep commit sequence, then re-run the sweep once
-// per operation with a kill injected exactly there. After every kill,
-// reopening the store recovers to a consistent state (Verify clean, a
-// journal "ok" line if and only if its Result is servable) and a re-run
-// over the same store re-executes exactly the jobs whose commits had not
-// landed.
+// TestStoreCrashDrillResume is the store's all-or-nothing property, end
+// to end through the harness: enumerate every store filesystem operation
+// of a two-job journaled sweep commit sequence, then re-run the sweep
+// once per operation with a kill injected exactly there (the opNN
+// subtests). After every kill, reopening the store recovers to a
+// consistent state (Verify clean, a journal "ok" line if and only if its
+// Result is servable) and a re-run over the same store re-executes
+// exactly the jobs whose commits had not landed. The openNN subtests
+// kill the journal open itself, at each of its operations with each
+// crash kind.
 func TestStoreCrashDrillResume(t *testing.T) {
 	base, jobs := drillJobs()
 	keys := drillKeys(t, base, jobs)
@@ -313,14 +313,20 @@ func TestStoreCrashDrillResume(t *testing.T) {
 	// Reference results from an uncached clean sweep.
 	_, refs, _ := runDrillSweep(t, base, jobs)
 
-	// Pass 1: record the operation trace of a clean cached sweep.
+	// Pass 1: record the operation trace of a clean cached sweep. Its
+	// first openOps operations are the journal open's, which the open
+	// drill below kills; the op points count the commits' operations.
+	dirs := func(p Params) Params {
+		p.CacheDir = filepath.Join(t.TempDir(), "primary")
+		p.MirrorDir = filepath.Join(t.TempDir(), "mirror")
+		return p
+	}
+	openOps := len(journalOpenTrace(t, dirs(base)))
 	recorder := testsupport.NewStoreRecorder()
-	rp := base
-	rp.CacheDir = filepath.Join(t.TempDir(), "primary")
-	rp.MirrorDir = filepath.Join(t.TempDir(), "mirror")
+	rp := dirs(base)
 	rp.StoreFault = recorder
 	runDrillSweep(t, rp, jobs)
-	trace := recorder.Trace()
+	trace := recorder.Trace()[openOps:]
 	if len(trace) < 15 {
 		t.Fatalf("trace too short to be a real commit sequence (%d ops):\n%s",
 			len(trace), strings.Join(trace, "\n"))
@@ -332,10 +338,8 @@ func TestStoreCrashDrillResume(t *testing.T) {
 	for point := 0; point < len(trace); point++ {
 		kind := kinds[point%len(kinds)]
 		t.Run(fmt.Sprintf("op%02d-%s", point, kind), func(t *testing.T) {
-			p := base
-			p.CacheDir = filepath.Join(t.TempDir(), "primary")
-			p.MirrorDir = filepath.Join(t.TempDir(), "mirror")
-			spec := testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: point, Kind: kind}
+			p := dirs(base)
+			spec := testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: openOps + point, Kind: kind}
 			hook := spec.StoreHook()
 			p.StoreFault = hook
 
@@ -399,6 +403,90 @@ func TestStoreCrashDrillResume(t *testing.T) {
 			}
 		})
 	}
+
+	// The journal open over a store whose sides hold another sweep's
+	// journal: read, rename and header write on each side. A kill at any
+	// of them, of any kind, leaves a store the same sweep re-runs to
+	// convergence, with its own header first on both sides and the
+	// foreign bytes kept in a rotated file.
+	const foreign = `{"meta":{"version":1,"scale":1,"dilute":30,"config":"small"}}` + "\n" +
+		`{"fp":"abc","workload":"x","status":"ok","time":"t"}` + "\n"
+	seed := func(p Params) Params {
+		for _, dir := range []string{p.CacheDir, p.MirrorDir} {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, JournalFileName), []byte(foreign), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	rotateOps := journalOpenTrace(t, seed(dirs(base)))
+	if len(rotateOps) != 6 {
+		t.Fatalf("opening over two foreign journals took %d operations, want read, rename and write per side:\n%s",
+			len(rotateOps), strings.Join(rotateOps, "\n"))
+	}
+	for point := range rotateOps {
+		for _, kind := range kinds {
+			t.Run(fmt.Sprintf("open%02d-%s", point, kind), func(t *testing.T) {
+				p := seed(dirs(base))
+				hook := (&testsupport.StoreSpec{Op: testsupport.StoreOpAny, N: point, Kind: kind}).StoreHook()
+				p.StoreFault = hook
+				if killed, _, m := runDrillSweep(t, p, jobs); !killed || !hook.Fired() || m.Requests != 0 {
+					t.Fatalf("kill point %d did not fire in the journal open (killed=%v fired=%v requests=%d)",
+						point, killed, hook.Fired(), m.Requests)
+				}
+				p.StoreFault = nil
+				killed, res, m := runDrillSweep(t, p, jobs)
+				if killed || m.Executed != len(jobs) {
+					t.Fatalf("re-run: killed=%v, executed %d jobs, want all %d", killed, m.Executed, len(jobs))
+				}
+				for i := range jobs {
+					if !reflect.DeepEqual(res[i], refs[i]) {
+						t.Fatalf("job %d: re-run result differs from the reference run", i)
+					}
+				}
+				for _, dir := range []string{p.CacheDir, p.MirrorDir} {
+					path := filepath.Join(dir, JournalFileName)
+					if !journalHeaderIs(t, path, JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name}) {
+						t.Errorf("%s: the re-run's journal does not start with its header", path)
+					}
+					if ok := journalOKSet(t, path); len(ok) != len(keys) || !ok[keys[0]] || !ok[keys[1]] {
+						t.Errorf("%s: journal records %v ok, want the %d drill jobs", path, ok, len(keys))
+					}
+					if !rotatedAside(t, path, foreign) {
+						t.Errorf("%s: no rotated file holds the foreign journal", path)
+					}
+				}
+			})
+		}
+	}
+}
+
+// journalOpenTrace returns the store operations of one journal open of
+// p's sweep.
+func journalOpenTrace(t *testing.T, p Params) []string {
+	t.Helper()
+	rec := testsupport.NewStoreRecorder()
+	p.StoreFault = rec
+	if err := openJournalIn(t, p); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace()
+}
+
+// rotatedAside reports whether a file rotated aside from path holds
+// exactly want.
+func rotatedAside(t *testing.T, path, want string) bool {
+	t.Helper()
+	old, _ := filepath.Glob(path + ".old*") // the pattern is well-formed
+	for _, o := range old {
+		if b, err := os.ReadFile(o); err == nil && string(b) == want {
+			return true
+		}
+	}
+	return false
 }
 
 // TestHarnessMirrorRepair drives replication and heal-on-read through

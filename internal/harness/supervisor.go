@@ -287,9 +287,10 @@ func buildJournalEntry(j Job, key string, res *gpu.Result, err error, forkedFrom
 // transaction has finished, and the sweep's Sync waits for all of them. A
 // caller that must not show the outcome to anyone before it is durable
 // (the coordinator, before it acknowledges a completion) waits on the
-// channel; a local slot goes back to simulating. A journal lives in its
-// store (Sweep.OpenJournal opens both), so without a store there is
-// nothing to commit.
+// channel; a local slot goes back to simulating. The store writes the
+// whole journal file — its header through Store.Adopt (see
+// Sweep.OpenJournal), its entries in these transactions — so without a
+// store there is no journal and nothing to commit.
 func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{}) {
 	s := p.Sweep
 	entry, res := out.Entry, out.Result

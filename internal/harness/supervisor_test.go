@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -250,7 +251,8 @@ func TestJournalResume(t *testing.T) {
 func TestJournalRotatesForeignSweep(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, JournalFileName)
-	if err := adoptJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}); err != nil {
+	p := Params{Scale: 1, Dilute: 30, Config: testsupport.Small(), CacheDir: dir}
+	if err := openJournalIn(t, p); err != nil {
 		t.Fatal(err)
 	}
 	appendLine(t, jpath, `{"fp":"abc","workload":"x","status":"ok","time":"t"}`)
@@ -259,7 +261,8 @@ func TestJournalRotatesForeignSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := adoptJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"}); err != nil {
+	p.Scale = 2
+	if err := openJournalIn(t, p); err != nil {
 		t.Fatal(err)
 	}
 	if st := journalStatuses(t, jpath); len(st) != 0 {
@@ -274,16 +277,14 @@ func TestJournalRotatesForeignSweep(t *testing.T) {
 }
 
 // TestJournalRotationFailureKeepsJournal: when the foreign journal
-// cannot be rotated aside — its directory is not writable, the file is —
-// adopting the journal fails naming it, and the superseded sweep's bytes
-// stay as they were instead of being truncated by a fresh header.
+// cannot be rotated aside — the rename fails — opening the journal fails
+// naming it, and the superseded sweep's bytes stay as they were instead
+// of being replaced by a fresh header.
 func TestJournalRotationFailureKeepsJournal(t *testing.T) {
-	if os.Geteuid() == 0 {
-		t.Skip("running as root, which bypasses the directory permission check this test needs the rename to fail on")
-	}
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, JournalFileName)
-	if err := adoptJournal(jpath, JournalMeta{Scale: 1, Dilute: 30, Config: "small"}); err != nil {
+	p := Params{Scale: 1, Dilute: 30, Config: testsupport.Small(), CacheDir: dir}
+	if err := openJournalIn(t, p); err != nil {
 		t.Fatal(err)
 	}
 	appendLine(t, jpath, `{"fp":"abc","workload":"x","status":"ok","time":"t"}`)
@@ -291,18 +292,25 @@ func TestJournalRotationFailureKeepsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chmod(dir, 0o755) })
 
-	err = adoptJournal(jpath, JournalMeta{Scale: 2, Dilute: 30, Config: "small"})
+	p.Scale = 2
+	p.StoreFault = (&testsupport.StoreSpec{Op: testsupport.StoreOpRename, N: 0, Kind: testsupport.StoreEIO}).StoreHook()
+	err = openJournalIn(t, p)
 	if err == nil || !strings.Contains(err.Error(), jpath) {
 		t.Fatalf("adopting over an unrotatable journal: err = %v, want an error naming %s", err, jpath)
 	}
 	if got, err := os.ReadFile(jpath); err != nil || string(got) != string(old) {
 		t.Fatalf("the journal it could not rotate changed (%v):\n%s", err, got)
 	}
+}
+
+// openJournalIn opens p's journal in a sweep of its own, closed on
+// return.
+func openJournalIn(t *testing.T, p Params) error {
+	t.Helper()
+	p = inSweep(t, p)
+	defer p.Sweep.Close()
+	return p.Sweep.OpenJournal(p)
 }
 
 // appendLine appends one line to the file at path.
@@ -324,11 +332,14 @@ func appendLine(t *testing.T, path, line string) {
 // header line.
 func journalHeaderIs(t *testing.T, path string, want JournalMeta) bool {
 	t.Helper()
-	f, err := os.Open(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	want.Version = journalVersion
-	return readHeader(f, want) == nil
+	hdr, err := json.Marshal(journalHeader{Meta: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.HasPrefix(got, append(hdr, '\n'))
 }

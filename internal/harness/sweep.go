@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/config"
@@ -156,25 +156,23 @@ func (s *Sweep) OpenStore(p Params) error {
 }
 
 // OpenJournal opens p's result store and adopts the completion journal
-// in its directory for the sweep shape p describes: a journal of that
-// shape is appended to, any other is rotated aside. Only the header line
-// is read. The store opens first because its recovery may roll committed
-// journal lines forward. Both sides get a journal that belongs to the
-// sweep, so store transactions have a valid journal to append to there.
-// Whether a sweep journals is its owner's choice: a fabric worker's
-// local store has none.
+// in its directory for the sweep shape p describes: on each side, a
+// journal that starts with this sweep's header line is appended to, any
+// other is rotated aside for a fresh one (resultstore.Store.Adopt). Only
+// the header's bytes are read. The store opens first because its
+// recovery may roll committed journal lines forward. Without a store
+// there is no journal, and nothing is touched. Whether a sweep journals
+// is its owner's choice: a fabric worker's local store has none.
 func (s *Sweep) OpenJournal(p Params) error {
-	if err := s.OpenStore(p); err != nil {
+	st, err := s.store(p)
+	if st == nil {
 		return err
 	}
-	meta := JournalMeta{Scale: p.Scale, Dilute: p.Dilute, Config: p.Config.Name, Sampling: p.Sampling.String()}
-	if err := adoptJournal(filepath.Join(p.CacheDir, JournalFileName), meta); err != nil {
-		return err
-	}
-	if p.MirrorDir != "" {
-		if err := adoptJournal(filepath.Join(p.MirrorDir, JournalFileName), meta); err != nil {
-			return fmt.Errorf("mirror journal: %w", err)
-		}
+	meta := JournalMeta{Version: journalVersion, Scale: p.Scale, Dilute: p.Dilute,
+		Config: p.Config.Name, Sampling: p.Sampling.String()}
+	hdr, _ := json.Marshal(journalHeader{Meta: meta}) // ints and strings always encode
+	if err := st.Adopt(JournalFileName, hdr); err != nil {
+		return fmt.Errorf("harness: journal: %w", err)
 	}
 	s.journaled = true
 	return nil

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -62,22 +63,30 @@ func TestSweepsAreIndependent(t *testing.T) {
 
 // TestOpenJournalDerivesMeta: the journal header is what Params already
 // says — scale, dilution, config name, sampling windows — on both sides of
-// a mirrored store, and a sweep of another shape rotates both aside.
+// a mirrored store, made durable through the store's hook (each side's
+// file and directory: four fsyncs, which a test hook skips), and a sweep
+// of another shape rotates both aside.
 func TestOpenJournalDerivesMeta(t *testing.T) {
+	hook := testsupport.PassThrough()
 	p := inSweep(t, Params{Scale: 2, Config: config.GTX480(), Dilute: 30,
 		Sampling: gpu.SamplingOptions{DetailedCycles: 4000, FastForwardCycles: 8000, WarmupCycles: 1000},
-		CacheDir: t.TempDir(), MirrorDir: t.TempDir()})
+		CacheDir: t.TempDir(), MirrorDir: t.TempDir(), StoreFault: hook})
 	if err := p.Sweep.OpenJournal(p); err != nil {
 		t.Fatal(err)
 	}
 	p.Sweep.Close()
+	if n := hook.Syncs(); n != 4 {
+		t.Errorf("a fresh mirrored journal open asked the hook for %d fsyncs, want 4", n)
+	}
 	want := JournalMeta{Scale: 2, Dilute: 30, Config: "gtx480", Sampling: "4000:8000:1000"}
 	for _, dir := range []string{p.CacheDir, p.MirrorDir} {
 		if !journalHeaderIs(t, filepath.Join(dir, JournalFileName), want) {
 			t.Errorf("%s: journal does not carry %+v", dir, want)
 		}
 	}
-	exact := inSweep(t, p)
+	exact := p
+	exact.StoreFault = nil
+	exact = inSweep(t, exact)
 	exact.Sampling = gpu.SamplingOptions{}
 	if err := exact.Sweep.OpenJournal(exact); err != nil {
 		t.Fatal(err)
@@ -89,6 +98,24 @@ func TestOpenJournalDerivesMeta(t *testing.T) {
 		if !journalHeaderIs(t, path, exactMeta) || !journalHeaderIs(t, path+".old", want) {
 			t.Errorf("%s: an exact sweep did not rotate the sampled sweep's journal aside for its own", dir)
 		}
+	}
+}
+
+// TestOpenJournalWithoutStoreTouchesNothing: a sweep with no store has
+// no journal, so opening one writes nothing — not into the working
+// directory either — and the sweep does not journal.
+func TestOpenJournalWithoutStoreTouchesNothing(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60})
+	if err := p.Sweep.OpenJournal(p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Sweep.journaled {
+		t.Error("a sweep without a store journals")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("opening the journal without a store wrote into the working directory: %v %v", ents, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,10 +14,11 @@ import (
 // seam crash drills and kill-point sweeps inject storage faults through.
 type Hook interface {
 	// Apply is called before each operation: op is "write" (an append of
-	// data) or "read" (data is nil). It returns the payload to use, an
-	// error that fails the operation, and dieAfter: when non-nil, the
-	// store panics with it once the operation has completed. A hook may
-	// also panic itself, a death before the operation.
+	// data), "read" or "rename" (data is nil; path is what is read or
+	// renamed). It returns the payload to use, an error that fails the
+	// operation, and dieAfter: when non-nil, the store panics with it
+	// once the operation has completed. A hook may also panic itself, a
+	// death before the operation.
 	Apply(op, path string, data []byte) (out []byte, dieAfter any, err error)
 	// Sync fsyncs fh. Apply never sees an fsync, so how fsyncs are
 	// grouped cannot move a kill point.
@@ -218,6 +220,55 @@ func (f fsio) readFile(path string) ([]byte, error) {
 		panic(dieAfter)
 	}
 	return b, rerr
+}
+
+// head reads up to n bytes from the start of path as one hooked read,
+// not retried. A missing file is an os.ErrNotExist error and no
+// operation: there is nothing to read.
+func (f fsio) head(path string, n int) ([]byte, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fh.Close()
+	_, dieAfter, err := f.Apply("read", path, nil)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, n)
+	k, err := io.ReadFull(fh, b)
+	if dieAfter != nil {
+		panic(dieAfter)
+	}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // a shorter file is still read whole
+	}
+	return b[:k], err
+}
+
+// rotate renames path to path+".old", or to path+".old.N" for the first
+// free N when earlier rotations took the shorter names, so one rotation
+// never clobbers another. The rename is one hooked operation, not
+// retried: a rotation that fails is an error naming the file.
+func (f fsio) rotate(path string) (string, error) {
+	dst := path + ".old"
+	for n := 1; ; n++ {
+		if _, err := os.Lstat(dst); err != nil {
+			break
+		}
+		dst = fmt.Sprintf("%s.old.%d", path, n)
+	}
+	_, dieAfter, err := f.Apply("rename", path, nil)
+	if err == nil {
+		err = os.Rename(path, dst)
+	}
+	if dieAfter != nil {
+		panic(dieAfter)
+	}
+	if err != nil {
+		return "", fmt.Errorf("resultstore: rotate %s aside: %w", path, err)
+	}
+	return dst, nil
 }
 
 // retryOnce runs op, retrying a single time on error: enough to absorb

@@ -1,27 +1,28 @@
 // Package resultstore is a content-addressed, transactional object store
 // with primary+mirror replication for the harness's durable state:
 // memoized run results (vtsim), prefix checkpoints (vtck), artifacts
-// such as the sweep trace (vtart), and completion journal lines. It
-// holds two things — checksummed objects and appended lines — on one or
-// two sides that are both always live.
+// such as the sweep trace (vtart), and the completion journal. It holds
+// two things — checksummed objects and appended lines — on one or two
+// sides that are both always live, and it writes every file in them.
 //
 // # Layout (per side directory)
 //
 //	objects.pack                every object of every kind: raw, unframed byte ranges
 //	store-index.jsonl           append-only object index: kind, key -> sha256, size, off
-//	journal.jsonl               completion journal (appended through txs)
+//	journal.jsonl               completion journal: header via Adopt, lines via transactions
 //	store-audit.jsonl           append-only audit log of store events
 //	.vtstore/wal.jsonl          the write-ahead log (primary only)
 //
-// Every file is append-only. An object is the byte range its latest
-// store-index.jsonl line names in objects.pack, and a read returns only
-// bytes whose SHA-256 that line records; a drop line (quarantine) makes
-// an object absent. Bytes no live line names — a superseded artifact, a
-// copy a heal replaced, a range a rolled-back batch staged — are dead and
-// stay where they are: the pack is never rewritten. A directory in an
-// older build's layout (one file per object, index lines without an
-// offset, .vtstore/wal/*.commit records) is never served and never
-// touched: only an index line with an offset names an object.
+// Every file is append-only (Adopt renames a foreign journal aside). An
+// object is the byte range its latest store-index.jsonl line names in
+// objects.pack, and a read returns only bytes whose SHA-256 that line
+// records; a drop line (quarantine) makes an object absent. Bytes no
+// live line names — a superseded artifact, a copy a heal replaced, a
+// range a rolled-back batch staged — are dead and stay where they are:
+// the pack is never rewritten. A directory in an older build's layout
+// (one file per object, index lines without an offset,
+// .vtstore/wal/*.commit records) is never served and never touched: only
+// an index line with an offset names an object.
 //
 // # Commit protocol
 //
@@ -274,6 +275,44 @@ func (s *Store) Close() error {
 	}
 	if !dead && !s.deferred {
 		os.Truncate(s.walPath(), 0) // best-effort: a leftover log only replays done batches
+	}
+	return nil
+}
+
+// Adopt makes every side's rel start with the line first (the journal's
+// header; transactions append the rest). A side whose copy starts with
+// first and a newline is left as it is: one hooked read, no write, no
+// fsync. Any other copy (foreign, damaged, torn or empty) is rotated to
+// rel.old, or rel.old.N for the first free N, with a "rotate" audit
+// event, and a fresh rel holding first is made durable, directory entry
+// included. A failed rotation is an error naming the file.
+func (s *Store) Adopt(rel string, first []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	want := append(append([]byte(nil), first...), '\n')
+	var ss syncSet
+	defer ss.drop()
+	for _, sd := range s.sides {
+		path := sd.path(rel)
+		head, err := s.fs.head(path, len(want))
+		switch {
+		case err == nil && bytes.Equal(head, want):
+			continue
+		case err == nil:
+			dst, err := s.fs.rotate(path)
+			if err != nil {
+				return err
+			}
+			s.event(Event{Op: "rotate", Key: rel, Side: s.roleOf(sd), Detail: filepath.Base(dst)})
+		case !os.IsNotExist(err):
+			return fmt.Errorf("resultstore: read %s: %w", path, err)
+		}
+		if err := s.writerFor(sd, &ss).line(rel, first); err != nil {
+			return fmt.Errorf("resultstore: write %s: %w", path, err)
+		}
+	}
+	if err := ss.flush(s.fs); err != nil {
+		return fmt.Errorf("resultstore: make %s durable: %w", rel, err)
 	}
 	return nil
 }

@@ -359,6 +359,122 @@ func TestAppendReplication(t *testing.T) {
 	}
 }
 
+// TestAdoptHeaderLine pins what adopting an append target's header costs
+// and keeps, over a mirrored store, counted through the hook: a fresh
+// store creates each side's file and pays its fsync and its directory's
+// (four); a store whose files start with the header writes and fsyncs
+// nothing; a foreign header and then a torn one are each rotated aside,
+// the second rotation clobbering nothing; and every rotation is one
+// audit event naming the file it made.
+func TestAdoptHeaderLine(t *testing.T) {
+	p, m := t.TempDir(), t.TempDir()
+	const rel = "journal.jsonl"
+	hdrA, hdrB := []byte(`{"meta":{"scale":1}}`), []byte(`{"meta":{"scale":2}}`)
+	entry := []byte(`{"fp":"f0","status":"ok"}`)
+	read := func(dir string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	rotations := func() []Event {
+		t.Helper()
+		var evs []Event
+		b, _ := os.ReadFile(filepath.Join(p, auditFile))
+		for _, ln := range strings.Split(string(b), "\n") {
+			var ev Event
+			if json.Unmarshal([]byte(ln), &ev) == nil && ev.Op == "rotate" {
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+	// adopt runs one Adopt in a store of its own and returns its hook.
+	adopt := func(hdr []byte) *testsupport.StoreHook {
+		t.Helper()
+		h := testsupport.NewStoreRecorder()
+		s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: h})
+		defer s.Close()
+		if err := s.Adopt(rel, hdr); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// writes counts the hooked writes and renames under dir.
+	writes := func(h *testsupport.StoreHook, dir string) (n int) {
+		for _, op := range h.Trace() {
+			if !strings.HasPrefix(op, "read ") && strings.Contains(op, dir+string(filepath.Separator)) {
+				n++
+			}
+		}
+		return n
+	}
+
+	// A fresh store: both files and both directories made durable.
+	if h := adopt(hdrA); h.Syncs() != 4 || writes(h, p) != 1 || writes(h, m) != 1 {
+		t.Fatalf("fresh store: %d fsyncs and trace %q, want 4 fsyncs and one write per side", h.Syncs(), h.Trace())
+	}
+	for _, dir := range []string{p, m} {
+		if got := read(dir); got != string(hdrA)+"\n" {
+			t.Fatalf("%s: fresh file holds %q", dir, got)
+		}
+	}
+
+	// The header matches, entries follow: nothing written, nothing fsynced.
+	s := mustOpen(t, Options{Dir: p, Mirror: m})
+	tx := s.Begin()
+	tx.Append(rel, entry)
+	mustCommit(t, tx)
+	s.Close()
+	kept := read(p)
+	if h := adopt(hdrA); h.Syncs() != 0 || writes(h, p)+writes(h, m) != 0 {
+		t.Fatalf("matching header: %d fsyncs and trace %q, want no write and no fsync", h.Syncs(), h.Trace())
+	}
+	if read(p) != kept || read(m) != kept {
+		t.Fatal("adopting a matching header changed a side")
+	}
+
+	// A foreign header: both sides rotated to .old, entries and all.
+	if h := adopt(hdrB); h.Syncs() != 4 {
+		t.Fatalf("foreign header: %d fsyncs, want 4", h.Syncs())
+	}
+	for _, dir := range []string{p, m} {
+		if got, _ := os.ReadFile(filepath.Join(dir, rel+".old")); string(got) != kept {
+			t.Fatalf("%s: the foreign journal was not rotated aside intact: %q", dir, got)
+		}
+		if got := read(dir); got != string(hdrB)+"\n" {
+			t.Fatalf("%s: after rotation the file holds %q", dir, got)
+		}
+	}
+	if evs := rotations(); len(evs) != 2 || evs[0].Detail != rel+".old" || evs[1].Detail != rel+".old" {
+		t.Fatalf("foreign header: rotate events %+v, want one per side naming %s.old", evs, rel)
+	}
+
+	// A torn header on the primary (a crash inside its write): rotated to
+	// .old.1, leaving .old and the matching mirror alone.
+	torn := string(hdrB[:len(hdrB)/2])
+	if err := os.WriteFile(filepath.Join(p, rel), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if h := adopt(hdrB); h.Syncs() != 2 || writes(h, m) != 0 {
+		t.Fatalf("torn primary header: %d fsyncs and trace %q, want 2 and no write to the mirror", h.Syncs(), h.Trace())
+	}
+	if got, _ := os.ReadFile(filepath.Join(p, rel+".old.1")); string(got) != torn {
+		t.Fatalf("the torn header was not rotated to .old.1: %q", got)
+	}
+	if got, _ := os.ReadFile(filepath.Join(p, rel+".old")); string(got) != kept {
+		t.Fatalf("the second rotation clobbered .old: %q", got)
+	}
+	if read(p) != string(hdrB)+"\n" || read(m) != string(hdrB)+"\n" {
+		t.Fatal("after the torn header's rotation the sides do not start with the header alone")
+	}
+	if evs := rotations(); len(evs) != 3 || evs[2].Side != "primary" || evs[2].Detail != rel+".old.1" {
+		t.Fatalf("torn header: rotate events %+v, want one more, the primary's, naming %s.old.1", evs, rel)
+	}
+}
+
 // TestRepairRebuildsLostSide is the whole-side-loss drill: a mirrored
 // store loses one directory outright; Verify names what is gone, journal
 // included, and Repair rebuilds the side from the survivor — every

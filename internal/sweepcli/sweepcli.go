@@ -1,10 +1,10 @@
 // Package sweepcli is what cmd/vtbench and cmd/vtsweepd share: the sweep
 // flag block and its translation into harness.Params bound to a new
-// harness.Sweep, the completion journal open, the -out/-csv set-up, the
-// -json report around harness.RunExperiments, the HTTP listener, and
-// SIGINT/SIGTERM handling. One definition of each, so
-// a single-process sweep and a fleet sweep of the same flags plan the same
-// jobs and write records that differ only in their numbers.
+// harness.Sweep, the -out/-csv set-up, the -json report around
+// harness.RunExperiments, the HTTP listener, and SIGINT/SIGTERM
+// handling. One definition of each, so a single-process sweep and a
+// fleet sweep of the same flags plan the same jobs and write records
+// that differ only in their numbers.
 package sweepcli
 
 import (
@@ -116,18 +116,6 @@ func (f *Flags) OpenOutput() (w io.Writer, closeOut func(), err error) {
 		return nil, nil, err
 	}
 	return io.MultiWriter(os.Stdout, file), func() { file.Close() }, nil
-}
-
-// OpenJournal opens -store's result store and adopts its completion
-// journal for p's sweep (see harness.Sweep.OpenJournal), so a store that
-// cannot be opened fails the set-up. Without -store it does nothing. A
-// sweep continues an interrupted or partially failed one by running
-// again over the same -store: stored results are served, the rest run.
-func (f *Flags) OpenJournal(p harness.Params) error {
-	if f.StoreDir == "" {
-		return nil
-	}
-	return p.Sweep.OpenJournal(p)
 }
 
 // Serve listens on addr — synchronously, so a bad address or an occupied

@@ -34,8 +34,11 @@ const (
 	StoreOpWrite StoreOp = "write"
 	// StoreOpRead is a read: a pack range (object loads, read-back
 	// verification, replica copies), the WAL record read back, an append
-	// target audited whole.
+	// target audited whole, a journal's header checked on open.
 	StoreOpRead StoreOp = "read"
+	// StoreOpRename is a rename: a journal of another sweep rotated
+	// aside. The store does not retry it.
+	StoreOpRename StoreOp = "rename"
 )
 
 // StoreFaultKind selects what the injected storage fault does.
