@@ -43,8 +43,7 @@ func TestCommandSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"repro/cmd/vtsim", "repro/cmd/vtasm", "repro/cmd/vtdiff",
-		"repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench",
+		"repro/cmd/vtsim", "repro/cmd/vtasm", "repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench",
 		"repro/examples/customkernel", "repro/examples/multikernel",
 		"repro/examples/occupancy", "repro/examples/quickstart",
 		"repro/examples/swaptrace", "repro/examples/sweep")
@@ -57,8 +56,7 @@ func TestCommandSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "tiny.vta"), []byte(kernel), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// vtdiff's input is a vtsim -json result or a ring dump; vtreport's a
-	// swept store or a ring dump.
+	// vtreport reads vtsim -json results, ring dumps and a swept store.
 	result, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-json")
 	if code != 0 {
 		t.Fatalf("vtsim -json exited %d", code)
@@ -86,8 +84,10 @@ func TestCommandSmoke(t *testing.T) {
 		whole bool
 	}{
 		{bin: "vtsim", args: []string{"-workload", "bfs", "-policy", "vt"}, want: "policy:              vt, scheduler gto, 15 SMs"},
+		{bin: "vtsim", args: []string{"-workload", "bfs", "-sched", "two-level"}, want: "policy:              baseline, scheduler two-level, 15 SMs"},
 		{bin: "vtasm", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
 		{bin: "vtasm", args: []string{"-grid", "2", "-block", "32", "-param", "0x1000", "tiny.vta"}, want: "policy baseline: "},
+		{bin: "vtasm", args: []string{"-disasm", "tiny.vta"}, want: ".kernel tiny\n.regs 2\n\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n", whole: true},
 		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
 		{bin: "vtreport", args: []string{"-rings", "rings.json"}, want: "== swap-rate phases =="},
 		{bin: "vtreport", want: "  note: 18 of 22 workloads are scheduling-limited"},
@@ -203,8 +203,8 @@ func TestCommandSmoke(t *testing.T) {
 	})
 
 	// A result diffed against itself: every metric row reads +0.0%.
-	t.Run("vtdiff", func(t *testing.T) {
-		out, code := run(t, dir, "vtdiff", "bfs.json", "bfs.json")
+	t.Run("vtreport-diff", func(t *testing.T) {
+		out, code := run(t, dir, "vtreport", "bfs.json", "bfs.json")
 		if code != 0 {
 			t.Fatalf("exit code %d, want 0\n%s", code, out)
 		}
@@ -223,8 +223,8 @@ func TestCommandSmoke(t *testing.T) {
 	})
 
 	// A ring dump diffed against itself: every phase's ΔIPC reads +0.00.
-	t.Run("vtdiff-rings", func(t *testing.T) {
-		out, code := run(t, dir, "vtdiff", "-rings", "rings.json", "rings.json")
+	t.Run("vtreport-diff-rings", func(t *testing.T) {
+		out, code := run(t, dir, "vtreport", "-rings", "rings.json", "rings.json")
 		if code != 0 {
 			t.Fatalf("exit code %d, want 0\n%s", code, out)
 		}

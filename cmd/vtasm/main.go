@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	vtsim "repro"
 	"repro/internal/asm"
@@ -34,10 +33,11 @@ func (p *paramList) Set(s string) error {
 }
 
 func main() {
+	cfg := vtsim.GTX480()
+	flag.TextVar(&cfg.Policy, "policy", cfg.Policy, "baseline | vt | ideal | fullswap")
 	var (
 		grid   = flag.Int("grid", 60, "grid size (CTAs)")
 		block  = flag.Int("block", 128, "threads per CTA")
-		policy = flag.String("policy", "baseline", "baseline | vt | ideal | fullswap")
 		check  = flag.Bool("check", false, "assemble and report resources only")
 		disasm = flag.Bool("disasm", false, "assemble then print the disassembly")
 		params paramList
@@ -60,19 +60,6 @@ func main() {
 	if *disasm {
 		fmt.Print(asm.Disassemble(k))
 		return
-	}
-
-	cfg := vtsim.GTX480()
-	switch strings.ToLower(*policy) {
-	case "baseline":
-	case "vt":
-		cfg.Policy = vtsim.PolicyVT
-	case "ideal":
-		cfg.Policy = vtsim.PolicyIdeal
-	case "fullswap":
-		cfg.Policy = vtsim.PolicyFullSwap
-	default:
-		fatalf("unknown policy %q", *policy)
 	}
 
 	l := &isa.Launch{

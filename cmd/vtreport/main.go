@@ -3,13 +3,17 @@
 // constraint, which limit binds, and how much thread-level parallelism the
 // scheduling limit strands — the paper's motivating analysis. With -rings
 // it instead renders the timeline summary of a telemetry ring dump
-// (vtsim -telemetry): the occupancy ramp and the swap-rate phases.
+// (vtsim -telemetry): the occupancy ramp and the swap-rate phases. Given
+// two files it diffs them: two `vtsim -json` results metric by metric, or
+// with -rings two ring dumps phase by phase.
 //
 // Usage:
 //
 //	vtreport                    # whole suite (the table2-benchmarks table)
 //	vtreport -workload nw       # one workload, with the per-constraint breakdown
 //	vtreport -rings dump.json   # timeline summary of a telemetry ring dump
+//	vtreport base.json vt.json  # relative change of every headline metric
+//	vtreport -rings a.json b.json     # per-phase diff of two ring dumps
 //	vtreport -store dir         # result-store inventory + integrity audit
 //	vtreport -store p -mirror m # ... across both replica sides
 //	vtreport -tracepath trace.json    # critical path + stage breakdown of a sweep trace
@@ -18,12 +22,14 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	vtsim "repro"
 	"repro/internal/cta"
+	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/kernels"
 	"repro/internal/resultstore"
@@ -36,7 +42,7 @@ func main() {
 	var (
 		workload  = flag.String("workload", "", "analyze one workload in detail")
 		scale     = flag.Int("scale", 1, "grid size multiplier")
-		rings     = flag.String("rings", "", "render the timeline summary of a telemetry ring dump (vtsim -telemetry)")
+		rings     = flag.String("rings", "", "render the timeline summary of a telemetry ring dump (vtsim -telemetry); given a second dump as an argument, diff the two phase by phase")
 		storeDir  = flag.String("store", "", "query a result store: per-kind inventory, replica sides, and a read-only integrity audit of its objects and journal")
 		mirror    = flag.String("mirror", "", "with -store or -tracepath, also use this mirror side")
 		tracePath = flag.String("tracepath", "", "analyze a sweep trace (vtbench -sweeptrace file, or a store directory holding the trace artifact): critical path, per-stage breakdown, stragglers")
@@ -48,31 +54,48 @@ func main() {
 	// that is not there would lay out an empty store and audit it healthy.
 	for _, d := range []string{*storeDir, *mirror} {
 		if fi, err := os.Stat(d); d != "" && (err != nil || !fi.IsDir()) {
-			fmt.Fprintf(os.Stderr, "vtreport: no store directory %s\n", d)
-			os.Exit(1)
+			fatalf("no store directory %s", d)
 		}
 	}
 
 	if *rings != "" {
-		if err := ringsReport(*rings); err != nil {
-			fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
-			os.Exit(1)
+		if flag.NArg() > 1 {
+			fatalf("usage: vtreport -rings a.json [b.json]")
 		}
+		dumps, err := loadEach(telemetry.ReadDump, append([]string{*rings}, flag.Args()...))
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if len(dumps) == 1 {
+			ringsReport(dumps[0])
+		} else {
+			diffRings(dumps[0], dumps[1])
+		}
+		return
+	}
+
+	if flag.NArg() > 0 {
+		if flag.NArg() != 2 {
+			fatalf("usage: vtreport a.json b.json (two vtsim -json results)")
+		}
+		results, err := loadEach(loadResult, flag.Args())
+		if err != nil {
+			fatalf("%v", err)
+		}
+		diffResults(results[0], results[1])
 		return
 	}
 
 	if *tracePath != "" {
 		if err := traceReport(*tracePath, *mirror, *perfetto); err != nil {
-			fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		return
 	}
 
 	if *storeDir != "" {
 		if err := storeReport(*storeDir, *mirror); err != nil {
-			fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		return
 	}
@@ -82,8 +105,7 @@ func main() {
 	if *workload != "" {
 		w, err := kernels.Build(*workload, *scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		o := cta.ComputeOccupancy(w.Launch, &cfg)
 		fp := o.Footprint
@@ -110,8 +132,7 @@ func main() {
 	// table: its Reduce reads only the configuration and the suite.
 	e, err := harness.Get("table2-benchmarks")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vtreport: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	p := harness.DefaultParams()
 	p.Config, p.Scale = cfg, *scale
@@ -250,11 +271,7 @@ func traceReport(path, mirror, perfOut string) error {
 // ringsReport renders the per-workload timeline summary of one ring
 // dump: when occupancy finished ramping, and how the run divides into
 // swap-rate phases (idle / low / high relative to the peak rate).
-func ringsReport(path string) error {
-	d, err := telemetry.ReadDump(path)
-	if err != nil {
-		return err
-	}
+func ringsReport(d *telemetry.Dump) {
 	fmt.Printf("telemetry timeline: %s under %s — %d SMs, %d cycles, %d windows\n\n",
 		d.Kernel, d.Policy, d.NumSMs, d.Cycles, len(d.GPU))
 
@@ -366,5 +383,129 @@ func ringsReport(path string) error {
 		t.Note("warning: %d spans dropped (the collector keeps %d per SM)", d.SpansDropped, telemetry.SpansPerSM)
 	}
 	t.Fprint(os.Stdout)
-	return nil
+}
+
+// diffResults prints the relative change of every headline metric from
+// one vtsim -json result to another: the quick way to quantify a
+// configuration or policy change.
+func diffResults(a, b *gpu.Result) {
+	warnKernels(a.Kernel, b.Kernel)
+	fmt.Printf("%-24s %14s %14s %10s\n", "metric", a.Policy.String(), b.Policy.String(), "change")
+	row := func(name string, va, vb float64) {
+		change := "-"
+		if va != 0 {
+			change = fmt.Sprintf("%+.1f%%", (vb/va-1)*100)
+		}
+		fmt.Printf("%-24s %14.3f %14.3f %10s\n", name, va, vb, change)
+	}
+	row("cycles", float64(a.Cycles), float64(b.Cycles))
+	row("IPC", a.IPC(), b.IPC())
+	row("active warps/SM", a.AvgActiveWarpsPerSM(), b.AvgActiveWarpsPerSM())
+	row("resident warps/SM", a.AvgResidentWarpsPerSM(), b.AvgResidentWarpsPerSM())
+	row("SIMD efficiency", a.SIMDEfficiency(), b.SIMDEfficiency())
+	row("L1 hit rate", a.Mem.L1HitRate(), b.Mem.L1HitRate())
+	row("L2 hit rate", a.Mem.L2HitRate(), b.Mem.L2HitRate())
+	row("DRAM reads", float64(a.Mem.DRAMReads), float64(b.Mem.DRAMReads))
+	row("swaps out", float64(a.VT.SwapsOut), float64(b.VT.SwapsOut))
+	if a.Cycles > 0 && b.Cycles > 0 {
+		fmt.Printf("\nspeedup (a/b cycles): %.3fx\n", float64(a.Cycles)/float64(b.Cycles))
+	}
+}
+
+// diffRings compares two ring dumps phase by phase: both GPU rings are
+// rebucketed onto a common grid of at most 16 spans (each covering the
+// same fraction of its run, so runs of different lengths still align by
+// phase), then every bucket's IPC, swap, and stall-mix deltas print, and
+// the bucket with the largest IPC swing is called out.
+func diffRings(a, b *telemetry.Dump) {
+	warnKernels(a.Kernel, b.Kernel)
+	fmt.Printf("a: %s under %s — %d cycles, %d windows\n", a.Kernel, a.Policy, a.Cycles, len(a.GPU))
+	fmt.Printf("b: %s under %s — %d cycles, %d windows\n\n", b.Kernel, b.Policy, b.Cycles, len(b.GPU))
+
+	n := len(a.GPU)
+	if len(b.GPU) < n {
+		n = len(b.GPU)
+	}
+	if n > 16 {
+		n = 16
+	}
+	wa := telemetry.Rebucket(a.GPU, n)
+	wb := telemetry.Rebucket(b.GPU, n)
+	if len(wb) < len(wa) {
+		wa = wa[:len(wb)]
+	} else {
+		wb = wb[:len(wa)]
+	}
+
+	memPct := func(w telemetry.Window) float64 {
+		total := w.SlotIssued + w.SlotStallMem + w.SlotStallALU +
+			w.SlotStallBar + w.SlotStallStr + w.SlotIdle
+		if total == 0 {
+			return 0
+		}
+		return 100 * float64(w.SlotStallMem) / float64(total)
+	}
+	fmt.Printf("%-5s %-13s %-13s %8s %9s %9s %10s\n",
+		"phase", "a cycles", "b cycles", "ΔIPC", "Δswaps", "Δmem%", "Δwarps")
+	worst, worstDelta := -1, 0.0
+	for i := range wa {
+		x, y := wa[i], wb[i]
+		dIPC := y.IPC() - x.IPC()
+		if d := dIPC; d < 0 {
+			d = -d
+			if d > worstDelta {
+				worst, worstDelta = i, d
+			}
+		} else if d > worstDelta {
+			worst, worstDelta = i, d
+		}
+		fmt.Printf("%-5d %-13s %-13s %+8.2f %+9d %+9.1f %+10d\n", i,
+			fmt.Sprintf("%d..%d", x.Cycle-x.Cycles, x.Cycle),
+			fmt.Sprintf("%d..%d", y.Cycle-y.Cycles, y.Cycle),
+			dIPC, y.SwapsOut-x.SwapsOut, memPct(y)-memPct(x),
+			y.ActiveWarps-x.ActiveWarps)
+	}
+	if worst >= 0 {
+		x, y := wa[worst], wb[worst]
+		fmt.Printf("\nlargest IPC swing: phase %d (a %d..%d vs b %d..%d): %.2f -> %.2f\n",
+			worst, x.Cycle-x.Cycles, x.Cycle, y.Cycle-y.Cycles, y.Cycle, x.IPC(), y.IPC())
+	}
+}
+
+// warnKernels notes a diff of runs of two different kernels.
+func warnKernels(a, b string) {
+	if a != b {
+		fmt.Printf("warning: comparing different kernels (%s vs %s)\n\n", a, b)
+	}
+}
+
+// loadEach reads every path with load, stopping at the first error.
+func loadEach[T any](load func(string) (*T, error), paths []string) ([]*T, error) {
+	out := make([]*T, len(paths))
+	for i, p := range paths {
+		v, err := load(p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// loadResult reads one vtsim -json result.
+func loadResult(path string) (*gpu.Result, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r gpu.Result
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &r, nil
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "vtreport: "+format+"\n", args...)
+	os.Exit(1)
 }

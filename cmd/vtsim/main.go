@@ -16,14 +16,14 @@ import (
 	"strings"
 
 	vtsim "repro"
-	"repro/internal/config"
 )
 
 func main() {
+	cfg := vtsim.GTX480()
+	flag.TextVar(&cfg.Policy, "policy", cfg.Policy, "baseline | vt | ideal | fullswap")
+	flag.TextVar(&cfg.Scheduler, "sched", cfg.Scheduler, "warp scheduler: gto | lrr | two-level")
 	var (
 		workload = flag.String("workload", "vecadd", "workload name (see -list)")
-		policy   = flag.String("policy", "baseline", "baseline | vt | ideal | fullswap")
-		sched    = flag.String("sched", "gto", "warp scheduler: gto | lrr")
 		scale    = flag.Int("scale", 1, "grid size multiplier")
 		sms      = flag.Int("sms", 0, "override SM count (0 = config default)")
 		timeline = flag.Int64("timeline", 0, "telemetry window length in cycles; also print the occupancy series, one row per window (0 = default window, no series)")
@@ -42,27 +42,6 @@ func main() {
 		return
 	}
 
-	cfg := vtsim.GTX480()
-	switch *policy {
-	case "baseline":
-		cfg.Policy = vtsim.PolicyBaseline
-	case "vt":
-		cfg.Policy = vtsim.PolicyVT
-	case "ideal":
-		cfg.Policy = vtsim.PolicyIdeal
-	case "fullswap":
-		cfg.Policy = vtsim.PolicyFullSwap
-	default:
-		fatalf("unknown policy %q", *policy)
-	}
-	switch *sched {
-	case "gto":
-		cfg.Scheduler = config.SchedGTO
-	case "lrr":
-		cfg.Scheduler = config.SchedLRR
-	default:
-		fatalf("unknown scheduler %q", *sched)
-	}
 	if *sms > 0 {
 		cfg.NumSMs = *sms
 	}

@@ -1,6 +1,8 @@
 // Package asm provides a textual assembly front end for the simulator ISA,
 // so kernels can be written as .vta files instead of Go builder calls, and
 // a disassembler that renders compiled kernels back to parseable text.
+// Both walk the opcode's isa.Form: the operands an instruction has are
+// declared there and nowhere else.
 //
 // Syntax (one instruction per line, ';' starts a comment):
 //
@@ -13,6 +15,7 @@
 //	  ldparam   r1, p0
 //	  mov       r2, #8
 //	  iadd      r3, r0, r2
+//	  imad      r3, r3, #4, r1
 //	  ld.global r4, [r3+16]
 //	  setp.lt   r5, r0, #32
 //	  bra       r5, start, done
@@ -36,14 +39,20 @@ import (
 
 // Assemble parses the source and returns the built kernel.
 func Assemble(src string) (*isa.Kernel, error) {
-	a := &assembler{}
+	a := &assembler{labels: map[string]bool{}}
 	for i, raw := range strings.Split(src, "\n") {
+		a.lineNo = i + 1
 		if err := a.line(raw); err != nil {
-			return nil, fmt.Errorf("asm: line %d: %w", i+1, err)
+			return nil, fmt.Errorf("asm: line %d: %w", a.lineNo, err)
 		}
 	}
 	if a.b == nil {
 		return nil, fmt.Errorf("asm: missing .kernel directive")
+	}
+	for _, u := range a.uses {
+		if !a.labels[u.label] {
+			return nil, fmt.Errorf("asm: line %d: undefined label %q", u.line, u.label)
+		}
 	}
 	k, err := a.b.Build()
 	if err != nil {
@@ -53,7 +62,16 @@ func Assemble(src string) (*isa.Kernel, error) {
 }
 
 type assembler struct {
-	b *isa.Builder
+	b      *isa.Builder
+	lineNo int
+	labels map[string]bool // defined so far
+	uses   []labelUse
+}
+
+// labelUse is a branch operand naming a label, and its line.
+type labelUse struct {
+	label string
+	line  int
 }
 
 func (a *assembler) line(raw string) error {
@@ -73,10 +91,11 @@ func (a *assembler) line(raw string) error {
 	}
 	if strings.HasSuffix(line, ":") {
 		name := strings.TrimSuffix(line, ":")
-		if name == "" || strings.ContainsAny(name, " \t") {
-			return fmt.Errorf("bad label %q", line)
+		if err := checkLabel(name); err != nil {
+			return err
 		}
 		a.b.Label(name)
+		a.labels[name] = true
 		return nil
 	}
 	return a.instruction(line)
@@ -144,295 +163,123 @@ func splitOperands(line string) (string, []string) {
 	return op, parts
 }
 
-var specials = map[string]isa.Special{
-	"%tid.x": isa.SrTidX, "%tid.y": isa.SrTidY, "%tid.z": isa.SrTidZ,
-	"%ctaid.x": isa.SrCTAIdX, "%ctaid.y": isa.SrCTAIdY, "%ctaid.z": isa.SrCTAIdZ,
-	"%ntid.x": isa.SrNTidX, "%ntid.y": isa.SrNTidY, "%ntid.z": isa.SrNTidZ,
-	"%nctaid.x": isa.SrNCTAIdX, "%nctaid.y": isa.SrNCTAIdY, "%nctaid.z": isa.SrNCTAIdZ,
-	"%laneid": isa.SrLaneID, "%warpid": isa.SrWarpID,
-}
-
-// specialName is the inverse of specials, for the disassembler.
-func specialName(sr isa.Special) string {
-	for n, v := range specials {
-		if v == sr {
-			return n
-		}
+// mnemonic resolves a form's name, or a comparing form's name with its
+// .KIND suffix.
+func mnemonic(mn string) (isa.Opcode, isa.CmpKind, error) {
+	if op, ok := isa.Lookup(mn); ok && !op.Form().Cmp {
+		return op, 0, nil
 	}
-	return fmt.Sprintf("%%sr%d", uint32(sr))
-}
-
-var cmpKinds = map[string]isa.CmpKind{
-	"lt": isa.CmpILT, "le": isa.CmpILE, "eq": isa.CmpIEQ, "ne": isa.CmpINE,
-	"ge": isa.CmpIGE, "gt": isa.CmpIGT, "flt": isa.CmpFLT, "fgt": isa.CmpFGT,
-}
-
-// cmpName is the inverse of cmpKinds, for the disassembler.
-func cmpName(k isa.CmpKind) string {
-	for n, v := range cmpKinds {
-		if v == k {
-			return n
-		}
+	name, suffix, _ := strings.Cut(mn, ".")
+	op, ok := isa.Lookup(name)
+	if !ok || !op.Form().Cmp {
+		return 0, 0, fmt.Errorf("unknown instruction %q", mn)
 	}
-	return fmt.Sprintf("cmp%d", uint32(k))
+	cmp, ok := isa.ParseCmp(suffix)
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown comparison %q", mn)
+	}
+	return op, cmp, nil
 }
 
-var twoSrcOps = map[string]isa.Opcode{
-	"iadd": isa.OpIAdd, "isub": isa.OpISub, "imul": isa.OpIMul,
-	"imin": isa.OpIMin, "imax": isa.OpIMax,
-	"and": isa.OpAnd, "or": isa.OpOr, "xor": isa.OpXor,
-	"shl": isa.OpShl, "shr": isa.OpShr,
-	"fadd": isa.OpFAdd, "fmul": isa.OpFMul,
-}
-
-var oneSrcOps = map[string]isa.Opcode{
-	"frcp": isa.OpFRcp, "fsqrt": isa.OpFSqrt, "fsin": isa.OpFSin, "fexp": isa.OpFExp,
-}
-
-var threeSrcOps = map[string]isa.Opcode{
-	"imad": isa.OpIMad, "ffma": isa.OpFFma,
-}
-
+// instruction parses one instruction by walking its opcode's form.
 func (a *assembler) instruction(line string) error {
-	op, args := splitOperands(line)
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s needs %d operands, got %d", op, n, len(args))
-		}
-		return nil
+	mn, args := splitOperands(line)
+	op, cmp, err := mnemonic(mn)
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case op == "nop":
-		a.b.Nop()
-		return nil
-	case op == "bar":
-		a.b.Bar()
-		return nil
-	case op == "exit":
-		a.b.Exit()
-		return nil
-	case op == "jmp":
-		if err := need(1); err != nil {
-			return err
-		}
-		a.b.Jmp(args[0])
-		return nil
-	case op == "bra":
-		if err := need(3); err != nil {
-			return err
-		}
-		pred, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		a.b.Bra(pred, args[1], args[2])
-		return nil
-	case op == "mov":
-		if err := need(2); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		if imm, ok, err := parseImm(args[1]); err != nil {
-			return err
-		} else if ok {
-			a.b.MovImm(d, imm)
-		} else {
-			s, err := parseReg(args[1])
-			if err != nil {
-				return err
+	f := op.Form()
+	if len(args) != len(f.Args) {
+		return fmt.Errorf("%s needs %d operands, got %d", mn, len(f.Args), len(args))
+	}
+	in := isa.Instr{Op: op}
+	var target, reconv string
+	for i, arg := range f.Args {
+		s := args[i]
+		var err error
+		switch arg {
+		case isa.ArgDst:
+			in.Dst, err = parseReg(s)
+		case isa.ArgA:
+			in.SrcA, err = parseReg(s)
+		case isa.ArgAImm:
+			in.SrcA, err = regOrImm(&in, s)
+		case isa.ArgBImm:
+			in.SrcB, err = regOrImm(&in, s)
+		case isa.ArgC:
+			in.SrcC, err = parseReg(s)
+		case isa.ArgMem:
+			var off int32
+			in.SrcA, off, err = parseMem(s)
+			in.Imm = uint32(off)
+		case isa.ArgSpecial:
+			sr, ok := isa.ParseSpecial(s)
+			if !ok {
+				err = fmt.Errorf("unknown special register %q", s)
 			}
-			a.b.Mov(d, s)
+			in.Imm = uint32(sr)
+		case isa.ArgParam:
+			in.Imm, err = parseParam(s)
+		case isa.ArgTarget:
+			target, err = a.use(s)
+		case isa.ArgReconv:
+			reconv, err = a.use(s)
 		}
-		return nil
-	case op == "s2r":
-		if err := need(2); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
 		if err != nil {
 			return err
 		}
-		sr, ok := specials[args[1]]
-		if !ok {
-			return fmt.Errorf("unknown special register %q", args[1])
-		}
-		a.b.S2R(d, sr)
-		return nil
-	case op == "ldparam":
-		if err := need(2); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(args[1], "p") {
-			return fmt.Errorf("ldparam needs a pN operand, got %q", args[1])
-		}
-		idx, err := strconv.Atoi(args[1][1:])
-		if err != nil || idx < 0 {
-			return fmt.Errorf("bad parameter index %q", args[1])
-		}
-		a.b.LdParam(d, idx)
-		return nil
-	case op == "selp":
-		if err := need(4); err != nil {
-			return err
-		}
-		regs, err := parseRegs(args)
-		if err != nil {
-			return err
-		}
-		a.b.Selp(regs[0], regs[1], regs[2], regs[3])
-		return nil
-	case strings.HasPrefix(op, "setp."):
-		if err := need(3); err != nil {
-			return err
-		}
-		kind, ok := cmpKinds[strings.TrimPrefix(op, "setp.")]
-		if !ok {
-			return fmt.Errorf("unknown comparison %q", op)
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		s, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		if imm, ok2, err := parseImm(args[2]); err != nil {
-			return err
-		} else if ok2 {
-			a.b.SetpImm(d, kind, s, int32(imm))
-		} else {
-			s2, err := parseReg(args[2])
-			if err != nil {
-				return err
-			}
-			a.b.Setp(d, kind, s, s2)
-		}
-		return nil
-	case op == "ld.global" || op == "ld.shared":
-		if err := need(2); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		addr, off, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		if op == "ld.global" {
-			a.b.LdG(d, addr, off)
-		} else {
-			a.b.LdS(d, addr, off)
-		}
-		return nil
-	case op == "atom.add":
-		if err := need(3); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		addr, off, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		v, err := parseReg(args[2])
-		if err != nil {
-			return err
-		}
-		a.b.AtomAdd(d, addr, off, v)
-		return nil
-	case op == "st.global" || op == "st.shared":
-		if err := need(2); err != nil {
-			return err
-		}
-		addr, off, err := parseMem(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		if op == "st.global" {
-			a.b.StG(addr, off, v)
-		} else {
-			a.b.StS(addr, off, v)
-		}
-		return nil
 	}
-
-	if code, ok := oneSrcOps[op]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		regs, err := parseRegs(args)
-		if err != nil {
-			return err
-		}
-		a.b.Emit(isa.Instr{Op: code, Dst: regs[0], SrcA: regs[1]})
-		return nil
-	}
-	if code, ok := twoSrcOps[op]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		d, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		s, err := parseReg(args[1])
-		if err != nil {
-			return err
-		}
-		if imm, ok2, err := parseImm(args[2]); err != nil {
-			return err
-		} else if ok2 {
-			a.b.Emit(isa.Instr{Op: code, Dst: d, SrcA: s, Imm: imm, UseImm: true})
+	if f.Cmp {
+		if in.UseImm {
+			in.Target = int32(cmp)
 		} else {
-			s2, err := parseReg(args[2])
-			if err != nil {
-				return err
-			}
-			a.b.Emit(isa.Instr{Op: code, Dst: d, SrcA: s, SrcB: s2})
+			in.Imm = uint32(cmp)
 		}
-		return nil
 	}
-	if code, ok := threeSrcOps[op]; ok {
-		if err := need(4); err != nil {
-			return err
-		}
-		regs, err := parseRegs(args)
-		if err != nil {
-			return err
-		}
-		a.b.Emit(isa.Instr{Op: code, Dst: regs[0], SrcA: regs[1], SrcB: regs[2], SrcC: regs[3]})
-		return nil
+	if target != "" {
+		a.b.Branch(in, target, reconv)
+	} else {
+		a.b.Emit(in)
 	}
-	return fmt.Errorf("unknown instruction %q", op)
+	return nil
 }
 
-func parseRegs(args []string) ([]isa.Reg, error) {
-	out := make([]isa.Reg, len(args))
-	for i, a := range args {
-		r, err := parseReg(a)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+// use records a reference to a label on the current line.
+func (a *assembler) use(label string) (string, error) {
+	a.uses = append(a.uses, labelUse{label, a.lineNo})
+	return label, checkLabel(label)
+}
+
+func checkLabel(name string) error {
+	if name == "" || strings.ContainsAny(name, " \t") {
+		return fmt.Errorf("bad label %q", name)
 	}
-	return out, nil
+	return nil
+}
+
+// regOrImm parses a register or an #immediate, which goes to in's Imm.
+func regOrImm(in *isa.Instr, s string) (isa.Reg, error) {
+	imm, ok, err := parseImm(s)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return parseReg(s)
+	}
+	in.Imm, in.UseImm = imm, true
+	return 0, nil
+}
+
+// parseParam parses a launch parameter operand "pN".
+func parseParam(s string) (uint32, error) {
+	if !strings.HasPrefix(s, "p") {
+		return 0, fmt.Errorf("expected a pN parameter, got %q", s)
+	}
+	n, err := strconv.ParseUint(s[1:], 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("bad parameter index %q", s)
+	}
+	return uint32(n), nil
 }
 
 func parseReg(s string) (isa.Reg, error) {

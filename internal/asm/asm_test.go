@@ -1,8 +1,10 @@
 package asm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,30 +113,48 @@ done:
 	}
 }
 
+// TestAssembleErrors: a malformed line of every kind, operand kind by
+// operand kind, is refused with its line number.
 func TestAssembleErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
+		line      int
 	}{
-		{"no kernel", "mov r0, #1\nexit\n"},
-		{"dup kernel", ".kernel a\n.kernel b\nexit\n"},
-		{"unknown op", ".kernel k\nfrobnicate r1\nexit\n"},
-		{"unknown directive", ".kernel k\n.bogus 3\nexit\n"},
-		{"bad reg", ".kernel k\nmov r999, #1\nexit\n"},
-		{"bad imm", ".kernel k\nmov r0, #zz\nexit\n"},
-		{"bad special", ".kernel k\ns2r r0, %nope\nexit\n"},
-		{"bad mem operand", ".kernel k\nld.global r0, r1\nexit\n"},
-		{"bad param", ".kernel k\nldparam r0, x7\nexit\n"},
-		{"wrong arity", ".kernel k\niadd r0, r1\nexit\n"},
-		{"bad label", ".kernel k\nbad label:\nexit\n"},
-		{"undefined branch", ".kernel k\njmp nowhere\nexit\n"},
-		{"bad setp kind", ".kernel k\nsetp.zz r0, r1, r2\nexit\n"},
-		{"smem before kernel", ".smem 4\n.kernel k\nexit\n"},
-		{"negative smem", ".kernel k\n.smem -1\nexit\n"},
+		{"no kernel", "mov r0, #1\nexit\n", 1},
+		{"dup kernel", ".kernel a\n.kernel b\nexit\n", 2},
+		{"unknown op", ".kernel k\nfrobnicate r1\nexit\n", 2},
+		{"unknown directive", ".kernel k\n.bogus 3\nexit\n", 2},
+		{"bad reg", ".kernel k\nmov r999, #1\nexit\n", 2},
+		{"reg out of range", ".kernel k\niadd r1, r255, r2\nexit\n", 2},
+		{"not a reg", ".kernel k\nselp r1, r2, x3, r4\nexit\n", 2},
+		{"bad imm", ".kernel k\nmov r0, #zz\nexit\n", 2},
+		{"bad float imm", ".kernel k\nmov r0, #1.xf\nexit\n", 2},
+		{"imm out of range", ".kernel k\niadd r0, r1, #0x1ffffffff\nexit\n", 2},
+		{"bad three-source imm", ".kernel k\nimad r0, r1, #q, r2\nexit\n", 2},
+		{"imm for reg", ".kernel k\nimad r0, r1, r2, #3\nexit\n", 2},
+		{"bad special", ".kernel k\ns2r r0, %nope\nexit\n", 2},
+		{"bad mem operand", ".kernel k\nld.global r0, r1\nexit\n", 2},
+		{"bad mem offset", ".kernel k\nst.shared [r1+zz], r0\nexit\n", 2},
+		{"bad mem reg", ".kernel k\natom.add r0, [q1], r2\nexit\n", 2},
+		{"bad param", ".kernel k\nldparam r0, x7\nexit\n", 2},
+		{"bad param index", ".kernel k\nldparam r0, p-1\nexit\n", 2},
+		{"wrong arity", ".kernel k\niadd r0, r1\nexit\n", 2},
+		{"operand on bare op", ".kernel k\nmov r0, #1\nbar r1\nexit\n", 3},
+		{"bad label", ".kernel k\nbad label:\nexit\n", 2},
+		{"empty branch label", ".kernel k\ntop:\nbra r1, , top\nexit\n", 3},
+		{"undefined branch", ".kernel k\njmp nowhere\nexit\n", 2},
+		{"undefined reconv", ".kernel k\ntop:\n  mov r1, #0\n  bra r1, top, nowhere\nexit\n", 4},
+		{"bad setp kind", ".kernel k\nsetp.zz r0, r1, r2\nexit\n", 2},
+		{"setp without kind", ".kernel k\nsetp r0, r1, r2\nexit\n", 2},
+		{"kind on non-setp", ".kernel k\niadd.lt r0, r1, r2\nexit\n", 2},
+		{"smem before kernel", ".smem 4\n.kernel k\nexit\n", 1},
+		{"negative smem", ".kernel k\n.smem -1\nexit\n", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Assemble(tc.src); err == nil {
-				t.Fatalf("expected error for %q", tc.name)
+			_, err := Assemble(tc.src)
+			if want := fmt.Sprintf("asm: line %d: ", tc.line); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("Assemble = %v, want an error starting %q", err, want)
 			}
 		})
 	}
@@ -171,6 +191,20 @@ func TestDisassembleRoundTripHandwritten(t *testing.T) {
 	checkRoundTrip(t, k)
 }
 
+// TestDisassembleTrailingLabel: a label past the final exit (a
+// reconvergence point at the end of the code) is listed without adding
+// an instruction.
+func TestDisassembleTrailingLabel(t *testing.T) {
+	k, err := Assemble(".kernel tail\n  mov r0, #1\n  bra r0, out, end\nout:\n  exit\nend:\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "L2:\n  exit\nL3:\n"; !strings.HasSuffix(Disassemble(k), want) {
+		t.Fatalf("listing does not end %q:\n%s", want, Disassemble(k))
+	}
+	checkRoundTrip(t, k)
+}
+
 // TestDisassembleRoundTripSuite round-trips every workload kernel in the
 // suite: assemble(disassemble(k)) must reproduce the exact instruction
 // stream.
@@ -190,20 +224,15 @@ func checkRoundTrip(t *testing.T, k *isa.Kernel) {
 	if err != nil {
 		t.Fatalf("reassembly failed: %v\n%s", err, text)
 	}
-	if len(k2.Code) < len(k.Code) {
-		t.Fatalf("code shrank: %d -> %d", len(k.Code), len(k2.Code))
+	if len(k2.Code) != len(k.Code) || k2.NumRegs != k.NumRegs || k2.SMemBytes != k.SMemBytes {
+		t.Fatalf("%d instructions, %d regs, %d B smem came back as %d, %d, %d:\n%s",
+			len(k.Code), k.NumRegs, k.SMemBytes, len(k2.Code), k2.NumRegs, k2.SMemBytes, text)
 	}
 	for i := range k.Code {
 		if k.Code[i] != k2.Code[i] {
 			t.Fatalf("instruction %d differs:\n  orig: %+v\n  back: %+v\nsource:\n%s",
 				i, k.Code[i], k2.Code[i], text)
 		}
-	}
-	if k2.SMemBytes != k.SMemBytes {
-		t.Fatalf("smem %d -> %d", k.SMemBytes, k2.SMemBytes)
-	}
-	if k2.NumRegs < k.NumRegs {
-		t.Fatalf("regs shrank: %d -> %d", k.NumRegs, k2.NumRegs)
 	}
 }
 
@@ -212,7 +241,7 @@ func checkRoundTrip(t *testing.T, k *isa.Kernel) {
 func TestRoundTripRandomProperty(t *testing.T) {
 	ops2 := []isa.Opcode{isa.OpIAdd, isa.OpISub, isa.OpIMul, isa.OpIMin, isa.OpIMax,
 		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpFAdd, isa.OpFMul}
-	ops3 := []isa.Opcode{isa.OpIMad, isa.OpFFma}
+	ops3 := []isa.Opcode{isa.OpIMad, isa.OpFFma, isa.OpSelp}
 	ops1 := []isa.Opcode{isa.OpFRcp, isa.OpFSqrt, isa.OpFSin, isa.OpFExp}
 
 	f := func(seed int64) bool {
@@ -227,8 +256,13 @@ func TestRoundTripRandomProperty(t *testing.T) {
 			case 0:
 				b.Emit(isa.Instr{Op: ops1[rng.Intn(len(ops1))], Dst: d, SrcA: a})
 			case 1:
-				b.Emit(isa.Instr{Op: ops3[rng.Intn(len(ops3))], Dst: d, SrcA: a,
-					SrcB: isa.Reg(rng.Intn(32)), SrcC: c})
+				in := isa.Instr{Op: ops3[rng.Intn(len(ops3))], Dst: d, SrcA: a, SrcC: c}
+				if rng.Intn(2) == 0 {
+					in.Imm, in.UseImm = rng.Uint32(), true
+				} else {
+					in.SrcB = isa.Reg(rng.Intn(32))
+				}
+				b.Emit(in)
 			case 2:
 				b.MovImm(d, rng.Uint32())
 			case 3:

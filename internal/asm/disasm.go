@@ -7,9 +7,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Disassemble renders a kernel back to assembly text that Assemble accepts
-// (assemble ∘ disassemble is the identity on the instruction stream, up to
-// label names).
+// Disassemble renders a kernel as assembly text that Assemble turns back
+// into the same Code, NumRegs and SMemBytes. Each branch target is a
+// label L<pc>.
 func Disassemble(k *isa.Kernel) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, ".kernel %s\n", k.Name)
@@ -18,114 +18,27 @@ func Disassemble(k *isa.Kernel) string {
 	}
 	fmt.Fprintf(&sb, ".regs %d\n\n", k.NumRegs)
 
-	// Collect branch targets as labels.
-	labels := map[int32]string{}
-	addLabel := func(pc int32) {
-		if _, ok := labels[pc]; !ok {
-			labels[pc] = fmt.Sprintf("L%d", pc)
-		}
-	}
+	labels := map[int32]bool{}
 	for _, in := range k.Code {
-		switch in.Op {
-		case isa.OpJmp:
-			addLabel(in.Target)
-		case isa.OpBra:
-			addLabel(in.Target)
-			addLabel(in.Reconv)
+		for _, a := range in.Op.Form().Args {
+			switch a {
+			case isa.ArgTarget:
+				labels[in.Target] = true
+			case isa.ArgReconv:
+				labels[in.Reconv] = true
+			}
 		}
 	}
-
 	for pc, in := range k.Code {
-		if l, ok := labels[int32(pc)]; ok {
-			fmt.Fprintf(&sb, "%s:\n", l)
+		if labels[int32(pc)] {
+			fmt.Fprintf(&sb, "L%d:\n", pc)
 		}
-		fmt.Fprintf(&sb, "  %s\n", renderInstr(&in, labels))
+		fmt.Fprintf(&sb, "  %s\n", in)
 	}
-	// A trailing label (e.g. reconvergence at the exit) needs a target.
-	if l, ok := labels[int32(len(k.Code))]; ok {
-		fmt.Fprintf(&sb, "%s:\n  nop\n  exit\n", l)
+	// A label may name the PC past the last instruction (a reconvergence
+	// point after the final exit).
+	if labels[int32(len(k.Code))] {
+		fmt.Fprintf(&sb, "L%d:\n", len(k.Code))
 	}
 	return sb.String()
-}
-
-func renderInstr(in *isa.Instr, labels map[int32]string) string {
-	reg := func(r isa.Reg) string {
-		if r == isa.RZ {
-			return "rz"
-		}
-		return fmt.Sprintf("r%d", r)
-	}
-	immOrB := func() string {
-		if in.UseImm {
-			return fmt.Sprintf("#%d", int32(in.Imm))
-		}
-		return reg(in.SrcB)
-	}
-	memOp := func() string {
-		off := int32(in.Imm)
-		if off == 0 {
-			return fmt.Sprintf("[%s]", reg(in.SrcA))
-		}
-		return fmt.Sprintf("[%s%+d]", reg(in.SrcA), off)
-	}
-
-	switch in.Op {
-	case isa.OpNop:
-		return "nop"
-	case isa.OpBar:
-		return "bar"
-	case isa.OpExit:
-		return "exit"
-	case isa.OpJmp:
-		return "jmp " + labels[in.Target]
-	case isa.OpBra:
-		return fmt.Sprintf("bra %s, %s, %s", reg(in.SrcA), labels[in.Target], labels[in.Reconv])
-	case isa.OpMov:
-		if in.UseImm {
-			return fmt.Sprintf("mov %s, #%d", reg(in.Dst), int32(in.Imm))
-		}
-		return fmt.Sprintf("mov %s, %s", reg(in.Dst), reg(in.SrcA))
-	case isa.OpS2R:
-		return fmt.Sprintf("s2r %s, %s", reg(in.Dst), specialName(isa.Special(in.Imm)))
-	case isa.OpLdParam:
-		return fmt.Sprintf("ldparam %s, p%d", reg(in.Dst), in.Imm)
-	case isa.OpSetp:
-		if in.UseImm {
-			return fmt.Sprintf("setp.%s %s, %s, #%d",
-				cmpName(isa.CmpKind(in.Target)), reg(in.Dst), reg(in.SrcA), int32(in.Imm))
-		}
-		return fmt.Sprintf("setp.%s %s, %s, %s",
-			cmpName(isa.CmpKind(in.Imm)), reg(in.Dst), reg(in.SrcA), reg(in.SrcB))
-	case isa.OpSelp:
-		return fmt.Sprintf("selp %s, %s, %s, %s",
-			reg(in.Dst), reg(in.SrcA), reg(in.SrcB), reg(in.SrcC))
-	case isa.OpLdGlobal:
-		return fmt.Sprintf("ld.global %s, %s", reg(in.Dst), memOp())
-	case isa.OpLdShared:
-		return fmt.Sprintf("ld.shared %s, %s", reg(in.Dst), memOp())
-	case isa.OpAtomAdd:
-		return fmt.Sprintf("atom.add %s, %s, %s", reg(in.Dst), memOp(), reg(in.SrcC))
-	case isa.OpStGlobal:
-		return fmt.Sprintf("st.global %s, %s", memOp(), reg(in.SrcC))
-	case isa.OpStShared:
-		return fmt.Sprintf("st.shared %s, %s", memOp(), reg(in.SrcC))
-	}
-
-	for name, code := range oneSrcOps {
-		if code == in.Op {
-			return fmt.Sprintf("%s %s, %s", name, reg(in.Dst), reg(in.SrcA))
-		}
-	}
-	for name, code := range twoSrcOps {
-		if code == in.Op {
-			return fmt.Sprintf("%s %s, %s, %s", name, reg(in.Dst), reg(in.SrcA), immOrB())
-		}
-	}
-	for name, code := range threeSrcOps {
-		if code == in.Op {
-			return fmt.Sprintf("%s %s, %s, %s, %s",
-				name, reg(in.Dst), reg(in.SrcA), reg(in.SrcB), reg(in.SrcC))
-		}
-	}
-	return fmt.Sprintf("; unknown op %v", in.Op)
 }

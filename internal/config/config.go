@@ -8,6 +8,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // SchedulerKind selects the warp scheduling policy inside an SM.
@@ -25,18 +26,27 @@ const (
 	SchedTwoLevel
 )
 
+var schedulerNames = [...]string{SchedGTO: "gto", SchedLRR: "lrr", SchedTwoLevel: "two-level"}
+
 // String returns the conventional short name of the scheduler.
 func (k SchedulerKind) String() string {
-	switch k {
-	case SchedGTO:
-		return "gto"
-	case SchedLRR:
-		return "lrr"
-	case SchedTwoLevel:
-		return "two-level"
-	default:
-		return fmt.Sprintf("sched(%d)", int(k))
+	if k >= 0 && int(k) < len(schedulerNames) {
+		return schedulerNames[k]
 	}
+	return fmt.Sprintf("sched(%d)", int(k))
+}
+
+// MarshalText renders the scheduler kind as its name, in JSON and on
+// the command line.
+func (k SchedulerKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a scheduler kind from its name.
+func (k *SchedulerKind) UnmarshalText(text []byte) error {
+	i, err := parseName(schedulerNames[:], "scheduler", text)
+	if err == nil {
+		*k = SchedulerKind(i)
+	}
+	return err
 }
 
 // Policy selects the CTA scheduling architecture under evaluation. It
@@ -61,62 +71,40 @@ const (
 	PolicyFullSwap
 )
 
+var policyNames = [...]string{
+	PolicyBaseline: "baseline", PolicyVT: "vt", PolicyIdeal: "ideal", PolicyFullSwap: "fullswap",
+}
+
 // String returns the name used in reports for the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyBaseline:
-		return "baseline"
-	case PolicyVT:
-		return "vt"
-	case PolicyIdeal:
-		return "ideal"
-	case PolicyFullSwap:
-		return "fullswap"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// MarshalJSON renders the policy as its name.
-func (p Policy) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + p.String() + `"`), nil
-}
+// MarshalText renders the policy as its name, in JSON and on the command
+// line.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalJSON parses a policy from its name.
-func (p *Policy) UnmarshalJSON(data []byte) error {
-	switch string(data) {
-	case `"baseline"`:
-		*p = PolicyBaseline
-	case `"vt"`:
-		*p = PolicyVT
-	case `"ideal"`:
-		*p = PolicyIdeal
-	case `"fullswap"`:
-		*p = PolicyFullSwap
-	default:
-		return fmt.Errorf("config: unknown policy %s", data)
+// UnmarshalText parses a policy from its name.
+func (p *Policy) UnmarshalText(text []byte) error {
+	i, err := parseName(policyNames[:], "policy", text)
+	if err == nil {
+		*p = Policy(i)
 	}
-	return nil
+	return err
 }
 
-// MarshalJSON renders the scheduler kind as its name.
-func (k SchedulerKind) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + k.String() + `"`), nil
-}
-
-// UnmarshalJSON parses a scheduler kind from its name.
-func (k *SchedulerKind) UnmarshalJSON(data []byte) error {
-	switch string(data) {
-	case `"gto"`:
-		*k = SchedGTO
-	case `"lrr"`:
-		*k = SchedLRR
-	case `"two-level"`:
-		*k = SchedTwoLevel
-	default:
-		return fmt.Errorf("config: unknown scheduler %s", data)
+// parseName returns the index of text in names. A JSON number never gets
+// here: encoding/json refuses a non-string for a TextUnmarshaler.
+func parseName(names []string, what string, text []byte) (int, error) {
+	for i, n := range names {
+		if n == string(text) {
+			return i, nil
+		}
 	}
-	return nil
+	return 0, fmt.Errorf("config: unknown %s %q (want one of %s)", what, text, strings.Join(names, ", "))
 }
 
 // CacheConfig describes one cache level.

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,12 +154,15 @@ func TestKeplerLikeValid(t *testing.T) {
 
 func TestPolicyJSONRoundTrip(t *testing.T) {
 	for _, p := range []Policy{PolicyBaseline, PolicyVT, PolicyIdeal, PolicyFullSwap} {
-		data, err := p.MarshalJSON()
+		data, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := `"` + p.String() + `"`; string(data) != want {
+			t.Fatalf("%v marshals to %s, want %s", p, data, want)
+		}
 		var back Policy
-		if err := back.UnmarshalJSON(data); err != nil {
+		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
 		if back != p {
@@ -166,22 +170,25 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 		}
 	}
 	var p Policy
-	if err := p.UnmarshalJSON([]byte(`"nonsense"`)); err == nil {
+	if err := json.Unmarshal([]byte(`"nonsense"`), &p); err == nil {
 		t.Fatal("bad policy must error")
 	}
-	if err := p.UnmarshalJSON([]byte(`1`)); err == nil {
+	if err := json.Unmarshal([]byte(`1`), &p); err == nil {
 		t.Fatal("a numeric policy must be refused: every writer emits names")
 	}
 }
 
 func TestSchedulerJSONRoundTrip(t *testing.T) {
 	for _, k := range []SchedulerKind{SchedGTO, SchedLRR, SchedTwoLevel} {
-		data, err := k.MarshalJSON()
+		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := `"` + k.String() + `"`; string(data) != want {
+			t.Fatalf("%v marshals to %s, want %s", k, data, want)
+		}
 		var back SchedulerKind
-		if err := back.UnmarshalJSON(data); err != nil {
+		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
 		if back != k {
@@ -190,7 +197,7 @@ func TestSchedulerJSONRoundTrip(t *testing.T) {
 	}
 	var k SchedulerKind
 	for _, bad := range []string{`"nonsense"`, `1`} {
-		if err := k.UnmarshalJSON([]byte(bad)); err == nil {
+		if err := json.Unmarshal([]byte(bad), &k); err == nil {
 			t.Fatalf("scheduler %s must be refused", bad)
 		}
 	}

@@ -25,6 +25,9 @@ package gpu
 //     sampled reference path (with a collector attached).
 //   - TestIdleSkipEquivalence: idle skip off; the Results that change are
 //     pinned in knownSkipDivergence.
+//   - TestAssemblyRoundTrip: every kernel comes back from its .vta text
+//     exactly, so the listing a generated input's failure prints is the
+//     kernel that ran.
 //   - TestOracleFunctional, TestDifferentialPolicyFuzz and
 //     TestDifferentialMultiKernelFuzz: every CTA completes and the final
 //     memory image is the same under every policy and tuning, for the
@@ -39,12 +42,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -243,8 +248,22 @@ func assertEquivalent(t *testing.T, in *oracleInput, a, b *Result) {
 	assertConserved(t, in, a)
 	assertConserved(t, in, b)
 	if d := resultDiff(a, b); d != "" {
-		t.Fatalf("%s: results differ: %s", in.name, d)
+		t.Fatalf("%s: results differ: %s%s", in.name, d, in.listing())
 	}
+}
+
+// listing is a generated input's kernels as assembly text, so a failure
+// shows the instructions that diverged; "" for a workload, whose source
+// is in package kernels.
+func (in *oracleInput) listing() string {
+	if !in.generated {
+		return ""
+	}
+	var sb strings.Builder
+	for _, l := range in.launches {
+		fmt.Fprintf(&sb, "\n\n; grid %v, block %v, params %#x\n%s", l.GridDim, l.BlockDim, l.Params, asm.Disassemble(l.Kernel))
+	}
+	return sb.String()
 }
 
 // assertConserved checks that every scheduler contributed exactly one
@@ -254,8 +273,8 @@ func assertConserved(t *testing.T, in *oracleInput, r *Result) {
 	s := r.SM
 	slots := s.SlotIssued + s.SlotStallMem + s.SlotStallALU + s.SlotStallBar + s.SlotStallStr + s.SlotIdle
 	if want := r.Cycles * int64(r.Schedulers) * int64(r.NumSMs); slots != want {
-		t.Fatalf("%s: %d slot samples, want %d cycles x %d schedulers x %d SMs = %d",
-			in.name, slots, r.Cycles, r.Schedulers, r.NumSMs, want)
+		t.Fatalf("%s: %d slot samples, want %d cycles x %d schedulers x %d SMs = %d%s",
+			in.name, slots, r.Cycles, r.Schedulers, r.NumSMs, want, in.listing())
 	}
 }
 
@@ -555,6 +574,26 @@ func TestIdleSkipEquivalence(t *testing.T) {
 			t.Errorf("%s: listed in knownSkipDivergence but idle skip no longer changes its result", in.name)
 		case !known && d != "":
 			t.Errorf("%s: idle skip changes the result: %s", in.name, d)
+		}
+	})
+}
+
+// TestAssemblyRoundTrip: every kernel of every input, generated ones
+// included, comes back from its assembly text exactly: the listing a
+// failure prints is the kernel that ran.
+func TestAssemblyRoundTrip(t *testing.T) {
+	forEachInput(t, func(t *testing.T, in *oracleInput) {
+		for _, l := range in.launches {
+			k := l.Kernel
+			text := asm.Disassemble(k)
+			back, err := asm.Assemble(text)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", k.Name, err, text)
+			}
+			if !slices.Equal(back.Code, k.Code) || back.NumRegs != k.NumRegs || back.SMemBytes != k.SMemBytes {
+				t.Fatalf("%s: %d instructions, %d regs, %d B smem came back as %d, %d, %d, or the code differs:\n%s",
+					k.Name, len(k.Code), k.NumRegs, k.SMemBytes, len(back.Code), back.NumRegs, back.SMemBytes, text)
+			}
 		}
 	})
 }

@@ -130,7 +130,7 @@ func TestOpenJournalWithoutStoreTouchesNothing(t *testing.T) {
 func TestNoPackageState(t *testing.T) {
 	noPackageState(t, ".", "experiments")
 	noPackageState(t, "../kernels", "registry")
-	noPackageState(t, "../isa", "opNames")
+	noPackageState(t, "../isa", "forms", "cmpNames", "specialNames")
 	noPackageState(t, "../resultstore", "ErrNotFound", "ErrClosed")
 	noPackageState(t, "../mem")
 	noPackageState(t, "../fabric")

@@ -225,21 +225,21 @@ func (b *Builder) AtomAdd(d, addr Reg, off int32, val Reg) *Builder {
 	return b.Emit(Instr{Op: OpAtomAdd, Dst: d, SrcA: addr, Imm: uint32(off), SrcC: val})
 }
 
+// Branch emits a control-flow instruction whose Target (and Reconv, when
+// reconv is not empty) Build resolves from labels.
+func (b *Builder) Branch(in Instr, target, reconv string) *Builder {
+	b.fixups = append(b.fixups, fixup{pc: len(b.instrs), target: target, reconv: reconv})
+	return b.Emit(in)
+}
+
 // Bra emits a divergent branch: lanes with pred != 0 jump to target; all
 // lanes reconverge at the reconv label.
 func (b *Builder) Bra(pred Reg, target, reconv string) *Builder {
-	b.note(pred)
-	b.fixups = append(b.fixups, fixup{pc: len(b.instrs), target: target, reconv: reconv})
-	b.instrs = append(b.instrs, Instr{Op: OpBra, SrcA: pred})
-	return b
+	return b.Branch(Instr{Op: OpBra, SrcA: pred}, target, reconv)
 }
 
 // Jmp emits a uniform jump to the label.
-func (b *Builder) Jmp(target string) *Builder {
-	b.fixups = append(b.fixups, fixup{pc: len(b.instrs), target: target})
-	b.instrs = append(b.instrs, Instr{Op: OpJmp})
-	return b
-}
+func (b *Builder) Jmp(target string) *Builder { return b.Branch(Instr{Op: OpJmp}, target, "") }
 
 // Bar emits a CTA-wide barrier.
 func (b *Builder) Bar() *Builder { return b.Emit(Instr{Op: OpBar}) }

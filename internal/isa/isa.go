@@ -8,7 +8,7 @@ package isa
 
 import "fmt"
 
-// Reg names a per-thread 32-bit architectural register, R0..R254.
+// Reg names a per-thread 32-bit architectural register, r0..r254.
 // RZ always reads as zero and discards writes.
 type Reg uint8
 
@@ -21,9 +21,9 @@ const MaxRegs = 255
 // String renders the register in assembly form.
 func (r Reg) String() string {
 	if r == RZ {
-		return "RZ"
+		return "rz"
 	}
-	return fmt.Sprintf("R%d", r)
+	return fmt.Sprintf("r%d", r)
 }
 
 // RegMask is a 256-bit register bitset: the scoreboard representation of
@@ -107,28 +107,6 @@ const (
 	opCount
 )
 
-var opNames = [...]string{
-	OpNop: "nop", OpMov: "mov", OpS2R: "s2r", OpLdParam: "ldparam",
-	OpIAdd: "iadd", OpISub: "isub", OpIMul: "imul", OpIMad: "imad",
-	OpIMin: "imin", OpIMax: "imax",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr",
-	OpFAdd: "fadd", OpFMul: "fmul", OpFFma: "ffma",
-	OpFRcp: "frcp", OpFSqrt: "fsqrt", OpFSin: "fsin", OpFExp: "fexp",
-	OpSetp: "setp", OpSelp: "selp",
-	OpLdGlobal: "ld.global", OpStGlobal: "st.global",
-	OpLdShared: "ld.shared", OpStShared: "st.shared",
-	OpAtomAdd: "atom.add",
-	OpBra:     "bra", OpJmp: "jmp", OpBar: "bar.sync", OpExit: "exit",
-}
-
-// String returns the mnemonic of the opcode.
-func (o Opcode) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%d)", int(o))
-}
-
 // UnitClass groups opcodes by the execution unit that serves them.
 type UnitClass uint8
 
@@ -139,20 +117,6 @@ const (
 	UnitMem                  // load/store unit
 	UnitCtl                  // control: branches, barrier, exit (resolved at issue)
 )
-
-// Unit returns the execution unit class that serves the opcode.
-func (o Opcode) Unit() UnitClass {
-	switch o {
-	case OpFRcp, OpFSqrt, OpFSin, OpFExp:
-		return UnitSFU
-	case OpLdGlobal, OpStGlobal, OpLdShared, OpStShared, OpAtomAdd:
-		return UnitMem
-	case OpBra, OpJmp, OpBar, OpExit:
-		return UnitCtl
-	default:
-		return UnitSP
-	}
-}
 
 // IsLoad reports whether the opcode reads memory into a register.
 func (o Opcode) IsLoad() bool { return o == OpLdGlobal || o == OpLdShared }
@@ -168,16 +132,8 @@ func (o Opcode) IsGlobal() bool {
 // IsAtomic reports whether the opcode is a read-modify-write.
 func (o Opcode) IsAtomic() bool { return o == OpAtomAdd }
 
-// HasDst reports whether the opcode writes a destination register.
-func (o Opcode) HasDst() bool {
-	switch o {
-	case OpNop, OpStGlobal, OpStShared, OpBra, OpJmp, OpBar, OpExit:
-		return false
-	}
-	return true
-}
-
-// CmpKind is the comparison selector carried in OpSetp's Imm field.
+// CmpKind is OpSetp's comparison selector. It is carried in Imm, or in
+// Target when the immediate takes Imm (SetpImm).
 type CmpKind uint32
 
 // Comparison kinds for OpSetp. The I-prefixed kinds compare as signed
@@ -264,71 +220,6 @@ func (in *Instr) Decode() {
 	}
 	in.ExecUnit = in.Op.Unit()
 	in.Decoded = true
-}
-
-// SrcRegs appends the source registers the instruction reads to dst and
-// returns the result. RZ is never reported (it has no hazards).
-func (in *Instr) SrcRegs(dst []Reg) []Reg {
-	add := func(r Reg) {
-		if r != RZ {
-			dst = append(dst, r)
-		}
-	}
-	switch in.Op {
-	case OpNop, OpS2R, OpLdParam, OpBar, OpExit, OpJmp:
-		// no register sources
-	case OpMov:
-		if !in.UseImm {
-			add(in.SrcA)
-		}
-	case OpBra:
-		add(in.SrcA)
-	case OpLdGlobal, OpLdShared:
-		add(in.SrcA)
-	case OpStGlobal, OpStShared, OpAtomAdd:
-		add(in.SrcA)
-		add(in.SrcC)
-	case OpIMad, OpFFma, OpSelp:
-		add(in.SrcA)
-		if !in.UseImm {
-			add(in.SrcB)
-		}
-		add(in.SrcC)
-	case OpFRcp, OpFSqrt, OpFSin, OpFExp:
-		add(in.SrcA)
-	default: // two-source ALU
-		add(in.SrcA)
-		if !in.UseImm {
-			add(in.SrcB)
-		}
-	}
-	return dst
-}
-
-// String renders the instruction in a readable assembly-like form.
-func (in Instr) String() string {
-	switch in.Op {
-	case OpNop, OpBar, OpExit:
-		return in.Op.String()
-	case OpJmp:
-		return fmt.Sprintf("jmp %d", in.Target)
-	case OpBra:
-		return fmt.Sprintf("bra %s, %d (reconv %d)", in.SrcA, in.Target, in.Reconv)
-	case OpS2R:
-		return fmt.Sprintf("s2r %s, sr%d", in.Dst, in.Imm)
-	case OpLdParam:
-		return fmt.Sprintf("ldparam %s, p%d", in.Dst, in.Imm)
-	case OpLdGlobal, OpLdShared:
-		return fmt.Sprintf("%s %s, [%s+%d]", in.Op, in.Dst, in.SrcA, in.Imm)
-	case OpStGlobal, OpStShared:
-		return fmt.Sprintf("%s [%s+%d], %s", in.Op, in.SrcA, in.Imm, in.SrcC)
-	case OpAtomAdd:
-		return fmt.Sprintf("%s %s, [%s+%d], %s", in.Op, in.Dst, in.SrcA, in.Imm, in.SrcC)
-	}
-	if in.UseImm {
-		return fmt.Sprintf("%s %s, %s, #%d", in.Op, in.Dst, in.SrcA, int32(in.Imm))
-	}
-	return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.SrcA, in.SrcB)
 }
 
 // Dim3 is a CUDA-style three-component extent.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,17 +178,45 @@ func TestOpcodePredicates(t *testing.T) {
 	}
 }
 
+// TestInstrString: an instruction prints as its assembly line, in the
+// spelling the assembler reads.
 func TestInstrString(t *testing.T) {
-	in := Instr{Op: OpLdGlobal, Dst: 3, SrcA: 2, Imm: 16}
-	if s := in.String(); !strings.Contains(s, "ld.global") || !strings.Contains(s, "R3") {
-		t.Errorf("String() = %q", s)
-	}
 	neg4 := int32(-4)
-	if s := (Instr{Op: OpIAdd, Dst: 1, SrcA: 2, Imm: uint32(neg4), UseImm: true}).String(); !strings.Contains(s, "#-4") {
-		t.Errorf("immediate render = %q", s)
+	for _, tc := range []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpLdGlobal, Dst: 3, SrcA: 2, Imm: 16}, "ld.global r3, [r2+16]"},
+		{Instr{Op: OpStShared, SrcA: 2, Imm: uint32(neg4), SrcC: RZ}, "st.shared [r2-4], rz"},
+		{Instr{Op: OpIAdd, Dst: 1, SrcA: 2, Imm: uint32(neg4), UseImm: true}, "iadd r1, r2, #-4"},
+		{Instr{Op: OpIMad, Dst: 1, SrcA: 2, Imm: 3, UseImm: true, SrcC: 4}, "imad r1, r2, #3, r4"},
+		{Instr{Op: OpSetp, Dst: 1, SrcA: 2, SrcB: 3, Imm: uint32(CmpFGT)}, "setp.fgt r1, r2, r3"},
+		{Instr{Op: OpSetp, Dst: 1, SrcA: 2, Imm: 7, UseImm: true, Target: int32(CmpINE)}, "setp.ne r1, r2, #7"},
+		{Instr{Op: OpS2R, Dst: 0, Imm: uint32(SrNCTAIdX)}, "s2r r0, %nctaid.x"},
+		{Instr{Op: OpLdParam, Dst: 0, Imm: 2}, "ldparam r0, p2"},
+		{Instr{Op: OpBra, SrcA: 5, Target: 1, Reconv: 9}, "bra r5, L1, L9"},
+		{Instr{Op: OpBar}, "bar"},
+	} {
+		if got := tc.in.String(); got != tc.want {
+			t.Errorf("%+v prints %q, want %q", tc.in, got, tc.want)
+		}
 	}
-	if Reg(3).String() != "R3" || RZ.String() != "RZ" {
+	if Reg(3).String() != "r3" || RZ.String() != "rz" {
 		t.Error("register names wrong")
+	}
+}
+
+// TestFormsCoverEveryOpcode: every opcode has a form whose mnemonic
+// names it back, and no two share a mnemonic.
+func TestFormsCoverEveryOpcode(t *testing.T) {
+	for op := Opcode(0); op < opCount; op++ {
+		name := op.Form().Name
+		if back, ok := Lookup(name); name == "" || !ok || back != op {
+			t.Errorf("opcode %d: mnemonic %q looks up as %v, %v", op, name, back, ok)
+		}
+	}
+	if s := opCount.String(); s != fmt.Sprintf("op(%d)", opCount) {
+		t.Errorf("undefined opcode prints %q", s)
 	}
 }
 

@@ -561,7 +561,7 @@ func (s *SM) execute(w *warp.Warp, in *isa.Instr, active simt.Mask) warp.ExecInf
 
 func (sc *scheduler) aluIssue(w *warp.Warp, in *isa.Instr) {
 	s := sc.sm
-	if !in.Op.HasDst() || in.Dst == isa.RZ {
+	if !in.DstMask.Any() { // no destination, or RZ
 		return
 	}
 	var lat int64

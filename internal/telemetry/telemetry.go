@@ -13,9 +13,9 @@
 // capacity, adjacent window pairs are merged and the window length
 // doubles (adaptive compaction), so memory stays O(RingWindows) while
 // resolution degrades gracefully on long runs. Everything is exported
-// three ways: Dump (ring JSON, read back by ReadDump for cmd/vtreport
-// and cmd/vtdiff), WritePerfetto (Chrome/Perfetto trace-event JSON), and
-// Totals (window and span counts). See docs/OBSERVABILITY.md.
+// three ways: Dump (ring JSON, read back by ReadDump for cmd/vtreport),
+// WritePerfetto (Chrome/Perfetto trace-event JSON), and Totals (window
+// and span counts). See docs/OBSERVABILITY.md.
 package telemetry
 
 import (
@@ -404,7 +404,7 @@ func (c *Collector) compact() {
 
 // MergeWindows folds two adjacent windows: deltas sum, gauges and the
 // end cycle come from the later window. Compaction and the rebucketing
-// consumers (cmd/vtreport, cmd/vtdiff) both build on it.
+// consumers (cmd/vtreport's summary and diff) both build on it.
 func MergeWindows(a, b Window) Window {
 	out := b
 	out.Cycles = a.Cycles + b.Cycles
@@ -437,7 +437,7 @@ func mergeMemWindows(a, b MemWindow) MemWindow {
 
 // Rebucket folds a contiguous ring into at most n windows, merging
 // adjacent entries that fall into the same n-th of the covered span.
-// Comparing two dumps bucket-by-bucket (cmd/vtdiff -rings) needs both
+// Comparing two dumps bucket-by-bucket (cmd/vtreport -rings a b) needs both
 // rings on a common, coarse grid; so does rendering a bounded timeline
 // table (cmd/vtreport -rings).
 func Rebucket(ws []Window, n int) []Window {

@@ -240,11 +240,7 @@ func aluLane(w *Warp, in *isa.Instr, lane int, a, b, c uint32) uint32 {
 	case isa.OpFExp:
 		return fbits(float32(math.Exp2(float64(ffrom(a)))))
 	case isa.OpSetp:
-		kind := isa.CmpKind(in.Imm)
-		if in.UseImm {
-			kind = isa.CmpKind(in.Target)
-		}
-		if compare(kind, a, b) {
+		if compare(in.Cmp(), a, b) {
 			return 1
 		}
 		return 0

@@ -337,11 +337,7 @@ func rowBinary(w *Warp, in *isa.Instr, d, a, b []uint32) {
 	a, b = a[:n], b[:n]
 	switch in.Op {
 	case isa.OpSetp:
-		kind := isa.CmpKind(in.Imm)
-		if in.UseImm {
-			kind = isa.CmpKind(in.Target)
-		}
-		rowSetp(d, a, b, kind)
+		rowSetp(d, a, b, in.Cmp())
 	case isa.OpIMin:
 		for i := range d {
 			v := a[i]
