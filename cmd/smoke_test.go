@@ -43,7 +43,7 @@ func TestCommandSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"repro/cmd/vtsim", "repro/cmd/vtasm", "repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench",
+		"repro/cmd/vtsim", "repro/cmd/vtreport", "repro/cmd/vtsweepd", "repro/cmd/vtbench",
 		"repro/examples/customkernel", "repro/examples/multikernel",
 		"repro/examples/occupancy", "repro/examples/quickstart",
 		"repro/examples/swaptrace", "repro/examples/sweep")
@@ -51,10 +51,15 @@ func TestCommandSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	// The repo ships no .vta source; three instructions are a kernel.
-	kernel := ".kernel tiny\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n"
-	if err := os.WriteFile(filepath.Join(dir, "tiny.vta"), []byte(kernel), 0o644); err != nil {
-		t.Fatal(err)
+	// The repo ships no .vta source; three instructions are a kernel, and
+	// two are one that reads a parameter no launch here passes.
+	for name, kernel := range map[string]string{
+		"tiny.vta":  ".kernel tiny\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n",
+		"param.vta": ".kernel p\n  ldparam r0, p3\n  exit\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(kernel), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// vtreport reads vtsim -json results, ring dumps and a swept store.
 	result, code := run(t, dir, "vtsim", "-workload", "bfs", "-policy", "vt", "-json")
@@ -85,12 +90,14 @@ func TestCommandSmoke(t *testing.T) {
 	}{
 		{bin: "vtsim", args: []string{"-workload", "bfs", "-policy", "vt"}, want: "policy:              vt, scheduler gto, 15 SMs"},
 		{bin: "vtsim", args: []string{"-workload", "bfs", "-sched", "two-level"}, want: "policy:              baseline, scheduler two-level, 15 SMs"},
-		{bin: "vtasm", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
-		{bin: "vtasm", args: []string{"-grid", "2", "-block", "32", "-param", "0x1000", "tiny.vta"}, want: "policy baseline: "},
-		{bin: "vtasm", args: []string{"-disasm", "tiny.vta"}, want: ".kernel tiny\n.regs 2\n\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n", whole: true},
+		{bin: "vtsim", args: []string{"-check", "tiny.vta"}, want: "kernel tiny: 3 instructions, "},
+		{bin: "vtsim", args: []string{"-grid", "2", "-block", "32", "-param", "0x1000", "tiny.vta"}, want: "workload:            tiny (tiny.vta)"},
+		{bin: "vtsim", args: []string{"-disasm", "tiny.vta"}, want: ".kernel tiny\n.regs 2\n\n  mov r0, #1\n  iadd r1, r0, r0\n  exit\n", whole: true},
+		{bin: "vtsim", args: []string{"-sched", "two-level", "-grid", "2", "-block", "32", "tiny.vta"}, want: "policy:              baseline, scheduler two-level, 15 SMs"},
 		{bin: "vtreport", args: []string{"-store", "swept"}, want: "store is healthy"},
 		{bin: "vtreport", args: []string{"-rings", "rings.json"}, want: "== swap-rate phases =="},
 		{bin: "vtreport", want: "  note: 18 of 22 workloads are scheduling-limited"},
+		{bin: "vtreport", args: []string{"-workload", "nw"}, want: "  note: binding limiter: cta-slots -> 8 CTAs/SM; capacity alone allows 24"},
 		{bin: "vtsweepd", args: []string{"-list"}, want: experiments, whole: true},
 		{bin: "customkernel", want: `kernel "chase": 31 instructions, 11 regs/thread`},
 		{bin: "multikernel", want: "co-scheduled mix: nw+montecarlo"},
@@ -112,6 +119,28 @@ func TestCommandSmoke(t *testing.T) {
 			}
 		})
 	}
+
+	// A kernel that reads a parameter its launch lacks is refused at
+	// validation: exit 1 naming the kernel, the pc and the index, and no
+	// goroutine trace. A file's flags are refused without a file, and the
+	// suite's flags with one.
+	t.Run("vtsim-refusals", func(t *testing.T) {
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-grid", "1", "-block", "32", "param.vta"}, `vtsim: isa: kernel "p": instruction 0 reads param p3, launch has 0`},
+			{[]string{"-check"}, "vtsim: -check needs a .vta file argument"},
+			{[]string{"-workload", "bfs", "tiny.vta"}, "vtsim: -workload does not apply to a .vta file"},
+		} {
+			cmd := exec.Command(filepath.Join(dir, "vtsim"), tc.args...)
+			cmd.Dir = dir
+			out, _ := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != 1 || strings.TrimSpace(string(out)) != tc.want {
+				t.Errorf("vtsim %v exited %d, want 1 and %q:\n%s", tc.args, code, tc.want, out)
+			}
+		}
+	})
 
 	// A read-only audit of a directory that is not there refuses, and
 	// leaves it not there: it does not lay out an empty store to call

@@ -1,11 +1,15 @@
-// Command vtsim runs one workload from the synthetic suite on the
-// simulated GPU under a chosen CTA scheduling policy and prints the
-// simulation statistics.
+// Command vtsim runs one workload on the simulated GPU under a chosen
+// CTA scheduling policy and prints the simulation statistics. The
+// workload is one from the synthetic suite, or a .vta assembly file run
+// as a one-launch workload.
 //
 // Usage:
 //
 //	vtsim -workload bfs -policy vt
 //	vtsim -list
+//	vtsim -grid 64 -block 128 -param 0x100000 -param 0x200000 kernel.vta
+//	vtsim -check kernel.vta          # assemble only, report resources
+//	vtsim -disasm kernel.vta         # print the kernel as the assembler reads it back
 package main
 
 import (
@@ -13,10 +17,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	vtsim "repro"
+	"repro/internal/asm"
+	"repro/internal/cta"
+	"repro/internal/isa"
 )
+
+type paramList []uint32
+
+func (p *paramList) String() string { return fmt.Sprint(*p) }
+func (p *paramList) Set(s string) error {
+	v, err := strconv.ParseUint(s, 0, 32)
+	if err != nil {
+		return err
+	}
+	*p = append(*p, uint32(v))
+	return nil
+}
 
 func main() {
 	cfg := vtsim.GTX480()
@@ -31,8 +51,35 @@ func main() {
 		perfetto = flag.String("perfetto", "", "write a Chrome/Perfetto trace-event JSON timeline to this file")
 		teleOut  = flag.String("telemetry", "", "write the telemetry ring dump (windows, spans, histogram) as JSON to this file")
 		list     = flag.Bool("list", false, "list workloads and exit")
+		grid     = flag.Int("grid", 60, "with a .vta file: grid size (CTAs)")
+		block    = flag.Int("block", 128, "with a .vta file: threads per CTA")
+		check    = flag.Bool("check", false, "with a .vta file: assemble and report resources only")
+		disasm   = flag.Bool("disasm", false, "with a .vta file: assemble then print the disassembly")
+		params   paramList
 	)
+	flag.Var(&params, "param", "with a .vta file: kernel parameter (repeatable, accepts 0x)")
 	flag.Parse()
+
+	// A .vta file replaces the suite workload, so each side's flags are
+	// refused with the other.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case flag.NArg() > 1:
+		fatalf("usage: vtsim [flags] [kernel.vta]")
+	case flag.NArg() == 1:
+		for _, name := range []string{"workload", "scale", "list"} {
+			if set[name] {
+				fatalf("-%s does not apply to a .vta file", name)
+			}
+		}
+	default:
+		for _, name := range []string{"grid", "block", "param", "check", "disasm"} {
+			if set[name] {
+				fatalf("-%s needs a .vta file argument", name)
+			}
+		}
+	}
 
 	if *list {
 		for _, n := range vtsim.WorkloadNames() {
@@ -46,9 +93,38 @@ func main() {
 		cfg.NumSMs = *sms
 	}
 
-	w, err := vtsim.BuildWorkload(*workload, *scale)
-	if err != nil {
-		fatalf("%v", err)
+	var w vtsim.Workload
+	if flag.NArg() == 1 {
+		src, err := os.ReadFile(flag.Arg(0))
+		if err != nil {
+			fatalf("%v", err)
+		}
+		k, err := asm.Assemble(string(src))
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if *disasm {
+			fmt.Print(asm.Disassemble(k))
+			return
+		}
+		l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(*grid), BlockDim: isa.Dim1(*block), Params: params}
+		if err := l.Validate(); err != nil {
+			fatalf("%v", err)
+		}
+		if *check {
+			o := cta.ComputeOccupancy(l, &cfg)
+			fmt.Printf("kernel %s: %d instructions, %d regs/thread, %d B shared\n",
+				k.Name, len(k.Code), k.NumRegs, k.SMemBytes)
+			fmt.Printf("occupancy: %d CTAs/SM (limiter %s; capacity %d)\n",
+				o.CTAs, o.Limiter, o.CapacityCTAs)
+			return
+		}
+		w = vtsim.Workload{Name: k.Name, Description: flag.Arg(0), Launch: l}
+	} else {
+		var err error
+		if w, err = vtsim.BuildWorkload(*workload, *scale); err != nil {
+			fatalf("%v", err)
+		}
 	}
 	var col *vtsim.Collector
 	if *timeline > 0 || *perfetto != "" || *teleOut != "" {

@@ -266,7 +266,8 @@ func (l Launch) WarpsPerCTA(warpSize int) int {
 	return (l.BlockDim.Size() + warpSize - 1) / warpSize
 }
 
-// Validate reports structural errors in the launch.
+// Validate reports structural errors in the launch, among them an
+// ldparam past the launch's Params.
 func (l Launch) Validate() error {
 	if l.Kernel == nil {
 		return fmt.Errorf("isa: launch has no kernel")
@@ -283,9 +284,16 @@ func (l Launch) Validate() error {
 			l.Kernel.Name, l.BlockDim.Size())
 	}
 	for pc := range l.Kernel.Code {
-		if !l.Kernel.Code[pc].Decoded {
+		in := &l.Kernel.Code[pc]
+		if !in.Decoded {
 			return fmt.Errorf("isa: kernel %q: instruction %d is not decoded (build kernels with Builder or NewKernel)",
 				l.Kernel.Name, pc)
+		}
+		for _, a := range in.Op.Form().Args {
+			if a == ArgParam && in.Imm >= uint32(len(l.Params)) {
+				return fmt.Errorf("isa: kernel %q: instruction %d reads param p%d, launch has %d",
+					l.Kernel.Name, pc, in.Imm, len(l.Params))
+			}
 		}
 	}
 	return nil

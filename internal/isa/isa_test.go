@@ -259,6 +259,22 @@ func TestLaunchValidateAndWarps(t *testing.T) {
 	}
 }
 
+// TestLaunchValidateParams: an ldparam of a parameter the launch does not
+// pass is refused at validation, naming the kernel, the pc and the index,
+// instead of panicking inside warp when the instruction executes.
+func TestLaunchValidateParams(t *testing.T) {
+	k := NewBuilder("p").LdParam(0, 3).Exit().MustBuild()
+	l := Launch{Kernel: k, GridDim: Dim1(1), BlockDim: Dim1(32)}
+	err := l.Validate()
+	if err == nil || err.Error() != `isa: kernel "p": instruction 0 reads param p3, launch has 0` {
+		t.Fatalf("Validate = %v", err)
+	}
+	l.Params = []uint32{0, 0, 0, 7}
+	if err := l.Validate(); err != nil {
+		t.Fatalf("four params: %v", err)
+	}
+}
+
 // TestKernelsAreDecodedWhenBuilt: Builder.Build and NewKernel return
 // kernels whose every instruction carries its decoded issue metadata, and
 // Launch.Validate refuses a kernel literal that skipped both.
