@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -382,16 +383,21 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Object sync: only the one store kind workers share is served. A
 	// result object in particular reaches the store through a completion,
-	// never through this door.
+	// never through this door. Only a checkpoint envelope this build
+	// would serve, under the key its fingerprint hashes to, is stored.
 	for _, kind := range []string{"journal", "vtsim", "vtart"} {
 		if resp := post("/v1/object/"+kind+"/abc", `{}`); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("put of non-syncable kind %s: %d", kind, resp.StatusCode)
 		}
 	}
 	if resp := post("/v1/object/vtck/abc", `{broken`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("put of invalid JSON: %d", resp.StatusCode)
+		t.Errorf("put of a payload that is no envelope: %d", resp.StatusCode)
 	}
-	if resp := post("/v1/object/vtck/abc", `{"v":1}`); resp.StatusCode != http.StatusOK {
+	key, ck := capturedCheckpoint(t)
+	if resp := post("/v1/object/vtck/abc", string(ck)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("put of an envelope under another key: %d", resp.StatusCode)
+	}
+	if resp := post("/v1/object/vtck/"+key, string(ck)); resp.StatusCode != http.StatusOK {
 		t.Errorf("valid object put: %d", resp.StatusCode)
 	}
 	get := func(path string) *http.Response {
@@ -403,8 +409,10 @@ func TestServerEndpoints(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	if resp := get("/v1/object/vtck/abc"); resp.StatusCode != http.StatusOK {
+	if resp := get("/v1/object/vtck/" + key); resp.StatusCode != http.StatusOK {
 		t.Errorf("get of stored object: %d", resp.StatusCode)
+	} else if b, _ := io.ReadAll(resp.Body); !bytes.Equal(b, ck) {
+		t.Error("the stored object came back altered")
 	}
 	if resp := get("/v1/object/vtck/missing"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("get of missing object: %d", resp.StatusCode)
@@ -1073,6 +1081,32 @@ func renderMixes(t *testing.T, p harness.Params) string {
 	}
 	p.Sweep.Sync()
 	return sb.String()
+}
+
+// capturedCheckpoint runs a prefix-forked sweep of its own and returns
+// the checkpoint object it stored, and the object's key.
+func capturedCheckpoint(t *testing.T) (key string, body []byte) {
+	t.Helper()
+	p := testSweepParams(t, t.TempDir())
+	p.Checkpoint = true
+	if _, err := runJobs(p, swapLatencyJobs()); err != nil {
+		t.Fatal(err)
+	}
+	p.Sweep.Sync()
+	idx, err := os.ReadFile(filepath.Join(p.CacheDir, "store-index.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range strings.Split(string(idx), "\n") {
+		var e struct{ Kind, Key string }
+		if json.Unmarshal([]byte(ln), &e) == nil && e.Kind == string(resultstore.KindCheckpoint) {
+			key = e.Key
+		}
+	}
+	if body, err = p.Sweep.GetObject(p, resultstore.KindCheckpoint, key); err != nil {
+		t.Fatalf("the sweep stored no checkpoint: %v", err)
+	}
+	return key, body
 }
 
 // storeSide lists what a sweep left on one side of its store: the

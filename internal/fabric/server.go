@@ -126,7 +126,7 @@ func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(b)
 }
 
@@ -142,11 +142,11 @@ func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The envelope's embedded fingerprint is re-verified by every
-	// consumer on read (and quarantined on mismatch), so the sync needs
-	// only a well-formedness check here.
-	if !json.Valid(b) {
-		http.Error(w, "object payload is not valid JSON", http.StatusBadRequest)
+	// Every consumer re-verifies the envelope on read (and quarantines
+	// it on mismatch); the check here keeps a payload this build would
+	// never serve out of the coordinator's store.
+	if err := c.sweep.CheckObject(kind, key, b); err != nil {
+		http.Error(w, "object payload: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if err := c.sweep.PutObject(c.cfg.Params, kind, key, b); err != nil {

@@ -400,22 +400,24 @@ func (w *worker) heartbeat(goodbye bool) (time.Duration, error) {
 	return time.Duration(resp.TTLMS) * time.Millisecond / 3, nil
 }
 
-// post sends body as JSON — a []byte is JSON already (a store envelope)
-// and travels as is — and returns the HTTP status, decoding a 200 response
-// into out when out is non-nil.
+// post sends body as JSON — a []byte is a store envelope and travels as
+// is — and returns the HTTP status, decoding a 200 response into out when
+// out is non-nil.
 func (w *worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	b, encoded := body.([]byte)
+	ctype := "application/octet-stream"
 	if !encoded {
 		var err error
 		if b, err = json.Marshal(body); err != nil {
 			return 0, err
 		}
+		ctype = "application/json"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(b))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ctype)
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, err

@@ -61,6 +61,24 @@ func (s *Sweep) build(workload string, scale int) *built {
 	return b
 }
 
+// suite returns kernels.Suite(scale), built on the sweep's first request
+// for the scale. The static tables read it on every render and never
+// write it; one rendered outside any sweep (vtreport's suite table) has a
+// nil s and builds its own.
+func (s *Sweep) suite(scale int) []kernels.Workload {
+	if s == nil {
+		return kernels.Suite(scale)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w, ok := s.suites[scale]
+	if !ok {
+		w = kernels.Suite(scale)
+		s.suites[scale] = w
+	}
+	return w
+}
+
 // run returns what one run of the workload launches — its own copy of
 // each launch, the grid divided by dilute (at least 8 CTAs) when dilute
 // exceeds 1 — and the init that gives the run's memory the built image.

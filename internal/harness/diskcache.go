@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -23,36 +22,39 @@ import (
 // to Params.MirrorDir.
 
 // diskCacheVersion invalidates every on-disk entry when the fingerprint
-// scheme or the Result layout changes meaning. Bump it whenever a change
-// could make an old cached Result incorrect for the same fingerprint
-// (new statistics fed by simulation state, changed kernel generators,
-// reinterpreted config fields).
-const diskCacheVersion = 1
+// scheme or the meaning of a stored field changes. It is part of every
+// cache key, so objects an earlier version wrote are never looked up: they
+// re-simulate once. Bump it whenever a change could make an old cached
+// Result incorrect for the same fingerprint (new statistics fed by
+// simulation state, changed kernel generators, reinterpreted config
+// fields). A change to the payload types' layout — a field added,
+// renamed, retyped or reordered — needs no bump: the record's layout
+// digest (codec.go) refuses it on read.
+const diskCacheVersion = 2
 
-// envelope is the JSON envelope of one stored object: a cached run's
-// Result (vtsim) or a prefix group's Checkpoint (vtck), exactly one of
-// the two. The full fingerprint is stored (not just its hash) so version
-// or scheme mismatches are detected by content, never assumed from the
-// key.
+// envelope is one stored object: a cached run's Result (vtsim) or a
+// prefix group's Checkpoint (vtck), exactly one of the two, behind the
+// full fingerprint it answers. The fingerprint is stored (not just its
+// hash) so a mismatch is detected by content, never assumed from the key.
+// It is written as one binary record (codec.go), whose header adds
+// diskCacheVersion and the layout digest of these types: a record of
+// another version or layout is refused before any field is read.
 type envelope struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Result      *gpu.Result     `json:"result,omitempty"`
-	Checkpoint  *gpu.Checkpoint `json:"checkpoint,omitempty"`
+	Fingerprint string
+	Result      *gpu.Result
+	Checkpoint  *gpu.Checkpoint
 }
 
-// put stages the envelope in tx under its fingerprint's cache key.
-func (e envelope) put(tx *resultstore.Tx, kind resultstore.Kind) {
-	if b, err := json.Marshal(e); err == nil {
-		tx.Put(kind, CacheKey(e.Fingerprint), b)
-	}
+// putEnvelope stages e in tx under its fingerprint's cache key.
+func (s *Sweep) putEnvelope(tx *resultstore.Tx, kind resultstore.Kind, e envelope) {
+	tx.Put(kind, CacheKey(e.Fingerprint), s.codec.encode(e))
 }
 
 // CacheKey hashes a fingerprint into the stable hex id used for cache
 // object names, completion-journal entries, result-store keys and fabric
 // jobs, so a journal line can be correlated with its stored Result.
 func CacheKey(fp string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s", diskCacheVersion, fp)))
+	sum := sha256.Sum256([]byte("v" + strconv.Itoa(diskCacheVersion) + "|" + fp))
 	return hex.EncodeToString(sum[:16])
 }
 
@@ -212,34 +214,26 @@ func (s *Sweep) getObject(p Params, st *resultstore.Store, kind resultstore.Kind
 // key, or nil, counting the store hit or miss and recording the lookup
 // as a span of the given kind under the job. The store verifies content checksums and heals from the
 // mirror before the payload reaches this envelope check; envelope-level
-// mismatches (stale version or checkpoint format, fingerprint collision,
-// no payload) quarantine the object on every side, so the re-simulation's
-// rewrite is not shadowed and the caller falls back to simulating.
+// mismatches (wrong magic, stale version or layout, a cut or overlong
+// record, fingerprint collision, no payload, stale checkpoint format)
+// quarantine the object on every side, so the re-simulation's rewrite is
+// not shadowed and the caller falls back to simulating.
 func (s *Sweep) loadEnvelope(p Params, st *resultstore.Store, kind resultstore.Kind, span string, j Job, fp, key string) *envelope {
 	sid := s.Trace.Begin(p.span, span, j.Workload, j.Variant)
 	defer s.Trace.End(sid)
 	var e envelope
 	b, err := s.getObject(p, st, kind, key)
-	var uerr error
-	if err == nil {
-		uerr = json.Unmarshal(b, &e)
-	}
 	reject := ""
 	switch {
 	case err != nil:
 		if !errors.Is(err, resultstore.ErrNotFound) {
 			fmt.Fprintf(os.Stderr, "harness: cache read %s: %v\n", key, err)
 		}
-	case uerr != nil:
-		reject = fmt.Sprintf("corrupt JSON: %v", uerr)
-	case e.Version != diskCacheVersion:
-		reject = fmt.Sprintf("stale version %d (want %d)", e.Version, diskCacheVersion)
-	case e.Fingerprint != fp:
-		reject = "fingerprint mismatch (filename hash collision or corruption)"
-	case (kind == resultstore.KindResult && e.Result == nil) || (kind == resultstore.KindCheckpoint && e.Checkpoint == nil):
-		reject = "entry has no payload"
-	case e.Checkpoint != nil && e.Checkpoint.Version != gpu.CheckpointVersion:
-		reject = fmt.Sprintf("stale checkpoint format %d (want %d)", e.Checkpoint.Version, gpu.CheckpointVersion)
+	default:
+		reject = s.checkEnvelope(&e, kind, b)
+		if reject == "" && e.Fingerprint != fp {
+			reject = "fingerprint mismatch (filename hash collision or corruption)"
+		}
 	}
 	if reject != "" {
 		st.Quarantine(kind, key, reject)
@@ -255,4 +249,34 @@ func (s *Sweep) loadEnvelope(p Params, st *resultstore.Store, kind resultstore.K
 		s.Trace.SetAttr(sid, "cycle", fmt.Sprint(e.Checkpoint.Cycle))
 	}
 	return &e
+}
+
+// checkEnvelope decodes b into e and returns why it is unusable as an
+// object of kind, or "" when it is one.
+func (s *Sweep) checkEnvelope(e *envelope, kind resultstore.Kind, b []byte) string {
+	switch err := s.codec.decode(b, e); {
+	case err != nil:
+		return err.Error()
+	case (kind == resultstore.KindResult) != (e.Result != nil) || (kind == resultstore.KindCheckpoint) != (e.Checkpoint != nil):
+		return "entry has no payload of its kind"
+	case e.Checkpoint != nil && e.Checkpoint.Version != gpu.CheckpointVersion:
+		return fmt.Sprintf("stale checkpoint format %d (want %d)", e.Checkpoint.Version, gpu.CheckpointVersion)
+	}
+	return ""
+}
+
+// CheckObject reports why b, offered as the object of kind under key, is
+// not one this build would serve — an envelope that does not decode,
+// carries no payload of the kind, or answers a fingerprint whose cache key
+// is not key — and nil when it is. The sweep fabric checks a synced object
+// with it before storing it; every consumer re-verifies on read anyway.
+func (s *Sweep) CheckObject(kind resultstore.Kind, key string, b []byte) error {
+	var e envelope
+	if reject := s.checkEnvelope(&e, kind, b); reject != "" {
+		return errors.New(reject)
+	}
+	if CacheKey(e.Fingerprint) != key {
+		return errors.New("the envelope's fingerprint does not hash to its key")
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -210,27 +211,60 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskCacheVersionInvalidation verifies stale-envelope rejection: an
-// entry whose version or fingerprint does not match is a miss, not a wrong
-// answer.
+// quarantineReasons returns the reasons the primary's audit log gives
+// for quarantining key, oldest first.
+func quarantineReasons(t testing.TB, dir, key string) []string {
+	t.Helper()
+	b, _ := os.ReadFile(filepath.Join(dir, "store-audit.jsonl"))
+	var out []string
+	for _, ln := range strings.Split(string(b), "\n") {
+		var ev resultstore.Event
+		if json.Unmarshal([]byte(ln), &ev) == nil && ev.Op == "quarantine" && ev.Key == key && ev.Side == "primary" {
+			out = append(out, ev.Detail)
+		}
+	}
+	return out
+}
+
+// TestDiskCacheVersionInvalidation verifies that objects another build
+// wrote under this build's key are misses, not wrong answers: a record of
+// an earlier envelope version, and a JSON envelope of the kind builds
+// before the binary record wrote. Each is quarantined for the check its
+// header fails, and the job re-simulates.
 func TestDiskCacheVersionInvalidation(t *testing.T) {
-	p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()})
 	j := Job{Workload: "vecadd"}
-
-	if _, err := runDurable(p, j); err != nil {
-		t.Fatal(err)
+	older := []struct {
+		name, reason string
+		mangle       func(body []byte) []byte
+	}{
+		{"earlier-version", fmt.Sprintf("stale version %d (want %d)", diskCacheVersion-1, diskCacheVersion), func(body []byte) []byte {
+			body[envelopeVersionAt] = diskCacheVersion - 1
+			return body
+		}},
+		{"json-envelope", "wrong magic", func([]byte) []byte {
+			return []byte(`{"version":1,"fingerprint":"vecadd|s1|d60|{}","result":{"Cycles":1}}`)
+		}},
 	}
-	// Another version's envelope, indexed like any object: a version bump
-	// must read as a miss.
-	key, b := onlyObject(t, p.CacheDir, resultstore.KindResult)
-	replaceObject(t, p.CacheDir, resultstore.KindResult, key, []byte(`{"version":-1,`+string(b[len(`{"version":1,`):])))
+	for _, tc := range older {
+		t.Run(tc.name, func(t *testing.T) {
+			p := inSweep(t, Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()})
+			if _, err := runDurable(p, j); err != nil {
+				t.Fatal(err)
+			}
+			key, b := onlyObject(t, p.CacheDir, resultstore.KindResult)
+			replaceObject(t, p.CacheDir, resultstore.KindResult, key, tc.mangle(bytes.Clone(b)))
 
-	p = reboot(t, p)
-	if _, err := ExecuteJob(p, j); err != nil {
-		t.Fatal(err)
-	}
-	if m := p.Sweep.Metrics(); m.Executed != 1 {
-		t.Fatalf("stale entry was served: executed=%d, want re-simulation", m.Executed)
+			p = reboot(t, p)
+			if _, err := ExecuteJob(p, j); err != nil {
+				t.Fatal(err)
+			}
+			if m := p.Sweep.Metrics(); m.Executed != 1 {
+				t.Fatalf("stale entry was served: executed=%d, want re-simulation", m.Executed)
+			}
+			if r := quarantineReasons(t, p.CacheDir, key); len(r) != 1 || !strings.HasPrefix(r[0], tc.reason) {
+				t.Fatalf("quarantined for %q, want once for %q", r, tc.reason)
+			}
+		})
 	}
 }
 
@@ -238,26 +272,36 @@ func TestDiskCacheVersionInvalidation(t *testing.T) {
 // serves — its checksum matches what some other writer indexed — is
 // quarantined by the harness (a drop line on the index, keeping the
 // rejection observable in store-index.jsonl and the audit log) while the
-// caller re-simulates and writes a fresh entry.
+// caller re-simulates and writes a fresh entry. Each mangle trips exactly
+// the envelope check it names, as the audit log's reason shows.
 func TestDiskCacheQuarantine(t *testing.T) {
 	base := Params{Scale: 1, Config: testsupport.Small(), Dilute: 60, CacheDir: t.TempDir()}
 	j := Job{Workload: "vecadd"}
 
 	corruptions := []struct {
-		name   string
-		mangle func(body []byte) []byte
+		name, reason string
+		mangle       func(body []byte) []byte
 	}{
-		// Truncated mid-write: invalid JSON.
-		{"torn", func(body []byte) []byte { return body[:len(body)/2] }},
-		{"stale-version", func(body []byte) []byte {
-			return []byte(`{"version":-1,` + string(body[len(`{"version":1,`):]))
+		// Truncated mid-write.
+		{"torn", "truncated record", func(body []byte) []byte { return body[:len(body)/2] }},
+		{"stale-version", fmt.Sprintf("stale version %d (want %d)", diskCacheVersion+1, diskCacheVersion), func(body []byte) []byte {
+			body[envelopeVersionAt] = diskCacheVersion + 1
+			return body
 		}},
-		{"wrong-fingerprint", func(body []byte) []byte {
-			mangled := strings.Replace(string(body), `"fingerprint":"vecadd`, `"fingerprint":"tampered`, 1)
-			if mangled == string(body) {
-				t.Fatal("fingerprint substring not found in cache entry")
+		// Another build of the payload types: same version, other layout.
+		{"stale-layout", "stale layout", func(body []byte) []byte {
+			body[envelopeLayoutAt] ^= 0xff
+			return body
+		}},
+		// A well-formed record answering another fingerprint of the same
+		// length.
+		{"wrong-fingerprint", "fingerprint mismatch", func(body []byte) []byte {
+			at := bytes.Index(body, []byte("vecadd|"))
+			if at < 0 {
+				t.Fatal("fingerprint not found in cache entry")
 			}
-			return []byte(mangled)
+			copy(body[at:], "tamper")
+			return body
 		}},
 	}
 	for _, tc := range corruptions {
@@ -267,8 +311,9 @@ func TestDiskCacheQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 			key, body := onlyObject(t, p.CacheDir, resultstore.KindResult)
-			replaceObject(t, p.CacheDir, resultstore.KindResult, key, tc.mangle(body))
+			replaceObject(t, p.CacheDir, resultstore.KindResult, key, tc.mangle(bytes.Clone(body)))
 			quarantined := drops(t, p.CacheDir, key)
+			reasons := len(quarantineReasons(t, p.CacheDir, key))
 
 			p = reboot(t, p)
 			if _, err := runDurable(p, j); err != nil {
@@ -279,6 +324,9 @@ func TestDiskCacheQuarantine(t *testing.T) {
 			}
 			if n := drops(t, p.CacheDir, key) - quarantined; n != 1 {
 				t.Fatalf("found %d new drop lines for the entry, want 1", n)
+			}
+			if r := quarantineReasons(t, p.CacheDir, key)[reasons:]; len(r) != 1 || !strings.HasPrefix(r[0], tc.reason) {
+				t.Fatalf("quarantined for %q, want once for %q", r, tc.reason)
 			}
 			// The re-simulation rewrote a healthy entry, bit-identical to the
 			// first.

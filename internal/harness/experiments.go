@@ -102,7 +102,7 @@ func tableBenchmarks() Experiment {
 			t := stats.NewTable("workloads",
 				"workload", "threads/CTA", "regs/thr", "shmem/CTA", "CTAs/SM", "capacity-CTAs", "limiter", "sched-limited")
 			sched := 0
-			for _, wl := range kernels.Suite(p.Scale) {
+			for _, wl := range p.Sweep.suite(p.Scale) {
 				o := cta.ComputeOccupancy(wl.Launch, &p.Config)
 				if o.SchedulingLimited() {
 					sched++
@@ -128,7 +128,7 @@ func figLimiter() Experiment {
 			t := stats.NewTable("stranded parallelism",
 				"workload", "warps(sched)", "warps(capacity)", "stranded")
 			var fractions []float64
-			for _, wl := range kernels.Suite(p.Scale) {
+			for _, wl := range p.Sweep.suite(p.Scale) {
 				o := cta.ComputeOccupancy(wl.Launch, &p.Config)
 				ws := o.CTAs * o.Footprint.Warps
 				wc := o.CapacityCTAs * o.Footprint.Warps

@@ -170,6 +170,6 @@ func forkExecute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, err
 // retry, like result persistence.
 func diskStoreCheckpoint(p Params, st *resultstore.Store, prefixFP string, ck *gpu.Checkpoint) {
 	tx := st.Begin()
-	envelope{Version: diskCacheVersion, Fingerprint: prefixFP, Checkpoint: ck}.put(tx, resultstore.KindCheckpoint)
+	p.Sweep.putEnvelope(tx, resultstore.KindCheckpoint, envelope{Fingerprint: prefixFP, Checkpoint: ck})
 	p.commitBestEffort(tx)
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -224,7 +223,7 @@ func TestPrefixForkCheckpointQuarantine(t *testing.T) {
 	}
 	// And the re-capture wrote a healthy replacement.
 	p.Sweep.Sync()
-	if _, ck := onlyObject(t, dir, resultstore.KindCheckpoint); !json.Valid(ck) {
+	if key, ck := onlyObject(t, dir, resultstore.KindCheckpoint); p.Sweep.CheckObject(resultstore.KindCheckpoint, key, ck) != nil {
 		t.Fatal("the re-captured checkpoint is not a whole envelope")
 	}
 }

@@ -422,10 +422,13 @@ func RunJobs(p Params, jobs []Job) ([]*gpu.Result, error) {
 // single-process sweep and on a fleet alike. forkPlan turns the batch into
 // a plan (prefix-fork grouping, a no-op unless Params.Checkpoint is set);
 // the dispatch loop claims each job's point in plan order (Sweep.claim);
-// the first claim of a point keeps its worker slot and resolves it — from
+// the first claim of a point keeps its worker slot and hands the job to
+// one of the plan's p.workers() slot goroutines, which resolves it — from
 // the result store, or through the Executor — and a later claim, in this
 // plan or an earlier one, gives its slot straight back and takes the
-// owner's Outcome at the barrier. It returns one result and one error per
+// owner's Outcome at the barrier. The slot goroutines live as long as the
+// plan, so a job does not pay for a goroutine of its own, nor grow its
+// stack again. It returns one result and one error per
 // job, in job order. Every job runs even when earlier ones fail — the
 // supervisor turns failures into repro bundles. A canceled Params.Ctx
 // stops dispatching: jobs not yet claimed fail with the context error
@@ -442,8 +445,32 @@ func runPlan(p Params, jobs []Job) ([]*gpu.Result, []error) {
 	res := make([]*gpu.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	claimed := make([]*memoEntry, len(jobs))
+	type owned struct {
+		j Job
+		e *memoEntry
+	}
 	sem := make(chan struct{}, p.workers())
+	work := make(chan owned)
 	var wg sync.WaitGroup
+	for range min(p.workers(), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for o := range work {
+				labels := pprof.Labels("workload", o.j.Workload, "variant", o.j.Variant)
+				pprof.Do(ctx, labels, func(context.Context) {
+					jid := tr.BeginJob(p.span, o.j.Workload, o.j.Variant)
+					mon.beginJob(o.e.fp, o.j)
+					defer mon.endJob(o.e.fp)
+					defer tr.EndJob(jid)
+					jp := p
+					jp.span, jp.sweepSpan = jid, p.span
+					s.resolve(jp, o.j, o.e)
+				})
+				<-sem
+			}
+		}()
+	}
 	for i, j := range jobs {
 		// Take the semaphore slot before claiming, so at most `workers`
 		// owners run at a time and the job span, which starts once an owner
@@ -465,22 +492,9 @@ func runPlan(p Params, jobs []Job) ([]*gpu.Result, []error) {
 			<-sem // a duplicate waits for its owner without a slot
 			continue
 		}
-		wg.Add(1)
-		go func(j Job, e *memoEntry) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			labels := pprof.Labels("workload", j.Workload, "variant", j.Variant)
-			pprof.Do(ctx, labels, func(context.Context) {
-				jid := tr.BeginJob(p.span, j.Workload, j.Variant)
-				mon.beginJob(e.fp, j)
-				defer mon.endJob(e.fp)
-				defer tr.EndJob(jid)
-				jp := p
-				jp.span, jp.sweepSpan = jid, p.span
-				s.resolve(jp, j, e)
-			})
-		}(j, e)
+		work <- owned{j, e}
 	}
+	close(work)
 	wg.Wait()
 	for i, e := range claimed {
 		if e != nil {

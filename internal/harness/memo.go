@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -15,8 +18,8 @@ import (
 // and several tables — so a full sweep would otherwise recompute identical
 // deterministic results dozens of times. Runs are keyed by a content
 // fingerprint of the kernel name, the grid parameters (scale and
-// dilution, which fully determine the generated launch), and the
-// JSON-serialized hardware config. Params.Workers is *not* part of the
+// dilution, which fully determine the generated launch), and a digest of
+// the JSON-serialized hardware config. Params.Workers is *not* part of the
 // key: every simulation is single-threaded and deterministic, so how many
 // run side by side cannot change a Result (TestWorkersEquivalence).
 //
@@ -145,39 +148,44 @@ type memoEntry struct {
 // run's cycle count is an extrapolation that depends on the sampling
 // windows, so an enabled samp is part of the key: sampled and exact
 // results never alias, and neither do two different sampling
-// configurations. Exact runs keep the historical key shape (no suffix),
-// preserving existing disk caches.
+// configurations. Exact runs carry no sampling suffix.
 //
-// The config enters the key as its JSON form, which the sweep marshals
-// once per distinct config value: a sweep asks for hundreds of points
-// over a few dozen configs.
+// The config enters the key as the SHA-256 hex of its JSON form, which
+// the sweep computes once per distinct config value (configDigest): a
+// sweep asks for hundreds of points over a few dozen configs, and a
+// fingerprint stays ~90 bytes — hashed into the cache key, stored in full
+// in every envelope and compared in full on every store hit.
 func (s *Sweep) fingerprint(workload string, scale, dilute int, cfg *config.GPUConfig, samp gpu.SamplingOptions) (string, error) {
 	if dilute < 2 {
 		dilute = 1
 	}
-	b, err := s.configJSON(cfg)
+	d, err := s.configDigest(cfg)
 	if err != nil {
 		return "", err
 	}
+	fp := workload + "|s" + strconv.Itoa(scale) + "|d" + strconv.Itoa(dilute) + "|" + d
 	if samp.Enabled() {
-		return fmt.Sprintf("%s|s%d|d%d|%s|samp=%s", workload, scale, dilute, b, samp), nil
+		fp += "|samp=" + samp.String()
 	}
-	return fmt.Sprintf("%s|s%d|d%d|%s", workload, scale, dilute, b), nil
+	return fp, nil
 }
 
-// configJSON returns cfg's JSON form, marshaled on the sweep's first
-// request for the config value and remembered after that.
-func (s *Sweep) configJSON(cfg *config.GPUConfig) ([]byte, error) {
+// configDigest returns the SHA-256 hex of cfg's JSON form, computed on the
+// sweep's first request for the config value and remembered after that.
+func (s *Sweep) configDigest(cfg *config.GPUConfig) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.cfgJSON[*cfg]; ok {
-		return b, nil
+	if d, ok := s.cfgDigest[*cfg]; ok {
+		return d, nil
 	}
 	b, err := json.Marshal(cfg)
-	if err == nil {
-		s.cfgJSON[*cfg] = b
+	if err != nil {
+		return "", err
 	}
-	return b, err
+	sum := sha256.Sum256(b)
+	d := hex.EncodeToString(sum[:])
+	s.cfgDigest[*cfg] = d
+	return d, nil
 }
 
 // FingerprintKey returns the content fingerprint and cache key of one

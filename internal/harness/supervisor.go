@@ -318,7 +318,7 @@ func CommitOutcome(p Params, fp string, out Outcome) (committed <-chan struct{})
 	}
 	tx := st.Begin()
 	if storeResult {
-		envelope{Version: diskCacheVersion, Fingerprint: fp, Result: res}.put(tx, resultstore.KindResult)
+		s.putEnvelope(tx, resultstore.KindResult, envelope{Fingerprint: fp, Result: res})
 	}
 	if je != nil {
 		if b, merr := json.Marshal(je); merr == nil {

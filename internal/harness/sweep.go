@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/config"
+	"repro/internal/kernels"
 	"repro/internal/resultstore"
 	"repro/internal/sweepobs"
 )
@@ -34,18 +36,20 @@ type Sweep struct {
 	// its own, attached by NewSweep.
 	Monitor *Monitor
 
-	wb *writeBehind
+	wb    *writeBehind
+	codec *codec // the store's envelope codec (codec.go), built once per sweep
 	// journaled is set once OpenJournal has adopted the store's
 	// completion journal (journal.go): CommitOutcome then appends each
 	// outcome's line to it.
 	journaled bool
 
-	mu      sync.Mutex
-	memo    map[string]*memoEntry
-	cfgJSON map[config.GPUConfig][]byte // see configJSON
-	builds  map[buildKey]*built
-	cks     map[string]*ckEntry // keyed by prefix fingerprint
-	stats   RunMetrics
+	mu        sync.Mutex
+	memo      map[string]*memoEntry
+	cfgDigest map[config.GPUConfig]string // see configDigest
+	builds    map[buildKey]*built
+	suites    map[int][]kernels.Workload // see suite
+	cks       map[string]*ckEntry        // keyed by prefix fingerprint
+	stats     RunMetrics
 
 	// storeMu is not mu: opening a store can emit repair events, which
 	// count under mu.
@@ -58,8 +62,9 @@ type Sweep struct {
 // NewSweep returns an empty sweep with its own Monitor: nothing
 // memoized, nothing counted, no store open.
 func NewSweep() *Sweep {
-	s := &Sweep{wb: newWriteBehind(), memo: map[string]*memoEntry{}, cfgJSON: map[config.GPUConfig][]byte{},
-		builds: map[buildKey]*built{}, cks: map[string]*ckEntry{}}
+	s := &Sweep{wb: newWriteBehind(), codec: newCodec(reflect.TypeFor[envelope]()),
+		memo: map[string]*memoEntry{}, cfgDigest: map[config.GPUConfig]string{},
+		builds: map[buildKey]*built{}, suites: map[int][]kernels.Workload{}, cks: map[string]*ckEntry{}}
 	s.Monitor = newMonitor(s)
 	return s
 }
@@ -178,7 +183,7 @@ func (s *Sweep) OpenJournal(p Params) error {
 	return nil
 }
 
-// GetObject reads one raw store object (its JSON envelope bytes) by kind
+// GetObject reads one raw store object (its envelope record) by kind
 // and cache key from the sweep's result store. The sweep fabric uses it
 // on both sides of object sync: the coordinator serves checkpoints and
 // results to workers, and a worker checks its local store before
@@ -195,7 +200,8 @@ func (s *Sweep) GetObject(p Params, kind resultstore.Kind, key string) ([]byte, 
 // PutObject writes one raw store object as a single transaction. The
 // payload must be a valid store envelope for the kind: consumers re-verify
 // the embedded content fingerprint on read (loadEnvelope), so a corrupt or
-// mismatched sync is quarantined on first use, never trusted.
+// mismatched sync is quarantined on first use, never trusted; the fabric
+// coordinator vets a worker's payload with CheckObject before it is put.
 func (s *Sweep) PutObject(p Params, kind resultstore.Kind, key string, b []byte) error {
 	st, err := s.attachedStore(p)
 	if err != nil {
