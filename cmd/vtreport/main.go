@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	vtsim "repro"
@@ -111,15 +112,15 @@ func main() {
 		fp := o.Footprint
 		t := stats.NewTable(fmt.Sprintf("%s occupancy on %s", w.Name, cfg.Name),
 			"constraint", "per-CTA demand", "hardware", "max CTAs")
-		t.Rowf("CTA slots", 1, cfg.MaxCTAsPerSM, o.ByCTASlots)
-		t.Rowf("warp slots", fp.Warps, cfg.MaxWarpsPerSM, o.ByWarps)
-		t.Rowf("thread slots", fp.Threads, cfg.MaxThreadsPerSM, o.ByThreads)
-		t.Rowf("registers", fp.Regs, cfg.RegFileSize, o.ByRegs)
-		t.Rowf("shared memory", fp.SMem, cfg.SharedMemPerSM, o.BySMem)
-		t.Note("binding limiter: %s -> %d CTAs/SM; capacity alone allows %d",
-			o.Limiter, o.CTAs, o.CapacityCTAs)
+		t.Row("CTA slots", 1, cfg.MaxCTAsPerSM, o.ByCTASlots)
+		t.Row("warp slots", fp.Warps, cfg.MaxWarpsPerSM, o.ByWarps)
+		t.Row("thread slots", fp.Threads, cfg.MaxThreadsPerSM, o.ByThreads)
+		t.Row("registers", fp.Regs, cfg.RegFileSize, o.ByRegs)
+		t.Row("shared memory", fp.SMem, cfg.SharedMemPerSM, o.BySMem)
+		t.Note("binding limiter: {limiter} -> {ctas} CTAs/SM; capacity alone allows {capacity_ctas}",
+			o.Limiter.String(), o.CTAs, o.CapacityCTAs)
 		if o.SchedulingLimited() {
-			t.Note("scheduling-limited: Virtual Thread can keep %dx more CTAs resident",
+			t.Note("scheduling-limited: Virtual Thread can keep {headroom}x more CTAs resident",
 				o.CapacityCTAs/max(o.CTAs, 1))
 		} else {
 			t.Note("capacity-limited: Virtual Thread has no residency headroom here")
@@ -153,14 +154,14 @@ func storeReport(dir, mirror string) error {
 
 	t := stats.NewTable("result store inventory: "+dir, "kind", "objects", "bytes")
 	for _, inv := range st.Inventory() {
-		t.Rowf(inv.Kind, inv.Objects, inv.Bytes)
+		t.Row(inv.Kind, inv.Objects, inv.Bytes)
 	}
 	t.Fprint(os.Stdout)
 	fmt.Println()
 
 	s := stats.NewTable("replica sides", "role", "directory", "indexed")
 	for _, sd := range st.Sides() {
-		s.Rowf(sd.Role, sd.Dir, sd.Indexed)
+		s.Row(sd.Role, sd.Dir, sd.Indexed)
 	}
 	s.Fprint(os.Stdout)
 	fmt.Println()
@@ -229,15 +230,15 @@ func traceReport(path, mirror, perfOut string) error {
 		total += b.Seconds
 	}
 	for _, b := range a.Breakdown {
-		share := "-"
+		share := stats.None
 		if total > 0 {
-			share = fmt.Sprintf("%.1f%%", 100*b.Seconds/total)
+			share = stats.Percent(b.Seconds/total, 1)
 		}
-		t.Rowf(b.Stage, b.Count, stats.F3(b.Seconds), share)
+		t.Row(b.Stage, b.Count, b.Seconds, share)
 	}
 	if a.Workers > 1 {
-		t.Note("totals span %d concurrent worker slots; divide by %d for an average-per-slot view",
-			a.Workers, a.Workers)
+		t.Note("totals span {workers} concurrent worker slots; divide by {workers} for an average-per-slot view",
+			a.Workers)
 	}
 	t.Fprint(os.Stdout)
 
@@ -246,7 +247,7 @@ func traceReport(path, mirror, perfOut string) error {
 		s := stats.NewTable("stragglers (jobs > 2x the median duration)",
 			"job", "seconds", "x median")
 		for _, st := range a.Stragglers {
-			s.Rowf(st.Workload+"/"+st.Variant, stats.F3(st.Seconds), fmt.Sprintf("%.1f", st.Ratio))
+			s.Row(st.Workload+"/"+st.Variant, st.Seconds, stats.Fixed(st.Ratio, 1))
 		}
 		s.Fprint(os.Stdout)
 	}
@@ -279,9 +280,7 @@ func ringsReport(d *telemetry.Dump) {
 	// their peak marks the end of the launch ramp.
 	peakWarps := 0
 	for _, w := range d.GPU {
-		if w.ActiveWarps > peakWarps {
-			peakWarps = w.ActiveWarps
-		}
+		peakWarps = max(peakWarps, w.ActiveWarps)
 	}
 	rampEnd := int64(-1)
 	for _, w := range d.GPU {
@@ -298,31 +297,20 @@ func ringsReport(d *telemetry.Dump) {
 	// Swap-rate phases: consecutive windows with the same level (idle:
 	// no swaps; high: at least half the peak per-cycle swap rate; low:
 	// in between) collapse into one phase row.
-	level := func(w telemetry.Window) string {
-		if w.SwapsOut == 0 {
-			return "idle"
-		}
-		return "low"
-	}
 	peakRate := 0.0
 	for _, w := range d.GPU {
 		if w.Cycles > 0 {
-			if r := float64(w.SwapsOut) / float64(w.Cycles); r > peakRate {
-				peakRate = r
-			}
+			peakRate = max(peakRate, float64(w.SwapsOut)/float64(w.Cycles))
 		}
 	}
-	if peakRate > 0 {
-		level = func(w telemetry.Window) string {
-			switch r := float64(w.SwapsOut) / float64(w.Cycles); {
-			case w.SwapsOut == 0:
-				return "idle"
-			case r >= peakRate/2:
-				return "high"
-			default:
-				return "low"
-			}
+	level := func(w telemetry.Window) string {
+		switch {
+		case w.SwapsOut == 0:
+			return "idle"
+		case peakRate > 0 && float64(w.SwapsOut)/float64(w.Cycles) >= peakRate/2:
+			return "high"
 		}
+		return "low"
 	}
 	type phase struct {
 		start, end telemetry.Window
@@ -346,10 +334,9 @@ func ringsReport(d *telemetry.Dump) {
 		if p.agg.Cycles > 0 {
 			rate = 1000 * float64(p.agg.SwapsOut) / float64(p.agg.Cycles)
 		}
-		t.Rowf(fmt.Sprintf("%d..%d", p.start.Cycle-p.start.Cycles, p.end.Cycle),
+		t.Row(fmt.Sprintf("%d..%d", p.start.Cycle-p.start.Cycles, p.end.Cycle),
 			p.level, fmt.Sprintf("%d/%d", p.agg.SwapsOut, p.agg.SwapsIn),
-			stats.F3(p.agg.IPC()), p.end.ActiveWarps, p.end.ResidentWarps,
-			fmt.Sprintf("%.2f", rate))
+			p.agg.IPC(), p.end.ActiveWarps, p.end.ResidentWarps, stats.Fixed(rate, 2))
 	}
 	t.Fprint(os.Stdout)
 
@@ -358,11 +345,11 @@ func ringsReport(d *telemetry.Dump) {
 	t = stats.NewTable("timeline (rebucketed)",
 		"cycles", "IPC", "act warps", "res warps", "swaps out", "L1 hit", "ctx bytes")
 	for _, w := range ws {
-		hit := "-"
+		hit := stats.None
 		if w.L1Accesses > 0 {
-			hit = stats.F3(float64(w.L1Hits) / float64(w.L1Accesses))
+			hit = stats.Fixed(float64(w.L1Hits)/float64(w.L1Accesses), 3)
 		}
-		t.Rowf(fmt.Sprintf("%d..%d", w.Cycle-w.Cycles, w.Cycle), stats.F3(w.IPC()),
+		t.Row(fmt.Sprintf("%d..%d", w.Cycle-w.Cycles, w.Cycle), w.IPC(),
 			w.ActiveWarps, w.ResidentWarps, w.SwapsOut, hit, w.CtxBytes)
 	}
 	if len(d.SwapLatency) > 0 {
@@ -374,13 +361,13 @@ func ringsReport(d *telemetry.Dump) {
 		}
 		lo := d.SwapLatency[0].Lo
 		if hi := d.SwapLatency[len(d.SwapLatency)-1].Hi; hi == -1 {
-			t.Note("swap latency: %d swaps, from %d cycles up (unbounded top bucket)", n, lo)
+			t.Note("swap latency: {swaps} swaps, from {lo_cycles} cycles up (unbounded top bucket)", n, lo)
 		} else {
-			t.Note("swap latency: %d swaps across [%d..%d] cycles", n, lo, hi)
+			t.Note("swap latency: {swaps} swaps across [{lo_cycles}..{hi_cycles}] cycles", n, lo, hi)
 		}
 	}
 	if d.SpansDropped > 0 {
-		t.Note("warning: %d spans dropped (the collector keeps %d per SM)", d.SpansDropped, telemetry.SpansPerSM)
+		t.Note("warning: {spans_dropped} spans dropped (the collector keeps {spans_per_sm} per SM)", d.SpansDropped, telemetry.SpansPerSM)
 	}
 	t.Fprint(os.Stdout)
 }
@@ -392,9 +379,9 @@ func diffResults(a, b *gpu.Result) {
 	warnKernels(a.Kernel, b.Kernel)
 	fmt.Printf("%-24s %14s %14s %10s\n", "metric", a.Policy.String(), b.Policy.String(), "change")
 	row := func(name string, va, vb float64) {
-		change := "-"
+		change := stats.None
 		if va != 0 {
-			change = fmt.Sprintf("%+.1f%%", (vb/va-1)*100)
+			change = stats.Gain(vb / va)
 		}
 		fmt.Printf("%-24s %14.3f %14.3f %10s\n", name, va, vb, change)
 	}
@@ -422,20 +409,11 @@ func diffRings(a, b *telemetry.Dump) {
 	fmt.Printf("a: %s under %s — %d cycles, %d windows\n", a.Kernel, a.Policy, a.Cycles, len(a.GPU))
 	fmt.Printf("b: %s under %s — %d cycles, %d windows\n\n", b.Kernel, b.Policy, b.Cycles, len(b.GPU))
 
-	n := len(a.GPU)
-	if len(b.GPU) < n {
-		n = len(b.GPU)
-	}
-	if n > 16 {
-		n = 16
-	}
+	n := min(len(a.GPU), len(b.GPU), 16)
 	wa := telemetry.Rebucket(a.GPU, n)
 	wb := telemetry.Rebucket(b.GPU, n)
-	if len(wb) < len(wa) {
-		wa = wa[:len(wb)]
-	} else {
-		wb = wb[:len(wa)]
-	}
+	n = min(len(wa), len(wb))
+	wa, wb = wa[:n], wb[:n]
 
 	memPct := func(w telemetry.Window) float64 {
 		total := w.SlotIssued + w.SlotStallMem + w.SlotStallALU +
@@ -451,12 +429,7 @@ func diffRings(a, b *telemetry.Dump) {
 	for i := range wa {
 		x, y := wa[i], wb[i]
 		dIPC := y.IPC() - x.IPC()
-		if d := dIPC; d < 0 {
-			d = -d
-			if d > worstDelta {
-				worst, worstDelta = i, d
-			}
-		} else if d > worstDelta {
+		if d := math.Abs(dIPC); d > worstDelta {
 			worst, worstDelta = i, d
 		}
 		fmt.Printf("%-5d %-13s %-13s %+8.2f %+9d %+9.1f %+10d\n", i,

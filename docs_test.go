@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // The hand-written docs: README, DESIGN, EXPERIMENTS and docs/*.md.
@@ -153,6 +155,31 @@ func TestDocLayout(t *testing.T) {
 		}
 		if _, fenced := prose(doc); len(layoutDirs(fenced)) >= 3 {
 			t.Errorf("%s carries a second layout listing (%v); DESIGN.md §6 is the one", name, layoutDirs(fenced))
+		}
+	}
+}
+
+// TestDocSummaryValues: for each static experiment, whose table depends
+// only on the GTX 480 profile and the suite, EXPERIMENTS.md's Summary row
+// quotes every named value of the reduced table as the table prints it.
+func TestDocSummaryValues(t *testing.T) {
+	doc := docFiles(t)["EXPERIMENTS.md"]
+	for _, id := range []string{"table1-config", "table2-benchmarks", "fig-limiter", "table-hw"} {
+		e, err := harness.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := strings.Index(doc, "\n| `"+id+"` |")
+		if start < 0 {
+			t.Errorf("EXPERIMENTS.md has no Summary row for %s", id)
+			continue
+		}
+		row, _, _ := strings.Cut(doc[start+1:], "\n")
+		tb := e.Reduce(harness.DefaultParams(), nil)
+		for name, v := range tb.Values() {
+			if !strings.Contains(row, v.String()) {
+				t.Errorf("EXPERIMENTS.md's %s row does not quote %s = %s:\n%s", id, name, v, row)
+			}
 		}
 	}
 }

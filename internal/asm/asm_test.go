@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/testsupport"
 )
@@ -203,18 +202,6 @@ func TestDisassembleTrailingLabel(t *testing.T) {
 		t.Fatalf("listing does not end %q:\n%s", want, Disassemble(k))
 	}
 	checkRoundTrip(t, k)
-}
-
-// TestDisassembleRoundTripSuite round-trips every workload kernel in the
-// suite: assemble(disassemble(k)) must reproduce the exact instruction
-// stream.
-func TestDisassembleRoundTripSuite(t *testing.T) {
-	for _, w := range kernels.Suite(1) {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			checkRoundTrip(t, w.Launch.Kernel)
-		})
-	}
 }
 
 func checkRoundTrip(t *testing.T, k *isa.Kernel) {

@@ -70,22 +70,22 @@ func tableConfig() Experiment {
 		Reduce: func(p Params, _ []*gpu.Result) *stats.Table {
 			c := p.Config
 			t := stats.NewTable("simulated hardware", "parameter", "value")
-			t.Rowf("SMs", c.NumSMs)
-			t.Rowf("warp size", c.WarpSize)
-			t.Rowf("warp schedulers / SM", fmt.Sprintf("%d (%s)", c.NumSchedulers, c.Scheduler))
-			t.Rowf("max CTAs / SM (scheduling)", c.MaxCTAsPerSM)
-			t.Rowf("max warps / SM (scheduling)", c.MaxWarpsPerSM)
-			t.Rowf("max threads / SM (scheduling)", c.MaxThreadsPerSM)
-			t.Rowf("register file / SM (capacity)", fmt.Sprintf("%d KB", c.RegFileSize*4/1024))
-			t.Rowf("shared memory / SM (capacity)", fmt.Sprintf("%d KB", c.SharedMemPerSM/1024))
-			t.Rowf("L1D / SM", fmt.Sprintf("%d KB, %d-way, %d B lines, %d MSHRs",
+			t.Row("SMs", c.NumSMs)
+			t.Row("warp size", c.WarpSize)
+			t.Row("warp schedulers / SM", fmt.Sprintf("%d (%s)", c.NumSchedulers, c.Scheduler))
+			t.Row("max CTAs / SM (scheduling)", c.MaxCTAsPerSM)
+			t.Row("max warps / SM (scheduling)", c.MaxWarpsPerSM)
+			t.Row("max threads / SM (scheduling)", c.MaxThreadsPerSM)
+			t.Row("register file / SM (capacity)", fmt.Sprintf("%d KB", c.RegFileSize*4/1024))
+			t.Row("shared memory / SM (capacity)", fmt.Sprintf("%d KB", c.SharedMemPerSM/1024))
+			t.Row("L1D / SM", fmt.Sprintf("%d KB, %d-way, %d B lines, %d MSHRs",
 				c.L1D.SizeBytes()/1024, c.L1D.Ways, c.L1D.LineSize, c.L1D.MSHRs))
-			t.Rowf("L2 (total)", fmt.Sprintf("%d KB across %d partitions",
+			t.Row("L2 (total)", fmt.Sprintf("%d KB across %d partitions",
 				c.L2.SizeBytes()*c.NumMemPartitions/1024, c.NumMemPartitions))
-			t.Rowf("DRAM latency / service", fmt.Sprintf("%d cyc + %d cyc per 128 B burst",
+			t.Row("DRAM latency / service", fmt.Sprintf("%d cyc + %d cyc per 128 B burst",
 				c.DRAMLatency, c.DRAMServiceCycles))
-			t.Rowf("VT swap latency (out/in)", fmt.Sprintf("%d / %d cyc", c.VT.SwapOutLatency, c.VT.SwapInLatency))
-			t.Rowf("VT context buffer / SM", fmt.Sprintf("%d KB", c.VT.ContextBufferBytes/1024))
+			t.Row("VT swap latency (out/in)", fmt.Sprintf("%d / %d cyc", c.VT.SwapOutLatency, c.VT.SwapInLatency))
+			t.Row("VT context buffer / SM", fmt.Sprintf("%d KB", c.VT.ContextBufferBytes/1024))
 			return t
 		},
 	}
@@ -107,11 +107,11 @@ func tableBenchmarks() Experiment {
 				if o.SchedulingLimited() {
 					sched++
 				}
-				t.Rowf(wl.Name, wl.Launch.BlockDim.Size(), wl.Launch.Kernel.NumRegs,
+				t.Row(wl.Name, wl.Launch.BlockDim.Size(), wl.Launch.Kernel.NumRegs,
 					wl.Launch.Kernel.SMemBytes, o.CTAs, o.CapacityCTAs,
-					o.Limiter.String(), fmt.Sprintf("%v", o.SchedulingLimited()))
+					o.Limiter.String(), o.SchedulingLimited())
 			}
-			t.Note("%d of %d workloads are scheduling-limited", sched, len(suiteNames()))
+			t.Note("{sched_limited} of {workloads} workloads are scheduling-limited", sched, len(suiteNames()))
 			return t
 		},
 	}
@@ -140,9 +140,9 @@ func figLimiter() Experiment {
 					frac = 1 - float64(ws)/float64(wc)
 				}
 				fractions = append(fractions, frac)
-				t.Rowf(wl.Name, ws, wc, fmt.Sprintf("%.0f%%", frac*100))
+				t.Row(wl.Name, ws, wc, stats.Percent(frac, 0))
 			}
-			t.Note("mean stranded TLP: %.0f%%", stats.Mean(fractions)*100)
+			t.Note("mean stranded TLP: {mean_stranded}", stats.Percent(stats.Mean(fractions), 0))
 			return t
 		},
 	}
@@ -162,7 +162,7 @@ func figTLP() Experiment {
 				"workload", "base-active", "vt-active", "vt-resident", "ideal-active")
 			for i, n := range suiteNames() {
 				b, v, ideal := res[3*i], res[3*i+1], res[3*i+2]
-				t.Rowf(n, b.AvgActiveWarpsPerSM(), v.AvgActiveWarpsPerSM(),
+				t.Row(n, b.AvgActiveWarpsPerSM(), v.AvgActiveWarpsPerSM(),
 					v.AvgResidentWarpsPerSM(), ideal.AvgActiveWarpsPerSM())
 			}
 			return t
@@ -186,10 +186,10 @@ func figSpeedup() Experiment {
 				b, v := res[2*i], res[2*i+1]
 				s := float64(b.Cycles) / float64(v.Cycles)
 				sp = append(sp, s)
-				t.Rowf(n, b.IPC(), v.IPC(), s, v.VT.SwapsOut)
+				t.Row(n, b.IPC(), v.IPC(), s, v.VT.SwapsOut)
 			}
-			t.Note("average speedup: %s (arithmetic), %s (geometric); paper reports +23.9%% average",
-				stats.Pct(stats.Mean(sp)), stats.Pct(stats.GeoMean(sp)))
+			t.Note("average speedup: {mean_speedup} (arithmetic), {geomean_speedup} (geometric); paper reports {paper_speedup} average",
+				stats.Gain(stats.Mean(sp)), stats.Gain(stats.GeoMean(sp)), stats.Gain(1.239))
 			return t
 		},
 	}
@@ -206,22 +206,22 @@ func figIdealGap() Experiment {
 		Jobs:  func(Params) []Job { return policyJobs(suiteNames(), pols) },
 		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("normalized to baseline", "workload", "vt", "ideal", "vt-capture")
+			const idealFloor = 0.05 // capture means nothing where ideal gains less
 			var caps []float64
 			for i, n := range suiteNames() {
 				b := float64(res[3*i].Cycles)
 				v := b / float64(res[3*i+1].Cycles)
 				ideal := b / float64(res[3*i+2].Cycles)
-				// Capture is only meaningful where ideal actually gains.
-				capture := "-"
-				if ideal > 1.05 {
+				capture := stats.None
+				if ideal > 1+idealFloor {
 					c := (v - 1) / (ideal - 1)
 					caps = append(caps, c)
-					capture = fmt.Sprintf("%.0f%%", c*100)
+					capture = stats.Percent(c, 0)
 				}
-				t.Rowf(n, v, ideal, capture)
+				t.Row(n, v, ideal, capture)
 			}
-			t.Note("mean capture of ideal's gain (where ideal gains >5%%): %.0f%%",
-				stats.Mean(caps)*100)
+			t.Note("mean capture of ideal's gain (where ideal gains >{ideal_floor}): {mean_capture}",
+				stats.Percent(idealFloor, 0), stats.Percent(stats.Mean(caps), 0))
 			return t
 		},
 	}
@@ -245,41 +245,27 @@ func figFullSwap() Experiment {
 				f := b / float64(res[3*i+2].Cycles)
 				vs = append(vs, v)
 				fs = append(fs, f)
-				t.Rowf(n, v, f)
+				t.Row(n, v, f)
 			}
-			t.Note("geomean: vt %s, fullswap %s", stats.Pct(stats.GeoMean(vs)), stats.Pct(stats.GeoMean(fs)))
+			t.Note("geomean: vt {geomean_vt}, fullswap {geomean_fullswap}", stats.Gain(stats.GeoMean(vs)), stats.Gain(stats.GeoMean(fs)))
 			return t
 		},
 	}
 }
 
-// figScheduler reproduces the warp-scheduler interaction study.
+// figScheduler reproduces the warp-scheduler interaction study. Its runs
+// are a paired speedup sweep's ("baseline-gto" vs "vt-gto", ...); its
+// table adds a geomean note rather than a geomean row.
 func figScheduler() Experiment {
-	scheds := []config.SchedulerKind{config.SchedGTO, config.SchedLRR}
+	runs := speedupSweep{points: []sweepPoint{
+		named("gto", func(c *config.GPUConfig) { c.Scheduler = config.SchedGTO }),
+		named("lrr", func(c *config.GPUConfig) { c.Scheduler = config.SchedLRR }),
+	}, paired: true}
 	return Experiment{
 		ID:    "fig-sched",
 		Title: "Interaction with the warp scheduler (GTO vs LRR)",
 		Paper: "VT's gains are not an artifact of one warp scheduling policy",
-		Jobs: func(Params) []Job {
-			var jobs []Job
-			for _, n := range sweepNames() {
-				for _, sk := range scheds {
-					sk := sk
-					for _, pol := range []config.Policy{config.PolicyBaseline, config.PolicyVT} {
-						pol := pol
-						jobs = append(jobs, Job{
-							Workload: n,
-							Variant:  fmt.Sprintf("%s-%s", pol, sk),
-							Mutate: func(c *config.GPUConfig) {
-								c.Policy = pol
-								c.Scheduler = sk
-							},
-						})
-					}
-				}
-			}
-			return jobs
-		},
+		Jobs:  runs.jobs,
 		Reduce: func(_ Params, res []*gpu.Result) *stats.Table {
 			t := stats.NewTable("VT speedup by scheduler", "workload", "gto", "lrr")
 			var g, l []float64
@@ -289,9 +275,9 @@ func figScheduler() Experiment {
 				sl := float64(r[2].Cycles) / float64(r[3].Cycles)
 				g = append(g, sg)
 				l = append(l, sl)
-				t.Rowf(n, sg, sl)
+				t.Row(n, sg, sl)
 			}
-			t.Note("geomean: gto %s, lrr %s", stats.Pct(stats.GeoMean(g)), stats.Pct(stats.GeoMean(l)))
+			t.Note("geomean: gto {geomean_gto}, lrr {geomean_lrr}", stats.Gain(stats.GeoMean(g)), stats.Gain(stats.GeoMean(l)))
 			return t
 		},
 	}
@@ -311,7 +297,7 @@ func tableSwap() Experiment {
 				"workload", "swaps-out", "swaps-in", "fresh", "stall-cyc", "ctx-peak(B)", "max-resident")
 			for i, n := range suiteNames() {
 				v := res[i].VT
-				t.Rowf(n, v.SwapsOut, v.SwapsIn, v.FreshActivates,
+				t.Row(n, v.SwapsOut, v.SwapsIn, v.FreshActivates,
 					v.SwapStallCycles, v.ContextPeak, v.MaxResident)
 			}
 			return t
@@ -329,15 +315,15 @@ func tableHardware() Experiment {
 			c := p.Config
 			t := stats.NewTable("per-SM overhead", "component", "bytes")
 			perWarpCtx := 4 + 20 + 64 + 4 // PC + depth-1 stack + scoreboard + flags
-			t.Rowf("context buffer (configured)", c.VT.ContextBufferBytes)
-			t.Rowf("warp context (depth-1 stack)", perWarpCtx)
-			t.Rowf("inactive 2-warp CTAs supported", c.VT.ContextBufferBytes/(2*perWarpCtx))
-			t.Rowf("inactive 8-warp CTAs supported", c.VT.ContextBufferBytes/(8*perWarpCtx))
-			t.Rowf("CTA state table (64 x 8 B)", 64*8)
+			t.Row("context buffer (configured)", c.VT.ContextBufferBytes)
+			t.Row("warp context (depth-1 stack)", perWarpCtx)
+			t.Row("inactive 2-warp CTAs supported", c.VT.ContextBufferBytes/(2*perWarpCtx))
+			t.Row("inactive 8-warp CTAs supported", c.VT.ContextBufferBytes/(8*perWarpCtx))
+			t.Row("CTA state table (64 x 8 B)", 64*8)
 			perSM := c.VT.ContextBufferBytes + 64*8
-			t.Rowf("total per SM", perSM)
-			t.Rowf("total per GPU", perSM*c.NumSMs)
-			t.Note("compare: doubling warp slots replicates %d SIMT stacks + PCs per SM", c.MaxWarpsPerSM)
+			t.Row("total per SM", perSM)
+			t.Row("total per GPU", perSM*c.NumSMs)
+			t.Note("compare: doubling warp slots replicates {warp_slots} SIMT stacks + PCs per SM", c.MaxWarpsPerSM)
 			return t
 		},
 	}

@@ -23,7 +23,7 @@ func figExtras() Experiment {
 			for i, n := range names {
 				b := float64(res[3*i].Cycles)
 				v, ideal := res[3*i+1], res[3*i+2]
-				t.Rowf(n, b/float64(v.Cycles), b/float64(ideal.Cycles), v.VT.SwapsOut)
+				t.Row(n, b/float64(v.Cycles), b/float64(ideal.Cycles), v.VT.SwapsOut)
 			}
 			return t
 		},
@@ -52,9 +52,9 @@ func tableEnergy() Experiment {
 				ratio := ve.Total() / be.Total()
 				ratios = append(ratios, ratio)
 				edp := energy.EDP(ve, v.Cycles) / energy.EDP(be, b.Cycles)
-				t.Rowf(n, be.Total(), ve.Total(), ratio, ve.Swap, edp)
+				t.Row(n, be.Total(), ve.Total(), ratio, ve.Swap, edp)
 			}
-			t.Note("geomean VT/baseline energy: %.3f (energy-delay product improves wherever VT speeds up)",
+			t.Note("geomean VT/baseline energy: {geomean_energy_ratio} (energy-delay product improves wherever VT speeds up)",
 				stats.GeoMean(ratios))
 			return t
 		},
@@ -93,10 +93,10 @@ func figKepler() Experiment {
 				sk := float64(kepler[2*i].Cycles) / float64(kepler[2*i+1].Cycles)
 				f = append(f, sf)
 				k = append(k, sk)
-				t.Rowf(n, sf, sk)
+				t.Row(n, sf, sk)
 			}
-			t.Note("geomean: fermi %s, kepler %s — looser scheduling limits leave less stranded TLP",
-				stats.Pct(stats.GeoMean(f)), stats.Pct(stats.GeoMean(k)))
+			t.Note("geomean: fermi {geomean_fermi}, kepler {geomean_kepler} — looser scheduling limits leave less stranded TLP",
+				stats.Gain(stats.GeoMean(f)), stats.Gain(stats.GeoMean(k)))
 			return t
 		},
 	}
@@ -120,7 +120,7 @@ func figMultiKernel() Experiment {
 				"mix", "baseline", "vt", "speedup", "swaps")
 			for i, mix := range mixes {
 				base, vt := res[2*i], res[2*i+1]
-				t.Rowf(mix, base.Cycles, vt.Cycles,
+				t.Row(mix, base.Cycles, vt.Cycles,
 					float64(base.Cycles)/float64(vt.Cycles), vt.VT.SwapsOut)
 			}
 			return t

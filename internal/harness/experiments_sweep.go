@@ -82,13 +82,13 @@ func (s speedupSweep) reduce(_ Params, res []*gpu.Result) *stats.Table {
 			per[i] = append(per[i], sp)
 			row = append(row, sp)
 		}
-		t.Rowf(row...)
+		t.Row(row...)
 	}
 	geo := []any{"geomean"}
 	for _, xs := range per {
 		geo = append(geo, stats.GeoMean(xs))
 	}
-	t.Rowf(geo...)
+	t.Row(geo...)
 	return t
 }
 

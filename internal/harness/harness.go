@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,7 +229,7 @@ func Get(id string) (Experiment, error) {
 
 // Output is where RunExperiments renders: every table to W — under its
 // "### id — title" heading when Titled — and, when CSVDir is set, into
-// that directory as <slug of the table title>.csv.
+// that directory as <experiment ID>.csv, one file per experiment.
 type Output struct {
 	W      io.Writer
 	Titled bool
@@ -236,12 +237,14 @@ type Output struct {
 }
 
 // ExperimentRun is what RunExperiments reports about one rendered
-// experiment: how many runs it requested, the wall time of its reduce and
-// render step, and its error, if any. The simulations belong to the plan,
-// which shares each point among every experiment that requested it.
+// experiment: how many runs it requested, its reduced table (nil if a job
+// failed), the wall time of its reduce and render step, and its error, if
+// any. The simulations belong to the plan, which shares each point among
+// every experiment that requested it.
 type ExperimentRun struct {
 	Experiment
 	Requested int
+	Table     *stats.Table
 	Wall      time.Duration
 	Err       error
 }
@@ -274,7 +277,7 @@ func RunExperiments(p Params, todo []Experiment, out Output, each func(Experimen
 		hi := ends[i]
 		r := ExperimentRun{Experiment: e, Requested: hi - lo}
 		t0 := time.Now()
-		r.Err = render(p, out, e, res[lo:hi], errors.Join(errs[lo:hi]...))
+		r.Table, r.Err = render(p, out, e, res[lo:hi], errors.Join(errs[lo:hi]...))
 		r.Wall = time.Since(t0)
 		if r.Err != nil {
 			failed = append(failed, fmt.Errorf("%s: %w", e.ID, r.Err))
@@ -294,7 +297,7 @@ func RunExperiments(p Params, todo []Experiment, out Output, each func(Experimen
 // an "experiment" span: the heading, then either the failure of one of
 // its jobs or its reduced table — flagged sampled when the experiment
 // simulated under Params.Sampling — printed and mirrored to CSV.
-func render(p Params, out Output, e Experiment, res []*gpu.Result, err error) error {
+func render(p Params, out Output, e Experiment, res []*gpu.Result, err error) (*stats.Table, error) {
 	tr := p.Sweep.Trace
 	sid := tr.Begin(p.span, "experiment", e.ID, "")
 	defer tr.End(sid)
@@ -307,32 +310,22 @@ func render(p Params, out Output, e Experiment, res []*gpu.Result, err error) er
 	if err != nil {
 		tr.SetAttr(sid, "error", "true")
 		fmt.Fprintf(out.W, "EXPERIMENT FAILED %s: %v\n\n", e.ID, err)
-		return err
+		return nil, err
 	}
 	t := e.Reduce(p, res)
 	if e.Jobs != nil && p.Sampling.Enabled() {
-		t.MarkSampled(p.Sampling.String())
+		t.Sampled = p.Sampling.String()
 	}
 	t.Fprint(out.W)
 	if out.CSVDir != "" {
-		writeCSV(out.CSVDir, t)
-	}
-	return nil
-}
-
-// writeCSV mirrors t into dir as <slug>.csv; a failure is reported on
-// stderr and does not fail the experiment.
-func writeCSV(dir string, t *stats.Table) {
-	f, err := os.Create(filepath.Join(dir, stats.Slug(t.Title)+".csv"))
-	if err == nil {
-		err = t.WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		// A CSV that cannot be written is reported and fails nothing.
+		var csv strings.Builder
+		t.WriteCSV(&csv)
+		if err := os.WriteFile(filepath.Join(out.CSVDir, e.ID+".csv"), []byte(csv.String()), 0o666); err != nil {
+			fmt.Fprintf(os.Stderr, "harness: csv: %v\n", err)
 		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "harness: csv: %v\n", err)
-	}
+	return t, nil
 }
 
 // Job is one simulation request: a named workload executed under a

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/stats"
 	"repro/internal/testsupport"
 )
 
@@ -290,26 +291,89 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestRunAllDiluted executes every experiment end-to-end on heavily
-// diluted grids: the full reproduction pipeline in one test.
+// TestRunAllDiluted executes every experiment end-to-end on diluted
+// grids — the full reproduction pipeline in one test — and pins what it
+// prints: every table byte for byte against bench/golden/all-d30.tables.txt
+// (read, never written; normalized as bench/vtperf normalizes it), one
+// CSV per experiment ID, and every number in a note as a named value the
+// reduced table hands back.
 func TestRunAllDiluted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 60})
-	var sb strings.Builder
-	if err := RunExperiments(p, Experiments(), Output{W: &sb, Titled: true}, nil); err != nil {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "bench", "golden", "all-d30.tables.txt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, e := range Experiments() {
-		if !strings.Contains(out, "### "+e.ID) {
-			t.Errorf("output missing experiment %s", e.ID)
+	p := inSweep(t, Params{Scale: 1, Config: config.GTX480(), Dilute: 30})
+	dir := t.TempDir()
+	var sb strings.Builder
+	tables := map[string]*stats.Table{}
+	keep := func(r ExperimentRun) { tables[r.ID] = r.Table }
+	if err := RunExperiments(p, Experiments(), Output{W: &sb, Titled: true, CSVDir: dir}, keep); err != nil {
+		t.Fatal(err)
+	}
+	got, want := strings.Split(normalizeTables(sb.String()), "\n"), strings.Split(string(golden), "\n")
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			t.Fatalf("tables differ from the golden from line %d:\n%s\nwant:\n%s", i+1,
+				strings.Join(got[i:min(i+5, len(got))], "\n"), strings.Join(want[i:min(i+5, len(want))], "\n"))
 		}
 	}
-	if !strings.Contains(out, "average speedup") {
-		t.Error("missing headline summary")
+	for _, e := range Experiments() {
+		if _, err := os.Stat(filepath.Join(dir, e.ID+".csv")); err != nil {
+			t.Errorf("no CSV for %s: %v", e.ID, err)
+		}
+		// A note's numbers are its named values: with their renderings
+		// cut out, no digit is left.
+		tb := tables[e.ID]
+		for _, line := range strings.Split(tb.String(), "\n") {
+			if !strings.HasPrefix(line, "  note: ") {
+				continue
+			}
+			for _, v := range tb.Values() {
+				line = strings.ReplaceAll(line, v.String(), "")
+			}
+			if strings.ContainsAny(line, "0123456789") {
+				t.Errorf("%s: a number in a note is not a named value: %q", e.ID, line)
+			}
+		}
 	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(Experiments()) {
+		t.Errorf("CSV dir holds %d files (err %v), want one per experiment", len(entries), err)
+	}
+
+	// The headline reads back as computed: the geometric mean of the
+	// per-workload speedups, served again from the sweep's memo.
+	e, err := Get("fig-speedup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunJobs(p, e.Jobs(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp []float64
+	for i := 0; i < len(res); i += 2 {
+		sp = append(sp, float64(res[i].Cycles)/float64(res[i+1].Cycles))
+	}
+	geo, ok := tables["fig-speedup"].Values()["geomean_speedup"]
+	if !ok || geo.Num() != stats.GeoMean(sp) {
+		t.Errorf("geomean_speedup = %v (named: %v), want %v", geo.Num(), ok, stats.GeoMean(sp))
+	}
+}
+
+// normalizeTables drops the output lines that report timing or fleet
+// bookkeeping rather than results and trims trailing whitespace, as
+// bench/vtperf does before comparing with a golden.
+func normalizeTables(s string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "total wall time") && !strings.HasPrefix(line, "checkpoints:") && !strings.HasPrefix(line, "fleet:") {
+			b.WriteString(strings.TrimRight(line, " \t") + "\n")
+		}
+	}
+	return strings.TrimRight(b.String(), "\n") + "\n"
 }
 
 // TestWorkersEquivalence is the serial-vs-parallel equivalence: every

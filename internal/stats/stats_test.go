@@ -8,9 +8,9 @@ import (
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
-	tb.Row("alpha", "1")
-	tb.Rowf("beta", 2.5)
-	tb.Note("footnote %d", 7)
+	tb.Row("alpha", 1)
+	tb.Row("beta", 2.5)
+	tb.Note("footnote {n}", 7)
 	out := tb.String()
 	for _, want := range []string{"== demo ==", "name", "alpha", "beta", "2.500", "note: footnote 7"} {
 		if !strings.Contains(out, want) {
@@ -33,11 +33,14 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableMarkSampled: a table whose values were simulated sampled
+// prints, and writes as CSV, a "sampled" column flagging every row plus a
+// note naming the window configuration.
 func TestTableMarkSampled(t *testing.T) {
 	tb := NewTable("fig", "workload", "speedup")
-	tb.Row("nw", "1.2")
-	tb.Row("bfs", "1.1")
-	tb.MarkSampled("100:1000:25")
+	tb.Row("nw", 1.2)
+	tb.Row("bfs", 1.1)
+	tb.Sampled = "100:1000:25"
 	out := tb.String()
 	for _, want := range []string{"sampled", "100:1000:25", "extrapolations"} {
 		if !strings.Contains(out, want) {
@@ -51,6 +54,13 @@ func TestTableMarkSampled(t *testing.T) {
 				t.Errorf("row not flagged: %q", l)
 			}
 		}
+	}
+	var sb strings.Builder
+	if err := tb.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "workload,speedup,sampled\nnw,1.200,yes\nbfs,1.100,yes\n"; sb.String() != want {
+		t.Errorf("csv = %q, want %q", sb.String(), want)
 	}
 }
 
@@ -78,38 +88,81 @@ func TestMeans(t *testing.T) {
 	}
 }
 
+// TestFormatters pins how each kind of value prints: the one place a
+// number becomes text.
 func TestFormatters(t *testing.T) {
-	if F3(1.23456) != "1.235" {
-		t.Errorf("F3 = %q", F3(1.23456))
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{1.23456, "1.235"},
+		{42, "42"},
+		{int64(-7), "-7"},
+		{true, "true"},
+		{"a label", "a label"},
+		{Fixed(2.5, 1), "2.5"},
+		{Fixed(937.5, 2), "937.50"},
+		{Percent(0.46, 0), "46%"},
+		{Percent(0.123, 1), "12.3%"},
+		{Gain(1.239), "+23.9%"},
+		{Gain(0.95), "-5.0%"},
+		{None, "-"},
+	} {
+		if got := cellOf(c.v).String(); got != c.want {
+			t.Errorf("%#v prints %q, want %q", c.v, got, c.want)
+		}
 	}
-	if Pct(1.239) != "+23.9%" {
-		t.Errorf("Pct = %q", Pct(1.239))
+}
+
+// TestNamedValues: every {name} in a note is a value the table keeps as
+// computed and prints in its cell's form; a name seen before prints the
+// same value again.
+func TestNamedValues(t *testing.T) {
+	tb := NewTable("fig", "workload", "speedup")
+	tb.Note("mean {mean} of {n} workloads", Gain(1.154), 22)
+	tb.Note("again: {n} workloads")
+	vals := tb.Values()
+	if c := vals["mean"]; c.Num() != 1.154 || c.String() != "+15.4%" {
+		t.Errorf("mean = %v printed %q, want 1.154 printed +15.4%%", c.Num(), c.String())
 	}
-	if Pct(0.95) != "-5.0%" {
-		t.Errorf("Pct = %q", Pct(0.95))
+	if len(vals) != 2 || vals["n"].Num() != 22 {
+		t.Errorf("values = %v, want mean and n = 22", vals)
+	}
+	out := tb.String()
+	for _, want := range []string{"note: mean +15.4% of 22 workloads\n", "note: again: 22 workloads\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []func(){
+		func() { NewTable("x").Note("{a} and {b}", 1) },
+		func() { NewTable("x").Note("{a}", 1, 2) },
+		func() { NewTable("x").Row(struct{}{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a mismatched note or an untyped value did not panic")
+				}
+			}()
+			bad()
+		}()
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	tb := NewTable("demo table", "name", "value")
+	tb := NewTable("demo table", "name", "value, unit")
 	tb.Row("a,b", `say "hi"`)
-	tb.Rowf("plain", 1.5)
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "name,value\n\"a,b\",\"say \"\"hi\"\"\"\nplain,1.500\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestSlug(t *testing.T) {
-	if got := Slug("VT speedup vs swap latency"); got != "vt-speedup-vs-swap-latency" {
-		t.Fatalf("slug = %q", got)
-	}
-	if got := Slug("  --Weird__ 42 !!"); got != "weird-42" {
-		t.Fatalf("slug = %q", got)
+	tb.Row("plain", 1.5)
+	want := "name,\"value, unit\"\n\"a,b\",\"say \"\"hi\"\"\"\nplain,1.500\n"
+	for range 2 { // quoting leaves the table as it was
+		var sb strings.Builder
+		if err := tb.WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != want {
+			t.Fatalf("csv = %q, want %q", sb.String(), want)
+		}
 	}
 }
 

@@ -187,8 +187,8 @@ func TestReportCarriesEveryCounter(t *testing.T) {
 }
 
 // TestCSVFlagMirrorsTables drives -csv through the loop both commands
-// use: every rendered table lands in the directory as <slug of its
-// title>.csv, the same rows the text rendering prints, and the -csv
+// use: every rendered table lands in the directory as <experiment
+// ID>.csv, the same rows the text rendering prints, and the -csv
 // setting of one sweep reaches no other.
 func TestCSVFlagMirrorsTables(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "csv")
@@ -207,16 +207,16 @@ func TestCSVFlagMirrorsTables(t *testing.T) {
 	if _, code, err := f.RunExperiments("vtbench", p, &tables); err != nil || code != 0 {
 		t.Fatalf("RunExperiments: code %d, err %v", code, err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "per-sm-overhead.csv"))
+	b, err := os.ReadFile(filepath.Join(dir, "table-hw.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	csv := string(b)
 	if !strings.HasPrefix(csv, "component,bytes\n") || !strings.Contains(csv, "\ntotal per SM,") {
-		t.Errorf("per-sm-overhead.csv is not the table:\n%s", csv)
+		t.Errorf("table-hw.csv is not the table:\n%s", csv)
 	}
 	if lines := strings.Count(csv, "\n"); lines != 8 {
-		t.Errorf("per-sm-overhead.csv has %d lines, want the header and 7 rows:\n%s", lines, csv)
+		t.Errorf("table-hw.csv has %d lines, want the header and 7 rows:\n%s", lines, csv)
 	}
 
 	// A sweep without -csv writes no CSV, whatever another sweep asked for.
