@@ -243,8 +243,10 @@ func runWorkerMode(ctx context.Context, sig *sweepcli.Signals, p harness.Params,
 
 // writeSweepObservability flushes the tracer's span dump to the
 // requested outputs: the raw JSON dump (vtreport -tracepath input, which
-// also renders it for Perfetto), the result-store artifact (when a store
-// is attached), and the final Prometheus exposition.
+// also renders it for Perfetto), the final Prometheus exposition, and the
+// result-store artifact (when a store is attached). The exposition is
+// rendered before the artifact commits, so its span histogram counts
+// exactly the dump's closed spans, not the artifact's own store batch.
 func writeSweepObservability(p harness.Params, tracer *sweepobs.Tracer, tracePath, metricsPath string) error {
 	d := tracer.Dump()
 	if tracePath != "" {
@@ -257,6 +259,11 @@ func writeSweepObservability(p harness.Params, tracer *sweepobs.Tracer, tracePat
 		}
 		fmt.Fprintf(os.Stderr, "vtbench: wrote %s (%d spans)\n", tracePath, len(d.Spans))
 	}
+	if metricsPath != "" {
+		if err := writeFile("metricsdump", metricsPath, p.Sweep.Monitor.WriteMetrics); err != nil {
+			return err
+		}
+	}
 	if p.CacheDir != "" {
 		// Best-effort: a trace that fails to commit must not fail a sweep
 		// whose results committed fine.
@@ -265,9 +272,6 @@ func writeSweepObservability(p harness.Params, tracer *sweepobs.Tracer, tracePat
 		} else {
 			fmt.Fprintf(os.Stderr, "vtbench: sweep trace committed to store %s\n", p.CacheDir)
 		}
-	}
-	if metricsPath != "" {
-		return writeFile("metricsdump", metricsPath, p.Sweep.Monitor.WriteMetrics)
 	}
 	return nil
 }

@@ -51,8 +51,11 @@ func (v *Controller) Diagnose() *Diag {
 
 // CheckInvariants recounts, with the reference scans, the derived state
 // the controller decides from — the head of each SM's ready-CTA set, each
-// active CTA's cached swap trigger, the cached residency-expiry scan — and
-// the context-buffer charge, reporting every mismatch (joined), or nil.
+// active CTA's cached swap trigger, the cached residency-expiry scan — the
+// context-buffer charge, and the paper's active limit: however many CTAs
+// are resident, those holding warp slots, and the warps and threads they
+// bind, never exceed the scheduling limits. It reports every mismatch
+// (joined), or nil.
 // Like sm.CheckInvariants it is a pure read for cycle boundaries.
 func (v *Controller) CheckInvariants() error {
 	var errs []error
@@ -65,12 +68,19 @@ func (v *Controller) CheckInvariants() error {
 		if got, want := s.ReadyCTA(), v.pickReady(s); got != want {
 			fail("ready-CTA set head %s, the activation scan picks %s", ctaName(got), ctaName(want))
 		}
-		charged := 0
+		charged, ctas, warps, threads := 0, 0, 0, 0
 		for _, c := range s.Resident {
 			charged += c.CtxCharged
 			if c.State == warp.CTAActive && c.Stalled != v.stalledEnough(s, c) {
 				fail("CTA %s: cached swap trigger %v, the stall scan says %v", ctaName(c), c.Stalled, !c.Stalled)
 			}
+			if c.State == warp.CTAActive || c.State == warp.CTARestoring {
+				ctas, warps, threads = ctas+1, warps+len(c.Warps), threads+c.Threads
+			}
+		}
+		if maxC, maxW, maxT := s.Cfg.EffectiveSchedulingLimits(); ctas > maxC || warps > maxW || threads > maxT {
+			fail("active limit: %d CTAs binding %d warps and %d threads hold warp slots, the scheduling limits are %d, %d and %d",
+				ctas, warps, threads, maxC, maxW, maxT)
 		}
 		if charged != st.ctxBytesUsed {
 			fail("context buffer holds %d B but inactive CTAs were charged %d B", st.ctxBytesUsed, charged)

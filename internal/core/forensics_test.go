@@ -74,8 +74,9 @@ func pausedVTRun(t *testing.T) (*Controller, *sm.SM) {
 // TestCheckInvariantsCatchesCorruption corrupts one derived value at a
 // time on a VT run paused at a cycle boundary — the ready-set order, an
 // active CTA's cached swap trigger, the context-buffer charge, the cached
-// residency expiry — and requires CheckInvariants to name each one, and
-// to pass again once the value is restored.
+// residency expiry, a scheduling limit below the CTAs holding warp slots
+// — and requires CheckInvariants to name each one, and to pass again once
+// the value is restored.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	v, s := pausedVTRun(t)
 	st := &v.perSM[0]
@@ -115,6 +116,13 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			st.minElig, st.eligEpoch = s.Ev.Now()+1_000_000, s.CTAEpoch()
 			return func() { st.minElig, st.eligEpoch = was, wasEpoch }
 		}, "cached residency expiry"},
+		{"active-limit", func() func() {
+			// One CTA fewer than hold warp slots now: the recount of
+			// active CTAs must exceed it.
+			was := s.Cfg.MaxCTAsPerSM
+			s.Cfg.MaxCTAsPerSM = s.ActiveCTAs - 1
+			return func() { s.Cfg.MaxCTAsPerSM = was }
+		}, "active limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			restore := tc.corrupt()

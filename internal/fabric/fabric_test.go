@@ -475,10 +475,10 @@ func TestCoordinatorServesMonitor(t *testing.T) {
 		t.Fatalf("/metrics exposition invalid: %v", err)
 	}
 	for series, want := range map[string]float64{
-		"vtsweep_runs_requested_total":             0,
-		"vtfabric_jobs_pending":                    1,
-		"vtfabric_leases_granted_total":            1,
-		`vtfabric_worker_active_jobs{worker="w1"}`: 1,
+		"vtsweep_runs_requested_total":        0,
+		"vtfabric_jobs_pending":               1,
+		"vtfabric_leases_granted_total":       1,
+		`vtfabric_worker_active{worker="w1"}`: 1,
 	} {
 		if got, ok := samples[series]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)

@@ -267,7 +267,8 @@ func (in *oracleInput) listing() string {
 }
 
 // assertConserved checks that every scheduler contributed exactly one
-// issue-slot sample per cycle, simulated, skipped or extrapolated.
+// issue-slot sample per cycle, simulated, skipped or extrapolated, and
+// that the memory system and the LSU count the same L1 rejections.
 func assertConserved(t *testing.T, in *oracleInput, r *Result) {
 	t.Helper()
 	s := r.SM
@@ -275,6 +276,13 @@ func assertConserved(t *testing.T, in *oracleInput, r *Result) {
 	if want := r.Cycles * int64(r.Schedulers) * int64(r.NumSMs); slots != want {
 		t.Fatalf("%s: %d slot samples, want %d cycles x %d schedulers x %d SMs = %d%s",
 			in.name, slots, r.Cycles, r.Schedulers, r.NumSMs, want, in.listing())
+	}
+	// An L1 rejection (MSHRs full) is the one way AccessGlobal refuses a
+	// transaction, and the LSU retries each refusal: one event, counted
+	// on both sides.
+	if r.Mem.L1Rejects != s.LSURetries {
+		t.Fatalf("%s: %d L1 rejects, but the LSU retried %d transactions%s",
+			in.name, r.Mem.L1Rejects, s.LSURetries, in.listing())
 	}
 }
 

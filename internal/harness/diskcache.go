@@ -132,9 +132,11 @@ func (w *writeBehind) wait() any {
 const storeRetryAttempts = 3
 
 // storeRetry runs op, retrying transient store I/O errors with
-// jittered exponential backoff (equal jitter over a 2ms/8ms base, so a
-// fleet of workers hammering one store desynchronizes instead of
-// retrying in lockstep). The sleep aborts when ctx is canceled —
+// jittered exponential backoff (equal jitter over a 2ms/8ms base). One
+// process owns a store, but its group commit hands a failed batch's
+// transient error to every transaction in the batch at once; the jitter
+// spreads those members' retries instead of re-forming the batch in
+// lockstep. The sleep aborts when ctx is canceled —
 // graceful shutdown must never block mid-backoff — returning the op
 // error joined with the context error.
 func (s *Sweep) storeRetry(ctx context.Context, op func() error) error {
@@ -150,7 +152,7 @@ func (s *Sweep) storeRetry(ctx context.Context, op func() error) error {
 		s.count(func(m *RunMetrics) { m.StoreRetries++ })
 		// Equal jitter: half the backoff is deterministic spacing, the
 		// other half uniform random, keeping a minimum gap while
-		// spreading concurrent retriers.
+		// spreading a failed batch's members.
 		d := backoff/2 + rand.N(backoff/2+1)
 		t := time.NewTimer(d)
 		select {
@@ -168,7 +170,7 @@ func (s *Sweep) storeRetry(ctx context.Context, op func() error) error {
 // rode in if this call led it: one store.tx span (attrs txs, ops, and
 // the batch's fsync count and rounds as syncs, rounds) with the WAL
 // phases the protocol timed itself (stage, commit, apply, replicate) as
-// children, and one vtsweep_store_batch_txs observation.
+// children; /metrics builds vtsweep_store_batch_txs from these spans.
 // A batch outlives any one job, so the span hangs under the sweep-level
 // span, not the job's.
 func (p Params) commitStoreTx(tx *resultstore.Tx) error {
@@ -178,7 +180,6 @@ func (p Params) commitStoreTx(tx *resultstore.Tx) error {
 	if !b.Lead || len(ph) == 0 {
 		return err
 	}
-	p.Sweep.Monitor.noteStoreBatch(b.Txs)
 	last := ph[len(ph)-1]
 	id := tr.Record(p.sweepSpan, "store.tx", "", "", ph[0].Start, last.Start.Add(last.Dur).Sub(ph[0].Start),
 		"txs", strconv.Itoa(b.Txs), "ops", strconv.Itoa(b.Ops),

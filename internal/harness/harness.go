@@ -430,7 +430,7 @@ func RunJobs(p Params, jobs []Job) ([]*gpu.Result, error) {
 // burned them.
 func runPlan(p Params, jobs []Job) ([]*gpu.Result, []error) {
 	s := p.Sweep
-	tr, mon := s.Trace, s.Monitor
+	tr := s.Trace
 	plan := tr.Begin(p.span, "plan", "", "")
 	jobs = forkPlan(p, jobs)
 	tr.End(plan)
@@ -453,8 +453,6 @@ func runPlan(p Params, jobs []Job) ([]*gpu.Result, []error) {
 				labels := pprof.Labels("workload", o.j.Workload, "variant", o.j.Variant)
 				pprof.Do(ctx, labels, func(context.Context) {
 					jid := tr.BeginJob(p.span, o.j.Workload, o.j.Variant)
-					mon.beginJob(o.e.fp, o.j)
-					defer mon.endJob(o.e.fp)
 					defer tr.EndJob(jid)
 					jp := p
 					jp.span, jp.sweepSpan = jid, p.span

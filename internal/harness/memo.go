@@ -249,8 +249,10 @@ func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 
 // resolve settles an owned entry for everyone waiting on it: it asks the
 // result store, and only on a miss hands the job to p's Executor — whose
-// Outcome.Work it then folds into the sweep's counters and Monitor. A
-// store hit costs nothing: Executed and SimCycles stay untouched, so
+// Outcome.Work it then folds into the sweep's counters, and whose
+// simulated cycles it sets on the job span (simCyclesAttr) for the
+// Monitor's windowed rate. A store hit costs nothing: Executed and
+// SimCycles stay untouched and the span carries no cycles, so
 // simcycles/s reflects real simulation work (a re-run over a full store
 // reads ~0, not a stale cumulative average).
 func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
@@ -273,6 +275,6 @@ func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	e.out, e.err = p.executor().Execute(p, j, e.cfg, e.fp)
 	s.count(func(m *RunMetrics) { m.add(e.out.Work) })
 	if c := e.out.Work.SimCycles; c > 0 {
-		s.Monitor.noteFinished(c)
+		s.Trace.SetAttr(p.span, simCyclesAttr, strconv.FormatInt(c, 10))
 	}
 }

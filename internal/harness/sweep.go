@@ -31,9 +31,8 @@ type Sweep struct {
 	// off path costs a nil check (the CI overhead gate's contract). Set it
 	// before the sweep's first job.
 	Trace *sweepobs.Tracer
-	// Monitor receives live job begin/finish bookkeeping and serves the
-	// sweep's /status and /metrics from its counters. Every sweep has
-	// its own, attached by NewSweep.
+	// Monitor serves the sweep's /status and /metrics, rendered from its
+	// counters and Trace. Every sweep has its own, attached by NewSweep.
 	Monitor *Monitor
 
 	wb    *writeBehind
@@ -65,7 +64,7 @@ func NewSweep() *Sweep {
 	s := &Sweep{wb: newWriteBehind(), codec: newCodec(reflect.TypeFor[envelope]()),
 		memo: map[string]*memoEntry{}, cfgDigest: map[config.GPUConfig]string{},
 		builds: map[buildKey]*built{}, suites: map[int][]kernels.Workload{}, cks: map[string]*ckEntry{}}
-	s.Monitor = newMonitor(s)
+	s.Monitor = &Monitor{sweep: s}
 	return s
 }
 

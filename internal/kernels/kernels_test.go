@@ -313,3 +313,84 @@ func TestScatterAddConservation(t *testing.T) {
 		}
 	}
 }
+
+// hostReferences compute, on the host, the output words a workload
+// writes, from its initial image (Init applied; untouched words read the
+// backing's synthesized values). They take the launch's in and out
+// buffers, its grid in CTAs and its block in threads.
+var hostReferences = map[string]func(in func(i uint32) uint32, ctas, block uint32) map[uint32]uint32{
+	// reduce: CTA c sums in[g] + in[g + gridThreads] over its threads'
+	// global ids g through the barrier ladder; thread 0 writes out[c].
+	"reduce": func(in func(uint32) uint32, ctas, block uint32) map[uint32]uint32 {
+		out := map[uint32]uint32{}
+		for c := uint32(0); c < ctas; c++ {
+			var sum uint32
+			for tid := uint32(0); tid < block; tid++ {
+				g := c*block + tid
+				sum += in(g) + in(g+ctas*block)
+			}
+			out[c] = sum
+		}
+		return out
+	},
+	// transpose: each CTA's 256 elements are a 16x16 tile, written back
+	// transposed through shared memory.
+	"transpose": func(in func(uint32) uint32, ctas, block uint32) map[uint32]uint32 {
+		out := map[uint32]uint32{}
+		for c := uint32(0); c < ctas; c++ {
+			for tid := uint32(0); tid < block; tid++ {
+				out[c*block+tid] = in(c*block + (tid%16)*16 + tid/16)
+			}
+		}
+		return out
+	},
+}
+
+// TestHostReferences runs each workload with a host reference on the
+// oracle's 24-CTA grid at testsupport.Small() under all four policies,
+// and compares every output word of the final backing with the host's.
+// Unlike the oracle's cross-policy row, a defect every policy shares
+// fails here.
+func TestHostReferences(t *testing.T) {
+	const ctas = 24
+	for name, ref := range hostReferences {
+		for _, p := range []config.Policy{config.PolicyBaseline, config.PolicyVT, config.PolicyIdeal, config.PolicyFullSwap} {
+			t.Run(name+"/"+p.String(), func(t *testing.T) {
+				w, err := kernels.Build(name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Launch.GridDim = isa.Dim1(ctas)
+				image := mem.NewBacking()
+				if w.Init != nil {
+					w.Init(image)
+				}
+				inBase, outBase := w.Launch.Params[0], w.Launch.Params[1]
+				want := ref(func(i uint32) uint32 { return image.LoadWord(inBase + 4*i) },
+					ctas, uint32(w.Launch.BlockDim.X))
+				var out *mem.Backing
+				res, err := gpu.Run(w.Launch, testsupport.Small().WithPolicy(p), gpu.Options{
+					InitMemory:  w.Init,
+					KeepBacking: func(bk *mem.Backing) { out = bk },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.SM.CTAsCompleted != ctas {
+					t.Fatalf("completed %d CTAs, want %d", res.SM.CTAsCompleted, ctas)
+				}
+				bad := 0
+				for i, v := range want {
+					if got := out.LoadWord(outBase + 4*i); got != v {
+						if bad++; bad <= 3 {
+							t.Errorf("out[%d] = %#x, the host computes %#x", i, got, v)
+						}
+					}
+				}
+				if bad > 0 {
+					t.Fatalf("%d of %d output words differ from the host reference", bad, len(want))
+				}
+			})
+		}
+	}
+}

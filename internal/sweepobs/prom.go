@@ -3,274 +3,117 @@ package sweepobs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Hand-rolled Prometheus text exposition (version 0.0.4). The repo is
-// stdlib-only, so rather than depend on client_golang this implements
-// the small subset the monitor needs: counters, gauges, and cumulative
-// histograms, written with one HELP/TYPE header per family, series in
-// deterministic sorted order, and label values escaped per the format
-// spec. The format is simple enough that the golden test in
-// prom_test.go parses the output back with its own independent parser.
+// Prometheus text exposition (version 0.0.4), the two pieces /metrics
+// needs beyond plain samples: label blocks with escaped values, and the
+// lines of a cumulative histogram. The repo is stdlib-only, so nothing
+// here depends on client_golang; every series is built at scrape time
+// from state the sweep already holds, so there is no registry.
 
-// A Registry holds metric families and renders them as one exposition.
-type Registry struct {
-	mu       sync.Mutex
-	families map[string]*Family
-	names    []string // registration order
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// Label renders one label pair as a label block, `{k="v"}`, with v
+// escaped per the exposition format.
+func Label(k, v string) string {
+	return "{" + k + `="` + labelEscaper.Replace(v) + `"}`
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: map[string]*Family{}}
+// WriteHeader writes a metric family's HELP and TYPE lines.
+func WriteHeader(w io.Writer, name, kind, help string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	return err
 }
 
-type familyKind int
+// A Histogram is one histogram series, filled when it is scraped.
+type Histogram struct {
+	bounds []float64 // ascending upper bounds; +Inf is implicit
+	counts []uint64  // per bound, not cumulative
+	Count  uint64
+	Sum    float64
+}
 
-const (
-	kindCounter familyKind = iota
-	kindGauge
-	kindHistogram
-)
+// NewHistogram returns an empty histogram over the ascending upper
+// bounds.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
+}
 
-func (k familyKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
+// Observe records v.
+func (h *Histogram) Observe(v float64) {
+	h.Count++
+	h.Sum += v
+	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
+		h.counts[i]++
 	}
 }
 
-// A Family is one named metric with any number of labeled series.
-type Family struct {
-	name    string
-	help    string
-	kind    familyKind
-	buckets []float64 // histogram upper bounds, ascending, +Inf implicit
-
-	mu     sync.Mutex
-	series map[string]*series // keyed by rendered label string
-}
-
-type series struct {
-	labels string   // pre-rendered `{k="v",...}` or ""
-	pairs  []string // sorted escaped `k="v"` pairs behind labels
-	value  float64
-	// histogram state
-	bucketCounts []uint64 // parallel to Family.buckets, non-cumulative
-	infCount     uint64
-	sum          float64
-}
-
-func (r *Registry) family(name, help string, kind familyKind, buckets []float64) *Family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		return f
-	}
-	f := &Family{name: name, help: help, kind: kind, buckets: buckets,
-		series: map[string]*series{}}
-	r.families[name] = f
-	r.names = append(r.names, name)
-	return f
-}
-
-// Counter registers (or returns the existing) counter family.
-func (r *Registry) Counter(name, help string) *Family {
-	return r.family(name, help, kindCounter, nil)
-}
-
-// Gauge registers (or returns the existing) gauge family.
-func (r *Registry) Gauge(name, help string) *Family {
-	return r.family(name, help, kindGauge, nil)
-}
-
-// Histogram registers (or returns the existing) histogram family with
-// the given ascending upper bounds; a +Inf bucket is implicit.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Family {
-	b := make([]float64, len(buckets))
-	copy(b, buckets)
-	sort.Float64s(b)
-	return r.family(name, help, kindHistogram, b)
-}
-
-// escapeLabelValue escapes backslash, double-quote, and newline per the
-// exposition format.
-func escapeLabelValue(v string) string {
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// renderPairs turns alternating key, value pairs into sorted, escaped
-// `k="v"` fragments.
-func renderPairs(kv []string) []string {
-	pairs := make([]string, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, fmt.Sprintf(`%s="%s"`, kv[i], escapeLabelValue(kv[i+1])))
-	}
-	sort.Strings(pairs)
-	return pairs
-}
-
-func joinPairs(pairs []string) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	return "{" + strings.Join(pairs, ",") + "}"
-}
-
-func (f *Family) get(kv []string) *series {
-	pairs := renderPairs(kv)
-	key := joinPairs(pairs)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, pairs: pairs}
-		if f.kind == kindHistogram {
-			s.bucketCounts = make([]uint64, len(f.buckets))
-		}
-		f.series[key] = s
-	}
-	return s
-}
-
-// Add increments a counter series by v. labels are alternating key,
-// value pairs.
-func (f *Family) Add(v float64, labels ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.get(labels).value += v
-}
-
-// Set sets a gauge series to v.
-func (f *Family) Set(v float64, labels ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.get(labels).value = v
-}
-
-// Observe records v into a histogram series.
-func (f *Family) Observe(v float64, labels ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.get(labels)
-	s.sum += v
-	s.infCount++
-	// bucketCounts are per-bin; Write cumulates them into le buckets.
-	for i, ub := range f.buckets {
-		if v <= ub {
-			s.bucketCounts[i]++
-			break
-		}
-	}
-}
-
-func formatFloat(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// labelsWith renders a series label block with one extra pair (the
-// histogram `le` label) merged in sorted position.
-func labelsWith(pairs []string, k, v string) string {
-	extra := fmt.Sprintf(`%s="%s"`, k, escapeLabelValue(v))
-	merged := make([]string, 0, len(pairs)+1)
-	merged = append(merged, pairs...)
-	merged = append(merged, extra)
-	sort.Strings(merged)
-	return joinPairs(merged)
-}
-
-// Write renders the family into the exposition. Callers hold no lock.
-func (f *Family) write(w io.Writer) error {
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type snap struct {
-		labels  string
-		pairs   []string
-		value   float64
-		buckets []uint64
-		inf     uint64
-		sum     float64
-	}
-	snaps := make([]snap, 0, len(keys))
-	for _, k := range keys {
-		s := f.series[k]
-		sn := snap{labels: s.labels, pairs: s.pairs, value: s.value, inf: s.infCount, sum: s.sum}
-		sn.buckets = append(sn.buckets, s.bucketCounts...)
-		snaps = append(snaps, sn)
-	}
-	f.mu.Unlock()
-
-	if len(snaps) == 0 {
-		return nil
+// Write writes the series' cumulative le buckets, _sum and _count under
+// the family name; labels is the series' label block ("" or `{k="v"}`),
+// into which le is merged.
+func (h *Histogram) Write(w io.Writer, name, labels string) error {
+	pre := "{"
+	if labels != "" {
+		pre = strings.TrimSuffix(labels, "}") + ","
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-	fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-	for _, s := range snaps {
-		switch f.kind {
-		case kindHistogram:
-			// Cumulative le buckets, then +Inf, _sum, _count.
-			var cum uint64
-			for i, ub := range f.buckets {
-				cum += s.buckets[i]
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-					labelsWith(s.pairs, "le", formatFloat(ub)), cum)
-			}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-				labelsWith(s.pairs, "le", "+Inf"), s.inf)
-			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.labels, formatFloat(s.sum))
-			fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.labels, s.inf)
-		default:
-			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.value))
-		}
+	var cum uint64
+	for i, ub := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(&b, "%s_bucket%sle=\"%s\"} %d\n", name, pre, strconv.FormatFloat(ub, 'g', -1, 64), cum)
 	}
+	fmt.Fprintf(&b, "%s_bucket%sle=\"+Inf\"} %d\n", name, pre, h.Count)
+	fmt.Fprintf(&b, "%s_sum%s %s\n", name, labels, strconv.FormatFloat(h.Sum, 'g', -1, 64))
+	fmt.Fprintf(&b, "%s_count%s %d\n", name, labels, h.Count)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// Write renders every non-empty family, in registration order, as
-// Prometheus text exposition. Nil-safe: a nil registry writes nothing.
-func (r *Registry) Write(w io.Writer) error {
-	if r == nil {
+// spanSecondsBuckets are the latency-histogram bounds (seconds) for
+// every span kind.
+var spanSecondsBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
+
+// SpanSeconds returns vtsweep_span_seconds over a View's spans: per
+// span kind, the histogram of its closed spans' durations in seconds,
+// whose _count and _sum are the kind's span count and total seconds.
+// Open spans (DurNS < 0) are left out.
+func SpanSeconds(spans []Span) map[string]*Histogram {
+	byKind := map[string]*Histogram{}
+	for i := range spans {
+		sp := &spans[i]
+		if sp.DurNS < 0 {
+			continue
+		}
+		h := byKind[sp.Kind]
+		if h == nil {
+			h = NewHistogram(spanSecondsBuckets)
+			byKind[sp.Kind] = h
+		}
+		h.Observe(float64(sp.DurNS) / 1e9)
+	}
+	return byKind
+}
+
+// WriteSpanSeconds writes SpanSeconds' histograms as one family, kinds
+// in sorted order, or nothing when no span has closed.
+func WriteSpanSeconds(w io.Writer, byKind map[string]*Histogram) error {
+	if len(byKind) == 0 {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, len(r.names))
-	copy(names, r.names)
-	fams := make([]*Family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
+	const name = "vtsweep_span_seconds"
+	if err := WriteHeader(w, name, "histogram", "Sweep-lifecycle span duration in seconds by kind."); err != nil {
+		return err
 	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
+	kinds := make([]string, 0, len(byKind))
+	for k := range byKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		if err := byKind[k].Write(w, name, Label("kind", k)); err != nil {
 			return err
 		}
 	}

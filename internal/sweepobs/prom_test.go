@@ -8,48 +8,39 @@ import (
 	"repro/internal/testsupport"
 )
 
-func TestRegistryGolden(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("vtsweep_runs_executed_total", "Runs executed.")
-	c.Add(3)
-	g := r.Gauge("vtsweep_active_jobs", "Jobs in flight.")
-	g.Set(2)
-	h := r.Histogram("vtsweep_span_seconds", "Span seconds.", []float64{0.1, 1})
-	h.Observe(0.05, "kind", "job")
-	h.Observe(0.5, "kind", "job")
-	h.Observe(5, "kind", "job")
-	byKind := r.Counter("vtsweep_runs_total", "Runs.")
-	byKind.Add(2, "kind", "store.tx")
-	byKind.Add(1, "kind", `we"ird`)
-	// An unlabeled histogram, as the monitor's batch-size series is.
-	batch := r.Histogram("vtsweep_store_batch_txs", "Transactions per batch.", []float64{1, 2, 4})
+// TestHistogramGolden pins the exposition text of the histogram writer:
+// a labeled family (escaped label values, le merged into the block) and
+// an unlabeled one, as the monitor's batch-size series is.
+func TestHistogramGolden(t *testing.T) {
+	var b strings.Builder
+	WriteHeader(&b, "vtsweep_span_seconds", "histogram", "Span seconds.")
+	h := NewHistogram([]float64{0.1, 1})
+	h.Observe(0.05)
+	h.Observe(0.5)
+	h.Observe(5)
+	h.Write(&b, "vtsweep_span_seconds", Label("kind", "job"))
+	odd := NewHistogram([]float64{0.1, 1})
+	odd.Observe(1)
+	odd.Write(&b, "vtsweep_span_seconds", Label("kind", "we\"ird\n"))
+	WriteHeader(&b, "vtsweep_store_batch_txs", "histogram", "Transactions per batch.")
+	batch := NewHistogram([]float64{1, 2, 4})
 	batch.Observe(1)
 	batch.Observe(3)
 	batch.Observe(9)
-	// Registered but never written to: must not emit HELP/TYPE.
-	r.Counter("vtsweep_unused_total", "Never incremented.")
+	batch.Write(&b, "vtsweep_store_batch_txs", "")
 
-	var b strings.Builder
-	if err := r.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP vtsweep_runs_executed_total Runs executed.
-# TYPE vtsweep_runs_executed_total counter
-vtsweep_runs_executed_total 3
-# HELP vtsweep_active_jobs Jobs in flight.
-# TYPE vtsweep_active_jobs gauge
-vtsweep_active_jobs 2
-# HELP vtsweep_span_seconds Span seconds.
+	want := `# HELP vtsweep_span_seconds Span seconds.
 # TYPE vtsweep_span_seconds histogram
 vtsweep_span_seconds_bucket{kind="job",le="0.1"} 1
 vtsweep_span_seconds_bucket{kind="job",le="1"} 2
 vtsweep_span_seconds_bucket{kind="job",le="+Inf"} 3
 vtsweep_span_seconds_sum{kind="job"} 5.55
 vtsweep_span_seconds_count{kind="job"} 3
-# HELP vtsweep_runs_total Runs.
-# TYPE vtsweep_runs_total counter
-vtsweep_runs_total{kind="store.tx"} 2
-vtsweep_runs_total{kind="we\"ird"} 1
+vtsweep_span_seconds_bucket{kind="we\"ird\n",le="0.1"} 0
+vtsweep_span_seconds_bucket{kind="we\"ird\n",le="1"} 1
+vtsweep_span_seconds_bucket{kind="we\"ird\n",le="+Inf"} 1
+vtsweep_span_seconds_sum{kind="we\"ird\n"} 1
+vtsweep_span_seconds_count{kind="we\"ird\n"} 1
 # HELP vtsweep_store_batch_txs Transactions per batch.
 # TYPE vtsweep_store_batch_txs histogram
 vtsweep_store_batch_txs_bucket{le="1"} 1
@@ -98,8 +89,8 @@ func TestValidateExpositionRejects(t *testing.T) {
 }
 
 func TestExpositionParsesCleanly(t *testing.T) {
-	// A realistic registry: the tracer's own metrics after a few spans,
-	// validated by the independent parser.
+	// The span histogram of a tracer after a few jobs, validated by the
+	// independent parser.
 	tr, clk := newTestTracer()
 	for i := 0; i < 5; i++ {
 		j := tr.BeginJob(0, "bfs", "vt")
@@ -110,7 +101,7 @@ func TestExpositionParsesCleanly(t *testing.T) {
 		tr.EndJob(j)
 	}
 	var b strings.Builder
-	if err := tr.Registry().Write(&b); err != nil {
+	if err := writeSpanSeconds(tr, &b); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := testsupport.ValidateExposition(b.String())

@@ -1,7 +1,7 @@
 // Package sweepobs is the sweep-level observability layer of the
 // harness: structured run-lifecycle tracing (one span tree per job),
-// Prometheus-text metrics exposition, and critical-path analysis over a
-// finished sweep's trace.
+// the span-derived histograms and label escaping of the /metrics
+// exposition, and critical-path analysis over a finished sweep's trace.
 //
 // Where internal/telemetry watches the *simulator* (per-SM rings on a
 // simulated-cycle clock), sweepobs watches the *harness*: every job the
@@ -76,11 +76,8 @@ type Dump struct {
 // Tracer records spans. Safe for concurrent use; nil is the disabled
 // tracer (all methods no-op).
 type Tracer struct {
-	reg         *Registry
-	spanSeconds *Family
-
 	mu      sync.Mutex
-	now     func() time.Time // test seam
+	now     func() time.Time // NewClock's seam
 	start   time.Time
 	nextID  SpanID
 	spans   []Span
@@ -89,32 +86,26 @@ type Tracer struct {
 	workers int            // high-water slot count
 }
 
-// spanSecondsBuckets are the latency-histogram bounds (seconds) for
-// every span kind, exposed as vtsweep_span_seconds on /metrics.
-var spanSecondsBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
-
 // New returns an enabled tracer whose clock starts now.
-func New() *Tracer {
-	reg := NewRegistry()
-	t := &Tracer{
-		reg:         reg,
-		spanSeconds: reg.Histogram("vtsweep_span_seconds", "Sweep-lifecycle span duration in seconds by kind.", spanSecondsBuckets),
-		now:         time.Now,
-		openIdx:     map[SpanID]int{},
-	}
-	t.start = t.now()
-	return t
+func New() *Tracer { return NewClock(time.Now) }
+
+// NewClock returns an enabled tracer that reads time from now, starting
+// at its first reading: tests drive a tracer on a fake clock.
+func NewClock(now func() time.Time) *Tracer {
+	return &Tracer{now: now, start: now(), openIdx: map[SpanID]int{}}
 }
 
-// Registry returns the tracer's metric registry (the per-kind span
-// latency histogram, whose _count and _sum are each kind's span count
-// and total seconds), for composition into a /metrics exposition.
-// Nil-safe: returns nil on a nil tracer.
-func (t *Tracer) Registry() *Registry {
+// View calls fn with the tracer's age and its spans in begin order,
+// under the tracer's lock and without copying them: an open span has
+// DurNS -1. fn must not keep spans or call the tracer. A nil tracer
+// does not call fn.
+func (t *Tracer) View(fn func(nowNS int64, spans []Span)) {
 	if t == nil {
-		return nil
+		return
 	}
-	return t.reg
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fn(t.sinceStart(), t.spans)
 }
 
 func (t *Tracer) sinceStart() int64 { return t.now().Sub(t.start).Nanoseconds() }
@@ -188,8 +179,7 @@ func (t *Tracer) SetAttr(id SpanID, k, v string) {
 	t.spans[i].Attrs[k] = v
 }
 
-// end closes the span and folds it into the span histogram. Callers
-// hold t.mu.
+// end closes the span. Callers hold t.mu.
 func (t *Tracer) end(id SpanID) {
 	i, ok := t.openIdx[id]
 	if !ok {
@@ -201,13 +191,6 @@ func (t *Tracer) end(id SpanID) {
 	if sp.DurNS < 0 {
 		sp.DurNS = 0
 	}
-	t.account(sp.Kind, sp.DurNS)
-}
-
-// account records one completed span in the histogram. Callers hold
-// t.mu (the registry has its own lock).
-func (t *Tracer) account(kind string, durNS int64) {
-	t.spanSeconds.Observe(float64(durNS)/1e9, "kind", kind)
 }
 
 // End closes a span opened by Begin.
@@ -281,7 +264,6 @@ func (t *Tracer) Record(parent SpanID, kind, workload, variant string, start tim
 	t.spans[i].StartNS = start.Sub(t.start).Nanoseconds()
 	t.spans[i].DurNS = dur.Nanoseconds()
 	t.addAttrs(i, attrs)
-	t.account(kind, t.spans[i].DurNS)
 	return id
 }
 

@@ -38,7 +38,7 @@ func (c *fakeClock) advance(d time.Duration) {
 func spanSamples(t *testing.T, tr *Tracer) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
-	if err := tr.Registry().Write(&b); err != nil {
+	if err := writeSpanSeconds(tr, &b); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := testsupport.ValidateExposition(b.String())
@@ -48,15 +48,18 @@ func spanSamples(t *testing.T, tr *Tracer) map[string]float64 {
 	return samples
 }
 
+// writeSpanSeconds builds the span histogram under the tracer's lock and
+// writes it after, as the monitor's /metrics does.
+func writeSpanSeconds(tr *Tracer, w io.Writer) error {
+	var byKind map[string]*Histogram
+	tr.View(func(_ int64, spans []Span) { byKind = SpanSeconds(spans) })
+	return WriteSpanSeconds(w, byKind)
+}
+
 // newTestTracer returns a tracer on a fake clock.
 func newTestTracer() (*Tracer, *fakeClock) {
 	clk := newFakeClock()
-	t := New()
-	t.mu.Lock()
-	t.now = clk.now
-	t.start = clk.now()
-	t.mu.Unlock()
-	return t, clk
+	return NewClock(clk.now), clk
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -77,9 +80,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if d := tr.Dump(); d != nil {
 		t.Fatalf("nil Dump = %+v, want nil", d)
 	}
-	if r := tr.Registry(); r != nil {
-		t.Fatalf("nil Registry = %v, want nil", r)
-	}
+	tr.View(func(int64, []Span) { t.Fatal("nil View called its function") })
 }
 
 func TestTracerNestingAndSlots(t *testing.T) {
@@ -213,7 +214,7 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = tr.Dump()
-				if err := tr.Registry().Write(io.Discard); err != nil {
+				if err := writeSpanSeconds(tr, io.Discard); err != nil {
 					t.Error(err)
 					return
 				}

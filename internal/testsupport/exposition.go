@@ -8,7 +8,7 @@ import (
 )
 
 // ValidateExposition parses Prometheus text exposition independently of
-// sweepobs.Registry's writer and checks the structural rules a scraper
+// the monitor's writer and checks the structural rules a scraper
 // relies on: HELP and TYPE exactly once per family and before its
 // samples, no duplicate series, histogram buckets with ascending le
 // bounds and monotonic cumulative counts, and _count equal to the +Inf
