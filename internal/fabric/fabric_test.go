@@ -725,7 +725,7 @@ func verifyMatchesBaseline(t *testing.T, want, got baseline) {
 	}
 	// The store counters are each sweep's own (a coordinator asks its
 	// store before leasing and its workers theirs before simulating; the
-	// baseline asks once), and CacheHits is derived; everything else is
+	// baseline asks once); everything else, cache hits included, is
 	// work, and must agree.
 	work, base := got.work, want.work
 	for _, m := range []*harness.RunMetrics{&work, &base} {
@@ -941,8 +941,9 @@ func TestFleetCrashReclaimResume(t *testing.T) {
 }
 
 // TestFleetWarmWorkerReportsCacheHit pins the crash/rejoin accounting:
-// a worker whose local store already holds a result delivers it with no
-// Work, so the coordinator counts a request and no execution for it.
+// a worker whose local store already holds a result delivers it with one
+// cache hit as its Work, so the coordinator counts a request, a hit and
+// no execution for it.
 func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -987,6 +988,76 @@ func TestFleetWarmWorkerReportsCacheHit(t *testing.T) {
 	}
 	if got := journalCycles(t, f.dir); len(got) != 1 {
 		t.Errorf("coordinator journal has %d entries, want the delivered job's", len(got))
+	}
+}
+
+// TestFleetCacheHitsNeverFall: the coordinator's /status counts a cache
+// hit where it happens — its own memo, its own store, or a worker's store
+// (an Outcome's Work) — so metrics.cache_hits never falls while jobs are
+// leased out, and the finished sweep reads runs_requested -
+// runs_executed.
+func TestFleetCacheHitsNeverFall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	jobs := sweepJobs()[:3]
+	// The worker's store already holds jobs[0]'s point.
+	workerDir := t.TempDir()
+	wp := testSweepParams(t, workerDir)
+	if _, err := runJobs(wp, jobs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	wp.Sweep.Close()
+	again := jobs[0]
+	again.Variant += "-again" // the same point: a memo hit on the coordinator
+	jobs = append(jobs, again)
+
+	f := newFleetFixture(t, nil, 5*time.Second)
+	status := func() harness.RunMetrics {
+		resp, err := http.Get(f.srv.URL + "/status")
+		if err != nil {
+			t.Error(err)
+			return harness.RunMetrics{}
+		}
+		defer resp.Body.Close()
+		var st harness.MonitorStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Error(err)
+		}
+		return st.Metrics
+	}
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		last := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if m := status(); m.CacheHits < last {
+				t.Errorf("cache_hits fell from %d to %d mid-sweep: %+v", last, m.CacheHits, m)
+			} else {
+				last = m.CacheHits
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := startWorker(ctx, f.srv.URL, "warm", 1, workerDir)
+	_, err := runJobs(f.sweep, jobs)
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatalf("fleet sweep: %v", err)
+	}
+	f.coord.Close()
+	<-done
+
+	if m := status(); m.Requests != 4 || m.Executed != 2 || m.CacheHits != 2 || m.CacheHits != m.Requests-m.Executed {
+		t.Errorf("finished fleet sweep: %+v, want 4 requests, 2 executed, 2 cache hits", m)
 	}
 }
 

@@ -362,8 +362,8 @@ type Outcome struct {
 	// Result is nil for a failed job.
 	Result *gpu.Result `json:"result,omitempty"`
 	// Work is what producing the Result cost — runs executed, cycles
-	// simulated, failures, forks, sampled spans — and is zero when the
-	// result store served it.
+	// simulated, failures, forks, sampled spans — and is one cache hit
+	// when the result store served it.
 	Work RunMetrics `json:"work"`
 }
 

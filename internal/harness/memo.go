@@ -36,7 +36,10 @@ type RunMetrics struct {
 	// Executed is the number of gpu.Run calls actually performed.
 	Executed int `json:"runs_executed"`
 	// CacheHits is Requests satisfied from the memo cache (including
-	// waits on an in-flight identical run) or the result store.
+	// waits on an in-flight identical run) or the result store, counted
+	// as each happens, so it never falls during a sweep; a fleet worker's
+	// store hit comes back as its Outcome's Work. At the end of a sweep
+	// it is Requests - Executed.
 	CacheHits int `json:"cache_hits"`
 	// SimCycles totals the simulated cycles of the executed runs; cache
 	// hits add nothing. Divide by wall time for simcycles/s. With
@@ -108,6 +111,7 @@ type RunMetrics struct {
 func (m *RunMetrics) add(d RunMetrics) {
 	m.Requests += d.Requests
 	m.Executed += d.Executed
+	m.CacheHits += d.CacheHits
 	m.SimCycles += d.SimCycles
 	m.Panics += d.Panics
 	m.InvariantTrips += d.InvariantTrips
@@ -227,9 +231,10 @@ func ExecuteJob(p Params, j Job) (Outcome, error) {
 }
 
 // claim is the one place a job gets its identity and is counted: it
-// fingerprints j under p, counts the request, and returns the sweep's
-// memo entry for the point — a new one, which the caller owns and must
-// resolve, when no request has reached the point before.
+// fingerprints j under p, counts the request (and a cache hit when the
+// point is already claimed), and returns the sweep's memo entry for the
+// point — a new one, which the caller owns and must resolve, when no
+// request has reached the point before.
 func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 	cfg := j.ConfigFor(p)
 	fp, err := s.fingerprint(j.Workload, p.Scale, p.Dilute, &cfg, p.Sampling)
@@ -243,6 +248,8 @@ func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 		e = &memoEntry{fp: fp, cfg: cfg, done: make(chan struct{})}
 		s.memo[fp] = e
 		owner = true
+	} else {
+		s.stats.CacheHits++
 	}
 	return e, owner, nil
 }
@@ -251,10 +258,10 @@ func (s *Sweep) claim(p Params, j Job) (e *memoEntry, owner bool, err error) {
 // result store, and only on a miss hands the job to p's Executor — whose
 // Outcome.Work it then folds into the sweep's counters, and whose
 // simulated cycles it sets on the job span (simCyclesAttr) for the
-// Monitor's windowed rate. A store hit costs nothing: Executed and
-// SimCycles stay untouched and the span carries no cycles, so
-// simcycles/s reflects real simulation work (a re-run over a full store
-// reads ~0, not a stale cumulative average).
+// Monitor's windowed rate. A store hit counts one cache hit and costs
+// nothing: Executed and SimCycles stay untouched and the span carries
+// no cycles, so simcycles/s reflects real simulation work (a re-run over
+// a full store reads ~0, not a stale cumulative average).
 func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	defer close(e.done)
 	e.key = CacheKey(e.fp)
@@ -268,7 +275,8 @@ func (s *Sweep) resolve(p Params, j Job, e *memoEntry) {
 	// served to an un-injected sweep.
 	if st != nil && !p.injects(j.Workload, j.Variant) {
 		if env := s.loadEnvelope(p, st, resultstore.KindResult, "store.get", j, e.fp, e.key); env != nil {
-			e.out = Outcome{Entry: buildJournalEntry(j, e.key, env.Result, nil, ""), Result: env.Result}
+			e.out = Outcome{Entry: buildJournalEntry(j, e.key, env.Result, nil, ""), Result: env.Result, Work: RunMetrics{CacheHits: 1}}
+			s.count(func(m *RunMetrics) { m.add(e.out.Work) })
 			return
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/sweepobs"
 	"repro/internal/testsupport"
 )
@@ -492,4 +493,103 @@ func TestMonitorSpanSecondsMatchDump(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gateExecutor stands in for the simulator: Execute reports the point
+// it started on, waits until the test closes that workload's release
+// channel, and commits a one-cycle result the way the local executor
+// commits a run's.
+type gateExecutor struct {
+	started chan string
+	release map[string]chan struct{}
+}
+
+func (x *gateExecutor) Execute(p Params, j Job, cfg config.GPUConfig, fp string) (Outcome, error) {
+	x.started <- j.Workload
+	<-x.release[j.Workload]
+	res := &gpu.Result{Cycles: 1}
+	out := Outcome{Entry: buildJournalEntry(j, CacheKey(fp), res, nil, ""), Result: res,
+		Work: RunMetrics{Executed: 1, SimCycles: 1}}
+	CommitOutcome(p, fp, out)
+	return out, nil
+}
+
+// TestCacheHitsNeverFall: /status counts a cache hit where it happens —
+// a request for a point already claimed, or a store answer — so
+// metrics.cache_hits never falls while jobs are pending or running, and
+// a finished sweep reads runs_requested - runs_executed as before.
+func TestCacheHitsNeverFall(t *testing.T) {
+	jobs := manyStubJobs(3)
+	a, b, c := jobs[0], jobs[1], jobs[2]
+	gate := &gateExecutor{started: make(chan string, len(jobs)), release: map[string]chan struct{}{}}
+	for _, j := range jobs {
+		gate.release[j.Workload] = make(chan struct{})
+	}
+	p := inSweep(t, Params{Workers: 2, Executor: gate, CacheDir: t.TempDir()})
+	var srv *httptest.Server
+	last := 0
+	sample := func(when string) RunMetrics {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st MonitorStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Metrics.CacheHits < last {
+			t.Fatalf("cache_hits fell from %d to %d %s", last, st.Metrics.CacheHits, when)
+		}
+		last = st.Metrics.CacheHits
+		return st.Metrics
+	}
+	finished := func(m RunMetrics, hits int) {
+		t.Helper()
+		if m.CacheHits != hits || m.CacheHits != m.Requests-m.Executed {
+			t.Fatalf("finished sweep: %+v, want %d cache hits, runs_requested - runs_executed", m, hits)
+		}
+	}
+	run := func(jobs ...Job) <-chan error {
+		srv = httptest.NewServer(p.Sweep.Monitor.Handler())
+		t.Cleanup(srv.Close)
+		last = 0
+		errc := make(chan error, 1)
+		go func() {
+			_, err := RunJobs(p, jobs)
+			errc <- err
+		}()
+		return errc
+	}
+
+	// a and b run side by side; a's duplicate is claimed once a's slot
+	// frees, while b still runs.
+	errc := run(a, b, a)
+	<-gate.started
+	<-gate.started
+	sample("with two jobs running")
+	close(gate.release[a.Workload])
+	for deadline := time.Now().Add(10 * time.Second); p.Sweep.Metrics().Requests != 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a's duplicate was never claimed")
+		}
+	}
+	sample("after the duplicate's claim")
+	close(gate.release[b.Workload])
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	finished(sample("at the end"), 1)
+
+	// Over the same store, a and b are store hits while c runs.
+	p = reboot(t, p)
+	errc = run(a, b, c)
+	<-gate.started
+	sample("with c running")
+	close(gate.release[c.Workload])
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	finished(sample("at the end of the rerun"), 2)
 }

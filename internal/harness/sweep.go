@@ -72,9 +72,7 @@ func NewSweep() *Sweep {
 func (s *Sweep) Metrics() RunMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.stats
-	m.CacheHits = m.Requests - m.Executed
-	return m
+	return s.stats
 }
 
 // count applies a counter update under the sweep's lock.

@@ -13,10 +13,11 @@ import (
 // Hook intercepts the filesystem operations of one store instance: the
 // seam crash drills and kill-point sweeps inject storage faults through.
 type Hook interface {
-	// Apply is called before each operation: op is "write" (an append of
-	// data), "read" or "rename" (data is nil; path is what is read or
-	// renamed). It returns the payload to use, an error that fails the
-	// operation, and dieAfter: when non-nil, the store panics with it
+	// Apply is called before each operation: op is "write" (data
+	// appended, or written in place in the write-ahead log), "read" or
+	// "rename" (data is nil; path is what is read or renamed). It
+	// returns the payload to use, an error that fails the operation, and
+	// dieAfter: when non-nil, the store panics with it
 	// once the operation has completed. A hook may also panic itself, a
 	// death before the operation.
 	Apply(op, path string, data []byte) (out []byte, dieAfter any, err error)
@@ -95,6 +96,26 @@ func (ss *syncSet) drop() {
 	ss.files, ss.dirs = nil, nil
 }
 
+// open opens path for reading and writing with the extra flag, creating
+// it if it is missing, and adds the handle to the set. Creating a file
+// is the only way the store adds a directory entry, and the directory
+// joins the set: once a side holds its files, a batch creates nothing
+// and owes no directory an fsync.
+func (ss *syncSet) open(path string, flag int) (*os.File, error) {
+	fh, err := os.OpenFile(path, flag|os.O_RDWR, 0)
+	if os.IsNotExist(err) {
+		fh, err = os.OpenFile(path, flag|os.O_CREATE|os.O_RDWR, 0o644)
+		if dir := filepath.Dir(path); err == nil && !slices.Contains(ss.dirs, dir) {
+			ss.dirs = append(ss.dirs, dir)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	ss.files = append(ss.files, fh)
+	return fh, nil
+}
+
 // appender appends to one file through a single O_APPEND handle that its
 // sync set fsyncs once: a group commit writes its K payloads, or its K
 // index or journal lines, and pays one fsync for the file instead of K.
@@ -114,22 +135,13 @@ func (f fsio) appender(ss *syncSet, path string) *appender {
 	return &appender{f: f, ss: ss, path: path}
 }
 
-// open opens the file and learns its size and whether its tail is torn.
-// Creating it is the only way the store adds a directory entry, and the
-// directory joins the set: once a side holds its files, a batch creates
-// nothing and owes no directory an fsync.
+// open opens the file (creating it if need be; see syncSet.open) and
+// learns its size and whether its tail is torn.
 func (a *appender) open() error {
-	fh, err := os.OpenFile(a.path, os.O_APPEND|os.O_RDWR, 0)
-	if os.IsNotExist(err) {
-		fh, err = os.OpenFile(a.path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
-		if dir := filepath.Dir(a.path); err == nil && !slices.Contains(a.ss.dirs, dir) {
-			a.ss.dirs = append(a.ss.dirs, dir)
-		}
-	}
+	fh, err := a.ss.open(a.path, os.O_APPEND)
 	if err != nil {
 		return err
 	}
-	a.ss.files = append(a.ss.files, fh)
 	st, err := fh.Stat()
 	if err != nil {
 		return err
@@ -184,6 +196,24 @@ func (a *appender) write(data []byte, asLine bool) (int64, error) {
 // line appends one line (newline added here).
 func (a *appender) line(line []byte) error {
 	_, err := a.write(append(append([]byte(nil), line...), '\n'), true)
+	return err
+}
+
+// writeAt writes data at off of path as one hooked write, through a
+// handle that joins ss: the write-ahead log is written in place, not
+// appended to (see Store.walWrite).
+func (f fsio) writeAt(ss *syncSet, path string, off int64, data []byte) error {
+	b, dieAfter, err := f.Apply("write", path, data)
+	if err != nil {
+		return err
+	}
+	fh, err := ss.open(path, 0)
+	if err == nil {
+		_, err = fh.WriteAt(b, off)
+	}
+	if dieAfter != nil {
+		panic(dieAfter)
+	}
 	return err
 }
 

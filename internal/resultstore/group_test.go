@@ -420,8 +420,8 @@ func TestCloseIsABarrier(t *testing.T) {
 	if err := jobTx(s, "after-close").Commit(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after Close: %v, want ErrClosed", err)
 	}
-	if n := walSize(dir); n != 0 {
-		t.Fatalf("Close left %d bytes in the log", n)
+	if recs := walRecords(t, dir); len(recs) != 0 {
+		t.Fatalf("Close left %d records in the log", len(recs))
 	}
 	s2 := mustOpen(t, Options{Dir: dir})
 	for _, k := range []string{"c0", "c1", "c2"} {

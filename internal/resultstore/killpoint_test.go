@@ -53,26 +53,41 @@ func killDrillCommit(t *testing.T, s *Store) error {
 	return tx.Commit()
 }
 
-// killDrillBase seeds a committed object so every kill point also
-// checks that prior state survives untouched.
+// killDrillBase seeds committed objects so every kill point also checks
+// that prior state survives untouched. Its process ends without a Close,
+// as a killed one does, so the log keeps the base batch's manifest and
+// done line. That manifest is more than twice as long as any drill's,
+// so the drill's manifest, rewound to offset 0, and every fault at its
+// write land on those stale records, and the bit flip, which hits the
+// middle of a write, lands in the padding behind it.
 func killDrillBase(t *testing.T, p, m string) {
 	t.Helper()
 	s := mustOpen(t, Options{Dir: p, Mirror: m})
 	tx := s.Begin()
 	tx.Put(KindResult, "base", killBasePayload)
+	for i := range 8 {
+		tx.Put(KindArtifact, fmt.Sprintf("base-%d", i), killBasePayload)
+	}
 	tx.Append("journal.jsonl", []byte(`{"fp":"base","status":"ok"}`))
 	mustCommit(t, tx)
-	s.Close()
+	if recs := walRecords(t, p); len(recs) != 2 || !recs[1].Done {
+		t.Fatalf("base batch left %d log records, want its manifest and done line", len(recs))
+	}
 }
 
 func TestKillPointAllOrNothing(t *testing.T) {
 	// Pass 1: record the operation trace of a clean run of the drill.
 	p, m := t.TempDir(), t.TempDir()
 	killDrillBase(t, p, m)
+	stale := walSize(p)
 	rec := testsupport.NewStoreRecorder()
 	s := mustOpen(t, Options{Dir: p, Mirror: m, Fault: rec})
 	if err := killDrillCommit(t, s); err != nil {
 		t.Fatalf("clean drill commit: %v", err)
+	}
+	// The drill's manifest went over the base batch's records, in place.
+	if recs, n := walRecords(t, p), walSize(p); len(recs) != 2 || recs[0].Done || !recs[1].Done || n != stale {
+		t.Fatalf("log after the drill: %d records in %d bytes, want its manifest and done line in the base's %d", len(recs), n, stale)
 	}
 	trace := rec.Trace()
 	if len(trace) < 15 {
@@ -165,6 +180,11 @@ func runKillPoint(t *testing.T, point int, kind testsupport.StoreFaultKind) {
 
 	// Reboot: abandon the instance, reopen and recover.
 	s2 := mustOpen(t, Options{Dir: p, Mirror: m})
+	// A process that lived closed cleanly: its log holds nothing to roll
+	// back, not even a pad byte the fault flipped.
+	if c := s2.counts(); !killed && c.RolledBack != 0 {
+		t.Fatalf("reopen after a clean Close rolled back %d log records", c.RolledBack)
+	}
 
 	// Prior committed state is untouched.
 	if b, err := s2.Get(KindResult, "base"); err != nil || !bytes.Equal(b, killBasePayload) {

@@ -245,8 +245,8 @@ func TestGroupCommitFinalRoundSyncFailure(t *testing.T) {
 	if c := s2.counts(); c.RecoveredCommits != 1 {
 		t.Fatalf("reopen recovered %d commits, want 1", c.RecoveredCommits)
 	}
-	if left := pendingTxs(t, p); len(left) != 0 || walSize(p) != 0 {
-		t.Fatalf("log after roll-forward: %d bytes, pending %v", walSize(p), left)
+	if left, recs := pendingTxs(t, p), walRecords(t, p); len(left) != 0 || len(recs) != 2 {
+		t.Fatalf("log after roll-forward: %d records, pending %v", len(recs), left)
 	}
 	if _, err := s2.Get(KindResult, "late"); err != nil {
 		t.Fatalf("object absent after roll-forward: %v", err)

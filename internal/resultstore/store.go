@@ -13,8 +13,9 @@
 //	store-audit.jsonl           append-only audit log of store events
 //	.vtstore/wal.jsonl          the write-ahead log (primary only)
 //
-// Every file is append-only (Adopt renames a foreign journal aside). An
-// object is the byte range its latest store-index.jsonl line names in
+// Every file but the log is append-only (Adopt renames a foreign journal
+// aside); the log is written in place (see Commit protocol). An object
+// is the byte range its latest store-index.jsonl line names in
 // objects.pack, and a read returns only bytes whose SHA-256 that line
 // records; a drop line (quarantine) makes an object absent. Bytes no
 // live line names — a superseded artifact, a copy a heal replaced, a
@@ -28,19 +29,29 @@
 //
 // A transaction's puts are appended to the primary's pack, fsynced in
 // one round, and read back and checksum-verified (I1). A manifest listing
-// every operation, checksummed over its own bytes, is then appended to
+// every operation, checksummed over its own bytes, is then written to
 // .vtstore/wal.jsonl, fsynced and read back: that line is the commit
 // point. After it, the manifest is applied — index lines name the staged
 // ranges, journal lines append — and replicated: each range is read back
 // from the primary and verified, appended to the mirror's pack, read back
 // and verified there, and indexed. One more round fsyncs everything both
-// sides touched (I2), and only then is a done line appended to the log.
+// sides touched (I2), and only then is a done line written after the
+// manifest.
 // Open() recovers: a torn or checksum-failing manifest rolls back (its
 // pack bytes are simply never indexed), a manifest with no done line
 // rolls forward idempotently (appends are at-least-once; all
 // line-oriented readers in this codebase dedupe by key). A crash at any
 // single point therefore yields either the full transaction or none of
-// it. A clean Close truncates the log to empty.
+// it.
+//
+// The log only ever needs the batches not yet done, and it never
+// shrinks: once every record in it is done, the next manifest is
+// written at offset 0, blank padding (spaces closed by a newline, which
+// recovery skips) over the older records behind it; a deferred batch's
+// records stay, and later ones follow them until the next Open. A clean
+// Close blanks what the log holds with one unsynced overwrite, so no
+// clean path truncates, renames or unlinks it, and none frees its
+// blocks.
 //
 // # Group commit
 //
@@ -197,6 +208,9 @@ type Store struct {
 	// deferred is set while the log holds a committed batch whose apply
 	// did not finish: Close must leave the log for the next Open.
 	deferred bool
+	// walNext is where the log's next record goes and walDirty how far
+	// its bytes may be non-blank (see walWrite).
+	walNext, walDirty int64
 
 	// known holds every objKey an index line has ever named on any side
 	// (never pruned: a stale entry only costs the locked path), for the
@@ -256,10 +270,11 @@ func Open(o Options) (*Store, error) {
 // Close is the store's durability barrier: it refuses new commits
 // (ErrClosed) and returns once every Commit already under way — the
 // running batch and everything queued behind it — has finished. With
-// every logged batch done it truncates the write-ahead log to empty; a
-// store whose process has died (a drill's simulated death) touches
-// nothing. The only long-lived file handles the store holds, one read
-// handle per side's pack, close here.
+// every logged batch done it blanks the write-ahead log's records in
+// place with one unsynced overwrite (and writes nothing when it holds
+// none), so the next Open decodes nothing; a store whose process has
+// died (a drill's simulated death) touches nothing. The only long-lived file handles
+// the store holds, one read handle per side's pack, close here.
 func (s *Store) Close() error {
 	s.qmu.Lock()
 	s.closed = true
@@ -273,8 +288,13 @@ func (s *Store) Close() error {
 	for _, sd := range s.sides {
 		s.dropPack(sd)
 	}
-	if !dead && !s.deferred {
-		os.Truncate(s.walPath(), 0) // best-effort: a leftover log only replays done batches
+	if !dead && !s.deferred && s.walDirty > 0 {
+		// Best-effort and, like the audit log, outside the fault hook: a
+		// record left in place is a done batch's, which replays as nothing.
+		if fh, err := os.OpenFile(s.walPath(), os.O_WRONLY, 0); err == nil {
+			fh.WriteAt(blank(s.walDirty), 0)
+			fh.Close()
+		}
 	}
 	return nil
 }
@@ -470,10 +490,13 @@ func (s *Store) loadIndex(sd *side) {
 // recoverWAL replays the primary's write-ahead log: a manifest that is
 // torn or fails its checksum rolls back — the commit point was never
 // reached, and nothing indexes the ranges it staged — and a manifest
-// with no done line rolls forward idempotently. With nothing left
-// deferred, the log is truncated to empty.
+// with no done line rolls forward idempotently. Done lines go after the
+// last non-blank byte; the log is left as it is, and with nothing
+// deferred the next manifest is written over it from offset 0.
 func (s *Store) recoverWAL() {
 	b, _ := os.ReadFile(s.walPath())
+	end := int64(len(bytes.TrimRight(b, " \n")))
+	s.walNext, s.walDirty = end, end
 	var pending []manifest
 	done := map[string]bool{}
 	for _, line := range bytes.Split(b, []byte("\n")) {
@@ -506,8 +529,5 @@ func (s *Store) recoverWAL() {
 			s.deferred = true
 			s.event(Event{Op: "recover-deferred", Side: "primary", Detail: m.Tx})
 		}
-	}
-	if len(b) > 0 && !s.deferred {
-		os.Truncate(s.walPath(), 0)
 	}
 }

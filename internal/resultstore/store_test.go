@@ -141,6 +141,27 @@ func pendingTxs(t *testing.T, dir string) []string {
 	return pending
 }
 
+// walRecords lists the records a primary's write-ahead log holds: every
+// line that is not blank, a torn one as a zero record (none when the log
+// is absent).
+func walRecords(t *testing.T, dir string) []walRecord {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, vtstoreDir, walFile))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var recs []walRecord
+	for _, ln := range bytes.Split(b, []byte("\n")) {
+		if len(bytes.TrimSpace(ln)) == 0 {
+			continue
+		}
+		var r walRecord
+		json.Unmarshal(ln, &r) // a torn line stays a zero record
+		recs = append(recs, r)
+	}
+	return recs
+}
+
 // walSize is the size of a primary's write-ahead log (0 when absent).
 func walSize(dir string) int64 {
 	fi, err := os.Stat(filepath.Join(dir, vtstoreDir, walFile))
@@ -171,13 +192,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: got %q", got)
 	}
-	// Every logged batch is done, and a clean Close empties the log.
+	// Every logged batch is done, and a clean Close leaves no record.
 	if left := pendingTxs(t, dir); len(left) != 0 || walSize(dir) == 0 {
 		t.Fatalf("log after a clean commit: %d bytes, pending %v", walSize(dir), left)
 	}
 	s.Close()
-	if n := walSize(dir); n != 0 {
-		t.Fatalf("log holds %d bytes after a clean Close", n)
+	if recs := walRecords(t, dir); len(recs) != 0 {
+		t.Fatalf("log holds %d records after a clean Close", len(recs))
 	}
 	// Reopen: index replays, object still verified.
 	s2 := mustOpen(t, Options{Dir: dir})
@@ -188,6 +209,97 @@ func TestPutGetRoundTrip(t *testing.T) {
 	c := s2.counts()
 	if c.Hits != 1 {
 		t.Fatalf("want 1 verified hit, got %+v", c)
+	}
+}
+
+// TestLogRewoundInPlace: the write-ahead log is reused, not grown or
+// cut. After every clean commit it holds exactly that batch's manifest
+// and done line; it never shrinks and never outgrows the largest batch
+// it logged; a clean Close leaves no record, and the next Open finds
+// nothing to roll forward or back.
+func TestLogRewoundInPlace(t *testing.T) {
+	p, m := t.TempDir(), t.TempDir()
+	s := mustOpen(t, Options{Dir: p, Mirror: m})
+	logged := func(what string) {
+		t.Helper()
+		recs := walRecords(t, p)
+		if len(recs) != 2 || recs[0].Done || recs[0].Sum == "" || !recs[1].Done || recs[1].Tx != recs[0].Tx {
+			t.Fatalf("log after %s: %+v, want one manifest and its done line", what, recs)
+		}
+	}
+	var big []*Tx
+	for i := range 32 {
+		big = append(big, jobTx(s, fmt.Sprintf("big%d", i)))
+	}
+	if errs, _ := commitAsBatch(t, s, big); errors.Join(errs...) != nil {
+		t.Fatal(errs)
+	}
+	if b := big[0].Batch(); b.Txs != 32 {
+		t.Fatalf("batch of %d transactions, want 32", b.Txs)
+	}
+	logged("the 32-transaction batch")
+	largest := walSize(p)
+	size := largest
+	for i := range 20 {
+		mustCommit(t, jobTx(s, fmt.Sprintf("small%d", i)))
+		logged(fmt.Sprintf("small batch %d", i))
+		n := walSize(p)
+		if n < size || n > largest {
+			t.Fatalf("small batch %d: log of %d bytes, was %d, largest batch %d", i, n, size, largest)
+		}
+		size = n
+	}
+	s.Close()
+	if recs := walRecords(t, p); len(recs) != 0 {
+		t.Fatalf("log holds %d records after a clean Close", len(recs))
+	}
+	if n := walSize(p); n != size {
+		t.Fatalf("Close resized the log from %d to %d bytes", size, n)
+	}
+	s2 := mustOpen(t, Options{Dir: p, Mirror: m})
+	if c := s2.counts(); c.RecoveredCommits != 0 || c.RolledBack != 0 {
+		t.Fatalf("reopen recovered %d and rolled back %d, want neither", c.RecoveredCommits, c.RolledBack)
+	}
+	if rep := s2.Verify(); rep.Healthy != 52 || len(rep.Damaged)+len(rep.Unrecoverable) != 0 {
+		t.Fatalf("verify: %+v", rep)
+	}
+}
+
+// TestLogKeepsDeferredBatch: a batch whose apply did not finish keeps
+// its manifest in the log while later batches commit cleanly after it,
+// Close leaves it, and the next Open rolls it forward exactly once.
+func TestLogKeepsDeferredBatch(t *testing.T) {
+	p, m := t.TempDir(), t.TempDir()
+	s := mustOpen(t, Options{Dir: p, Mirror: m,
+		Fault: newSyncSpy(func(path string) bool { return path == filepath.Join(p, indexFile) })})
+	mustCommit(t, jobTx(s, "late"))
+	deferred := pendingTxs(t, p)
+	if len(deferred) != 1 {
+		t.Fatalf("want the failed round's batch undone in the log, found %v", deferred)
+	}
+	for i, k := range []string{"c1", "c2"} {
+		mustCommit(t, jobTx(s, k))
+		if left, recs := pendingTxs(t, p), walRecords(t, p); !slices.Equal(left, deferred) || len(recs) != 1+2*(i+1) {
+			t.Fatalf("after %s: pending %v in %d records, want %v and every later record after it", k, left, len(recs), deferred)
+		}
+	}
+	s.Close()
+	if left := pendingTxs(t, p); !slices.Equal(left, deferred) {
+		t.Fatalf("Close left pending %v, want %v", left, deferred)
+	}
+	s2 := mustOpen(t, Options{Dir: p, Mirror: m})
+	if c := s2.counts(); c.RecoveredCommits != 1 || c.RolledBack != 0 {
+		t.Fatalf("reopen recovered %d and rolled back %d, want 1 and 0", c.RecoveredCommits, c.RolledBack)
+	}
+	s2.Close()
+	s3 := mustOpen(t, Options{Dir: p, Mirror: m})
+	if c := s3.counts(); c.RecoveredCommits != 0 || c.RolledBack != 0 {
+		t.Fatalf("second reopen recovered %d and rolled back %d, want neither", c.RecoveredCommits, c.RolledBack)
+	}
+	for _, k := range []string{"late", "c1", "c2"} {
+		if _, err := s3.Get(KindResult, k); err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ type Tx struct {
 
 // TxPhase is the wall-clock timing of one commit-protocol phase:
 // "stage" (pack appends, their fsync round, read-back verification),
-// "commit" (the manifest line: append, fsync, read back — the commit
+// "commit" (the manifest line: write, fsync, read back — the commit
 // point), "apply" (the primary's index and journal lines), "replicate"
 // (mirror copy-through). The final fsync round, which covers both sides,
 // and the done line are timed under the last phase. Observability-only;
@@ -115,7 +115,7 @@ func (t *Tx) Append(rel string, line []byte) {
 
 // Commit makes the transaction durable: it joins the group commit (see
 // the package doc) and returns when the batch carrying it has run the
-// protocol — stage, append the manifest (the commit point), apply,
+// protocol — stage, log the manifest (the commit point), apply,
 // replicate, mark done. An error return means the batch did not commit
 // and was rolled back; it may be retried. After the commit point Commit
 // returns nil even if an apply step failed — the manifest, left without
@@ -280,9 +280,12 @@ func (s *Store) commitBatch(batch []*Tx) {
 	}
 }
 
-// logManifest appends m to the write-ahead log, fsyncs it and reads it
-// back. Whatever fails, the log is cut back to where the record began, so
-// recovery never rolls forward a batch whose Commit reported an error.
+// logManifest writes m to the write-ahead log, fsyncs it and reads it
+// back. The log is written in place: with every batch it holds done, the
+// record goes at offset 0, over them; behind a deferred batch it goes
+// after the last record. Whatever fails, the log is cut back to where the
+// record began, so recovery never rolls forward a batch whose Commit
+// reported an error.
 func (s *Store) logManifest(set *syncSet, m *manifest) error {
 	ops, err := json.Marshal(m.Ops)
 	if err != nil {
@@ -292,34 +295,74 @@ func (s *Store) logManifest(set *syncSet, m *manifest) error {
 	if err != nil {
 		return err
 	}
-	wal := s.fs.appender(set, s.walPath())
-	off, err := wal.write(append(rec, '\n'), true)
+	off := s.walNext
+	if !s.deferred {
+		off = 0
+	}
+	data, err := s.walWrite(set, off, rec)
 	if err == nil {
 		err = set.flush(s.fs)
 	}
 	if err == nil {
+		// The whole write, padding included: a flipped pad byte would read
+		// as a torn record at the next Open.
 		var got []byte
-		got, err = s.fs.readAt(wal.path, off, int64(len(rec)))
-		if err == nil && !bytes.Equal(got, rec) {
+		got, err = s.fs.readAt(s.walPath(), off, int64(len(data)))
+		if err == nil && !bytes.Equal(got, data) {
 			err = errors.New("manifest read back wrong")
 		}
 	}
-	if err != nil && off >= 0 {
-		os.Truncate(wal.path, off)
+	if err != nil {
+		s.walNext, s.walDirty = off, max(s.walDirty, off+int64(len(data)))
+		os.Truncate(s.walPath(), off)
 	}
 	return err
 }
 
-// walDone appends the done line of a batch whose every side is durable.
-// It is not fsynced: a done line lost to a crash only makes recovery
-// re-apply a batch, which is idempotent.
+// walDone writes the done line of a batch whose every side is durable
+// right after its manifest. It is not fsynced: a done line lost to a
+// crash only makes recovery re-apply a batch, which is idempotent.
 func (s *Store) walDone(txid string) {
 	var ss syncSet
 	defer ss.drop()
 	b, err := json.Marshal(walRecord{Tx: txid, Done: true})
 	if err == nil {
-		retryOnce(func() error { return s.fs.appender(&ss, s.walPath()).line(b) })
+		retryOnce(func() error {
+			_, err := s.walWrite(&ss, s.walNext, b)
+			return err
+		})
 	}
+}
+
+// walWrite writes rec as one log line at off, which is 0 or s.walNext,
+// in one hooked write through ss, and returns the bytes it wrote. A line
+// after another starts with a newline, so a torn tail that Open found
+// never swallows it, and blank padding — spaces closed by a newline, a
+// line recovery skips — follows it over every byte that may still hold
+// an older record. Callers hold s.mu.
+func (s *Store) walWrite(ss *syncSet, off int64, rec []byte) ([]byte, error) {
+	var data []byte
+	if off > 0 {
+		data = append(data, '\n')
+	}
+	data = append(append(data, rec...), '\n')
+	end := off + int64(len(data))
+	if n := s.walDirty - end; n > 0 {
+		data = append(data, blank(n)...)
+	}
+	if err := s.fs.writeAt(ss, s.walPath(), off, data); err != nil {
+		s.walDirty = max(s.walDirty, off+int64(len(data)))
+		return data, err
+	}
+	s.walNext, s.walDirty = end, end
+	return data, nil
+}
+
+// blank is n bytes of log that hold no record: spaces closed by a newline.
+func blank(n int64) []byte {
+	b := bytes.Repeat([]byte{' '}, int(n))
+	b[n-1] = '\n'
+	return b
 }
 
 // rollForward applies a committed manifest on the primary (index lines
